@@ -110,9 +110,9 @@ type Line struct {
 // Array is a set-associative cache structure.
 type Array struct {
 	sets     [][]Line
-	setMask  uint64
-	setShift uint
-	ways     int
+	setMask  uint64 `snap:"-,config"`
+	setShift uint   `snap:"-,config"`
+	ways     int    `snap:"-,config"`
 }
 
 // NewArray builds an array with sizeBytes capacity, the given associativity,

@@ -9,9 +9,9 @@ import "pushmulticast/internal/noc"
 // it from pushing.
 type pauseKnob struct {
 	tpc, upc     uint32
-	tpcThreshold uint32
-	ratioShift   uint
-	enabled      bool
+	tpcThreshold uint32 `snap:"-,config"`
+	ratioShift   uint   `snap:"-,config"`
+	enabled      bool   `snap:"-,config"`
 }
 
 // counterMax is the 10-bit counter capacity from Table I; on overflow both
@@ -64,10 +64,10 @@ func (k *pauseKnob) reset() {
 // between a Disable-Accepting phase and a Resume phase.
 type resumeKnob struct {
 	pdr     noc.DestSet
-	window  int
+	window  int `snap:"-,config"`
 	counter int
 	resume  bool // true during the Resume phase
-	enabled bool
+	enabled bool `snap:"-,config"`
 }
 
 func newResumeKnob(window int, enabled bool) resumeKnob {

@@ -64,22 +64,22 @@ type doneEvt struct {
 // same-line misses, deadlock/redundancy/coherence drops otherwise) and the
 // push pause knob.
 type L2 struct {
-	id   noc.NodeID
-	cfg  *config.System
-	eng  *sim.Engine
-	st   *stats.All
+	id   noc.NodeID     `snap:"-,wiring"`
+	cfg  *config.System `snap:"-,config"`
+	eng  *sim.Engine    `snap:"-,wiring"`
+	st   *stats.All     `snap:"-,wiring"`
 	arr  *Array
 	l1   *L1
-	core Requestor
+	core Requestor `snap:"-,wiring"`
 
-	h *sim.Handle
+	h *sim.Handle `snap:"-,wiring"`
 	// wakeCore, when the Requestor supports it, marks the core runnable
 	// after this L2 processed any message: each one may free the resource
 	// (MSHR, writeback slot, transient victim) a core is stalled on.
-	wakeCore func()
+	wakeCore func() `snap:"-,wiring"`
 
 	mshr     map[uint64]*l2MSHR
-	mshrFree []*l2MSHR
+	mshrFree []*l2MSHR `snap:"-,pool"`
 	wb       map[uint64]*wbEntry
 	inq      delayQueue
 	out      outbox
@@ -89,8 +89,8 @@ type L2 struct {
 	// lossy arms the MSHR retry timers and the duplicate-response tolerance
 	// (a reissued request can produce two responses); set only when the
 	// fault plan schedules message loss.
-	lossy       bool
-	mshrTimeout sim.Cycle
+	lossy       bool      `snap:"-,config"`
+	mshrTimeout sim.Cycle `snap:"-,config"`
 	// dead is the ErrUnrecoverable verdict once an MSHR exhausts its reissue
 	// budget (loss rates beyond the forward-progress ceiling): requests are
 	// outside the transport's retransmit protection — the filter may consume
@@ -98,7 +98,7 @@ type L2 struct {
 	dead error
 	// timeoutScratch collects overdue MSHR addresses for sorting: the map
 	// scan order is nondeterministic, the reissue order must not be.
-	timeoutScratch []uint64
+	timeoutScratch []uint64 `snap:"-,scratch"`
 
 	// rejKind/rejAddr remember a load (1) or store (2) the controller
 	// rejected with accepted=false. The core's next attempt for the same
@@ -111,7 +111,7 @@ type L2 struct {
 
 	// OnMiss, when set, is invoked on every demand L2 miss (the stride
 	// prefetcher's training hook).
-	OnMiss func(lineAddr uint64, now sim.Cycle)
+	OnMiss func(lineAddr uint64, now sim.Cycle) `snap:"-,wiring"`
 }
 
 // NewL2 builds the tile's private cache stack (L1 + L2) and attaches it to
@@ -880,4 +880,3 @@ func (c *L2) OutstandingTransactions() bool { return len(c.mshr) != 0 || len(c.w
 
 // Knob exposes pause-knob state for tests: (TPC, UPC, needPush).
 func (c *L2) Knob() (uint32, uint32, bool) { return c.knob.tpc, c.knob.upc, c.knob.needPush() }
-

@@ -58,31 +58,31 @@ type traceState struct {
 // multicast on re-references from existing sharers), the PushAck P state,
 // the push resume knob, and the Coalesce baseline.
 type LLC struct {
-	id  noc.NodeID
-	cfg *config.System
-	eng *sim.Engine
-	st  *stats.All
+	id  noc.NodeID     `snap:"-,wiring"`
+	cfg *config.System `snap:"-,config"`
+	eng *sim.Engine    `snap:"-,wiring"`
+	st  *stats.All     `snap:"-,wiring"`
 	arr *Array
 
 	ep      map[uint64]*episode
 	fetches map[uint64]*fetch
 	// fetchFree recycles fetch records (and their requester-slice capacity)
 	// between misses; handleGetS allocated one per LLC miss before.
-	fetchFree []*fetch
+	fetchFree []*fetch `snap:"-,pool"`
 	stalled   map[uint64][]*noc.Packet
 	// parked is set by stall/retry during handle so Tick knows whether the
 	// packet just processed was retained or can be recycled.
-	parked bool
+	parked bool `snap:"-,transient: set and read within one Tick"`
 	inq    delayQueue
 	out    outbox
 	knob   resumeKnob
-	h      *sim.Handle
+	h      *sim.Handle `snap:"-,wiring"`
 	// lastTick lets a slice woken after sleeping advance the resume knob by
 	// exactly the number of skipped cycles (tickN), keeping the phase
 	// sequence identical to a dense run's.
 	lastTick sim.Cycle
 	traces   map[uint64]*traceState
-	memNode  noc.NodeID
+	memNode  noc.NodeID `snap:"-,config"`
 	// pred is the decoupled sharer predictor (PredictPush extension).
 	pred *sharerPredictor
 	// recent is a small table of just-sent pushes (addr -> dests/expiry).
@@ -95,7 +95,7 @@ type LLC struct {
 	// tr is this slice's trace shard (nil when tracing is off). Writes
 	// happen from the slice's own tick and from Receive (the tile's NI
 	// tick) — both on the tile's lane.
-	tr *trace.Shard
+	tr *trace.Shard `snap:"-,wiring"`
 }
 
 // recentPush is one recent-push table entry.

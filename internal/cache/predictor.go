@@ -11,7 +11,7 @@ import "pushmulticast/internal/noc"
 type sharerPredictor struct {
 	entries map[uint64]noc.DestSet
 	order   []uint64 // FIFO replacement
-	cap     int
+	cap     int      `snap:"-,config"`
 }
 
 func newSharerPredictor(capacity int) *sharerPredictor {

@@ -13,8 +13,8 @@ import (
 // so steady-state operation never reallocates.
 type delayQueue struct {
 	items   []delayed
-	head    int // items[head:] are live
-	latency sim.Cycle
+	head    int       `snap:"-,derived: a decoded queue is compacted"` // items[head:] are live
+	latency sim.Cycle `snap:"-,config"`
 }
 
 type delayed struct {
@@ -120,11 +120,11 @@ func (q *delayQueue) removeIf(match func(*noc.Packet) bool) []*noc.Packet {
 // outbox buffers outgoing packets until the NI accepts them, so controllers
 // never block mid-transition on injection backpressure.
 type outbox struct {
-	ni   *noc.NI
-	unit stats.Unit
+	ni   *noc.NI    `snap:"-,wiring"`
+	unit stats.Unit `snap:"-,config"`
 	// h, when set, is woken on every send: a sleeping controller with a
 	// non-empty outbox must tick to retry injection.
-	h    *sim.Handle
+	h    *sim.Handle `snap:"-,wiring"`
 	pkts []*noc.Packet
 }
 

@@ -1,473 +1,168 @@
 package cache
 
 import (
-	"fmt"
-
 	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
-	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 )
 
-// codec decodes packet payloads drawn through the cache controllers' queues.
+// codec describes packet payloads drawn through the cache controllers' queues.
 var codec coherence.Codec
 
-// saveLine / loadLine serialize one cache line verbatim (invalid ways
-// included: a free way's stale metadata is never read, but writing every way
-// keeps the format position-independent of replacement history).
-func saveLine(w *snapshot.Writer, l *Line) {
-	w.U64(l.Tag)
-	w.U8(uint8(l.State))
-	w.U64(l.Version)
-	w.Bool(l.Dirty)
-	w.Bool(l.Pushed)
-	w.Bool(l.Accessed)
-	w.U64(uint64(l.LastUse))
-	noc.SaveDests(w, l.Sharers)
-	w.U32(uint32(l.Owner))
-	w.U32(l.Epoch)
-}
-
-func loadLine(r *snapshot.Reader, l *Line) {
-	l.Tag = r.U64()
-	l.State = State(r.U8())
-	l.Version = r.U64()
-	l.Dirty = r.Bool()
-	l.Pushed = r.Bool()
-	l.Accessed = r.Bool()
-	l.LastUse = sim.Cycle(r.U64())
-	l.Sharers = noc.LoadDests(r)
-	l.Owner = noc.NodeID(r.U32())
-	l.Epoch = r.U32()
-}
-
-// SaveState serializes the array's full line contents, set by set, way by
-// way. Geometry (sets, ways) comes from the config fingerprint, so only a
-// count check is needed on load.
-func (a *Array) SaveState(w *snapshot.Writer) {
-	w.Int(len(a.sets))
-	w.Int(a.ways)
+// state describes the array's full line contents, set by set, way by way —
+// invalid ways included: a free way's stale metadata is never read, but
+// coding every way keeps the format position-independent of replacement
+// history. Geometry comes from the config fingerprint, so it is only checked.
+func (a *Array) state(c *snapshot.Codec) {
+	c.Mark(&a.sets)
+	c.Count(len(a.sets), "cache sets")
+	c.Count(a.ways, "cache ways")
 	for i := range a.sets {
 		for j := range a.sets[i] {
-			saveLine(w, &a.sets[i][j])
+			l := &a.sets[i][j]
+			c.U64(&l.Tag)
+			snapshot.AsU8(c, &l.State)
+			c.U64(&l.Version)
+			c.Bool(&l.Dirty)
+			c.Bool(&l.Pushed)
+			c.Bool(&l.Accessed)
+			snapshot.AsU64(c, &l.LastUse)
+			c.U64s(l.Sharers[:])
+			snapshot.AsU32(c, &l.Owner)
+			c.U32(&l.Epoch)
 		}
 	}
 }
 
-// LoadState restores an array saved by SaveState.
-func (a *Array) LoadState(r *snapshot.Reader) error {
-	sets := r.Int()
-	ways := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if sets != len(a.sets) || ways != a.ways {
-		return fmt.Errorf("%w: snapshot array geometry %dx%d, this build %dx%d",
-			snapshot.ErrMismatch, sets, ways, len(a.sets), a.ways)
-	}
-	for i := range a.sets {
-		for j := range a.sets[i] {
-			loadLine(r, &a.sets[i][j])
-		}
-	}
-	return r.Err()
-}
-
-func (l *L1) saveState(w *snapshot.Writer) {
-	l.arr.SaveState(w)
-	w.U64(l.accesses)
-	w.U64(l.misses)
-}
-
-func (l *L1) loadState(r *snapshot.Reader) error {
-	if err := l.arr.LoadState(r); err != nil {
-		return err
-	}
-	l.accesses = r.U64()
-	l.misses = r.U64()
-	return r.Err()
-}
-
-// delayQueue: live entries oldest-first; the restored queue starts compacted
-// (head 0), which is invisible — only the live window is ever read.
-func (q *delayQueue) saveState(w *snapshot.Writer, ni *noc.NI) {
+// state describes the live entries oldest-first; a decoded queue starts
+// compacted (head 0), which is invisible — only the live window is ever read.
+func (q *delayQueue) state(c *snapshot.Codec, pkt func(**noc.Packet)) {
+	c.Mark(&q.items)
 	live := q.live()
-	w.Int(len(live))
-	for _, d := range live {
-		w.U64(uint64(d.readyAt))
-		ni.SavePacket(w, codec, d.pkt)
+	snapshot.Slice(c, &live, func(d *delayed) {
+		snapshot.AsU64(c, &d.readyAt)
+		pkt(&d.pkt)
+	})
+	if c.Decoding() {
+		q.items, q.head = live, 0
 	}
 }
 
-func (q *delayQueue) loadState(r *snapshot.Reader, ni *noc.NI) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		at := sim.Cycle(r.U64())
-		q.items = append(q.items, delayed{ni.LoadPacket(r, codec), at})
-	}
-	return r.Err()
-}
-
-func (o *outbox) saveState(w *snapshot.Writer) {
-	w.Int(len(o.pkts))
-	for _, p := range o.pkts {
-		o.ni.SavePacket(w, codec, p)
-	}
-}
-
-func (o *outbox) loadState(r *snapshot.Reader) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		o.pkts = append(o.pkts, o.ni.LoadPacket(r, codec))
-	}
-	return r.Err()
-}
-
-// SaveState serializes the private cache stack: both arrays, MSHRs and
-// writeback entries (sorted by address — map order must not reach the
-// byte stream), queued input, pending completions, outbox, knob counters,
-// and the retry-dedup state.
-func (c *L2) SaveState(w *snapshot.Writer) {
-	w.Section("cache.l2")
-	c.arr.SaveState(w)
-	c.l1.saveState(w)
-
-	addrs := make([]uint64, 0, len(c.mshr))
-	for a := range c.mshr {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		m := c.mshr[a]
-		w.U64(a)
-		w.Int(m.loads)
-		w.Int(m.stores)
-		w.U64(uint64(m.issuedAt))
-		w.U8(m.backoff)
-		w.Bool(m.prefetchL1)
-		w.Bool(m.prefetch)
-		w.Bool(m.recallPending)
-		w.U32(m.recallEpoch)
-	}
-
-	addrs = addrs[:0]
-	for a := range c.wb {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		w.U64(a)
-		w.Bool(c.wb[a].invalidated)
-	}
-
-	c.inq.saveState(w, c.out.ni)
-	c.out.saveState(w)
-	w.Int(len(c.pend))
-	for _, d := range c.pend {
-		w.U64(d.addr)
-		w.U64(uint64(d.at))
-		w.Bool(d.store)
-	}
-	w.U32(c.knob.tpc)
-	w.U32(c.knob.upc)
-	noc.SaveError(w, c.dead)
-	w.U8(c.rejKind)
-	w.U64(c.rejAddr)
-}
-
-// LoadState restores a stack saved by SaveState into this freshly built L2.
-func (c *L2) LoadState(r *snapshot.Reader) error {
-	r.Section("cache.l2")
-	if err := c.arr.LoadState(r); err != nil {
-		return err
-	}
-	if err := c.l1.loadState(r); err != nil {
-		return err
-	}
-	nm := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nm; i++ {
-		a := r.U64()
-		m := c.newMSHR()
-		*m = l2MSHR{
-			addr:          a,
-			loads:         r.Int(),
-			stores:        r.Int(),
-			issuedAt:      sim.Cycle(r.U64()),
-			backoff:       r.U8(),
-			prefetchL1:    r.Bool(),
-			prefetch:      r.Bool(),
-			recallPending: r.Bool(),
-			recallEpoch:   r.U32(),
+// State describes the private cache stack: both arrays, MSHRs and writeback
+// entries, queued input, outbox, pending completions, knob counters, and the
+// retry-dedup state. Decoding targets a freshly built L2.
+func (l2 *L2) State(c *snapshot.Codec) {
+	c.Section("cache.l2")
+	pkt := func(pp **noc.Packet) { l2.out.ni.Packet(c, codec, pp) }
+	c.Mark(&l2.arr)
+	l2.arr.state(c)
+	c.Mark(&l2.l1)
+	c.Mark(&l2.l1.arr)
+	l2.l1.arr.state(c)
+	c.U64(&l2.l1.accesses)
+	c.U64(&l2.l1.misses)
+	snapshot.Map(c, &l2.mshr, func(a *uint64, pm **l2MSHR) {
+		if c.Decoding() {
+			*pm = l2.newMSHR()
 		}
-		c.mshr[a] = m
-	}
-	nw := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nw; i++ {
-		a := r.U64()
-		c.wb[a] = &wbEntry{invalidated: r.Bool()}
-	}
-	if err := c.inq.loadState(r, c.out.ni); err != nil {
-		return err
-	}
-	if err := c.out.loadState(r); err != nil {
-		return err
-	}
-	np := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < np; i++ {
-		addr := r.U64()
-		at := sim.Cycle(r.U64())
-		c.pend = append(c.pend, doneEvt{addr, at, r.Bool()})
-	}
-	c.knob.tpc = r.U32()
-	c.knob.upc = r.U32()
-	c.dead = noc.LoadError(r)
-	c.rejKind = r.U8()
-	c.rejAddr = r.U64()
-	return r.Err()
+		m := *pm
+		c.U64(&m.addr)
+		*a = m.addr
+		c.Int(&m.loads)
+		c.Int(&m.stores)
+		snapshot.AsU64(c, &m.issuedAt)
+		c.U8(&m.backoff)
+		c.Bool(&m.prefetchL1)
+		c.Bool(&m.prefetch)
+		c.Bool(&m.recallPending)
+		c.U32(&m.recallEpoch)
+	})
+	snapshot.Map(c, &l2.wb, func(a *uint64, pw **wbEntry) {
+		if c.Decoding() {
+			*pw = new(wbEntry)
+		}
+		c.U64(a)
+		c.Bool(&(*pw).invalidated)
+	})
+	l2.inq.state(c, pkt)
+	snapshot.Slice(c, &l2.out.pkts, pkt)
+	snapshot.Slice(c, &l2.pend, func(d *doneEvt) {
+		c.U64(&d.addr)
+		snapshot.AsU64(c, &d.at)
+		c.Bool(&d.store)
+	})
+	c.U32(&l2.knob.tpc)
+	c.U32(&l2.knob.upc)
+	noc.Error(c, &l2.dead)
+	c.U8(&l2.rejKind)
+	c.U64(&l2.rejAddr)
 }
 
-// SaveState serializes the slice: array + directory, open episodes, fetches,
+// State describes the slice: array + directory, open episodes, fetches,
 // stalled packets, queued input, outbox, resume knob, sharer-gap trace
-// state, predictor, and the recent-push table. All maps are written sorted
-// by key.
-func (s *LLC) SaveState(w *snapshot.Writer) {
-	w.Section("cache.llc")
-	s.arr.SaveState(w)
-
-	addrs := make([]uint64, 0, len(s.ep))
-	for a := range s.ep {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		ep := s.ep[a]
-		w.U64(a)
-		w.U8(uint8(ep.kind))
-		w.U32(ep.epoch)
-		noc.SaveDests(w, ep.pendingAcks)
-		w.U32(uint32(ep.writer))
-		w.Bool(ep.evictAfter)
-	}
-
-	addrs = addrs[:0]
-	for a := range s.fetches {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		f := s.fetches[a]
-		w.U64(a)
-		w.Int(len(f.requesters))
-		for _, rq := range f.requesters {
-			w.U32(uint32(rq.req))
-			w.Bool(rq.prefetch)
+// state, predictor, and the recent-push table. Decoding targets a freshly
+// built LLC.
+func (s *LLC) State(c *snapshot.Codec) {
+	c.Section("cache.llc")
+	pkt := func(pp **noc.Packet) { s.out.ni.Packet(c, codec, pp) }
+	c.Mark(&s.arr)
+	s.arr.state(c)
+	snapshot.Map(c, &s.ep, func(a *uint64, pe **episode) {
+		if c.Decoding() {
+			*pe = new(episode)
 		}
-	}
-
-	addrs = addrs[:0]
-	for a := range s.stalled {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		pkts := s.stalled[a]
-		w.U64(a)
-		w.Int(len(pkts))
-		for _, p := range pkts {
-			s.out.ni.SavePacket(w, codec, p)
+		ep := *pe
+		c.U64(a)
+		snapshot.AsU8(c, &ep.kind)
+		c.U32(&ep.epoch)
+		c.U64s(ep.pendingAcks[:])
+		snapshot.AsU32(c, &ep.writer)
+		c.Bool(&ep.evictAfter)
+	})
+	snapshot.Map(c, &s.fetches, func(a *uint64, pf **fetch) {
+		if c.Decoding() {
+			*pf = s.newFetch()
 		}
+		c.U64(a)
+		snapshot.Slice(c, &(*pf).requesters, func(rq *fetchReq) {
+			snapshot.AsU32(c, &rq.req)
+			c.Bool(&rq.prefetch)
+		})
+	})
+	snapshot.Map(c, &s.stalled, func(a *uint64, pkts *[]*noc.Packet) {
+		c.U64(a)
+		snapshot.Slice(c, pkts, pkt)
+	})
+	s.inq.state(c, pkt)
+	snapshot.Slice(c, &s.out.pkts, pkt)
+	c.U64s(s.knob.pdr[:])
+	c.Int(&s.knob.counter)
+	c.Bool(&s.knob.resume)
+	snapshot.AsU64(c, &s.lastTick)
+	if c.Same(s.traces != nil, "LLC sharer-gap tracing") {
+		snapshot.Map(c, &s.traces, func(a *uint64, pt **traceState) {
+			if c.Decoding() {
+				*pt = new(traceState)
+			}
+			c.U64(a)
+			snapshot.AsU32(c, &(*pt).lastReader)
+			snapshot.AsU64(c, &(*pt).lastAt)
+		})
 	}
-
-	s.inq.saveState(w, s.out.ni)
-	s.out.saveState(w)
-	noc.SaveDests(w, s.knob.pdr)
-	w.Int(s.knob.counter)
-	w.Bool(s.knob.resume)
-	w.U64(uint64(s.lastTick))
-
-	if s.traces != nil {
-		w.Bool(true)
-		addrs = addrs[:0]
-		for a := range s.traces {
-			addrs = append(addrs, a)
-		}
-		sortAddrs(addrs)
-		w.Int(len(addrs))
-		for _, a := range addrs {
-			t := s.traces[a]
-			w.U64(a)
-			w.U32(uint32(t.lastReader))
-			w.U64(uint64(t.lastAt))
-		}
-	} else {
-		w.Bool(false)
-	}
-
-	if s.pred != nil {
-		w.Bool(true)
+	if snapshot.Present(c, &s.pred, "LLC sharer predictor") {
 		// order may hold stale or duplicate keys (predict consumes entries
-		// without touching it), so both structures are written in full.
-		w.Int(len(s.pred.order))
-		for _, a := range s.pred.order {
-			w.U64(a)
-		}
-		addrs = addrs[:0]
-		for a := range s.pred.entries {
-			addrs = append(addrs, a)
-		}
-		sortAddrs(addrs)
-		w.Int(len(addrs))
-		for _, a := range addrs {
-			w.U64(a)
-			noc.SaveDests(w, s.pred.entries[a])
-		}
-	} else {
-		w.Bool(false)
+		// without touching it), so both structures travel in full.
+		snapshot.Slice(c, &s.pred.order, c.U64)
+		snapshot.Map(c, &s.pred.entries, func(a *uint64, d *noc.DestSet) {
+			c.U64(a)
+			c.U64s(d[:])
+		})
 	}
-
 	for i := range s.recent {
 		e := &s.recent[i]
-		w.U64(e.addr)
-		noc.SaveDests(w, e.dests)
-		w.U64(uint64(e.until))
-		w.Bool(e.valid)
+		c.U64(&e.addr)
+		c.U64s(e.dests[:])
+		snapshot.AsU64(c, &e.until)
+		c.Bool(&e.valid)
 	}
-}
-
-// LoadState restores a slice saved by SaveState into this freshly built LLC.
-func (s *LLC) LoadState(r *snapshot.Reader) error {
-	r.Section("cache.llc")
-	if err := s.arr.LoadState(r); err != nil {
-		return err
-	}
-	ne := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < ne; i++ {
-		a := r.U64()
-		s.ep[a] = &episode{
-			kind:        epKind(r.U8()),
-			epoch:       r.U32(),
-			pendingAcks: noc.LoadDests(r),
-			writer:      noc.NodeID(r.U32()),
-			evictAfter:  r.Bool(),
-		}
-	}
-	nf := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nf; i++ {
-		a := r.U64()
-		f := s.newFetch()
-		nr := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for j := 0; j < nr; j++ {
-			req := noc.NodeID(r.U32())
-			f.requesters = append(f.requesters, fetchReq{req, r.Bool()})
-		}
-		s.fetches[a] = f
-	}
-	ns := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < ns; i++ {
-		a := r.U64()
-		np := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for j := 0; j < np; j++ {
-			s.stalled[a] = append(s.stalled[a], s.out.ni.LoadPacket(r, codec))
-		}
-	}
-	if err := s.inq.loadState(r, s.out.ni); err != nil {
-		return err
-	}
-	if err := s.out.loadState(r); err != nil {
-		return err
-	}
-	s.knob.pdr = noc.LoadDests(r)
-	s.knob.counter = r.Int()
-	s.knob.resume = r.Bool()
-	s.lastTick = sim.Cycle(r.U64())
-
-	hasTraces := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasTraces != (s.traces != nil) {
-		return fmt.Errorf("%w: LLC %d sharer-gap tracing differs (snapshot %v, build %v)",
-			snapshot.ErrMismatch, s.id, hasTraces, s.traces != nil)
-	}
-	if hasTraces {
-		nt := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < nt; i++ {
-			a := r.U64()
-			reader := noc.NodeID(r.U32())
-			s.traces[a] = &traceState{lastReader: reader, lastAt: sim.Cycle(r.U64())}
-		}
-	}
-
-	hasPred := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasPred != (s.pred != nil) {
-		return fmt.Errorf("%w: LLC %d sharer predictor differs (snapshot %v, build %v)",
-			snapshot.ErrMismatch, s.id, hasPred, s.pred != nil)
-	}
-	if hasPred {
-		no := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < no; i++ {
-			s.pred.order = append(s.pred.order, r.U64())
-		}
-		nent := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < nent; i++ {
-			a := r.U64()
-			s.pred.entries[a] = noc.LoadDests(r)
-		}
-	}
-
-	for i := range s.recent {
-		e := &s.recent[i]
-		e.addr = r.U64()
-		e.dests = noc.LoadDests(r)
-		e.until = sim.Cycle(r.U64())
-		e.valid = r.Bool()
-	}
-	return r.Err()
 }

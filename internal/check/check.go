@@ -54,24 +54,24 @@ type pktTrack struct {
 // — this is what makes the trace drain order deterministic across the
 // serial, dense, and parallel kernels.
 type Monitor struct {
-	cfg       *config.System
-	net       *noc.Network
-	l2s       []*cache.L2
-	llcs      []*cache.LLC
-	coherence func() error // core's SWMR/data-value snapshot checker
-	tr        *trace.Tracer
+	cfg       *config.System `snap:"-,config"`
+	net       *noc.Network   `snap:"-,wiring"`
+	l2s       []*cache.L2    `snap:"-,wiring"`
+	llcs      []*cache.LLC   `snap:"-,wiring"`
+	coherence func() error   `snap:"-,wiring"` // core's SWMR/data-value snapshot checker
+	tr        *trace.Tracer  `snap:"-,wiring"`
 
-	h          *sim.Handle
-	checkEvery sim.Cycle
+	h          *sim.Handle `snap:"-,wiring"`
+	checkEvery sim.Cycle   `snap:"-,config"`
 	nextScan   sim.Cycle
 
 	// Sticky first violation.
-	err error
+	err error `snap:"-,transient: a monitor with a violation refuses to snapshot"`
 
 	// OrdPush ordering state: per-source injection serials and the set of
 	// in-flight pushes and invalidations, keyed by packet ID (multicast
 	// replicas share their parent's ID).
-	ordered bool
+	ordered bool `snap:"-,config"`
 	seq     []uint64
 	pushes  map[uint64]*pktTrack
 	invs    map[uint64]*pktTrack
@@ -85,14 +85,14 @@ type Monitor struct {
 	// a fresh packet ID and a fresh, artificially late serial) inherits the
 	// original's place in the ordering; lossRef counts the nodes holding an
 	// open obligation per key so lossSeq lives exactly as long as any does.
-	lossy       bool
+	lossy       bool `snap:"-,config"`
 	pendingLoss map[lossKey]uint64
 	lossRef     map[uint64]int
 	lossSeq     map[uint64]uint64
-	lossBound   uint64
+	lossBound   uint64 `snap:"-,config"`
 
 	// scratch maps L2 tags to states during the inclusion sweep.
-	scratch map[uint64]cache.State
+	scratch map[uint64]cache.State `snap:"-,scratch"`
 }
 
 // lossKey identifies one open loss obligation: the NI that discarded the

@@ -1,175 +1,47 @@
 package check
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
-	"pushmulticast/internal/noc"
-	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 )
 
-// SaveState serializes the monitor's sweep schedule and in-flight tracking
-// state. A monitor with a sticky violation refuses to snapshot — the run is
-// about to abort, and forking from a corrupted state would be meaningless.
-// All maps are written sorted by key so identical states serialize to
-// identical bytes.
-func (m *Monitor) SaveState(w *snapshot.Writer) {
+// State describes the monitor's sweep schedule and in-flight tracking state.
+// A monitor with a sticky violation refuses to snapshot — the run is about to
+// abort, and forking from a corrupted state would be meaningless.
+func (m *Monitor) State(c *snapshot.Codec) {
 	if m.err != nil {
-		panic("check: SaveState with a sticky violation")
+		panic("check: snapshot with a sticky violation")
 	}
-	w.Section("check.monitor")
-	w.U64(uint64(m.nextScan))
-	w.Bool(m.ordered)
-	if m.ordered {
-		w.Int(len(m.seq))
-		for _, s := range m.seq {
-			w.U64(s)
-		}
-		saveTracks(w, m.pushes)
-		saveTracks(w, m.invs)
-	}
-	w.Bool(m.lossy)
-	if m.lossy {
-		lks := make([]lossKey, 0, len(m.pendingLoss))
-		for k := range m.pendingLoss {
-			lks = append(lks, k)
-		}
-		sort.Slice(lks, func(i, j int) bool {
-			if lks[i].node != lks[j].node {
-				return lks[i].node < lks[j].node
+	c.Section("check.monitor")
+	snapshot.AsU64(c, &m.nextScan)
+	if c.Same(m.ordered, "OrdPush tracking") {
+		c.Mark(&m.seq)
+		c.Count(len(m.seq), "injection serials")
+		c.U64s(m.seq)
+		tracks := func(id *uint64, pt **pktTrack) {
+			if c.Decoding() {
+				*pt = new(pktTrack)
 			}
-			return lks[i].key < lks[j].key
+			t := *pt
+			c.U64(id)
+			c.U64(&t.addr)
+			snapshot.AsU32(c, &t.src)
+			c.U64(&t.seq)
+			c.U64s(t.left[:])
+		}
+		snapshot.Map(c, &m.pushes, tracks)
+		snapshot.Map(c, &m.invs, tracks)
+	}
+	if c.Same(m.lossy, "loss tracking") {
+		snapshot.MapFunc(c, &m.pendingLoss, func(a, b lossKey) int {
+			return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.key, b.key))
+		}, func(k *lossKey, at *uint64) {
+			snapshot.AsU32(c, &k.node)
+			c.U64(&k.key)
+			c.U64(at)
 		})
-		w.Int(len(lks))
-		for _, k := range lks {
-			w.U32(uint32(k.node))
-			w.U64(k.key)
-			w.U64(m.pendingLoss[k])
-		}
-		saveSortedU64Map(w, len(m.lossRef), func(yield func(uint64)) {
-			for k := range m.lossRef {
-				yield(k)
-			}
-		}, func(k uint64) { w.Int(m.lossRef[k]) })
-		saveSortedU64Map(w, len(m.lossSeq), func(yield func(uint64)) {
-			for k := range m.lossSeq {
-				yield(k)
-			}
-		}, func(k uint64) { w.U64(m.lossSeq[k]) })
-	}
-}
-
-// LoadState restores a monitor saved by SaveState.
-func (m *Monitor) LoadState(r *snapshot.Reader) error {
-	r.Section("check.monitor")
-	m.nextScan = sim.Cycle(r.U64())
-	ordered := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if ordered != m.ordered {
-		return fmt.Errorf("%w: OrdPush tracking differs (snapshot %v, build %v)",
-			snapshot.ErrMismatch, ordered, m.ordered)
-	}
-	if m.ordered {
-		n := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if n != len(m.seq) {
-			return fmt.Errorf("%w: snapshot tracks %d injection serials, this build %d",
-				snapshot.ErrMismatch, n, len(m.seq))
-		}
-		for i := range m.seq {
-			m.seq[i] = r.U64()
-		}
-		if err := loadTracks(r, m.pushes); err != nil {
-			return err
-		}
-		if err := loadTracks(r, m.invs); err != nil {
-			return err
-		}
-	}
-	lossy := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if lossy != m.lossy {
-		return fmt.Errorf("%w: loss tracking differs (snapshot %v, build %v)",
-			snapshot.ErrMismatch, lossy, m.lossy)
-	}
-	if m.lossy {
-		np := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < np; i++ {
-			node := int32(r.U32())
-			key := r.U64()
-			m.pendingLoss[lossKey{node: node, key: key}] = r.U64()
-		}
-		nr := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < nr; i++ {
-			k := r.U64()
-			m.lossRef[k] = r.Int()
-		}
-		ns := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < ns; i++ {
-			k := r.U64()
-			m.lossSeq[k] = r.U64()
-		}
-	}
-	return r.Err()
-}
-
-func saveTracks(w *snapshot.Writer, tracks map[uint64]*pktTrack) {
-	ids := make([]uint64, 0, len(tracks))
-	for id := range tracks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Int(len(ids))
-	for _, id := range ids {
-		t := tracks[id]
-		w.U64(id)
-		w.U64(t.addr)
-		w.U32(uint32(t.src))
-		w.U64(t.seq)
-		noc.SaveDests(w, t.left)
-	}
-}
-
-func loadTracks(r *snapshot.Reader, tracks map[uint64]*pktTrack) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		id := r.U64()
-		tracks[id] = &pktTrack{
-			addr: r.U64(),
-			src:  int32(r.U32()),
-			seq:  r.U64(),
-			left: noc.LoadDests(r),
-		}
-	}
-	return r.Err()
-}
-
-func saveSortedU64Map(w *snapshot.Writer, n int, keys func(func(uint64)), val func(uint64)) {
-	ks := make([]uint64, 0, n)
-	keys(func(k uint64) { ks = append(ks, k) })
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	w.Int(len(ks))
-	for _, k := range ks {
-		w.U64(k)
-		val(k)
+		snapshot.Map(c, &m.lossRef, func(k *uint64, n *int) { c.U64(k); c.Int(n) })
+		snapshot.Map(c, &m.lossSeq, func(k, seq *uint64) { c.U64(k); c.U64(seq) })
 	}
 }

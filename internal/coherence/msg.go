@@ -115,7 +115,7 @@ type Msg struct {
 	// replicas can be delivered to receivers in different parallel lanes,
 	// whose Release calls may race. No other Msg field is written after the
 	// message is handed to the network.
-	refs int32
+	refs int32 `snap:"-,derived: a decoded message holds one reference"`
 }
 
 // AddRef implements noc.RefPayload.

@@ -3,79 +3,55 @@ package coherence
 import (
 	"fmt"
 
-	"pushmulticast/internal/noc"
 	"pushmulticast/internal/snapshot"
 )
 
-// SaveMsg serializes one protocol message (or nil). Only protocol fields
-// travel: the refs carrier count is reconstructed on decode, and pool
-// membership is not observable state.
-func SaveMsg(w *snapshot.Writer, m *Msg) {
-	if m == nil {
-		w.Bool(false)
+// MsgState describes one optional protocol message. Only protocol fields
+// travel; pool membership is not observable state. Every holder in a
+// snapshot decodes its own copy carrying exactly one reference (refs=1):
+// sharing between a packet and its router replicas — or a retransmit-window
+// prototype — is not observable (no payload pointers are ever compared), and
+// one ref per holder means each holder's single eventual Release is balanced.
+func MsgState(c *snapshot.Codec, pm **Msg) {
+	if !snapshot.Has(c, pm) {
 		return
 	}
-	w.Bool(true)
-	w.U8(uint8(m.Type))
-	w.U64(m.Addr)
-	w.U32(uint32(m.Requester))
-	w.U64(m.Version)
-	w.U32(m.Epoch)
-	w.Bool(m.NeedPush)
-	w.Bool(m.Reset)
-	w.Bool(m.Prefetch)
-	w.Bool(m.Recall)
-	w.Bool(m.Private)
+	if c.Decoding() {
+		*pm = &Msg{refs: 1}
+	}
+	(*pm).fields(c)
 }
 
-// LoadMsg decodes a message saved by SaveMsg. Every holder in the snapshot
-// decodes its own copy, so the decoded message always carries exactly one
-// reference (refs=1): sharing between a packet and its router replicas — or
-// a retransmit-window prototype — is not observable (no payload pointers
-// are ever compared), and one ref per holder means each holder's single
-// eventual Release is balanced.
-func LoadMsg(r *snapshot.Reader) *Msg {
-	if !r.Bool() {
-		return nil
-	}
-	m := &Msg{
-		Type:      MsgType(r.U8()),
-		Addr:      r.U64(),
-		Requester: noc.NodeID(r.U32()),
-		Version:   r.U64(),
-		Epoch:     r.U32(),
-		NeedPush:  r.Bool(),
-		Reset:     r.Bool(),
-		Prefetch:  r.Bool(),
-		Recall:    r.Bool(),
-		Private:   r.Bool(),
-	}
-	m.refs = 1
-	return m
+func (m *Msg) fields(c *snapshot.Codec) {
+	snapshot.AsU8(c, &m.Type)
+	c.U64(&m.Addr)
+	snapshot.AsU32(c, &m.Requester)
+	c.U64(&m.Version)
+	c.U32(&m.Epoch)
+	c.Bool(&m.NeedPush)
+	c.Bool(&m.Reset)
+	c.Bool(&m.Prefetch)
+	c.Bool(&m.Recall)
+	c.Bool(&m.Private)
 }
 
 // Codec implements noc.PayloadCodec for protocol messages — the only
 // payload type the simulator ever attaches to packets.
 type Codec struct{}
 
-// SavePayload implements noc.PayloadCodec.
-func (Codec) SavePayload(w *snapshot.Writer, pl noc.RefPayload) {
-	if pl == nil {
-		SaveMsg(w, nil)
+// Payload implements noc.PayloadCodec: MsgState for a message held in a
+// packet's untyped Payload field.
+func (Codec) Payload(c *snapshot.Codec, pl *any) {
+	m, ok := (*pl).(*Msg)
+	if *pl != nil && !ok {
+		panic(fmt.Sprintf("coherence: cannot snapshot payload type %T", *pl))
+	}
+	if !c.Flag(m != nil) {
 		return
 	}
-	m, ok := pl.(*Msg)
-	if !ok {
-		panic(fmt.Sprintf("coherence: cannot snapshot payload type %T", pl))
+	if c.Decoding() {
+		m = &Msg{refs: 1}
+		*pl = m
 	}
-	SaveMsg(w, m)
-}
-
-// LoadPayload implements noc.PayloadCodec.
-func (Codec) LoadPayload(r *snapshot.Reader) noc.RefPayload {
-	m := LoadMsg(r)
-	if m == nil {
-		return nil
-	}
-	return m
+	m.fields(c)
 }

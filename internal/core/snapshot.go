@@ -71,60 +71,28 @@ func (s *System) Snapshot() ([]byte, error) {
 	}
 	s.mergeLaneStats()
 	strict, fork := Fingerprint(s.Cfg, s.wlName, s.scale)
-	w := snapshot.NewWriter(strict, fork, uint64(s.Eng.Now()))
-	s.Eng.SaveState(w)
-	s.St.SaveState(w)
-	s.Net.SaveState(w, coherence.Codec{})
-	for i := range s.L2s {
-		s.L2s[i].SaveState(w)
-		if len(s.Cores) > 0 {
-			s.Cores[i].SaveState(w)
-		}
-		w.Bool(s.bingos[i] != nil)
-		if s.bingos[i] != nil {
-			s.bingos[i].SaveState(w)
-		}
-		w.Bool(s.strides[i] != nil)
-		if s.strides[i] != nil {
-			s.strides[i].SaveState(w)
-		}
-		s.LLCs[i].SaveState(w)
-	}
-	if len(s.Cores) > 0 {
-		s.barrier.SaveState(w, s.Cores)
-	}
-	for _, mc := range s.Cfg.MemControllers() {
-		s.Mems[mc].SaveState(w)
-	}
-	w.Bool(s.inj != nil)
-	if s.inj != nil {
-		s.inj.SaveState(w)
-	}
-	w.Bool(s.Tracer != nil)
-	if s.Tracer != nil {
-		s.Tracer.SaveState(w)
-	}
-	w.Bool(s.Checker != nil)
-	if s.Checker != nil {
-		s.Checker.SaveState(w)
-	}
-	return w.Finish(), nil
+	c := snapshot.NewEncoder(strict, fork, uint64(s.Eng.Now()))
+	s.state(c)
+	return c.Finish(), nil
 }
 
 // Restore builds a fresh machine for (cfg, wl, sc) and loads the snapshot
 // into it. The restoring configuration must match the snapshot's strict
 // fingerprint — or, failing that, its fork fingerprint, meaning the target
 // differs from the donor only in warm-start tuning knobs. Anything else
-// refuses with ErrMismatch before any state is touched. A strict restore
-// continued to completion is byte-identical (same trace hash) to a cold run
-// that never snapshotted.
+// refuses with ErrMismatch before a machine is even built. A snapshot whose
+// header is accepted but whose body turns out corrupt, or to hold state this
+// build lacks, fails while the fresh machine is being filled; that
+// half-loaded machine is discarded, so the caller's state is untouched
+// either way. A strict restore continued to completion is byte-identical
+// (same trace hash) to a cold run that never snapshotted.
 func Restore(data []byte, cfg config.System, wl workload.Workload, sc workload.Scale) (*System, error) {
 	strict, fork := Fingerprint(cfg, wl.Name, sc)
-	r, err := snapshot.NewReader(data)
+	c, err := snapshot.NewDecoder(data)
 	if err != nil {
 		return nil, err
 	}
-	hdr := r.Header()
+	hdr := c.Header()
 	if hdr.StrictFP != strict && hdr.ForkFP != fork {
 		return nil, fmt.Errorf("%w: snapshot was taken under a different machine configuration (only the identical config, or a fork differing in tuning knobs alone, can restore it)",
 			snapshot.ErrMismatch)
@@ -133,90 +101,49 @@ func Restore(data []byte, cfg config.System, wl workload.Workload, sc workload.S
 	if err != nil {
 		return nil, err
 	}
-	if err := s.load(r); err != nil {
-		return nil, err
+	if s.state(c); c.Err() != nil {
+		return nil, c.Err()
 	}
 	return s, nil
 }
 
-// load applies the snapshot sections in Snapshot's write order.
-func (s *System) load(r *snapshot.Reader) error {
-	if err := s.Eng.LoadState(r); err != nil {
-		return err
-	}
-	if err := s.St.LoadState(r); err != nil {
-		return err
-	}
-	if err := s.Net.LoadState(r, coherence.Codec{}); err != nil {
-		return err
-	}
+// state is the machine's one section walk: every component's description in
+// a fixed order, run by Snapshot to encode and by Restore to decode. Optional
+// components code a presence flag first, and presence must agree: a snapshot
+// that tracked state the restoring build lacks (or vice versa) cannot resume
+// faithfully.
+func (s *System) state(c *snapshot.Codec) {
+	s.Eng.State(c)
+	s.St.State(c)
+	s.Net.State(c, coherence.Codec{})
 	for i := range s.L2s {
-		if err := s.L2s[i].LoadState(r); err != nil {
-			return err
-		}
+		s.L2s[i].State(c)
 		if len(s.Cores) > 0 {
-			if err := s.Cores[i].LoadState(r); err != nil {
-				return err
-			}
+			s.Cores[i].State(c)
 		}
-		if err := s.loadOptional(r, fmt.Sprintf("tile %d Bingo prefetcher", i), s.bingos[i] != nil, func() error {
-			return s.bingos[i].LoadState(r)
-		}); err != nil {
-			return err
+		if snapshot.Present(c, &s.bingos[i], "tile Bingo prefetcher") {
+			s.bingos[i].State(c)
 		}
-		if err := s.loadOptional(r, fmt.Sprintf("tile %d stride prefetcher", i), s.strides[i] != nil, func() error {
-			return s.strides[i].LoadState(r)
-		}); err != nil {
-			return err
+		if snapshot.Present(c, &s.strides[i], "tile stride prefetcher") {
+			s.strides[i].State(c)
 		}
-		if err := s.LLCs[i].LoadState(r); err != nil {
-			return err
-		}
+		s.LLCs[i].State(c)
 	}
 	if len(s.Cores) > 0 {
-		if err := s.barrier.LoadState(r, s.Cores); err != nil {
-			return err
-		}
+		s.barrier.State(c, s.Cores)
 	}
 	for _, mc := range s.Cfg.MemControllers() {
-		if err := s.Mems[mc].LoadState(r); err != nil {
-			return err
-		}
+		s.Mems[mc].State(c)
 	}
-	if err := s.loadOptional(r, "fault injector", s.inj != nil, func() error {
-		return s.inj.LoadState(r)
-	}); err != nil {
-		return err
+	if snapshot.Present(c, &s.inj, "fault injector") {
+		s.inj.State(c)
 	}
-	if err := s.loadOptional(r, "tracer", s.Tracer != nil, func() error {
-		return s.Tracer.LoadState(r)
-	}); err != nil {
-		return err
+	if snapshot.Present(c, &s.Tracer, "tracer") {
+		s.Tracer.State(c)
 	}
-	if err := s.loadOptional(r, "checker", s.Checker != nil, func() error {
-		return s.Checker.LoadState(r)
-	}); err != nil {
-		return err
+	if snapshot.Present(c, &s.Checker, "checker") {
+		s.Checker.State(c)
 	}
-	return r.Err()
-}
-
-// loadOptional reads an optional component's presence flag and, when present
-// on both sides, its state. Presence must agree: a snapshot that tracked
-// state the restoring build lacks (or vice versa) cannot resume faithfully.
-func (s *System) loadOptional(r *snapshot.Reader, what string, have bool, load func() error) error {
-	saved := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if saved != have {
-		return fmt.Errorf("%w: %s presence differs (snapshot %v, this build %v)",
-			snapshot.ErrMismatch, what, saved, have)
-	}
-	if have {
-		return load()
-	}
-	return nil
 }
 
 // RunTo executes the workload until the engine clock reaches the barrier

@@ -27,7 +27,7 @@ import (
 
 // System is one fully wired simulated machine.
 type System struct {
-	Cfg   config.System
+	Cfg   config.System `snap:"-,config"`
 	Eng   *sim.Engine
 	Net   *noc.Network
 	St    *stats.All
@@ -43,7 +43,7 @@ type System struct {
 
 	// laneSt holds the per-tile stats shards of the parallel executor (nil
 	// for serial runs); mergeLaneStats folds them into St in lane order.
-	laneSt []*stats.All
+	laneSt []*stats.All `snap:"-,transient: merged into St before a snapshot"`
 	// inj is the fault injector when the config schedules faults; its
 	// per-node hook accumulators are flushed with the lane stats.
 	inj *fault.Injector
@@ -52,8 +52,8 @@ type System struct {
 	// scale feed the config fingerprint) and the components Build would
 	// otherwise not keep a handle on: the core barrier and the per-tile
 	// prefetchers (nil where the tile has none). See snapshot.go.
-	wlName  string
-	scale   workload.Scale
+	wlName  string         `snap:"-,config"`
+	scale   workload.Scale `snap:"-,config"`
 	barrier *cpu.Barrier
 	bingos  []*prefetch.Bingo
 	strides []*prefetch.Stride

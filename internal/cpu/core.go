@@ -25,8 +25,8 @@ import (
 // kernels. The mutex makes arrivals from concurrent lanes safe; contention is
 // negligible (one arrival per core per barrier episode).
 type Barrier struct {
-	mu      sync.Mutex
-	n       int
+	mu      sync.Mutex `snap:"-,lock"`
+	n       int        `snap:"-,config"`
 	arrived int
 	gen     uint64
 	relAt   sim.Cycle
@@ -79,15 +79,15 @@ type Prefetcher interface {
 
 // Core executes one workload stream against its private cache stack.
 type Core struct {
-	id      noc.NodeID
-	cfg     *config.System
-	eng     *sim.Engine
-	st      *stats.All
-	l2      *cache.L2
-	stream  workload.Stream
-	barrier *Barrier
+	id      noc.NodeID      `snap:"-,wiring"`
+	cfg     *config.System  `snap:"-,config"`
+	eng     *sim.Engine     `snap:"-,wiring"`
+	st      *stats.All      `snap:"-,wiring"`
+	l2      *cache.L2       `snap:"-,wiring"`
+	stream  workload.Stream `snap:"-,derived: repositioned by replaying opsConsumed ops"`
+	barrier *Barrier        `snap:"-,wiring"`
 
-	h *sim.Handle
+	h *sim.Handle `snap:"-,wiring"`
 
 	cur     workload.Op
 	haveOp  bool
@@ -118,7 +118,7 @@ type Core struct {
 	opsConsumed uint64
 
 	// L1Prefetcher, when set, observes demand loads.
-	L1Prefetcher Prefetcher
+	L1Prefetcher Prefetcher `snap:"-,wiring"`
 }
 
 // New builds a core and registers it with the engine.

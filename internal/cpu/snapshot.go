@@ -1,119 +1,64 @@
 package cpu
 
 import (
-	"fmt"
+	"slices"
 
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 	"pushmulticast/internal/workload"
 )
 
-// SaveState serializes the core's retirement state. The workload stream is a
-// closure and cannot be serialized; instead the Next() call count travels,
-// and LoadState replays that many ops on the freshly built stream — streams
-// are pure functions of (workload, core, tiles, scale), so the replayed
-// stream is positioned exactly where the saved one was.
-func (c *Core) SaveState(w *snapshot.Writer) {
-	w.Section("cpu.core")
-	w.U8(uint8(c.cur.Kind))
-	w.U64(c.cur.Addr)
-	w.Int(c.cur.N)
-	w.Bool(c.haveOp)
-	w.Bool(c.ended)
-	w.Bool(c.waiting)
-	w.U64(c.myGen)
-	w.Bool(c.blocked)
-	w.U64(uint64(c.blockedAt))
-	w.Bool(c.loadRetry)
-	w.Int(c.outLoads)
-	w.Int(c.outStores)
-	w.U64(c.insts)
-	w.U64(c.stalls)
-	w.U64(c.opsConsumed)
-}
-
-// LoadState restores a core saved by SaveState, fast-forwarding its stream.
-func (c *Core) LoadState(r *snapshot.Reader) error {
-	r.Section("cpu.core")
-	c.cur.Kind = workload.OpKind(r.U8())
-	c.cur.Addr = r.U64()
-	c.cur.N = r.Int()
-	c.haveOp = r.Bool()
-	c.ended = r.Bool()
-	c.waiting = r.Bool()
-	c.myGen = r.U64()
-	c.blocked = r.Bool()
-	c.blockedAt = sim.Cycle(r.U64())
-	c.loadRetry = r.Bool()
-	c.outLoads = r.Int()
-	c.outStores = r.Int()
-	c.insts = r.U64()
-	c.stalls = r.U64()
-	c.opsConsumed = r.U64()
-	if err := r.Err(); err != nil {
-		return err
+// State describes the core's retirement state. The workload stream is a
+// closure and cannot travel; instead the Next() call count does, and decoding
+// replays that many ops on the freshly built stream — streams are pure
+// functions of (workload, core, tiles, scale), so the replayed stream is
+// positioned exactly where the saved one was.
+func (core *Core) State(c *snapshot.Codec) {
+	c.Section("cpu.core")
+	snapshot.AsU8(c, &core.cur.Kind)
+	c.U64(&core.cur.Addr)
+	c.Int(&core.cur.N)
+	c.Bool(&core.haveOp)
+	c.Bool(&core.ended)
+	c.Bool(&core.waiting)
+	c.U64(&core.myGen)
+	c.Bool(&core.blocked)
+	snapshot.AsU64(c, &core.blockedAt)
+	c.Bool(&core.loadRetry)
+	c.Int(&core.outLoads)
+	c.Int(&core.outStores)
+	c.U64(&core.insts)
+	c.U64(&core.stalls)
+	c.U64(&core.opsConsumed)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
-	// Replay the stream to its saved position. The saved cur is authoritative
-	// (a partially retired OpWork has its N decremented), so replayed ops are
-	// discarded.
-	for i := uint64(0); i < c.opsConsumed; i++ {
-		c.stream.Next()
-	}
-	return nil
-}
-
-// SaveState serializes the barrier: arrival count, generation, release
-// cycle, and the parked waiters (as indices into the core list, in arrival
-// order).
-func (b *Barrier) SaveState(w *snapshot.Writer, cores []*Core) {
-	w.Section("cpu.barrier")
-	w.Int(b.n)
-	w.Int(b.arrived)
-	w.U64(b.gen)
-	w.U64(uint64(b.relAt))
-	w.Int(len(b.waiters))
-	for _, wh := range b.waiters {
-		idx := -1
-		for i, c := range cores {
-			if c.h == wh {
-				idx = i
-				break
-			}
+	// The saved cur is authoritative (a partially retired OpWork has its N
+	// decremented), so replayed ops are discarded. A core never calls Next
+	// again after OpEnd, so a count reaching past it is not one this stream
+	// produced — and would otherwise make restore spin on an ended stream.
+	for i := uint64(1); i <= core.opsConsumed; i++ {
+		if core.stream.Next().Kind == workload.OpEnd && i != core.opsConsumed {
+			c.Corrupt("core %d consumed %d ops but its stream ends after %d", core.id, core.opsConsumed, i)
+			return
 		}
-		if idx < 0 {
+	}
+}
+
+// State describes the barrier: arrival count, generation, release cycle, and
+// the parked waiters (as indices into the core list, in arrival order).
+func (b *Barrier) State(c *snapshot.Codec, cores []*Core) {
+	c.Section("cpu.barrier")
+	c.Count(b.n, "barrier cores")
+	c.Int(&b.arrived)
+	c.U64(&b.gen)
+	snapshot.AsU64(c, &b.relAt)
+	snapshot.Slice(c, &b.waiters, func(h **sim.Handle) {
+		idx := slices.IndexFunc(cores, func(core *Core) bool { return core.h == *h })
+		if idx < 0 && !c.Decoding() {
 			panic("cpu: barrier waiter handle belongs to no core")
 		}
-		w.Int(idx)
-	}
-}
-
-// LoadState restores a barrier saved by SaveState, resolving waiter indices
-// back to the fresh cores' handles.
-func (b *Barrier) LoadState(r *snapshot.Reader, cores []*Core) error {
-	r.Section("cpu.barrier")
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != b.n {
-		return fmt.Errorf("%w: snapshot barrier spans %d cores, this build %d", snapshot.ErrMismatch, n, b.n)
-	}
-	b.arrived = r.Int()
-	b.gen = r.U64()
-	b.relAt = sim.Cycle(r.U64())
-	nw := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nw; i++ {
-		idx := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if idx < 0 || idx >= len(cores) {
-			return fmt.Errorf("%w: barrier waiter index %d out of range", snapshot.ErrCorrupt, idx)
-		}
-		b.waiters = append(b.waiters, cores[idx].h)
-	}
-	return r.Err()
+		c.Index(&idx, len(cores), "barrier waiter index")
+		*h = cores[idx].h
+	})
 }

@@ -19,11 +19,11 @@ import (
 // ever coming; the boundary wake restores the dense-mode placement cycle.
 // Spurious wakes at window starts are harmless in every kernel.
 type Injector struct {
-	plan  Plan
-	eng   *sim.Engine
-	st    *stats.All
-	h     *sim.Handle
-	nodes int
+	plan  Plan        `snap:"-,config"`
+	eng   *sim.Engine `snap:"-,wiring"`
+	st    *stats.All  `snap:"-,wiring"`
+	h     *sim.Handle `snap:"-,wiring"`
+	nodes int         `snap:"-,config"`
 	// next is the earliest upcoming window boundary; ^0 when the schedule is
 	// spent. Starting at 0 makes the first tick compute it, and the
 	// now>=next guard keeps dense mode's every-cycle ticks equivalent to the
@@ -31,23 +31,23 @@ type Injector struct {
 	next uint64
 	// wake wakes a tile (router + NI) at window boundaries; set by the
 	// builder after the network exists.
-	wake func(node int)
+	wake func(node int) `snap:"-,wiring"`
 
 	// Per-kind fault indexes for O(active faults at target) hook checks.
 	// stalls/jits are keyed node*NumPorts+port (Port == -1 expanded);
 	// slows/spikes/drops are keyed by node.
-	stalls [][]*Fault
-	jits   [][]*Fault
-	slows  [][]*Fault
-	spikes [][]*Fault
-	drops  [][]*Fault
+	stalls [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	jits   [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	slows  [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	spikes [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	drops  [][]*Fault `snap:"-,derived: indexed from the plan at build"`
 	// Lossy-kind indexes, keyed by node: message drops, duplications, and
 	// corruptions applied at the receiving NI. hasLossy arms the NoC's
 	// end-to-end recovery layer.
-	mdrops   [][]*Fault
-	mdups    [][]*Fault
-	mcorrs   [][]*Fault
-	hasLossy bool
+	mdrops   [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	mdups    [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	mcorrs   [][]*Fault `snap:"-,derived: indexed from the plan at build"`
+	hasLossy bool       `snap:"-,config"`
 	// lastArr tracks the last granted head-arrival cycle per (node, output
 	// port), backing the monotonic clamp that keeps jittered links
 	// order-preserving (OrdPush's push-before-invalidation survives). Each
@@ -59,8 +59,8 @@ type Injector struct {
 	// write them (index = the ticking router's node, so parallel lanes never
 	// collide); FlushStats folds the sums into the shared bundle at
 	// collection points.
-	jitterDelay     []uint64
-	filterSuppressed []uint64
+	jitterDelay      []uint64 `snap:"-,transient: flushed into the stats bundle before a snapshot"`
+	filterSuppressed []uint64 `snap:"-,transient: flushed into the stats bundle before a snapshot"`
 }
 
 // NewInjector builds the injector for a validated plan on a machine with the

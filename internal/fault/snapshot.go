@@ -1,45 +1,23 @@
 package fault
 
-import (
-	"fmt"
+import "pushmulticast/internal/snapshot"
 
-	"pushmulticast/internal/sim"
-	"pushmulticast/internal/snapshot"
-)
-
-// SaveState serializes the injector's schedule position and the per-port
-// arrival clamp. The per-kind fault indexes are rebuilt from the plan by
-// NewInjector; the per-node stat accumulators must already be flushed
-// (collection points call FlushStats before snapshotting).
-func (in *Injector) SaveState(w *snapshot.Writer) {
+// State describes the injector's schedule position and the per-port arrival
+// clamp. The per-kind fault indexes are rebuilt from the plan by NewInjector
+// (the plan is part of the config fingerprint); the per-node stat
+// accumulators must already be flushed — collection points call FlushStats
+// before snapshotting.
+func (in *Injector) State(c *snapshot.Codec) {
 	for n := range in.jitterDelay {
 		if in.jitterDelay[n] != 0 || in.filterSuppressed[n] != 0 {
-			panic("fault: SaveState with unflushed stat accumulators")
+			panic("fault: snapshot with unflushed stat accumulators")
 		}
 	}
-	w.Section("fault.injector")
-	w.U64(in.next)
-	w.Int(len(in.lastArr))
-	for _, a := range in.lastArr {
-		w.U64(uint64(a))
-	}
-}
-
-// LoadState restores an injector saved by SaveState. The plan itself is part
-// of the config fingerprint, so only the geometry is re-checked here.
-func (in *Injector) LoadState(r *snapshot.Reader) error {
-	r.Section("fault.injector")
-	in.next = r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(in.lastArr) {
-		return fmt.Errorf("%w: snapshot fault clamp spans %d ports, this build %d",
-			snapshot.ErrMismatch, n, len(in.lastArr))
-	}
+	c.Section("fault.injector")
+	c.U64(&in.next)
+	c.Mark(&in.lastArr)
+	c.Count(len(in.lastArr), "fault-clamped ports")
 	for i := range in.lastArr {
-		in.lastArr[i] = sim.Cycle(r.U64())
+		snapshot.AsU64(c, &in.lastArr[i])
 	}
-	return r.Err()
 }

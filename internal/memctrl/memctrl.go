@@ -26,13 +26,13 @@ type pendingResp struct {
 
 // Ctrl is one memory controller endpoint.
 type Ctrl struct {
-	node noc.NodeID
-	cfg  *config.System
-	eng  *sim.Engine
-	st   *stats.All
-	ni   *noc.NI
+	node noc.NodeID     `snap:"-,wiring"`
+	cfg  *config.System `snap:"-,config"`
+	eng  *sim.Engine    `snap:"-,wiring"`
+	st   *stats.All     `snap:"-,wiring"`
+	ni   *noc.NI        `snap:"-,wiring"`
 
-	h         *sim.Handle
+	h         *sim.Handle `snap:"-,wiring"`
 	inq       []*noc.Packet
 	busyUntil sim.Cycle
 	resps     []pendingResp
@@ -42,7 +42,7 @@ type Ctrl struct {
 	versions map[uint64]uint64
 	// tr is this controller's trace shard (nil when tracing is off);
 	// written only from the controller's own tick, on its tile's lane.
-	tr *trace.Shard
+	tr *trace.Shard `snap:"-,wiring"`
 }
 
 // New builds a controller at the given tile and attaches it to the network.

@@ -3,86 +3,21 @@ package memctrl
 import (
 	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
-	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 )
 
-var codec coherence.Codec
-
-// SaveState serializes the controller: queued requests, channel occupancy,
-// maturing responses, undrained outbox, and the memory image (sorted by
-// line address — map order must not reach the byte stream).
-func (c *Ctrl) SaveState(w *snapshot.Writer) {
-	w.Section("memctrl.ctrl")
-	w.Int(len(c.inq))
-	for _, p := range c.inq {
-		c.ni.SavePacket(w, codec, p)
-	}
-	w.U64(uint64(c.busyUntil))
-	w.Int(len(c.resps))
-	for _, rp := range c.resps {
-		w.U64(uint64(rp.at))
-		coherence.SaveMsg(w, rp.msg)
-		w.U32(uint32(rp.to))
-	}
-	w.Int(len(c.outbox))
-	for _, p := range c.outbox {
-		c.ni.SavePacket(w, codec, p)
-	}
-	addrs := make([]uint64, 0, len(c.versions))
-	for a := range c.versions {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		w.U64(a)
-		w.U64(c.versions[a])
-	}
-}
-
-// LoadState restores a controller saved by SaveState.
-func (c *Ctrl) LoadState(r *snapshot.Reader) error {
-	r.Section("memctrl.ctrl")
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		c.inq = append(c.inq, c.ni.LoadPacket(r, codec))
-	}
-	c.busyUntil = sim.Cycle(r.U64())
-	nr := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nr; i++ {
-		at := sim.Cycle(r.U64())
-		msg := coherence.LoadMsg(r)
-		c.resps = append(c.resps, pendingResp{at: at, msg: msg, to: noc.NodeID(r.U32())})
-	}
-	no := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < no; i++ {
-		c.outbox = append(c.outbox, c.ni.LoadPacket(r, codec))
-	}
-	nv := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nv; i++ {
-		a := r.U64()
-		c.versions[a] = r.U64()
-	}
-	return r.Err()
-}
-
-func sortAddrs(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+// State describes the controller: queued requests, channel occupancy,
+// maturing responses, undrained outbox, and the memory image.
+func (mc *Ctrl) State(c *snapshot.Codec) {
+	c.Section("memctrl.ctrl")
+	pkt := func(pp **noc.Packet) { mc.ni.Packet(c, coherence.Codec{}, pp) }
+	snapshot.Slice(c, &mc.inq, pkt)
+	snapshot.AsU64(c, &mc.busyUntil)
+	snapshot.Slice(c, &mc.resps, func(rp *pendingResp) {
+		snapshot.AsU64(c, &rp.at)
+		coherence.MsgState(c, &rp.msg)
+		snapshot.AsU32(c, &rp.to)
+	})
+	snapshot.Slice(c, &mc.outbox, pkt)
+	snapshot.Map(c, &mc.versions, func(a, v *uint64) { c.U64(a); c.U64(v) })
 }

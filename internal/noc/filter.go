@@ -31,7 +31,7 @@ func (e *filterEntry) live(now sim.Cycle) bool {
 // flattened in one contiguous slice so lookups walk a single cache-friendly
 // range instead of chasing nested slice headers.
 type filterBank struct {
-	dataVCs int
+	dataVCs int `snap:"-,config"`
 	entries []filterEntry
 	// activeCnt[p] counts valid entries at output port p with no pending
 	// clear; aliveUntil[p] upper-bounds the last cycle any pending-clear

@@ -36,16 +36,16 @@ type niStream struct {
 // per-vnet FIFO queues; and it demultiplexes ejected packets to endpoints by
 // destination unit.
 type NI struct {
-	node NodeID
-	net  *Network
-	h    *sim.Handle
+	node NodeID      `snap:"-,wiring"`
+	net  *Network    `snap:"-,wiring"`
+	h    *sim.Handle `snap:"-,wiring"`
 	// st is the stats bundle this NI and its tile's components account into:
 	// the network-wide bundle in serial runs, the tile's lane shard in
 	// parallel runs (see Parallelize).
-	st        *stats.All
+	st        *stats.All `snap:"-,wiring"`
 	queues    [stats.NumUnits][NumVNets][]*Packet
-	queued    int // total packets across all queues
-	endpoints [stats.NumUnits]Endpoint
+	queued    int                      `snap:"-,derived: recounted from the queues"` // total packets across all queues
+	endpoints [stats.NumUnits]Endpoint `snap:"-,wiring"`
 	stream    *niStream
 	// cur is the backing storage for stream: one injection is in flight at a
 	// time, so the stream state lives in the NI instead of a per-injection
@@ -61,12 +61,12 @@ type NI struct {
 	// replicas from here (the router shares its tile's lane, so that is
 	// race-free), which keeps replicas recycling back to the pools they
 	// came from.
-	pktPool     []*Packet
-	payloadPool []RefPayload
+	pktPool     []*Packet    `snap:"-,pool"`
+	payloadPool []RefPayload `snap:"-,pool"`
 	// tr is this NI's trace shard (nil when tracing is off). All writes to
 	// it happen on the tile's lane: Inject runs from the tile's endpoints,
 	// deliver from the NI's own tick.
-	tr *trace.Shard
+	tr *trace.Shard `snap:"-,wiring"`
 	// tp is the end-to-end recovery state (retransmit windows, receiver
 	// dedup, pending acks), allocated only when the fault plan schedules
 	// lossy kinds; nil keeps fault-free hot paths allocation-identical. All
@@ -407,22 +407,22 @@ func (ni *NI) scheduleDelivery(pkt *Packet, at sim.Cycle) {
 
 // Network is the complete mesh: routers, NIs, and accounting.
 type Network struct {
-	cfg     Config
-	eng     *sim.Engine
-	st      *stats.All
+	cfg     Config      `snap:"-,config"`
+	eng     *sim.Engine `snap:"-,wiring"`
+	st      *stats.All  `snap:"-,wiring"`
 	routers []*Router
 	nis     []*NI
 	// faults is the installed fault-injection hook, nil when injection is
 	// off (the default); hot paths gate every fault check on that nil.
-	faults FaultHook
+	faults FaultHook `snap:"-,wiring"`
 	// lossy is set by SetFaults when the plan schedules MsgDrop/MsgDup/
 	// MsgCorrupt; it arms the end-to-end recovery layer. The resolved knobs
 	// below come from cfg.WithTransportDefaults at construction.
-	lossy        bool
-	seqMask      uint32
-	retryWindow  int
-	retryTimeout sim.Cycle
-	maxRetries   int
+	lossy        bool      `snap:"-,config"`
+	seqMask      uint32    `snap:"-,config"`
+	retryWindow  int       `snap:"-,config"`
+	retryTimeout sim.Cycle `snap:"-,config"`
+	maxRetries   int       `snap:"-,config"`
 }
 
 // New builds a mesh network and registers its components with the engine.

@@ -45,7 +45,7 @@ type arrEntry struct {
 // port. Producer: the upstream router's sendFlit. Consumer: the owning
 // router's acceptArrivals.
 type arrRing struct {
-	head, tail atomic.Uint32
+	head, tail atomic.Uint32 `snap:"-,derived: only the live window travels"`
 	buf        [ringCap]arrEntry
 }
 
@@ -108,7 +108,7 @@ type credEntry struct {
 // to the upstream neighbour behind one of its input ports. Producer: the
 // owning router's release. Consumer: the upstream router's acceptCredits.
 type credRing struct {
-	head, tail atomic.Uint32
+	head, tail atomic.Uint32 `snap:"-,derived: only the live window travels"`
 	buf        [ringCap]credEntry
 }
 

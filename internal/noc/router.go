@@ -16,7 +16,8 @@ import (
 type inputVC struct {
 	// port/idx locate this VC at its router; occPos is its position in the
 	// router's occupied list (-1 when free).
-	port, idx, occPos int
+	port, idx int `snap:"-,wiring"`
+	occPos    int `snap:"-,derived: position in occ"`
 
 	pkt *Packet
 	// headAt is the cycle the head flit is present in this buffer; flit i
@@ -31,7 +32,7 @@ type inputVC struct {
 	// pendingPorts counts non-empty pending entries.
 	pendingPorts int
 	// active is the stream currently draining this VC, if any.
-	active *stream
+	active *stream `snap:"-,derived: rewired from outStream"`
 	// reserved marks a local-port VC claimed by the NI's pick whose head
 	// flit has not been written yet (cleared at head delivery). Remote
 	// arrivals never reserve: a head in flight lives in the input port's
@@ -53,12 +54,12 @@ func (vc *inputVC) free() bool { return vc.pkt == nil && !vc.reserved }
 // overtaking real. Everything the remaining flits and the tail bookkeeping
 // need is therefore snapshotted here at allocation time.
 type stream struct {
-	vc      *inputVC
-	replica *Packet // nil once the head flit transfers ownership downstream
+	vc      *inputVC `snap:"-,derived: resolved from inPort and vcIdx"`
+	replica *Packet  // nil once the head flit transfers ownership downstream
 	inPort  int
-	vcIdx   int // absolute VC index at the input port
-	outPort int
-	downR   *Router // adjacent router behind outPort, nil for PortLocal
+	vcIdx   int     // absolute VC index at the input port
+	outPort int     `snap:"-,derived: the outStream slot"`
+	downR   *Router `snap:"-,wiring"` // adjacent router behind outPort, nil for PortLocal
 	sent    int
 
 	// Snapshot of the replica taken at allocation; safe to read for the
@@ -78,15 +79,15 @@ type stream struct {
 // parallel, Fig 7a), stage 2 performs VC/switch allocation and switch
 // traversal. Links add one cycle.
 type Router struct {
-	id  NodeID
-	net *Network
-	h   *sim.Handle
-	in  [NumPorts][]inputVC
+	id  NodeID              `snap:"-,wiring"`
+	net *Network            `snap:"-,wiring"`
+	h   *sim.Handle         `snap:"-,wiring"`
+	in  [NumPorts][]inputVC `snap:"-,storage: occupied VCs travel through occ, free ones hold no state"`
 	// outStream / inLock serialize the switch at packet granularity: one
 	// replica owns an output port (and its input port) until its tail
 	// departs.
 	outStream [NumPorts]*stream
-	inLock    [NumPorts]*stream
+	inLock    [NumPorts]*stream `snap:"-,derived: rewired from outStream"`
 	filters   *filterBank
 	// rr holds per-output-port round-robin arbitration state.
 	rr [NumPorts]int
@@ -94,7 +95,7 @@ type Router struct {
 	// cycle pipeline stages touch only live work instead of scanning every
 	// buffer. scratch is reused for iteration snapshots.
 	occ     []*inputVC
-	scratch []*inputVC
+	scratch []*inputVC `snap:"-,scratch"`
 	// unrouted counts VCs holding a head that stage 1 has not routed yet;
 	// when zero the stage-1 scans are skipped entirely.
 	unrouted int
@@ -120,7 +121,7 @@ type Router struct {
 	freeCnt [NumPorts][NumVNets]int16
 	// nbr caches the adjacent router behind each output port (nil at mesh
 	// edges and for the local port).
-	nbr [NumPorts]*Router
+	nbr [NumPorts]*Router `snap:"-,wiring"`
 	// credits[o][v] counts downstream input VCs of vnet v this router may
 	// still claim through output port o. It mirrors the neighbour's per-
 	// (port, vnet) free-VC pool without reading neighbour state: allocation
@@ -139,18 +140,18 @@ type Router struct {
 	// st is the stats bundle this router accounts into: the network-wide
 	// bundle in serial runs, the tile's lane shard in parallel runs (see
 	// Parallelize).
-	st *stats.All
+	st *stats.All `snap:"-,wiring"`
 	// streamPool recycles this router's per-replica stream allocations.
 	// Per-router so parallel lanes never contend.
-	streamPool []*stream
+	streamPool []*stream `snap:"-,pool"`
 	// dmask[mode][o] is the set of destinations this router forwards through
 	// output port o under YX (mode 0) or XY (mode 1) dimension-order routing.
 	// Route computation reduces to one AND per port against the packet's
 	// destination set.
-	dmask [2][NumPorts]DestSet
+	dmask [2][NumPorts]DestSet `snap:"-,config"`
 	// tr is this router's trace shard (nil when tracing is off); all writes
 	// to it happen from this router's own ticks — one lane.
-	tr *trace.Shard
+	tr *trace.Shard `snap:"-,wiring"`
 }
 
 func newRouter(id NodeID, net *Network) *Router {
@@ -695,7 +696,7 @@ func (r *Router) allocateOutput(o int, now sim.Cycle) {
 			*s = stream{
 				vc: vc, replica: replica, inPort: p, vcIdx: vc.idx, outPort: o,
 				downR: downRouter,
-				size: replica.Size, vnet: replica.VNet, class: replica.Class,
+				size:  replica.Size, vnet: replica.VNet, class: replica.Class,
 				dstUnit: replica.DstUnit, dests: replica.Dests,
 				addr: replica.Addr, id: replica.ID, isPush: replica.IsPush,
 			}

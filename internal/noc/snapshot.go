@@ -1,18 +1,19 @@
 package noc
 
 import (
-	"fmt"
+	"sync/atomic"
 
-	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
-	"pushmulticast/internal/stats"
 )
 
-// PayloadCodec serializes packet payloads. The NoC never inspects payloads,
-// so the protocol layer supplies the codec (coherence.Codec in real builds).
+// PayloadCodec describes packet payloads. The NoC never inspects payloads,
+// so the protocol layer supplies the description (coherence.Codec in real
+// builds).
 type PayloadCodec interface {
-	SavePayload(w *snapshot.Writer, pl RefPayload)
-	LoadPayload(r *snapshot.Reader) RefPayload
+	// Payload codes the payload in a packet's Payload field, nil included. A
+	// decoded payload is a RefPayload holding exactly one reference, for the
+	// packet it was decoded into.
+	Payload(c *snapshot.Codec, pl *any)
 }
 
 // restoredDead carries a sender's ErrUnrecoverable verdict across a
@@ -24,666 +25,289 @@ type restoredDead struct{ msg string }
 func (e restoredDead) Error() string { return e.msg }
 func (e restoredDead) Unwrap() error { return ErrUnrecoverable }
 
-// SavePacket / LoadPacket expose the packet codec to the protocol layer
-// (cache controllers and memory controllers hold packets in their input
-// queues and outboxes). Loaded packets are drawn from this NI's tile pool.
-func (ni *NI) SavePacket(w *snapshot.Writer, pc PayloadCodec, p *Packet) {
-	savePacketInto(w, pc, p)
-}
-
-func (ni *NI) LoadPacket(r *snapshot.Reader, pc PayloadCodec) *Packet {
-	return ni.loadPacket(r, pc)
-}
-
-// SaveError / LoadError serialize an ErrUnrecoverable verdict (the only
-// error kind that lives across cycles). The message is preserved verbatim
-// and the restored error still matches ErrUnrecoverable via errors.Is.
-func SaveError(w *snapshot.Writer, err error) {
-	if err == nil {
-		w.Bool(false)
+// Error describes an ErrUnrecoverable verdict, the only error kind that
+// lives across cycles.
+func Error(c *snapshot.Codec, perr *error) {
+	c.Mark(perr)
+	if !c.Flag(*perr != nil) {
 		return
 	}
-	w.Bool(true)
-	w.String(err.Error())
-}
-
-func LoadError(r *snapshot.Reader) error {
-	if !r.Bool() {
-		return nil
+	var msg string
+	if !c.Decoding() {
+		msg = (*perr).Error()
 	}
-	return restoredDead{msg: r.String()}
-}
-
-// SaveDests / LoadDests expose the destination-set codec.
-func SaveDests(w *snapshot.Writer, d DestSet) { saveDests(w, d) }
-func LoadDests(r *snapshot.Reader) DestSet    { return loadDests(r) }
-
-func saveDests(w *snapshot.Writer, d DestSet) {
-	for _, x := range d {
-		w.U64(x)
+	if c.String(&msg); c.Decoding() {
+		*perr = restoredDead{msg}
 	}
 }
 
-func loadDests(r *snapshot.Reader) DestSet {
-	var d DestSet
-	for i := range d {
-		d[i] = r.U64()
+// Packet describes a packet held by pointer; the protocol layer uses it for
+// the packets in its input queues and outboxes. Decoding draws the packet
+// from this NI's tile pool, even if the original was caller-owned: the only
+// difference is that the restored copy is recycled when it dies instead of
+// surviving for a creator that — being fresh-built — no longer holds it.
+func (ni *NI) Packet(c *snapshot.Codec, pc PayloadCodec, pp **Packet) {
+	c.Mark(pp)
+	if c.Decoding() {
+		*pp = ni.getPacket()
 	}
-	return d
+	packetState(c, pc, *pp)
 }
 
-// savePacketInto serializes every packet field (except pooled, which is a
-// free-list provenance bit with no behavioral meaning — see loadPacketInto).
-func savePacketInto(w *snapshot.Writer, pc PayloadCodec, p *Packet) {
-	w.U64(p.ID)
-	w.U8(uint8(p.VNet))
-	w.U8(uint8(p.Class))
-	w.U32(uint32(p.Src))
-	w.U8(uint8(p.SrcUnit))
-	saveDests(w, p.Dests)
-	w.U8(uint8(p.DstUnit))
-	w.U64(p.Addr)
-	w.Int(p.Size)
-	w.Bool(p.IsPush)
-	w.Bool(p.Filterable)
-	w.Bool(p.IsInv)
-	w.U32(uint32(p.Requester))
-	w.U64(uint64(p.InjectedAt))
-	w.U32(p.Seq)
-	w.U32(p.Csum)
-	w.Bool(p.IsAck)
-	w.U8(uint8(p.AckVNet))
-	w.U64(p.AckMask)
-	w.Bool(p.retx)
-	var rp RefPayload
-	if p.Payload != nil {
-		var ok bool
-		if rp, ok = p.Payload.(RefPayload); !ok {
-			panic(fmt.Sprintf("noc: cannot snapshot non-RefPayload payload %T", p.Payload))
-		}
-	}
-	pc.SavePayload(w, rp)
+// packetState describes every packet field except pooled, a free-list
+// provenance bit with no behavioral meaning.
+func packetState(c *snapshot.Codec, pc PayloadCodec, p *Packet) {
+	c.U64(&p.ID)
+	snapshot.AsU8(c, &p.VNet)
+	snapshot.AsU8(c, &p.Class)
+	snapshot.AsU32(c, &p.Src)
+	snapshot.AsU8(c, &p.SrcUnit)
+	c.U64s(p.Dests[:])
+	snapshot.AsU8(c, &p.DstUnit)
+	c.U64(&p.Addr)
+	c.Int(&p.Size)
+	c.Bool(&p.IsPush)
+	c.Bool(&p.Filterable)
+	c.Bool(&p.IsInv)
+	snapshot.AsU32(c, &p.Requester)
+	snapshot.AsU64(c, &p.InjectedAt)
+	c.U32(&p.Seq)
+	c.U32(&p.Csum)
+	c.Bool(&p.IsAck)
+	snapshot.AsU8(c, &p.AckVNet)
+	c.U64(&p.AckMask)
+	c.Bool(&p.retx)
+	c.Mark(&p.Payload)
+	pc.Payload(c, &p.Payload)
 }
 
-// loadPacketInto decodes into p, preserving p's pooled flag. Every restored
-// in-flight packet is drawn from the tile's free list (pooled), even if the
-// original was caller-owned: the only difference is that the restored copy
-// is recycled when it dies instead of surviving for a creator that — being
-// fresh-built — no longer holds it.
-func loadPacketInto(r *snapshot.Reader, pc PayloadCodec, p *Packet) {
-	pooled := p.pooled
-	*p = Packet{pooled: pooled}
-	p.ID = r.U64()
-	p.VNet = int(r.U8())
-	p.Class = stats.Class(r.U8())
-	p.Src = NodeID(r.U32())
-	p.SrcUnit = stats.Unit(r.U8())
-	p.Dests = loadDests(r)
-	p.DstUnit = stats.Unit(r.U8())
-	p.Addr = r.U64()
-	p.Size = r.Int()
-	p.IsPush = r.Bool()
-	p.Filterable = r.Bool()
-	p.IsInv = r.Bool()
-	p.Requester = NodeID(r.U32())
-	p.InjectedAt = sim.Cycle(r.U64())
-	p.Seq = r.U32()
-	p.Csum = r.U32()
-	p.IsAck = r.Bool()
-	p.AckVNet = int8(r.U8())
-	p.AckMask = r.U64()
-	p.retx = r.Bool()
-	if rp := pc.LoadPayload(r); rp != nil {
-		p.Payload = rp
-	}
-}
-
-func (ni *NI) loadPacket(r *snapshot.Reader, pc PayloadCodec) *Packet {
-	p := ni.getPacket()
-	loadPacketInto(r, pc, p)
-	return p
-}
-
-// SaveState serializes the whole mesh: every NI (queues, injection stream,
+// State describes the whole mesh: every NI (queues, injection stream,
 // pending deliveries, transport recovery state) and every router (occupied
 // VCs in occupancy order, switch streams, link rings, filters, credits and
-// arbitration state). Free-list pools are not state: restored in-flight
-// packets and payloads are re-drawn from fresh pools, which is invisible to
-// the simulation (no payload pointer is ever compared, and pool residency
-// only affects allocation counts).
-func (n *Network) SaveState(w *snapshot.Writer, pc PayloadCodec) {
-	w.Section("noc.network")
+// arbitration state). Decoding targets a freshly built network of the same
+// Config (the caller's fingerprint check guarantees it). Free-list pools are
+// not state: restored in-flight packets and payloads are re-drawn from fresh
+// pools, which is invisible to the simulation (no payload pointer is ever
+// compared, and pool residency only affects allocation counts).
+func (n *Network) State(c *snapshot.Codec, pc PayloadCodec) {
+	c.Section("noc.network")
+	c.Mark(&n.nis)
+	c.Mark(&n.routers)
 	for _, ni := range n.nis {
-		ni.saveState(w, pc)
+		ni.state(c, pc)
 	}
 	for _, r := range n.routers {
-		r.saveState(w, pc)
+		r.state(c, pc)
 	}
 }
 
-// LoadState restores a mesh saved by SaveState into this freshly built
-// network (same Config; the caller's fingerprint check guarantees it).
-func (n *Network) LoadState(r *snapshot.Reader, pc PayloadCodec) error {
-	r.Section("noc.network")
-	for _, ni := range n.nis {
-		if err := ni.loadState(r, pc); err != nil {
-			return err
-		}
-	}
-	for _, rt := range n.routers {
-		if err := rt.loadState(r, pc); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-func (ni *NI) saveState(w *snapshot.Writer, pc PayloadCodec) {
-	w.Section("noc.ni")
+func (ni *NI) state(c *snapshot.Codec, pc PayloadCodec) {
+	c.Section("noc.ni")
+	pkt := func(pp **Packet) { ni.Packet(c, pc, pp) }
+	ni.queued = 0 // derived: recounted in both directions
 	for u := range ni.queues {
 		for v := range ni.queues[u] {
-			q := ni.queues[u][v]
-			w.Int(len(q))
-			for _, p := range q {
-				savePacketInto(w, pc, p)
-			}
+			snapshot.Slice(c, &ni.queues[u][v], pkt)
+			ni.queued += len(ni.queues[u][v])
 		}
 	}
-	// Injection stream: the packet is serialized on its own. The local VC it
+	// Injection stream: the packet travels on its own. The local VC it
 	// streams into is identified by index; once the head flit has been
 	// written (sent >= 1) the VC holds — and will recycle — its own decoded
 	// copy, while this one is only ever read (pushPending scans, Size), so
 	// the two need not share identity.
-	if s := ni.stream; s != nil {
-		w.Bool(true)
-		w.Int(s.sent)
-		w.Int(s.vc.idx)
-		savePacketInto(w, pc, s.pkt)
-	} else {
-		w.Bool(false)
-	}
-	w.Int(len(ni.delivery))
-	for _, d := range ni.delivery {
-		w.U64(uint64(d.readyAt))
-		savePacketInto(w, pc, d.pkt)
-	}
-	w.Int(ni.rr)
-	w.U64(ni.seq)
-	if ni.tp != nil {
-		w.Bool(true)
-		ni.tp.saveState(w, pc)
-	} else {
-		w.Bool(false)
-	}
-}
-
-func (ni *NI) loadState(r *snapshot.Reader, pc PayloadCodec) error {
-	r.Section("noc.ni")
-	ni.queued = 0
-	for u := range ni.queues {
-		for v := range ni.queues[u] {
-			k := r.Int()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			for i := 0; i < k; i++ {
-				ni.queues[u][v] = append(ni.queues[u][v], ni.loadPacket(r, pc))
-			}
-			ni.queued += k
+	if snapshot.Has(c, &ni.stream) {
+		if c.Decoding() {
+			ni.stream = &ni.cur
 		}
-	}
-	if r.Bool() {
-		sent := r.Int()
-		vcIdx := r.Int()
-		if r.Err() != nil {
-			return r.Err()
+		s, vcs, idx := ni.stream, ni.net.routers[ni.node].in[PortLocal], 0
+		if s.vc != nil {
+			idx = s.vc.idx
 		}
-		rt := ni.net.routers[ni.node]
-		if vcIdx < 0 || vcIdx >= len(rt.in[PortLocal]) {
-			return fmt.Errorf("%w: NI %d stream VC index %d out of range", snapshot.ErrCorrupt, ni.node, vcIdx)
-		}
-		ni.cur = niStream{pkt: ni.loadPacket(r, pc), vc: &rt.in[PortLocal][vcIdx], sent: sent}
-		ni.stream = &ni.cur
+		c.Int(&s.sent)
+		c.Mark(&s.vc)
+		c.Index(&idx, len(vcs), "NI stream VC index")
+		s.vc = &vcs[idx]
+		pkt(&s.pkt)
 	}
-	nd := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nd; i++ {
-		at := sim.Cycle(r.U64())
-		ni.delivery = append(ni.delivery, delivered{pkt: ni.loadPacket(r, pc), readyAt: at})
-	}
-	ni.rr = r.Int()
-	ni.seq = r.U64()
-	if r.Bool() {
-		if ni.tp == nil {
-			return fmt.Errorf("%w: snapshot has transport state for node %d but this build is not lossy",
-				snapshot.ErrMismatch, ni.node)
-		}
-		return ni.tp.loadState(r, pc, ni)
-	}
-	if ni.tp != nil {
-		return fmt.Errorf("%w: this build is lossy but the snapshot has no transport state for node %d",
-			snapshot.ErrMismatch, ni.node)
-	}
-	return r.Err()
-}
-
-func (tp *niTransport) saveState(w *snapshot.Writer, pc PayloadCodec) {
-	w.Section("noc.transport")
-	for v := range tp.tx {
-		tw := &tp.tx[v]
-		w.U32(tw.nextSeq)
-		w.Int(len(tw.entries))
-		for i := range tw.entries {
-			e := &tw.entries[i]
-			w.U32(e.seq)
-			saveDests(w, e.pending)
-			w.U64(uint64(e.lastSent))
-			w.Int(e.retries)
-			w.Bool(e.done)
-			savePacketInto(w, pc, &e.proto)
-		}
-	}
-	saveSortedU32(w, len(tp.rx), func(yield func(uint32)) {
-		for k := range tp.rx {
-			yield(k)
-		}
-	}, func(k uint32) {
-		st := tp.rx[k]
-		w.U32(st.top)
-		w.U64(st.mask)
+	snapshot.Slice(c, &ni.delivery, func(d *delivered) {
+		snapshot.AsU64(c, &d.readyAt)
+		pkt(&d.pkt)
 	})
-	// ackDue is FIFO-ordered state; ackDueSet is rebuilt from it on load.
-	w.Int(len(tp.ackDue))
-	for _, k := range tp.ackDue {
-		w.U32(k)
-	}
-	w.Int(len(tp.held))
-	for _, p := range tp.held {
-		savePacketInto(w, pc, p)
-	}
-	saveSortedU64(w, len(tp.pushHold), func(yield func(uint64)) {
-		for k := range tp.pushHold {
-			yield(k)
-		}
-	}, func(k uint64) { w.Int(tp.pushHold[k]) })
-	saveSortedU64(w, len(tp.dropped), func(yield func(uint64)) {
-		for k := range tp.dropped {
-			yield(k)
-		}
-	}, func(k uint64) { w.Bool(tp.dropped[k].isPush) })
-	if tp.dead != nil {
-		w.Bool(true)
-		w.String(tp.dead.Error())
-	} else {
-		w.Bool(false)
+	c.Int(&ni.rr)
+	c.U64(&ni.seq)
+	if snapshot.Present(c, &ni.tp, "NI transport recovery state (lossy plan)") {
+		ni.tp.state(c, pc, pkt)
 	}
 }
 
-func (tp *niTransport) loadState(r *snapshot.Reader, pc PayloadCodec, ni *NI) error {
-	r.Section("noc.transport")
+func (tp *niTransport) state(c *snapshot.Codec, pc PayloadCodec, pkt func(**Packet)) {
+	c.Section("noc.transport")
 	for v := range tp.tx {
-		tw := &tp.tx[v]
-		tw.nextSeq = r.U32()
-		k := r.Int()
-		if r.Err() != nil {
-			return r.Err()
+		c.U32(&tp.tx[v].nextSeq)
+		snapshot.Slice(c, &tp.tx[v].entries, func(e *txEntry) {
+			c.U32(&e.seq)
+			c.U64s(e.pending[:])
+			snapshot.AsU64(c, &e.lastSent)
+			c.Int(&e.retries)
+			c.Bool(&e.done)
+			packetState(c, pc, &e.proto)
+		})
+	}
+	snapshot.Map(c, &tp.rx, func(k *uint32, st **rxStream) {
+		if c.Decoding() {
+			*st = new(rxStream)
 		}
-		if cap(tw.entries) == 0 && k > 0 {
-			tw.entries = make([]txEntry, 0, ni.net.retryWindow)
-		}
-		for i := 0; i < k; i++ {
-			var e txEntry
-			e.seq = r.U32()
-			e.pending = loadDests(r)
-			e.lastSent = sim.Cycle(r.U64())
-			e.retries = r.Int()
-			e.done = r.Bool()
-			loadPacketInto(r, pc, &e.proto)
-			tw.entries = append(tw.entries, e)
+		c.U32(k)
+		c.U32(&(*st).top)
+		c.U64(&(*st).mask)
+	})
+	// ackDue is the FIFO-ordered state; ackDueSet is its membership index.
+	snapshot.Slice(c, &tp.ackDue, c.U32)
+	if c.Decoding() {
+		for _, k := range tp.ackDue {
+			tp.ackDueSet[k] = struct{}{}
 		}
 	}
-	nrx := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nrx; i++ {
-		k := r.U32()
-		tp.rx[k] = &rxStream{top: r.U32(), mask: r.U64()}
-	}
-	nack := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nack; i++ {
-		k := r.U32()
-		tp.ackDue = append(tp.ackDue, k)
-		tp.ackDueSet[k] = struct{}{}
-	}
-	nheld := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nheld; i++ {
-		tp.held = append(tp.held, ni.loadPacket(r, pc))
-	}
-	nhold := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nhold; i++ {
-		k := r.U64()
-		tp.pushHold[k] = r.Int()
-	}
-	ndrop := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < ndrop; i++ {
-		k := r.U64()
-		tp.dropped[k] = lossRec{isPush: r.Bool()}
-	}
-	if r.Bool() {
-		tp.dead = restoredDead{msg: r.String()}
-	}
-	return r.Err()
+	snapshot.Slice(c, &tp.held, pkt)
+	snapshot.Map(c, &tp.pushHold, func(k *uint64, n *int) { c.U64(k); c.Int(n) })
+	snapshot.Map(c, &tp.dropped, func(k *uint64, r *lossRec) { c.U64(k); c.Bool(&r.isPush) })
+	Error(c, &tp.dead)
 }
 
-func (rt *Router) saveState(w *snapshot.Writer, pc PayloadCodec) {
-	w.Section("noc.router")
+// vcAt codes the (port, index) coordinates of one of this router's input
+// VCs and returns the VC they name.
+func (rt *Router) vcAt(c *snapshot.Codec, port, idx *int) *inputVC {
+	if snapshot.AsU8(c, port); *port >= NumPorts {
+		c.Corrupt("router %d input port %d out of range", rt.id, *port)
+		*port = 0
+	}
+	c.Index(idx, len(rt.in[*port]), "router VC index")
+	return &rt.in[*port][*idx]
+}
+
+func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
+	c.Section("noc.router")
+	pkt := func(pp **Packet) { rt.net.nis[rt.id].Packet(c, pc, pp) }
 	// Occupied VCs, in occupancy order: the order is load-bearing (candMask
 	// bits index occ positions and round-robin arbitration walks them).
-	w.Int(len(rt.occ))
-	for _, vc := range rt.occ {
-		w.U8(uint8(vc.port))
-		w.Int(vc.idx)
-		w.U64(uint64(vc.headAt))
-		w.Bool(vc.routed)
-		w.Bool(vc.reserved)
-		w.Int(vc.pendingPorts)
-		for o := 0; o < NumPorts; o++ {
-			saveDests(w, vc.pending[o])
+	snapshot.Slice(c, &rt.occ, func(pvc **inputVC) {
+		var port, idx int
+		if *pvc != nil {
+			port, idx = (*pvc).port, (*pvc).idx
 		}
-		if vc.pkt != nil {
-			w.Bool(true)
-			savePacketInto(w, pc, vc.pkt)
-		} else {
-			w.Bool(false)
+		vc := rt.vcAt(c, &port, &idx)
+		if c.Decoding() {
+			*pvc, vc.occPos = vc, len(rt.occ)-1
 		}
-	}
+		snapshot.AsU64(c, &vc.headAt)
+		c.Bool(&vc.routed)
+		c.Bool(&vc.reserved)
+		c.Int(&vc.pendingPorts)
+		for o := range vc.pending {
+			c.U64s(vc.pending[o][:])
+		}
+		if snapshot.Has(c, &vc.pkt) {
+			pkt(&vc.pkt)
+		}
+	})
 	// Switch streams, keyed by output port. One stream object is referenced
-	// from outStream[o], inLock[inPort], and vc.active; restore wires a
-	// single decoded object into all three (the nil-checks on each are
-	// semantic).
-	for o := 0; o < NumPorts; o++ {
-		s := rt.outStream[o]
-		if s == nil {
-			w.Bool(false)
+	// from outStream[o], inLock[inPort], and vc.active; decoding wires a
+	// single object into all three (the nil-checks on each are semantic).
+	for o := range rt.outStream {
+		if !snapshot.Has(c, &rt.outStream[o]) {
 			continue
 		}
-		w.Bool(true)
-		w.U8(uint8(s.inPort))
-		w.Int(s.vcIdx)
-		w.Int(s.sent)
-		w.Int(s.size)
-		w.U8(uint8(s.vnet))
-		w.U8(uint8(s.class))
-		w.U8(uint8(s.dstUnit))
-		saveDests(w, s.dests)
-		w.U64(s.addr)
-		w.U64(s.id)
-		w.Bool(s.isPush)
-		if s.replica != nil {
-			w.Bool(true)
-			savePacketInto(w, pc, s.replica)
-		} else {
-			w.Bool(false)
+		if c.Decoding() {
+			rt.outStream[o] = &stream{outPort: o}
+		}
+		s := rt.outStream[o]
+		vc := rt.vcAt(c, &s.inPort, &s.vcIdx)
+		c.Int(&s.sent)
+		c.Int(&s.size)
+		snapshot.AsU8(c, &s.vnet)
+		snapshot.AsU8(c, &s.class)
+		snapshot.AsU8(c, &s.dstUnit)
+		c.U64s(s.dests[:])
+		c.U64(&s.addr)
+		c.U64(&s.id)
+		c.Bool(&s.isPush)
+		if snapshot.Has(c, &s.replica) {
+			pkt(&s.replica)
+		}
+		if c.Decoding() {
+			s.vc, s.downR = vc, rt.nbr[o] // nbr is nil behind the local port
+			rt.inLock[s.inPort], vc.active = s, s
 		}
 	}
 	// Link rings, oldest entry first.
-	for p := 0; p < NumPorts; p++ {
-		w.Int(rt.arrivals[p].len())
-		rt.arrivals[p].forEach(func(pkt *Packet, at sim.Cycle) {
-			w.U64(uint64(at))
-			savePacketInto(w, pc, pkt)
+	for p := range rt.arrivals {
+		r := &rt.arrivals[p]
+		ringState(c, &r.head, &r.tail, &r.buf, func(e *arrEntry) {
+			snapshot.AsU64(c, &e.at)
+			pkt(&e.pkt)
 		})
 	}
-	for p := 0; p < NumPorts; p++ {
-		ring := &rt.credRet[p]
-		w.Int(int(ring.tail.Load() - ring.head.Load()))
-		for h, t := ring.head.Load(), ring.tail.Load(); h != t; h++ {
-			e := ring.buf[h%ringCap]
-			w.U8(uint8(e.vnet))
-			w.U64(uint64(e.at))
-		}
+	for p := range rt.credRet {
+		r := &rt.credRet[p]
+		ringState(c, &r.head, &r.tail, &r.buf, func(e *credEntry) {
+			snapshot.AsU8(c, &e.vnet)
+			snapshot.AsU64(c, &e.at)
+		})
 	}
 	// Arbitration and accounting state, verbatim.
-	for o := 0; o < NumPorts; o++ {
-		w.Int(rt.rr[o])
-	}
-	w.Int(rt.unrouted)
-	w.U64(uint64(rt.minHeadAt))
-	for o := 0; o < NumPorts; o++ {
-		w.U64(rt.candMask[o])
-	}
-	for o := 0; o < NumPorts; o++ {
-		for v := 0; v < NumVNets; v++ {
-			w.U32(uint32(uint16(rt.candV[o][v])))
+	i16s := func(a []int16) {
+		for i := range a {
+			c.I16(&a[i])
 		}
 	}
-	for o := 0; o < NumPorts; o++ {
-		w.U32(uint32(uint16(rt.invCand[o])))
+	for o := range rt.rr {
+		c.Int(&rt.rr[o])
 	}
-	for p := 0; p < NumPorts; p++ {
-		for v := 0; v < NumVNets; v++ {
-			w.U32(uint32(uint16(rt.freeCnt[p][v])))
-		}
+	c.Int(&rt.unrouted)
+	snapshot.AsU64(c, &rt.minHeadAt)
+	c.U64s(rt.candMask[:])
+	for o := range rt.candV {
+		i16s(rt.candV[o][:])
 	}
-	for o := 0; o < NumPorts; o++ {
-		for v := 0; v < NumVNets; v++ {
-			w.U32(uint32(uint16(rt.credits[o][v])))
-		}
+	i16s(rt.invCand[:])
+	for p := range rt.freeCnt {
+		i16s(rt.freeCnt[p][:])
 	}
-	if rt.filters != nil {
-		w.Bool(true)
-		fb := rt.filters
-		w.Int(len(fb.entries))
+	for o := range rt.credits {
+		i16s(rt.credits[o][:])
+	}
+	if fb := rt.filters; snapshot.Present(c, &rt.filters, "router filter bank") {
+		c.Mark(&fb.entries)
+		c.Count(len(fb.entries), "filter slots")
 		for i := range fb.entries {
 			e := &fb.entries[i]
-			w.Bool(e.valid)
-			w.U64(e.addr)
-			saveDests(w, e.dests)
-			w.Bool(e.clearPending)
-			w.U64(uint64(e.clearAt))
+			c.Bool(&e.valid)
+			c.U64(&e.addr)
+			c.U64s(e.dests[:])
+			c.Bool(&e.clearPending)
+			snapshot.AsU64(c, &e.clearAt)
 		}
-		for p := 0; p < NumPorts; p++ {
-			w.Int(fb.activeCnt[p])
-			w.U64(uint64(fb.aliveUntil[p]))
-		}
-	} else {
-		w.Bool(false)
-	}
-}
-
-func (rt *Router) loadState(r *snapshot.Reader, pc PayloadCodec) error {
-	r.Section("noc.router")
-	nocc := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nocc; i++ {
-		port := int(r.U8())
-		idx := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if port < 0 || port >= NumPorts || idx < 0 || idx >= len(rt.in[port]) {
-			return fmt.Errorf("%w: router %d occ entry (%d,%d) out of range", snapshot.ErrCorrupt, rt.id, port, idx)
-		}
-		vc := &rt.in[port][idx]
-		vc.occPos = len(rt.occ)
-		rt.occ = append(rt.occ, vc)
-		vc.headAt = sim.Cycle(r.U64())
-		vc.routed = r.Bool()
-		vc.reserved = r.Bool()
-		vc.pendingPorts = r.Int()
-		for o := 0; o < NumPorts; o++ {
-			vc.pending[o] = loadDests(r)
-		}
-		if r.Bool() {
-			vc.pkt = rt.net.nis[rt.id].loadPacket(r, pc)
-		}
-	}
-	for o := 0; o < NumPorts; o++ {
-		if !r.Bool() {
-			continue
-		}
-		s := &stream{outPort: o}
-		s.inPort = int(r.U8())
-		s.vcIdx = r.Int()
-		s.sent = r.Int()
-		s.size = r.Int()
-		s.vnet = int(r.U8())
-		s.class = stats.Class(r.U8())
-		s.dstUnit = stats.Unit(r.U8())
-		s.dests = loadDests(r)
-		s.addr = r.U64()
-		s.id = r.U64()
-		s.isPush = r.Bool()
-		if r.Bool() {
-			s.replica = rt.net.nis[rt.id].loadPacket(r, pc)
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if s.inPort < 0 || s.inPort >= NumPorts || s.vcIdx < 0 || s.vcIdx >= len(rt.in[s.inPort]) {
-			return fmt.Errorf("%w: router %d stream VC (%d,%d) out of range", snapshot.ErrCorrupt, rt.id, s.inPort, s.vcIdx)
-		}
-		s.vc = &rt.in[s.inPort][s.vcIdx]
-		if o != PortLocal {
-			s.downR = rt.nbr[o]
-		}
-		rt.outStream[o] = s
-		rt.inLock[s.inPort] = s
-		s.vc.active = s
-	}
-	for p := 0; p < NumPorts; p++ {
-		k := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for i := 0; i < k; i++ {
-			at := sim.Cycle(r.U64())
-			rt.arrivals[p].push(rt.net.nis[rt.id].loadPacket(r, pc), at)
-		}
-	}
-	for p := 0; p < NumPorts; p++ {
-		k := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for i := 0; i < k; i++ {
-			v := int(r.U8())
-			rt.credRet[p].push(v, sim.Cycle(r.U64()))
-		}
-	}
-	for o := 0; o < NumPorts; o++ {
-		rt.rr[o] = r.Int()
-	}
-	rt.unrouted = r.Int()
-	rt.minHeadAt = sim.Cycle(r.U64())
-	for o := 0; o < NumPorts; o++ {
-		rt.candMask[o] = r.U64()
-	}
-	for o := 0; o < NumPorts; o++ {
-		for v := 0; v < NumVNets; v++ {
-			rt.candV[o][v] = int16(uint16(r.U32()))
-		}
-	}
-	for o := 0; o < NumPorts; o++ {
-		rt.invCand[o] = int16(uint16(r.U32()))
-	}
-	for p := 0; p < NumPorts; p++ {
-		for v := 0; v < NumVNets; v++ {
-			rt.freeCnt[p][v] = int16(uint16(r.U32()))
-		}
-	}
-	for o := 0; o < NumPorts; o++ {
-		for v := 0; v < NumVNets; v++ {
-			rt.credits[o][v] = int16(uint16(r.U32()))
-		}
-	}
-	hasFilters := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasFilters != (rt.filters != nil) {
-		return fmt.Errorf("%w: router %d filter bank presence differs (snapshot %v, build %v)",
-			snapshot.ErrMismatch, rt.id, hasFilters, rt.filters != nil)
-	}
-	if hasFilters {
-		fb := rt.filters
-		ne := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if ne != len(fb.entries) {
-			return fmt.Errorf("%w: router %d filter bank has %d slots, snapshot %d",
-				snapshot.ErrMismatch, rt.id, len(fb.entries), ne)
-		}
-		for i := range fb.entries {
-			e := &fb.entries[i]
-			e.valid = r.Bool()
-			e.addr = r.U64()
-			e.dests = loadDests(r)
-			e.clearPending = r.Bool()
-			e.clearAt = sim.Cycle(r.U64())
-		}
-		for p := 0; p < NumPorts; p++ {
-			fb.activeCnt[p] = r.Int()
-			fb.aliveUntil[p] = sim.Cycle(r.U64())
-		}
-	}
-	return r.Err()
-}
-
-// saveSortedU32 / saveSortedU64 serialize a map deterministically: count,
-// then each key ascending followed by its caller-written value.
-func saveSortedU32(w *snapshot.Writer, n int, keys func(func(uint32)), val func(uint32)) {
-	ks := make([]uint32, 0, n)
-	keys(func(k uint32) { ks = append(ks, k) })
-	sortU32s(ks)
-	w.Int(len(ks))
-	for _, k := range ks {
-		w.U32(k)
-		val(k)
-	}
-}
-
-func saveSortedU64(w *snapshot.Writer, n int, keys func(func(uint64)), val func(uint64)) {
-	ks := make([]uint64, 0, n)
-	keys(func(k uint64) { ks = append(ks, k) })
-	sortU64s(ks)
-	w.Int(len(ks))
-	for _, k := range ks {
-		w.U64(k)
-		val(k)
-	}
-}
-
-func sortU32s(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+		for p := range fb.activeCnt {
+			c.Int(&fb.activeCnt[p])
+			snapshot.AsU64(c, &fb.aliveUntil[p])
 		}
 	}
 }
 
-func sortU64s(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// ringState describes the live window of an SPSC link ring, oldest entry
+// first. A decoded ring's window starts wherever the fresh ring's head sits,
+// which is invisible: only the window is ever read.
+func ringState[E any](c *snapshot.Codec, head, tail *atomic.Uint32, buf *[ringCap]E, entry func(*E)) {
+	n := c.Len(int(tail.Load() - head.Load()))
+	if n > ringCap {
+		c.Corrupt("link ring holds %d entries, capacity %d", n, ringCap)
+		return
+	}
+	if c.Decoding() {
+		tail.Store(head.Load() + uint32(n))
+	}
+	for h, t := head.Load(), tail.Load(); h != t; h++ {
+		entry(&buf[h%ringCap])
 	}
 }

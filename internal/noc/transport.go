@@ -86,7 +86,7 @@ type niTransport struct {
 	// outruns the ctrl-vnet injection rate, ack latency diverges, and
 	// senders exhaust their retries on traffic that did arrive.
 	ackDue    []uint32
-	ackDueSet map[uint32]struct{}
+	ackDueSet map[uint32]struct{} `snap:"-,derived: membership index of ackDue"`
 	// held parks delivered invalidations whose address has a dropped push
 	// outstanding (see pushHold); flushed FIFO once the push re-arrives.
 	held []*Packet

@@ -209,7 +209,7 @@ type Packet struct {
 	// pooled marks packets born from the network's free list (router-created
 	// replicas); only those are ever recycled, so externally created packets
 	// stay valid for as long as their creator holds them.
-	pooled bool
+	pooled bool `snap:"-,pool"`
 	// retx marks a retransmission clone: Inject must not stamp a fresh
 	// sequence number or open a new window entry for it.
 	retx bool

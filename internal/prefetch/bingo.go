@@ -22,13 +22,13 @@ type bingoRegion struct {
 // re-scanned working sets (the paper's workloads) hit with near-perfect
 // accuracy, which is what makes L1Bingo-L2Stride a strong baseline.
 type Bingo struct {
-	l2          *cache.L2
-	regionShift uint
-	linesPerReg uint
+	l2          *cache.L2 `snap:"-,wiring"`
+	regionShift uint      `snap:"-,config"`
+	linesPerReg uint      `snap:"-,config"`
 	active      []bingoRegion
 	pht         map[uint64]uint64 // region -> footprint bitmap
-	phtCap      int
-	phtOrder    []uint64 // FIFO eviction order
+	phtCap      int               `snap:"-,config"`
+	phtOrder    []uint64          // FIFO eviction order
 
 	issued, useful uint64
 }

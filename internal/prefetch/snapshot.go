@@ -1,107 +1,36 @@
 package prefetch
 
-import (
-	"sort"
+import "pushmulticast/internal/snapshot"
 
-	"pushmulticast/internal/sim"
-	"pushmulticast/internal/snapshot"
-)
-
-// SaveState serializes the Bingo prefetcher: active accumulation regions (in
+// State describes the Bingo prefetcher: active accumulation regions (in
 // tracking order — LRU commit decisions depend on it), the pattern history
-// table (entries sorted by region; the FIFO order slice written in full,
-// since it is the eviction schedule), and the issue counters.
-func (b *Bingo) SaveState(w *snapshot.Writer) {
-	w.Section("prefetch.bingo")
-	w.Int(len(b.active))
-	for _, a := range b.active {
-		w.U64(a.region)
-		w.U64(a.footprint)
-		w.U64(uint64(a.lastUse))
-	}
-	w.Int(len(b.phtOrder))
-	for _, reg := range b.phtOrder {
-		w.U64(reg)
-	}
-	keys := make([]uint64, 0, len(b.pht))
-	for k := range b.pht {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.U64(k)
-		w.U64(b.pht[k])
-	}
-	w.U64(b.issued)
-	w.U64(b.useful)
+// table with its FIFO order slice in full (it is the eviction schedule), and
+// the issue counters.
+func (b *Bingo) State(c *snapshot.Codec) {
+	c.Section("prefetch.bingo")
+	snapshot.Slice(c, &b.active, func(a *bingoRegion) {
+		c.U64(&a.region)
+		c.U64(&a.footprint)
+		snapshot.AsU64(c, &a.lastUse)
+	})
+	snapshot.Slice(c, &b.phtOrder, c.U64)
+	snapshot.Map(c, &b.pht, func(region, footprint *uint64) { c.U64(region); c.U64(footprint) })
+	c.U64(&b.issued)
+	c.U64(&b.useful)
 }
 
-// LoadState restores a Bingo prefetcher saved by SaveState.
-func (b *Bingo) LoadState(r *snapshot.Reader) error {
-	r.Section("prefetch.bingo")
-	na := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < na; i++ {
-		reg := r.U64()
-		fp := r.U64()
-		b.active = append(b.active, bingoRegion{region: reg, footprint: fp, lastUse: sim.Cycle(r.U64())})
-	}
-	no := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < no; i++ {
-		b.phtOrder = append(b.phtOrder, r.U64())
-	}
-	nk := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nk; i++ {
-		k := r.U64()
-		b.pht[k] = r.U64()
-	}
-	b.issued = r.U64()
-	b.useful = r.U64()
-	return r.Err()
-}
-
-// SaveState serializes the stride prefetcher's stream table verbatim.
-func (s *Stride) SaveState(w *snapshot.Writer) {
-	w.Section("prefetch.stride")
-	w.Int(len(s.entries))
+// State describes the stride prefetcher's stream table verbatim.
+func (s *Stride) State(c *snapshot.Codec) {
+	c.Section("prefetch.stride")
+	c.Mark(&s.entries)
+	c.Count(len(s.entries), "stride streams")
 	for i := range s.entries {
 		e := &s.entries[i]
-		w.U64(e.lastAddr)
-		w.I64(e.stride)
-		w.Int(e.conf)
-		w.U64(uint64(e.lastUse))
-		w.Bool(e.valid)
+		c.U64(&e.lastAddr)
+		c.I64(&e.stride)
+		c.Int(&e.conf)
+		snapshot.AsU64(c, &e.lastUse)
+		c.Bool(&e.valid)
 	}
-	w.U64(s.issued)
-}
-
-// LoadState restores a stride prefetcher saved by SaveState.
-func (s *Stride) LoadState(r *snapshot.Reader) error {
-	r.Section("prefetch.stride")
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(s.entries) {
-		s.entries = make([]strideEntry, n)
-	}
-	for i := range s.entries {
-		e := &s.entries[i]
-		e.lastAddr = r.U64()
-		e.stride = r.I64()
-		e.conf = r.Int()
-		e.lastUse = sim.Cycle(r.U64())
-		e.valid = r.Bool()
-	}
-	s.issued = r.U64()
-	return r.Err()
+	c.U64(&s.issued)
 }

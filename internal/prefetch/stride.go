@@ -18,9 +18,9 @@ type strideEntry struct {
 // per stream. Streams are allocated by miss-address proximity (the model has
 // no PCs); two consecutive misses at a constant line stride arm a stream.
 type Stride struct {
-	l2      *cache.L2
+	l2      *cache.L2 `snap:"-,wiring"`
 	entries []strideEntry
-	degree  int
+	degree  int `snap:"-,config"`
 	issued  uint64
 }
 

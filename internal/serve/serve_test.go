@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -159,33 +160,70 @@ func TestCampaignRepeatIsCacheHit(t *testing.T) {
 	_ = s
 }
 
+// donorSnapshot pauses the tiny16 campaign's one run at the given cycle and
+// returns its snapshot: a warm-start donor the service accepts for tiny16.
+func donorSnapshot(t *testing.T, cycle uint64) []byte {
+	t.Helper()
+	// Build the donor under the exact configuration the campaign will
+	// expand to, by expanding the same spec.
+	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []WorkloadSpec{{Name: "cachebw"}}}
+	runs, err := expand(spec, func(string) ([]byte, bool) { return nil, false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pushmulticast.NewMachine(runs[0].cfg, runs[0].wl, runs[0].sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunTo(cycle); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // TestCampaignMalformedSpecs table-drives the validation contract: every
-// malformed spec is HTTP 400 with a one-line diagnostic (exactly one
-// newline, at the end) and zero scheduled work.
+// malformed spec — and every uploaded snapshot that could never restore — is
+// HTTP 400 with a one-line diagnostic (exactly one newline, at the end) and
+// zero scheduled work.
 func TestCampaignMalformedSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
+	snap := donorSnapshot(t, 2000)
+	altered := bytes.Clone(snap)
+	altered[len(altered)/2] ^= 0x40
+	future := bytes.Clone(snap)
+	future[8] = 2 // low byte of the format version, right after the 8-byte magic
+	const campaigns, snapshots = "/campaigns", "/snapshots"
 	cases := []struct {
 		name string
+		path string
 		body string
 	}{
-		{"invalid-json", `{"schemes":`},
-		{"unknown-field", `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"no-schemes", `{"workloads":[{"name":"cachebw"}]}`},
-		{"no-workloads", `{"schemes":["OrdPush"]}`},
-		{"unknown-scheme", `{"schemes":["TurboPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"unknown-workload", `{"schemes":["OrdPush"],"workloads":[{"name":"nosuch"}]}`},
-		{"bad-scale", `{"scale":"huge","schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"bad-cores", `{"cores":48,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"negative-sim-workers", `{"sim_workers":-2,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"collective-params-on-registry-workload", `{"schemes":["OrdPush"],"workloads":[{"name":"cachebw","sharers":4}]}`},
-		{"inconsistent-collective-params", `{"schemes":["OrdPush"],"workloads":[{"name":"broadcast","fanout":1}]}`},
-		{"unknown-warm-start", `{"warm_start":"deadbeef","schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"fault-intensity-out-of-range", `{"faults":{"intensity":1.5},"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"lossy-rate-out-of-range", `{"faults":{"lossy_per_mille":2000},"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"snapshot-not-a-snapshot", snapshots, "not a snapshot"},
+		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9])},
+		{"snapshot-altered", snapshots, string(altered)},
+		{"snapshot-future-version", snapshots, string(future)},
+		{"invalid-json", campaigns, `{"schemes":`},
+		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"no-schemes", campaigns, `{"workloads":[{"name":"cachebw"}]}`},
+		{"no-workloads", campaigns, `{"schemes":["OrdPush"]}`},
+		{"unknown-scheme", campaigns, `{"schemes":["TurboPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"unknown-workload", campaigns, `{"schemes":["OrdPush"],"workloads":[{"name":"nosuch"}]}`},
+		{"bad-scale", campaigns, `{"scale":"huge","schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"bad-cores", campaigns, `{"cores":48,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"negative-sim-workers", campaigns, `{"sim_workers":-2,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"collective-params-on-registry-workload", campaigns, `{"schemes":["OrdPush"],"workloads":[{"name":"cachebw","sharers":4}]}`},
+		{"inconsistent-collective-params", campaigns, `{"schemes":["OrdPush"],"workloads":[{"name":"broadcast","fanout":1}]}`},
+		{"unknown-warm-start", campaigns, `{"warm_start":"deadbeef","schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"fault-intensity-out-of-range", campaigns, `{"faults":{"intensity":1.5},"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		{"lossy-rate-out-of-range", campaigns, `{"faults":{"lossy_per_mille":2000},"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,24 +291,7 @@ func TestCampaignClientCancellation(t *testing.T) {
 // content hash).
 func TestSnapshotWarmStart(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	// Build the donor under the exact configuration the campaign will
-	// expand to, by expanding the same spec.
-	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []WorkloadSpec{{Name: "cachebw"}}}
-	runs, err := expand(spec, func(string) ([]byte, bool) { return nil, false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := pushmulticast.NewMachine(runs[0].cfg, runs[0].wl, runs[0].sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunTo(4000); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := donorSnapshot(t, 4000)
 	resp, err := http.Post(ts.URL+"/snapshots", "application/octet-stream", bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
@@ -295,16 +316,33 @@ func TestSnapshotWarmStart(t *testing.T) {
 	if warmRecs[0].ID == coldRecs[0].ID {
 		t.Fatal("warm and cold runs of one configuration share a run identity")
 	}
-	// A malformed snapshot upload is refused with one line.
-	resp, err = http.Post(ts.URL+"/snapshots", "application/octet-stream", strings.NewReader("not a snapshot"))
+	// A crafted donor: a well-sealed container whose first decoded length
+	// (the link-counter count after the "stats.all" marker) is 1<<62. It is
+	// structurally a snapshot, so the upload is accepted; the fork then fails
+	// as one run with a one-line error — it used to panic in the memo's
+	// goroutine and take the daemon down — and the server keeps serving.
+	crafted := bytes.Clone(snap)
+	at := bytes.Index(crafted, []byte("stats.all")) + len("stats.all")
+	binary.LittleEndian.PutUint64(crafted[at:], 1<<62)
+	body := crafted[:len(crafted)-8]
+	binary.LittleEndian.PutUint64(crafted[len(body):], pushmulticast.SnapshotHash(body))
+	resp, err = http.Post(ts.URL+"/snapshots", "application/octet-stream", bytes.NewReader(crafted))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || strings.Count(string(body), "\n") != 1 {
-		t.Fatalf("malformed snapshot: status %d body %q; want 400 and one line", resp.StatusCode, body)
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatalf("crafted upload (status %d): %v", resp.StatusCode, err)
 	}
+	resp.Body.Close()
+	warmBody = fmt.Sprintf(`{"scale":"tiny","warm_start":%q,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`, up.ID)
+	status, recs, _ := postCampaign(t, ts.URL, warmBody)
+	if status != http.StatusOK || len(recs) != 1 || !strings.Contains(recs[0].Error, "snapshot corrupt") || strings.Contains(recs[0].Error, "\n") {
+		t.Fatalf("fork from a crafted donor: status %d recs %+v; want one run with a one-line snapshot-corrupt error", status, recs)
+	}
+	if resp, err = http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("server stopped answering /healthz after the crafted donor: %v", err)
+	}
+	resp.Body.Close()
 }
 
 // TestGracefulShutdownDrains starts a short campaign and closes the server

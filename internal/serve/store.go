@@ -32,8 +32,9 @@ func newSnapStore(capacity int) *snapStore {
 }
 
 // put validates and stores a snapshot, returning its content id and the
-// cycle it was taken at. Malformed snapshots are refused with a one-line
-// diagnostic before anything is retained.
+// cycle it was taken at. Bytes that could never restore — bad magic, another
+// format version, a trailer that does not match — are refused with a
+// one-line diagnostic before anything is retained.
 func (st *snapStore) put(data []byte) (id string, cycle uint64, err error) {
 	cycle, err = pushmulticast.SnapshotCycle(data)
 	if err != nil {

@@ -83,37 +83,37 @@ var ErrFailsafe = errors.New("sim: implicit failsafe ceiling")
 // component's scheduling state; components use it to report quiescence and
 // producers use it to wake consumers.
 type Handle struct {
-	eng    *Engine
-	comp   Ticker
-	idx    int // registration order; ties in the wake heap break on it
+	eng    *Engine `snap:"-,wiring"`
+	comp   Ticker  `snap:"-,wiring"`
+	idx    int     `snap:"-,wiring"` // registration order; ties in the wake heap break on it
 	asleep bool
 	wakeAt Cycle // NeverWake when sleeping without a scheduled wake
 	// heapPos is this handle's index in the engine's wake heap, -1 when the
 	// handle is not enqueued.
-	heapPos int
+	heapPos int `snap:"-,derived: position in the rebuilt wake heap"`
 
 	// lane is the handle's parallel-execution lane, -1 for serial-only
 	// handles (see SetLane).
-	lane int
+	lane int `snap:"-,config"`
 	// seg is the index of the handle's segment in Engine.segs, -1 until the
 	// parallel executor first builds the segment list. It anchors the
 	// per-segment awake counters maintained on every asleep-transition.
-	seg int
+	seg int `snap:"-,derived: rebuilt with the segment list"`
 	// dirty marks enrollment in the engine's staged-commit list for the
 	// current section (set by the first staged effect, cleared at commit).
-	dirty atomic.Bool
+	dirty atomic.Bool `snap:"-,transient: parallel-section staging, empty between Steps"`
 	// pendingWake is the staged wake time accumulated (as a minimum) while a
 	// parallel section runs; NeverWake when none. It is the only handle field
 	// written cross-lane during a section, hence atomic.
-	pendingWake atomic.Uint64
+	pendingWake atomic.Uint64 `snap:"-,transient: parallel-section staging, empty between Steps"`
 	// pendingSleep/hasPendingSleep stage the owning component's last
 	// Sleep/SleepUntil of the section; only the owner writes them.
-	pendingSleep    Cycle
-	hasPendingSleep bool
+	pendingSleep    Cycle `snap:"-,transient: parallel-section staging, empty between Steps"`
+	hasPendingSleep bool  `snap:"-,transient: parallel-section staging, empty between Steps"`
 	// wakeConsumed marks that the lane executor ticked this sleeping handle
 	// because its staged wake was due, so commit must replay the wake before
 	// the staged sleep (serial order: wake, tick, sleep).
-	wakeConsumed bool
+	wakeConsumed bool `snap:"-,transient: parallel-section staging, empty between Steps"`
 }
 
 // SetLane tags the handle with a parallel-execution lane. Handles sharing a
@@ -231,45 +231,45 @@ func (h *Handle) sleep(c Cycle) {
 type Engine struct {
 	now         Cycle
 	handles     []*Handle
-	asleepCount int
-	wheap       []*Handle // min-heap on (wakeAt, registration order)
-	dense       bool
+	asleepCount int       `snap:"-,derived: recounted from the asleep flags"`
+	wheap       []*Handle `snap:"-,derived: rebuilt from the wake times"` // min-heap on (wakeAt, registration order)
+	dense       bool      `snap:"-,config"`
 	// lastProgress is atomic because components report progress from worker
 	// goroutines during parallel sections; the load-check-store in Progress
 	// keeps the hot path to one uncontended load per call.
 	lastProgress atomic.Uint64
-	watchdog     Cycle
-	maxCycles    Cycle
+	watchdog     Cycle `snap:"-,config"`
+	maxCycles    Cycle `snap:"-,config"`
 	// failsafe records that maxCycles is the implicit FailsafeMaxCycles
 	// ceiling rather than a caller-chosen limit; limit errors then also
 	// wrap ErrFailsafe.
-	failsafe bool
+	failsafe bool `snap:"-,config"`
 	ticks    uint64
 
 	// Parallel executor state (see parallel.go). workers <= 1 or no lane
 	// tags leaves Step on the single-threaded path untouched.
-	workers    int
-	threshold  int
-	batchGrain int
-	hasLanes   bool
-	staging    bool
-	segs       []segment
-	segsDirty  bool
+	workers    int       `snap:"-,config"`
+	threshold  int       `snap:"-,config"`
+	batchGrain int       `snap:"-,config"`
+	hasLanes   bool      `snap:"-,config"`
+	staging    bool      `snap:"-,transient: never set between Steps"`
+	segs       []segment `snap:"-,derived: rebuilt when segsDirty"`
+	segsDirty  bool      `snap:"-,derived: set by decoding"`
 	// trackAwake turns on the per-segment awake counters once the segment
 	// list exists; serial engines never pay for the bookkeeping.
-	trackAwake bool
-	workCh     chan *parSection
+	trackAwake bool             `snap:"-,derived: set when segs are built"`
+	workCh     chan *parSection `snap:"-,wiring"`
 	// spawned is the pool size actually started (capped by GOMAXPROCS-1).
-	spawned int
-	sec     parSection
+	spawned int        `snap:"-,wiring"`
+	sec     parSection `snap:"-,scratch"`
 	// dirty/dirtyN collect the handles with staged effects during a section;
 	// commit walks (and sorts) only these instead of every handle.
-	dirty  []*Handle
-	dirtyN atomic.Int64
+	dirty  []*Handle    `snap:"-,scratch"`
+	dirtyN atomic.Int64 `snap:"-,scratch"`
 	exec   ExecStats
 	// onCycleEnd, when set, runs after the last section of every parallel
 	// Step (the per-cycle ordered drain of deferred stats).
-	onCycleEnd func(now Cycle)
+	onCycleEnd func(now Cycle) `snap:"-,wiring"`
 }
 
 // FailsafeMaxCycles is the hard cycle ceiling enforced when both the

@@ -1,94 +1,64 @@
 package sim
 
-import (
-	"fmt"
+import "pushmulticast/internal/snapshot"
 
-	"pushmulticast/internal/snapshot"
-)
-
-// SaveState serializes the engine's scheduling state: clock, tick and
-// progress counters, executor counters, and each handle's asleep/wake-at
-// pair. It must be called between Steps (never from inside a tick), when no
-// parallel section is staging.
-func (e *Engine) SaveState(w *snapshot.Writer) {
+// State describes the engine's scheduling state: clock, tick and progress
+// counters, executor counters, and each handle's asleep/wake-at pair. It must
+// run between Steps (never from inside a tick), when no parallel section is
+// staging.
+//
+// Decoding targets a freshly built engine, which is first normalized to the
+// all-awake post-Register state: some components sleep during their
+// build-time registration (the checker sleeps until its first scan), and
+// applying the snapshot on top of that would corrupt the asleep count and the
+// wake heap. Sleeping handles are then put to sleep directly — bypassing
+// Handle.sleep's "wake instead when due next cycle" shortcut, which would
+// mis-restore a component that was legitimately asleep until now+1 — and
+// pushed onto the wake heap. The parallel executor's per-segment awake
+// counters need no repair: segsDirty makes the first parallel Step rebuild
+// them from the restored asleep flags.
+func (e *Engine) State(c *snapshot.Codec) {
 	if e.staging {
-		panic("sim: SaveState during a parallel section")
+		panic("sim: snapshot during a parallel section")
 	}
-	w.Section("sim.engine")
-	w.U64(uint64(e.now))
-	w.U64(e.ticks)
-	w.U64(e.lastProgress.Load())
-	w.U64(e.exec.Cycles)
-	w.U64(e.exec.ParallelCycles)
-	w.U64(e.exec.Sections)
-	w.U64(e.exec.Batches)
-	w.U64(e.exec.LaneGroups)
-	w.U64(e.exec.HelperDispatches)
-	w.U64(e.exec.SerialFallbackCycles)
-	w.U64(e.exec.StagedCommits)
-	w.Int(len(e.handles))
-	for _, h := range e.handles {
-		w.Bool(h.asleep)
-		w.U64(uint64(h.wakeAt))
-	}
-}
-
-// LoadState restores the scheduling state saved by SaveState into a freshly
-// built engine whose handles are all still awake (the post-Register state).
-// Sleeping handles are put to sleep directly — bypassing Handle.sleep's
-// "wake instead when due next cycle" shortcut, which would mis-restore a
-// component that was legitimately asleep until now+1 — and pushed onto the
-// wake heap. The parallel executor's per-segment awake counters need no
-// repair: a fresh engine has segsDirty set, so the first parallel Step
-// rebuilds them from the restored asleep flags.
-func (e *Engine) LoadState(r *snapshot.Reader) error {
-	r.Section("sim.engine")
-	e.now = Cycle(r.U64())
-	e.ticks = r.U64()
-	e.lastProgress.Store(r.U64())
-	e.exec.Cycles = r.U64()
-	e.exec.ParallelCycles = r.U64()
-	e.exec.Sections = r.U64()
-	e.exec.Batches = r.U64()
-	e.exec.LaneGroups = r.U64()
-	e.exec.HelperDispatches = r.U64()
-	e.exec.SerialFallbackCycles = r.U64()
-	e.exec.StagedCommits = r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(e.handles) {
-		return fmt.Errorf("%w: snapshot has %d components, this build registered %d",
-			snapshot.ErrMismatch, n, len(e.handles))
-	}
-	// Normalize to the all-awake state first: some components sleep during
-	// their build-time registration (the checker sleeps until its first
-	// scan), and applying the snapshot on top of that would corrupt the
-	// asleep count and the wake heap.
-	for _, h := range e.handles {
-		h.asleep = false
-		h.wakeAt = NeverWake
-		h.heapPos = -1
-	}
-	for i := range e.wheap {
-		e.wheap[i] = nil
-	}
-	e.wheap = e.wheap[:0]
-	e.asleepCount = 0
-	for _, h := range e.handles {
-		asleep := r.Bool()
-		wakeAt := Cycle(r.U64())
-		if !asleep {
-			continue // handles start awake after Register
+	c.Section("sim.engine")
+	snapshot.AsU64(c, &e.now)
+	c.U64(&e.ticks)
+	c.Mark(&e.lastProgress)
+	progress := e.lastProgress.Load()
+	c.U64(&progress)
+	e.lastProgress.Store(progress)
+	c.U64(&e.exec.Cycles)
+	c.U64(&e.exec.ParallelCycles)
+	c.U64(&e.exec.Sections)
+	c.U64(&e.exec.Batches)
+	c.U64(&e.exec.LaneGroups)
+	c.U64(&e.exec.HelperDispatches)
+	c.U64(&e.exec.SerialFallbackCycles)
+	c.U64(&e.exec.StagedCommits)
+	c.Mark(&e.handles)
+	c.Count(len(e.handles), "registered components")
+	if c.Decoding() {
+		for _, h := range e.handles {
+			h.asleep, h.wakeAt, h.heapPos = false, NeverWake, -1
 		}
-		h.asleep = true
-		e.asleepCount++
-		h.wakeAt = wakeAt
-		if wakeAt != NeverWake {
-			e.heapPush(h)
+		clear(e.wheap)
+		e.wheap = e.wheap[:0]
+		e.asleepCount = 0
+		e.segsDirty = true
+	}
+	for _, h := range e.handles {
+		c.Bool(&h.asleep)
+		snapshot.AsU64(c, &h.wakeAt)
+		switch {
+		case !c.Decoding():
+		case !h.asleep:
+			h.wakeAt = NeverWake // an awake handle's stale wake time is not state
+		default:
+			e.asleepCount++
+			if h.wakeAt != NeverWake {
+				e.heapPush(h)
+			}
 		}
 	}
-	e.segsDirty = true
-	return r.Err()
 }

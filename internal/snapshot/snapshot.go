@@ -13,20 +13,25 @@
 //	str   strict config fingerprint  (exact-resume identity)
 //	str   fork config fingerprint    (warm-start identity: tuning knobs wiped)
 //	u64   snapshot cycle
-//	...   sections (marker + payload), written by the subsystem codecs
+//	...   sections (marker + payload), written by the component descriptions
 //	u64   FNV-1a hash of everything before the trailer
 //
-// The header is readable without decoding any section (see ReadHeader), so
-// version and fingerprint mismatches fail loudly before any state is
-// touched. Section markers exist to catch encoder/decoder desync: a reader
-// that drifts off by even one byte fails at the next section with the two
-// section names in the error instead of silently mis-restoring state.
+// A Codec is either encoding or decoding, and every primitive takes a
+// pointer: it writes the pointee when encoding and overwrites it when
+// decoding. A component therefore describes its state once, as one function
+// over a Codec, and that function is both its serializer and its
+// deserializer — the field list and the field order cannot drift apart.
+// Section markers catch a description that disagrees with the bytes: a
+// decoder that drifts off by even one byte fails at the next section with
+// both section names in the error instead of silently mis-restoring state.
 package snapshot
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
+	"slices"
 )
 
 // Magic identifies a snapshot file. The trailing newline makes an
@@ -37,6 +42,9 @@ const Magic = "PMSNAP1\n"
 // a section's encoding; restore refuses other versions loudly.
 const Version uint32 = 1
 
+// sectionMark precedes every section name.
+const sectionMark uint32 = 0x5EC7_10A5
+
 // ErrMismatch wraps every refusal to restore: wrong magic, wrong format
 // version, or a config fingerprint that differs from the restoring machine.
 // Callers test with errors.Is and exit nonzero; a mismatch is never worked
@@ -44,8 +52,8 @@ const Version uint32 = 1
 var ErrMismatch = errors.New("snapshot mismatch")
 
 // ErrCorrupt wraps decode failures on a snapshot whose header was accepted:
-// truncation, section desync, or a trailer hash that does not match the
-// payload.
+// truncation, section desync, an impossible length or index, or a trailer
+// hash that does not match the payload.
 var ErrCorrupt = errors.New("snapshot corrupt")
 
 // FNV-1a 64-bit, matching the trace package's history hash.
@@ -65,75 +73,6 @@ func Hash(data []byte) uint64 {
 	return h
 }
 
-// Writer serializes primitives into a growing buffer. Writes are
-// infallible; Finish appends the trailer and returns the snapshot bytes.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns a writer with the header already emitted.
-func NewWriter(strictFP, forkFP string, cycle uint64) *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16)}
-	w.buf = append(w.buf, Magic...)
-	w.U32(Version)
-	w.String(strictFP)
-	w.String(forkFP)
-	w.U64(cycle)
-	return w
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// I64 writes an int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as an int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Section writes a named section marker. The reader's matching Section call
-// verifies the name, so any encoder/decoder drift surfaces at the next
-// boundary with both names in the error.
-func (w *Writer) Section(name string) {
-	w.U32(0x5EC7_10A5)
-	w.String(name)
-}
-
-// Len returns the number of bytes written so far (diagnostics).
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Finish appends the FNV-1a trailer and returns the complete snapshot.
-func (w *Writer) Finish() []byte {
-	w.U64(Hash(w.buf[:len(w.buf)]))
-	return w.buf
-}
-
 // Header is the decoded snapshot prelude.
 type Header struct {
 	Version  uint32
@@ -142,156 +81,357 @@ type Header struct {
 	Cycle    uint64
 }
 
-// Reader decodes a snapshot produced by Writer. Errors are sticky: after
-// the first failure every read returns zero values and Err reports the
-// original cause, so codecs can decode straight-line and check once.
-type Reader struct {
-	data []byte
-	pos  int
+// Codec walks a state description in one direction. Encoding is infallible.
+// Decoding errors are sticky: after the first failure every primitive leaves
+// its pointee alone, every length decodes as zero, and Err reports the
+// original cause, so descriptions run straight-line and the caller checks
+// once. A description that indexes with a decoded value must validate it
+// (Corrupt) and stop on failure.
+type Codec struct {
+	buf  []byte // encoding: the bytes so far; decoding: the whole snapshot
+	pos  int    // decoding: offset of the next unread byte
+	dec  bool
 	hdr  Header
 	err  error
+	mark func(p any)
 }
 
-// NewReader validates the magic, the format version, and the trailer hash,
-// decodes the header, and positions the reader at the first section.
-func NewReader(data []byte) (*Reader, error) {
+// NewEncoder returns an encoding codec with the header already emitted.
+func NewEncoder(strictFP, forkFP string, cycle uint64) *Codec {
+	c := &Codec{buf: make([]byte, 0, 1<<16), hdr: Header{Version, strictFP, forkFP, cycle}}
+	c.buf = append(c.buf, Magic...)
+	c.header()
+	return c
+}
+
+// NewDecoder validates the magic, the format version (before the hash, so a
+// future format says "format v2", not "corrupt"), and the trailer hash,
+// decodes the header, and positions the codec at the first section. It is
+// the only header parser: whatever it accepts is structurally a snapshot of
+// this format version, and nothing it rejects reaches a component.
+func NewDecoder(data []byte) (*Codec, error) {
 	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: not a snapshot (bad magic)", ErrMismatch)
 	}
 	if len(data) < len(Magic)+4+8 {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	r := &Reader{data: data, pos: len(Magic)}
-	r.hdr.Version = r.U32()
-	if r.err == nil && r.hdr.Version != Version {
-		return nil, fmt.Errorf("%w: snapshot format v%d, this build reads v%d",
-			ErrMismatch, r.hdr.Version, Version)
+	if v := binary.LittleEndian.Uint32(data[len(Magic):]); v != Version {
+		return nil, fmt.Errorf("%w: snapshot format v%d, this build reads v%d", ErrMismatch, v, Version)
 	}
-	var want uint64
-	for i := 7; i >= 0; i-- {
-		want = want<<8 | uint64(trailer[i])
-	}
-	if Hash(body) != want {
+	body := data[:len(data)-8]
+	if Hash(body) != binary.LittleEndian.Uint64(data[len(body):]) {
 		return nil, fmt.Errorf("%w: trailer hash mismatch (truncated or altered)", ErrCorrupt)
 	}
-	r.hdr.StrictFP = r.String()
-	r.hdr.ForkFP = r.String()
-	r.hdr.Cycle = r.U64()
-	if r.err != nil {
-		return nil, r.err
+	c := &Codec{buf: data, pos: len(Magic), dec: true}
+	c.header()
+	if c.err != nil {
+		return nil, c.err
 	}
-	return r, nil
+	return c, nil
 }
 
-// ReadHeader decodes only the header of a snapshot (no trailer validation),
-// for cheap identity checks.
-func ReadHeader(data []byte) (Header, error) {
-	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
-		return Header{}, fmt.Errorf("%w: not a snapshot (bad magic)", ErrMismatch)
-	}
-	r := &Reader{data: data, pos: len(Magic)}
-	var h Header
-	h.Version = r.U32()
-	h.StrictFP = r.String()
-	h.ForkFP = r.String()
-	h.Cycle = r.U64()
-	if r.err != nil {
-		return Header{}, r.err
-	}
-	return h, nil
+func (c *Codec) header() {
+	c.U32(&c.hdr.Version)
+	c.String(&c.hdr.StrictFP)
+	c.String(&c.hdr.ForkFP)
+	c.U64(&c.hdr.Cycle)
 }
 
-// Header returns the decoded snapshot prelude.
-func (r *Reader) Header() Header { return r.hdr }
+// Header returns the snapshot prelude.
+func (c *Codec) Header() Header { return c.hdr }
+
+// Decoding reports the codec's direction. Descriptions branch on it only
+// where the two directions genuinely differ: allocating what a decoded
+// pointer points to, or rebuilding derived state.
+func (c *Codec) Decoding() bool { return c.dec }
 
 // Err returns the first decode failure, or nil.
-func (r *Reader) Err() error { return r.err }
+func (c *Codec) Err() error { return c.err }
 
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, fmt.Sprintf(format, args...), r.pos)
+// Finish appends the FNV-1a trailer and returns the complete snapshot.
+func (c *Codec) Finish() []byte {
+	h := Hash(c.buf)
+	c.word(h, 8)
+	return c.buf
+}
+
+// Record makes the codec report every state location its description
+// accounts for — the pointer handed to each primitive or to Mark — to fn.
+// The completeness tests use it to find fields a description forgot.
+func (c *Codec) Record(fn func(p any)) { c.mark = fn }
+
+// Mark tells a recording codec that the description accounts for the state
+// at p by other means than handing p to a primitive (a pointer it follows, a
+// container it iterates, a value it codes through a local).
+func (c *Codec) Mark(p any) {
+	if c.mark != nil {
+		c.mark(p)
 	}
 }
 
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+// Corrupt fails the decode with ErrCorrupt and the current offset.
+func (c *Codec) Corrupt(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, fmt.Sprintf(format, args...), c.pos)
+	}
+}
+
+// Mismatch fails the decode with ErrMismatch: the snapshot is intact but was
+// taken on a machine this build is not.
+func (c *Codec) Mismatch(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s", ErrMismatch, fmt.Sprintf(format, args...))
+	}
+}
+
+// remaining is the number of payload bytes left before the trailer.
+func (c *Codec) remaining() int { return len(c.buf) - 8 - c.pos }
+
+// take returns the next n payload bytes; reads never reach the trailer.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	// Never read into the 8-byte trailer.
-	if r.pos+n > len(r.data)-8 {
-		r.fail("truncated read of %d bytes", n)
+	if n > c.remaining() {
+		c.Corrupt("truncated read of %d bytes", n)
 		return nil
 	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
+	b := c.buf[c.pos : c.pos+n]
+	c.pos += n
 	return b
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
+// word moves the low n bytes of v, little-endian, and returns the value now
+// on the wire: v when encoding, the decoded bytes (0 on failure) otherwise.
+func (c *Codec) word(v uint64, n int) uint64 {
+	var tmp [8]byte
+	if !c.dec {
+		binary.LittleEndian.PutUint64(tmp[:], v)
+		c.buf = append(c.buf, tmp[:n]...)
+		return v
+	}
+	copy(tmp[:], c.take(n))
+	return binary.LittleEndian.Uint64(tmp[:])
+}
+
+// Integer is any integer type a field may have.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// AsU8, AsU32 and AsU64 code an integer field of any type through the named
+// wire width, converting exactly as a Go conversion to and from that
+// unsigned type does. They serve named types (sim.Cycle, noc.NodeID, enum
+// kinds) and fields whose wire width is narrower than their Go type.
+func AsU8[T Integer](c *Codec, p *T) {
+	c.Mark(p)
+	if v := c.word(uint64(uint8(*p)), 1); c.dec && c.err == nil {
+		*p = T(uint8(v))
+	}
+}
+
+func AsU32[T Integer](c *Codec, p *T) {
+	c.Mark(p)
+	if v := c.word(uint64(uint32(*p)), 4); c.dec && c.err == nil {
+		*p = T(uint32(v))
+	}
+}
+
+func AsU64[T Integer](c *Codec, p *T) {
+	c.Mark(p)
+	if v := c.word(uint64(*p), 8); c.dec && c.err == nil {
+		*p = T(v)
+	}
+}
+
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) { AsU8(c, p) }
+
+// U32 codes a little-endian uint32.
+func (c *Codec) U32(p *uint32) { AsU32(c, p) }
+
+// U64 codes a little-endian uint64.
+func (c *Codec) U64(p *uint64) { AsU64(c, p) }
+
+// I64 codes an int64 (two's complement).
+func (c *Codec) I64(p *int64) { AsU64(c, p) }
+
+// Int codes an int as an int64.
+func (c *Codec) Int(p *int) { AsU64(c, p) }
+
+// I16 codes an int16 as the u32 holding its 16-bit pattern.
+func (c *Codec) I16(p *int16) {
+	c.Mark(p)
+	if v := c.word(uint64(uint16(*p)), 4); c.dec && c.err == nil {
+		*p = int16(uint16(v))
+	}
+}
+
+// Bool codes a boolean as one byte.
+func (c *Codec) Bool(p *bool) {
+	c.Mark(p)
+	if v := c.Flag(*p); c.dec && c.err == nil {
+		*p = v
+	}
+}
+
+// Flag codes a boolean that lives in no field (a presence byte, a derived
+// condition): it returns v when encoding and the decoded value — false after
+// a failure — when decoding.
+func (c *Codec) Flag(v bool) bool {
+	var b uint64
+	if v {
+		b = 1
+	}
+	return c.word(b, 1) != 0 && c.err == nil
+}
+
+// U64s codes every element of a fixed-length run (an array field's [:], or
+// a slice whose length the description already settled).
+func (c *Codec) U64s(p []uint64) {
+	for i := range p {
+		c.U64(&p[i])
+	}
+}
+
+// String codes a length-prefixed string.
+func (c *Codec) String(p *string) {
+	c.Mark(p)
+	if s := c.str(*p); c.dec && c.err == nil {
+		*p = s
+	}
+}
+
+func (c *Codec) str(s string) string {
+	n := int(c.word(uint64(len(s)), 4))
+	if !c.dec {
+		c.buf = append(c.buf, s...)
+		return s
+	}
+	return string(c.take(n))
+}
+
+// Section codes a named section marker. The decoder verifies the name, so
+// any drift between a description and the bytes surfaces at the next
+// boundary with both names in the error.
+func (c *Codec) Section(name string) {
+	if m := uint32(c.word(uint64(sectionMark), 4)); c.err == nil && m != sectionMark {
+		c.Corrupt("expected section marker for %q, found %#x", name, m)
+	}
+	if got := c.str(name); c.err == nil && got != name {
+		c.Corrupt("section desync: expected %q, found %q", name, got)
+	}
+}
+
+// Len codes an element count and returns the count to iterate: n when
+// encoding, the decoded count otherwise. It is the only way a description
+// reads a length: a decoded count that is negative, or larger than the bytes
+// left before the trailer (every element occupies at least one), fails with
+// ErrCorrupt and decodes as zero, so no snapshot can make restore allocate
+// or loop beyond its own size.
+func (c *Codec) Len(n int) int {
+	got := int(int64(c.word(uint64(n), 8)))
+	if c.err != nil {
 		return 0
 	}
-	return b[0]
-}
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
+	if c.dec && (got < 0 || got > c.remaining()) {
+		c.Corrupt("impossible length %d with %d bytes left", got, c.remaining())
 		return 0
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return got
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+// Count codes a count the build fixes (geometry, registered handles, table
+// slots); decoding any other possible value is a mismatch.
+func (c *Codec) Count(n int, what string) {
+	if got := c.Len(n); c.err == nil && got != n {
+		c.Mismatch("snapshot has %d %s, this build %d", got, what, n)
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := int(r.U32())
-	b := r.take(n)
-	if b == nil {
-		return ""
+// Index codes a position in a table of n entries that the build sizes. A
+// decoded position outside the table is corrupt and decodes as 0, so the
+// description may index with *p unconditionally.
+func (c *Codec) Index(p *int, n int, what string) {
+	if c.Int(p); c.dec && (c.err != nil || *p < 0 || *p >= n) {
+		c.Corrupt("%s %d outside [0,%d)", what, *p, n)
+		*p = 0
 	}
-	return string(b)
 }
 
-// Section verifies the next section marker carries the expected name.
-func (r *Reader) Section(name string) {
-	if m := r.U32(); r.err == nil && m != 0x5EC7_10A5 {
-		r.fail("expected section marker for %q, found %#x", name, m)
+// Same codes a flag the build fixes (an optional component's presence, a
+// tracking mode) and returns it; a snapshot that disagrees cannot resume
+// faithfully and fails with ErrMismatch.
+func (c *Codec) Same(have bool, what string) bool {
+	if saved := c.Flag(have); c.err == nil && saved != have {
+		c.Mismatch("%s differs (snapshot %v, this build %v)", what, saved, have)
+	}
+	return have && c.err == nil
+}
+
+// Present is Same for an optional component held by pointer: whether the
+// build has it decides whether its state follows.
+func Present[T any](c *Codec, pp **T, what string) bool {
+	c.Mark(pp)
+	return c.Same(*pp != nil, what+" presence")
+}
+
+// Has codes the presence byte of an optional pointer and reports whether the
+// pointee follows. When decoding reports true the caller allocates *pp.
+func Has[T any](c *Codec, pp **T) bool {
+	c.Mark(pp)
+	return c.Flag(*pp != nil)
+}
+
+// Slice codes a variable-length slice: its length, then each element through
+// elem. Decoding refills *s from empty, keeping its capacity.
+func Slice[T any](c *Codec, s *[]T, elem func(*T)) {
+	c.Mark(s)
+	n := c.Len(len(*s))
+	if c.dec {
+		*s = (*s)[:0]
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.dec {
+			var zero T
+			*s = append(*s, zero)
+		}
+		elem(&(*s)[i])
+	}
+}
+
+// Map codes a map in ascending key order — map order must never reach the
+// byte stream. entry codes one key and its value, in that order; when
+// decoding it receives zero values to fill and the pair is then stored.
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, entry func(k *K, v *V)) {
+	MapFunc(c, m, cmp.Compare[K], entry)
+}
+
+// MapFunc is Map for keys ordered by compare.
+func MapFunc[K comparable, V any](c *Codec, m *map[K]V, compare func(a, b K) int, entry func(k *K, v *V)) {
+	c.Mark(m)
+	// One key and one value cell serve every entry: entry is opaque to escape
+	// analysis, so per-entry cells would cost two heap objects per map entry.
+	var k, zeroK K
+	var v, zeroV V
+	if !c.dec {
+		keys := make([]K, 0, len(*m))
+		for key := range *m {
+			keys = append(keys, key)
+		}
+		slices.SortFunc(keys, compare)
+		c.Len(len(keys))
+		for _, key := range keys {
+			k, v = key, (*m)[key]
+			entry(&k, &v)
+		}
 		return
 	}
-	if got := r.String(); r.err == nil && got != name {
-		r.fail("section desync: expected %q, found %q", name, got)
+	for n := c.Len(0); n > 0 && c.err == nil; n-- {
+		k, v = zeroK, zeroV
+		if entry(&k, &v); c.err == nil {
+			(*m)[k] = v
+		}
 	}
-}
-
-// WriteFile writes a snapshot to path (0644).
-func WriteFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadFile loads a snapshot file.
-func ReadFile(path string) ([]byte, error) {
-	return os.ReadFile(path)
 }

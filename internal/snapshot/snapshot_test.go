@@ -1,71 +1,77 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// sample is one value of every primitive; describe is its single description,
+// run in both directions by the tests below.
+type sample struct {
+	u8   uint8
+	t, f bool
+	u32  uint32
+	u64  uint64
+	i64  int64
+	n    int
+	s    string
+	i16  int16
+	kind int8
+	list []uint32
+	m    map[uint64]int
+	last uint64
+}
+
+var want = sample{7, true, false, 0xDEADBEEF, 1<<63 | 42, -99, 123456, "payload", -2, -3,
+	[]uint32{5, 6}, map[uint64]int{9: 1, 3: 2}, 1}
+
+func (v *sample) describe(c *Codec) {
+	c.Section("alpha")
+	c.U8(&v.u8)
+	c.Bool(&v.t)
+	c.Bool(&v.f)
+	c.U32(&v.u32)
+	c.U64(&v.u64)
+	c.I64(&v.i64)
+	c.Int(&v.n)
+	c.String(&v.s)
+	c.I16(&v.i16)
+	AsU8(c, &v.kind)
+	Slice(c, &v.list, c.U32)
+	Map(c, &v.m, func(k *uint64, n *int) { c.U64(k); c.Int(n) })
+	c.Section("omega")
+	c.U64(&v.last)
+}
+
 // roundTrip builds a small snapshot exercising every primitive.
 func roundTrip(t *testing.T) []byte {
 	t.Helper()
-	w := NewWriter("strict-fp", "fork-fp", 12345)
-	w.Section("alpha")
-	w.U8(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.U32(0xDEADBEEF)
-	w.U64(1<<63 | 42)
-	w.I64(-99)
-	w.Int(123456)
-	w.String("payload")
-	w.Section("omega")
-	w.U64(1)
-	return w.Finish()
+	c := NewEncoder("strict-fp", "fork-fp", 12345)
+	v := want
+	v.describe(c)
+	return c.Finish()
 }
 
 func TestReaderRoundTrip(t *testing.T) {
 	data := roundTrip(t)
-	r, err := NewReader(data)
+	c, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := r.Header()
+	hdr := c.Header()
 	if hdr.Version != Version || hdr.StrictFP != "strict-fp" || hdr.ForkFP != "fork-fp" || hdr.Cycle != 12345 {
 		t.Fatalf("header mismatch: %+v", hdr)
 	}
-	r.Section("alpha")
-	if v := r.U8(); v != 7 {
-		t.Errorf("U8 = %d", v)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool sequence mismatch")
-	}
-	if v := r.U32(); v != 0xDEADBEEF {
-		t.Errorf("U32 = %#x", v)
-	}
-	if v := r.U64(); v != 1<<63|42 {
-		t.Errorf("U64 = %#x", v)
-	}
-	if v := r.I64(); v != -99 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := r.Int(); v != 123456 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := r.String(); v != "payload" {
-		t.Errorf("String = %q", v)
-	}
-	r.Section("omega")
-	if v := r.U64(); v != 1 {
-		t.Errorf("trailing U64 = %d", v)
-	}
-	if err := r.Err(); err != nil {
+	got := sample{m: map[uint64]int{}}
+	got.describe(c)
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	hdr2, err := ReadHeader(data)
-	if err != nil || hdr2 != hdr {
-		t.Fatalf("ReadHeader disagreed with NewReader: %+v vs %+v (err %v)", hdr2, hdr, err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }
 
@@ -98,9 +104,9 @@ func TestRefusals(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewReader(tc.data)
+			_, err := NewDecoder(tc.data)
 			if err == nil {
-				t.Fatal("NewReader accepted an unusable snapshot")
+				t.Fatal("NewDecoder accepted an unusable snapshot")
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v is not wrapped in %v", err, tc.want)
@@ -120,26 +126,27 @@ func TestRefusals(t *testing.T) {
 // instead of silently decoding garbage into component state.
 func TestSectionDesync(t *testing.T) {
 	data := roundTrip(t)
-	r, err := NewReader(data)
+	c, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Section("alpha")
-	r.U8() // leave the reader mid-section, misaligned for the next marker
-	r.Section("omega")
-	err = r.Err()
+	var b uint8
+	c.Section("alpha")
+	c.U8(&b) // leave the decoder mid-section, misaligned for the next marker
+	c.Section("omega")
+	err = c.Err()
 	if err == nil {
 		t.Fatal("desynced Section call reported no error")
 	}
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("desync error %v is not ErrCorrupt", err)
 	}
-	r2, err := NewReader(data)
+	c2, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.Section("beta") // wrong name at a real marker
-	if err := r2.Err(); err == nil || !strings.Contains(err.Error(), "alpha") || !strings.Contains(err.Error(), "beta") {
+	c2.Section("beta") // wrong name at a real marker
+	if err := c2.Err(); err == nil || !strings.Contains(err.Error(), "alpha") || !strings.Contains(err.Error(), "beta") {
 		t.Fatalf("wrong-name error should carry both names, got %v", err)
 	}
 }
@@ -155,9 +162,9 @@ func TestDeterministicBytes(t *testing.T) {
 	if Hash(a) != Hash(b) {
 		t.Fatal("identical bytes hash differently")
 	}
-	w := NewWriter("strict-fp", "fork-fp", 12346) // one cycle later
-	w.Section("alpha")
-	if Hash(w.Finish()) == Hash(a) {
+	c := NewEncoder("strict-fp", "fork-fp", 12346) // one cycle later
+	c.Section("alpha")
+	if Hash(c.Finish()) == Hash(a) {
 		t.Fatal("different snapshots share a content hash")
 	}
 }
@@ -166,18 +173,85 @@ func TestDeterministicBytes(t *testing.T) {
 // payload: a read past the last section fails instead of interpreting the
 // content hash as data.
 func TestReaderStopsAtTrailer(t *testing.T) {
-	w := NewWriter("s", "f", 0)
-	w.U8(1)
-	data := w.Finish()
-	r, err := NewReader(data)
+	one := uint8(1)
+	w := NewEncoder("s", "f", 0)
+	w.U8(&one)
+	c, err := NewDecoder(w.Finish())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := r.U8(); v != 1 || r.Err() != nil {
-		t.Fatalf("payload read failed: %d, %v", v, r.Err())
+	var v uint8
+	if c.U8(&v); v != 1 || c.Err() != nil {
+		t.Fatalf("payload read failed: %d, %v", v, c.Err())
 	}
-	r.U64() // would overlap the trailer
-	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+	var over uint64
+	c.U64(&over) // would overlap the trailer
+	if err := c.Err(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailer overlap not refused: %v", err)
+	}
+}
+
+// TestLenBounds pins the one length primitive: a decoded count that is
+// negative or exceeds the bytes left before the trailer is refused as
+// corrupt on one line and decodes as zero, so Slice and Map never allocate
+// or iterate past the snapshot's own size; Count and Same refuse a build
+// that differs with ErrMismatch.
+func TestLenBounds(t *testing.T) {
+	encode := func(n uint64) []byte {
+		w := NewEncoder("s", "f", 0)
+		w.U64(&n)
+		w.U64(&n) // eight payload bytes after the count
+		return w.Finish()
+	}
+	for _, tc := range []struct {
+		name string
+		n    uint64
+		ok   bool
+	}{
+		{"fits", 8, true},
+		{"one past the payload", 9, false},
+		{"huge", 1 << 62, false},
+		{"negative", ^uint64(0), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewDecoder(encode(tc.n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := c.Len(0)
+			err = c.Err()
+			if tc.ok {
+				if err != nil || got != int(tc.n) {
+					t.Fatalf("Len = %d, %v; want %d", got, err, tc.n)
+				}
+				return
+			}
+			if got != 0 || !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("Len = %d, %v; want 0 and a one-line ErrCorrupt", got, err)
+			}
+			var list []uint64
+			Slice(c, &list, c.U64)
+			if len(list) != 0 {
+				t.Fatalf("Slice decoded %d elements after a failure", len(list))
+			}
+		})
+	}
+	c, err := NewDecoder(encode(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Count(4, "widgets"); !errors.Is(c.Err(), ErrMismatch) || !strings.Contains(c.Err().Error(), "3 widgets") {
+		t.Fatalf("Count accepted a different geometry: %v", c.Err())
+	}
+	data := encode(0)
+	data[len(data)-16] = 1 // the byte Same will read; reseal the trailer over it
+	binary.LittleEndian.PutUint64(data[len(data)-8:], Hash(data[:len(data)-8]))
+	if c, err = NewDecoder(data); err != nil {
+		t.Fatal(err)
+	}
+	var skip uint64
+	c.U64(&skip)
+	if c.Same(false, "gadget presence"); !errors.Is(c.Err(), ErrMismatch) || !strings.Contains(c.Err().Error(), "gadget presence") {
+		t.Fatalf("Same accepted a differing flag: %v", c.Err())
 	}
 }

@@ -1,200 +1,73 @@
 package stats
 
-import (
-	"sort"
+import "pushmulticast/internal/snapshot"
 
-	"pushmulticast/internal/snapshot"
-)
-
-// SaveState serializes the primary stats bundle. It must only be called
-// after per-lane shards have been merged (so the bundle holds every counter)
-// and with GapLog empty — parallel runs drain the log each cycle, and a
-// serialized bundle with a pending log would lose the deferral ordering.
-// SharerGaps reservoirs are written sorted by key so identical states
-// serialize to identical bytes.
-func (a *All) SaveState(w *snapshot.Writer) {
+// State describes the primary stats bundle. It must only run after per-lane
+// shards have been merged (so the bundle holds every counter) and with GapLog
+// empty — parallel runs drain the log each cycle, and a serialized bundle
+// with a pending log would lose the deferral ordering.
+func (a *All) State(c *snapshot.Codec) {
 	if len(a.GapLog) != 0 {
-		panic("stats: SaveState with undrained GapLog")
+		panic("stats: snapshot with undrained GapLog")
 	}
-	w.Section("stats.all")
-	w.Int(len(a.Net.LinkFlits))
-	for _, v := range a.Net.LinkFlits {
-		w.U64(v)
-	}
-	for _, v := range a.Net.TotalFlitsByClass {
-		w.U64(v)
-	}
-	for u := range a.Net.InjectedFlits {
-		for _, v := range a.Net.InjectedFlits[u] {
-			w.U64(v)
+	c.Section("stats.all")
+	n := &a.Net
+	c.Mark(&n.LinkFlits)
+	c.Count(len(n.LinkFlits), "link counters")
+	c.U64s(n.LinkFlits)
+	c.U64s(n.TotalFlitsByClass[:])
+	for _, byUnit := range []*[NumUnits][NumClasses]uint64{
+		&n.InjectedFlits, &n.EjectedFlits, &n.InjectedPackets, &n.EjectedPackets,
+	} {
+		for u := range byUnit {
+			c.U64s(byUnit[u][:])
 		}
 	}
-	for u := range a.Net.EjectedFlits {
-		for _, v := range a.Net.EjectedFlits[u] {
-			w.U64(v)
-		}
-	}
-	for u := range a.Net.InjectedPackets {
-		for _, v := range a.Net.InjectedPackets[u] {
-			w.U64(v)
-		}
-	}
-	for u := range a.Net.EjectedPackets {
-		for _, v := range a.Net.EjectedPackets[u] {
-			w.U64(v)
-		}
-	}
-	w.U64(a.Net.FilteredRequests)
-	w.U64(a.Net.StalledInvCycles)
-	w.U64(a.Net.MulticastReplicas)
-	w.U64(a.Net.PacketLatencySum)
-	w.U64(a.Net.PacketCount)
-	w.U64(a.Net.InjRefused)
-	w.U64(a.Net.FaultWindows)
-	w.U64(a.Net.FaultJitterDelay)
-	w.U64(a.Net.FaultFilterSuppressed)
-	w.U64(a.Net.MsgDropped)
-	w.U64(a.Net.Retransmits)
-	w.U64(a.Net.DupSuppressed)
-	w.U64(a.Net.CorruptDetected)
+	c.U64(&n.FilteredRequests)
+	c.U64(&n.StalledInvCycles)
+	c.U64(&n.MulticastReplicas)
+	c.U64(&n.PacketLatencySum)
+	c.U64(&n.PacketCount)
+	c.U64(&n.InjRefused)
+	c.U64(&n.FaultWindows)
+	c.U64(&n.FaultJitterDelay)
+	c.U64(&n.FaultFilterSuppressed)
+	c.U64(&n.MsgDropped)
+	c.U64(&n.Retransmits)
+	c.U64(&n.DupSuppressed)
+	c.U64(&n.CorruptDetected)
 
-	w.U64(a.Cache.L1Accesses)
-	w.U64(a.Cache.L1Misses)
-	w.U64(a.Cache.L2Accesses)
-	w.U64(a.Cache.L2Misses)
-	w.U64(a.Cache.L2Evictions)
-	w.U64(a.Cache.LLCAccesses)
-	w.U64(a.Cache.LLCMisses)
-	w.U64(a.Cache.LLCEvictions)
-	for _, v := range a.Cache.PushOutcomes {
-		w.U64(v)
-	}
-	w.U64(a.Cache.PushesTriggered)
-	w.U64(a.Cache.PushDestinations)
-	w.U64(a.Cache.PausedPushRequests)
-	w.U64(a.Cache.CoalescedRequests)
-	w.U64(a.Cache.MemReads)
-	w.U64(a.Cache.MemWrites)
-	w.U64(a.Cache.MSHRTimeouts)
+	h := &a.Cache
+	c.U64(&h.L1Accesses)
+	c.U64(&h.L1Misses)
+	c.U64(&h.L2Accesses)
+	c.U64(&h.L2Misses)
+	c.U64(&h.L2Evictions)
+	c.U64(&h.LLCAccesses)
+	c.U64(&h.LLCMisses)
+	c.U64(&h.LLCEvictions)
+	c.U64s(h.PushOutcomes[:])
+	c.U64(&h.PushesTriggered)
+	c.U64(&h.PushDestinations)
+	c.U64(&h.PausedPushRequests)
+	c.U64(&h.CoalescedRequests)
+	c.U64(&h.MemReads)
+	c.U64(&h.MemWrites)
+	c.U64(&h.MSHRTimeouts)
 
-	w.U64(a.Core.Instructions)
-	w.U64(a.Core.Cycles)
-	w.U64(a.Core.Loads)
-	w.U64(a.Core.Stores)
-	w.U64(a.Core.StallCycles)
+	c.U64(&a.Core.Instructions)
+	c.U64(&a.Core.Cycles)
+	c.U64(&a.Core.Loads)
+	c.U64(&a.Core.Stores)
+	c.U64(&a.Core.StallCycles)
 
-	keys := make([]int, 0, len(a.SharerGaps))
-	for k := range a.SharerGaps {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		r := a.SharerGaps[k]
-		w.Int(k)
-		w.U64(r.Seen)
-		w.U64(r.rng)
-		w.Int(len(r.Samples))
-		for _, s := range r.Samples {
-			w.U64(s)
+	snapshot.Map(c, &a.SharerGaps, func(k *int, r **GapReservoir) {
+		if c.Decoding() {
+			*r = new(GapReservoir)
 		}
-	}
-}
-
-// LoadState restores a bundle saved by SaveState into this (fresh) bundle.
-func (a *All) LoadState(r *snapshot.Reader) error {
-	r.Section("stats.all")
-	n := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if len(a.Net.LinkFlits) < n {
-		a.Net.LinkFlits = make([]uint64, n)
-	}
-	for i := 0; i < n; i++ {
-		a.Net.LinkFlits[i] = r.U64()
-	}
-	for i := range a.Net.TotalFlitsByClass {
-		a.Net.TotalFlitsByClass[i] = r.U64()
-	}
-	for u := range a.Net.InjectedFlits {
-		for c := range a.Net.InjectedFlits[u] {
-			a.Net.InjectedFlits[u][c] = r.U64()
-		}
-	}
-	for u := range a.Net.EjectedFlits {
-		for c := range a.Net.EjectedFlits[u] {
-			a.Net.EjectedFlits[u][c] = r.U64()
-		}
-	}
-	for u := range a.Net.InjectedPackets {
-		for c := range a.Net.InjectedPackets[u] {
-			a.Net.InjectedPackets[u][c] = r.U64()
-		}
-	}
-	for u := range a.Net.EjectedPackets {
-		for c := range a.Net.EjectedPackets[u] {
-			a.Net.EjectedPackets[u][c] = r.U64()
-		}
-	}
-	a.Net.FilteredRequests = r.U64()
-	a.Net.StalledInvCycles = r.U64()
-	a.Net.MulticastReplicas = r.U64()
-	a.Net.PacketLatencySum = r.U64()
-	a.Net.PacketCount = r.U64()
-	a.Net.InjRefused = r.U64()
-	a.Net.FaultWindows = r.U64()
-	a.Net.FaultJitterDelay = r.U64()
-	a.Net.FaultFilterSuppressed = r.U64()
-	a.Net.MsgDropped = r.U64()
-	a.Net.Retransmits = r.U64()
-	a.Net.DupSuppressed = r.U64()
-	a.Net.CorruptDetected = r.U64()
-
-	a.Cache.L1Accesses = r.U64()
-	a.Cache.L1Misses = r.U64()
-	a.Cache.L2Accesses = r.U64()
-	a.Cache.L2Misses = r.U64()
-	a.Cache.L2Evictions = r.U64()
-	a.Cache.LLCAccesses = r.U64()
-	a.Cache.LLCMisses = r.U64()
-	a.Cache.LLCEvictions = r.U64()
-	for i := range a.Cache.PushOutcomes {
-		a.Cache.PushOutcomes[i] = r.U64()
-	}
-	a.Cache.PushesTriggered = r.U64()
-	a.Cache.PushDestinations = r.U64()
-	a.Cache.PausedPushRequests = r.U64()
-	a.Cache.CoalescedRequests = r.U64()
-	a.Cache.MemReads = r.U64()
-	a.Cache.MemWrites = r.U64()
-	a.Cache.MSHRTimeouts = r.U64()
-
-	a.Core.Instructions = r.U64()
-	a.Core.Cycles = r.U64()
-	a.Core.Loads = r.U64()
-	a.Core.Stores = r.U64()
-	a.Core.StallCycles = r.U64()
-
-	nres := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if a.SharerGaps == nil {
-		a.SharerGaps = make(map[int]*GapReservoir, nres)
-	}
-	for i := 0; i < nres; i++ {
-		k := r.Int()
-		res := &GapReservoir{Seen: r.U64(), rng: r.U64()}
-		ns := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		res.Samples = make([]uint64, ns)
-		for j := range res.Samples {
-			res.Samples[j] = r.U64()
-		}
-		a.SharerGaps[k] = res
-	}
-	return r.Err()
+		c.Int(k)
+		c.U64(&(*r).Seen)
+		c.U64(&(*r).rng)
+		snapshot.Slice(c, &(*r).Samples, c.U64)
+	})
 }

@@ -1,89 +1,40 @@
 package trace
 
-import (
-	"fmt"
+import "pushmulticast/internal/snapshot"
 
-	"pushmulticast/internal/snapshot"
-)
-
-// SaveState serializes the tracer: running hash, event count, and the
-// retained ring (written oldest-first, so two tracers in the same state
-// serialize identically regardless of where their ring write positions
-// sit). Shard buffers must be empty — the drain monitor is registered last
-// and woken on every emission, so between engine Steps every emitted event
-// has already been folded into the ring and hash; a non-empty shard means
-// the snapshot point is not a cycle barrier.
-func (t *Tracer) SaveState(w *snapshot.Writer) {
+// State describes the tracer: running hash, event count, and the retained
+// ring, oldest event first. Shard buffers must be empty — the drain monitor
+// is registered last and woken on every emission, so between engine Steps
+// every emitted event has already been folded into the ring and hash; a
+// non-empty shard means the snapshot point is not a cycle barrier.
+func (t *Tracer) State(c *snapshot.Codec) {
 	for _, s := range t.shards {
 		if len(s.buf) != 0 {
-			panic("trace: SaveState with undrained shard")
+			panic("trace: snapshot with undrained shard")
 		}
 	}
-	w.Section("trace.tracer")
-	w.U64(t.hash)
-	w.U64(t.count)
-	w.Int(cap(t.ring))
-	tail := t.Tail()
-	w.Int(len(tail))
-	for _, e := range tail {
-		saveEvent(w, e)
+	c.Section("trace.tracer")
+	c.U64(&t.hash)
+	c.U64(&t.count)
+	slots := cap(t.ring)
+	c.Count(slots, "trace ring slots")
+	// Rotate a wrapped ring to start at index 0: the same state, the layout
+	// decoding produces, and what makes two tracers in the same state
+	// serialize identically wherever their write positions sat.
+	if t.next != 0 {
+		t.ring, t.next = t.Tail(), 0
 	}
-}
-
-// LoadState restores a tracer saved by SaveState into this fresh tracer.
-// The ring is rebuilt by replaying the tail oldest-first, which restores
-// both contents and write position.
-func (t *Tracer) LoadState(r *snapshot.Reader) error {
-	r.Section("trace.tracer")
-	t.hash = r.U64()
-	t.count = r.U64()
-	ringCap := r.Int()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+	snapshot.Slice(c, &t.ring, func(e *Event) {
+		c.U64(&e.Cycle)
+		c.U64(&e.Addr)
+		c.U64(&e.ID)
+		c.U64s(e.Aux[:])
+		snapshot.AsU8(c, &e.Kind)
+		snapshot.AsU32(c, &e.Node)
+		snapshot.AsU32(c, &e.A)
+		snapshot.AsU32(c, &e.B)
+	})
+	if len(t.ring) > slots {
+		c.Corrupt("trace tail of %d events in a %d-slot ring", len(t.ring), slots)
 	}
-	if ringCap != cap(t.ring) {
-		return fmt.Errorf("%w: snapshot trace ring holds %d events, this build retains %d",
-			snapshot.ErrMismatch, ringCap, cap(t.ring))
-	}
-	t.ring = t.ring[:0]
-	t.next = 0
-	for i := 0; i < n; i++ {
-		e := loadEvent(r)
-		if len(t.ring) < cap(t.ring) {
-			t.ring = append(t.ring, e)
-		} else {
-			t.ring[t.next] = e
-			t.next = (t.next + 1) % len(t.ring)
-		}
-	}
-	return r.Err()
-}
-
-func saveEvent(w *snapshot.Writer, e Event) {
-	w.U64(e.Cycle)
-	w.U64(e.Addr)
-	w.U64(e.ID)
-	for _, x := range e.Aux {
-		w.U64(x)
-	}
-	w.U8(uint8(e.Kind))
-	w.U32(uint32(e.Node))
-	w.U32(uint32(e.A))
-	w.U32(uint32(e.B))
-}
-
-func loadEvent(r *snapshot.Reader) Event {
-	var e Event
-	e.Cycle = r.U64()
-	e.Addr = r.U64()
-	e.ID = r.U64()
-	for i := range e.Aux {
-		e.Aux[i] = r.U64()
-	}
-	e.Kind = Kind(r.U8())
-	e.Node = int32(r.U32())
-	e.A = int32(r.U32())
-	e.B = int32(r.U32())
-	return e
 }

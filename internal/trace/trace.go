@@ -88,21 +88,21 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KInject:          "inject",
-	KDeliver:         "deliver",
-	KFilterReg:       "filter-reg",
-	KFilterClear:     "filter-clear",
-	KFilterHit:       "filter-hit",
+	KInject:           "inject",
+	KDeliver:          "deliver",
+	KFilterReg:        "filter-reg",
+	KFilterClear:      "filter-clear",
+	KFilterHit:        "filter-hit",
 	KFilterStationary: "filter-stationary",
-	KFilterHome:      "filter-home",
-	KPushTrigger:     "push-trigger",
-	KMemRead:         "mem-read",
-	KMemWrite:        "mem-write",
-	KMsgDrop:         "msg-drop",
-	KMsgCorrupt:      "msg-corrupt",
-	KMsgDup:          "msg-dup",
-	KMsgRecover:      "msg-recover",
-	KRetransmit:      "retransmit",
+	KFilterHome:       "filter-home",
+	KPushTrigger:      "push-trigger",
+	KMemRead:          "mem-read",
+	KMemWrite:         "mem-write",
+	KMsgDrop:          "msg-drop",
+	KMsgCorrupt:       "msg-corrupt",
+	KMsgDup:           "msg-dup",
+	KMsgRecover:       "msg-recover",
+	KRetransmit:       "retransmit",
 }
 
 func (k Kind) String() string {
@@ -177,10 +177,10 @@ func (s *Shard) Emit(e Event) {
 // Tracer owns the shards, the bounded ring of recent events, and the
 // running history hash.
 type Tracer struct {
-	shards []*Shard
-	h      *sim.Handle // drain monitor's handle; woken on every emission
+	shards []*Shard    `snap:"-,wiring"`
+	h      *sim.Handle `snap:"-,wiring"` // drain monitor's handle; woken on every emission
 	ring   []Event
-	next   int // ring write position
+	next   int `snap:"-,derived: the ring travels oldest-first, so it restarts at 0"` // ring write position
 	count  uint64
 	hash   uint64
 }

@@ -100,7 +100,9 @@ func (m *Machine) FinishCtx(ctx context.Context) (Results, error) {
 // RestoreMachine builds a fresh machine for (cfg, wl, sc) and loads the
 // snapshot into it. The config must match the snapshot's strict fingerprint,
 // or differ from it only in warm-start tuning knobs (fork fingerprint);
-// anything else fails with ErrSnapshotMismatch before any state is touched.
+// anything else fails with ErrSnapshotMismatch before a machine is built. A
+// payload that turns out corrupt fails with ErrSnapshotCorrupt while the
+// fresh machine is being filled; that machine is discarded, never returned.
 func RestoreMachine(data []byte, cfg Config, wl Workload, sc Scale) (*Machine, error) {
 	sys, err := core.Restore(data, cfg, wl, sc)
 	if err != nil {
@@ -114,12 +116,14 @@ func RestoreMachine(data []byte, cfg Config, wl Workload, sc Scale) (*Machine, e
 // same configuration can never alias.
 func SnapshotHash(data []byte) uint64 { return snapshot.Hash(data) }
 
-// SnapshotCycle returns the cycle at which a snapshot was taken, without
-// decoding any state.
+// SnapshotCycle returns the cycle at which a snapshot was taken. It
+// validates the container — magic, format version, trailer hash — but decodes
+// no state, so whatever it accepts is structurally a snapshot this build
+// reads.
 func SnapshotCycle(data []byte) (uint64, error) {
-	hdr, err := snapshot.ReadHeader(data)
+	c, err := snapshot.NewDecoder(data)
 	if err != nil {
 		return 0, err
 	}
-	return hdr.Cycle, nil
+	return c.Header().Cycle, nil
 }

@@ -230,3 +230,82 @@ func TestSnapshotRestoreMismatch(t *testing.T) {
 		}
 	})
 }
+
+// goldenSnapshot is one fixed machine state whose serialized bytes are
+// pinned.
+type goldenSnapshot struct {
+	name  string
+	build func(t testing.TB) (Config, Workload)
+	cycle uint64
+	size  int
+	hash  uint64
+}
+
+// goldenSnapshots between them exercise every section of the format: plain
+// and collective workloads, all three schemes, transport retransmit windows,
+// checker loss bookkeeping, and the trace ring. The pins were recorded at the
+// commit before the per-component codecs became single bidirectional
+// descriptions; they are what let snapshot.Version stay 1 across that rewrite.
+// A change to any of them is a format change and must bump the version.
+var goldenSnapshots = []goldenSnapshot{
+	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
+		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
+	}, 10000, 1568175, 0x7b84982e20fe6bec},
+	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
+		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
+	}, 2000, 1518961, 0x1f842228211714ae},
+	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
+		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
+	}, 30000, 1561153, 0xa16d7585f4282608},
+	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
+	// checker's pending-loss obligations populated at any mid-run cycle.
+	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
+		cfg := withCheck(ScaledConfig(Default16()).WithScheme(OrdPush()))
+		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
+		cfg.Faults = &plan
+		return cfg, goldenWorkload(t, "cachebw")
+	}, 12000, 1668120, 0x42dd95fc3b326824},
+}
+
+func goldenWorkload(t testing.TB, name string) Workload {
+	t.Helper()
+	wl, err := WorkloadByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}
+
+// take runs a fresh machine to the golden cycle and serializes it.
+func (g goldenSnapshot) take(t testing.TB) []byte {
+	t.Helper()
+	cfg, wl := g.build(t)
+	m, err := NewMachine(cfg, wl, ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunTo(g.cycle); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestSnapshotGoldenBytes pins the wire format: the four golden states
+// serialize to exactly the recorded length and content hash.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	for _, g := range goldenSnapshots {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			snap := g.take(t)
+			if len(snap) != g.size || SnapshotHash(snap) != g.hash {
+				t.Fatalf("snapshot is %d bytes, hash %#x; pinned %d bytes, hash %#x — the wire format changed",
+					len(snap), SnapshotHash(snap), g.size, g.hash)
+			}
+		})
+	}
+}
