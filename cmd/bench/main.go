@@ -163,22 +163,6 @@ func run(label string, dense bool) measurement {
 	return m
 }
 
-// configFor returns the swept machine at the given core count.
-func configFor(cores int) (pushmulticast.Config, error) {
-	var cfg pushmulticast.Config
-	switch cores {
-	case 16:
-		cfg = pushmulticast.Default16()
-	case 64:
-		cfg = pushmulticast.Default64()
-	case 256:
-		cfg = pushmulticast.Default256()
-	default:
-		return cfg, fmt.Errorf("unsupported core count %d (use 16, 64, or 256)", cores)
-	}
-	return pushmulticast.ScaledConfig(cfg).WithScheme(pushmulticast.OrdPush()), nil
-}
-
 // runParallel measures the scaling curve: for each core count, the serial
 // sparse kernel and the staged-commit executor at each worker count.
 //
@@ -209,10 +193,12 @@ func runParallel(out string, workerList, coreList []int, rounds int) error {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"Each configuration was measured in %d interleaved rounds and reports its fastest round, so host-load drift during the sweep cannot masquerade as a serial-vs-parallel difference.", rounds))
 	for _, cores := range coreList {
-		base, err := configFor(cores)
+		swept, err := pushmulticast.RunSpec{Cores: cores, Scale: "tiny", Scheme: "OrdPush",
+			Workload: pushmulticast.WorkloadSpec{Name: "cachebw"}}.Resolve(nil)
 		if err != nil {
 			return err
 		}
+		base := swept.Config
 		curve := machineCurve{
 			Cores:    cores,
 			Workload: fmt.Sprintf("cachebw / OrdPush / tiny scale / %d cores", cores),

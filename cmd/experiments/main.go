@@ -20,22 +20,15 @@ import (
 func main() {
 	var (
 		figs  = flag.String("fig", "all", "comma-separated figure list: 2,3,4,11,12,13,14,15,16,17,18,19,20,t1,t2,collective,interplay,recent,future,faults,lossy or 'all' (all excludes the chaos campaigns 'faults' and 'lossy'; request them by name)")
-		cores = flag.Int("cores", 16, "core count: 16 or 64")
+		cores = flag.Int("cores", 16, "core count: 16, 64, or 256")
 		scale = flag.String("scale", "quick", "input scale: tiny|quick|full")
 		par   = flag.Int("par", 0, "max concurrent simulations (0 = NumCPU)")
 	)
 	flag.Parse()
 
-	var sc pushmulticast.Scale
-	switch strings.ToLower(*scale) {
-	case "tiny":
-		sc = pushmulticast.ScaleTiny
-	case "quick":
-		sc = pushmulticast.ScaleQuick
-	case "full":
-		sc = pushmulticast.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scale)
+	sc, err := pushmulticast.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	o := pushmulticast.ExpOptions{Scale: sc, Cores: *cores, Parallelism: *par}
@@ -54,7 +47,7 @@ func main() {
 		run  func() (fmt.Stringer, error)
 	}
 	experiments := []exp{
-		{"t1", func() (fmt.Stringer, error) { return str(pushmulticast.TableI(o)), nil }},
+		{"t1", func() (fmt.Stringer, error) { s, err := pushmulticast.TableI(o); return str(s), err }},
 		{"t2", func() (fmt.Stringer, error) { return str(pushmulticast.TableII()), nil }},
 		{"2", func() (fmt.Stringer, error) { return pushmulticast.Fig2(o) }},
 		{"3", func() (fmt.Stringer, error) { return pushmulticast.Fig3(o) }},

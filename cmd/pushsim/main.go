@@ -11,56 +11,107 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pushmulticast"
 	"pushmulticast/internal/profiles"
 	"pushmulticast/internal/stats"
 )
 
-func main() {
-	var (
-		wlName   = flag.String("workload", "cachebw", "workload name (see -list)")
-		sharers  = flag.Int("sharers", 0, "collective workloads: participating core count (0 = all cores)")
-		fanout   = flag.Int("fanout", 0, "collective workloads: broadcast tree radix / prodcons consumers per producer / allreduce ring channels (0 = workload default)")
-		chunk    = flag.Int("chunk", 0, "collective workloads: chunk granularity in cache lines (0 = default 16)")
-		payload  = flag.Int("payload", 0, "collective workloads: payload size in cache lines; must be chunk- and sharer-divisible (0 = scale-derived default)")
-		iters    = flag.Int("iters", 0, "collective workloads: collective repetitions (0 = scale default)")
-		scheme   = flag.String("scheme", "OrdPush", "scheme: Baseline|NoPrefetch|Coalesce|MSP|PushAck|OrdPush|Push|Push+Multicast|Push+Multicast+Filter")
-		cores    = flag.Int("cores", 16, "core count: 16, 64, or 256")
-		scale    = flag.String("scale", "quick", "input scale: tiny|quick|full")
-		linkBits = flag.Int("link", 128, "link width in bits: 64|128|256|512")
-		list     = flag.Bool("list", false, "list workloads and exit")
-		jsonOut  = flag.Bool("json", false, "emit results as JSON")
-		dense    = flag.Bool("dense", false, "run on the dense reference kernel (tick every component every cycle; the wake-driven scheduler's equivalence oracle)")
-		parallel = flag.Int("parallel", 0, "parallel tick executor worker count (0 or 1 = serial kernel; results are byte-identical either way)")
-		chk      = flag.Bool("check", false, "enable the runtime invariant checker (coherence, directory superset, inclusion, filter soundness, OrdPush ordering, VC conservation); violations abort with a trace dump")
-		traceN   = flag.Int("trace", 0, "retain the last N trace events and dump them on a checker violation, deadlock, or panic (0 = off unless -check, which keeps a default tail)")
-		faults   = flag.Float64("faults", 0, "fault-injection intensity in [0,1]: generates a deterministic fault plan (link stalls, router slowdowns, VC jitter, injection spikes, filter drops); 0 = off")
-		faultSee = flag.Uint64("faultseed", 1, "seed for the generated fault plan (same seed + intensity = byte-identical fault schedule)")
-		lossy    = flag.Int("lossy", 0, "lossy-interconnect rate in per mille: every tile drops arrivals at this rate and duplicates/corrupts them at half of it; recovered end-to-end by the transport layer (0 = off; rates above 100 are outside the forward-progress contract)")
-		planFile = flag.String("faultplan", "", "JSON fault-plan file to run (exclusive with -faults/-lossy); validated against the machine before the run starts")
-		retryWin = flag.Int("retrywindow", 0, "lossy recovery: unacked packets per sender stream before injection backpressure (0 = default 32)")
-		retryTO  = flag.Int("retrytimeout", 0, "lossy recovery: cycles before a sender retransmits an unacked packet (0 = default 400)")
-		maxRetry = flag.Int("maxretries", 0, "lossy recovery: retransmissions per packet before the run aborts with ErrUnrecoverable (0 = default 16)")
-		mshrTO   = flag.Int("mshrtimeout", 0, "lossy recovery: cycles before an L2 MSHR reissues an unanswered request (0 = default 300)")
-		snapFile = flag.String("snapshot", "", "write a full-state snapshot to FILE at the -snapat cycle barrier, then continue the run to completion (output is byte-identical to a run that never snapshotted)")
-		snapAt   = flag.Uint64("snapat", 0, "cycle barrier for -snapshot (required with it; the wake-driven kernel may pause a little later if every component sleeps across the barrier)")
-		snapEv   = flag.Int64("snapevery", 0, "auto-checkpoint: rewrite the -snapshot FILE every N cycles (atomic rename-into-place, never a torn file); combine with -restore to resume a killed run and keep checkpointing (0 = off; exclusive with -snapat)")
-		restoreF = flag.String("restore", "", "restore a snapshot FILE into this configuration and run it to completion; the config must match the snapshot exactly, or differ only in tuning knobs (warm-start fork)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to FILE")
-		memProf  = flag.String("memprofile", "", "write an allocation (heap) profile to FILE at exit")
-		execTr   = flag.String("exectrace", "", "write a runtime execution trace of the run to FILE")
-	)
-	flag.Parse()
-	stopProf, err := profiles.Start(*cpuProf, *memProf, *execTr)
+// options is everything the command line says: the run description every
+// front end shares, plus what only pushsim has — output format, profiling,
+// and three edits it makes to the resolved run on its own (-dense, a
+// -faultplan file, the snapshot/restore modes), none of which is a wire
+// capability of the description.
+type options struct {
+	spec   pushmulticast.RunSpec
+	faults pushmulticast.FaultSpec // attached to spec when either rate is set
+
+	list, jsonOut, dense         bool
+	planFile, snapFile, restoreF string
+	snapAt                       uint64
+	snapEvery                    int64
+	cpuProf, memProf, execTr     string
+}
+
+// bindFlags declares pushsim's flags on fs, parsing straight into the run
+// description's fields.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{spec: pushmulticast.RunSpec{Knobs: &pushmulticast.KnobSpec{}}}
+	sp, wl, k := &o.spec, &o.spec.Workload, o.spec.Knobs
+	fs.StringVar(&wl.Name, "workload", "cachebw", "workload name (see -list)")
+	fs.IntVar(&wl.Sharers, "sharers", 0, "collective workloads: participating core count (0 = all cores)")
+	fs.IntVar(&wl.Fanout, "fanout", 0, "collective workloads: broadcast tree radix / prodcons consumers per producer / allreduce ring channels (0 = workload default)")
+	fs.IntVar(&wl.ChunkLines, "chunk", 0, "collective workloads: chunk granularity in cache lines (0 = default 16)")
+	fs.IntVar(&wl.PayloadLines, "payload", 0, "collective workloads: payload size in cache lines; must be chunk- and sharer-divisible (0 = scale-derived default)")
+	fs.IntVar(&wl.Iters, "iters", 0, "collective workloads: collective repetitions (0 = scale default)")
+	fs.StringVar(&sp.Scheme, "scheme", "OrdPush", "scheme: Baseline|NoPrefetch|Coalesce|MSP|PushAck|OrdPush|Push|Push+Multicast|Push+Multicast+Filter")
+	fs.IntVar(&sp.Cores, "cores", 16, "core count: 16, 64, or 256")
+	fs.StringVar(&sp.Scale, "scale", "quick", "input scale: tiny|quick|full")
+	fs.IntVar(&k.LinkWidthBits, "link", 128, "link width in bits: 64|128|256|512")
+	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit results as JSON")
+	fs.BoolVar(&o.dense, "dense", false, "run on the dense reference kernel (tick every component every cycle; the wake-driven scheduler's equivalence oracle)")
+	fs.IntVar(&sp.SimWorkers, "parallel", 0, "parallel tick executor worker count (0 or 1 = serial kernel; clamped to the host's processors; results are byte-identical either way)")
+	fs.BoolVar(&sp.Check, "check", false, "enable the runtime invariant checker (coherence, directory superset, inclusion, filter soundness, OrdPush ordering, VC conservation); violations abort with a trace dump")
+	fs.IntVar(&sp.TraceN, "trace", 0, "retain the last N trace events and dump them on a checker violation, deadlock, or panic (0 = off unless -check, which keeps a default tail)")
+	fs.Float64Var(&o.faults.Intensity, "faults", 0, "fault-injection intensity in [0,1]: generates a deterministic fault plan (link stalls, router slowdowns, VC jitter, injection spikes, filter drops); 0 = off")
+	fs.Uint64Var(&o.faults.Seed, "faultseed", 1, "seed for the generated fault plan (same seed + intensity = byte-identical fault schedule)")
+	fs.IntVar(&o.faults.LossyPerMille, "lossy", 0, "lossy-interconnect rate in per mille: every tile drops arrivals at this rate and duplicates/corrupts them at half of it; recovered end-to-end by the transport layer (0 = off; rates above 100 are outside the forward-progress contract)")
+	fs.StringVar(&o.planFile, "faultplan", "", "JSON fault-plan file to run (exclusive with -faults/-lossy); validated against the machine before the run starts")
+	fs.IntVar(&k.RetryWindow, "retrywindow", 0, "lossy recovery: unacked packets per sender stream before injection backpressure (0 = default 32)")
+	fs.IntVar(&k.RetryTimeout, "retrytimeout", 0, "lossy recovery: cycles before a sender retransmits an unacked packet (0 = default 400)")
+	fs.IntVar(&k.MaxRetries, "maxretries", 0, "lossy recovery: retransmissions per packet before the run aborts with ErrUnrecoverable (0 = default 16)")
+	fs.IntVar(&k.MSHRRetryTimeout, "mshrtimeout", 0, "lossy recovery: cycles before an L2 MSHR reissues an unanswered request (0 = default 300)")
+	fs.StringVar(&o.snapFile, "snapshot", "", "write a full-state snapshot to FILE at the -snapat cycle barrier, then continue the run to completion (output is byte-identical to a run that never snapshotted)")
+	fs.Uint64Var(&o.snapAt, "snapat", 0, "cycle barrier for -snapshot (required with it; the wake-driven kernel may pause a little later if every component sleeps across the barrier)")
+	fs.Int64Var(&o.snapEvery, "snapevery", 0, "auto-checkpoint: rewrite the -snapshot FILE every N cycles (atomic rename-into-place, never a torn file); combine with -restore to resume a killed run and keep checkpointing (0 = off; exclusive with -snapat)")
+	fs.StringVar(&o.restoreF, "restore", "", "restore a snapshot FILE into this configuration and run it to completion; the config must match the snapshot exactly, or differ only in tuning knobs (warm-start fork)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to FILE")
+	fs.StringVar(&o.memProf, "memprofile", "", "write an allocation (heap) profile to FILE at exit")
+	fs.StringVar(&o.execTr, "exectrace", "", "write a runtime execution trace of the run to FILE")
+	return o
+}
+
+// resolve turns the parsed flags into the run to simulate: the shared
+// description resolved by the one validator, then pushsim's local edits.
+// Every error is a one-line diagnostic; the caller prints it and exits 1.
+func (o *options) resolve() (pushmulticast.ResolvedRun, error) {
+	if o.faults.Intensity != 0 || o.faults.LossyPerMille != 0 {
+		if o.planFile != "" {
+			return pushmulticast.ResolvedRun{}, fmt.Errorf("-faultplan cannot be combined with -faults or -lossy")
+		}
+		o.spec.Faults = &o.faults
+	}
+	run, err := o.spec.Resolve(nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
+		return run, err
+	}
+	cfg := run.Config
+	cfg.DenseKernel = o.dense
+	if o.planFile != "" {
+		if cfg.Faults, err = loadFaultPlan(cfg.Tiles(), o.planFile); err != nil {
+			return run, err
+		}
+	}
+	return pushmulticast.NewRun(cfg, run.Workload, run.Scale, nil), nil
+}
+
+// fail prints the one-line diagnostic and exits 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "pushsim:", err)
+	os.Exit(1)
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	stopProf, err := profiles.Start(o.cpuProf, o.memProf, o.execTr)
+	if err != nil {
+		fail(err)
 	}
 	defer stopProf()
 
-	if *list {
+	if o.list {
 		for _, w := range pushmulticast.Workloads() {
 			fmt.Printf("%-16s %-14s %s\n", w.Name, "["+w.Class+"]", w.Description)
 		}
@@ -70,45 +121,9 @@ func main() {
 		return
 	}
 
-	cfg, err := buildConfig(*cores, *scheme, *scale, *linkBits)
+	run, err := o.resolve()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
-	}
-	cfg.DenseKernel = *dense
-	cfg.ParallelWorkers = *parallel
-	cfg.Check = *chk
-	cfg.TraceN = *traceN
-	// Zero keeps the config's default for each recovery knob.
-	if *retryWin != 0 {
-		cfg.NoC.RetryWindow = *retryWin
-	}
-	if *retryTO != 0 {
-		cfg.NoC.RetryTimeout = *retryTO
-	}
-	if *maxRetry != 0 {
-		cfg.NoC.MaxRetries = *maxRetry
-	}
-	if *mshrTO != 0 {
-		cfg.MSHRRetryTimeout = *mshrTO
-	}
-	plan, err := buildFaultPlan(cfg.Tiles(), *planFile, *faults, *lossy, *faultSee)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
-	}
-	cfg.Faults = plan
-	sc, err := parseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
-	}
-	wl, err := resolveWorkload(*wlName, pushmulticast.CollectiveParams{
-		Sharers: *sharers, Fanout: *fanout, ChunkLines: *chunk, PayloadLines: *payload, Iters: *iters,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	snapEverySet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -116,39 +131,21 @@ func main() {
 			snapEverySet = true
 		}
 	})
-	if err := checkSnapEvery(snapEverySet, *snapEv); err != nil {
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
+	if err := checkSnapEvery(snapEverySet, o.snapEvery); err != nil {
+		fail(err)
 	}
-	res, err := execute(cfg, wl, sc, *snapFile, *snapAt, uint64(*snapEv), *restoreF)
+	res, err := execute(run.Config, run.Workload, run.Scale, o.snapFile, o.snapAt, uint64(o.snapEvery), o.restoreF)
 	if err != nil {
 		stopProf() // flush profiles of the failed run before exiting
-		fmt.Fprintln(os.Stderr, "pushsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if *jsonOut {
+	if o.jsonOut {
 		if err := reportJSON(res); err != nil {
-			fmt.Fprintln(os.Stderr, "pushsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
 	report(res)
-}
-
-// resolveWorkload maps the -workload name (plus the collective parameter
-// flags) to a workload value. A zero CollectiveParams means no collective
-// flag was set, so plain registry names resolve unchanged; any set flag
-// requires the name to be a collective. Errors are one-line diagnostics.
-func resolveWorkload(name string, p pushmulticast.CollectiveParams) (pushmulticast.Workload, error) {
-	if p == (pushmulticast.CollectiveParams{}) {
-		return pushmulticast.WorkloadByName(name)
-	}
-	wl, err := pushmulticast.CollectiveWorkload(name, p)
-	if err != nil {
-		return pushmulticast.Workload{}, fmt.Errorf("collective flags (-sharers/-fanout/-chunk/-payload/-iters) set: %v", err)
-	}
-	return wl, nil
 }
 
 // checkSnapEvery validates the -snapevery flag value: the flag must be a
@@ -160,103 +157,81 @@ func checkSnapEvery(set bool, n int64) error {
 	return nil
 }
 
-// execute runs the simulation, honoring the checkpoint/restore flags. Plain
-// runs take the one-shot path; -snapshot pauses at the -snapat barrier,
-// writes the serialized machine, and continues to completion; -snapevery
-// instead rewrites the snapshot file every N cycles (atomically, so a crash
-// never leaves a torn file) until the workload retires; -restore loads a
-// snapshot into the configured machine and finishes it — combined with
-// -snapevery it resumes a killed run and keeps checkpointing. Every failure —
-// including a snapshot whose format version or config fingerprint does not
-// match, or collective parameters inconsistent with the machine's core
-// count — is a one-line diagnostic; the caller prints it and exits 1.
+// execute runs the simulation, honoring the checkpoint/restore flags. Every
+// mode is one flow over one machine: build it cold or -restore it from a
+// snapshot; then either run straight through, or pause at the -snapat barrier
+// to write a -snapshot, or rewrite the snapshot file every -snapevery cycles
+// (atomically, so a crash never leaves a torn file — a SIGKILL at any instant
+// loses at most one slice of progress, which -restore -snapevery resumes);
+// then finish. Pausing is state-transparent, so every mode's results are
+// byte-identical. Every failure — including a snapshot whose format version
+// or config fingerprint does not match — is a one-line diagnostic; the caller
+// prints it and exits 1.
 func execute(cfg pushmulticast.Config, wl pushmulticast.Workload, sc pushmulticast.Scale, snapFile string, snapAt, snapEvery uint64, restoreF string) (pushmulticast.Results, error) {
-	if snapEvery > 0 {
-		if snapFile == "" {
-			return pushmulticast.Results{}, fmt.Errorf("-snapevery requires -snapshot FILE")
-		}
-		if snapAt != 0 {
-			return pushmulticast.Results{}, fmt.Errorf("-snapevery cannot be combined with -snapat (periodic versus one-shot)")
-		}
-		return executeCheckpointed(cfg, wl, sc, snapFile, snapEvery, restoreF)
+	var none pushmulticast.Results
+	switch {
+	case snapEvery > 0 && snapFile == "":
+		return none, fmt.Errorf("-snapevery requires -snapshot FILE")
+	case snapEvery > 0 && snapAt != 0:
+		return none, fmt.Errorf("-snapevery cannot be combined with -snapat (periodic versus one-shot)")
+	case snapEvery == 0 && snapFile != "" && restoreF != "":
+		return none, fmt.Errorf("-snapshot cannot be combined with -restore")
+	case snapEvery == 0 && snapFile != "" && snapAt == 0:
+		return none, fmt.Errorf("-snapshot requires -snapat CYCLE")
 	}
-	if snapFile == "" && restoreF == "" {
-		return pushmulticast.RunWorkload(cfg, wl, sc)
-	}
-	if snapFile != "" && restoreF != "" {
-		return pushmulticast.Results{}, fmt.Errorf("-snapshot cannot be combined with -restore")
-	}
-	if restoreF != "" {
-		data, err := os.ReadFile(restoreF)
-		if err != nil {
-			return pushmulticast.Results{}, fmt.Errorf("restore: %w", err)
-		}
-		m, err := pushmulticast.RestoreMachine(data, cfg, wl, sc)
-		if err != nil {
-			return pushmulticast.Results{}, fmt.Errorf("restore %s: %w", restoreF, err)
-		}
-		return m.Finish()
-	}
-	if snapAt == 0 {
-		return pushmulticast.Results{}, fmt.Errorf("-snapshot requires -snapat CYCLE")
-	}
-	m, err := pushmulticast.NewMachine(cfg, wl, sc)
-	if err != nil {
-		return pushmulticast.Results{}, err
-	}
-	if err := m.RunTo(snapAt); err != nil {
-		return pushmulticast.Results{}, err
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		return pushmulticast.Results{}, err
-	}
-	if err := writeFileAtomic(snapFile, snap); err != nil {
-		return pushmulticast.Results{}, fmt.Errorf("snapshot: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "pushsim: snapshot written to %s (cycle %d, %d bytes, hash %#x)\n",
-		snapFile, m.Now(), len(snap), pushmulticast.SnapshotHash(snap))
-	return m.Finish()
-}
-
-// executeCheckpointed runs the workload in -snapevery slices, rewriting the
-// snapshot file at each boundary. The final results are byte-identical to an
-// uncheckpointed run (pausing is state-transparent), and the file on disk is
-// always a complete snapshot of some barrier — a SIGKILL at any instant
-// loses at most one slice of progress, which -restore -snapevery resumes.
-func executeCheckpointed(cfg pushmulticast.Config, wl pushmulticast.Workload, sc pushmulticast.Scale, snapFile string, every uint64, restoreF string) (pushmulticast.Results, error) {
 	var m *pushmulticast.Machine
 	var err error
 	if restoreF != "" {
 		data, rerr := os.ReadFile(restoreF)
 		if rerr != nil {
-			return pushmulticast.Results{}, fmt.Errorf("restore: %w", rerr)
+			return none, fmt.Errorf("restore: %w", rerr)
 		}
 		if m, err = pushmulticast.RestoreMachine(data, cfg, wl, sc); err != nil {
-			return pushmulticast.Results{}, fmt.Errorf("restore %s: %w", restoreF, err)
+			return none, fmt.Errorf("restore %s: %w", restoreF, err)
 		}
-		fmt.Fprintf(os.Stderr, "pushsim: resumed from %s at cycle %d; checkpointing every %d cycles\n", restoreF, m.Now(), every)
+		if snapEvery > 0 {
+			fmt.Fprintf(os.Stderr, "pushsim: resumed from %s at cycle %d; checkpointing every %d cycles\n", restoreF, m.Now(), snapEvery)
+		}
 	} else if m, err = pushmulticast.NewMachine(cfg, wl, sc); err != nil {
-		return pushmulticast.Results{}, err
+		return none, err
 	}
-	checkpoints := 0
-	for !m.Done() {
-		if err := m.RunTo(m.Now() + every); err != nil {
-			return pushmulticast.Results{}, err
-		}
-		if m.Done() {
-			break // the workload retired inside the slice; skip a dead checkpoint
-		}
+	checkpoint := func(what string) ([]byte, error) {
 		snap, err := m.Snapshot()
 		if err != nil {
-			return pushmulticast.Results{}, err
+			return nil, err
 		}
 		if err := writeFileAtomic(snapFile, snap); err != nil {
-			return pushmulticast.Results{}, fmt.Errorf("checkpoint: %w", err)
+			return nil, fmt.Errorf("%s: %w", what, err)
 		}
-		checkpoints++
+		return snap, nil
 	}
-	fmt.Fprintf(os.Stderr, "pushsim: %d checkpoints written to %s (last at cycle %d)\n", checkpoints, snapFile, m.Now())
+	switch {
+	case snapEvery > 0:
+		checkpoints := 0
+		for !m.Done() {
+			if err := m.RunTo(m.Now() + snapEvery); err != nil {
+				return none, err
+			}
+			if m.Done() {
+				break // the workload retired inside the slice; skip a dead checkpoint
+			}
+			if _, err := checkpoint("checkpoint"); err != nil {
+				return none, err
+			}
+			checkpoints++
+		}
+		fmt.Fprintf(os.Stderr, "pushsim: %d checkpoints written to %s (last at cycle %d)\n", checkpoints, snapFile, m.Now())
+	case snapFile != "":
+		if err := m.RunTo(snapAt); err != nil {
+			return none, err
+		}
+		snap, err := checkpoint("snapshot")
+		if err != nil {
+			return none, err
+		}
+		fmt.Fprintf(os.Stderr, "pushsim: snapshot written to %s (cycle %d, %d bytes, hash %#x)\n",
+			snapFile, m.Now(), len(snap), pushmulticast.SnapshotHash(snap))
+	}
 	return m.Finish()
 }
 
@@ -286,41 +261,19 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// buildFaultPlan resolves the three fault sources into one plan: a JSON plan
-// file (exclusive with the generators, since merging could stack windows on
-// one component), or a generated chaos plan, a generated lossy plan, or both
-// (the chaos generator never emits lossy kinds, so the merge cannot overlap).
-// A nil return with nil error means injection is off. Every error is a
-// one-line diagnostic; the caller prints it and exits non-zero.
-func buildFaultPlan(tiles int, planFile string, intensity float64, lossyRate int, seed uint64) (*pushmulticast.FaultPlan, error) {
-	if planFile != "" {
-		if intensity > 0 || lossyRate > 0 {
-			return nil, fmt.Errorf("-faultplan cannot be combined with -faults or -lossy")
-		}
-		data, err := os.ReadFile(planFile)
-		if err != nil {
-			return nil, fmt.Errorf("fault plan: %w", err)
-		}
-		var plan pushmulticast.FaultPlan
-		if err := json.Unmarshal(data, &plan); err != nil {
-			return nil, fmt.Errorf("fault plan %s: %v", planFile, err)
-		}
-		if err := plan.Validate(tiles); err != nil {
-			return nil, fmt.Errorf("fault plan %s: %v", planFile, err)
-		}
-		return &plan, nil
+// loadFaultPlan reads a -faultplan JSON file and validates it against the
+// machine. Every error is a one-line diagnostic naming the file.
+func loadFaultPlan(tiles int, planFile string) (*pushmulticast.FaultPlan, error) {
+	data, err := os.ReadFile(planFile)
+	if err != nil {
+		return nil, fmt.Errorf("fault plan: %w", err)
 	}
 	var plan pushmulticast.FaultPlan
-	if intensity > 0 {
-		plan = pushmulticast.GenerateFaultPlan(tiles, seed, intensity)
+	if err := json.Unmarshal(data, &plan); err != nil {
+		return nil, fmt.Errorf("fault plan %s: %v", planFile, err)
 	}
-	if lossyRate > 0 {
-		lp := pushmulticast.GenerateLossyPlan(tiles, seed, lossyRate)
-		plan.Seed = lp.Seed
-		plan.Faults = append(plan.Faults, lp.Faults...)
-	}
-	if len(plan.Faults) == 0 {
-		return nil, nil
+	if err := plan.Validate(tiles); err != nil {
+		return nil, fmt.Errorf("fault plan %s: %v", planFile, err)
 	}
 	return &plan, nil
 }
@@ -409,42 +362,6 @@ func reportJSON(res pushmulticast.Results) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-func buildConfig(cores int, scheme, scale string, linkBits int) (pushmulticast.Config, error) {
-	var cfg pushmulticast.Config
-	switch cores {
-	case 16:
-		cfg = pushmulticast.Default16()
-	case 64:
-		cfg = pushmulticast.Default64()
-	case 256:
-		cfg = pushmulticast.Default256()
-	default:
-		return cfg, fmt.Errorf("unsupported core count %d (use 16, 64, or 256)", cores)
-	}
-	sch, err := pushmulticast.SchemeByName(scheme)
-	if err != nil {
-		return cfg, err
-	}
-	cfg = cfg.WithScheme(sch)
-	cfg.NoC.LinkWidthBits = linkBits
-	if scale != "full" {
-		cfg = pushmulticast.ScaledConfig(cfg)
-	}
-	return cfg, nil
-}
-
-func parseScale(s string) (pushmulticast.Scale, error) {
-	switch strings.ToLower(s) {
-	case "tiny":
-		return pushmulticast.ScaleTiny, nil
-	case "quick":
-		return pushmulticast.ScaleQuick, nil
-	case "full":
-		return pushmulticast.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
 }
 
 func report(res pushmulticast.Results) {

@@ -38,12 +38,8 @@ func ablationStages() []Scheme {
 // the baseline.
 func Fig20(o ExpOptions) (*Fig20Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(workload.NonParsec())
-	if err != nil {
-		return nil, err
-	}
 	schemes := append([]Scheme{Baseline()}, ablationStages()...)
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -34,9 +34,13 @@ type Fig14Result struct {
 // Fig14 maps per-link loads on cachebw under the baseline and OrdPush.
 func Fig14(o ExpOptions) (*Fig14Result, error) {
 	o = o.withDefaults()
+	base, err := o.baseConfig()
+	if err != nil {
+		return nil, err
+	}
 	out := &Fig14Result{Workload: "cachebw"}
 	for _, s := range []Scheme{Baseline(), OrdPush()} {
-		cfg := o.baseConfig().WithScheme(s)
+		cfg := base.WithScheme(s)
 		res, err := RunWorkload(cfg, workload.CacheBW(), o.Scale)
 		if err != nil {
 			return nil, err
@@ -124,12 +128,8 @@ func endpointFlits(st *Stats, unit stats.Unit) (inj, ej uint64) {
 }
 
 func bandwidthRows(o ExpOptions, unit stats.Unit) ([]Fig15Row, error) {
-	wls, err := o.pickWorkloads(workload.NonParsec())
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{Baseline(), PushAck(), OrdPush()}
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,8 @@ func ExpCollective(o ExpOptions) (*ExpCollectiveResult, error) {
 		wls[i] = v.wl
 	}
 	schemes := []Scheme{Baseline(), PushAck(), OrdPush()}
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	o.Workloads = nil // the variants are the figure; a name filter cannot select among them
+	res, _, err := matrix(context.Background(), o, schemes, wls, nil)
 	if err != nil {
 		return nil, err
 	}

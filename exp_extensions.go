@@ -39,12 +39,8 @@ type InterplayResult struct{ Rows []InterplayRow }
 // that the combination is not consistently beneficial.
 func ExtInterplay(o ExpOptions) (*InterplayResult, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(workload.NonParsec())
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{Baseline(), OrdPush(), PushPrefetch()}
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,12 +90,9 @@ type FutureResult struct{ Rows []FutureRow }
 // L1 propagation trades L1 pollution for hit latency.
 func ExtFutureDirections(o ExpOptions) (*FutureResult, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads([]Workload{workload.CacheBW(), workload.BFS(), workload.MLP()})
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{Baseline(), OrdPush(), PredictivePush(), DeepPush()}
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	def := []Workload{workload.CacheBW(), workload.BFS(), workload.MLP()}
+	res, wls, err := matrix(context.Background(), o, schemes, def, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -162,20 +155,14 @@ type RecentTableResult struct{ Rows []RecentTableRow }
 // multicast.
 func ExtRecentPushTable(o ExpOptions) (*RecentTableResult, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads([]Workload{workload.CacheBW(), workload.Multilevel(), workload.Particlefilter()})
+	def := []Workload{workload.CacheBW(), workload.Multilevel(), workload.Particlefilter()}
+	with, wls, err := matrix(context.Background(), o, []Scheme{OrdPush()}, def, nil)
 	if err != nil {
 		return nil, err
 	}
-	with, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) },
-		[]Scheme{OrdPush()}, wls)
-	if err != nil {
-		return nil, err
-	}
-	without, err := matrix(context.Background(), o, func(s Scheme) Config {
-		cfg := o.baseConfig().WithScheme(s)
+	without, _, err := matrix(context.Background(), o, []Scheme{OrdPush()}, def, func(cfg *Config) {
 		cfg.NoRecentPushTable = true
-		return cfg
-	}, []Scheme{OrdPush()}, wls)
+	})
 	if err != nil {
 		return nil, err
 	}

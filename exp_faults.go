@@ -39,6 +39,9 @@ type FaultResult struct {
 // faultIntensities is the swept fault-pressure axis.
 func faultIntensities() []float64 { return []float64{0, 0.25, 0.5, 1.0} }
 
+// chaosWorkloads is both chaos campaigns' default workload pair.
+func chaosWorkloads() []Workload { return []Workload{workload.CacheBW(), workload.BFS()} }
+
 // chaosSeed fixes the campaign's fault plans; any seed works, this one keeps
 // reruns comparable.
 const chaosSeed = 0xC0FFEE
@@ -50,10 +53,6 @@ const chaosSeed = 0xC0FFEE
 func ExpFaults(o ExpOptions) (*FaultResult, error) {
 	o = o.withDefaults()
 	o.Check = true
-	wls, err := o.pickWorkloads([]Workload{workload.CacheBW(), workload.BFS()})
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{Baseline(), OrdPush()}
 	out := &FaultResult{Seed: chaosSeed}
 	clean := map[runKey]uint64{}
@@ -61,15 +60,11 @@ func ExpFaults(o ExpOptions) (*FaultResult, error) {
 		intensity := intensity
 		var plan *FaultPlan
 		if intensity > 0 {
-			p := GenerateFaultPlan(o.baseConfig().Tiles(), chaosSeed, intensity)
+			p := GenerateFaultPlan(o.Cores, chaosSeed, intensity)
 			plan = &p
 		}
-		res, err := matrix(context.Background(), o, func(s Scheme) Config {
-			cfg := o.baseConfig().WithScheme(s)
-			cfg.Check = true
-			cfg.Faults = plan
-			return cfg
-		}, schemes, wls)
+		o.Faults = plan
+		res, wls, err := matrix(context.Background(), o, schemes, chaosWorkloads(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("chaos campaign at intensity %.2f: %w", intensity, err)
 		}
@@ -133,25 +128,17 @@ func lossyRates() []int { return []int{0, 10, 50, 100} }
 func ExpLossy(o ExpOptions) (*LossyResult, error) {
 	o = o.withDefaults()
 	o.Check = true
-	wls, err := o.pickWorkloads([]Workload{workload.CacheBW(), workload.BFS()})
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{Baseline(), OrdPush()}
 	out := &LossyResult{Seed: chaosSeed}
 	clean := map[runKey]uint64{}
 	for _, rate := range lossyRates() {
 		var plan *FaultPlan
 		if rate > 0 {
-			p := GenerateLossyPlan(o.baseConfig().Tiles(), chaosSeed, rate)
+			p := GenerateLossyPlan(o.Cores, chaosSeed, rate)
 			plan = &p
 		}
-		res, err := matrix(context.Background(), o, func(s Scheme) Config {
-			cfg := o.baseConfig().WithScheme(s)
-			cfg.Check = true
-			cfg.Faults = plan
-			return cfg
-		}, schemes, wls)
+		o.Faults = plan
+		res, wls, err := matrix(context.Background(), o, schemes, chaosWorkloads(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("lossy campaign at %d per mille: %w", rate, err)
 		}

@@ -28,12 +28,7 @@ type Fig2Result struct {
 // L1Bingo-L2Stride baseline.
 func Fig2(o ExpOptions) (*Fig2Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(Workloads())
-	if err != nil {
-		return nil, err
-	}
-	cfg := o.baseConfig().WithScheme(Baseline())
-	res, err := matrix(context.Background(), o, func(Scheme) Config { return cfg }, []Scheme{Baseline()}, wls)
+	res, wls, err := matrix(context.Background(), o, []Scheme{Baseline()}, Workloads(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +44,7 @@ func Fig2(o ExpOptions) (*Fig2Result, error) {
 		out.Rows = append(out.Rows, Fig2Row{
 			Workload: wl.Name,
 			L2MPKI:   r.L2MPKI(),
-			InjLoad:  float64(inj) / float64(r.Cycles) / float64(cfg.Tiles()),
+			InjLoad:  float64(inj) / float64(r.Cycles) / float64(o.Cores),
 		})
 	}
 	return out, nil
@@ -81,12 +76,7 @@ type Fig3Result struct {
 // Fig3 classifies baseline NoC traffic per workload.
 func Fig3(o ExpOptions) (*Fig3Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(Workloads())
-	if err != nil {
-		return nil, err
-	}
-	cfg := o.baseConfig().WithScheme(Baseline())
-	res, err := matrix(context.Background(), o, func(Scheme) Config { return cfg }, []Scheme{Baseline()}, wls)
+	res, wls, err := matrix(context.Background(), o, []Scheme{Baseline()}, Workloads(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +131,11 @@ type Fig4Result struct {
 // system (no pushes), matching the paper's characterization setup.
 func Fig4(o ExpOptions) (*Fig4Result, error) {
 	o = o.withDefaults()
-	cfg := o.baseConfig().WithScheme(NoPrefetch())
+	cfg, err := o.baseConfig()
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithScheme(NoPrefetch())
 	cfg.TraceSharerGaps = true
 	wl := workload.MV()
 	res, err := RunWorkload(cfg, wl, o.Scale)

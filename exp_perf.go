@@ -44,12 +44,8 @@ func Fig11(o ExpOptions) (*Fig11Result, error) {
 		// we default to the non-PARSEC set to bound runtime.
 		def = workload.NonParsec()
 	}
-	wls, err := o.pickWorkloads(def)
-	if err != nil {
-		return nil, err
-	}
 	schemes := append([]Scheme{Baseline()}, perfSchemes()...)
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	res, wls, err := matrix(context.Background(), o, schemes, def, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -143,12 +139,8 @@ type Fig12Result struct {
 // OrdPush.
 func Fig12(o ExpOptions) (*Fig12Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(workload.NonParsec())
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{MSP(), PushAck(), OrdPush()}
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,12 +195,8 @@ type Fig13Result struct {
 // normalized to L1Bingo-L2Stride.
 func Fig13(o ExpOptions) (*Fig13Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(workload.NonParsec())
-	if err != nil {
-		return nil, err
-	}
 	schemes := []Scheme{Baseline(), MSP(), PushAck(), OrdPush()}
-	res, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) }, schemes, wls)
+	res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), nil)
 	if err != nil {
 		return nil, err
 	}

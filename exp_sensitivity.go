@@ -53,23 +53,16 @@ func Fig17b(o ExpOptions) (*Fig17Result, error) {
 
 func fig17(o ExpOptions, axis string, sweep []int, apply func(Config, int) Config) (*Fig17Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(fig17Workloads())
-	if err != nil {
-		return nil, err
-	}
 	out := &Fig17Result{Axis: axis}
 	// Baselines per workload.
-	base, err := matrix(context.Background(), o, func(s Scheme) Config { return o.baseConfig().WithScheme(s) },
-		[]Scheme{Baseline()}, wls)
+	base, wls, err := matrix(context.Background(), o, []Scheme{Baseline()}, fig17Workloads(), nil)
 	if err != nil {
 		return nil, err
 	}
 	for _, v := range sweep {
 		v := v
 		schemes := []Scheme{OrdPush()}
-		res, err := matrix(context.Background(), o, func(s Scheme) Config {
-			return apply(o.baseConfig().WithScheme(s), v)
-		}, schemes, wls)
+		res, _, err := matrix(context.Background(), o, schemes, fig17Workloads(), func(cfg *Config) { *cfg = apply(*cfg, v) })
 		if err != nil {
 			return nil, err
 		}
@@ -110,19 +103,11 @@ type Fig18Result struct{ Rows []Fig18Row }
 // baseline at the same width.
 func Fig18(o ExpOptions) (*Fig18Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(workload.NonParsec())
-	if err != nil {
-		return nil, err
-	}
 	out := &Fig18Result{}
 	for _, width := range []int{64, 128, 256, 512} {
 		width := width
 		schemes := []Scheme{Baseline(), PushAck(), OrdPush()}
-		res, err := matrix(context.Background(), o, func(s Scheme) Config {
-			cfg := o.baseConfig().WithScheme(s)
-			cfg.NoC.LinkWidthBits = width
-			return cfg
-		}, schemes, wls)
+		res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), func(cfg *Config) { cfg.NoC.LinkWidthBits = width })
 		if err != nil {
 			return nil, err
 		}
@@ -194,20 +179,17 @@ func fig19Points(base Config) []struct {
 // Fig19 sweeps private/shared cache capacity for PushAck and OrdPush.
 func Fig19(o ExpOptions) (*Fig19Result, error) {
 	o = o.withDefaults()
-	wls, err := o.pickWorkloads(workload.NonParsec())
+	base, err := o.baseConfig()
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig19Result{}
-	for _, pt := range fig19Points(o.baseConfig()) {
+	for _, pt := range fig19Points(base) {
 		pt := pt
 		schemes := []Scheme{Baseline(), PushAck(), OrdPush()}
-		res, err := matrix(context.Background(), o, func(s Scheme) Config {
-			cfg := o.baseConfig().WithScheme(s)
-			cfg.L2Size = pt.l2
-			cfg.LLCSliceSize = pt.slice
-			return cfg
-		}, schemes, wls)
+		res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), func(cfg *Config) {
+			cfg.L2Size, cfg.LLCSliceSize = pt.l2, pt.slice
+		})
 		if err != nil {
 			return nil, err
 		}

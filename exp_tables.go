@@ -7,9 +7,12 @@ import (
 
 // TableI renders the system configuration (the paper's Table I) for the
 // given options.
-func TableI(o ExpOptions) string {
+func TableI(o ExpOptions) (string, error) {
 	o = o.withDefaults()
-	cfg := o.baseConfig()
+	cfg, err := o.baseConfig()
+	if err != nil {
+		return "", err
+	}
 	t := newTable("Table I: system configuration",
 		"Parameter", "Configuration")
 	t.addRow("System", fmt.Sprintf("%dx%d tiles", cfg.MeshW, cfg.MeshH))
@@ -33,7 +36,7 @@ func TableI(o ExpOptions) string {
 	if o.Scale != ScaleFull {
 		t.addNote("caches scaled for %s-scale inputs; use ScaleFull for Table I capacities", o.Scale)
 	}
-	return t.String()
+	return t.String(), nil
 }
 
 // TableII renders the workload inventory (the paper's Table II analogue).

@@ -75,7 +75,10 @@ func ExpWarmStart(o ExpOptions) (*WarmStartReport, error) {
 	// One worker in both phases: the speedup claim is about total work, and
 	// must not depend on how many variants the host can overlap.
 	o.Parallelism = 1
-	base := o.baseConfig()
+	base, err := o.baseConfig()
+	if err != nil {
+		return nil, err
+	}
 	base = base.WithScheme(OrdPush())
 	variants := warmStartVariants(base)
 	wl, err := WorkloadByName("cachebw")
@@ -91,7 +94,7 @@ func ExpWarmStart(o ExpOptions) (*WarmStartReport, error) {
 			"cold_ns runs every variant from cycle 0; warm_ns = warmup_ns (donor run to the barrier + snapshot) + fanout_ns (every variant restored from that one snapshot and run to completion).",
 			"Both phases run variants sequentially on one worker: speedup_x is the per-worker work reduction N/(f + N*(1-f)) for N variants forked at barrier fraction f, not a pool-scheduling artifact.",
 			"The variant whose knobs equal the donor's is an exact (strict-fingerprint) resume and must reproduce its cold run bit-for-bit (exact_resume_matches_cold). The other variants are forks: their pre-barrier history executed under the donor's knob values, which is the documented warm-start approximation - their warm_cycles may differ from cold_cycles.",
-			"The forked phase goes through the harness's WarmStartSweep/memoizedWarmRun path; warm memo keys carry the snapshot content hash, so warm and cold runs of one configuration can never alias.",
+			"The forked phase goes through the harness's WarmStartSweep path; warm memo keys carry the snapshot content hash, so warm and cold runs of one configuration can never alias.",
 		},
 	}
 

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"runtime"
 	"sort"
@@ -22,7 +20,8 @@ type ExpOptions struct {
 	// ratios are preserved at a fraction of the runtime; ScaleFull uses
 	// the unscaled Table I machine.
 	Scale Scale
-	// Cores is 16 (default) or 64.
+	// Cores is 16 (default), 64, or 256; anything else is an error from every
+	// figure.
 	Cores int
 	// Workloads restricts the workload set (nil = figure default).
 	Workloads []string
@@ -73,21 +72,16 @@ func (o ExpOptions) withDefaults() ExpOptions {
 }
 
 // baseConfig returns the machine for the options: full caches at ScaleFull,
-// quick-scaled otherwise.
-func (o ExpOptions) baseConfig() Config {
-	var cfg Config
-	if o.Cores == 64 {
-		cfg = Default64()
-	} else {
-		cfg = Default16()
-	}
-	if o.Scale != ScaleFull {
-		cfg = ScaledConfig(cfg)
+// quick-scaled otherwise. An unsupported core count is a one-line error.
+func (o ExpOptions) baseConfig() (Config, error) {
+	cfg, err := machineFor(o.Cores, o.Scale)
+	if err != nil {
+		return cfg, err
 	}
 	cfg.ParallelWorkers = o.SimWorkers
 	cfg.Check = o.Check
 	cfg.Faults = o.Faults
-	return cfg
+	return cfg, nil
 }
 
 // pickWorkloads resolves the workload set.
@@ -212,36 +206,6 @@ func evictLocked() {
 	}
 }
 
-// memoKey identifies a run. The fields are kept separate (instead of one
-// joined string) so no formatting artifact can alias two different runs —
-// notably, workload and scale stay distinct from the config text. The
-// fault-plan pointer is dereferenced into the key: formatting the pointer
-// itself would make the key an unstable address and alias all plans.
-type memoKey struct {
-	cfg      string
-	faults   string
-	workload string
-	// params is the workload's canonical parameter signature: two collective
-	// variants share a Name but must never share a cached run.
-	params string
-	scale  Scale
-	// snap is the content hash of the snapshot a warm-started run forked
-	// from, 0 for cold runs. A warm fork's results legitimately differ from
-	// the same configuration's cold results (the warm-up executed under the
-	// donor's tuning knobs), so the two must never share a memo entry; the
-	// content hash also separates forks of different donors or barriers.
-	snap uint64
-}
-
-func newMemoKey(cfg Config, wl Workload, sc Scale) memoKey {
-	faults := ""
-	if cfg.Faults != nil {
-		faults = fmt.Sprintf("%+v", *cfg.Faults)
-	}
-	cfg.Faults = nil
-	return memoKey{cfg: fmt.Sprintf("%+v", cfg), faults: faults, workload: wl.Name, params: wl.Params, scale: sc}
-}
-
 // memoEntry is one in-flight or completed run; done closes when res/err are
 // final.
 type memoEntry struct {
@@ -273,34 +237,13 @@ func ClearRunMemo() {
 	runMemo.Unlock()
 }
 
-// memoizedRun returns the cached Results for an identical earlier run, or
-// simulates and caches. Concurrent callers with the same key share one
-// simulation. Failed runs are not cached: the entry is dropped before its
-// waiters are released, so a later retry re-simulates.
-func memoizedRun(ctx context.Context, cfg Config, wl Workload, sc Scale) (Results, bool, error) {
-	return memoized(ctx, newMemoKey(cfg, wl, sc), func(runCtx context.Context) (Results, error) {
-		return RunWorkloadCtx(runCtx, cfg, wl, sc)
-	})
-}
-
-// memoizedWarmRun is memoizedRun for a run forked from a warmed snapshot:
-// the key carries the snapshot's content hash, so warm and cold runs of the
-// same configuration occupy distinct entries.
-func memoizedWarmRun(ctx context.Context, cfg Config, wl Workload, sc Scale, snap []byte) (Results, bool, error) {
-	key := newMemoKey(cfg, wl, sc)
-	key.snap = SnapshotHash(snap)
-	return memoized(ctx, key, func(runCtx context.Context) (Results, error) {
-		m, err := RestoreMachine(snap, cfg, wl, sc)
-		if err != nil {
-			return Results{}, err
-		}
-		return m.FinishCtx(runCtx)
-	})
-}
-
-// memoized runs the singleflight-and-cache protocol for one key. The hit
-// return is true when the lookup found an existing entry (completed, or
-// joined in flight). The simulation executes on its own goroutine under a
+// memoized runs the singleflight-and-cache protocol for one key (see
+// ResolvedRun.Execute): it returns the cached Results of an identical
+// earlier run, or simulates and caches, and concurrent callers with the same
+// key share one simulation. Failed runs are not cached: the entry is dropped before its
+// waiters are released, so a later retry re-simulates. The hit return is
+// true when the lookup found an existing entry (completed, or joined in
+// flight). The simulation executes on its own goroutine under a
 // context detached from any individual caller; every caller — the one that
 // started the run included — waits on the entry or on its own ctx, whichever
 // fires first, so a canceled caller returns promptly while the run keeps
@@ -371,128 +314,108 @@ func waitMemo(ctx context.Context, e *memoEntry, hit bool) (Results, bool, error
 	}
 }
 
-// CampaignRun is the simd service's run entry point: a memoized,
-// cancellation-aware simulation. Identical concurrent calls share one
-// simulation (singleflight through the campaign memo); the hit return is
-// true when the call was served from the memo — completed, or joined in
-// flight. A canceled ctx returns promptly with a wrapped ErrCanceled, and
-// the underlying simulation is aborted only when the last caller interested
-// in it has gone.
+// CampaignRun simulates through the campaign memo. It is a thin wrapper kept
+// for callers that hold an assembled configuration: NewRun(...).Execute.
 func CampaignRun(ctx context.Context, cfg Config, wl Workload, sc Scale) (Results, bool, error) {
-	return memoizedRun(ctx, cfg, wl, sc)
+	return NewRun(cfg, wl, sc, nil).Execute(ctx)
 }
 
-// CampaignWarmRun is CampaignRun for a run forked from a warm-start snapshot
-// donor; the memo identity carries the snapshot's content hash so warm and
-// cold runs of one configuration never alias.
-func CampaignWarmRun(ctx context.Context, cfg Config, wl Workload, sc Scale, snap []byte) (Results, bool, error) {
-	return memoizedWarmRun(ctx, cfg, wl, sc, snap)
-}
-
-// RunIdentity returns the run's deterministic cache identity: the hex FNV-1a
-// of the campaign memo key (configuration, fault plan, workload and its
-// parameters, scale, and — when snap is non-empty — the warm-start donor's
-// content hash). Two runs with equal identities return byte-identical
-// Results; the simd service uses it as the run ID and response-cache key.
+// RunIdentity returns a run's deterministic identity. It is a thin wrapper
+// kept for callers that hold an assembled configuration:
+// NewRun(...).Identity; snap is the warm-start donor, empty for a cold run.
 func RunIdentity(cfg Config, wl Workload, sc Scale, snap []byte) string {
-	key := newMemoKey(cfg, wl, sc)
-	if len(snap) > 0 {
-		key.snap = SnapshotHash(snap)
-	}
-	h := fnv.New64a()
-	for _, part := range []string{key.cfg, key.faults, key.workload, key.params} {
-		io.WriteString(h, part)
-		h.Write([]byte{0}) // separator: no formatting artifact may alias parts
-	}
-	var tail [9]byte
-	tail[0] = byte(key.scale)
-	for i := 0; i < 8; i++ {
-		tail[1+i] = byte(key.snap >> (8 * i))
-	}
-	h.Write(tail[:])
-	return fmt.Sprintf("%016x", h.Sum64())
+	return NewRun(cfg, wl, sc, snap).Identity()
 }
 
-// matrix runs every (scheme, workload) pair concurrently, with cfgFor
-// producing the per-scheme configuration, and returns results keyed by
-// scheme then workload. A fired ctx stops the campaign: queued pairs drain
-// unrun and in-flight simulations are abandoned (aborted outright unless
-// another campaign still waits on them), surfacing as a wrapped ErrCanceled.
-func matrix(ctx context.Context, o ExpOptions, cfgFor func(Scheme) Config, schemes []Scheme, wls []Workload) (map[runKey]Results, error) {
-	type job struct {
-		sch Scheme
-		wl  Workload
-	}
-	var jobs []job
-	for _, sch := range schemes {
-		for _, wl := range wls {
-			jobs = append(jobs, job{sch, wl})
-		}
-	}
-	results := make(map[runKey]Results, len(jobs))
+// executeAll executes the runs on at most workers goroutines — never more
+// simulations in flight than that — and returns their results in run order.
+// It joins the distinct errors, each prefixed with label(i): a broken
+// configuration tends to sink every run the same way, and one copy per cause
+// reads better than len(runs) copies. After the first failure, or once ctx
+// fires, the remaining runs drain unrun; a ctx that fired before any run
+// could fail is still an error (wrapped ErrCanceled), never a silent set of
+// empty results.
+func executeAll(ctx context.Context, workers int, runs []ResolvedRun, label func(i int) string) ([]Results, error) {
 	var (
-		mu     sync.Mutex
-		errs   []error
-		seen   map[string]bool
-		failed bool
+		mu   sync.Mutex
+		errs []error
+		seen = make(map[string]bool)
+		wg   sync.WaitGroup
 	)
-	// fail records an error, deduplicating repeats: a broken configuration
-	// tends to sink every pair the same way, and one copy per distinct cause
-	// reads better than len(jobs) copies of the same message.
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		failed = true
-		if seen == nil {
-			seen = make(map[string]bool)
-		}
-		if msg := err.Error(); !seen[msg] {
-			seen[msg] = true
-			errs = append(errs, err)
-		}
-	}
-	stopped := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return failed
-	}
-	// A fixed pool of o.Parallelism workers pulls jobs off a channel: at most
-	// that many simulations (and goroutines) exist at once, instead of one
-	// goroutine per matrix cell parked on a semaphore.
-	workers := o.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobsCh := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	results := make([]Results, len(runs))
+	jobs := make(chan int)
+	for w := 0; w < min(workers, len(runs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobsCh {
-				if stopped() || ctx.Err() != nil {
-					continue // a simulation already failed or the campaign was canceled; drain the queue
-				}
-				res, _, err := memoizedRun(ctx, cfgFor(j.sch), j.wl, o.Scale)
-				if err != nil {
-					fail(fmt.Errorf("%s/%s: %w", j.sch.Name, j.wl.Name, err))
+			for i := range jobs {
+				mu.Lock()
+				stop := len(errs) > 0
+				mu.Unlock()
+				if stop || ctx.Err() != nil {
 					continue
 				}
-				mu.Lock()
-				results[runKey{j.sch.Name, j.wl.Name}] = res
-				mu.Unlock()
+				res, _, err := runs[i].Execute(ctx)
+				results[i] = res
+				if err != nil {
+					mu.Lock()
+					if msg := err.Error(); !seen[msg] {
+						seen[msg] = true
+						errs = append(errs, fmt.Errorf("%s: %w", label(i), err))
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
-	for _, j := range jobs {
-		jobsCh <- j
+	for i := range runs {
+		jobs <- i
 	}
-	close(jobsCh)
+	close(jobs)
 	wg.Wait()
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	if len(errs) == 0 && ctx.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCanceled, context.Cause(ctx))
 	}
-	return results, nil
+	return results, errors.Join(errs...)
+}
+
+// matrix runs every (scheme, workload) pair concurrently on the options'
+// machine and returns results keyed by scheme then workload, with the
+// workload set it ran: def unless the options name one. edit, when non-nil,
+// adjusts each scheme's configuration. A fired ctx stops the campaign: queued
+// pairs drain unrun and in-flight simulations are abandoned (aborted outright
+// unless another campaign still waits on them), surfacing as a wrapped
+// ErrCanceled.
+func matrix(ctx context.Context, o ExpOptions, schemes []Scheme, def []Workload, edit func(*Config)) (map[runKey]Results, []Workload, error) {
+	wls, err := o.pickWorkloads(def)
+	if err != nil {
+		return nil, nil, err
+	}
+	base, err := o.baseConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	var runs []ResolvedRun
+	for _, sch := range schemes {
+		cfg := base.WithScheme(sch)
+		if edit != nil {
+			edit(&cfg)
+		}
+		for _, wl := range wls {
+			runs = append(runs, NewRun(cfg, wl, o.Scale, nil))
+		}
+	}
+	out, err := executeAll(ctx, o.Parallelism, runs, func(i int) string {
+		return runs[i].Config.Scheme.Name + "/" + runs[i].Workload.Name
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	results := make(map[runKey]Results, len(runs))
+	for i, r := range runs {
+		results[runKey{r.Config.Scheme.Name, r.Workload.Name}] = out[i]
+	}
+	return results, wls, nil
 }
 
 // WarmStartSweep forks a tuning-knob sweep from one warmed checkpoint. The
@@ -523,40 +446,13 @@ func WarmStartSweep(ctx context.Context, o ExpOptions, base Config, variants []C
 	if err != nil {
 		return nil, nil, err
 	}
-	results := make([]Results, len(variants))
-	workers := o.Parallelism
-	if workers > len(variants) {
-		workers = len(variants)
+	forks := make([]ResolvedRun, len(variants))
+	for i, v := range variants {
+		forks[i] = NewRun(v, wl, o.Scale, snap)
 	}
-	idxCh := make(chan int)
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				res, _, err := memoizedWarmRun(ctx, variants[i], wl, o.Scale, snap)
-				if err != nil {
-					mu.Lock()
-					errs = append(errs, fmt.Errorf("warm fork %d: %w", i, err))
-					mu.Unlock()
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range variants {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	if len(errs) > 0 {
-		return nil, nil, errors.Join(errs...)
+	results, err := executeAll(ctx, o.Parallelism, forks, func(i int) string { return fmt.Sprintf("warm fork %d", i) })
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, snap, nil
 }

@@ -36,18 +36,18 @@ func TestMemoLRUEviction(t *testing.T) {
 	}
 	cfg := ScaledConfig(Default16()).WithScheme(Baseline())
 	ctx := context.Background()
-	resA1, hit, err := memoizedRun(ctx, cfg, wlA, ScaleTiny)
+	resA1, hit, err := NewRun(cfg, wlA, ScaleTiny, nil).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first run of A reported a memo hit")
 	}
-	if _, _, err := memoizedRun(ctx, cfg, wlB, ScaleTiny); err != nil {
+	if _, _, err := NewRun(cfg, wlB, ScaleTiny, nil).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// C exceeds the bound of 2; A is the least recently used and must go.
-	if _, _, err := memoizedRun(ctx, cfg, wlC, ScaleTiny); err != nil {
+	if _, _, err := NewRun(cfg, wlC, ScaleTiny, nil).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st := RunMemoStats()
@@ -57,7 +57,7 @@ func TestMemoLRUEviction(t *testing.T) {
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d; want 2 (the bound)", st.Entries)
 	}
-	keyA := newMemoKey(cfg, wlA, ScaleTiny)
+	keyA := NewRun(cfg, wlA, ScaleTiny, nil).key
 	runMemo.Lock()
 	_, stillThere := runMemo.m[keyA]
 	runMemo.Unlock()
@@ -65,7 +65,7 @@ func TestMemoLRUEviction(t *testing.T) {
 		t.Fatal("least-recently-used entry A survived eviction")
 	}
 	// B must still be cached: a hit, same Stats bundle by pointer.
-	resB, hitB, err := memoizedRun(ctx, cfg, wlB, ScaleTiny)
+	resB, hitB, err := NewRun(cfg, wlB, ScaleTiny, nil).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMemoLRUEviction(t *testing.T) {
 	_ = resB
 	// Re-running the evicted key re-simulates (miss, fresh Stats bundle) to
 	// byte-identical results.
-	resA2, hitA2, err := memoizedRun(ctx, cfg, wlA, ScaleTiny)
+	resA2, hitA2, err := NewRun(cfg, wlA, ScaleTiny, nil).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,5 +371,24 @@ func TestWithDefaultsHostBudget(t *testing.T) {
 				t.Fatalf("in-budget explicit Parallelism %d was changed to %d", tc.parallelism, o.Parallelism)
 			}
 		})
+	}
+}
+
+// TestExecuteAllCanceledBeforeStart pins the fan-out's cancellation edge: a
+// context that fired before any run started drains every run unrun, and that
+// must surface as a wrapped ErrCanceled — it used to return a full set of
+// zero Results and a nil error.
+func TestExecuteAllCanceledBeforeStart(t *testing.T) {
+	wl, err := workload.ByName("cachebw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ScaledConfig(Default16()).WithScheme(OrdPush())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs := []ResolvedRun{NewRun(cfg, wl, ScaleTiny, nil), NewRun(cfg.WithScheme(Baseline()), wl, ScaleTiny, nil)}
+	res, err := executeAll(ctx, 2, runs, func(i int) string { return fmt.Sprint(i) })
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("executeAll under a fired context returned %v, %v; want a wrapped ErrCanceled", res, err)
 	}
 }

@@ -28,7 +28,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, _, err := memoizedRun(context.Background(), cfg, wl, ScaleTiny)
+			res, _, err := NewRun(cfg, wl, ScaleTiny, nil).Execute(context.Background())
 			if err != nil {
 				t.Error(err)
 				return
@@ -57,19 +57,19 @@ func TestMemoKeyDistinguishesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := newMemoKey(cfg, wlA, ScaleTiny)
-	if k := newMemoKey(cfg, wlA, ScaleQuick); k == base {
+	base := NewRun(cfg, wlA, ScaleTiny, nil).key
+	if k := NewRun(cfg, wlA, ScaleQuick, nil).key; k == base {
 		t.Error("scale not part of the memo key")
 	}
-	if k := newMemoKey(cfg, wlB, ScaleTiny); k == base {
+	if k := NewRun(cfg, wlB, ScaleTiny, nil).key; k == base {
 		t.Error("workload not part of the memo key")
 	}
 	planA := FaultPlan{Seed: 1, Faults: []Fault{{Kind: FaultRouterSlow, Node: 0, From: 1, To: 2, Factor: 2}}}
 	planB := FaultPlan{Seed: 2, Faults: planA.Faults}
 	cfgA, cfgB := cfg, cfg
 	cfgA.Faults, cfgB.Faults = &planA, &planB
-	kA := newMemoKey(cfgA, wlA, ScaleTiny)
-	if kB := newMemoKey(cfgB, wlA, ScaleTiny); kA == kB {
+	kA := NewRun(cfgA, wlA, ScaleTiny, nil).key
+	if kB := NewRun(cfgB, wlA, ScaleTiny, nil).key; kA == kB {
 		t.Error("fault plans with different contents share a memo key")
 	}
 	// Same plan contents behind a different pointer must alias (the key holds
@@ -77,12 +77,12 @@ func TestMemoKeyDistinguishesRuns(t *testing.T) {
 	planC := planA
 	cfgC := cfg
 	cfgC.Faults = &planC
-	if kC := newMemoKey(cfgC, wlA, ScaleTiny); kA != kC {
+	if kC := NewRun(cfgC, wlA, ScaleTiny, nil).key; kA != kC {
 		t.Error("identical fault plans behind different pointers got distinct keys")
 	}
 }
 
-// TestMemoClearDuringFlight hammers memoizedRun while concurrently clearing
+// TestMemoClearDuringFlight hammers Execute while concurrently clearing
 // the memo: in-flight runs must complete and release their waiters even when
 // their entry vanishes underneath them (exercised under -race in CI).
 func TestMemoClearDuringFlight(t *testing.T) {
@@ -98,7 +98,7 @@ func TestMemoClearDuringFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := memoizedRun(context.Background(), cfg, wl, ScaleTiny); err != nil {
+			if _, _, err := NewRun(cfg, wl, ScaleTiny, nil).Execute(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -145,14 +145,14 @@ func TestMemoWarmColdNoAlias(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := memoizedRun(context.Background(), target, wl, ScaleTiny); err != nil {
+			if _, _, err := NewRun(target, wl, ScaleTiny, nil).Execute(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := memoizedWarmRun(context.Background(), target, wl, ScaleTiny, snap); err != nil {
+			if _, _, err := NewRun(target, wl, ScaleTiny, snap).Execute(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -164,9 +164,8 @@ func TestMemoWarmColdNoAlias(t *testing.T) {
 	if entries != 2 {
 		t.Fatalf("memo holds %d entries for (cold, warm) of one config; want 2 (no aliasing, no duplicates)", entries)
 	}
-	coldKey := newMemoKey(target, wl, ScaleTiny)
-	warmKey := coldKey
-	warmKey.snap = SnapshotHash(snap)
+	coldKey := NewRun(target, wl, ScaleTiny, nil).key
+	warmKey := NewRun(target, wl, ScaleTiny, snap).key
 	runMemo.Lock()
 	_, haveCold := runMemo.m[coldKey]
 	_, haveWarm := runMemo.m[warmKey]

@@ -120,6 +120,17 @@ func TestDistributedCampaignMatchesLocal(t *testing.T) {
 			t.Fatalf("worker %d completed no runs; shards were not distributed", i+1)
 		}
 	}
+	// A campaign naming one run twice is refused whole here exactly as on a
+	// plain daemon: merged by identity it used to stream 1 record and
+	// "runs":1 from 2 computed shards, where a local daemon streamed 2.
+	twice := `{"scale":"tiny","schemes":["OrdPush","ordpush"],"workloads":[{"name":"cachebw"}]}`
+	before := w1.completed.Load() + w2.completed.Load()
+	if status, _, _ := postCampaign(t, coordTS.URL, twice); status != http.StatusBadRequest {
+		t.Fatalf("coordinator answered %d to a campaign naming one run twice; want 400", status)
+	}
+	if after := w1.completed.Load() + w2.completed.Load(); after != before {
+		t.Fatalf("the refused campaign still ran %d shards", after-before)
+	}
 }
 
 // killSwitch wraps a worker's handler with a SIGKILL simulation: once
@@ -185,7 +196,7 @@ func TestDistributedWorkerDeathReassigns(t *testing.T) {
 	if sum.Failed != 0 || sum.Canceled != 0 {
 		t.Fatalf("campaign did not survive the worker death: %+v", sum)
 	}
-	if sum.ShardReassigned == 0 {
+	if sum.Reassigned == 0 {
 		t.Fatalf("no shard was reassigned after the worker death: %+v", sum)
 	}
 	if sum.DegradedLocal != 0 {

@@ -85,11 +85,6 @@ func (e overQuotaError) Error() string {
 	return fmt.Sprintf("tenant %q over quota: %d in flight + %d submitted exceeds the per-tenant bound of %d", e.tenant, e.inflight, e.want, e.quota)
 }
 
-// submit queues one task (see submitAll).
-func (s *scheduler) submit(t *task) error {
-	return s.submitAll([]*task{t})
-}
-
 // submitAll queues a batch of tasks atomically: either every task is
 // admitted or none is and the one-line reason comes back — a campaign never
 // half-queues. It fails fast when the scheduler is shutting down, the queue

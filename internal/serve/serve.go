@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +9,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +32,6 @@ type Options struct {
 	MemoCapacity int
 	// SnapshotCapacity bounds retained warm-start donor snapshots (0 = 16).
 	SnapshotCapacity int
-	// RunCacheCapacity bounds the completed-run record cache served by
-	// GET /runs/{id} (0 = 4096).
-	RunCacheCapacity int
 	// MaxSnapshotBytes bounds one snapshot upload (0 = 256 MiB).
 	MaxSnapshotBytes int64
 	// TenantQuota bounds one tenant's in-flight (queued + running) runs
@@ -64,13 +59,12 @@ type Options struct {
 }
 
 // Server is the simd campaign service: expansion, dedup, fair scheduling,
-// and result caching over the simulation harness. Create with New, mount
+// and result journaling over the simulation harness. Create with New, mount
 // Handler, and Close on shutdown.
 type Server struct {
 	opts    Options
 	sched   *scheduler
 	snaps   *snapStore
-	runs    *runStore
 	journal *shard.Journal
 	coord   *shard.Coordinator // nil unless Peers configured
 	// recovered is the journal's content at startup — the recovery set a
@@ -102,9 +96,6 @@ func New(opts Options) (*Server, error) {
 	if opts.SnapshotCapacity <= 0 {
 		opts.SnapshotCapacity = 16
 	}
-	if opts.RunCacheCapacity <= 0 {
-		opts.RunCacheCapacity = 4096
-	}
 	if opts.MaxSnapshotBytes <= 0 {
 		opts.MaxSnapshotBytes = 256 << 20
 	}
@@ -122,7 +113,6 @@ func New(opts Options) (*Server, error) {
 		opts:      opts,
 		sched:     newScheduler(opts.Workers, opts.MaxQueue, opts.TenantQuota),
 		snaps:     newSnapStore(opts.SnapshotCapacity),
-		runs:      newRunStore(opts.RunCacheCapacity),
 		journal:   journal,
 		recovered: journal.Seen(),
 		mux:       http.NewServeMux(),
@@ -131,10 +121,6 @@ func New(opts Options) (*Server, error) {
 	if n := len(s.recovered); n > 0 || journal.Skipped() > 0 {
 		log.Printf("serve: journal %s: recovered %d completed runs, %d snapshot identities (%d unparsable lines skipped); recovered runs will be served without recomputing",
 			journal.Path(), n, journal.Snapshots(), journal.Skipped())
-	}
-	for _, rec := range s.recovered {
-		rec.Cached = true
-		s.runs.put(rec)
 	}
 	if len(opts.Peers) > 0 {
 		coord, err := shard.New(shard.Options{
@@ -183,25 +169,16 @@ func (s *Server) Close(drain time.Duration) error {
 	return nil
 }
 
-// runLine is one NDJSON line of a campaign response: a completed run, in
-// completion order. The final line of every response is a summary instead
-// (see campaignSummary).
+// campaignSummary is the final NDJSON line of every campaign response, after
+// one RunRecord line per run in completion order.
 type campaignSummary struct {
 	Summary  bool `json:"summary"`
 	Runs     int  `json:"runs"`
 	Cached   int  `json:"cached"`
 	Failed   int  `json:"failed"`
 	Canceled int  `json:"canceled"`
-	// Distribution accounting, present only on coordinator responses: how
-	// many shards the campaign split into, how many runs were recovered from
-	// the journal versus freshly computed, and what the fault-tolerance
-	// machinery had to do to get them.
-	Shards          int `json:"shards,omitempty"`
-	Recovered       int `json:"recovered,omitempty"`
-	Recomputed      int `json:"recomputed,omitempty"`
-	ShardRetries    int `json:"shard_retries,omitempty"`
-	ShardReassigned int `json:"shard_reassigned,omitempty"`
-	DegradedLocal   int `json:"degraded_local,omitempty"`
+	// Distribution accounting, present only on coordinator responses.
+	shard.RunStats
 }
 
 // handleCampaign validates, expands, schedules, and streams one campaign.
@@ -215,68 +192,87 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "service shutting down")
 		return
 	}
-	spec, err := decodeSpec(r.Body)
-	if err != nil {
+	var spec CampaignSpec
+	if err := decodeStrict(r.Body, "campaign spec", &spec); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	runs, err := expand(spec, s.snaps.get)
+	specs, runs, err := spec.resolve(s.snaps.get)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	tenant := spec.Tenant
-	if tenant == "" {
-		tenant = "default"
 	}
 	if s.coord != nil {
-		s.streamShardedCampaign(w, r, spec, runs, tenant)
+		s.streamShardedCampaign(w, r, spec, specs, runs)
 		return
 	}
-	// Buffered to the campaign size: a worker's send never blocks, so a
-	// client that disconnected mid-stream cannot wedge a worker slot.
-	out := make(chan runRecord, len(runs))
-	tasks := make([]*task, 0, len(runs))
-	for _, rs := range runs {
-		rs := rs
-		tasks = append(tasks, &task{
-			tenant: tenant,
-			ctx:    r.Context(),
-			fn: func(ctx context.Context) {
-				out <- s.execute(ctx, rs)
-			},
-		})
-	}
-	// All-or-nothing admission: a campaign that cannot queue whole (bound or
-	// quota) is refused whole, never half-run.
-	if err := s.sched.submitAll(tasks); err != nil {
+	out, err := s.submit(r.Context(), tenantOrDefault(spec.Tenant), false, runs)
+	if err != nil {
 		httpError(w, refusalStatus(err), oneLine(err))
 		return
 	}
+	st := newStream(w)
+	for range runs {
+		st.record(<-out)
+	}
+	st.finish()
+}
+
+// submit queues the runs under the tenant, all or nothing — a campaign that
+// cannot queue whole (bound or quota) is refused whole, never half-run — and
+// returns the channel their records arrive on in completion order. It is
+// buffered to the batch size: a worker's send never blocks, so a caller that
+// went away mid-stream cannot wedge a worker slot. exempt skips the tenant
+// quota (degraded-local shard execution only).
+func (s *Server) submit(ctx context.Context, tenant string, exempt bool, runs []pushmulticast.ResolvedRun) (<-chan runRecord, error) {
+	out := make(chan runRecord, len(runs))
+	tasks := make([]*task, len(runs))
+	for i, run := range runs {
+		tasks[i] = &task{
+			tenant: tenant,
+			ctx:    ctx,
+			exempt: exempt,
+			fn:     func(ctx context.Context) { out <- s.execute(ctx, run) },
+		}
+	}
+	return out, s.sched.submitAll(tasks)
+}
+
+// stream writes one campaign's NDJSON response — a line per run in
+// completion order, then the summary — flushing after every line.
+type stream struct {
+	mu      sync.Mutex // the sharded path records from shard goroutines
+	enc     *json.Encoder
+	flusher http.Flusher
+	sum     campaignSummary
+}
+
+func newStream(w http.ResponseWriter) *stream {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sum := campaignSummary{Summary: true}
-	for i := 0; i < len(runs); i++ {
-		rec := <-out
-		sum.Runs++
-		if rec.Cached {
-			sum.Cached++
-		}
-		if rec.Canceled {
-			sum.Canceled++
-		} else if rec.Error != "" {
-			sum.Failed++
-		}
-		enc.Encode(rec)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	return &stream{enc: json.NewEncoder(w), flusher: flusher, sum: campaignSummary{Summary: true}}
+}
+
+func (st *stream) record(rec runRecord) {
+	st.sum.Runs++
+	if rec.Cached {
+		st.sum.Cached++
 	}
-	enc.Encode(sum)
-	if flusher != nil {
-		flusher.Flush()
+	if rec.Canceled {
+		st.sum.Canceled++
+	} else if rec.Error != "" {
+		st.sum.Failed++
+	}
+	st.line(rec)
+}
+
+func (st *stream) finish() { st.line(st.sum) }
+
+func (st *stream) line(v any) {
+	st.enc.Encode(v)
+	if st.flusher != nil {
+		st.flusher.Flush()
 	}
 }
 
@@ -291,220 +287,134 @@ func refusalStatus(err error) int {
 }
 
 // streamShardedCampaign runs one campaign through the shard coordinator:
-// every expanded run becomes a dispatch unit (a self-contained single-run
-// spec), the coordinator shards and distributes them, and merged records
-// stream back in completion order followed by a summary carrying the
-// distribution accounting.
-func (s *Server) streamShardedCampaign(w http.ResponseWriter, r *http.Request, spec CampaignSpec, runs []runSpec, tenant string) {
-	units := make([]shard.Unit, 0, len(runs))
-	for _, rs := range runs {
-		raw, err := unitSpec(spec, rs)
+// every run becomes a dispatch unit carrying its own description's bytes, the
+// coordinator shards and distributes them, and merged records stream back in
+// completion order followed by a summary carrying the distribution
+// accounting.
+func (s *Server) streamShardedCampaign(w http.ResponseWriter, r *http.Request, spec CampaignSpec, specs []pushmulticast.RunSpec, runs []pushmulticast.ResolvedRun) {
+	units := make([]shard.Unit, len(runs))
+	for i, run := range runs {
+		raw, err := json.Marshal(specs[i])
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, oneLine(err))
+			httpError(w, http.StatusInternalServerError, fmt.Sprintf("run %s: %v", run.Identity(), oneLine(err)))
 			return
 		}
-		units = append(units, shard.Unit{RunID: rs.id, Scheme: rs.scheme, Workload: rs.workload, Spec: raw})
+		units[i] = shard.Unit{RunID: run.Identity(), Scheme: run.Config.Scheme.Name, Workload: run.Workload.Name, Spec: raw}
 	}
-	var snap []byte
-	if len(runs) > 0 {
-		snap = runs[0].snap // campaign-level warm_start: every run shares one donor
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var mu sync.Mutex // serializes the stream across shard goroutines
-	sum := campaignSummary{Summary: true}
-	st := s.coord.Run(r.Context(), tenant, units, snap, func(rec shard.RunRecord, recovered bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		sum.Runs++
-		if rec.Cached {
-			sum.Cached++
-		}
-		if recovered {
-			sum.Recovered++
-		} else {
-			sum.Recomputed++
-		}
-		if rec.Canceled {
-			sum.Canceled++
-		} else if rec.Error != "" {
-			sum.Failed++
-		} else {
-			s.runs.put(rec)
-		}
-		enc.Encode(rec)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	// warm_start is campaign-level: every run shares one donor.
+	st := newStream(w)
+	st.sum.RunStats = s.coord.Run(r.Context(), tenantOrDefault(spec.Tenant), units, runs[0].Donor, func(rec shard.RunRecord, _ bool) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		st.record(rec)
 	})
-	sum.Shards = st.Shards
-	sum.ShardRetries = st.Retries
-	sum.ShardReassigned = st.Reassigned
-	sum.DegradedLocal = st.DegradedLocal
-	enc.Encode(sum)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	st.finish()
 }
 
 // localUnit is the coordinator's degradation-ladder bottom: execute one
 // dispatch unit on this process. The run still goes through the scheduler —
 // quota-exempt, so the fallback that exists to survive replica loss cannot
 // itself be refused — and through the same execute path as any other run.
-func (s *Server) localUnit(ctx context.Context, u shard.Unit) shard.RunRecord {
-	spec, err := decodeSpec(bytes.NewReader(u.Spec))
+func (s *Server) localUnit(ctx context.Context, tenant string, u shard.Unit) shard.RunRecord {
+	run, err := s.resolveUnit(u.Spec)
 	if err == nil {
-		var runs []runSpec
-		if runs, err = expand(spec, s.snaps.get); err == nil {
-			done := make(chan shard.RunRecord, 1)
-			err = s.sched.submit(&task{
-				tenant: tenant(spec),
-				ctx:    ctx,
-				exempt: true,
-				fn:     func(c context.Context) { done <- s.execute(c, runs[0]) },
-			})
-			if err == nil {
-				return <-done
-			}
+		var out <-chan runRecord
+		if out, err = s.submit(ctx, tenant, true, []pushmulticast.ResolvedRun{run}); err == nil {
+			return <-out
 		}
 	}
 	return shard.RunRecord{ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload, Error: oneLine(err)}
 }
 
-// tenant resolves a spec's fair-queueing bucket.
-func tenant(spec CampaignSpec) string {
-	if spec.Tenant == "" {
-		return "default"
+// resolveUnit turns one dispatch unit's bytes — a run description, strictly
+// decoded — back into the run the coordinator resolved it from.
+func (s *Server) resolveUnit(raw []byte) (pushmulticast.ResolvedRun, error) {
+	spec, err := pushmulticast.DecodeRunSpec(raw)
+	if err != nil {
+		return pushmulticast.ResolvedRun{}, err
 	}
-	return spec.Tenant
+	return spec.Resolve(s.snaps.get)
 }
 
 // handleShard is the worker side of shard dispatch: POST /shards carries a
-// shard of self-contained single-run specs; the worker expands and executes
-// them under its scheduler (tenant quota applies — the coordinator treats a
-// 429 as transient and backs off) and replies with the complete result set.
-// A spec whose warm-start donor is missing is HTTP 409 so the coordinator
-// re-uploads and retries; any other validation failure is a permanent 400.
+// shard of run descriptions; the worker resolves and executes them under its
+// scheduler (tenant quota applies — the coordinator treats a 429 as
+// transient and backs off) and replies with the complete result set. A
+// description whose warm-start donor is missing is HTTP 409 so the
+// coordinator re-uploads and retries; any other validation failure is a
+// permanent 400.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
 		httpError(w, http.StatusServiceUnavailable, "service shutting down")
 		return
 	}
 	var req shard.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard request: %v", oneLine(err)))
+	if err := decodeStrict(r.Body, "shard request", &req); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Runs) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard %s: no runs", req.ShardID))
 		return
 	}
-	reqTenant := req.Tenant
-	if reqTenant == "" {
-		reqTenant = "default"
-	}
-	var specs []runSpec
+	runs := make([]pushmulticast.ResolvedRun, len(req.Runs))
 	for i, raw := range req.Runs {
-		spec, err := decodeSpec(bytes.NewReader(raw))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("shard %s run %d: %v", req.ShardID, i, oneLine(err)))
-			return
-		}
-		runs, err := expand(spec, s.snaps.get)
-		if err != nil {
+		var err error
+		if runs[i], err = s.resolveUnit(raw); err != nil {
 			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "warm_start snapshot") {
+			if errors.Is(err, pushmulticast.ErrDonorMissing) {
 				// The donor was uploaded once but is gone (LRU eviction or a
 				// worker restart): recoverable, not a spec defect.
 				status = http.StatusConflict
 			}
-			httpError(w, status, fmt.Sprintf("shard %s run %d: %v", req.ShardID, i, oneLine(err)))
+			httpError(w, status, fmt.Sprintf("shard %s run %d: %v", req.ShardID, i, err))
 			return
 		}
-		specs = append(specs, runs...)
 	}
-	out := make(chan runRecord, len(specs))
-	tasks := make([]*task, 0, len(specs))
-	for _, rs := range specs {
-		rs := rs
-		tasks = append(tasks, &task{
-			tenant: reqTenant,
-			ctx:    r.Context(),
-			fn:     func(ctx context.Context) { out <- s.execute(ctx, rs) },
-		})
-	}
-	if err := s.sched.submitAll(tasks); err != nil {
+	out, err := s.submit(r.Context(), tenantOrDefault(req.Tenant), false, runs)
+	if err != nil {
 		httpError(w, refusalStatus(err), oneLine(err))
 		return
 	}
-	resp := shard.Response{ShardID: req.ShardID, Results: make([]shard.RunRecord, 0, len(specs))}
-	for range specs {
-		resp.Results = append(resp.Results, <-out)
+	resp := shard.Response{ShardID: req.ShardID, Results: make([]shard.RunRecord, len(runs))}
+	for i := range runs {
+		resp.Results[i] = <-out
 	}
 	writeJSON(w, resp)
 }
 
-// execute runs one expanded run under the scheduler's context and returns
-// its result record, recording it in the run cache on success.
-func (s *Server) execute(ctx context.Context, rs runSpec) runRecord {
+// execute runs one resolved run under the scheduler's context and returns
+// its result record, journaling it on success.
+func (s *Server) execute(ctx context.Context, run pushmulticast.ResolvedRun) runRecord {
 	// Crash resume: a run the startup journal already holds is served from
 	// it without recomputing — the loud recovery path a restarted worker
 	// takes for every shard it had already finished.
-	if rec, ok := s.recovered[rs.id]; ok {
+	if rec, ok := s.recovered[run.Identity()]; ok {
 		rec.Cached = true
 		s.recoveredServed.Add(1)
 		return rec
 	}
-	var (
-		res pushmulticast.Results
-		hit bool
-		err error
-	)
-	if rs.snap != nil {
-		res, hit, err = pushmulticast.CampaignWarmRun(ctx, rs.cfg, rs.wl, rs.sc, rs.snap)
-	} else {
-		res, hit, err = pushmulticast.CampaignRun(ctx, rs.cfg, rs.wl, rs.sc)
-	}
-	rec := runRecord{ID: rs.id, Scheme: rs.scheme, Workload: rs.workload, Cached: hit}
-	if err != nil {
-		rec.Error = oneLine(err)
-		if errors.Is(err, pushmulticast.ErrCanceled) {
-			rec.Canceled = true
-			s.canceled.Add(1)
-		} else {
-			s.failed.Add(1)
+	res, hit, err := run.Execute(ctx)
+	rec := run.Record(res, hit, err)
+	switch {
+	case rec.Canceled:
+		s.canceled.Add(1)
+	case err != nil:
+		s.failed.Add(1)
+	default:
+		s.completed.Add(1)
+		if _, err := s.journal.Commit(rec); err != nil {
+			log.Printf("serve: %v", err)
 		}
-		return rec
-	}
-	s.completed.Add(1)
-	rec.Cycles = res.Cycles
-	rec.Instructions = res.Stats.Core.Instructions
-	if res.Cycles > 0 {
-		rec.IPC = float64(res.Stats.Core.Instructions) / float64(res.Cycles)
-	}
-	rec.L1MPKI = res.L1MPKI()
-	rec.L2MPKI = res.L2MPKI()
-	rec.NoCFlits = res.TotalNoCFlits()
-	if res.TraceEvents > 0 {
-		rec.TraceHash = fmt.Sprintf("%#x", res.TraceHash)
-		rec.TraceEvents = res.TraceEvents
-	}
-	s.runs.put(rec)
-	if _, err := s.journal.Commit(rec); err != nil {
-		log.Printf("serve: %v", err)
 	}
 	return rec
 }
 
 // handleRun serves a completed run record by identity.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.runs.get(r.PathValue("id"))
+	rec, ok := s.journal.Lookup(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("run %q not found (completed runs are cached by identity; re-POST its campaign to regenerate)", r.PathValue("id")))
+		httpError(w, http.StatusNotFound, fmt.Sprintf("run %q not found (completed runs are journaled by identity; re-POST its campaign to regenerate)", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, rec)
@@ -560,7 +470,7 @@ type metrics struct {
 	Memo      pushmulticast.MemoStats `json:"memo"`
 	Runs      map[string]uint64       `json:"runs"`
 	Snapshots int                     `json:"snapshots"`
-	RunCache  int                     `json:"run_cache"`
+	RunCache  int                     `json:"run_cache"` // records GET /runs/{id} can serve
 	Journal   journalMetrics          `json:"journal"`
 	// Shard carries the coordinator's retry/reassignment/degradation
 	// counters and per-shard wait quantiles; absent on plain workers.
@@ -577,7 +487,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"failed":    s.failed.Load(),
 		},
 		Snapshots: s.snaps.len(),
-		RunCache:  s.runs.len(),
+		RunCache:  s.journal.Runs(),
 		Journal: journalMetrics{
 			Path:            s.journal.Path(),
 			Runs:            s.journal.Runs(),

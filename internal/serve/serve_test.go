@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -165,13 +166,13 @@ func TestCampaignRepeatIsCacheHit(t *testing.T) {
 func donorSnapshot(t *testing.T, cycle uint64) []byte {
 	t.Helper()
 	// Build the donor under the exact configuration the campaign will
-	// expand to, by expanding the same spec.
-	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []WorkloadSpec{{Name: "cachebw"}}}
-	runs, err := expand(spec, func(string) ([]byte, bool) { return nil, false })
+	// resolve to, by resolving the same spec.
+	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []pushmulticast.WorkloadSpec{{Name: "cachebw"}}}
+	_, runs, err := spec.resolve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := pushmulticast.NewMachine(runs[0].cfg, runs[0].wl, runs[0].sc)
+	m, err := pushmulticast.NewMachine(runs[0].Config, runs[0].Workload, runs[0].Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,29 +198,31 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 	future := bytes.Clone(snap)
 	future[8] = 2 // low byte of the format version, right after the 8-byte magic
 	const campaigns, snapshots = "/campaigns", "/snapshots"
-	cases := []struct {
+	type badCase struct {
 		name string
 		path string
 		body string
-	}{
-		{"snapshot-not-a-snapshot", snapshots, "not a snapshot"},
-		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9])},
-		{"snapshot-altered", snapshots, string(altered)},
-		{"snapshot-future-version", snapshots, string(future)},
-		{"invalid-json", campaigns, `{"schemes":`},
-		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"no-schemes", campaigns, `{"workloads":[{"name":"cachebw"}]}`},
-		{"no-workloads", campaigns, `{"schemes":["OrdPush"]}`},
-		{"unknown-scheme", campaigns, `{"schemes":["TurboPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"unknown-workload", campaigns, `{"schemes":["OrdPush"],"workloads":[{"name":"nosuch"}]}`},
-		{"bad-scale", campaigns, `{"scale":"huge","schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"bad-cores", campaigns, `{"cores":48,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"negative-sim-workers", campaigns, `{"sim_workers":-2,"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"collective-params-on-registry-workload", campaigns, `{"schemes":["OrdPush"],"workloads":[{"name":"cachebw","sharers":4}]}`},
-		{"inconsistent-collective-params", campaigns, `{"schemes":["OrdPush"],"workloads":[{"name":"broadcast","fanout":1}]}`},
-		{"unknown-warm-start", campaigns, `{"warm_start":"deadbeef","schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"fault-intensity-out-of-range", campaigns, `{"faults":{"intensity":1.5},"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
-		{"lossy-rate-out-of-range", campaigns, `{"faults":{"lossy_per_mille":2000},"schemes":["OrdPush"],"workloads":[{"name":"cachebw"}]}`},
+		want string // substring of the diagnostic
+	}
+	cases := []badCase{
+		{"snapshot-not-a-snapshot", snapshots, "not a snapshot", "snapshot"},
+		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9]), "snapshot"},
+		{"snapshot-altered", snapshots, string(altered), "snapshot"},
+		{"snapshot-future-version", snapshots, string(future), "snapshot"},
+		{"invalid-json", campaigns, `{"schemes":`, "campaign spec"},
+		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`, `unknown field "scheems"`},
+		// The shard wire's singular keys are not campaign keys.
+		{"run-spec-keys", campaigns, `{"scheme":"OrdPush","workload":{"name":"cachebw"}}`, `unknown field "scheme"`},
+		{"no-schemes", campaigns, `{"workloads":[{"name":"cachebw"}]}`, "no schemes listed"},
+		{"no-workloads", campaigns, `{"schemes":["OrdPush"]}`, "no workloads listed"},
+		// One run named twice: a coordinator merges by identity and would
+		// stream one record where a local daemon streams two.
+		{"duplicate-run", campaigns, `{"scale":"tiny","schemes":["OrdPush","ordpush"],"workloads":[{"name":"cachebw"}]}`,
+			"schemes[1] x workloads[0] (ordpush/cachebw) names the same run as schemes[0] x workloads[0] (OrdPush/cachebw)"},
+	}
+	// Every malformed run description pushsim refuses, as a one-run campaign.
+	for _, tc := range pushmulticast.MalformedRunSpecs() {
+		cases = append(cases, badCase{tc.Name, campaigns, campaignBody(t, tc.Spec), tc.Want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,8 +238,8 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 			if n := strings.Count(string(body), "\n"); n != 1 || !strings.HasSuffix(string(body), "\n") {
 				t.Fatalf("diagnostic is not one line (%d newlines): %q", n, body)
 			}
-			if len(strings.TrimSpace(string(body))) == 0 {
-				t.Fatal("empty diagnostic")
+			if !strings.Contains(string(body), tc.want) {
+				t.Fatalf("diagnostic %q does not mention %q", body, tc.want)
 			}
 		})
 	}
@@ -434,15 +437,15 @@ func TestSchedulerFairRoundRobin(t *testing.T) {
 		}
 	}
 	// The gate task occupies the single worker while the backlog builds.
-	if err := sched.submit(&task{tenant: "a", ctx: context.Background(), fn: func(context.Context) { <-gate }}); err != nil {
+	if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), fn: func(context.Context) { <-gate }}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a1", "a2", "a3"} {
-		if err := sched.submit(&task{tenant: "a", ctx: context.Background(), fn: record(name)}); err != nil {
+		if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), fn: record(name)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.submit(&task{tenant: "b", ctx: context.Background(), fn: record("b1")}); err != nil {
+	if err := sched.submitAll([]*task{&task{tenant: "b", ctx: context.Background(), fn: record("b1")}}); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)
@@ -481,6 +484,80 @@ func TestHealthz(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Status != "ok" {
 		t.Fatalf("healthz status %q", h.Status)
+	}
+}
+
+// campaignBody renders one run description as the one-run campaign that
+// names it.
+func campaignBody(t *testing.T, s pushmulticast.RunSpec) string {
+	t.Helper()
+	body, err := json.Marshal(CampaignSpec{
+		Cores: s.Cores, Scale: s.Scale, Schemes: []string{s.Scheme}, Workloads: []pushmulticast.WorkloadSpec{s.Workload},
+		SimWorkers: s.SimWorkers, Check: s.Check, TraceN: s.TraceN, Faults: s.Faults, WarmStart: s.WarmStart, Knobs: s.Knobs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestCampaignAndShardUnitResolveLikeEveryFrontEnd is the service's half of
+// the one-path contract (pushsim's half ranges over the same table): a
+// one-run campaign body, and the shard unit bytes a coordinator would send
+// for it, resolve to the same configuration and identity as the description
+// resolved directly.
+func TestCampaignAndShardUnitResolveLikeEveryFrontEnd(t *testing.T) {
+	for _, tc := range pushmulticast.ExampleRunSpecs() {
+		t.Run(tc.Name, func(t *testing.T) {
+			want, err := tc.Spec.Resolve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec CampaignSpec
+			if err := decodeStrict(strings.NewReader(campaignBody(t, tc.Spec)), "campaign spec", &spec); err != nil {
+				t.Fatal(err)
+			}
+			specs, runs, err := spec.resolve(nil)
+			if err != nil || len(runs) != 1 {
+				t.Fatalf("campaign resolved to %d runs: %v", len(runs), err)
+			}
+			unit, err := json.Marshal(specs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromUnit, err := pushmulticast.DecodeRunSpec(unit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onWorker, err := fromUnit.Resolve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]pushmulticast.ResolvedRun{"campaign body": runs[0], "shard unit": onWorker} {
+				if got.Identity() != want.Identity() || !reflect.DeepEqual(got.Config, want.Config) {
+					t.Errorf("%s resolved a different run:\n got  %+v\n want %+v", name, got.Config, want.Config)
+				}
+			}
+		})
+	}
+}
+
+// TestClearRunMemoForcesResimulation pins what the journal must not do: a
+// record committed during this process's lifetime never short-circuits a
+// simulation. After ClearRunMemo the same campaign simulates again and says
+// so ("cached":false) — only the startup recovery set serves without running.
+func TestClearRunMemoForcesResimulation(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	if _, recs, _ := postCampaign(t, ts.URL, tiny16); len(recs) != 1 || recs[0].Error != "" {
+		t.Fatalf("first campaign: %+v", recs)
+	}
+	pushmulticast.ClearRunMemo()
+	_, recs, sum := postCampaign(t, ts.URL, tiny16)
+	if len(recs) != 1 || recs[0].Cached || sum.Cached != 0 {
+		t.Fatalf("campaign after ClearRunMemo was served without simulating: recs %+v summary %+v", recs, sum)
+	}
+	if st := pushmulticast.RunMemoStats(); st.Misses != 1 {
+		t.Fatalf("memo misses after the clear = %d; want 1 fresh simulation", st.Misses)
 	}
 }
 

@@ -1,327 +1,115 @@
 // Package serve is the simd campaign service: an HTTP/JSON front end over
 // the simulation harness. A campaign names a machine scale, a set of schemes,
-// and a set of workloads; the service expands the cross product into runs,
-// deduplicates them through the campaign run memo (identical concurrent
-// requests share one simulation), schedules them across a bounded worker
-// pool with fair per-tenant queueing, and streams per-run results back as
-// NDJSON. Completed results are cached by deterministic run identity, so a
-// repeated campaign is served without re-simulating.
+// and a set of workloads; the service expands the cross product into run
+// descriptions (pushmulticast.RunSpec), resolves each through the one
+// validator, deduplicates them through the campaign run memo (identical
+// concurrent requests share one simulation), schedules them across a bounded
+// worker pool with fair per-tenant queueing, and streams per-run results back
+// as NDJSON. Completed results are journaled by deterministic run identity,
+// so a repeated campaign is served without re-simulating.
 package serve
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 
 	"pushmulticast"
 )
 
 // CampaignSpec is the POST /campaigns request body. The cross product
-// Schemes × Workloads expands into one run each; every field is validated up
-// front, before any run is scheduled, and every rejection is a one-line
-// diagnostic (the same contract the CLI tools keep) returned as HTTP 400.
+// Schemes × Workloads expands into one run each; every other run field is
+// shared (see pushmulticast.RunSpec for their meaning). The whole spec is
+// validated up front, before any run is scheduled, and every rejection is a
+// one-line diagnostic (the same contract the CLI tools keep) returned as
+// HTTP 400.
 type CampaignSpec struct {
 	// Tenant names the fair-queueing bucket this campaign's runs wait in;
 	// empty selects "default". Tenants round-robin for worker slots, so one
 	// tenant's burst cannot starve another's interactive run.
 	Tenant string `json:"tenant"`
-	// Cores is the machine size: 16, 64, or 256. 0 selects 16.
-	Cores int `json:"cores"`
-	// Scale is the workload input sizing: "tiny", "quick" (default), or
-	// "full". Non-full scales pair with quick-scaled caches, preserving the
-	// paper's pressure ratios.
-	Scale string `json:"scale"`
+	Cores  int    `json:"cores"`
+	Scale  string `json:"scale"`
 	// Schemes lists the design points to run (see the pushsim -scheme flag;
 	// case-insensitive). Empty is rejected.
 	Schemes []string `json:"schemes"`
 	// Workloads lists the workload set; collective workloads accept
 	// parameters. Empty is rejected.
-	Workloads []WorkloadSpec `json:"workloads"`
-	// SimWorkers runs each simulation on the parallel tick executor with
-	// this many workers (0 or 1 = serial; results are byte-identical).
-	// Values above the host's processor count are clamped.
-	SimWorkers int `json:"sim_workers"`
-	// Check enables the runtime invariant checker on every run.
-	Check bool `json:"check"`
-	// TraceN retains the last N causal trace events per run and reports the
-	// trace identity (hash and event count) in each result line.
-	TraceN int `json:"trace_n"`
-	// Faults optionally arms the deterministic fault-injection layer.
-	Faults *FaultSpec `json:"faults"`
-	// WarmStart names an uploaded snapshot (the id returned by
-	// POST /snapshots) to fork every run from instead of running cold. The
-	// snapshot's config must match each run's, or differ only in tuning
-	// knobs; mismatches surface as per-run errors.
-	WarmStart string `json:"warm_start"`
-	// Knobs overrides tuning parameters on every run's configuration.
-	Knobs *KnobSpec `json:"knobs"`
+	Workloads  []pushmulticast.WorkloadSpec `json:"workloads"`
+	SimWorkers int                          `json:"sim_workers"`
+	Check      bool                         `json:"check"`
+	TraceN     int                          `json:"trace_n"`
+	Faults     *pushmulticast.FaultSpec     `json:"faults"`
+	WarmStart  string                       `json:"warm_start"`
+	Knobs      *pushmulticast.KnobSpec      `json:"knobs"`
 }
 
-// WorkloadSpec names one workload of a campaign. The parameter fields apply
-// only to the collective family ("allreduce", "broadcast", "reducescatter",
-// "prodcons"); setting any of them on a registry workload is rejected.
-type WorkloadSpec struct {
-	Name         string `json:"name"`
-	Sharers      int    `json:"sharers"`
-	Fanout       int    `json:"fanout"`
-	ChunkLines   int    `json:"chunk_lines"`
-	PayloadLines int    `json:"payload_lines"`
-	Iters        int    `json:"iters"`
+// tenantOrDefault resolves a request's fair-queueing bucket.
+func tenantOrDefault(tenant string) string {
+	if tenant == "" {
+		return "default"
+	}
+	return tenant
 }
 
-// FaultSpec arms fault injection for every run of the campaign: a generated
-// chaos plan (Intensity in (0,1]), a lossy-interconnect plan
-// (LossyPerMille), or both. The same seed and rates produce byte-identical
-// fault schedules.
-type FaultSpec struct {
-	Intensity     float64 `json:"intensity"`
-	LossyPerMille int     `json:"lossy_per_mille"`
-	Seed          uint64  `json:"seed"`
-}
-
-// KnobSpec overrides tuning knobs on every run. Zero fields keep the
-// configuration's defaults.
-type KnobSpec struct {
-	TPCThreshold     int `json:"tpc_threshold"`
-	TimeWindow       int `json:"time_window"`
-	CoalesceWindow   int `json:"coalesce_window"`
-	LinkWidthBits    int `json:"link_width_bits"`
-	RetryWindow      int `json:"retry_window"`
-	RetryTimeout     int `json:"retry_timeout"`
-	MaxRetries       int `json:"max_retries"`
-	MSHRRetryTimeout int `json:"mshr_retry_timeout"`
-}
-
-// runSpec is one fully resolved run of an expanded campaign.
-type runSpec struct {
-	id       string // deterministic run identity (memo key hash)
-	scheme   string
-	workload string
-	cfg      pushmulticast.Config
-	wl       pushmulticast.Workload
-	sc       pushmulticast.Scale
-	snap     []byte       // warm-start donor, nil for cold runs
-	ws       WorkloadSpec // source workload entry, for re-specing one run
-}
-
-// decodeSpec parses a campaign body strictly: unknown fields are rejected so
-// a typo'd knob can never silently run a different campaign than the caller
-// meant. Every error is one line.
-func decodeSpec(r io.Reader) (CampaignSpec, error) {
-	var spec CampaignSpec
+// decodeStrict parses a request body strictly: unknown fields are rejected
+// so a typo'd knob can never silently run a different campaign than the
+// caller meant. Every error is one line, prefixed with what was being read.
+func decodeStrict(r io.Reader, what string, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("campaign spec: %v", oneLine(err))
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s: %v", what, oneLine(err))
 	}
-	return spec, nil
+	return nil
 }
 
-// expand validates the spec and resolves its scheme × workload cross product
-// into concrete runs. All validation happens here, before anything is
-// scheduled: a campaign either queues whole or is rejected whole with a
-// one-line diagnostic. lookupSnap resolves a warm-start snapshot id.
-func expand(spec CampaignSpec, lookupSnap func(id string) ([]byte, bool)) ([]runSpec, error) {
-	if len(spec.Schemes) == 0 {
-		return nil, fmt.Errorf("campaign spec: no schemes listed")
-	}
-	if len(spec.Workloads) == 0 {
-		return nil, fmt.Errorf("campaign spec: no workloads listed")
-	}
-	cores := spec.Cores
-	if cores == 0 {
-		cores = 16
-	}
-	sc, err := parseScale(spec.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("campaign spec: %v", err)
-	}
-	if spec.SimWorkers < 0 {
-		return nil, fmt.Errorf("campaign spec: sim_workers %d is negative", spec.SimWorkers)
-	}
-	if spec.TraceN < 0 {
-		return nil, fmt.Errorf("campaign spec: trace_n %d is negative", spec.TraceN)
-	}
-	simWorkers := spec.SimWorkers
-	if max := runtime.GOMAXPROCS(0); simWorkers > max {
-		simWorkers = max
-	}
-	var snap []byte
-	if spec.WarmStart != "" {
-		var ok bool
-		if snap, ok = lookupSnap(spec.WarmStart); !ok {
-			return nil, fmt.Errorf("campaign spec: warm_start snapshot %q not found (upload it via POST /snapshots first)", spec.WarmStart)
-		}
-	}
-	var runs []runSpec
-	for _, schemeName := range spec.Schemes {
-		sch, err := pushmulticast.SchemeByName(schemeName)
-		if err != nil {
-			return nil, fmt.Errorf("campaign spec: %v", err)
-		}
-		cfg, err := buildConfig(cores, sch, sc, spec, simWorkers)
-		if err != nil {
-			return nil, fmt.Errorf("campaign spec: %v", err)
-		}
+// expand is the campaign's scheme × workload product of run descriptions, in
+// scheme-major order.
+func (spec CampaignSpec) expand() []pushmulticast.RunSpec {
+	specs := make([]pushmulticast.RunSpec, 0, len(spec.Schemes)*len(spec.Workloads))
+	for _, scheme := range spec.Schemes {
 		for _, ws := range spec.Workloads {
-			wl, err := resolveWorkload(ws)
-			if err != nil {
-				return nil, fmt.Errorf("campaign spec: %v", err)
-			}
-			if wl.Validate != nil {
-				// Parameter consistency depends on the machine's core count;
-				// reject here, before anything is scheduled, not mid-stream.
-				if err := wl.Validate(cfg.Tiles()); err != nil {
-					return nil, fmt.Errorf("campaign spec: %v", oneLine(err))
-				}
-			}
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("campaign spec: %v", oneLine(err))
-			}
-			runs = append(runs, runSpec{
-				id:       pushmulticast.RunIdentity(cfg, wl, sc, snap),
-				scheme:   sch.Name,
-				workload: wl.Name,
-				cfg:      cfg,
-				wl:       wl,
-				sc:       sc,
-				snap:     snap,
-				ws:       ws,
+			specs = append(specs, pushmulticast.RunSpec{
+				Cores: spec.Cores, Scale: spec.Scale, Scheme: scheme, Workload: ws,
+				SimWorkers: spec.SimWorkers, Check: spec.Check, TraceN: spec.TraceN,
+				Faults: spec.Faults, WarmStart: spec.WarmStart, Knobs: spec.Knobs,
 			})
 		}
 	}
-	return runs, nil
+	return specs
 }
 
-// buildConfig assembles one scheme's machine configuration from the spec.
-func buildConfig(cores int, sch pushmulticast.Scheme, sc pushmulticast.Scale, spec CampaignSpec, simWorkers int) (pushmulticast.Config, error) {
-	var cfg pushmulticast.Config
-	switch cores {
-	case 16:
-		cfg = pushmulticast.Default16()
-	case 64:
-		cfg = pushmulticast.Default64()
-	case 256:
-		cfg = pushmulticast.Default256()
-	default:
-		return cfg, fmt.Errorf("unsupported core count %d (use 16, 64, or 256)", cores)
+// resolve validates the campaign and resolves every run of it. A campaign
+// either resolves whole or is rejected whole with a one-line diagnostic;
+// naming one run identity twice is a rejection too, because a coordinator
+// merges by identity and would stream fewer records than a local daemon.
+// lookupSnap resolves a warm-start snapshot id.
+func (spec CampaignSpec) resolve(lookupSnap func(id string) ([]byte, bool)) ([]pushmulticast.RunSpec, []pushmulticast.ResolvedRun, error) {
+	if len(spec.Schemes) == 0 {
+		return nil, nil, fmt.Errorf("campaign spec: no schemes listed")
 	}
-	cfg = cfg.WithScheme(sch)
-	if sc != pushmulticast.ScaleFull {
-		cfg = pushmulticast.ScaledConfig(cfg)
+	if len(spec.Workloads) == 0 {
+		return nil, nil, fmt.Errorf("campaign spec: no workloads listed")
 	}
-	cfg.ParallelWorkers = simWorkers
-	cfg.Check = spec.Check
-	cfg.TraceN = spec.TraceN
-	if k := spec.Knobs; k != nil {
-		if k.TPCThreshold != 0 {
-			cfg.TPCThreshold = k.TPCThreshold
-		}
-		if k.TimeWindow != 0 {
-			cfg.TimeWindow = k.TimeWindow
-		}
-		if k.CoalesceWindow != 0 {
-			cfg.CoalesceWindow = k.CoalesceWindow
-		}
-		if k.LinkWidthBits != 0 {
-			cfg.NoC.LinkWidthBits = k.LinkWidthBits
-		}
-		if k.RetryWindow != 0 {
-			cfg.NoC.RetryWindow = k.RetryWindow
-		}
-		if k.RetryTimeout != 0 {
-			cfg.NoC.RetryTimeout = k.RetryTimeout
-		}
-		if k.MaxRetries != 0 {
-			cfg.NoC.MaxRetries = k.MaxRetries
-		}
-		if k.MSHRRetryTimeout != 0 {
-			cfg.MSHRRetryTimeout = k.MSHRRetryTimeout
-		}
-	}
-	if f := spec.Faults; f != nil {
-		plan, err := buildFaultPlan(cfg.Tiles(), *f)
+	specs := spec.expand()
+	runs := make([]pushmulticast.ResolvedRun, len(specs))
+	first := make(map[string]int, len(specs))
+	for i, rs := range specs {
+		run, err := rs.Resolve(lookupSnap)
 		if err != nil {
-			return cfg, err
+			return nil, nil, fmt.Errorf("campaign spec: %w", err)
 		}
-		cfg.Faults = plan
+		if j, dup := first[run.Identity()]; dup {
+			n := len(spec.Workloads)
+			return nil, nil, fmt.Errorf("campaign spec: schemes[%d] x workloads[%d] (%s/%s) names the same run as schemes[%d] x workloads[%d] (%s/%s)",
+				i/n, i%n, rs.Scheme, rs.Workload.Name, j/n, j%n, specs[j].Scheme, specs[j].Workload.Name)
+		}
+		first[run.Identity()] = i
+		runs[i] = run
 	}
-	return cfg, nil
-}
-
-// buildFaultPlan mirrors the CLI's fault-source resolution: a chaos plan, a
-// lossy plan, or both merged (the chaos generator never emits lossy kinds,
-// so the merge cannot stack windows on one component).
-func buildFaultPlan(tiles int, f FaultSpec) (*pushmulticast.FaultPlan, error) {
-	if f.Intensity < 0 || f.Intensity > 1 {
-		return nil, fmt.Errorf("fault intensity %g outside [0,1]", f.Intensity)
-	}
-	if f.LossyPerMille < 0 || f.LossyPerMille > 1000 {
-		return nil, fmt.Errorf("lossy rate %d per mille outside [0,1000]", f.LossyPerMille)
-	}
-	seed := f.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var plan pushmulticast.FaultPlan
-	if f.Intensity > 0 {
-		plan = pushmulticast.GenerateFaultPlan(tiles, seed, f.Intensity)
-	}
-	if f.LossyPerMille > 0 {
-		lp := pushmulticast.GenerateLossyPlan(tiles, seed, f.LossyPerMille)
-		plan.Seed = lp.Seed
-		plan.Faults = append(plan.Faults, lp.Faults...)
-	}
-	if len(plan.Faults) == 0 {
-		return nil, nil
-	}
-	return &plan, nil
-}
-
-// resolveWorkload maps a WorkloadSpec to a workload value: plain registry
-// names resolve unchanged, and any set collective parameter requires the
-// name to be a collective.
-func resolveWorkload(ws WorkloadSpec) (pushmulticast.Workload, error) {
-	p := pushmulticast.CollectiveParams{
-		Sharers: ws.Sharers, Fanout: ws.Fanout, ChunkLines: ws.ChunkLines,
-		PayloadLines: ws.PayloadLines, Iters: ws.Iters,
-	}
-	if p == (pushmulticast.CollectiveParams{}) {
-		return pushmulticast.WorkloadByName(ws.Name)
-	}
-	wl, err := pushmulticast.CollectiveWorkload(ws.Name, p)
-	if err != nil {
-		return pushmulticast.Workload{}, fmt.Errorf("collective parameters set: %v", err)
-	}
-	return wl, nil
-}
-
-func parseScale(s string) (pushmulticast.Scale, error) {
-	switch strings.ToLower(s) {
-	case "tiny":
-		return pushmulticast.ScaleTiny, nil
-	case "quick", "":
-		return pushmulticast.ScaleQuick, nil
-	case "full":
-		return pushmulticast.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (use tiny, quick, or full)", s)
-}
-
-// unitSpec rebuilds one expanded run as a self-contained single-run campaign
-// spec — the dispatch payload a worker replica expands back to the identical
-// RunIdentity (same schema, same validation, same memo key).
-func unitSpec(spec CampaignSpec, rs runSpec) (json.RawMessage, error) {
-	single := spec
-	single.Schemes = []string{rs.scheme}
-	single.Workloads = []WorkloadSpec{rs.ws}
-	raw, err := json.Marshal(single)
-	if err != nil {
-		return nil, fmt.Errorf("run %s: re-spec: %v", rs.id, err)
-	}
-	return raw, nil
+	return specs, runs, nil
 }
 
 // oneLine flattens an error message onto one line, preserving the service's

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"pushmulticast"
-	"pushmulticast/internal/shard"
 )
 
 // snapStore holds uploaded warm-start donor snapshots, keyed by their FNV-1a
@@ -74,55 +73,7 @@ func (st *snapStore) len() int {
 	return st.lru.Len()
 }
 
-// runRecord is one completed run as served by GET /runs/{id} and carried on
-// the campaign stream. The schema lives in internal/shard so coordinator,
-// worker, and journal all speak the identical record.
-type runRecord = shard.RunRecord
-
-// runStore caches completed run records by identity, LRU-bounded. Records
-// are tiny (aggregates, not machine state), but unbounded growth is still a
-// leak on a daemon serving millions of distinct runs.
-type runStore struct {
-	mu  sync.Mutex
-	m   map[string]*list.Element
-	lru *list.List
-	cap int
-}
-
-func newRunStore(capacity int) *runStore {
-	return &runStore{m: make(map[string]*list.Element), lru: list.New(), cap: capacity}
-}
-
-// put stores a completed (successful) run record.
-func (st *runStore) put(rec runRecord) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e, ok := st.m[rec.ID]; ok {
-		e.Value = rec
-		st.lru.MoveToFront(e)
-		return
-	}
-	st.m[rec.ID] = st.lru.PushFront(rec)
-	for st.lru.Len() > st.cap {
-		back := st.lru.Back()
-		st.lru.Remove(back)
-		delete(st.m, back.Value.(runRecord).ID)
-	}
-}
-
-func (st *runStore) get(id string) (runRecord, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.m[id]
-	if !ok {
-		return runRecord{}, false
-	}
-	st.lru.MoveToFront(e)
-	return e.Value.(runRecord), true
-}
-
-func (st *runStore) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.lru.Len()
-}
+// runRecord is one completed run as served by GET /runs/{id}, carried on the
+// campaign stream, journaled, and returned to a coordinator: the one wire
+// record.
+type runRecord = pushmulticast.RunRecord

@@ -12,6 +12,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pushmulticast"
+	"pushmulticast/internal/snapshot"
 )
 
 // Options configures a shard coordinator. Zero values select defaults sized
@@ -52,7 +55,7 @@ type Options struct {
 	// Local executes one run in-process — the bottom of the degradation
 	// ladder, used when no replica is healthy or a shard exhausted its
 	// retries. Required.
-	Local func(ctx context.Context, u Unit) RunRecord
+	Local func(ctx context.Context, tenant string, u Unit) RunRecord
 	// Logf reports recoveries, reassignments, and degradations loudly
 	// (nil = silent).
 	Logf func(format string, args ...any)
@@ -173,14 +176,17 @@ func (c *Coordinator) Close() {
 // Journal returns the coordinator's journal (for metrics and tests).
 func (c *Coordinator) Journal() *Journal { return c.journal }
 
-// RunStats summarizes one campaign's trip through the coordinator.
+// RunStats summarizes one campaign's trip through the coordinator: how many
+// shards it split into, how many runs were recovered from the journal versus
+// freshly computed, and what the fault-tolerance machinery had to do to get
+// them. The tags are the campaign summary line's keys.
 type RunStats struct {
-	Shards        int
-	Recovered     int // runs served from the journal without dispatch
-	Recomputed    int // runs freshly computed (dispatched or degraded)
-	Retries       int
-	Reassigned    int
-	DegradedLocal int // shards executed in-process
+	Shards        int `json:"shards,omitempty"`
+	Recovered     int `json:"recovered,omitempty"`  // runs served from the journal without dispatch
+	Recomputed    int `json:"recomputed,omitempty"` // runs freshly computed (dispatched or degraded)
+	Retries       int `json:"shard_retries,omitempty"`
+	Reassigned    int `json:"shard_reassigned,omitempty"`
+	DegradedLocal int `json:"degraded_local,omitempty"` // shards executed in-process
 }
 
 // Run distributes a campaign's units across the replica set and streams
@@ -218,7 +224,7 @@ func (c *Coordinator) Run(ctx context.Context, tenant string, units []Unit, snap
 
 	snapHash := uint64(0)
 	if len(snap) > 0 {
-		snapHash = contentHash(snap)
+		snapHash = snapshot.Hash(snap)
 	}
 
 	// Chunk the pending units into shards and dispatch them over a bounded
@@ -274,16 +280,11 @@ func (c *Coordinator) Run(ctx context.Context, tenant string, units []Unit, snap
 	mu.Lock()
 	defer mu.Unlock()
 	for _, u := range units {
-		if emitted[u.RunID] {
-			continue
+		if !emitted[u.RunID] {
+			emitted[u.RunID] = true
+			st.Recomputed++
+			emit(canceledRecords(ctx, []Unit{u})[0], false)
 		}
-		emitted[u.RunID] = true
-		st.Recomputed++
-		emit(RunRecord{
-			ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload,
-			Error:    fmt.Sprintf("shard: campaign canceled: %v", context.Cause(ctx)),
-			Canceled: true,
-		}, false)
 	}
 	return st
 }
@@ -305,7 +306,7 @@ func (c *Coordinator) runShard(ctx context.Context, sid, tenant string, units []
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if ctx.Err() != nil {
-			return c.canceledRecords(ctx, units), out
+			return canceledRecords(ctx, units), out
 		}
 		w := c.pick(prev)
 		if w == nil {
@@ -320,7 +321,7 @@ func (c *Coordinator) runShard(ctx context.Context, sid, tenant string, units []
 				c.opts.Logf("shard %s: reassigned to %s after %v", sid, w.url, lastErr)
 			}
 			if !c.backoff(ctx, attempt) {
-				return c.cancelledOrLocal(ctx, units, &out)
+				return c.cancelledOrLocal(ctx, tenant, units, &out)
 			}
 		}
 		recs, retryable, err := c.dispatch(ctx, w, sid, tenant, units, snap, snapHash)
@@ -330,54 +331,39 @@ func (c *Coordinator) runShard(ctx context.Context, sid, tenant string, units []
 		lastErr = err
 		if !retryable {
 			c.opts.Logf("shard %s: permanent dispatch failure on %s: %v", sid, w.url, err)
-			return c.errorRecords(units, err), out
+			return failedRecords(units, fmt.Sprintf("shard: %v", err), false), out
 		}
 		prev = w
 	}
-	return c.cancelledOrLocal(ctx, units, &out)
+	return c.cancelledOrLocal(ctx, tenant, units, &out)
 }
 
 // cancelledOrLocal is the ladder's bottom: canceled records when the
 // campaign context fired, local execution otherwise.
-func (c *Coordinator) cancelledOrLocal(ctx context.Context, units []Unit, out *shardOutcome) ([]RunRecord, shardOutcome) {
+func (c *Coordinator) cancelledOrLocal(ctx context.Context, tenant string, units []Unit, out *shardOutcome) ([]RunRecord, shardOutcome) {
 	if ctx.Err() != nil {
-		return c.cancelledRecordsOut(ctx, units, out)
+		return canceledRecords(ctx, units), *out
 	}
 	out.degraded = true
 	c.degradedLocal.Add(1)
 	c.opts.Logf("shard: no healthy replica (or retries exhausted) for %d runs; degrading to local execution", len(units))
 	recs := make([]RunRecord, 0, len(units))
 	for _, u := range units {
-		recs = append(recs, c.opts.Local(ctx, u))
+		recs = append(recs, c.opts.Local(ctx, tenant, u))
 	}
 	return recs, *out
 }
 
-func (c *Coordinator) cancelledRecordsOut(ctx context.Context, units []Unit, out *shardOutcome) ([]RunRecord, shardOutcome) {
-	return c.canceledRecords(ctx, units), *out
-}
-
 // canceledRecords synthesizes a canceled record per unit.
-func (c *Coordinator) canceledRecords(ctx context.Context, units []Unit) []RunRecord {
-	recs := make([]RunRecord, 0, len(units))
-	for _, u := range units {
-		recs = append(recs, RunRecord{
-			ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload,
-			Error:    fmt.Sprintf("shard: campaign canceled: %v", context.Cause(ctx)),
-			Canceled: true,
-		})
-	}
-	return recs
+func canceledRecords(ctx context.Context, units []Unit) []RunRecord {
+	return failedRecords(units, fmt.Sprintf("shard: campaign canceled: %v", context.Cause(ctx)), true)
 }
 
-// errorRecords synthesizes an error record per unit.
-func (c *Coordinator) errorRecords(units []Unit, err error) []RunRecord {
-	recs := make([]RunRecord, 0, len(units))
-	for _, u := range units {
-		recs = append(recs, RunRecord{
-			ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload,
-			Error: fmt.Sprintf("shard: %v", err),
-		})
+// failedRecords synthesizes one failed (or canceled) record per unit.
+func failedRecords(units []Unit, msg string, canceled bool) []RunRecord {
+	recs := make([]RunRecord, len(units))
+	for i, u := range units {
+		recs[i] = RunRecord{ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload, Error: msg, Canceled: canceled}
 	}
 	return recs
 }
@@ -632,9 +618,9 @@ func (c *Coordinator) Metrics() Metrics {
 	sorted := append([]uint64(nil), c.waits...)
 	c.waitMu.Unlock()
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	m.ShardWaitP50Ns = quantile(sorted, 0.50)
-	m.ShardWaitP90Ns = quantile(sorted, 0.90)
-	m.ShardWaitP99Ns = quantile(sorted, 0.99)
+	m.ShardWaitP50Ns = pushmulticast.Quantile(sorted, 0.50)
+	m.ShardWaitP90Ns = pushmulticast.Quantile(sorted, 0.90)
+	m.ShardWaitP99Ns = pushmulticast.Quantile(sorted, 0.99)
 	return m
 }
 
@@ -649,39 +635,4 @@ func chunk(units []Unit, size int) [][]Unit {
 		out = append(out, units)
 	}
 	return out
-}
-
-// contentHash is the snapshot content identity (FNV-1a), mirroring the
-// harness's SnapshotHash without importing the root package.
-func contentHash(data []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
-// quantile returns the q-quantile of sorted samples with linear
-// interpolation (the harness's Quantile, duplicated to keep this package
-// free of the root import cycle).
-func quantile(sorted []uint64, q float64) uint64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	a, b := float64(sorted[lo]), float64(sorted[lo+1])
-	return uint64(a + (b-a)*frac + 0.5)
 }

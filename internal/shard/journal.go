@@ -104,9 +104,6 @@ func OpenJournal(path string) (*Journal, error) {
 // Path returns the journal's backing file path ("" for memory-only).
 func (j *Journal) Path() string { return j.path }
 
-// Persistent reports whether the journal survives the process.
-func (j *Journal) Persistent() bool { return j.path != "" }
-
 // Lookup returns the journaled record for a run identity.
 func (j *Journal) Lookup(id string) (RunRecord, bool) {
 	j.mu.Lock()

@@ -17,35 +17,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"pushmulticast"
 )
 
 // RunRecord is one completed (or failed) run as it travels between worker
-// and coordinator and over the campaign NDJSON stream. The schema is shared
-// with the simd service's per-run response lines and GET /runs records.
-type RunRecord struct {
-	ID           string  `json:"id"`
-	Scheme       string  `json:"scheme"`
-	Workload     string  `json:"workload"`
-	Cycles       uint64  `json:"cycles,omitempty"`
-	Instructions uint64  `json:"instructions,omitempty"`
-	IPC          float64 `json:"ipc,omitempty"`
-	L1MPKI       float64 `json:"l1_mpki,omitempty"`
-	L2MPKI       float64 `json:"l2_mpki,omitempty"`
-	NoCFlits     uint64  `json:"noc_flits,omitempty"`
-	// Cached is true when the run was served without simulating for this
-	// response: a memo hit on a worker, or a journal recovery on the
-	// coordinator. The coordinator clears it on freshly dispatched records so
-	// a distributed campaign's lines compare byte-identical to an
-	// undistributed first run.
-	Cached bool `json:"cached"`
-	// TraceHash/TraceEvents identify the causal event history when tracing
-	// was on; equal values mean identical histories.
-	TraceHash   string `json:"trace_hash,omitempty"`
-	TraceEvents uint64 `json:"trace_events,omitempty"`
-	// Error carries a failed or canceled run's one-line diagnostic.
-	Error    string `json:"error,omitempty"`
-	Canceled bool   `json:"canceled,omitempty"`
-}
+// and coordinator, into the journal, and over the campaign NDJSON stream: the
+// simulator's one wire record.
+type RunRecord = pushmulticast.RunRecord
 
 // sameOutcome reports whether two records for one run identity agree on the
 // simulation outcome. Determinism guarantees they must; a disagreement means
@@ -61,7 +40,8 @@ func sameOutcome(a, b RunRecord) bool {
 
 // Unit is one run of a campaign as the coordinator dispatches it: the run's
 // deterministic identity (the dedup and journal key), its display names, and
-// a self-contained single-run campaign spec a worker replica can execute.
+// the run's description (a pushmulticast.RunSpec's JSON) that a worker
+// replica resolves to the same identity and executes.
 type Unit struct {
 	RunID    string
 	Scheme   string
@@ -70,8 +50,7 @@ type Unit struct {
 }
 
 // Request is the POST /shards body a coordinator sends a worker replica: a
-// shard identity plus the member runs, each a complete single-run campaign
-// spec (the same schema as POST /campaigns).
+// shard identity plus the member runs, each one run description.
 type Request struct {
 	ShardID string            `json:"shard_id"`
 	Tenant  string            `json:"tenant,omitempty"`

@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pushmulticast/internal/snapshot"
 )
 
 // TestShardID pins the shard identity contract: order-insensitive over the
@@ -243,7 +245,7 @@ func fastOptions(workers ...string) Options {
 		BackoffMax:     5 * time.Millisecond,
 		HealthInterval: 25 * time.Millisecond,
 		ProbeTimeout:   250 * time.Millisecond,
-		Local: func(ctx context.Context, u Unit) RunRecord {
+		Local: func(ctx context.Context, tenant string, u Unit) RunRecord {
 			return RunRecord{ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload,
 				Cycles: fakeCycles(u.RunID), TraceHash: "0x" + u.RunID}
 		},
@@ -482,7 +484,7 @@ func TestCoordinatorSnapshotUpload(t *testing.T) {
 	// Pretend the donor was already sent so the first dispatch skips the
 	// upload and hits the 409.
 	c2.replicas[0].mu.Lock()
-	c2.replicas[0].snapSent = contentHash(snap)
+	c2.replicas[0].snapSent = snapshot.Hash(snap)
 	c2.replicas[0].mu.Unlock()
 	got2, _ := runUnits(t, c2, []Unit{fakeUnit("z")}, snap)
 	if rec := got2["z"]; rec.Error != "" {

@@ -256,14 +256,9 @@ func RunWorkload(cfg Config, wl Workload, sc Scale) (Results, error) {
 // wrapped ErrCanceled. Cancellation never changes what any simulated cycle
 // computes — only where the run stops — so determinism is unaffected.
 func RunWorkloadCtx(ctx context.Context, cfg Config, wl Workload, sc Scale) (Results, error) {
-	sys, err := core.Build(cfg, wl, sc)
+	m, err := NewMachine(cfg, wl, sc)
 	if err != nil {
 		return Results{}, err
 	}
-	res, err := sys.RunCtx(ctx, 0)
-	if err != nil {
-		return Results{}, err
-	}
-	res.Workload = wl.Name
-	return res, nil
+	return m.FinishCtx(ctx)
 }

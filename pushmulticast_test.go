@@ -88,7 +88,10 @@ func TestTableRendering(t *testing.T) {
 
 func TestTables(t *testing.T) {
 	o := tinyOpts()
-	t1 := TableI(o)
+	t1, err := TableI(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(t1, "4x4 tiles") || !strings.Contains(t1, "TPC threshold") {
 		t.Errorf("Table I incomplete:\n%s", t1)
 	}
@@ -351,20 +354,45 @@ func TestExpOptionsDefaults(t *testing.T) {
 	if o.Cores != 16 || o.Parallelism < 1 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	if o.baseConfig().Tiles() != 16 {
+	base := func(o ExpOptions) Config {
+		cfg, err := o.withDefaults().baseConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	if base(o).Tiles() != 16 {
 		t.Fatal("default config not 16 tiles")
 	}
-	o64 := ExpOptions{Cores: 64}.withDefaults()
-	if o64.baseConfig().Tiles() != 64 {
+	if base(ExpOptions{Cores: 64}).Tiles() != 64 {
 		t.Fatal("64-core config not 64 tiles")
 	}
-	full := ExpOptions{Scale: ScaleFull}.withDefaults()
-	if full.baseConfig().L2Size != Default16().L2Size {
+	if base(ExpOptions{Scale: ScaleFull}).L2Size != Default16().L2Size {
 		t.Fatal("full scale must keep Table I caches")
 	}
-	quick := ExpOptions{Scale: ScaleQuick}.withDefaults()
-	if quick.baseConfig().L2Size >= Default16().L2Size {
+	if base(ExpOptions{Scale: ScaleQuick}).L2Size >= Default16().L2Size {
 		t.Fatal("quick scale must shrink caches")
+	}
+}
+
+// TestExpOptionsCores pins the one machine constructor behind the figures:
+// a core count it does not know is a one-line error from a figure and from
+// Table I — it used to simulate 16 cores under an "(N cores)" title — and
+// 256 is the 16x16 mesh.
+func TestExpOptionsCores(t *testing.T) {
+	for name, call := range map[string]func(ExpOptions) error{
+		"Fig11":  func(o ExpOptions) error { _, err := Fig11(o); return err },
+		"Fig14":  func(o ExpOptions) error { _, err := Fig14(o); return err },
+		"TableI": func(o ExpOptions) error { _, err := TableI(o); return err },
+	} {
+		err := call(ExpOptions{Scale: ScaleTiny, Cores: 48})
+		if err == nil || !strings.Contains(err.Error(), "unsupported core count 48") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s with 48 cores: %v; want a one-line unsupported-core-count error", name, err)
+		}
+	}
+	t1, err := TableI(ExpOptions{Cores: 256})
+	if err != nil || !strings.Contains(t1, "16x16 tiles") {
+		t.Errorf("Table I at 256 cores: %v\n%s", err, t1)
 	}
 }
 
