@@ -8,12 +8,6 @@
 // dense reference mode that ticks every component every cycle. Both runs
 // report simulated cycles per wall second and allocations per run.
 //
-// With -mode parallel it instead sweeps the parallel tick executor across
-// worker counts (and core counts, including the 256-core 16x16 mesh) against
-// the serial sparse kernel and emits the BENCH_parallel.json scaling curve,
-// including the executor's own scheduling counters: barrier crossings per
-// cycle and the reduction batched dispatch achieves over per-lane dispatch.
-//
 // With -allocgate FILE it re-measures the wake-driven kernel's allocations
 // per op and exits non-zero when they regressed more than 5% over the
 // committed budget in FILE (BENCH_kernel.json's wake_driven.allocs_per_op) —
@@ -26,7 +20,7 @@
 //
 //	go run ./cmd/bench                    # writes BENCH_kernel.json
 //	go run ./cmd/bench -o - -benchtime 10x
-//	go run ./cmd/bench -mode parallel -workers 1,2,4 -cores 64,256
+//	go run ./cmd/bench -mode warmstart    # writes BENCH_snapshot.json
 //	go run ./cmd/bench -allocgate BENCH_kernel.json
 //	go run ./cmd/bench -cpuprofile cpu.pprof -benchtime 3x
 package main
@@ -37,8 +31,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"pushmulticast"
@@ -91,47 +83,13 @@ type report struct {
 	AllocReductionX    float64 `json:"alloc_reduction_vs_seed_x"`
 }
 
-// parallelEntry is one point of the scaling curve: the parallel executor at
-// one worker count, with its scheduling-work counters.
-type parallelEntry struct {
-	Workers int         `json:"workers"`
-	Run     measurement `json:"run"`
-	// Exec is the executor's scheduling record for the measured run.
-	Exec pushmulticast.ExecStats `json:"exec"`
-	// CrossingsPerCycle is the barrier-and-claim scheduling operations per
-	// executor cycle; BatchingReductionX is how many times fewer of them
-	// batched dispatch performed than per-lane dispatch would have.
-	CrossingsPerCycle     float64 `json:"crossings_per_cycle"`
-	BatchingReductionX    float64 `json:"batching_reduction_x"`
-	SpeedupVsSerialSparse float64 `json:"speedup_vs_serial_sparse"`
-}
-
-// machineCurve is the scaling curve on one core count.
-type machineCurve struct {
-	Cores        int             `json:"cores"`
-	Workload     string          `json:"workload"`
-	SerialSparse measurement     `json:"serial_sparse"`
-	Parallel     []parallelEntry `json:"parallel"`
-}
-
-// parallelReport is the BENCH_parallel.json schema: the serial sparse kernel
-// against the parallel tick executor, swept over worker and core counts.
-type parallelReport struct {
-	Benchmark  string   `json:"benchmark"`
-	GoOS       string   `json:"goos"`
-	GoArch     string   `json:"goarch"`
-	NumCPU     int      `json:"num_cpu"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Notes      []string `json:"notes"`
-
-	Machines []machineCurve `json:"machines"`
-}
-
-// benchConfig runs one configuration under testing's benchmark harness and
-// returns the measurement plus the last run's executor counters.
-func benchConfig(label string, cfg pushmulticast.Config) (measurement, pushmulticast.ExecStats) {
+// run measures the cachebw/OrdPush tiny-scale simulation on the 16-core
+// machine (the kernel-trajectory measurement) under testing's benchmark
+// harness.
+func run(label string, dense bool) measurement {
+	cfg := pushmulticast.ScaledConfig(pushmulticast.Default16()).WithScheme(pushmulticast.OrdPush())
+	cfg.DenseKernel = dense
 	var cycles uint64
-	var exec pushmulticast.ExecStats
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -140,7 +98,6 @@ func benchConfig(label string, cfg pushmulticast.Config) (measurement, pushmulti
 				b.Fatal(err)
 			}
 			cycles = res.Cycles
-			exec = res.Exec
 		}
 	})
 	m := measurement{
@@ -151,120 +108,7 @@ func benchConfig(label string, cfg pushmulticast.Config) (measurement, pushmulti
 		BytesPerOp:     r.AllocedBytesPerOp(),
 	}
 	m.fill()
-	return m, exec
-}
-
-// run executes the cachebw/OrdPush tiny-scale simulation on the 16-core
-// machine (the kernel-trajectory measurement).
-func run(label string, dense bool) measurement {
-	cfg := pushmulticast.ScaledConfig(pushmulticast.Default16()).WithScheme(pushmulticast.OrdPush())
-	cfg.DenseKernel = dense
-	m, _ := benchConfig(label, cfg)
 	return m
-}
-
-// runParallel measures the scaling curve: for each core count, the serial
-// sparse kernel and the staged-commit executor at each worker count.
-//
-// Configurations are measured in interleaved rounds and each keeps its
-// fastest round. A sequential sweep (serial first, every worker count after)
-// charges any host slowdown mid-sweep — CPU steal, thermal throttling —
-// entirely to the later configurations, which on a 1-CPU container skewed
-// the serial-vs-parallel ratio by more than the effect being measured;
-// round-robin order exposes every configuration to the same drift and the
-// per-config minimum recovers its unthrottled sample.
-func runParallel(out string, workerList, coreList []int, rounds int) error {
-	rep := parallelReport{
-		Benchmark:  "BenchmarkParallelKernel",
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Notes: []string{
-			"All runs produce byte-identical simulation results; only wall-clock differs.",
-			"speedup_vs_serial_sparse > 1 requires num_cpu > 1; on a single-CPU host the parallel executor cannot run batches concurrently and any residual staging overhead shows as a slowdown — the numbers here are an honest record of this machine, not the executor's ceiling.",
-			"crossings_per_cycle counts barrier-and-claim scheduling operations (sections + batch claims + helper handoffs) per executor cycle; batching_reduction_x is the factor by which lane batching cut them versus per-lane dispatch.",
-		},
-	}
-	if rep.NumCPU == 1 {
-		rep.Notes = append(rep.Notes,
-			"num_cpu is 1 on this host: no speedup claim is made or implied by this file.")
-	}
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"Each configuration was measured in %d interleaved rounds and reports its fastest round, so host-load drift during the sweep cannot masquerade as a serial-vs-parallel difference.", rounds))
-	for _, cores := range coreList {
-		swept, err := pushmulticast.RunSpec{Cores: cores, Scale: "tiny", Scheme: "OrdPush",
-			Workload: pushmulticast.WorkloadSpec{Name: "cachebw"}}.Resolve(nil)
-		if err != nil {
-			return err
-		}
-		base := swept.Config
-		curve := machineCurve{
-			Cores:    cores,
-			Workload: fmt.Sprintf("cachebw / OrdPush / tiny scale / %d cores", cores),
-		}
-		type slot struct {
-			label   string
-			cfg     pushmulticast.Config
-			workers int // 0 = serial sparse
-			best    measurement
-			exec    pushmulticast.ExecStats
-		}
-		slots := []*slot{{label: "serial sparse kernel", cfg: base}}
-		for _, w := range workerList {
-			par := base
-			par.ParallelWorkers = w
-			slots = append(slots, &slot{
-				label:   fmt.Sprintf("parallel executor (%d workers)", w),
-				cfg:     par,
-				workers: w,
-			})
-		}
-		for r := 0; r < rounds; r++ {
-			for _, s := range slots {
-				m, exec := benchConfig(s.label, s.cfg)
-				if r == 0 || m.NsPerOp < s.best.NsPerOp {
-					s.best, s.exec = m, exec
-				}
-			}
-		}
-		curve.SerialSparse = slots[0].best
-		for _, s := range slots[1:] {
-			e := parallelEntry{
-				Workers:            s.workers,
-				Run:                s.best,
-				Exec:               s.exec,
-				CrossingsPerCycle:  s.exec.BarrierCrossingsPerCycle(),
-				BatchingReductionX: s.exec.BatchingReductionX(),
-			}
-			if s.best.NsPerOp > 0 {
-				e.SpeedupVsSerialSparse = float64(curve.SerialSparse.NsPerOp) / float64(s.best.NsPerOp)
-			}
-			curve.Parallel = append(curve.Parallel, e)
-		}
-		rep.Machines = append(rep.Machines, curve)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "-" {
-		os.Stdout.Write(buf)
-		return nil
-	}
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		return err
-	}
-	for _, mc := range rep.Machines {
-		for _, e := range mc.Parallel {
-			fmt.Printf("%d cores, %d workers: %.0f simcycles/sec, %.2fx vs serial sparse, %.2f crossings/cycle (batching cut %.1fx)\n",
-				mc.Cores, e.Workers, e.Run.SimcyclesPerSec, e.SpeedupVsSerialSparse,
-				e.CrossingsPerCycle, e.BatchingReductionX)
-		}
-	}
-	fmt.Printf("wrote %s (%d cpus, GOMAXPROCS %d)\n", out, rep.NumCPU, rep.GoMaxProcs)
-	return nil
 }
 
 // runWarmStart measures the checkpoint-forked knob sweep against its cold
@@ -324,27 +168,11 @@ func allocGate(budgetFile string) error {
 	return nil
 }
 
-// parseIntList parses a comma-separated list of positive ints ("1,2,4").
-func parseIntList(flagName, s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-%s: bad value %q", flagName, f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func main() {
 	var (
 		out        = flag.String("o", "", "output path ('-' for stdout; default depends on -mode)")
 		benchtime  = flag.String("benchtime", "5x", "benchmark time per kernel (testing -benchtime syntax)")
-		mode       = flag.String("mode", "kernel", "benchmark: kernel (wake-driven vs dense, BENCH_kernel.json), parallel (serial vs parallel executor scaling curve, BENCH_parallel.json), or warmstart (cold sweep vs checkpoint-forked sweep, BENCH_snapshot.json)")
-		workers    = flag.String("workers", "1,2,4", "parallel executor worker counts to sweep, comma-separated (-mode parallel)")
-		coresF     = flag.String("cores", "64", "core counts to sweep, comma-separated from 16|64|256 (-mode parallel)")
-		rounds     = flag.Int("rounds", 3, "interleaved measurement rounds per configuration; each reports its fastest (-mode parallel)")
+		mode       = flag.String("mode", "kernel", "benchmark: kernel (wake-driven vs dense, BENCH_kernel.json) or warmstart (cold sweep vs checkpoint-forked sweep, BENCH_snapshot.json)")
 		gate       = flag.String("allocgate", "", "gate mode: compare current allocs/op against FILE's wake_driven budget, exit non-zero on >5% regression")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measured runs to FILE")
 		memprofile = flag.String("memprofile", "", "write an allocation (heap) profile to FILE at exit")
@@ -379,32 +207,12 @@ func main() {
 			fatal(err)
 		}
 		return
-	case "parallel":
-		if *out == "" {
-			*out = "BENCH_parallel.json"
-		}
-		wl, err := parseIntList("workers", *workers)
-		if err != nil {
-			fatal(err)
-		}
-		cl, err := parseIntList("cores", *coresF)
-		if err != nil {
-			fatal(err)
-		}
-		if *rounds < 1 {
-			fatal(fmt.Errorf("-rounds: must be >= 1"))
-		}
-		if err := runParallel(*out, wl, cl, *rounds); err != nil {
-			stopProf()
-			fatal(err)
-		}
-		return
 	case "kernel":
 		if *out == "" {
 			*out = "BENCH_kernel.json"
 		}
 	default:
-		fatal(fmt.Errorf("unknown -mode %q (use kernel, parallel, or warmstart)", *mode))
+		fatal(fmt.Errorf("unknown -mode %q (use kernel or warmstart)", *mode))
 	}
 
 	rep := report{

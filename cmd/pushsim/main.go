@@ -8,8 +8,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pushmulticast"
@@ -30,6 +32,7 @@ type options struct {
 	planFile, snapFile, restoreF string
 	snapAt                       uint64
 	snapEvery                    int64
+	snapEverySet                 bool
 	cpuProf, memProf, execTr     string
 }
 
@@ -51,7 +54,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit results as JSON")
 	fs.BoolVar(&o.dense, "dense", false, "run on the dense reference kernel (tick every component every cycle; the wake-driven scheduler's equivalence oracle)")
-	fs.IntVar(&sp.SimWorkers, "parallel", 0, "parallel tick executor worker count (0 or 1 = serial kernel; clamped to the host's processors; results are byte-identical either way)")
 	fs.BoolVar(&sp.Check, "check", false, "enable the runtime invariant checker (coherence, directory superset, inclusion, filter soundness, OrdPush ordering, VC conservation); violations abort with a trace dump")
 	fs.IntVar(&sp.TraceN, "trace", 0, "retain the last N trace events and dump them on a checker violation, deadlock, or panic (0 = off unless -check, which keeps a default tail)")
 	fs.Float64Var(&o.faults.Intensity, "faults", 0, "fault-injection intensity in [0,1]: generates a deterministic fault plan (link stalls, router slowdowns, VC jitter, injection spikes, filter drops); 0 = off")
@@ -70,6 +72,23 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.memProf, "memprofile", "", "write an allocation (heap) profile to FILE at exit")
 	fs.StringVar(&o.execTr, "exectrace", "", "write a runtime execution trace of the run to FILE")
 	return o
+}
+
+// parseArgs parses a command line. A bad flag is the flag package's own
+// one-line error, like every other rejection; the flag listing is printed
+// only on -h, which exits 0 as the flag package's default handling does.
+func parseArgs(args []string) (*options, error) {
+	fs := flag.NewFlagSet("pushsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o := bindFlags(fs)
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+		os.Exit(0)
+	}
+	fs.Visit(func(f *flag.Flag) { o.snapEverySet = o.snapEverySet || f.Name == "snapevery" })
+	return o, err
 }
 
 // resolve turns the parsed flags into the run to simulate: the shared
@@ -103,8 +122,10 @@ func fail(err error) {
 }
 
 func main() {
-	o := bindFlags(flag.CommandLine)
-	flag.Parse()
+	o, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
 	stopProf, err := profiles.Start(o.cpuProf, o.memProf, o.execTr)
 	if err != nil {
 		fail(err)
@@ -125,13 +146,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	snapEverySet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "snapevery" {
-			snapEverySet = true
-		}
-	})
-	if err := checkSnapEvery(snapEverySet, o.snapEvery); err != nil {
+	if err := checkSnapEvery(o.snapEverySet, o.snapEvery); err != nil {
 		fail(err)
 	}
 	res, err := execute(run.Config, run.Workload, run.Scale, o.snapFile, o.snapAt, uint64(o.snapEvery), o.restoreF)

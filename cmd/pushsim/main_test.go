@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,9 +15,8 @@ import (
 // parse runs pushsim's flag parsing over args, as main does.
 func parse(t *testing.T, args ...string) *options {
 	t.Helper()
-	fs := flag.NewFlagSet("pushsim", flag.ContinueOnError)
-	o := bindFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	o, err := parseArgs(args)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return o
@@ -123,7 +121,6 @@ func flagsFor(s pushmulticast.RunSpec) (args []string, ok bool) {
 	add("chunk", s.Workload.ChunkLines)
 	add("payload", s.Workload.PayloadLines)
 	add("iters", s.Workload.Iters)
-	add("parallel", s.SimWorkers)
 	add("trace", s.TraceN)
 	if s.Check {
 		args = append(args, "-check")
@@ -148,16 +145,21 @@ func flagsFor(s pushmulticast.RunSpec) (args []string, ok bool) {
 // TestFlagsResolveLikeEveryFrontEnd drives pushsim's flag parsing from the
 // tables the simd suite also ranges over: a malformed description is refused
 // with the validator's own one-line text (pushsim used to run -faults 2,
-// -lossy 5000, -parallel -3 and -trace -5), and a good one resolves to the
-// same configuration and identity as the description resolved directly.
+// -lossy 5000 and -trace -5) or, for a flag that no longer exists, the flag
+// package's; and a good one resolves to the same configuration and identity
+// as the description resolved directly.
 func TestFlagsResolveLikeEveryFrontEnd(t *testing.T) {
 	for _, tc := range pushmulticast.MalformedRunSpecs() {
 		args, ok := flagsFor(tc.Spec)
-		if !ok {
+		if !ok || tc.ExtraJSON != "" {
 			continue
 		}
+		args = append(args, tc.ExtraArgs...)
 		t.Run(tc.Name, func(t *testing.T) {
-			_, err := parse(t, args...).resolve()
+			o, err := parseArgs(args)
+			if err == nil {
+				_, err = o.resolve()
+			}
 			if err == nil {
 				t.Fatalf("pushsim %v accepted a malformed description", args)
 			}

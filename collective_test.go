@@ -14,10 +14,10 @@ func collectiveSchemes() []Scheme {
 
 // TestCollectiveEquivalence extends the kernel correctness contract to the
 // collective family: for every collective at default parameters and every
-// compared scheme, the serial sparse, dense, and parallel staged-commit
-// kernels must produce byte-identical results — cycle count, full counter
-// bundle, and the complete causal event history (trace hash and event
-// count) — with the invariant checker armed.
+// compared scheme, the wake-driven and dense kernels must produce
+// byte-identical results — cycle count, full counter bundle, and the complete
+// causal event history (trace hash and event count) — with the invariant
+// checker armed.
 func TestCollectiveEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-checking every collective is slow")
@@ -27,10 +27,10 @@ func TestCollectiveEquivalence(t *testing.T) {
 			sch, wl := sch, wl
 			t.Run(sch.Name+"/"+wl.Name, func(t *testing.T) {
 				t.Parallel()
-				var sparse, dense, par Results
-				var sErr, dErr, pErr error
+				var sparse, dense Results
+				var sErr, dErr error
 				var wg sync.WaitGroup
-				wg.Add(3)
+				wg.Add(2)
 				go func() {
 					defer wg.Done()
 					cfg := withCheck(ScaledConfig(Default16()).WithScheme(sch))
@@ -42,17 +42,11 @@ func TestCollectiveEquivalence(t *testing.T) {
 					cfg.DenseKernel = true
 					dense, dErr = RunWorkload(cfg, wl, ScaleTiny)
 				}()
-				go func() {
-					defer wg.Done()
-					cfg := withCheck(withParallel(ScaledConfig(Default16()).WithScheme(sch), 4))
-					par, pErr = RunWorkload(cfg, wl, ScaleTiny)
-				}()
 				wg.Wait()
-				if sErr != nil || dErr != nil || pErr != nil {
-					t.Fatalf("run failed: sparse=%v dense=%v parallel=%v", sErr, dErr, pErr)
+				if sErr != nil || dErr != nil {
+					t.Fatalf("run failed: sparse=%v dense=%v", sErr, dErr)
 				}
 				checkIdentical(t, "sparse", "dense", sparse, dense)
-				checkIdentical(t, "sparse", "parallel", sparse, par)
 			})
 		}
 	}
@@ -60,8 +54,8 @@ func TestCollectiveEquivalence(t *testing.T) {
 
 // TestCollectiveParamEquivalence covers the parameterized (non-default)
 // corners of the family: partial participation (idle cores at the barriers)
-// and alternate fan-outs must also replay byte-identically serial vs
-// parallel.
+// and alternate fan-outs must also replay byte-identically wake-driven vs
+// dense.
 func TestCollectiveParamEquivalence(t *testing.T) {
 	variants := []struct {
 		name string
@@ -80,15 +74,15 @@ func TestCollectiveParamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := withCheck(ScaledConfig(Default16()).WithScheme(OrdPush()))
-			serial, err := RunWorkload(cfg, wl, ScaleTiny)
+			sparse, err := RunWorkload(cfg, wl, ScaleTiny)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunWorkload(withParallel(cfg, 4), wl, ScaleTiny)
+			dense, err := RunWorkload(withDense(cfg), wl, ScaleTiny)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkIdentical(t, "serial", "parallel", serial, par)
+			checkIdentical(t, "sparse", "dense", sparse, dense)
 		})
 	}
 }
@@ -116,7 +110,7 @@ func TestCollectivePushesFire(t *testing.T) {
 
 // TestCollectiveLossyReplay extends the recovery-layer determinism contract
 // to the collectives: a generated lossy plan must replay byte-identically
-// across the serial and parallel kernels, and the plan must actually bite.
+// across the wake-driven and dense kernels, and the plan must actually bite.
 func TestCollectiveLossyReplay(t *testing.T) {
 	plan := GenerateLossyPlan(16, 9, 40)
 	for _, name := range []string{"broadcast", "prodcons"} {
@@ -128,17 +122,17 @@ func TestCollectiveLossyReplay(t *testing.T) {
 				cfg.Faults = &plan
 				return cfg
 			}
-			serial, err := Run(mkCfg(), name, ScaleTiny)
+			sparse, err := Run(mkCfg(), name, ScaleTiny)
 			if err != nil {
-				t.Fatalf("serial: %v", err)
+				t.Fatalf("sparse: %v", err)
 			}
-			par, err := Run(withParallel(mkCfg(), 4), name, ScaleTiny)
+			dense, err := Run(withDense(mkCfg()), name, ScaleTiny)
 			if err != nil {
-				t.Fatalf("parallel: %v", err)
+				t.Fatalf("dense: %v", err)
 			}
-			checkIdentical(t, "serial", "parallel", serial, par)
-			loss := serial.Stats.Net.MsgDropped + serial.Stats.Net.DupSuppressed +
-				serial.Stats.Net.CorruptDetected
+			checkIdentical(t, "sparse", "dense", sparse, dense)
+			loss := sparse.Stats.Net.MsgDropped + sparse.Stats.Net.DupSuppressed +
+				sparse.Stats.Net.CorruptDetected
 			if loss == 0 {
 				t.Error("no lossy event ever fired; the plan never bit")
 			}

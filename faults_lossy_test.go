@@ -27,8 +27,8 @@ func lossyPlans() map[string]FaultPlan {
 // TestLossyReplayIdentical is the recovery layer's determinism contract: a
 // lossy plan must replay byte-identically — cycles, stats, and the complete
 // event history including every drop, duplicate, retransmission, and
-// recovery — across the serial, dense, and parallel kernels, with the
-// invariant checker armed throughout.
+// recovery — across the wake-driven and dense kernels, with the invariant
+// checker armed throughout.
 func TestLossyReplayIdentical(t *testing.T) {
 	for name, plan := range lossyPlans() {
 		name, plan := name, plan
@@ -43,18 +43,11 @@ func TestLossyReplayIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			dcfg := mkCfg()
-			dcfg.DenseKernel = true
-			dense, err := Run(dcfg, "cachebw", ScaleTiny)
+			dense, err := Run(withDense(mkCfg()), "cachebw", ScaleTiny)
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			par, err := Run(withParallel(mkCfg(), 4), "cachebw", ScaleTiny)
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
 			checkIdentical(t, "serial", "dense", serial, dense)
-			checkIdentical(t, "serial", "parallel", serial, par)
 			loss := serial.Stats.Net.MsgDropped + serial.Stats.Net.DupSuppressed +
 				serial.Stats.Net.CorruptDetected
 			if loss == 0 {
@@ -99,17 +92,15 @@ func TestLossyStats(t *testing.T) {
 // watchdog or deadlock.
 func TestLossyUnrecoverable(t *testing.T) {
 	plan := GenerateLossyPlan(16, 3, 1000)
-	for _, parallel := range []bool{false, true} {
+	for _, dense := range []bool{false, true} {
 		name := "serial"
-		if parallel {
-			name = "parallel"
+		if dense {
+			name = "dense"
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := withCheck(ScaledConfig(Default16()).WithScheme(OrdPush()))
 			cfg.Faults = &plan
-			if parallel {
-				cfg = withParallel(cfg, 4)
-			}
+			cfg.DenseKernel = dense
 			_, err := Run(cfg, "cachebw", ScaleTiny)
 			if err == nil {
 				t.Fatal("total loss completed successfully; the retry budget never tripped")
@@ -138,11 +129,11 @@ func TestSeqWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	par, err := Run(withParallel(mkCfg(), 4), "cachebw", ScaleTiny)
+	dense, err := Run(withDense(mkCfg()), "cachebw", ScaleTiny)
 	if err != nil {
-		t.Fatalf("parallel: %v", err)
+		t.Fatalf("dense: %v", err)
 	}
-	checkIdentical(t, "serial", "parallel", serial, par)
+	checkIdentical(t, "serial", "dense", serial, dense)
 	if serial.Stats.Net.MsgDropped == 0 || serial.Stats.Net.Retransmits == 0 {
 		t.Error("wraparound run saw no losses or no retransmissions; nothing was exercised")
 	}

@@ -25,18 +25,9 @@ type ExpOptions struct {
 	Cores int
 	// Workloads restricts the workload set (nil = figure default).
 	Workloads []string
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS). Whether
-	// defaulted or set explicitly, it is clamped so that
-	// Parallelism × max(SimWorkers, 1) never exceeds GOMAXPROCS: the two
-	// levels of parallelism multiply, and an explicit Parallelism used to
-	// bypass the divide-by-SimWorkers guard and silently oversubscribe the
-	// host with Parallelism × SimWorkers runnable goroutines.
+	// Parallelism bounds concurrent simulations, each on one goroutine; it
+	// is clamped into [1, GOMAXPROCS] (0 = GOMAXPROCS).
 	Parallelism int
-	// SimWorkers runs each simulation on the parallel tick executor with
-	// this many workers (0 or 1 = serial kernel). Results are byte-identical
-	// either way. Values above GOMAXPROCS are clamped to it: extra workers
-	// past the processor count only add contention, never speed.
-	SimWorkers int
 	// Check enables the runtime invariant checker on every simulation in
 	// the campaign (tier-1 tests and short campaigns; leave off for
 	// benchmarking — the checker adds per-cycle work).
@@ -50,22 +41,7 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	if o.Cores == 0 {
 		o.Cores = 16
 	}
-	// Split host cores between concurrent matrix jobs and intra-sim workers
-	// instead of stacking the two levels of parallelism. The budget applies
-	// to explicit Parallelism values too: the guard used to cover only the
-	// defaulted path, so Parallelism=8 with SimWorkers=4 silently ran 32
-	// runnable goroutines on the host.
-	budget := runtime.GOMAXPROCS(0)
-	if o.SimWorkers > budget {
-		// Intra-sim workers alone must not oversubscribe the host either.
-		o.SimWorkers = budget
-	}
-	if o.SimWorkers > 1 {
-		if budget /= o.SimWorkers; budget < 1 {
-			budget = 1
-		}
-	}
-	if o.Parallelism <= 0 || o.Parallelism > budget {
+	if budget := runtime.GOMAXPROCS(0); o.Parallelism <= 0 || o.Parallelism > budget {
 		o.Parallelism = budget
 	}
 	return o
@@ -78,7 +54,6 @@ func (o ExpOptions) baseConfig() (Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	cfg.ParallelWorkers = o.SimWorkers
 	cfg.Check = o.Check
 	cfg.Faults = o.Faults
 	return cfg, nil

@@ -158,9 +158,6 @@ func (c *L2) ID() noc.NodeID { return c.id }
 func (c *L2) L1() *L1 { return c.l1 }
 
 // Receive implements noc.Endpoint.
-// Handle returns the L2 controller's scheduling handle (for lane assignment).
-func (c *L2) Handle() *sim.Handle { return c.h }
-
 func (c *L2) Receive(pkt *noc.Packet, now sim.Cycle) {
 	c.h.WakeAt(c.inq.push(pkt, now))
 }
@@ -303,8 +300,7 @@ func (c *L2) checkMSHRTimers(now sim.Cycle) {
 const mshrMaxRetries = 10
 
 // Unrecoverable returns the controller's ErrUnrecoverable verdict, or nil.
-// Read between cycles by the run's finished-check (post-barrier, so the
-// lane-written field is safely visible in parallel runs).
+// Read between cycles by the run's finished-check.
 func (c *L2) Unrecoverable() error { return c.dead }
 
 // retryDeadline is when the MSHR's next reissue is due: the base timeout

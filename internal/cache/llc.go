@@ -94,7 +94,7 @@ type LLC struct {
 	recent [recentPushEntries]recentPush
 	// tr is this slice's trace shard (nil when tracing is off). Writes
 	// happen from the slice's own tick and from Receive (the tile's NI
-	// tick) — both on the tile's lane.
+	// tick).
 	tr *trace.Shard `snap:"-,wiring"`
 }
 
@@ -144,9 +144,6 @@ func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine
 
 // ID returns the slice's tile.
 func (s *LLC) ID() noc.NodeID { return s.id }
-
-// Handle returns the LLC slice's scheduling handle (for lane assignment).
-func (s *LLC) Handle() *sim.Handle { return s.h }
 
 // Receive implements noc.Endpoint. Filterable read requests are checked
 // against the tile's not-yet-departed pushes on arrival as well as at

@@ -52,7 +52,7 @@ type pktTrack struct {
 // Monitor is the invariant checker. It implements sim.Ticker and must be
 // registered last so that, within any cycle, it ticks after every emitter
 // — this is what makes the trace drain order deterministic across the
-// serial, dense, and parallel kernels.
+// wake-driven and dense kernels.
 type Monitor struct {
 	cfg       *config.System `snap:"-,config"`
 	net       *noc.Network   `snap:"-,wiring"`
@@ -145,8 +145,7 @@ func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LL
 // Register installs the monitor on the engine. Call it after every other
 // component has been registered: the engine ticks components in
 // registration order, so registering last guarantees the monitor drains
-// the trace after all of a cycle's emissions. The handle carries no lane
-// tag, so the parallel kernel runs it in the trailing serial segment.
+// the trace after all of a cycle's emissions.
 func (m *Monitor) Register(eng *sim.Engine) {
 	m.h = eng.Register(m)
 	m.tr.SetHandle(m.h)

@@ -12,7 +12,6 @@ package coherence
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/stats"
@@ -110,19 +109,19 @@ type Msg struct {
 
 	// refs counts packets currently carrying this message (the original
 	// plus router replicas); the network pools the message again when the
-	// last carrier dies. See noc.RefPayload. Mutated with atomic ops (not
-	// declared atomic.Int32 so whole-message copies stay legal): a multicast's
-	// replicas can be delivered to receivers in different parallel lanes,
-	// whose Release calls may race. No other Msg field is written after the
-	// message is handed to the network.
+	// last carrier dies. See noc.RefPayload. No other Msg field is written
+	// after the message is handed to the network.
 	refs int32 `snap:"-,derived: a decoded message holds one reference"`
 }
 
 // AddRef implements noc.RefPayload.
-func (m *Msg) AddRef() { atomic.AddInt32(&m.refs, 1) }
+func (m *Msg) AddRef() { m.refs++ }
 
 // Release implements noc.RefPayload.
-func (m *Msg) Release() bool { return atomic.AddInt32(&m.refs, -1) == 0 }
+func (m *Msg) Release() bool {
+	m.refs--
+	return m.refs == 0
+}
 
 // String implements fmt.Stringer.
 func (m *Msg) String() string {
@@ -197,5 +196,5 @@ func (m *Msg) FillPacket(p *noc.Packet, cfg noc.Config, srcUnit, dstUnit stats.U
 	p.IsInv = m.Type == Inv
 	p.Requester = m.Requester
 	// Attaching to a packet is the message's first carrier reference.
-	atomic.AddInt32(&m.refs, 1)
+	m.refs++
 }

@@ -222,18 +222,14 @@ type System struct {
 	// debugging suspected scheduling bugs.
 	DenseKernel bool
 
-	// ParallelWorkers sets the parallel tick executor's worker count: each
-	// cycle, tiles tick concurrently across this many goroutines with
-	// cross-tile effects staged and committed in registration order, so
-	// results stay byte-identical to a serial run. 0 or 1 selects the
-	// serial kernel.
+	// ParallelWorkers is inert: it selected the intra-run parallel tick
+	// executor, which was deleted (DESIGN §4c); nothing reads it and
+	// core.Fingerprint zeroes it, so it cannot change a run or a snapshot.
+	//
+	// Deprecated: the field survives only because benchmark/measure.go
+	// assigns it and that directory is frozen between benchmark PRs. The
+	// next benchmark PR drops its parallel2 probe, then this field.
 	ParallelWorkers int
-
-	// ParallelThreshold is the minimum awake-component count a cycle's
-	// parallel section needs before it is dispatched to the worker pool;
-	// smaller cycles run serially to dodge the barrier overhead. 0 selects
-	// sim.DefaultParallelThreshold.
-	ParallelThreshold int
 
 	// Check enables the runtime invariant checker: the paper's protocol
 	// invariants (SWMR, L1⊆L2 inclusion, directory sharer-set superset,
@@ -261,7 +257,7 @@ type System struct {
 	// faults is driven against the run, and the graceful-degradation
 	// contract (no panic, no deadlock, no invariant violation — only
 	// elevated latency) is expected to hold. The same plan replays
-	// byte-identically across the serial, dense, and parallel kernels.
+	// byte-identically across the wake-driven and dense kernels.
 	Faults *fault.Plan
 
 	// MSHRRetryTimeout is the cycle count after which an L2 MSHR with no

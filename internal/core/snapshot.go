@@ -14,8 +14,8 @@ import (
 // Fingerprint derives the two configuration identities embedded in every
 // snapshot header. The strict fingerprint identifies simulated machine state
 // exactly: a restore whose target differs in it refuses loudly. Kernel
-// selection and observability settings (dense/parallel executor, checker,
-// trace ring size) are excluded — the kernels produce byte-identical state
+// selection and observability settings (dense kernel, checker, trace ring
+// size) are excluded — the kernels produce byte-identical state
 // by contract, and tracer/checker presence is enforced separately by
 // explicit flags in the snapshot body.
 //
@@ -29,8 +29,7 @@ import (
 func Fingerprint(cfg config.System, wlName string, sc workload.Scale) (strict, fork string) {
 	n := cfg
 	n.DenseKernel = false
-	n.ParallelWorkers = 0
-	n.ParallelThreshold = 0
+	n.ParallelWorkers = 0 // inert; see config.System.ParallelWorkers
 	n.Check = false
 	n.CheckEvery = 0
 	n.TraceN = 0
@@ -57,19 +56,15 @@ func Fingerprint(cfg config.System, wlName string, sc workload.Scale) (strict, f
 
 // Snapshot serializes the full machine state at the current cycle barrier
 // (between engine Steps, never from inside a tick) into a versioned binary
-// snapshot. The lane stats shards and fault-injector accumulators are folded
-// into the primary bundle first — the merge is linear and zeroes its
-// sources, so the second merge at run completion cannot double-count.
-// Identical machine states serialize to byte-identical snapshots (every map
-// is written in sorted key order), which makes snapshot.Hash of the result a
-// valid run identity.
+// snapshot. Identical machine states serialize to byte-identical snapshots
+// (every map is written in sorted key order), which makes snapshot.Hash of
+// the result a valid run identity.
 func (s *System) Snapshot() ([]byte, error) {
 	if s.Checker != nil {
 		if err := s.Checker.Err(); err != nil {
 			return nil, fmt.Errorf("core: snapshot of a run with a pending violation: %w", err)
 		}
 	}
-	s.mergeLaneStats()
 	strict, fork := Fingerprint(s.Cfg, s.wlName, s.scale)
 	c := snapshot.NewEncoder(strict, fork, uint64(s.Eng.Now()))
 	s.state(c)
@@ -208,8 +203,6 @@ func (s *System) RunToCtx(ctx context.Context, barrier sim.Cycle, checkEvery uin
 		return true
 	}
 	_, err := s.Eng.Run(func() bool { return s.Eng.Now() >= barrier || finished() })
-	s.Eng.Close() // idle the worker pool; the continuing Run respawns it
-	s.mergeLaneStats()
 	if checkErr == nil && s.Checker != nil {
 		checkErr = s.Checker.Err()
 	}

@@ -40,7 +40,7 @@ type seenKey struct {
 }
 
 // ours reports whether t is declared in this module; foreign structs
-// (sync.Mutex, atomic.Uint64) are opaque leaves judged by their own address.
+// are opaque leaves judged by their own address.
 func ours(t reflect.Type) bool { return strings.HasPrefix(t.PkgPath(), "pushmulticast") }
 
 func (cv *coverage) walkStruct(v reflect.Value) {
@@ -138,7 +138,6 @@ func (cv *coverage) settled(t reflect.Type) bool {
 // touched into the coverage.
 func (cv *coverage) observe(t *testing.T, s *System) {
 	t.Helper()
-	s.mergeLaneStats()
 	cv.marked = map[uintptr]bool{}
 	cv.seen = map[seenKey]bool{}
 	c := snapshot.NewEncoder("", "", 0)

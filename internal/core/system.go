@@ -41,11 +41,7 @@ type System struct {
 	Tracer  *trace.Tracer
 	Checker *check.Monitor
 
-	// laneSt holds the per-tile stats shards of the parallel executor (nil
-	// for serial runs); mergeLaneStats folds them into St in lane order.
-	laneSt []*stats.All `snap:"-,transient: merged into St before a snapshot"`
-	// inj is the fault injector when the config schedules faults; its
-	// per-node hook accumulators are flushed with the lane stats.
+	// inj is the fault injector when the config schedules faults.
 	inj *fault.Injector
 
 	// Checkpoint/restore retains the build identity (workload name and
@@ -79,10 +75,6 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 	st := stats.New()
 	eng := sim.NewEngine(200_000, 500_000_000)
 	eng.SetDense(cfg.DenseKernel)
-	parallel := cfg.ParallelWorkers > 1
-	if parallel {
-		eng.SetParallel(cfg.ParallelWorkers, cfg.ParallelThreshold)
-	}
 	// The fault injector registers before every other component so its
 	// window-boundary wakes take effect in the same cycle (the engine ticks
 	// mid-step wakes only from earlier-registered components).
@@ -103,33 +95,18 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		inj: inj, wlName: wl.Name, scale: sc}
 
 	tiles := cfg.Tiles()
-	// In parallel mode tile i forms execution lane i: its NI, router, L2,
-	// core, and LLC slice (plus a memory controller where present) tick on
-	// one worker and account into a private stats shard, merged in lane
-	// order later (see noc.Parallelize).
-	tileSt := func(int) *stats.All { return st }
-	if parallel {
-		s.laneSt = make([]*stats.All, tiles)
-		for i := range s.laneSt {
-			s.laneSt[i] = stats.New()
-			s.laneSt[i].DeferGaps = true
-		}
-		net.Parallelize(s.laneSt)
-		tileSt = func(i int) *stats.All { return s.laneSt[i] }
-	}
 	barrier := cpu.NewBarrier(tiles)
 	s.barrier = barrier
 	for i := 0; i < tiles; i++ {
 		id := noc.NodeID(i)
-		ts := tileSt(i)
 		var c *cpu.Core
-		l2 := cache.NewL2(id, &s.Cfg, net, eng, ts, deferredRequestor{&c})
+		l2 := cache.NewL2(id, &s.Cfg, net, eng, st, deferredRequestor{&c})
 		s.L2s = append(s.L2s, l2)
 		var bingo *prefetch.Bingo
 		var stride *prefetch.Stride
 		if wl.Build != nil {
 			stream := wl.Build(i, tiles, sc)
-			c = cpu.New(id, &s.Cfg, eng, ts, l2, stream, barrier)
+			c = cpu.New(id, &s.Cfg, eng, st, l2, stream, barrier)
 			if cfg.Scheme.L1Bingo {
 				bingo = prefetch.NewBingo(l2, cfg.BingoRegionBytes, cfg.BingoPHTEntries, cfg.LineSize)
 				c.L1Prefetcher = bingo
@@ -141,22 +118,10 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		}
 		s.bingos = append(s.bingos, bingo)
 		s.strides = append(s.strides, stride)
-		llc := cache.NewLLC(id, &s.Cfg, net, eng, ts)
-		s.LLCs = append(s.LLCs, llc)
-		if parallel {
-			l2.Handle().SetLane(i)
-			if c != nil {
-				c.Handle().SetLane(i)
-			}
-			llc.Handle().SetLane(i)
-		}
+		s.LLCs = append(s.LLCs, cache.NewLLC(id, &s.Cfg, net, eng, st))
 	}
 	for _, mc := range cfg.MemControllers() {
-		m := memctrl.New(mc, &s.Cfg, net, eng, tileSt(int(mc)))
-		s.Mems[mc] = m
-		if parallel {
-			m.Handle().SetLane(int(mc))
-		}
+		s.Mems[mc] = memctrl.New(mc, &s.Cfg, net, eng, st)
 	}
 	if cfg.Check || cfg.TraceN > 0 {
 		ringN := cfg.TraceN
@@ -175,40 +140,12 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		}
 		s.Tracer = tr
 		// The monitor registers last: the engine ticks in registration order,
-		// so it drains the trace after every emitter within a cycle, in every
-		// kernel mode (its untagged handle runs in the parallel kernel's
-		// trailing serial segment).
+		// so it drains the trace after every emitter within a cycle, on
+		// either kernel.
 		s.Checker = check.New(&s.Cfg, net, s.L2s, s.LLCs, s.CheckCoherence, tr)
 		s.Checker.Register(eng)
 	}
-	if parallel && cfg.TraceSharerGaps {
-		// Sharer-gap reservoir sampling is order-sensitive; lanes defer their
-		// observations and the engine drains them into the primary bundle at
-		// every cycle's end, in lane order — the order a serial run's LLC
-		// ticks would have produced.
-		eng.SetOnCycleEnd(func(sim.Cycle) {
-			for _, ls := range s.laneSt {
-				ls.DrainGapsInto(st)
-			}
-		})
-	}
 	return s, nil
-}
-
-// mergeLaneStats folds the per-lane stats shards into the primary bundle in
-// lane order and zeroes the shards, so post-merge activity (a Drain after
-// Run) accrues freshly and a later merge cannot double-count. The fault
-// injector's per-node hook accumulators flush here too — same collection
-// point, same no-double-count contract.
-func (s *System) mergeLaneStats() {
-	for _, ls := range s.laneSt {
-		ls.DrainGapsInto(s.St)
-		s.St.Add(ls)
-		*ls = stats.All{SharerGaps: ls.SharerGaps, DeferGaps: true, GapLog: ls.GapLog[:0]}
-	}
-	if s.inj != nil {
-		s.inj.FlushStats()
-	}
 }
 
 // deferredRequestor lets the L2 be constructed before its core (the two
@@ -245,16 +182,11 @@ type Results struct {
 	// when tracing was enabled: the running FNV-1a hash over every trace
 	// event in deterministic drain order, and the event count. Two runs
 	// with equal (TraceHash, TraceEvents) produced identical histories —
-	// the serial/dense/parallel equivalence oracle.
+	// the wake-driven/dense equivalence oracle.
 	TraceHash   uint64
 	TraceEvents uint64
 	// Stats is the full counter bundle.
 	Stats *stats.All
-	// Exec is the parallel executor's scheduling-work record (zero for
-	// serial runs): sections, batch claims, and cross-goroutine handoffs
-	// per cycle. The bench scaling curve reads it to attribute staging
-	// overhead.
-	Exec sim.ExecStats
 }
 
 // L2MPKI returns the paper's L2 miss-per-kilo-instruction metric (demand +
@@ -297,8 +229,7 @@ func (s *System) Run(checkEvery uint64) (Results, error) {
 }
 
 // RunCtx is Run with cooperative cancellation: the context is polled at cycle
-// barriers (between cycles, on the coordinating goroutine, after any parallel
-// section's commit), and a fired context aborts the run with a wrapped
+// barriers (between cycles), and a fired context aborts the run with a wrapped
 // ErrCanceled and a trace tail. Determinism is unaffected — cancellation only
 // decides where the run stops, never what any cycle computes.
 func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error) {
@@ -321,9 +252,7 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 		}
 		// A sender that exhausted its retransmissions can never be acked:
 		// abort loudly with the wrapped ErrUnrecoverable and a trace tail
-		// instead of letting the run spin until the watchdog fires. The
-		// closure runs between cycles on the coordinator, after any parallel
-		// section's barrier, so the lane-written verdicts are visible.
+		// instead of letting the run spin until the watchdog fires.
 		if err := s.Net.Unrecoverable(); err != nil {
 			checkErr = err
 			return true
@@ -350,8 +279,6 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 		return true
 	}
 	end, err := s.Eng.Run(finished)
-	s.Eng.Close() // idle the worker pool; a later Drain respawns it on demand
-	s.mergeLaneStats()
 	if checkErr == nil && s.Checker != nil {
 		checkErr = s.Checker.Err()
 	}
@@ -373,7 +300,7 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 		s.St.Core.Instructions += c.Instructions()
 		s.St.Core.StallCycles += c.StallCycles()
 	}
-	res := Results{Scheme: s.Cfg.Scheme.Name, Cycles: uint64(end), Stats: s.St, Exec: s.Eng.Exec()}
+	res := Results{Scheme: s.Cfg.Scheme.Name, Cycles: uint64(end), Stats: s.St}
 	if s.Tracer != nil {
 		// A safety drain: the monitor ticks last within every cycle that
 		// emits, so this is normally a no-op and never reorders history.
@@ -397,10 +324,6 @@ func (s *System) DumpTrace() {
 // Drain runs the machine until the network and all controllers quiesce
 // (post-run cleanliness checks in tests).
 func (s *System) Drain(limit sim.Cycle) error {
-	defer func() {
-		s.Eng.Close()
-		s.mergeLaneStats()
-	}()
 	start := s.Eng.Now()
 	for !s.Quiescent() {
 		if s.Eng.Now()-start > limit {

@@ -8,8 +8,6 @@
 package cpu
 
 import (
-	"sync"
-
 	"pushmulticast/internal/cache"
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/noc"
@@ -20,13 +18,9 @@ import (
 
 // Barrier synchronizes all cores; a generation counter releases waiters. A
 // release becomes visible to every core — the last arriver included — the
-// cycle after it happens, independent of registration or tick order, so the
-// resume schedule is identical across the serial, dense, and parallel
-// kernels. The mutex makes arrivals from concurrent lanes safe; contention is
-// negligible (one arrival per core per barrier episode).
+// cycle after it happens, independent of registration or tick order.
 type Barrier struct {
-	mu      sync.Mutex `snap:"-,lock"`
-	n       int        `snap:"-,config"`
+	n       int `snap:"-,config"`
 	arrived int
 	gen     uint64
 	relAt   sim.Cycle
@@ -39,8 +33,6 @@ func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
 // arrive registers one arrival; the last arrival advances the generation,
 // records the release cycle, and wakes every parked waiter.
 func (b *Barrier) arrive(h *sim.Handle, now sim.Cycle) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	gen := b.gen
 	b.arrived++
 	if h != nil {
@@ -63,8 +55,6 @@ func (b *Barrier) arrive(h *sim.Handle, now sim.Cycle) uint64 {
 // whether that release is visible yet (releases take effect the cycle after
 // they happen), and the release cycle.
 func (b *Barrier) status(gen uint64, now sim.Cycle) (released, visible bool, relAt sim.Cycle) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.gen == gen {
 		return false, false, 0
 	}
@@ -314,9 +304,6 @@ func (c *Core) parkUntil(now, at sim.Cycle) {
 	c.blockedAt = now
 	c.h.SleepUntil(at)
 }
-
-// Handle returns the core's scheduling handle (for lane assignment).
-func (c *Core) Handle() *sim.Handle { return c.h }
 
 func (c *Core) lineOf(addr uint64) uint64 {
 	return addr &^ uint64(c.cfg.LineSize-1)

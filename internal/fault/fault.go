@@ -7,7 +7,7 @@
 // Every fault effect is a pure function of (plan, seed, cycle, component
 // identity, packet identity) — never of tick order, goroutine scheduling, or
 // host state — so a fault schedule replays byte-identically across the
-// serial, dense, and parallel kernels: same seed, same trace hash.
+// wake-driven and dense kernels: same seed, same trace hash.
 //
 // The graceful-degradation contract: a valid plan may slow the simulated
 // machine down arbitrarily within its windows, but it can never make a run

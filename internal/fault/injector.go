@@ -17,7 +17,7 @@ import (
 // it wakes the target tile — a router whose traffic was blocked by a
 // LinkStall may have gone to sleep "blocked on downstream" with no release
 // ever coming; the boundary wake restores the dense-mode placement cycle.
-// Spurious wakes at window starts are harmless in every kernel.
+// Spurious wakes at window starts are harmless in both kernels.
 type Injector struct {
 	plan  Plan        `snap:"-,config"`
 	eng   *sim.Engine `snap:"-,wiring"`
@@ -50,17 +50,8 @@ type Injector struct {
 	hasLossy bool       `snap:"-,config"`
 	// lastArr tracks the last granted head-arrival cycle per (node, output
 	// port), backing the monotonic clamp that keeps jittered links
-	// order-preserving (OrdPush's push-before-invalidation survives). Each
-	// entry is touched only by that node's own router tick, so the clamp
-	// stays race-free even with routers on parallel lanes.
+	// order-preserving (OrdPush's push-before-invalidation survives).
 	lastArr []sim.Cycle
-	// jitterDelay / filterSuppressed accumulate the per-node shares of the
-	// FaultJitterDelay and FaultFilterSuppressed counters. Router-tick hooks
-	// write them (index = the ticking router's node, so parallel lanes never
-	// collide); FlushStats folds the sums into the shared bundle at
-	// collection points.
-	jitterDelay      []uint64 `snap:"-,transient: flushed into the stats bundle before a snapshot"`
-	filterSuppressed []uint64 `snap:"-,transient: flushed into the stats bundle before a snapshot"`
 }
 
 // NewInjector builds the injector for a validated plan on a machine with the
@@ -79,9 +70,6 @@ func NewInjector(plan Plan, nodes int, st *stats.All) *Injector {
 		mdups:   make([][]*Fault, nodes),
 		mcorrs:  make([][]*Fault, nodes),
 		lastArr: make([]sim.Cycle, nodes*noc.NumPorts),
-
-		jitterDelay:      make([]uint64, nodes),
-		filterSuppressed: make([]uint64, nodes),
 	}
 	for i := range plan.Faults {
 		f := &plan.Faults[i]
@@ -219,10 +207,7 @@ func (in *Injector) LinkBlocked(node noc.NodeID, port int, now sim.Cycle) bool {
 // its faulted arrival: active VCJitter windows add a delay derived purely
 // from (seed, packet ID, cycle), and the per-port monotonic clamp then keeps
 // arrivals in send order, so jitter can slow a link but never reorder it.
-// Runs only from the sending router's own tick — routers tick on lane
-// goroutines in the parallel kernel — so the clamp state and the delay
-// accumulator are per-node and race-free; FlushStats folds the delays into
-// the shared bundle later.
+// Runs only from the sending router's own tick, once per head flit.
 func (in *Injector) Arrival(node noc.NodeID, port int, now, base sim.Cycle, pktID uint64, vnet int) sim.Cycle {
 	arr := base
 	key := int(node)*noc.NumPorts + port
@@ -231,7 +216,7 @@ func (in *Injector) Arrival(node noc.NodeID, port int, now, base sim.Cycle, pktI
 			h := splitmix64(in.plan.Seed ^ splitmix64(pktID) ^ uint64(now)*0x9E3779B97F4A7C15)
 			d := sim.Cycle(h % uint64(f.MaxJitter+1))
 			arr += d
-			in.jitterDelay[node] += uint64(d)
+			in.st.Net.FaultJitterDelay += uint64(d)
 		}
 	}
 	if last := in.lastArr[key]; arr <= last {
@@ -243,9 +228,9 @@ func (in *Injector) Arrival(node noc.NodeID, port int, now, base sim.Cycle, pktI
 
 // InjQueueCap returns the node NI's effective injection-queue depth: the
 // configured depth, shrunk to the smallest active InjSpike capacity. It is
-// called from endpoint ticks, which run on lane goroutines in the parallel
-// kernel, so it must stay a pure read — no stats, no clamp state. Reading
-// eng.Now() is safe: the cycle is never written mid-section.
+// called from endpoint ticks, which the dense kernel runs more often than
+// the wake-driven one, so it must stay a pure read — no stats, no clamp
+// state.
 func (in *Injector) InjQueueCap(node noc.NodeID, depth int) int {
 	now := uint64(in.eng.Now())
 	for _, f := range in.spikes[node] {
@@ -263,9 +248,7 @@ func (in *Injector) LossyEnabled() bool { return in.hasLossy }
 
 // LossyVerdict decides the fate of one packet arrival at a node's NI: intact,
 // dropped, duplicated, or corrupted. It is a pure function of (seed, plan,
-// cycle, node, packet id) — called from NI ticks, which run on lane
-// goroutines in the parallel kernel, so it must not write stats or any clamp
-// state (the NI accounts the outcome on its own lane shard). At most one
+// cycle, node, packet id); the NI accounts the outcome. At most one
 // window per lossy kind can be active on a node (Validate rejects overlaps),
 // and the three kinds roll independent hash bits, with the more severe
 // verdict winning when several fire at once.
@@ -303,27 +286,13 @@ func (in *Injector) LossyVerdict(node noc.NodeID, now sim.Cycle, pktID uint64) n
 // as a miss and routes the request on. Registrations and the OrdPush
 // invalidation stall are deliberately unaffected — suppressing pruning only
 // adds redundant traffic, while dropping ordering state could reorder
-// protocol messages. Runs only from the router's own tick (a lane goroutine
-// in the parallel kernel), so the hit count accumulates per node.
+// protocol messages. Runs only from the router's own tick, once per hit.
 func (in *Injector) SuppressFilterHit(node noc.NodeID, now sim.Cycle) bool {
 	for _, f := range in.drops[node] {
 		if f.activeAt(uint64(now)) {
-			in.filterSuppressed[node]++
+			in.st.Net.FaultFilterSuppressed++
 			return true
 		}
 	}
 	return false
-}
-
-// FlushStats folds the per-node hook accumulators into the shared stats
-// bundle and zeroes them. Callers invoke it at collection points (after a
-// run or drain, outside any parallel section); the per-node sums are
-// order-independent, so the folded totals match a serial run exactly.
-func (in *Injector) FlushStats() {
-	for n := range in.jitterDelay {
-		in.st.Net.FaultJitterDelay += in.jitterDelay[n]
-		in.st.Net.FaultFilterSuppressed += in.filterSuppressed[n]
-		in.jitterDelay[n] = 0
-		in.filterSuppressed[n] = 0
-	}
 }

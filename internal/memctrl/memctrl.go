@@ -41,7 +41,7 @@ type Ctrl struct {
 	// (zero for never-written lines).
 	versions map[uint64]uint64
 	// tr is this controller's trace shard (nil when tracing is off);
-	// written only from the controller's own tick, on its tile's lane.
+	// written only from the controller's own tick.
 	tr *trace.Shard `snap:"-,wiring"`
 }
 
@@ -61,9 +61,6 @@ func New(node noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 }
 
 // Receive implements noc.Endpoint.
-// Handle returns the controller's scheduling handle (for lane assignment).
-func (c *Ctrl) Handle() *sim.Handle { return c.h }
-
 func (c *Ctrl) Receive(pkt *noc.Packet, now sim.Cycle) {
 	c.inq = append(c.inq, pkt)
 	c.h.Wake()

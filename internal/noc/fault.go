@@ -29,11 +29,9 @@ var ErrUnrecoverable = errors.New("noc: message unrecoverable after max retries"
 // FaultHook is the network's view of the fault-injection layer
 // (internal/fault implements it). Every method must be a pure function of
 // (fault plan, cycle, component identity, packet identity) so that a fault
-// schedule replays byte-identically across the serial, dense, and parallel
-// kernels. Routers and NIs both tick on lane goroutines in the parallel
-// kernel, so every method must confine any bookkeeping it keeps (clamp
-// state, counters) to per-node storage indexed by the calling component's
-// node — or keep none at all.
+// schedule replays byte-identically on the wake-driven and dense kernels,
+// whose tick counts differ: a method may keep bookkeeping (clamp state,
+// counters) only where the call itself is part of simulated behaviour.
 type FaultHook interface {
 	// RouterFrozen reports that the router's pipeline is held this cycle
 	// (RouterSlow); the router skips its entire tick and stays awake.
@@ -50,8 +48,8 @@ type FaultHook interface {
 	// keep per-port arrivals monotonic so links never reorder.
 	Arrival(node NodeID, port int, now, base sim.Cycle, pktID uint64, vnet int) sim.Cycle
 	// InjQueueCap returns the NI's effective injection-queue depth, at most
-	// the configured depth (InjSpike). Must be a pure read: it runs on lane
-	// goroutines in the parallel kernel.
+	// the configured depth (InjSpike). Must be a pure read: endpoints poll
+	// it a kernel-dependent number of times.
 	InjQueueCap(node NodeID, depth int) int
 	// SuppressFilterHit reports that the router's filter bank is offline for
 	// lookups this cycle (FilterDrop); hits are treated as misses.
@@ -61,7 +59,7 @@ type FaultHook interface {
 	// layer only when it does.
 	LossyEnabled() bool
 	// LossyVerdict decides the fate of one packet arrival at the node's NI.
-	// Called from NI ticks on lane goroutines: it must be a pure read.
+	// Must be a pure read.
 	LossyVerdict(node NodeID, now sim.Cycle, pktID uint64) LossVerdict
 }
 

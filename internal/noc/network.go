@@ -39,9 +39,7 @@ type NI struct {
 	node NodeID      `snap:"-,wiring"`
 	net  *Network    `snap:"-,wiring"`
 	h    *sim.Handle `snap:"-,wiring"`
-	// st is the stats bundle this NI and its tile's components account into:
-	// the network-wide bundle in serial runs, the tile's lane shard in
-	// parallel runs (see Parallelize).
+	// st is the run's stats bundle (net.st, cached).
 	st        *stats.All `snap:"-,wiring"`
 	queues    [stats.NumUnits][NumVNets][]*Packet
 	queued    int                      `snap:"-,derived: recounted from the queues"` // total packets across all queues
@@ -58,20 +56,18 @@ type NI struct {
 	seq uint64
 	// pktPool / payloadPool recycle packets and their reference-counted
 	// payloads tile-locally. The tile's router also draws its multicast
-	// replicas from here (the router shares its tile's lane, so that is
-	// race-free), which keeps replicas recycling back to the pools they
-	// came from.
+	// replicas from here, which keeps replicas recycling back to the pools
+	// they came from.
 	pktPool     []*Packet    `snap:"-,pool"`
 	payloadPool []RefPayload `snap:"-,pool"`
-	// tr is this NI's trace shard (nil when tracing is off). All writes to
-	// it happen on the tile's lane: Inject runs from the tile's endpoints,
-	// deliver from the NI's own tick.
+	// tr is this NI's trace shard (nil when tracing is off): Inject writes
+	// it from the tile's endpoints, deliver from the NI's own tick.
 	tr *trace.Shard `snap:"-,wiring"`
 	// tp is the end-to-end recovery state (retransmit windows, receiver
 	// dedup, pending acks), allocated only when the fault plan schedules
-	// lossy kinds; nil keeps fault-free hot paths allocation-identical. All
-	// access happens on the tile's lane (Inject from co-located endpoints,
-	// everything else from the NI's own tick). See transport.go.
+	// lossy kinds; nil keeps fault-free hot paths allocation-identical.
+	// Inject reaches it from co-located endpoints, everything else from the
+	// NI's own tick. See transport.go.
 	tp *niTransport
 }
 
@@ -480,28 +476,6 @@ func (n *Network) Attach(node NodeID, unit stats.Unit, ep Endpoint) {
 
 // NI returns the network interface of a tile.
 func (n *Network) NI(node NodeID) *NI { return n.nis[node] }
-
-// Parallelize prepares the network for the parallel tick executor: NI i and
-// router i join lane i (ticking alongside their tile's endpoints) and
-// account into that tile's stats shard. laneStats must hold one bundle per
-// tile. Routers can tick on lanes because all neighbour communication flows
-// through the SPSC arrival/credit rings plus staged wakes (see ring.go);
-// a router's tick touches no other router's mutable state. Each lane shard
-// gets its own LinkFlits slice, merged index-wise by stats.Add.
-func (n *Network) Parallelize(laneStats []*stats.All) {
-	links := len(n.nis) * 4
-	for i, ni := range n.nis {
-		ni.st = laneStats[i]
-		ni.h.SetLane(i)
-	}
-	for i, r := range n.routers {
-		r.st = laneStats[i]
-		r.h.SetLane(i)
-		if laneStats[i].Net.LinkFlits == nil {
-			laneStats[i].Net.LinkFlits = make([]uint64, links)
-		}
-	}
-}
 
 // LinkIndex returns the LinkFlits index for the link leaving node through
 // port, for per-link load reporting (Fig 14).

@@ -1,18 +1,14 @@
 package noc
 
-import (
-	"sync/atomic"
+import "pushmulticast/internal/sim"
 
-	"pushmulticast/internal/sim"
-)
-
-// Single-producer single-consumer rings carrying the two kinds of
-// cross-router traffic that used to be direct neighbour-state writes: head
-// flit handoffs travelling down a link, and credit returns travelling back
-// up it. Routing all neighbour communication through these rings (plus the
-// engine's staged wakes) is what lets routers tick on parallel lanes: a
-// router's tick then touches only its own state, its own rings' consumer
-// ends, and the producer end of the rings it feeds.
+// Link rings carry the two kinds of cross-router traffic: head flit handoffs
+// travelling down a link, and credit returns travelling back up it. They are
+// the link's timing model — a head matures two cycles after it is sent, a
+// credit one cycle after its buffer frees — and the only way a router's tick
+// reaches a neighbour: it touches its own state, the consumer end of the
+// rings it drains, and the producer end of the rings it feeds, so tick order
+// carries no timing meaning.
 //
 // Each ring has exactly one producer and one consumer, fixed at wiring
 // time: the arrivals ring behind input port p is fed only by the adjacent
@@ -21,10 +17,7 @@ import (
 // maturity times are non-decreasing per ring (arrival jitter is clamped
 // monotonic per port, and credits are stamped in tick order), so the
 // consumer pops a prefix of matured entries and stops at the first future
-// one. An entry pushed while the consumer is mid-pop always carries a
-// maturity time beyond the current cycle, so a racy tail read can never
-// change what a pop consumes — only whether the not-yet-due entry is seen
-// at all, which the producer's staged WakeAt covers.
+// one; the producer's WakeAt covers a consumer asleep when the entry lands.
 //
 // Capacity: per (input port, vnet) at most VCsPerVNet packets can be
 // outstanding (credit-limited), and Validate caps NumVNets*VCsPerVNet at
@@ -41,61 +34,57 @@ type arrEntry struct {
 	at  sim.Cycle
 }
 
-// arrRing is the SPSC ring of head-flit handoffs behind one router input
+// arrRing is the ring of head-flit handoffs behind one router input
 // port. Producer: the upstream router's sendFlit. Consumer: the owning
 // router's acceptArrivals.
 type arrRing struct {
-	head, tail atomic.Uint32 `snap:"-,derived: only the live window travels"`
+	head, tail uint32 `snap:"-,derived: only the live window travels"`
 	buf        [ringCap]arrEntry
 }
 
 // push appends a handoff. Producer side only.
 func (r *arrRing) push(pkt *Packet, at sim.Cycle) {
-	t := r.tail.Load()
-	if t-r.head.Load() >= ringCap {
+	if r.tail-r.head >= ringCap {
 		panic("noc: arrival ring overflow (credit invariant broken)")
 	}
-	r.buf[t%ringCap] = arrEntry{pkt: pkt, at: at}
-	r.tail.Store(t + 1)
+	r.buf[r.tail%ringCap] = arrEntry{pkt: pkt, at: at}
+	r.tail++
 }
 
 // pop removes and returns the oldest entry if it has matured by now.
 // Consumer side only.
 func (r *arrRing) pop(now sim.Cycle) (*Packet, sim.Cycle, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	if r.head == r.tail {
 		return nil, 0, false
 	}
-	e := r.buf[h%ringCap]
+	e := r.buf[r.head%ringCap]
 	if e.at > now {
 		return nil, 0, false
 	}
-	r.buf[h%ringCap] = arrEntry{}
-	r.head.Store(h + 1)
+	r.buf[r.head%ringCap] = arrEntry{}
+	r.head++
 	return e.pkt, e.at, true
 }
 
 // earliest returns the oldest entry's maturity time. Entry times are
 // non-decreasing, so this is the ring's minimum. Consumer side only.
 func (r *arrRing) earliest() (sim.Cycle, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	if r.head == r.tail {
 		return 0, false
 	}
-	return r.buf[h%ringCap].at, true
+	return r.buf[r.head%ringCap].at, true
 }
 
-// forEach visits every queued entry, oldest first. Only safe from the
-// consumer at a quiescent point (the serial checker / Quiescent scans).
+// forEach visits every queued entry, oldest first (checker use).
 func (r *arrRing) forEach(fn func(pkt *Packet, at sim.Cycle)) {
-	for h, t := r.head.Load(), r.tail.Load(); h != t; h++ {
+	for h := r.head; h != r.tail; h++ {
 		e := r.buf[h%ringCap]
 		fn(e.pkt, e.at)
 	}
 }
 
 // len returns the number of queued entries (checker use).
-func (r *arrRing) len() int { return int(r.tail.Load() - r.head.Load()) }
+func (r *arrRing) len() int { return int(r.tail - r.head) }
 
 // credEntry is one credit return: the vnet whose downstream VC freed, and
 // the cycle the upstream router may reuse it.
@@ -104,54 +93,51 @@ type credEntry struct {
 	at   sim.Cycle
 }
 
-// credRing is the SPSC ring of credit returns travelling from a router back
+// credRing is the ring of credit returns travelling from a router back
 // to the upstream neighbour behind one of its input ports. Producer: the
 // owning router's release. Consumer: the upstream router's acceptCredits.
 type credRing struct {
-	head, tail atomic.Uint32 `snap:"-,derived: only the live window travels"`
+	head, tail uint32 `snap:"-,derived: only the live window travels"`
 	buf        [ringCap]credEntry
 }
 
 // push appends a credit return. Producer side only.
 func (r *credRing) push(vnet int, at sim.Cycle) {
-	t := r.tail.Load()
-	if t-r.head.Load() >= ringCap {
+	if r.tail-r.head >= ringCap {
 		panic("noc: credit ring overflow (credit invariant broken)")
 	}
-	r.buf[t%ringCap] = credEntry{vnet: int32(vnet), at: at}
-	r.tail.Store(t + 1)
+	r.buf[r.tail%ringCap] = credEntry{vnet: int32(vnet), at: at}
+	r.tail++
 }
 
 // pop removes and returns the oldest credit if it has matured by now.
 // Consumer side only.
 func (r *credRing) pop(now sim.Cycle) (int, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	if r.head == r.tail {
 		return 0, false
 	}
-	e := r.buf[h%ringCap]
+	e := r.buf[r.head%ringCap]
 	if e.at > now {
 		return 0, false
 	}
-	r.buf[h%ringCap] = credEntry{}
-	r.head.Store(h + 1)
+	r.buf[r.head%ringCap] = credEntry{}
+	r.head++
 	return int(e.vnet), true
 }
 
 // earliest returns the oldest credit's maturity time. Consumer side only.
 func (r *credRing) earliest() (sim.Cycle, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	if r.head == r.tail {
 		return 0, false
 	}
-	return r.buf[h%ringCap].at, true
+	return r.buf[r.head%ringCap].at, true
 }
 
 // count returns the number of queued credits for the given vnet (checker
-// use; only safe at a quiescent point).
+// use).
 func (r *credRing) count(vnet int) int {
 	n := 0
-	for h, t := r.head.Load(), r.tail.Load(); h != t; h++ {
+	for h := r.head; h != r.tail; h++ {
 		if int(r.buf[h%ringCap].vnet) == vnet {
 			n++
 		}

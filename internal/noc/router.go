@@ -127,7 +127,7 @@ type Router struct {
 	// (port, vnet) free-VC pool without reading neighbour state: allocation
 	// decrements locally, and the neighbour's release sends the credit back
 	// through its credRet ring, link-delayed one cycle. Unused for the local
-	// port (the NI claims VCs directly — same lane).
+	// port (the NI claims VCs directly).
 	credits [NumPorts][NumVNets]int16
 	// arrivals[p] queues head-flit handoffs arriving through input port p;
 	// the upstream router produces, this router consumes matured entries at
@@ -137,12 +137,9 @@ type Router struct {
 	// neighbour behind input port p; this router produces (at release), the
 	// neighbour consumes. Unused for the local port.
 	credRet [NumPorts]credRing
-	// st is the stats bundle this router accounts into: the network-wide
-	// bundle in serial runs, the tile's lane shard in parallel runs (see
-	// Parallelize).
+	// st is the run's stats bundle (net.st, cached).
 	st *stats.All `snap:"-,wiring"`
 	// streamPool recycles this router's per-replica stream allocations.
-	// Per-router so parallel lanes never contend.
 	streamPool []*stream `snap:"-,pool"`
 	// dmask[mode][o] is the set of destinations this router forwards through
 	// output port o under YX (mode 0) or XY (mode 1) dimension-order routing.
@@ -150,7 +147,7 @@ type Router struct {
 	// destination set.
 	dmask [2][NumPorts]DestSet `snap:"-,config"`
 	// tr is this router's trace shard (nil when tracing is off); all writes
-	// to it happen from this router's own ticks — one lane.
+	// to it happen from this router's own ticks.
 	tr *trace.Shard `snap:"-,wiring"`
 }
 
@@ -180,8 +177,8 @@ func newRouter(id NodeID, net *Network) *Router {
 }
 
 // claim registers a VC as occupied and wakes the router. Only the local NI
-// calls it (same lane); remote arrivals enter through the arrival rings and
-// enlist from the router's own tick.
+// calls it; remote arrivals enter through the arrival rings and enlist from
+// the router's own tick.
 func (r *Router) claim(vc *inputVC) {
 	r.h.Wake()
 	r.enlist(vc)
@@ -312,8 +309,7 @@ func (r *Router) Tick(now sim.Cycle) {
 
 // acceptCredits banks matured credit returns from every adjacent router.
 // This router is the designated consumer of each neighbour's credRet ring
-// behind the shared link, so the pops are race-free even while the
-// neighbour ticks concurrently on another lane.
+// behind the shared link.
 func (r *Router) acceptCredits(now sim.Cycle) {
 	for o := 0; o < NumPorts; o++ {
 		nb := r.nbr[o]

@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"sync/atomic"
-
-	"pushmulticast/internal/snapshot"
-)
+import "pushmulticast/internal/snapshot"
 
 // PayloadCodec describes packet payloads. The NoC never inspects payloads,
 // so the protocol layer supplies the description (coherence.Codec in real
@@ -295,19 +291,19 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 	}
 }
 
-// ringState describes the live window of an SPSC link ring, oldest entry
-// first. A decoded ring's window starts wherever the fresh ring's head sits,
-// which is invisible: only the window is ever read.
-func ringState[E any](c *snapshot.Codec, head, tail *atomic.Uint32, buf *[ringCap]E, entry func(*E)) {
-	n := c.Len(int(tail.Load() - head.Load()))
+// ringState describes the live window of a link ring, oldest entry first. A
+// decoded ring's window starts wherever the fresh ring's head sits, which is
+// invisible: only the window is ever read.
+func ringState[E any](c *snapshot.Codec, head, tail *uint32, buf *[ringCap]E, entry func(*E)) {
+	n := c.Len(int(*tail - *head))
 	if n > ringCap {
 		c.Corrupt("link ring holds %d entries, capacity %d", n, ringCap)
 		return
 	}
 	if c.Decoding() {
-		tail.Store(head.Load() + uint32(n))
+		*tail = *head + uint32(n)
 	}
-	for h, t := head.Load(), tail.Load(); h != t; h++ {
+	for h := *head; h != *tail; h++ {
 		entry(&buf[h%ringCap])
 	}
 }

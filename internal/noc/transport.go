@@ -30,9 +30,8 @@ package noc
 // (RetryWindow <= 32 < the 64-bit mask horizon), so a live entry is always
 // coverable. Every
 // transport decision is a pure function of deterministic state, so lossy
-// runs replay byte-identically across the serial, dense, and parallel
-// kernels. All state below is tile-local and touched only from the tile's
-// lane.
+// runs replay byte-identically on the wake-driven and dense kernels. All
+// state below is tile-local.
 
 import (
 	"fmt"
@@ -555,9 +554,7 @@ func (ni *NI) transportDeadline() (sim.Cycle, bool) {
 }
 
 // Unrecoverable returns the first (lowest-node) sender's ErrUnrecoverable
-// verdict, or nil. Called between cycles from the run's finished-check —
-// after the parallel executor's section barrier, so the lane-written dead
-// fields are safely visible.
+// verdict, or nil. Called between cycles from the run's finished-check.
 func (n *Network) Unrecoverable() error {
 	if !n.lossy {
 		return nil

@@ -21,8 +21,7 @@ import (
 // defaults for a single-host daemon.
 type Options struct {
 	// Workers bounds concurrently executing simulations (0 = GOMAXPROCS).
-	// Together with each campaign's sim_workers it is the host budget: the
-	// harness clamps intra-sim workers so the product cannot oversubscribe.
+	// Each simulation runs on one goroutine, so this is the host budget.
 	Workers int
 	// MaxQueue bounds queued-but-not-running tasks across all tenants
 	// (0 = 1024). Submits past the bound fail fast with HTTP 503.

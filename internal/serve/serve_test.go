@@ -222,7 +222,11 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 	}
 	// Every malformed run description pushsim refuses, as a one-run campaign.
 	for _, tc := range pushmulticast.MalformedRunSpecs() {
-		cases = append(cases, badCase{tc.Name, campaigns, campaignBody(t, tc.Spec), tc.Want})
+		if tc.ExtraArgs != nil {
+			continue // a flag spelling; cmd/pushsim runs it
+		}
+		body := tc.WithExtraJSON([]byte(campaignBody(t, tc.Spec)))
+		cases = append(cases, badCase{tc.Name, campaigns, string(body), tc.Want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -493,7 +497,7 @@ func campaignBody(t *testing.T, s pushmulticast.RunSpec) string {
 	t.Helper()
 	body, err := json.Marshal(CampaignSpec{
 		Cores: s.Cores, Scale: s.Scale, Schemes: []string{s.Scheme}, Workloads: []pushmulticast.WorkloadSpec{s.Workload},
-		SimWorkers: s.SimWorkers, Check: s.Check, TraceN: s.TraceN, Faults: s.Faults, WarmStart: s.WarmStart, Knobs: s.Knobs,
+		Check: s.Check, TraceN: s.TraceN, Faults: s.Faults, WarmStart: s.WarmStart, Knobs: s.Knobs,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,13 +36,12 @@ type CampaignSpec struct {
 	Schemes []string `json:"schemes"`
 	// Workloads lists the workload set; collective workloads accept
 	// parameters. Empty is rejected.
-	Workloads  []pushmulticast.WorkloadSpec `json:"workloads"`
-	SimWorkers int                          `json:"sim_workers"`
-	Check      bool                         `json:"check"`
-	TraceN     int                          `json:"trace_n"`
-	Faults     *pushmulticast.FaultSpec     `json:"faults"`
-	WarmStart  string                       `json:"warm_start"`
-	Knobs      *pushmulticast.KnobSpec      `json:"knobs"`
+	Workloads []pushmulticast.WorkloadSpec `json:"workloads"`
+	Check     bool                         `json:"check"`
+	TraceN    int                          `json:"trace_n"`
+	Faults    *pushmulticast.FaultSpec     `json:"faults"`
+	WarmStart string                       `json:"warm_start"`
+	Knobs     *pushmulticast.KnobSpec      `json:"knobs"`
 }
 
 // tenantOrDefault resolves a request's fair-queueing bucket.
@@ -73,8 +72,8 @@ func (spec CampaignSpec) expand() []pushmulticast.RunSpec {
 		for _, ws := range spec.Workloads {
 			specs = append(specs, pushmulticast.RunSpec{
 				Cores: spec.Cores, Scale: spec.Scale, Scheme: scheme, Workload: ws,
-				SimWorkers: spec.SimWorkers, Check: spec.Check, TraceN: spec.TraceN,
-				Faults: spec.Faults, WarmStart: spec.WarmStart, Knobs: spec.Knobs,
+				Check: spec.Check, TraceN: spec.TraceN, Faults: spec.Faults,
+				WarmStart: spec.WarmStart, Knobs: spec.Knobs,
 			})
 		}
 	}

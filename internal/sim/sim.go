@@ -42,7 +42,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Cycle is a simulation timestamp in core clock cycles.
@@ -91,60 +90,17 @@ type Handle struct {
 	// heapPos is this handle's index in the engine's wake heap, -1 when the
 	// handle is not enqueued.
 	heapPos int `snap:"-,derived: position in the rebuilt wake heap"`
-
-	// lane is the handle's parallel-execution lane, -1 for serial-only
-	// handles (see SetLane).
-	lane int `snap:"-,config"`
-	// seg is the index of the handle's segment in Engine.segs, -1 until the
-	// parallel executor first builds the segment list. It anchors the
-	// per-segment awake counters maintained on every asleep-transition.
-	seg int `snap:"-,derived: rebuilt with the segment list"`
-	// dirty marks enrollment in the engine's staged-commit list for the
-	// current section (set by the first staged effect, cleared at commit).
-	dirty atomic.Bool `snap:"-,transient: parallel-section staging, empty between Steps"`
-	// pendingWake is the staged wake time accumulated (as a minimum) while a
-	// parallel section runs; NeverWake when none. It is the only handle field
-	// written cross-lane during a section, hence atomic.
-	pendingWake atomic.Uint64 `snap:"-,transient: parallel-section staging, empty between Steps"`
-	// pendingSleep/hasPendingSleep stage the owning component's last
-	// Sleep/SleepUntil of the section; only the owner writes them.
-	pendingSleep    Cycle `snap:"-,transient: parallel-section staging, empty between Steps"`
-	hasPendingSleep bool  `snap:"-,transient: parallel-section staging, empty between Steps"`
-	// wakeConsumed marks that the lane executor ticked this sleeping handle
-	// because its staged wake was due, so commit must replay the wake before
-	// the staged sleep (serial order: wake, tick, sleep).
-	wakeConsumed bool `snap:"-,transient: parallel-section staging, empty between Steps"`
-}
-
-// SetLane tags the handle with a parallel-execution lane. Handles sharing a
-// lane tick sequentially in registration order on one worker; handles in
-// different lanes of the same section may tick concurrently, so everything a
-// component touches during its tick must be confined to its lane (or routed
-// through the staged Wake/WakeAt/stats paths). A maximal run of consecutive
-// registrations with lanes forms one parallel section; untagged handles
-// execute serially on the coordinating goroutine with unchanged semantics.
-func (h *Handle) SetLane(lane int) {
-	h.lane = lane
-	h.eng.hasLanes = h.eng.hasLanes || lane >= 0
-	h.eng.segsDirty = true
 }
 
 // Wake marks the component runnable from the current cycle on. Waking an
 // already-awake component is a cheap no-op, so producers call it
-// unconditionally when handing work over. During a parallel section the wake
-// is staged and applied at the section barrier in registration order.
+// unconditionally when handing work over.
 func (h *Handle) Wake() {
-	if h.eng.staging {
-		storeMin(&h.pendingWake, uint64(h.eng.now))
-		h.eng.stageDirty(h)
-		return
-	}
 	if !h.asleep {
 		return
 	}
 	h.asleep = false
 	h.eng.asleepCount--
-	h.eng.segWake(h)
 	if h.heapPos >= 0 {
 		h.eng.heapRemove(h.heapPos)
 	}
@@ -156,14 +112,6 @@ func (h *Handle) Wake() {
 // buy a no-op tick). An awake component or an earlier scheduled wake is left
 // untouched; a c at or before the current cycle degenerates to Wake.
 func (h *Handle) WakeAt(c Cycle) {
-	if h.eng.staging {
-		// The awake/earlier-wake fast path is unsafe here: the target may
-		// have staged a sleep this section. Stage unconditionally; commit
-		// re-applies the checks against the settled state.
-		storeMin(&h.pendingWake, uint64(c))
-		h.eng.stageDirty(h)
-		return
-	}
 	if !h.asleep || h.wakeAt <= c {
 		return
 	}
@@ -193,14 +141,6 @@ func (h *Handle) sleep(c Cycle) {
 	if h.eng.dense {
 		return // dense reference mode ticks everything every cycle
 	}
-	if h.eng.staging {
-		// Only the owning component sleeps its own handle, and only during
-		// its tick; last call of the tick wins, replayed at commit.
-		h.pendingSleep = c
-		h.hasPendingSleep = true
-		h.eng.stageDirty(h)
-		return
-	}
 	// A sleep that would wake next cycle skips no ticks — the component runs
 	// at c either way — but costs a heap push now and a heap pop in the next
 	// Step. Staying awake is behaviorally identical and cheaper.
@@ -218,7 +158,6 @@ func (h *Handle) sleep(c Cycle) {
 	} else {
 		h.asleep = true
 		h.eng.asleepCount++
-		h.eng.segSleep(h)
 	}
 	h.wakeAt = c
 	if c != NeverWake {
@@ -229,15 +168,12 @@ func (h *Handle) sleep(c Cycle) {
 // Engine drives the simulation. The zero value is not usable; construct with
 // NewEngine.
 type Engine struct {
-	now         Cycle
-	handles     []*Handle
-	asleepCount int       `snap:"-,derived: recounted from the asleep flags"`
-	wheap       []*Handle `snap:"-,derived: rebuilt from the wake times"` // min-heap on (wakeAt, registration order)
-	dense       bool      `snap:"-,config"`
-	// lastProgress is atomic because components report progress from worker
-	// goroutines during parallel sections; the load-check-store in Progress
-	// keeps the hot path to one uncontended load per call.
-	lastProgress atomic.Uint64
+	now          Cycle
+	handles      []*Handle
+	asleepCount  int       `snap:"-,derived: recounted from the asleep flags"`
+	wheap        []*Handle `snap:"-,derived: rebuilt from the wake times"` // min-heap on (wakeAt, registration order)
+	dense        bool      `snap:"-,config"`
+	lastProgress Cycle
 	watchdog     Cycle `snap:"-,config"`
 	maxCycles    Cycle `snap:"-,config"`
 	// failsafe records that maxCycles is the implicit FailsafeMaxCycles
@@ -245,31 +181,6 @@ type Engine struct {
 	// wrap ErrFailsafe.
 	failsafe bool `snap:"-,config"`
 	ticks    uint64
-
-	// Parallel executor state (see parallel.go). workers <= 1 or no lane
-	// tags leaves Step on the single-threaded path untouched.
-	workers    int       `snap:"-,config"`
-	threshold  int       `snap:"-,config"`
-	batchGrain int       `snap:"-,config"`
-	hasLanes   bool      `snap:"-,config"`
-	staging    bool      `snap:"-,transient: never set between Steps"`
-	segs       []segment `snap:"-,derived: rebuilt when segsDirty"`
-	segsDirty  bool      `snap:"-,derived: set by decoding"`
-	// trackAwake turns on the per-segment awake counters once the segment
-	// list exists; serial engines never pay for the bookkeeping.
-	trackAwake bool             `snap:"-,derived: set when segs are built"`
-	workCh     chan *parSection `snap:"-,wiring"`
-	// spawned is the pool size actually started (capped by GOMAXPROCS-1).
-	spawned int        `snap:"-,wiring"`
-	sec     parSection `snap:"-,scratch"`
-	// dirty/dirtyN collect the handles with staged effects during a section;
-	// commit walks (and sorts) only these instead of every handle.
-	dirty  []*Handle    `snap:"-,scratch"`
-	dirtyN atomic.Int64 `snap:"-,scratch"`
-	exec   ExecStats
-	// onCycleEnd, when set, runs after the last section of every parallel
-	// Step (the per-cycle ordered drain of deferred stats).
-	onCycleEnd func(now Cycle) `snap:"-,wiring"`
 }
 
 // FailsafeMaxCycles is the hard cycle ceiling enforced when both the
@@ -304,13 +215,8 @@ func (e *Engine) Dense() bool { return e.dense }
 // Register adds a component to the tick list and returns its scheduling
 // handle. Components are ticked in registration order and start awake.
 func (e *Engine) Register(t Ticker) *Handle {
-	h := &Handle{eng: e, comp: t, idx: len(e.handles), wakeAt: NeverWake, heapPos: -1, lane: -1, seg: -1}
-	h.pendingWake.Store(uint64(NeverWake))
+	h := &Handle{eng: e, comp: t, idx: len(e.handles), wakeAt: NeverWake, heapPos: -1}
 	e.handles = append(e.handles, h)
-	// Keep the staged-commit dirty list sized to the handle count up front:
-	// stageDirty writes into it from worker goroutines and must never grow it.
-	e.dirty = append(e.dirty, nil)
-	e.segsDirty = true
 	return h
 }
 
@@ -325,11 +231,7 @@ func (e *Engine) Ticks() uint64 { return e.ticks }
 // Progress records that a component made forward progress this cycle (moved a
 // flit, retired an instruction, completed a transaction, ...). It feeds the
 // deadlock watchdog.
-func (e *Engine) Progress() {
-	if e.lastProgress.Load() != uint64(e.now) {
-		e.lastProgress.Store(uint64(e.now))
-	}
-}
+func (e *Engine) Progress() { e.lastProgress = e.now }
 
 // Step advances the simulation by exactly one cycle: due sleepers are woken,
 // then every awake component is ticked in registration order. A component
@@ -338,10 +240,6 @@ func (e *Engine) Progress() {
 // dense behavior because the woken component's tick this cycle would have
 // been a no-op (rule 1: the handed-over work is readyAt-stamped).
 func (e *Engine) Step() {
-	if e.workers >= 2 && e.hasLanes {
-		e.stepParallel()
-		return
-	}
 	if e.dense {
 		e.ticks += uint64(len(e.handles))
 		for _, h := range e.handles {
@@ -400,7 +298,7 @@ func (e *Engine) Run(finished func() bool) (Cycle, error) {
 // are now reported, each matchable with errors.Is, with the deadlock — the
 // diagnosis that names the stall — leading the message.
 func (e *Engine) limitErr() error {
-	stalled := e.watchdog != 0 && e.now-Cycle(e.lastProgress.Load()) > e.watchdog
+	stalled := e.watchdog != 0 && e.now-e.lastProgress > e.watchdog
 	capped := e.maxCycles != 0 && e.now >= e.maxCycles
 	if !stalled && !capped {
 		return nil
@@ -416,7 +314,7 @@ func (e *Engine) limitErr() error {
 	if !stalled {
 		return ceiling
 	}
-	stall := fmt.Errorf("%w: stalled since cycle %d (now %d)", ErrDeadlock, Cycle(e.lastProgress.Load()), e.now)
+	stall := fmt.Errorf("%w: stalled since cycle %d (now %d)", ErrDeadlock, e.lastProgress, e.now)
 	if !capped {
 		return stall
 	}
@@ -433,7 +331,7 @@ func (e *Engine) fastForward() bool {
 		target = e.wheap[0].wakeAt
 	}
 	if e.watchdog != 0 {
-		if fire := Cycle(e.lastProgress.Load()) + e.watchdog + 1; fire < target {
+		if fire := e.lastProgress + e.watchdog + 1; fire < target {
 			target = fire
 		}
 	}

@@ -72,28 +72,3 @@ func TestAddCoversEveryCounter(t *testing.T) {
 		t.Error("second Add did not accumulate (counters overwritten instead of summed)")
 	}
 }
-
-// TestDrainGapsInto checks deferred gap observations replay into the
-// destination's reservoirs in log order and the log resets.
-func TestDrainGapsInto(t *testing.T) {
-	shard := New()
-	shard.DeferGaps = true
-	shard.ObserveGap(7, 100)
-	shard.ObserveGap(7, 200)
-	shard.ObserveGap(3, 50)
-	if len(shard.SharerGaps) != 0 {
-		t.Fatal("deferring shard advanced its own reservoirs")
-	}
-
-	primary := New()
-	shard.DrainGapsInto(primary)
-	if len(shard.GapLog) != 0 {
-		t.Error("drain left observations in the shard log")
-	}
-	if r := primary.SharerGaps[7]; r == nil || !reflect.DeepEqual(r.Samples, []uint64{100, 200}) {
-		t.Errorf("key 7 reservoir = %+v, want samples [100 200]", primary.SharerGaps[7])
-	}
-	if r := primary.SharerGaps[3]; r == nil || !reflect.DeepEqual(r.Samples, []uint64{50}) {
-		t.Errorf("key 3 reservoir = %+v, want samples [50]", primary.SharerGaps[3])
-	}
-}

@@ -2,14 +2,8 @@ package stats
 
 import "pushmulticast/internal/snapshot"
 
-// State describes the primary stats bundle. It must only run after per-lane
-// shards have been merged (so the bundle holds every counter) and with GapLog
-// empty — parallel runs drain the log each cycle, and a serialized bundle
-// with a pending log would lose the deferral ordering.
+// State describes the stats bundle.
 func (a *All) State(c *snapshot.Codec) {
-	if len(a.GapLog) != 0 {
-		panic("stats: snapshot with undrained GapLog")
-	}
 	c.Section("stats.all")
 	n := &a.Net
 	c.Mark(&n.LinkFlits)

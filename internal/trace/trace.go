@@ -10,16 +10,16 @@
 //     last N events are dumped, turning "cycle 21262 differs" into a
 //     replayable causal history.
 //   - Equivalence: the running hash covers *every* event ever emitted, in a
-//     deterministic order, so comparing (hash, count) across the serial,
-//     dense, and parallel kernels compares full causal histories rather
+//     deterministic order, so comparing (hash, count) across the
+//     wake-driven and dense kernels compares full causal histories rather
 //     than end-state counters.
 //
-// Determinism contract: each shard is written by exactly one component
-// (one lane), shards are drained in creation order, and the monitor that
-// drains them is woken on every emission and registered last — so it runs
-// after all emitters within the same cycle, in every kernel mode. The
-// flattened order is therefore (cycle, shard creation order, intra-shard
-// program order), identical across serial, dense, and parallel runs.
+// Determinism contract: each shard is written by exactly one component,
+// shards are drained in creation order, and the monitor that drains them is
+// woken on every emission and registered last — so it runs after all
+// emitters within the same cycle, on either kernel. The flattened order is
+// therefore (cycle, shard creation order, intra-shard program order),
+// identical across wake-driven and dense runs.
 package trace
 
 import (
@@ -155,10 +155,10 @@ func (e Event) String() string {
 		e.Cycle, e.Kind, e.Node, e.Addr, e.A, e.B, e.ID, e.Aux)
 }
 
-// Shard is a single-writer event buffer. Each traced component owns one
-// shard and appends to it only from its own lane, so no emission ever
-// races another. A nil *Shard is valid and makes Emit a no-op — tracing
-// is disabled by simply not installing shards.
+// Shard is a single-writer event buffer: each traced component owns one
+// shard, which keeps a component's events in its own program order whatever
+// the tick order. A nil *Shard is valid and makes Emit a no-op — tracing is
+// disabled by simply not installing shards.
 type Shard struct {
 	tr  *Tracer
 	buf []Event

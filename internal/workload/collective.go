@@ -6,7 +6,7 @@ package workload
 // exactly the traffic of collective communication in DNN training (gradient
 // aggregation) and serving fan-out, an axis the paper never evaluated. Each
 // generator is built from the same segment machinery as the Table II set, so
-// the serial, dense, and parallel kernels replay every collective
+// the wake-driven and dense kernels replay every collective
 // byte-identically.
 //
 // The collectives are traffic models, not numerically faithful algorithms:

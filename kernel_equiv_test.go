@@ -13,13 +13,10 @@ func equivSchemes() []Scheme {
 	return []Scheme{Baseline(), AblationPush(), OrdPush()}
 }
 
-// withParallel configures the parallel tick executor with a threshold of 1
-// so even tiny-scale cycles take the staged-commit path (the default
-// threshold would route most of them to the serial fallback, testing
-// nothing).
-func withParallel(cfg Config, workers int) Config {
-	cfg.ParallelWorkers = workers
-	cfg.ParallelThreshold = 1
+// withDense selects the dense reference kernel, the wake-driven scheduler's
+// one independent oracle.
+func withDense(cfg Config) Config {
+	cfg.DenseKernel = true
 	return cfg
 }
 
@@ -51,15 +48,12 @@ func checkIdentical(t *testing.T, aName, bName string, a, b Results) {
 	}
 }
 
-// TestSparseDenseEquivalence is the kernel's correctness contract, run
-// three ways: for every tiny-scale workload and scheme, the sparse
-// (wake-driven), dense (tick-everything), and parallel (staged-commit
-// multi-worker) kernels must produce byte-identical results — same cycle
-// count, same full counter bundle. A sparse/dense divergence means a
+// TestSparseDenseEquivalence is the kernel's correctness contract: for every
+// tiny-scale workload and scheme, the sparse (wake-driven) and dense
+// (tick-everything) kernels must produce byte-identical results — same cycle
+// count, same full counter bundle, same event history. A divergence means a
 // component slept through a cycle in which the dense kernel would have made
-// progress (a missed wake) or mis-reconstructed a per-cycle counter; a
-// parallel divergence means a cross-lane effect escaped the staged-commit
-// path.
+// progress (a missed wake) or mis-reconstructed a per-cycle counter.
 func TestSparseDenseEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-checking every workload is slow")
@@ -69,10 +63,10 @@ func TestSparseDenseEquivalence(t *testing.T) {
 			sch, wl := sch, wl
 			t.Run(sch.Name+"/"+wl.Name, func(t *testing.T) {
 				t.Parallel()
-				var sparse, dense, par Results
-				var sErr, dErr, pErr error
+				var sparse, dense Results
+				var sErr, dErr error
 				var wg sync.WaitGroup
-				wg.Add(3)
+				wg.Add(2)
 				go func() {
 					defer wg.Done()
 					cfg := withCheck(ScaledConfig(Default16()).WithScheme(sch))
@@ -84,27 +78,22 @@ func TestSparseDenseEquivalence(t *testing.T) {
 					cfg.DenseKernel = true
 					dense, dErr = RunWorkload(cfg, wl, ScaleTiny)
 				}()
-				go func() {
-					defer wg.Done()
-					cfg := withCheck(withParallel(ScaledConfig(Default16()).WithScheme(sch), 4))
-					par, pErr = RunWorkload(cfg, wl, ScaleTiny)
-				}()
 				wg.Wait()
-				if sErr != nil || dErr != nil || pErr != nil {
-					t.Fatalf("run failed: sparse=%v dense=%v parallel=%v", sErr, dErr, pErr)
+				if sErr != nil || dErr != nil {
+					t.Fatalf("run failed: sparse=%v dense=%v", sErr, dErr)
 				}
 				checkIdentical(t, "sparse", "dense", sparse, dense)
-				checkIdentical(t, "sparse", "parallel", sparse, par)
 			})
 		}
 	}
 }
 
-// TestParallelEquivalence is the short-mode-capable slice of the three-way
-// oracle: serial sparse vs parallel across all equivalence schemes on two
+// TestParallelEquivalence is the short-mode-capable slice of the kernel
+// oracle: wake-driven vs dense across all equivalence schemes on two
 // contrasting workloads (high-sharing cachebw, irregular bfs) at 16 cores,
-// and — outside short mode — at 64 cores as well, where parallel sections
-// span 64 lanes.
+// and — outside short mode — on the 64-core mesh as well. (The name dates
+// from when its second arm was the since-deleted parallel executor; the
+// matrix, and so every subtest name, is unchanged.)
 func TestParallelEquivalence(t *testing.T) {
 	coreCounts := []int{16}
 	if !testing.Short() {
@@ -131,26 +120,26 @@ func TestParallelEquivalence(t *testing.T) {
 					if cores == 64 {
 						base = Default64()
 					}
-					serial, err := Run(withCheck(ScaledConfig(base).WithScheme(sch)), wlName, ScaleTiny)
+					cfg := withCheck(ScaledConfig(base).WithScheme(sch))
+					sparse, err := Run(cfg, wlName, ScaleTiny)
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, err := Run(withCheck(withParallel(ScaledConfig(base).WithScheme(sch), 4)), wlName, ScaleTiny)
+					dense, err := Run(withDense(cfg), wlName, ScaleTiny)
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkIdentical(t, "serial", "parallel", serial, par)
+					checkIdentical(t, "sparse", "dense", sparse, dense)
 				})
 			}
 		}
 	}
 }
 
-// TestManycoreEquivalence is the scale point of the three-way oracle: on
-// the 256-core 16x16 mesh (the largest supported machine, where parallel
-// sections span 256 lanes and the batched dispatch and sharded router walk
-// are maximally exercised), the sparse, dense, and parallel kernels must
-// still produce byte-identical results down to the full event history.
+// TestManycoreEquivalence is the scale point of the kernel oracle: on the
+// 256-core 16x16 mesh (the largest supported machine), the sparse and dense
+// kernels must still produce byte-identical results down to the full event
+// history.
 func TestManycoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-core cross-check is slow")
@@ -161,10 +150,10 @@ func TestManycoreEquivalence(t *testing.T) {
 	// keeps every structural invariant checked (and the event-driven layer
 	// at full rate) at an eighth of the sweep cost.
 	base.CheckEvery = 512
-	var sparse, dense, par Results
-	var sErr, dErr, pErr error
+	var sparse, dense Results
+	var sErr, dErr error
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		sparse, sErr = Run(withCheck(base), "cachebw", ScaleTiny)
@@ -175,64 +164,11 @@ func TestManycoreEquivalence(t *testing.T) {
 		cfg.DenseKernel = true
 		dense, dErr = Run(cfg, "cachebw", ScaleTiny)
 	}()
-	go func() {
-		defer wg.Done()
-		par, pErr = Run(withCheck(withParallel(base, 4)), "cachebw", ScaleTiny)
-	}()
 	wg.Wait()
-	if sErr != nil || dErr != nil || pErr != nil {
-		t.Fatalf("run failed: sparse=%v dense=%v parallel=%v", sErr, dErr, pErr)
+	if sErr != nil || dErr != nil {
+		t.Fatalf("run failed: sparse=%v dense=%v", sErr, dErr)
 	}
 	checkIdentical(t, "sparse", "dense", sparse, dense)
-	checkIdentical(t, "sparse", "parallel", sparse, par)
-}
-
-// TestParallelWorkerCountInvariance sweeps the staged-commit executor across
-// worker counts 1..8 on the 64-core machine and requires every worker count
-// to reproduce the serial kernel's full event history: batch sizing (which
-// varies with the worker count) must never reorder committed effects.
-func TestParallelWorkerCountInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("worker sweep is slow")
-	}
-	base := ScaledConfig(Default64()).WithScheme(OrdPush())
-	ref, err := Run(withCheck(base), "cachebw", ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 1; w <= 8; w++ {
-		w := w
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			t.Parallel()
-			par, err := Run(withCheck(withParallel(base, w)), "cachebw", ScaleTiny)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkIdentical(t, "serial", fmt.Sprintf("parallel-%d", w), ref, par)
-		})
-	}
-}
-
-// TestParallelDeterminism runs the parallel kernel twice on the same
-// configuration and requires fully identical Results: worker scheduling
-// must never leak into simulation outcomes.
-func TestParallelDeterminism(t *testing.T) {
-	for _, sch := range equivSchemes() {
-		sch := sch
-		t.Run(sch.Name, func(t *testing.T) {
-			t.Parallel()
-			cfg := withCheck(withParallel(ScaledConfig(Default16()).WithScheme(sch), 4))
-			a, err := Run(cfg, "cachebw", ScaleTiny)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(cfg, "cachebw", ScaleTiny)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkIdentical(t, "first", "second", a, b)
-		})
-	}
 }
 
 // TestKernelDeterminism runs the same configuration twice and requires

@@ -29,7 +29,6 @@ import (
 	"pushmulticast/internal/core"
 	"pushmulticast/internal/fault"
 	"pushmulticast/internal/noc"
-	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
 	"pushmulticast/internal/workload"
 )
@@ -44,12 +43,6 @@ type Scheme = config.Scheme
 
 // Results bundles one run's execution time and counters.
 type Results = core.Results
-
-// ExecStats is the parallel executor's scheduling-work record carried in
-// Results.Exec: sections dispatched, batch claims, and cross-goroutine
-// handoffs (each a barrier-crossing scheduling operation), plus the
-// serial-fallback cycle count. Zero for serial runs.
-type ExecStats = sim.ExecStats
 
 // Stats is the counter bundle inside Results.
 type Stats = stats.All

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"strings"
 	"sync/atomic"
 )
@@ -30,11 +29,6 @@ type RunSpec struct {
 	Scheme string `json:"scheme"`
 	// Workload names the workload; collective workloads accept parameters.
 	Workload WorkloadSpec `json:"workload"`
-	// SimWorkers runs the simulation on the parallel tick executor with this
-	// many workers (0 or 1 = serial; results are byte-identical). Values
-	// above the host's processor count are clamped: extra workers past it
-	// only add contention.
-	SimWorkers int `json:"sim_workers"`
 	// Check enables the runtime invariant checker.
 	Check bool `json:"check"`
 	// TraceN retains the last N causal trace events and reports the trace
@@ -150,9 +144,6 @@ func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, bool)) (ResolvedRun
 	if err != nil {
 		return ResolvedRun{}, err
 	}
-	if s.SimWorkers < 0 {
-		return ResolvedRun{}, fmt.Errorf("sim_workers %d is negative", s.SimWorkers)
-	}
 	if s.TraceN < 0 {
 		return ResolvedRun{}, fmt.Errorf("trace_n %d is negative", s.TraceN)
 	}
@@ -161,7 +152,6 @@ func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, bool)) (ResolvedRun
 		return ResolvedRun{}, err
 	}
 	cfg = cfg.WithScheme(sch)
-	cfg.ParallelWorkers = min(s.SimWorkers, runtime.GOMAXPROCS(0))
 	cfg.Check = s.Check
 	cfg.TraceN = s.TraceN
 	if k := s.Knobs; k != nil {

@@ -7,9 +7,25 @@ package pushmulticast
 type RunSpecCase struct {
 	Name string
 	Spec RunSpec
-	// Want is a substring of Resolve's one-line rejection; empty for a
-	// description that must resolve.
+	// Want is a substring of the one-line rejection; empty for a description
+	// that must resolve.
 	Want string
+	// ExtraJSON and ExtraArgs spell what Spec's fields cannot — a key the
+	// schema does not have: a raw member added to the description's JSON
+	// object (run description and campaign body alike), or extra pushsim
+	// arguments. Such a case is refused by that dialect's own parser, so only
+	// the front ends speaking the dialect run it.
+	ExtraJSON string
+	ExtraArgs []string
+}
+
+// WithExtraJSON returns the marshalled JSON object obj with the case's
+// ExtraJSON member added.
+func (c RunSpecCase) WithExtraJSON(obj []byte) []byte {
+	if c.ExtraJSON == "" {
+		return obj
+	}
+	return []byte(string(obj[:len(obj)-1]) + "," + c.ExtraJSON + "}")
 }
 
 // runSpecCase edits the smallest real description — cachebw under OrdPush on
@@ -40,19 +56,26 @@ func ExampleRunSpecs() []RunSpecCase {
 		runSpecCase("256-cores", "", func(s *RunSpec) { s.Cores = 256 }),
 		runSpecCase("full-scale", "", func(s *RunSpec) { s.Scale = "FULL" }),
 		runSpecCase("trace-and-check", "", func(s *RunSpec) { s.TraceN, s.Check = 64, true }),
-		runSpecCase("parallel", "", func(s *RunSpec) { s.SimWorkers = 2 }),
 	}
 }
 
-// MalformedRunSpecs are descriptions every front end must refuse with
-// Resolve's one-line diagnostic before simulating anything.
+// MalformedRunSpecs are descriptions every front end must refuse with a
+// one-line diagnostic — Resolve's, or its own parser's for a key it does not
+// have — before simulating anything.
 func MalformedRunSpecs() []RunSpecCase {
+	// The knobs that selected the deleted intra-run executor are plain
+	// unknowns now: the strict decoders and the flag package refuse them.
+	retiredKey := runSpecCase("retired-sim-workers-key", `unknown field "sim_workers"`, func(*RunSpec) {})
+	retiredKey.ExtraJSON = `"sim_workers":2`
+	retiredFlag := runSpecCase("retired-parallel-flag", "flag provided but not defined: -parallel", func(*RunSpec) {})
+	retiredFlag.ExtraArgs = []string{"-parallel", "4"}
 	return []RunSpecCase{
 		runSpecCase("unknown-scheme", `unknown scheme "TurboPush"`, func(s *RunSpec) { s.Scheme = "TurboPush" }),
 		runSpecCase("unknown-workload", `"nosuch"`, func(s *RunSpec) { s.Workload.Name = "nosuch" }),
 		runSpecCase("bad-scale", `unknown scale "huge"`, func(s *RunSpec) { s.Scale = "huge" }),
 		runSpecCase("bad-cores", "unsupported core count 48", func(s *RunSpec) { s.Cores = 48 }),
-		runSpecCase("negative-sim-workers", "sim_workers -3 is negative", func(s *RunSpec) { s.SimWorkers = -3 }),
+		retiredKey,
+		retiredFlag,
 		runSpecCase("negative-trace", "trace_n -5 is negative", func(s *RunSpec) { s.TraceN = -5 }),
 		runSpecCase("collective-params-on-registry-workload", "not a collective", func(s *RunSpec) { s.Workload.Sharers = 4 }),
 		runSpecCase("inconsistent-collective-params", "must be at least 2, got 1", func(s *RunSpec) { s.Workload = WorkloadSpec{Name: "broadcast", Fanout: 1} }),

@@ -3,6 +3,7 @@ package pushmulticast
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -14,8 +15,18 @@ func TestResolveMalformed(t *testing.T) {
 	ClearRunMemo()
 	t.Cleanup(ClearRunMemo)
 	for _, tc := range MalformedRunSpecs() {
+		if tc.ExtraArgs != nil {
+			continue // a flag spelling; cmd/pushsim runs it
+		}
 		t.Run(tc.Name, func(t *testing.T) {
-			_, err := tc.Spec.Resolve(nil)
+			data, err := json.Marshal(tc.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := DecodeRunSpec(tc.WithExtraJSON(data))
+			if err == nil {
+				_, err = spec.Resolve(nil)
+			}
 			if err == nil {
 				t.Fatal("Resolve accepted a malformed description")
 			}
@@ -57,7 +68,7 @@ func TestResolveExamples(t *testing.T) {
 			if s.Knobs != nil || s.TraceN != 0 || s.Faults != nil && s.Faults.Intensity > 0 && s.Faults.LossyPerMille > 0 {
 				return // not expressible as ExpOptions
 			}
-			o := ExpOptions{Cores: s.Cores, Scale: run.Scale, SimWorkers: s.SimWorkers, Check: s.Check}.withDefaults()
+			o := ExpOptions{Cores: s.Cores, Scale: run.Scale, Check: s.Check}.withDefaults()
 			if f := s.Faults; f != nil {
 				seed := max(f.Seed, 1)
 				plan := GenerateFaultPlan(o.Cores, seed, f.Intensity)
@@ -78,6 +89,29 @@ func TestResolveExamples(t *testing.T) {
 	}
 }
 
+// TestIdentityIndependentOfHost pins that a run's identity is a property of
+// its description alone: the coordinator that formats it and the replica that
+// recomputes it may have different processor counts. Resolve used to write
+// min(sim_workers, GOMAXPROCS) into the configuration before the memo key was
+// formatted, so one description had one identity per host size.
+func TestIdentityIndependentOfHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range ExampleRunSpecs() {
+		var ids [2]string
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			run, err := tc.Spec.Resolve(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.Name, err)
+			}
+			ids[i] = run.Identity()
+		}
+		if ids[0] != ids[1] {
+			t.Errorf("%s: identity %s with 1 processor, %s with 4", tc.Name, ids[0], ids[1])
+		}
+	}
+}
+
 // FuzzRunSpec feeds arbitrary bytes through the strict decoder and the one
 // validator: the outcome is a one-line error or a run whose configuration
 // validates and whose identity is stable across two resolves — never a
@@ -89,7 +123,7 @@ func FuzzRunSpec(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(data)
+			f.Add(tc.WithExtraJSON(data))
 		}
 	}
 	// The README's simd examples, one run each, and near misses of the schema.

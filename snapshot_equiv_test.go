@@ -3,19 +3,22 @@ package pushmulticast
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
+
+	"pushmulticast/internal/core"
+	"pushmulticast/internal/snapshot"
 )
 
-// snapshotKernels are the executor variants the checkpoint/restore contract
-// must hold on: a snapshot taken under any of them restores into any of
-// them, because the serialized state is kernel-independent.
+// snapshotKernels are the kernels the checkpoint/restore contract must hold
+// on: a snapshot taken under either restores into either, because the
+// serialized state is kernel-independent.
 var snapshotKernels = []struct {
 	name string
 	with func(Config) Config
 }{
 	{"serial", func(cfg Config) Config { return cfg }},
-	{"dense", func(cfg Config) Config { cfg.DenseKernel = true; return cfg }},
-	{"parallel", func(cfg Config) Config { return withParallel(cfg, 4) }},
+	{"dense", withDense},
 }
 
 // coldAndWarm runs the configuration twice — once cold to completion, once
@@ -56,7 +59,7 @@ func coldAndWarm(t *testing.T, cfg Config, wl Workload, sc Scale, barrier uint64
 // mid-run cycle barrier, serialized, restored into a freshly built machine,
 // and continued to completion is byte-identical to a cold run — same cycle
 // count, same full counter bundle, same causal event history (trace hash) —
-// on the serial, dense, and parallel kernels alike.
+// on the wake-driven and dense kernels alike.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, sch := range []Scheme{Baseline(), OrdPush()} {
 		for _, k := range snapshotKernels {
@@ -224,6 +227,24 @@ func TestSnapshotRestoreMismatch(t *testing.T) {
 			t.Fatalf("want ErrSnapshotMismatch, got %v", err)
 		}
 	})
+	t.Run("fingerprint text of the previous format-v1 build", func(t *testing.T) {
+		// Config lost its ParallelThreshold field, and the fingerprints are
+		// the config's %+v text: a snapshot written before that spells the
+		// field in its header. It is refused on the header alone (this one has
+		// no body for a restore to touch) with the usual one-line mismatch.
+		strict, fork := core.Fingerprint(base, wl.Name, ScaleTiny)
+		old := func(fp string) string {
+			return strings.Replace(fp, "ParallelWorkers:0 Check:", "ParallelWorkers:0 ParallelThreshold:0 Check:", 1)
+		}
+		if old(strict) == strict || old(fork) == fork {
+			t.Fatalf("fingerprint text has no ParallelWorkers/Check seam to re-insert the field at: %s", strict)
+		}
+		stale := snapshot.NewEncoder(old(strict), old(fork), 2000).Finish()
+		_, err := RestoreMachine(stale, base, wl, ScaleTiny)
+		if !errors.Is(err, ErrSnapshotMismatch) || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("want a one-line ErrSnapshotMismatch, got %v", err)
+		}
+	})
 	t.Run("truncated snapshot", func(t *testing.T) {
 		if _, err := RestoreMachine(snap[:len(snap)-9], base, wl, ScaleTiny); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("want ErrSnapshotCorrupt, got %v", err)
@@ -246,17 +267,21 @@ type goldenSnapshot struct {
 // checker loss bookkeeping, and the trace ring. The pins were recorded at the
 // commit before the per-component codecs became single bidirectional
 // descriptions; they are what let snapshot.Version stay 1 across that rewrite.
+// They were re-recorded once since, 40 bytes smaller each, when Config lost
+// ParallelThreshold: the two fingerprint strings in the header are the
+// config's %+v text and each lost " ParallelThreshold:0" (20 bytes); every
+// byte after the header was compared equal to the previous build's.
 // A change to any of them is a format change and must bump the version.
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 1568175, 0x7b84982e20fe6bec},
+	}, 10000, 1568135, 0x2d8d9eda7f87db03},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 1518961, 0x1f842228211714ae},
+	}, 2000, 1518921, 0x1e46fcf930daa002},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 1561153, 0xa16d7585f4282608},
+	}, 30000, 1561113, 0xb898ddce050c5650},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -264,7 +289,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 1668120, 0x42dd95fc3b326824},
+	}, 12000, 1668080, 0x495203901502ceb7},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
