@@ -1,13 +1,13 @@
 package pushmulticast
 
-// One benchmark per reproduced table/figure. Each benchmark regenerates its
+// One sub-benchmark per reproduced table/figure. Each regenerates its
 // experiment at tiny scale per iteration and reports the figure's headline
 // quantity as a custom metric, so `go test -bench=. -benchmem` doubles as a
 // smoke regeneration of the whole evaluation. Quick-scale (paper-shaped)
 // numbers come from `go run ./cmd/experiments`.
 
 import (
-	"fmt"
+	"context"
 	"testing"
 )
 
@@ -47,165 +47,45 @@ func BenchmarkRunCachebwOrdPushDense(b *testing.B) {
 	b.ReportMetric(float64(cycles), "simcycles/op")
 }
 
-func BenchmarkFig2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig2(benchOpts("cachebw", "mv", "swaptions"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.Rows[0].L2MPKI, "cachebw-L2MPKI")
+// BenchmarkFigures regenerates every registry entry at tiny scale, one
+// sub-benchmark per entry over a workload subset that keeps it quick, and
+// reports the figure's headline quantity where the table has one.
+func BenchmarkFigures(b *testing.B) {
+	subset := map[string][]string{
+		"2": {"cachebw", "mv", "swaptions"}, "3": {"cachebw", "pathfinder"},
+		"11": {"cachebw", "mlp", "bfs"}, "12": {"cachebw", "backprop"}, "13": {"cachebw", "multilevel"},
+		"15": {"cachebw"}, "16": {"cachebw"}, "18": {"cachebw"}, "19": {"cachebw"}, "20": {"cachebw", "bfs"},
 	}
-}
-
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig3(benchOpts("cachebw", "pathfinder"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*f.Rows[0].ReadShared, "cachebw-readshared-%")
+	headline := map[string]struct {
+		metric, col string
+		row         []string
+	}{
+		"2":   {"cachebw-L2MPKI", "L2 MPKI", []string{"cachebw"}},
+		"3":   {"cachebw-readshared-x", "ReadShared", []string{"cachebw"}},
+		"11":  {"ordpush-geomean-x", "OrdPush x", []string{"geomean"}},
+		"13":  {"cachebw-ordpush-traffic-x", "Total", []string{"OrdPush", "cachebw"}},
+		"15":  {"l2-inj-x", "Inj total", []string{"OrdPush"}},
+		"16":  {"llc-inj-x", "Inj total", []string{"OrdPush"}},
+		"17a": {"conv3d-tpc16-x", "Speedup x", []string{"conv3d", "16"}},
+		"18":  {"cachebw-512bit-x", "512-bit", []string{"OrdPush", "cachebw"}},
+		"19":  {"smallcache-x", "Speedup x", []string{"PushAck", "cachebw", "256KB/1MB"}},
+		"20":  {"full-geomean-x", "Push+Multicast+Filter+Knob", []string{"geomean"}},
 	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(f.AllMedian), "median-gap-cycles")
-	}
-}
-
-func benchFig11(b *testing.B, cores int) {
-	o := benchOpts("cachebw", "mlp", "bfs")
-	o.Cores = cores
-	for i := 0; i < b.N; i++ {
-		f, err := Fig11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.Geomean["OrdPush"], "ordpush-geomean-x")
-		b.ReportMetric(f.Max["OrdPush"], "ordpush-max-x")
-	}
-}
-
-func BenchmarkFig11_16Core(b *testing.B) { benchFig11(b, 16) }
-
-func BenchmarkFig11_64Core(b *testing.B) { benchFig11(b, 64) }
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig12(benchOpts("cachebw", "backprop"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Scheme == "OrdPush" && r.Workload == "cachebw" {
-				b.ReportMetric(100*(r.Percent[4]+r.Percent[5]), "cachebw-useful-%")
+	for _, f := range Figures() {
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := f.Run(context.Background(), benchOpts(subset[f.Name]...))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if h, ok := headline[f.Name]; ok {
+					v, err := out.(*Table).Value(h.col, h.row...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(v, h.metric)
+				}
 			}
-		}
+		})
 	}
 }
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig13(benchOpts("cachebw", "multilevel"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*f.AvgSavingOrdPush, "ordpush-saving-%")
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig14(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(f.Grids[1].Total)/float64(f.Grids[0].Total), "ordpush-linkload-x")
-	}
-}
-
-func BenchmarkFig15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig15(benchOpts("cachebw"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Scheme == "OrdPush" {
-				b.ReportMetric(r.Injected, "l2-inj-x")
-			}
-		}
-	}
-}
-
-func BenchmarkFig16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig16(benchOpts("cachebw"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Scheme == "OrdPush" {
-				b.ReportMetric(r.Injected, "llc-inj-x")
-			}
-		}
-	}
-}
-
-func BenchmarkFig17(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fa, err := Fig17a(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Fig17b(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fa.Rows[0].Speedup, "conv3d-tpc16-x")
-	}
-}
-
-func BenchmarkFig18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig18(benchOpts("cachebw"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Scheme == "OrdPush" && r.LinkBits == 512 {
-				b.ReportMetric(r.Speedup, "cachebw-512bit-x")
-			}
-		}
-	}
-}
-
-func BenchmarkFig19(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig19(benchOpts("cachebw"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.Rows[0].Speedup, fmt.Sprintf("%s-x", "smallcache"))
-	}
-}
-
-func benchFig20(b *testing.B, cores int) {
-	o := benchOpts("cachebw", "bfs")
-	o.Cores = cores
-	for i := 0; i < b.N; i++ {
-		f, err := Fig20(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.Geomean["Push+Multicast+Filter+Knob"], "full-geomean-x")
-		b.ReportMetric(f.Geomean["Push"], "push-only-geomean-x")
-	}
-}
-
-func BenchmarkFig20_16Core(b *testing.B) { benchFig20(b, 16) }
-
-func BenchmarkFig20_64Core(b *testing.B) { benchFig20(b, 64) }

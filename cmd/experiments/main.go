@@ -9,99 +9,74 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"pushmulticast"
 )
 
-func main() {
-	var (
-		figs  = flag.String("fig", "all", "comma-separated figure list: 2,3,4,11,12,13,14,15,16,17,18,19,20,t1,t2,collective,interplay,recent,future,faults,lossy or 'all' (all excludes the chaos campaigns 'faults' and 'lossy'; request them by name)")
-		cores = flag.Int("cores", 16, "core count: 16, 64, or 256")
-		scale = flag.String("scale", "quick", "input scale: tiny|quick|full")
-		par   = flag.Int("par", 0, "max concurrent simulations (0 = NumCPU)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its streams and exit code as values.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		figs  = fs.String("fig", "all", "comma-separated figure list: 2,3,4,11,12,13,14,15,16,17,18,19,20,t1,t2,collective,interplay,recent,future,faults,lossy or 'all' (all excludes the chaos campaigns 'faults' and 'lossy'; request them by name)")
+		cores = fs.Int("cores", 16, "core count: 16, 64, or 256")
+		scale = fs.String("scale", "quick", "input scale: tiny|quick|full")
+		par   = fs.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 1
+	}
 	sc, err := pushmulticast.ParseScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
 	o := pushmulticast.ExpOptions{Scale: sc, Cores: *cores, Parallelism: *par}
 
+	var names []string
+	for _, f := range pushmulticast.Figures() {
+		names = append(names, f.Name)
+	}
 	want := map[string]bool{}
-	all := *figs == "all"
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
+	for _, name := range strings.Split(*figs, ",") {
+		switch name = strings.TrimSpace(name); {
+		case name == "17": // the figure's two halves are separate registry entries
+			want["17a"], want["17b"] = true, true
+		case name == "all" || slices.Contains(names, name):
+			want[name] = true
+		case name != "":
+			fmt.Fprintf(stderr, "experiments: unknown figure %q (figures: %s, or all)\n", name, strings.Join(names, ","))
+			return 1
+		}
 	}
-	// The chaos campaign runs with the invariant checker on every simulation,
-	// which is deliberately slow; it only runs when requested by name.
-	sel := func(name string) bool { return (all && name != "faults" && name != "lossy") || want[name] }
-
-	type exp struct {
-		name string
-		run  func() (fmt.Stringer, error)
-	}
-	experiments := []exp{
-		{"t1", func() (fmt.Stringer, error) { s, err := pushmulticast.TableI(o); return str(s), err }},
-		{"t2", func() (fmt.Stringer, error) { return str(pushmulticast.TableII()), nil }},
-		{"2", func() (fmt.Stringer, error) { return pushmulticast.Fig2(o) }},
-		{"3", func() (fmt.Stringer, error) { return pushmulticast.Fig3(o) }},
-		{"4", func() (fmt.Stringer, error) { return pushmulticast.Fig4(o) }},
-		{"11", func() (fmt.Stringer, error) { return pushmulticast.Fig11(o) }},
-		{"12", func() (fmt.Stringer, error) { return pushmulticast.Fig12(o) }},
-		{"13", func() (fmt.Stringer, error) { return pushmulticast.Fig13(o) }},
-		{"14", func() (fmt.Stringer, error) { return pushmulticast.Fig14(o) }},
-		{"15", func() (fmt.Stringer, error) { return pushmulticast.Fig15(o) }},
-		{"16", func() (fmt.Stringer, error) { return pushmulticast.Fig16(o) }},
-		{"17", func() (fmt.Stringer, error) { return both(pushmulticast.Fig17a(o))(pushmulticast.Fig17b(o)) }},
-		{"18", func() (fmt.Stringer, error) { return pushmulticast.Fig18(o) }},
-		{"19", func() (fmt.Stringer, error) { return pushmulticast.Fig19(o) }},
-		{"20", func() (fmt.Stringer, error) { return pushmulticast.Fig20(o) }},
-		{"collective", func() (fmt.Stringer, error) { return pushmulticast.ExpCollective(o) }},
-		{"interplay", func() (fmt.Stringer, error) { return pushmulticast.ExtInterplay(o) }},
-		{"recent", func() (fmt.Stringer, error) { return pushmulticast.ExtRecentPushTable(o) }},
-		{"future", func() (fmt.Stringer, error) { return pushmulticast.ExtFutureDirections(o) }},
-		{"faults", func() (fmt.Stringer, error) { return pushmulticast.ExpFaults(o) }},
-		{"lossy", func() (fmt.Stringer, error) { return pushmulticast.ExpLossy(o) }},
-	}
-	ran := 0
-	for _, e := range experiments {
-		if !sel(e.name) {
+	ran := false
+	for _, f := range pushmulticast.Figures() {
+		// The chaos campaigns run with the invariant checker on every
+		// simulation, which is deliberately slow; they only run when
+		// requested by name.
+		if !want[f.Name] && !(want["all"] && f.Name != "faults" && f.Name != "lossy") {
 			continue
 		}
-		out, err := e.run()
+		out, err := f.Run(context.Background(), o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: fig %s: %v\n", e.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: fig %s: %v\n", f.Name, err)
+			return 1
 		}
-		fmt.Println(out.String())
-		ran++
+		fmt.Fprintln(stdout, out.String())
+		ran = true
 	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "experiments: nothing selected")
-		os.Exit(1)
+	if !ran {
+		fmt.Fprintln(stderr, "experiments: nothing selected")
+		return 1
 	}
-}
-
-// str adapts a plain string to fmt.Stringer.
-type str string
-
-func (s str) String() string { return string(s) }
-
-// both concatenates two experiment results, propagating the first error.
-func both(a fmt.Stringer, errA error) func(fmt.Stringer, error) (fmt.Stringer, error) {
-	return func(b fmt.Stringer, errB error) (fmt.Stringer, error) {
-		if errA != nil {
-			return nil, errA
-		}
-		if errB != nil {
-			return nil, errB
-		}
-		return str(a.String() + "\n" + b.String()), nil
-	}
+	return 0
 }

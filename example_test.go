@@ -1,6 +1,7 @@
 package pushmulticast_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,14 +46,14 @@ func ExampleRunWorkload() {
 }
 
 // Regenerating one of the paper's figures programmatically.
-func ExampleFig11() {
-	f, err := pushmulticast.Fig11(pushmulticast.ExpOptions{
+func ExampleRunFigure() {
+	f, err := pushmulticast.RunFigure(context.Background(), "11", pushmulticast.ExpOptions{
 		Scale:     pushmulticast.ScaleTiny,
 		Workloads: []string{"cachebw"},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("schemes compared: %d\n", len(f.Schemes))
+	fmt.Printf("schemes compared: %d\n", len(f.Columns)-3)
 	// Output: schemes compared: 4
 }

@@ -1,8 +1,6 @@
 package pushmulticast
 
 import (
-	"context"
-
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/workload"
 )
@@ -23,171 +21,67 @@ func PredictivePush() Scheme { return config.PredictivePush() }
 // "Multi-Level Caches").
 func DeepPush() Scheme { return config.DeepPush() }
 
-// InterplayRow is one workload's comparison of prefetch-only, push-only,
-// and combined configurations (speedups over the prefetching baseline).
-type InterplayRow struct {
-	Workload string
-	OrdPush  float64
-	Combined float64
-}
-
-// InterplayResult holds the §VI push-prefetch interplay study.
-type InterplayResult struct{ Rows []InterplayRow }
-
-// ExtInterplay measures whether enabling pushing and prefetching together
+// figInterplay measures whether enabling pushing and prefetching together
 // helps or hurts per workload, reproducing the paper's preliminary finding
 // that the combination is not consistently beneficial.
-func ExtInterplay(o ExpOptions) (*InterplayResult, error) {
-	o = o.withDefaults()
-	schemes := []Scheme{Baseline(), OrdPush(), PushPrefetch()}
-	res, wls, err := matrix(context.Background(), o, schemes, workload.NonParsec(), nil)
-	if err != nil {
-		return nil, err
-	}
-	out := &InterplayResult{}
-	for _, wl := range wls {
-		base := res[runKey{Baseline().Name, wl.Name}]
-		ord, err := speedup(base, res[runKey{OrdPush().Name, wl.Name}])
-		if err != nil {
-			return nil, err
-		}
-		comb, err := speedup(base, res[runKey{PushPrefetch().Name, wl.Name}])
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, InterplayRow{Workload: wl.Name, OrdPush: ord, Combined: comb})
-	}
-	return out, nil
+var figInterplay = Figure{
+	Name:    "interplay",
+	title:   "Extension (paper SVI): push x prefetch interplay, speedup over baseline",
+	schemes: []Scheme{OrdPush(), PushPrefetch()},
+	rows:    []int{byWorkload},
+	cols: []column{workloadCol,
+		speedupCol.of(OrdPush(), "OrdPush"), speedupCol.of(PushPrefetch(), "OrdPush+Prefetch")},
+	notes: []string{"the paper reports the combination is not consistently beneficial; " +
+		"compare the two columns per row"},
 }
 
-// String renders the study as a table.
-func (f *InterplayResult) String() string {
-	t := newTable("Extension (paper SVI): push x prefetch interplay, speedup over baseline",
-		"Workload", "OrdPush", "OrdPush+Prefetch")
-	for _, r := range f.Rows {
-		t.addRow(r.Workload, f2(r.OrdPush), f2(r.Combined))
-	}
-	t.addNote("the paper reports the combination is not consistently beneficial; " +
-		"compare the two columns per row")
-	return t.String()
+// figFuture evaluates the decoupled sharer predictor and the L1-propagation
+// extension against plain OrdPush. The predictor matters on workloads whose
+// shared footprint overflows the LLC (bfs at quick scale); L1 propagation
+// trades L1 pollution for hit latency. The last column counts the pushes
+// the predictor triggers beyond OrdPush's — negative when it triggers fewer.
+var figFuture = Figure{
+	Name:    "future",
+	title:   "Extension (paper SVI): future directions, speedup over baseline",
+	schemes: []Scheme{OrdPush(), PredictivePush(), DeepPush()},
+	workloads: defaultWorkloads(func() []Workload {
+		return []Workload{workload.CacheBW(), workload.BFS(), workload.MLP()}
+	}),
+	rows: []int{byWorkload},
+	cols: []column{workloadCol,
+		speedupCol.of(OrdPush(), "OrdPush"), speedupCol.of(PredictivePush(), "+Predictor"),
+		speedupCol.of(DeepPush(), "+L1 fill"),
+		// Signed: a predictor that triggers fewer pushes than OrdPush reads
+		// negative.
+		{head: "Extra predictor pushes", format: f2, scheme: PredictivePush().Name, vs: OrdPush().Name,
+			val: func(ord, r Results) (float64, error) {
+				return float64(pushesTriggered(r)) - float64(pushesTriggered(ord)), nil
+			}}},
 }
 
-// FutureRow compares OrdPush against the §VI future-direction variants.
-type FutureRow struct {
-	Workload string
-	// Speedups over the prefetching baseline.
-	OrdPush, Predict, DeepL1 float64
-	// PredictorPushes counts fills covered by the decoupled predictor.
-	PredictorPushes uint64
-}
-
-// FutureResult holds the §VI extension study.
-type FutureResult struct{ Rows []FutureRow }
-
-// ExtFutureDirections evaluates the decoupled sharer predictor and the
-// L1-propagation extension against plain OrdPush. The predictor matters on
-// workloads whose shared footprint overflows the LLC (bfs at quick scale);
-// L1 propagation trades L1 pollution for hit latency.
-func ExtFutureDirections(o ExpOptions) (*FutureResult, error) {
-	o = o.withDefaults()
-	schemes := []Scheme{Baseline(), OrdPush(), PredictivePush(), DeepPush()}
-	def := []Workload{workload.CacheBW(), workload.BFS(), workload.MLP()}
-	res, wls, err := matrix(context.Background(), o, schemes, def, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := &FutureResult{}
-	for _, wl := range wls {
-		base := res[runKey{Baseline().Name, wl.Name}]
-		pr := res[runKey{PredictivePush().Name, wl.Name}]
-		ord := res[runKey{OrdPush().Name, wl.Name}]
-		spOrd, err := speedup(base, ord)
-		if err != nil {
-			return nil, err
-		}
-		spPr, err := speedup(base, pr)
-		if err != nil {
-			return nil, err
-		}
-		spDeep, err := speedup(base, res[runKey{DeepPush().Name, wl.Name}])
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, FutureRow{
-			Workload:        wl.Name,
-			OrdPush:         spOrd,
-			Predict:         spPr,
-			DeepL1:          spDeep,
-			PredictorPushes: pr.Stats.Cache.PushesTriggered - ord.Stats.Cache.PushesTriggered,
-		})
-	}
-	return out, nil
-}
-
-// String renders the study as a table.
-func (f *FutureResult) String() string {
-	t := newTable("Extension (paper SVI): future directions, speedup over baseline",
-		"Workload", "OrdPush", "+Predictor", "+L1 fill", "Extra predictor pushes")
-	for _, r := range f.Rows {
-		t.addRow(r.Workload, f2(r.OrdPush), f2(r.Predict), f2(r.DeepL1),
-			f2(float64(r.PredictorPushes)))
-	}
-	return t.String()
-}
-
-// RecentTableRow compares OrdPush with and without the recent-push table.
-type RecentTableRow struct {
-	Workload string
-	// Speedup of enabling the table (cycles-without / cycles-with).
-	Speedup float64
-	// TrafficRatio is flits-with / flits-without.
-	TrafficRatio float64
-	// PushesWith/PushesWithout count triggered multicasts.
-	PushesWith, PushesWithout uint64
-}
-
-// RecentTableResult holds the recent-push-table ablation.
-type RecentTableResult struct{ Rows []RecentTableRow }
-
-// ExtRecentPushTable ablates this implementation's recent-push table (a
+// figRecent ablates this implementation's recent-push table (a
 // DESIGN.md-documented refinement over the paper's description): without
 // it, every re-reference that slips past the filters re-triggers a full
-// multicast.
-func ExtRecentPushTable(o ExpOptions) (*RecentTableResult, error) {
-	o = o.withDefaults()
-	def := []Workload{workload.CacheBW(), workload.Multilevel(), workload.Particlefilter()}
-	with, wls, err := matrix(context.Background(), o, []Scheme{OrdPush()}, def, nil)
-	if err != nil {
-		return nil, err
-	}
-	without, _, err := matrix(context.Background(), o, []Scheme{OrdPush()}, def, func(cfg *Config) {
-		cfg.NoRecentPushTable = true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &RecentTableResult{}
-	for _, wl := range wls {
-		w := with[runKey{OrdPush().Name, wl.Name}]
-		wo := without[runKey{OrdPush().Name, wl.Name}]
-		out.Rows = append(out.Rows, RecentTableRow{
-			Workload:      wl.Name,
-			Speedup:       float64(wo.Cycles) / float64(w.Cycles),
-			TrafficRatio:  float64(w.TotalNoCFlits()) / float64(wo.TotalNoCFlits()),
-			PushesWith:    w.Stats.Cache.PushesTriggered,
-			PushesWithout: wo.Stats.Cache.PushesTriggered,
-		})
-	}
-	return out, nil
-}
-
-// String renders the ablation as a table.
-func (f *RecentTableResult) String() string {
-	t := newTable("Extension: recent-push-table ablation (OrdPush)",
-		"Workload", "Speedup from table", "Traffic ratio", "Pushes with", "Pushes without")
-	for _, r := range f.Rows {
-		t.addRow(r.Workload, f2(r.Speedup), f2(r.TrafficRatio),
-			f2(float64(r.PushesWith)), f2(float64(r.PushesWithout)))
-	}
-	return t.String()
+// multicast. The sweep's first point is the machine without the table, so
+// each column compares the machine with it against that reference.
+var figRecent = Figure{
+	Name:    "recent",
+	title:   "Extension: recent-push-table ablation (OrdPush)",
+	schemes: []Scheme{OrdPush()},
+	workloads: defaultWorkloads(func() []Workload {
+		return []Workload{workload.CacheBW(), workload.Multilevel(), workload.Particlefilter()}
+	}),
+	points: []point{
+		{label: "without", edit: func(cfg *Config) { cfg.NoRecentPushTable = true }},
+		{label: "with"},
+	},
+	ref:  refFirstStep,
+	rows: []int{byWorkload},
+	cols: []column{workloadCol,
+		{head: "Speedup from table", format: f2, point: "with", val: speedup},
+		{head: "Traffic ratio", format: f2, point: "with", val: flitShare()},
+		{head: "Pushes with", format: f2, point: "with",
+			val: func(_, r Results) (float64, error) { return float64(pushesTriggered(r)), nil }},
+		{head: "Pushes without", format: f2, point: "with",
+			val: func(ref, _ Results) (float64, error) { return float64(pushesTriggered(ref)), nil }}},
 }

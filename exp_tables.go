@@ -1,17 +1,19 @@
 package pushmulticast
 
-import (
-	"fmt"
-	"strings"
+import "fmt"
+
+// tableI renders the system configuration (the paper's Table I) for the
+// given options; tableII the workload inventory (the paper's Table II
+// analogue). Neither simulates anything.
+var (
+	tableI  = Figure{Name: "t1", reduce: systemTable}
+	tableII = Figure{Name: "t2", reduce: workloadTable}
 )
 
-// TableI renders the system configuration (the paper's Table I) for the
-// given options.
-func TableI(o ExpOptions) (string, error) {
-	o = o.withDefaults()
+func systemTable(o ExpOptions, _ map[string]Results) (fmt.Stringer, error) {
 	cfg, err := o.baseConfig()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t := newTable("Table I: system configuration",
 		"Parameter", "Configuration")
@@ -36,24 +38,14 @@ func TableI(o ExpOptions) (string, error) {
 	if o.Scale != ScaleFull {
 		t.addNote("caches scaled for %s-scale inputs; use ScaleFull for Table I capacities", o.Scale)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
-// TableII renders the workload inventory (the paper's Table II analogue).
-func TableII() string {
+func workloadTable(ExpOptions, map[string]Results) (fmt.Stringer, error) {
 	t := newTable("Table II: workloads", "Workload", "Class", "Description")
 	for _, w := range Workloads() {
 		t.addRow(w.Name, w.Class, w.Description)
 	}
 	t.addNote("synthetic access-stream reproductions of the paper's benchmarks (DESIGN.md §1)")
-	return t.String()
-}
-
-// joinNames renders workload name lists for error messages.
-func joinNames(wls []Workload) string {
-	names := make([]string, len(wls))
-	for i, w := range wls {
-		names[i] = w.Name
-	}
-	return strings.Join(names, ",")
+	return t, nil
 }

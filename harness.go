@@ -75,12 +75,6 @@ func (o ExpOptions) pickWorkloads(def []Workload) ([]Workload, error) {
 	return out, nil
 }
 
-// runKey identifies a simulation in the matrix.
-type runKey struct {
-	scheme   string
-	workload string
-}
-
 // runMemo caches completed runs across the whole campaign (experiment
 // figures and the simd service alike), keyed by the full configuration plus
 // workload and scale: several exp_* figures share identical baseline runs,
@@ -352,45 +346,6 @@ func executeAll(ctx context.Context, workers int, runs []ResolvedRun, label func
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, context.Cause(ctx))
 	}
 	return results, errors.Join(errs...)
-}
-
-// matrix runs every (scheme, workload) pair concurrently on the options'
-// machine and returns results keyed by scheme then workload, with the
-// workload set it ran: def unless the options name one. edit, when non-nil,
-// adjusts each scheme's configuration. A fired ctx stops the campaign: queued
-// pairs drain unrun and in-flight simulations are abandoned (aborted outright
-// unless another campaign still waits on them), surfacing as a wrapped
-// ErrCanceled.
-func matrix(ctx context.Context, o ExpOptions, schemes []Scheme, def []Workload, edit func(*Config)) (map[runKey]Results, []Workload, error) {
-	wls, err := o.pickWorkloads(def)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := o.baseConfig()
-	if err != nil {
-		return nil, nil, err
-	}
-	var runs []ResolvedRun
-	for _, sch := range schemes {
-		cfg := base.WithScheme(sch)
-		if edit != nil {
-			edit(&cfg)
-		}
-		for _, wl := range wls {
-			runs = append(runs, NewRun(cfg, wl, o.Scale, nil))
-		}
-	}
-	out, err := executeAll(ctx, o.Parallelism, runs, func(i int) string {
-		return runs[i].Config.Scheme.Name + "/" + runs[i].Workload.Name
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make(map[runKey]Results, len(runs))
-	for i, r := range runs {
-		results[runKey{r.Config.Scheme.Name, r.Workload.Name}] = out[i]
-	}
-	return results, wls, nil
 }
 
 // WarmStartSweep forks a tuning-knob sweep from one warmed checkpoint. The

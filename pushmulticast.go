@@ -11,8 +11,8 @@
 //   - configuration: Default16/Default64 plus the scheme constructors
 //     (Baseline, Coalesce, MSP, PushAck, OrdPush, and the Fig 20 ablations);
 //   - execution: Run / RunWorkload, returning Results;
-//   - the experiment harness: one FigNN function per figure of the paper's
-//     evaluation, each regenerating the corresponding table of numbers.
+//   - the experiment harness: Figures, the registry of the paper's tables
+//     and figures, and RunFigure, which regenerates one as a Table.
 //
 // A minimal use:
 //
@@ -204,7 +204,7 @@ func WorkloadNames() []string { return workload.Names() }
 // Table II set): ring AllReduce, tree Broadcast, ring ReduceScatter, and a
 // producer–consumer pipeline, modelling DNN gradient aggregation and
 // serving fan-out — the one-producer/many-consumer traffic push multicast
-// targets. See ExpCollective for the comparison figure.
+// targets. RunFigure(ctx, "collective", ...) is the comparison figure.
 
 // CollectiveParams parameterizes the collective workloads: sharer count,
 // fan-out/radix/ring channels, chunk granularity, payload size, and

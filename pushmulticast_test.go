@@ -1,6 +1,7 @@
 package pushmulticast
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -86,16 +87,33 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTables(t *testing.T) {
-	o := tinyOpts()
-	t1, err := TableI(o)
+// tinyFigure runs one registry entry at tiny scale on 16 cores over the
+// named workloads (none = the figure's default set).
+func tinyFigure(t *testing.T, name string, wls ...string) *Table {
+	t.Helper()
+	tb, err := RunFigure(context.Background(), name, tinyOpts(wls...))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tb
+}
+
+// cellValue reads one number of a table by column header and row labels.
+func cellValue(t *testing.T, tb *Table, col string, labels ...string) float64 {
+	t.Helper()
+	v, err := tb.Value(col, labels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func TestTables(t *testing.T) {
+	t1 := tinyFigure(t, "t1").String()
 	if !strings.Contains(t1, "4x4 tiles") || !strings.Contains(t1, "TPC threshold") {
 		t.Errorf("Table I incomplete:\n%s", t1)
 	}
-	t2 := TableII()
+	t2 := tinyFigure(t, "t2").String()
 	for _, wl := range []string{"cachebw", "bfs", "swaptions"} {
 		if !strings.Contains(t2, wl) {
 			t.Errorf("Table II missing %s", wl)
@@ -104,31 +122,29 @@ func TestTables(t *testing.T) {
 }
 
 func TestFig2And3Tiny(t *testing.T) {
-	f2r, err := Fig2(tinyOpts("cachebw", "swaptions"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2r := tinyFigure(t, "2", "cachebw", "swaptions")
 	if len(f2r.Rows) != 2 {
 		t.Fatalf("Fig2 rows = %d", len(f2r.Rows))
 	}
 	// High-load cachebw must dominate low-load swaptions on both axes.
-	if f2r.Rows[0].L2MPKI <= f2r.Rows[1].L2MPKI || f2r.Rows[0].InjLoad <= f2r.Rows[1].InjLoad {
-		t.Errorf("Fig2 shape wrong: %+v", f2r.Rows)
+	for _, col := range []string{"L2 MPKI", "Inj load (flits/cycle/tile)"} {
+		if hi, lo := cellValue(t, f2r, col, "cachebw"), cellValue(t, f2r, col, "swaptions"); hi <= lo {
+			t.Errorf("Fig2 shape wrong: %s cachebw %v <= swaptions %v", col, hi, lo)
+		}
 	}
-	f3r, err := Fig3(tinyOpts("cachebw", "swaptions"))
-	if err != nil {
-		t.Fatal(err)
+	f3r := tinyFigure(t, "3", "cachebw", "swaptions")
+	if rs := cellValue(t, f3r, "ReadShared", "cachebw"); rs < 0.5 {
+		t.Errorf("cachebw read-shared fraction = %v, want > 0.5", rs)
 	}
-	cb := f3r.Rows[0]
-	if cb.ReadShared < 0.5 {
-		t.Errorf("cachebw read-shared fraction = %v, want > 0.5", cb.ReadShared)
+	sum := 0.0
+	for _, col := range f3r.Columns[1:] {
+		sum += cellValue(t, f3r, col, "cachebw")
 	}
-	sum := cb.ReadShared + cb.ReadRequest + cb.Exclusive + cb.WriteBack + cb.Others
 	if math.Abs(sum-1) > 0.01 {
 		t.Errorf("cachebw fractions sum to %v", sum)
 	}
-	if f3r.Rows[1].ReadShared > 0.2 {
-		t.Errorf("swaptions read-shared fraction = %v, want tiny", f3r.Rows[1].ReadShared)
+	if rs := cellValue(t, f3r, "ReadShared", "swaptions"); rs > 0.2 {
+		t.Errorf("swaptions read-shared fraction = %v, want tiny", rs)
 	}
 	if f2r.String() == "" || f3r.String() == "" {
 		t.Error("empty rendering")
@@ -136,80 +152,64 @@ func TestFig2And3Tiny(t *testing.T) {
 }
 
 func TestFig4Tiny(t *testing.T) {
-	f, err := Fig4(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Pairs) == 0 {
+	f := tinyFigure(t, "4")
+	if len(f.Rows) == 0 {
 		t.Fatal("no sharer gap samples recorded")
 	}
-	if f.AllMedian == 0 {
-		t.Error("zero median gap")
+	// The all-pairs median is reported in the note; no pair recorded at tiny
+	// scale sits on a zero median, so a zero there means nothing was sampled.
+	if len(f.Notes) != 1 || !strings.Contains(f.Notes[0], "median gap") || strings.Contains(f.Notes[0], "pairs: 0 cycles") {
+		t.Errorf("median-gap note missing or zero: %q", f.Notes)
 	}
-	if !strings.Contains(f.String(), "median gap") {
-		t.Error("rendering incomplete")
+	for _, row := range f.Rows {
+		if pair := row[0].Text; cellValue(t, f, "Median", pair) < cellValue(t, f, "Min", pair) || cellValue(t, f, "Median", pair) > cellValue(t, f, "Max", pair) {
+			t.Errorf("pair %s: median outside [min, max]: %v", pair, row)
+		}
 	}
 }
 
 func TestFig11Tiny(t *testing.T) {
-	f, err := Fig11(tinyOpts("cachebw", "mlp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 2 || len(f.Schemes) != 4 {
-		t.Fatalf("Fig11 shape: %d rows %d schemes", len(f.Rows), len(f.Schemes))
+	f := tinyFigure(t, "11", "cachebw", "mlp")
+	// Two workloads under geomean and max; a label, four schemes, two MPKIs.
+	if len(f.Rows) != 4 || len(f.Columns) != 7 {
+		t.Fatalf("Fig11 shape: %d rows %d columns", len(f.Rows), len(f.Columns))
 	}
 	// cachebw: OrdPush must beat the baseline.
-	for _, r := range f.Rows {
-		if r.Workload == "cachebw" && r.Speedup["OrdPush"] <= 1.0 {
-			t.Errorf("cachebw OrdPush speedup = %v, want > 1", r.Speedup["OrdPush"])
-		}
+	if sp := cellValue(t, f, "OrdPush x", "cachebw"); sp <= 1.0 {
+		t.Errorf("cachebw OrdPush speedup = %v, want > 1", sp)
 	}
-	if f.Geomean["OrdPush"] == 0 || f.Max["OrdPush"] == 0 {
+	if cellValue(t, f, "OrdPush x", "geomean") == 0 || cellValue(t, f, "OrdPush x", "max") == 0 {
 		t.Error("aggregates missing")
 	}
 }
 
 func TestFig12Tiny(t *testing.T) {
-	f, err := Fig12(tinyOpts("cachebw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ord *Fig12Row
-	for i := range f.Rows {
-		if f.Rows[i].Scheme == "OrdPush" {
-			ord = &f.Rows[i]
-		}
-	}
-	if ord == nil || ord.Total == 0 {
+	f := tinyFigure(t, "12", "cachebw")
+	if cellValue(t, f, "Pushes", "OrdPush", "cachebw") == 0 {
 		t.Fatal("no OrdPush pushes recorded")
 	}
-	useful := ord.Percent[4] + ord.Percent[5] // MissToHit + EarlyResp
+	useful := cellValue(t, f, "MissToHit", "OrdPush", "cachebw") + cellValue(t, f, "EarlyResp", "OrdPush", "cachebw")
 	if useful < 0.7 {
 		t.Errorf("cachebw OrdPush usefulness = %v, want high", useful)
 	}
 }
 
 func TestFig13Tiny(t *testing.T) {
-	f, err := Fig13(tinyOpts("cachebw"))
-	if err != nil {
-		t.Fatal(err)
+	f := tinyFigure(t, "13", "cachebw")
+	if total := cellValue(t, f, "Total", "OrdPush", "cachebw"); total >= 1.0 {
+		t.Errorf("OrdPush cachebw traffic %v not below baseline", total)
 	}
-	for _, r := range f.Rows {
-		if r.Scheme == "OrdPush" && r.Total >= 1.0 {
-			t.Errorf("OrdPush cachebw traffic %v not below baseline", r.Total)
-		}
-	}
-	if f.AvgSavingOrdPush <= 0 {
-		t.Errorf("average OrdPush saving = %v, want positive", f.AvgSavingOrdPush)
+	if avg := ordPushSaving(f); avg <= 0 {
+		t.Errorf("average OrdPush saving = %v, want positive", avg)
 	}
 }
 
 func TestFig14Tiny(t *testing.T) {
-	f, err := Fig14(tinyOpts())
+	out, err := fig14.Run(context.Background(), tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := out.(*Fig14Result)
 	if len(f.Grids) != 2 {
 		t.Fatalf("grids = %d", len(f.Grids))
 	}
@@ -223,94 +223,61 @@ func TestFig14Tiny(t *testing.T) {
 }
 
 func TestFig15And16Tiny(t *testing.T) {
-	f15, err := Fig15(tinyOpts("cachebw"))
-	if err != nil {
-		t.Fatal(err)
+	f15, f16 := tinyFigure(t, "15", "cachebw"), tinyFigure(t, "16", "cachebw")
+	if inj := cellValue(t, f16, "Inj total", "OrdPush", "cachebw"); inj >= 1.0 {
+		t.Errorf("LLC injection %v not reduced by multicasts", inj)
 	}
-	f16, err := Fig16(tinyOpts("cachebw"))
-	if err != nil {
-		t.Fatal(err)
+	if cellValue(t, f16, "Inj PushAck", "PushAck", "cachebw") > 0 {
+		t.Error("LLC should not inject PushAck messages")
 	}
-	for _, r := range f16.Rows {
-		if r.Scheme == "OrdPush" && r.Injected >= 1.0 {
-			t.Errorf("LLC injection %v not reduced by multicasts", r.Injected)
-		}
-		if r.Scheme == "PushAck" && r.InjPushAck > 0 {
-			t.Error("LLC should not inject PushAck messages")
-		}
-	}
-	foundAck := false
-	for _, r := range f15.Rows {
-		if r.Scheme == "PushAck" && r.InjPushAck > 0 {
-			foundAck = true
-		}
-	}
-	if !foundAck {
+	if cellValue(t, f15, "Inj PushAck", "PushAck", "cachebw") <= 0 {
 		t.Error("PushAck scheme shows no L2 PushAck injection")
 	}
 }
 
 func TestFig20Tiny(t *testing.T) {
-	f, err := Fig20(tinyOpts("cachebw", "bfs"))
-	if err != nil {
-		t.Fatal(err)
+	f := tinyFigure(t, "20", "cachebw", "bfs")
+	if len(f.Columns) != 5 {
+		t.Fatalf("stages = %v", f.Columns[1:])
 	}
-	if len(f.Stages) != 4 {
-		t.Fatalf("stages = %v", f.Stages)
+	if knob, push := cellValue(t, f, "Push+Multicast+Filter+Knob", "bfs"), cellValue(t, f, "Push", "bfs"); knob < push {
+		t.Errorf("knob stage should not be worse than raw Push on bfs: %v < %v", knob, push)
 	}
-	for _, r := range f.Rows {
-		if r.Workload != "bfs" {
-			continue
-		}
-		if r.Speedup["Push+Multicast+Filter+Knob"] < r.Speedup["Push"] {
-			t.Errorf("knob stage should not be worse than raw Push on bfs: %+v", r.Speedup)
+}
+
+// positiveSpeedups is the extension figures' shared shape check: one row per
+// workload, every named column above zero.
+func positiveSpeedups(t *testing.T, f *Table, rows int, cols ...string) {
+	t.Helper()
+	if len(f.Rows) != rows {
+		t.Fatalf("rows = %d", len(f.Rows))
+	}
+	for _, row := range f.Rows {
+		for _, col := range cols {
+			if cellValue(t, f, col, row[0].Text) <= 0 {
+				t.Errorf("%s: non-positive %s speedup", row[0].Text, col)
+			}
 		}
 	}
 }
 
 func TestExtInterplayTiny(t *testing.T) {
-	f, err := ExtInterplay(tinyOpts("cachebw", "mlp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 2 {
-		t.Fatalf("rows = %d", len(f.Rows))
-	}
-	for _, r := range f.Rows {
-		if r.OrdPush <= 0 || r.Combined <= 0 {
-			t.Errorf("%s: non-positive speedups %+v", r.Workload, r)
-		}
-	}
+	positiveSpeedups(t, tinyFigure(t, "interplay", "cachebw", "mlp"), 2, "OrdPush", "OrdPush+Prefetch")
 }
 
 func TestExtRecentPushTableTiny(t *testing.T) {
-	f, err := ExtRecentPushTable(tinyOpts("cachebw"))
-	if err != nil {
-		t.Fatal(err)
+	f := tinyFigure(t, "recent", "cachebw")
+	with, without := cellValue(t, f, "Pushes with", "cachebw"), cellValue(t, f, "Pushes without", "cachebw")
+	if without <= with {
+		t.Errorf("recent-push table should reduce triggered multicasts: with=%v without=%v", with, without)
 	}
-	r := f.Rows[0]
-	if r.PushesWithout <= r.PushesWith {
-		t.Errorf("recent-push table should reduce triggered multicasts: with=%d without=%d",
-			r.PushesWith, r.PushesWithout)
-	}
-	if r.TrafficRatio >= 1.0 {
-		t.Errorf("traffic ratio %v not below 1", r.TrafficRatio)
+	if ratio := cellValue(t, f, "Traffic ratio", "cachebw"); ratio >= 1.0 {
+		t.Errorf("traffic ratio %v not below 1", ratio)
 	}
 }
 
 func TestExtFutureDirectionsTiny(t *testing.T) {
-	f, err := ExtFutureDirections(tinyOpts("cachebw", "bfs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 2 {
-		t.Fatalf("rows = %d", len(f.Rows))
-	}
-	for _, r := range f.Rows {
-		if r.OrdPush <= 0 || r.Predict <= 0 || r.DeepL1 <= 0 {
-			t.Errorf("%s: non-positive speedups %+v", r.Workload, r)
-		}
-	}
+	positiveSpeedups(t, tinyFigure(t, "future", "cachebw", "bfs"), 2, "OrdPush", "+Predictor", "+L1 fill")
 }
 
 func TestPredictivePushTriggersOnRefetch(t *testing.T) {
@@ -380,18 +347,14 @@ func TestExpOptionsDefaults(t *testing.T) {
 // Table I — it used to simulate 16 cores under an "(N cores)" title — and
 // 256 is the 16x16 mesh.
 func TestExpOptionsCores(t *testing.T) {
-	for name, call := range map[string]func(ExpOptions) error{
-		"Fig11":  func(o ExpOptions) error { _, err := Fig11(o); return err },
-		"Fig14":  func(o ExpOptions) error { _, err := Fig14(o); return err },
-		"TableI": func(o ExpOptions) error { _, err := TableI(o); return err },
-	} {
-		err := call(ExpOptions{Scale: ScaleTiny, Cores: 48})
+	for _, name := range []string{"11", "14", "t1"} {
+		_, err := RunFigure(context.Background(), name, ExpOptions{Scale: ScaleTiny, Cores: 48})
 		if err == nil || !strings.Contains(err.Error(), "unsupported core count 48") || strings.Contains(err.Error(), "\n") {
-			t.Errorf("%s with 48 cores: %v; want a one-line unsupported-core-count error", name, err)
+			t.Errorf("figure %s with 48 cores: %v; want a one-line unsupported-core-count error", name, err)
 		}
 	}
-	t1, err := TableI(ExpOptions{Cores: 256})
-	if err != nil || !strings.Contains(t1, "16x16 tiles") {
+	t1, err := RunFigure(context.Background(), "t1", ExpOptions{Cores: 256})
+	if err != nil || !strings.Contains(t1.String(), "16x16 tiles") {
 		t.Errorf("Table I at 256 cores: %v\n%s", err, t1)
 	}
 }
