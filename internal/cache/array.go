@@ -107,13 +107,23 @@ type Line struct {
 	Epoch uint32
 }
 
-// Array is a set-associative cache structure.
+// Array is a set-associative cache structure. Lines are stored set after
+// set; tags is the compact per-set index a lookup reads instead of the lines
+// themselves (a set's ways*8 bytes against ways*80): tags[i] is lines[i].Tag
+// while lines[i] is valid and noTag while its State is I. Install and
+// Invalidate are the only writers of a line's validity and keep the two in
+// step; audit compares them.
 type Array struct {
-	sets     [][]Line
-	setMask  uint64 `snap:"-,config"`
-	setShift uint   `snap:"-,config"`
-	ways     int    `snap:"-,config"`
+	lines    []Line
+	tags     []uint64 `snap:"-,derived: lines[i].Tag where lines[i].State != StateI"`
+	setMask  uint64   `snap:"-,config"`
+	setShift uint     `snap:"-,config"`
+	ways     int      `snap:"-,config"`
 }
+
+// noTag marks a free way in Array.tags. Line addresses are line-aligned, so
+// no lookup ever asks for it.
+const noTag = ^uint64(0)
 
 // NewArray builds an array with sizeBytes capacity, the given associativity,
 // and 64-byte lines. The set count must come out a power of two.
@@ -136,35 +146,35 @@ func NewInterleavedArray(sizeBytes, ways, lineSize, interleave int) *Array {
 		panic(fmt.Sprintf("cache: interleave %d not a power of two", interleave))
 	}
 	a := &Array{
-		sets:     make([][]Line, sets),
+		lines:    make([]Line, sets*ways),
+		tags:     make([]uint64, sets*ways),
 		setMask:  uint64(sets - 1),
 		setShift: uint(bits.TrailingZeros(uint(lineSize)) + bits.TrailingZeros(uint(interleave))),
 		ways:     ways,
 	}
-	backing := make([]Line, sets*ways)
-	for i := range a.sets {
-		a.sets[i], backing = backing[:ways:ways], backing[ways:]
+	for i := range a.tags {
+		a.tags[i] = noTag // without reading — and so faulting in — the lines
 	}
 	return a
 }
 
 // Sets returns the number of sets.
-func (a *Array) Sets() int { return len(a.sets) }
+func (a *Array) Sets() int { return len(a.lines) / a.ways }
 
 // Ways returns the associativity.
 func (a *Array) Ways() int { return a.ways }
 
-// set returns the set index for a line address.
-func (a *Array) set(lineAddr uint64) int {
-	return int((lineAddr >> a.setShift) & a.setMask)
+// base returns the index of the first way of lineAddr's set.
+func (a *Array) base(lineAddr uint64) int {
+	return int((lineAddr>>a.setShift)&a.setMask) * a.ways
 }
 
 // Lookup returns the line holding lineAddr, or nil.
 func (a *Array) Lookup(lineAddr uint64) *Line {
-	s := a.sets[a.set(lineAddr)]
-	for i := range s {
-		if s[i].State != StateI && s[i].Tag == lineAddr {
-			return &s[i]
+	base := a.base(lineAddr)
+	for w, t := range a.tags[base : base+a.ways] {
+		if t == lineAddr {
+			return &a.lines[base+w]
 		}
 	}
 	return nil
@@ -174,17 +184,15 @@ func (a *Array) Lookup(lineAddr uint64) *Line {
 // a free way first, then the least-recently-used line for which allowed
 // returns true. It returns nil when no way qualifies.
 func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
-	s := a.sets[a.set(lineAddr)]
+	base := a.base(lineAddr)
+	for w, t := range a.tags[base : base+a.ways] {
+		if t == noTag {
+			return &a.lines[base+w]
+		}
+	}
 	var best *Line
-	for i := range s {
-		l := &s[i]
-		if l.State == StateI {
-			return l
-		}
-		if !allowed(l) {
-			continue
-		}
-		if best == nil || l.LastUse < best.LastUse {
+	for i := base; i < base+a.ways; i++ {
+		if l := &a.lines[i]; allowed(l) && (best == nil || l.LastUse < best.LastUse) {
 			best = l
 		}
 	}
@@ -199,16 +207,71 @@ func (a *Array) SetBlocked(lineAddr uint64, allowed func(*Line) bool) bool {
 
 // ForEach visits every non-invalid line.
 func (a *Array) ForEach(f func(*Line)) {
-	for i := range a.sets {
-		for j := range a.sets[i] {
-			if a.sets[i][j].State != StateI {
-				f(&a.sets[i][j])
-			}
+	for i, t := range a.tags {
+		if t != noTag {
+			f(&a.lines[i])
 		}
 	}
 }
 
-// Install claims the given line struct for lineAddr, resetting metadata.
+// way returns the index in lines of l, a way of lineAddr's set.
+func (a *Array) way(l *Line, lineAddr uint64) int {
+	base := a.base(lineAddr)
+	for i := base; i < base+a.ways; i++ {
+		if &a.lines[i] == l {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("cache: line is not a way of %#x's set", lineAddr))
+}
+
+// Install claims the given line struct, a way of lineAddr's set, for
+// lineAddr, resetting metadata.
 func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
+	if st == StateI || lineAddr == noTag {
+		panic(fmt.Sprintf("cache: installing %#x in state %v", lineAddr, st))
+	}
+	a.tags[a.way(l, lineAddr)] = lineAddr
 	*l = Line{Tag: lineAddr, State: st, LastUse: now}
+}
+
+// Invalidate frees the way holding the valid line l. The rest of the line
+// is left as it was: a free way's metadata is never read.
+func (a *Array) Invalidate(l *Line) {
+	a.tags[a.way(l, l.Tag)] = noTag
+	l.State = StateI
+}
+
+// reindex rebuilds tags from the lines (after a snapshot decode wrote them).
+func (a *Array) reindex() {
+	for i := range a.lines {
+		a.tags[i] = noTag
+		if l := &a.lines[i]; l.State != StateI {
+			a.tags[i] = l.Tag
+		}
+	}
+}
+
+// audit checks the tag index against the lines it summarizes: a way is
+// tagged exactly while its line is valid, with the line's own address, in
+// the set that address maps to, and no set holds an address twice.
+func (a *Array) audit() error {
+	for i := range a.lines {
+		l, t := &a.lines[i], a.tags[i]
+		if l.State == StateI {
+			if t != noTag {
+				return fmt.Errorf("way %d is free but indexed as %#x", i, t)
+			}
+			continue
+		}
+		if t != l.Tag || a.base(t) != i-i%a.ways {
+			return fmt.Errorf("way %d holds %#x (%v) but is indexed as %#x", i, l.Tag, l.State, t)
+		}
+		for j := i - i%a.ways; j < i; j++ {
+			if a.tags[j] == t {
+				return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, j, i)
+			}
+		}
+	}
+	return nil
 }

@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"pushmulticast/internal/sim"
-	"testing/quick"
 )
 
 func TestArrayGeometry(t *testing.T) {
@@ -72,7 +74,7 @@ func TestInterleavedArraySpreadsSets(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 1024; i++ {
 		addr := uint64(i) * 16 * 64 // slice-0 stripe
-		seen[a.set(addr)] = true
+		seen[a.base(addr)] = true
 	}
 	if len(seen) != a.Sets() {
 		t.Fatalf("stripe covers %d/%d sets", len(seen), a.Sets())
@@ -136,5 +138,138 @@ func TestArrayForEach(t *testing.T) {
 	a.ForEach(func(*Line) { n++ })
 	if n != 3 {
 		t.Fatalf("ForEach visited %d lines, want 3", n)
+	}
+}
+
+// TestArrayTagIndexAgainstLinearScan drives small arrays with random
+// Install / Invalidate / state-change / Lookup / Victim / ForEach sequences
+// and compares every answer with a reference that does what the array did
+// before it had a tag index: scan the lines of the set. The index must be
+// invisible — same way for every lookup, same victim, same visiting order —
+// and audit must stay clean after every operation.
+func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
+	states := []State{StateS, StateM, StateISD, StateSMD, StateLV, StateLM}
+	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}} {
+		rng := rand.New(rand.NewSource(int64(geom.sets*100 + geom.ways)))
+		a := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, 64, geom.interleave)
+		set := func(addr uint64) []Line {
+			b := a.base(addr)
+			return a.lines[b : b+a.ways]
+		}
+		refLookup := func(addr uint64) *Line {
+			for i, s := 0, set(addr); i < len(s); i++ {
+				if s[i].State != StateI && s[i].Tag == addr {
+					return &s[i]
+				}
+			}
+			return nil
+		}
+		refVictim := func(addr uint64, allowed func(*Line) bool) *Line {
+			var best *Line
+			for i, s := 0, set(addr); i < len(s); i++ {
+				l := &s[i]
+				if l.State == StateI {
+					return l
+				}
+				if allowed(l) && (best == nil || l.LastUse < best.LastUse) {
+					best = l
+				}
+			}
+			return best
+		}
+		// A few more addresses than lines, so sets fill up and evict.
+		addrs := make([]uint64, 3*geom.sets*geom.ways)
+		for i := range addrs {
+			addrs[i] = uint64(i) * 64 * uint64(geom.interleave)
+		}
+		stable := func(l *Line) bool { return !l.State.Transient() }
+		for op := 0; op < 20000; op++ {
+			addr := addrs[rng.Intn(len(addrs))]
+			now := sim.Cycle(op)
+			switch got, want := a.Lookup(addr), refLookup(addr); {
+			case got != want:
+				t.Fatalf("%+v op %d: Lookup(%#x) = %p, linear scan finds %p", geom, op, addr, got, want)
+			case got == nil:
+				// Miss: fill through the replacement policy, as the caches do.
+				allowed := stable
+				if rng.Intn(4) == 0 {
+					allowed = func(*Line) bool { return true }
+				}
+				v, wantV := a.Victim(addr, allowed), refVictim(addr, allowed)
+				if v != wantV {
+					t.Fatalf("%+v op %d: Victim(%#x) = %p, linear scan picks %p", geom, op, addr, v, wantV)
+				}
+				if blocked := a.SetBlocked(addr, allowed); blocked != (wantV == nil) {
+					t.Fatalf("%+v op %d: SetBlocked(%#x) = %v with victim %p", geom, op, addr, blocked, wantV)
+				}
+				if v != nil {
+					a.Install(v, addr, states[rng.Intn(len(states))], now)
+				}
+			case rng.Intn(3) == 0:
+				a.Invalidate(got)
+				if a.Lookup(addr) != nil {
+					t.Fatalf("%+v op %d: %#x still found after Invalidate", geom, op, addr)
+				}
+			default:
+				// A hit: the controllers touch LRU and move between valid states.
+				got.LastUse, got.State = now, states[rng.Intn(len(states))]
+			}
+			if err := a.audit(); err != nil {
+				t.Fatalf("%+v op %d: %v", geom, op, err)
+			}
+			if op%64 == 0 {
+				var visited []*Line
+				a.ForEach(func(l *Line) { visited = append(visited, l) })
+				k := 0
+				for i := range a.lines {
+					if a.lines[i].State == StateI {
+						continue
+					}
+					if k >= len(visited) || visited[k] != &a.lines[i] {
+						t.Fatalf("%+v op %d: ForEach skipped or reordered way %d", geom, op, i)
+					}
+					k++
+				}
+				if k != len(visited) {
+					t.Fatalf("%+v op %d: ForEach visited %d lines, %d are valid", geom, op, len(visited), k)
+				}
+			}
+		}
+	}
+}
+
+// TestArrayAuditDetectsIndexDrift writes a line's validity behind the
+// index's back, each way it can go wrong, and requires audit to say so.
+func TestArrayAuditDetectsIndexDrift(t *testing.T) {
+	fill := func() (*Array, *Line) {
+		a := NewArray(4*4*64, 4, 64)
+		for _, addr := range []uint64{0x000, 0x100, 0x040} {
+			a.Install(a.Victim(addr, nil), addr, StateS, 0)
+		}
+		return a, a.Lookup(0x100)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a *Array, l *Line)
+		want    string
+	}{
+		{"state freed directly", func(a *Array, l *Line) { l.State = StateI }, "free but indexed"},
+		{"state set directly", func(a *Array, l *Line) { a.Invalidate(l); l.State = StateS }, "indexed as"},
+		{"tag rewritten", func(a *Array, l *Line) { l.Tag = 0x200 }, "indexed as"},
+		{"installed in the wrong set", func(a *Array, l *Line) {
+			a.tags[a.base(0x040)+1], a.lines[a.base(0x040)+1] = 0x100, *l
+		}, "indexed as"},
+		{"duplicate in a set", func(a *Array, l *Line) {
+			a.tags[a.base(0x100)+2], a.lines[a.base(0x100)+2] = 0x100, *l
+		}, "valid in ways"},
+	} {
+		a, l := fill()
+		if err := a.audit(); err != nil {
+			t.Fatalf("%s: audit dirty before the corruption: %v", tc.name, err)
+		}
+		tc.corrupt(a, l)
+		if err := a.audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit says %v, want a %q violation", tc.name, err, tc.want)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (l *L1) Update(lineAddr uint64, version uint64) {
 // Invalidate removes a line (L2 back-invalidation).
 func (l *L1) Invalidate(lineAddr uint64) {
 	if ln := l.arr.Lookup(lineAddr); ln != nil {
-		ln.State = StateI
+		l.arr.Invalidate(ln)
 	}
 }
 

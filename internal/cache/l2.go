@@ -529,7 +529,7 @@ func (c *L2) evict(l *Line, now sim.Cycle) {
 		c.send(&coherence.Msg{Type: coherence.PutM, Addr: l.Tag, Requester: c.id, Version: l.Version},
 			noc.OneDest(c.home(l.Tag)), stats.UnitLLC)
 	}
-	l.State = StateI
+	c.arr.Invalidate(l)
 }
 
 // classifyEvict records the Unused outcome for pushed-but-never-accessed
@@ -652,7 +652,7 @@ func (c *L2) handleDataS(m *coherence.Msg, now sim.Cycle) {
 			ms.backoff = 0 // fresh request episode
 			c.sendGetM(m.Addr)
 		} else {
-			line.State = StateI
+			c.arr.Invalidate(line)
 			c.freeMSHR(m.Addr)
 		}
 	default:
@@ -696,7 +696,7 @@ func (c *L2) handleDataM(m *coherence.Msg, now sim.Cycle) {
 			// directory and invalidate (use-once ownership).
 			c.l1.Invalidate(m.Addr)
 			v := line.Version
-			line.State = StateI
+			c.arr.Invalidate(line)
 			c.send(&coherence.Msg{Type: coherence.InvAckData, Addr: m.Addr, Requester: c.id,
 				Version: v, Epoch: ms.recallEpoch}, noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
 		}
@@ -739,12 +739,12 @@ func (c *L2) handleInv(m *coherence.Msg, now sim.Cycle) {
 	case StateS:
 		c.classifyEvict(line)
 		c.l1.Invalidate(m.Addr)
-		line.State = StateI
+		c.arr.Invalidate(line)
 		ack(coherence.InvAck, 0)
 	case StateM:
 		c.l1.Invalidate(m.Addr)
 		v := line.Version
-		line.State = StateI
+		c.arr.Invalidate(line)
 		ack(coherence.InvAckData, v)
 	case StateSMD:
 		if m.Recall {
@@ -855,6 +855,20 @@ func (c *L2) acceptPush(m *coherence.Msg, now sim.Cycle, speculative bool) (stat
 
 // ForEachLine exposes the L2 array to coherence checkers and tests.
 func (c *L2) ForEachLine(f func(*Line)) { c.arr.ForEach(f) }
+
+// Line returns the L2's entry for lineAddr, or nil (checker use).
+func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Lookup(lineAddr) }
+
+// Audit checks the tag indexes of the L2 and its L1 against their lines.
+func (c *L2) Audit() error {
+	if err := c.arr.audit(); err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	if err := c.l1.arr.audit(); err != nil {
+		return fmt.Errorf("L1: %w", err)
+	}
+	return nil
+}
 
 // ReadOutstanding reports whether a read transaction for the line is still
 // waiting on data (IS_D or IS_D_I). The filter-soundness checker uses it:

@@ -706,7 +706,7 @@ func (s *LLC) freeLine(line *Line) {
 	if s.traces != nil {
 		delete(s.traces, line.Tag)
 	}
-	line.State = StateI
+	s.arr.Invalidate(line)
 }
 
 func (s *LLC) handleMemData(m *coherence.Msg, now sim.Cycle) {
@@ -776,6 +776,12 @@ func (s *LLC) handleMemData(m *coherence.Msg, now sim.Cycle) {
 
 // ForEachLine exposes the slice's array for coherence checkers and tests.
 func (s *LLC) ForEachLine(f func(*Line)) { s.arr.ForEach(f) }
+
+// Line returns the slice's entry for lineAddr, or nil (checker use).
+func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Lookup(lineAddr) }
+
+// Audit checks the slice's tag index against its lines.
+func (s *LLC) Audit() error { return s.arr.audit() }
 
 // SetTraceShard installs the slice's trace shard.
 func (s *LLC) SetTraceShard(tr *trace.Shard) { s.tr = tr }

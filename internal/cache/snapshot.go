@@ -14,23 +14,24 @@ var codec coherence.Codec
 // coding every way keeps the format position-independent of replacement
 // history. Geometry comes from the config fingerprint, so it is only checked.
 func (a *Array) state(c *snapshot.Codec) {
-	c.Mark(&a.sets)
-	c.Count(len(a.sets), "cache sets")
+	c.Mark(&a.lines)
+	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
-	for i := range a.sets {
-		for j := range a.sets[i] {
-			l := &a.sets[i][j]
-			c.U64(&l.Tag)
-			snapshot.AsU8(c, &l.State)
-			c.U64(&l.Version)
-			c.Bool(&l.Dirty)
-			c.Bool(&l.Pushed)
-			c.Bool(&l.Accessed)
-			snapshot.AsU64(c, &l.LastUse)
-			c.U64s(l.Sharers[:])
-			snapshot.AsU32(c, &l.Owner)
-			c.U32(&l.Epoch)
-		}
+	for i := range a.lines {
+		l := &a.lines[i]
+		c.U64(&l.Tag)
+		snapshot.AsU8(c, &l.State)
+		c.U64(&l.Version)
+		c.Bool(&l.Dirty)
+		c.Bool(&l.Pushed)
+		c.Bool(&l.Accessed)
+		snapshot.AsU64(c, &l.LastUse)
+		c.U64s(l.Sharers[:])
+		snapshot.AsU32(c, &l.Owner)
+		c.U32(&l.Epoch)
+	}
+	if c.Decoding() {
+		a.reindex()
 	}
 }
 

@@ -90,9 +90,6 @@ type Monitor struct {
 	lossRef     map[uint64]int
 	lossSeq     map[uint64]uint64
 	lossBound   uint64 `snap:"-,config"`
-
-	// scratch maps L2 tags to states during the inclusion sweep.
-	scratch map[uint64]cache.State `snap:"-,scratch"`
 }
 
 // lossKey identifies one open loss obligation: the NI that discarded the
@@ -114,7 +111,6 @@ func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LL
 		llcs:      llcs,
 		coherence: coherence,
 		tr:        tr,
-		scratch:   make(map[uint64]cache.State),
 	}
 	m.checkEvery = sim.Cycle(cfg.CheckEvery)
 	if m.checkEvery <= 0 {
@@ -475,26 +471,32 @@ func (m *Monitor) scanSharersSuperset(cyc uint64) {
 }
 
 // scanInclusion asserts L1 ⊆ L2 per tile: every valid L1 line must be
-// backed by an L2 line in a state with readable or incoming data.
+// backed by an L2 line in a state with readable or incoming data. It looks
+// lines up through the arrays' tag indexes, so it audits those first: a
+// drifted index would hide exactly the lines this scan is after.
 func (m *Monitor) scanInclusion(cyc uint64) {
 	for i, l2 := range m.l2s {
-		for k := range m.scratch {
-			delete(m.scratch, k)
+		if err := l2.Audit(); err != nil {
+			m.fail(cyc, "tile %d cache tag index: %v", i, err)
+			return
 		}
-		l2.ForEachLine(func(l *cache.Line) { m.scratch[l.Tag] = l.State })
+		if err := m.llcs[i].Audit(); err != nil {
+			m.fail(cyc, "LLC slice %d tag index: %v", i, err)
+			return
+		}
 		l2.L1().ForEach(func(l *cache.Line) {
 			if m.err != nil {
 				return
 			}
-			st, ok := m.scratch[l.Tag]
-			if !ok {
+			backing := l2.Line(l.Tag)
+			if backing == nil {
 				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but absent from its L2", l.Tag, i)
 				return
 			}
-			switch st {
+			switch backing.State {
 			case cache.StateS, cache.StateM, cache.StateSMD:
 			default:
-				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but L2 holds it in %v", l.Tag, i, st)
+				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but L2 holds it in %v", l.Tag, i, backing.State)
 			}
 		})
 		if m.err != nil {

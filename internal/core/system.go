@@ -53,6 +53,9 @@ type System struct {
 	barrier *cpu.Barrier
 	bingos  []*prefetch.Bingo
 	strides []*prefetch.Stride
+
+	// coh is CheckCoherence's working memory, reused from sweep to sweep.
+	coh cohScratch `snap:"-,scratch"`
 }
 
 // Build wires a system running the given workload at the given scale.
@@ -372,6 +375,66 @@ func (s *System) Quiescent() bool {
 	return true
 }
 
+// privCopy is one private S, M or SM_D copy met by the coherence sweep. The
+// copies of one line are chained through next in the order the sweep met
+// them (tile by tile), -1 at the end; first marks the head of a chain.
+type privCopy struct {
+	addr    uint64
+	version uint64
+	tile    noc.NodeID
+	next    int32
+	state   cache.State
+	first   bool
+}
+
+// cohScratch is the sweep's reusable working memory: every private copy in
+// the machine, and an open-addressed table from line address to the first
+// and last copy of that line (index+1 into copies, 0 = empty slot). It is
+// owned by the System, so a warm sweep allocates nothing and the memory
+// dies with the machine.
+type cohScratch struct {
+	copies []privCopy
+	slots  [][2]int32
+}
+
+// gather collects every private S/M/SM_D copy and chains them per line.
+func (cs *cohScratch) gather(l2s []*cache.L2) {
+	cs.copies = cs.copies[:0]
+	for _, l2 := range l2s {
+		id := l2.ID()
+		l2.ForEachLine(func(l *cache.Line) {
+			switch l.State {
+			case cache.StateS, cache.StateM, cache.StateSMD:
+				cs.copies = append(cs.copies, privCopy{addr: l.Tag, version: l.Version, tile: id, state: l.State, next: -1})
+			}
+		})
+	}
+	// At most half full, so probes are short and always end at a free slot.
+	if need := 2 * len(cs.copies); len(cs.slots) < need {
+		n := 1024
+		for n < need {
+			n *= 2
+		}
+		cs.slots = make([][2]int32, n)
+	} else {
+		clear(cs.slots)
+	}
+	mask := uint64(len(cs.slots) - 1)
+	for i := range cs.copies {
+		c := &cs.copies[i]
+		h := c.addr * 0x9E3779B97F4A7C15 >> 40 & mask
+		for cs.slots[h][0] != 0 && cs.copies[cs.slots[h][0]-1].addr != c.addr {
+			h = (h + 1) & mask
+		}
+		if slot := &cs.slots[h]; slot[0] == 0 {
+			c.first = true
+			slot[0], slot[1] = int32(i)+1, int32(i)+1
+		} else {
+			cs.copies[slot[1]-1].next, slot[1] = int32(i), int32(i)+1
+		}
+	}
+}
+
 // CheckCoherence validates the Single-Writer-Multiple-Reader invariant and
 // the data-value invariant over a global snapshot:
 //
@@ -381,38 +444,21 @@ func (s *System) Quiescent() bool {
 //     SM_D upgrade) matches the directory's current version whenever the
 //     directory has no owner — the property a stale push would break;
 //   - an M copy's version is never behind the directory's.
+//
+// Lines are judged in the order their first holder is met (tile by tile, way
+// by way) and a line's copies in tile order, so the violation reported is the
+// same on every run.
 func (s *System) CheckCoherence() error {
-	type copyInfo struct {
-		tile    noc.NodeID
-		state   cache.State
-		version uint64
-	}
-	copies := make(map[uint64][]copyInfo)
-	for _, l2 := range s.L2s {
-		id := l2.ID()
-		l2.ForEachLine(func(l *cache.Line) {
-			switch l.State {
-			case cache.StateS, cache.StateM, cache.StateSMD:
-				copies[l.Tag] = append(copies[l.Tag], copyInfo{id, l.State, l.Version})
-			}
-		})
-	}
-	type dirInfo struct {
-		state   cache.State
-		version uint64
-		owner   noc.NodeID
-	}
-	dirs := make(map[uint64]dirInfo)
-	for _, llc := range s.LLCs {
-		llc.ForEachLine(func(l *cache.Line) {
-			dirs[l.Tag] = dirInfo{l.State, l.Version, l.Owner}
-		})
-	}
-	for addr, cs := range copies {
-		owners := 0
-		readers := 0
-		for _, c := range cs {
-			if c.state == cache.StateM {
+	s.coh.gather(s.L2s)
+	copies := s.coh.copies
+	for i := range copies {
+		if !copies[i].first {
+			continue
+		}
+		addr := copies[i].addr
+		owners, readers := 0, 0
+		for j := int32(i); j >= 0; j = copies[j].next {
+			if copies[j].state == cache.StateM {
 				owners++
 			} else {
 				readers++
@@ -424,16 +470,14 @@ func (s *System) CheckCoherence() error {
 		if owners == 1 && readers > 0 {
 			return fmt.Errorf("%w: line %#x has an M owner and %d S copies", ErrCoherence, addr, readers)
 		}
-		d, ok := dirs[addr]
-		if !ok {
+		d := s.LLCs[s.Cfg.HomeSlice(addr)].Line(addr)
+		if d == nil {
 			return fmt.Errorf("%w: line %#x cached privately but absent from the LLC", ErrCoherence, addr)
 		}
 		if owners == 1 {
-			for _, c := range cs {
-				if c.state == cache.StateM && c.version < d.version {
-					return fmt.Errorf("%w: line %#x M copy at tile %d behind directory (%d < %d)",
-						ErrCoherence, addr, c.tile, c.version, d.version)
-				}
+			if c := &copies[i]; c.version < d.Version {
+				return fmt.Errorf("%w: line %#x M copy at tile %d behind directory (%d < %d)",
+					ErrCoherence, addr, c.tile, c.version, d.Version)
 			}
 			continue
 		}
@@ -442,19 +486,18 @@ func (s *System) CheckCoherence() error {
 		// be an SWMR violation outright). One legal exception: the new
 		// owner's own line sits in SM_D (its S data still readable) in the
 		// window between the ownership grant and the DataM delivery.
-		if d.state == cache.StateLM || d.state == cache.StateLMInv {
-			for _, c := range cs {
-				if c.state == cache.StateSMD && c.tile == d.owner {
-					continue
+		if d.State == cache.StateLM || d.State == cache.StateLMInv {
+			for j := int32(i); j >= 0; j = copies[j].next {
+				if c := &copies[j]; c.state != cache.StateSMD || c.tile != d.Owner {
+					return fmt.Errorf("%w: line %#x has S copy at tile %d (%v) while directory in %v",
+						ErrCoherence, addr, c.tile, c.state, d.State)
 				}
-				return fmt.Errorf("%w: line %#x has S copy at tile %d (%v) while directory in %v",
-					ErrCoherence, addr, c.tile, c.state, d.state)
 			}
 		}
-		for _, c := range cs {
-			if c.version != d.version {
+		for j := int32(i); j >= 0; j = copies[j].next {
+			if c := &copies[j]; c.version != d.Version {
 				return fmt.Errorf("%w: line %#x stale S copy at tile %d (version %d, directory %d)",
-					ErrCoherence, addr, c.tile, c.version, d.version)
+					ErrCoherence, addr, c.tile, c.version, d.Version)
 			}
 		}
 	}

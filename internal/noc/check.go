@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/trace"
@@ -60,28 +61,39 @@ func (n *Network) CheckConservation(now sim.Cycle) error {
 
 func (r *Router) checkConservation(now sim.Cycle) error {
 	vcs := r.net.cfg.VCsPerVNet
-	// Credit/occupancy conservation and occ-list consistency.
+	// Credit/occupancy conservation and occ-list consistency. The free-VC
+	// mask is what allocation trusts, so it is rebuilt here from the buffers
+	// themselves.
 	occupied := 0
-	unrouted := 0
+	var unrouted uint64
 	for p := 0; p < NumPorts; p++ {
-		var free, held [NumVNets]int16
+		var freeVCs uint16
+		var portOcc uint64
 		for i := range r.in[p] {
 			vc := &r.in[p][i]
-			v := i / vcs
-			if vc.free() {
-				free[v]++
+			if int(vc.port) != p || int(vc.idx) != i || int(vc.vnet) != i/vcs {
+				return fmt.Errorf("VC (%s,%d) is wired as (%s,%d) vnet %d", PortName(p), i, PortName(int(vc.port)), vc.idx, vc.vnet)
+			}
+			if vc.pkt == nil && !vc.reserved {
+				freeVCs |= 1 << uint(i)
 				if vc.occPos >= 0 {
 					return fmt.Errorf("free VC (%s,%d) still in occ list at %d", PortName(p), i, vc.occPos)
 				}
 				continue
 			}
-			held[v]++
 			occupied++
-			if vc.occPos < 0 || vc.occPos >= len(r.occ) || r.occ[vc.occPos] != vc {
+			if vc.occPos < 0 || int(vc.occPos) >= len(r.occ) || r.occ[vc.occPos] != vc {
 				return fmt.Errorf("occupied VC (%s,%d) has broken occ position %d", PortName(p), i, vc.occPos)
 			}
-			if vc.pkt != nil && !vc.routed {
-				unrouted++
+			portOcc |= 1 << uint(vc.occPos)
+			if vc.pkt == nil {
+				continue
+			}
+			if vc.pkt.VNet != int(vc.vnet) {
+				return fmt.Errorf("VC (%s,%d) of vnet %d holds a vnet-%d packet", PortName(p), i, vc.vnet, vc.pkt.VNet)
+			}
+			if !vc.routed {
+				unrouted |= 1 << uint(vc.occPos)
 				if vc.headAt <= now {
 					// A RouterSlow fault legitimately leaves heads unrouted
 					// past their arrival: the frozen router skipped the
@@ -95,31 +107,40 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 					return fmt.Errorf("minHeadAt=%d above unrouted head arrival %d at (%s,%d)", r.minHeadAt, vc.headAt, PortName(p), i)
 				}
 			}
+			// Every pending port must still have destinations to serve, and
+			// only a routed packet has pending ports.
+			for m := vc.pending; m != 0; m &= m - 1 {
+				if o := bits.TrailingZeros8(m); !vc.routed || o >= NumPorts || r.portDests(vc, o).Empty() {
+					return fmt.Errorf("VC (%s,%d) pending mask %#b names a port its packet does not route to", PortName(p), i, vc.pending)
+				}
+			}
 		}
-		for v := 0; v < NumVNets; v++ {
-			if r.freeCnt[p][v] != free[v] {
-				return fmt.Errorf("credit leak at (%s, vnet %d): freeCnt=%d actual free=%d", PortName(p), v, r.freeCnt[p][v], free[v])
-			}
-			if free[v]+held[v] != int16(vcs) {
-				return fmt.Errorf("VC conservation broken at (%s, vnet %d): %d free + %d held != %d", PortName(p), v, free[v], held[v], vcs)
-			}
+		if freeVCs != r.freeVCs[p] {
+			return fmt.Errorf("credit leak at %s: free-VC mask %#b, actual free %#b", PortName(p), r.freeVCs[p], freeVCs)
+		}
+		if portOcc != r.portOcc[p] {
+			return fmt.Errorf("portOcc[%s]=%#x, but its VCs sit at occ positions %#x", PortName(p), r.portOcc[p], portOcc)
 		}
 	}
 	if occupied != len(r.occ) {
 		return fmt.Errorf("occ list holds %d VCs but %d are occupied", len(r.occ), occupied)
 	}
 	if unrouted != r.unrouted {
-		return fmt.Errorf("unrouted counter %d but %d heads unrouted", r.unrouted, unrouted)
+		return fmt.Errorf("unrouted mask %#x but heads unrouted at %#x", r.unrouted, unrouted)
 	}
 	// Ring-level conservation. An arrival entry ripe before now means the
 	// router slept or skipped through the cycle that should have popped it —
-	// legal only while a RouterSlow window froze the pipeline. And for every
-	// link, the upstream credit count plus everything in flight on the link
-	// (queued handoffs, queued credit returns, occupied downstream VCs) must
-	// reassemble the full VC pool.
+	// legal only while a RouterSlow window froze the pipeline. The queued-ring
+	// masks must name exactly the non-empty rings this router consumes (a
+	// clear bit over a queued entry is a lost wakeup in waiting). And for
+	// every link, the upstream credit count plus everything in flight on the
+	// link (queued handoffs, queued credit returns, occupied downstream VCs)
+	// must reassemble the full VC pool.
+	var arrQueued, credQueued uint8
 	for p := 0; p < NumPorts; p++ {
 		var ripeErr error
 		r.arrivals[p].forEach(func(pkt *Packet, at sim.Cycle) {
+			arrQueued |= 1 << uint(p)
 			if at <= now && ripeErr == nil {
 				f := r.net.faults
 				if f == nil || !f.FrozenIn(r.id, at, now) {
@@ -137,19 +158,26 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			continue
 		}
 		ip := opposite[o]
+		if nb.credRet[ip].len() != 0 {
+			credQueued |= 1 << uint(o)
+		}
 		var inFlight [NumVNets]int16
 		nb.arrivals[ip].forEach(func(pkt *Packet, at sim.Cycle) {
 			inFlight[pkt.VNet]++
 		})
 		for v := 0; v < NumVNets; v++ {
 			queuedCred := int16(nb.credRet[ip].count(v))
-			heldDown := int16(vcs) - nb.freeCnt[ip][v]
+			heldDown := int16(vcs - bits.OnesCount16(nb.freeVCs[ip]&nb.vnetVCs[v]))
 			sum := r.credits[o][v] + inFlight[v] + queuedCred + heldDown
 			if sum != int16(vcs) {
 				return fmt.Errorf("link credit conservation broken at %s vnet %d: %d credits + %d in-flight + %d returning + %d held != %d",
 					PortName(o), v, r.credits[o][v], inFlight[v], queuedCred, heldDown, vcs)
 			}
 		}
+	}
+	if arrQueued != r.arrQueued || credQueued != r.credQueued {
+		return fmt.Errorf("queued-ring masks arrivals=%#b credits=%#b, rings hold arrivals=%#b credits=%#b",
+			r.arrQueued, r.credQueued, arrQueued, credQueued)
 	}
 	// Allocation candidate mask/counters: recompute from the occ list.
 	var candMask [NumPorts]uint64
@@ -159,10 +187,8 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 		if vc.pkt == nil || !vc.routed || vc.active != nil {
 			continue
 		}
-		for o := 0; o < NumPorts; o++ {
-			if vc.pending[o].Empty() {
-				continue
-			}
+		for m := vc.pending; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros8(m)
 			candMask[o] |= uint64(1) << uint(pos)
 			candV[o][vc.pkt.VNet]++
 			if vc.pkt.IsInv {
@@ -189,7 +215,7 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 		if s == nil {
 			continue
 		}
-		if s.outPort != o || r.inLock[s.inPort] != s || s.vc.active != s || s.vc.pkt == nil {
+		if s != &r.streams[o] || s.outPort != o || r.inLock[s.inPort] != s || s.vc.active != s || s.vc.pkt == nil {
 			return fmt.Errorf("broken stream links at output %s", PortName(o))
 		}
 	}
@@ -263,12 +289,12 @@ func (n *Network) PushInFlight(addr uint64, requester NodeID) bool {
 	}
 	for _, r := range n.routers {
 		for p := 0; p < NumPorts; p++ {
-			// Streams read through their allocation-time snapshot: past the
-			// head flit the replica pointer is nil (ownership moved into the
-			// downstream arrival ring, which the ring scan below covers
-			// until the pop moves it into an input VC).
+			// Streams read through the buffered original, not the replica:
+			// past the head flit the replica pointer is nil (ownership moved
+			// into the downstream arrival ring, which the ring scan below
+			// covers until the pop moves it into an input VC).
 			if s := r.outStream[p]; s != nil && s.isPush &&
-				s.addr == addr && s.dests.Has(requester) {
+				s.vc.pkt.Addr == addr && r.portDests(s.vc, p).Has(requester) {
 				return true
 			}
 			found := false
@@ -293,8 +319,8 @@ func (n *Network) PushInFlight(addr uint64, requester NodeID) bool {
 					}
 					continue
 				}
-				for o := 0; o < NumPorts; o++ {
-					if vc.pending[o].Has(requester) {
+				for m := vc.pending; m != 0; m &= m - 1 {
+					if r.portDests(vc, bits.TrailingZeros8(m)).Has(requester) {
 						return true
 					}
 				}

@@ -52,7 +52,8 @@ func TestCheckConservationDetectsLeakedCredit(t *testing.T) {
 	t.Run("free-count drift", func(t *testing.T) {
 		cfg := DefaultConfig(4, 4)
 		_, net, _ := testNet(t, cfg)
-		net.routers[5].freeCnt[PortNorth][VNetData]--
+		r := net.routers[5]
+		r.freeVCs[PortNorth] &^= r.vnetVCs[VNetData] & -r.vnetVCs[VNetData]
 		err := net.CheckConservation(0)
 		if err == nil {
 			t.Fatal("leaked VC credit not detected")
@@ -73,6 +74,70 @@ func TestCheckConservationDetectsLeakedCredit(t *testing.T) {
 			t.Fatalf("wrong diagnosis for an upstream credit drift: %v", err)
 		}
 	})
+}
+
+// TestCheckConservationDetectsDerivedStateDrift stops a multicast mid-flight
+// and flips, one at a time, each piece of derived hot state the router's
+// datapath trusts without looking — the unrouted-head mask, a VC's
+// pending-port mask, the queued-ring masks on both ends of a link — and
+// requires the audit to name it. The audit must be clean before every flip,
+// so a pass here cannot come from an already-dirty network.
+func TestCheckConservationDetectsDerivedStateDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// ready reports that the router's state lets corrupt bite.
+		ready   func(r *Router) bool
+		corrupt func(r *Router)
+		want    string
+	}{
+		{"unrouted mask", func(r *Router) bool { return r.unrouted != 0 },
+			func(r *Router) { r.unrouted = 0 }, "unrouted mask"},
+		// Away from the source a multicast never leaves through every port.
+		{"pending mask", func(r *Router) bool { return r.id != 5 && len(r.occ) > 0 && r.occ[0].routed },
+			func(r *Router) { r.occ[0].pending = 1<<NumPorts - 1 }, "pending mask"},
+		{"input-port mask", func(r *Router) bool { return len(r.occ) > 0 },
+			func(r *Router) { r.portOcc[r.occ[0].port] = 0 }, "portOcc"},
+		{"arrival ring mask", func(r *Router) bool { return r.arrQueued != 0 },
+			func(r *Router) { r.arrQueued = 0 }, "queued-ring masks"},
+		{"credit ring mask", func(r *Router) bool { return r.credQueued != 0 },
+			func(r *Router) { r.credQueued = 0 }, "queued-ring masks"},
+		{"spurious ring mask", func(r *Router) bool { return r.arrQueued == 0 },
+			func(r *Router) { r.arrQueued = 1 << PortSouth }, "queued-ring masks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4, 4)
+			eng, net, _ := testNet(t, cfg)
+			var dests DestSet
+			for d := NodeID(0); d < 16; d++ {
+				dests = dests.Add(d)
+			}
+			net.NI(5).Inject(&Packet{
+				VNet: VNetData, Class: stats.ClassPushData, SrcUnit: stats.UnitLLC, DstUnit: stats.UnitL2,
+				Dests: dests, Addr: 0x1000, Size: cfg.DataPacketSize(), IsPush: true,
+			}, eng.Now())
+			var victim *Router
+			for victim == nil {
+				if net.Quiescent() && eng.Now() > 4 {
+					t.Fatal("the multicast drained without ever reaching the state to corrupt")
+				}
+				eng.Step()
+				if err := net.CheckConservation(eng.Now() - 1); err != nil {
+					t.Fatalf("audit dirty before the corruption: %v", err)
+				}
+				for _, r := range net.routers {
+					if tc.ready(r) {
+						victim = r
+						break
+					}
+				}
+			}
+			tc.corrupt(victim)
+			err := net.CheckConservation(eng.Now() - 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("corrupted %s at router %d: audit says %v, want a %q violation", tc.name, victim.id, err, tc.want)
+			}
+		})
+	}
 }
 
 // TestCheckConservationDetectsFilterCountDrift corrupts a filter bank's

@@ -38,6 +38,7 @@ type niStream struct {
 type NI struct {
 	node NodeID      `snap:"-,wiring"`
 	net  *Network    `snap:"-,wiring"`
+	rt   *Router     `snap:"-,wiring"` // this tile's router
 	h    *sim.Handle `snap:"-,wiring"`
 	// st is the run's stats bundle (net.st, cached).
 	st        *stats.All `snap:"-,wiring"`
@@ -120,7 +121,11 @@ func (ni *NI) Inject(pkt *Packet, now sim.Cycle) bool {
 // NewPacket returns a zeroed pool-backed packet for an endpoint to fill and
 // inject. Pool-backed packets rejoin the free list automatically when a
 // router releases them; the delivered copies are returned via Recycle.
-func (ni *NI) NewPacket() *Packet { return ni.getPacket() }
+func (ni *NI) NewPacket() *Packet {
+	p := ni.getPacket()
+	*p = Packet{pooled: true}
+	return p
+}
 
 // NewPayload pops a recycled packet payload from this tile's payload free
 // list, or returns nil when it is empty. Payloads enter the list when the
@@ -154,6 +159,9 @@ func (ni *NI) Recycle(pkt *Packet) { ni.putPacket(pkt) }
 // materially.
 const pktSlab = 64
 
+// getPacket pops a pooled packet as it was put: whatever it last carried
+// minus the payload. The router's replica copy and the snapshot decoder
+// overwrite every field; NewPacket zeroes it for endpoints.
 func (ni *NI) getPacket() *Packet {
 	if k := len(ni.pktPool); k > 0 {
 		p := ni.pktPool[k-1]
@@ -178,7 +186,7 @@ func (ni *NI) putPacket(p *Packet) {
 	if rp, ok := p.Payload.(RefPayload); ok && rp.Release() {
 		ni.payloadPool = append(ni.payloadPool, rp)
 	}
-	*p = Packet{pooled: true}
+	p.Payload = nil // the pool must not pin a payload it does not own
 	ni.pktPool = append(ni.pktPool, p)
 }
 
@@ -316,13 +324,12 @@ func (ni *NI) pick(now sim.Cycle) {
 			ni.st.Net.StalledInvCycles++
 			continue
 		}
-		r := ni.net.routers[ni.node]
-		vc := r.freeVC(PortLocal, vnet)
+		vc := ni.rt.freeVC(PortLocal, vnet)
 		if vc == nil {
 			continue
 		}
 		vc.reserved = true
-		r.claim(vc)
+		ni.rt.claim(vc)
 		// Dequeue by copying down so the backing array is reused instead of
 		// sliding toward reallocation (queues are at most InjQueueDepth long).
 		copy(q, q[1:])
@@ -382,14 +389,8 @@ func (ni *NI) pump(now sim.Cycle) {
 	ni.st.Net.InjectedFlits[s.pkt.SrcUnit][s.pkt.Class]++
 	ni.net.eng.Progress()
 	if s.sent == 1 {
-		s.vc.pkt = s.pkt
-		s.vc.headAt = now + 1
 		s.vc.reserved = false
-		r := ni.net.routers[ni.node]
-		r.unrouted++
-		if s.vc.headAt < r.minHeadAt {
-			r.minHeadAt = s.vc.headAt
-		}
+		ni.rt.writeHead(s.vc, s.pkt, now+1)
 	}
 	if s.sent == s.pkt.Size {
 		ni.stream = nil
@@ -440,7 +441,8 @@ func New(cfg Config, eng *sim.Engine, st *stats.All) (*Network, error) {
 	st.Net.LinkFlits = make([]uint64, nodes*4)
 	for i := 0; i < nodes; i++ {
 		n.routers[i] = newRouter(NodeID(i), n)
-		n.nis[i] = &NI{node: NodeID(i), net: n, st: st}
+		n.nis[i] = &NI{node: NodeID(i), net: n, rt: n.routers[i], st: st}
+		n.routers[i].ni = n.nis[i]
 	}
 	for i := 0; i < nodes; i++ {
 		for o := 0; o < NumPorts; o++ {
@@ -516,18 +518,10 @@ func (n *Network) Quiescent() bool {
 		}
 	}
 	for _, r := range n.routers {
-		for p := 0; p < NumPorts; p++ {
-			if r.outStream[p] != nil {
-				return false
-			}
-			if r.arrivals[p].len() != 0 {
-				return false
-			}
-			for i := range r.in[p] {
-				if r.in[p][i].pkt != nil || r.in[p][i].reserved {
-					return false
-				}
-			}
+		// A streaming VC stays occupied until its tail departs, so an empty
+		// occupied list also means no stream is held.
+		if len(r.occ) != 0 || r.arrQueued != 0 {
+			return false
 		}
 	}
 	return true

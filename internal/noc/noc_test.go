@@ -2,6 +2,7 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
@@ -480,5 +481,27 @@ func TestWiderLinkShortensDataPackets(t *testing.T) {
 	}
 	if l64, l512 := lat(64), lat(512); l512 >= l64 {
 		t.Errorf("512-bit link latency %d not below 64-bit latency %d", l512, l64)
+	}
+}
+
+// TestPacketLayout pins what the field order of Packet and inputVC is for:
+// a packet is two cache lines with the fields a router reads in the first,
+// and an input VC is half a line. A new field is welcome; it has to fit.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	if size := unsafe.Sizeof(p); size > 128 {
+		t.Errorf("Packet is %d bytes, want at most 128", size)
+	}
+	for name, off := range map[string]uintptr{
+		"Dests": unsafe.Offsetof(p.Dests), "Addr": unsafe.Offsetof(p.Addr), "VNet": unsafe.Offsetof(p.VNet),
+		"Requester": unsafe.Offsetof(p.Requester), "IsPush": unsafe.Offsetof(p.IsPush),
+		"Filterable": unsafe.Offsetof(p.Filterable), "IsInv": unsafe.Offsetof(p.IsInv),
+	} {
+		if off >= 64 {
+			t.Errorf("Packet.%s sits at offset %d, outside the first cache line", name, off)
+		}
+	}
+	if size := unsafe.Sizeof(inputVC{}); size > 32 {
+		t.Errorf("inputVC is %d bytes, want at most 32", size)
 	}
 }

@@ -66,14 +66,10 @@ func (r *arrRing) pop(now sim.Cycle) (*Packet, sim.Cycle, bool) {
 	return e.pkt, e.at, true
 }
 
-// earliest returns the oldest entry's maturity time. Entry times are
-// non-decreasing, so this is the ring's minimum. Consumer side only.
-func (r *arrRing) earliest() (sim.Cycle, bool) {
-	if r.head == r.tail {
-		return 0, false
-	}
-	return r.buf[r.head%ringCap].at, true
-}
+// earliest returns the oldest entry's maturity time; the ring must not be
+// empty. Entry times are non-decreasing, so this is the ring's minimum.
+// Consumer side only.
+func (r *arrRing) earliest() sim.Cycle { return r.buf[r.head%ringCap].at }
 
 // forEach visits every queued entry, oldest first (checker use).
 func (r *arrRing) forEach(fn func(pkt *Packet, at sim.Cycle)) {
@@ -83,7 +79,7 @@ func (r *arrRing) forEach(fn func(pkt *Packet, at sim.Cycle)) {
 	}
 }
 
-// len returns the number of queued entries (checker use).
+// len returns the number of queued entries.
 func (r *arrRing) len() int { return int(r.tail - r.head) }
 
 // credEntry is one credit return: the vnet whose downstream VC freed, and
@@ -125,13 +121,12 @@ func (r *credRing) pop(now sim.Cycle) (int, bool) {
 	return int(e.vnet), true
 }
 
-// earliest returns the oldest credit's maturity time. Consumer side only.
-func (r *credRing) earliest() (sim.Cycle, bool) {
-	if r.head == r.tail {
-		return 0, false
-	}
-	return r.buf[r.head%ringCap].at, true
-}
+// earliest returns the oldest credit's maturity time; the ring must not be
+// empty. Consumer side only.
+func (r *credRing) earliest() sim.Cycle { return r.buf[r.head%ringCap].at }
+
+// len returns the number of queued credits.
+func (r *credRing) len() int { return int(r.tail - r.head) }
 
 // count returns the number of queued credits for the given vnet (checker
 // use).

@@ -12,65 +12,59 @@ import (
 // inputVC is one virtual-channel buffer at a router input port. Virtual
 // cut-through flow control means a VC holds at most one packet and a packet
 // is admitted only into an empty VC, so the buffer always has room for the
-// whole packet.
+// whole packet. The struct is 32 bytes, two to a cache line: every pipeline
+// stage reaches VCs through the occupied list.
 type inputVC struct {
-	// port/idx locate this VC at its router; occPos is its position in the
-	// router's occupied list (-1 when free).
-	port, idx int `snap:"-,wiring"`
-	occPos    int `snap:"-,derived: position in occ"`
-
-	pkt *Packet
-	// headAt is the cycle the head flit is present in this buffer; flit i
-	// is present at headAt+i (flits stream contiguously under the locked
-	// input/output port discipline).
-	headAt sim.Cycle
+	// port/idx locate this VC at its router and vnet is the virtual network
+	// idx belongs to; occPos is its position in the router's occupied list
+	// (-1 when free).
+	port, idx, vnet uint8 `snap:"-,wiring"`
+	occPos          int8  `snap:"-,derived: position in occ"`
 	// routed is set once stage 1 (route compute + filter actions) ran.
 	routed bool
-	// pending holds per-output-port destination subsets that still need a
-	// replica sent; asynchronous multicast drains them one at a time.
-	pending [NumPorts]DestSet
-	// pendingPorts counts non-empty pending entries.
-	pendingPorts int
-	// active is the stream currently draining this VC, if any.
-	active *stream `snap:"-,derived: rewired from outStream"`
 	// reserved marks a local-port VC claimed by the NI's pick whose head
 	// flit has not been written yet (cleared at head delivery). Remote
 	// arrivals never reserve: a head in flight lives in the input port's
 	// arrival ring until it matures, and only then occupies a VC.
 	reserved bool
+	// pending is the mask of output ports that still need a replica sent;
+	// asynchronous multicast drains them one at a time. The replica through
+	// port o carries pkt.Dests & dmask[mode][o] (portDests): a buffered
+	// packet's destination set never changes, so the subsets are recomputed
+	// where they are needed instead of stored and zeroed per hop.
+	pending uint8
+	pkt     *Packet
+	// headAt is the cycle the head flit is present in this buffer; flit i
+	// is present at headAt+i (flits stream contiguously under the locked
+	// input/output port discipline).
+	headAt sim.Cycle
+	// active is the stream currently draining this VC, if any.
+	active *stream `snap:"-,derived: rewired from outStream"`
 }
 
-func (vc *inputVC) free() bool { return vc.pkt == nil && !vc.reserved }
-
 // stream is one in-progress replica transmission from an input VC through an
-// output port. Both the input port and the output port are held until the
-// tail flit departs, which keeps flit delivery contiguous and makes
-// cut-through timing exact.
+// output port; it lives in the router's streams slot of that output port.
+// Both the input port and the output port are held until the tail flit
+// departs, which keeps flit delivery contiguous and makes cut-through timing
+// exact.
 //
 // The replica pointer is only valid until the head flit hands it to the
 // downstream VC: from that moment the downstream router owns (and eventually
 // recycles) the packet, and it can finish with it before this stream's tail
 // departs — a RouterSlow window freezing this router mid-drain makes that
-// overtaking real. Everything the remaining flits and the tail bookkeeping
-// need is therefore snapshotted here at allocation time.
+// overtaking real. What every flit needs is therefore copied here at
+// allocation time; the rest (address, id, destinations) is read from the
+// buffered original vc.pkt, which outlives all of its streams.
 type stream struct {
-	vc      *inputVC `snap:"-,derived: resolved from inPort and vcIdx"`
+	vc      *inputVC `snap:"-,derived: resolved from inPort and the VC index"`
 	replica *Packet  // nil once the head flit transfers ownership downstream
+	downR   *Router  `snap:"-,wiring"` // adjacent router behind outPort, nil for PortLocal
 	inPort  int
-	vcIdx   int     // absolute VC index at the input port
-	outPort int     `snap:"-,derived: the outStream slot"`
-	downR   *Router `snap:"-,wiring"` // adjacent router behind outPort, nil for PortLocal
+	outPort int `snap:"-,derived: the streams slot"`
 	sent    int
-
-	// Snapshot of the replica taken at allocation; safe to read for the
-	// stream's whole lifetime regardless of who owns the packet.
 	size    int
-	vnet    int
 	class   stats.Class
 	dstUnit stats.Unit
-	dests   DestSet
-	addr    uint64
-	id      uint64
 	isPush  bool
 }
 
@@ -79,26 +73,34 @@ type stream struct {
 // parallel, Fig 7a), stage 2 performs VC/switch allocation and switch
 // traversal. Links add one cycle.
 type Router struct {
-	id  NodeID              `snap:"-,wiring"`
-	net *Network            `snap:"-,wiring"`
-	h   *sim.Handle         `snap:"-,wiring"`
-	in  [NumPorts][]inputVC `snap:"-,storage: occupied VCs travel through occ, free ones hold no state"`
-	// outStream / inLock serialize the switch at packet granularity: one
-	// replica owns an output port (and its input port) until its tail
-	// departs.
-	outStream [NumPorts]*stream
-	inLock    [NumPorts]*stream `snap:"-,derived: rewired from outStream"`
-	filters   *filterBank
-	// rr holds per-output-port round-robin arbitration state.
-	rr [NumPorts]int
+	// The fields are ordered by how a tick reads them, hottest first: a
+	// router's state has gone cold by its next tick on a large mesh, so the
+	// cache lines a tick pulls in, not the instructions it runs, are what a
+	// hop costs.
+	id NodeID `snap:"-,wiring"`
+	// arrQueued / credQueued mark the rings this router consumes that hold
+	// entries: bit p for arrivals[p], bit o for the credRet ring of the
+	// neighbour behind output port o. The producer sets the bit beside its
+	// push, the consumer clears it when a pop empties the ring, so a tick
+	// probes only rings with something in them — and none of the neighbours'
+	// memory when nothing is in flight.
+	arrQueued  uint8       `snap:"-,derived: the non-empty arrival rings"`
+	credQueued uint8       `snap:"-,derived: the neighbours' non-empty credRet rings"`
+	net        *Network    `snap:"-,wiring"`
+	ni         *NI         `snap:"-,wiring"` // this tile's NI: packet pool and local ejection
+	h          *sim.Handle `snap:"-,wiring"`
 	// occ lists VCs that hold or are reserved for a packet, so the per-
 	// cycle pipeline stages touch only live work instead of scanning every
-	// buffer. scratch is reused for iteration snapshots.
-	occ     []*inputVC
-	scratch []*inputVC `snap:"-,scratch"`
-	// unrouted counts VCs holding a head that stage 1 has not routed yet;
-	// when zero the stage-1 scans are skipped entirely.
-	unrouted int
+	// buffer.
+	occ []*inputVC
+	// unrouted marks the occ positions of VCs holding a head that stage 1
+	// has not routed yet; stage 1 visits exactly those, and skips entirely
+	// when it is zero.
+	unrouted uint64 `snap:"-,derived: the occ entries with a packet and routed unset"`
+	// minHeadAt lower-bounds the earliest arrival among unrouted heads still
+	// in link transit; stage 1 skips its scan entirely before that cycle.
+	// Head writes lower it, stage-1 scans recompute it exactly.
+	minHeadAt sim.Cycle
 	// candMask[o] marks the occ positions of allocatable VCs with a replica
 	// pending for output port o — a VC draining a replica through the switch
 	// is excluded until its stream completes, since no other replica of it
@@ -110,18 +112,20 @@ type Router struct {
 	// invalidation candidates whose stalled-cycle accounting happens
 	// mid-scan and therefore forbids that shortcut.
 	candMask [NumPorts]uint64
-	candV    [NumPorts][NumVNets]int16
 	invCand  [NumPorts]int16
-	// minHeadAt lower-bounds the earliest arrival among unrouted heads still
-	// in link transit; stage 1 skips its scan entirely before that cycle.
-	// Head writes lower it, stage-1 scans recompute it exactly.
-	minHeadAt sim.Cycle
-	// freeCnt[p][v] counts free input VCs per (port, vnet), so exhausted
-	// downstream pools are rejected without scanning the VC array.
-	freeCnt [NumPorts][NumVNets]int16
-	// nbr caches the adjacent router behind each output port (nil at mesh
-	// edges and for the local port).
-	nbr [NumPorts]*Router `snap:"-,wiring"`
+	// rr holds per-output-port round-robin arbitration state (an occ
+	// position).
+	rr [NumPorts]uint8
+	// outStream / inLock serialize the switch at packet granularity: one
+	// replica owns an output port (and its input port) until its tail
+	// departs. outStream[o] is nil or &streams[o].
+	outStream [NumPorts]*stream
+	inLock    [NumPorts]*stream `snap:"-,derived: rewired from outStream"`
+	// portOcc[p] marks the occ positions of the VCs of input port p. While a
+	// stream holds p, none of them can win an output, so allocation masks
+	// them out of its candidates without looking at them.
+	portOcc [NumPorts]uint64 `snap:"-,derived: the occ entries by input port"`
+	candV   [NumPorts][NumVNets]int16
 	// credits[o][v] counts downstream input VCs of vnet v this router may
 	// still claim through output port o. It mirrors the neighbour's per-
 	// (port, vnet) free-VC pool without reading neighbour state: allocation
@@ -129,6 +133,31 @@ type Router struct {
 	// through its credRet ring, link-delayed one cycle. Unused for the local
 	// port (the NI claims VCs directly).
 	credits [NumPorts][NumVNets]int16
+	// freeVCs[p] has bit i set while input VC i of port p is free, and
+	// vnetVCs[v] selects the VC indices of vnet v, so finding a free VC is
+	// one AND and a bit scan.
+	freeVCs [NumPorts]uint16 `snap:"-,derived: the VCs not in occ"`
+	vnetVCs [NumVNets]uint16 `snap:"-,config"`
+	// nbr caches the adjacent router behind each output port (nil at mesh
+	// edges and for the local port).
+	nbr     [NumPorts]*Router `snap:"-,wiring"`
+	filters *filterBank
+	// st is the run's stats bundle (net.st, cached).
+	st *stats.All `snap:"-,wiring"`
+	// tr is this router's trace shard (nil when tracing is off); all writes
+	// to it happen from this router's own ticks.
+	tr *trace.Shard `snap:"-,wiring"`
+	// scratch is reused for stage 1's iteration snapshots.
+	scratch []*inputVC `snap:"-,scratch"`
+	// streams[o] backs outStream[o]; a slot's contents are dead while
+	// outStream[o] is nil.
+	streams [NumPorts]stream
+	in      [NumPorts][]inputVC `snap:"-,storage: occupied VCs travel through occ, free ones hold no state"`
+	// dmask[mode][o] is the set of destinations this router forwards through
+	// output port o under YX (mode 0) or XY (mode 1) dimension-order routing.
+	// Route computation reduces to one AND per port against the packet's
+	// destination set.
+	dmask [2][NumPorts]DestSet `snap:"-,config"`
 	// arrivals[p] queues head-flit handoffs arriving through input port p;
 	// the upstream router produces, this router consumes matured entries at
 	// the top of its tick. Unused for the local port.
@@ -137,32 +166,21 @@ type Router struct {
 	// neighbour behind input port p; this router produces (at release), the
 	// neighbour consumes. Unused for the local port.
 	credRet [NumPorts]credRing
-	// st is the run's stats bundle (net.st, cached).
-	st *stats.All `snap:"-,wiring"`
-	// streamPool recycles this router's per-replica stream allocations.
-	streamPool []*stream `snap:"-,pool"`
-	// dmask[mode][o] is the set of destinations this router forwards through
-	// output port o under YX (mode 0) or XY (mode 1) dimension-order routing.
-	// Route computation reduces to one AND per port against the packet's
-	// destination set.
-	dmask [2][NumPorts]DestSet `snap:"-,config"`
-	// tr is this router's trace shard (nil when tracing is off); all writes
-	// to it happen from this router's own ticks.
-	tr *trace.Shard `snap:"-,wiring"`
 }
 
 func newRouter(id NodeID, net *Network) *Router {
 	r := &Router{id: id, net: net, st: net.st}
-	total := NumVNets * net.cfg.VCsPerVNet
+	vcs := net.cfg.VCsPerVNet
+	backing := make([]inputVC, NumPorts*NumVNets*vcs)
 	for p := 0; p < NumPorts; p++ {
-		r.in[p] = make([]inputVC, total)
+		r.in[p], backing = backing[:NumVNets*vcs:NumVNets*vcs], backing[NumVNets*vcs:]
 		for i := range r.in[p] {
-			vc := &r.in[p][i]
-			vc.port, vc.idx, vc.occPos = p, i, -1
+			r.in[p][i] = inputVC{port: uint8(p), idx: uint8(i), vnet: uint8(i / vcs), occPos: -1}
 		}
-		for v := 0; v < NumVNets; v++ {
-			r.freeCnt[p][v] = int16(net.cfg.VCsPerVNet)
-		}
+		r.freeVCs[p] = 1<<uint(NumVNets*vcs) - 1
+	}
+	for v := 0; v < NumVNets; v++ {
+		r.vnetVCs[v] = (1<<uint(vcs) - 1) << uint(v*vcs)
 	}
 	for mode := 0; mode < 2; mode++ {
 		for d := 0; d < net.cfg.Nodes(); d++ {
@@ -171,7 +189,7 @@ func newRouter(id NodeID, net *Network) *Router {
 		}
 	}
 	if net.cfg.FilterEnabled || net.cfg.OrdPushInvStall {
-		r.filters = newFilterBank(net.cfg.VCsPerVNet)
+		r.filters = newFilterBank(vcs)
 	}
 	return r
 }
@@ -184,101 +202,126 @@ func (r *Router) claim(vc *inputVC) {
 	r.enlist(vc)
 }
 
-// enlist adds a VC to the occupied list and debits the free-VC pool.
+// enlist adds a VC to the occupied list and takes it out of the free mask.
 func (r *Router) enlist(vc *inputVC) {
 	if vc.occPos >= 0 {
 		return
 	}
-	vc.occPos = len(r.occ)
+	vc.occPos = int8(len(r.occ))
 	r.occ = append(r.occ, vc)
-	r.freeCnt[vc.port][vc.idx/r.net.cfg.VCsPerVNet]--
+	r.portOcc[vc.port] |= 1 << uint(vc.occPos)
+	r.freeVCs[vc.port] &^= 1 << vc.idx
+}
+
+// writeHead places a packet's head flit, present from cycle at, into an
+// enlisted VC and queues it for stage 1.
+func (r *Router) writeHead(vc *inputVC, pkt *Packet, at sim.Cycle) {
+	vc.pkt = pkt
+	vc.headAt = at
+	r.unrouted |= 1 << uint(vc.occPos)
+	if at < r.minHeadAt {
+		r.minHeadAt = at
+	}
+}
+
+// portDests returns the destinations of vc's packet that leave through
+// output port o.
+func (r *Router) portDests(vc *inputVC, o int) DestSet {
+	d := vc.pkt.Dests
+	m := &r.dmask[routeMode(int(vc.vnet))][o]
+	for w := range d {
+		d[w] &= m[w]
+	}
+	return d
+}
+
+// candidates adds (d = +1) or removes (d = -1) vc's pending ports in the
+// allocation candidate mask and counters. Callers hold the invariant that a
+// VC is counted exactly while it is routed, has no active stream, and still
+// has ports pending.
+func (r *Router) candidates(vc *inputVC, d int16) {
+	bit := uint64(1) << uint(vc.occPos)
+	inv := vc.pkt.IsInv
+	for m := vc.pending; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		if d > 0 {
+			r.candMask[o] |= bit
+		} else {
+			r.candMask[o] &^= bit
+		}
+		r.candV[o][vc.vnet] += d
+		if inv {
+			r.invCand[o] += d
+		}
+	}
 }
 
 // release resets a VC, drops it from the occupied list, and recycles the
 // held packet: at this point every replica carries its own copy, so the
 // buffered packet is dead.
 func (r *Router) release(vc *inputVC, now sim.Cycle) {
-	// Candidate accounting must read the packet's vnet/inv flags and the
-	// VC's still-valid occ position, so it runs before the packet is
-	// recycled (putPacket zeroes the struct) and before the occ swap below
-	// hands the position to another VC. A VC with an active stream was
-	// already removed from the counts at placement.
+	// Candidate accounting must read the packet's inv flag and the VC's
+	// still-valid occ position, so it runs before the packet is recycled and
+	// before the occ swap below hands the position to another VC. A VC with
+	// an active stream was already removed from the counts at placement.
 	if vc.pkt != nil {
-		if vc.active == nil && vc.pendingPorts > 0 {
-			bit := uint64(1) << uint(vc.occPos)
-			for o := 0; o < NumPorts; o++ {
-				if !vc.pending[o].Empty() {
-					r.candMask[o] &^= bit
-					r.candV[o][vc.pkt.VNet]--
-					if vc.pkt.IsInv {
-						r.invCand[o]--
-					}
-				}
-			}
+		if vc.active == nil && vc.pending != 0 {
+			r.candidates(vc, -1)
 		}
-		if !vc.routed {
-			r.unrouted--
-		}
-		r.net.nis[r.id].putPacket(vc.pkt)
+		r.unrouted &^= 1 << uint(vc.occPos)
+		r.ni.putPacket(vc.pkt)
 	}
 	if vc.occPos >= 0 {
 		last := len(r.occ) - 1
 		moved := r.occ[last]
 		r.occ[vc.occPos] = moved
-		moved.occPos = vc.occPos
 		r.occ = r.occ[:last]
+		r.portOcc[vc.port] &^= 1 << uint(vc.occPos)
 		if moved != vc {
 			// The swap moved the tail VC into the freed position; follow it
-			// with any candidate bits it held at its old position.
+			// with any mask bits it held at its old position.
 			bit := uint64(1) << uint(last)
 			nbit := uint64(1) << uint(vc.occPos)
-			for o := 0; o < NumPorts; o++ {
+			moved.occPos = vc.occPos
+			r.portOcc[moved.port] = r.portOcc[moved.port]&^bit | nbit
+			for o := range r.candMask {
 				if r.candMask[o]&bit != 0 {
 					r.candMask[o] = r.candMask[o]&^bit | nbit
 				}
 			}
+			if r.unrouted&bit != 0 {
+				r.unrouted = r.unrouted&^bit | nbit
+			}
 		}
 		vc.occPos = -1
-		r.freeCnt[vc.port][vc.idx/r.net.cfg.VCsPerVNet]++
+		r.freeVCs[vc.port] |= 1 << vc.idx
 	}
 	vc.pkt = nil
 	vc.reserved = false
 	vc.routed = false
-	vc.pending = [NumPorts]DestSet{}
-	vc.pendingPorts = 0
+	vc.pending = 0
 	vc.active = nil
 	// Credit return: the freed buffer is new downstream space for the
 	// adjacent upstream router. The credit travels back through this
 	// router's ring with one cycle of link delay; the wake covers an
-	// upstream router asleep blocked on exactly this VC pool (its own
-	// reschedule ring scan covers the case where it ticks after us this
-	// cycle and would otherwise clobber the wake).
-	if vc.port != PortLocal {
-		if nb := r.nbr[vc.port]; nb != nil {
-			r.credRet[vc.port].push(vc.idx/r.net.cfg.VCsPerVNet, now+1)
-			nb.h.WakeAt(now + 1)
-		}
+	// upstream router asleep blocked on exactly this VC pool (the
+	// credQueued bit, which its reschedule reads, covers the case where it
+	// ticks after us this cycle and would otherwise clobber the wake).
+	if nb := r.nbr[vc.port]; nb != nil {
+		r.credRet[vc.port].push(int(vc.vnet), now+1)
+		nb.credQueued |= 1 << uint(opposite[vc.port])
+		nb.h.WakeAt(now + 1)
 	}
 }
 
-// vcRange returns the [lo, hi) input-VC index range of a vnet.
-func (r *Router) vcRange(vnet int) (int, int) {
-	lo := vnet * r.net.cfg.VCsPerVNet
-	return lo, lo + r.net.cfg.VCsPerVNet
-}
-
-// freeVC returns a free input VC for the vnet at the given port, or nil.
+// freeVC returns the lowest-indexed free input VC for the vnet at the given
+// port, or nil.
 func (r *Router) freeVC(port, vnet int) *inputVC {
-	if r.freeCnt[port][vnet] == 0 {
+	m := r.freeVCs[port] & r.vnetVCs[vnet]
+	if m == 0 {
 		return nil
 	}
-	lo, hi := r.vcRange(vnet)
-	for i := lo; i < hi; i++ {
-		if r.in[port][i].free() {
-			return &r.in[port][i]
-		}
-	}
-	return nil
+	return &r.in[port][bits.TrailingZeros16(m)]
 }
 
 // Tick advances the router by one cycle: stage 0 drains matured ring
@@ -292,37 +335,42 @@ func (r *Router) Tick(now sim.Cycle) {
 	if f := r.net.faults; f != nil && f.RouterFrozen(r.id, now) {
 		return
 	}
-	r.acceptCredits(now)
-	r.acceptArrivals(now)
+	if r.credQueued != 0 {
+		r.acceptCredits(now)
+	}
+	if r.arrQueued != 0 {
+		r.acceptArrivals(now)
+	}
 	r.stage1(now)
 	r.allocate(now)
+	// Traversal: one flit per held output port; heads are delivered
+	// downstream and completed replicas retired.
 	streaming := false
-	for o := 0; o < NumPorts; o++ {
-		if r.outStream[o] != nil {
+	for o := range r.outStream {
+		if s := r.outStream[o]; s != nil {
 			streaming = true
-			break
+			r.sendFlit(s, now)
 		}
 	}
-	r.traverse(now)
 	r.reschedule(now, streaming)
 }
 
-// acceptCredits banks matured credit returns from every adjacent router.
-// This router is the designated consumer of each neighbour's credRet ring
-// behind the shared link.
+// acceptCredits banks matured credit returns from the adjacent routers whose
+// credRet ring behind the shared link holds any. This router is the
+// designated consumer of each such ring.
 func (r *Router) acceptCredits(now sim.Cycle) {
-	for o := 0; o < NumPorts; o++ {
-		nb := r.nbr[o]
-		if nb == nil {
-			continue
-		}
-		ring := &nb.credRet[opposite[o]]
+	for m := r.credQueued; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		ring := &r.nbr[o].credRet[opposite[o]]
 		for {
 			v, ok := ring.pop(now)
 			if !ok {
 				break
 			}
 			r.credits[o][v]++
+		}
+		if ring.len() == 0 {
+			r.credQueued &^= 1 << uint(o)
 		}
 	}
 }
@@ -333,10 +381,8 @@ func (r *Router) acceptCredits(now sim.Cycle) {
 // router spent a credit per handoff, and credits only return after a VC
 // frees.
 func (r *Router) acceptArrivals(now sim.Cycle) {
-	for p := 0; p < NumPorts; p++ {
-		if p == PortLocal {
-			continue
-		}
+	for m := r.arrQueued; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
 		ring := &r.arrivals[p]
 		for {
 			pkt, at, ok := ring.pop(now)
@@ -349,12 +395,10 @@ func (r *Router) acceptArrivals(now sim.Cycle) {
 					r.id, PortName(p), pkt.VNet))
 			}
 			r.enlist(vc)
-			vc.pkt = pkt
-			vc.headAt = at
-			r.unrouted++
-			if at < r.minHeadAt {
-				r.minHeadAt = at
-			}
+			r.writeHead(vc, pkt, at)
+		}
+		if ring.len() == 0 {
+			r.arrQueued &^= 1 << uint(p)
 		}
 	}
 }
@@ -368,24 +412,24 @@ func (r *Router) acceptArrivals(now sim.Cycle) {
 // entry ripening, or a downstream credit returning (its release schedules
 // our wake).
 //
-// The ring scans below are load-bearing, not an optimization: a producer
-// that runs after this router within the same cycle pairs its push with a
-// WakeAt, but a push that happened *before* this tick already spent its
-// WakeAt on an awake handle (a no-op), so the only record of the pending
-// event is the ring entry itself. Missing it here would sleep through the
-// event — the classic lost wakeup.
+// Reading the queued-ring masks below is load-bearing, not an optimization:
+// a producer that runs after this router within the same cycle pairs its
+// push with a WakeAt, but a push that happened *before* this tick already
+// spent its WakeAt on an awake handle (a no-op), so the only record of the
+// pending event is the ring entry — and the mask bit its producer set in
+// the same breath. Missing it here would sleep through the event: the
+// classic lost wakeup.
 func (r *Router) reschedule(now sim.Cycle, streaming bool) {
 	next := sim.NeverWake
-	for p := 0; p < NumPorts; p++ {
-		if at, ok := r.arrivals[p].earliest(); ok && at < next {
+	for m := r.arrQueued; m != 0; m &= m - 1 {
+		if at := r.arrivals[bits.TrailingZeros8(m)].earliest(); at < next {
 			next = at
 		}
 	}
-	for o := 0; o < NumPorts; o++ {
-		if nb := r.nbr[o]; nb != nil {
-			if at, ok := nb.credRet[opposite[o]].earliest(); ok && at < next {
-				next = at
-			}
+	for m := r.credQueued; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		if at := r.nbr[o].credRet[opposite[o]].earliest(); at < next {
+			next = at
 		}
 	}
 	if len(r.occ) == 0 {
@@ -407,24 +451,24 @@ func (r *Router) reschedule(now sim.Cycle, streaming bool) {
 			// the same NI tick, so this is transient within a cycle.
 			continue
 		}
-		if r.net.cfg.OrdPushInvStall && vc.pkt.IsInv && vc.routed {
+		if !vc.routed {
+			if vc.headAt < next {
+				next = vc.headAt // stage 1 runs in the head's arrival cycle
+			}
+			continue
+		}
+		if r.net.cfg.OrdPushInvStall && vc.pkt.IsInv {
 			// StalledInvCycles accrues once per ticked cycle while an
 			// invalidation waits behind a live registered push; sleeping
 			// would skip those counts. Filter registrations happen only
 			// during this router's own ticks (route → register), so if no
 			// live entry matches now, none can appear while we sleep and
 			// no counts are missed; liveness only decays with time.
-			for o := 0; o < NumPorts; o++ {
-				if !vc.pending[o].Empty() && r.filters.hasAddr(o, vc.pkt.Addr, now) {
+			for m := vc.pending; m != 0; m &= m - 1 {
+				if r.filters.hasAddr(bits.TrailingZeros8(m), vc.pkt.Addr, now) {
 					return
 				}
 			}
-		}
-		if !vc.routed {
-			if vc.headAt < next {
-				next = vc.headAt // stage 1 runs in the head's arrival cycle
-			}
-			continue
 		}
 		if vc.active != nil {
 			return // draining stream (unreachable when !streaming); stay awake
@@ -437,7 +481,7 @@ func (r *Router) reschedule(now sim.Cycle, streaming bool) {
 		}
 		// Allocation-eligible but not placed: blocked on exhausted credits;
 		// the downstream router's release schedules our wake at the
-		// credit's return cycle (and the ring scan above caught any credit
+		// credit's return cycle (and the ring masks above caught any credit
 		// already in flight).
 	}
 	if next == sim.NeverWake {
@@ -455,51 +499,44 @@ func (r *Router) stage1(now sim.Cycle) {
 	if r.unrouted == 0 || now < r.minHeadAt {
 		return // nothing unrouted, or every unrouted head still in transit
 	}
-	// Collect the unrouted heads — typically a handful even under load — so
-	// the two routing passes below scan only them instead of walking every
-	// occupied VC twice. The snapshot also insulates iteration from occ
-	// mutations (route's stationary filtering releases VCs).
+	// Collect the arrived unrouted heads, in occ order, so the two routing
+	// passes below are insulated from occ mutations (route's stationary
+	// filtering releases VCs). Heads still in link transit (headAt in the
+	// future) stay marked but cannot route yet.
 	snap := r.scratch[:0]
-	seen, want := 0, r.unrouted
 	minNext := sim.NeverWake
-	for _, vc := range r.occ {
-		if vc.pkt != nil && !vc.routed {
-			// Heads still in link transit (headAt in the future) count toward
-			// unrouted but cannot route yet; leave them out of the snapshot.
-			if now >= vc.headAt {
-				snap = append(snap, vc)
-			} else if vc.headAt < minNext {
-				minNext = vc.headAt
-			}
-			if seen++; seen == want {
-				break
-			}
+	for m := r.unrouted; m != 0; m &= m - 1 {
+		vc := r.occ[bits.TrailingZeros64(m)]
+		if now >= vc.headAt {
+			snap = append(snap, vc)
+		} else if vc.headAt < minNext {
+			minNext = vc.headAt
 		}
 	}
-	// Everything counted by unrouted was just visited, so minNext is the
-	// exact earliest in-transit arrival (releases can only leave it stale
-	// low, which merely costs one wasted scan).
+	// Every unrouted head was just visited, so minNext is the exact earliest
+	// in-transit arrival (releases can only leave it stale low, which merely
+	// costs one wasted scan).
 	r.minHeadAt = minNext
 	r.scratch = snap
 	// Pass 1: route pushes and everything non-filterable; register filters.
 	for _, vc := range snap {
-		if vc.pkt == nil || vc.routed || now < vc.headAt || vc.pkt.Filterable {
+		if vc.pkt == nil || vc.routed || vc.pkt.Filterable {
 			continue
 		}
-		r.route(vc, vc.port, vc.idx, now)
+		r.route(vc, now)
 	}
 	// Pass 2: filterable read requests (lookup may drop them).
 	for _, vc := range snap {
-		if vc.pkt == nil || vc.routed || now < vc.headAt || !vc.pkt.Filterable {
+		if vc.pkt == nil || vc.routed || !vc.pkt.Filterable {
 			continue
 		}
 		if r.filters != nil && r.net.cfg.FilterEnabled &&
-			r.filters.lookup(vc.port, vc.pkt.Addr, vc.pkt.Requester, now) {
+			r.filters.lookup(int(vc.port), vc.pkt.Addr, vc.pkt.Requester, now) {
 			// A FilterDrop window turns the hit into a miss: the request
 			// travels on and triggers a redundant response the private cache
 			// discards — pure degradation, no protocol state touched.
 			if f := r.net.faults; f != nil && f.SuppressFilterHit(r.id, now) {
-				r.route(vc, vc.port, vc.idx, now)
+				r.route(vc, now)
 				continue
 			}
 			r.st.Net.FilteredRequests++
@@ -509,63 +546,56 @@ func (r *Router) stage1(now sim.Cycle) {
 			r.release(vc, now)
 			continue
 		}
-		r.route(vc, vc.port, vc.idx, now)
+		r.route(vc, now)
 	}
 }
 
 // route performs route computation for the packet in vc and, for pushes,
 // the filter registration and stationary-filtering actions.
-func (r *Router) route(vc *inputVC, port, vcIdx int, now sim.Cycle) {
+func (r *Router) route(vc *inputVC, now sim.Cycle) {
 	pkt := vc.pkt
-	mode := 0
-	if routingXY(pkt.VNet) {
-		mode = 1
-	}
-	var out [NumPorts]DestSet
-	for o := 0; o < NumPorts; o++ {
-		out[o] = pkt.Dests.Intersect(r.dmask[mode][o])
-	}
-	vc.pending = out
-	vc.pendingPorts = 0
-	bit := uint64(1) << uint(vc.occPos)
-	for o := 0; o < NumPorts; o++ {
-		if !out[o].Empty() {
-			vc.pendingPorts++
-			r.candMask[o] |= bit
-			r.candV[o][pkt.VNet]++
-			if pkt.IsInv {
-				r.invCand[o]++
+	dm := &r.dmask[routeMode(pkt.VNet)]
+	var ports uint8
+	for w, d := range &pkt.Dests {
+		if d == 0 {
+			continue
+		}
+		for o := range dm {
+			if d&dm[o][w] != 0 {
+				ports |= 1 << uint(o)
 			}
 		}
 	}
-	vc.routed = true
-	r.unrouted--
-	if vc.pendingPorts == 0 {
+	if ports == 0 {
 		panic(fmt.Sprintf("noc: router %d routed packet with no outputs: %v", r.id, pkt))
 	}
+	vc.pending = ports
+	vc.routed = true
+	r.unrouted &^= 1 << uint(vc.occPos)
+	r.candidates(vc, +1)
 
 	// Filter registration happens whenever the filter banks exist: request
 	// pruning needs it, and so does OrdPush invalidation ordering even when
 	// pruning is ablated away (Fig 20's Push+Multicast point).
 	if pkt.IsPush && r.filters != nil {
-		dataVC := vcIdx - VNetData*r.net.cfg.VCsPerVNet
-		if dataVC < 0 || dataVC >= r.net.cfg.VCsPerVNet {
+		port := int(vc.port)
+		dataVC := int(vc.idx) - VNetData*r.filters.dataVCs
+		if dataVC < 0 || dataVC >= r.filters.dataVCs {
 			panic("noc: push packet outside the data vnet")
 		}
-		for o := 0; o < NumPorts; o++ {
-			if out[o].Empty() {
-				continue
-			}
+		for m := ports; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros8(m)
+			out := r.portDests(vc, o)
 			// Filter Registration.
-			r.filters.register(o, port, dataVC, pkt.Addr, out[o])
+			r.filters.register(o, port, dataVC, pkt.Addr, out)
 			r.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterReg, Node: int32(r.id),
-				Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux(out[o]), A: int32(o), B: int32(port)})
+				Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux(out), A: int32(o), B: int32(port)})
 			// Stationary Filtering: prune matched read requests already
 			// buffered (or arriving) at the input port facing the push's
 			// output direction; they travel the reverse path and their
 			// response is embedded in this push.
 			if r.net.cfg.FilterEnabled {
-				r.stationaryFilter(o, pkt.Addr, out[o], now)
+				r.stationaryFilter(o, pkt.Addr, out, now)
 			}
 		}
 	}
@@ -577,9 +607,8 @@ func (r *Router) route(vc *inputVC, port, vcIdx int, now sim.Cycle) {
 // through the switch is left alone (it will trigger a redundant unicast that
 // the private cache discards).
 func (r *Router) stationaryFilter(port int, addr uint64, dests DestSet, now sim.Cycle) {
-	lo, hi := r.vcRange(VNetReq)
-	for i := lo; i < hi; i++ {
-		vc := &r.in[port][i]
+	for m := ^r.freeVCs[port] & r.vnetVCs[VNetReq]; m != 0; m &= m - 1 {
+		vc := &r.in[port][bits.TrailingZeros16(m)]
 		if vc.pkt == nil || vc.active != nil || !vc.pkt.Filterable {
 			continue
 		}
@@ -600,25 +629,38 @@ func (r *Router) stationaryFilter(port int, addr uint64, dests DestSet, now sim.
 // eligible (input VC, replica) candidate round-robin, reserves a downstream
 // VC, and locks both ports for the replica's duration.
 func (r *Router) allocate(now sim.Cycle) {
-	if len(r.occ) == 0 {
-		return
+	f := r.net.faults
+	// locked collects the VCs behind held input ports; a placement below
+	// adds its own.
+	var locked uint64
+	for p := range r.inLock {
+		if r.inLock[p] != nil {
+			locked |= r.portOcc[p]
+		}
 	}
-	for o := 0; o < NumPorts; o++ {
-		if r.outStream[o] != nil || r.candMask[o] == 0 {
+	for o := range r.candMask {
+		if r.candMask[o]&^locked == 0 || r.outStream[o] != nil {
 			continue
 		}
 		// A LinkStall window refuses new allocations onto the port before
 		// allocateOutput runs, so per-candidate side effects (invalidation
 		// stall accounting) stay identical across kernels. The injector wakes
 		// this router when the window ends; it may have slept meanwhile.
-		if f := r.net.faults; f != nil && f.LinkBlocked(r.id, o, now) {
+		if f != nil && f.LinkBlocked(r.id, o, now) {
 			continue
 		}
-		r.allocateOutput(o, now)
+		if s := r.allocateOutput(o, now, locked); s != nil {
+			locked |= r.portOcc[s.inPort]
+		}
 	}
 }
 
-func (r *Router) allocateOutput(o int, now sim.Cycle) {
+// allocateOutput places at most one replica on output port o, choosing among
+// its candidates outside locked, and returns the stream it started.
+func (r *Router) allocateOutput(o int, now sim.Cycle, locked uint64) *stream {
+	// invStall: an invalidation candidate may have to stall behind a
+	// same-line push still registered at this output port (OrdPush ordering).
+	invStall := r.invCand[o] != 0 && r.net.cfg.OrdPushInvStall && r.filters != nil
 	if o != PortLocal && r.invCand[o] == 0 {
 		// Exact fast-fail under congestion: when every vnet with candidates
 		// for this port has exhausted credits, no scan iteration could place
@@ -633,110 +675,75 @@ func (r *Router) allocateOutput(o int, now sim.Cycle) {
 			}
 		}
 		if !placeable {
-			return
+			return nil
 		}
 	}
 	total := len(r.occ)
 	// Iterate the candidate bitmask in round-robin position order: the set
 	// bits at or above the arbitration pointer first, then the wrapped-around
-	// bits below it. This visits exactly the VCs the old linear occ scan
-	// visited, in the same order, without touching non-candidates (a set bit
-	// already implies a routed packet with pending[o] != 0 and no active
-	// stream). Nothing before placement mutates the mask, so the snapshot
-	// stays exact; placement returns.
-	start := r.rr[o] % total
+	// bits below it. This visits exactly the VCs a linear occ scan would, in
+	// the same order, without touching non-candidates (a set bit already
+	// implies a routed packet with port o pending and no active stream) or
+	// candidates whose input port another stream holds.
+	// Nothing before placement mutates the mask, so the snapshot stays exact;
+	// placement returns.
+	start := int(r.rr[o]) % total
 	below := uint64(1)<<uint(start) - 1
-	m := r.candMask[o]
+	m := r.candMask[o] &^ locked
 	for _, mm := range [2]uint64{m &^ below, m & below} {
 		for ; mm != 0; mm &= mm - 1 {
 			idx := bits.TrailingZeros64(mm)
 			vc := r.occ[idx]
-			p := vc.port
-			if r.inLock[p] != nil {
-				continue
-			}
 			// Stage-2 eligibility: stage 1 ran in the head's arrival cycle.
 			if now < vc.headAt+1 {
 				continue
 			}
-			pkt := vc.pkt
-			// OrdPush ordering: stall an invalidation while a same-line push is
-			// still registered at this output port.
-			if pkt.IsInv && r.net.cfg.OrdPushInvStall && r.filters != nil &&
-				r.filters.hasAddr(o, pkt.Addr, now) {
+			if invStall && vc.pkt.IsInv && r.filters.hasAddr(o, vc.pkt.Addr, now) {
 				r.st.Net.StalledInvCycles++
 				continue
 			}
-			var downRouter *Router
 			if o != PortLocal {
-				downRouter = r.nbr[o]
-				if downRouter == nil {
-					panic(fmt.Sprintf("noc: router %d routed %v to edge port %s", r.id, pkt, PortName(o)))
+				if r.nbr[o] == nil {
+					panic(fmt.Sprintf("noc: router %d routed %v to edge port %s", r.id, vc.pkt, PortName(o)))
 				}
-				if r.credits[o][pkt.VNet] == 0 {
+				if r.credits[o][vc.vnet] == 0 {
 					continue // no downstream VC credit this cycle
 				}
-				r.credits[o][pkt.VNet]--
+				r.credits[o][vc.vnet]--
 			}
-			replica := r.net.nis[r.id].getPacket()
+			pkt := vc.pkt
+			// The replica comes out of the pool as it went in and is
+			// overwritten whole.
+			replica := r.ni.getPacket()
 			*replica = *pkt
 			replica.pooled = true
 			if rp, ok := pkt.Payload.(RefPayload); ok {
 				rp.AddRef()
 			}
-			replica.Dests = vc.pending[o]
-			if vc.pendingPorts > 1 {
+			replica.Dests = r.portDests(vc, o)
+			if vc.pending&(vc.pending-1) != 0 {
 				r.st.Net.MulticastReplicas++
 			}
-			s := r.getStream()
+			p := int(vc.port)
+			s := &r.streams[o]
 			*s = stream{
-				vc: vc, replica: replica, inPort: p, vcIdx: vc.idx, outPort: o,
-				downR: downRouter,
-				size:  replica.Size, vnet: replica.VNet, class: replica.Class,
-				dstUnit: replica.DstUnit, dests: replica.Dests,
-				addr: replica.Addr, id: replica.ID, isPush: replica.IsPush,
-			}
-			bit := uint64(1) << uint(idx)
-			vc.active = s
-			vc.pending[o] = DestSet{}
-			vc.pendingPorts--
-			r.candMask[o] &^= bit
-			r.candV[o][pkt.VNet]--
-			if pkt.IsInv {
-				r.invCand[o]--
+				vc: vc, replica: replica, downR: r.nbr[o], inPort: p, outPort: o,
+				size: pkt.Size, class: pkt.Class, dstUnit: pkt.DstUnit, isPush: pkt.IsPush,
 			}
 			// The VC streams until the replica's tail departs; its remaining
-			// pending ports cannot place meanwhile, so drop them from the
-			// candidate counts (sendFlit restores them at stream completion).
-			if vc.pendingPorts > 0 {
-				for op := 0; op < NumPorts; op++ {
-					if !vc.pending[op].Empty() {
-						r.candMask[op] &^= bit
-						r.candV[op][pkt.VNet]--
-						if pkt.IsInv {
-							r.invCand[op]--
-						}
-					}
-				}
-			}
+			// pending ports cannot place meanwhile, so the whole VC leaves
+			// the candidate counts (sendFlit restores the rest at stream
+			// completion).
+			r.candidates(vc, -1)
+			vc.pending &^= 1 << uint(o)
+			vc.active = s
 			r.outStream[o] = s
 			r.inLock[p] = s
-			r.rr[o] = (idx + 1) % total
-			return
+			r.rr[o] = uint8((idx + 1) % total)
+			return s
 		}
 	}
-}
-
-// traverse streams one flit per held output port, delivers heads downstream,
-// and retires completed replicas.
-func (r *Router) traverse(now sim.Cycle) {
-	for o := 0; o < NumPorts; o++ {
-		s := r.outStream[o]
-		if s == nil {
-			continue
-		}
-		r.sendFlit(s, now)
-	}
+	return nil
 }
 
 func (r *Router) sendFlit(s *stream, now sim.Cycle) {
@@ -746,86 +753,60 @@ func (r *Router) sendFlit(s *stream, now sim.Cycle) {
 		r.st.Net.EjectedFlits[s.dstUnit][s.class]++
 	} else {
 		r.countLinkFlit(s.outPort, s.class)
-	}
-	if s.sent == 1 && s.outPort != PortLocal {
-		// Head flit: hand the replica into the downstream router's arrival
-		// ring, ripening after switch + link traversal; the downstream
-		// router pops it into a credited VC at that cycle. A VCJitter fault
-		// may delay the arrival; the hook keeps per-port arrivals monotonic,
-		// so the link slows but never reorders (and ring entries stay
-		// maturity-ordered).
-		arr := now + 2
-		if f := r.net.faults; f != nil {
-			arr = f.Arrival(r.id, s.outPort, now, arr, s.id, s.vnet)
+		if s.sent == 1 {
+			// Head flit: hand the replica into the downstream router's arrival
+			// ring, ripening after switch + link traversal; the downstream
+			// router pops it into a credited VC at that cycle. A VCJitter fault
+			// may delay the arrival; the hook keeps per-port arrivals monotonic,
+			// so the link slows but never reorders (and ring entries stay
+			// maturity-ordered).
+			arr := now + 2
+			if f := r.net.faults; f != nil {
+				arr = f.Arrival(r.id, s.outPort, now, arr, s.replica.ID, int(s.vc.vnet))
+			}
+			// Ownership hand-off: from here the downstream router holds — and
+			// eventually recycles — the replica. If this router is slowed
+			// mid-drain (RouterSlow), the downstream one can finish with the
+			// packet before our tail departs, so no later flit may dereference
+			// it; the remaining cycles run off the stream's own fields.
+			ip := opposite[s.outPort]
+			s.downR.arrivals[ip].push(s.replica, arr)
+			s.downR.arrQueued |= 1 << uint(ip)
+			s.replica = nil
+			s.downR.h.WakeAt(arr)
 		}
-		// Ownership hand-off: from here the downstream router holds — and
-		// eventually recycles — the replica. If this router is slowed
-		// mid-drain (RouterSlow), the downstream one can finish with the
-		// packet before our tail departs, so no later flit may dereference
-		// it; the remaining cycles run off the stream's snapshot.
-		s.downR.arrivals[opposite[s.outPort]].push(s.replica, arr)
-		s.replica = nil
-		s.downR.h.WakeAt(arr)
 	}
 	if s.sent < s.size {
 		return
 	}
 	// Tail departed: release ports, lazily de-register the filter slot, free
 	// the VC if all replicas are out, and complete local ejection.
+	vc := s.vc
 	r.outStream[s.outPort] = nil
 	r.inLock[s.inPort] = nil
-	s.vc.active = nil
+	vc.active = nil
 	// The VC's remaining pending ports become allocatable again now that the
 	// stream is done; restore them to the candidate counts.
-	if s.vc.pendingPorts > 0 {
-		orig := s.vc.pkt
-		bit := uint64(1) << uint(s.vc.occPos)
-		for op := 0; op < NumPorts; op++ {
-			if !s.vc.pending[op].Empty() {
-				r.candMask[op] |= bit
-				r.candV[op][orig.VNet]++
-				if orig.IsInv {
-					r.invCand[op]++
-				}
-			}
-		}
+	if vc.pending != 0 {
+		r.candidates(vc, +1)
 	}
 	if s.isPush && r.filters != nil {
-		dataVC := s.vcIdx - VNetData*r.net.cfg.VCsPerVNet
-		r.filters.scheduleClear(s.outPort, s.inPort, dataVC, now+2)
+		r.filters.scheduleClear(s.outPort, s.inPort, int(vc.idx)-VNetData*r.filters.dataVCs, now+2)
 		r.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterClear, Node: int32(r.id),
-			Addr: s.addr, ID: s.id, A: int32(s.outPort), B: int32(s.inPort)})
+			Addr: vc.pkt.Addr, ID: vc.pkt.ID, A: int32(s.outPort), B: int32(s.inPort)})
 	}
-	if s.vc.pendingPorts == 0 {
-		r.release(s.vc, now)
+	if vc.pending == 0 {
+		r.release(vc, now)
 	}
 	if s.outPort == PortLocal {
 		// Local ejection never hands the replica off, so it is still owned
 		// here; the NI recycles it after delivery.
 		at := now + 2
 		if f := r.net.faults; f != nil {
-			at = f.Arrival(r.id, PortLocal, now, at, s.id, s.vnet)
+			at = f.Arrival(r.id, PortLocal, now, at, s.replica.ID, int(vc.vnet))
 		}
-		r.net.nis[r.id].scheduleDelivery(s.replica, at)
+		r.ni.scheduleDelivery(s.replica, at)
 	}
-	r.putStream(s)
-}
-
-// getStream / putStream recycle stream descriptors through the router's
-// private pool.
-func (r *Router) getStream() *stream {
-	if k := len(r.streamPool); k > 0 {
-		s := r.streamPool[k-1]
-		r.streamPool[k-1] = nil
-		r.streamPool = r.streamPool[:k-1]
-		return s
-	}
-	return &stream{}
-}
-
-func (r *Router) putStream(s *stream) {
-	*s = stream{}
-	r.streamPool = append(r.streamPool, s)
 }
 
 // countLinkFlit accounts one flit traversing the inter-router link leaving

@@ -1,9 +1,15 @@
 package noc
 
-// routingFor returns whether a vnet routes XY (true) or YX (false). Requests
-// travel XY and responses/pushes travel YX so a push retraces request paths
-// in reverse, maximizing in-network filtering opportunities (§III-C).
-func routingXY(vnet int) bool { return vnet == VNetReq }
+// routeMode returns a vnet's dimension order as a Router.dmask index: 1 for
+// XY, 0 for YX. Requests travel XY and responses/pushes travel YX so a push
+// retraces request paths in reverse, maximizing in-network filtering
+// opportunities (§III-C).
+func routeMode(vnet int) int {
+	if vnet == VNetReq {
+		return 1
+	}
+	return 0
+}
 
 // nextPort computes the output port for one destination from the router at
 // cur, under XY or YX dimension-order routing.

@@ -1,6 +1,10 @@
 package noc
 
-import "pushmulticast/internal/snapshot"
+import (
+	"math/bits"
+
+	"pushmulticast/internal/snapshot"
+)
 
 // PayloadCodec describes packet payloads. The NoC never inspects payloads,
 // so the protocol layer supplies the description (coherence.Codec in real
@@ -116,9 +120,9 @@ func (ni *NI) state(c *snapshot.Codec, pc PayloadCodec) {
 		if c.Decoding() {
 			ni.stream = &ni.cur
 		}
-		s, vcs, idx := ni.stream, ni.net.routers[ni.node].in[PortLocal], 0
+		s, vcs, idx := ni.stream, ni.rt.in[PortLocal], 0
 		if s.vc != nil {
-			idx = s.vc.idx
+			idx = int(s.vc.idx)
 		}
 		c.Int(&s.sent)
 		c.Mark(&s.vc)
@@ -182,67 +186,126 @@ func (rt *Router) vcAt(c *snapshot.Codec, port, idx *int) *inputVC {
 	return &rt.in[*port][*idx]
 }
 
+// derived codes a value that format v1 carries but this build derives from
+// other state: encoding writes what the build derives, and decoding requires
+// the snapshot to agree — the new representation could not hold a difference.
+func derived[T comparable](c *snapshot.Codec, code func(*T), have T, what string) {
+	got := have
+	if code(&got); c.Decoding() && got != have {
+		c.Corrupt("%s is %v but the restored state implies %v", what, got, have)
+	}
+}
+
 func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 	c.Section("noc.router")
-	pkt := func(pp **Packet) { rt.net.nis[rt.id].Packet(c, pc, pp) }
-	// Occupied VCs, in occupancy order: the order is load-bearing (candMask
-	// bits index occ positions and round-robin arbitration walks them).
+	pkt := func(pp **Packet) { rt.ni.Packet(c, pc, pp) }
+	// Occupied VCs, in occupancy order: the order is load-bearing (the
+	// unrouted and candidate masks index occ positions and round-robin
+	// arbitration walks them). Decoding rebuilds the position-keyed and
+	// free-VC masks as it goes.
 	snapshot.Slice(c, &rt.occ, func(pvc **inputVC) {
 		var port, idx int
 		if *pvc != nil {
-			port, idx = (*pvc).port, (*pvc).idx
+			port, idx = int((*pvc).port), int((*pvc).idx)
 		}
 		vc := rt.vcAt(c, &port, &idx)
 		if c.Decoding() {
-			*pvc, vc.occPos = vc, len(rt.occ)-1
+			if vc.occPos >= 0 {
+				c.Corrupt("router %d lists VC (%s,%d) as occupied twice", rt.id, PortName(port), idx)
+				return
+			}
+			*pvc, vc.occPos = vc, int8(len(rt.occ)-1)
+			rt.portOcc[port] |= 1 << uint(vc.occPos)
+			rt.freeVCs[port] &^= 1 << uint(idx)
 		}
 		snapshot.AsU64(c, &vc.headAt)
 		c.Bool(&vc.routed)
 		c.Bool(&vc.reserved)
-		c.Int(&vc.pendingPorts)
-		for o := range vc.pending {
-			c.U64s(vc.pending[o][:])
+		// The pending-port mask travels as format v1 held it: the port count,
+		// then every port's destination subset (empty when not pending).
+		c.Mark(&vc.pending)
+		var subsets [NumPorts]DestSet
+		for m := vc.pending; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros8(m)
+			subsets[o] = rt.portDests(vc, o)
+		}
+		ports := bits.OnesCount8(vc.pending)
+		c.Int(&ports)
+		for o := range subsets {
+			c.U64s(subsets[o][:])
 		}
 		if snapshot.Has(c, &vc.pkt) {
 			pkt(&vc.pkt)
 		}
+		if !c.Decoding() {
+			return
+		}
+		for o := range subsets {
+			if !subsets[o].Empty() {
+				vc.pending |= 1 << uint(o)
+			}
+		}
+		if bits.OnesCount8(vc.pending) != ports || vc.pending != 0 && (vc.pkt == nil || !vc.routed) {
+			c.Corrupt("router %d VC (%s,%d): inconsistent pending ports", rt.id, PortName(port), idx)
+			vc.pending = 0
+			return
+		}
+		for m := vc.pending; m != 0; m &= m - 1 {
+			if o := bits.TrailingZeros8(m); subsets[o] != rt.portDests(vc, o) {
+				c.Corrupt("router %d VC (%s,%d): pending set at %s is not the packet's route", rt.id, PortName(port), idx, PortName(o))
+			}
+		}
+		if vc.pkt != nil && !vc.routed {
+			rt.unrouted |= 1 << uint(vc.occPos)
+		}
 	})
-	// Switch streams, keyed by output port. One stream object is referenced
-	// from outStream[o], inLock[inPort], and vc.active; decoding wires a
-	// single object into all three (the nil-checks on each are semantic).
+	// Switch streams, keyed by output port. One stream slot is referenced
+	// from outStream[o], inLock[inPort], and vc.active; decoding wires it into
+	// all three (the nil-checks on each are semantic). What the stream reads
+	// off its VC's packet still travels, and must agree on decode.
 	for o := range rt.outStream {
 		if !snapshot.Has(c, &rt.outStream[o]) {
 			continue
 		}
+		s, vcIdx := &rt.streams[o], 0
 		if c.Decoding() {
-			rt.outStream[o] = &stream{outPort: o}
+			rt.outStream[o], *s = s, stream{outPort: o, downR: rt.nbr[o]} // nbr is nil behind the local port
+		} else {
+			vcIdx = int(s.vc.idx)
 		}
-		s := rt.outStream[o]
-		vc := rt.vcAt(c, &s.inPort, &s.vcIdx)
+		vc := rt.vcAt(c, &s.inPort, &vcIdx)
+		if vc.pkt == nil {
+			c.Corrupt("router %d stream at %s drains an empty VC", rt.id, PortName(o))
+			return
+		}
 		c.Int(&s.sent)
 		c.Int(&s.size)
-		snapshot.AsU8(c, &s.vnet)
+		derived(c, func(v *int) { snapshot.AsU8(c, v) }, int(vc.vnet), "stream vnet")
 		snapshot.AsU8(c, &s.class)
 		snapshot.AsU8(c, &s.dstUnit)
-		c.U64s(s.dests[:])
-		c.U64(&s.addr)
-		c.U64(&s.id)
+		derived(c, func(d *DestSet) { c.U64s(d[:]) }, rt.portDests(vc, o), "stream destination set")
+		derived(c, c.U64, vc.pkt.Addr, "stream address")
+		derived(c, c.U64, vc.pkt.ID, "stream packet id")
 		c.Bool(&s.isPush)
 		if snapshot.Has(c, &s.replica) {
 			pkt(&s.replica)
 		}
 		if c.Decoding() {
-			s.vc, s.downR = vc, rt.nbr[o] // nbr is nil behind the local port
-			rt.inLock[s.inPort], vc.active = s, s
+			s.vc, rt.inLock[s.inPort], vc.active = vc, s, s
 		}
 	}
-	// Link rings, oldest entry first.
+	// Link rings, oldest entry first. A decoded non-empty ring marks itself
+	// queued at its consumer: this router for arrivals, the upstream
+	// neighbour for credit returns.
 	for p := range rt.arrivals {
 		r := &rt.arrivals[p]
 		ringState(c, &r.head, &r.tail, &r.buf, func(e *arrEntry) {
 			snapshot.AsU64(c, &e.at)
 			pkt(&e.pkt)
 		})
+		if c.Decoding() && r.len() != 0 {
+			rt.arrQueued |= 1 << uint(p)
+		}
 	}
 	for p := range rt.credRet {
 		r := &rt.credRet[p]
@@ -250,25 +313,35 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 			snapshot.AsU8(c, &e.vnet)
 			snapshot.AsU64(c, &e.at)
 		})
+		if c.Decoding() && r.len() != 0 {
+			if rt.nbr[p] == nil {
+				c.Corrupt("router %d returns credits through %s, which has no neighbour", rt.id, PortName(p))
+				return
+			}
+			rt.nbr[p].credQueued |= 1 << uint(opposite[p])
+		}
 	}
-	// Arbitration and accounting state, verbatim.
+	// Arbitration and accounting state, verbatim; the unrouted count and the
+	// free-VC counts of format v1 are read off the masks.
 	i16s := func(a []int16) {
 		for i := range a {
 			c.I16(&a[i])
 		}
 	}
 	for o := range rt.rr {
-		c.Int(&rt.rr[o])
+		snapshot.AsU64(c, &rt.rr[o])
 	}
-	c.Int(&rt.unrouted)
+	derived(c, c.Int, bits.OnesCount64(rt.unrouted), "unrouted head count")
 	snapshot.AsU64(c, &rt.minHeadAt)
 	c.U64s(rt.candMask[:])
 	for o := range rt.candV {
 		i16s(rt.candV[o][:])
 	}
 	i16s(rt.invCand[:])
-	for p := range rt.freeCnt {
-		i16s(rt.freeCnt[p][:])
+	for p := range rt.freeVCs {
+		for _, vm := range rt.vnetVCs {
+			derived(c, c.I16, int16(bits.OnesCount16(rt.freeVCs[p]&vm)), "free VC count")
+		}
 	}
 	for o := range rt.credits {
 		i16s(rt.credits[o][:])

@@ -381,7 +381,7 @@ func (ni *NI) sendAck(orig *Packet, now sim.Cycle) {
 // single-flit ctrl packet carrying the stream's current (top, mask).
 func (ni *NI) buildAck(key uint32) *Packet {
 	st := ni.tp.rx[key] // non-nil: streams become due only through rxSeen
-	a := ni.getPacket()
+	a := ni.NewPacket()
 	a.VNet = VNetCtrl
 	a.Class = stats.ClassAck
 	a.SrcUnit = stats.UnitL2

@@ -149,29 +149,31 @@ const (
 
 // Packet is the unit of transfer between endpoints. Multicast packets carry
 // a destination set; routers replicate them asynchronously.
+//
+// Field order is layout, not taste: every hop copies the packet into a
+// replica and reads its routing fields, so the struct is kept to 128 bytes —
+// two cache lines of a pool slab — with what a router reads (destinations,
+// address, vnet, the filter fields and flags) in the first
+// (TestPacketLayout).
 type Packet struct {
-	// ID is a unique packet number (diagnostics).
-	ID uint64
-	// VNet selects the virtual network (and thus routing and VC pool).
-	VNet int
-	// Class is the traffic class for accounting.
-	Class stats.Class
-	// Src is the injecting tile; SrcUnit its endpoint kind.
-	Src     NodeID
-	SrcUnit stats.Unit
 	// Dests is the destination tile set (a single bit for unicasts).
 	Dests DestSet
-	// DstUnit selects which endpoint kind at the destination tile receives
-	// the packet.
-	DstUnit stats.Unit
 	// Addr is the cache-line address the packet concerns; the in-network
 	// filter matches on it.
 	Addr uint64
-	// Size is the packet length in flits for the configured link width.
-	Size int
-	// Payload carries the protocol message; the NoC never inspects it.
-	Payload any
-
+	// VNet selects the virtual network (and thus routing and VC pool).
+	VNet int
+	// Src is the injecting tile; SrcUnit its endpoint kind.
+	Src NodeID
+	// Requester is the tile whose demand the packet represents; for
+	// filterable requests it is matched against push destination sets.
+	Requester NodeID
+	SrcUnit   stats.Unit
+	// DstUnit selects which endpoint kind at the destination tile receives
+	// the packet.
+	DstUnit stats.Unit
+	// Class is the traffic class for accounting.
+	Class stats.Class
 	// IsPush marks speculative push multicast data packets (these register
 	// in filters).
 	IsPush bool
@@ -180,10 +182,20 @@ type Packet struct {
 	// IsInv marks invalidations that OrdPush must keep ordered behind
 	// same-line pushes.
 	IsInv bool
-	// Requester is the tile whose demand the packet represents; for
-	// filterable requests it is matched against push destination sets.
-	Requester NodeID
+	// pooled marks packets born from the network's free list (router-created
+	// replicas); only those are ever recycled, so externally created packets
+	// stay valid for as long as their creator holds them.
+	pooled bool `snap:"-,pool"`
+	// retx marks a retransmission clone: Inject must not stamp a fresh
+	// sequence number or open a new window entry for it.
+	retx bool
 
+	// ID is a unique packet number (diagnostics).
+	ID uint64
+	// Size is the packet length in flits for the configured link width.
+	Size int
+	// Payload carries the protocol message; the NoC never inspects it.
+	Payload any
 	// InjectedAt is stamped by the NI for latency accounting.
 	InjectedAt sim.Cycle
 
@@ -200,19 +212,11 @@ type Packet struct {
 	// AckVNet window at once. Acks are never themselves sequence-tracked: a
 	// lost ack is healed by the retransmission it provokes, whose re-ack
 	// carries fresher state.
+	AckMask uint64
 	Seq     uint32
 	Csum    uint32
 	IsAck   bool
 	AckVNet int8
-	AckMask uint64
-
-	// pooled marks packets born from the network's free list (router-created
-	// replicas); only those are ever recycled, so externally created packets
-	// stay valid for as long as their creator holds them.
-	pooled bool `snap:"-,pool"`
-	// retx marks a retransmission clone: Inject must not stamp a fresh
-	// sequence number or open a new window entry for it.
-	retx bool
 }
 
 // RefPayload is implemented by packet payloads managed through the

@@ -61,12 +61,26 @@ func coldAndWarm(t *testing.T, cfg Config, wl Workload, sc Scale, barrier uint64
 // count, same full counter bundle, same causal event history (trace hash) —
 // on the wake-driven and dense kernels alike.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
-	for _, sch := range []Scheme{Baseline(), OrdPush()} {
+	type row struct {
+		name string
+		base Config
+		sch  Scheme
+	}
+	rows := []row{{"", Default16(), Baseline()}, {"", Default16(), OrdPush()}}
+	if !testing.Short() {
+		// The saturated 8x8 mesh: at the half-way barrier every router holds
+		// packets, streams and ring entries, so the restore has to rebuild all
+		// of the routers' derived hot state (free-VC, unrouted and queued-ring
+		// masks, the credit bits on the neighbour's side of each link) and the
+		// cache tag indexes, and the checker audits them from then on.
+		rows = append(rows, row{"mesh64/", Default64(), OrdPush()})
+	}
+	for _, r := range rows {
 		for _, k := range snapshotKernels {
-			sch, k := sch, k
-			t.Run(sch.Name+"/"+k.name, func(t *testing.T) {
+			r, k := r, k
+			t.Run(r.name+r.sch.Name+"/"+k.name, func(t *testing.T) {
 				t.Parallel()
-				cfg := k.with(withCheck(ScaledConfig(Default16()).WithScheme(sch)))
+				cfg := k.with(withCheck(ScaledConfig(r.base).WithScheme(r.sch)))
 				wl, err := WorkloadByName("cachebw")
 				if err != nil {
 					t.Fatal(err)
