@@ -4,7 +4,8 @@ package pushmulticast
 // experiment at tiny scale per iteration and reports the figure's headline
 // quantity as a custom metric, so `go test -bench=. -benchmem` doubles as a
 // smoke regeneration of the whole evaluation. Quick-scale (paper-shaped)
-// numbers come from `go run ./cmd/experiments`.
+// numbers come from `go run ./cmd/experiments`; speed numbers come from
+// `go run ./benchmark` and nowhere else.
 
 import (
 	"context"
@@ -15,36 +16,23 @@ func benchOpts(wls ...string) ExpOptions {
 	return ExpOptions{Scale: ScaleTiny, Cores: 16, Workloads: wls}
 }
 
-// BenchmarkRunCachebwOrdPush measures raw simulator throughput (simulated
-// cycles per wall second) on the headline workload.
-func BenchmarkRunCachebwOrdPush(b *testing.B) {
-	cfg := ScaledConfig(Default16()).WithScheme(OrdPush())
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, "cachebw", ScaleTiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.Cycles
-	}
-	b.ReportMetric(float64(cycles), "simcycles/op")
-}
+// allocBudget is the recorded allocations of one cachebw/OrdPush/tiny run on
+// the 16-core machine under the wake-driven kernel, build included.
+const allocBudget = 2089
 
-// BenchmarkRunCachebwOrdPushDense is the same run under the dense
-// (tick-everything) reference kernel; the ratio to the wake-driven
-// benchmark above is the kernel speedup tracked in BENCH_kernel.json.
-func BenchmarkRunCachebwOrdPushDense(b *testing.B) {
+// TestAllocBudget is the tripwire for allocations creeping back into the hot
+// path: the count is deterministic enough for a hard gate where wall-clock is
+// not, so it is a test and the only speed-shaped thing `go test` decides.
+func TestAllocBudget(t *testing.T) {
 	cfg := ScaledConfig(Default16()).WithScheme(OrdPush())
-	cfg.DenseKernel = true
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, "cachebw", ScaleTiny)
-		if err != nil {
-			b.Fatal(err)
+	got := int(testing.AllocsPerRun(3, func() {
+		if _, err := Run(cfg, "cachebw", ScaleTiny); err != nil {
+			t.Fatal(err)
 		}
-		cycles = res.Cycles
+	}))
+	if limit := allocBudget + (allocBudget+19)/20; got > limit { // +5%, rounded up
+		t.Fatalf("%d allocs/run exceeds budget %d by more than 5%% (limit %d); if the regression is intended, re-record allocBudget in bench_test.go", got, allocBudget, limit)
 	}
-	b.ReportMetric(float64(cycles), "simcycles/op")
 }
 
 // BenchmarkFigures regenerates every registry entry at tiny scale, one

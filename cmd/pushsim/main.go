@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"pushmulticast"
-	"pushmulticast/internal/profiles"
 	"pushmulticast/internal/stats"
 )
 
@@ -126,7 +125,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	stopProf, err := profiles.Start(o.cpuProf, o.memProf, o.execTr)
+	stopProf, err := startProfiles(o.cpuProf, o.memProf, o.execTr)
 	if err != nil {
 		fail(err)
 	}

@@ -1,9 +1,4 @@
-// Package profiles arms the standard Go profilers behind three optional
-// file paths, shared by the command-line front ends (cmd/bench,
-// cmd/pushsim). It exists so every command exposes the same -cpuprofile /
-// -memprofile / -exectrace contract without duplicating the start/flush
-// choreography.
-package profiles
+package main
 
 import (
 	"fmt"
@@ -13,13 +8,14 @@ import (
 	"runtime/trace"
 )
 
-// Start arms the requested profilers: a CPU profile and a runtime execution
-// trace begin immediately; an allocation profile is snapshotted by the stop
-// function (after a forced GC, so live objects are settled). Empty paths
-// skip the corresponding profiler. The returned stop function flushes and
-// closes everything and is safe to call more than once — callers that exit
-// through os.Exit must call it explicitly, since deferred calls do not run.
-func Start(cpuFile, memFile, traceFile string) (func(), error) {
+// startProfiles arms the profilers behind -cpuprofile / -memprofile /
+// -exectrace: a CPU profile and a runtime execution trace begin immediately;
+// an allocation profile is snapshotted by the stop function (after a forced
+// GC, so live objects are settled). Empty paths skip the corresponding
+// profiler. The returned stop function flushes and closes everything and is
+// safe to call more than once — callers that exit through os.Exit must call
+// it explicitly, since deferred calls do not run.
+func startProfiles(cpuFile, memFile, traceFile string) (func(), error) {
 	var stops []func()
 	stop := func() {
 		for i := len(stops) - 1; i >= 0; i-- {

@@ -1,4 +1,4 @@
-package profiles
+package main
 
 import (
 	"os"
@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// TestStartWritesAllProfiles is the smoke test for the shared profiling
-// surface behind the commands' -cpuprofile/-memprofile/-exectrace flags:
-// arming all three, doing some work, and stopping must leave three
-// non-empty files, and a second stop call must be harmless.
+// TestStartWritesAllProfiles is the smoke test for the profiling surface
+// behind the -cpuprofile/-memprofile/-exectrace flags: arming all three,
+// doing some work, and stopping must leave three non-empty files, and a
+// second stop call must be harmless.
 func TestStartWritesAllProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	tr := filepath.Join(dir, "trace.out")
-	stop, err := Start(cpu, mem, tr)
+	stop, err := startProfiles(cpu, mem, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestStartWritesAllProfiles(t *testing.T) {
 
 // TestStartEmptyPathsIsNoOp pins the default: no flags, no files, no error.
 func TestStartEmptyPathsIsNoOp(t *testing.T) {
-	stop, err := Start("", "", "")
+	stop, err := startProfiles("", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,9 @@ func TestStartEmptyPathsIsNoOp(t *testing.T) {
 }
 
 // TestStartBadPathFails pins the error contract: an uncreatable profile path
-// must surface as an error at Start, not a silent profile loss at exit.
+// must surface as an error at start, not a silent profile loss at exit.
 func TestStartBadPathFails(t *testing.T) {
-	if _, err := Start("/no/such/dir/cpu.pprof", "", ""); err == nil {
-		t.Fatal("Start accepted an uncreatable cpuprofile path")
+	if _, err := startProfiles("/no/such/dir/cpu.pprof", "", ""); err == nil {
+		t.Fatal("startProfiles accepted an uncreatable cpuprofile path")
 	}
 }

@@ -348,45 +348,6 @@ func executeAll(ctx context.Context, workers int, runs []ResolvedRun, label func
 	return results, errors.Join(errs...)
 }
 
-// WarmStartSweep forks a tuning-knob sweep from one warmed checkpoint. The
-// base configuration runs alone to the barrier cycle and snapshots; every
-// variant configuration then restores from that snapshot and runs to
-// completion over the harness's bounded worker pool, so the sweep pays the
-// warm-up phase once instead of len(variants) times. Results are returned in
-// variant order, alongside the snapshot itself (its SnapshotHash is each
-// warm run's memo identity).
-//
-// Variants must differ from base only in warm-start tuning knobs
-// (TPCThreshold, TimeWindow, KnobRatioShift, CoalesceWindow, retry timers) —
-// the snapshot's fork fingerprint enforces this, refusing anything else with
-// ErrSnapshotMismatch. A variant identical to base is an exact resume,
-// byte-identical to its cold run; any other variant is an approximation in
-// exactly one sense: its pre-barrier history executed under base's knob
-// values.
-func WarmStartSweep(ctx context.Context, o ExpOptions, base Config, variants []Config, wl Workload, barrier uint64) ([]Results, []byte, error) {
-	o = o.withDefaults()
-	m, err := NewMachine(base, wl, o.Scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.RunToCtx(ctx, barrier); err != nil {
-		return nil, nil, err
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	forks := make([]ResolvedRun, len(variants))
-	for i, v := range variants {
-		forks[i] = NewRun(v, wl, o.Scale, snap)
-	}
-	results, err := executeAll(ctx, o.Parallelism, forks, func(i int) string { return fmt.Sprintf("warm fork %d", i) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, snap, nil
-}
-
 // speedup returns baseline-cycles / scheme-cycles. A zero cycle count on
 // either side marks a broken run; it is reported as an error instead of
 // silently producing a 0 (or Inf) that would poison campaign geomeans.

@@ -115,7 +115,8 @@ func TestMemoClearDuringFlight(t *testing.T) {
 // key carries the snapshot's content hash. An aliased memo would hand a
 // fork's results (whose pre-barrier history ran under the donor's knobs) to
 // a caller that asked for a cold run, silently corrupting campaign figures.
-// Run with -race in CI.
+// A fork under the donor's own knobs is the one warm run that is no
+// approximation: it must equal its cold run exactly. Run with -race in CI.
 func TestMemoWarmColdNoAlias(t *testing.T) {
 	ClearRunMemo()
 	t.Cleanup(ClearRunMemo)
@@ -124,6 +125,7 @@ func TestMemoWarmColdNoAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	donor := ScaledConfig(Default16()).WithScheme(OrdPush())
+	donor.TraceN = 64 // so the exact-resume case compares event histories too
 	m, err := NewMachine(donor, wl, ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
@@ -172,5 +174,18 @@ func TestMemoWarmColdNoAlias(t *testing.T) {
 	runMemo.Unlock()
 	if !haveCold || !haveWarm {
 		t.Fatalf("expected distinct cold and warm entries (cold %v, warm %v)", haveCold, haveWarm)
+	}
+	cold, _, err := NewRun(donor, wl, ScaleTiny, nil).Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, _, err := NewRun(donor, wl, ScaleTiny, snap).Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.TraceHash == 0 || cold.Cycles != resumed.Cycles || cold.TraceHash != resumed.TraceHash ||
+		cold.Stats.Core.Instructions != resumed.Stats.Core.Instructions {
+		t.Fatalf("exact resume diverged from its cold run: cycles %d vs %d, instructions %d vs %d, trace %#x vs %#x",
+			cold.Cycles, resumed.Cycles, cold.Stats.Core.Instructions, resumed.Stats.Core.Instructions, cold.TraceHash, resumed.TraceHash)
 	}
 }

@@ -3,7 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,9 +33,9 @@ type task struct {
 type scheduler struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   map[string][]*task // per-tenant FIFO
-	ring     []string           // round-robin order over tenants with work
-	cursor   int
+	queues   map[string][]*task // per-tenant FIFO, tenants with queued work only
+	ring     []string           // exactly the keys of queues, in the order they gained work
+	cursor   int                // index into ring of the tenant whose turn is next
 	queued   int
 	maxQueue int
 	quota    int            // max in-flight (queued+running) runs per tenant; 0 = unlimited
@@ -46,13 +46,24 @@ type scheduler struct {
 	aborting bool // drain deadline passed: running tasks are being canceled
 
 	wg sync.WaitGroup // worker goroutines
-	// waits holds recent queue-wait samples per tenant (nanoseconds, bounded
-	// ring) for the /metrics wait quantiles.
-	waits map[string][]uint64
+	// waits holds recent queue-wait samples for the /metrics wait quantiles,
+	// least recently dispatched tenant first.
+	waits []tenantWaits
 }
 
-// waitSamples bounds the per-tenant wait history backing the quantiles.
-const waitSamples = 256
+// tenantWaits is one tenant's recent queue waits (nanoseconds).
+type tenantWaits struct {
+	tenant  string
+	samples []uint64
+}
+
+// waitSamples bounds one tenant's wait history backing the quantiles;
+// waitTenants bounds how many tenants have one, so a daemon that has served
+// a million one-run tenants remembers the last few, not all of them.
+const (
+	waitSamples = 256
+	waitTenants = 64
+)
 
 // newScheduler starts a scheduler with the given worker count, total
 // queued-task bound, and per-tenant in-flight quota (0 = unlimited).
@@ -60,7 +71,6 @@ func newScheduler(workers, maxQueue, quota int) *scheduler {
 	s := &scheduler{
 		queues:   make(map[string][]*task),
 		running:  make(map[*task]context.CancelFunc),
-		waits:    make(map[string][]uint64),
 		inflight: make(map[string]int),
 		maxQueue: maxQueue,
 		quota:    quota,
@@ -134,30 +144,34 @@ func (s *scheduler) submitAll(tasks []*task) error {
 }
 
 // next pops the next task in tenant round-robin order, blocking until one is
-// available or shutdown drains the queues. A nil return means the worker
-// should exit.
+// available or shutdown drains the queues. A tenant whose queue drains leaves
+// the ring with it — an idle scheduler holds no tenant — and rejoins at the
+// back when it submits again. A nil return means the worker should exit.
 func (s *scheduler) next() *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		for range s.ring {
-			tenant := s.ring[s.cursor%len(s.ring)]
-			s.cursor++
-			q := s.queues[tenant]
-			if len(q) == 0 {
-				continue
-			}
-			t := q[0]
-			s.queues[tenant] = q[1:]
-			s.queued--
-			s.recordWaitLocked(tenant, time.Since(t.enqueued))
-			return t
-		}
+	for len(s.ring) == 0 {
 		if s.closed {
 			return nil
 		}
 		s.cond.Wait()
 	}
+	tenant := s.ring[s.cursor]
+	q := s.queues[tenant]
+	t := q[0]
+	if len(q) > 1 {
+		s.queues[tenant] = q[1:]
+		s.cursor++
+	} else {
+		delete(s.queues, tenant)
+		s.ring = slices.Delete(s.ring, s.cursor, s.cursor+1) // the next tenant slides under the cursor
+	}
+	if s.cursor >= len(s.ring) {
+		s.cursor = 0
+	}
+	s.queued--
+	s.recordWaitLocked(tenant, time.Since(t.enqueued))
+	return t
 }
 
 // worker executes tasks until shutdown. A task whose request context already
@@ -223,13 +237,21 @@ func (s *scheduler) stop(drain time.Duration) bool {
 }
 
 // recordWaitLocked appends one queue-wait sample to the tenant's bounded
-// ring. Caller holds s.mu.
+// history and moves the tenant to the most-recently-dispatched end, dropping
+// the history at the other end once waitTenants have one. Caller holds s.mu.
 func (s *scheduler) recordWaitLocked(tenant string, d time.Duration) {
-	w := append(s.waits[tenant], uint64(d))
-	if len(w) > waitSamples {
-		w = w[len(w)-waitSamples:]
+	w := tenantWaits{tenant: tenant}
+	if i := slices.IndexFunc(s.waits, func(e tenantWaits) bool { return e.tenant == tenant }); i >= 0 {
+		w = s.waits[i]
+		s.waits = slices.Delete(s.waits, i, i+1)
+	} else if len(s.waits) == waitTenants {
+		s.waits = slices.Delete(s.waits, 0, 1)
 	}
-	s.waits[tenant] = w
+	w.samples = append(w.samples, uint64(d))
+	if len(w.samples) > waitSamples {
+		w.samples = w.samples[len(w.samples)-waitSamples:]
+	}
+	s.waits = append(s.waits, w)
 }
 
 // schedStats is the scheduler's /metrics contribution.
@@ -263,19 +285,19 @@ func (s *scheduler) stats() schedStats {
 		QuotaRejected: s.rejected,
 		Tenants:       make(map[string]tenantStats),
 	}
-	for tenant, w := range s.waits {
-		sorted := append([]uint64(nil), w...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		st.Tenants[tenant] = tenantStats{
-			QueueDepth: len(s.queues[tenant]),
-			Inflight:   s.inflight[tenant],
+	for _, w := range s.waits {
+		sorted := slices.Clone(w.samples)
+		slices.Sort(sorted)
+		st.Tenants[w.tenant] = tenantStats{
+			QueueDepth: len(s.queues[w.tenant]),
+			Inflight:   s.inflight[w.tenant],
 			WaitP50Ns:  pushmulticast.Quantile(sorted, 0.50),
 			WaitP90Ns:  pushmulticast.Quantile(sorted, 0.90),
 			WaitP99Ns:  pushmulticast.Quantile(sorted, 0.99),
 		}
 	}
 	for tenant, q := range s.queues {
-		if _, ok := st.Tenants[tenant]; !ok && len(q) > 0 {
+		if _, ok := st.Tenants[tenant]; !ok {
 			st.Tenants[tenant] = tenantStats{QueueDepth: len(q), Inflight: s.inflight[tenant]}
 		}
 	}

@@ -29,10 +29,6 @@ type Options struct {
 	// MemoCapacity bounds the completed-run memo
 	// (0 = pushmulticast.DefaultRunMemoCapacity).
 	MemoCapacity int
-	// SnapshotCapacity bounds retained warm-start donor snapshots (0 = 16).
-	SnapshotCapacity int
-	// MaxSnapshotBytes bounds one snapshot upload (0 = 256 MiB).
-	MaxSnapshotBytes int64
 	// TenantQuota bounds one tenant's in-flight (queued + running) runs
 	// beyond fair round-robin (0 = unlimited). Over-quota submissions are
 	// refused whole with HTTP 429 and a one-line diagnostic.
@@ -57,11 +53,13 @@ type Options struct {
 	JournalPath string
 }
 
+// maxSnapshotBytes bounds one snapshot upload.
+const maxSnapshotBytes = 256 << 20
+
 // Server is the simd campaign service: expansion, dedup, fair scheduling,
 // and result journaling over the simulation harness. Create with New, mount
 // Handler, and Close on shutdown.
 type Server struct {
-	opts    Options
 	sched   *scheduler
 	snaps   *snapStore
 	journal *shard.Journal
@@ -92,12 +90,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 1024
 	}
-	if opts.SnapshotCapacity <= 0 {
-		opts.SnapshotCapacity = 16
-	}
-	if opts.MaxSnapshotBytes <= 0 {
-		opts.MaxSnapshotBytes = 256 << 20
-	}
 	if opts.MemoCapacity > 0 {
 		pushmulticast.SetRunMemoCapacity(opts.MemoCapacity)
 	}
@@ -109,9 +101,8 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		opts:      opts,
 		sched:     newScheduler(opts.Workers, opts.MaxQueue, opts.TenantQuota),
-		snaps:     newSnapStore(opts.SnapshotCapacity),
+		snaps:     newSnapStore(),
 		journal:   journal,
 		recovered: journal.Seen(),
 		mux:       http.NewServeMux(),
@@ -422,13 +413,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot accepts a warm-start donor snapshot upload (raw bytes) and
 // returns its content id for use as a campaign's warm_start.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxSnapshotBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxSnapshotBytes+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("snapshot upload: %v", oneLine(err)))
 		return
 	}
-	if int64(len(data)) > s.opts.MaxSnapshotBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("snapshot exceeds the %d-byte upload bound", s.opts.MaxSnapshotBytes))
+	if len(data) > maxSnapshotBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("snapshot exceeds the %d-byte upload bound", maxSnapshotBytes))
 		return
 	}
 	id, cycle, err := s.snaps.put(data)

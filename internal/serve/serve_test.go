@@ -479,6 +479,77 @@ func TestSchedulerFairRoundRobin(t *testing.T) {
 	}
 }
 
+// TestSchedulerTurnOrder pins the order itself: tenants with work take strict
+// turns in the order they gained it, and one that drains drops out of the
+// rotation without disturbing the others' order.
+func TestSchedulerTurnOrder(t *testing.T) {
+	sched := newScheduler(1, 64, 0)
+	defer sched.stop(time.Second)
+	gate := make(chan struct{})
+	var order []string // written by the single worker, read after done
+	var done sync.WaitGroup
+	batch := func(tenant string, names ...string) {
+		tasks := make([]*task, len(names))
+		for i, name := range names {
+			tasks[i] = &task{tenant: tenant, ctx: context.Background(), fn: func(context.Context) { order = append(order, name); done.Done() }}
+		}
+		done.Add(len(tasks))
+		if err := sched.submitAll(tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sched.submitAll([]*task{{tenant: "gate", ctx: context.Background(), fn: func(context.Context) { <-gate }}}); err != nil {
+		t.Fatal(err)
+	}
+	batch("a", "a1", "a2", "a3")
+	batch("b", "b1", "b2")
+	batch("c", "c1")
+	close(gate)
+	done.Wait()
+	if got, want := strings.Join(order, " "), "a1 b1 c1 a2 b2 a3"; got != want {
+		t.Fatalf("dispatch order %q; want %q", got, want)
+	}
+}
+
+// TestSchedulerForgetsIdleTenants runs 5000 one-run tenants through one
+// scheduler: once idle it holds no tenant in the ring or the queues, wait
+// histories for the most recently dispatched waitTenants only — the last
+// tenant's quantiles still readable, the first one's gone — and a tenant that
+// comes back is scheduled like a new one.
+func TestSchedulerForgetsIdleTenants(t *testing.T) {
+	const tenants = 5000
+	sched := newScheduler(2, 64, 0)
+	defer sched.stop(time.Second)
+	var wg sync.WaitGroup
+	run := func(tenant string) {
+		wg.Add(1)
+		if err := sched.submitAll([]*task{{tenant: tenant, ctx: context.Background(), fn: func(context.Context) { wg.Done() }}}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait() // one at a time: dispatch order is tenant order
+	}
+	for i := 0; i < tenants; i++ {
+		run(fmt.Sprintf("t%04d", i))
+	}
+	sched.mu.Lock()
+	ring, queues, waits := len(sched.ring), len(sched.queues), len(sched.waits)
+	sched.mu.Unlock()
+	if ring != 0 || queues != 0 || waits != waitTenants {
+		t.Fatalf("idle scheduler after %d one-run tenants holds ring=%d queues=%d waits=%d; want 0, 0, %d", tenants, ring, queues, waits, waitTenants)
+	}
+	st := sched.stats()
+	if _, ok := st.Tenants["t4999"]; !ok || len(st.Tenants) != waitTenants {
+		t.Fatalf("stats lists %d tenants (last one present: %v); want the %d most recently dispatched", len(st.Tenants), ok, waitTenants)
+	}
+	if _, ok := st.Tenants["t0000"]; ok {
+		t.Fatal("stats still lists the first of 5000 idle tenants")
+	}
+	run("t0000")
+	if _, ok := sched.stats().Tenants["t0000"]; !ok {
+		t.Fatal("a returning tenant's wait history was not recorded")
+	}
+}
+
 // TestHealthz covers the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})

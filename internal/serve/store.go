@@ -17,8 +17,10 @@ type snapStore struct {
 	mu  sync.Mutex
 	m   map[string]*list.Element
 	lru *list.List // of snapEntry; front = most recently used
-	cap int
 }
+
+// snapshotCapacity bounds the retained snapshots (LRU past it).
+const snapshotCapacity = 16
 
 type snapEntry struct {
 	id    string
@@ -26,8 +28,8 @@ type snapEntry struct {
 	cycle uint64
 }
 
-func newSnapStore(capacity int) *snapStore {
-	return &snapStore{m: make(map[string]*list.Element), lru: list.New(), cap: capacity}
+func newSnapStore() *snapStore {
+	return &snapStore{m: make(map[string]*list.Element), lru: list.New()}
 }
 
 // put validates and stores a snapshot, returning its content id and the
@@ -47,7 +49,7 @@ func (st *snapStore) put(data []byte) (id string, cycle uint64, err error) {
 		return id, cycle, nil
 	}
 	st.m[id] = st.lru.PushFront(&snapEntry{id: id, data: data, cycle: cycle})
-	for st.lru.Len() > st.cap {
+	for st.lru.Len() > snapshotCapacity {
 		back := st.lru.Back()
 		st.lru.Remove(back)
 		delete(st.m, back.Value.(*snapEntry).id)

@@ -43,12 +43,6 @@ type Options struct {
 	// (no shards are assigned to it); a later success closes it again.
 	HealthInterval time.Duration
 	ProbeTimeout   time.Duration
-	// Concurrency bounds concurrently dispatched shards
-	// (0 = 2 × len(Workers), minimum 2).
-	Concurrency int
-	// Client issues dispatches and probes (nil = http.DefaultTransport;
-	// per-attempt deadlines come from Timeout, not the client).
-	Client *http.Client
 	// Journal records completed runs for crash resume and deduplication
 	// (nil = a fresh memory-only journal).
 	Journal *Journal
@@ -132,15 +126,6 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.ProbeTimeout <= 0 {
 		opts.ProbeTimeout = time.Second
 	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 2 * len(opts.Workers)
-		if opts.Concurrency < 2 {
-			opts.Concurrency = 2
-		}
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
-	}
 	if opts.Journal == nil {
 		opts.Journal = NewMemJournal()
 	}
@@ -149,7 +134,7 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opts:    opts,
-		client:  opts.Client,
+		client:  &http.Client{}, // per-attempt deadlines come from Timeout
 		journal: opts.Journal,
 		stop:    make(chan struct{}),
 	}
@@ -232,7 +217,7 @@ func (c *Coordinator) Run(ctx context.Context, tenant string, units []Unit, snap
 	// they land, deduplicated by run identity.
 	shards := chunk(pending, c.opts.ShardSize)
 	st.Shards = len(shards)
-	sem := make(chan struct{}, c.opts.Concurrency)
+	sem := make(chan struct{}, max(2, 2*len(c.replicas))) // shards in flight at once
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		sh := sh

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -52,53 +51,58 @@ func NewMemJournal() *Journal {
 
 // OpenJournal opens (creating if absent) a file-backed journal and loads
 // every committed record. Unparsable lines — a torn final line from a crash
-// mid-append is the expected case — are counted and skipped, never fatal:
-// losing one record costs one recompute, losing the journal costs the whole
-// campaign.
+// mid-append is the expected case — are counted and skipped, never fatal, at
+// any length: losing one record costs one recompute, losing the journal (or
+// everything behind one bad line) costs the whole campaign.
 func OpenJournal(path string) (*Journal, error) {
 	j := NewMemJournal()
 	j.path = path
-	if data, err := os.ReadFile(path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var l journalLine
-			if err := json.Unmarshal(line, &l); err != nil {
-				j.skipped++
-				continue
-			}
-			switch l.Kind {
-			case "run":
-				if l.Record != nil && l.Record.Error == "" && l.Record.ID != "" {
-					if _, ok := j.seen[l.Record.ID]; !ok {
-						j.seen[l.Record.ID] = *l.Record
-					}
-				} else {
-					j.skipped++
-				}
-			case "snapshot":
-				if l.Snapshot != "" {
-					j.snaps[l.Snapshot] = l.Cycle
-				} else {
-					j.skipped++
-				}
-			default:
-				j.skipped++
-			}
-		}
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal %s: %v", path, err)
+	}
+	for rest := data; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		j.load(line)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal %s: %v", path, err)
 	}
+	// End a torn tail here, or the next commit is appended to it and lost with
+	// it. No sync of its own: the commit's sync covers it.
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal %s: %v", path, err)
+		}
+	}
 	j.f = f
 	return j, nil
+}
+
+// load admits one line of the journal file, under Commit's own rule, or
+// counts it as skipped.
+func (j *Journal) load(line []byte) {
+	if len(line) == 0 {
+		return
+	}
+	var l journalLine
+	if err := json.Unmarshal(line, &l); err != nil {
+		j.skipped++
+		return
+	}
+	switch {
+	case l.Kind == "run" && l.Record != nil && l.Record.Error == "" && l.Record.ID != "":
+		if _, ok := j.seen[l.Record.ID]; !ok {
+			j.seen[l.Record.ID] = *l.Record
+		}
+	case l.Kind == "snapshot" && l.Snapshot != "":
+		j.snaps[l.Snapshot] = l.Cycle
+	default:
+		j.skipped++
+	}
 }
 
 // Path returns the journal's backing file path ("" for memory-only).

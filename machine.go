@@ -18,9 +18,9 @@ import (
 // Snapshots carry two config fingerprints. The strict fingerprint must match
 // for an exact resume. The fork fingerprint ignores tuning knobs (pause/
 // resume thresholds, coalescing window, retry timers), so one warmed
-// snapshot can seed a whole knob sweep (see WarmStartSweep); such a fork is
-// still an exact state transfer, but the warm-up ran under the donor's knob
-// values.
+// snapshot can seed a whole knob sweep (one NewRun(cfg, wl, sc, snap) per
+// knob point); such a fork is still an exact state transfer, but the warm-up
+// ran under the donor's knob values.
 
 // ErrSnapshotMismatch wraps every refusal to restore a snapshot: wrong
 // format version, a config fingerprint differing from the restoring machine,
