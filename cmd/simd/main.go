@@ -20,13 +20,16 @@
 //	curl -sS localhost:8080/campaigns -d \
 //	  '{"scale":"tiny","schemes":["Baseline","OrdPush"],"workloads":[{"name":"cachebw"}]}'
 //
-// With -peers the daemon is a shard coordinator: campaigns are split into
-// shards and dispatched across the listed simd replicas with retry,
-// reassignment on worker death, and degradation to local execution when no
-// replica is healthy. With -journal completed runs persist to an append-only
-// NDJSON journal, and a killed daemon restarted on the same journal serves
-// recovered runs without recomputing them. -quota bounds one tenant's
-// in-flight runs (HTTP 429 over it).
+// Every campaign takes one path: its runs are resolved, queued under the
+// tenant (-maxqueue bounds queued runs, HTTP 503 past it; -quota bounds one
+// tenant's in-flight runs, HTTP 429 over it), executed by at most -workers
+// tasks at once, and streamed back. With -peers the daemon is a shard
+// coordinator and a task is a shard of -shardsize runs: it is sent to one of
+// the listed simd replicas with retry and reassignment on worker death, and
+// simulated here, in the task's own slot, when no replica is healthy. With
+// -journal completed runs persist to an append-only NDJSON journal, and a
+// killed daemon restarted on the same journal answers the runs it held at
+// startup without recomputing or dispatching them.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: new campaigns are refused,
 // in-flight runs get the -drain window to finish, and stragglers are
@@ -51,7 +54,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "concurrently executing simulations (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "tasks in flight: simulations here, or on a coordinator shards out at replicas (0 = GOMAXPROCS, or with -peers at least two per peer)")
 		maxQueue = flag.Int("maxqueue", 0, "queued-run bound across all tenants (0 = 1024)")
 		memoCap  = flag.Int("memocap", 0, "completed-run memo capacity, LRU-evicted (0 = library default)")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown drain window for in-flight runs before they are canceled")
@@ -62,7 +65,7 @@ func main() {
 		shardRetry  = flag.Int("shardretries", 0, "remote re-dispatches per shard before degrading to local execution (0 = 4)")
 		shardTO     = flag.Duration("shardtimeout", 0, "one shard dispatch attempt bound (0 = 2m)")
 		healthEvery = flag.Duration("healthevery", 0, "replica /healthz probe period (0 = 2s)")
-		journal     = flag.String("journal", "", "crash-resume journal path (append-only NDJSON); empty keeps a memory-only journal")
+		journal     = flag.String("journal", "", "crash-resume journal path (append-only NDJSON); empty keeps completed records in memory only")
 	)
 	flag.Parse()
 	opts := serve.Options{

@@ -385,10 +385,6 @@ func (m *Monitor) trackDeliver(e trace.Event) {
 	}
 }
 
-// LossOutstanding reports the number of open loss-recovery obligations
-// (dropped messages whose stream key has not re-arrived). Test hook.
-func (m *Monitor) LossOutstanding() int { return len(m.pendingLoss) }
-
 // scanLossAge asserts the recovery liveness invariant: no dropped message
 // may stay unrecovered past the transport's full retry budget. The worst
 // offender is picked by (age, node, key) so the failure message does not

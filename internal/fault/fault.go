@@ -185,7 +185,8 @@ func (f *Fault) endsAt(c uint64) bool {
 }
 
 // nextBoundary returns the earliest window start or end strictly after now,
-// or false when the fault is spent (one-shot, fully in the past).
+// or false when the fault is spent (one-shot and fully in the past, or
+// periodic with its next boundary beyond the last cycle number).
 func (f *Fault) nextBoundary(now uint64) (uint64, bool) {
 	if now < f.From {
 		return f.From, true
@@ -198,10 +199,14 @@ func (f *Fault) nextBoundary(now uint64) (uint64, bool) {
 		return 0, false
 	}
 	phase := (now - f.From) % f.Period
+	step := f.Period - phase // to the next window's start
 	if phase < dur {
-		return now + (dur - phase), true // current window's end
+		step = dur - phase // to the current window's end
 	}
-	return now + (f.Period - phase), true // next window's start
+	if now+step < now {
+		return 0, false // past the end of the cycle counter: spent, not wrapped to the past
+	}
+	return now + step, true
 }
 
 // activeWithin reports whether any cycle in [from, to] falls inside one of

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"pushmulticast/internal/stats"
 )
 
 const testNodes = 16
@@ -182,4 +184,52 @@ func TestKindJSONRoundtrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`2`), &k); err != nil || k != VCJitter {
 		t.Fatalf("numeric kind 2: got %v, err %v", k, err)
 	}
+}
+
+// FuzzFaultPlan feeds arbitrary bytes through the pushsim -faultplan trust
+// boundary: JSON decode into a Plan, then Validate. Neither may panic, and a
+// plan that validates must build an injector whose boundary schedule is
+// strictly increasing until it is spent — however large its cycle numbers, a
+// run's injector never stalls on a cycle or walks backwards. The step count is
+// bounded: a periodic fault has boundaries forever.
+func FuzzFaultPlan(f *testing.F) {
+	for _, plan := range []Plan{GeneratePlan(testNodes, 7, 0.5), GenerateLossyPlan(testNodes, 7, 60)} {
+		data, err := json.Marshal(plan)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, seed := range []string{
+		// The bad-input rows of cmd/pushsim's TestBuildFaultPlanBadInput.
+		`not json at all{`,
+		`{"Faults": "everywhere"}`,
+		`{"Faults":[{"Kind":"MsgTeleport","From":0,"To":10}]}`,
+		`{"Faults":[{"Kind":"MsgDrop","From":50,"To":50,"Factor":10}]}`,
+		`{"Faults":[{"Kind":"MsgDrop","Node":99,"From":0,"To":10,"Factor":10}]}`,
+		`{"Faults":[{"Kind":"MsgDrop","Node":3,"From":0,"To":100,"Factor":10},{"Kind":"MsgDrop","Node":3,"From":50,"To":150,"Factor":20}]}`,
+		// CI's plan: one window to 2^62.
+		`{"Seed":7,"Faults":[{"Kind":"MsgDrop","Node":3,"From":0,"To":4611686018427387904,"Factor":60}]}`,
+		// Periodic windows whose next start lies past the end of the counter.
+		`{"Faults":[{"Kind":"MsgDup","Node":1,"From":18446744073709551566,"To":18446744073709551576,"Period":20,"Factor":10}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var plan Plan
+		if json.Unmarshal(data, &plan) != nil || plan.Validate(testNodes) != nil {
+			return
+		}
+		in := NewInjector(plan, testNodes, stats.New())
+		for c, steps := uint64(0), 0; steps < 256; steps++ {
+			in.onBoundary(c)
+			if in.next == ^uint64(0) {
+				return // schedule spent
+			}
+			if in.next <= c {
+				t.Fatalf("boundary after cycle %d is %d: the schedule must move forward", c, in.next)
+			}
+			c = in.next
+		}
+	})
 }

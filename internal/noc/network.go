@@ -483,14 +483,6 @@ func (n *Network) NI(node NodeID) *NI { return n.nis[node] }
 // port, for per-link load reporting (Fig 14).
 func LinkIndex(node NodeID, port int) int { return int(node)*4 + port }
 
-// LinkName names a link index.
-func (n *Network) LinkName(idx int) string {
-	node := NodeID(idx / 4)
-	port := idx % 4
-	x, y := n.cfg.XY(node)
-	return fmt.Sprintf("(%d,%d)->%s", x, y, PortName(port))
-}
-
 // Quiescent reports whether no packets are queued, streaming, or buffered
 // anywhere in the network, including the recovery layer's unacked windows,
 // parked invalidations, and pending acks.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"pushmulticast"
+	"pushmulticast/internal/shard"
 )
 
 // distSpec is the distributed-path campaign: two runs (one per scheme) with
@@ -256,6 +258,22 @@ func TestCoordinatorJournalResume(t *testing.T) {
 	if st := pushmulticast.RunMemoStats(); st.Misses != 0 {
 		t.Fatalf("memo misses = %d after resume; the journal must recover without recomputing", st.Misses)
 	}
+	// A campaign that adds one run to the recovered two: only the new run is
+	// dispatched, and only the recovered ones are marked cached.
+	wider := strings.Replace(distSpec, `"OrdPush"`, `"OrdPush","PushAck"`, 1)
+	status, recs3, sum3 := postCampaign(t, ts2.URL, wider)
+	if status != http.StatusOK || sum3.Failed != 0 || sum3.Canceled != 0 {
+		t.Fatalf("widened campaign: status %d summary %+v", status, sum3)
+	}
+	if sum3.Recovered != 2 || sum3.Recomputed != 1 || sum3.Shards != 1 || sum3.Cached != 2 {
+		t.Fatalf("widened summary %+v; want 2 recovered and cached, 1 recomputed in 1 shard", sum3)
+	}
+	old := recordMap(recs)
+	for _, rec := range recs3 {
+		if _, recovered := old[rec.ID]; rec.Cached != recovered {
+			t.Fatalf("run %s (%s): cached=%v, recovered=%v", rec.ID, rec.Scheme, rec.Cached, recovered)
+		}
+	}
 }
 
 // TestWorkerJournalResume restarts a plain (coordinator-less) worker on the
@@ -309,52 +327,146 @@ func TestWorkerJournalResume(t *testing.T) {
 	}
 }
 
-// TestCampaignTenantQuota429 pins the over-quota HTTP contract: a campaign
-// exceeding the tenant's in-flight bound is refused whole with HTTP 429 and
-// a one-line diagnostic, and a within-quota campaign still succeeds.
+// TestCampaignTenantQuota429 pins the admission contract on both roles: a
+// campaign exceeding the tenant's in-flight bound is refused whole with HTTP
+// 429, one exceeding the queue bound with 503, each with a one-line
+// diagnostic and nothing simulated or dispatched; a campaign within the bound
+// still succeeds. A coordinator's campaigns go through the same scheduler as
+// a plain daemon's, so they meet the same bounds.
 func TestCampaignTenantQuota429(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, TenantQuota: 1})
+	replica, replicaTS := newTestServer(t, Options{Workers: 1})
+	peers := []string{replicaTS.URL}
 	twoRuns := `{"scale":"tiny","schemes":["Baseline","OrdPush"],"workloads":[{"name":"cachebw"}]}`
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(twoRuns))
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		status int
+		want   string
+	}{
+		{"plain daemon over quota", Options{Workers: 1, TenantQuota: 1}, http.StatusTooManyRequests, "over quota"},
+		{"coordinator over quota", Options{Workers: 1, TenantQuota: 1, Peers: peers}, http.StatusTooManyRequests, "over quota"},
+		{"plain daemon queue full", Options{Workers: 1, MaxQueue: 1}, http.StatusServiceUnavailable, "queue full"},
+		{"coordinator queue full", Options{Workers: 1, MaxQueue: 1, Peers: peers}, http.StatusServiceUnavailable, "queue full"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.opts)
+			before := replica.completed.Load()
+			resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(twoRuns))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d body %q; want %d", resp.StatusCode, body, tc.status)
+			}
+			if !strings.HasSuffix(string(body), "\n") || strings.Count(string(body), "\n") != 1 {
+				t.Fatalf("refusal body is not one line: %q", body)
+			}
+			if !strings.Contains(string(body), tc.want) {
+				t.Fatalf("refusal body does not say %q: %q", tc.want, body)
+			}
+			if n := s.completed.Load() + replica.completed.Load() - before; n != 0 {
+				t.Fatalf("the refused campaign still completed %d runs", n)
+			}
+			if s.coord != nil && s.coord.Metrics().Dispatched != 0 {
+				t.Fatalf("the refused campaign was dispatched: %+v", s.coord.Metrics())
+			}
+			// Nothing was half-admitted: a within-bound campaign runs normally.
+			status, recs, _ := postCampaign(t, ts.URL, tiny16)
+			if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" {
+				t.Fatalf("within-bound campaign after refusal: status %d recs %+v", status, recs)
+			}
+			var m metrics
+			getJSON(t, ts.URL+"/metrics", &m)
+			if q := tc.opts.TenantQuota; m.Scheduler.Quota != q || (q > 0 && m.Scheduler.QuotaRejected < 1) {
+				t.Fatalf("scheduler metrics %+v; want quota %d with its rejection counted", m.Scheduler, q)
+			}
+			// The proof a campaign went through the scheduler on either role.
+			if _, ok := m.Scheduler.Tenants["default"]; !ok {
+				t.Fatalf("scheduler metrics list no wait history for tenant default: %+v", m.Scheduler)
+			}
+		})
+	}
+}
+
+// TestShutdownDrainsShardedCampaign closes a coordinator while its campaign is
+// mid-dispatch: Close must wait for the sharded tasks like any others and
+// close the journal last, so every error-free record the client received is in
+// the journal file, and no shard is refused by a scheduler that shut down
+// under it.
+func TestShutdownDrainsShardedCampaign(t *testing.T) {
+	pushmulticast.ClearRunMemo()
+	t.Cleanup(pushmulticast.ClearRunMemo)
+	// A replica whose shards take 200ms and answer one record per run.
+	dispatched := make(chan struct{}, 16)
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req shard.Request
+		if r.URL.Path != "/shards" || json.NewDecoder(r.Body).Decode(&req) != nil {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
+		dispatched <- struct{}{}
+		time.Sleep(200 * time.Millisecond)
+		resp := shard.Response{ShardID: req.ShardID}
+		for _, raw := range req.Runs {
+			spec, err := pushmulticast.DecodeRunSpec(raw)
+			if err != nil {
+				t.Error(err)
+			}
+			run, err := spec.Resolve(nil)
+			if err != nil {
+				t.Error(err)
+			}
+			resp.Results = append(resp.Results, runRecord{ID: run.Identity(), Scheme: spec.Scheme, Workload: spec.Workload.Name, Cycles: 1})
+		}
+		json.NewEncoder(w).Encode(resp)
+	}))
+	defer replica.Close()
+	jp := filepath.Join(t.TempDir(), "coord.journal")
+	// One worker slot: Close lands with one shard in flight and three queued.
+	s, ts := startServer(t, Options{Workers: 1, Peers: []string{replica.URL}, JournalPath: jp, HealthInterval: time.Minute})
+	defer ts.Close()
+	closed := make(chan error, 1)
+	go func() {
+		<-dispatched
+		closed <- s.Close(5 * time.Second)
+	}()
+	fourRuns := `{"scale":"tiny","schemes":["Baseline","OrdPush"],"workloads":[{"name":"cachebw"},{"name":"mv"}]}`
+	status, recs, sum := postCampaign(t, ts.URL, fourRuns)
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if status != http.StatusOK || len(recs) != 4 || sum.Failed != 0 || sum.Canceled != 0 {
+		t.Fatalf("campaign under a draining close: status %d, %d records, summary %+v; want 4 clean runs", status, len(recs), sum)
+	}
+	j, err := shard.OpenJournal(jp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d body %q; want 429", resp.StatusCode, body)
+	defer j.Close()
+	for _, rec := range recs {
+		if strings.Contains(rec.Error, "shutting down") {
+			t.Fatalf("run %s was refused by the scheduler it was already in: %s", rec.ID, rec.Error)
+		}
+		if _, ok := j.Lookup(rec.ID); rec.Error == "" && !ok {
+			t.Fatalf("run %s was acknowledged to the client but is not in the journal file", rec.ID)
+		}
 	}
-	if !strings.HasSuffix(string(body), "\n") || strings.Count(string(body), "\n") != 1 {
-		t.Fatalf("429 body is not one line: %q", body)
-	}
-	if !strings.Contains(string(body), "over quota") {
-		t.Fatalf("429 body does not name the quota: %q", body)
-	}
-	// Nothing was half-admitted: a within-quota campaign runs normally.
-	status, recs, _ := postCampaign(t, ts.URL, tiny16)
-	if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" {
-		t.Fatalf("within-quota campaign after refusal: status %d recs %+v", status, recs)
-	}
-	var m metrics
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Scheduler.Quota != 1 || m.Scheduler.QuotaRejected < 1 {
-		t.Fatalf("scheduler metrics %+v; want quota 1 with >= 1 rejection", m.Scheduler)
-	}
-	_ = s
 }
 
 // TestSchedulerTenantQuota table-drives the quota admission contract at the
-// scheduler layer: all-or-nothing batches, per-tenant accounting, exempt
-// bypass, and tenant independence. Workers are zero so admitted tasks pin
-// their in-flight counts deterministically.
+// scheduler layer: all-or-nothing batches, per-tenant accounting in runs
+// (whatever the task grouping), and tenant independence. Workers are zero so
+// admitted tasks pin their in-flight counts deterministically.
 func TestSchedulerTenantQuota(t *testing.T) {
-	mk := func(tenant string, exempt bool) *task {
-		return &task{tenant: tenant, ctx: context.Background(), exempt: exempt, fn: func(context.Context) {}}
+	mk := func(tenant string, runs int) *task {
+		return &task{tenant: tenant, ctx: context.Background(), runs: runs, fn: func(context.Context) {}}
 	}
 	batch := func(tenant string, n int) []*task {
 		out := make([]*task, n)
 		for i := range out {
-			out[i] = mk(tenant, false)
+			out[i] = mk(tenant, 1)
 		}
 		return out
 	}
@@ -372,7 +484,7 @@ func TestSchedulerTenantQuota(t *testing.T) {
 		{name: "batch alone over quota", quota: 2, batch: batch("a", 3), wantErr: true},
 		{name: "in-flight accumulates", quota: 2, prior: batch("a", 2), batch: batch("a", 1), wantErr: true},
 		{name: "tenants are independent", quota: 1, prior: batch("a", 1), batch: batch("b", 1)},
-		{name: "exempt bypasses quota", quota: 1, prior: batch("a", 1), batch: []*task{mk("a", true)}},
+		{name: "a shard counts its runs", quota: 3, prior: []*task{mk("a", 2)}, batch: []*task{mk("a", 2)}, wantErr: true, then: batch("a", 1)},
 		{name: "refused batch admits nothing", quota: 1, batch: batch("a", 2), wantErr: true, then: batch("a", 1)},
 		{name: "mixed-tenant batch blames the violator", quota: 1, batch: append(batch("a", 1), batch("b", 2)...), wantErr: true, then: batch("a", 1)},
 	}

@@ -10,17 +10,18 @@ import (
 	"pushmulticast"
 )
 
-// task is one scheduled run: a function executed on a worker slot under a
-// context that fires when the submitting request is gone or the scheduler
-// hard-aborts.
+// task is one scheduled unit of work — "produce the records for these runs":
+// a function executed on a worker slot under a context that fires when the
+// submitting request is gone or the scheduler hard-aborts. runs is how many
+// runs it stands for (one on a plain daemon, a shard's worth on a
+// coordinator): the queue bound and the tenant quota count runs, the worker
+// pool counts tasks.
 type task struct {
 	tenant   string
 	ctx      context.Context
 	fn       func(ctx context.Context)
+	runs     int
 	enqueued time.Time
-	// exempt skips the per-tenant in-flight quota: degraded-local shard
-	// execution must never be refused by the quota it exists to survive.
-	exempt bool
 }
 
 // scheduler dispatches tasks across a bounded worker pool with fair
@@ -36,10 +37,10 @@ type scheduler struct {
 	queues   map[string][]*task // per-tenant FIFO, tenants with queued work only
 	ring     []string           // exactly the keys of queues, in the order they gained work
 	cursor   int                // index into ring of the tenant whose turn is next
-	queued   int
+	queued   int                // runs queued, over all tenants
 	maxQueue int
 	quota    int            // max in-flight (queued+running) runs per tenant; 0 = unlimited
-	inflight map[string]int // per-tenant in-flight count (quota-subject tasks only)
+	inflight map[string]int // per-tenant in-flight runs
 	rejected uint64         // submissions refused over quota
 	running  map[*task]context.CancelFunc
 	closed   bool // no new submits; workers drain and exit
@@ -51,10 +52,10 @@ type scheduler struct {
 	waits []tenantWaits
 }
 
-// tenantWaits is one tenant's recent queue waits (nanoseconds).
+// tenantWaits is one tenant's recent queue waits.
 type tenantWaits struct {
-	tenant  string
-	samples []uint64
+	tenant string
+	waitRing
 }
 
 // waitSamples bounds one tenant's wait history backing the quantiles;
@@ -65,8 +66,27 @@ const (
 	waitTenants = 64
 )
 
+// waitRing is a bounded history of recent waits (nanoseconds) and the
+// quantiles /metrics reports over it. The owner synchronizes.
+type waitRing struct{ samples []uint64 }
+
+// add appends one sample, keeping the most recent bound.
+func (w *waitRing) add(d time.Duration, bound int) {
+	w.samples = append(w.samples, uint64(d))
+	if len(w.samples) > bound {
+		w.samples = w.samples[len(w.samples)-bound:]
+	}
+}
+
+// quantiles returns the interpolated p50, p90 and p99 of the history.
+func (w waitRing) quantiles() (p50, p90, p99 uint64) {
+	sorted := slices.Clone(w.samples)
+	slices.Sort(sorted)
+	return pushmulticast.Quantile(sorted, 0.50), pushmulticast.Quantile(sorted, 0.90), pushmulticast.Quantile(sorted, 0.99)
+}
+
 // newScheduler starts a scheduler with the given worker count, total
-// queued-task bound, and per-tenant in-flight quota (0 = unlimited).
+// queued-run bound, and per-tenant in-flight quota (0 = unlimited).
 func newScheduler(workers, maxQueue, quota int) *scheduler {
 	s := &scheduler{
 		queues:   make(map[string][]*task),
@@ -106,16 +126,15 @@ func (s *scheduler) submitAll(tasks []*task) error {
 	if s.closed {
 		return fmt.Errorf("scheduler: shutting down")
 	}
-	if s.queued+len(tasks) > s.maxQueue {
-		return fmt.Errorf("scheduler: queue full (%d tasks queued, %d submitted, bound %d)", s.queued, len(tasks), s.maxQueue)
+	want, total := make(map[string]int), 0
+	for _, t := range tasks {
+		want[t.tenant] += t.runs
+		total += t.runs
+	}
+	if s.queued+total > s.maxQueue {
+		return fmt.Errorf("scheduler: queue full (%d runs queued, %d submitted, bound %d)", s.queued, total, s.maxQueue)
 	}
 	if s.quota > 0 {
-		want := make(map[string]int)
-		for _, t := range tasks {
-			if !t.exempt {
-				want[t.tenant]++
-			}
-		}
 		for tenant, n := range want {
 			if s.inflight[tenant]+n > s.quota {
 				s.rejected++
@@ -130,10 +149,8 @@ func (s *scheduler) submitAll(tasks []*task) error {
 		}
 		t.enqueued = now
 		s.queues[t.tenant] = append(s.queues[t.tenant], t)
-		s.queued++
-		if !t.exempt {
-			s.inflight[t.tenant]++
-		}
+		s.queued += t.runs
+		s.inflight[t.tenant] += t.runs
 	}
 	if len(tasks) == 1 {
 		s.cond.Signal()
@@ -169,7 +186,7 @@ func (s *scheduler) next() *task {
 	if s.cursor >= len(s.ring) {
 		s.cursor = 0
 	}
-	s.queued--
+	s.queued -= t.runs
 	s.recordWaitLocked(tenant, time.Since(t.enqueued))
 	return t
 }
@@ -196,10 +213,8 @@ func (s *scheduler) worker() {
 		cancel()
 		s.mu.Lock()
 		delete(s.running, t)
-		if !t.exempt {
-			if s.inflight[t.tenant]--; s.inflight[t.tenant] <= 0 {
-				delete(s.inflight, t.tenant)
-			}
+		if s.inflight[t.tenant] -= t.runs; s.inflight[t.tenant] <= 0 {
+			delete(s.inflight, t.tenant)
 		}
 		s.mu.Unlock()
 	}
@@ -247,10 +262,7 @@ func (s *scheduler) recordWaitLocked(tenant string, d time.Duration) {
 	} else if len(s.waits) == waitTenants {
 		s.waits = slices.Delete(s.waits, 0, 1)
 	}
-	w.samples = append(w.samples, uint64(d))
-	if len(w.samples) > waitSamples {
-		w.samples = w.samples[len(w.samples)-waitSamples:]
-	}
+	w.add(d, waitSamples)
 	s.waits = append(s.waits, w)
 }
 
@@ -286,20 +298,17 @@ func (s *scheduler) stats() schedStats {
 		Tenants:       make(map[string]tenantStats),
 	}
 	for _, w := range s.waits {
-		sorted := slices.Clone(w.samples)
-		slices.Sort(sorted)
-		st.Tenants[w.tenant] = tenantStats{
-			QueueDepth: len(s.queues[w.tenant]),
-			Inflight:   s.inflight[w.tenant],
-			WaitP50Ns:  pushmulticast.Quantile(sorted, 0.50),
-			WaitP90Ns:  pushmulticast.Quantile(sorted, 0.90),
-			WaitP99Ns:  pushmulticast.Quantile(sorted, 0.99),
-		}
+		t := tenantStats{Inflight: s.inflight[w.tenant]}
+		t.WaitP50Ns, t.WaitP90Ns, t.WaitP99Ns = w.quantiles()
+		st.Tenants[w.tenant] = t
 	}
 	for tenant, q := range s.queues {
-		if _, ok := st.Tenants[tenant]; !ok {
-			st.Tenants[tenant] = tenantStats{QueueDepth: len(q), Inflight: s.inflight[tenant]}
+		t := st.Tenants[tenant] // zero for a tenant that has never been dispatched
+		t.Inflight = s.inflight[tenant]
+		for _, queued := range q {
+			t.QueueDepth += queued.runs
 		}
+		st.Tenants[tenant] = t
 	}
 	return st
 }

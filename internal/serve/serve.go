@@ -20,10 +20,13 @@ import (
 // Options configures a campaign server. Zero values select sensible
 // defaults for a single-host daemon.
 type Options struct {
-	// Workers bounds concurrently executing simulations (0 = GOMAXPROCS).
-	// Each simulation runs on one goroutine, so this is the host budget.
+	// Workers bounds tasks in flight, whether a task simulates here (one
+	// goroutine per simulation, so this is the host budget) or, on a
+	// coordinator, waits on a replica. 0 = GOMAXPROCS, or on a coordinator
+	// max(GOMAXPROCS, 2 per peer) so every replica has a shard queued behind
+	// the one it is running.
 	Workers int
-	// MaxQueue bounds queued-but-not-running tasks across all tenants
+	// MaxQueue bounds queued-but-not-running runs across all tenants
 	// (0 = 1024). Submits past the bound fail fast with HTTP 503.
 	MaxQueue int
 	// MemoCapacity bounds the completed-run memo
@@ -34,11 +37,13 @@ type Options struct {
 	// refused whole with HTTP 429 and a one-line diagnostic.
 	TenantQuota int
 	// Peers lists simd worker replica base URLs. Non-empty turns this daemon
-	// into a shard coordinator: campaigns are split into shards and
-	// dispatched across the replicas with retry, reassignment, and local
-	// degradation; empty keeps every run on this process.
+	// into a shard coordinator: a campaign's tasks are shards, dispatched
+	// across the replicas with retry and reassignment and simulated here when
+	// no replica can take them; empty keeps every run on this process.
 	Peers []string
-	// ShardSize groups this many runs per dispatched shard (0 = 1).
+	// ShardSize groups this many runs per dispatched shard (0 = 1). Smaller
+	// shards rebalance faster after a replica dies; larger ones amortize
+	// dispatch.
 	ShardSize int
 	// ShardRetries bounds remote re-dispatches per shard (0 = 4).
 	ShardRetries int
@@ -49,43 +54,49 @@ type Options struct {
 	// JournalPath enables the crash-resume journal: completed run records
 	// and uploaded snapshot identities are appended there, and a restarted
 	// daemon serves journaled runs without recomputing them. Empty keeps a
-	// memory-only journal (dedup without persistence).
+	// memory-only store (GET /runs/{id} without persistence).
 	JournalPath string
 }
 
 // maxSnapshotBytes bounds one snapshot upload.
 const maxSnapshotBytes = 256 << 20
 
+// shardWaitSamples bounds the per-shard wall-time history behind the
+// coordinator's wait quantiles.
+const shardWaitSamples = 512
+
 // Server is the simd campaign service: expansion, dedup, fair scheduling,
-// and result journaling over the simulation harness. Create with New, mount
-// Handler, and Close on shutdown.
+// shard dispatch, and result journaling over the simulation harness. Create
+// with New, mount Handler, and Close on shutdown.
 type Server struct {
-	sched   *scheduler
-	snaps   *snapStore
-	journal *shard.Journal
-	coord   *shard.Coordinator // nil unless Peers configured
-	// recovered is the journal's content at startup — the recovery set a
-	// restarted worker serves without recomputing. It is immutable after New:
-	// runs completed during this process's lifetime are served by the live
-	// memo, not the journal, so memo hit accounting stays truthful.
-	recovered map[string]shard.RunRecord
+	sched *scheduler
+	snaps *snapStore
+	// store is the one holder of completed wire records and the one statement
+	// of what may be served without computing (see shard.Journal).
+	store     *shard.Journal
+	coord     *shard.Coordinator // nil unless Peers configured
+	shardSize int
 	mux       *http.ServeMux
 	start     time.Time
 
 	completed       atomic.Uint64 // runs finished successfully
 	canceled        atomic.Uint64 // runs ended by cancellation
 	failed          atomic.Uint64 // runs ended by a simulation error
-	recoveredServed atomic.Uint64 // runs served from the startup journal
+	recoveredServed atomic.Uint64 // runs answered by records a restart recovered
+	conflicts       atomic.Uint64 // commits the store refused or failed to persist
 	closing         atomic.Bool
+
+	shardMu    sync.Mutex
+	shardWaits waitRing // per-shard wall times
 }
 
 // New builds a campaign server and starts its worker pool. With Peers set it
-// also starts the shard coordinator and its replica health probes; with
+// also starts the shard dispatcher and its replica health probes; with
 // JournalPath set it loads the crash-resume journal, loudly reporting what a
 // restart recovered.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
+		opts.Workers = max(runtime.GOMAXPROCS(0), 2*len(opts.Peers))
 	}
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 1024
@@ -93,41 +104,30 @@ func New(opts Options) (*Server, error) {
 	if opts.MemoCapacity > 0 {
 		pushmulticast.SetRunMemoCapacity(opts.MemoCapacity)
 	}
-	journal := shard.NewMemJournal()
-	if opts.JournalPath != "" {
-		var err error
-		if journal, err = shard.OpenJournal(opts.JournalPath); err != nil {
-			return nil, fmt.Errorf("serve: %v", err)
-		}
+	store, err := shard.OpenJournal(opts.JournalPath)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %v", err)
 	}
 	s := &Server{
 		sched:     newScheduler(opts.Workers, opts.MaxQueue, opts.TenantQuota),
 		snaps:     newSnapStore(),
-		journal:   journal,
-		recovered: journal.Seen(),
+		store:     store,
+		shardSize: max(opts.ShardSize, 1),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 	}
-	if n := len(s.recovered); n > 0 || journal.Skipped() > 0 {
+	if st := store.Stats(); st.Runs > 0 || st.SkippedLines > 0 {
 		log.Printf("serve: journal %s: recovered %d completed runs, %d snapshot identities (%d unparsable lines skipped); recovered runs will be served without recomputing",
-			journal.Path(), n, journal.Snapshots(), journal.Skipped())
+			st.Path, st.Runs, st.Snapshots, st.SkippedLines)
 	}
 	if len(opts.Peers) > 0 {
-		coord, err := shard.New(shard.Options{
+		s.coord = shard.New(shard.Options{
 			Workers:        opts.Peers,
-			ShardSize:      opts.ShardSize,
 			MaxRetries:     opts.ShardRetries,
 			Timeout:        opts.ShardTimeout,
 			HealthInterval: opts.HealthInterval,
-			Journal:        journal,
-			Local:          s.localUnit,
 			Logf:           log.Printf,
 		})
-		if err != nil {
-			journal.Close()
-			return nil, fmt.Errorf("serve: %v", err)
-		}
-		s.coord = coord
 	}
 	s.mux.HandleFunc("POST /campaigns", s.handleCampaign)
 	s.mux.HandleFunc("POST /shards", s.handleShard)
@@ -142,21 +142,36 @@ func New(opts Options) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close shuts the service down: new campaigns are refused immediately,
-// in-flight runs get the drain window to finish, and whatever is still
-// running afterwards is canceled at its next cancellation barrier. Close
-// returns once every worker has exited; the error reports a drain that had
-// to hard-cancel.
+// in-flight tasks — simulating here or waiting on a replica — get the drain
+// window to finish, and whatever is still running afterwards is canceled at
+// its next cancellation barrier. Close returns once every worker has exited,
+// and only then closes the store, so every record a task produced is
+// committed to an open journal; the error reports a drain that had to
+// hard-cancel.
 func (s *Server) Close(drain time.Duration) error {
 	s.closing.Store(true)
 	clean := s.sched.stop(drain)
 	if s.coord != nil {
 		s.coord.Close()
 	}
-	s.journal.Close()
+	s.store.Close()
 	if !clean {
 		return fmt.Errorf("serve: drain window (%s) expired; in-flight runs were canceled", drain)
 	}
 	return nil
+}
+
+// distribution is how a campaign's runs came to be: the summary line's
+// accounting beyond the per-record flags. Shards, Recomputed and the three
+// ladder counters are non-zero only on a coordinator; Recovered counts runs
+// answered by records a restart recovered, on either role.
+type distribution struct {
+	Shards        int `json:"shards,omitempty"`
+	Recovered     int `json:"recovered,omitempty"`  // runs served from the journal without computing
+	Recomputed    int `json:"recomputed,omitempty"` // runs dispatched (or degraded to this process)
+	Retries       int `json:"shard_retries,omitempty"`
+	Reassigned    int `json:"shard_reassigned,omitempty"`
+	DegradedLocal int `json:"degraded_local,omitempty"` // shards simulated in-process
 }
 
 // campaignSummary is the final NDJSON line of every campaign response, after
@@ -167,16 +182,33 @@ type campaignSummary struct {
 	Cached   int  `json:"cached"`
 	Failed   int  `json:"failed"`
 	Canceled int  `json:"canceled"`
-	// Distribution accounting, present only on coordinator responses.
-	shard.RunStats
+	distribution
 }
 
-// handleCampaign validates, expands, schedules, and streams one campaign.
-// The whole spec is validated before anything is queued: a bad spec is one
-// HTTP 400 with a one-line diagnostic and zero side effects. Results stream
-// back as NDJSON in completion order; a disconnected client cancels every
-// run the campaign still has in flight (shared simulations keep running
-// while any other request still waits on them).
+// job is one run on its way through the pipeline. wire is set on a
+// coordinator only: the run description's bytes, which a replica resolves to
+// the same identity.
+type job struct {
+	run  *pushmulticast.ResolvedRun
+	wire json.RawMessage
+}
+
+// produced is what one task sends back: the records for its runs and how they
+// came to be.
+type produced struct {
+	recs []runRecord
+	distribution
+}
+
+// handleCampaign validates, expands, schedules, and streams one campaign —
+// the same pipeline on every daemon. The whole spec is validated before
+// anything is queued: a bad spec is one HTTP 400 with a one-line diagnostic
+// and zero side effects. The runs go through submit; a task is one run
+// simulated here on a plain daemon, one shard walked down the dispatch ladder
+// on a coordinator. Results stream back as NDJSON in completion order; a
+// disconnected client cancels every run the campaign still has in flight
+// (shared simulations keep running while any other request still waits on
+// them).
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
 		httpError(w, http.StatusServiceUnavailable, "service shutting down")
@@ -192,77 +224,172 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.coord != nil {
-		s.streamShardedCampaign(w, r, spec, specs, runs)
-		return
+	tenant := tenantOrDefault(spec.Tenant)
+	jobs := make([]job, len(runs))
+	for i := range runs {
+		jobs[i].run = &runs[i]
+		if s.coord != nil {
+			if jobs[i].wire, err = json.Marshal(specs[i]); err != nil {
+				httpError(w, http.StatusInternalServerError, fmt.Sprintf("run %s: %v", runs[i].Identity(), oneLine(err)))
+				return
+			}
+		}
 	}
-	out, err := s.submit(r.Context(), tenantOrDefault(spec.Tenant), false, runs)
+	per, produce := 1, s.simulate
+	if s.coord != nil {
+		per, produce = s.shardSize, func(ctx context.Context, group []job) produced { return s.dispatch(ctx, tenant, group) }
+	}
+	out, n, err := s.submit(r.Context(), tenant, jobs, per, produce)
 	if err != nil {
 		httpError(w, refusalStatus(err), oneLine(err))
 		return
 	}
-	st := newStream(w)
-	for range runs {
-		st.record(<-out)
+	line, sum := ndjson(w), campaignSummary{Summary: true}
+	for range n {
+		p := <-out
+		for _, rec := range p.recs {
+			sum.count(rec)
+			line(rec)
+		}
+		sum.add(p.distribution)
 	}
-	st.finish()
+	line(sum)
 }
 
-// submit queues the runs under the tenant, all or nothing — a campaign that
-// cannot queue whole (bound or quota) is refused whole, never half-run — and
-// returns the channel their records arrive on in completion order. It is
-// buffered to the batch size: a worker's send never blocks, so a caller that
-// went away mid-stream cannot wedge a worker slot. exempt skips the tenant
-// quota (degraded-local shard execution only).
-func (s *Server) submit(ctx context.Context, tenant string, exempt bool, runs []pushmulticast.ResolvedRun) (<-chan runRecord, error) {
-	out := make(chan runRecord, len(runs))
-	tasks := make([]*task, len(runs))
-	for i, run := range runs {
-		tasks[i] = &task{
-			tenant: tenant,
-			ctx:    ctx,
-			exempt: exempt,
-			fn:     func(ctx context.Context) { out <- s.execute(ctx, run) },
+// submit is the one way runs reach the scheduler. Runs whose record a restart
+// recovered are answered from the store without computing — the serving rule,
+// applied here for both roles and both endpoints. The rest are queued under
+// the tenant as tasks of per runs each, all or nothing — a campaign that
+// cannot queue whole (bound or quota, both counted in runs) is refused whole,
+// never half-run. It returns the channel the answers arrive on in completion
+// order and how many to receive. The channel is buffered to that count: a
+// worker's send never blocks, so a caller that went away mid-stream cannot
+// wedge a worker slot.
+func (s *Server) submit(ctx context.Context, tenant string, jobs []job, per int, produce func(context.Context, []job) produced) (<-chan produced, int, error) {
+	var served produced
+	pending := jobs[:0] // jobs is the caller's to give: partitioned in place
+	for _, j := range jobs {
+		if rec, ok := s.store.Recovered(j.run.Identity()); ok {
+			served.recs = append(served.recs, rec)
+		} else {
+			pending = append(pending, j)
 		}
 	}
-	return out, s.sched.submitAll(tasks)
+	var tasks []*task
+	out := make(chan produced, (len(pending)+per-1)/per+1)
+	for len(pending) > 0 {
+		group := pending[:min(per, len(pending))]
+		pending = pending[len(group):]
+		tasks = append(tasks, &task{
+			tenant: tenant,
+			ctx:    ctx,
+			runs:   len(group),
+			fn:     func(ctx context.Context) { out <- produce(ctx, group) },
+		})
+	}
+	if err := s.sched.submitAll(tasks); err != nil {
+		return nil, 0, err
+	}
+	n := len(tasks)
+	if served.Recovered = len(served.recs); served.Recovered > 0 {
+		s.recoveredServed.Add(uint64(served.Recovered))
+		out <- served
+		n++
+	}
+	return out, n, nil
 }
 
-// stream writes one campaign's NDJSON response — a line per run in
-// completion order, then the summary — flushing after every line.
-type stream struct {
-	mu      sync.Mutex // the sharded path records from shard goroutines
-	enc     *json.Encoder
-	flusher http.Flusher
-	sum     campaignSummary
+// simulate produces a task's records on this process, in the worker slot the
+// task holds.
+func (s *Server) simulate(ctx context.Context, jobs []job) produced {
+	p := produced{recs: make([]runRecord, len(jobs))}
+	for i, j := range jobs {
+		res, hit, err := j.run.Execute(ctx)
+		p.recs[i] = s.settle(j.run.Record(res, hit, err))
+	}
+	return p
 }
 
-func newStream(w http.ResponseWriter) *stream {
+// dispatch produces one shard's records on a coordinator: down the dispatch
+// ladder, whose bottom rung — no replica healthy, or the retry budget spent —
+// is this task simulating its own runs in the slot it already holds.
+func (s *Server) dispatch(ctx context.Context, tenant string, jobs []job) produced {
+	units := make([]shard.Unit, len(jobs))
+	for i, j := range jobs {
+		units[i] = shard.Unit{RunID: j.run.Identity(), Scheme: j.run.Config.Scheme.Name, Workload: j.run.Workload.Name, Spec: j.wire}
+	}
+	start := time.Now()
+	// warm_start is campaign-level: every run shares one donor.
+	recs, outcome := s.coord.Do(ctx, tenant, units, jobs[0].run.Donor)
+	how := distribution{Shards: 1, Recomputed: len(jobs), Retries: outcome.Retries, Reassigned: outcome.Reassigned}
+	if outcome.Degraded {
+		how.DegradedLocal = 1
+		recs = s.simulate(ctx, jobs).recs
+	} else {
+		for _, rec := range recs {
+			s.settle(rec)
+		}
+	}
+	s.shardMu.Lock()
+	s.shardWaits.add(time.Since(start), shardWaitSamples)
+	s.shardMu.Unlock()
+	return produced{recs, how}
+}
+
+// settle counts one finished record and commits an error-free one to the
+// store, wherever it was computed.
+func (s *Server) settle(rec runRecord) runRecord {
+	switch {
+	case rec.Canceled:
+		s.canceled.Add(1)
+	case rec.Error != "":
+		s.failed.Add(1)
+	default:
+		s.completed.Add(1)
+		if _, err := s.store.Commit(rec); err != nil {
+			s.conflicts.Add(1)
+			log.Printf("serve: %v", err)
+		}
+	}
+	return rec
+}
+
+// add accumulates one task's accounting into the campaign's.
+func (d *distribution) add(o distribution) {
+	d.Shards += o.Shards
+	d.Recovered += o.Recovered
+	d.Recomputed += o.Recomputed
+	d.Retries += o.Retries
+	d.Reassigned += o.Reassigned
+	d.DegradedLocal += o.DegradedLocal
+}
+
+// count tallies one streamed record into the summary.
+func (sum *campaignSummary) count(rec runRecord) {
+	sum.Runs++
+	if rec.Cached {
+		sum.Cached++
+	}
+	if rec.Canceled {
+		sum.Canceled++
+	} else if rec.Error != "" {
+		sum.Failed++
+	}
+}
+
+// ndjson starts a campaign's NDJSON response — a line per run in completion
+// order, then the summary — and returns its line writer, which flushes after
+// every line.
+func ndjson(w http.ResponseWriter) func(v any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	return &stream{enc: json.NewEncoder(w), flusher: flusher, sum: campaignSummary{Summary: true}}
-}
-
-func (st *stream) record(rec runRecord) {
-	st.sum.Runs++
-	if rec.Cached {
-		st.sum.Cached++
-	}
-	if rec.Canceled {
-		st.sum.Canceled++
-	} else if rec.Error != "" {
-		st.sum.Failed++
-	}
-	st.line(rec)
-}
-
-func (st *stream) finish() { st.line(st.sum) }
-
-func (st *stream) line(v any) {
-	st.enc.Encode(v)
-	if st.flusher != nil {
-		st.flusher.Flush()
+	enc := json.NewEncoder(w)
+	return func(v any) {
+		enc.Encode(v)
+		if flusher != nil {
+			flusher.Flush()
+		}
 	}
 }
 
@@ -276,62 +403,12 @@ func refusalStatus(err error) int {
 	return http.StatusServiceUnavailable
 }
 
-// streamShardedCampaign runs one campaign through the shard coordinator:
-// every run becomes a dispatch unit carrying its own description's bytes, the
-// coordinator shards and distributes them, and merged records stream back in
-// completion order followed by a summary carrying the distribution
-// accounting.
-func (s *Server) streamShardedCampaign(w http.ResponseWriter, r *http.Request, spec CampaignSpec, specs []pushmulticast.RunSpec, runs []pushmulticast.ResolvedRun) {
-	units := make([]shard.Unit, len(runs))
-	for i, run := range runs {
-		raw, err := json.Marshal(specs[i])
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("run %s: %v", run.Identity(), oneLine(err)))
-			return
-		}
-		units[i] = shard.Unit{RunID: run.Identity(), Scheme: run.Config.Scheme.Name, Workload: run.Workload.Name, Spec: raw}
-	}
-	// warm_start is campaign-level: every run shares one donor.
-	st := newStream(w)
-	st.sum.RunStats = s.coord.Run(r.Context(), tenantOrDefault(spec.Tenant), units, runs[0].Donor, func(rec shard.RunRecord, _ bool) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		st.record(rec)
-	})
-	st.finish()
-}
-
-// localUnit is the coordinator's degradation-ladder bottom: execute one
-// dispatch unit on this process. The run still goes through the scheduler —
-// quota-exempt, so the fallback that exists to survive replica loss cannot
-// itself be refused — and through the same execute path as any other run.
-func (s *Server) localUnit(ctx context.Context, tenant string, u shard.Unit) shard.RunRecord {
-	run, err := s.resolveUnit(u.Spec)
-	if err == nil {
-		var out <-chan runRecord
-		if out, err = s.submit(ctx, tenant, true, []pushmulticast.ResolvedRun{run}); err == nil {
-			return <-out
-		}
-	}
-	return shard.RunRecord{ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload, Error: oneLine(err)}
-}
-
-// resolveUnit turns one dispatch unit's bytes — a run description, strictly
-// decoded — back into the run the coordinator resolved it from.
-func (s *Server) resolveUnit(raw []byte) (pushmulticast.ResolvedRun, error) {
-	spec, err := pushmulticast.DecodeRunSpec(raw)
-	if err != nil {
-		return pushmulticast.ResolvedRun{}, err
-	}
-	return spec.Resolve(s.snaps.get)
-}
-
 // handleShard is the worker side of shard dispatch: POST /shards carries a
-// shard of run descriptions; the worker resolves and executes them under its
-// scheduler (tenant quota applies — the coordinator treats a 429 as
-// transient and backs off) and replies with the complete result set. A
-// description whose warm-start donor is missing is HTTP 409 so the
-// coordinator re-uploads and retries; any other validation failure is a
+// shard of run descriptions; the worker resolves them and simulates them here
+// through submit, one task a run (tenant quota applies — the coordinator
+// treats a 429 as transient and backs off), and replies with the complete
+// result set. A description whose warm-start donor is missing is HTTP 409 so
+// the coordinator re-uploads and retries; any other validation failure is a
 // permanent 400.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
@@ -347,10 +424,16 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard %s: no runs", req.ShardID))
 		return
 	}
-	runs := make([]pushmulticast.ResolvedRun, len(req.Runs))
+	runs, jobs := make([]pushmulticast.ResolvedRun, len(req.Runs)), make([]job, len(req.Runs))
 	for i, raw := range req.Runs {
-		var err error
-		if runs[i], err = s.resolveUnit(raw); err != nil {
+		// A run description, strictly decoded, resolves back into the run the
+		// coordinator resolved it from.
+		spec, err := pushmulticast.DecodeRunSpec(raw)
+		if err == nil {
+			runs[i], err = spec.Resolve(s.snaps.get)
+		}
+		jobs[i].run = &runs[i]
+		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, pushmulticast.ErrDonorMissing) {
 				// The donor was uploaded once but is gone (LRU eviction or a
@@ -361,48 +444,21 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	out, err := s.submit(r.Context(), tenantOrDefault(req.Tenant), false, runs)
+	out, n, err := s.submit(r.Context(), tenantOrDefault(req.Tenant), jobs, 1, s.simulate)
 	if err != nil {
 		httpError(w, refusalStatus(err), oneLine(err))
 		return
 	}
-	resp := shard.Response{ShardID: req.ShardID, Results: make([]shard.RunRecord, len(runs))}
-	for i := range runs {
-		resp.Results[i] = <-out
+	resp := shard.Response{ShardID: req.ShardID, Results: make([]shard.RunRecord, 0, len(jobs))}
+	for range n {
+		resp.Results = append(resp.Results, (<-out).recs...)
 	}
 	writeJSON(w, resp)
 }
 
-// execute runs one resolved run under the scheduler's context and returns
-// its result record, journaling it on success.
-func (s *Server) execute(ctx context.Context, run pushmulticast.ResolvedRun) runRecord {
-	// Crash resume: a run the startup journal already holds is served from
-	// it without recomputing — the loud recovery path a restarted worker
-	// takes for every shard it had already finished.
-	if rec, ok := s.recovered[run.Identity()]; ok {
-		rec.Cached = true
-		s.recoveredServed.Add(1)
-		return rec
-	}
-	res, hit, err := run.Execute(ctx)
-	rec := run.Record(res, hit, err)
-	switch {
-	case rec.Canceled:
-		s.canceled.Add(1)
-	case err != nil:
-		s.failed.Add(1)
-	default:
-		s.completed.Add(1)
-		if _, err := s.journal.Commit(rec); err != nil {
-			log.Printf("serve: %v", err)
-		}
-	}
-	return rec
-}
-
 // handleRun serves a completed run record by identity.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.journal.Lookup(r.PathValue("id"))
+	rec, ok := s.store.Lookup(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("run %q not found (completed runs are journaled by identity; re-POST its campaign to regenerate)", r.PathValue("id")))
 		return
@@ -427,7 +483,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := s.journal.CommitSnapshot(id, cycle); err != nil {
+	if err := s.store.CommitSnapshot(id, cycle); err != nil {
 		log.Printf("serve: %v", err)
 	}
 	writeJSON(w, map[string]any{"id": id, "cycle": cycle, "bytes": len(data)})
@@ -442,16 +498,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // journalMetrics is the crash-resume journal's /metrics contribution.
 type journalMetrics struct {
-	Path string `json:"path,omitempty"` // empty = memory-only
-	Runs int    `json:"runs"`           // journaled completed runs
-	// Snapshots counts journaled warm-start donor identities.
-	Snapshots int `json:"snapshots"`
-	// RecoveredServed counts runs served from the startup journal without
-	// recomputing — the loud proof a resume recovered rather than redid.
+	shard.JournalStats
+	// RecoveredServed counts runs answered by records a restart recovered,
+	// without recomputing — the loud proof a resume recovered rather than
+	// redid.
 	RecoveredServed uint64 `json:"recovered_served"`
-	// SkippedLines counts unparsable journal lines ignored at load (a torn
-	// final line from a crash mid-append is the expected case).
-	SkippedLines int `json:"skipped_lines,omitempty"`
 }
 
 // metrics is the GET /metrics schema.
@@ -462,12 +513,24 @@ type metrics struct {
 	Snapshots int                     `json:"snapshots"`
 	RunCache  int                     `json:"run_cache"` // records GET /runs/{id} can serve
 	Journal   journalMetrics          `json:"journal"`
-	// Shard carries the coordinator's retry/reassignment/degradation
-	// counters and per-shard wait quantiles; absent on plain workers.
-	Shard *shard.Metrics `json:"shard,omitempty"`
+	// Shard is the coordinator's contribution; absent on plain workers.
+	Shard *shardMetrics `json:"shard,omitempty"`
+}
+
+// shardMetrics is the dispatcher's counters and replica health, plus what the
+// pipeline around it counts: runs answered by recovered records, refused
+// commits, and per-shard wall-time quantiles (nanoseconds).
+type shardMetrics struct {
+	shard.Metrics
+	Recovered      uint64 `json:"recovered"`
+	Conflicts      uint64 `json:"conflicts"`
+	ShardWaitP50Ns uint64 `json:"shard_wait_p50_ns"`
+	ShardWaitP90Ns uint64 `json:"shard_wait_p90_ns"`
+	ShardWaitP99Ns uint64 `json:"shard_wait_p99_ns"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	held := s.store.Stats()
 	m := metrics{
 		Scheduler: s.sched.stats(),
 		Memo:      pushmulticast.RunMemoStats(),
@@ -477,18 +540,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"failed":    s.failed.Load(),
 		},
 		Snapshots: s.snaps.len(),
-		RunCache:  s.journal.Runs(),
-		Journal: journalMetrics{
-			Path:            s.journal.Path(),
-			Runs:            s.journal.Runs(),
-			Snapshots:       s.journal.Snapshots(),
-			RecoveredServed: s.recoveredServed.Load(),
-			SkippedLines:    s.journal.Skipped(),
-		},
+		RunCache:  held.Runs,
+		Journal:   journalMetrics{held, s.recoveredServed.Load()},
 	}
 	if s.coord != nil {
-		cm := s.coord.Metrics()
-		m.Shard = &cm
+		m.Shard = &shardMetrics{Metrics: s.coord.Metrics(), Recovered: m.Journal.RecoveredServed, Conflicts: s.conflicts.Load()}
+		s.shardMu.Lock()
+		m.Shard.ShardWaitP50Ns, m.Shard.ShardWaitP90Ns, m.Shard.ShardWaitP99Ns = s.shardWaits.quantiles()
+		s.shardMu.Unlock()
 	}
 	writeJSON(w, m)
 }

@@ -441,15 +441,15 @@ func TestSchedulerFairRoundRobin(t *testing.T) {
 		}
 	}
 	// The gate task occupies the single worker while the backlog builds.
-	if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), fn: func(context.Context) { <-gate }}}); err != nil {
+	if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), runs: 1, fn: func(context.Context) { <-gate }}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a1", "a2", "a3"} {
-		if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), fn: record(name)}}); err != nil {
+		if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), runs: 1, fn: record(name)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.submitAll([]*task{&task{tenant: "b", ctx: context.Background(), fn: record("b1")}}); err != nil {
+	if err := sched.submitAll([]*task{&task{tenant: "b", ctx: context.Background(), runs: 1, fn: record("b1")}}); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)
@@ -491,14 +491,14 @@ func TestSchedulerTurnOrder(t *testing.T) {
 	batch := func(tenant string, names ...string) {
 		tasks := make([]*task, len(names))
 		for i, name := range names {
-			tasks[i] = &task{tenant: tenant, ctx: context.Background(), fn: func(context.Context) { order = append(order, name); done.Done() }}
+			tasks[i] = &task{tenant: tenant, ctx: context.Background(), runs: 1, fn: func(context.Context) { order = append(order, name); done.Done() }}
 		}
 		done.Add(len(tasks))
 		if err := sched.submitAll(tasks); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.submitAll([]*task{{tenant: "gate", ctx: context.Background(), fn: func(context.Context) { <-gate }}}); err != nil {
+	if err := sched.submitAll([]*task{{tenant: "gate", ctx: context.Background(), runs: 1, fn: func(context.Context) { <-gate }}}); err != nil {
 		t.Fatal(err)
 	}
 	batch("a", "a1", "a2", "a3")
@@ -523,7 +523,7 @@ func TestSchedulerForgetsIdleTenants(t *testing.T) {
 	var wg sync.WaitGroup
 	run := func(tenant string) {
 		wg.Add(1)
-		if err := sched.submitAll([]*task{{tenant: tenant, ctx: context.Background(), fn: func(context.Context) { wg.Done() }}}); err != nil {
+		if err := sched.submitAll([]*task{{tenant: tenant, ctx: context.Background(), runs: 1, fn: func(context.Context) { wg.Done() }}}); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait() // one at a time: dispatch order is tenant order

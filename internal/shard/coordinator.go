@@ -8,12 +8,10 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pushmulticast"
 	"pushmulticast/internal/snapshot"
 )
 
@@ -21,39 +19,31 @@ import (
 // for a local replica cluster.
 type Options struct {
 	// Workers lists the replica base URLs shards dispatch to (e.g.
-	// "http://127.0.0.1:18081"). At least one is required.
+	// "http://127.0.0.1:18081"). With none, every shard comes back Degraded.
 	Workers []string
-	// ShardSize groups this many runs per shard (0 = 1). Smaller shards
-	// rebalance faster after a replica dies; larger ones amortize dispatch.
-	ShardSize int
 	// MaxRetries bounds remote re-dispatches per shard beyond the first
-	// attempt (0 = 4). An exhausted shard degrades to local execution.
+	// attempt (0 = 4). An exhausted shard comes back Degraded.
 	MaxRetries int
 	// Timeout bounds one dispatch attempt end to end (0 = 2m). A worker that
 	// goes silent mid-shard is abandoned at the timeout and the shard
 	// reassigned.
 	Timeout time.Duration
-	// BackoffBase/BackoffMax shape the exponential backoff between retries
-	// (0 = 100ms / 5s). Each delay is jittered uniformly in [d/2, d) so a
-	// burst of failed shards does not re-dispatch in lockstep.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// HealthInterval is the /healthz probe period (0 = 2s); ProbeTimeout
-	// bounds one probe (0 = 1s). A probe failure opens the replica's circuit
-	// (no shards are assigned to it); a later success closes it again.
+	// HealthInterval is the /healthz probe period (0 = 2s). A probe failure
+	// opens the replica's circuit (no shards are assigned to it); a later
+	// success closes it again.
 	HealthInterval time.Duration
-	ProbeTimeout   time.Duration
-	// Journal records completed runs for crash resume and deduplication
-	// (nil = a fresh memory-only journal).
-	Journal *Journal
-	// Local executes one run in-process — the bottom of the degradation
-	// ladder, used when no replica is healthy or a shard exhausted its
-	// retries. Required.
-	Local func(ctx context.Context, tenant string, u Unit) RunRecord
-	// Logf reports recoveries, reassignments, and degradations loudly
-	// (nil = silent).
+	// Logf reports reassignments and degradations loudly (nil = silent).
 	Logf func(format string, args ...any)
 }
+
+// Retries back off backoffBase × 2^(attempt-1), capped at backoffMax, each
+// delay jittered uniformly into [d/2, d) so a burst of failed shards does not
+// re-dispatch in lockstep; probeTimeout bounds one /healthz probe.
+const (
+	backoffBase  = 100 * time.Millisecond
+	backoffMax   = 5 * time.Second
+	probeTimeout = time.Second
+)
 
 // replica is one worker endpoint with its circuit state.
 type replica struct {
@@ -67,15 +57,15 @@ type replica struct {
 	snapSent uint64
 }
 
-// Coordinator dispatches campaign shards across worker replicas with retry,
-// reassignment, health-driven circuit breaking, local degradation, and
-// journaled crash resume. One Coordinator serves many campaigns; create with
-// New and Close on shutdown.
+// Coordinator dispatches shards across worker replicas with retry,
+// reassignment and health-driven circuit breaking. It is a stateless
+// dispatcher: it holds replica circuit state and counters, never a record — a
+// caller hands Do one shard and owns what comes back. One Coordinator serves
+// many campaigns; create with New and Close on shutdown.
 type Coordinator struct {
 	opts     Options
 	replicas []*replica
 	client   *http.Client
-	journal  *Journal
 	rr       atomic.Uint64 // round-robin cursor over healthy replicas
 
 	stop     chan struct{}
@@ -86,57 +76,27 @@ type Coordinator struct {
 	retries       atomic.Uint64
 	reassigned    atomic.Uint64
 	degradedLocal atomic.Uint64
-	recovered     atomic.Uint64
-	conflicts     atomic.Uint64
-
-	waitMu sync.Mutex
-	waits  []uint64 // per-shard wall times (ns), bounded ring
 }
-
-// shardWaitSamples bounds the per-shard wait history backing the quantiles.
-const shardWaitSamples = 512
 
 // New builds a coordinator over the replica set and starts its health-probe
 // loop. Close stops the loop.
-func New(opts Options) (*Coordinator, error) {
-	if len(opts.Workers) == 0 {
-		return nil, fmt.Errorf("shard: no worker replicas configured")
-	}
-	if opts.Local == nil {
-		return nil, fmt.Errorf("shard: no local executor configured (the degradation ladder needs a bottom rung)")
-	}
-	if opts.ShardSize <= 0 {
-		opts.ShardSize = 1
-	}
+func New(opts Options) *Coordinator {
 	if opts.MaxRetries <= 0 {
 		opts.MaxRetries = 4
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 2 * time.Minute
 	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 100 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 5 * time.Second
-	}
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = 2 * time.Second
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = time.Second
-	}
-	if opts.Journal == nil {
-		opts.Journal = NewMemJournal()
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
 	c := &Coordinator{
-		opts:    opts,
-		client:  &http.Client{}, // per-attempt deadlines come from Timeout
-		journal: opts.Journal,
-		stop:    make(chan struct{}),
+		opts:   opts,
+		client: &http.Client{}, // per-attempt deadlines come from Timeout
+		stop:   make(chan struct{}),
 	}
 	for _, url := range opts.Workers {
 		r := &replica{url: url}
@@ -145,10 +105,10 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
-	return c, nil
+	return c
 }
 
-// Close stops the health-probe loop. In-flight Run calls finish normally.
+// Close stops the health-probe loop. In-flight Do calls finish normally.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.stop:
@@ -158,155 +118,54 @@ func (c *Coordinator) Close() {
 	c.healthWG.Wait()
 }
 
-// Journal returns the coordinator's journal (for metrics and tests).
-func (c *Coordinator) Journal() *Journal { return c.journal }
-
-// RunStats summarizes one campaign's trip through the coordinator: how many
-// shards it split into, how many runs were recovered from the journal versus
-// freshly computed, and what the fault-tolerance machinery had to do to get
-// them. The tags are the campaign summary line's keys.
-type RunStats struct {
-	Shards        int `json:"shards,omitempty"`
-	Recovered     int `json:"recovered,omitempty"`  // runs served from the journal without dispatch
-	Recomputed    int `json:"recomputed,omitempty"` // runs freshly computed (dispatched or degraded)
-	Retries       int `json:"shard_retries,omitempty"`
-	Reassigned    int `json:"shard_reassigned,omitempty"`
-	DegradedLocal int `json:"degraded_local,omitempty"` // shards executed in-process
+// Outcome reports how one shard's trip down the ladder went.
+type Outcome struct {
+	Retries    int
+	Reassigned int
+	// Degraded means no replica took the shard (none healthy, or the retry
+	// budget is spent): Do returned no records and the caller computes them.
+	Degraded bool
 }
 
-// Run distributes a campaign's units across the replica set and streams
-// merged records through emit (recovered reports a journal recovery), in
-// completion order. snap, when non-empty, is the warm-start donor snapshot
-// every unit's spec references; it is uploaded to a replica before that
-// replica's first dispatch. Run returns when every unit has been emitted
-// exactly once — recovered from the journal, computed remotely, computed
-// locally, or (only when ctx fires) synthesized as canceled.
-func (c *Coordinator) Run(ctx context.Context, tenant string, units []Unit, snap []byte, emit func(rec RunRecord, recovered bool)) RunStats {
-	var st RunStats
-	var mu sync.Mutex // guards st and emitted
-	emitted := make(map[string]bool, len(units))
-
-	// Journal recovery first: completed runs never re-dispatch. Loud by
-	// contract — a resumed campaign says what it skipped.
-	var pending []Unit
-	for _, u := range units {
-		if rec, ok := c.journal.Lookup(u.RunID); ok {
-			rec.Cached = true
-			emitted[u.RunID] = true
-			st.Recovered++
-			c.recovered.Add(1)
-			emit(rec, true)
-			continue
-		}
-		pending = append(pending, u)
-	}
-	if st.Recovered > 0 {
-		c.opts.Logf("shard: recovered %d of %d runs from journal; recomputing %d", st.Recovered, len(units), len(pending))
-	}
-	if len(pending) == 0 {
-		return st
-	}
-
+// Do walks one shard down the dispatch ladder: send it to a healthy replica,
+// retry with backoff and reassignment on failure, and give it back Degraded
+// when no replica is healthy or the retry budget is spent. snap, when
+// non-empty, is the warm-start donor every unit's spec references; it is
+// uploaded to a replica before that replica's first dispatch. Unless Degraded,
+// Do returns one record per unit: the replica's, synthesized failures after a
+// permanent refusal, or canceled ones once ctx has fired.
+func (c *Coordinator) Do(ctx context.Context, tenant string, units []Unit, snap []byte) ([]RunRecord, Outcome) {
 	snapHash := uint64(0)
 	if len(snap) > 0 {
 		snapHash = snapshot.Hash(snap)
 	}
-
-	// Chunk the pending units into shards and dispatch them over a bounded
-	// pool. Each shard completes independently: merged records stream out as
-	// they land, deduplicated by run identity.
-	shards := chunk(pending, c.opts.ShardSize)
-	st.Shards = len(shards)
-	sem := make(chan struct{}, max(2, 2*len(c.replicas))) // shards in flight at once
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		sh := sh
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ids := make([]string, len(sh))
-			for i, u := range sh {
-				ids[i] = u.RunID
-			}
-			sid := ID(snapHash, ids)
-			start := time.Now()
-			recs, outcome := c.runShard(ctx, sid, tenant, sh, snap, snapHash)
-			c.recordWait(time.Since(start))
-			mu.Lock()
-			st.Retries += outcome.retries
-			st.Reassigned += outcome.reassigned
-			if outcome.degraded {
-				st.DegradedLocal++
-			}
-			for _, rec := range recs {
-				if emitted[rec.ID] {
-					continue // a retried shard can never double-count
-				}
-				emitted[rec.ID] = true
-				st.Recomputed++
-				if rec.Error == "" {
-					if _, err := c.journal.Commit(rec); err != nil {
-						c.conflicts.Add(1)
-						c.opts.Logf("shard %s: %v", sid, err)
-					}
-				}
-				rec.Cached = false
-				emit(rec, false)
-			}
-			mu.Unlock()
-		}()
+	ids := make([]string, len(units))
+	for i, u := range units {
+		ids[i] = u.RunID
 	}
-	wg.Wait()
+	sid := ID(snapHash, ids)
 
-	// A fired campaign context may leave units unemitted; account for every
-	// one of them so the caller's summary always adds up.
-	mu.Lock()
-	defer mu.Unlock()
-	for _, u := range units {
-		if !emitted[u.RunID] {
-			emitted[u.RunID] = true
-			st.Recomputed++
-			emit(canceledRecords(ctx, []Unit{u})[0], false)
-		}
-	}
-	return st
-}
-
-// shardOutcome reports how one shard's dispatch went.
-type shardOutcome struct {
-	retries    int
-	reassigned int
-	degraded   bool
-}
-
-// runShard walks one shard down the degradation ladder: dispatch to a
-// healthy replica, retry with backoff and reassignment on failure, and
-// degrade to local execution when no replica is healthy or the retry budget
-// is spent. It always returns one record per unit.
-func (c *Coordinator) runShard(ctx context.Context, sid, tenant string, units []Unit, snap []byte, snapHash uint64) ([]RunRecord, shardOutcome) {
-	var out shardOutcome
+	var out Outcome
 	var prev *replica
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if ctx.Err() != nil {
-			return canceledRecords(ctx, units), out
+			break
 		}
 		w := c.pick(prev)
 		if w == nil {
-			break // no healthy replica: fall through to local
+			break // no healthy replica
 		}
 		if attempt > 0 {
-			out.retries++
+			out.Retries++
 			c.retries.Add(1)
 			if w != prev {
-				out.reassigned++
+				out.Reassigned++
 				c.reassigned.Add(1)
 				c.opts.Logf("shard %s: reassigned to %s after %v", sid, w.url, lastErr)
 			}
-			if !c.backoff(ctx, attempt) {
-				return c.cancelledOrLocal(ctx, tenant, units, &out)
+			if !backoff(ctx, attempt) {
+				break
 			}
 		}
 		recs, retryable, err := c.dispatch(ctx, w, sid, tenant, units, snap, snapHash)
@@ -320,28 +179,13 @@ func (c *Coordinator) runShard(ctx context.Context, sid, tenant string, units []
 		}
 		prev = w
 	}
-	return c.cancelledOrLocal(ctx, tenant, units, &out)
-}
-
-// cancelledOrLocal is the ladder's bottom: canceled records when the
-// campaign context fired, local execution otherwise.
-func (c *Coordinator) cancelledOrLocal(ctx context.Context, tenant string, units []Unit, out *shardOutcome) ([]RunRecord, shardOutcome) {
 	if ctx.Err() != nil {
-		return canceledRecords(ctx, units), *out
+		return failedRecords(units, fmt.Sprintf("shard: campaign canceled: %v", context.Cause(ctx)), true), out
 	}
-	out.degraded = true
+	out.Degraded = true
 	c.degradedLocal.Add(1)
-	c.opts.Logf("shard: no healthy replica (or retries exhausted) for %d runs; degrading to local execution", len(units))
-	recs := make([]RunRecord, 0, len(units))
-	for _, u := range units {
-		recs = append(recs, c.opts.Local(ctx, tenant, u))
-	}
-	return recs, *out
-}
-
-// canceledRecords synthesizes a canceled record per unit.
-func canceledRecords(ctx context.Context, units []Unit) []RunRecord {
-	return failedRecords(units, fmt.Sprintf("shard: campaign canceled: %v", context.Cause(ctx)), true)
+	c.opts.Logf("shard %s: no healthy replica (or retries exhausted) for %d runs; degrading to local execution", sid, len(units))
+	return nil, out
 }
 
 // failedRecords synthesizes one failed (or canceled) record per unit.
@@ -375,12 +219,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *replica, sid, tenant stri
 	if err != nil {
 		return nil, false, err
 	}
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, w.url+"/shards", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(hreq)
+	resp, err := c.post(actx, w.url+"/shards", "application/json", body)
 	if err != nil {
 		// Transport failure or timeout: the replica is gone or wedged. Open
 		// its circuit; the health loop closes it again when /healthz answers.
@@ -433,6 +272,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *replica, sid, tenant stri
 			// whole attempt: dedup on the retry makes recomputation safe.
 			return nil, true, fmt.Errorf("worker %s: run %s: %s", w.url, u.RunID, rec.Error)
 		}
+		rec.Cached = false // memo state is the replica's detail, not the campaign's
 		recs = append(recs, rec)
 	}
 	return recs, false, nil
@@ -448,12 +288,7 @@ func (c *Coordinator) ensureSnapshot(ctx context.Context, w *replica, snap []byt
 	if w.snapSent == snapHash {
 		return nil
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/snapshots", bytes.NewReader(snap))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.client.Do(hreq)
+	resp, err := c.post(ctx, w.url+"/snapshots", "application/octet-stream", snap)
 	if err != nil {
 		return err
 	}
@@ -465,6 +300,16 @@ func (c *Coordinator) ensureSnapshot(ctx context.Context, w *replica, snap []byt
 	io.Copy(io.Discard, resp.Body)
 	w.snapSent = snapHash
 	return nil
+}
+
+// post sends one request body to a replica.
+func (c *Coordinator) post(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	return c.client.Do(req)
 }
 
 // pick returns the next healthy replica in round-robin order, preferring one
@@ -490,12 +335,11 @@ func (c *Coordinator) pick(prev *replica) *replica {
 }
 
 // backoff sleeps the jittered exponential delay for the attempt, returning
-// false if ctx fired first. Delays grow BackoffBase × 2^(attempt-1), capped
-// at BackoffMax, jittered uniformly into [d/2, d).
-func (c *Coordinator) backoff(ctx context.Context, attempt int) bool {
-	d := c.opts.BackoffBase << (attempt - 1)
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
+// false if ctx fired first.
+func backoff(ctx context.Context, attempt int) bool {
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	half := int64(d / 2)
 	if half > 0 {
@@ -535,9 +379,9 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
-// probe checks one replica's /healthz within ProbeTimeout.
+// probe checks one replica's /healthz within probeTimeout.
 func (c *Coordinator) probe(r *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/healthz", nil)
 	if err != nil {
@@ -552,38 +396,22 @@ func (c *Coordinator) probe(r *replica) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// recordWait appends one per-shard wall-time sample to the bounded ring.
-func (c *Coordinator) recordWait(d time.Duration) {
-	c.waitMu.Lock()
-	defer c.waitMu.Unlock()
-	c.waits = append(c.waits, uint64(d))
-	if len(c.waits) > shardWaitSamples {
-		c.waits = c.waits[len(c.waits)-shardWaitSamples:]
-	}
-}
-
 // WorkerHealth is one replica's circuit state for /metrics.
 type WorkerHealth struct {
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`
 }
 
-// Metrics is the coordinator's observability snapshot: cumulative dispatch,
-// retry, reassignment, degradation, recovery, and conflict counters, replica
-// circuit states, and per-shard wait quantiles (nanoseconds) over recent
-// history — enough for a chaos test to assert that recovery actually
-// happened rather than silent recompute.
+// Metrics is the dispatcher's observability snapshot: cumulative dispatch,
+// retry, reassignment and degradation counters and replica circuit states —
+// enough for a chaos test to assert that the fault-tolerance machinery
+// actually fired.
 type Metrics struct {
-	Dispatched     uint64         `json:"dispatched"`
-	Retries        uint64         `json:"retries"`
-	Reassigned     uint64         `json:"reassigned"`
-	DegradedLocal  uint64         `json:"degraded_local"`
-	Recovered      uint64         `json:"recovered"`
-	Conflicts      uint64         `json:"conflicts"`
-	Workers        []WorkerHealth `json:"workers"`
-	ShardWaitP50Ns uint64         `json:"shard_wait_p50_ns"`
-	ShardWaitP90Ns uint64         `json:"shard_wait_p90_ns"`
-	ShardWaitP99Ns uint64         `json:"shard_wait_p99_ns"`
+	Dispatched    uint64         `json:"dispatched"`
+	Retries       uint64         `json:"retries"`
+	Reassigned    uint64         `json:"reassigned"`
+	DegradedLocal uint64         `json:"degraded_local"`
+	Workers       []WorkerHealth `json:"workers"`
 }
 
 // Metrics returns the coordinator's cumulative counters and health states.
@@ -593,31 +421,9 @@ func (c *Coordinator) Metrics() Metrics {
 		Retries:       c.retries.Load(),
 		Reassigned:    c.reassigned.Load(),
 		DegradedLocal: c.degradedLocal.Load(),
-		Recovered:     c.recovered.Load(),
-		Conflicts:     c.conflicts.Load(),
 	}
 	for _, r := range c.replicas {
 		m.Workers = append(m.Workers, WorkerHealth{URL: r.url, Healthy: r.healthy.Load()})
 	}
-	c.waitMu.Lock()
-	sorted := append([]uint64(nil), c.waits...)
-	c.waitMu.Unlock()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	m.ShardWaitP50Ns = pushmulticast.Quantile(sorted, 0.50)
-	m.ShardWaitP90Ns = pushmulticast.Quantile(sorted, 0.90)
-	m.ShardWaitP99Ns = pushmulticast.Quantile(sorted, 0.99)
 	return m
-}
-
-// chunk partitions units into shards of at most size each.
-func chunk(units []Unit, size int) [][]Unit {
-	var out [][]Unit
-	for len(units) > size {
-		out = append(out, units[:size])
-		units = units[size:]
-	}
-	if len(units) > 0 {
-		out = append(out, units)
-	}
-	return out
 }

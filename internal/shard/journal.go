@@ -8,13 +8,21 @@ import (
 	"sync"
 )
 
-// Journal is the crash-resume record of a campaign coordinator or worker: an
-// append-only NDJSON file of completed run records and uploaded snapshot
-// content hashes. A process killed mid-campaign reopens its journal and
-// resumes — completed runs are served from the journal, only incomplete ones
-// recompute. The first committed record for a run identity wins; a repeat
-// commit whose outcome differs is a determinism violation and is reported
-// loudly instead of silently replacing either record.
+// Journal is a simd daemon's result store, the one holder of completed wire
+// records: an append-only NDJSON file of completed run records and uploaded
+// snapshot content hashes, and the index over it. It states the serving rule
+// for both roles: a record loaded at open answers its run without computing
+// (Recovered); a record committed during this process's life answers
+// GET /runs/{id} (Lookup), detects determinism conflicts and serves the next
+// restart, and never short-circuits a run — so the live memo's hit accounting
+// stays truthful and ClearRunMemo still forces a re-run. The first committed
+// record for a run identity wins; a repeat commit whose outcome differs is a
+// determinism violation and is reported loudly instead of silently replacing
+// either record.
+//
+// The dispatcher in this package never touches it. It is declared here rather
+// than in internal/serve, its one user, only because the frozen benchmark
+// calls shard.OpenJournal (benchmark/micro.go).
 //
 // A Journal with an empty path is memory-only: it still deduplicates and
 // serves lookups, but nothing survives the process. Memory-only journals are
@@ -25,9 +33,15 @@ type Journal struct {
 	mu      sync.Mutex
 	f       *os.File // nil = memory-only
 	path    string
-	seen    map[string]RunRecord
+	seen    map[string]journaled
 	snaps   map[string]uint64 // snapshot content id -> cycle
 	skipped int               // unparsable lines ignored at load (torn tail)
+}
+
+// journaled is one held record; atOpen marks the ones OpenJournal loaded.
+type journaled struct {
+	rec    RunRecord
+	atOpen bool
 }
 
 // memJournalCap bounds a memory-only journal's retained records. Dedup
@@ -44,19 +58,17 @@ type journalLine struct {
 	Cycle    uint64     `json:"cycle,omitempty"`
 }
 
-// NewMemJournal returns a memory-only journal (no file backing).
-func NewMemJournal() *Journal {
-	return &Journal{seen: make(map[string]RunRecord), snaps: make(map[string]uint64)}
-}
-
 // OpenJournal opens (creating if absent) a file-backed journal and loads
-// every committed record. Unparsable lines — a torn final line from a crash
-// mid-append is the expected case — are counted and skipped, never fatal, at
-// any length: losing one record costs one recompute, losing the journal (or
-// everything behind one bad line) costs the whole campaign.
+// every committed record; an empty path is a memory-only journal. Unparsable
+// lines — a torn final line from a crash mid-append is the expected case — are
+// counted and skipped, never fatal, at any length: losing one record costs one
+// recompute, losing the journal (or everything behind one bad line) costs the
+// whole campaign.
 func OpenJournal(path string) (*Journal, error) {
-	j := NewMemJournal()
-	j.path = path
+	j := &Journal{path: path, seen: make(map[string]journaled), snaps: make(map[string]uint64)}
+	if path == "" {
+		return j, nil
+	}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal %s: %v", path, err)
@@ -96,7 +108,7 @@ func (j *Journal) load(line []byte) {
 	switch {
 	case l.Kind == "run" && l.Record != nil && l.Record.Error == "" && l.Record.ID != "":
 		if _, ok := j.seen[l.Record.ID]; !ok {
-			j.seen[l.Record.ID] = *l.Record
+			j.seen[l.Record.ID] = journaled{rec: *l.Record, atOpen: true}
 		}
 	case l.Kind == "snapshot" && l.Snapshot != "":
 		j.snaps[l.Snapshot] = l.Cycle
@@ -105,27 +117,23 @@ func (j *Journal) load(line []byte) {
 	}
 }
 
-// Path returns the journal's backing file path ("" for memory-only).
-func (j *Journal) Path() string { return j.path }
-
-// Lookup returns the journaled record for a run identity.
+// Lookup returns the held record for a run identity, whenever it was
+// committed.
 func (j *Journal) Lookup(id string) (RunRecord, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec, ok := j.seen[id]
-	return rec, ok
+	e, ok := j.seen[id]
+	return e.rec, ok
 }
 
-// Seen returns a copy of every journaled run record, keyed by run identity —
-// the recovery set a restarted process resumes from.
-func (j *Journal) Seen() map[string]RunRecord {
+// Recovered returns the record a restart recovered for a run identity, marked
+// cached: the only records that answer a run without computing it.
+func (j *Journal) Recovered(id string) (RunRecord, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make(map[string]RunRecord, len(j.seen))
-	for id, rec := range j.seen {
-		out[id] = rec
-	}
-	return out
+	e, ok := j.seen[id]
+	e.rec.Cached = true
+	return e.rec, ok && e.atOpen
 }
 
 // Commit records one completed run. Failed or canceled records are never
@@ -140,8 +148,8 @@ func (j *Journal) Commit(rec RunRecord) (dup bool, err error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if prev, ok := j.seen[rec.ID]; ok {
-		if !sameOutcome(prev, rec) {
+	if e, ok := j.seen[rec.ID]; ok {
+		if prev := e.rec; !sameOutcome(prev, rec) {
 			return true, fmt.Errorf(
 				"journal: run %s recomputed with a different outcome (cycles %d vs %d, trace %s vs %s): determinism violation — a replica is broken",
 				rec.ID, prev.Cycles, rec.Cycles, prev.TraceHash, rec.TraceHash)
@@ -154,7 +162,7 @@ func (j *Journal) Commit(rec RunRecord) (dup bool, err error) {
 	// Normalize the cached flag before retention: whether the original
 	// computation was itself memo-served is meaningless to a later recovery.
 	rec.Cached = false
-	j.seen[rec.ID] = rec
+	j.seen[rec.ID] = journaled{rec: rec}
 	return false, j.appendLocked(journalLine{Kind: "run", Record: &rec})
 }
 
@@ -189,25 +197,21 @@ func (j *Journal) appendLocked(l journalLine) error {
 	return nil
 }
 
-// Runs returns the number of journaled run records.
-func (j *Journal) Runs() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.seen)
+// JournalStats is the journal's /metrics contribution.
+type JournalStats struct {
+	Path      string `json:"path,omitempty"` // empty = memory-only
+	Runs      int    `json:"runs"`           // held completed runs
+	Snapshots int    `json:"snapshots"`      // journaled warm-start donor identities
+	// SkippedLines counts unparsable journal lines ignored at load (a torn
+	// final line from a crash mid-append is the expected case).
+	SkippedLines int `json:"skipped_lines,omitempty"`
 }
 
-// Snapshots returns the number of journaled snapshot identities.
-func (j *Journal) Snapshots() int {
+// Stats returns what the journal holds.
+func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.snaps)
-}
-
-// Skipped returns the number of unparsable lines ignored at load.
-func (j *Journal) Skipped() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.skipped
+	return JournalStats{Path: j.path, Runs: len(j.seen), Snapshots: len(j.snaps), SkippedLines: j.skipped}
 }
 
 // Close releases the journal's file handle (memory-only journals are a
@@ -221,4 +225,16 @@ func (j *Journal) Close() error {
 	f := j.f
 	j.f = nil
 	return f.Close()
+}
+
+// sameOutcome reports whether two records for one run identity agree on the
+// simulation outcome. Determinism guarantees they must; a disagreement means
+// a replica is broken (or the two ran different code) and is surfaced loudly
+// rather than silently keeping either.
+func sameOutcome(a, b RunRecord) bool {
+	return a.Cycles == b.Cycles &&
+		a.Instructions == b.Instructions &&
+		a.TraceHash == b.TraceHash &&
+		a.TraceEvents == b.TraceEvents &&
+		a.NoCFlits == b.NoCFlits
 }

@@ -1,15 +1,14 @@
-// Package shard distributes a campaign across simd worker replicas and
-// makes the distribution fault-tolerant. A campaign's expanded runs are
-// grouped into shards — each shard's identity is a deterministic function of
-// the warm-start snapshot's content hash and the member run identities — and
-// dispatched to a configured set of worker replicas over HTTP with per-shard
-// timeouts, capped retries with exponential backoff and jitter, and
-// health-probe-driven circuit breaking. A shard whose worker dies or goes
-// silent is reassigned to another healthy replica, or degraded to local
-// execution when none is healthy; merged results are deduplicated by run
-// identity, so a retried shard can never double-count a run. Completed runs
-// are journaled, making a killed coordinator resumable: on restart it
-// recomputes only the runs the journal does not already hold.
+// Package shard dispatches one shard of a campaign — a group of run
+// descriptions — to simd worker replicas and makes the dispatch
+// fault-tolerant. Each shard's identity is a deterministic function of the
+// warm-start snapshot's content hash and the member run identities; it goes to
+// a configured set of replicas over HTTP with per-attempt timeouts, capped
+// retries with exponential backoff and jitter, and health-probe-driven
+// circuit breaking. A shard whose worker dies or goes silent is reassigned to
+// another healthy replica, and handed back to the caller to compute when none
+// is healthy. The dispatcher holds no records: which runs need dispatching,
+// what is done with the records, and the crash-resume store are the caller's
+// (internal/serve).
 package shard
 
 import (
@@ -22,24 +21,12 @@ import (
 )
 
 // RunRecord is one completed (or failed) run as it travels between worker
-// and coordinator, into the journal, and over the campaign NDJSON stream: the
-// simulator's one wire record.
+// and coordinator, into the result store, and over the campaign NDJSON
+// stream: the simulator's one wire record.
 type RunRecord = pushmulticast.RunRecord
 
-// sameOutcome reports whether two records for one run identity agree on the
-// simulation outcome. Determinism guarantees they must; a disagreement means
-// a replica is broken (or the two ran different code) and is surfaced loudly
-// rather than silently keeping either.
-func sameOutcome(a, b RunRecord) bool {
-	return a.Cycles == b.Cycles &&
-		a.Instructions == b.Instructions &&
-		a.TraceHash == b.TraceHash &&
-		a.TraceEvents == b.TraceEvents &&
-		a.NoCFlits == b.NoCFlits
-}
-
 // Unit is one run of a campaign as the coordinator dispatches it: the run's
-// deterministic identity (the dedup and journal key), its display names, and
+// deterministic identity (the merge key), its display names, and
 // the run's description (a pushmulticast.RunSpec's JSON) that a worker
 // replica resolves to the same identity and executes.
 type Unit struct {

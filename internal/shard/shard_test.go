@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,6 +66,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.CommitSnapshot("cafe", 4000); err != nil {
 		t.Fatal(err)
 	}
+	// The serving rule: a record committed in this life is held, and answers
+	// no run.
+	if _, ok := j.Recovered("run1"); ok {
+		t.Fatal("a record committed during this process's life was offered in place of a run")
+	}
 	j.Close()
 
 	re, err := OpenJournal(path)
@@ -78,8 +82,22 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !ok || got.Cycles != 123 || got.TraceHash != "0xabc" {
 		t.Fatalf("reopened journal lost run1: %+v ok=%v", got, ok)
 	}
-	if re.Runs() != 1 || re.Snapshots() != 1 {
-		t.Fatalf("reopened journal holds %d runs, %d snapshots; want 1 and 1", re.Runs(), re.Snapshots())
+	if re.Stats().Runs != 1 || re.Stats().Snapshots != 1 {
+		t.Fatalf("reopened journal holds %d runs, %d snapshots; want 1 and 1", re.Stats().Runs, re.Stats().Snapshots)
+	}
+	// The other half of the rule: what the open loaded answers its run, marked
+	// cached; what is committed after it does not.
+	if got, ok := re.Recovered("run1"); !ok || !got.Cached || got.Cycles != 123 {
+		t.Fatalf("reopened journal does not offer run1 as recovered: %+v ok=%v", got, ok)
+	}
+	if _, err := re.Commit(RunRecord{ID: "run2", Cycles: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := re.Recovered("run2"); ok {
+		t.Fatal("a record committed after the reopen was offered in place of a run")
+	}
+	if got, ok := re.Lookup("run2"); !ok || got.Cached {
+		t.Fatalf("Lookup(run2) = %+v ok=%v; want the committed record, not marked cached", got, ok)
 	}
 }
 
@@ -122,8 +140,8 @@ func TestJournalTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatalf("damaged journal failed to open: %v", err)
 			}
-			if re.Runs() != 2 || re.Skipped() != 1 {
-				t.Fatalf("damaged journal recovered %d runs, skipped %d lines; want 2 and 1", re.Runs(), re.Skipped())
+			if re.Stats().Runs != 2 || re.Stats().SkippedLines != 1 {
+				t.Fatalf("damaged journal recovered %d runs, skipped %d lines; want 2 and 1", re.Stats().Runs, re.Stats().SkippedLines)
 			}
 			if _, ok := re.Lookup("torn"); ok {
 				t.Fatal("torn record leaked into the recovery set")
@@ -137,9 +155,9 @@ func TestJournalTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re2.Close()
-			if got, ok := re2.Lookup("after"); !ok || got.Cycles != 30 || re2.Runs() != 3 || re2.Skipped() != 1 {
+			if got, ok := re2.Lookup("after"); !ok || got.Cycles != 30 || re2.Stats().Runs != 3 || re2.Stats().SkippedLines != 1 {
 				t.Fatalf("record committed behind the bad line: found=%v (%d runs, %d skipped); want it recovered, 3 runs, 1 skipped",
-					ok, re2.Runs(), re2.Skipped())
+					ok, re2.Stats().Runs, re2.Stats().SkippedLines)
 			}
 		})
 	}
@@ -166,9 +184,9 @@ func FuzzJournalLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("journal content refused: %v", err)
 		}
-		for id, rec := range j.Seen() {
-			if id == "" || rec.ID != id || rec.Error != "" {
-				t.Fatalf("loaded a record Commit would refuse: key %q, %+v", id, rec)
+		for id, e := range j.seen {
+			if id == "" || e.rec.ID != id || e.rec.Error != "" || !e.atOpen {
+				t.Fatalf("loaded a record Commit would refuse, or one not marked recovered: key %q, %+v", id, e)
 			}
 		}
 		probe, held := j.Lookup("fuzz-probe")
@@ -178,15 +196,15 @@ func FuzzJournalLoad(f *testing.F) {
 		if dup, err := j.Commit(probe); err != nil || dup != held {
 			t.Fatalf("commit after load: dup=%v err=%v; want dup=%v, no error", dup, err, held)
 		}
-		runs := j.Runs()
+		runs := j.Stats().Runs
 		j.Close()
 		re, err := OpenJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer re.Close()
-		if got, ok := re.Lookup("fuzz-probe"); !ok || !sameOutcome(got, probe) || re.Runs() != runs {
-			t.Fatalf("record committed after the load: found=%v %+v, %d runs; want %+v, %d runs", ok, got, re.Runs(), probe, runs)
+		if got, ok := re.Lookup("fuzz-probe"); !ok || !sameOutcome(got, probe) || re.Stats().Runs != runs {
+			t.Fatalf("record committed after the load: found=%v %+v, %d runs; want %+v, %d runs", ok, got, re.Stats().Runs, probe, runs)
 		}
 	})
 }
@@ -228,6 +246,8 @@ type fakeWorker struct {
 	hang atomic.Bool
 	// needSnap makes /shards answer 409 until a snapshot was uploaded.
 	needSnap atomic.Bool
+	// cached marks every returned record memo-served, as a warm replica would.
+	cached atomic.Bool
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -292,7 +312,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 				}
 				resp.Results = append(resp.Results, RunRecord{
 					ID: spec.Run, Scheme: "OrdPush", Workload: "cachebw",
-					Cycles: fakeCycles(spec.Run), TraceHash: "0x" + spec.Run,
+					Cycles: fakeCycles(spec.Run), TraceHash: "0x" + spec.Run, Cached: w.cached.Load(),
 				})
 			}
 			json.NewEncoder(rw).Encode(resp)
@@ -304,57 +324,73 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	return w
 }
 
-// fastOptions are coordinator options tuned for test latency.
+// fastOptions are coordinator options tuned for test latency (the backoff and
+// probe bounds are constants: a retry here costs 50-100ms).
 func fastOptions(workers ...string) Options {
 	return Options{
 		Workers:        workers,
 		MaxRetries:     3,
 		Timeout:        5 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
 		HealthInterval: 25 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		Local: func(ctx context.Context, tenant string, u Unit) RunRecord {
-			return RunRecord{ID: u.RunID, Scheme: u.Scheme, Workload: u.Workload,
-				Cycles: fakeCycles(u.RunID), TraceHash: "0x" + u.RunID}
-		},
 	}
 }
 
-// runUnits drives one campaign through the coordinator and collects the
-// emitted records keyed by run ID.
-func runUnits(t *testing.T, c *Coordinator, units []Unit, snap []byte) (map[string]RunRecord, RunStats) {
+// doShards sends each unit through Do as a shard of its own, the way a
+// ShardSize-1 campaign's tasks would, and returns the records by run ID with
+// the outcomes summed. A degraded shard contributes no record.
+func doShards(t *testing.T, c *Coordinator, units []Unit, snap []byte) (map[string]RunRecord, Outcome, int) {
 	t.Helper()
-	var mu sync.Mutex
 	got := make(map[string]RunRecord)
-	st := c.Run(context.Background(), "test", units, snap, func(rec RunRecord, recovered bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if _, dup := got[rec.ID]; dup {
-			t.Errorf("run %s emitted twice", rec.ID)
+	var sum Outcome
+	degraded := 0
+	for _, u := range units {
+		recs, out := c.Do(context.Background(), "test", []Unit{u}, snap)
+		sum.Retries += out.Retries
+		sum.Reassigned += out.Reassigned
+		if out.Degraded {
+			degraded++
+			if recs != nil {
+				t.Errorf("degraded shard %s still returned records: %+v", u.RunID, recs)
+			}
+			continue
 		}
-		got[rec.ID] = rec
-	})
-	return got, st
+		if len(recs) != 1 || recs[0].ID != u.RunID {
+			t.Fatalf("shard %s returned %+v; want exactly its one record", u.RunID, recs)
+		}
+		got[u.RunID] = recs[0]
+	}
+	return got, sum, degraded
 }
 
-// TestCoordinatorDispatchMerge is the happy path: every unit comes back
-// exactly once with the worker's deterministic outcome, spread across both
-// replicas, Cached cleared on every dispatched record.
+// TestCoordinatorDispatchMerge is the happy path: a multi-unit shard comes
+// back whole, one record per unit in unit order with the worker's
+// deterministic outcome and Cached cleared, and single-unit shards spread
+// across both replicas.
 func TestCoordinatorDispatchMerge(t *testing.T) {
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
-	c, err := New(fastOptions(w1.ts.URL, w2.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1.cached.Store(true)
+	w2.cached.Store(true)
+	c := New(fastOptions(w1.ts.URL, w2.ts.URL))
 	defer c.Close()
 	var units []Unit
 	for i := 0; i < 8; i++ {
 		units = append(units, fakeUnit(fmt.Sprintf("run%d", i)))
 	}
-	got, st := runUnits(t, c, units, nil)
-	if len(got) != 8 || st.Recomputed != 8 || st.Recovered != 0 {
-		t.Fatalf("got %d records, stats %+v; want 8 recomputed", len(got), st)
+	recs, out := c.Do(context.Background(), "test", units[:4], nil)
+	if len(recs) != 4 || out != (Outcome{}) {
+		t.Fatalf("4-unit shard returned %d records, outcome %+v; want 4 and a clean outcome", len(recs), out)
+	}
+	for i, rec := range recs {
+		if rec.ID != units[i].RunID {
+			t.Fatalf("record %d is %s; want unit order (%s)", i, rec.ID, units[i].RunID)
+		}
+	}
+	got, _, degraded := doShards(t, c, units[4:], nil)
+	if len(got) != 4 || degraded != 0 {
+		t.Fatalf("got %d records, %d degraded; want 4 dispatched", len(got), degraded)
+	}
+	for _, rec := range recs {
+		got[rec.ID] = rec
 	}
 	for id, rec := range got {
 		if rec.Error != "" || rec.Cycles != fakeCycles(id) || rec.Cached {
@@ -364,8 +400,8 @@ func TestCoordinatorDispatchMerge(t *testing.T) {
 	if w1.shards.Load() == 0 || w2.shards.Load() == 0 {
 		t.Fatalf("round-robin did not spread shards: w1=%d w2=%d", w1.shards.Load(), w2.shards.Load())
 	}
-	if got, want := c.Journal().Runs(), 8; got != want {
-		t.Fatalf("journal holds %d runs; want %d", got, want)
+	if m := c.Metrics(); m.Dispatched != 5 {
+		t.Fatalf("dispatched = %d; want 5 (one 4-unit shard + four singles)", m.Dispatched)
 	}
 }
 
@@ -380,16 +416,13 @@ func TestCoordinatorReassignsOnWorkerDeath(t *testing.T) {
 	// Slow the probe so dispatch, not the health loop, discovers the death —
 	// that is the reassignment path under test.
 	opts.HealthInterval = 500 * time.Millisecond
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(opts)
 	defer c.Close()
 	var units []Unit
 	for i := 0; i < 6; i++ {
 		units = append(units, fakeUnit(fmt.Sprintf("run%d", i)))
 	}
-	got, st := runUnits(t, c, units, nil)
+	got, out, degraded := doShards(t, c, units, nil)
 	if len(got) != 6 {
 		t.Fatalf("got %d records; want 6", len(got))
 	}
@@ -398,12 +431,12 @@ func TestCoordinatorReassignsOnWorkerDeath(t *testing.T) {
 			t.Fatalf("record %s wrong: %+v", id, rec)
 		}
 	}
-	if st.DegradedLocal > 0 {
-		t.Fatalf("degraded to local with a healthy replica available: %+v", st)
+	if degraded > 0 {
+		t.Fatalf("%d shards degraded with a healthy replica available", degraded)
 	}
 	m := c.Metrics()
-	if m.Reassigned == 0 {
-		t.Fatalf("no reassignment recorded after a worker died: %+v", m)
+	if m.Reassigned == 0 || out.Reassigned == 0 {
+		t.Fatalf("no reassignment recorded after a worker died: outcome %+v metrics %+v", out, m)
 	}
 	for _, wh := range m.Workers {
 		if wh.URL == w2.ts.URL && wh.Healthy {
@@ -412,29 +445,20 @@ func TestCoordinatorReassignsOnWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDegradesToLocal kills every replica: the ladder's bottom
-// executes all units in-process, correctly and exactly once.
+// TestCoordinatorDegradesToLocal kills every replica: each shard comes back
+// Degraded with no records — the caller's to compute — and is counted.
 func TestCoordinatorDegradesToLocal(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w1.dead.Store(true)
 	opts := fastOptions(w1.ts.URL)
 	opts.MaxRetries = 1
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(opts)
 	defer c.Close()
-	units := []Unit{fakeUnit("a"), fakeUnit("b")}
-	got, st := runUnits(t, c, units, nil)
-	if len(got) != 2 || st.DegradedLocal == 0 {
-		t.Fatalf("got %d records, stats %+v; want 2 via local degradation", len(got), st)
+	got, _, degraded := doShards(t, c, []Unit{fakeUnit("a"), fakeUnit("b")}, nil)
+	if len(got) != 0 || degraded != 2 {
+		t.Fatalf("got %d records, %d degraded; want both shards handed back", len(got), degraded)
 	}
-	for id, rec := range got {
-		if rec.Error != "" || rec.Cycles != fakeCycles(id) {
-			t.Fatalf("local record %s wrong: %+v", id, rec)
-		}
-	}
-	if m := c.Metrics(); m.DegradedLocal == 0 {
+	if m := c.Metrics(); m.DegradedLocal != 2 {
 		t.Fatalf("degraded-local not counted: %+v", m)
 	}
 }
@@ -446,17 +470,14 @@ func TestCoordinatorRetries503And429(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w1.fail503N.Store(1)
 	w1.fail429N.Store(1)
-	c, err := New(fastOptions(w1.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(fastOptions(w1.ts.URL))
 	defer c.Close()
-	got, st := runUnits(t, c, []Unit{fakeUnit("x")}, nil)
+	got, out, _ := doShards(t, c, []Unit{fakeUnit("x")}, nil)
 	if rec := got["x"]; rec.Error != "" || rec.Cycles != fakeCycles("x") {
 		t.Fatalf("record after transient failures: %+v", rec)
 	}
-	if st.Retries < 2 {
-		t.Fatalf("retries=%d; want >=2 (one per injected transient failure)", st.Retries)
+	if out.Retries < 2 {
+		t.Fatalf("retries=%d; want >=2 (one per injected transient failure)", out.Retries)
 	}
 }
 
@@ -465,60 +486,15 @@ func TestCoordinatorRetries503And429(t *testing.T) {
 func TestCoordinatorPermanent400(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w1.fail400.Store(true)
-	c, err := New(fastOptions(w1.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(fastOptions(w1.ts.URL))
 	defer c.Close()
-	got, _ := runUnits(t, c, []Unit{fakeUnit("x")}, nil)
+	got, _, _ := doShards(t, c, []Unit{fakeUnit("x")}, nil)
 	rec := got["x"]
-	if rec.Error == "" || !strings.Contains(rec.Error, "validation failure") {
+	if rec.Error == "" || rec.Canceled || !strings.Contains(rec.Error, "validation failure") {
 		t.Fatalf("permanent failure not surfaced: %+v", rec)
 	}
 	if m := c.Metrics(); m.Dispatched != 1 || m.Retries != 0 {
 		t.Fatalf("400 was retried: %+v", m)
-	}
-	if c.Journal().Runs() != 0 {
-		t.Fatal("error record leaked into the journal")
-	}
-}
-
-// TestCoordinatorJournalRecovery pre-commits one run and requires the
-// coordinator to emit it as recovered without dispatching it, while the
-// other unit still computes.
-func TestCoordinatorJournalRecovery(t *testing.T) {
-	w1 := newFakeWorker(t)
-	j := NewMemJournal()
-	if _, err := j.Commit(RunRecord{ID: "done", Scheme: "OrdPush", Workload: "cachebw", Cycles: 777}); err != nil {
-		t.Fatal(err)
-	}
-	opts := fastOptions(w1.ts.URL)
-	opts.Journal = j
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var mu sync.Mutex
-	recovered := make(map[string]bool)
-	got := make(map[string]RunRecord)
-	st := c.Run(context.Background(), "test", []Unit{fakeUnit("done"), fakeUnit("fresh")}, nil, func(rec RunRecord, rcv bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		got[rec.ID] = rec
-		recovered[rec.ID] = rcv
-	})
-	if st.Recovered != 1 || st.Recomputed != 1 {
-		t.Fatalf("stats %+v; want 1 recovered + 1 recomputed", st)
-	}
-	if !recovered["done"] || recovered["fresh"] {
-		t.Fatalf("recovery flags wrong: %+v", recovered)
-	}
-	if rec := got["done"]; rec.Cycles != 777 || !rec.Cached {
-		t.Fatalf("recovered record not served from the journal: %+v", rec)
-	}
-	if rec := got["fresh"]; rec.Cycles != fakeCycles("fresh") || rec.Cached {
-		t.Fatalf("fresh record wrong: %+v", rec)
 	}
 }
 
@@ -527,14 +503,11 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 // replica that lost it (409) gets a re-upload on the retry.
 func TestCoordinatorSnapshotUpload(t *testing.T) {
 	w1 := newFakeWorker(t)
-	c, err := New(fastOptions(w1.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(fastOptions(w1.ts.URL))
 	defer c.Close()
 	snap := []byte("donor-bytes")
 	units := []Unit{fakeUnit("a"), fakeUnit("b"), fakeUnit("c")}
-	got, _ := runUnits(t, c, units, snap)
+	got, _, _ := doShards(t, c, units, snap)
 	if len(got) != 3 {
 		t.Fatalf("got %d records; want 3", len(got))
 	}
@@ -545,17 +518,14 @@ func TestCoordinatorSnapshotUpload(t *testing.T) {
 	// A worker that answers 409 (donor lost) forces a re-upload.
 	w2 := newFakeWorker(t)
 	w2.needSnap.Store(true)
-	c2, err := New(fastOptions(w2.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := New(fastOptions(w2.ts.URL))
 	defer c2.Close()
 	// Pretend the donor was already sent so the first dispatch skips the
 	// upload and hits the 409.
 	c2.replicas[0].mu.Lock()
 	c2.replicas[0].snapSent = snapshot.Hash(snap)
 	c2.replicas[0].mu.Unlock()
-	got2, _ := runUnits(t, c2, []Unit{fakeUnit("z")}, snap)
+	got2, _, _ := doShards(t, c2, []Unit{fakeUnit("z")}, snap)
 	if rec := got2["z"]; rec.Error != "" {
 		t.Fatalf("409 recovery failed: %+v", rec)
 	}
@@ -564,43 +534,38 @@ func TestCoordinatorSnapshotUpload(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCancellation fires the campaign context and requires every
-// unit to come back as a canceled record rather than hang or vanish.
+// TestCoordinatorCancellation fires the campaign context mid-dispatch and
+// requires Do to return a canceled record per unit rather than hang, vanish,
+// or hand the shard back as Degraded.
 func TestCoordinatorCancellation(t *testing.T) {
 	w1 := newFakeWorker(t)
 	w1.hang.Store(true) // dispatches stall; only cancellation can end them
-	c, err := New(fastOptions(w1.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(fastOptions(w1.ts.URL))
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
-	got := make(map[string]RunRecord)
-	done := make(chan struct{})
+	type result struct {
+		recs []RunRecord
+		out  Outcome
+	}
+	done := make(chan result, 1)
 	go func() {
-		defer close(done)
-		c.Run(ctx, "test", []Unit{fakeUnit("a"), fakeUnit("b")}, nil, func(rec RunRecord, _ bool) {
-			mu.Lock()
-			got[rec.ID] = rec
-			mu.Unlock()
-		})
+		recs, out := c.Do(ctx, "test", []Unit{fakeUnit("a"), fakeUnit("b")}, nil)
+		done <- result{recs, out}
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
+	var got result
 	select {
-	case <-done:
+	case got = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after cancellation")
+		t.Fatal("Do did not return after cancellation")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("got %d records after cancel; want 2", len(got))
+	if len(got.recs) != 2 || got.out.Degraded {
+		t.Fatalf("got %d records, outcome %+v after cancel; want 2 canceled records", len(got.recs), got.out)
 	}
-	for id, rec := range got {
+	for _, rec := range got.recs {
 		if !rec.Canceled || rec.Error == "" {
-			t.Fatalf("record %s not marked canceled: %+v", id, rec)
+			t.Fatalf("record %s not marked canceled: %+v", rec.ID, rec)
 		}
 	}
 }

@@ -209,9 +209,6 @@ func NewEngine(watchdog, maxCycles Cycle) *Engine {
 // wake-driven scheduler: both modes produce identical cycle counts and stats.
 func (e *Engine) SetDense(dense bool) { e.dense = dense }
 
-// Dense reports whether the engine runs in the dense reference mode.
-func (e *Engine) Dense() bool { return e.dense }
-
 // Register adds a component to the tick list and returns its scheduling
 // handle. Components are ticked in registration order and start awake.
 func (e *Engine) Register(t Ticker) *Handle {
