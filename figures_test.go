@@ -3,6 +3,7 @@ package pushmulticast
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -116,6 +117,39 @@ func TestPaperShape(t *testing.T) {
 			t.Errorf("cachebw OrdPush pushes %.1f%% useful, want at least 70%%", 100*useful)
 		}
 	})
+}
+
+// TestBaselineInvariantToPushKnobs is a metamorphic law: the resume knob's
+// thresholds steer a mechanism Baseline does not have, so no setting of them
+// may move a Baseline run — not its cycle count, not a counter, not an event
+// of its history. A knob that leaks into the common path (a window counter
+// ticking without pushes, a threshold read by the plain directory) fails
+// here; the cycle pins keep the default run itself from drifting unnoticed.
+func TestBaselineInvariantToPushKnobs(t *testing.T) {
+	for wl, cycles := range map[string]uint64{"cachebw": 24906, "bfs": 23196} {
+		run := func(k *KnobSpec) Results {
+			t.Helper()
+			rr, err := RunSpec{Scale: "tiny", Scheme: "Baseline", Workload: WorkloadSpec{Name: wl}, TraceN: 8, Knobs: k}.Resolve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != nil && (rr.Config.TPCThreshold != k.TPCThreshold || rr.Config.TimeWindow != k.TimeWindow) {
+				t.Fatalf("%s: knobs %+v resolved to tpc=%d tw=%d", wl, *k, rr.Config.TPCThreshold, rr.Config.TimeWindow)
+			}
+			res, _, err := rr.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		def := run(nil)
+		if def.Cycles != cycles || def.TraceHash == 0 {
+			t.Errorf("%s: default Baseline run took %d cycles (trace hash %#x), want %d and a traced history", wl, def.Cycles, def.TraceHash, cycles)
+		}
+		for _, k := range []KnobSpec{{TPCThreshold: 2, TimeWindow: 500}, {TPCThreshold: 64, TimeWindow: 1500}} {
+			checkIdentical(t, wl+" default", fmt.Sprintf("%s tpc=%d tw=%d", wl, k.TPCThreshold, k.TimeWindow), def, run(&k))
+		}
+	}
 }
 
 // inertSweeps names the (figure, scheme, workload) cells whose every sweep

@@ -46,7 +46,8 @@ func pktFlags(pkt *Packet) int32 {
 // CheckConservation audits every router's redundant bookkeeping against
 // ground truth: per-(port,vnet) credit counts, the occupied-VC list, the
 // unrouted-head counter, the allocation candidate mask/counters, the
-// switch stream cross-links, and the filter banks' liveness accounting.
+// switch stream cross-links with their held- and wanted-port masks, and the
+// filter banks' liveness accounting.
 // Each of these is a derived structure the hot path trusts blindly; a
 // drifted one silently corrupts arbitration or filtering long before any
 // end-state counter notices. Returns the first violation found.
@@ -196,7 +197,11 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			}
 		}
 	}
+	var wantOut uint8
 	for o := 0; o < NumPorts; o++ {
+		if candMask[o] != 0 {
+			wantOut |= 1 << uint(o)
+		}
 		if candMask[o] != r.candMask[o] {
 			return fmt.Errorf("candMask[%s]=%#x, expected %#x", PortName(o), r.candMask[o], candMask[o])
 		}
@@ -209,20 +214,37 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			}
 		}
 	}
-	// Switch stream cross-links.
+	if wantOut != r.wantOut {
+		return fmt.Errorf("wantOut mask %#b, but candidates wait for outputs %#b", r.wantOut, wantOut)
+	}
+	// Switch stream cross-links, and the held-port masks that stand in for
+	// them in allocation and traversal.
+	var heldIn, heldOut uint8
 	for o := 0; o < NumPorts; o++ {
 		s := r.outStream[o]
 		if s == nil {
 			continue
 		}
+		heldOut |= 1 << uint(o)
 		if s != &r.streams[o] || s.outPort != o || r.inLock[s.inPort] != s || s.vc.active != s || s.vc.pkt == nil {
 			return fmt.Errorf("broken stream links at output %s", PortName(o))
 		}
 	}
 	for p := 0; p < NumPorts; p++ {
-		if s := r.inLock[p]; s != nil && (s.inPort != p || r.outStream[s.outPort] != s) {
+		s := r.inLock[p]
+		if s == nil {
+			continue
+		}
+		heldIn |= 1 << uint(p)
+		if s.inPort != p || r.outStream[s.outPort] != s {
 			return fmt.Errorf("broken input lock at %s", PortName(p))
 		}
+	}
+	if heldIn != r.heldIn {
+		return fmt.Errorf("heldIn mask %#b, but streams hold inputs %#b", r.heldIn, heldIn)
+	}
+	if heldOut != r.heldOut {
+		return fmt.Errorf("heldOut mask %#b, but streams hold outputs %#b", r.heldOut, heldOut)
 	}
 	return r.checkFilters()
 }

@@ -79,9 +79,10 @@ func TestCheckConservationDetectsLeakedCredit(t *testing.T) {
 // TestCheckConservationDetectsDerivedStateDrift stops a multicast mid-flight
 // and flips, one at a time, each piece of derived hot state the router's
 // datapath trusts without looking — the unrouted-head mask, a VC's
-// pending-port mask, the queued-ring masks on both ends of a link — and
-// requires the audit to name it. The audit must be clean before every flip,
-// so a pass here cannot come from an already-dirty network.
+// pending-port mask, the queued-ring masks on both ends of a link, the held-
+// and wanted-port masks — and requires the audit to name it. The audit must
+// be clean before every flip, so a pass here cannot come from an already-dirty
+// network.
 func TestCheckConservationDetectsDerivedStateDrift(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -103,6 +104,13 @@ func TestCheckConservationDetectsDerivedStateDrift(t *testing.T) {
 			func(r *Router) { r.credQueued = 0 }, "queued-ring masks"},
 		{"spurious ring mask", func(r *Router) bool { return r.arrQueued == 0 },
 			func(r *Router) { r.arrQueued = 1 << PortSouth }, "queued-ring masks"},
+		// A lost held bit double-books a port; a lost wanted bit starves one.
+		{"held input mask", func(r *Router) bool { return r.heldIn != 0 },
+			func(r *Router) { r.heldIn &= r.heldIn - 1 }, "heldIn mask"},
+		{"held output mask", func(r *Router) bool { return r.heldOut != 0 },
+			func(r *Router) { r.heldOut &= r.heldOut - 1 }, "heldOut mask"},
+		{"wanted output mask", func(r *Router) bool { return r.wantOut != 0 },
+			func(r *Router) { r.wantOut &= r.wantOut - 1 }, "wantOut mask"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(4, 4)

@@ -73,10 +73,10 @@ type stream struct {
 // parallel, Fig 7a), stage 2 performs VC/switch allocation and switch
 // traversal. Links add one cycle.
 type Router struct {
-	// The fields are ordered by how a tick reads them, hottest first: a
-	// router's state has gone cold by its next tick on a large mesh, so the
-	// cache lines a tick pulls in, not the instructions it runs, are what a
-	// hop costs.
+	// The fields are ordered by how a tick reads them, hottest first. A tick's
+	// cost is its branches and instructions more than its cache lines (host
+	// time per tile-cycle is flat from 16 to 256 cores, DESIGN.md §4b), which
+	// is why the port loops below walk masks.
 	id NodeID `snap:"-,wiring"`
 	// arrQueued / credQueued mark the rings this router consumes that hold
 	// entries: bit p for arrivals[p], bit o for the credRet ring of the
@@ -84,11 +84,18 @@ type Router struct {
 	// push, the consumer clears it when a pop empties the ring, so a tick
 	// probes only rings with something in them — and none of the neighbours'
 	// memory when nothing is in flight.
-	arrQueued  uint8       `snap:"-,derived: the non-empty arrival rings"`
-	credQueued uint8       `snap:"-,derived: the neighbours' non-empty credRet rings"`
-	net        *Network    `snap:"-,wiring"`
-	ni         *NI         `snap:"-,wiring"` // this tile's NI: packet pool and local ejection
-	h          *sim.Handle `snap:"-,wiring"`
+	arrQueued  uint8 `snap:"-,derived: the non-empty arrival rings"`
+	credQueued uint8 `snap:"-,derived: the neighbours' non-empty credRet rings"`
+	// heldIn / heldOut mark the input and output ports a stream holds (inLock
+	// and outStream non-nil), wantOut the output ports with an allocation
+	// candidate (candMask non-zero): allocation and traversal visit set bits
+	// instead of testing all five ports twice a tick.
+	heldIn  uint8       `snap:"-,derived: the ports with an inLock"`
+	heldOut uint8       `snap:"-,derived: the ports with an outStream"`
+	wantOut uint8       `snap:"-,derived: the ports with a non-zero candMask"`
+	net     *Network    `snap:"-,wiring"`
+	ni      *NI         `snap:"-,wiring"` // this tile's NI: packet pool and local ejection
+	h       *sim.Handle `snap:"-,wiring"`
 	// occ lists VCs that hold or are reserved for a packet, so the per-
 	// cycle pipeline stages touch only live work instead of scanning every
 	// buffer.
@@ -246,8 +253,9 @@ func (r *Router) candidates(vc *inputVC, d int16) {
 		o := bits.TrailingZeros8(m)
 		if d > 0 {
 			r.candMask[o] |= bit
-		} else {
-			r.candMask[o] &^= bit
+			r.wantOut |= 1 << uint(o)
+		} else if r.candMask[o] &^= bit; r.candMask[o] == 0 {
+			r.wantOut &^= 1 << uint(o)
 		}
 		r.candV[o][vc.vnet] += d
 		if inv {
@@ -345,12 +353,9 @@ func (r *Router) Tick(now sim.Cycle) {
 	r.allocate(now)
 	// Traversal: one flit per held output port; heads are delivered
 	// downstream and completed replicas retired.
-	streaming := false
-	for o := range r.outStream {
-		if s := r.outStream[o]; s != nil {
-			streaming = true
-			r.sendFlit(s, now)
-		}
+	streaming := r.heldOut != 0
+	for m := r.heldOut; m != 0; m &= m - 1 {
+		r.sendFlit(&r.streams[bits.TrailingZeros8(m)], now)
 	}
 	r.reschedule(now, streaming)
 }
@@ -633,13 +638,12 @@ func (r *Router) allocate(now sim.Cycle) {
 	// locked collects the VCs behind held input ports; a placement below
 	// adds its own.
 	var locked uint64
-	for p := range r.inLock {
-		if r.inLock[p] != nil {
-			locked |= r.portOcc[p]
-		}
+	for m := r.heldIn; m != 0; m &= m - 1 {
+		locked |= r.portOcc[bits.TrailingZeros8(m)]
 	}
-	for o := range r.candMask {
-		if r.candMask[o]&^locked == 0 || r.outStream[o] != nil {
+	for m := r.wantOut &^ r.heldOut; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		if r.candMask[o]&^locked == 0 {
 			continue
 		}
 		// A LinkStall window refuses new allocations onto the port before
@@ -739,6 +743,8 @@ func (r *Router) allocateOutput(o int, now sim.Cycle, locked uint64) *stream {
 			vc.active = s
 			r.outStream[o] = s
 			r.inLock[p] = s
+			r.heldOut |= 1 << uint(o)
+			r.heldIn |= 1 << uint(p)
 			r.rr[o] = uint8((idx + 1) % total)
 			return s
 		}
@@ -784,6 +790,8 @@ func (r *Router) sendFlit(s *stream, now sim.Cycle) {
 	vc := s.vc
 	r.outStream[s.outPort] = nil
 	r.inLock[s.inPort] = nil
+	r.heldOut &^= 1 << uint(s.outPort)
+	r.heldIn &^= 1 << uint(s.inPort)
 	vc.active = nil
 	// The VC's remaining pending ports become allocatable again now that the
 	// stream is done; restore them to the candidate counts.

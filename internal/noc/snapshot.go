@@ -292,6 +292,8 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 		}
 		if c.Decoding() {
 			s.vc, rt.inLock[s.inPort], vc.active = vc, s, s
+			rt.heldOut |= 1 << uint(o)
+			rt.heldIn |= 1 << uint(s.inPort)
 		}
 	}
 	// Link rings, oldest entry first. A decoded non-empty ring marks itself
@@ -334,6 +336,13 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 	derived(c, c.Int, bits.OnesCount64(rt.unrouted), "unrouted head count")
 	snapshot.AsU64(c, &rt.minHeadAt)
 	c.U64s(rt.candMask[:])
+	if c.Decoding() {
+		for o, m := range rt.candMask {
+			if m != 0 {
+				rt.wantOut |= 1 << uint(o)
+			}
+		}
+	}
 	for o := range rt.candV {
 		i16s(rt.candV[o][:])
 	}

@@ -42,6 +42,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Cycle is a simulation timestamp in core clock cycles.
@@ -84,12 +85,12 @@ var ErrFailsafe = errors.New("sim: implicit failsafe ceiling")
 type Handle struct {
 	eng    *Engine `snap:"-,wiring"`
 	comp   Ticker  `snap:"-,wiring"`
-	idx    int     `snap:"-,wiring"` // registration order; ties in the wake heap break on it
+	idx    int     `snap:"-,wiring"` // registration order: the handle's bit in the awake words and in every wheel slot
 	asleep bool
 	wakeAt Cycle // NeverWake when sleeping without a scheduled wake
-	// heapPos is this handle's index in the engine's wake heap, -1 when the
-	// handle is not enqueued.
-	heapPos int `snap:"-,derived: position in the rebuilt wake heap"`
+	// farPos is this handle's index in the engine's overflow list, -1 when its
+	// scheduled wake (if any) is filed in the wheel.
+	farPos int `snap:"-,derived: position in the refiled overflow list"`
 }
 
 // Wake marks the component runnable from the current cycle on. Waking an
@@ -99,12 +100,14 @@ func (h *Handle) Wake() {
 	if !h.asleep {
 		return
 	}
+	e := h.eng
 	h.asleep = false
-	h.eng.asleepCount--
-	if h.heapPos >= 0 {
-		h.eng.heapRemove(h.heapPos)
+	e.asleepCount--
+	e.awake[h.idx>>6] |= 1 << (h.idx & 63)
+	if h.wakeAt != NeverWake {
+		e.unfile(h)
+		h.wakeAt = NeverWake
 	}
-	h.wakeAt = NeverWake
 }
 
 // WakeAt schedules a wake no later than cycle c, for producers handing over
@@ -138,13 +141,14 @@ func (h *Handle) SleepUntil(c Cycle) {
 }
 
 func (h *Handle) sleep(c Cycle) {
-	if h.eng.dense {
+	e := h.eng
+	if e.dense {
 		return // dense reference mode ticks everything every cycle
 	}
 	// A sleep that would wake next cycle skips no ticks — the component runs
-	// at c either way — but costs a heap push now and a heap pop in the next
-	// Step. Staying awake is behaviorally identical and cheaper.
-	if c <= h.eng.now+1 {
+	// at c either way — but costs a filing now and a drain in the next Step.
+	// Staying awake is behaviorally identical and cheaper.
+	if c <= e.now+1 {
 		h.Wake()
 		return
 	}
@@ -152,26 +156,45 @@ func (h *Handle) sleep(c Cycle) {
 		if c == h.wakeAt {
 			return
 		}
-		if h.heapPos >= 0 {
-			h.eng.heapRemove(h.heapPos)
+		if h.wakeAt != NeverWake {
+			e.unfile(h)
 		}
 	} else {
 		h.asleep = true
-		h.eng.asleepCount++
+		e.asleepCount++
+		e.awake[h.idx>>6] &^= 1 << (h.idx & 63)
 	}
 	h.wakeAt = c
 	if c != NeverWake {
-		h.eng.heapPush(h)
+		e.file(h)
 	}
 }
 
 // Engine drives the simulation. The zero value is not usable; construct with
 // NewEngine.
 type Engine struct {
-	now          Cycle
-	handles      []*Handle
-	asleepCount  int       `snap:"-,derived: recounted from the asleep flags"`
-	wheap        []*Handle `snap:"-,derived: rebuilt from the wake times"` // min-heap on (wakeAt, registration order)
+	now         Cycle
+	handles     []*Handle
+	asleepCount int `snap:"-,derived: recounted from the asleep flags"`
+	// awake has bit i set while handles[i] is awake. Step walks it low to
+	// high, which is registration order.
+	awake []uint64 `snap:"-,derived: the complement of the asleep flags"`
+	// wheel files the scheduled wakes less than wheelSlots cycles ahead: slot
+	// wakeAt%wheelSlots is a stride-word copy of the awake layout with the bit
+	// of every handle due at that cycle. Every filed wake lies in
+	// [now, now+wheelSlots), so a slot never mixes two cycles. slotCount and
+	// slotMask (the slots with a non-zero count) let Step skip an empty slot
+	// and fastForward find the next wake with a bit scan.
+	wheel     []uint64                `snap:"-,derived: refiled from the wake times"`
+	stride    int                     `snap:"-,derived: the awake word count the wheel is laid out for"`
+	slotCount [wheelSlots]int32       `snap:"-,derived: refiled from the wake times"`
+	slotMask  [wheelSlots / 64]uint64 `snap:"-,derived: refiled from the wake times"`
+	// far holds, unsorted, the sleepers whose wake was wheelSlots or more
+	// cycles ahead when filed; farMin is the earliest of them (NeverWake when
+	// there is none). Step refiles the list when farMin comes inside the
+	// wheel's horizon.
+	far          []*Handle `snap:"-,derived: refiled from the wake times"`
+	farMin       Cycle     `snap:"-,derived: refiled from the wake times"`
 	dense        bool      `snap:"-,config"`
 	lastProgress Cycle
 	watchdog     Cycle `snap:"-,config"`
@@ -189,6 +212,13 @@ type Engine struct {
 // terminates.
 const FailsafeMaxCycles = Cycle(1) << 40
 
+// wheelSlots is the timing wheel's horizon in cycles. Nine in ten timed
+// sleeps of a mesh run are under 8 cycles ahead and none reaches 256; only
+// the lossy transport's timers (300, 400) and a checker told to scan less
+// often than its default 64 cycles go farther, and those wait in the overflow
+// list.
+const wheelSlots = 256
+
 // NewEngine returns a wake-driven engine with the given watchdog window and
 // cycle limit. A watchdog of 0 disables deadlock detection; a maxCycles of 0
 // means no explicit cycle limit. Disabling both would let Run spin forever
@@ -200,7 +230,7 @@ func NewEngine(watchdog, maxCycles Cycle) *Engine {
 	if failsafe {
 		maxCycles = FailsafeMaxCycles
 	}
-	return &Engine{watchdog: watchdog, maxCycles: maxCycles, failsafe: failsafe}
+	return &Engine{watchdog: watchdog, maxCycles: maxCycles, failsafe: failsafe, farMin: NeverWake}
 }
 
 // SetDense switches the engine to the dense reference mode, which ticks every
@@ -210,10 +240,15 @@ func NewEngine(watchdog, maxCycles Cycle) *Engine {
 func (e *Engine) SetDense(dense bool) { e.dense = dense }
 
 // Register adds a component to the tick list and returns its scheduling
-// handle. Components are ticked in registration order and start awake.
+// handle. Components are ticked in registration order and start awake. It
+// must not be called from inside a tick: Step holds the awake words.
 func (e *Engine) Register(t Ticker) *Handle {
-	h := &Handle{eng: e, comp: t, idx: len(e.handles), wakeAt: NeverWake, heapPos: -1}
+	h := &Handle{eng: e, comp: t, idx: len(e.handles), wakeAt: NeverWake, farPos: -1}
 	e.handles = append(e.handles, h)
+	if h.idx&63 == 0 {
+		e.awake = append(e.awake, 0)
+	}
+	e.awake[h.idx>>6] |= 1 << (h.idx & 63)
 	return h
 }
 
@@ -245,18 +280,37 @@ func (e *Engine) Step() {
 		e.now++
 		return
 	}
-	for len(e.wheap) > 0 && e.wheap[0].wakeAt <= e.now {
-		h := e.wheap[0]
-		e.heapRemove(0)
-		h.asleep = false
-		h.wakeAt = NeverWake
-		e.asleepCount--
+	if e.farMin-e.now < wheelSlots {
+		e.refile()
+	}
+	if s := int(e.now % wheelSlots); e.slotCount[s] != 0 {
+		e.asleepCount -= int(e.slotCount[s])
+		e.slotCount[s] = 0
+		e.slotMask[s>>6] &^= 1 << (s & 63)
+		slot := e.wheel[s*e.stride : (s+1)*e.stride]
+		for w, due := range slot {
+			if due == 0 {
+				continue
+			}
+			slot[w] = 0
+			e.awake[w] |= due
+			for ; due != 0; due &= due - 1 {
+				h := e.handles[w<<6|bits.TrailingZeros64(due)]
+				h.asleep, h.wakeAt = false, NeverWake
+			}
+		}
 	}
 	if e.asleepCount < len(e.handles) {
-		for _, h := range e.handles {
-			if !h.asleep {
-				h.comp.Tick(e.now)
+		awake, handles, now := e.awake, e.handles, e.now
+		for w := range awake {
+			// The word is read again after every tick: a tick may wake or put
+			// to sleep any handle, and only the ones above it still count for
+			// this cycle.
+			for m := awake[w]; m != 0; {
+				b := bits.TrailingZeros64(m)
+				handles[w<<6|b].comp.Tick(now)
 				e.ticks++
+				m = awake[w] & (^uint64(1) << b)
 			}
 		}
 	}
@@ -323,10 +377,7 @@ func (e *Engine) limitErr() error {
 // run. It reports false when nothing bounds the jump (no wake scheduled and
 // both limits disabled), which is an unrecoverable idle state.
 func (e *Engine) fastForward() bool {
-	target := NeverWake
-	if len(e.wheap) > 0 {
-		target = e.wheap[0].wakeAt
-	}
+	target := e.nextWake()
 	if e.watchdog != 0 {
 		if fire := e.lastProgress + e.watchdog + 1; fire < target {
 			target = fire
@@ -344,66 +395,85 @@ func (e *Engine) fastForward() bool {
 	return true
 }
 
-// --- wake heap: min-heap on (wakeAt, registration order) ---
+// --- scheduled wakes: a timing wheel with an overflow list ---
 
-func (e *Engine) heapLess(a, b *Handle) bool {
-	return a.wakeAt < b.wakeAt || (a.wakeAt == b.wakeAt && a.idx < b.idx)
-}
-
-func (e *Engine) heapSwap(i, j int) {
-	e.wheap[i], e.wheap[j] = e.wheap[j], e.wheap[i]
-	e.wheap[i].heapPos = i
-	e.wheap[j].heapPos = j
-}
-
-func (e *Engine) heapPush(h *Handle) {
-	h.heapPos = len(e.wheap)
-	e.wheap = append(e.wheap, h)
-	e.heapUp(h.heapPos)
-}
-
-// heapRemove removes the handle at heap index i (used both for popping the
-// minimum and for canceling a scheduled wake when Wake arrives early).
-func (e *Engine) heapRemove(i int) {
-	h := e.wheap[i]
-	last := len(e.wheap) - 1
-	if i != last {
-		e.heapSwap(i, last)
-	}
-	e.wheap[last] = nil
-	e.wheap = e.wheap[:last]
-	h.heapPos = -1
-	if i < last {
-		e.heapDown(i)
-		e.heapUp(i)
-	}
-}
-
-func (e *Engine) heapUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.heapLess(e.wheap[i], e.wheap[p]) {
-			return
+// file records h's scheduled wake (h.wakeAt, not NeverWake): in its wheel
+// slot when it is inside the horizon, in the overflow list otherwise.
+func (e *Engine) file(h *Handle) {
+	if h.wakeAt-e.now >= wheelSlots {
+		h.farPos = len(e.far)
+		e.far = append(e.far, h)
+		if h.wakeAt < e.farMin {
+			e.farMin = h.wakeAt
 		}
-		e.heapSwap(i, p)
-		i = p
+		return
+	}
+	if e.stride != len(e.awake) {
+		e.layWheel()
+	}
+	s := int(h.wakeAt % wheelSlots)
+	e.wheel[s*e.stride+h.idx>>6] |= 1 << (h.idx & 63)
+	e.slotCount[s]++
+	e.slotMask[s>>6] |= 1 << (s & 63)
+}
+
+// unfile cancels h's scheduled wake, for a Wake that arrives early or a
+// sleeper that is given another wake time.
+func (e *Engine) unfile(h *Handle) {
+	if i := h.farPos; i >= 0 {
+		last := len(e.far) - 1
+		e.far[i] = e.far[last]
+		e.far[i].farPos = i
+		e.far[last] = nil
+		e.far = e.far[:last]
+		h.farPos = -1
+		if h.wakeAt == e.farMin {
+			e.refile() // the minimum may have left: recompute it
+		}
+		return
+	}
+	s := int(h.wakeAt % wheelSlots)
+	e.wheel[s*e.stride+h.idx>>6] &^= 1 << (h.idx & 63)
+	if e.slotCount[s]--; e.slotCount[s] == 0 {
+		e.slotMask[s>>6] &^= 1 << (s & 63)
 	}
 }
 
-func (e *Engine) heapDown(i int) {
-	n := len(e.wheap)
-	for {
-		small := i
-		if l := 2*i + 1; l < n && e.heapLess(e.wheap[l], e.wheap[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && e.heapLess(e.wheap[r], e.wheap[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		e.heapSwap(i, small)
-		i = small
+// refile passes the overflow list through file again: what has come inside
+// the horizon moves to its wheel slot, the rest stays, and farMin is exact
+// afterwards.
+func (e *Engine) refile() {
+	far := e.far
+	e.far, e.farMin = far[:0], NeverWake
+	for _, h := range far {
+		h.farPos = -1
+		e.file(h) // appends at or below the index being read
 	}
+	clear(far[len(e.far):])
+}
+
+// layWheel allocates the wheel for the handles registered so far, on the
+// first filing: a machine registers everything before it runs, so this
+// happens once. A Register that adds an awake word after that re-lays it.
+func (e *Engine) layWheel() {
+	words := len(e.awake)
+	wheel := make([]uint64, wheelSlots*words)
+	for s := 0; s < wheelSlots && e.stride != 0; s++ {
+		copy(wheel[s*words:], e.wheel[s*e.stride:(s+1)*e.stride])
+	}
+	e.wheel, e.stride = wheel, words
+}
+
+// nextWake returns the earliest scheduled wake, NeverWake when there is
+// none: the first non-empty slot at or after now's, going round the wheel
+// once, or the overflow minimum if that is earlier.
+func (e *Engine) nextWake() Cycle {
+	for d := Cycle(0); d < wheelSlots; {
+		s := (e.now + d) % wheelSlots
+		if m := e.slotMask[s>>6] >> (s & 63); m != 0 {
+			return min(e.now+d+Cycle(bits.TrailingZeros64(m)), e.farMin)
+		}
+		d += 64 - s&63
+	}
+	return e.farMin
 }

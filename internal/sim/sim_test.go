@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -74,44 +75,60 @@ func TestEngineFinishedImmediately(t *testing.T) {
 	}
 }
 
-func TestWakeHeapTieBreaksOnRegistrationOrder(t *testing.T) {
-	eng := NewEngine(0, 0)
-	var hs []*Handle
-	for i := 0; i < 5; i++ {
-		hs = append(hs, eng.Register(TickFunc(func(Cycle) {})))
+// tickRec is one executed tick: which component, in which cycle.
+type tickRec struct {
+	cycle Cycle
+	idx   int
+}
+
+// loggers registers n components that record their ticks and go back to
+// sleep for good.
+func loggers(eng *Engine, n int) (hs []*Handle, log *[]tickRec) {
+	log = new([]tickRec)
+	for i := 0; i < n; i++ {
+		var h *Handle
+		h = eng.Register(TickFunc(func(now Cycle) {
+			*log = append(*log, tickRec{now, h.idx})
+			eng.Progress()
+			h.Sleep()
+		}))
+		hs = append(hs, h)
 	}
-	// Insert in reverse registration order so heap arrival order cannot mask
-	// a broken tie-break.
+	return hs, log
+}
+
+func TestSameCycleWakesTickInRegistrationOrder(t *testing.T) {
+	eng := NewEngine(0, 0)
+	hs, log := loggers(eng, 5)
+	// Schedule in reverse registration order so arrival order cannot mask a
+	// broken tie-break.
 	for i := len(hs) - 1; i >= 0; i-- {
 		hs[i].SleepUntil(10)
 	}
-	for want := 0; want < len(hs); want++ {
-		if got := eng.wheap[0].idx; got != want {
-			t.Fatalf("heap pop %d: got handle idx %d", want, got)
+	if _, err := eng.Run(func() bool { return len(*log) == len(hs) }); err != nil {
+		t.Fatal(err)
+	}
+	for want, got := range *log {
+		if got != (tickRec{10, want}) {
+			t.Fatalf("tick %d: got %+v, want cycle 10 component %d (log %v)", want, got, want, *log)
 		}
-		eng.heapRemove(0)
 	}
 }
 
-func TestWakeHeapOrdersByWakeCycleThenIndex(t *testing.T) {
+func TestWakesOrderByCycleThenRegistration(t *testing.T) {
 	eng := NewEngine(0, 0)
-	var hs []*Handle
-	for i := 0; i < 6; i++ {
-		hs = append(hs, eng.Register(TickFunc(func(Cycle) {})))
-	}
+	hs, log := loggers(eng, 6)
 	wakes := []Cycle{30, 10, 30, 20, 10, 20}
 	for i, h := range hs {
 		h.SleepUntil(wakes[i])
 	}
-	// Expected pop order: primary key wakeAt ascending, ties by idx ascending.
-	want := []int{1, 4, 3, 5, 0, 2}
-	for k, wi := range want {
-		h := eng.wheap[0]
-		if h.idx != wi || h.wakeAt != wakes[wi] {
-			t.Fatalf("pop %d: got (idx=%d, at=%d), want (idx=%d, at=%d)",
-				k, h.idx, h.wakeAt, wi, wakes[wi])
-		}
-		eng.heapRemove(0)
+	if _, err := eng.Run(func() bool { return len(*log) == len(hs) }); err != nil {
+		t.Fatal(err)
+	}
+	// Primary key wake cycle ascending, ties by registration order.
+	want := []tickRec{{10, 1}, {10, 4}, {20, 3}, {20, 5}, {30, 0}, {30, 2}}
+	if !slices.Equal(*log, want) {
+		t.Fatalf("tick log %v, want %v", *log, want)
 	}
 }
 
@@ -164,26 +181,59 @@ func TestWakeAtEarlierOverridesLater(t *testing.T) {
 }
 
 func TestWakeCancelsScheduledWake(t *testing.T) {
-	eng := NewEngine(0, 0)
-	h := eng.Register(TickFunc(func(Cycle) {}))
-	h.SleepUntil(100)
-	if !h.asleep || len(eng.wheap) != 1 {
-		t.Fatalf("SleepUntil did not enqueue: asleep=%v heap=%d", h.asleep, len(eng.wheap))
-	}
-	h.Wake()
-	if h.asleep || len(eng.wheap) != 0 {
-		t.Fatalf("Wake left stale state: asleep=%v heap=%d", h.asleep, len(eng.wheap))
+	// One wake inside the wheel's horizon, one beyond it.
+	for _, at := range []Cycle{100, 3 * wheelSlots} {
+		eng := NewEngine(0, at+50)
+		hs, log := loggers(eng, 1)
+		hs[0].SleepUntil(at)
+		hs[0].Wake() // ticks at cycle 0 and sleeps for good
+		if _, err := eng.Run(func() bool { return false }); !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("wake at %d: err = %v, want ErrMaxCycles", at, err)
+		}
+		if want := []tickRec{{0, 0}}; !slices.Equal(*log, want) {
+			t.Fatalf("wake at %d: tick log %v, want %v: the canceled wake must not fire", at, *log, want)
+		}
 	}
 }
 
 func TestSleepUntilNextCycleStaysAwake(t *testing.T) {
 	eng := NewEngine(0, 0)
-	h := eng.Register(TickFunc(func(Cycle) {}))
+	hs, log := loggers(eng, 1)
 	// Waking at now+1 skips no ticks, so the handle stays awake rather than
-	// paying for a heap round-trip.
-	h.SleepUntil(1)
-	if h.asleep || len(eng.wheap) != 0 {
-		t.Fatalf("next-cycle sleep should stay awake: asleep=%v heap=%d", h.asleep, len(eng.wheap))
+	// paying for a filing: it still ticks in the current cycle.
+	hs[0].SleepUntil(1)
+	eng.Step()
+	if want := []tickRec{{0, 0}}; !slices.Equal(*log, want) {
+		t.Fatalf("tick log %v, want %v: a next-cycle sleep should stay awake", *log, want)
+	}
+}
+
+// The wheel is laid out for the handles registered at the first filing. A
+// component registered later that opens a new awake word re-lays it, and the
+// wakes filed so far must survive the move.
+func TestRegisterAfterFilingKeepsScheduledWakes(t *testing.T) {
+	eng := NewEngine(0, 0)
+	log := new([]tickRec)
+	var want []tickRec
+	add := func(at Cycle) {
+		var h *Handle
+		h = eng.Register(TickFunc(func(now Cycle) {
+			*log = append(*log, tickRec{now, h.idx})
+			eng.Progress()
+			h.Sleep()
+		}))
+		h.SleepUntil(at)
+		want = append(want, tickRec{at, h.idx})
+	}
+	for i := 0; i < 130; i++ { // three awake words, filed one handle at a time
+		add(Cycle(5 + i%3))
+	}
+	slices.SortStableFunc(want, func(a, b tickRec) int { return int(a.cycle) - int(b.cycle) })
+	if _, err := eng.Run(func() bool { return len(*log) == len(want) }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(*log, want) {
+		t.Fatalf("tick log %v, want %v", *log, want)
 	}
 }
 

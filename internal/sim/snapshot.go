@@ -10,10 +10,11 @@ import "pushmulticast/internal/snapshot"
 // all-awake post-Register state: some components sleep during their
 // build-time registration (the checker sleeps until its first scan), and
 // applying the snapshot on top of that would corrupt the asleep count and the
-// wake heap. Sleeping handles are then put to sleep directly — bypassing
+// filed wakes. Sleeping handles are then put to sleep directly — bypassing
 // Handle.sleep's "wake instead when due next cycle" shortcut, which would
 // mis-restore a component that was legitimately asleep until now+1 — and
-// pushed onto the wake heap.
+// their wakes filed by wheel slot or in the overflow list as sleep would. A
+// wake time before the clock, which no run produces, is due at once.
 func (e *Engine) State(c *snapshot.Codec) {
 	c.Section("sim.engine")
 	snapshot.AsU64(c, &e.now)
@@ -30,11 +31,8 @@ func (e *Engine) State(c *snapshot.Codec) {
 	c.Count(len(e.handles), "registered components")
 	if c.Decoding() {
 		for _, h := range e.handles {
-			h.asleep, h.wakeAt, h.heapPos = false, NeverWake, -1
+			h.Wake() // cancels whatever the build filed
 		}
-		clear(e.wheap)
-		e.wheap = e.wheap[:0]
-		e.asleepCount = 0
 	}
 	for _, h := range e.handles {
 		c.Bool(&h.asleep)
@@ -45,8 +43,10 @@ func (e *Engine) State(c *snapshot.Codec) {
 			h.wakeAt = NeverWake // an awake handle's stale wake time is not state
 		default:
 			e.asleepCount++
+			e.awake[h.idx>>6] &^= 1 << (h.idx & 63)
 			if h.wakeAt != NeverWake {
-				e.heapPush(h)
+				h.wakeAt = max(h.wakeAt, e.now)
+				e.file(h)
 			}
 		}
 	}
