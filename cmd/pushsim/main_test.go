@@ -295,10 +295,11 @@ func TestExecuteBadInput(t *testing.T) {
 		}
 		return p
 	}
-	// A snapshot from a hypothetical newer build: same bytes, format version
-	// field (first header field after the magic) patched to 2.
-	futureSnap := append([]byte(nil), snap...)
-	futureSnap[8] = 0x02
+	// Snapshots from a hypothetical newer build and from the previous format:
+	// same bytes, the format version field (first header field after the
+	// magic) patched to 3 and to 1. There is no reader for either.
+	futureSnap, v1Snap := append([]byte(nil), snap...), append([]byte(nil), snap...)
+	futureSnap[8], v1Snap[8] = 3, 1
 	baseRun, err := parse(t, "-scale", "tiny", "-check", "-scheme", "Baseline").resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +324,8 @@ func TestExecuteBadInput(t *testing.T) {
 		{"restore file missing", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, filepath.Join(dir, "no-such.snap"), "no-such.snap"},
 		{"restore file is not a snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("noise.snap", []byte("definitely not a snapshot file")), "bad magic"},
 		{"truncated snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("trunc.snap", snap[:len(snap)-7]), "hash mismatch"},
-		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v2"},
+		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v3, this build reads v2"},
+		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v1.snap", v1Snap), "snapshot format v1, this build reads v2"},
 		{"different scheme", baseline, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
 		{"different workload", cfg, "bfs", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
 		// Collective bad inputs: -workload/-cores combinations inconsistent

@@ -112,7 +112,7 @@ type Line struct {
 // themselves (a set's ways*8 bytes against ways*80): tags[i] is lines[i].Tag
 // while lines[i] is valid and noTag while its State is I. Install and
 // Invalidate are the only writers of a line's validity and keep the two in
-// step; audit compares them.
+// step; reindex rebuilds tags from lines and audit compares the two.
 type Array struct {
 	lines    []Line
 	tags     []uint64 `snap:"-,derived: lines[i].Tag where lines[i].State != StateI"`
@@ -242,32 +242,37 @@ func (a *Array) Invalidate(l *Line) {
 	l.State = StateI
 }
 
+// indexed returns what tags[i] restates: way i's address while its line is
+// valid, noTag while it is free.
+func (a *Array) indexed(i int) uint64 {
+	if l := &a.lines[i]; l.State != StateI {
+		return l.Tag
+	}
+	return noTag
+}
+
 // reindex rebuilds tags from the lines (after a snapshot decode wrote them).
 func (a *Array) reindex() {
-	for i := range a.lines {
-		a.tags[i] = noTag
-		if l := &a.lines[i]; l.State != StateI {
-			a.tags[i] = l.Tag
-		}
+	for i := range a.tags {
+		a.tags[i] = a.indexed(i)
 	}
 }
 
 // audit checks the tag index against the lines it summarizes: a way is
-// tagged exactly while its line is valid, with the line's own address, in
-// the set that address maps to, and no set holds an address twice.
+// tagged with what reindex would tag it, every valid line sits in the set
+// its address maps to, and no set holds an address twice.
 func (a *Array) audit() error {
-	for i := range a.lines {
-		l, t := &a.lines[i], a.tags[i]
-		if l.State == StateI {
-			if t != noTag {
-				return fmt.Errorf("way %d is free but indexed as %#x", i, t)
-			}
+	for i, t := range a.tags {
+		l, set := &a.lines[i], i-i%a.ways
+		switch want := a.indexed(i); {
+		case want == noTag && t != noTag:
+			return fmt.Errorf("way %d is free but indexed as %#x", i, t)
+		case want == noTag:
 			continue
-		}
-		if t != l.Tag || a.base(t) != i-i%a.ways {
+		case t != want || a.base(t) != set:
 			return fmt.Errorf("way %d holds %#x (%v) but is indexed as %#x", i, l.Tag, l.State, t)
 		}
-		for j := i - i%a.ways; j < i; j++ {
+		for j := set; j < i; j++ {
 			if a.tags[j] == t {
 				return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, j, i)
 			}

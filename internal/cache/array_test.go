@@ -1,12 +1,16 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
+	"pushmulticast/internal/snapshot"
 )
 
 func TestArrayGeometry(t *testing.T) {
@@ -271,5 +275,43 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 		if err := a.audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: audit says %v, want a %q violation", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestArrayStateIsCanonical: a way that held a line and lost it serializes
+// like a way that never held one — its stale tag, version and directory bits
+// are never read again, so they are not state — and decodes to the zero Line
+// with the index rebuilt.
+func TestArrayStateIsCanonical(t *testing.T) {
+	encode := func(a *Array) []byte {
+		c := snapshot.NewEncoder("", "", 0)
+		a.state(c)
+		return c.Finish()
+	}
+	used, fresh := NewArray(4*4*64, 4, 64), NewArray(4*4*64, 4, 64)
+	for _, a := range []*Array{used, fresh} {
+		a.Install(a.Victim(0x040, nil), 0x040, StateS, 3)
+	}
+	l := used.Victim(0x100, nil)
+	used.Install(l, 0x100, StateM, 7)
+	l.Version, l.Dirty, l.Sharers = 9, true, noc.OneDest(5)
+	used.Invalidate(l)
+	data := encode(used)
+	if !bytes.Equal(data, encode(fresh)) {
+		t.Fatal("an installed-then-invalidated way serializes differently from one never used")
+	}
+	c, err := snapshot.NewDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewArray(4*4*64, 4, 64)
+	if back.state(c); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	if err := back.audit(); err != nil {
+		t.Fatalf("decoded array fails its audit: %v", err)
+	}
+	if !reflect.DeepEqual(back.lines, fresh.lines) || back.Lookup(0x040) == nil || back.Lookup(0x100) != nil {
+		t.Fatal("decoded array differs from the one that never held the freed line")
 	}
 }

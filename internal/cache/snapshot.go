@@ -9,18 +9,22 @@ import (
 // codec describes packet payloads drawn through the cache controllers' queues.
 var codec coherence.Codec
 
-// state describes the array's full line contents, set by set, way by way —
-// invalid ways included: a free way's stale metadata is never read, but
-// coding every way keeps the format position-independent of replacement
-// history. Geometry comes from the config fingerprint, so it is only checked.
+// state describes the array's lines, set by set, way by way. A free way is
+// its state byte alone: its stale metadata is never read, so it is not state,
+// and leaving it out makes two arrays that behave alike serialize alike
+// whatever lines they held before. Decoding targets a freshly built array,
+// whose free ways are the zero Line. Geometry comes from the config
+// fingerprint, so it is only checked.
 func (a *Array) state(c *snapshot.Codec) {
 	c.Mark(&a.lines)
 	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
 	for i := range a.lines {
 		l := &a.lines[i]
+		if snapshot.AsU8(c, &l.State); l.State == StateI {
+			continue
+		}
 		c.U64(&l.Tag)
-		snapshot.AsU8(c, &l.State)
 		c.U64(&l.Version)
 		c.Bool(&l.Dirty)
 		c.Bool(&l.Pushed)

@@ -166,7 +166,6 @@ type System struct {
 	L2Size, L2Ways        int
 	LLCSliceSize, LLCWays int
 	L2MSHRs               int
-	LLCMSHRs              int
 
 	// Latencies in cycles.
 	L1Latency, L2Latency, LLCLatency int
@@ -353,7 +352,6 @@ func defaultSystem(w, h int) System {
 		L2Size: 256 << 10, L2Ways: 16,
 		LLCSliceSize: 1 << 20, LLCWays: 16,
 		L2MSHRs:   16,
-		LLCMSHRs:  32,
 		L1Latency: 1, L2Latency: 4, LLCLatency: 10,
 		MemLatency: 120, MemCyclesPerLine: 40,
 		CoreWidth: 8, CoreWindow: 16, StoreBuffer: 16,

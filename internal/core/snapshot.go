@@ -142,16 +142,13 @@ func (s *System) state(c *snapshot.Codec) {
 }
 
 // RunTo executes the workload until the engine clock reaches the barrier
-// cycle, or the run's normal stopping condition fires first. The predicate
-// is exactly Run's plus the clock bound, and it is side-effect-free on
-// machine state, so a run paused at a barrier is state-identical to the same
-// cycle of a run that never pauses. The wake-driven kernel may fast-forward
-// past the barrier when every component sleeps across it; callers snapshot
-// at the actual stop cycle (Eng.Now()), which a cold run reaches with
-// identical state either way. Results are NOT harvested here —
-// St.Core.Cycles and the instruction/stall totals accrue only in Run at
-// final completion, so a pause-snapshot-continue sequence cannot
-// double-count them.
+// cycle, or the run's normal stopping condition fires first (the one run
+// loop, with a clock bound). The wake-driven kernel may fast-forward past the
+// barrier when every component sleeps across it; callers snapshot at the
+// actual stop cycle (Eng.Now()), which a cold run reaches with identical
+// state either way. Results are NOT harvested here — St.Core.Cycles and the
+// instruction/stall totals accrue only in Run at final completion, so a
+// pause-snapshot-continue sequence cannot double-count them.
 func (s *System) RunTo(barrier sim.Cycle, checkEvery uint64) error {
 	return s.RunToCtx(context.Background(), barrier, checkEvery)
 }
@@ -160,59 +157,6 @@ func (s *System) RunTo(barrier sim.Cycle, checkEvery uint64) error {
 // exactly like RunCtx: a fired context stops the machine loop promptly with a
 // wrapped ErrCanceled instead of running to the pause barrier at full cost.
 func (s *System) RunToCtx(ctx context.Context, barrier sim.Cycle, checkEvery uint64) error {
-	defer func() {
-		if r := recover(); r != nil {
-			s.DumpTrace()
-			panic(r)
-		}
-	}()
-	var checkErr error
-	barriers := uint64(0)
-	finished := func() bool {
-		if barriers++; barriers%cancelCheckPeriod == 0 && ctx.Err() != nil {
-			checkErr = canceledAt(ctx, s.Eng.Now())
-			return true
-		}
-		if s.Checker != nil && s.Checker.Err() != nil {
-			checkErr = s.Checker.Err()
-			return true
-		}
-		if err := s.Net.Unrecoverable(); err != nil {
-			checkErr = err
-			return true
-		}
-		if s.Cfg.Faults.Lossy() {
-			for _, l2 := range s.L2s {
-				if err := l2.Unrecoverable(); err != nil {
-					checkErr = err
-					return true
-				}
-			}
-		}
-		if checkEvery != 0 && uint64(s.Eng.Now())%checkEvery == 0 {
-			if err := s.CheckCoherence(); err != nil {
-				checkErr = err
-				return true
-			}
-		}
-		for _, c := range s.Cores {
-			if !c.Finished() {
-				return false
-			}
-		}
-		return true
-	}
-	_, err := s.Eng.Run(func() bool { return s.Eng.Now() >= barrier || finished() })
-	if checkErr == nil && s.Checker != nil {
-		checkErr = s.Checker.Err()
-	}
-	if checkErr != nil {
-		s.DumpTrace()
-		return checkErr
-	}
-	if err != nil {
-		s.DumpTrace()
-		return fmt.Errorf("%s/%s: %w", s.Cfg.Scheme.Name, "run-to", err)
-	}
-	return nil
+	_, err := s.run(ctx, barrier, checkEvery)
+	return err
 }

@@ -212,7 +212,7 @@ var ErrCoherence = errors.New("coherence violation")
 var ErrCanceled = errors.New("core: run canceled")
 
 // cancelCheckPeriod is how many cycle barriers pass between context polls.
-// The finished closure runs between every cycle; polling the context there
+// The stop predicate runs between every cycle; polling the context there
 // would put a mutex acquisition on the per-cycle hot path, so cancellation is
 // checked every cancelCheckPeriod cycles instead — still a few milliseconds
 // of wall time even on a 256-core machine, and free when ctx has no deadline
@@ -236,6 +236,35 @@ func (s *System) Run(checkEvery uint64) (Results, error) {
 // ErrCanceled and a trace tail. Determinism is unaffected — cancellation only
 // decides where the run stops, never what any cycle computes.
 func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error) {
+	end, err := s.run(ctx, sim.NeverWake, checkEvery)
+	if err != nil {
+		return Results{}, err
+	}
+	s.St.Core.Cycles = uint64(end)
+	for _, c := range s.Cores {
+		s.St.Core.Instructions += c.Instructions()
+		s.St.Core.StallCycles += c.StallCycles()
+	}
+	res := Results{Scheme: s.Cfg.Scheme.Name, Cycles: uint64(end), Stats: s.St}
+	if s.Tracer != nil {
+		// A safety drain: the monitor ticks last within every cycle that
+		// emits, so this is normally a no-op and never reorders history.
+		s.Tracer.Drain(nil)
+		res.TraceHash = s.Tracer.Hash()
+		res.TraceEvents = s.Tracer.Events()
+	}
+	return res, nil
+}
+
+// run is the machine's one run loop, behind Run and RunTo alike: it steps the
+// engine until every core has finished, the clock reaches barrier
+// (sim.NeverWake for none), or the run must abort — a fired context, a checker
+// violation, an unrecoverable sender, a coherence sweep failure, the engine's
+// watchdog or cycle limit. Every abort dumps the trace tail, and the engine's
+// own are wrapped with the scheme and workload they stopped. The stop
+// predicate reads machine state and never writes it, so a run paused at a
+// barrier is state-identical to the same cycle of one that never pauses.
+func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) (sim.Cycle, error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.DumpTrace()
@@ -244,7 +273,10 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 	}()
 	var checkErr error
 	barriers := uint64(0)
-	finished := func() bool {
+	stop := func() bool {
+		if s.Eng.Now() >= barrier {
+			return true
+		}
 		if barriers++; barriers%cancelCheckPeriod == 0 && ctx.Err() != nil {
 			checkErr = canceledAt(ctx, s.Eng.Now())
 			return true
@@ -274,44 +306,27 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 				return true
 			}
 		}
-		for _, c := range s.Cores {
-			if !c.Finished() {
-				return false
-			}
-		}
-		return true
+		return s.Finished()
 	}
-	end, err := s.Eng.Run(finished)
+	end, err := s.Eng.Run(stop)
 	if checkErr == nil && s.Checker != nil {
 		checkErr = s.Checker.Err()
 	}
 	if checkErr != nil {
 		s.DumpTrace()
-		return Results{}, checkErr
+		return end, checkErr
 	}
 	if err != nil {
 		s.DumpTrace()
+		active := ""
 		if s.Cfg.Faults != nil && len(s.Cfg.Faults.Faults) > 0 {
 			// An aborted fault run is a graceful-degradation contract breach,
 			// not (only) a protocol bug; say so up front.
-			return Results{}, fmt.Errorf("%s/%s (fault injection active): %w", s.Cfg.Scheme.Name, "run", err)
+			active = " (fault injection active)"
 		}
-		return Results{}, fmt.Errorf("%s/%s: %w", s.Cfg.Scheme.Name, "run", err)
+		return end, fmt.Errorf("%s/%s%s: %w", s.Cfg.Scheme.Name, s.wlName, active, err)
 	}
-	s.St.Core.Cycles = uint64(end)
-	for _, c := range s.Cores {
-		s.St.Core.Instructions += c.Instructions()
-		s.St.Core.StallCycles += c.StallCycles()
-	}
-	res := Results{Scheme: s.Cfg.Scheme.Name, Cycles: uint64(end), Stats: s.St}
-	if s.Tracer != nil {
-		// A safety drain: the monitor ticks last within every cycle that
-		// emits, so this is normally a no-op and never reorders history.
-		s.Tracer.Drain(nil)
-		res.TraceHash = s.Tracer.Hash()
-		res.TraceEvents = s.Tracer.Events()
-	}
-	return res, nil
+	return end, nil
 }
 
 // DumpTrace writes the retained trace tail to stderr (violations,
@@ -340,8 +355,7 @@ func (s *System) Drain(limit sim.Cycle) error {
 	return nil
 }
 
-// Quiescent reports whether no transaction is in flight anywhere.
-// Finished reports whether every core has retired its workload — the same
+// Finished reports whether every core has retired its workload — the
 // termination condition the run loop checks at cycle barriers. A paused
 // machine (RunTo) uses it to decide whether another slice remains.
 func (s *System) Finished() bool {
@@ -353,6 +367,7 @@ func (s *System) Finished() bool {
 	return true
 }
 
+// Quiescent reports whether no transaction is in flight anywhere.
 func (s *System) Quiescent() bool {
 	if !s.Net.Quiescent() {
 		return false

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"pushmulticast/internal/cache"
 	"pushmulticast/internal/config"
+	"pushmulticast/internal/fault"
 	"pushmulticast/internal/noc"
+	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
 	"pushmulticast/internal/workload"
 )
@@ -283,5 +287,49 @@ func TestHomeSliceInterleaving(t *testing.T) {
 	}
 	if len(seen) != 16 {
 		t.Errorf("16 consecutive lines map to %d slices, want 16", len(seen))
+	}
+}
+
+// TestAbortNamesSchemeAndWorkload stalls a machine for good — core 0 waits at
+// a barrier the other cores, already ended, never reach — and requires the
+// engine's abort to come back naming the scheme and the workload it stopped,
+// from Run and from RunTo alike, with the fault note when a plan is loaded.
+func TestAbortNamesSchemeAndWorkload(t *testing.T) {
+	stuck := workload.Workload{Name: "lonely-barrier", Build: func(core, cores int, sc workload.Scale) workload.Stream {
+		ops := []workload.Op{{Kind: workload.OpEnd}}
+		if core == 0 {
+			ops = []workload.Op{{Kind: workload.OpBarrier}, {Kind: workload.OpEnd}}
+		}
+		return workload.StreamFunc(func() workload.Op {
+			op := ops[0]
+			if len(ops) > 1 {
+				ops = ops[1:]
+			}
+			return op
+		})
+	}}
+	plan := fault.Plan{Seed: 1, Faults: []fault.Fault{{Kind: fault.InjSpike, Node: 3, From: 10, To: 20, Factor: 1}}}
+	for _, tc := range []struct {
+		name   string
+		faults *fault.Plan
+		run    func(*System) error
+		want   string
+	}{
+		{"Run", nil, func(s *System) error { _, err := s.Run(0); return err }, "OrdPush/lonely-barrier: "},
+		{"RunTo", nil, func(s *System) error { return s.RunTo(1<<40, 0) }, "OrdPush/lonely-barrier: "},
+		{"RunTo under a fault plan", &plan, func(s *System) error { return s.RunTo(1<<40, 0) }, "OrdPush/lonely-barrier (fault injection active): "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig(config.OrdPush())
+			cfg.Faults = tc.faults
+			s, err := Build(cfg, stuck, workload.ScaleTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tc.run(s)
+			if !errors.Is(err, sim.ErrDeadlock) || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("abort reads %q, want a sim.ErrDeadlock starting %q", err, tc.want)
+			}
+		})
 	}
 }

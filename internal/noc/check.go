@@ -43,14 +43,14 @@ func pktFlags(pkt *Packet) int32 {
 	return f
 }
 
-// CheckConservation audits every router's redundant bookkeeping against
-// ground truth: per-(port,vnet) credit counts, the occupied-VC list, the
-// unrouted-head counter, the allocation candidate mask/counters, the
-// switch stream cross-links with their held- and wanted-port masks, and the
-// filter banks' liveness accounting.
-// Each of these is a derived structure the hot path trusts blindly; a
-// drifted one silently corrupts arbitration or filtering long before any
-// end-state counter notices. Returns the first violation found.
+// CheckConservation audits every router against ground truth: the primary
+// state's own invariants (VC wiring, the occupied list, head timing, pending
+// ports, switch stream links, per-link credit conservation), and every
+// derived field — masks, candidate counters, back pointers, filter liveness
+// accounting — against what Router.derive rebuilds from that primary state.
+// Each derived field is something the hot path trusts blindly; a drifted one
+// silently corrupts arbitration or filtering long before any end-state
+// counter notices. Returns the first violation found.
 func (n *Network) CheckConservation(now sim.Cycle) error {
 	for _, r := range n.routers {
 		if err := r.checkConservation(now); err != nil {
@@ -62,21 +62,15 @@ func (n *Network) CheckConservation(now sim.Cycle) error {
 
 func (r *Router) checkConservation(now sim.Cycle) error {
 	vcs := r.net.cfg.VCsPerVNet
-	// Credit/occupancy conservation and occ-list consistency. The free-VC
-	// mask is what allocation trusts, so it is rebuilt here from the buffers
-	// themselves.
+	// The primary state first; derive relies on it.
 	occupied := 0
-	var unrouted uint64
 	for p := 0; p < NumPorts; p++ {
-		var freeVCs uint16
-		var portOcc uint64
 		for i := range r.in[p] {
 			vc := &r.in[p][i]
 			if int(vc.port) != p || int(vc.idx) != i || int(vc.vnet) != i/vcs {
 				return fmt.Errorf("VC (%s,%d) is wired as (%s,%d) vnet %d", PortName(p), i, PortName(int(vc.port)), vc.idx, vc.vnet)
 			}
 			if vc.pkt == nil && !vc.reserved {
-				freeVCs |= 1 << uint(i)
 				if vc.occPos >= 0 {
 					return fmt.Errorf("free VC (%s,%d) still in occ list at %d", PortName(p), i, vc.occPos)
 				}
@@ -86,7 +80,6 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			if vc.occPos < 0 || int(vc.occPos) >= len(r.occ) || r.occ[vc.occPos] != vc {
 				return fmt.Errorf("occupied VC (%s,%d) has broken occ position %d", PortName(p), i, vc.occPos)
 			}
-			portOcc |= 1 << uint(vc.occPos)
 			if vc.pkt == nil {
 				continue
 			}
@@ -94,7 +87,6 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 				return fmt.Errorf("VC (%s,%d) of vnet %d holds a vnet-%d packet", PortName(p), i, vc.vnet, vc.pkt.VNet)
 			}
 			if !vc.routed {
-				unrouted |= 1 << uint(vc.occPos)
 				if vc.headAt <= now {
 					// A RouterSlow fault legitimately leaves heads unrouted
 					// past their arrival: the frozen router skipped the
@@ -116,32 +108,34 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 				}
 			}
 		}
-		if freeVCs != r.freeVCs[p] {
-			return fmt.Errorf("credit leak at %s: free-VC mask %#b, actual free %#b", PortName(p), r.freeVCs[p], freeVCs)
-		}
-		if portOcc != r.portOcc[p] {
-			return fmt.Errorf("portOcc[%s]=%#x, but its VCs sit at occ positions %#x", PortName(p), r.portOcc[p], portOcc)
-		}
 	}
 	if occupied != len(r.occ) {
 		return fmt.Errorf("occ list holds %d VCs but %d are occupied", len(r.occ), occupied)
 	}
-	if unrouted != r.unrouted {
-		return fmt.Errorf("unrouted mask %#x but heads unrouted at %#x", r.unrouted, unrouted)
+	var heldIn uint8
+	for o, s := range r.outStream {
+		if s == nil {
+			continue
+		}
+		if s != &r.streams[o] || s.outPort != o || s.vc == nil || s.vc.pkt == nil ||
+			int(s.vc.port) != s.inPort || heldIn&(1<<uint(s.inPort)) != 0 {
+			return fmt.Errorf("broken stream links at output %s", PortName(o))
+		}
+		heldIn |= 1 << uint(s.inPort)
+	}
+	b := rebuild{audit: true}
+	if r.derive(&b); b.err != nil {
+		return b.err
 	}
 	// Ring-level conservation. An arrival entry ripe before now means the
 	// router slept or skipped through the cycle that should have popped it —
-	// legal only while a RouterSlow window froze the pipeline. The queued-ring
-	// masks must name exactly the non-empty rings this router consumes (a
-	// clear bit over a queued entry is a lost wakeup in waiting). And for
-	// every link, the upstream credit count plus everything in flight on the
-	// link (queued handoffs, queued credit returns, occupied downstream VCs)
-	// must reassemble the full VC pool.
-	var arrQueued, credQueued uint8
+	// legal only while a RouterSlow window froze the pipeline. And for every
+	// link, the upstream credit count plus everything in flight on the link
+	// (queued handoffs, queued credit returns, occupied downstream VCs) must
+	// reassemble the full VC pool.
 	for p := 0; p < NumPorts; p++ {
 		var ripeErr error
 		r.arrivals[p].forEach(func(pkt *Packet, at sim.Cycle) {
-			arrQueued |= 1 << uint(p)
 			if at <= now && ripeErr == nil {
 				f := r.net.faults
 				if f == nil || !f.FrozenIn(r.id, at, now) {
@@ -159,9 +153,6 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			continue
 		}
 		ip := opposite[o]
-		if nb.credRet[ip].len() != 0 {
-			credQueued |= 1 << uint(o)
-		}
 		var inFlight [NumVNets]int16
 		nb.arrivals[ip].forEach(func(pkt *Packet, at sim.Cycle) {
 			inFlight[pkt.VNet]++
@@ -174,106 +165,6 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 				return fmt.Errorf("link credit conservation broken at %s vnet %d: %d credits + %d in-flight + %d returning + %d held != %d",
 					PortName(o), v, r.credits[o][v], inFlight[v], queuedCred, heldDown, vcs)
 			}
-		}
-	}
-	if arrQueued != r.arrQueued || credQueued != r.credQueued {
-		return fmt.Errorf("queued-ring masks arrivals=%#b credits=%#b, rings hold arrivals=%#b credits=%#b",
-			r.arrQueued, r.credQueued, arrQueued, credQueued)
-	}
-	// Allocation candidate mask/counters: recompute from the occ list.
-	var candMask [NumPorts]uint64
-	var candV [NumPorts][NumVNets]int16
-	var invCand [NumPorts]int16
-	for pos, vc := range r.occ {
-		if vc.pkt == nil || !vc.routed || vc.active != nil {
-			continue
-		}
-		for m := vc.pending; m != 0; m &= m - 1 {
-			o := bits.TrailingZeros8(m)
-			candMask[o] |= uint64(1) << uint(pos)
-			candV[o][vc.pkt.VNet]++
-			if vc.pkt.IsInv {
-				invCand[o]++
-			}
-		}
-	}
-	var wantOut uint8
-	for o := 0; o < NumPorts; o++ {
-		if candMask[o] != 0 {
-			wantOut |= 1 << uint(o)
-		}
-		if candMask[o] != r.candMask[o] {
-			return fmt.Errorf("candMask[%s]=%#x, expected %#x", PortName(o), r.candMask[o], candMask[o])
-		}
-		if invCand[o] != r.invCand[o] {
-			return fmt.Errorf("invCand[%s]=%d, expected %d", PortName(o), r.invCand[o], invCand[o])
-		}
-		for v := 0; v < NumVNets; v++ {
-			if candV[o][v] != r.candV[o][v] {
-				return fmt.Errorf("candV[%s][%d]=%d, expected %d", PortName(o), v, r.candV[o][v], candV[o][v])
-			}
-		}
-	}
-	if wantOut != r.wantOut {
-		return fmt.Errorf("wantOut mask %#b, but candidates wait for outputs %#b", r.wantOut, wantOut)
-	}
-	// Switch stream cross-links, and the held-port masks that stand in for
-	// them in allocation and traversal.
-	var heldIn, heldOut uint8
-	for o := 0; o < NumPorts; o++ {
-		s := r.outStream[o]
-		if s == nil {
-			continue
-		}
-		heldOut |= 1 << uint(o)
-		if s != &r.streams[o] || s.outPort != o || r.inLock[s.inPort] != s || s.vc.active != s || s.vc.pkt == nil {
-			return fmt.Errorf("broken stream links at output %s", PortName(o))
-		}
-	}
-	for p := 0; p < NumPorts; p++ {
-		s := r.inLock[p]
-		if s == nil {
-			continue
-		}
-		heldIn |= 1 << uint(p)
-		if s.inPort != p || r.outStream[s.outPort] != s {
-			return fmt.Errorf("broken input lock at %s", PortName(p))
-		}
-	}
-	if heldIn != r.heldIn {
-		return fmt.Errorf("heldIn mask %#b, but streams hold inputs %#b", r.heldIn, heldIn)
-	}
-	if heldOut != r.heldOut {
-		return fmt.Errorf("heldOut mask %#b, but streams hold outputs %#b", r.heldOut, heldOut)
-	}
-	return r.checkFilters()
-}
-
-// checkFilters audits the filter bank's O(1) liveness accounting
-// (activeCnt, aliveUntil) against a scan of the entries; a drifted count
-// makes dead() lie, which either filters requests a cleared registration
-// no longer covers or silently disables the filter.
-func (r *Router) checkFilters() error {
-	fb := r.filters
-	if fb == nil {
-		return nil
-	}
-	perPort := NumPorts * fb.dataVCs
-	for p := 0; p < NumPorts; p++ {
-		active := 0
-		for k := 0; k < perPort; k++ {
-			e := &fb.entries[p*perPort+k]
-			if !e.valid {
-				continue
-			}
-			if !e.clearPending {
-				active++
-			} else if e.clearAt > fb.aliveUntil[p] {
-				return fmt.Errorf("filter entry at %s outlives aliveUntil: clearAt=%d aliveUntil=%d", PortName(p), e.clearAt, fb.aliveUntil[p])
-			}
-		}
-		if active != fb.activeCnt[p] {
-			return fmt.Errorf("filter activeCnt[%s]=%d, expected %d", PortName(p), fb.activeCnt[p], active)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -111,6 +112,13 @@ func TestCheckConservationDetectsDerivedStateDrift(t *testing.T) {
 			func(r *Router) { r.heldOut &= r.heldOut - 1 }, "heldOut mask"},
 		{"wanted output mask", func(r *Router) bool { return r.wantOut != 0 },
 			func(r *Router) { r.wantOut &= r.wantOut - 1 }, "wantOut mask"},
+		// A lost candidate bit strands a replica; a lost free bit leaks a VC.
+		// (A neighbour audited earlier reads freeVCs through its link's credit
+		// conservation and reports that instead, so the victim is router 0.)
+		{"candidate mask", func(r *Router) bool { return r.wantOut != 0 },
+			func(r *Router) { r.candMask[bits.TrailingZeros8(r.wantOut)] = 0 }, "candMask"},
+		{"free-VC mask", func(r *Router) bool { return r.id == 0 },
+			func(r *Router) { r.freeVCs[PortEast] &= r.freeVCs[PortEast] - 1 }, "freeVCs"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(4, 4)
@@ -149,21 +157,37 @@ func TestCheckConservationDetectsDerivedStateDrift(t *testing.T) {
 }
 
 // TestCheckConservationDetectsFilterCountDrift corrupts a filter bank's
-// O(1) liveness counter, which would make dead() lie to every lookup, and
-// requires the audit to catch the drift.
+// O(1) liveness accounting, which would make dead() lie to every lookup, and
+// requires the audit to name the drifted field. aliveUntil is an upper bound:
+// slack above the last pending clear is legal, a bound below it is not.
 func TestCheckConservationDetectsFilterCountDrift(t *testing.T) {
-	cfg := DefaultConfig(4, 4)
-	cfg.FilterEnabled = true
-	_, net, _ := testNet(t, cfg)
-	fb := net.routers[3].filters
-	fb.register(PortEast, PortWest, 0, 0x1000, OneDest(2))
-	fb.activeCnt[PortEast]++ // drift: counter claims one more live entry than exists
-	err := net.CheckConservation(0)
-	if err == nil {
-		t.Fatal("filter activeCnt drift not detected")
-	}
-	if !strings.Contains(err.Error(), "activeCnt") {
-		t.Fatalf("wrong diagnosis for filter count drift: %v", err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(fb *filterBank)
+		want    string
+	}{
+		// The counter claims one more live entry than exists.
+		{"activeCnt", func(fb *filterBank) { fb.activeCnt[PortEast]++ }, "activeCnt"},
+		{"aliveUntil too low", func(fb *filterBank) { fb.aliveUntil[PortEast] = 19 }, "aliveUntil"},
+		{"aliveUntil slack", func(fb *filterBank) { fb.aliveUntil[PortEast] = 500 }, ""},
+	} {
+		cfg := DefaultConfig(4, 4)
+		cfg.FilterEnabled = true
+		_, net, _ := testNet(t, cfg)
+		fb := net.routers[3].filters
+		fb.register(PortEast, PortWest, 0, 0x1000, OneDest(2))
+		fb.register(PortEast, PortWest, 1, 0x2000, OneDest(2))
+		fb.scheduleClear(PortEast, PortWest, 1, 20)
+		if err := net.CheckConservation(0); err != nil {
+			t.Fatalf("%s: audit dirty before the corruption: %v", tc.name, err)
+		}
+		tc.corrupt(fb)
+		switch err := net.CheckConservation(0); {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: audit rejects legal state: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: audit says %v, want a %q violation", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -39,8 +39,8 @@ type filterBank struct {
 	// prove "no live entry at p" without scanning — lookups and
 	// invalidation-stall checks run every congested cycle, so the common
 	// empty case must be O(1).
-	activeCnt  [NumPorts]int
-	aliveUntil [NumPorts]sim.Cycle
+	activeCnt  [NumPorts]int       `snap:"-,derived: the valid entries of a port with no clear pending"`
+	aliveUntil [NumPorts]sim.Cycle `snap:"-,derived: an upper bound on the port's pending clears"`
 }
 
 func newFilterBank(dataVCs int) *filterBank {
@@ -83,6 +83,31 @@ func (fb *filterBank) scheduleClear(outPort, inPort, dataVC int, at sim.Cycle) {
 	e.clearAt = at
 	if at > fb.aliveUntil[outPort] {
 		fb.aliveUntil[outPort] = at
+	}
+}
+
+// derive restates the liveness accounting from the entries. aliveUntil only
+// bounds the pending clears from above (scheduleClear never lowers it), so a
+// restore stores the exact bound — dead answers the same either way — and an
+// audit lets slack pass.
+func (fb *filterBank) derive(b *rebuild) {
+	perPort := NumPorts * fb.dataVCs
+	var activeCnt [NumPorts]int
+	var aliveUntil [NumPorts]sim.Cycle
+	for i := range fb.entries {
+		switch e, p := &fb.entries[i], i/perPort; {
+		case !e.valid:
+		case !e.clearPending:
+			activeCnt[p]++
+		case e.clearAt > aliveUntil[p]:
+			aliveUntil[p] = e.clearAt
+		}
+	}
+	restate(b, &fb.activeCnt, activeCnt, "filter activeCnt")
+	for p, until := range aliveUntil {
+		if !b.audit || fb.aliveUntil[p] < until {
+			restate(b, &fb.aliveUntil[p], until, "filter aliveUntil")
+		}
 	}
 }
 

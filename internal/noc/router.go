@@ -118,8 +118,8 @@ type Router struct {
 	// downstream VC pool exhausted) in O(1), and invCand counts the
 	// invalidation candidates whose stalled-cycle accounting happens
 	// mid-scan and therefore forbids that shortcut.
-	candMask [NumPorts]uint64
-	invCand  [NumPorts]int16
+	candMask [NumPorts]uint64 `snap:"-,derived: the occ entries routed, not streaming, with the port pending"`
+	invCand  [NumPorts]int16  `snap:"-,derived: the invalidations among a port's candidates"`
 	// rr holds per-output-port round-robin arbitration state (an occ
 	// position).
 	rr [NumPorts]uint8
@@ -131,8 +131,8 @@ type Router struct {
 	// portOcc[p] marks the occ positions of the VCs of input port p. While a
 	// stream holds p, none of them can win an output, so allocation masks
 	// them out of its candidates without looking at them.
-	portOcc [NumPorts]uint64 `snap:"-,derived: the occ entries by input port"`
-	candV   [NumPorts][NumVNets]int16
+	portOcc [NumPorts]uint64          `snap:"-,derived: the occ entries by input port"`
+	candV   [NumPorts][NumVNets]int16 `snap:"-,derived: a port's candidates by vnet"`
 	// credits[o][v] counts downstream input VCs of vnet v this router may
 	// still claim through output port o. It mirrors the neighbour's per-
 	// (port, vnet) free-VC pool without reading neighbour state: allocation

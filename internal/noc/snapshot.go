@@ -84,11 +84,13 @@ func packetState(c *snapshot.Codec, pc PayloadCodec, p *Packet) {
 // State describes the whole mesh: every NI (queues, injection stream,
 // pending deliveries, transport recovery state) and every router (occupied
 // VCs in occupancy order, switch streams, link rings, filters, credits and
-// arbitration state). Decoding targets a freshly built network of the same
-// Config (the caller's fingerprint check guarantees it). Free-list pools are
-// not state: restored in-flight packets and payloads are re-drawn from fresh
-// pools, which is invisible to the simulation (no payload pointer is ever
-// compared, and pool residency only affects allocation counts).
+// arbitration state) — primary state only; once every router is decoded,
+// each rebuilds its derived fields (Router.derive). Decoding targets a
+// freshly built network of the same Config (the caller's fingerprint check
+// guarantees it). Free-list pools are not state: restored in-flight packets
+// and payloads are re-drawn from fresh pools, which is invisible to the
+// simulation (no payload pointer is ever compared, and pool residency only
+// affects allocation counts).
 func (n *Network) State(c *snapshot.Codec, pc PayloadCodec) {
 	c.Section("noc.network")
 	c.Mark(&n.nis)
@@ -98,6 +100,12 @@ func (n *Network) State(c *snapshot.Codec, pc PayloadCodec) {
 	}
 	for _, r := range n.routers {
 		r.state(c, pc)
+	}
+	if c.Decoding() && c.Err() == nil {
+		var b rebuild
+		for _, r := range n.routers {
+			r.derive(&b)
+		}
 	}
 }
 
@@ -186,83 +194,51 @@ func (rt *Router) vcAt(c *snapshot.Codec, port, idx *int) *inputVC {
 	return &rt.in[*port][*idx]
 }
 
-// derived codes a value that format v1 carries but this build derives from
-// other state: encoding writes what the build derives, and decoding requires
-// the snapshot to agree — the new representation could not hold a difference.
-func derived[T comparable](c *snapshot.Codec, code func(*T), have T, what string) {
-	got := have
-	if code(&got); c.Decoding() && got != have {
-		c.Corrupt("%s is %v but the restored state implies %v", what, got, have)
-	}
-}
-
+// state describes the router's primary state. Everything its datapath reads
+// off that state through a mask, a count or a back pointer is derive's to
+// rebuild; what is checked here is what derive and the first tick rely on.
 func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 	c.Section("noc.router")
 	pkt := func(pp **Packet) { rt.ni.Packet(c, pc, pp) }
 	// Occupied VCs, in occupancy order: the order is load-bearing (the
-	// unrouted and candidate masks index occ positions and round-robin
-	// arbitration walks them). Decoding rebuilds the position-keyed and
-	// free-VC masks as it goes.
+	// position-keyed masks index it and round-robin arbitration walks it).
+	var listed uint64 // the VCs decoded so far, by number
 	snapshot.Slice(c, &rt.occ, func(pvc **inputVC) {
 		var port, idx int
 		if *pvc != nil {
 			port, idx = int((*pvc).port), int((*pvc).idx)
 		}
 		vc := rt.vcAt(c, &port, &idx)
-		if c.Decoding() {
-			if vc.occPos >= 0 {
-				c.Corrupt("router %d lists VC (%s,%d) as occupied twice", rt.id, PortName(port), idx)
-				return
-			}
-			*pvc, vc.occPos = vc, int8(len(rt.occ)-1)
-			rt.portOcc[port] |= 1 << uint(vc.occPos)
-			rt.freeVCs[port] &^= 1 << uint(idx)
-		}
+		*pvc = vc
 		snapshot.AsU64(c, &vc.headAt)
 		c.Bool(&vc.routed)
 		c.Bool(&vc.reserved)
-		// The pending-port mask travels as format v1 held it: the port count,
-		// then every port's destination subset (empty when not pending).
-		c.Mark(&vc.pending)
-		var subsets [NumPorts]DestSet
-		for m := vc.pending; m != 0; m &= m - 1 {
-			o := bits.TrailingZeros8(m)
-			subsets[o] = rt.portDests(vc, o)
-		}
-		ports := bits.OnesCount8(vc.pending)
-		c.Int(&ports)
-		for o := range subsets {
-			c.U64s(subsets[o][:])
-		}
+		c.U8(&vc.pending)
 		if snapshot.Has(c, &vc.pkt) {
 			pkt(&vc.pkt)
 		}
 		if !c.Decoding() {
 			return
 		}
-		for o := range subsets {
-			if !subsets[o].Empty() {
-				vc.pending |= 1 << uint(o)
+		bit := uint64(1) << uint(port*len(rt.in[port])+idx)
+		switch {
+		case listed&bit != 0:
+			c.Corrupt("router %d lists VC (%s,%d) as occupied twice", rt.id, PortName(port), idx)
+		case vc.pkt == nil && !vc.reserved:
+			c.Corrupt("router %d lists VC (%s,%d) as occupied, but it is free", rt.id, PortName(port), idx)
+		}
+		listed |= bit
+		// Only a routed packet has pending ports, each still with
+		// destinations to serve.
+		for m := vc.pending; m != 0 && c.Err() == nil; m &= m - 1 {
+			if o := bits.TrailingZeros8(m); vc.pkt == nil || !vc.routed || o >= NumPorts || rt.portDests(vc, o).Empty() {
+				c.Corrupt("router %d VC (%s,%d): pending mask %#b names a port its packet does not route to", rt.id, PortName(port), idx, vc.pending)
 			}
-		}
-		if bits.OnesCount8(vc.pending) != ports || vc.pending != 0 && (vc.pkt == nil || !vc.routed) {
-			c.Corrupt("router %d VC (%s,%d): inconsistent pending ports", rt.id, PortName(port), idx)
-			vc.pending = 0
-			return
-		}
-		for m := vc.pending; m != 0; m &= m - 1 {
-			if o := bits.TrailingZeros8(m); subsets[o] != rt.portDests(vc, o) {
-				c.Corrupt("router %d VC (%s,%d): pending set at %s is not the packet's route", rt.id, PortName(port), idx, PortName(o))
-			}
-		}
-		if vc.pkt != nil && !vc.routed {
-			rt.unrouted |= 1 << uint(vc.occPos)
 		}
 	})
-	// Switch streams, keyed by output port. One stream slot is referenced
-	// from outStream[o], inLock[inPort], and vc.active; decoding wires it into
-	// all three (the nil-checks on each are semantic). What the stream reads
-	// off its VC's packet still travels, and must agree on decode.
+	// Switch streams, keyed by output port: outStream[o] is nil or &streams[o],
+	// and the VC a stream drains travels as its coordinates.
+	var heldIn uint8
 	for o := range rt.outStream {
 		if !snapshot.Has(c, &rt.outStream[o]) {
 			continue
@@ -273,41 +249,32 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 		} else {
 			vcIdx = int(s.vc.idx)
 		}
-		vc := rt.vcAt(c, &s.inPort, &vcIdx)
-		if vc.pkt == nil {
+		s.vc = rt.vcAt(c, &s.inPort, &vcIdx)
+		if s.vc.pkt == nil {
 			c.Corrupt("router %d stream at %s drains an empty VC", rt.id, PortName(o))
 			return
 		}
+		if heldIn&(1<<uint(s.inPort)) != 0 {
+			c.Corrupt("router %d has two streams holding input %s", rt.id, PortName(s.inPort))
+			return
+		}
+		heldIn |= 1 << uint(s.inPort)
 		c.Int(&s.sent)
 		c.Int(&s.size)
-		derived(c, func(v *int) { snapshot.AsU8(c, v) }, int(vc.vnet), "stream vnet")
 		snapshot.AsU8(c, &s.class)
 		snapshot.AsU8(c, &s.dstUnit)
-		derived(c, func(d *DestSet) { c.U64s(d[:]) }, rt.portDests(vc, o), "stream destination set")
-		derived(c, c.U64, vc.pkt.Addr, "stream address")
-		derived(c, c.U64, vc.pkt.ID, "stream packet id")
 		c.Bool(&s.isPush)
 		if snapshot.Has(c, &s.replica) {
 			pkt(&s.replica)
 		}
-		if c.Decoding() {
-			s.vc, rt.inLock[s.inPort], vc.active = vc, s, s
-			rt.heldOut |= 1 << uint(o)
-			rt.heldIn |= 1 << uint(s.inPort)
-		}
 	}
-	// Link rings, oldest entry first. A decoded non-empty ring marks itself
-	// queued at its consumer: this router for arrivals, the upstream
-	// neighbour for credit returns.
+	// Link rings, oldest entry first.
 	for p := range rt.arrivals {
 		r := &rt.arrivals[p]
 		ringState(c, &r.head, &r.tail, &r.buf, func(e *arrEntry) {
 			snapshot.AsU64(c, &e.at)
 			pkt(&e.pkt)
 		})
-		if c.Decoding() && r.len() != 0 {
-			rt.arrQueued |= 1 << uint(p)
-		}
 	}
 	for p := range rt.credRet {
 		r := &rt.credRet[p]
@@ -315,47 +282,26 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 			snapshot.AsU8(c, &e.vnet)
 			snapshot.AsU64(c, &e.at)
 		})
-		if c.Decoding() && r.len() != 0 {
-			if rt.nbr[p] == nil {
-				c.Corrupt("router %d returns credits through %s, which has no neighbour", rt.id, PortName(p))
-				return
-			}
-			rt.nbr[p].credQueued |= 1 << uint(opposite[p])
+		if r.len() != 0 && rt.nbr[p] == nil {
+			c.Corrupt("router %d returns credits through %s, which has no neighbour", rt.id, PortName(p))
+			return
 		}
 	}
-	// Arbitration and accounting state, verbatim; the unrouted count and the
-	// free-VC counts of format v1 are read off the masks.
-	i16s := func(a []int16) {
-		for i := range a {
-			c.I16(&a[i])
-		}
-	}
+	// Arbitration and accounting state. minHeadAt may sit below the earliest
+	// unrouted head (releases leave it stale low), so a rebuilt one would
+	// serialize differently from the one it replaced: it travels.
 	for o := range rt.rr {
 		snapshot.AsU64(c, &rt.rr[o])
 	}
-	derived(c, c.Int, bits.OnesCount64(rt.unrouted), "unrouted head count")
 	snapshot.AsU64(c, &rt.minHeadAt)
-	c.U64s(rt.candMask[:])
-	if c.Decoding() {
-		for o, m := range rt.candMask {
-			if m != 0 {
-				rt.wantOut |= 1 << uint(o)
-			}
-		}
-	}
-	for o := range rt.candV {
-		i16s(rt.candV[o][:])
-	}
-	i16s(rt.invCand[:])
-	for p := range rt.freeVCs {
-		for _, vm := range rt.vnetVCs {
-			derived(c, c.I16, int16(bits.OnesCount16(rt.freeVCs[p]&vm)), "free VC count")
-		}
-	}
 	for o := range rt.credits {
-		i16s(rt.credits[o][:])
+		for v := range rt.credits[o] {
+			c.I16(&rt.credits[o][v])
+		}
 	}
 	if fb := rt.filters; snapshot.Present(c, &rt.filters, "router filter bank") {
+		// Every entry travels, matured clears included: scheduleClear re-arms
+		// a valid entry whatever its clear time says.
 		c.Mark(&fb.entries)
 		c.Count(len(fb.entries), "filter slots")
 		for i := range fb.entries {
@@ -365,10 +311,6 @@ func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
 			c.U64s(e.dests[:])
 			c.Bool(&e.clearPending)
 			snapshot.AsU64(c, &e.clearAt)
-		}
-		for p := range fb.activeCnt {
-			c.Int(&fb.activeCnt[p])
-			snapshot.AsU64(c, &fb.aliveUntil[p])
 		}
 	}
 }

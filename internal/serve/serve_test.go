@@ -195,8 +195,9 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 	snap := donorSnapshot(t, 2000)
 	altered := bytes.Clone(snap)
 	altered[len(altered)/2] ^= 0x40
-	future := bytes.Clone(snap)
-	future[8] = 2 // low byte of the format version, right after the 8-byte magic
+	future, previous := bytes.Clone(snap), bytes.Clone(snap)
+	future[8]++ // low byte of the format version, right after the 8-byte magic
+	previous[8]--
 	const campaigns, snapshots = "/campaigns", "/snapshots"
 	type badCase struct {
 		name string
@@ -209,6 +210,7 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9]), "snapshot"},
 		{"snapshot-altered", snapshots, string(altered), "snapshot"},
 		{"snapshot-future-version", snapshots, string(future), "snapshot"},
+		{"snapshot-previous-version", snapshots, string(previous), "this build reads v2"},
 		{"invalid-json", campaigns, `{"schemes":`, "campaign spec"},
 		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`, `unknown field "scheems"`},
 		// The shard wire's singular keys are not campaign keys.

@@ -20,13 +20,6 @@ func (e *Engine) State(c *snapshot.Codec) {
 	snapshot.AsU64(c, &e.now)
 	c.U64(&e.ticks)
 	snapshot.AsU64(c, &e.lastProgress)
-	// Format v1 reserves eight words here (the deleted tick executor's
-	// counters): written as zero, read and discarded, so no later section
-	// moves. They go with the v2 bump the flat-state work plans.
-	for i := 0; i < 8; i++ {
-		var reserved uint64
-		c.U64(&reserved)
-	}
 	c.Mark(&e.handles)
 	c.Count(len(e.handles), "registered components")
 	if c.Decoding() {

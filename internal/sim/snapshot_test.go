@@ -85,6 +85,10 @@ func TestSnapshotRestoresEveryFiling(t *testing.T) {
 				i, bhs[i].asleep, bhs[i].wakeAt, ahs[i].asleep, ahs[i].wakeAt)
 		}
 	}
+	if a.asleepCount != b.asleepCount || a.nextWake() != b.nextWake() {
+		t.Fatalf("refiled engine counts %d asleep, next wake %d; the original %d and %d",
+			b.asleepCount, b.nextWake(), a.asleepCount, a.nextWake())
+	}
 	*alog = (*alog)[:0]
 	for _, eng := range []*Engine{a, b} {
 		if _, err := eng.Run(func() bool { return eng.Now() >= barrier+4*wheelSlots }); err != nil {

@@ -39,8 +39,10 @@ import (
 const Magic = "PMSNAP1\n"
 
 // Version is the current snapshot format version. Bump it on any change to
-// a section's encoding; restore refuses other versions loudly.
-const Version uint32 = 1
+// a section's encoding; restore refuses other versions loudly. Version 2
+// carries primary state only: what a component can rebuild from its other
+// fields is not in the bytes (DESIGN.md §4g lists what left with version 1).
+const Version uint32 = 2
 
 // sectionMark precedes every section name.
 const sectionMark uint32 = 0x5EC7_10A5
@@ -104,8 +106,8 @@ func NewEncoder(strictFP, forkFP string, cycle uint64) *Codec {
 	return c
 }
 
-// NewDecoder validates the magic, the format version (before the hash, so a
-// future format says "format v2", not "corrupt"), and the trailer hash,
+// NewDecoder validates the magic, the format version (before the hash, so
+// another format says which one it is, not "corrupt"), and the trailer hash,
 // decodes the header, and positions the codec at the first section. It is
 // the only header parser: whatever it accepts is structurally a snapshot of
 // this format version, and nothing it rejects reaches a component.

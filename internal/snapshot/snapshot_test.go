@@ -3,6 +3,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,6 +97,13 @@ func TestRefusals(t *testing.T) {
 			b[len(Magic)] = 99 // little-endian low byte of the version u32
 			return b
 		}), ErrMismatch, "format v99"},
+		// The format this one replaced has no reader: its stamp is refused
+		// like any other foreign version, before the hash is even looked at.
+		{"previous format version", mutate(func(b []byte) []byte {
+			b[len(Magic)] = byte(Version - 1)
+			b[len(b)-1] ^= 1
+			return b
+		}), ErrMismatch, fmt.Sprintf("snapshot format v%d, this build reads v%d", Version-1, Version)},
 		{"truncated", good[:len(good)-3], ErrCorrupt, "hash mismatch"},
 		{"bit flip in payload", mutate(func(b []byte) []byte {
 			b[len(b)-20] ^= 0x40

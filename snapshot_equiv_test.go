@@ -278,24 +278,25 @@ type goldenSnapshot struct {
 
 // goldenSnapshots between them exercise every section of the format: plain
 // and collective workloads, all three schemes, transport retransmit windows,
-// checker loss bookkeeping, and the trace ring. The pins were recorded at the
-// commit before the per-component codecs became single bidirectional
-// descriptions; they are what let snapshot.Version stay 1 across that rewrite.
-// They were re-recorded once since, 40 bytes smaller each, when Config lost
-// ParallelThreshold: the two fingerprint strings in the header are the
-// config's %+v text and each lost " ParallelThreshold:0" (20 bytes); every
-// byte after the header was compared equal to the previous build's.
-// A change to any of them is a format change and must bump the version.
+// checker loss bookkeeping, and the trace ring. The pins are format v2's,
+// recorded when the format stopped carrying derived state (v1 held the same
+// four machines in 1,568,135 / 1,518,921 / 1,561,113 / 1,668,080 bytes: every
+// free cache way in full, 160 bytes of port subsets a buffered packet, the
+// routers' candidate and free-VC words, eight reserved engine words). The
+// two fingerprint strings in the header are the config's %+v text, so
+// removing a Config field moves the pins without moving a byte after the
+// header. A change to any of them is a format change and must bump the
+// version.
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 1568135, 0x2d8d9eda7f87db03},
+	}, 10000, 505624, 0x53f48898e12d946a},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 1518921, 0x1e46fcf930daa002},
+	}, 2000, 181926, 0x672d5f781361f70c},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 1561113, 0xb898ddce050c5650},
+	}, 30000, 538629, 0x13d82a8b4b9cb1b8},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -303,7 +304,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 1668080, 0x495203901502ceb7},
+	}, 12000, 590816, 0x7848f99343fec9ef},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
@@ -344,6 +345,43 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 			if len(snap) != g.size || SnapshotHash(snap) != g.hash {
 				t.Fatalf("snapshot is %d bytes, hash %#x; pinned %d bytes, hash %#x — the wire format changed",
 					len(snap), SnapshotHash(snap), g.size, g.hash)
+			}
+		})
+	}
+}
+
+// TestRestoreAuditsClean restores every golden snapshot and audits the
+// machine before its first Step: format v2 carries no derived field, so every
+// mask, count, index and back pointer the datapath trusts is what the
+// components' rebuilds made of the primary state, and the checker — which
+// holds the live fields against those same rebuilds — must find nothing to
+// say. Re-serializing the restored machine gives back the snapshot's bytes:
+// nothing it carries was lost, and in particular every handle sleeps as it
+// did (internal/sim's snapshot test compares the refiled wakes themselves).
+func TestRestoreAuditsClean(t *testing.T) {
+	for i, g := range goldenSnapshots {
+		g, snap := g, goldenBytes(t)[i]
+		t.Run(g.name, func(t *testing.T) {
+			cfg, wl := g.build(t)
+			m, err := RestoreMachine(snap, cfg, wl, ScaleTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := m.sys
+			// Every router last ticked in the cycle before the barrier.
+			if err := s.Net.CheckConservation(s.Eng.Now() - 1); err != nil {
+				t.Errorf("restored network fails its audit: %v", err)
+			}
+			for tile := range s.L2s {
+				if err := s.L2s[tile].Audit(); err != nil {
+					t.Errorf("restored L2 %d fails its audit: %v", tile, err)
+				}
+				if err := s.LLCs[tile].Audit(); err != nil {
+					t.Errorf("restored LLC %d fails its audit: %v", tile, err)
+				}
+			}
+			if again, err := m.Snapshot(); err != nil || !bytes.Equal(again, snap) {
+				t.Errorf("restored machine re-serializes differently (%v)", err)
 			}
 		})
 	}

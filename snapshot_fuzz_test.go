@@ -71,7 +71,8 @@ var crafted = []struct {
 	name    string
 	section string
 	// idle picks the first marker followed by this many zero bytes (a router
-	// with no occupied VC and no switch stream); 0 picks the first marker.
+	// with no occupied VC and no switch stream); 0 picks the first marker, and
+	// -1 the first one followed by a non-zero byte (a router with occupied VCs).
 	idle  int
 	skip  int
 	value uint64
@@ -86,6 +87,15 @@ var crafted = []struct {
 	// Pushed a 17th entry into a 16-slot link ring: an idle router's first
 	// arrivals-ring count follows its occ count (8) and 5 stream flags.
 	{"link ring past capacity", "noc.router", 13, 13, 17},
+	// Primary router state no run could have written, which the rebuild of the
+	// derived fields would otherwise index or dereference: an occupied-list
+	// entry for a VC that holds nothing, a switch stream (its flag follows the
+	// occ count) draining one, and — on a busy router, 19 bytes of coordinates,
+	// arrival cycle and flags into the first entry — a pending mask naming all
+	// five ports over a buffered packet.
+	{"occupied VC that is free", "noc.router", 13, 0, 1},
+	{"stream over an empty VC", "noc.router", 13, 8, 1},
+	{"pending port off the packet's route", "noc.router", -1, 27, 0x011f},
 }
 
 const craftedFrom = 1 // bfs tiny/16 Baseline @ 2000
@@ -95,11 +105,11 @@ func craft(t testing.TB, snap []byte, i int) (off int, patch []byte) {
 	t.Helper()
 	k := crafted[i]
 	for _, at := range sections(t, snap, k.section) {
-		if bytes.Equal(snap[at:at+k.idle], make([]byte, k.idle)) {
+		if k.idle < 0 && snap[at] != 0 || k.idle >= 0 && bytes.Equal(snap[at:at+k.idle], make([]byte, k.idle)) {
 			return at + k.skip, binary.LittleEndian.AppendUint64(nil, k.value)
 		}
 	}
-	t.Fatalf("%s: no %q section starts with %d zero bytes", k.name, k.section, k.idle)
+	t.Fatalf("%s: no %q section starts with %d zero bytes (-1: a non-zero byte)", k.name, k.section, k.idle)
 	return 0, nil
 }
 
@@ -163,7 +173,7 @@ func TestSnapshotCrafted(t *testing.T) {
 func FuzzRestore(f *testing.F) {
 	for i, snap := range goldenBytes(f) {
 		f.Add(uint8(i), uint32(0), []byte{})
-		for _, section := range []string{"sim.engine", "noc.transport", "cache.l2", "cache.llc", "cpu.barrier", "memctrl.ctrl", "trace.tracer", "check.monitor"} {
+		for _, section := range []string{"sim.engine", "noc.router", "noc.transport", "cache.l2", "cache.llc", "cpu.barrier", "memctrl.ctrl", "trace.tracer", "check.monitor"} {
 			if at := bytes.Index(snap, []byte(section)); at >= 0 {
 				f.Add(uint8(i), uint32(at+len(section)), []byte{0xff, 0xff})
 			}
