@@ -18,7 +18,7 @@ func benchOpts(wls ...string) ExpOptions {
 
 // allocBudget is the recorded allocations of one cachebw/OrdPush/tiny run on
 // the 16-core machine under the wake-driven kernel, build included.
-const allocBudget = 2089
+const allocBudget = 1883
 
 // TestAllocBudget is the tripwire for allocations creeping back into the hot
 // path: the count is deterministic enough for a hard gate where wall-clock is

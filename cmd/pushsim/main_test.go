@@ -136,7 +136,7 @@ func flagsFor(s pushmulticast.RunSpec) (args []string, ok bool) {
 		add("retrytimeout", k.RetryTimeout)
 		add("maxretries", k.MaxRetries)
 		add("mshrtimeout", k.MSHRRetryTimeout)
-		ok = k.TPCThreshold == 0 && k.TimeWindow == 0 && k.CoalesceWindow == 0
+		ok = k.TPCThreshold == 0 && k.TimeWindow == 0
 		return args, ok && s.WarmStart == ""
 	}
 	return args, s.WarmStart == ""

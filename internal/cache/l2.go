@@ -188,9 +188,9 @@ func (c *L2) Tick(now sim.Cycle) {
 			break
 		}
 		c.eng.Progress()
-		c.handle(pkt.Payload.(*coherence.Msg), now)
+		c.handle(coherence.From(pkt), now)
 		// The L2 never retains delivered packets past handle (handlers work
-		// on the payload message), so replicas can rejoin the free list.
+		// on the message value), so replicas can rejoin the free list.
 		c.out.ni.Recycle(pkt)
 		handled = true
 	}
@@ -501,11 +501,10 @@ func (c *L2) allocMiss(lineAddr uint64, now sim.Cycle, loads, stores int, prefet
 // already sitting in the controller's input queue.
 func (c *L2) incomingDataPending(lineAddr uint64) bool {
 	for _, d := range c.inq.live() {
-		m, ok := d.pkt.Payload.(*coherence.Msg)
-		if !ok {
+		if d.pkt.Addr != lineAddr {
 			continue
 		}
-		if m.Addr == lineAddr && (m.Type == coherence.PushData || m.Type == coherence.DataS) {
+		if t := coherence.From(d.pkt).Type; t == coherence.PushData || t == coherence.DataS {
 			return true
 		}
 	}
@@ -526,7 +525,7 @@ func (c *L2) evict(l *Line, now sim.Cycle) {
 	c.st.Cache.L2Evictions++
 	if l.State == StateM {
 		c.wb[l.Tag] = &wbEntry{}
-		c.send(&coherence.Msg{Type: coherence.PutM, Addr: l.Tag, Requester: c.id, Version: l.Version},
+		c.send(coherence.Msg{Type: coherence.PutM, Addr: l.Tag, Requester: c.id, Version: l.Version},
 			noc.OneDest(c.home(l.Tag)), stats.UnitLLC)
 	}
 	c.arr.Invalidate(l)
@@ -552,14 +551,10 @@ func (c *L2) touchPushed(l *Line) {
 
 func (c *L2) home(lineAddr uint64) noc.NodeID { return c.cfg.HomeSlice(lineAddr) }
 
-// send wraps m into a pool-backed packet and queues it for injection. The
-// message value is copied into a pool-backed Msg, so callers can pass
-// stack-allocated literals without the per-message heap allocation.
-func (c *L2) send(m *coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
-	pm := newMsg(c.out.ni)
-	*pm = *m
+// send writes m into a pool-backed packet and queues it for injection.
+func (c *L2) send(m coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
 	p := c.out.ni.NewPacket()
-	pm.FillPacket(p, c.cfg.NoC, stats.UnitL2, dstUnit, dests)
+	m.FillPacket(p, c.cfg.NoC, stats.UnitL2, dstUnit, dests)
 	c.out.send(p)
 }
 
@@ -568,17 +563,17 @@ func (c *L2) sendGetS(lineAddr uint64, prefetch bool) {
 	if !needPush {
 		c.st.Cache.PausedPushRequests++
 	}
-	c.send(&coherence.Msg{Type: coherence.GetS, Addr: lineAddr, Requester: c.id,
+	c.send(coherence.Msg{Type: coherence.GetS, Addr: lineAddr, Requester: c.id,
 		NeedPush: needPush, Prefetch: prefetch}, noc.OneDest(c.home(lineAddr)), stats.UnitLLC)
 }
 
 func (c *L2) sendGetM(lineAddr uint64) {
-	c.send(&coherence.Msg{Type: coherence.GetM, Addr: lineAddr, Requester: c.id},
+	c.send(coherence.Msg{Type: coherence.GetM, Addr: lineAddr, Requester: c.id},
 		noc.OneDest(c.home(lineAddr)), stats.UnitLLC)
 }
 
 // handle dispatches one incoming protocol message.
-func (c *L2) handle(m *coherence.Msg, now sim.Cycle) {
+func (c *L2) handle(m coherence.Msg, now sim.Cycle) {
 	switch m.Type {
 	case coherence.DataS:
 		c.handleDataS(m, now)
@@ -617,7 +612,7 @@ func (c *L2) finishFill(line *Line, m *l2MSHR, now sim.Cycle) {
 	c.freeMSHR(m.addr)
 }
 
-func (c *L2) handleDataS(m *coherence.Msg, now sim.Cycle) {
+func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
 	if m.Reset {
 		c.knob.reset()
 	}
@@ -663,7 +658,7 @@ func (c *L2) handleDataS(m *coherence.Msg, now sim.Cycle) {
 	}
 }
 
-func (c *L2) handleDataM(m *coherence.Msg, now sim.Cycle) {
+func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
 	if m.Reset {
 		c.knob.reset()
 	}
@@ -697,7 +692,7 @@ func (c *L2) handleDataM(m *coherence.Msg, now sim.Cycle) {
 			c.l1.Invalidate(m.Addr)
 			v := line.Version
 			c.arr.Invalidate(line)
-			c.send(&coherence.Msg{Type: coherence.InvAckData, Addr: m.Addr, Requester: c.id,
+			c.send(coherence.Msg{Type: coherence.InvAckData, Addr: m.Addr, Requester: c.id,
 				Version: v, Epoch: ms.recallEpoch}, noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
 		}
 		c.freeMSHR(m.Addr)
@@ -711,7 +706,7 @@ func (c *L2) handleDataM(m *coherence.Msg, now sim.Cycle) {
 
 // deferRecall records a recall invalidation that arrived before the DataM
 // the MSHR is waiting for.
-func (c *L2) deferRecall(m *coherence.Msg) {
+func (c *L2) deferRecall(m coherence.Msg) {
 	ms := c.mshr[m.Addr]
 	if ms == nil {
 		panic(fmt.Sprintf("L2 %d: recall deferral for %#x without MSHR", c.id, m.Addr))
@@ -720,9 +715,9 @@ func (c *L2) deferRecall(m *coherence.Msg) {
 	ms.recallEpoch = m.Epoch
 }
 
-func (c *L2) handleInv(m *coherence.Msg, now sim.Cycle) {
+func (c *L2) handleInv(m coherence.Msg, now sim.Cycle) {
 	ack := func(t coherence.MsgType, version uint64) {
-		c.send(&coherence.Msg{Type: t, Addr: m.Addr, Requester: c.id,
+		c.send(coherence.Msg{Type: t, Addr: m.Addr, Requester: c.id,
 			Version: version, Epoch: m.Epoch}, noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
 	}
 	line := c.arr.Lookup(m.Addr)
@@ -774,9 +769,9 @@ func (c *L2) handleInv(m *coherence.Msg, now sim.Cycle) {
 	}
 }
 
-func (c *L2) handlePush(m *coherence.Msg, now sim.Cycle) {
+func (c *L2) handlePush(m coherence.Msg, now sim.Cycle) {
 	if c.cfg.Scheme.Protocol == config.ProtoPushAck {
-		c.send(&coherence.Msg{Type: coherence.PushAck, Addr: m.Addr, Requester: c.id},
+		c.send(coherence.Msg{Type: coherence.PushAck, Addr: m.Addr, Requester: c.id},
 			noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
 	}
 	demand := m.Requester == c.id
@@ -801,7 +796,7 @@ func (c *L2) handlePush(m *coherence.Msg, now sim.Cycle) {
 // outcome category when it is already known (drops and Early-Resp);
 // resolved=false means the line was installed speculatively and will be
 // classified on first access or eviction.
-func (c *L2) acceptPush(m *coherence.Msg, now sim.Cycle, speculative bool) (stats.PushOutcome, bool) {
+func (c *L2) acceptPush(m coherence.Msg, now sim.Cycle, speculative bool) (stats.PushOutcome, bool) {
 	if _, busy := c.wb[m.Addr]; busy {
 		return stats.PushCoherenceDrop, true
 	}

@@ -151,10 +151,10 @@ func (s *LLC) ID() noc.NodeID { return s.id }
 // point where a request and the push embedding its response can meet.
 func (s *LLC) Receive(pkt *noc.Packet, now sim.Cycle) {
 	if pkt.Filterable && s.cfg.Scheme.Filter {
-		if m := pkt.Payload.(*coherence.Msg); s.pushCovering(m.Addr, m.Requester) {
+		if s.pushCovering(pkt.Addr, pkt.Requester) {
 			s.st.Net.FilteredRequests++
 			s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterHome, Node: int32(s.id),
-				Addr: m.Addr, ID: pkt.ID, A: int32(m.Requester)})
+				Addr: pkt.Addr, ID: pkt.ID, A: int32(pkt.Requester)})
 			s.out.ni.Recycle(pkt)
 			return
 		}
@@ -176,9 +176,9 @@ func (s *LLC) Tick(now sim.Cycle) {
 			s.eng.Progress()
 			s.parked = false
 			s.handle(pkt, now)
-			// A handler either consumes the packet (only the payload message
-			// survives it) or parks it via stall/retry; consumed delivery
-			// copies rejoin the network free list.
+			// A handler either consumes the packet or parks it via
+			// stall/retry; consumed delivery copies rejoin the network free
+			// list.
 			if !s.parked {
 				s.out.ni.Recycle(pkt)
 			}
@@ -204,13 +204,10 @@ func (s *LLC) reschedule() {
 	s.h.Sleep()
 }
 
-// send wraps m into a pool-backed packet and queues it for injection; the
-// message value is copied into a pool-backed Msg (see L2.send).
-func (s *LLC) send(m *coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
-	pm := newMsg(s.out.ni)
-	*pm = *m
+// send writes m into a pool-backed packet and queues it for injection.
+func (s *LLC) send(m coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
 	p := s.out.ni.NewPacket()
-	pm.FillPacket(p, s.cfg.NoC, stats.UnitLLC, dstUnit, dests)
+	m.FillPacket(p, s.cfg.NoC, stats.UnitLLC, dstUnit, dests)
 	s.out.send(p)
 }
 
@@ -254,7 +251,7 @@ func (s *LLC) retry(pkt *noc.Packet, now sim.Cycle) {
 }
 
 func (s *LLC) handle(pkt *noc.Packet, now sim.Cycle) {
-	m := pkt.Payload.(*coherence.Msg)
+	m := coherence.From(pkt)
 	switch m.Type {
 	case coherence.GetS:
 		s.handleGetS(pkt, m, now)
@@ -277,7 +274,7 @@ func (s *LLC) handle(pkt *noc.Packet, now sim.Cycle) {
 
 // --- read path ---
 
-func (s *LLC) handleGetS(pkt *noc.Packet, m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	s.st.Cache.LLCAccesses++
 	s.knob.onRequest(m.Requester, m.NeedPush)
 	// Home-side extension of the coherent filter: a request whose response
@@ -335,7 +332,7 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m *coherence.Msg, now sim.Cycle) {
 // unicastDataS sends a shared data response, embedding the resume knob's
 // counter-reset flag when applicable.
 func (s *LLC) unicastDataS(line *Line, req noc.NodeID, now sim.Cycle) {
-	s.send(&coherence.Msg{
+	s.send(coherence.Msg{
 		Type: coherence.DataS, Addr: line.Tag, Requester: req,
 		Version: line.Version, Reset: s.knob.resetFlagFor(req),
 		Private: line.Sharers.Remove(req).Empty(),
@@ -362,7 +359,7 @@ func (s *LLC) triggerPush(line *Line, req noc.NodeID, now sim.Cycle) {
 		Addr: line.Tag, Aux: trace.Aux(dests), A: int32(req)})
 	s.recordRecentPush(line.Tag, dests, now)
 	if s.cfg.Scheme.Multicast {
-		s.send(&coherence.Msg{
+		s.send(coherence.Msg{
 			Type: coherence.PushData, Addr: line.Tag, Requester: req, Version: line.Version,
 		}, dests, stats.UnitL2)
 	} else {
@@ -372,7 +369,7 @@ func (s *LLC) triggerPush(line *Line, req noc.NodeID, now sim.Cycle) {
 		dests.Remove(req).ForEach(func(d noc.NodeID) {
 			// Requester -1: each unicast copy is speculative for its
 			// destination (the demand requester got the DataS above).
-			s.send(&coherence.Msg{
+			s.send(coherence.Msg{
 				Type: coherence.PushData, Addr: line.Tag, Requester: -1, Version: line.Version,
 			}, noc.OneDest(d), stats.UnitL2)
 		})
@@ -420,19 +417,18 @@ func (s *LLC) recentlyPushedTo(addr uint64, req noc.NodeID, now sim.Cycle) bool 
 // coalescedReply implements the Coalesce baseline [38]: concurrent same-line
 // read requests within the LLC lookup window are merged and answered with a
 // single multicast.
-func (s *LLC) coalescedReply(line *Line, m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) coalescedReply(line *Line, m coherence.Msg, now sim.Cycle) {
 	dests := noc.OneDest(m.Requester)
 	absorbed := s.inq.removeIf(func(p *noc.Packet) bool {
-		pm, ok := p.Payload.(*coherence.Msg)
-		return ok && pm.Type == coherence.GetS && pm.Addr == m.Addr
+		return p.Filterable && p.Addr == m.Addr // Filterable marks exactly the GetS packets
 	})
 	for _, p := range absorbed {
-		pm := p.Payload.(*coherence.Msg)
-		dests = dests.Add(pm.Requester)
+		dests = dests.Add(p.Requester)
 		s.st.Cache.CoalescedRequests++
+		s.out.ni.Recycle(p)
 	}
 	line.Sharers = line.Sharers.Union(dests)
-	s.send(&coherence.Msg{
+	s.send(coherence.Msg{
 		Type: coherence.DataS, Addr: line.Tag, Requester: m.Requester, Version: line.Version,
 	}, dests, stats.UnitL2)
 }
@@ -457,7 +453,7 @@ func (s *LLC) traceSharerGap(line *Line, req noc.NodeID, now sim.Cycle) {
 
 // --- write path ---
 
-func (s *LLC) handleGetM(pkt *noc.Packet, m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	s.st.Cache.LLCAccesses++
 	line := s.arr.Lookup(m.Addr)
 	if line == nil {
@@ -483,13 +479,13 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m *coherence.Msg, now sim.Cycle) {
 		line.State = StateLSInv
 		s.ep[m.Addr] = &episode{kind: epWrite, epoch: line.Epoch, pendingAcks: others, writer: m.Requester}
 		others.ForEach(func(d noc.NodeID) {
-			s.send(&coherence.Msg{Type: coherence.Inv, Addr: m.Addr, Requester: m.Requester,
+			s.send(coherence.Msg{Type: coherence.Inv, Addr: m.Addr, Requester: m.Requester,
 				Epoch: line.Epoch}, noc.OneDest(d), stats.UnitL2)
 		})
 	case StateLM:
 		if line.Owner == m.Requester {
 			// Defensive: an owner never re-requests ownership.
-			s.send(&coherence.Msg{Type: coherence.DataM, Addr: m.Addr, Requester: m.Requester,
+			s.send(coherence.Msg{Type: coherence.DataM, Addr: m.Addr, Requester: m.Requester,
 				Version: line.Version}, noc.OneDest(m.Requester), stats.UnitL2)
 			return
 		}
@@ -504,7 +500,7 @@ func (s *LLC) grantM(line *Line, writer noc.NodeID) {
 	line.State = StateLM
 	line.Owner = writer
 	line.Sharers = noc.DestSet{}
-	s.send(&coherence.Msg{Type: coherence.DataM, Addr: line.Tag, Requester: writer,
+	s.send(coherence.Msg{Type: coherence.DataM, Addr: line.Tag, Requester: writer,
 		Version: line.Version}, noc.OneDest(writer), stats.UnitL2)
 }
 
@@ -514,11 +510,11 @@ func (s *LLC) startRecall(line *Line, evict bool) {
 	line.Epoch++
 	line.State = StateLMInv
 	s.ep[line.Tag] = &episode{kind: epRecall, epoch: line.Epoch, evictAfter: evict}
-	s.send(&coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: line.Owner,
+	s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: line.Owner,
 		Epoch: line.Epoch, Recall: true}, noc.OneDest(line.Owner), stats.UnitL2)
 }
 
-func (s *LLC) handlePutM(m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
 	line := s.arr.Lookup(m.Addr)
 	if line == nil {
 		panic(fmt.Sprintf("LLC %d: PutM for absent line %#x", s.id, m.Addr))
@@ -533,7 +529,7 @@ func (s *LLC) handlePutM(m *coherence.Msg, now sim.Cycle) {
 		line.Owner = 0
 		line.Sharers = noc.DestSet{}
 		line.State = StateLV
-		s.send(&coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
+		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
 			noc.OneDest(m.Requester), stats.UnitL2)
 		s.wake(m.Addr, now)
 	case StateLMInv:
@@ -541,7 +537,7 @@ func (s *LLC) handlePutM(m *coherence.Msg, now sim.Cycle) {
 		// episode was waiting for.
 		line.Version = m.Version
 		line.Dirty = true
-		s.send(&coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
+		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
 			noc.OneDest(m.Requester), stats.UnitL2)
 		s.completeRecall(line, now)
 	default:
@@ -549,7 +545,7 @@ func (s *LLC) handlePutM(m *coherence.Msg, now sim.Cycle) {
 	}
 }
 
-func (s *LLC) handleInvAck(m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handleInvAck(m coherence.Msg, now sim.Cycle) {
 	ep := s.ep[m.Addr]
 	if ep == nil || ep.epoch != m.Epoch {
 		return // stale acknowledgment from a closed episode
@@ -577,7 +573,7 @@ func (s *LLC) handleInvAck(m *coherence.Msg, now sim.Cycle) {
 	}
 }
 
-func (s *LLC) handleInvAckData(m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
 	ep := s.ep[m.Addr]
 	if ep == nil || ep.epoch != m.Epoch || ep.kind != epRecall {
 		return
@@ -601,7 +597,7 @@ func (s *LLC) completeRecall(line *Line, now sim.Cycle) {
 	s.wake(line.Tag, now)
 }
 
-func (s *LLC) handlePushAck(m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handlePushAck(m coherence.Msg, now sim.Cycle) {
 	ep := s.ep[m.Addr]
 	if ep == nil || ep.kind != epPush || !ep.pendingAcks.Has(m.Requester) {
 		return
@@ -633,7 +629,7 @@ func (s *LLC) newFetch() *fetch {
 // startFetch allocates a way (running an eviction episode first if needed)
 // and issues the memory read. When isRead, the requester is recorded for the
 // fill response; writers are stalled by the caller instead.
-func (s *LLC) startFetch(pkt *noc.Packet, m *coherence.Msg, now sim.Cycle, isRead bool) {
+func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead bool) {
 	victim := s.chooseVictim(m.Addr)
 	if victim == nil {
 		s.retry(pkt, now)
@@ -659,7 +655,7 @@ func (s *LLC) startFetch(pkt *noc.Packet, m *coherence.Msg, now sim.Cycle, isRea
 		f.requesters = append(f.requesters, fetchReq{m.Requester, m.Prefetch})
 	}
 	s.fetches[m.Addr] = f
-	s.send(&coherence.Msg{Type: coherence.MemRead, Addr: m.Addr, Requester: s.id},
+	s.send(coherence.Msg{Type: coherence.MemRead, Addr: m.Addr, Requester: s.id},
 		noc.OneDest(s.memNode), stats.UnitMem)
 }
 
@@ -685,7 +681,7 @@ func (s *LLC) startEvictShared(line *Line) {
 	line.State = StateLSInv
 	s.ep[line.Tag] = &episode{kind: epEvictShared, epoch: line.Epoch, pendingAcks: line.Sharers}
 	line.Sharers.ForEach(func(d noc.NodeID) {
-		s.send(&coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: d,
+		s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: d,
 			Epoch: line.Epoch}, noc.OneDest(d), stats.UnitL2)
 	})
 	line.Sharers = noc.DestSet{}
@@ -699,7 +695,7 @@ func (s *LLC) freeLine(line *Line) {
 		s.pred.remember(line.Tag, line.Sharers)
 	}
 	if line.Dirty {
-		s.send(&coherence.Msg{Type: coherence.MemWrite, Addr: line.Tag, Requester: s.id,
+		s.send(coherence.Msg{Type: coherence.MemWrite, Addr: line.Tag, Requester: s.id,
 			Version: line.Version}, noc.OneDest(s.memNode), stats.UnitMem)
 	}
 	s.st.Cache.LLCEvictions++
@@ -709,7 +705,7 @@ func (s *LLC) freeLine(line *Line) {
 	s.arr.Invalidate(line)
 }
 
-func (s *LLC) handleMemData(m *coherence.Msg, now sim.Cycle) {
+func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	line := s.arr.Lookup(m.Addr)
 	f := s.fetches[m.Addr]
 	if line == nil || line.State != StateLFetch || f == nil {
@@ -730,7 +726,7 @@ func (s *LLC) handleMemData(m *coherence.Msg, now sim.Cycle) {
 				}
 			}
 			line.Sharers = line.Sharers.Union(dests)
-			s.send(&coherence.Msg{Type: coherence.DataS, Addr: m.Addr,
+			s.send(coherence.Msg{Type: coherence.DataS, Addr: m.Addr,
 				Requester: f.requesters[0].req, Version: line.Version}, dests, stats.UnitL2)
 		} else {
 			for _, r := range f.requesters {
@@ -758,7 +754,7 @@ func (s *LLC) handleMemData(m *coherence.Msg, now sim.Cycle) {
 				s.recordRecentPush(line.Tag, dests, now)
 				// Requester -1: every copy is speculative; no destination
 				// treats this push as its demand response.
-				s.send(&coherence.Msg{
+				s.send(coherence.Msg{
 					Type: coherence.PushData, Addr: line.Tag, Version: line.Version,
 					Requester: -1,
 				}, dests, stats.UnitL2)

@@ -68,11 +68,11 @@ func (f *llcFixture) step(n int) {
 }
 
 // drainSent waits for in-flight ejections and returns messages of a type.
-func (f *llcFixture) drainSent(typ coherence.MsgType) []*coherence.Msg {
+func (f *llcFixture) drainSent(typ coherence.MsgType) []coherence.Msg {
 	f.step(120)
-	var out []*coherence.Msg
+	var out []coherence.Msg
 	for _, p := range f.sent {
-		if m, ok := p.Payload.(*coherence.Msg); ok && m.Type == typ {
+		if m := coherence.From(p); m.Type == typ {
 			out = append(out, m)
 		}
 	}
@@ -256,5 +256,38 @@ func TestLLCKnobExcludesDisabledSharers(t *testing.T) {
 	if len(pushes) != 0 {
 		// With 5 excluded, dests collapse to {2}: the degenerate unicast.
 		t.Fatalf("push sent despite PDR exclusion: %d", len(pushes))
+	}
+}
+
+// TestCoalescedRequestsRejoinFreeList: a coalesced reply is done with the
+// packets of the k queued reads it absorbed, so the tile's free list grows by
+// k, not by the one packet that reached a handler. The list is a stack: once
+// the reply has taken its own packet, the next k draws must all be packets
+// this test delivered.
+func TestCoalescedRequestsRejoinFreeList(t *testing.T) {
+	f := newLLCFixture(t, config.Coalesce())
+	f.fill(2)
+	f.step(200)
+	ni := f.llc.out.ni
+	const k = 3
+	delivered := map[*noc.Packet]bool{}
+	for r := noc.NodeID(3); r < 3+k+1; r++ {
+		p := ni.NewPacket()
+		coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: r}.FillPacket(
+			p, f.cfg.NoC, stats.UnitL2, stats.UnitLLC, noc.OneDest(0))
+		p.Src = r
+		delivered[p] = true
+		f.llc.Receive(p, f.eng.Now())
+	}
+	for i := 0; f.st.Cache.CoalescedRequests < k; i++ {
+		if i > f.cfg.LLCLatency+4 {
+			t.Fatalf("the head read absorbed %d queued requests, want %d", f.st.Cache.CoalescedRequests, k)
+		}
+		f.eng.Step()
+	}
+	for i := 0; i < k; i++ {
+		if p := ni.NewPacket(); !delivered[p] {
+			t.Fatalf("draw %d of %d from the free list is not a request packet the slice consumed: %d leaked", i+1, k, k-i)
+		}
 	}
 }

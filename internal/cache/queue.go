@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
@@ -133,26 +132,6 @@ func (o *outbox) send(pkt *noc.Packet) {
 	if o.h != nil {
 		o.h.Wake()
 	}
-}
-
-// msgSlab is the block size of a payload-pool refill; see noc pktSlab for
-// the sizing rationale.
-const msgSlab = 64
-
-// newMsg returns a protocol message drawn from the network's payload free
-// list. A miss allocates a whole slab of messages in one allocation and
-// pre-warms the tile's pool with the rest: newMsg was the largest single
-// allocation site in the checker-off profile (~47% of allocs/op), and the
-// pool only grows to the steady-state in-flight message population anyway.
-func newMsg(ni *noc.NI) *coherence.Msg {
-	if rp := ni.NewPayload(); rp != nil {
-		return rp.(*coherence.Msg)
-	}
-	blk := make([]coherence.Msg, msgSlab)
-	for i := range blk[1:] {
-		ni.PutPayload(&blk[1+i])
-	}
-	return &blk[0]
 }
 
 // heldPush reports whether a same-line push is among the packets already held

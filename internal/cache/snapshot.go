@@ -1,13 +1,9 @@
 package cache
 
 import (
-	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/snapshot"
 )
-
-// codec describes packet payloads drawn through the cache controllers' queues.
-var codec coherence.Codec
 
 // state describes the array's lines, set by set, way by way. A free way is
 // its state byte alone: its stale metadata is never read, so it is not state,
@@ -58,7 +54,7 @@ func (q *delayQueue) state(c *snapshot.Codec, pkt func(**noc.Packet)) {
 // retry-dedup state. Decoding targets a freshly built L2.
 func (l2 *L2) State(c *snapshot.Codec) {
 	c.Section("cache.l2")
-	pkt := func(pp **noc.Packet) { l2.out.ni.Packet(c, codec, pp) }
+	pkt := func(pp **noc.Packet) { l2.out.ni.Packet(c, pp) }
 	c.Mark(&l2.arr)
 	l2.arr.state(c)
 	c.Mark(&l2.l1)
@@ -109,7 +105,7 @@ func (l2 *L2) State(c *snapshot.Codec) {
 // built LLC.
 func (s *LLC) State(c *snapshot.Codec) {
 	c.Section("cache.llc")
-	pkt := func(pp **noc.Packet) { s.out.ni.Packet(c, codec, pp) }
+	pkt := func(pp **noc.Packet) { s.out.ni.Packet(c, pp) }
 	c.Mark(&s.arr)
 	s.arr.state(c)
 	snapshot.Map(c, &s.ep, func(a *uint64, pe **episode) {

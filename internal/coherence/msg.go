@@ -72,7 +72,9 @@ func (t MsgType) String() string {
 	return "Unknown"
 }
 
-// Msg is one protocol message. It travels as the payload of a noc.Packet.
+// Msg is one protocol message, a plain value. It travels inline in a
+// noc.Packet: FillPacket writes it into the packet's header and message
+// words, From reads it back.
 type Msg struct {
 	Type MsgType
 	// Addr is the line address (64-byte aligned).
@@ -106,25 +108,10 @@ type Msg struct {
 	// data, so traffic accounting classifies these as exclusive rather
 	// than read-shared.
 	Private bool
-
-	// refs counts packets currently carrying this message (the original
-	// plus router replicas); the network pools the message again when the
-	// last carrier dies. See noc.RefPayload. No other Msg field is written
-	// after the message is handed to the network.
-	refs int32 `snap:"-,derived: a decoded message holds one reference"`
-}
-
-// AddRef implements noc.RefPayload.
-func (m *Msg) AddRef() { m.refs++ }
-
-// Release implements noc.RefPayload.
-func (m *Msg) Release() bool {
-	m.refs--
-	return m.refs == 0
 }
 
 // String implements fmt.Stringer.
-func (m *Msg) String() string {
+func (m Msg) String() string {
 	return fmt.Sprintf("%v{addr=%#x req=%d ver=%d ep=%d}", m.Type, m.Addr, m.Requester, m.Version, m.Epoch)
 }
 
@@ -165,16 +152,16 @@ func route(t MsgType) (vnet int, class stats.Class, data bool) {
 // Packet wraps the message in a NoC packet addressed to dests. The NoC
 // config determines data packet sizing; srcUnit/dstUnit select endpoint
 // kinds at the source and destination tiles.
-func (m *Msg) Packet(cfg noc.Config, srcUnit, dstUnit stats.Unit, dests noc.DestSet) *noc.Packet {
+func (m Msg) Packet(cfg noc.Config, srcUnit, dstUnit stats.Unit, dests noc.DestSet) *noc.Packet {
 	p := &noc.Packet{}
 	m.FillPacket(p, cfg, srcUnit, dstUnit, dests)
 	return p
 }
 
-// FillPacket wraps the message into an existing (zeroed) packet, typically
+// FillPacket writes the message into an existing (zeroed) packet, typically
 // one drawn from the network's free list via NI.NewPacket. Fields are set
 // individually so the packet's pool bookkeeping is left untouched.
-func (m *Msg) FillPacket(p *noc.Packet, cfg noc.Config, srcUnit, dstUnit stats.Unit, dests noc.DestSet) {
+func (m Msg) FillPacket(p *noc.Packet, cfg noc.Config, srcUnit, dstUnit stats.Unit, dests noc.DestSet) {
 	vnet, class, data := route(m.Type)
 	if m.Type == DataS && m.Private {
 		class = stats.ClassExclusiveData
@@ -190,11 +177,40 @@ func (m *Msg) FillPacket(p *noc.Packet, cfg noc.Config, srcUnit, dstUnit stats.U
 	p.Dests = dests
 	p.Addr = m.Addr
 	p.Size = size
-	p.Payload = m
 	p.IsPush = m.Type == PushData
 	p.Filterable = m.Type == GetS
 	p.IsInv = m.Type == Inv
 	p.Requester = m.Requester
-	// Attaching to a packet is the message's first carrier reference.
-	m.refs++
+	p.Version = m.Version
+	p.Epoch = m.Epoch
+	p.MsgType = uint8(m.Type)
+	p.MsgFlags = noc.MsgPresent | flag(m.NeedPush, noc.MsgNeedPush) | flag(m.Reset, noc.MsgReset) |
+		flag(m.Prefetch, noc.MsgPrefetch) | flag(m.Recall, noc.MsgRecall) | flag(m.Private, noc.MsgPrivate)
+}
+
+func flag(set bool, bit uint8) uint8 {
+	if set {
+		return bit
+	}
+	return 0
+}
+
+// From returns the message a delivered packet carries. A packet without one
+// (a transport ack) never reaches an endpoint, so finding one is a bug.
+func From(p *noc.Packet) Msg {
+	if p.MsgFlags&noc.MsgPresent == 0 {
+		panic(fmt.Sprintf("coherence: %v carries no protocol message", p))
+	}
+	return Msg{
+		Type:      MsgType(p.MsgType),
+		Addr:      p.Addr,
+		Requester: p.Requester,
+		Version:   p.Version,
+		Epoch:     p.Epoch,
+		NeedPush:  p.MsgFlags&noc.MsgNeedPush != 0,
+		Reset:     p.MsgFlags&noc.MsgReset != 0,
+		Prefetch:  p.MsgFlags&noc.MsgPrefetch != 0,
+		Recall:    p.MsgFlags&noc.MsgRecall != 0,
+		Private:   p.MsgFlags&noc.MsgPrivate != 0,
+	}
 }

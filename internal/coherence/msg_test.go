@@ -92,3 +92,40 @@ func TestMsgStrings(t *testing.T) {
 		t.Error("empty Msg string")
 	}
 }
+
+// TestMsgRoundTripsThroughPacket: every message type and every flag, alone
+// and together, survives FillPacket and From, and a flag never bleeds into
+// another.
+func TestMsgRoundTripsThroughPacket(t *testing.T) {
+	cfg := noc.DefaultConfig(4, 4)
+	flags := []func(*Msg){
+		func(m *Msg) { m.NeedPush = true }, func(m *Msg) { m.Reset = true },
+		func(m *Msg) { m.Prefetch = true }, func(m *Msg) { m.Recall = true },
+		func(m *Msg) { m.Private = true },
+	}
+	for typ := MsgType(0); typ < NumMsgTypes; typ++ {
+		for set := 0; set < 1<<len(flags); set++ {
+			m := Msg{Type: typ, Addr: 0x7fc0, Requester: 11, Version: 1<<40 | 9, Epoch: 1<<31 | 5}
+			for i, f := range flags {
+				if set&(1<<i) != 0 {
+					f(&m)
+				}
+			}
+			p := m.Packet(cfg, stats.UnitLLC, stats.UnitL2, noc.OneDest(1))
+			if got := From(p); got != m {
+				t.Fatalf("sent %+v, packet reads back %+v", m, got)
+			}
+		}
+	}
+}
+
+// TestFromRejectsBarePacket: a packet nobody filled carries no message, and
+// reading one must not come back as a zero-valued GetS.
+func TestFromRejectsBarePacket(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("From accepted a packet without a message")
+		}
+	}()
+	From(&noc.Packet{Addr: 0x40})
+}

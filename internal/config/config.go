@@ -188,10 +188,6 @@ type System struct {
 	// (shift 1 = 50%, the paper's setting).
 	KnobRatioShift uint
 
-	// CoalesceWindow is the LLC lookup window (cycles) within which the
-	// Coalesce baseline merges same-line requests.
-	CoalesceWindow int
-
 	// NoC parameters.
 	NoC noc.Config
 
@@ -356,7 +352,6 @@ func defaultSystem(w, h int) System {
 		MemLatency: 120, MemCyclesPerLine: 40,
 		CoreWidth: 8, CoreWindow: 16, StoreBuffer: 16,
 		KnobRatioShift:   1,
-		CoalesceWindow:   10,
 		NoC:              noc.DefaultConfig(w, h),
 		BingoRegionBytes: 2 << 10, BingoPHTEntries: 256,
 		StrideStreams: 16, StrideDegree: 4,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
@@ -20,8 +19,8 @@ import (
 // explicit flags in the snapshot body.
 //
 // The fork fingerprint additionally wipes the tuning knobs a warm-start
-// sweep varies (pause/resume thresholds and window, coalescing window, MSHR
-// and transport retry timers): configurations that differ only in those
+// sweep varies (pause/resume thresholds and window, MSHR and transport
+// retry timers): configurations that differ only in those
 // knobs share a fork fingerprint, so one warmed snapshot can seed the whole
 // sweep. A fork-restore still transfers state exactly — the approximation is
 // that the warm-up phase executed under the donor's knob values, which the
@@ -45,7 +44,6 @@ func Fingerprint(cfg config.System, wlName string, sc workload.Scale) (strict, f
 	f.TPCThreshold = 0
 	f.TimeWindow = 0
 	f.KnobRatioShift = 0
-	f.CoalesceWindow = 0
 	f.MSHRRetryTimeout = 0
 	f.NoC.RetryWindow = 0
 	f.NoC.RetryTimeout = 0
@@ -110,7 +108,7 @@ func Restore(data []byte, cfg config.System, wl workload.Workload, sc workload.S
 func (s *System) state(c *snapshot.Codec) {
 	s.Eng.State(c)
 	s.St.State(c)
-	s.Net.State(c, coherence.Codec{})
+	s.Net.State(c)
 	for i := range s.L2s {
 		s.L2s[i].State(c)
 		if len(s.Cores) > 0 {

@@ -20,7 +20,7 @@ import (
 // pendingResp is a read response waiting out the access latency.
 type pendingResp struct {
 	at  sim.Cycle
-	msg *coherence.Msg
+	msg coherence.Msg
 	to  noc.NodeID
 }
 
@@ -90,19 +90,17 @@ func (c *Ctrl) Tick(now sim.Cycle) {
 		c.inq = c.inq[:len(c.inq)-1]
 		c.eng.Progress()
 		c.busyUntil = now + sim.Cycle(c.cfg.MemCyclesPerLine)
-		m := pkt.Payload.(*coherence.Msg)
+		m := coherence.From(pkt)
 		switch m.Type {
 		case coherence.MemRead:
 			c.st.Cache.MemReads++
 			c.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KMemRead, Node: int32(c.node),
 				Addr: m.Addr, ID: pkt.ID, A: int32(m.Requester)})
-			rm := c.newMsg()
-			*rm = coherence.Msg{Type: coherence.MemData, Addr: m.Addr,
-				Requester: m.Requester, Version: c.versions[m.Addr]}
 			c.resps = append(c.resps, pendingResp{
-				at:  now + sim.Cycle(c.cfg.MemLatency),
-				msg: rm,
-				to:  pkt.Src,
+				at: now + sim.Cycle(c.cfg.MemLatency),
+				msg: coherence.Msg{Type: coherence.MemData, Addr: m.Addr,
+					Requester: m.Requester, Version: c.versions[m.Addr]},
+				to: pkt.Src,
 			})
 		case coherence.MemWrite:
 			c.st.Cache.MemWrites++
@@ -112,8 +110,8 @@ func (c *Ctrl) Tick(now sim.Cycle) {
 		default:
 			panic(fmt.Sprintf("memctrl %d: unexpected message %v", c.node, m))
 		}
-		// The request packet's payload has been copied into the response (or
-		// applied to the memory image); the packet itself is dead.
+		// The request has been copied into the response (or applied to the
+		// memory image); the packet is dead.
 		c.ni.Recycle(pkt)
 	}
 
@@ -155,15 +153,6 @@ func (c *Ctrl) reschedule(now sim.Cycle) {
 		return
 	}
 	c.h.SleepUntil(next)
-}
-
-// newMsg returns a protocol message drawn from the network's payload free
-// list, falling back to a fresh allocation while the list warms up.
-func (c *Ctrl) newMsg() *coherence.Msg {
-	if rp := c.ni.NewPayload(); rp != nil {
-		return rp.(*coherence.Msg)
-	}
-	return &coherence.Msg{}
 }
 
 // SetTraceShard installs the controller's trace shard.

@@ -45,7 +45,7 @@ func TestMemReadReturnsData(t *testing.T) {
 	if len(llc.got) != 1 {
 		t.Fatal("no MemData received")
 	}
-	m := llc.got[0].Payload.(*coherence.Msg)
+	m := coherence.From(llc.got[0])
 	if m.Type != coherence.MemData || m.Addr != 0x1000 || m.Version != 0 {
 		t.Fatalf("wrong response: %v", m)
 	}
@@ -67,7 +67,7 @@ func TestMemWriteThenReadRoundTrips(t *testing.T) {
 	for i := 0; i < 1000 && len(llc.got) == 0; i++ {
 		eng.Step()
 	}
-	if m := llc.got[0].Payload.(*coherence.Msg); m.Version != 42 {
+	if m := coherence.From(llc.got[0]); m.Version != 42 {
 		t.Fatalf("read-after-write version = %d, want 42", m.Version)
 	}
 }

@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/snapshot"
 )
@@ -10,12 +9,12 @@ import (
 // maturing responses, undrained outbox, and the memory image.
 func (mc *Ctrl) State(c *snapshot.Codec) {
 	c.Section("memctrl.ctrl")
-	pkt := func(pp **noc.Packet) { mc.ni.Packet(c, coherence.Codec{}, pp) }
+	pkt := func(pp **noc.Packet) { mc.ni.Packet(c, pp) }
 	snapshot.Slice(c, &mc.inq, pkt)
 	snapshot.AsU64(c, &mc.busyUntil)
 	snapshot.Slice(c, &mc.resps, func(rp *pendingResp) {
 		snapshot.AsU64(c, &rp.at)
-		coherence.MsgState(c, &rp.msg)
+		rp.msg.State(c)
 		snapshot.AsU32(c, &rp.to)
 	})
 	snapshot.Slice(c, &mc.outbox, pkt)

@@ -108,7 +108,6 @@ func (r *Router) derive(b *rebuild) {
 	restate(b, &r.candV, candV, "candV")
 	restate(b, &r.invCand, invCand, "invCand")
 	restate(b, &r.wantOut, wantOut, "wantOut mask")
-	restate(b, &r.inLock, inLock, "inLock")
 	restate(b, &r.heldIn, heldIn, "heldIn mask")
 	restate(b, &r.heldOut, heldOut, "heldOut mask")
 	restate(b, &r.arrQueued, arrQueued, "queued-ring masks: arrQueued")

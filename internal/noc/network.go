@@ -55,12 +55,10 @@ type NI struct {
 	// seq feeds this NI's packet IDs; combined with the node number so IDs
 	// stay unique and deterministic without a network-global counter.
 	seq uint64
-	// pktPool / payloadPool recycle packets and their reference-counted
-	// payloads tile-locally. The tile's router also draws its multicast
-	// replicas from here, which keeps replicas recycling back to the pools
-	// they came from.
-	pktPool     []*Packet    `snap:"-,pool"`
-	payloadPool []RefPayload `snap:"-,pool"`
+	// pktPool recycles packets tile-locally. The tile's router also draws its
+	// multicast replicas from here, which keeps replicas recycling back to the
+	// pool they came from.
+	pktPool []*Packet `snap:"-,pool"`
 	// tr is this NI's trace shard (nil when tracing is off): Inject writes
 	// it from the tile's endpoints, deliver from the NI's own tick.
 	tr *trace.Shard `snap:"-,wiring"`
@@ -127,30 +125,16 @@ func (ni *NI) NewPacket() *Packet {
 	return p
 }
 
-// NewPayload pops a recycled packet payload from this tile's payload free
-// list, or returns nil when it is empty. Payloads enter the list when the
-// last packet carrying them dies (see RefPayload).
-func (ni *NI) NewPayload() RefPayload {
-	pool := ni.payloadPool
-	if k := len(pool); k > 0 {
-		rp := pool[k-1]
-		pool[k-1] = nil
-		ni.payloadPool = pool[:k-1]
-		return rp
+// Recycle returns a dead packet — one an endpoint has fully processed, or one
+// the network itself is done with — to the tile's free list. Only pool-born
+// packets are pooled; caller-owned packets pass through unharmed, so
+// endpoints may call this unconditionally on every delivered packet they do
+// not retain.
+func (ni *NI) Recycle(p *Packet) {
+	if p.pooled {
+		ni.pktPool = append(ni.pktPool, p)
 	}
-	return nil
 }
-
-// PutPayload adds a payload to this tile's free list. Endpoints use it to
-// pre-warm the list in slab-sized blocks: a NewPayload miss costs one
-// allocation per slab instead of one per message.
-func (ni *NI) PutPayload(rp RefPayload) { ni.payloadPool = append(ni.payloadPool, rp) }
-
-// Recycle returns a packet the endpoint has fully processed to the tile's
-// free list. Only pool-born packets are pooled; caller-owned packets pass
-// through unharmed, so endpoints may call this unconditionally on every
-// delivered packet they do not retain.
-func (ni *NI) Recycle(pkt *Packet) { ni.putPacket(pkt) }
 
 // pktSlab is the block size of a packet-pool refill. Misses allocate a
 // whole slab in one allocation instead of one packet at a time: the pool
@@ -159,9 +143,9 @@ func (ni *NI) Recycle(pkt *Packet) { ni.putPacket(pkt) }
 // materially.
 const pktSlab = 64
 
-// getPacket pops a pooled packet as it was put: whatever it last carried
-// minus the payload. The router's replica copy and the snapshot decoder
-// overwrite every field; NewPacket zeroes it for endpoints.
+// getPacket pops a pooled packet as it was put, whatever it last carried.
+// The router's replica copy overwrites every field; NewPacket zeroes it for
+// endpoints and the snapshot decoder.
 func (ni *NI) getPacket() *Packet {
 	if k := len(ni.pktPool); k > 0 {
 		p := ni.pktPool[k-1]
@@ -177,17 +161,6 @@ func (ni *NI) getPacket() *Packet {
 		ni.pktPool = append(ni.pktPool, &blk[i])
 	}
 	return &blk[pktSlab-1]
-}
-
-func (ni *NI) putPacket(p *Packet) {
-	if !p.pooled {
-		return
-	}
-	if rp, ok := p.Payload.(RefPayload); ok && rp.Release() {
-		ni.payloadPool = append(ni.payloadPool, rp)
-	}
-	p.Payload = nil // the pool must not pin a payload it does not own
-	ni.pktPool = append(ni.pktPool, p)
 }
 
 // Tick delivers matured ejections, retransmits overdue unacked window

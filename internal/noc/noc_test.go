@@ -211,6 +211,64 @@ func TestMulticastReachesAllDests(t *testing.T) {
 	})
 }
 
+// TestMulticastCopiesOwnTheirMessage: a 1-to-N multicast delivers N distinct
+// packets carrying the injected message words, and recycling and reusing one
+// delivered copy leaves the words of the others alone. No copy shares
+// anything with another, so there is no lifetime to count.
+func TestMulticastCopiesOwnTheirMessage(t *testing.T) {
+	cfg := DefaultConfig(4, 4)
+	eng, net, cols := testNet(t, cfg)
+	var dests DestSet
+	for _, d := range []NodeID{0, 3, 7, 9, 12, 15} {
+		dests = dests.Add(d)
+	}
+	pkt := net.NI(5).NewPacket()
+	pkt.VNet, pkt.Class, pkt.SrcUnit, pkt.DstUnit = VNetData, stats.ClassPushData, stats.UnitLLC, stats.UnitL2
+	pkt.Dests, pkt.Addr, pkt.Requester, pkt.Size, pkt.IsPush = dests, 0x1000, 9, cfg.DataPacketSize(), true
+	pkt.Version, pkt.Epoch, pkt.MsgType, pkt.MsgFlags = 1<<40|7, 1<<31|3, 9, MsgPresent|MsgReset|MsgPrivate
+	type words struct {
+		version    uint64
+		epoch      uint32
+		typ, flags uint8
+		addr       uint64
+		requester  NodeID
+	}
+	read := func(p *Packet) words {
+		return words{p.Version, p.Epoch, p.MsgType, p.MsgFlags, p.Addr, p.Requester}
+	}
+	want := read(pkt)
+	net.NI(5).Inject(pkt, eng.Now())
+	runUntil(t, eng, func() bool {
+		n := 0
+		dests.ForEach(func(d NodeID) { n += len(cols[d].got) })
+		return n == dests.Count()
+	})
+	seen := map[*Packet]bool{}
+	dests.ForEach(func(d NodeID) {
+		p := cols[d].got[0].pkt
+		if seen[p] {
+			t.Fatalf("dest %d was handed a packet another destination holds", d)
+		}
+		seen[p] = true
+		if got := read(p); got != want {
+			t.Errorf("dest %d received %+v, injected %+v", d, got, want)
+		}
+	})
+	// The endpoint at 7 is done with its copy; the tile reuses it for an
+	// unrelated message.
+	net.NI(7).Recycle(cols[7].got[0].pkt)
+	reused := net.NI(7).NewPacket()
+	if reused != cols[7].got[0].pkt {
+		t.Fatal("the recycled copy did not come back from the tile's free list")
+	}
+	reused.Version, reused.MsgType, reused.MsgFlags = 99, 2, MsgPresent|MsgRecall
+	dests.Remove(7).ForEach(func(d NodeID) {
+		if got := read(cols[d].got[0].pkt); got != want {
+			t.Errorf("after 7 recycled its copy, dest %d reads %+v, want %+v", d, got, want)
+		}
+	})
+}
+
 func TestManyPacketsAllDelivered(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
 	eng, net, cols := testNet(t, cfg)

@@ -86,11 +86,11 @@ type Router struct {
 	// memory when nothing is in flight.
 	arrQueued  uint8 `snap:"-,derived: the non-empty arrival rings"`
 	credQueued uint8 `snap:"-,derived: the neighbours' non-empty credRet rings"`
-	// heldIn / heldOut mark the input and output ports a stream holds (inLock
-	// and outStream non-nil), wantOut the output ports with an allocation
+	// heldIn / heldOut mark the input and output ports a stream holds (its
+	// inPort, and outStream non-nil), wantOut the output ports with an allocation
 	// candidate (candMask non-zero): allocation and traversal visit set bits
 	// instead of testing all five ports twice a tick.
-	heldIn  uint8       `snap:"-,derived: the ports with an inLock"`
+	heldIn  uint8       `snap:"-,derived: the input ports of the streams in outStream"`
 	heldOut uint8       `snap:"-,derived: the ports with an outStream"`
 	wantOut uint8       `snap:"-,derived: the ports with a non-zero candMask"`
 	net     *Network    `snap:"-,wiring"`
@@ -123,11 +123,10 @@ type Router struct {
 	// rr holds per-output-port round-robin arbitration state (an occ
 	// position).
 	rr [NumPorts]uint8
-	// outStream / inLock serialize the switch at packet granularity: one
-	// replica owns an output port (and its input port) until its tail
-	// departs. outStream[o] is nil or &streams[o].
+	// outStream serializes the switch at packet granularity: one replica owns
+	// an output port (and its input port, heldIn) until its tail departs.
+	// outStream[o] is nil or &streams[o].
 	outStream [NumPorts]*stream
-	inLock    [NumPorts]*stream `snap:"-,derived: rewired from outStream"`
 	// portOcc[p] marks the occ positions of the VCs of input port p. While a
 	// stream holds p, none of them can win an output, so allocation masks
 	// them out of its candidates without looking at them.
@@ -277,7 +276,7 @@ func (r *Router) release(vc *inputVC, now sim.Cycle) {
 			r.candidates(vc, -1)
 		}
 		r.unrouted &^= 1 << uint(vc.occPos)
-		r.ni.putPacket(vc.pkt)
+		r.ni.Recycle(vc.pkt)
 	}
 	if vc.occPos >= 0 {
 		last := len(r.occ) - 1
@@ -721,9 +720,6 @@ func (r *Router) allocateOutput(o int, now sim.Cycle, locked uint64) *stream {
 			replica := r.ni.getPacket()
 			*replica = *pkt
 			replica.pooled = true
-			if rp, ok := pkt.Payload.(RefPayload); ok {
-				rp.AddRef()
-			}
 			replica.Dests = r.portDests(vc, o)
 			if vc.pending&(vc.pending-1) != 0 {
 				r.st.Net.MulticastReplicas++
@@ -742,7 +738,6 @@ func (r *Router) allocateOutput(o int, now sim.Cycle, locked uint64) *stream {
 			vc.pending &^= 1 << uint(o)
 			vc.active = s
 			r.outStream[o] = s
-			r.inLock[p] = s
 			r.heldOut |= 1 << uint(o)
 			r.heldIn |= 1 << uint(p)
 			r.rr[o] = uint8((idx + 1) % total)
@@ -789,7 +784,6 @@ func (r *Router) sendFlit(s *stream, now sim.Cycle) {
 	// the VC if all replicas are out, and complete local ejection.
 	vc := s.vc
 	r.outStream[s.outPort] = nil
-	r.inLock[s.inPort] = nil
 	r.heldOut &^= 1 << uint(s.outPort)
 	r.heldIn &^= 1 << uint(s.inPort)
 	vc.active = nil

@@ -6,16 +6,6 @@ import (
 	"pushmulticast/internal/snapshot"
 )
 
-// PayloadCodec describes packet payloads. The NoC never inspects payloads,
-// so the protocol layer supplies the description (coherence.Codec in real
-// builds).
-type PayloadCodec interface {
-	// Payload codes the payload in a packet's Payload field, nil included. A
-	// decoded payload is a RefPayload holding exactly one reference, for the
-	// packet it was decoded into.
-	Payload(c *snapshot.Codec, pl *any)
-}
-
 // restoredDead carries a sender's ErrUnrecoverable verdict across a
 // snapshot: the message is preserved verbatim (so a restored run aborts with
 // the same diagnostic as the cold run) and errors.Is still matches
@@ -46,17 +36,23 @@ func Error(c *snapshot.Codec, perr *error) {
 // from this NI's tile pool, even if the original was caller-owned: the only
 // difference is that the restored copy is recycled when it dies instead of
 // surviving for a creator that — being fresh-built — no longer holds it.
-func (ni *NI) Packet(c *snapshot.Codec, pc PayloadCodec, pp **Packet) {
+func (ni *NI) Packet(c *snapshot.Codec, pp **Packet) {
 	c.Mark(pp)
 	if c.Decoding() {
-		*pp = ni.getPacket()
+		*pp = ni.NewPacket()
 	}
-	packetState(c, pc, *pp)
+	packetState(c, *pp)
 }
 
 // packetState describes every packet field except pooled, a free-list
-// provenance bit with no behavioral meaning.
-func packetState(c *snapshot.Codec, pc PayloadCodec, p *Packet) {
+// provenance bit with no behavioral meaning; a decoded packet starts zeroed
+// (NewPacket above, a fresh window entry), so only what is set travels back
+// in. The message travels last,
+// behind a presence byte, in the format's own field list: type, address,
+// requester, version, epoch, then the five flags a byte each. Address and
+// requester are the header's, so the wire holds them twice and a decoded
+// pair that disagrees is corrupt.
+func packetState(c *snapshot.Codec, p *Packet) {
 	c.U64(&p.ID)
 	snapshot.AsU8(c, &p.VNet)
 	snapshot.AsU8(c, &p.Class)
@@ -77,8 +73,26 @@ func packetState(c *snapshot.Codec, pc PayloadCodec, p *Packet) {
 	snapshot.AsU8(c, &p.AckVNet)
 	c.U64(&p.AckMask)
 	c.Bool(&p.retx)
-	c.Mark(&p.Payload)
-	pc.Payload(c, &p.Payload)
+	c.Mark(&p.MsgFlags)
+	if !c.Flag(p.MsgFlags&MsgPresent != 0) {
+		return
+	}
+	p.MsgFlags |= MsgPresent
+	snapshot.AsU8(c, &p.MsgType)
+	addr, req := p.Addr, p.Requester
+	c.U64(&addr)
+	snapshot.AsU32(c, &req)
+	if addr != p.Addr || req != p.Requester {
+		c.Corrupt("packet %#x carries a message for line %#x requester %d under a header for line %#x requester %d",
+			p.ID, addr, req, p.Addr, p.Requester)
+	}
+	c.U64(&p.Version)
+	c.U32(&p.Epoch)
+	for bit := MsgNeedPush; bit <= MsgPrivate; bit <<= 1 {
+		if c.Flag(p.MsgFlags&bit != 0) {
+			p.MsgFlags |= bit
+		}
+	}
 }
 
 // State describes the whole mesh: every NI (queues, injection stream,
@@ -88,18 +102,17 @@ func packetState(c *snapshot.Codec, pc PayloadCodec, p *Packet) {
 // each rebuilds its derived fields (Router.derive). Decoding targets a
 // freshly built network of the same Config (the caller's fingerprint check
 // guarantees it). Free-list pools are not state: restored in-flight packets
-// and payloads are re-drawn from fresh pools, which is invisible to the
-// simulation (no payload pointer is ever compared, and pool residency only
-// affects allocation counts).
-func (n *Network) State(c *snapshot.Codec, pc PayloadCodec) {
+// are re-drawn from fresh pools, which is invisible to the
+// simulation (pool residency only affects allocation counts).
+func (n *Network) State(c *snapshot.Codec) {
 	c.Section("noc.network")
 	c.Mark(&n.nis)
 	c.Mark(&n.routers)
 	for _, ni := range n.nis {
-		ni.state(c, pc)
+		ni.state(c)
 	}
 	for _, r := range n.routers {
-		r.state(c, pc)
+		r.state(c)
 	}
 	if c.Decoding() && c.Err() == nil {
 		var b rebuild
@@ -109,9 +122,9 @@ func (n *Network) State(c *snapshot.Codec, pc PayloadCodec) {
 	}
 }
 
-func (ni *NI) state(c *snapshot.Codec, pc PayloadCodec) {
+func (ni *NI) state(c *snapshot.Codec) {
 	c.Section("noc.ni")
-	pkt := func(pp **Packet) { ni.Packet(c, pc, pp) }
+	pkt := func(pp **Packet) { ni.Packet(c, pp) }
 	ni.queued = 0 // derived: recounted in both directions
 	for u := range ni.queues {
 		for v := range ni.queues[u] {
@@ -145,11 +158,11 @@ func (ni *NI) state(c *snapshot.Codec, pc PayloadCodec) {
 	c.Int(&ni.rr)
 	c.U64(&ni.seq)
 	if snapshot.Present(c, &ni.tp, "NI transport recovery state (lossy plan)") {
-		ni.tp.state(c, pc, pkt)
+		ni.tp.state(c, pkt)
 	}
 }
 
-func (tp *niTransport) state(c *snapshot.Codec, pc PayloadCodec, pkt func(**Packet)) {
+func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 	c.Section("noc.transport")
 	for v := range tp.tx {
 		c.U32(&tp.tx[v].nextSeq)
@@ -159,7 +172,7 @@ func (tp *niTransport) state(c *snapshot.Codec, pc PayloadCodec, pkt func(**Pack
 			snapshot.AsU64(c, &e.lastSent)
 			c.Int(&e.retries)
 			c.Bool(&e.done)
-			packetState(c, pc, &e.proto)
+			packetState(c, &e.proto)
 		})
 	}
 	snapshot.Map(c, &tp.rx, func(k *uint32, st **rxStream) {
@@ -197,9 +210,9 @@ func (rt *Router) vcAt(c *snapshot.Codec, port, idx *int) *inputVC {
 // state describes the router's primary state. Everything its datapath reads
 // off that state through a mask, a count or a back pointer is derive's to
 // rebuild; what is checked here is what derive and the first tick rely on.
-func (rt *Router) state(c *snapshot.Codec, pc PayloadCodec) {
+func (rt *Router) state(c *snapshot.Codec) {
 	c.Section("noc.router")
-	pkt := func(pp **Packet) { rt.ni.Packet(c, pc, pp) }
+	pkt := func(pp **Packet) { rt.ni.Packet(c, pp) }
 	// Occupied VCs, in occupancy order: the order is load-bearing (the
 	// position-keyed masks index it and round-robin arbitration walks it).
 	var listed uint64 // the VCs decoded so far, by number

@@ -7,11 +7,6 @@ import (
 	"pushmulticast/internal/snapshot"
 )
 
-// noPayload codes the payloads of a network that carries none.
-type noPayload struct{}
-
-func (noPayload) Payload(*snapshot.Codec, *any) {}
-
 // TestFilterSlackIsNotState: aliveUntil is an upper bound the datapath never
 // lowers, so two banks holding the same entries can disagree on it and still
 // answer every lookup alike. They serialize alike too, and a restore gives
@@ -21,7 +16,7 @@ func TestFilterSlackIsNotState(t *testing.T) {
 	cfg.FilterEnabled = true
 	encode := func(n *Network) []byte {
 		c := snapshot.NewEncoder("", "", 0)
-		n.State(c, noPayload{})
+		n.State(c)
 		return c.Finish()
 	}
 	_, slack, _ := testNet(t, cfg)
@@ -46,7 +41,7 @@ func TestFilterSlackIsNotState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, back, _ := testNet(t, cfg)
-	if back.State(c, noPayload{}); c.Err() != nil {
+	if back.State(c); c.Err() != nil {
 		t.Fatal(c.Err())
 	}
 	fb := back.routers[3].filters

@@ -45,7 +45,7 @@ import (
 type txEntry struct {
 	seq uint32
 	// proto is the retransmission template: a field copy of the packet as
-	// injected, holding one payload reference until the entry retires.
+	// injected, message words included.
 	proto Packet
 	// pending is the destinations that have not acked yet.
 	pending  DestSet
@@ -165,9 +165,6 @@ func (ni *NI) stampTransport(pkt *Packet, now sim.Cycle) {
 		w.entries = append(w.entries, txEntry{
 			seq: pkt.Seq, proto: *pkt, pending: pkt.Dests, lastSent: now,
 		})
-		if rp, ok := pkt.Payload.(RefPayload); ok {
-			rp.AddRef() // the window's hold; released when the entry retires
-		}
 	}
 	pkt.Csum = ni.net.checksum(pkt)
 }
@@ -205,7 +202,7 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 			ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: kind, Node: int32(ni.node),
 				Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{key}, A: int32(pkt.Src), B: 1})
 			ni.net.eng.Progress()
-			ni.putPacket(pkt)
+			ni.Recycle(pkt)
 			return false, fate
 		}
 		return true, fate
@@ -241,7 +238,7 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 			}
 		}
 		ni.net.eng.Progress()
-		ni.putPacket(pkt)
+		ni.Recycle(pkt)
 		return false, fate
 	}
 	if rec, ok := tp.dropped[key]; ok {
@@ -264,7 +261,7 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 			ni.consumeAck(pkt, now) // second arrival; retiring twice is a no-op
 		}
 		ni.net.eng.Progress()
-		ni.putPacket(pkt)
+		ni.Recycle(pkt)
 		return false, fate
 	}
 	if ni.rxSeen(pkt) {
@@ -273,7 +270,7 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 			Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{key}, A: int32(pkt.Src)})
 		ni.sendAck(pkt, now) // re-ack: the sender's copy may be waiting on a lost ack
 		ni.net.eng.Progress()
-		ni.putPacket(pkt)
+		ni.Recycle(pkt)
 		return false, fate
 	}
 	ni.sendAck(pkt, now)
@@ -403,7 +400,7 @@ func (ni *NI) flushAcks(now sim.Cycle) {
 	for n < len(tp.ackDue) {
 		a := ni.buildAck(tp.ackDue[n])
 		if !ni.Inject(a, now) {
-			ni.putPacket(a)
+			ni.Recycle(a)
 			break
 		}
 		delete(tp.ackDueSet, tp.ackDue[n])
@@ -465,9 +462,6 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 		e.pending = e.pending.Remove(a.Src)
 		if e.pending.Empty() {
 			e.done = true
-			if rp, ok := e.proto.Payload.(RefPayload); ok && rp.Release() {
-				ni.payloadPool = append(ni.payloadPool, rp)
-			}
 			e.proto = Packet{}
 		}
 	}
@@ -511,11 +505,8 @@ func (ni *NI) checkRetransmits(now sim.Cycle) {
 			p.pooled = true
 			p.retx = true
 			p.Dests = e.pending
-			if rp, ok := p.Payload.(RefPayload); ok {
-				rp.AddRef()
-			}
 			if !ni.Inject(p, now) {
-				ni.putPacket(p) // releases the clone's payload reference
+				ni.Recycle(p)
 				continue
 			}
 			e.retries++

@@ -194,8 +194,17 @@ type Packet struct {
 	ID uint64
 	// Size is the packet length in flits for the configured link width.
 	Size int
-	// Payload carries the protocol message; the NoC never inspects it.
-	Payload any
+	// Version, Epoch, MsgType and MsgFlags are the protocol message, carried
+	// inline: a router's replica is a whole packet (§III-E), so every copy
+	// owns its words and nothing is shared between them. The NoC copies them
+	// with the rest of the packet and never reads them; the protocol layer
+	// writes them with coherence.Msg.FillPacket and reads them back with
+	// coherence.From (the message's address and requester are Addr and
+	// Requester above).
+	Version  uint64
+	Epoch    uint32
+	MsgType  uint8
+	MsgFlags uint8
 	// InjectedAt is stamped by the NI for latency accounting.
 	InjectedAt sim.Cycle
 
@@ -219,19 +228,17 @@ type Packet struct {
 	AckVNet int8
 }
 
-// RefPayload is implemented by packet payloads managed through the
-// network's payload free list. The network adds a reference whenever a
-// router copies a packet into a replica and drops one whenever a packet
-// dies (release or endpoint recycle); a payload whose last carrier died is
-// returned to the list for NI.NewPayload to hand out again. Attaching a
-// payload to its first packet must account for that packet's reference
-// (coherence.Msg does this in FillPacket).
-type RefPayload interface {
-	// AddRef records one more packet carrying this payload.
-	AddRef()
-	// Release drops one carrier and reports whether none remain.
-	Release() bool
-}
+// Bits of Packet.MsgFlags. MsgPresent marks a packet that carries a protocol
+// message at all (transport acks do not); the rest are the message's own
+// flags, named as in coherence.Msg.
+const (
+	MsgPresent uint8 = 1 << iota
+	MsgNeedPush
+	MsgReset
+	MsgPrefetch
+	MsgRecall
+	MsgPrivate
+)
 
 // String implements fmt.Stringer for diagnostics.
 func (p *Packet) String() string {

@@ -70,7 +70,6 @@ type FaultSpec struct {
 type KnobSpec struct {
 	TPCThreshold     int `json:"tpc_threshold"`
 	TimeWindow       int `json:"time_window"`
-	CoalesceWindow   int `json:"coalesce_window"`
 	LinkWidthBits    int `json:"link_width_bits"`
 	RetryWindow      int `json:"retry_window"`
 	RetryTimeout     int `json:"retry_timeout"`
@@ -162,7 +161,6 @@ func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, bool)) (ResolvedRun
 		}{
 			{"tpc_threshold", k.TPCThreshold, &cfg.TPCThreshold},
 			{"time_window", k.TimeWindow, &cfg.TimeWindow},
-			{"coalesce_window", k.CoalesceWindow, &cfg.CoalesceWindow},
 			{"link_width_bits", k.LinkWidthBits, &cfg.NoC.LinkWidthBits},
 			{"retry_window", k.RetryWindow, &cfg.NoC.RetryWindow},
 			{"retry_timeout", k.RetryTimeout, &cfg.NoC.RetryTimeout},

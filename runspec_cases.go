@@ -51,7 +51,7 @@ func ExampleRunSpecs() []RunSpecCase {
 		runSpecCase("recovery-knobs", "", func(s *RunSpec) {
 			s.Knobs = &KnobSpec{LinkWidthBits: 256, RetryWindow: 16, RetryTimeout: 500, MaxRetries: 8, MSHRRetryTimeout: 250}
 		}),
-		runSpecCase("push-knobs", "", func(s *RunSpec) { s.Knobs = &KnobSpec{TPCThreshold: 32, TimeWindow: 1500, CoalesceWindow: 20} }),
+		runSpecCase("push-knobs", "", func(s *RunSpec) { s.Knobs = &KnobSpec{TPCThreshold: 32, TimeWindow: 1500} }),
 		runSpecCase("64-cores-quick", "", func(s *RunSpec) { s.Cores, s.Scale = 64, "" }),
 		runSpecCase("256-cores", "", func(s *RunSpec) { s.Cores = 256 }),
 		runSpecCase("full-scale", "", func(s *RunSpec) { s.Scale = "FULL" }),
@@ -69,6 +69,10 @@ func MalformedRunSpecs() []RunSpecCase {
 	retiredKey.ExtraJSON = `"sim_workers":2`
 	retiredFlag := runSpecCase("retired-parallel-flag", "flag provided but not defined: -parallel", func(*RunSpec) {})
 	retiredFlag.ExtraArgs = []string{"-parallel", "4"}
+	// So is the coalescing window, which no code ever read: the Coalesce
+	// baseline merges what the LLC's input queue holds.
+	retiredKnob := runSpecCase("retired-coalesce-window-knob", `unknown field "coalesce_window"`, func(*RunSpec) {})
+	retiredKnob.ExtraJSON = `"knobs":{"coalesce_window":20}`
 	return []RunSpecCase{
 		runSpecCase("unknown-scheme", `unknown scheme "TurboPush"`, func(s *RunSpec) { s.Scheme = "TurboPush" }),
 		runSpecCase("unknown-workload", `"nosuch"`, func(s *RunSpec) { s.Workload.Name = "nosuch" }),
@@ -76,6 +80,7 @@ func MalformedRunSpecs() []RunSpecCase {
 		runSpecCase("bad-cores", "unsupported core count 48", func(s *RunSpec) { s.Cores = 48 }),
 		retiredKey,
 		retiredFlag,
+		retiredKnob,
 		runSpecCase("negative-trace", "trace_n -5 is negative", func(s *RunSpec) { s.TraceN = -5 }),
 		runSpecCase("collective-params-on-registry-workload", "not a collective", func(s *RunSpec) { s.Workload.Sharers = 4 }),
 		runSpecCase("inconsistent-collective-params", "must be at least 2, got 1", func(s *RunSpec) { s.Workload = WorkloadSpec{Name: "broadcast", Fanout: 1} }),
@@ -89,7 +94,6 @@ func MalformedRunSpecs() []RunSpecCase {
 		runSpecCase("lossy-rate-negative", "lossy rate -1 per mille outside [0,1000]", func(s *RunSpec) { s.Faults = &FaultSpec{LossyPerMille: -1} }),
 		runSpecCase("negative-tpc-threshold", "knob tpc_threshold -5 is negative", func(s *RunSpec) { s.Knobs = &KnobSpec{TPCThreshold: -5} }),
 		runSpecCase("negative-time-window", "knob time_window -1 is negative", func(s *RunSpec) { s.Knobs = &KnobSpec{TimeWindow: -1} }),
-		runSpecCase("negative-coalesce-window", "knob coalesce_window -1 is negative", func(s *RunSpec) { s.Knobs = &KnobSpec{CoalesceWindow: -1} }),
 		runSpecCase("negative-link-width", "knob link_width_bits -64 is negative", func(s *RunSpec) { s.Knobs = &KnobSpec{LinkWidthBits: -64} }),
 		runSpecCase("negative-retry-window", "knob retry_window -1 is negative", func(s *RunSpec) { s.Knobs = &KnobSpec{RetryWindow: -1} }),
 		runSpecCase("negative-mshr-retry-timeout", "knob mshr_retry_timeout -1 is negative", func(s *RunSpec) { s.Knobs = &KnobSpec{MSHRRetryTimeout: -1} }),

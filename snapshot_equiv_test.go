@@ -285,18 +285,18 @@ type goldenSnapshot struct {
 // routers' candidate and free-VC words, eight reserved engine words). The
 // two fingerprint strings in the header are the config's %+v text, so
 // removing a Config field moves the pins without moving a byte after the
-// header. A change to any of them is a format change and must bump the
-// version.
+// header (the inert CoalesceWindow took 35 bytes out of each). Any other
+// change to them is a format change and must bump the version.
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 505624, 0x53f48898e12d946a},
+	}, 10000, 505589, 0x3f731085176a641e},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 181926, 0x672d5f781361f70c},
+	}, 2000, 181891, 0xd85d7720e4d6920a},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 538629, 0x13d82a8b4b9cb1b8},
+	}, 30000, 538594, 0x88507c4923f0cbf6},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -304,7 +304,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 590816, 0x7848f99343fec9ef},
+	}, 12000, 590781, 0xf8aee4734d7c2298},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {

@@ -96,6 +96,11 @@ var crafted = []struct {
 	{"occupied VC that is free", "noc.router", 13, 0, 1},
 	{"stream over an empty VC", "noc.router", 13, 8, 1},
 	{"pending port off the packet's route", "noc.router", -1, 27, 0x011f},
+	// A packet is its message, so the line address travels twice: in the header
+	// and, 100 bytes into the packet (98 of header, the presence byte, the
+	// type), in the message. The busy router's first buffered packet starts 29
+	// bytes into its first entry; give its message another line.
+	{"message for another line than its packet's", "noc.router", -1, 129, 0xdead0040},
 }
 
 const craftedFrom = 1 // bfs tiny/16 Baseline @ 2000
