@@ -6,9 +6,7 @@ import "pushmulticast/internal/sim"
 // carries no coherence state of its own: the L2 back-invalidates it whenever
 // a line leaves the L2, so an L1 hit is always coherent.
 type L1 struct {
-	arr      *Array
-	accesses uint64
-	misses   uint64
+	arr *Array
 }
 
 // NewL1 builds an L1 data cache.
@@ -18,12 +16,10 @@ func NewL1(sizeBytes, ways, lineSize int) *L1 {
 
 // Lookup probes the L1 for a load; on a hit it returns the line version.
 func (l *L1) Lookup(lineAddr uint64, now sim.Cycle) (uint64, bool) {
-	l.accesses++
 	if ln := l.arr.Lookup(lineAddr); ln != nil {
 		ln.LastUse = now
 		return ln.Version, true
 	}
-	l.misses++
 	return 0, false
 }
 
@@ -60,6 +56,3 @@ func (l *L1) Present(lineAddr uint64) bool { return l.arr.Lookup(lineAddr) != ni
 
 // ForEach visits every valid line (inclusion checks and tests).
 func (l *L1) ForEach(f func(*Line)) { l.arr.ForEach(f) }
-
-// Stats returns accesses and misses.
-func (l *L1) Stats() (accesses, misses uint64) { return l.accesses, l.misses }

@@ -80,7 +80,7 @@ type LLC struct {
 	// lastTick lets a slice woken after sleeping advance the resume knob by
 	// exactly the number of skipped cycles (tickN), keeping the phase
 	// sequence identical to a dense run's.
-	lastTick sim.Cycle
+	lastTick sim.Cycle `snap:"-,derived: the cycle before the barrier once the knob is settled"`
 	traces   map[uint64]*traceState
 	memNode  noc.NodeID `snap:"-,config"`
 	// pred is the decoupled sharer predictor (PredictPush extension).
@@ -138,7 +138,7 @@ func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine
 	net.Attach(id, stats.UnitLLC, s)
 	s.h = eng.Register(s)
 	s.out.h = s.h
-	s.lastTick = ^sim.Cycle(0) // sentinel: first Tick advances the knob by 1
+	s.lastTick = ^sim.Cycle(0) // cycle -1: the first Tick, at cycle 0, advances the knob by 1
 	return s
 }
 
@@ -165,12 +165,7 @@ func (s *LLC) Receive(pkt *noc.Packet, now sim.Cycle) {
 // Tick advances the resume knob, processes one matured message, and drains
 // outgoing packets.
 func (s *LLC) Tick(now sim.Cycle) {
-	n := 1
-	if s.lastTick != ^sim.Cycle(0) {
-		n = int(now - s.lastTick)
-	}
-	s.lastTick = now
-	s.knob.tickN(n)
+	s.settle(now)
 	if !s.out.congested() {
 		if pkt := s.inq.pop(now); pkt != nil {
 			s.eng.Progress()
@@ -186,6 +181,14 @@ func (s *LLC) Tick(now sim.Cycle) {
 	}
 	s.out.drain(now)
 	s.reschedule()
+}
+
+// settle advances the resume knob through cycle through: by one cycle for
+// each tick a slice that slept has skipped since lastTick, as a dense run,
+// which ticks the slice every cycle, would have.
+func (s *LLC) settle(through sim.Cycle) {
+	s.knob.tickN(int(through - s.lastTick))
+	s.lastTick = through
 }
 
 // reschedule puts the slice to sleep when it has nothing to do this cycle:

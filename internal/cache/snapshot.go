@@ -60,8 +60,6 @@ func (l2 *L2) State(c *snapshot.Codec) {
 	c.Mark(&l2.l1)
 	c.Mark(&l2.l1.arr)
 	l2.l1.arr.state(c)
-	c.U64(&l2.l1.accesses)
-	c.U64(&l2.l1.misses)
 	snapshot.Map(c, &l2.mshr, func(a *uint64, pm **l2MSHR) {
 		if c.Decoding() {
 			*pm = l2.newMSHR()
@@ -136,10 +134,13 @@ func (s *LLC) State(c *snapshot.Codec) {
 	})
 	s.inq.state(c, pkt)
 	snapshot.Slice(c, &s.out.pkts, pkt)
+	// The resume knob is settled to the cycle before the barrier first, where a
+	// dense run holds it, so the slice's last tick does not travel. Settling
+	// changes no later phase.
+	s.settle(s.eng.Now() - 1)
 	c.U64s(s.knob.pdr[:])
 	c.Int(&s.knob.counter)
 	c.Bool(&s.knob.resume)
-	snapshot.AsU64(c, &s.lastTick)
 	if c.Same(s.traces != nil, "LLC sharer-gap tracing") {
 		snapshot.Map(c, &s.traces, func(a *uint64, pt **traceState) {
 			if c.Decoding() {

@@ -14,9 +14,11 @@ import (
 // snapshot header. The strict fingerprint identifies simulated machine state
 // exactly: a restore whose target differs in it refuses loudly. Kernel
 // selection and observability settings (dense kernel, checker, trace ring
-// size) are excluded — the kernels produce byte-identical state
-// by contract, and tracer/checker presence is enforced separately by
-// explicit flags in the snapshot body.
+// size) are excluded — the kernels write byte-identical snapshots of one run
+// (TestSnapshotGoldenBytes takes each golden on both), and a snapshot written
+// on either restores on the other to the cold run's cycles, counters and trace
+// hash (TestSnapshotCrossKernelRestore); tracer/checker presence is enforced
+// separately by explicit flags in the snapshot body.
 //
 // The fork fingerprint additionally wipes the tuning knobs a warm-start
 // sweep varies (pause/resume thresholds and window, MSHR and transport

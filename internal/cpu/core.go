@@ -88,7 +88,7 @@ type Core struct {
 	// blocked/blockedAt track a sleep entered while stalled; the wake tick
 	// reconstructs the stall cycles a dense run would have counted one by one.
 	blocked   bool
-	blockedAt sim.Cycle
+	blockedAt sim.Cycle `snap:"-,derived: the cycle before the barrier once stalls are settled"`
 
 	// loadRetry marks the current load op as a retry of a rejected attempt:
 	// the prefetcher already observed the access and must not see it again
@@ -158,10 +158,7 @@ func (c *Core) StoreDone(lineAddr uint64, now sim.Cycle) {
 // non-blocking until a structural resource fills.
 func (c *Core) Tick(now sim.Cycle) {
 	if c.blocked {
-		// Sleeping skipped the ticks between blockedAt and now; a dense run
-		// would have counted each of those cycles as a stall (the unblocking
-		// event is what woke us, so none of them could have issued).
-		c.stalls += uint64(now - c.blockedAt - 1)
+		c.settle(now - 1)
 		c.blocked = false
 	}
 	if c.ended {
@@ -287,6 +284,17 @@ func (c *Core) Tick(now sim.Cycle) {
 		// buffer, or a transient victim) unblocks us.
 		c.park(now)
 	}
+}
+
+// settle counts the cycles a blocked core slept through, up to and including
+// through, as stalls, and moves blockedAt there. A dense run ticks the core
+// every cycle and would have counted each of them (the unblocking event is
+// what wakes the core, so none of them could have issued).
+func (c *Core) settle(through sim.Cycle) {
+	if c.blocked {
+		c.stalls += uint64(through - c.blockedAt)
+	}
+	c.blockedAt = through
 }
 
 // park records the cycle the core went idle and sleeps; the stall counter for

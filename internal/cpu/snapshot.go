@@ -13,8 +13,13 @@ import (
 // replays that many ops on the freshly built stream — streams are pure
 // functions of (workload, core, tiles, scale), so the replayed stream is
 // positioned exactly where the saved one was.
+//
+// The stall count is settled to the cycle before the barrier first, where a
+// dense run holds it, so the cycle a blocked core went to sleep does not
+// travel. Settling changes no later stall total.
 func (core *Core) State(c *snapshot.Codec) {
 	c.Section("cpu.core")
+	core.settle(core.eng.Now() - 1)
 	snapshot.AsU8(c, &core.cur.Kind)
 	c.U64(&core.cur.Addr)
 	c.Int(&core.cur.N)
@@ -23,7 +28,6 @@ func (core *Core) State(c *snapshot.Codec) {
 	c.Bool(&core.waiting)
 	c.U64(&core.myGen)
 	c.Bool(&core.blocked)
-	snapshot.AsU64(c, &core.blockedAt)
 	c.Bool(&core.loadRetry)
 	c.Int(&core.outLoads)
 	c.Int(&core.outStores)

@@ -32,7 +32,14 @@
 //     the component re-sleeps); a missed Wake diverges from the dense oracle.
 //   - Per-cycle counters that accrue while idle (stall cycles, time-window
 //     counters) must be reconstructed on wake from the elapsed-cycle delta so
-//     sparse and dense runs report identical statistics.
+//     sparse and dense runs report identical statistics. A snapshot writes
+//     such a counter settled to the cycle before its barrier, as a dense run
+//     holds it.
+//
+// Scheduling state is not machine state. Which components sleep, their wake
+// times and Ticks differ between the two kernels, which run the same machine;
+// a snapshot carries the clock and the watchdog's last-progress cycle only,
+// and a restored engine starts with every component awake and Ticks at zero.
 //
 // The Engine also provides progress-based deadlock detection: components
 // report forward progress via Engine.Progress, and a run aborts with
@@ -86,11 +93,11 @@ type Handle struct {
 	eng    *Engine `snap:"-,wiring"`
 	comp   Ticker  `snap:"-,wiring"`
 	idx    int     `snap:"-,wiring"` // registration order: the handle's bit in the awake words and in every wheel slot
-	asleep bool
-	wakeAt Cycle // NeverWake when sleeping without a scheduled wake
+	asleep bool    `snap:"-,scheduling: every handle restores awake"`
+	wakeAt Cycle   `snap:"-,scheduling: every handle restores awake"` // NeverWake when sleeping without a scheduled wake
 	// farPos is this handle's index in the engine's overflow list, -1 when its
 	// scheduled wake (if any) is filed in the wheel.
-	farPos int `snap:"-,derived: position in the refiled overflow list"`
+	farPos int `snap:"-,scheduling: every handle restores awake"`
 }
 
 // Wake marks the component runnable from the current cycle on. Waking an
@@ -174,27 +181,27 @@ func (h *Handle) sleep(c Cycle) {
 // NewEngine.
 type Engine struct {
 	now         Cycle
-	handles     []*Handle
-	asleepCount int `snap:"-,derived: recounted from the asleep flags"`
+	handles     []*Handle `snap:"-,wiring: registered by the build"`
+	asleepCount int       `snap:"-,scheduling: every handle restores awake"`
 	// awake has bit i set while handles[i] is awake. Step walks it low to
 	// high, which is registration order.
-	awake []uint64 `snap:"-,derived: the complement of the asleep flags"`
+	awake []uint64 `snap:"-,scheduling: every handle restores awake"`
 	// wheel files the scheduled wakes less than wheelSlots cycles ahead: slot
 	// wakeAt%wheelSlots is a stride-word copy of the awake layout with the bit
 	// of every handle due at that cycle. Every filed wake lies in
 	// [now, now+wheelSlots), so a slot never mixes two cycles. slotCount and
 	// slotMask (the slots with a non-zero count) let Step skip an empty slot
 	// and fastForward find the next wake with a bit scan.
-	wheel     []uint64                `snap:"-,derived: refiled from the wake times"`
+	wheel     []uint64                `snap:"-,scheduling: restores empty"`
 	stride    int                     `snap:"-,derived: the awake word count the wheel is laid out for"`
-	slotCount [wheelSlots]int32       `snap:"-,derived: refiled from the wake times"`
-	slotMask  [wheelSlots / 64]uint64 `snap:"-,derived: refiled from the wake times"`
+	slotCount [wheelSlots]int32       `snap:"-,scheduling: restores empty"`
+	slotMask  [wheelSlots / 64]uint64 `snap:"-,scheduling: restores empty"`
 	// far holds, unsorted, the sleepers whose wake was wheelSlots or more
 	// cycles ahead when filed; farMin is the earliest of them (NeverWake when
 	// there is none). Step refiles the list when farMin comes inside the
 	// wheel's horizon.
-	far          []*Handle `snap:"-,derived: refiled from the wake times"`
-	farMin       Cycle     `snap:"-,derived: refiled from the wake times"`
+	far          []*Handle `snap:"-,scheduling: restores empty"`
+	farMin       Cycle     `snap:"-,scheduling: restores empty"`
 	dense        bool      `snap:"-,config"`
 	lastProgress Cycle
 	watchdog     Cycle `snap:"-,config"`
@@ -202,8 +209,8 @@ type Engine struct {
 	// failsafe records that maxCycles is the implicit FailsafeMaxCycles
 	// ceiling rather than a caller-chosen limit; limit errors then also
 	// wrap ErrFailsafe.
-	failsafe bool `snap:"-,config"`
-	ticks    uint64
+	failsafe bool   `snap:"-,config"`
+	ticks    uint64 `snap:"-,host counter: restarts at restore"`
 }
 
 // FailsafeMaxCycles is the hard cycle ceiling enforced when both the
@@ -255,9 +262,11 @@ func (e *Engine) Register(t Ticker) *Handle {
 // Now returns the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Ticks returns the total number of component ticks executed so far — the
-// scheduler-efficiency metric: a dense run executes components × cycles,
-// a wake-driven run only the awake subset.
+// Ticks returns the number of component ticks this engine has executed — the
+// scheduler-efficiency metric: a dense run executes components × cycles, a
+// wake-driven run only the awake subset. It is a host counter, not machine
+// state: it differs between the kernels, no snapshot carries it, and it
+// restarts at zero in a restored engine.
 func (e *Engine) Ticks() uint64 { return e.ticks }
 
 // Progress records that a component made forward progress this cycle (moved a

@@ -7,8 +7,8 @@ import (
 	"pushmulticast/internal/snapshot"
 )
 
-// edgeDists are the wake distances, counted from the barrier, that meet every
-// way the engine files a sleeper: awake (due now, due next cycle), the
+// edgeDists are the wake distances, counted from the next cycle, that meet
+// every way the engine files a sleeper: awake (due now, due next cycle), the
 // wheel's last slot, the overflow list's first cycle, deep overflow, and no
 // wake at all.
 var edgeDists = []Cycle{0, 1, wheelSlots - 1, wheelSlots, 3 * wheelSlots, NeverWake}
@@ -38,7 +38,7 @@ func edgeMachine() (eng *Engine, hs []*Handle, log *[]tickRec) {
 	return eng, hs, log
 }
 
-// roundTrip encodes src's scheduling state and decodes it into dst.
+// roundTrip encodes src's state and decodes it into dst.
 func roundTrip(t *testing.T, src, dst *Engine) {
 	t.Helper()
 	enc := snapshot.NewEncoder("", "", 0)
@@ -52,76 +52,54 @@ func roundTrip(t *testing.T, src, dst *Engine) {
 	}
 }
 
-// TestSnapshotRestoresEveryFiling takes a snapshot at a barrier where
-// sleepers are due at now+1, now+W-1, now+W, now+3W and never — the first
-// half put to sleep from inside the last tick before the barrier (which files
-// now+W-1 in the overflow list, one cycle short of refiling), the second half
-// between steps — and requires the restored engine to tick exactly like the
-// original for four turns of the wheel. Decoding files by slot or overflow
-// directly: going through sleep would wake the now+1 sleepers a cycle early.
-func TestSnapshotRestoresEveryFiling(t *testing.T) {
-	a, ahs, alog := edgeMachine()
-	b, bhs, blog := edgeMachine()
-	// Every component ticks in cycle 0 and sleeps until its distance past
-	// cycle 1, the barrier; the first half stays that way.
-	const barrier = 1
-	a.Step()
-	// The second half: awake at the barrier, then filed between steps.
-	for i, h := range ahs[len(edgeDists):] {
-		h.Wake()
-		if d := edgeDists[i]; d == NeverWake {
-			h.Sleep()
-		} else {
-			h.SleepUntil(barrier + d)
-		}
+// TestSnapshotRestoresEveryHandleAwake: a snapshot carries the clock and the
+// watchdog's progress cycle and none of the engine's scheduling. The source
+// has sleepers filed in the wheel, in the overflow list and nowhere; the target
+// filed other wakes while it was built. Decoding must restore the two cycles,
+// leave every handle awake and nothing filed, and restart the tick counter,
+// so the first Step ticks every component, in registration order, at the
+// restored clock — and each decides there whether to sleep again.
+func TestSnapshotRestoresEveryHandleAwake(t *testing.T) {
+	a, _, _ := edgeMachine()
+	for a.Now() < 10 {
+		a.Step()
 	}
-	// b sleeps differently before the restore: decoding must not build on it.
+	a.Progress()
+	for a.Now() < 2*wheelSlots+3 {
+		a.Step()
+	}
+	if a.asleepCount == 0 || len(a.far) == 0 || !slices.ContainsFunc(a.slotCount[:], func(n int32) bool { return n != 0 }) {
+		t.Fatalf("the source files %d sleepers, %d of them in the overflow list: not every filing is covered", a.asleepCount, len(a.far))
+	}
+	b, bhs, blog := edgeMachine()
 	bhs[3].SleepUntil(5)
 	bhs[4].SleepUntil(2 * wheelSlots)
+	bhs[5].Sleep()
 	roundTrip(t, a, b)
-	for i := range ahs {
-		if ahs[i].asleep != bhs[i].asleep || ahs[i].wakeAt != bhs[i].wakeAt {
-			t.Fatalf("handle %d restored as (asleep %v, wake %d), saved as (%v, %d)",
-				i, bhs[i].asleep, bhs[i].wakeAt, ahs[i].asleep, ahs[i].wakeAt)
-		}
-	}
-	if a.asleepCount != b.asleepCount || a.nextWake() != b.nextWake() {
-		t.Fatalf("refiled engine counts %d asleep, next wake %d; the original %d and %d",
-			b.asleepCount, b.nextWake(), a.asleepCount, a.nextWake())
-	}
-	*alog = (*alog)[:0]
-	for _, eng := range []*Engine{a, b} {
-		if _, err := eng.Run(func() bool { return eng.Now() >= barrier+4*wheelSlots }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !slices.Equal(*alog, *blog) || a.Now() != b.Now() || a.Ticks() != b.Ticks() {
-		t.Fatalf("restored engine ran %d ticks to cycle %d (count %d), the original %d to cycle %d (count %d)",
-			len(*blog), b.Now(), b.Ticks(), len(*alog), a.Now(), a.Ticks())
-	}
-	if len(*alog) < 4*wheelSlots {
-		t.Fatalf("only %d ticks in %d cycles: the machine did not run", len(*alog), 4*wheelSlots)
-	}
-}
 
-// TestSnapshotWakeBeforeClockIsDue: no run leaves a sleeper with a wake time
-// at or before the clock at a barrier, but a resealed snapshot can say so. The
-// wake heap popped such an entry in the next Step; the wheel must too, and
-// must still be able to cancel it.
-func TestSnapshotWakeBeforeClockIsDue(t *testing.T) {
-	src := NewEngine(0, 0)
-	shs, _ := loggers(src, 3)
-	src.now = 1000
-	for i, at := range []Cycle{1000, 3, 997} {
-		shs[i].asleep, shs[i].wakeAt = true, at // State reads the flags only
+	if b.Now() != a.Now() || b.lastProgress != a.lastProgress || b.Ticks() != 0 {
+		t.Fatalf("restored clock %d, last progress %d, %d ticks; want %d, %d, 0",
+			b.Now(), b.lastProgress, b.Ticks(), a.Now(), a.lastProgress)
 	}
-	dst := NewEngine(0, 0)
-	dhs, log := loggers(dst, 3)
-	roundTrip(t, src, dst)
-	dhs[2].Wake()
-	dhs[2].Sleep()
-	dst.Step()
-	if want := []tickRec{{1000, 0}, {1000, 1}}; !slices.Equal(*log, want) {
-		t.Fatalf("tick log %v, want %v", *log, want)
+	for i, h := range bhs {
+		if h.asleep || h.wakeAt != NeverWake || h.farPos != -1 {
+			t.Fatalf("handle %d restored as (asleep %v, wake %d, overflow position %d), want awake and unfiled", i, h.asleep, h.wakeAt, h.farPos)
+		}
+	}
+	filed := slices.ContainsFunc(b.wheel, func(w uint64) bool { return w != 0 }) ||
+		slices.ContainsFunc(b.slotCount[:], func(n int32) bool { return n != 0 }) ||
+		slices.ContainsFunc(b.slotMask[:], func(m uint64) bool { return m != 0 })
+	if b.asleepCount != 0 || filed || len(b.far) != 0 || b.farMin != NeverWake {
+		t.Fatalf("restored engine counts %d asleep, %d in the overflow list (minimum %d), wheel filed: %v; want nothing",
+			b.asleepCount, len(b.far), b.farMin, filed)
+	}
+
+	b.Step()
+	want := make([]tickRec, len(bhs))
+	for i := range want {
+		want[i] = tickRec{a.Now(), i}
+	}
+	if !slices.Equal(*blog, want) {
+		t.Fatalf("first restored step ticked %v, want %v", *blog, want)
 	}
 }

@@ -3,6 +3,8 @@ package pushmulticast
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -130,6 +132,91 @@ func TestSnapshotRestoreLossyStraddle(t *testing.T) {
 			cold, warm, _ := coldAndWarm(t, cfg, wl, ScaleTiny, probe.Cycles/2)
 			checkIdentical(t, "cold", "restored", cold, warm)
 		})
+	}
+}
+
+// TestSnapshotCrossKernelRestore is kernel independence as a property: for
+// each golden configuration, checked and traced, at barriers drawn from a
+// fixed seed, a snapshot taken on one kernel and restored on the other
+// finishes exactly like the cold run — cycles, counters and trace hash. -short
+// draws one barrier per configuration, the full suite four.
+func TestSnapshotCrossKernelRestore(t *testing.T) {
+	draws := 4
+	if testing.Short() {
+		draws = 1
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range goldenSnapshots {
+		cfg, wl := g.build(t)
+		cfg = withCheck(cfg)
+		fractions := make([]float64, draws)
+		for i := range fractions {
+			fractions[i] = rng.Float64()
+		}
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			cold, err := RunWorkload(cfg, wl, ScaleTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range fractions {
+				barrier := uint64(f * float64(cold.Cycles))
+				for i, from := range snapshotKernels {
+					to := snapshotKernels[1-i]
+					warm := finishFrom(t, snapAt(t, from.with(cfg), wl, barrier), to.with(cfg), wl)
+					checkIdentical(t, "cold", fmt.Sprintf("%s snapshot at %d restored %s", from.name, barrier, to.name), cold, warm)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotAtCycleZero round-trips a machine that never stepped. The
+// catch-up counters settle to the cycle before the barrier, here cycle -1,
+// which must wrap to exactly where a fresh build starts, on either kernel.
+func TestSnapshotAtCycleZero(t *testing.T) {
+	cfg, wl := withCheck(ScaledConfig(Default16()).WithScheme(OrdPush())), goldenWorkload(t, "cachebw")
+	cold, err := RunWorkload(cfg, wl, ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wake, dense := snapAt(t, cfg, wl, 0), snapAt(t, withDense(cfg), wl, 0)
+	if !bytes.Equal(wake, dense) {
+		t.Errorf("the kernels serialize a fresh machine differently (hashes %#x vs %#x)", SnapshotHash(wake), SnapshotHash(dense))
+	}
+	if at, err := SnapshotCycle(wake); err != nil || at != 0 {
+		t.Fatalf("SnapshotCycle = %d, %v; want 0", at, err)
+	}
+	checkIdentical(t, "cold", "restored from cycle 0", cold, finishFrom(t, wake, withDense(cfg), wl))
+	checkIdentical(t, "cold", "restored from cycle 0 (wake-driven)", cold, finishFrom(t, dense, cfg, wl))
+}
+
+// TestWarmForkIgnoresDonorKernel: a warm-start fork depends on its donor's
+// machine state, never on the kernel that wrote it. The donor is
+// broadcast/OrdPush tiny/16 at 9/10 of its cold run, taken on each kernel at
+// the same cycle and forked under two resume windows (100 is the paper's
+// §III-D window). While snapshots carried the scheduler's words and unsettled
+// catch-up counters, the window-100 fork of the wake-driven donor finished at
+// 61,804 cycles and that of the dense donor at 61,726.
+func TestWarmForkIgnoresDonorKernel(t *testing.T) {
+	cfg, wl := ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "broadcast")
+	cold, err := RunWorkload(cfg, wl, ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var donors [][]byte
+	for _, k := range snapshotKernels {
+		donors = append(donors, snapAt(t, k.with(cfg), wl, cold.Cycles*9/10))
+	}
+	wakeAt, _ := SnapshotCycle(donors[0])
+	if denseAt, _ := SnapshotCycle(donors[1]); wakeAt != denseAt {
+		t.Fatalf("the donors paused at cycles %d and %d; the fork comparison needs one", wakeAt, denseAt)
+	}
+	for _, window := range []int{100, 333} {
+		fork := cfg
+		fork.TimeWindow = window
+		checkIdentical(t, fmt.Sprintf("window-%d fork of the wake-driven donor", window), "of the dense donor",
+			finishFrom(t, donors[0], fork, wl), finishFrom(t, donors[1], fork, wl))
 	}
 }
 
@@ -278,25 +365,27 @@ type goldenSnapshot struct {
 
 // goldenSnapshots between them exercise every section of the format: plain
 // and collective workloads, all three schemes, transport retransmit windows,
-// checker loss bookkeeping, and the trace ring. The pins are format v2's,
-// recorded when the format stopped carrying derived state (v1 held the same
-// four machines in 1,568,135 / 1,518,921 / 1,561,113 / 1,668,080 bytes: every
-// free cache way in full, 160 bytes of port subsets a buffered packet, the
-// routers' candidate and free-VC words, eight reserved engine words). The
-// two fingerprint strings in the header are the config's %+v text, so
-// removing a Config field moves the pins without moving a byte after the
-// header (the inert CoalesceWindow took 35 bytes out of each). Any other
-// change to them is a format change and must bump the version.
+// checker loss bookkeeping, and the trace ring. The pins are format v3's,
+// recorded when the format stopped carrying the engine's scheduling and the
+// lazy catch-up residues (v2 held the same four machines in 505,589 / 181,891
+// / 538,594 / 590,781 bytes: every handle's sleep flag and wake time, the tick
+// count, each core's blockedAt, each slice's lastTick, each L1's polled
+// access and miss counts; v1 in 1,568,135 / 1,518,921 / 1,561,113 /
+// 1,668,080, with every free cache way in full and the routers' derived
+// words). The two fingerprint strings in the header are the config's %+v
+// text, so removing a Config field moves the pins without moving a byte after
+// the header. Any other change to them is a format change and must bump the
+// version.
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 505589, 0x3f731085176a641e},
+	}, 10000, 504305, 0x27ebb18a418fca30},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 181891, 0xd85d7720e4d6920a},
+	}, 2000, 180607, 0x5db578f0b874f92e},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 538594, 0x88507c4923f0cbf6},
+	}, 30000, 537310, 0x8a8260789e5b3d28},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -304,7 +393,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 590781, 0xf8aee4734d7c2298},
+	}, 12000, 589479, 0x0505a371ada6e8b4},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
@@ -320,11 +409,17 @@ func goldenWorkload(t testing.TB, name string) Workload {
 func (g goldenSnapshot) take(t testing.TB) []byte {
 	t.Helper()
 	cfg, wl := g.build(t)
+	return snapAt(t, cfg, wl, g.cycle)
+}
+
+// snapAt runs a fresh tiny-scale machine to the barrier and serializes it.
+func snapAt(t testing.TB, cfg Config, wl Workload, barrier uint64) []byte {
+	t.Helper()
 	m, err := NewMachine(cfg, wl, ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RunTo(g.cycle); err != nil {
+	if err := m.RunTo(barrier); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := m.Snapshot()
@@ -334,30 +429,49 @@ func (g goldenSnapshot) take(t testing.TB) []byte {
 	return snap
 }
 
+// finishFrom restores the snapshot into a fresh tiny-scale machine for cfg
+// and runs it to completion.
+func finishFrom(t testing.TB, snap []byte, cfg Config, wl Workload) Results {
+	t.Helper()
+	m, err := RestoreMachine(snap, cfg, wl, ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSnapshotGoldenBytes pins the wire format: the four golden states
-// serialize to exactly the recorded length and content hash.
+// serialize to exactly the recorded length and content hash — taken on the
+// wake-driven kernel and on the dense one alike, because a snapshot holds
+// machine state and no scheduling.
 func TestSnapshotGoldenBytes(t *testing.T) {
 	for _, g := range goldenSnapshots {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			snap := g.take(t)
-			if len(snap) != g.size || SnapshotHash(snap) != g.hash {
-				t.Fatalf("snapshot is %d bytes, hash %#x; pinned %d bytes, hash %#x — the wire format changed",
-					len(snap), SnapshotHash(snap), g.size, g.hash)
+			cfg, wl := g.build(t)
+			for _, k := range snapshotKernels {
+				snap := snapAt(t, k.with(cfg), wl, g.cycle)
+				if len(snap) != g.size || SnapshotHash(snap) != g.hash {
+					t.Errorf("%s: snapshot is %d bytes, hash %#x; pinned %d bytes, hash %#x — the wire format changed",
+						k.name, len(snap), SnapshotHash(snap), g.size, g.hash)
+				}
 			}
 		})
 	}
 }
 
 // TestRestoreAuditsClean restores every golden snapshot and audits the
-// machine before its first Step: format v2 carries no derived field, so every
+// machine before its first Step: the format carries no derived field, so every
 // mask, count, index and back pointer the datapath trusts is what the
 // components' rebuilds made of the primary state, and the checker — which
 // holds the live fields against those same rebuilds — must find nothing to
 // say. Re-serializing the restored machine gives back the snapshot's bytes:
-// nothing it carries was lost, and in particular every handle sleeps as it
-// did (internal/sim's snapshot test compares the refiled wakes themselves).
+// nothing it carries was lost, although every handle restored awake.
 func TestRestoreAuditsClean(t *testing.T) {
 	for i, g := range goldenSnapshots {
 		g, snap := g, goldenBytes(t)[i]

@@ -81,9 +81,9 @@ var crafted = []struct {
 	{"link-counter count", "stats.all", 0, 0, 1 << 62},
 	// Appended pooled packets without end.
 	{"NI queue count", "noc.ni", 0, 0, 1 << 62},
-	// Replayed Next() on an ended stream 1<<62 times: 70 bytes of retirement
+	// Replayed Next() on an ended stream 1<<62 times: 62 bytes of retirement
 	// state precede the op count.
-	{"core op count past its stream's end", "cpu.core", 0, 70, 1 << 62},
+	{"core op count past its stream's end", "cpu.core", 0, 62, 1 << 62},
 	// Pushed a 17th entry into a 16-slot link ring: an idle router's first
 	// arrivals-ring count follows its occ count (8) and 5 stream flags.
 	{"link ring past capacity", "noc.router", 13, 13, 17},
