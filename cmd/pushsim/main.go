@@ -49,7 +49,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&sp.Scheme, "scheme", "OrdPush", "scheme: Baseline|NoPrefetch|Coalesce|MSP|PushAck|OrdPush|Push|Push+Multicast|Push+Multicast+Filter")
 	fs.IntVar(&sp.Cores, "cores", 16, "core count: 16, 64, or 256")
 	fs.StringVar(&sp.Scale, "scale", "quick", "input scale: tiny|quick|full")
-	fs.IntVar(&k.LinkWidthBits, "link", 128, "link width in bits: 64|128|256|512")
+	fs.IntVar(&k.LinkWidthBits, "link", 0, "link width in bits: 64|128|256|512 (0 = default 128)")
 	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit results as JSON")
 	fs.BoolVar(&o.dense, "dense", false, "run on the dense reference kernel (tick every component every cycle; the wake-driven scheduler's equivalence oracle)")

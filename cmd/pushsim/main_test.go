@@ -189,6 +189,27 @@ func TestFlagsResolveLikeEveryFrontEnd(t *testing.T) {
 	}
 }
 
+// TestKnobFlagsKeepTheMachine pins that pushsim states no default of its own:
+// every knob flag defaults to 0, which keeps the machine's value, so naming
+// the machine's own link width resolves to the same run as leaving it out.
+func TestKnobFlagsKeepTheMachine(t *testing.T) {
+	o := parse(t)
+	if *o.spec.Knobs != (pushmulticast.KnobSpec{}) {
+		t.Fatalf("knob flags default to %+v; want all zero", *o.spec.Knobs)
+	}
+	plain, err := o.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := parse(t, "-link", "128").resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Identity() != named.Identity() {
+		t.Fatalf("-link 128 resolved to run %s, the default to %s", named.Identity(), plain.Identity())
+	}
+}
+
 // TestExecuteSnapshotRoundTrip pins the CLI checkpoint workflow end to end:
 // a run that pauses to write a snapshot finishes with results identical to a
 // plain run, and a fresh process restoring that snapshot finishes with the

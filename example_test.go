@@ -32,7 +32,7 @@ func ExampleRunWorkload() {
 				}
 				i++
 				return pushmulticast.Op{Kind: pushmulticast.OpLoad,
-					Addr: pushmulticast.SharedBase + uint64(i%8)*64}
+					Addr: pushmulticast.SharedBase + uint64(i%8)*pushmulticast.LineBytes}
 			})
 		},
 	}

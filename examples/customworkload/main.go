@@ -34,14 +34,14 @@ func (s *kvStream) next() pushmulticast.Op {
 		return pushmulticast.Op{Kind: pushmulticast.OpWork, N: 12}
 	case 1: // shared index probe
 		line := (h * 7) % s.idxLines
-		return pushmulticast.Op{Kind: pushmulticast.OpLoad, Addr: pushmulticast.SharedBase + line*64}
+		return pushmulticast.Op{Kind: pushmulticast.OpLoad, Addr: pushmulticast.SharedBase + line*pushmulticast.LineBytes}
 	case 2: // sequential shared scan leg (range query)
 		line := uint64(s.i) % s.idxLines
-		return pushmulticast.Op{Kind: pushmulticast.OpLoad, Addr: pushmulticast.SharedBase + line*64}
+		return pushmulticast.Op{Kind: pushmulticast.OpLoad, Addr: pushmulticast.SharedBase + line*pushmulticast.LineBytes}
 	default: // private session write
 		line := h % 64
 		return pushmulticast.Op{Kind: pushmulticast.OpStore,
-			Addr: pushmulticast.PrivateBase(s.core) + line*64}
+			Addr: pushmulticast.PrivateBase(s.core) + line*pushmulticast.LineBytes}
 	}
 }
 

@@ -20,7 +20,7 @@ func systemTable(o ExpOptions, _ map[string]Results) (fmt.Stringer, error) {
 	t.addRow("System", fmt.Sprintf("%dx%d tiles", cfg.MeshW, cfg.MeshH))
 	t.addRow("Core", fmt.Sprintf("%d-wide retire, %d-deep load window, %d-entry store buffer",
 		cfg.CoreWidth, cfg.CoreWindow, cfg.StoreBuffer))
-	t.addRow("L1D", fmt.Sprintf("%dKB %d-way, %d-cycle", cfg.L1Size>>10, cfg.L1Ways, cfg.L1Latency))
+	t.addRow("L1D", fmt.Sprintf("%dKB %d-way, 1-cycle", cfg.L1Size>>10, cfg.L1Ways))
 	t.addRow("L2 (private)", fmt.Sprintf("%dKB %d-way, %d-cycle, %d MSHRs",
 		cfg.L2Size>>10, cfg.L2Ways, cfg.L2Latency, cfg.L2MSHRs))
 	t.addRow("LLC slice (shared)", fmt.Sprintf("%dKB %d-way, %d-cycle",

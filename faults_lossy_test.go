@@ -111,30 +111,3 @@ func TestLossyUnrecoverable(t *testing.T) {
 		})
 	}
 }
-
-// TestSeqWraparound narrows the sequence space to 8 bits so tiny runs wrap
-// the per-stream counters many times, and asserts the recovery layer stays
-// correct and deterministic across kernels: dedup must not suppress fresh
-// packets after a wrap, and the window must keep moving.
-func TestSeqWraparound(t *testing.T) {
-	plan := GenerateLossyPlan(16, 5, 60)
-	mkCfg := func() Config {
-		cfg := withCheck(ScaledConfig(Default16()).WithScheme(OrdPush()))
-		cfg.Faults = &plan
-		cfg.NoC.SeqBits = 8
-		cfg.NoC.RetryWindow = 16
-		return cfg
-	}
-	serial, err := Run(mkCfg(), "cachebw", ScaleTiny)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	dense, err := Run(withDense(mkCfg()), "cachebw", ScaleTiny)
-	if err != nil {
-		t.Fatalf("dense: %v", err)
-	}
-	checkIdentical(t, "serial", "dense", serial, dense)
-	if serial.Stats.Net.MsgDropped == 0 || serial.Stats.Net.Retransmits == 0 {
-		t.Error("wraparound run saw no losses or no retransmissions; nothing was exercised")
-	}
-}

@@ -126,9 +126,9 @@ type Array struct {
 const noTag = ^uint64(0)
 
 // NewArray builds an array with sizeBytes capacity, the given associativity,
-// and 64-byte lines. The set count must come out a power of two.
-func NewArray(sizeBytes, ways, lineSize int) *Array {
-	return NewInterleavedArray(sizeBytes, ways, lineSize, 1)
+// and noc.LineBytes lines. The set count must come out a power of two.
+func NewArray(sizeBytes, ways int) *Array {
+	return NewInterleavedArray(sizeBytes, ways, 1)
 }
 
 // NewInterleavedArray builds an array for one slice of an address-
@@ -136,9 +136,8 @@ func NewArray(sizeBytes, ways, lineSize int) *Array {
 // slice are skipped when computing the set index, so a slice uses all of
 // its sets rather than the 1/interleave subset its stripe of addresses
 // would otherwise map to.
-func NewInterleavedArray(sizeBytes, ways, lineSize, interleave int) *Array {
-	lines := sizeBytes / lineSize
-	sets := lines / ways
+func NewInterleavedArray(sizeBytes, ways, interleave int) *Array {
+	sets := sizeBytes / noc.LineBytes / ways
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)", sets, sizeBytes, ways))
 	}
@@ -149,7 +148,7 @@ func NewInterleavedArray(sizeBytes, ways, lineSize, interleave int) *Array {
 		lines:    make([]Line, sets*ways),
 		tags:     make([]uint64, sets*ways),
 		setMask:  uint64(sets - 1),
-		setShift: uint(bits.TrailingZeros(uint(lineSize)) + bits.TrailingZeros(uint(interleave))),
+		setShift: uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))),
 		ways:     ways,
 	}
 	for i := range a.tags {

@@ -14,7 +14,7 @@ import (
 )
 
 func TestArrayGeometry(t *testing.T) {
-	a := NewArray(256<<10, 16, 64)
+	a := NewArray(256<<10, 16)
 	if a.Sets() != 256 || a.Ways() != 16 {
 		t.Fatalf("geometry = %d sets x %d ways, want 256x16", a.Sets(), a.Ways())
 	}
@@ -26,11 +26,11 @@ func TestArrayBadGeometryPanics(t *testing.T) {
 			t.Fatal("expected panic for non-power-of-two set count")
 		}
 	}()
-	NewArray(3*64*4, 4, 64) // 3 sets
+	NewArray(3*64*4, 4) // 3 sets
 }
 
 func TestArrayLookupInstall(t *testing.T) {
-	a := NewArray(4096, 4, 64) // 16 sets x 4 ways
+	a := NewArray(4096, 4) // 16 sets x 4 ways
 	if a.Lookup(0x1000) != nil {
 		t.Fatal("lookup on empty array should miss")
 	}
@@ -46,7 +46,7 @@ func TestArrayLookupInstall(t *testing.T) {
 }
 
 func TestArrayLRUVictim(t *testing.T) {
-	a := NewArray(4*64, 4, 64) // 1 set x 4 ways
+	a := NewArray(4*64, 4) // 1 set x 4 ways
 	for i := 0; i < 4; i++ {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateS, sim.Cycle(10+5*i))
@@ -58,7 +58,7 @@ func TestArrayLRUVictim(t *testing.T) {
 }
 
 func TestArrayVictimRespectsPredicate(t *testing.T) {
-	a := NewArray(2*64, 2, 64) // 1 set x 2 ways
+	a := NewArray(2*64, 2) // 1 set x 2 ways
 	for i := 0; i < 2; i++ {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateISD, 0)
@@ -74,7 +74,7 @@ func TestArrayVictimRespectsPredicate(t *testing.T) {
 func TestInterleavedArraySpreadsSets(t *testing.T) {
 	// A 16-way slice of a 16-slice cache: addresses striped by 16 lines
 	// must cover all sets, not just set 0.
-	a := NewInterleavedArray(64<<10, 16, 64, 16)
+	a := NewInterleavedArray(64<<10, 16, 16)
 	seen := map[int]bool{}
 	for i := 0; i < 1024; i++ {
 		addr := uint64(i) * 16 * 64 // slice-0 stripe
@@ -88,7 +88,7 @@ func TestInterleavedArraySpreadsSets(t *testing.T) {
 // Property: for any address sequence, Lookup never returns a line with a
 // different tag, and Install/Lookup round-trips.
 func TestArrayLookupConsistency(t *testing.T) {
-	a := NewArray(64*64, 4, 64)
+	a := NewArray(64*64, 4)
 	f := func(addrs []uint16) bool {
 		for _, raw := range addrs {
 			addr := uint64(raw) * 64
@@ -133,7 +133,7 @@ func TestStateStringsAndTransience(t *testing.T) {
 }
 
 func TestArrayForEach(t *testing.T) {
-	a := NewArray(8*64, 2, 64)
+	a := NewArray(8*64, 2)
 	for i := 0; i < 3; i++ {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateS, 0)
@@ -155,7 +155,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 	states := []State{StateS, StateM, StateISD, StateSMD, StateLV, StateLM}
 	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}} {
 		rng := rand.New(rand.NewSource(int64(geom.sets*100 + geom.ways)))
-		a := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, 64, geom.interleave)
+		a := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, geom.interleave)
 		set := func(addr uint64) []Line {
 			b := a.base(addr)
 			return a.lines[b : b+a.ways]
@@ -246,7 +246,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 // index's back, each way it can go wrong, and requires audit to say so.
 func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 	fill := func() (*Array, *Line) {
-		a := NewArray(4*4*64, 4, 64)
+		a := NewArray(4*4*64, 4)
 		for _, addr := range []uint64{0x000, 0x100, 0x040} {
 			a.Install(a.Victim(addr, nil), addr, StateS, 0)
 		}
@@ -288,7 +288,7 @@ func TestArrayStateIsCanonical(t *testing.T) {
 		a.state(c)
 		return c.Finish()
 	}
-	used, fresh := NewArray(4*4*64, 4, 64), NewArray(4*4*64, 4, 64)
+	used, fresh := NewArray(4*4*64, 4), NewArray(4*4*64, 4)
 	for _, a := range []*Array{used, fresh} {
 		a.Install(a.Victim(0x040, nil), 0x040, StateS, 3)
 	}
@@ -304,7 +304,7 @@ func TestArrayStateIsCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := NewArray(4*4*64, 4, 64)
+	back := NewArray(4*4*64, 4)
 	if back.state(c); c.Err() != nil {
 		t.Fatal(c.Err())
 	}

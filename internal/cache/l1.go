@@ -10,8 +10,8 @@ type L1 struct {
 }
 
 // NewL1 builds an L1 data cache.
-func NewL1(sizeBytes, ways, lineSize int) *L1 {
-	return &L1{arr: NewArray(sizeBytes, ways, lineSize)}
+func NewL1(sizeBytes, ways int) *L1 {
+	return &L1{arr: NewArray(sizeBytes, ways)}
 }
 
 // Lookup probes the L1 for a load; on a hit it returns the line version.

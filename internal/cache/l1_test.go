@@ -3,7 +3,7 @@ package cache
 import "testing"
 
 func TestL1HitMiss(t *testing.T) {
-	l1 := NewL1(2048, 8, 64)
+	l1 := NewL1(2048, 8)
 	if _, hit := l1.Lookup(0x40, 0); hit {
 		t.Fatal("cold lookup hit")
 	}
@@ -15,7 +15,7 @@ func TestL1HitMiss(t *testing.T) {
 }
 
 func TestL1FillUpdatesExisting(t *testing.T) {
-	l1 := NewL1(2048, 8, 64)
+	l1 := NewL1(2048, 8)
 	l1.Fill(0x40, 1, 0)
 	l1.Fill(0x40, 2, 1)
 	if v, _ := l1.Lookup(0x40, 2); v != 2 {
@@ -24,7 +24,7 @@ func TestL1FillUpdatesExisting(t *testing.T) {
 }
 
 func TestL1Invalidate(t *testing.T) {
-	l1 := NewL1(2048, 8, 64)
+	l1 := NewL1(2048, 8)
 	l1.Fill(0x40, 1, 0)
 	l1.Invalidate(0x40)
 	if l1.Present(0x40) {
@@ -34,7 +34,7 @@ func TestL1Invalidate(t *testing.T) {
 }
 
 func TestL1Update(t *testing.T) {
-	l1 := NewL1(2048, 8, 64)
+	l1 := NewL1(2048, 8)
 	l1.Update(0x40, 9) // absent: no-allocate
 	if l1.Present(0x40) {
 		t.Fatal("Update must not allocate")
@@ -47,7 +47,7 @@ func TestL1Update(t *testing.T) {
 }
 
 func TestL1EvictsLRUWithinSet(t *testing.T) {
-	l1 := NewL1(2*64, 2, 64) // 1 set x 2 ways
+	l1 := NewL1(2*64, 2) // 1 set x 2 ways
 	l1.Fill(0x000, 1, 0)
 	l1.Fill(0x040, 1, 1)
 	l1.Lookup(0x000, 2) // make line 0 recently used

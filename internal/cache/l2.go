@@ -122,8 +122,8 @@ func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 		cfg:  cfg,
 		eng:  eng,
 		st:   st,
-		arr:  NewArray(cfg.L2Size, cfg.L2Ways, cfg.LineSize),
-		l1:   NewL1(cfg.L1Size, cfg.L1Ways, cfg.LineSize),
+		arr:  NewArray(cfg.L2Size, cfg.L2Ways),
+		l1:   NewL1(cfg.L1Size, cfg.L1Ways),
 		core: core,
 		mshr: make(map[uint64]*l2MSHR),
 		wb:   make(map[uint64]*wbEntry),
@@ -138,9 +138,6 @@ func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 	if cfg.Faults.Lossy() {
 		c.lossy = true
 		c.mshrTimeout = sim.Cycle(cfg.MSHRRetryTimeout)
-		if c.mshrTimeout <= 0 {
-			c.mshrTimeout = 300
-		}
 	}
 	net.Attach(id, stats.UnitL2, c)
 	c.h = eng.Register(c)

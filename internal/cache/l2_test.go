@@ -213,8 +213,8 @@ func TestL2PushDroppedOnWriteUpgrade(t *testing.T) {
 func TestL2PushNeverEvictsDirtyData(t *testing.T) {
 	f := newL2Fixture(t, config.OrdPush())
 	// Fill one whole set with M lines.
-	sets := uint64(f.cfg.L2Size / f.cfg.LineSize / f.cfg.L2Ways)
-	stride := sets * uint64(f.cfg.LineSize)
+	sets := uint64(f.cfg.L2Size / noc.LineBytes / f.cfg.L2Ways)
+	stride := sets * noc.LineBytes
 	for w := 0; w < f.cfg.L2Ways; w++ {
 		addr := lineA + uint64(w)*stride
 		f.l2.Store(addr, f.eng.Now())

@@ -120,7 +120,7 @@ func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine
 		cfg:     cfg,
 		eng:     eng,
 		st:      st,
-		arr:     NewInterleavedArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.LineSize, cfg.Tiles()),
+		arr:     NewInterleavedArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.Tiles()),
 		ep:      make(map[uint64]*episode),
 		fetches: make(map[uint64]*fetch),
 		stalled: make(map[uint64][]*noc.Packet),

@@ -132,8 +132,7 @@ func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LL
 		// either the retransmissions are not happening or the recovery
 		// bookkeeping lost the key — both are liveness bugs the abort path
 		// should have caught first.
-		t := cfg.NoC.WithTransportDefaults()
-		m.lossBound = uint64(t.MaxRetries+4)*uint64(t.RetryTimeout) + 20_000
+		m.lossBound = uint64(cfg.NoC.MaxRetries+4)*uint64(cfg.NoC.RetryTimeout) + 20_000
 	}
 	return m
 }

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pushmulticast/internal/fault"
 	"pushmulticast/internal/noc"
@@ -158,18 +159,15 @@ type System struct {
 	// MeshW x MeshH tiles, one core + private L1/L2 + LLC slice per tile.
 	MeshW, MeshH int
 
-	// LineSize is the cache line size in bytes.
-	LineSize int
-
-	// Cache geometry (bytes / ways).
+	// Cache geometry (bytes / ways); lines are noc.LineBytes.
 	L1Size, L1Ways        int
 	L2Size, L2Ways        int
 	LLCSliceSize, LLCWays int
 	L2MSHRs               int
 
-	// Latencies in cycles.
-	L1Latency, L2Latency, LLCLatency int
-	MemLatency                       int
+	// Latencies in cycles. An L1 hit has none: it completes inside the
+	// core's own tick.
+	L2Latency, LLCLatency, MemLatency int
 	// MemCyclesPerLine is the bandwidth limit per memory controller: one
 	// line transfer occupies the controller for this many cycles
 	// (12.8 GB/s shared by 4 controllers => 64B / 3.2GB/s = 40 cycles at
@@ -259,7 +257,7 @@ type System struct {
 	// response reissues its request (lossy fault plans only; fault-free runs
 	// never arm the timers). It must sit below the NoC transport's
 	// RetryTimeout so a protocol-level reissue genuinely fires before the
-	// transport's own retransmission heals the loss. 0 selects the default.
+	// transport's own retransmission heals the loss.
 	MSHRRetryTimeout int
 }
 
@@ -271,9 +269,6 @@ func (s System) Validate() error {
 	if s.Tiles() < 2 || s.Tiles() > noc.MaxNodes {
 		return fmt.Errorf("config: unsupported tile count %d", s.Tiles())
 	}
-	if s.LineSize != 64 {
-		return fmt.Errorf("config: line size must be 64, got %d", s.LineSize)
-	}
 	for _, c := range []struct {
 		name       string
 		size, ways int
@@ -282,13 +277,41 @@ func (s System) Validate() error {
 		{"L2", s.L2Size, s.L2Ways},
 		{"LLC slice", s.LLCSliceSize, s.LLCWays},
 	} {
-		lines := c.size / s.LineSize
-		if c.size <= 0 || c.ways <= 0 || lines%c.ways != 0 {
+		// The array indexes sets by address bits: their count is a power of two.
+		if c.size <= 0 || c.ways <= 0 || c.size%(c.ways*noc.LineBytes) != 0 ||
+			bits.OnesCount(uint(c.size/(c.ways*noc.LineBytes))) != 1 {
 			return fmt.Errorf("config: bad %s geometry size=%d ways=%d", c.name, c.size, c.ways)
 		}
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"L2MSHRs", s.L2MSHRs}, {"MemCyclesPerLine", s.MemCyclesPerLine},
+		{"CoreWidth", s.CoreWidth}, {"CoreWindow", s.CoreWindow}, {"StoreBuffer", s.StoreBuffer},
+		{"TPCThreshold", s.TPCThreshold}, {"TimeWindow", s.TimeWindow},
+		{"BingoPHTEntries", s.BingoPHTEntries}, {"StrideStreams", s.StrideStreams},
+		{"StrideDegree", s.StrideDegree}, {"MSHRRetryTimeout", s.MSHRRetryTimeout},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("config: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	if s.L2Latency < 0 || s.LLCLatency < 0 || s.MemLatency < 0 {
+		return fmt.Errorf("config: negative latency (L2 %d, LLC %d, memory %d)", s.L2Latency, s.LLCLatency, s.MemLatency)
+	}
+	if r := s.BingoRegionBytes; r < noc.LineBytes || r > 64*noc.LineBytes || r&(r-1) != 0 {
+		// A region's footprint is one 64-bit word, one bit per line.
+		return fmt.Errorf("config: BingoRegionBytes %d is not a power of two from 1 to 64 lines", r)
+	}
+	if s.Scheme.Protocol > ProtoOrdPush {
+		return fmt.Errorf("config: scheme %q has unknown protocol %d", s.Scheme.Name, s.Scheme.Protocol)
+	}
 	if s.Scheme.Push && s.Scheme.Protocol == ProtoNone {
 		return fmt.Errorf("config: scheme %q pushes without a push protocol", s.Scheme.Name)
+	}
+	if s.NoC != s.withNoCFlags().NoC {
+		return fmt.Errorf("config: NoC filter/ordering flags disagree with scheme %q (set a scheme with WithScheme)", s.Scheme.Name)
 	}
 	if s.NoC.Width != s.MeshW || s.NoC.Height != s.MeshH {
 		return fmt.Errorf("config: NoC mesh %dx%d disagrees with system %dx%d",
@@ -343,12 +366,11 @@ func Default256() System { return defaultSystem(16, 16) }
 func defaultSystem(w, h int) System {
 	s := System{
 		MeshW: w, MeshH: h,
-		LineSize: 64,
-		L1Size:   32 << 10, L1Ways: 8,
+		L1Size: 32 << 10, L1Ways: 8,
 		L2Size: 256 << 10, L2Ways: 16,
 		LLCSliceSize: 1 << 20, LLCWays: 16,
 		L2MSHRs:   16,
-		L1Latency: 1, L2Latency: 4, LLCLatency: 10,
+		L2Latency: 4, LLCLatency: 10,
 		MemLatency: 120, MemCyclesPerLine: 40,
 		CoreWidth: 8, CoreWindow: 16, StoreBuffer: 16,
 		KnobRatioShift:   1,
@@ -370,7 +392,7 @@ func (s System) Scaled(factor int) System {
 	}
 	div := func(bytes int) int {
 		v := bytes / factor
-		min := s.LineSize * s.L2Ways
+		min := noc.LineBytes * s.L2Ways
 		if v < min {
 			v = min
 		}
@@ -430,5 +452,5 @@ func abs(v int) int {
 // HomeSlice maps a line address to its home LLC slice by low-order set
 // interleaving, the address-hashing NUCA placement the paper assumes.
 func (s System) HomeSlice(lineAddr uint64) noc.NodeID {
-	return noc.NodeID((lineAddr / uint64(s.LineSize)) % uint64(s.Tiles()))
+	return noc.NodeID((lineAddr / noc.LineBytes) % uint64(s.Tiles()))
 }

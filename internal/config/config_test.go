@@ -87,20 +87,74 @@ func TestWithSchemeNoCFlags(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	bad := Default16()
-	bad.Scheme = Scheme{Name: "x", Push: true, Protocol: ProtoNone}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "push protocol") {
-		t.Errorf("push without protocol accepted: %v", err)
+	for _, c := range []struct {
+		name, want string
+		edit       func(*System)
+	}{
+		{"push without protocol", "push protocol", func(s *System) { s.Scheme = Scheme{Name: "x", Push: true} }},
+		{"unknown protocol", "unknown protocol", func(s *System) { s.Scheme.Protocol = ProtoOrdPush + 1 }},
+		{"LLC slice of one byte", "LLC slice geometry", func(s *System) { s.LLCSliceSize = 1 }},
+		{"mesh mismatch", "disagrees", func(s *System) { s.NoC.Width = 8 }},
+		{"L2 sets not a power of two", "L2 geometry", func(s *System) { s.L2Size = 3 * 64 * 16 }},
+		// A zero window divided by zero in the LLC's resume knob, and the
+		// panic escaped Run; a negative one ran silently.
+		{"zero time window", "TimeWindow", func(s *System) { s.TimeWindow = 0 }},
+		{"negative time window", "TimeWindow", func(s *System) { s.TimeWindow = -5 }},
+		// No MSHRs stalled every miss until the watchdog called it a deadlock.
+		{"no L2 MSHRs", "L2MSHRs", func(s *System) { s.L2MSHRs = 0 }},
+		{"zero TPC threshold", "TPCThreshold", func(s *System) { s.TPCThreshold = 0 }},
+		{"zero core width", "CoreWidth", func(s *System) { s.CoreWidth = 0 }},
+		{"zero load window", "CoreWindow", func(s *System) { s.CoreWindow = 0 }},
+		{"zero store buffer", "StoreBuffer", func(s *System) { s.StoreBuffer = 0 }},
+		{"zero memory bandwidth slot", "MemCyclesPerLine", func(s *System) { s.MemCyclesPerLine = 0 }},
+		{"zero PHT", "BingoPHTEntries", func(s *System) { s.BingoPHTEntries = 0 }},
+		{"zero stride streams", "StrideStreams", func(s *System) { s.StrideStreams = 0 }},
+		{"zero stride degree", "StrideDegree", func(s *System) { s.StrideDegree = 0 }},
+		{"zero Bingo region", "BingoRegionBytes", func(s *System) { s.BingoRegionBytes = 0 }},
+		{"Bingo region not a power of two", "BingoRegionBytes", func(s *System) { s.BingoRegionBytes = 3 << 10 }},
+		{"Bingo region past one footprint word", "BingoRegionBytes", func(s *System) { s.BingoRegionBytes = 8 << 10 }},
+		{"zero MSHR retry timeout", "MSHRRetryTimeout", func(s *System) { s.MSHRRetryTimeout = 0 }},
+		{"negative L2 latency", "latency", func(s *System) { s.L2Latency = -1 }},
+		{"negative LLC latency", "latency", func(s *System) { s.LLCLatency = -1 }},
+		{"negative memory latency", "latency", func(s *System) { s.MemLatency = -1 }},
+		{"zero retry window", "RetryWindow", func(s *System) { s.NoC.RetryWindow = 0 }},
+		{"zero retry timeout", "RetryTimeout", func(s *System) { s.NoC.RetryTimeout = 0 }},
+		{"zero max retries", "MaxRetries", func(s *System) { s.NoC.MaxRetries = 0 }},
+	} {
+		bad := Default16().WithScheme(OrdPush())
+		c.edit(&bad)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: Validate = %v; want one line mentioning %q", c.name, err, c.want)
+		}
 	}
-	bad = Default16()
-	bad.LineSize = 32
-	if bad.Validate() == nil {
-		t.Error("non-64B line accepted")
-	}
-	bad = Default16()
-	bad.NoC.Width = 8
-	if bad.Validate() == nil {
-		t.Error("mesh mismatch accepted")
+}
+
+// TestValidateRejectsSchemeDesync pins the one legal way to set a scheme:
+// assigning Scheme directly leaves the NoC's filter and ordering flags as the
+// previous scheme had them, which ran a run labelled OrdPush with neither
+// (27,584 cycles against OrdPush's 21,266 on cachebw tiny/16). Validate must
+// refuse every preset assigned that way over a machine whose flags differ,
+// and accept every preset set through WithScheme.
+func TestValidateRejectsSchemeDesync(t *testing.T) {
+	for _, sch := range []Scheme{Baseline(), NoPrefetch(), Coalesce(), MSP(), PushAck(), OrdPush(),
+		AblationPush(), AblationPushMulticast(), AblationPushMulticastFilter(), AblationFull(),
+		PushPrefetch(), PredictivePush(), DeepPush()} {
+		if err := Default16().WithScheme(sch).Validate(); err != nil {
+			t.Errorf("%s through WithScheme: %v", sch.Name, err)
+		}
+		for _, from := range []Scheme{Baseline(), OrdPush(), PushAck()} {
+			cfg := Default16().WithScheme(from)
+			flags := cfg.NoC
+			cfg.Scheme = sch
+			err := cfg.Validate()
+			if desync := flags != Default16().WithScheme(sch).NoC; desync != (err != nil) {
+				t.Errorf("%s assigned over %s: NoC flags disagree=%v, Validate = %v", sch.Name, from.Name, desync, err)
+			}
+			if err != nil && (!strings.Contains(err.Error(), "WithScheme") || strings.Contains(err.Error(), "\n")) {
+				t.Errorf("%s assigned over %s: diagnostic %q should be one line naming WithScheme", sch.Name, from.Name, err)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pushmulticast/internal/config"
+	"pushmulticast/internal/noc"
 	"pushmulticast/internal/stats"
 	"pushmulticast/internal/workload"
 )
@@ -36,9 +37,9 @@ func TestDirectedPushTrigger(t *testing.T) {
 	// lines within the same home slice when stepping by sets*lineSize*
 	// slices... simply step by L2-set aliasing stride times tile count so
 	// home slices differ from X's but L2 sets collide.
-	sets := uint64(cfg.L2Size / cfg.LineSize / cfg.L2Ways)
+	sets := uint64(cfg.L2Size / noc.LineBytes / cfg.L2Ways)
 	for k := uint64(1); k <= 20; k++ {
-		addr := X + k*sets*uint64(cfg.LineSize)
+		addr := X + k*sets*noc.LineBytes
 		sys.L2s[0].Load(addr, sys.Eng.Now())
 		step(300)
 	}

@@ -175,7 +175,7 @@ func TestPushAckPStateBlocksWrite(t *testing.T) {
 		d.load(c, lineX)
 		d.step(300)
 	}
-	sets := uint64(d.sys.Cfg.L2Size / d.sys.Cfg.LineSize / d.sys.Cfg.L2Ways)
+	sets := uint64(d.sys.Cfg.L2Size / noc.LineBytes / d.sys.Cfg.L2Ways)
 	for k := uint64(1); k <= 18; k++ {
 		d.load(0, lineX+k*sets*64)
 		d.step(200)
@@ -203,7 +203,7 @@ func TestLLCEvictionBackInvalidatesSharers(t *testing.T) {
 	// force an eviction by touching more lines mapping to the same set.
 	home := d.sys.Cfg.HomeSlice(lineX)
 	slices := uint64(d.sys.Cfg.Tiles())
-	llcSets := uint64(d.sys.Cfg.LLCSliceSize / d.sys.Cfg.LineSize / d.sys.Cfg.LLCWays)
+	llcSets := uint64(d.sys.Cfg.LLCSliceSize / noc.LineBytes / d.sys.Cfg.LLCWays)
 	stride := llcSets * slices * 64 // same slice, same LLC set
 	d.load(1, lineX)
 	d.step(400)
@@ -234,7 +234,7 @@ func TestSilentEvictionLeavesStaleSharer(t *testing.T) {
 	d := newDriver(t, config.OrdPush())
 	d.load(0, lineX)
 	d.step(300)
-	sets := uint64(d.sys.Cfg.L2Size / d.sys.Cfg.LineSize / d.sys.Cfg.L2Ways)
+	sets := uint64(d.sys.Cfg.L2Size / noc.LineBytes / d.sys.Cfg.L2Ways)
 	for k := uint64(1); k <= 18; k++ {
 		d.load(0, lineX+k*sets*64)
 		d.step(200)
@@ -255,7 +255,7 @@ func TestPushInstallLeavesCleanCache(t *testing.T) {
 	d.step(300)
 	d.load(1, lineX)
 	d.step(300)
-	sets := uint64(d.sys.Cfg.L2Size / d.sys.Cfg.LineSize / d.sys.Cfg.L2Ways)
+	sets := uint64(d.sys.Cfg.L2Size / noc.LineBytes / d.sys.Cfg.L2Ways)
 	for k := uint64(1); k <= 18; k++ {
 		d.load(1, lineX+k*sets*64)
 		d.step(200)

@@ -111,7 +111,7 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 			stream := wl.Build(i, tiles, sc)
 			c = cpu.New(id, &s.Cfg, eng, st, l2, stream, barrier)
 			if cfg.Scheme.L1Bingo {
-				bingo = prefetch.NewBingo(l2, cfg.BingoRegionBytes, cfg.BingoPHTEntries, cfg.LineSize)
+				bingo = prefetch.NewBingo(l2, cfg.BingoRegionBytes, cfg.BingoPHTEntries)
 				c.L1Prefetcher = bingo
 			}
 			s.Cores = append(s.Cores, c)

@@ -206,7 +206,7 @@ func (c *Core) Tick(now sim.Cycle) {
 				budget = 0
 				break
 			}
-			line := c.lineOf(c.cur.Addr)
+			line := lineOf(c.cur.Addr)
 			if c.L1Prefetcher != nil && !c.loadRetry {
 				c.L1Prefetcher.OnAccess(line, now)
 			}
@@ -230,7 +230,7 @@ func (c *Core) Tick(now sim.Cycle) {
 				budget = 0
 				break
 			}
-			line := c.lineOf(c.cur.Addr)
+			line := lineOf(c.cur.Addr)
 			done, accepted := c.l2.Store(line, now)
 			if !accepted {
 				budget = 0
@@ -313,6 +313,6 @@ func (c *Core) parkUntil(now, at sim.Cycle) {
 	c.h.SleepUntil(at)
 }
 
-func (c *Core) lineOf(addr uint64) uint64 {
-	return addr &^ uint64(c.cfg.LineSize-1)
+func lineOf(addr uint64) uint64 {
+	return addr &^ (noc.LineBytes - 1)
 }

@@ -386,13 +386,9 @@ type Network struct {
 	// off (the default); hot paths gate every fault check on that nil.
 	faults FaultHook `snap:"-,wiring"`
 	// lossy is set by SetFaults when the plan schedules MsgDrop/MsgDup/
-	// MsgCorrupt; it arms the end-to-end recovery layer. The resolved knobs
-	// below come from cfg.WithTransportDefaults at construction.
-	lossy        bool      `snap:"-,config"`
-	seqMask      uint32    `snap:"-,config"`
-	retryWindow  int       `snap:"-,config"`
-	retryTimeout sim.Cycle `snap:"-,config"`
-	maxRetries   int       `snap:"-,config"`
+	// MsgCorrupt; it arms the end-to-end recovery layer, whose knobs are
+	// cfg.RetryWindow, cfg.RetryTimeout and cfg.MaxRetries.
+	lossy bool `snap:"-,config"`
 }
 
 // New builds a mesh network and registers its components with the engine.
@@ -403,11 +399,6 @@ func New(cfg Config, eng *sim.Engine, st *stats.All) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, eng: eng, st: st}
-	t := cfg.WithTransportDefaults()
-	n.seqMask = uint32(1)<<uint(t.SeqBits) - 1
-	n.retryWindow = t.RetryWindow
-	n.retryTimeout = sim.Cycle(t.RetryTimeout)
-	n.maxRetries = t.MaxRetries
 	nodes := cfg.Nodes()
 	n.routers = make([]*Router, nodes)
 	n.nis = make([]*NI, nodes)

@@ -27,8 +27,8 @@ package noc
 // duplicable — a lost ack carries no recovery obligation of its own, because
 // the unacked data's retransmission provokes a fresh ack with fresher state.
 // The window bounds how far an unacked entry can trail the receiver's top
-// (RetryWindow <= 32 < the 64-bit mask horizon), so a live entry is always
-// coverable. Every
+// (RetryWindow <= 64, the mask's horizon), so a live entry is always
+// coverable; how far a fresh one can lead it is unbounded (see rxSeen). Every
 // transport decision is a pure function of deterministic state, so lossy
 // runs replay byte-identically on the wake-driven and dense kernels. All
 // state below is tile-local.
@@ -113,7 +113,7 @@ func (ni *NI) initTransport() {
 // windowFull reports whether the vnet's retransmit window has no room for a
 // new entry; Inject refuses the packet, surfacing as ordinary backpressure.
 func (ni *NI) windowFull(vnet int) bool {
-	return len(ni.tp.tx[vnet].entries) >= ni.net.retryWindow
+	return len(ni.tp.tx[vnet].entries) >= ni.net.cfg.RetryWindow
 }
 
 // streamKey packs (source, stream, seq) into the 64-bit key used by the loss
@@ -157,10 +157,10 @@ func (n *Network) checksum(p *Packet) uint32 {
 func (ni *NI) stampTransport(pkt *Packet, now sim.Cycle) {
 	if !pkt.IsAck && !pkt.retx && !pkt.Filterable {
 		w := &ni.tp.tx[pkt.VNet]
-		pkt.Seq = w.nextSeq & ni.net.seqMask
+		pkt.Seq = w.nextSeq
 		w.nextSeq++
 		if cap(w.entries) == 0 {
-			w.entries = make([]txEntry, 0, ni.net.retryWindow)
+			w.entries = make([]txEntry, 0, ni.net.cfg.RetryWindow)
 		}
 		w.entries = append(w.entries, txEntry{
 			seq: pkt.Seq, proto: *pkt, pending: pkt.Dests, lastSent: now,
@@ -302,8 +302,16 @@ func (ni *NI) simulateDup(pkt *Packet, now sim.Cycle) {
 
 // rxSeen consults and updates the (source, vnet) anti-replay window:
 // it reports true for an already-seen sequence number and records fresh
-// ones. Wraparound-safe for 2*RetryWindow <= 1<<SeqBits: a genuine new
-// arrival is never more than RetryWindow ahead of or behind top.
+// ones.
+//
+// The premise is asymmetric. A fresh arrival is never more than RetryWindow
+// (at most 64) behind top: the sender cannot still hold an entry that much
+// older than one it sent later. But it may be any distance ahead, because the
+// sender's one counter also numbers its packets to every other destination,
+// and this stream skips all of those (504 ahead is measured on bfs tiny/16
+// OrdPush at 10 per mille). Distances are taken modulo 2^32, so a fresh
+// number reads as behind top only once 2^31 of them were spent elsewhere in
+// between.
 func (ni *NI) rxSeen(pkt *Packet) bool {
 	key := uint32(pkt.Src)<<2 | uint32(pkt.VNet)
 	st := ni.tp.rx[key]
@@ -311,30 +319,35 @@ func (ni *NI) rxSeen(pkt *Packet) bool {
 		ni.tp.rx[key] = &rxStream{top: pkt.Seq, mask: 1}
 		return false
 	}
-	mask := ni.net.seqMask
-	half := (uint64(mask) + 1) / 2
-	fwd := uint64((pkt.Seq - st.top) & mask)
-	if fwd == 0 {
+	if st.seen(pkt.Seq) {
 		return true
 	}
-	if fwd <= half {
+	if fwd := pkt.Seq - st.top; fwd <= 1<<31 {
 		if fwd >= 64 {
 			st.mask = 1
 		} else {
 			st.mask = st.mask<<fwd | 1
 		}
 		st.top = pkt.Seq
-		return false
+	} else {
+		st.mask |= 1 << (st.top - pkt.Seq)
 	}
-	back := uint64((st.top - pkt.Seq) & mask)
-	if back >= 64 {
-		return true // beyond the mask horizon: treat as ancient duplicate
-	}
-	if st.mask&(1<<back) != 0 {
+	return false
+}
+
+// seen reports whether the stream would suppress seq as a duplicate: top
+// itself, a marked number behind it, or one beyond the mask horizon (an
+// ancient duplicate).
+func (st *rxStream) seen(seq uint32) bool {
+	fwd := seq - st.top
+	if fwd == 0 {
 		return true
 	}
-	st.mask |= 1 << back
-	return false
+	if fwd <= 1<<31 {
+		return false
+	}
+	back := st.top - seq
+	return back >= 64 || st.mask&(1<<back) != 0
 }
 
 // rxSeenPeek is rxSeen without the state update: it reports whether the
@@ -342,22 +355,7 @@ func (ni *NI) rxSeen(pkt *Packet) bool {
 // dropped arrival as an orphan (no recovery obligation).
 func (ni *NI) rxSeenPeek(pkt *Packet) bool {
 	st := ni.tp.rx[uint32(pkt.Src)<<2|uint32(pkt.VNet)]
-	if st == nil {
-		return false
-	}
-	mask := ni.net.seqMask
-	fwd := uint64((pkt.Seq - st.top) & mask)
-	if fwd == 0 {
-		return true
-	}
-	if fwd <= (uint64(mask)+1)/2 {
-		return false
-	}
-	back := uint64((st.top - pkt.Seq) & mask)
-	if back >= 64 {
-		return true
-	}
-	return st.mask&(1<<back) != 0
+	return st != nil && st.seen(pkt.Seq)
 }
 
 // sendAck marks the arrival's (source, vnet) stream as owing a cumulative
@@ -448,15 +446,15 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 		panic(fmt.Sprintf("noc: ack with invalid vnet %d at node %d", a.AckVNet, ni.node))
 	}
 	w := &ni.tp.tx[a.AckVNet]
-	mask := ni.net.seqMask
-	half := (uint64(mask) + 1) / 2
 	for i := range w.entries {
 		e := &w.entries[i]
 		if e.done || !e.pending.Has(a.Src) {
 			continue
 		}
-		back := uint64((a.Seq - e.seq) & mask)
-		if back != 0 && (back > half || back >= 64 || a.AckMask&(1<<back) == 0) {
+		// An entry ahead of the ack's top wraps to a distance of 2^31 or
+		// more, past the mask horizon.
+		back := a.Seq - e.seq
+		if back != 0 && (back >= 64 || a.AckMask&(1<<back) == 0) {
 			continue // ahead of top, or not (yet) seen by the receiver
 		}
 		e.pending = e.pending.Remove(a.Src)
@@ -492,10 +490,10 @@ func (ni *NI) checkRetransmits(now sim.Cycle) {
 		w := &tp.tx[v]
 		for i := range w.entries {
 			e := &w.entries[i]
-			if e.done || now-e.lastSent < ni.net.retryTimeout {
+			if e.done || now-e.lastSent < sim.Cycle(ni.net.cfg.RetryTimeout) {
 				continue
 			}
-			if e.retries >= ni.net.maxRetries {
+			if e.retries >= ni.net.cfg.MaxRetries {
 				tp.dead = fmt.Errorf("noc: node %d vnet %d seq %d addr %#x: %d retransmissions unacked (dests %v): %w",
 					ni.node, v, e.seq, e.proto.Addr, e.retries, e.pending, ErrUnrecoverable)
 				return
@@ -536,7 +534,7 @@ func (ni *NI) transportDeadline() (sim.Cycle, bool) {
 			if e.done {
 				continue
 			}
-			if d := e.lastSent + ni.net.retryTimeout; d < min {
+			if d := e.lastSent + sim.Cycle(ni.net.cfg.RetryTimeout); d < min {
 				min = d
 			}
 		}

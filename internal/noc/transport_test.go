@@ -9,9 +9,8 @@ import (
 
 // bareTransportNI builds the minimal NI the transport-layer state machines
 // need: anti-replay streams and tx windows, no engine or routers.
-func bareTransportNI(seqBits uint) *NI {
+func bareTransportNI() *NI {
 	return &NI{
-		net: &Network{seqMask: uint32(1)<<seqBits - 1},
 		tp: &niTransport{
 			rx:        make(map[uint32]*rxStream),
 			ackDueSet: make(map[uint32]struct{}),
@@ -19,45 +18,47 @@ func bareTransportNI(seqBits uint) *NI {
 	}
 }
 
-// TestRxSeenProperty replays pseudo-random bounded-lag delivery sequences
-// against a reference model that remembers every unmasked sequence number
-// exactly, for narrow and full-width counters. The transport's contract: as
-// long as a redelivery lags the newest delivery by less than the 64-bit mask
-// horizon (guaranteed by the bounded retransmit window), the anti-replay
-// window dedups exactly — no fresh packet suppressed, no duplicate admitted
-// — through arbitrarily many wraps of the masked counter.
+// TestRxSeenProperty replays pseudo-random delivery sequences against a
+// reference model that remembers every unwrapped sequence number exactly,
+// with the counter started just below 2^32 so the run crosses the wrap. A
+// redelivery lags the newest delivery by less than the 64-bit mask horizon
+// (the bounded retransmit window guarantees it); a fresh number may lead it
+// by a long way, as when a receiver's stream skips every number its sender
+// spent on other destinations. The contract: the anti-replay window dedups
+// exactly — no fresh packet suppressed, no duplicate admitted.
 func TestRxSeenProperty(t *testing.T) {
 	const (
 		steps   = 30000
-		maxBack = 40 // redelivery lag kept below the 64-entry mask horizon
-		maxFwd  = 8  // bounded reorder ahead of the newest delivery
+		maxBack = 40   // redelivery lag kept below the 64-entry mask horizon
+		maxFwd  = 8    // bounded reorder ahead of the newest delivery
+		maxSkip = 1000 // numbers the sender spent elsewhere (504 measured)
 	)
-	for _, seqBits := range []uint{8, 12, 16} {
-		ni := bareTransportNI(seqBits)
-		pkt := &Packet{Src: 3, VNet: VNetData}
-		seen := make(map[uint64]bool) // reference: unmasked seq -> delivered
-		var top uint64                // reference: newest unmasked delivery
-		rng := uint64(0x1234567 + seqBits)
-		for i := 0; i < steps; i++ {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			lo := uint64(0)
-			if top > maxBack {
-				lo = top - maxBack
-			}
-			s := lo + (rng>>33)%(top-lo+1+maxFwd)
-			pkt.Seq = uint32(s) & ni.net.seqMask
-			want := seen[s]
-			if peek := ni.rxSeenPeek(pkt); peek != want {
-				t.Fatalf("seqBits=%d step %d: rxSeenPeek(%d)=%v, reference %v", seqBits, i, s, peek, want)
-			}
-			if got := ni.rxSeen(pkt); got != want {
-				t.Fatalf("seqBits=%d step %d: rxSeen(%d)=%v, reference %v", seqBits, i, s, got, want)
-			}
-			seen[s] = true
-			if s > top {
-				top = s
-			}
+	ni := bareTransportNI()
+	pkt := &Packet{Src: 3, VNet: VNetData}
+	top := uint64(1<<32 - 500)         // reference: newest unwrapped delivery
+	seen := map[uint64]bool{top: true} // reference: unwrapped seq -> delivered
+	pkt.Seq = uint32(top)
+	ni.rxSeen(pkt)
+	rng := uint64(0x1234567)
+	for i := 0; i < steps; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		s := top - maxBack + (rng>>33)%(maxBack+1+maxFwd)
+		if rng>>60 == 0 { // one step in sixteen jumps over a skipped run
+			s = top + 1 + (rng>>33)%maxSkip
 		}
+		pkt.Seq = uint32(s)
+		want := seen[s]
+		if peek := ni.rxSeenPeek(pkt); peek != want {
+			t.Fatalf("step %d: rxSeenPeek(%#x)=%v, reference %v", i, s, peek, want)
+		}
+		if got := ni.rxSeen(pkt); got != want {
+			t.Fatalf("step %d: rxSeen(%#x)=%v, reference %v", i, s, got, want)
+		}
+		seen[s] = true
+		top = max(top, s)
+	}
+	if top < 1<<32 {
+		t.Fatalf("newest delivery %#x never crossed the wrap", top)
 	}
 }
 
@@ -65,7 +66,7 @@ func TestRxSeenProperty(t *testing.T) {
 // the window entries the receiver's (top, mask) snapshot covers: seqs at or
 // behind top with their mask bit set, and nothing ahead of top.
 func TestConsumeAckCumulative(t *testing.T) {
-	ni := bareTransportNI(16)
+	ni := bareTransportNI()
 	const dest = NodeID(5)
 	w := &ni.tp.tx[VNetData]
 	for seq := uint32(10); seq < 16; seq++ {
@@ -102,18 +103,18 @@ func TestConsumeAckCumulative(t *testing.T) {
 }
 
 // TestConsumeAckWraparound drives the cumulative coverage check across the
-// masked counter's wrap: an ack whose top sits just past the wrap must cover
+// 32-bit counter's wrap: an ack whose top sits just past the wrap must cover
 // entries from just before it, and must not touch entries logically ahead.
 func TestConsumeAckWraparound(t *testing.T) {
-	ni := bareTransportNI(8)
+	ni := bareTransportNI()
 	const dest = NodeID(2)
 	w := &ni.tp.tx[VNetReq]
-	for _, seq := range []uint32{253, 254, 255, 0, 1, 2} {
+	for _, seq := range []uint32{1<<32 - 3, 1<<32 - 2, 1<<32 - 1, 0, 1, 2} {
 		w.entries = append(w.entries, txEntry{
 			seq: seq, proto: Packet{Seq: seq}, pending: OneDest(dest),
 		})
 	}
-	// Receiver saw 253, 255, 0 (top=0): mask bit 0 (=0), 1 (=255), 3 (=253).
+	// Receiver saw -3, -1, 0 (top=0): mask bit 0 (=0), 1 (=-1), 3 (=-3).
 	ack := &Packet{
 		IsAck: true, AckVNet: int8(VNetReq), Src: dest,
 		Seq: 0, AckMask: 1 | 1<<1 | 1<<3,
@@ -125,7 +126,7 @@ func TestConsumeAckWraparound(t *testing.T) {
 			got = append(got, w.entries[i].seq)
 		}
 	}
-	want := []uint32{254, 1, 2}
+	want := []uint32{1<<32 - 2, 1, 2}
 	if len(got) != len(want) {
 		t.Fatalf("surviving entries %v, want %v", got, want)
 	}
@@ -140,7 +141,7 @@ func TestConsumeAckWraparound(t *testing.T) {
 // deliveries from the same (source, vnet) stream leaves exactly one due ack,
 // and distinct streams queue independently in arrival order.
 func TestSendAckCoalesces(t *testing.T) {
-	ni := bareTransportNI(16)
+	ni := bareTransportNI()
 	a := &Packet{Src: 1, VNet: VNetData, DstUnit: stats.UnitL2}
 	b := &Packet{Src: 1, VNet: VNetReq, DstUnit: stats.UnitL2}
 	c := &Packet{Src: 7, VNet: VNetData, DstUnit: stats.UnitL2}
@@ -162,5 +163,120 @@ func TestSendAckCoalesces(t *testing.T) {
 		if ni.tp.ackDue[i] != k {
 			t.Fatalf("ackDue[%d]=%#x, want %#x", i, ni.tp.ackDue[i], k)
 		}
+	}
+}
+
+// lossyHook is a FaultHook that leaves timing alone and decides loss as a
+// pure function of (node, cycle, packet ID): rate per mille of arrivals are
+// dropped and as many again duplicated.
+type lossyHook struct{ rate uint64 }
+
+func (lossyHook) RouterFrozen(NodeID, sim.Cycle) bool        { return false }
+func (lossyHook) FrozenIn(NodeID, sim.Cycle, sim.Cycle) bool { return false }
+func (lossyHook) LinkBlocked(NodeID, int, sim.Cycle) bool    { return false }
+func (lossyHook) Arrival(_ NodeID, _ int, _, base sim.Cycle, _ uint64, _ int) sim.Cycle {
+	return base
+}
+func (lossyHook) InjQueueCap(_ NodeID, depth int) int      { return depth }
+func (lossyHook) SuppressFilterHit(NodeID, sim.Cycle) bool { return false }
+func (lossyHook) LossyEnabled() bool                       { return true }
+func (h lossyHook) LossyVerdict(node NodeID, now sim.Cycle, id uint64) LossVerdict {
+	x := (id ^ uint64(node)<<48 ^ uint64(now)<<24) * 0x9E3779B97F4A7C15
+	switch r := (x >> 32) % 1000; {
+	case r < h.rate:
+		return LossDrop
+	case r < 2*h.rate:
+		return LossDup
+	}
+	return LossNone
+}
+
+// TestSeqWraparound runs lossy unicast traffic across the whole mesh with
+// every sender's counters started just below 2^32, so each stream wraps
+// mid-run while drops force retransmissions and duplicates force dedup on
+// both sides of the wrap. Senders pick destinations at random, so every
+// receiver's stream also skips the numbers spent elsewhere. Every packet must
+// reach its destination exactly once, and every window must drain.
+func TestSeqWraparound(t *testing.T) {
+	cfg := DefaultConfig(4, 4)
+	eng, net, cols := testNet(t, cfg)
+	net.SetFaults(lossyHook{rate: 50})
+	const start = 1<<32 - 20
+	for _, ni := range net.nis {
+		for v := range ni.tp.tx {
+			ni.tp.tx[v].nextSeq = start
+		}
+	}
+	const perSrc = 120
+	sent := make([]int, cfg.Nodes())
+	total := 0
+	rng := uint64(99)
+	for total < perSrc*cfg.Nodes() {
+		for src := range sent {
+			if sent[src] == perSrc {
+				continue
+			}
+			rng = rng*6364136223846793005 + 1442695040888963407
+			vnet, size := VNetReq, 1
+			if rng>>63 == 1 {
+				vnet, size = VNetData, cfg.DataPacketSize()
+			}
+			pkt := &Packet{VNet: vnet, SrcUnit: stats.UnitL2, DstUnit: stats.UnitLLC,
+				Dests: OneDest(NodeID((rng >> 20) % uint64(cfg.Nodes()))),
+				Addr:  uint64(src)<<32 | uint64(sent[src]), Size: size}
+			if net.NI(NodeID(src)).Inject(pkt, eng.Now()) {
+				sent[src]++
+				total++
+			}
+		}
+		eng.Step()
+		if err := net.Unrecoverable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drained := func() bool {
+		for _, ni := range net.nis {
+			for v := range ni.tp.tx {
+				if len(ni.tp.tx[v].entries) != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	runUntil(t, eng, func() bool {
+		got := 0
+		for _, c := range cols {
+			got += len(c.got)
+		}
+		return got >= total && drained()
+	})
+	seen := make(map[uint64]int)
+	for dst, c := range cols {
+		for _, r := range c.got {
+			if !r.pkt.Dests.Has(NodeID(dst)) {
+				t.Fatalf("packet %#x delivered to %d, not a destination", r.pkt.Addr, dst)
+			}
+			seen[r.pkt.Addr]++
+		}
+	}
+	for addr, n := range seen {
+		if n != 1 {
+			t.Errorf("packet %#x delivered %d times", addr, n)
+		}
+	}
+	if len(seen) != total {
+		t.Errorf("%d distinct packets delivered, %d injected", len(seen), total)
+	}
+	for _, ni := range net.nis {
+		for _, v := range []int{VNetReq, VNetData} {
+			if n := ni.tp.tx[v].nextSeq; n >= start {
+				t.Errorf("node %d vnet %d counter at %#x never wrapped", ni.node, v, n)
+			}
+		}
+	}
+	if net.st.Net.Retransmits == 0 || net.st.Net.DupSuppressed == 0 {
+		t.Errorf("retransmits %d, duplicates suppressed %d: the loss never bit",
+			net.st.Net.Retransmits, net.st.Net.DupSuppressed)
 	}
 }

@@ -211,8 +211,11 @@ type Packet struct {
 	// Transport-layer fields, stamped by the sender NI only when the lossy
 	// recovery layer is armed (see Config.RetryWindow and fault.MsgDrop).
 	//
-	// Seq is the per-(source, vnet) stream sequence number; the receiver's
-	// dedup window suppresses replayed numbers. Csum is the header checksum
+	// Seq is the sender's per-(source, vnet) sequence number, wrapping
+	// modulo 2^32. One counter serves all of a sender's destinations, so a
+	// receiver's stream skips every number spent on the others (gaps of 504
+	// are measured); the receiver's dedup window suppresses replayed
+	// numbers (NI.rxSeen has the premise). Csum is the header checksum
 	// verified at delivery (MsgCorrupt detection). IsAck marks single-flit
 	// transport acknowledgments: an ack is cumulative, carrying the
 	// receiver's whole anti-replay state for one (source, vnet) stream —
@@ -298,8 +301,7 @@ type Config struct {
 	OrdPushInvStall bool
 
 	// End-to-end recovery knobs, active only when the fault plan schedules
-	// lossy kinds. Zero values select the defaults (in parentheses), so
-	// hand-built Configs keep working.
+	// lossy kinds (defaults in parentheses).
 	//
 	// RetryWindow (32) bounds unacked packets per (sender NI, vnet); a full
 	// window refuses injection, surfacing as ordinary backpressure.
@@ -308,13 +310,18 @@ type Config struct {
 	// retransmitting a window entry to its unacked destinations.
 	RetryTimeout int
 	// MaxRetries (16) bounds retransmissions per window entry; exceeding it
-	// aborts the run with ErrUnrecoverable.
+	// aborts the run with ErrUnrecoverable. 16 keeps the documented
+	// MaxLossPerMille ceiling statistically safe: at 100 per-mille drop (plus
+	// half-rate dup and corrupt) a round trip fails with p ~ 0.3, so a budget
+	// of 8 fails a few times per hundred thousand window entries; 17
+	// consecutive failures is ~1e-9.
 	MaxRetries int
-	// SeqBits (16) is the sequence counter width; tests shrink it to
-	// exercise wraparound. The receiver disambiguates old from new across
-	// the wrap as long as 2*RetryWindow <= 1<<SeqBits.
-	SeqBits int
 }
+
+// LineBytes is the cache line size: the unit every cache array indexes, every
+// workload generator strides by, and a data packet carries. It is a fact of
+// the model, not a knob.
+const LineBytes = 64
 
 // DefaultConfig returns the Table I NoC configuration for an W x H mesh.
 func DefaultConfig(w, h int) Config {
@@ -327,31 +334,7 @@ func DefaultConfig(w, h int) Config {
 		RetryWindow:   32,
 		RetryTimeout:  400,
 		MaxRetries:    16,
-		SeqBits:       16,
 	}
-}
-
-// WithTransportDefaults returns the configuration with zero recovery knobs
-// replaced by their defaults; the network and the invariant checker both
-// resolve knobs through it so they always agree.
-func (c Config) WithTransportDefaults() Config {
-	if c.RetryWindow == 0 {
-		c.RetryWindow = 32
-	}
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 400
-	}
-	if c.MaxRetries == 0 {
-		// 16 keeps the documented MaxLossPerMille ceiling statistically safe:
-		// at 100 per-mille drop (plus half-rate dup and corrupt) a round trip
-		// fails with p ~ 0.3, so a budget of 8 fails a few times per hundred
-		// thousand window entries; 17 consecutive failures is ~1e-9.
-		c.MaxRetries = 16
-	}
-	if c.SeqBits == 0 {
-		c.SeqBits = 16
-	}
-	return c
 }
 
 // Nodes returns the tile count.
@@ -360,8 +343,7 @@ func (c Config) Nodes() int { return c.Width * c.Height }
 // DataPacketSize returns the flit count of a cache-line data packet at the
 // configured link width (head flit + payload flits).
 func (c Config) DataPacketSize() int {
-	lineBits := 64 * 8
-	return 1 + (lineBits+c.LinkWidthBits-1)/c.LinkWidthBits
+	return 1 + (LineBytes*8+c.LinkWidthBits-1)/c.LinkWidthBits
 }
 
 // CtrlPacketSize returns the flit count of a control packet (always 1).
@@ -398,21 +380,13 @@ func (c Config) Validate() error {
 	if c.InjQueueDepth <= 0 {
 		return fmt.Errorf("noc: InjQueueDepth must be positive, got %d", c.InjQueueDepth)
 	}
-	t := c.WithTransportDefaults()
-	if t.RetryWindow < 1 || t.RetryWindow > 64 {
+	if c.RetryWindow < 1 || c.RetryWindow > 64 {
 		// The receiver's dedup window is a 64-bit backward mask; a larger
 		// sender window could slide legitimate arrivals past it.
-		return fmt.Errorf("noc: RetryWindow %d outside [1,64]", t.RetryWindow)
+		return fmt.Errorf("noc: RetryWindow %d outside [1,64]", c.RetryWindow)
 	}
-	if t.SeqBits < 3 || t.SeqBits > 31 {
-		return fmt.Errorf("noc: SeqBits %d outside [3,31]", t.SeqBits)
-	}
-	if uint64(2*t.RetryWindow) > 1<<uint(t.SeqBits) {
-		return fmt.Errorf("noc: RetryWindow %d too large for %d-bit sequence numbers (need 2*window <= 1<<bits)",
-			t.RetryWindow, t.SeqBits)
-	}
-	if t.RetryTimeout < 1 || t.MaxRetries < 1 {
-		return fmt.Errorf("noc: RetryTimeout %d and MaxRetries %d must be positive", t.RetryTimeout, t.MaxRetries)
+	if c.RetryTimeout < 1 || c.MaxRetries < 1 {
+		return fmt.Errorf("noc: RetryTimeout %d and MaxRetries %d must be positive", c.RetryTimeout, c.MaxRetries)
 	}
 	return nil
 }

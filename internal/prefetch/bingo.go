@@ -5,6 +5,7 @@ package prefetch
 
 import (
 	"pushmulticast/internal/cache"
+	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 )
 
@@ -34,7 +35,7 @@ type Bingo struct {
 }
 
 // NewBingo builds a Bingo prefetcher feeding the given L2 (with L1 fills).
-func NewBingo(l2 *cache.L2, regionBytes, phtEntries, lineSize int) *Bingo {
+func NewBingo(l2 *cache.L2, regionBytes, phtEntries int) *Bingo {
 	shift := uint(0)
 	for 1<<shift < regionBytes {
 		shift++
@@ -42,7 +43,7 @@ func NewBingo(l2 *cache.L2, regionBytes, phtEntries, lineSize int) *Bingo {
 	return &Bingo{
 		l2:          l2,
 		regionShift: shift,
-		linesPerReg: uint(regionBytes / lineSize),
+		linesPerReg: uint(regionBytes / noc.LineBytes),
 		active:      make([]bingoRegion, 0, 8),
 		pht:         make(map[uint64]uint64),
 		phtCap:      phtEntries,
@@ -52,7 +53,7 @@ func NewBingo(l2 *cache.L2, regionBytes, phtEntries, lineSize int) *Bingo {
 // OnAccess implements cpu.Prefetcher: it observes every demand load.
 func (b *Bingo) OnAccess(lineAddr uint64, now sim.Cycle) {
 	region := lineAddr >> b.regionShift
-	lineIdx := (lineAddr >> 6) & uint64(b.linesPerReg-1)
+	lineIdx := (lineAddr / noc.LineBytes) & uint64(b.linesPerReg-1)
 	for i := range b.active {
 		if b.active[i].region == region {
 			b.active[i].footprint |= 1 << lineIdx
@@ -92,7 +93,7 @@ func (b *Bingo) replay(region uint64, fp uint64, trigger uint64, now sim.Cycle) 
 		if fp&(1<<i) == 0 {
 			continue
 		}
-		addr := base + uint64(i)*64
+		addr := base + uint64(i)*noc.LineBytes
 		if addr == trigger {
 			continue
 		}

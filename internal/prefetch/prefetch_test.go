@@ -31,7 +31,7 @@ func testL2(t *testing.T) (*cache.L2, *sim.Engine) {
 
 func TestBingoLearnsAndReplays(t *testing.T) {
 	l2, _ := testL2(t)
-	b := NewBingo(l2, 2048, 256, 64)
+	b := NewBingo(l2, 2048, 256)
 	// First pass over more regions than the accumulation table holds, so
 	// early regions are evicted and their footprints committed to the PHT.
 	for line := uint64(0); line < 12*32; line++ {
@@ -47,7 +47,7 @@ func TestBingoLearnsAndReplays(t *testing.T) {
 
 func TestBingoNoReplayForColdRegion(t *testing.T) {
 	l2, _ := testL2(t)
-	b := NewBingo(l2, 2048, 256, 64)
+	b := NewBingo(l2, 2048, 256)
 	b.OnAccess(1<<30, 0)
 	if b.Issued() != 0 {
 		t.Fatalf("cold region issued %d prefetches", b.Issued())
@@ -56,7 +56,7 @@ func TestBingoNoReplayForColdRegion(t *testing.T) {
 
 func TestBingoPartialFootprint(t *testing.T) {
 	l2, _ := testL2(t)
-	b := NewBingo(l2, 2048, 256, 64)
+	b := NewBingo(l2, 2048, 256)
 	// Touch only even lines of many regions, then revisit one.
 	for r := uint64(0); r < 9; r++ {
 		for i := uint64(0); i < 32; i += 2 {

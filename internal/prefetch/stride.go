@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"pushmulticast/internal/cache"
+	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func NewStride(l2 *cache.L2, streams, degree int) *Stride {
 // onMiss trains on a demand L2 miss and issues prefetches down an armed
 // stream.
 func (s *Stride) onMiss(lineAddr uint64, now sim.Cycle) {
-	const window = 16 * 64 // proximity window for stream matching (bytes)
+	const window = 16 * noc.LineBytes // proximity window for stream matching (bytes)
 	var match *strideEntry
 	for i := range s.entries {
 		e := &s.entries[i]

@@ -15,7 +15,11 @@ package workload
 // shared segment; rank r's (or group g's) buffer sits at colBase(r), with
 // the same 17-line anti-aliasing skew privBase applies.
 
-import "fmt"
+import (
+	"fmt"
+
+	"pushmulticast/internal/noc"
+)
 
 // CollectiveParams parameterizes every collective generator. The zero value
 // of each field selects a default (all cores / per-collective fan-out /
@@ -206,7 +210,7 @@ func (p CollectiveParams) mustResolve(kind collectiveKind, cores int, sc Scale) 
 // skew spreads consecutive buffers across LLC home slices and cache sets,
 // like privBase does for private segments.
 func colBase(buf, payloadLines int) uint64 {
-	return sharedBase + uint64(buf)*uint64(payloadLines+17)*LineBytes
+	return sharedBase + uint64(buf)*uint64(payloadLines+17)*noc.LineBytes
 }
 
 // copyChunks appends the chunk-granular receive-then-commit step every
@@ -215,7 +219,7 @@ func colBase(buf, payloadLines int) uint64 {
 // (the reduction or relay compute).
 func copyChunks(segs []segment, src, dst uint64, lines, chunk, loadWork int) []segment {
 	for off := 0; off < lines; off += chunk {
-		at := uint64(off) * LineBytes
+		at := uint64(off) * noc.LineBytes
 		segs = append(segs,
 			segment{kind: segScan, base: src + at, lines: chunk, workPer: loadWork},
 			segment{kind: segScan, base: dst + at, lines: chunk, store: true, workPer: 1},
@@ -228,7 +232,7 @@ func copyChunks(segs []segment, src, dst uint64, lines, chunk, loadWork int) []s
 // per-line compute — a producer filling its buffer.
 func produceChunks(segs []segment, base uint64, lines, chunk, work int) []segment {
 	for off := 0; off < lines; off += chunk {
-		segs = append(segs, segment{kind: segScan, base: base + uint64(off)*LineBytes,
+		segs = append(segs, segment{kind: segScan, base: base + uint64(off)*noc.LineBytes,
 			lines: chunk, store: true, workPer: work})
 	}
 	return segs
@@ -237,7 +241,7 @@ func produceChunks(segs []segment, base uint64, lines, chunk, work int) []segmen
 // consumeChunks appends chunk-granular loads — a consumer draining a buffer.
 func consumeChunks(segs []segment, base uint64, lines, chunk, work int) []segment {
 	for off := 0; off < lines; off += chunk {
-		segs = append(segs, segment{kind: segScan, base: base + uint64(off)*LineBytes,
+		segs = append(segs, segment{kind: segScan, base: base + uint64(off)*noc.LineBytes,
 			lines: chunk, workPer: work})
 	}
 	return segs
@@ -325,8 +329,8 @@ func ReduceScatter(p CollectiveParams) Workload {
 func ringSegments(r colParams, rank int, participant bool, gather bool) []segment {
 	n := r.sharers
 	chunks := r.payload / r.chunk
-	perRank := chunks / n        // chunk-group size, in chunks
-	perCh := perRank / r.fanout  // chunks per channel per step
+	perRank := chunks / n       // chunk-group size, in chunks
+	perCh := perRank / r.fanout // chunks per channel per step
 	groupLines := perRank * r.chunk
 	buf := func(rk int) uint64 { return colBase(rk, r.payload) }
 	var segs []segment
@@ -336,7 +340,7 @@ func ringSegments(r colParams, rank int, participant bool, gather bool) []segmen
 		for c := 0; c < r.fanout; c++ {
 			src := ((rank-1-c)%n + n) % n
 			g := ((rank-s-c)%n + n) % n
-			at := uint64(g*groupLines+c*perCh*r.chunk) * LineBytes
+			at := uint64(g*groupLines+c*perCh*r.chunk) * noc.LineBytes
 			segs = copyChunks(segs, buf(src)+at, buf(rank)+at, perCh*r.chunk, r.chunk, loadWork)
 		}
 		return segs

@@ -3,6 +3,8 @@ package workload
 import (
 	"strings"
 	"testing"
+
+	"pushmulticast/internal/noc"
 )
 
 // collect drains one collective core stream and splits it into loads and
@@ -25,7 +27,7 @@ func collect(t *testing.T, wl Workload, core int) (loads, stores []uint64) {
 // given payload size.
 func inBuf(addr uint64, buf, payloadLines int) bool {
 	base := colBase(buf, payloadLines)
-	return addr >= base && addr < base+uint64(payloadLines)*LineBytes
+	return addr >= base && addr < base+uint64(payloadLines)*noc.LineBytes
 }
 
 func TestCollectivesRegistered(t *testing.T) {
@@ -123,7 +125,7 @@ func TestCollectiveStreamsTerminateAndAlign(t *testing.T) {
 				t.Errorf("%s core %d: empty stream", wl.Name, core)
 			}
 			for _, op := range ops {
-				if (op.Kind == OpLoad || op.Kind == OpStore) && op.Addr%LineBytes != 0 {
+				if (op.Kind == OpLoad || op.Kind == OpStore) && op.Addr%noc.LineBytes != 0 {
 					t.Fatalf("%s core %d: unaligned address %#x", wl.Name, core, op.Addr)
 				}
 			}

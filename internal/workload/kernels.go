@@ -1,5 +1,7 @@
 package workload
 
+import "pushmulticast/internal/noc"
+
 // Per-workload generators. Sizing note: every generator is parameterized by
 // Scale; quick-scale inputs are meant to run against config.System.Scaled
 // caches so the paper's working-set-to-cache-size ratios (the source of the
@@ -63,7 +65,7 @@ func Multilevel() Workload {
 			levelLines := pick(sc, 384, 2048, 32768)
 			iters := pick(sc, 3, 5, 4)
 			level := core % 4
-			base := sharedBase + uint64(level*levelLines)*LineBytes
+			base := sharedBase + uint64(level*levelLines)*noc.LineBytes
 			var segs []segment
 			segs = append(segs, prologue(core, sc))
 			for it := 0; it < iters; it++ {
@@ -203,7 +205,7 @@ func MV() Workload {
 			var segs []segment
 			segs = append(segs, prologue(core, sc))
 			for r := 0; r < rows; r++ {
-				rowBase := privBase(core) + uint64(r*vecLines)*LineBytes
+				rowBase := privBase(core) + uint64(r*vecLines)*noc.LineBytes
 				segs = append(segs,
 					// Interleaved: matrix element then vector element.
 					segment{kind: segScan, base: rowBase, lines: vecLines, workPer: 1,

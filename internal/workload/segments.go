@@ -1,5 +1,7 @@
 package workload
 
+import "pushmulticast/internal/noc"
+
 // The generators compose each core's stream out of segments: lazily expanded
 // loops over address ranges. This keeps streams deterministic and memory-
 // cheap (a few dozen segment descriptors expand into millions of ops).
@@ -96,7 +98,7 @@ func (s *segStream) Next() Op {
 			}
 			if !s.didA {
 				s.didA = true
-				addr := seg.base + uint64(s.i*stride)*LineBytes
+				addr := seg.base + uint64(s.i*stride)*noc.LineBytes
 				kind := OpLoad
 				if seg.store {
 					kind = OpStore
@@ -107,7 +109,7 @@ func (s *segStream) Next() Op {
 				return Op{Kind: kind, Addr: addr}
 			}
 			// Secondary interleaved access.
-			addr := seg.base2 + uint64(s.i%seg.span2)*LineBytes
+			addr := seg.base2 + uint64(s.i%seg.span2)*noc.LineBytes
 			kind := OpLoad
 			if seg.store2 {
 				kind = OpStore
@@ -138,7 +140,7 @@ func (s *segStream) Next() Op {
 			if seg.store {
 				kind = OpStore
 			}
-			return Op{Kind: kind, Addr: seg.base + line*LineBytes}
+			return Op{Kind: kind, Addr: seg.base + line*noc.LineBytes}
 		}
 	}
 	return Op{Kind: OpEnd}

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"pushmulticast/internal/noc"
 )
 
 // OpKind is the kind of one stream operation.
@@ -175,8 +177,6 @@ const (
 	// privateStride bytes.
 	privateBase   uint64 = 4 << 30
 	privateStride uint64 = 64 << 20
-	// LineBytes is the cache line size the generators stride by.
-	LineBytes = 64
 )
 
 // SharedBase exposes the shared segment base (Fig 4 tracing and tests).
@@ -191,7 +191,7 @@ func PrivateBase(core int) uint64 { return privBase(core) }
 // aligned power-of-two bases would alias every core's stream onto the same
 // sets (a layout artifact real heap allocations do not have).
 func privBase(c int) uint64 {
-	return privateBase + uint64(c)*privateStride + uint64(c)*17*LineBytes
+	return privateBase + uint64(c)*privateStride + uint64(c)*17*noc.LineBytes
 }
 
 // lcg is a small deterministic pseudo-random generator for irregular

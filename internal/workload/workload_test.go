@@ -3,6 +3,8 @@ package workload
 import (
 	"testing"
 	"testing/quick"
+
+	"pushmulticast/internal/noc"
 )
 
 // drain consumes a stream to completion (bounded) and returns its ops.
@@ -95,7 +97,7 @@ func TestAddressesAligned(t *testing.T) {
 	for _, wl := range Registry() {
 		for _, op := range drain(t, wl.Build(0, 16, ScaleTiny), 2_000_000) {
 			if op.Kind == OpLoad || op.Kind == OpStore {
-				if op.Addr%LineBytes != 0 {
+				if op.Addr%noc.LineBytes != 0 {
 					t.Fatalf("%s: unaligned address %#x", wl.Name, op.Addr)
 				}
 			}
@@ -181,7 +183,7 @@ func TestBFSIsIrregular(t *testing.T) {
 		if op.Kind != OpLoad {
 			continue
 		}
-		if loads > 0 && op.Addr == last+LineBytes {
+		if loads > 0 && op.Addr == last+noc.LineBytes {
 			seqRuns++
 		}
 		last = op.Addr
@@ -205,10 +207,10 @@ func TestPathfinderNeighbourSharing(t *testing.T) {
 	}
 	hitLeft, hitRight := false, false
 	for a := range m {
-		if a >= privBase(1) && a < privBase(1)+4*LineBytes {
+		if a >= privBase(1) && a < privBase(1)+4*noc.LineBytes {
 			hitLeft = true
 		}
-		if a >= privBase(3) && a < privBase(3)+4*LineBytes {
+		if a >= privBase(3) && a < privBase(3)+4*noc.LineBytes {
 			hitRight = true
 		}
 	}
@@ -284,7 +286,7 @@ func TestSegStreamRandWithinSpan(t *testing.T) {
 			if op.Kind == OpEnd {
 				return true
 			}
-			if op.Kind == OpLoad && (op.Addr < 0x1000 || op.Addr >= 0x1000+16*LineBytes) {
+			if op.Kind == OpLoad && (op.Addr < 0x1000 || op.Addr >= 0x1000+16*noc.LineBytes) {
 				return false
 			}
 		}

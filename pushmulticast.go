@@ -190,6 +190,10 @@ const (
 // Fig 4 tracing for free.
 const SharedBase = 1 << 30
 
+// LineBytes is the cache line size: user workloads stride by it to touch
+// distinct lines.
+const LineBytes = noc.LineBytes
+
 // PrivateBase returns the base address of a core's private data segment.
 func PrivateBase(core int) uint64 { return workload.PrivateBase(core) }
 

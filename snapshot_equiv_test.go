@@ -374,18 +374,19 @@ type goldenSnapshot struct {
 // 1,668,080, with every free cache way in full and the routers' derived
 // words). The two fingerprint strings in the header are the config's %+v
 // text, so removing a Config field moves the pins without moving a byte after
-// the header. Any other change to them is a format change and must bump the
+// the header (deleting LineSize, L1Latency and SeqBits took 70 bytes off
+// each). Any other change to them is a format change and must bump the
 // version.
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 504305, 0x27ebb18a418fca30},
+	}, 10000, 504235, 0xd431311942fda242},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 180607, 0x5db578f0b874f92e},
+	}, 2000, 180537, 0x5d725058d5cff991},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 537310, 0x8a8260789e5b3d28},
+	}, 30000, 537240, 0x49efa82960af6f5e},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -393,7 +394,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 589479, 0x0505a371ada6e8b4},
+	}, 12000, 589409, 0xb6ab9eee7417d0ff},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
