@@ -51,13 +51,11 @@ func TestCheckerDetectsCorruptedSharerSet(t *testing.T) {
 			if l.State != cache.StateS {
 				return
 			}
-			home := sys.Cfg.HomeSlice(l.Tag)
-			sys.LLCs[home].ForEachLine(func(d *cache.Line) {
-				if d.Tag == l.Tag && d.Sharers.Has(id) {
-					d.Sharers = d.Sharers.Remove(id)
-					corrupted++
-				}
-			})
+			llc := sys.LLCs[sys.Cfg.HomeSlice(l.Tag)]
+			if d := llc.Line(l.Tag); d != nil && llc.Dir(d).Sharers.Has(id) {
+				llc.Dir(d).Sharers = llc.Dir(d).Sharers.Remove(id)
+				corrupted++
+			}
 		})
 	}
 	if corrupted == 0 {

@@ -316,11 +316,11 @@ func TestExecuteBadInput(t *testing.T) {
 		}
 		return p
 	}
-	// Snapshots from a hypothetical newer build and from the previous format:
-	// same bytes, the format version field (first header field after the
-	// magic) patched to 4 and to 2. There is no reader for either.
-	futureSnap, v2Snap := append([]byte(nil), snap...), append([]byte(nil), snap...)
-	futureSnap[8], v2Snap[8] = 4, 2
+	// Snapshots from a hypothetical newer build and from the two previous
+	// formats: same bytes, the format version field (first header field after
+	// the magic) patched to 5, 3 and 2. There is no reader for any of them.
+	futureSnap, v3Snap, v2Snap := append([]byte(nil), snap...), append([]byte(nil), snap...), append([]byte(nil), snap...)
+	futureSnap[8], v3Snap[8], v2Snap[8] = 5, 3, 2
 	baseRun, err := parse(t, "-scale", "tiny", "-check", "-scheme", "Baseline").resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +345,9 @@ func TestExecuteBadInput(t *testing.T) {
 		{"restore file missing", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, filepath.Join(dir, "no-such.snap"), "no-such.snap"},
 		{"restore file is not a snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("noise.snap", []byte("definitely not a snapshot file")), "bad magic"},
 		{"truncated snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("trunc.snap", snap[:len(snap)-7]), "hash mismatch"},
-		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v4, this build reads v3"},
-		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v2.snap", v2Snap), "snapshot format v2, this build reads v3"},
+		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v5, this build reads v4"},
+		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v3.snap", v3Snap), "snapshot format v3, this build reads v4"},
+		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v2.snap", v2Snap), "snapshot format v2, this build reads v4"},
 		{"different scheme", baseline, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
 		{"different workload", cfg, "bfs", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
 		// Collective bad inputs: -workload/-cores combinations inconsistent

@@ -78,24 +78,28 @@ func (s State) Transient() bool {
 	return false
 }
 
-// Line is one cache line's tag, state, and metadata.
+// Line is one cache line's tag, state, and metadata: what every way of every
+// cache holds. Three words, then four bytes — 32 bytes a way. The directory
+// words of an LLC way live beside it in its array's DirEntry table.
 type Line struct {
 	// Tag is the full line address (64-byte aligned); valid when State != I.
 	Tag uint64
-	// State is the coherence state.
-	State State
 	// Version is the line's write serial number (the simulated data value).
 	Version uint64
+	// LastUse drives LRU replacement.
+	LastUse sim.Cycle
+	// State is the coherence state.
+	State State
 	// Dirty, at the LLC, marks data newer than memory.
 	Dirty bool
 	// Pushed/Accessed implement the pause-knob usefulness tracking: Pushed
 	// is set when a push installs the line, Accessed on its first use.
 	Pushed, Accessed bool
-	// LastUse drives LRU replacement.
-	LastUse sim.Cycle
+}
 
-	// LLC directory fields.
-
+// DirEntry is the directory state of one LLC way (§III): 40 bytes, allocated
+// only by a directory array.
+type DirEntry struct {
 	// Sharers is the directory's sharer bit vector. Silent S-state
 	// evictions make it a conservative superset of true holders, which is
 	// exactly the property push speculation exploits.
@@ -109,12 +113,15 @@ type Line struct {
 
 // Array is a set-associative cache structure. Lines are stored set after
 // set; tags is the compact per-set index a lookup reads instead of the lines
-// themselves (a set's ways*8 bytes against ways*80): tags[i] is lines[i].Tag
+// themselves (a set's ways*8 bytes against ways*32): tags[i] is lines[i].Tag
 // while lines[i] is valid and noTag while its State is I. Install and
 // Invalidate are the only writers of a line's validity and keep the two in
-// step; reindex rebuilds tags from lines and audit compares the two.
+// step; reindex rebuilds tags from lines and audit compares the two. A
+// directory array also holds dir[i], way i's directory entry; a private
+// cache's array has none.
 type Array struct {
 	lines    []Line
+	dir      []DirEntry
 	tags     []uint64 `snap:"-,derived: lines[i].Tag where lines[i].State != StateI"`
 	setMask  uint64   `snap:"-,config"`
 	setShift uint     `snap:"-,config"`
@@ -156,6 +163,18 @@ func NewInterleavedArray(sizeBytes, ways, interleave int) *Array {
 	}
 	return a
 }
+
+// newDirectoryArray builds an LLC slice's array: an interleaved array with a
+// directory entry beside every way.
+func newDirectoryArray(sizeBytes, ways, interleave int) *Array {
+	a := NewInterleavedArray(sizeBytes, ways, interleave)
+	a.dir = make([]DirEntry, len(a.lines))
+	return a
+}
+
+// dirEntry returns the directory entry of l, a valid way of a directory
+// array.
+func (a *Array) dirEntry(l *Line) *DirEntry { return &a.dir[a.way(l, l.Tag)] }
 
 // Sets returns the number of sets.
 func (a *Array) Sets() int { return len(a.lines) / a.ways }
@@ -225,13 +244,18 @@ func (a *Array) way(l *Line, lineAddr uint64) int {
 }
 
 // Install claims the given line struct, a way of lineAddr's set, for
-// lineAddr, resetting metadata.
+// lineAddr, resetting metadata (and, in a directory array, the way's
+// directory entry).
 func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
 	if st == StateI || lineAddr == noTag {
 		panic(fmt.Sprintf("cache: installing %#x in state %v", lineAddr, st))
 	}
-	a.tags[a.way(l, lineAddr)] = lineAddr
+	w := a.way(l, lineAddr)
+	a.tags[w] = lineAddr
 	*l = Line{Tag: lineAddr, State: st, LastUse: now}
+	if a.dir != nil {
+		a.dir[w] = DirEntry{}
+	}
 }
 
 // Invalidate frees the way holding the valid line l. The rest of the line
@@ -261,19 +285,22 @@ func (a *Array) reindex() {
 // tagged with what reindex would tag it, every valid line sits in the set
 // its address maps to, and no set holds an address twice.
 func (a *Array) audit() error {
-	for i, t := range a.tags {
-		l, set := &a.lines[i], i-i%a.ways
-		switch want := a.indexed(i); {
-		case want == noTag && t != noTag:
-			return fmt.Errorf("way %d is free but indexed as %#x", i, t)
-		case want == noTag:
-			continue
-		case t != want || a.base(t) != set:
-			return fmt.Errorf("way %d holds %#x (%v) but is indexed as %#x", i, l.Tag, l.State, t)
-		}
-		for j := set; j < i; j++ {
-			if a.tags[j] == t {
-				return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, j, i)
+	for set := 0; set < len(a.tags); set += a.ways {
+		for i := set; i < set+a.ways; i++ {
+			t := a.tags[i]
+			switch want := a.indexed(i); {
+			case want == noTag && t != noTag:
+				return fmt.Errorf("way %d is free but indexed as %#x", i, t)
+			case want == noTag:
+				continue
+			case t != want || a.base(t) != set:
+				l := &a.lines[i]
+				return fmt.Errorf("way %d holds %#x (%v) but is indexed as %#x", i, l.Tag, l.State, t)
+			}
+			for j := set; j < i; j++ {
+				if a.tags[j] == t {
+					return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, j, i)
+				}
 			}
 		}
 	}

@@ -7,11 +7,31 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 )
+
+// TestLineLayout pins what Line's field order is for: a way of any cache is
+// three words and four bytes, and the directory words are the LLC's alone —
+// a directory array keeps a 40-byte entry beside each way, a private array
+// none.
+func TestLineLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Line{}); size != 32 {
+		t.Errorf("Line is %d bytes, want 32", size)
+	}
+	if size := unsafe.Sizeof(DirEntry{}); size != 40 {
+		t.Errorf("DirEntry is %d bytes, want 40", size)
+	}
+	if a := NewArray(256<<10, 16); a.dir != nil {
+		t.Errorf("a private array allocated %d directory entries", len(a.dir))
+	}
+	if a := newDirectoryArray(64<<10, 16, 16); len(a.dir) != len(a.lines) {
+		t.Errorf("a directory array holds %d entries for %d ways", len(a.dir), len(a.lines))
+	}
+}
 
 func TestArrayGeometry(t *testing.T) {
 	a := NewArray(256<<10, 16)
@@ -288,13 +308,14 @@ func TestArrayStateIsCanonical(t *testing.T) {
 		a.state(c)
 		return c.Finish()
 	}
-	used, fresh := NewArray(4*4*64, 4), NewArray(4*4*64, 4)
+	used, fresh := newDirectoryArray(4*4*64, 4, 1), newDirectoryArray(4*4*64, 4, 1)
 	for _, a := range []*Array{used, fresh} {
 		a.Install(a.Victim(0x040, nil), 0x040, StateS, 3)
 	}
 	l := used.Victim(0x100, nil)
 	used.Install(l, 0x100, StateM, 7)
-	l.Version, l.Dirty, l.Sharers = 9, true, noc.OneDest(5)
+	l.Version, l.Dirty = 9, true
+	used.dirEntry(l).Sharers, used.dirEntry(l).Epoch = noc.OneDest(5), 4
 	used.Invalidate(l)
 	data := encode(used)
 	if !bytes.Equal(data, encode(fresh)) {
@@ -304,14 +325,15 @@ func TestArrayStateIsCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := NewArray(4*4*64, 4)
+	back := newDirectoryArray(4*4*64, 4, 1)
 	if back.state(c); c.Err() != nil {
 		t.Fatal(c.Err())
 	}
 	if err := back.audit(); err != nil {
 		t.Fatalf("decoded array fails its audit: %v", err)
 	}
-	if !reflect.DeepEqual(back.lines, fresh.lines) || back.Lookup(0x040) == nil || back.Lookup(0x100) != nil {
+	if !reflect.DeepEqual(back.lines, fresh.lines) || !reflect.DeepEqual(back.dir, fresh.dir) ||
+		back.Lookup(0x040) == nil || back.Lookup(0x100) != nil {
 		t.Fatal("decoded array differs from the one that never held the freed line")
 	}
 }

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/config"
@@ -78,27 +80,37 @@ type L2 struct {
 	// (MSHR, writeback slot, transient victim) a core is stalled on.
 	wakeCore func() `snap:"-,wiring"`
 
-	mshr     map[uint64]*l2MSHR
-	mshrFree []*l2MSHR `snap:"-,pool"`
-	wb       map[uint64]*wbEntry
-	inq      delayQueue
-	out      outbox
-	pend     []doneEvt
-	knob     pauseKnob
+	// mshr is the MSHR file, L2MSHRs slots allocated at build: the live
+	// entries are mshr[:len(mshr)], in no particular order (a retired entry's
+	// slot takes the last live one), so a lookup scans only the live ones and
+	// a miss allocates nothing. Every order the controller acts in is address
+	// order.
+	mshr []l2MSHR
+	wb   map[uint64]*wbEntry
+	inq  delayQueue
+	out  outbox
+	pend []doneEvt
+	knob pauseKnob
 
 	// lossy arms the MSHR retry timers and the duplicate-response tolerance
 	// (a reissued request can produce two responses); set only when the
 	// fault plan schedules message loss.
 	lossy       bool      `snap:"-,config"`
 	mshrTimeout sim.Cycle `snap:"-,config"`
+	// retryAt is a lower bound on the earliest MSHR retryDeadline: lowered
+	// wherever an issuedAt is written, rebuilt exactly by each walk of the
+	// file, so neither checkMSHRTimers nor reschedule walks the file on a
+	// tick before it. A retired MSHR leaves it stale low, which costs one
+	// spurious walk. Zero after a restore, so the first tick walks.
+	retryAt sim.Cycle `snap:"-,derived: lower bound on the MSHRs' earliest retryDeadline, rebuilt by the first walk"`
 	// dead is the ErrUnrecoverable verdict once an MSHR exhausts its reissue
 	// budget (loss rates beyond the forward-progress ceiling): requests are
 	// outside the transport's retransmit protection — the filter may consume
 	// them in-network — so their loud-failure path lives here, not in the NI.
 	dead error
-	// timeoutScratch collects overdue MSHR addresses for sorting: the map
-	// scan order is nondeterministic, the reissue order must not be.
-	timeoutScratch []uint64 `snap:"-,scratch"`
+	// timeoutScratch collects overdue MSHRs for sorting: slot order is
+	// arbitrary, the reissue order must be the address order.
+	timeoutScratch []*l2MSHR `snap:"-,scratch"`
 
 	// rejKind/rejAddr remember a load (1) or store (2) the controller
 	// rejected with accepted=false. The core's next attempt for the same
@@ -125,7 +137,7 @@ func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 		arr:  NewArray(cfg.L2Size, cfg.L2Ways),
 		l1:   NewL1(cfg.L1Size, cfg.L1Ways),
 		core: core,
-		mshr: make(map[uint64]*l2MSHR),
+		mshr: make([]l2MSHR, 0, cfg.L2MSHRs),
 		wb:   make(map[uint64]*wbEntry),
 		inq:  delayQueue{latency: sim.Cycle(cfg.L2Latency)},
 		out:  outbox{ni: net.NI(id), unit: stats.UnitL2},
@@ -217,14 +229,10 @@ func (c *L2) reschedule() {
 			next = d.at
 		}
 	}
-	if c.lossy {
+	if c.lossy && c.retryAt < next {
 		// A dropped response means no message ever arrives to wake us: the
 		// retry timer is the only way out, so it must bound the sleep.
-		for _, m := range c.mshr {
-			if d := m.retryDeadline(c.mshrTimeout); d < next {
-				next = d
-			}
-		}
+		next = c.retryAt
 	}
 	if next == sim.NeverWake {
 		c.h.Sleep()
@@ -238,22 +246,23 @@ func (c *L2) reschedule() {
 // have been dropped below the transport's own recovery horizon. Reissues are
 // protocol-idempotent — the directory re-serves duplicate GetS/GetM, and the
 // duplicate-response paths in handleDataS/handleDataM tolerate the second
-// answer. Overdue addresses are collected and sorted first: map scan order
-// must not leak into the deterministic event stream.
+// answer. The file is walked only once retryAt has come due; overdue MSHRs
+// are collected and sorted by address first, and the walk ends by rebuilding
+// retryAt exactly.
 func (c *L2) checkMSHRTimers(now sim.Cycle) {
-	scratch := c.timeoutScratch[:0]
-	for addr, m := range c.mshr {
-		if now >= m.retryDeadline(c.mshrTimeout) {
-			scratch = append(scratch, addr)
-		}
-	}
-	c.timeoutScratch = scratch
-	if len(scratch) == 0 {
+	if now < c.retryAt {
 		return
 	}
-	sortAddrs(scratch)
-	for _, addr := range scratch {
-		m := c.mshr[addr]
+	due := c.timeoutScratch[:0]
+	for i := range c.mshr {
+		if m := &c.mshr[i]; now >= m.retryDeadline(c.mshrTimeout) {
+			due = append(due, m)
+		}
+	}
+	c.timeoutScratch = due
+	slices.SortFunc(due, func(a, b *l2MSHR) int { return cmp.Compare(a.addr, b.addr) })
+	for _, m := range due {
+		addr := m.addr
 		// Restamp unconditionally so a skipped reissue does not spin the
 		// timer every tick.
 		m.issuedAt = now
@@ -287,6 +296,18 @@ func (c *L2) checkMSHRTimers(now sim.Cycle) {
 		c.st.Cache.MSHRTimeouts++
 		c.eng.Progress()
 	}
+	c.retryAt = sim.NeverWake
+	for i := range c.mshr {
+		c.armRetry(&c.mshr[i])
+	}
+}
+
+// armRetry lowers retryAt to m's retry deadline; it runs wherever m.issuedAt
+// is written outside a walk.
+func (c *L2) armRetry(m *l2MSHR) {
+	if d := m.retryDeadline(c.mshrTimeout); d < c.retryAt {
+		c.retryAt = d
+	}
 }
 
 // mshrMaxRetries is the MSHR reissue budget: consecutive unanswered reissues
@@ -308,16 +329,6 @@ func (m *l2MSHR) retryDeadline(base sim.Cycle) sim.Cycle {
 		b = 6
 	}
 	return m.issuedAt + base<<b
-}
-
-// sortAddrs sorts a small address slice ascending (insertion sort: the
-// overdue set is bounded by L2MSHRs, typically a handful).
-func sortAddrs(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Load issues a demand load. done=true means it completed immediately (L1
@@ -345,7 +356,7 @@ func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 			c.h.WakeAt(now + sim.Cycle(c.cfg.L2Latency))
 			return false, true
 		case StateISD, StateISDI, StateIMD, StateSMD:
-			m := c.mshr[lineAddr]
+			m := c.findMSHR(lineAddr)
 			if m == nil {
 				panic(fmt.Sprintf("L2 %d: transient line %#x without MSHR", c.id, lineAddr))
 			}
@@ -363,30 +374,37 @@ func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 	return false, true
 }
 
-// newMSHR pops a recycled MSHR from the free list; misses refill the list a
-// slab at a time (one allocation per block instead of per MSHR — the
-// per-miss allocation showed up in checker-off profiles).
-func (c *L2) newMSHR() *l2MSHR {
-	const slab = 16
-	if len(c.mshrFree) == 0 {
-		blk := make([]l2MSHR, slab)
-		for i := range blk {
-			c.mshrFree = append(c.mshrFree, &blk[i])
+// mshrFull reports whether every slot of the MSHR file is live.
+func (c *L2) mshrFull() bool { return len(c.mshr) >= c.cfg.L2MSHRs }
+
+// findMSHR returns the live MSHR for addr, or nil.
+func (c *L2) findMSHR(addr uint64) *l2MSHR {
+	for i := range c.mshr {
+		if c.mshr[i].addr == addr {
+			return &c.mshr[i]
 		}
 	}
-	k := len(c.mshrFree)
-	m := c.mshrFree[k-1]
-	c.mshrFree[k-1] = nil
-	c.mshrFree = c.mshrFree[:k-1]
-	return m
+	return nil
 }
 
-// freeMSHR retires the MSHR for addr and returns it to the free list.
-func (c *L2) freeMSHR(addr uint64) {
-	if m := c.mshr[addr]; m != nil {
-		delete(c.mshr, addr)
-		c.mshrFree = append(c.mshrFree, m)
+// newMSHR claims a free slot of the file (the caller checked mshrFull) for
+// m, a request just issued, and arms its retry timer.
+func (c *L2) newMSHR(m l2MSHR) *l2MSHR {
+	if c.mshrFull() {
+		panic(fmt.Sprintf("L2 %d: MSHR file full allocating %#x", c.id, m.addr))
 	}
+	c.mshr = append(c.mshr, m)
+	p := &c.mshr[len(c.mshr)-1]
+	c.armRetry(p)
+	return p
+}
+
+// freeMSHR retires m: the last live entry moves into its slot. Pointers to
+// that entry go stale, so no caller holds one across a retirement.
+func (c *L2) freeMSHR(m *l2MSHR) {
+	last := len(c.mshr) - 1
+	*m = c.mshr[last]
+	c.mshr = c.mshr[:last]
 }
 
 // reject records a refused access for retry dedup and returns false.
@@ -416,16 +434,15 @@ func (c *L2) Store(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 			return false, true
 		case StateS:
 			// Upgrade: keep the S data readable while GetM is outstanding.
-			if len(c.mshr) >= c.cfg.L2MSHRs {
+			if c.mshrFull() {
 				return false, c.reject(2, lineAddr)
 			}
 			line.State = StateSMD
-			m := &l2MSHR{addr: lineAddr, stores: 1, issuedAt: now}
-			c.mshr[lineAddr] = m
+			c.newMSHR(l2MSHR{addr: lineAddr, stores: 1, issuedAt: now})
 			c.sendGetM(lineAddr)
 			return false, true
 		case StateISD, StateISDI, StateIMD, StateSMD:
-			m := c.mshr[lineAddr]
+			m := c.findMSHR(lineAddr)
 			m.stores++
 			m.prefetch = false
 			return false, true
@@ -460,7 +477,7 @@ func (c *L2) Prefetch(lineAddr uint64, fillL1 bool, now sim.Cycle) {
 // allocMiss allocates an MSHR and a victim way, issues the appropriate
 // request, and returns false on a resource stall.
 func (c *L2) allocMiss(lineAddr uint64, now sim.Cycle, loads, stores int, prefetchL1 bool) bool {
-	if len(c.mshr) >= c.cfg.L2MSHRs {
+	if c.mshrFull() {
 		return false
 	}
 	victim := c.arr.Victim(lineAddr, func(l *Line) bool { return !l.State.Transient() })
@@ -469,11 +486,9 @@ func (c *L2) allocMiss(lineAddr uint64, now sim.Cycle, loads, stores int, prefet
 	}
 	c.evict(victim, now)
 	c.st.Cache.L2Misses++
-	m := c.newMSHR()
-	*m = l2MSHR{addr: lineAddr, loads: loads, stores: stores,
+	m := c.newMSHR(l2MSHR{addr: lineAddr, loads: loads, stores: stores,
 		prefetchL1: prefetchL1, prefetch: loads == 0 && stores == 0,
-		issuedAt: now}
-	c.mshr[lineAddr] = m
+		issuedAt: now})
 	if stores > 0 && loads == 0 {
 		c.arr.Install(victim, lineAddr, StateIMD, now)
 		c.sendGetM(lineAddr)
@@ -603,17 +618,18 @@ func (c *L2) finishFill(line *Line, m *l2MSHR, now sim.Cycle) {
 		m.loads = 0
 		m.issuedAt = now
 		m.backoff = 0 // fresh request episode
+		c.armRetry(m)
 		c.sendGetM(m.addr)
 		return
 	}
-	c.freeMSHR(m.addr)
+	c.freeMSHR(m)
 }
 
 func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
 	if m.Reset {
 		c.knob.reset()
 	}
-	ms := c.mshr[m.Addr]
+	ms := c.findMSHR(m.Addr)
 	if ms == nil {
 		return // duplicate response; a push already served this miss
 	}
@@ -642,10 +658,11 @@ func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
 			line.State = StateIMD
 			ms.issuedAt = now
 			ms.backoff = 0 // fresh request episode
+			c.armRetry(ms)
 			c.sendGetM(m.Addr)
 		} else {
 			c.arr.Invalidate(line)
-			c.freeMSHR(m.Addr)
+			c.freeMSHR(ms)
 		}
 	default:
 		if c.lossy {
@@ -659,7 +676,7 @@ func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
 	if m.Reset {
 		c.knob.reset()
 	}
-	ms := c.mshr[m.Addr]
+	ms := c.findMSHR(m.Addr)
 	line := c.arr.Lookup(m.Addr)
 	if ms == nil || line == nil {
 		if c.lossy {
@@ -692,7 +709,7 @@ func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
 			c.send(coherence.Msg{Type: coherence.InvAckData, Addr: m.Addr, Requester: c.id,
 				Version: v, Epoch: ms.recallEpoch}, noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
 		}
-		c.freeMSHR(m.Addr)
+		c.freeMSHR(ms)
 	default:
 		if c.lossy {
 			return // duplicate DataM; the first already installed the line
@@ -704,7 +721,7 @@ func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
 // deferRecall records a recall invalidation that arrived before the DataM
 // the MSHR is waiting for.
 func (c *L2) deferRecall(m coherence.Msg) {
-	ms := c.mshr[m.Addr]
+	ms := c.findMSHR(m.Addr)
 	if ms == nil {
 		panic(fmt.Sprintf("L2 %d: recall deferral for %#x without MSHR", c.id, m.Addr))
 	}
@@ -809,7 +826,7 @@ func (c *L2) acceptPush(m coherence.Msg, now sim.Cycle, speculative bool) (stats
 			// Guaranteed acceptance: the push serves the outstanding read
 			// miss (Early-Resp). In ISDI the push was serialized after the
 			// invalidating write, so installing shared state is safe.
-			ms := c.mshr[m.Addr]
+			ms := c.findMSHR(m.Addr)
 			line.State = StateS
 			line.Version = m.Version
 			line.LastUse = now
@@ -851,13 +868,20 @@ func (c *L2) ForEachLine(f func(*Line)) { c.arr.ForEach(f) }
 // Line returns the L2's entry for lineAddr, or nil (checker use).
 func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Lookup(lineAddr) }
 
-// Audit checks the tag indexes of the L2 and its L1 against their lines.
+// Audit checks the tag indexes of the L2 and its L1 against their lines, and
+// that retryAt bounds every MSHR's retry deadline from below (a bound above
+// one would sleep through its reissue).
 func (c *L2) Audit() error {
 	if err := c.arr.audit(); err != nil {
 		return fmt.Errorf("L2: %w", err)
 	}
 	if err := c.l1.arr.audit(); err != nil {
 		return fmt.Errorf("L1: %w", err)
+	}
+	for i := range c.mshr {
+		if m := &c.mshr[i]; m.retryDeadline(c.mshrTimeout) < c.retryAt {
+			return fmt.Errorf("L2: retry bound %d is above MSHR %#x's deadline %d", c.retryAt, m.addr, m.retryDeadline(c.mshrTimeout))
+		}
 	}
 	return nil
 }

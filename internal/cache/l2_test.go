@@ -1,12 +1,15 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/config"
+	"pushmulticast/internal/fault"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
+	"pushmulticast/internal/snapshot"
 	"pushmulticast/internal/stats"
 )
 
@@ -16,6 +19,7 @@ type l2Fixture struct {
 	t    *testing.T
 	eng  *sim.Engine
 	st   *stats.All
+	net  *noc.Network
 	l2   *L2
 	core *recordingCore
 	cfg  config.System
@@ -30,14 +34,18 @@ func (r *recordingCore) StoreDone(uint64, sim.Cycle) { r.storesDone++ }
 
 func newL2Fixture(t *testing.T, sch config.Scheme) *l2Fixture {
 	t.Helper()
-	cfg := config.Default16().Scaled(16).WithScheme(sch)
+	return newL2FixtureFor(t, config.Default16().Scaled(16).WithScheme(sch))
+}
+
+func newL2FixtureFor(t *testing.T, cfg config.System) *l2Fixture {
+	t.Helper()
 	st := stats.New()
 	eng := sim.NewEngine(0, 0)
 	net, err := noc.New(cfg.NoC, eng, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &l2Fixture{t: t, eng: eng, st: st, core: &recordingCore{}, cfg: cfg}
+	f := &l2Fixture{t: t, eng: eng, st: st, net: net, core: &recordingCore{}, cfg: cfg}
 	f.l2 = NewL2(3, &cfg, net, eng, st, f.core)
 	// Absorb anything the L2 sends toward its home.
 	for i := 0; i < cfg.Tiles(); i++ {
@@ -253,5 +261,109 @@ func TestL2ResetFlagClearsKnob(t *testing.T) {
 	f.deliver(&coherence.Msg{Type: coherence.DataS, Addr: lineA + 4096, Requester: 3, Reset: true})
 	if tpc, _, need := f.l2.Knob(); !need || tpc != 0 {
 		t.Fatalf("reset flag ignored: tpc=%d need=%v", tpc, need)
+	}
+}
+
+// mshrTimerRun drives a lossy L2 whose requests nobody answers unless the
+// script below does, so every MSHR times out and reissues with backoff. The
+// script retires the MSHR whose deadline is the earliest (leaving the retry
+// bound stale low), and opens a miss and starts fresh write episodes (after a
+// fill, and after a use-once fill) while the bound is later than their
+// deadlines, so it must be lowered. It returns the
+// cycles on which a reissue happened from cycle from on, stepping f from its
+// current cycle to end. walkEveryTick zeroes the bound before every step, so
+// each tick of the L2 walks its MSHR file — the reference the bound must
+// match.
+func mshrTimerRun(f *l2Fixture, from, end sim.Cycle, walkEveryTick bool) []sim.Cycle {
+	f.t.Helper()
+	recv := func(t coherence.MsgType, addr uint64, now sim.Cycle) {
+		m := &coherence.Msg{Type: t, Addr: addr, Requester: 3, Version: 1, Epoch: 1}
+		f.l2.Receive(m.Packet(f.cfg.NoC, stats.UnitLLC, stats.UnitL2, noc.OneDest(3)), now)
+	}
+	var reissues []sim.Cycle
+	for now := f.eng.Now(); now < end; now = f.eng.Now() {
+		switch now {
+		case 0:
+			f.l2.Load(lineA, now)
+		case 40:
+			f.l2.Load(lineA+64, now)
+		case 130:
+			f.l2.Store(lineA+128, now)
+		case 700: // lineA's deadline, 900, is the earliest
+			recv(coherence.DataS, lineA, now)
+		case 1500: // deadline 1800, under a bound of 2140
+			f.l2.Load(lineA+192, now)
+		case 2500:
+			f.l2.Store(lineA+64, now)
+		case 2600: // the fill starts a GetM episode due at 2904, under 3600
+			recv(coherence.DataS, lineA+64, now)
+		case 3000: // reissued at 3300 and 3900, then due at 5100
+			f.l2.Load(lineA+256, now)
+		case 3950:
+			f.l2.Store(lineA+256, now)
+		case 3960:
+			recv(coherence.Inv, lineA+256, now)
+		case 4000: // the use-once fill starts a GetM episode due at 4304, under 4630
+			recv(coherence.DataS, lineA+256, now)
+		}
+		if walkEveryTick {
+			f.l2.retryAt = 0
+		}
+		before := f.st.Cache.MSHRTimeouts
+		f.eng.Step()
+		if f.st.Cache.MSHRTimeouts != before && now >= from {
+			reissues = append(reissues, now)
+		}
+		if err := f.l2.Audit(); err != nil {
+			f.t.Fatalf("cycle %d: %v", now, err)
+		}
+		if !walkEveryTick && f.l2.retryAt <= now {
+			f.t.Fatalf("cycle %d: retry bound %d not past it: the next tick walks the file again", now, f.l2.retryAt)
+		}
+	}
+	return reissues
+}
+
+// TestMSHRRetryBoundMatchesWalkEveryTick: with the retry bound, an overdue
+// MSHR reissues on exactly the cycle it does when the L2 walks its MSHR file
+// on every tick — cold, and continued from a snapshot taken mid-backoff, whose
+// restored bound is zero.
+func TestMSHRRetryBoundMatchesWalkEveryTick(t *testing.T) {
+	cfg := config.Default16().Scaled(16).WithScheme(config.NoPrefetch())
+	plan := fault.GenerateLossyPlan(cfg.Tiles(), 1, 10)
+	cfg.Faults = &plan
+	const pause, end = 2500, 30000
+	want := mshrTimerRun(newL2FixtureFor(t, cfg), 0, end, true)
+	if len(want) < 12 {
+		t.Fatalf("the reference reissued %d times by cycle %d (%v); the run does not exercise the timers", len(want), end, want)
+	}
+	cold := newL2FixtureFor(t, cfg)
+	if got := mshrTimerRun(cold, 0, end, false); !slices.Equal(got, want) {
+		t.Fatalf("bounded L2 reissued at %v, walk-every-tick reference at %v", got, want)
+	}
+
+	donor := newL2FixtureFor(t, cfg)
+	mshrTimerRun(donor, 0, pause, false)
+	state := func(f *l2Fixture, c *snapshot.Codec) {
+		f.eng.State(c)
+		f.net.State(c)
+		f.l2.State(c)
+	}
+	enc := snapshot.NewEncoder("", "", uint64(donor.eng.Now()))
+	state(donor, enc)
+	dec, err := snapshot.NewDecoder(enc.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newL2FixtureFor(t, cfg)
+	if state(restored, dec); dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
+	if restored.l2.retryAt != 0 || len(restored.l2.mshr) != 3 {
+		t.Fatalf("restored L2: retry bound %d, %d MSHRs; want 0 and 3", restored.l2.retryAt, len(restored.l2.mshr))
+	}
+	i, _ := slices.BinarySearch(want, sim.Cycle(pause))
+	if got := mshrTimerRun(restored, pause, end, false); !slices.Equal(got, want[i:]) {
+		t.Fatalf("restored L2 reissued at %v, walk-every-tick reference at %v", got, want[i:])
 	}
 }

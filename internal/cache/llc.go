@@ -120,7 +120,7 @@ func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine
 		cfg:     cfg,
 		eng:     eng,
 		st:      st,
-		arr:     NewInterleavedArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.Tiles()),
+		arr:     newDirectoryArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.Tiles()),
 		ep:      make(map[uint64]*episode),
 		fetches: make(map[uint64]*fetch),
 		stalled: make(map[uint64][]*noc.Packet),
@@ -303,25 +303,27 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	case StateLV:
 		line.LastUse = now
 		s.traceSharerGap(line, m.Requester, now)
+		d := s.arr.dirEntry(line)
 		if s.cfg.Scheme.Coalesce {
-			s.coalescedReply(line, m, now)
+			s.coalescedReply(line, d, m, now)
 			return
 		}
-		if s.cfg.Scheme.Push && !m.Prefetch && line.Sharers.Has(m.Requester) {
+		if s.cfg.Scheme.Push && !m.Prefetch && d.Sharers.Has(m.Requester) {
 			if !s.cfg.NoRecentPushTable && s.recentlyPushedTo(m.Addr, m.Requester, now) {
-				s.unicastDataS(line, m.Requester, now)
+				s.unicastDataS(line, d, m.Requester)
 				return
 			}
-			s.triggerPush(line, m.Requester, now)
+			s.triggerPush(line, d, m.Requester, now)
 			return
 		}
-		s.unicastDataS(line, m.Requester, now)
-		line.Sharers = line.Sharers.Add(m.Requester)
+		s.unicastDataS(line, d, m.Requester)
+		d.Sharers = d.Sharers.Add(m.Requester)
 	case StateLP:
 		// Semi-blocking P state: reads are still served with unicasts.
 		line.LastUse = now
-		s.unicastDataS(line, m.Requester, now)
-		line.Sharers = line.Sharers.Add(m.Requester)
+		d := s.arr.dirEntry(line)
+		s.unicastDataS(line, d, m.Requester)
+		d.Sharers = d.Sharers.Add(m.Requester)
 	case StateLM:
 		s.startRecall(line, false)
 		s.stall(m.Addr, pkt)
@@ -333,27 +335,27 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 }
 
 // unicastDataS sends a shared data response, embedding the resume knob's
-// counter-reset flag when applicable.
-func (s *LLC) unicastDataS(line *Line, req noc.NodeID, now sim.Cycle) {
+// counter-reset flag when applicable; d is the line's directory entry.
+func (s *LLC) unicastDataS(line *Line, d *DirEntry, req noc.NodeID) {
 	s.send(coherence.Msg{
 		Type: coherence.DataS, Addr: line.Tag, Requester: req,
 		Version: line.Version, Reset: s.knob.resetFlagFor(req),
-		Private: line.Sharers.Remove(req).Empty(),
+		Private: d.Sharers.Remove(req).Empty(),
 	}, noc.OneDest(req), stats.UnitL2)
 }
 
 // triggerPush implements the push activated phase (§III-B): a re-reference
 // from an existing sharer speculates that every sharer will need the line
 // again and multicasts it to all of them (minus push-disabled requesters).
-func (s *LLC) triggerPush(line *Line, req noc.NodeID, now sim.Cycle) {
-	dests := line.Sharers
+func (s *LLC) triggerPush(line *Line, d *DirEntry, req noc.NodeID, now sim.Cycle) {
+	dests := d.Sharers
 	if s.cfg.Scheme.Knob {
 		dests = dests.Subtract(s.knob.pdr)
 	}
 	dests = dests.Add(req)
 	if dests.Count() == 1 {
 		// Every other sharer is push-disabled: degenerate to a unicast.
-		s.unicastDataS(line, req, now)
+		s.unicastDataS(line, d, req)
 		return
 	}
 	s.st.Cache.PushesTriggered++
@@ -368,13 +370,13 @@ func (s *LLC) triggerPush(line *Line, req noc.NodeID, now sim.Cycle) {
 	} else {
 		// MSP-style per-sharer unicast pushes: the demand requester gets a
 		// normal response, every other destination an individual push.
-		s.unicastDataS(line, req, now)
-		dests.Remove(req).ForEach(func(d noc.NodeID) {
+		s.unicastDataS(line, d, req)
+		dests.Remove(req).ForEach(func(dst noc.NodeID) {
 			// Requester -1: each unicast copy is speculative for its
 			// destination (the demand requester got the DataS above).
 			s.send(coherence.Msg{
 				Type: coherence.PushData, Addr: line.Tag, Requester: -1, Version: line.Version,
-			}, noc.OneDest(d), stats.UnitL2)
+			}, noc.OneDest(dst), stats.UnitL2)
 		})
 	}
 	if s.cfg.Scheme.Protocol == config.ProtoPushAck {
@@ -382,9 +384,9 @@ func (s *LLC) triggerPush(line *Line, req noc.NodeID, now sim.Cycle) {
 		if !s.cfg.Scheme.Multicast {
 			acks = acks.Remove(req)
 		}
-		line.Epoch++
+		d.Epoch++
 		line.State = StateLP
-		s.ep[line.Tag] = &episode{kind: epPush, epoch: line.Epoch, pendingAcks: acks}
+		s.ep[line.Tag] = &episode{kind: epPush, epoch: d.Epoch, pendingAcks: acks}
 	}
 }
 
@@ -420,7 +422,7 @@ func (s *LLC) recentlyPushedTo(addr uint64, req noc.NodeID, now sim.Cycle) bool 
 // coalescedReply implements the Coalesce baseline [38]: concurrent same-line
 // read requests within the LLC lookup window are merged and answered with a
 // single multicast.
-func (s *LLC) coalescedReply(line *Line, m coherence.Msg, now sim.Cycle) {
+func (s *LLC) coalescedReply(line *Line, d *DirEntry, m coherence.Msg, now sim.Cycle) {
 	dests := noc.OneDest(m.Requester)
 	absorbed := s.inq.removeIf(func(p *noc.Packet) bool {
 		return p.Filterable && p.Addr == m.Addr // Filterable marks exactly the GetS packets
@@ -430,7 +432,7 @@ func (s *LLC) coalescedReply(line *Line, m coherence.Msg, now sim.Cycle) {
 		s.st.Cache.CoalescedRequests++
 		s.out.ni.Recycle(p)
 	}
-	line.Sharers = line.Sharers.Union(dests)
+	d.Sharers = d.Sharers.Union(dests)
 	s.send(coherence.Msg{
 		Type: coherence.DataS, Addr: line.Tag, Requester: m.Requester, Version: line.Version,
 	}, dests, stats.UnitL2)
@@ -473,20 +475,21 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	}
 	switch line.State {
 	case StateLV:
-		others := line.Sharers.Remove(m.Requester)
+		d := s.arr.dirEntry(line)
+		others := d.Sharers.Remove(m.Requester)
 		if others.Empty() {
-			s.grantM(line, m.Requester)
+			s.grantM(line, d, m.Requester)
 			return
 		}
-		line.Epoch++
+		d.Epoch++
 		line.State = StateLSInv
-		s.ep[m.Addr] = &episode{kind: epWrite, epoch: line.Epoch, pendingAcks: others, writer: m.Requester}
-		others.ForEach(func(d noc.NodeID) {
+		s.ep[m.Addr] = &episode{kind: epWrite, epoch: d.Epoch, pendingAcks: others, writer: m.Requester}
+		others.ForEach(func(dst noc.NodeID) {
 			s.send(coherence.Msg{Type: coherence.Inv, Addr: m.Addr, Requester: m.Requester,
-				Epoch: line.Epoch}, noc.OneDest(d), stats.UnitL2)
+				Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 		})
 	case StateLM:
-		if line.Owner == m.Requester {
+		if s.arr.dirEntry(line).Owner == m.Requester {
 			// Defensive: an owner never re-requests ownership.
 			s.send(coherence.Msg{Type: coherence.DataM, Addr: m.Addr, Requester: m.Requester,
 				Version: line.Version}, noc.OneDest(m.Requester), stats.UnitL2)
@@ -499,10 +502,10 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	}
 }
 
-func (s *LLC) grantM(line *Line, writer noc.NodeID) {
+func (s *LLC) grantM(line *Line, d *DirEntry, writer noc.NodeID) {
 	line.State = StateLM
-	line.Owner = writer
-	line.Sharers = noc.DestSet{}
+	d.Owner = writer
+	d.Sharers = noc.DestSet{}
 	s.send(coherence.Msg{Type: coherence.DataM, Addr: line.Tag, Requester: writer,
 		Version: line.Version}, noc.OneDest(writer), stats.UnitL2)
 }
@@ -510,11 +513,12 @@ func (s *LLC) grantM(line *Line, writer noc.NodeID) {
 // startRecall begins an owner-invalidation episode; evict frees the line
 // when data returns.
 func (s *LLC) startRecall(line *Line, evict bool) {
-	line.Epoch++
+	d := s.arr.dirEntry(line)
+	d.Epoch++
 	line.State = StateLMInv
-	s.ep[line.Tag] = &episode{kind: epRecall, epoch: line.Epoch, evictAfter: evict}
-	s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: line.Owner,
-		Epoch: line.Epoch, Recall: true}, noc.OneDest(line.Owner), stats.UnitL2)
+	s.ep[line.Tag] = &episode{kind: epRecall, epoch: d.Epoch, evictAfter: evict}
+	s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: d.Owner,
+		Epoch: d.Epoch, Recall: true}, noc.OneDest(d.Owner), stats.UnitL2)
 }
 
 func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
@@ -524,13 +528,14 @@ func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
 	}
 	switch line.State {
 	case StateLM:
-		if line.Owner != m.Requester {
-			panic(fmt.Sprintf("LLC %d: PutM for %#x from %d, owner is %d", s.id, m.Addr, m.Requester, line.Owner))
+		d := s.arr.dirEntry(line)
+		if d.Owner != m.Requester {
+			panic(fmt.Sprintf("LLC %d: PutM for %#x from %d, owner is %d", s.id, m.Addr, m.Requester, d.Owner))
 		}
 		line.Version = m.Version
 		line.Dirty = true
-		line.Owner = 0
-		line.Sharers = noc.DestSet{}
+		d.Owner = 0
+		d.Sharers = noc.DestSet{}
 		line.State = StateLV
 		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
 			noc.OneDest(m.Requester), stats.UnitL2)
@@ -565,7 +570,7 @@ func (s *LLC) handleInvAck(m coherence.Msg, now sim.Cycle) {
 		line := s.arr.Lookup(m.Addr)
 		delete(s.ep, m.Addr)
 		if ep.kind == epWrite {
-			s.grantM(line, ep.writer)
+			s.grantM(line, s.arr.dirEntry(line), ep.writer)
 		} else {
 			s.freeLine(line)
 		}
@@ -590,8 +595,9 @@ func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
 func (s *LLC) completeRecall(line *Line, now sim.Cycle) {
 	ep := s.ep[line.Tag]
 	delete(s.ep, line.Tag)
-	line.Owner = 0
-	line.Sharers = noc.DestSet{}
+	d := s.arr.dirEntry(line)
+	d.Owner = 0
+	d.Sharers = noc.DestSet{}
 	if ep.evictAfter {
 		s.freeLine(line)
 	} else {
@@ -638,7 +644,7 @@ func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead
 		s.retry(pkt, now)
 		return
 	}
-	if victim.State == StateLV && !victim.Sharers.Empty() {
+	if victim.State == StateLV && !s.arr.dirEntry(victim).Sharers.Empty() {
 		s.startEvictShared(victim)
 		s.stall(victim.Tag, pkt)
 		return
@@ -666,7 +672,7 @@ func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead
 // lines, then owned lines; transient lines are never displaced.
 func (s *LLC) chooseVictim(addr uint64) *Line {
 	if v := s.arr.Victim(addr, func(l *Line) bool {
-		return l.State == StateLV && l.Sharers.Empty()
+		return l.State == StateLV && s.arr.dirEntry(l).Sharers.Empty()
 	}); v != nil {
 		return v
 	}
@@ -677,17 +683,18 @@ func (s *LLC) chooseVictim(addr uint64) *Line {
 }
 
 func (s *LLC) startEvictShared(line *Line) {
+	d := s.arr.dirEntry(line)
 	if s.pred != nil {
-		s.pred.remember(line.Tag, line.Sharers)
+		s.pred.remember(line.Tag, d.Sharers)
 	}
-	line.Epoch++
+	d.Epoch++
 	line.State = StateLSInv
-	s.ep[line.Tag] = &episode{kind: epEvictShared, epoch: line.Epoch, pendingAcks: line.Sharers}
-	line.Sharers.ForEach(func(d noc.NodeID) {
-		s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: d,
-			Epoch: line.Epoch}, noc.OneDest(d), stats.UnitL2)
+	s.ep[line.Tag] = &episode{kind: epEvictShared, epoch: d.Epoch, pendingAcks: d.Sharers}
+	d.Sharers.ForEach(func(dst noc.NodeID) {
+		s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: dst,
+			Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 	})
-	line.Sharers = noc.DestSet{}
+	d.Sharers = noc.DestSet{}
 }
 
 // freeLine evicts a stable valid line, writing dirty data back to memory.
@@ -695,7 +702,7 @@ func (s *LLC) startEvictShared(line *Line) {
 // refetch can restore the push coverage the eviction destroyed.
 func (s *LLC) freeLine(line *Line) {
 	if s.pred != nil && line.State == StateLV {
-		s.pred.remember(line.Tag, line.Sharers)
+		s.pred.remember(line.Tag, s.arr.dirEntry(line).Sharers)
 	}
 	if line.Dirty {
 		s.send(coherence.Msg{Type: coherence.MemWrite, Addr: line.Tag, Requester: s.id,
@@ -719,6 +726,7 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	line.Version = m.Version
 	line.Dirty = false
 	line.LastUse = now
+	d := s.arr.dirEntry(line)
 	if len(f.requesters) > 0 {
 		if s.cfg.Scheme.Coalesce {
 			var dests noc.DestSet
@@ -728,13 +736,13 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 					s.st.Cache.CoalescedRequests++
 				}
 			}
-			line.Sharers = line.Sharers.Union(dests)
+			d.Sharers = d.Sharers.Union(dests)
 			s.send(coherence.Msg{Type: coherence.DataS, Addr: m.Addr,
 				Requester: f.requesters[0].req, Version: line.Version}, dests, stats.UnitL2)
 		} else {
 			for _, r := range f.requesters {
-				s.unicastDataS(line, r.req, now)
-				line.Sharers = line.Sharers.Add(r.req)
+				s.unicastDataS(line, d, r.req)
+				d.Sharers = d.Sharers.Add(r.req)
 			}
 		}
 	}
@@ -745,7 +753,7 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	// longer knows about.
 	if s.pred != nil {
 		if predicted, ok := s.pred.predict(m.Addr); ok {
-			dests := predicted.Subtract(line.Sharers)
+			dests := predicted.Subtract(d.Sharers)
 			if s.cfg.Scheme.Knob {
 				dests = dests.Subtract(s.knob.pdr)
 			}
@@ -761,11 +769,11 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 					Type: coherence.PushData, Addr: line.Tag, Version: line.Version,
 					Requester: -1,
 				}, dests, stats.UnitL2)
-				line.Sharers = line.Sharers.Union(dests)
+				d.Sharers = d.Sharers.Union(dests)
 				if s.cfg.Scheme.Protocol == config.ProtoPushAck {
-					line.Epoch++
+					d.Epoch++
 					line.State = StateLP
-					s.ep[line.Tag] = &episode{kind: epPush, epoch: line.Epoch, pendingAcks: dests}
+					s.ep[line.Tag] = &episode{kind: epPush, epoch: d.Epoch, pendingAcks: dests}
 				}
 			}
 		}
@@ -779,35 +787,36 @@ func (s *LLC) ForEachLine(f func(*Line)) { s.arr.ForEach(f) }
 // Line returns the slice's entry for lineAddr, or nil (checker use).
 func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Lookup(lineAddr) }
 
+// Dir returns the directory entry of line, a valid line of this slice
+// (checker and test use).
+func (s *LLC) Dir(line *Line) *DirEntry { return s.arr.dirEntry(line) }
+
 // Audit checks the slice's tag index against its lines.
 func (s *LLC) Audit() error { return s.arr.audit() }
 
 // SetTraceShard installs the slice's trace shard.
 func (s *LLC) SetTraceShard(tr *trace.Shard) { s.tr = tr }
 
-// DirectoryView returns the directory's conservative view of the line's
-// possible private holders, or ok=false when the line is absent. The view
-// merges the line's sharer vector with episode state: startEvictShared
-// zeroes Sharers while its invalidations are in flight (the pending-ack
-// set holds them), and an owner under recall lives only in the Owner
-// field. The sharers-superset invariant is phrased against this view —
-// any L2 actually holding the line must appear in it.
-func (s *LLC) DirectoryView(lineAddr uint64) (noc.DestSet, bool) {
-	line := s.arr.Lookup(lineAddr)
-	if line == nil {
-		return noc.DestSet{}, false
-	}
-	view := line.Sharers
+// DirectoryView returns the directory's conservative view of the possible
+// private holders of line, a valid line of this slice. The view merges the
+// line's sharer vector with episode state: startEvictShared zeroes Sharers
+// while its invalidations are in flight (the pending-ack set holds them), and
+// an owner under recall lives only in the Owner field. The sharers-superset
+// invariant is phrased against this view — any L2 actually holding the line
+// must appear in it.
+func (s *LLC) DirectoryView(line *Line) noc.DestSet {
+	d := s.arr.dirEntry(line)
+	view := d.Sharers
 	if line.State == StateLM || line.State == StateLMInv {
-		view = view.Add(line.Owner)
+		view = view.Add(d.Owner)
 	}
-	if ep := s.ep[lineAddr]; ep != nil {
+	if ep := s.ep[line.Tag]; ep != nil {
 		view = view.Union(ep.pendingAcks)
 		if ep.kind == epWrite {
 			view = view.Add(ep.writer)
 		}
 	}
-	return view, true
+	return view
 }
 
 // PushQueued exposes pushCovering to the checker: a push embedding a

@@ -82,11 +82,9 @@ func (f *llcFixture) drainSent(typ coherence.MsgType) []coherence.Msg {
 func (f *llcFixture) lineState(addr uint64) (State, noc.DestSet) {
 	var st State
 	var sh noc.DestSet
-	f.llc.ForEachLine(func(l *Line) {
-		if l.Tag == addr {
-			st, sh = l.State, l.Sharers
-		}
-	})
+	if l := f.llc.Line(addr); l != nil {
+		st, sh = l.State, f.llc.Dir(l).Sharers
+	}
 	return st, sh
 }
 

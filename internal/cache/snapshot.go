@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"cmp"
+	"slices"
+
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/snapshot"
 )
@@ -8,11 +11,13 @@ import (
 // state describes the array's lines, set by set, way by way. A free way is
 // its state byte alone: its stale metadata is never read, so it is not state,
 // and leaving it out makes two arrays that behave alike serialize alike
-// whatever lines they held before. Decoding targets a freshly built array,
+// whatever lines they held before. A valid way of a directory array carries
+// its directory entry after the line. Decoding targets a freshly built array,
 // whose free ways are the zero Line. Geometry comes from the config
 // fingerprint, so it is only checked.
 func (a *Array) state(c *snapshot.Codec) {
 	c.Mark(&a.lines)
+	c.Mark(&a.dir)
 	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
 	for i := range a.lines {
@@ -26,9 +31,12 @@ func (a *Array) state(c *snapshot.Codec) {
 		c.Bool(&l.Pushed)
 		c.Bool(&l.Accessed)
 		snapshot.AsU64(c, &l.LastUse)
-		c.U64s(l.Sharers[:])
-		snapshot.AsU32(c, &l.Owner)
-		c.U32(&l.Epoch)
+		if a.dir != nil {
+			d := &a.dir[i]
+			c.U64s(d.Sharers[:])
+			snapshot.AsU32(c, &d.Owner)
+			c.U32(&d.Epoch)
+		}
 	}
 	if c.Decoding() {
 		a.reindex()
@@ -60,13 +68,14 @@ func (l2 *L2) State(c *snapshot.Codec) {
 	c.Mark(&l2.l1)
 	c.Mark(&l2.l1.arr)
 	l2.l1.arr.state(c)
-	snapshot.Map(c, &l2.mshr, func(a *uint64, pm **l2MSHR) {
-		if c.Decoding() {
-			*pm = l2.newMSHR()
-		}
-		m := *pm
+	// The live MSHRs travel in address order. Slot order is invisible (every
+	// order the controller acts in is address order), so encoding sorts the
+	// file in place and a decoded file holds its entries sorted.
+	if !c.Decoding() {
+		slices.SortFunc(l2.mshr, func(a, b l2MSHR) int { return cmp.Compare(a.addr, b.addr) })
+	}
+	snapshot.Slice(c, &l2.mshr, func(m *l2MSHR) {
 		c.U64(&m.addr)
-		*a = m.addr
 		c.Int(&m.loads)
 		c.Int(&m.stores)
 		snapshot.AsU64(c, &m.issuedAt)
@@ -76,6 +85,16 @@ func (l2 *L2) State(c *snapshot.Codec) {
 		c.Bool(&m.recallPending)
 		c.U32(&m.recallEpoch)
 	})
+	if c.Decoding() {
+		if len(l2.mshr) > l2.cfg.L2MSHRs {
+			c.Corrupt("%d MSHRs, the file has %d slots", len(l2.mshr), l2.cfg.L2MSHRs)
+		}
+		for i := 1; i < len(l2.mshr); i++ {
+			if l2.mshr[i].addr <= l2.mshr[i-1].addr {
+				c.Corrupt("MSHR addresses %#x, %#x out of order", l2.mshr[i-1].addr, l2.mshr[i].addr)
+			}
+		}
+	}
 	snapshot.Map(c, &l2.wb, func(a *uint64, pw **wbEntry) {
 		if c.Decoding() {
 			*pw = new(wbEntry)

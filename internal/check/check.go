@@ -13,10 +13,10 @@
 //     the same source — the property the ordered-push protocol exists to
 //     provide).
 //   - Structural invariants, swept every CheckEvery cycles over a global
-//     snapshot: SWMR and data-value coherence (delegated to the core
-//     package's checker via a callback, avoiding an import cycle), the
-//     directory sharers-superset property, L1 ⊆ L2 inclusion, and per-VC
-//     credit/occupancy conservation in every router.
+//     snapshot: SWMR, directory sharers-superset and data-value coherence
+//     (delegated to the core package's checker via a callback, avoiding an
+//     import cycle), L1 ⊆ L2 inclusion, and per-VC credit/occupancy
+//     conservation in every router.
 //
 // The first violation is sticky: Err() reports it with the cycle it was
 // detected, and the run loop in core aborts and dumps the trace tail.
@@ -58,7 +58,7 @@ type Monitor struct {
 	net       *noc.Network   `snap:"-,wiring"`
 	l2s       []*cache.L2    `snap:"-,wiring"`
 	llcs      []*cache.LLC   `snap:"-,wiring"`
-	coherence func() error   `snap:"-,wiring"` // core's SWMR/data-value snapshot checker
+	coherence func() error   `snap:"-,wiring"` // core's SWMR/superset/data-value snapshot checker
 	tr        *trace.Tracer  `snap:"-,wiring"`
 
 	h          *sim.Handle `snap:"-,wiring"`
@@ -424,45 +424,7 @@ func (m *Monitor) scan(now sim.Cycle) {
 		m.fail(cyc, "%v", err)
 		return
 	}
-	m.scanSharersSuperset(cyc)
-	if m.err == nil {
-		m.scanInclusion(cyc)
-	}
-}
-
-// scanSharersSuperset asserts that every private copy is visible to its
-// home directory: for each L2 line in S, M, or SM_D, the home slice's
-// conservative directory view (sharer vector ∪ owner ∪ in-flight episode
-// state) contains that L2's tile. A line the directory has lost track of
-// can never be invalidated or pushed to — the silent-sharer bug class.
-func (m *Monitor) scanSharersSuperset(cyc uint64) {
-	for _, l2 := range m.l2s {
-		id := l2.ID()
-		l2.ForEachLine(func(l *cache.Line) {
-			if m.err != nil {
-				return
-			}
-			switch l.State {
-			case cache.StateS, cache.StateM, cache.StateSMD:
-			default:
-				return
-			}
-			home := m.cfg.HomeSlice(l.Tag)
-			view, ok := m.llcs[home].DirectoryView(l.Tag)
-			if !ok {
-				m.fail(cyc, "line %#x cached %v at tile %d but absent from home slice %d",
-					l.Tag, l.State, id, home)
-				return
-			}
-			if !view.Has(id) {
-				m.fail(cyc, "directory not a sharer superset: line %#x cached %v at tile %d, home %d view %v",
-					l.Tag, l.State, id, home, view)
-			}
-		})
-		if m.err != nil {
-			return
-		}
-	}
+	m.scanInclusion(cyc)
 }
 
 // scanInclusion asserts L1 ⊆ L2 per tile: every valid L1 line must be

@@ -450,7 +450,9 @@ func abs(v int) int {
 }
 
 // HomeSlice maps a line address to its home LLC slice by low-order set
-// interleaving, the address-hashing NUCA placement the paper assumes.
-func (s System) HomeSlice(lineAddr uint64) noc.NodeID {
-	return noc.NodeID((lineAddr / noc.LineBytes) % uint64(s.Tiles()))
+// interleaving, the address-hashing NUCA placement the paper assumes. The
+// receiver is a pointer: every L2 miss and every line the checker sweeps asks,
+// and a value receiver copies the whole System each time.
+func (s *System) HomeSlice(lineAddr uint64) noc.NodeID {
+	return noc.NodeID((lineAddr / noc.LineBytes) % uint64(s.MeshW*s.MeshH))
 }

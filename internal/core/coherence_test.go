@@ -66,15 +66,12 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 	}
 	a, tileA := shared[addr][0].l, shared[addr][0].tile
 	b, tileB := shared[addr][1].l, shared[addr][1].tile
-	var dir *cache.Line
-	sys.LLCs[sys.Cfg.HomeSlice(addr)].ForEachLine(func(l *cache.Line) {
-		if l.Tag == addr {
-			dir = l
-		}
-	})
+	llc := sys.LLCs[sys.Cfg.HomeSlice(addr)]
+	dir := llc.Line(addr)
 	if dir == nil || dir.State != cache.StateLV {
 		t.Fatalf("line %#x: directory entry %+v, want LV", addr, dir)
 	}
+	de := llc.Dir(dir)
 	// Any third copy would blur the one-owner cases; park such copies in a
 	// transient state the sweep does not count (they are restored with a/b).
 	var others []*cache.Line
@@ -99,29 +96,31 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 			fmt.Sprintf("line %#x cached privately but absent from the LLC", addr+1<<40)},
 		{"M copy behind the directory", func() {
 			hide(b)
-			a.State, dir.State, dir.Owner = cache.StateM, cache.StateLM, tileA
+			a.State, dir.State, de.Owner = cache.StateM, cache.StateLM, tileA
 			dir.Version = a.Version + 1
 		}, fmt.Sprintf("%sM copy at tile %d behind directory", line, tileA)},
 		{"S copy under an owned directory", func() {
 			hide(b)
-			dir.State, dir.Owner = cache.StateLM, tileB
+			dir.State, de.Owner = cache.StateLM, tileB
 		}, fmt.Sprintf("%shas S copy at tile %d (S) while directory in LM", line, tileA)},
 		{"S copy under a recalled directory", func() {
 			hide(a)
-			dir.State, dir.Owner = cache.StateLMInv, tileA
+			dir.State, de.Owner = cache.StateLMInv, tileA
 		}, fmt.Sprintf("%shas S copy at tile %d (S) while directory in LM_Inv", line, tileB)},
 		{"SM_D at a tile that is not the owner", func() {
 			hide(b)
-			a.State, dir.State, dir.Owner = cache.StateSMD, cache.StateLM, tileB
+			a.State, dir.State, de.Owner = cache.StateSMD, cache.StateLM, tileB
 		}, fmt.Sprintf("%shas S copy at tile %d (SM_D) while directory in LM", line, tileA)},
 		{"SM_D at the new owner is legal", func() {
 			hide(b)
-			a.State, dir.State, dir.Owner = cache.StateSMD, cache.StateLM, tileA
+			a.State, dir.State, de.Owner = cache.StateSMD, cache.StateLM, tileA
 		}, ""},
+		{"S copy the directory lost track of", func() { de.Sharers = de.Sharers.Remove(tileB) },
+			fmt.Sprintf("directory not a sharer superset: %scached S at tile %d", line, tileB)},
 		{"stale S version", func() { b.Version++ },
 			fmt.Sprintf("%sstale S copy at tile %d (version %d, directory %d)", line, tileB, b.Version+1, dir.Version)},
 	} {
-		saved := []cache.Line{*a, *b, *dir}
+		saved, savedDir := []cache.Line{*a, *b, *dir}, *de
 		for _, l := range others {
 			saved = append(saved, *l)
 			hide(l)
@@ -138,7 +137,7 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 		case !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: sweep says %q, want %q", tc.name, err, tc.want)
 		}
-		*a, *b, *dir = saved[0], saved[1], saved[2]
+		*a, *b, *dir, *de = saved[0], saved[1], saved[2], savedDir
 		for i, l := range others {
 			*l = saved[3+i]
 		}

@@ -60,11 +60,9 @@ func (d *driver) dirState(addr uint64) (cache.State, noc.DestSet, uint64) {
 	var st cache.State
 	var sharers noc.DestSet
 	var ver uint64
-	d.sys.LLCs[home].ForEachLine(func(l *cache.Line) {
-		if l.Tag == addr {
-			st, sharers, ver = l.State, l.Sharers, l.Version
-		}
-	})
+	if l := d.sys.LLCs[home].Line(addr); l != nil {
+		st, sharers, ver = l.State, d.sys.LLCs[home].Dir(l).Sharers, l.Version
+	}
 	return st, sharers, ver
 }
 

@@ -450,11 +450,16 @@ func (cs *cohScratch) gather(l2s []*cache.L2) {
 	}
 }
 
-// CheckCoherence validates the Single-Writer-Multiple-Reader invariant and
-// the data-value invariant over a global snapshot:
+// CheckCoherence validates the Single-Writer-Multiple-Reader invariant, the
+// directory sharers-superset property and the data-value invariant over a
+// global snapshot, looking each line's home entry up once:
 //
 //   - at most one private cache holds a line in M;
 //   - no private S copy coexists with an M copy;
+//   - every private copy is visible to its home directory: the slice's
+//     conservative view (sharer vector ∪ owner ∪ in-flight episode state)
+//     holds its tile — a line the directory lost track of can never be
+//     invalidated or pushed to, the silent-sharer bug class;
 //   - every stable private S copy (including the readable S data backing an
 //     SM_D upgrade) matches the directory's current version whenever the
 //     directory has no owner — the property a stale push would break;
@@ -485,9 +490,18 @@ func (s *System) CheckCoherence() error {
 		if owners == 1 && readers > 0 {
 			return fmt.Errorf("%w: line %#x has an M owner and %d S copies", ErrCoherence, addr, readers)
 		}
-		d := s.LLCs[s.Cfg.HomeSlice(addr)].Line(addr)
+		home := s.Cfg.HomeSlice(addr)
+		llc := s.LLCs[home]
+		d := llc.Line(addr)
 		if d == nil {
 			return fmt.Errorf("%w: line %#x cached privately but absent from the LLC", ErrCoherence, addr)
+		}
+		view := llc.DirectoryView(d)
+		for j := int32(i); j >= 0; j = copies[j].next {
+			if c := &copies[j]; !view.Has(c.tile) {
+				return fmt.Errorf("%w: directory not a sharer superset: line %#x cached %v at tile %d, home %d view %v",
+					ErrCoherence, addr, c.state, c.tile, home, view)
+			}
 		}
 		if owners == 1 {
 			if c := &copies[i]; c.version < d.Version {
@@ -502,8 +516,9 @@ func (s *System) CheckCoherence() error {
 		// owner's own line sits in SM_D (its S data still readable) in the
 		// window between the ownership grant and the DataM delivery.
 		if d.State == cache.StateLM || d.State == cache.StateLMInv {
+			owner := llc.Dir(d).Owner
 			for j := int32(i); j >= 0; j = copies[j].next {
-				if c := &copies[j]; c.state != cache.StateSMD || c.tile != d.Owner {
+				if c := &copies[j]; c.state != cache.StateSMD || c.tile != owner {
 					return fmt.Errorf("%w: line %#x has S copy at tile %d (%v) while directory in %v",
 						ErrCoherence, addr, c.tile, c.state, d.State)
 				}

@@ -47,14 +47,38 @@ func pktFlags(pkt *Packet) int32 {
 // state's own invariants (VC wiring, the occupied list, head timing, pending
 // ports, switch stream links, per-link credit conservation), and every
 // derived field — masks, candidate counters, back pointers, filter liveness
-// accounting — against what Router.derive rebuilds from that primary state.
-// Each derived field is something the hot path trusts blindly; a drifted one
-// silently corrupts arbitration or filtering long before any end-state
-// counter notices. Returns the first violation found.
+// accounting — against what Router.derive rebuilds from that primary state;
+// then every NI's retransmit bound against its window entries. Each derived
+// field is something the hot path trusts blindly; a drifted one silently
+// corrupts arbitration or filtering long before any end-state counter
+// notices. Returns the first violation found.
 func (n *Network) CheckConservation(now sim.Cycle) error {
 	for _, r := range n.routers {
 		if err := r.checkConservation(now); err != nil {
 			return fmt.Errorf("router %d: %w", r.id, err)
+		}
+	}
+	for _, ni := range n.nis {
+		if err := ni.checkRetxBound(); err != nil {
+			return fmt.Errorf("NI %d: %w", ni.node, err)
+		}
+	}
+	return nil
+}
+
+// checkRetxBound audits the transport's retransmit bound: retxAt may sit
+// below the earliest deadline of a live window entry, never above one (the
+// NI would sleep through that retransmission).
+func (ni *NI) checkRetxBound() error {
+	if ni.tp == nil {
+		return nil
+	}
+	for v := range ni.tp.tx {
+		for i := range ni.tp.tx[v].entries {
+			e := &ni.tp.tx[v].entries[i]
+			if d := e.lastSent + sim.Cycle(ni.net.cfg.RetryTimeout); !e.done && d < ni.tp.retxAt {
+				return fmt.Errorf("retransmit bound %d is above vnet %d seq %d's deadline %d", ni.tp.retxAt, v, e.seq, d)
+			}
 		}
 	}
 	return nil

@@ -97,6 +97,12 @@ type niTransport struct {
 	// dead is the ErrUnrecoverable verdict once a window entry exhausts its
 	// retries; the run's finished-check aborts on it at the next cycle edge.
 	dead error
+	// retxAt is a lower bound on the earliest retransmit deadline: lowered
+	// by stampTransport, rebuilt exactly by each walk of the windows, so
+	// neither checkRetransmits nor transportDeadline walks them on a tick
+	// before it. An ack that retires an entry leaves it stale low, which
+	// costs one spurious walk. Zero after a restore, so the first tick walks.
+	retxAt sim.Cycle `snap:"-,derived: lower bound on the windows' earliest retransmit deadline, rebuilt by the first walk"`
 }
 
 func (ni *NI) initTransport() {
@@ -165,6 +171,7 @@ func (ni *NI) stampTransport(pkt *Packet, now sim.Cycle) {
 		w.entries = append(w.entries, txEntry{
 			seq: pkt.Seq, proto: *pkt, pending: pkt.Dests, lastSent: now,
 		})
+		ni.tp.retxAt = min(ni.tp.retxAt, now+sim.Cycle(ni.net.cfg.RetryTimeout))
 	}
 	pkt.Csum = ni.net.checksum(pkt)
 }
@@ -476,21 +483,28 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 	}
 }
 
-// checkRetransmits re-injects overdue unacked window entries. A refused
-// injection (queue backpressure) leaves the entry overdue; reschedule keeps
-// the NI awake and it retries next cycle. Exhausting MaxRetries marks the
-// sender dead with ErrUnrecoverable; the run's finished-check picks that up
-// at the next cycle edge.
+// checkRetransmits re-injects overdue unacked window entries, walking the
+// windows only once retxAt has come due and rebuilding it exactly as it goes.
+// A refused injection (queue backpressure) leaves the entry overdue;
+// reschedule keeps the NI awake and it retries next cycle. Exhausting
+// MaxRetries marks the sender dead with ErrUnrecoverable; the run's
+// finished-check picks that up at the next cycle edge.
 func (ni *NI) checkRetransmits(now sim.Cycle) {
 	tp := ni.tp
-	if tp.dead != nil {
+	if tp.dead != nil || now < tp.retxAt {
 		return
 	}
+	timeout := sim.Cycle(ni.net.cfg.RetryTimeout)
+	next := sim.NeverWake
 	for v := range tp.tx {
 		w := &tp.tx[v]
 		for i := range w.entries {
 			e := &w.entries[i]
-			if e.done || now-e.lastSent < sim.Cycle(ni.net.cfg.RetryTimeout) {
+			if e.done {
+				continue
+			}
+			if now-e.lastSent < timeout {
+				next = min(next, e.lastSent+timeout)
 				continue
 			}
 			if e.retries >= ni.net.cfg.MaxRetries {
@@ -505,20 +519,23 @@ func (ni *NI) checkRetransmits(now sim.Cycle) {
 			p.Dests = e.pending
 			if !ni.Inject(p, now) {
 				ni.Recycle(p)
+				next = min(next, e.lastSent+timeout) // still overdue
 				continue
 			}
 			e.retries++
 			e.lastSent = now
+			next = min(next, now+timeout)
 			ni.st.Net.Retransmits++
 			ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KRetransmit, Node: int32(ni.node),
 				Addr: p.Addr, ID: p.ID, Aux: trace.Aux{p.transportKey()}, A: int32(e.retries)})
 		}
 	}
+	tp.retxAt = next
 }
 
-// transportDeadline returns the earliest retransmit deadline (idle=true), or
-// idle=false when the NI must stay awake regardless (queued acks to retry,
-// or a dead sender waiting for the run's finished-check).
+// transportDeadline returns a lower bound on the earliest retransmit deadline
+// (idle=true), or idle=false when the NI must stay awake regardless (queued
+// acks to retry, or a dead sender waiting for the run's finished-check).
 func (ni *NI) transportDeadline() (sim.Cycle, bool) {
 	tp := ni.tp
 	if tp == nil {
@@ -527,19 +544,7 @@ func (ni *NI) transportDeadline() (sim.Cycle, bool) {
 	if len(tp.ackDue) != 0 || tp.dead != nil {
 		return 0, false
 	}
-	min := sim.NeverWake
-	for v := range tp.tx {
-		for i := range tp.tx[v].entries {
-			e := &tp.tx[v].entries[i]
-			if e.done {
-				continue
-			}
-			if d := e.lastSent + sim.Cycle(ni.net.cfg.RetryTimeout); d < min {
-				min = d
-			}
-		}
-	}
-	return min, true
+	return tp.retxAt, true
 }
 
 // Unrecoverable returns the first (lowest-node) sender's ErrUnrecoverable

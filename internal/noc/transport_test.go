@@ -1,9 +1,12 @@
 package noc
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"pushmulticast/internal/sim"
+	"pushmulticast/internal/snapshot"
 	"pushmulticast/internal/stats"
 )
 
@@ -278,5 +281,117 @@ func TestSeqWraparound(t *testing.T) {
 	if net.st.Net.Retransmits == 0 || net.st.Net.DupSuppressed == 0 {
 		t.Errorf("retransmits %d, duplicates suppressed %d: the loss never bit",
 			net.st.Net.Retransmits, net.st.Net.DupSuppressed)
+	}
+}
+
+// dropAtHook is a lossy FaultHook that drops every arrival at one node: what
+// is sent there is never acked, and its sender retransmits until it gives up.
+type dropAtHook struct {
+	lossyHook
+	node NodeID
+}
+
+func (h dropAtHook) LossyVerdict(node NodeID, _ sim.Cycle, _ uint64) LossVerdict {
+	if node == h.node {
+		return LossDrop
+	}
+	return LossNone
+}
+
+// retransmitRun steps a mesh whose node 5 drops every arrival from its
+// current cycle to end, or until a sender gives up. Node 0 sends to node 6 at
+// cycle 0 (acked, so its entry retires while its deadline is the earliest and
+// leaves the bound stale low), then, once the windows are empty and the bound
+// says so, to node 5 (the send must lower it), and later to node 5 on a
+// second vnet. It returns the cycles, from cycle from on, on which node 0
+// retransmitted, and the verdict. walkEveryTick zeroes every NI's bound
+// before each step, so each tick walks the windows — the reference the bound
+// must match.
+func retransmitRun(t *testing.T, eng *sim.Engine, net *Network, from, end sim.Cycle, walkEveryTick bool) ([]sim.Cycle, error) {
+	t.Helper()
+	send := func(now sim.Cycle, dst NodeID, vnet int, addr uint64) {
+		pkt := &Packet{VNet: vnet, SrcUnit: stats.UnitL2, DstUnit: stats.UnitLLC,
+			Dests: OneDest(dst), Addr: addr, Size: 1}
+		if !net.NI(0).Inject(pkt, now) {
+			t.Fatalf("cycle %d: injection refused", now)
+		}
+	}
+	var retx []sim.Cycle
+	for now := eng.Now(); now < end; now = eng.Now() {
+		switch now {
+		case 0:
+			send(now, 6, VNetReq, 0x1000)
+		case 600:
+			send(now, 5, VNetReq, 0x2000)
+		case 3010:
+			send(now, 5, VNetCtrl, 0x3000)
+		}
+		if walkEveryTick {
+			for _, ni := range net.nis {
+				ni.tp.retxAt = 0
+			}
+		}
+		before := net.st.Net.Retransmits
+		eng.Step()
+		if net.st.Net.Retransmits != before && now >= from {
+			retx = append(retx, now)
+		}
+		if err := net.CheckConservation(now); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+		if err := net.Unrecoverable(); err != nil {
+			return retx, err
+		}
+		if tp := net.nis[0].tp; !walkEveryTick && tp.retxAt <= now {
+			t.Fatalf("cycle %d: retransmit bound %d not past it: the next tick walks the windows again", now, tp.retxAt)
+		}
+	}
+	return retx, nil
+}
+
+// TestRetransmitBoundMatchesWalkEveryTick: with the retransmit bound, an
+// overdue window entry is re-sent on exactly the cycle it is when the NI
+// walks its windows on every tick — cold, and continued from a snapshot taken
+// mid-run, whose restored bound is zero — and the sender gives up with the
+// same verdict on the same cycle.
+func TestRetransmitBoundMatchesWalkEveryTick(t *testing.T) {
+	cfg := DefaultConfig(4, 4)
+	hook := dropAtHook{node: 5}
+	lossyNet := func() (*sim.Engine, *Network) {
+		eng, net, _ := testNet(t, cfg)
+		net.SetFaults(hook)
+		return eng, net
+	}
+	const pause, end = 2100, 20000
+	eng, net := lossyNet()
+	want, wantErr := retransmitRun(t, eng, net, 0, end, true)
+	if len(want) <= cfg.MaxRetries || wantErr == nil {
+		t.Fatalf("the reference retransmitted %d times and ended with %v; the run does not exercise the timers", len(want), wantErr)
+	}
+	eng, net = lossyNet()
+	if got, err := retransmitRun(t, eng, net, 0, end, false); !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("bounded NI retransmitted at %v (%v), walk-every-tick reference at %v (%v)", got, err, want, wantErr)
+	}
+
+	eng, net = lossyNet()
+	retransmitRun(t, eng, net, 0, pause, false)
+	enc := snapshot.NewEncoder("", "", uint64(eng.Now()))
+	eng.State(enc)
+	net.State(enc)
+	dec, err := snapshot.NewDecoder(enc.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, net = lossyNet()
+	eng.State(dec)
+	if net.State(dec); dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
+	if net.nis[0].tp.retxAt != 0 {
+		t.Fatalf("restored retransmit bound %d, want 0", net.nis[0].tp.retxAt)
+	}
+	i, _ := slices.BinarySearch(want, sim.Cycle(pause))
+	if got, err := retransmitRun(t, eng, net, pause, end, false); !slices.Equal(got, want[i:]) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("restored NI retransmitted at %v (%v), walk-every-tick reference at %v (%v)", got, err, want[i:], wantErr)
 	}
 }

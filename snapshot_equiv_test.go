@@ -365,11 +365,14 @@ type goldenSnapshot struct {
 
 // goldenSnapshots between them exercise every section of the format: plain
 // and collective workloads, all three schemes, transport retransmit windows,
-// checker loss bookkeeping, and the trace ring. The pins are format v3's,
-// recorded when the format stopped carrying the engine's scheduling and the
-// lazy catch-up residues (v2 held the same four machines in 505,589 / 181,891
-// / 538,594 / 590,781 bytes: every handle's sleep flag and wake time, the tick
-// count, each core's blockedAt, each slice's lastTick, each L1's polled
+// checker loss bookkeeping, and the trace ring. The pins are format v4's,
+// recorded when a private cache way stopped carrying directory words: each
+// machine is exactly 40 bytes per valid L1 and L2 line smaller than under v3
+// (4,608 / 668 / 4,392 / 4,608 such lines; v3 held the four machines in
+// 504,235 / 180,537 / 537,240 / 589,409 bytes). v3 was v2 without the
+// engine's scheduling and the lazy catch-up residues (v2: 505,589 / 181,891 /
+// 538,594 / 590,781 bytes, with every handle's sleep flag and wake time, the
+// tick count, each core's blockedAt, each slice's lastTick, each L1's polled
 // access and miss counts; v1 in 1,568,135 / 1,518,921 / 1,561,113 /
 // 1,668,080, with every free cache way in full and the routers' derived
 // words). The two fingerprint strings in the header are the config's %+v
@@ -380,13 +383,13 @@ type goldenSnapshot struct {
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 504235, 0xd431311942fda242},
+	}, 10000, 319915, 0xa88dde6bc30d7981},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 180537, 0x5d725058d5cff991},
+	}, 2000, 153817, 0x2098c819846c1971},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 537240, 0x49efa82960af6f5e},
+	}, 30000, 361560, 0x6cf4fbdab6287cc8},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -394,7 +397,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 589409, 0xb6ab9eee7417d0ff},
+	}, 12000, 405089, 0xf9eb782c90cfe15d},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
