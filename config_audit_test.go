@@ -71,13 +71,6 @@ var auditRuns = []struct {
 		edit: func(c *Config) { c.LLCSliceSize /= 16 }, note: "LLC/16"},
 }
 
-// meshTwin pairs the two statements of the mesh shape, in Config and in its
-// NoC. Validate keeps them equal, so an edit to either moves both.
-var meshTwin = map[string]string{
-	"MeshW": "NoC.Width", "MeshH": "NoC.Height",
-	"NoC.Width": "MeshW", "NoC.Height": "MeshH",
-}
-
 // configFields lists every settable leaf of Config by dotted path, descending
 // into the nested NoC and Scheme.
 func configFields() []string {
@@ -147,12 +140,9 @@ func perturbations(path string, cfg Config) ([]reflect.Value, error) {
 
 // setField sets one field of c. A Scheme field is set the one legal way,
 // through WithScheme, keeping the knob values WithScheme would otherwise
-// reset; the mesh shape moves on both of its sides.
+// reset.
 func setField(c *Config, path string, val reflect.Value) {
 	fieldAt(c, path).Set(val)
-	if twin, ok := meshTwin[path]; ok {
-		fieldAt(c, twin).Set(val)
-	}
 	if strings.HasPrefix(path, "Scheme.") {
 		tpc, tw := c.TPCThreshold, c.TimeWindow
 		*c = c.WithScheme(c.Scheme)

@@ -44,7 +44,7 @@ var fig14 = Figure{
 		out := &Fig14Result{Workload: wl.Name}
 		for _, s := range []Scheme{Baseline(), OrdPush()} {
 			res := grid[cell{scheme: s.Name, wl: wl}.key()]
-			g := Fig14Grid{Scheme: s.Name, W: cfg.MeshW, H: cfg.MeshH}
+			g := Fig14Grid{Scheme: s.Name, W: cfg.NoC.Width, H: cfg.NoC.Height}
 			nodes := cfg.Tiles()
 			g.Load = make([][]float64, nodes)
 			for n := 0; n < nodes; n++ {

@@ -17,7 +17,7 @@ func systemTable(o ExpOptions, _ map[string]Results) (fmt.Stringer, error) {
 	}
 	t := newTable("Table I: system configuration",
 		"Parameter", "Configuration")
-	t.addRow("System", fmt.Sprintf("%dx%d tiles", cfg.MeshW, cfg.MeshH))
+	t.addRow("System", fmt.Sprintf("%dx%d tiles", cfg.NoC.Width, cfg.NoC.Height))
 	t.addRow("Core", fmt.Sprintf("%d-wide retire, %d-deep load window, %d-entry store buffer",
 		cfg.CoreWidth, cfg.CoreWindow, cfg.StoreBuffer))
 	t.addRow("L1D", fmt.Sprintf("%dKB %d-way, 1-cycle", cfg.L1Size>>10, cfg.L1Ways))
@@ -31,7 +31,7 @@ func systemTable(o ExpOptions, _ map[string]Results) (fmt.Stringer, error) {
 	t.addRow("DRAM", fmt.Sprintf("%d-cycle latency, 1 line / %d cycles / controller, 4 corner controllers",
 		cfg.MemLatency, cfg.MemCyclesPerLine))
 	t.addRow("NoC", fmt.Sprintf("%dx%d mesh, 2-stage routers, %d VCs/vnet x 3 vnets, %d-bit links, 1/%d-flit ctrl/data packets",
-		cfg.MeshW, cfg.MeshH, cfg.NoC.VCsPerVNet, cfg.NoC.LinkWidthBits, cfg.NoC.DataPacketSize()))
+		cfg.NoC.Width, cfg.NoC.Height, cfg.NoC.VCsPerVNet, cfg.NoC.LinkWidthBits, cfg.NoC.DataPacketSize()))
 	t.addRow("Routing", "XY requests / YX responses, virtual cut-through")
 	t.addRow("Dynamic knob", fmt.Sprintf("TPC threshold %d, time window %d, ratio 1/%d",
 		cfg.TPCThreshold, cfg.TimeWindow, 1<<cfg.KnobRatioShift))

@@ -179,9 +179,6 @@ func (a *Array) dirEntry(l *Line) *DirEntry { return &a.dir[a.way(l, l.Tag)] }
 // Sets returns the number of sets.
 func (a *Array) Sets() int { return len(a.lines) / a.ways }
 
-// Ways returns the associativity.
-func (a *Array) Ways() int { return a.ways }
-
 // base returns the index of the first way of lineAddr's set.
 func (a *Array) base(lineAddr uint64) int {
 	return int((lineAddr>>a.setShift)&a.setMask) * a.ways
@@ -215,12 +212,6 @@ func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
 		}
 	}
 	return best
-}
-
-// SetBlocked reports whether every way of lineAddr's set fails the allowed
-// predicate (the push deadlock-drop condition).
-func (a *Array) SetBlocked(lineAddr uint64, allowed func(*Line) bool) bool {
-	return a.Victim(lineAddr, allowed) == nil
 }
 
 // ForEach visits every non-invalid line.

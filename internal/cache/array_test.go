@@ -35,8 +35,8 @@ func TestLineLayout(t *testing.T) {
 
 func TestArrayGeometry(t *testing.T) {
 	a := NewArray(256<<10, 16)
-	if a.Sets() != 256 || a.Ways() != 16 {
-		t.Fatalf("geometry = %d sets x %d ways, want 256x16", a.Sets(), a.Ways())
+	if a.Sets() != 256 || a.ways != 16 {
+		t.Fatalf("geometry = %d sets x %d ways, want 256x16", a.Sets(), a.ways)
 	}
 }
 
@@ -85,9 +85,6 @@ func TestArrayVictimRespectsPredicate(t *testing.T) {
 	}
 	if v := a.Victim(0x4000, func(l *Line) bool { return !l.State.Transient() }); v != nil {
 		t.Fatalf("all ways transient yet victim %+v offered", v)
-	}
-	if !a.SetBlocked(0x4000, func(l *Line) bool { return !l.State.Transient() }) {
-		t.Fatal("SetBlocked must report a fully transient set")
 	}
 }
 
@@ -222,9 +219,6 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				v, wantV := a.Victim(addr, allowed), refVictim(addr, allowed)
 				if v != wantV {
 					t.Fatalf("%+v op %d: Victim(%#x) = %p, linear scan picks %p", geom, op, addr, v, wantV)
-				}
-				if blocked := a.SetBlocked(addr, allowed); blocked != (wantV == nil) {
-					t.Fatalf("%+v op %d: SetBlocked(%#x) = %v with victim %p", geom, op, addr, blocked, wantV)
 				}
 				if v != nil {
 					a.Install(v, addr, states[rng.Intn(len(states))], now)

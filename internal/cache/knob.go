@@ -74,22 +74,10 @@ func newResumeKnob(window int, enabled bool) resumeKnob {
 	return resumeKnob{window: window, counter: window, enabled: enabled}
 }
 
-// tick advances the time-window counter, toggling phases when it expires.
-func (k *resumeKnob) tick() {
-	if !k.enabled {
-		return
-	}
-	k.counter--
-	if k.counter <= 0 {
-		k.resume = !k.resume
-		k.counter = k.window
-	}
-}
-
-// tickN advances the counter by n cycles at once, toggling phases exactly as
-// n calls to tick would. The wake-driven LLC uses it to catch up after
-// sleeping through idle cycles, keeping the phase sequence identical to a
-// dense run's.
+// tickN advances the time-window counter by n cycles, toggling the phase each
+// time it expires. The wake-driven LLC uses it to catch up after sleeping
+// through idle cycles, keeping the phase sequence identical to a dense run's,
+// which advances it one cycle a tick.
 func (k *resumeKnob) tickN(n int) {
 	if !k.enabled || n <= 0 {
 		return
@@ -114,11 +102,7 @@ func (k *resumeKnob) onRequest(req noc.NodeID, needPush bool) {
 	if !k.enabled {
 		return
 	}
-	if k.resume {
-		k.pdr = k.pdr.Remove(req)
-		return
-	}
-	if needPush {
+	if needPush || k.resume {
 		k.pdr = k.pdr.Remove(req)
 	} else {
 		k.pdr = k.pdr.Add(req)

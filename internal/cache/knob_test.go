@@ -129,7 +129,7 @@ func TestResumeKnobPhases(t *testing.T) {
 	}
 	k.onRequest(3, false)
 	for i := 0; i < 10; i++ {
-		k.tick()
+		k.tickN(1)
 	}
 	if !k.resume {
 		t.Fatal("time window expiry must enter the resume phase")
@@ -152,7 +152,7 @@ func TestResumeKnobPhases(t *testing.T) {
 		t.Fatal("second reply must not carry reset again")
 	}
 	for i := 0; i < 10; i++ {
-		k.tick()
+		k.tickN(1)
 	}
 	if k.resume {
 		t.Fatal("window expiry must leave the resume phase")

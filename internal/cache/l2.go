@@ -45,13 +45,6 @@ type l2MSHR struct {
 	recallEpoch   uint32
 }
 
-// wbEntry is a writeback-buffer slot: a PutM left the cache and the way was
-// reused; the entry pins the address until the directory's WBAck closes the
-// episode.
-type wbEntry struct {
-	invalidated bool
-}
-
 // doneEvt is a scheduled core completion for an L2 hit.
 type doneEvt struct {
 	addr  uint64
@@ -86,7 +79,10 @@ type L2 struct {
 	// a miss allocates nothing. Every order the controller acts in is address
 	// order.
 	mshr []l2MSHR
-	wb   map[uint64]*wbEntry
+	// wb is the writeback buffer: the address of each line a PutM left with,
+	// pinned until the directory's WBAck. A pinned address is not resident,
+	// and no miss or push may bring it back before the WBAck.
+	wb   []uint64
 	inq  delayQueue
 	out  outbox
 	pend []doneEvt
@@ -138,7 +134,6 @@ func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 		l1:   NewL1(cfg.L1Size, cfg.L1Ways),
 		core: core,
 		mshr: make([]l2MSHR, 0, cfg.L2MSHRs),
-		wb:   make(map[uint64]*wbEntry),
 		inq:  delayQueue{latency: sim.Cycle(cfg.L2Latency)},
 		out:  outbox{ni: net.NI(id), unit: stats.UnitL2},
 		knob: pauseKnob{
@@ -365,7 +360,7 @@ func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 			return false, true
 		}
 	}
-	if _, busy := c.wb[lineAddr]; busy {
+	if slices.Contains(c.wb, lineAddr) {
 		return false, c.reject(1, lineAddr)
 	}
 	if !c.allocMiss(lineAddr, now, 1, 0, false) {
@@ -448,7 +443,7 @@ func (c *L2) Store(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 			return false, true
 		}
 	}
-	if _, busy := c.wb[lineAddr]; busy {
+	if slices.Contains(c.wb, lineAddr) {
 		return false, c.reject(2, lineAddr)
 	}
 	if !c.allocMiss(lineAddr, now, 0, 1, false) {
@@ -468,7 +463,7 @@ func (c *L2) Prefetch(lineAddr uint64, fillL1 bool, now sim.Cycle) {
 		}
 		return
 	}
-	if _, busy := c.wb[lineAddr]; busy {
+	if slices.Contains(c.wb, lineAddr) {
 		return
 	}
 	c.allocMiss(lineAddr, now, 0, 0, fillL1)
@@ -536,7 +531,7 @@ func (c *L2) evict(l *Line, now sim.Cycle) {
 	c.l1.Invalidate(l.Tag)
 	c.st.Cache.L2Evictions++
 	if l.State == StateM {
-		c.wb[l.Tag] = &wbEntry{}
+		c.wb = append(c.wb, l.Tag)
 		c.send(coherence.Msg{Type: coherence.PutM, Addr: l.Tag, Requester: c.id, Version: l.Version},
 			noc.OneDest(c.home(l.Tag)), stats.UnitLLC)
 	}
@@ -596,7 +591,7 @@ func (c *L2) handle(m coherence.Msg, now sim.Cycle) {
 	case coherence.PushData:
 		c.handlePush(m, now)
 	case coherence.WBAck:
-		delete(c.wb, m.Addr)
+		c.wb = slices.DeleteFunc(c.wb, func(a uint64) bool { return a == m.Addr })
 	default:
 		panic(fmt.Sprintf("L2 %d: unexpected message %v", c.id, m))
 	}
@@ -650,10 +645,7 @@ func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
 	case StateISDI:
 		// Use-once: satisfy the waiting loads with the received value, then
 		// discard (the line was invalidated while the fetch was in flight).
-		for i := 0; i < ms.loads; i++ {
-			c.core.LoadDone(m.Addr, now)
-		}
-		ms.loads = 0
+		c.completeLoads(ms, now)
 		if ms.stores > 0 {
 			line.State = StateIMD
 			ms.issuedAt = now
@@ -738,9 +730,6 @@ func (c *L2) handleInv(m coherence.Msg, now sim.Cycle) {
 	if line == nil {
 		// Silently evicted earlier, or the writeback raced with the
 		// invalidation: the PutM already carries the data.
-		if e, ok := c.wb[m.Addr]; ok {
-			e.invalidated = true
-		}
 		ack(coherence.InvAck, 0)
 		return
 	}
@@ -811,7 +800,7 @@ func (c *L2) handlePush(m coherence.Msg, now sim.Cycle) {
 // resolved=false means the line was installed speculatively and will be
 // classified on first access or eviction.
 func (c *L2) acceptPush(m coherence.Msg, now sim.Cycle, speculative bool) (stats.PushOutcome, bool) {
-	if _, busy := c.wb[m.Addr]; busy {
+	if slices.Contains(c.wb, m.Addr) {
 		return stats.PushCoherenceDrop, true
 	}
 	line := c.arr.Lookup(m.Addr)
@@ -868,9 +857,9 @@ func (c *L2) ForEachLine(f func(*Line)) { c.arr.ForEach(f) }
 // Line returns the L2's entry for lineAddr, or nil (checker use).
 func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Lookup(lineAddr) }
 
-// Audit checks the tag indexes of the L2 and its L1 against their lines, and
-// that retryAt bounds every MSHR's retry deadline from below (a bound above
-// one would sleep through its reissue).
+// Audit checks the tag indexes of the L2 and its L1 against their lines, that
+// retryAt bounds every MSHR's retry deadline from below (a bound above one
+// would sleep through its reissue), and the writeback buffer.
 func (c *L2) Audit() error {
 	if err := c.arr.audit(); err != nil {
 		return fmt.Errorf("L2: %w", err)
@@ -881,6 +870,20 @@ func (c *L2) Audit() error {
 	for i := range c.mshr {
 		if m := &c.mshr[i]; m.retryDeadline(c.mshrTimeout) < c.retryAt {
 			return fmt.Errorf("L2: retry bound %d is above MSHR %#x's deadline %d", c.retryAt, m.addr, m.retryDeadline(c.mshrTimeout))
+		}
+	}
+	return c.auditWB()
+}
+
+// auditWB checks that a writeback-pinned address is pinned once and is not
+// resident. Restore refuses a snapshot that fails it.
+func (c *L2) auditWB() error {
+	for i, a := range c.wb {
+		if slices.Contains(c.wb[:i], a) {
+			return fmt.Errorf("L2: line %#x is pinned for writeback twice", a)
+		}
+		if l := c.arr.Lookup(a); l != nil {
+			return fmt.Errorf("L2: line %#x is pinned for writeback but resident in %v", a, l.State)
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"pushmulticast/internal/coherence"
@@ -365,5 +367,51 @@ func TestMSHRRetryBoundMatchesWalkEveryTick(t *testing.T) {
 	i, _ := slices.BinarySearch(want, sim.Cycle(pause))
 	if got := mshrTimerRun(restored, pause, end, false); !slices.Equal(got, want[i:]) {
 		t.Fatalf("restored L2 reissued at %v, walk-every-tick reference at %v", got, want[i:])
+	}
+}
+
+// TestL2AuditDetectsWritebackDrift pins an address for writeback each way the
+// buffer can go wrong and requires the audit, and the snapshot decoder, to
+// name it. The clean state pins one absent line beside a resident one.
+func TestL2AuditDetectsWritebackDrift(t *testing.T) {
+	roundTrip := func(f *l2Fixture) error {
+		c := snapshot.NewEncoder("", "", 0)
+		f.l2.State(c)
+		d, err := snapshot.NewDecoder(c.Finish())
+		if err != nil {
+			return err
+		}
+		newL2Fixture(t, f.cfg.Scheme).l2.State(d)
+		return d.Err()
+	}
+	const pinned = lineA + 64
+	for _, tc := range []struct {
+		name, want, wantDecode string
+		corrupt                func(c *L2)
+	}{
+		{"pinned line resident", "resident in S", "", func(c *L2) { c.wb = append(c.wb, lineA) }},
+		{"line pinned twice", "pinned for writeback twice", "out of order", func(c *L2) { c.wb = append(c.wb, pinned) }},
+	} {
+		f := newL2Fixture(t, config.NoPrefetch())
+		f.l2.Load(lineA, f.eng.Now())
+		f.deliver(&coherence.Msg{Type: coherence.DataS, Addr: lineA, Requester: 3, Version: 5})
+		f.l2.wb = append(f.l2.wb, pinned)
+		if err := f.l2.Audit(); err != nil {
+			t.Fatalf("%s: audit dirty before the corruption: %v", tc.name, err)
+		}
+		if err := roundTrip(f); err != nil {
+			t.Fatalf("%s: clean L2 does not restore: %v", tc.name, err)
+		}
+		tc.corrupt(f.l2)
+		if err := f.l2.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit says %v, want %q", tc.name, err, tc.want)
+		}
+		want := tc.want
+		if tc.wantDecode != "" {
+			want = tc.wantDecode
+		}
+		if err := roundTrip(f); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: restore says %v, want a corrupt snapshot naming %q", tc.name, err, want)
+		}
 	}
 }

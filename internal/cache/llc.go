@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/config"
@@ -11,40 +12,30 @@ import (
 	"pushmulticast/internal/trace"
 )
 
-// epKind identifies a directory episode (a multi-message transaction that
-// blocks a line).
-type epKind uint8
-
-const (
-	// epWrite: invalidating sharers on behalf of a pending writer.
-	epWrite epKind = iota
-	// epRecall: asking the M owner to invalidate and return data.
-	epRecall
-	// epEvictShared: invalidating sharers to evict the LLC line.
-	epEvictShared
-	// epPush: a push multicast outstanding (PushAck protocol's P state).
-	epPush
-)
-
-// episode is the bookkeeping for one blocking directory transaction.
-type episode struct {
-	kind        epKind
-	epoch       uint32
-	pendingAcks noc.DestSet
-	writer      noc.NodeID // epWrite: the waiting GetM requester
-	evictAfter  bool       // epRecall: free the line once data returns
+// txn is the transaction record of one blocked line: a line in LS_Inv, LM_Inv,
+// LP or LFetch has exactly one, a line in any other state none. The line's
+// state is the record's kind and its DirEntry.Epoch the episode's number, so
+// the record holds only what neither says.
+type txn struct {
+	addr uint64
+	// pending is the sharers whose InvAck (LS_Inv) or PushAck (LP) is
+	// outstanding.
+	pending noc.DestSet
+	// writer is the GetM requester an LS_Inv write grants ownership to, and
+	// noWriter on every other record.
+	writer noc.NodeID
+	// evict: in LS_Inv, the invalidations evict the line instead of serving a
+	// writer; in LM_Inv, the line is freed once the owner's data returns.
+	evict bool
+	// readers are the read requesters merged into an LFetch fill.
+	readers []noc.NodeID
+	// parked holds the packets waiting for the line to leave its transient
+	// state, in arrival order.
+	parked []*noc.Packet
 }
 
-// fetchReq is one requester merged into an outstanding memory fetch.
-type fetchReq struct {
-	req      noc.NodeID
-	prefetch bool
-}
-
-// fetch tracks an outstanding LLC miss.
-type fetch struct {
-	requesters []fetchReq
-}
+// noWriter is the writer of a record no GetM waits on.
+const noWriter noc.NodeID = -1
 
 // traceState supports the Fig 4 sharer-gap characterization.
 type traceState struct {
@@ -64,12 +55,15 @@ type LLC struct {
 	st  *stats.All     `snap:"-,wiring"`
 	arr *Array
 
-	ep      map[uint64]*episode
-	fetches map[uint64]*fetch
-	// fetchFree recycles fetch records (and their requester-slice capacity)
-	// between misses; handleGetS allocated one per LLC miss before.
-	fetchFree []*fetch `snap:"-,pool"`
-	stalled   map[uint64][]*noc.Packet
+	// txns is the transaction table, one record per blocked line: the live
+	// records are txns[:len(txns)], in no particular order (a closed record
+	// trades slots with the last live one and waits past the end, slices and
+	// all, for the next record), so opening a record allocates nothing once
+	// the table has grown. It holds pointers: a 96-byte record per slot would
+	// double in place on growth, which costs more than the peak's records
+	// (up to ~20 a slice at once on sparse64-lat). Every order the slice acts
+	// in is address order.
+	txns []*txn
 	// parked is set by stall/retry during handle so Tick knows whether the
 	// packet just processed was retained or can be recycled.
 	parked bool `snap:"-,transient: set and read within one Tick"`
@@ -121,9 +115,6 @@ func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine
 		eng:     eng,
 		st:      st,
 		arr:     newDirectoryArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.Tiles()),
-		ep:      make(map[uint64]*episode),
-		fetches: make(map[uint64]*fetch),
-		stalled: make(map[uint64][]*noc.Packet),
 		inq:     delayQueue{latency: sim.Cycle(cfg.LLCLatency)},
 		out:     outbox{ni: net.NI(id), unit: stats.UnitLLC},
 		knob:    newResumeKnob(cfg.TimeWindow, cfg.Scheme.Knob),
@@ -193,9 +184,8 @@ func (s *LLC) settle(through sim.Cycle) {
 
 // reschedule puts the slice to sleep when it has nothing to do this cycle:
 // an empty outbox (injection retries need a tick every cycle) and either an
-// empty input queue or one whose head has not matured. Stalled packets,
-// open episodes, and outstanding fetches all resolve via future Receives,
-// which wake the slice.
+// empty input queue or one whose head has not matured. Blocked lines and
+// their parked packets resolve via future Receives, which wake the slice.
 func (s *LLC) reschedule() {
 	if len(s.out.pkts) != 0 {
 		return
@@ -225,23 +215,50 @@ func (s *LLC) pushCovering(addr uint64, req noc.NodeID) bool {
 	return s.out.ni.PushCovering(addr, req)
 }
 
-// stall parks a packet until wake(addr) reinjects it.
-func (s *LLC) stall(addr uint64, pkt *noc.Packet) {
-	s.parked = true
-	s.stalled[addr] = append(s.stalled[addr], pkt)
+// txn returns the record of addr, or nil. Only a line in a transient state
+// has one.
+func (s *LLC) txn(addr uint64) *txn {
+	for _, t := range s.txns {
+		if t.addr == addr {
+			return t
+		}
+	}
+	return nil
 }
 
-// wake re-queues packets stalled on addr for immediate reprocessing, in
-// their original order.
-func (s *LLC) wake(addr uint64, now sim.Cycle) {
-	pkts := s.stalled[addr]
-	if len(pkts) == 0 {
-		return
+// openTxn starts the record of addr, a line just put in a transient state,
+// reusing the record that waits past the end of the table if there is one.
+func (s *LLC) openTxn(addr uint64) *txn {
+	s.txns = slices.Grow(s.txns, 1)[:len(s.txns)+1]
+	t := s.txns[len(s.txns)-1]
+	if t == nil {
+		t = new(txn)
+		s.txns[len(s.txns)-1] = t
 	}
-	delete(s.stalled, addr)
-	for i := len(pkts) - 1; i >= 0; i-- {
-		s.inq.pushFront(pkts[i], now)
+	*t = txn{addr: addr, writer: noWriter, readers: t.readers[:0], parked: t.parked[:0]}
+	return t
+}
+
+// closeTxn ends the record of addr, whose line just left its transient state
+// or was freed, and requeues its parked packets for immediate reprocessing in
+// their original order. The last live record takes the slot.
+func (s *LLC) closeTxn(addr uint64, now sim.Cycle) {
+	t := s.txn(addr)
+	for i := len(t.parked) - 1; i >= 0; i-- {
+		s.inq.pushFront(t.parked[i], now)
 	}
+	clear(t.parked)
+	i, last := slices.Index(s.txns, t), len(s.txns)-1
+	s.txns[i], s.txns[last] = s.txns[last], t
+	s.txns = s.txns[:last]
+}
+
+// stall parks a packet on the record of addr, a blocked line, until closeTxn
+// requeues it.
+func (s *LLC) stall(addr uint64, pkt *noc.Packet) {
+	s.parked = true
+	t := s.txn(addr)
+	t.parked = append(t.parked, pkt)
 }
 
 // retry re-queues a packet that hit a transient resource (no allocatable
@@ -292,10 +309,6 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	}
 	line := s.arr.Lookup(m.Addr)
 	if line == nil {
-		if f, ok := s.fetches[m.Addr]; ok {
-			f.requesters = append(f.requesters, fetchReq{m.Requester, m.Prefetch})
-			return
-		}
 		s.startFetch(pkt, m, now, true)
 		return
 	}
@@ -328,7 +341,8 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 		s.startRecall(line, false)
 		s.stall(m.Addr, pkt)
 	case StateLFetch:
-		s.fetches[m.Addr].requesters = append(s.fetches[m.Addr].requesters, fetchReq{m.Requester, m.Prefetch})
+		t := s.txn(m.Addr)
+		t.readers = append(t.readers, m.Requester)
 	default: // LSInv, LMInv
 		s.stall(m.Addr, pkt)
 	}
@@ -386,7 +400,7 @@ func (s *LLC) triggerPush(line *Line, d *DirEntry, req noc.NodeID, now sim.Cycle
 		}
 		d.Epoch++
 		line.State = StateLP
-		s.ep[line.Tag] = &episode{kind: epPush, epoch: d.Epoch, pendingAcks: acks}
+		s.openTxn(line.Tag).pending = acks
 	}
 }
 
@@ -462,13 +476,8 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	s.st.Cache.LLCAccesses++
 	line := s.arr.Lookup(m.Addr)
 	if line == nil {
-		if _, ok := s.fetches[m.Addr]; ok {
-			s.stall(m.Addr, pkt)
-			return
-		}
-		s.startFetch(pkt, m, now, false)
-		if _, ok := s.fetches[m.Addr]; ok {
-			// The fetch started; the write replays once the fill lands.
+		if s.startFetch(pkt, m, now, false) {
+			// The write replays once the fill lands.
 			s.stall(m.Addr, pkt)
 		}
 		return
@@ -483,7 +492,8 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 		}
 		d.Epoch++
 		line.State = StateLSInv
-		s.ep[m.Addr] = &episode{kind: epWrite, epoch: d.Epoch, pendingAcks: others, writer: m.Requester}
+		t := s.openTxn(m.Addr)
+		t.pending, t.writer = others, m.Requester
 		others.ForEach(func(dst noc.NodeID) {
 			s.send(coherence.Msg{Type: coherence.Inv, Addr: m.Addr, Requester: m.Requester,
 				Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
@@ -516,7 +526,7 @@ func (s *LLC) startRecall(line *Line, evict bool) {
 	d := s.arr.dirEntry(line)
 	d.Epoch++
 	line.State = StateLMInv
-	s.ep[line.Tag] = &episode{kind: epRecall, epoch: d.Epoch, evictAfter: evict}
+	s.openTxn(line.Tag).evict = evict
 	s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: d.Owner,
 		Epoch: d.Epoch, Recall: true}, noc.OneDest(d.Owner), stats.UnitL2)
 }
@@ -539,7 +549,6 @@ func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
 		line.State = StateLV
 		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
 			noc.OneDest(m.Requester), stats.UnitL2)
-		s.wake(m.Addr, now)
 	case StateLMInv:
 		// Writeback raced with the recall: the PutM carries the data the
 		// episode was waiting for.
@@ -553,119 +562,105 @@ func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
 	}
 }
 
+// lastAck takes from's acknowledgment off the pending set of addr's record
+// and returns the record if no other acknowledgment is outstanding.
+func (s *LLC) lastAck(addr uint64, from noc.NodeID) *txn {
+	if t := s.txn(addr); t.pending.Has(from) {
+		if t.pending = t.pending.Remove(from); t.pending.Empty() {
+			return t
+		}
+	}
+	return nil
+}
+
+// handleInvAck counts a sharer's acknowledgment toward an LS_Inv episode; an
+// acknowledgment for a line in any other state or episode is stale. A
+// recalled owner's InvAck needs nothing: it acknowledged from its
+// writeback-in-flight state, and the PutM carrying the data completes the
+// recall.
 func (s *LLC) handleInvAck(m coherence.Msg, now sim.Cycle) {
-	ep := s.ep[m.Addr]
-	if ep == nil || ep.epoch != m.Epoch {
-		return // stale acknowledgment from a closed episode
+	line := s.arr.Lookup(m.Addr)
+	if line == nil || line.State != StateLSInv || s.arr.dirEntry(line).Epoch != m.Epoch {
+		return
 	}
-	switch ep.kind {
-	case epWrite, epEvictShared:
-		if !ep.pendingAcks.Has(m.Requester) {
-			return
-		}
-		ep.pendingAcks = ep.pendingAcks.Remove(m.Requester)
-		if !ep.pendingAcks.Empty() {
-			return
-		}
-		line := s.arr.Lookup(m.Addr)
-		delete(s.ep, m.Addr)
-		if ep.kind == epWrite {
-			s.grantM(line, s.arr.dirEntry(line), ep.writer)
-		} else {
-			s.freeLine(line)
-		}
-		s.wake(m.Addr, now)
-	case epRecall:
-		// The owner acknowledged from its writeback-in-flight state; the
-		// data arrives in the PutM, which completes the episode.
+	t := s.lastAck(m.Addr, m.Requester)
+	if t == nil {
+		return
 	}
+	if t.evict {
+		s.freeLine(line)
+	} else {
+		s.grantM(line, s.arr.dirEntry(line), t.writer)
+	}
+	s.closeTxn(m.Addr, now)
 }
 
 func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
-	ep := s.ep[m.Addr]
-	if ep == nil || ep.epoch != m.Epoch || ep.kind != epRecall {
+	line := s.arr.Lookup(m.Addr)
+	if line == nil || line.State != StateLMInv || s.arr.dirEntry(line).Epoch != m.Epoch {
 		return
 	}
-	line := s.arr.Lookup(m.Addr)
 	line.Version = m.Version
 	line.Dirty = true
 	s.completeRecall(line, now)
 }
 
 func (s *LLC) completeRecall(line *Line, now sim.Cycle) {
-	ep := s.ep[line.Tag]
-	delete(s.ep, line.Tag)
+	addr := line.Tag
 	d := s.arr.dirEntry(line)
 	d.Owner = 0
 	d.Sharers = noc.DestSet{}
-	if ep.evictAfter {
+	if s.txn(addr).evict {
 		s.freeLine(line)
 	} else {
 		line.State = StateLV
 	}
-	s.wake(line.Tag, now)
+	s.closeTxn(addr, now)
 }
 
 func (s *LLC) handlePushAck(m coherence.Msg, now sim.Cycle) {
-	ep := s.ep[m.Addr]
-	if ep == nil || ep.kind != epPush || !ep.pendingAcks.Has(m.Requester) {
-		return
-	}
-	ep.pendingAcks = ep.pendingAcks.Remove(m.Requester)
-	if !ep.pendingAcks.Empty() {
-		return
-	}
 	line := s.arr.Lookup(m.Addr)
-	delete(s.ep, m.Addr)
+	if line == nil || line.State != StateLP || s.lastAck(m.Addr, m.Requester) == nil {
+		return
+	}
 	line.State = StateLV
-	s.wake(m.Addr, now)
+	s.closeTxn(m.Addr, now)
 }
 
 // --- miss path ---
 
-// newFetch pops a recycled fetch record or allocates a fresh one; records
-// return to the free list when the fill lands (handleMemData).
-func (s *LLC) newFetch() *fetch {
-	if k := len(s.fetchFree); k > 0 {
-		f := s.fetchFree[k-1]
-		s.fetchFree[k-1] = nil
-		s.fetchFree = s.fetchFree[:k-1]
-		return f
-	}
-	return &fetch{}
-}
-
 // startFetch allocates a way (running an eviction episode first if needed)
-// and issues the memory read. When isRead, the requester is recorded for the
-// fill response; writers are stalled by the caller instead.
-func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead bool) {
+// and issues the memory read, reporting whether it did. When isRead, the
+// requester is recorded for the fill response; writers are stalled by the
+// caller instead.
+func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead bool) bool {
 	victim := s.chooseVictim(m.Addr)
 	if victim == nil {
 		s.retry(pkt, now)
-		return
+		return false
 	}
 	if victim.State == StateLV && !s.arr.dirEntry(victim).Sharers.Empty() {
 		s.startEvictShared(victim)
 		s.stall(victim.Tag, pkt)
-		return
+		return false
 	}
 	if victim.State == StateLM {
 		s.startRecall(victim, true)
 		s.stall(victim.Tag, pkt)
-		return
+		return false
 	}
 	if victim.State == StateLV {
 		s.freeLine(victim)
 	}
 	s.st.Cache.LLCMisses++
 	s.arr.Install(victim, m.Addr, StateLFetch, now)
-	f := s.newFetch()
+	t := s.openTxn(m.Addr)
 	if isRead {
-		f.requesters = append(f.requesters, fetchReq{m.Requester, m.Prefetch})
+		t.readers = append(t.readers, m.Requester)
 	}
-	s.fetches[m.Addr] = f
 	s.send(coherence.Msg{Type: coherence.MemRead, Addr: m.Addr, Requester: s.id},
 		noc.OneDest(s.memNode), stats.UnitMem)
+	return true
 }
 
 // chooseVictim prefers free ways, then sharerless valid lines, then shared
@@ -689,7 +684,8 @@ func (s *LLC) startEvictShared(line *Line) {
 	}
 	d.Epoch++
 	line.State = StateLSInv
-	s.ep[line.Tag] = &episode{kind: epEvictShared, epoch: d.Epoch, pendingAcks: d.Sharers}
+	t := s.openTxn(line.Tag)
+	t.pending, t.evict = d.Sharers, true
 	d.Sharers.ForEach(func(dst noc.NodeID) {
 		s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: dst,
 			Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
@@ -717,37 +713,34 @@ func (s *LLC) freeLine(line *Line) {
 
 func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	line := s.arr.Lookup(m.Addr)
-	f := s.fetches[m.Addr]
-	if line == nil || line.State != StateLFetch || f == nil {
+	if line == nil || line.State != StateLFetch {
 		panic(fmt.Sprintf("LLC %d: MemData for %#x without fetch", s.id, m.Addr))
 	}
-	delete(s.fetches, m.Addr)
 	line.State = StateLV
 	line.Version = m.Version
 	line.Dirty = false
 	line.LastUse = now
 	d := s.arr.dirEntry(line)
-	if len(f.requesters) > 0 {
+	if readers := s.txn(m.Addr).readers; len(readers) > 0 {
 		if s.cfg.Scheme.Coalesce {
 			var dests noc.DestSet
-			for _, r := range f.requesters {
-				dests = dests.Add(r.req)
-				if len(f.requesters) > 1 {
+			for _, r := range readers {
+				dests = dests.Add(r)
+				if len(readers) > 1 {
 					s.st.Cache.CoalescedRequests++
 				}
 			}
 			d.Sharers = d.Sharers.Union(dests)
 			s.send(coherence.Msg{Type: coherence.DataS, Addr: m.Addr,
-				Requester: f.requesters[0].req, Version: line.Version}, dests, stats.UnitL2)
+				Requester: readers[0], Version: line.Version}, dests, stats.UnitL2)
 		} else {
-			for _, r := range f.requesters {
-				s.unicastDataS(line, d, r.req)
-				d.Sharers = d.Sharers.Add(r.req)
+			for _, r := range readers {
+				s.unicastDataS(line, d, r)
+				d.Sharers = d.Sharers.Add(r)
 			}
 		}
 	}
-	f.requesters = f.requesters[:0]
-	s.fetchFree = append(s.fetchFree, f)
+	s.closeTxn(m.Addr, now)
 	// PredictPush extension: if the evicted incarnation of this line had a
 	// remembered sharer set, push the fill to the sharers the directory no
 	// longer knows about.
@@ -773,12 +766,11 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 				if s.cfg.Scheme.Protocol == config.ProtoPushAck {
 					d.Epoch++
 					line.State = StateLP
-					s.ep[line.Tag] = &episode{kind: epPush, epoch: d.Epoch, pendingAcks: dests}
+					s.openTxn(line.Tag).pending = dests
 				}
 			}
 		}
 	}
-	s.wake(m.Addr, now)
 }
 
 // ForEachLine exposes the slice's array for coherence checkers and tests.
@@ -791,29 +783,87 @@ func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Lookup(lineAddr) }
 // (checker and test use).
 func (s *LLC) Dir(line *Line) *DirEntry { return s.arr.dirEntry(line) }
 
-// Audit checks the slice's tag index against its lines.
-func (s *LLC) Audit() error { return s.arr.audit() }
+// Audit checks the slice's tag index against its lines, and its transaction
+// table against their states.
+func (s *LLC) Audit() error {
+	if err := s.arr.audit(); err != nil {
+		return err
+	}
+	return s.auditTxns()
+}
+
+// auditTxns checks that the records and the blocked lines are one to one —
+// each line in LS_Inv, LM_Inv, LP or LFetch has one record, and no other line
+// has any — and that each record is shaped as its line's state says. Restore
+// refuses a snapshot that fails it.
+func (s *LLC) auditTxns() error {
+	for _, t := range s.txns {
+		line := s.arr.Lookup(t.addr)
+		if line == nil {
+			return fmt.Errorf("transaction record for absent line %#x", t.addr)
+		}
+		if why := t.shape(line.State, s.cfg.Tiles()); why != "" {
+			return fmt.Errorf("transaction record for line %#x in %v has %s", t.addr, line.State, why)
+		}
+	}
+	var err error
+	s.arr.ForEach(func(l *Line) {
+		if err == nil && l.State.Transient() {
+			n := 0
+			for _, t := range s.txns {
+				if t.addr == l.Tag {
+					n++
+				}
+			}
+			if n != 1 {
+				err = fmt.Errorf("line %#x in %v has %d transaction records", l.Tag, l.State, n)
+			}
+		}
+	})
+	return err
+}
+
+// shape names the first field of t that contradicts st, its line's state, or
+// names no tile of a tiles-tile mesh; "" when there is none.
+func (t *txn) shape(st State, tiles int) string {
+	acks, write := st == StateLSInv || st == StateLP, st == StateLSInv && !t.evict
+	outside := func(n noc.NodeID) bool { return n < 0 || int(n) >= tiles }
+	switch {
+	case !acks && st != StateLMInv && st != StateLFetch:
+		return "a line that is not blocked"
+	case t.evict && st != StateLSInv && st != StateLMInv:
+		return "an evict bit"
+	case write == (t.writer == noWriter) || write && outside(t.writer):
+		return fmt.Sprintf("writer %d", t.writer)
+	case acks == t.pending.Empty() || t.pending != t.pending.Mask(tiles):
+		return fmt.Sprintf("%d pending acks", t.pending.Count())
+	case st != StateLFetch && len(t.readers) > 0 || slices.ContainsFunc(t.readers, outside):
+		return fmt.Sprintf("merged readers %v", t.readers)
+	}
+	return ""
+}
 
 // SetTraceShard installs the slice's trace shard.
 func (s *LLC) SetTraceShard(tr *trace.Shard) { s.tr = tr }
 
 // DirectoryView returns the directory's conservative view of the possible
 // private holders of line, a valid line of this slice. The view merges the
-// line's sharer vector with episode state: startEvictShared zeroes Sharers
-// while its invalidations are in flight (the pending-ack set holds them), and
-// an owner under recall lives only in the Owner field. The sharers-superset
-// invariant is phrased against this view — any L2 actually holding the line
-// must appear in it.
+// line's sharer vector with its transaction record: startEvictShared zeroes
+// Sharers while its invalidations are in flight (the pending-ack set holds
+// them), and an owner under recall lives only in the Owner field. The
+// sharers-superset invariant is phrased against this view — any L2 actually
+// holding the line must appear in it.
 func (s *LLC) DirectoryView(line *Line) noc.DestSet {
 	d := s.arr.dirEntry(line)
 	view := d.Sharers
-	if line.State == StateLM || line.State == StateLMInv {
+	switch line.State {
+	case StateLM, StateLMInv:
 		view = view.Add(d.Owner)
-	}
-	if ep := s.ep[line.Tag]; ep != nil {
-		view = view.Union(ep.pendingAcks)
-		if ep.kind == epWrite {
-			view = view.Add(ep.writer)
+	case StateLSInv, StateLP:
+		t := s.txn(line.Tag)
+		view = view.Union(t.pending)
+		if t.writer != noWriter {
+			view = view.Add(t.writer)
 		}
 	}
 	return view
@@ -823,10 +873,5 @@ func (s *LLC) DirectoryView(line *Line) noc.DestSet {
 // response for (addr, req) has not yet left this tile.
 func (s *LLC) PushQueued(addr uint64, req noc.NodeID) bool { return s.pushCovering(addr, req) }
 
-// OutstandingTransactions reports open episodes or fetches.
-func (s *LLC) OutstandingTransactions() bool {
-	return len(s.ep) != 0 || len(s.fetches) != 0 || len(s.stalled) != 0
-}
-
-// PushDisabled exposes the PDRMap for tests.
-func (s *LLC) PushDisabled(req noc.NodeID) bool { return s.knob.pushDisabled(req) }
+// OutstandingTransactions reports whether any line is blocked.
+func (s *LLC) OutstandingTransactions() bool { return len(s.txns) != 0 }

@@ -1,12 +1,15 @@
 package cache
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
+	"pushmulticast/internal/snapshot"
 	"pushmulticast/internal/stats"
 )
 
@@ -245,7 +248,7 @@ func TestLLCKnobExcludesDisabledSharers(t *testing.T) {
 	f := newLLCFixture(t, config.OrdPush())
 	f.fill(2)
 	f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: 5, NeedPush: false}, 5)
-	if !f.llc.PushDisabled(5) {
+	if !f.llc.knob.pushDisabled(5) {
 		t.Fatal("need_push=false did not register in the PDRMap")
 	}
 	f.step(300)
@@ -286,6 +289,77 @@ func TestCoalescedRequestsRejoinFreeList(t *testing.T) {
 	for i := 0; i < k; i++ {
 		if p := ni.NewPacket(); !delivered[p] {
 			t.Fatalf("draw %d of %d from the free list is not a request packet the slice consumed: %d leaked", i+1, k, k-i)
+		}
+	}
+}
+
+// roundTrip encodes the slice and decodes the bytes into a fresh one,
+// returning the decoder's verdict.
+func (f *llcFixture) roundTrip() error {
+	c := snapshot.NewEncoder("", "", 0)
+	f.llc.State(c)
+	d, err := snapshot.NewDecoder(c.Finish())
+	if err != nil {
+		return err
+	}
+	newLLCFixture(f.t, f.cfg.Scheme).llc.State(d)
+	return d.Err()
+}
+
+// TestLLCAuditDetectsTxnDrift breaks the one-record-per-blocked-line rule each
+// way it can go wrong and requires both the audit and the snapshot decoder to
+// name the break. The clean state is a write episode (LS_Inv, two acks
+// pending, writer 9) with a read parked on it.
+func TestLLCAuditDetectsTxnDrift(t *testing.T) {
+	setup := func() *llcFixture {
+		f := newLLCFixture(t, config.NoPrefetch())
+		f.fill(2)
+		f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: 5}, 5)
+		f.deliver(&coherence.Msg{Type: coherence.GetM, Addr: lineB, Requester: 9}, 9)
+		f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: 7}, 7)
+		return f
+	}
+	for _, tc := range []struct {
+		name, want, wantDecode string
+		corrupt                func(s *LLC, t *txn, l *Line)
+	}{
+		{"blocked line without a record", "has 0 transaction records", "",
+			func(s *LLC, t *txn, l *Line) { s.txns = s.txns[:0] }},
+		{"record on a stable line", "not blocked", "", func(s *LLC, t *txn, l *Line) { l.State = StateLV }},
+		{"record on an absent line", "absent line", "", func(s *LLC, t *txn, l *Line) { t.addr = lineB + 16*64 }},
+		{"two records on one line", "has 2 transaction records", "out of order",
+			func(s *LLC, t *txn, l *Line) { s.txns = append(s.txns, t) }},
+		{"writer on an evict-shared record", "writer 9", "", func(s *LLC, t *txn, l *Line) { t.evict = true }},
+		{"write without a writer", "writer -1", "", func(s *LLC, t *txn, l *Line) { t.writer = noWriter }},
+		{"evict bit on a fetch", "an evict bit", "", func(s *LLC, t *txn, l *Line) { l.State, t.evict = StateLFetch, true }},
+		{"invalidation without pending acks", "0 pending acks", "",
+			func(s *LLC, t *txn, l *Line) { t.pending = noc.DestSet{} }},
+		{"pending ack beyond the mesh", "3 pending acks", "",
+			func(s *LLC, t *txn, l *Line) { t.pending = t.pending.Add(200) }},
+		{"merged reader outside a fetch", "merged readers [3]", "",
+			func(s *LLC, t *txn, l *Line) { t.readers = append(t.readers, 3) }},
+	} {
+		f := setup()
+		line := f.llc.Line(lineB)
+		if line == nil || line.State != StateLSInv || len(f.llc.txns) != 1 || len(f.llc.txns[0].parked) != 1 {
+			t.Fatalf("%s: setup did not block the line with one parked read", tc.name)
+		}
+		if err := f.llc.Audit(); err != nil {
+			t.Fatalf("%s: audit dirty before the corruption: %v", tc.name, err)
+		}
+		if err := f.roundTrip(); err != nil {
+			t.Fatalf("%s: clean slice does not restore: %v", tc.name, err)
+		}
+		tc.corrupt(f.llc, f.llc.txns[0], line)
+		if err := f.llc.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit says %v, want %q", tc.name, err, tc.want)
+		}
+		want := tc.want
+		if tc.wantDecode != "" {
+			want = tc.wantDecode
+		}
+		if err := f.roundTrip(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: restore says %v, want a corrupt snapshot naming %q", tc.name, err, want)
 		}
 	}
 }

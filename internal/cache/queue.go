@@ -72,14 +72,6 @@ func (q *delayQueue) pop(now sim.Cycle) *noc.Packet {
 	return p
 }
 
-// peek returns the head packet if matured without removing it.
-func (q *delayQueue) peek(now sim.Cycle) *noc.Packet {
-	if q.head == len(q.items) || q.items[q.head].readyAt > now {
-		return nil
-	}
-	return q.items[q.head].pkt
-}
-
 // nextReady returns the cycle at which the head entry matures. The queue is
 // head-blocking (later entries cannot be processed first), so this is the
 // earliest cycle the controller can make progress on queued input.
@@ -89,8 +81,6 @@ func (q *delayQueue) nextReady() (sim.Cycle, bool) {
 	}
 	return q.items[q.head].readyAt, true
 }
-
-func (q *delayQueue) empty() bool { return q.head == len(q.items) }
 
 // live returns the live entries in FIFO order (callers iterating the queue
 // must not index items directly: entries before head are dead).

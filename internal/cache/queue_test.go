@@ -39,7 +39,7 @@ func TestDelayQueueMaturity(t *testing.T) {
 	if p := q.pop(15); p == nil || p.Addr != 0x40 {
 		t.Fatal("mature packet not popped")
 	}
-	if !q.empty() {
+	if len(q.live()) != 0 {
 		t.Fatal("queue should be empty")
 	}
 }
@@ -70,12 +70,12 @@ func TestDelayQueuePeekAndRemoveIf(t *testing.T) {
 	q.push(mkPkt(1, false, false), 0)
 	q.push(mkPkt(2, false, false), 0)
 	q.push(mkPkt(1, false, false), 0)
-	if q.peek(0).Addr != 1 {
-		t.Fatal("peek wrong")
-	}
 	out := q.removeIf(func(p *noc.Packet) bool { return p.Addr == 1 })
 	if len(out) != 2 || len(q.items) != 1 || q.items[0].pkt.Addr != 2 {
 		t.Fatalf("removeIf wrong: out=%d kept=%d", len(out), len(q.items))
+	}
+	if p := q.pop(0); p == nil || p.Addr != 2 || q.pop(0) != nil {
+		t.Fatal("removeIf left the wrong head")
 	}
 }
 

@@ -43,6 +43,16 @@ func (a *Array) state(c *snapshot.Codec) {
 	}
 }
 
+// increasing refuses a decoded table whose n addresses, addr(0) to addr(n-1),
+// do not strictly increase: the table travels in address order.
+func increasing(c *snapshot.Codec, what string, n int, addr func(int) uint64) {
+	for i := 1; i < n; i++ {
+		if addr(i) <= addr(i-1) {
+			c.Corrupt("%s addresses %#x, %#x out of order", what, addr(i-1), addr(i))
+		}
+	}
+}
+
 // state describes the live entries oldest-first; a decoded queue starts
 // compacted (head 0), which is invisible — only the live window is ever read.
 func (q *delayQueue) state(c *snapshot.Codec, pkt func(**noc.Packet)) {
@@ -57,9 +67,9 @@ func (q *delayQueue) state(c *snapshot.Codec, pkt func(**noc.Packet)) {
 	}
 }
 
-// State describes the private cache stack: both arrays, MSHRs and writeback
-// entries, queued input, outbox, pending completions, knob counters, and the
-// retry-dedup state. Decoding targets a freshly built L2.
+// State describes the private cache stack: both arrays, MSHRs and the
+// writeback buffer, queued input, outbox, pending completions, knob
+// counters, and the retry-dedup state. Decoding targets a freshly built L2.
 func (l2 *L2) State(c *snapshot.Codec) {
 	c.Section("cache.l2")
 	pkt := func(pp **noc.Packet) { l2.out.ni.Packet(c, pp) }
@@ -89,19 +99,19 @@ func (l2 *L2) State(c *snapshot.Codec) {
 		if len(l2.mshr) > l2.cfg.L2MSHRs {
 			c.Corrupt("%d MSHRs, the file has %d slots", len(l2.mshr), l2.cfg.L2MSHRs)
 		}
-		for i := 1; i < len(l2.mshr); i++ {
-			if l2.mshr[i].addr <= l2.mshr[i-1].addr {
-				c.Corrupt("MSHR addresses %#x, %#x out of order", l2.mshr[i-1].addr, l2.mshr[i].addr)
-			}
+		increasing(c, "MSHR", len(l2.mshr), func(i int) uint64 { return l2.mshr[i].addr })
+	}
+	// The writeback buffer is a set: it travels sorted, like the MSHRs.
+	if !c.Decoding() {
+		slices.Sort(l2.wb)
+	}
+	snapshot.Slice(c, &l2.wb, c.U64)
+	if c.Decoding() {
+		increasing(c, "writeback", len(l2.wb), func(i int) uint64 { return l2.wb[i] })
+		if err := l2.auditWB(); err != nil {
+			c.Corrupt("%v", err)
 		}
 	}
-	snapshot.Map(c, &l2.wb, func(a *uint64, pw **wbEntry) {
-		if c.Decoding() {
-			*pw = new(wbEntry)
-		}
-		c.U64(a)
-		c.Bool(&(*pw).invalidated)
-	})
 	l2.inq.state(c, pkt)
 	snapshot.Slice(c, &l2.out.pkts, pkt)
 	snapshot.Slice(c, &l2.pend, func(d *doneEvt) {
@@ -116,41 +126,38 @@ func (l2 *L2) State(c *snapshot.Codec) {
 	c.U64(&l2.rejAddr)
 }
 
-// State describes the slice: array + directory, open episodes, fetches,
-// stalled packets, queued input, outbox, resume knob, sharer-gap trace
-// state, predictor, and the recent-push table. Decoding targets a freshly
-// built LLC.
+// State describes the slice: array + directory, transaction table, queued
+// input, outbox, resume knob, sharer-gap trace state, predictor, and the
+// recent-push table. Decoding targets a freshly built LLC.
 func (s *LLC) State(c *snapshot.Codec) {
 	c.Section("cache.llc")
 	pkt := func(pp **noc.Packet) { s.out.ni.Packet(c, pp) }
 	c.Mark(&s.arr)
 	s.arr.state(c)
-	snapshot.Map(c, &s.ep, func(a *uint64, pe **episode) {
+	// The transaction records travel in address order, as the MSHRs do. A
+	// record's kind and episode number are its line's state and epoch, which
+	// the array carries.
+	if !c.Decoding() {
+		slices.SortFunc(s.txns, func(a, b *txn) int { return cmp.Compare(a.addr, b.addr) })
+	}
+	snapshot.Slice(c, &s.txns, func(pt **txn) {
 		if c.Decoding() {
-			*pe = new(episode)
+			*pt = new(txn)
 		}
-		ep := *pe
-		c.U64(a)
-		snapshot.AsU8(c, &ep.kind)
-		c.U32(&ep.epoch)
-		c.U64s(ep.pendingAcks[:])
-		snapshot.AsU32(c, &ep.writer)
-		c.Bool(&ep.evictAfter)
+		t := *pt
+		c.U64(&t.addr)
+		c.U64s(t.pending[:])
+		snapshot.AsU32(c, &t.writer)
+		c.Bool(&t.evict)
+		snapshot.Slice(c, &t.readers, func(r *noc.NodeID) { snapshot.AsU32(c, r) })
+		snapshot.Slice(c, &t.parked, pkt)
 	})
-	snapshot.Map(c, &s.fetches, func(a *uint64, pf **fetch) {
-		if c.Decoding() {
-			*pf = s.newFetch()
+	if c.Decoding() {
+		increasing(c, "transaction", len(s.txns), func(i int) uint64 { return s.txns[i].addr })
+		if err := s.auditTxns(); err != nil {
+			c.Corrupt("%v", err)
 		}
-		c.U64(a)
-		snapshot.Slice(c, &(*pf).requesters, func(rq *fetchReq) {
-			snapshot.AsU32(c, &rq.req)
-			c.Bool(&rq.prefetch)
-		})
-	})
-	snapshot.Map(c, &s.stalled, func(a *uint64, pkts *[]*noc.Packet) {
-		c.U64(a)
-		snapshot.Slice(c, pkts, pkt)
-	})
+	}
 	s.inq.state(c, pkt)
 	snapshot.Slice(c, &s.out.pkts, pkt)
 	// The resume knob is settled to the cycle before the barrier first, where a

@@ -156,9 +156,6 @@ func DeepPush() Scheme {
 
 // System is the full machine configuration (Table I).
 type System struct {
-	// MeshW x MeshH tiles, one core + private L1/L2 + LLC slice per tile.
-	MeshW, MeshH int
-
 	// Cache geometry (bytes / ways); lines are noc.LineBytes.
 	L1Size, L1Ways        int
 	L2Size, L2Ways        int
@@ -186,7 +183,8 @@ type System struct {
 	// (shift 1 = 50%, the paper's setting).
 	KnobRatioShift uint
 
-	// NoC parameters.
+	// NoC parameters, among them the mesh: NoC.Width x NoC.Height tiles, one
+	// core + private L1/L2 + LLC slice per tile.
 	NoC noc.Config
 
 	// Scheme is the evaluated design point.
@@ -262,7 +260,7 @@ type System struct {
 }
 
 // Tiles returns the tile count.
-func (s System) Tiles() int { return s.MeshW * s.MeshH }
+func (s System) Tiles() int { return s.NoC.Width * s.NoC.Height }
 
 // Validate reports configuration errors.
 func (s System) Validate() error {
@@ -313,10 +311,6 @@ func (s System) Validate() error {
 	if s.NoC != s.withNoCFlags().NoC {
 		return fmt.Errorf("config: NoC filter/ordering flags disagree with scheme %q (set a scheme with WithScheme)", s.Scheme.Name)
 	}
-	if s.NoC.Width != s.MeshW || s.NoC.Height != s.MeshH {
-		return fmt.Errorf("config: NoC mesh %dx%d disagrees with system %dx%d",
-			s.NoC.Width, s.NoC.Height, s.MeshW, s.MeshH)
-	}
 	if s.Faults != nil {
 		if err := s.Faults.Validate(s.Tiles()); err != nil {
 			return err
@@ -365,7 +359,6 @@ func Default256() System { return defaultSystem(16, 16) }
 
 func defaultSystem(w, h int) System {
 	s := System{
-		MeshW: w, MeshH: h,
 		L1Size: 32 << 10, L1Ways: 8,
 		L2Size: 256 << 10, L2Ways: 16,
 		LLCSliceSize: 1 << 20, LLCWays: 16,
@@ -407,7 +400,7 @@ func (s System) Scaled(factor int) System {
 // MemControllers returns the tiles hosting the four corner memory
 // controllers.
 func (s System) MemControllers() []noc.NodeID {
-	w, h := s.MeshW, s.MeshH
+	w, h := s.NoC.Width, s.NoC.Height
 	corners := []noc.NodeID{
 		s.NoC.Node(0, 0),
 		s.NoC.Node(w-1, 0),
@@ -454,5 +447,5 @@ func abs(v int) int {
 // receiver is a pointer: every L2 miss and every line the checker sweeps asks,
 // and a value receiver copies the whole System each time.
 func (s *System) HomeSlice(lineAddr uint64) noc.NodeID {
-	return noc.NodeID((lineAddr / noc.LineBytes) % uint64(s.MeshW*s.MeshH))
+	return noc.NodeID((lineAddr / noc.LineBytes) % uint64(s.NoC.Width*s.NoC.Height))
 }

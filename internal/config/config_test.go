@@ -94,7 +94,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"push without protocol", "push protocol", func(s *System) { s.Scheme = Scheme{Name: "x", Push: true} }},
 		{"unknown protocol", "unknown protocol", func(s *System) { s.Scheme.Protocol = ProtoOrdPush + 1 }},
 		{"LLC slice of one byte", "LLC slice geometry", func(s *System) { s.LLCSliceSize = 1 }},
-		{"mesh mismatch", "disagrees", func(s *System) { s.NoC.Width = 8 }},
+		{"mesh of one tile", "tile count", func(s *System) { s.NoC.Width, s.NoC.Height = 1, 1 }},
 		{"L2 sets not a power of two", "L2 geometry", func(s *System) { s.L2Size = 3 * 64 * 16 }},
 		// A zero window divided by zero in the LLC's resume knob, and the
 		// panic escaped Run; a negative one ran silently.

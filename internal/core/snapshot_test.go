@@ -30,6 +30,7 @@ type coverage struct {
 	marked  map[uintptr]bool // addresses the description accounted for
 	walked  map[field]bool   // every untagged field met, by type
 	covered map[field]bool   // ... and those whose address was marked somewhere
+	filled  map[field]bool   // ... and the slices among those seen non-empty
 	seen    map[seenKey]bool // structs already walked in this pass (cycles)
 	badTags []string
 }
@@ -86,6 +87,9 @@ func (cv *coverage) value(f field, v reflect.Value) {
 		return
 	}
 	cv.covered[f] = true
+	if v.Kind() == reflect.Slice && v.Len() > 0 {
+		cv.filled[f] = true
+	}
 	cv.follow(v)
 }
 
@@ -159,9 +163,10 @@ func (cv *coverage) observe(t *testing.T, s *System) {
 // tagged `snap:"-,<reason>"` (config, wiring, pool, scratch, derived,
 // transient). A field that is neither — the forgotten-field bug — fails here
 // by name. The machines below are chosen so that between them every optional
-// component exists and every transient structure (in-flight packets, open
-// episodes, retransmit windows, loss obligations) is populated at some
-// barrier.
+// component exists and every transient structure (in-flight packets, blocked
+// lines' transaction records, retransmit windows, loss obligations) is
+// populated at some barrier; mustFill names the slices that must be seen
+// non-empty, so that what they hold is walked too.
 func TestSnapshotDescribesEveryField(t *testing.T) {
 	lossy := func(cfg config.System) config.System {
 		plan := fault.GenerateLossyPlan(cfg.Tiles(), 7, 20)
@@ -170,7 +175,7 @@ func TestSnapshotDescribesEveryField(t *testing.T) {
 		return cfg
 	}
 	traced := func(cfg config.System) config.System { cfg.TraceSharerGaps = true; return cfg }
-	cv := &coverage{walked: map[field]bool{}, covered: map[field]bool{}}
+	cv := &coverage{walked: map[field]bool{}, covered: map[field]bool{}, filled: map[field]bool{}}
 	for _, m := range []struct {
 		scheme config.Scheme
 		with   func(config.System) config.System
@@ -179,6 +184,8 @@ func TestSnapshotDescribesEveryField(t *testing.T) {
 		{config.OrdPush(), lossy, "cachebw"},
 		{config.Baseline(), traced, "cachebw"},
 		{config.PredictivePush(), traced, "bfs"},
+		// PushAck blocks lines in LP: up to 42 live records a slice.
+		{config.PushAck(), func(cfg config.System) config.System { return cfg }, "broadcast"},
 	} {
 		cfg := m.with(config.Default16().Scaled(16).WithScheme(m.scheme))
 		wl, err := workload.ByName(m.wl)
@@ -205,6 +212,17 @@ func TestSnapshotDescribesEveryField(t *testing.T) {
 	sort.Strings(missing)
 	for _, f := range missing {
 		t.Errorf("%s is neither described (handed to the snapshot codec) nor tagged `snap:\"-,<reason>\"`", f)
+	}
+	mustFill := map[string]bool{"cache.txn.readers": false, "cache.txn.parked": false}
+	for f := range cv.filled {
+		if _, ok := mustFill[f.String()]; ok {
+			mustFill[f.String()] = true
+		}
+	}
+	for name, seen := range mustFill {
+		if !seen {
+			t.Errorf("no barrier held a non-empty %s: the walk never reached what it holds", name)
+		}
 	}
 	for _, msg := range cv.badTags {
 		t.Error(msg)

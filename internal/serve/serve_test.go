@@ -210,7 +210,7 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9]), "snapshot"},
 		{"snapshot-altered", snapshots, string(altered), "snapshot"},
 		{"snapshot-future-version", snapshots, string(future), "snapshot"},
-		{"snapshot-previous-version", snapshots, string(previous), "snapshot format v3, this build reads v4"},
+		{"snapshot-previous-version", snapshots, string(previous), "snapshot format v4, this build reads v5"},
 		{"invalid-json", campaigns, `{"schemes":`, "campaign spec"},
 		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`, `unknown field "scheems"`},
 		// The shard wire's singular keys are not campaign keys.

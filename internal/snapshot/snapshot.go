@@ -39,12 +39,13 @@ import (
 const Magic = "PMSNAP1\n"
 
 // Version is the current snapshot format version. Bump it on any change to
-// a section's encoding; restore refuses other versions loudly. Version 4
+// a section's encoding; restore refuses other versions loudly. Version 5
 // carries primary state only, as a dense run holds it at the barrier: what a
 // component can rebuild from its other fields, and the engine's scheduling,
-// are not in the bytes, and a cache way carries directory words only in an
-// LLC (DESIGN.md §4g lists what left with versions 1 to 3).
-const Version uint32 = 4
+// are not in the bytes, a cache way carries directory words only in an LLC,
+// and an LLC slice carries one transaction record per blocked line (DESIGN.md
+// §4g lists what left with versions 1 to 4).
+const Version uint32 = 5
 
 // sectionMark precedes every section name.
 const sectionMark uint32 = 0x5EC7_10A5

@@ -365,11 +365,23 @@ type goldenSnapshot struct {
 
 // goldenSnapshots between them exercise every section of the format: plain
 // and collective workloads, all three schemes, transport retransmit windows,
-// checker loss bookkeeping, and the trace ring. The pins are format v4's,
-// recorded when a private cache way stopped carrying directory words: each
-// machine is exactly 40 bytes per valid L1 and L2 line smaller than under v3
-// (4,608 / 668 / 4,392 / 4,608 such lines; v3 held the four machines in
-// 504,235 / 180,537 / 537,240 / 589,409 bytes). v3 was v2 without the
+// checker loss bookkeeping, the trace ring, and blocked LLC lines of every
+// kind. The pins are format v5's, recorded when an LLC slice's episode, fetch
+// and stall maps became one transaction record per blocked line and the
+// writeback buffer an address set. Against v4 (319,915 / 153,817 / 361,560 /
+// 405,089 bytes) each machine moved by exactly: -32 for the header (MeshW and
+// MeshH left the config's text in both fingerprints); -16 a slice for the two
+// map lengths gone; +11 per write, evict or push record (61 bytes: address,
+// pending acks, writer, evict bit, two slice lengths; the episode had 50 with
+// its kind and epoch); +45 per fetch record (16 before, no pending, writer or
+// evict, no parked list); -1 per reader merged into a fetch (its never-read
+// prefetch flag); -16 per line that had stalled packets (their address and
+// length now live in the record); -1 per writeback entry (its never-read
+// invalidated flag). At the four barriers the machines hold 0 / 0 / 17 / 0
+// such episodes, 12 / 240 / 0 / 8 fetches with 157 / 252 / 0 / 131 merged
+// readers, 0 / 0 / 11 / 0 lines with stalled packets and no writeback entry. v4 was 40 bytes per valid L1 and L2 line
+// smaller than v3 (4,608 / 668 / 4,392 / 4,608 such lines; v3 held the four
+// machines in 504,235 / 180,537 / 537,240 / 589,409 bytes). v3 was v2 without the
 // engine's scheduling and the lazy catch-up residues (v2: 505,589 / 181,891 /
 // 538,594 / 590,781 bytes, with every handle's sleep flag and wake time, the
 // tick count, each core's blockedAt, each slice's lastTick, each L1's polled
@@ -383,13 +395,13 @@ type goldenSnapshot struct {
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 319915, 0xa88dde6bc30d7981},
+	}, 10000, 320010, 0x84c4c2035cf65bd4},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 153817, 0x2098c819846c1971},
+	}, 2000, 164077, 0x44f44ecc4e7de194},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 361560, 0x6cf4fbdab6287cc8},
+	}, 30000, 361283, 0x748ac18845c0896f},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -397,7 +409,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 405089, 0xf9eb782c90cfe15d},
+	}, 12000, 405030, 0xf2a7ed81fd0ae009},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
