@@ -9,7 +9,11 @@ package pushmulticast
 
 import (
 	"context"
+	"runtime"
 	"testing"
+
+	"pushmulticast/internal/core"
+	"pushmulticast/internal/workload"
 )
 
 func benchOpts(wls ...string) ExpOptions {
@@ -19,8 +23,9 @@ func benchOpts(wls ...string) ExpOptions {
 // allocBudget is the recorded allocations of one cachebw/OrdPush/tiny run on
 // the 16-core machine under the wake-driven kernel, build included (1,879
 // while the L2's MSHR file was a map over a slab pool, 1,671 while each LLC
-// slice kept its episodes, fetches and stalled packets in three maps).
-const allocBudget = 1575
+// slice kept its episodes, fetches and stalled packets in three maps, 1,575
+// before each slice's sharer sets moved into a table of their own).
+const allocBudget = 1591
 
 // TestAllocBudget is the tripwire for allocations creeping back into the hot
 // path: the count is deterministic enough for a hard gate where wall-clock is
@@ -34,6 +39,39 @@ func TestAllocBudget(t *testing.T) {
 	}))
 	if limit := allocBudget + (allocBudget+19)/20; got > limit { // +5%, rounded up
 		t.Fatalf("%d allocs/run exceeds budget %d by more than 5%% (limit %d); if the regression is intended, re-record allocBudget in bench_test.go", got, allocBudget, limit)
+	}
+}
+
+// buildBytesPerTile is the recorded heap allocation of one cachebw/OrdPush
+// core.Build at each mesh size, divided by its tile count. Most of it is
+// cache arrays: an LLC way costs a 32-byte Line, an 8-byte tag entry, an
+// 8-byte DirEntry and one sharer word per 64 tiles (112.5 KB a tile at every
+// size while each way held a 256-bit sharer vector).
+var buildBytesPerTile = map[int]uint64{16: 88045, 64: 87839, 256: 112338}
+
+// TestBuildBytesPerTile is TestAllocBudget's byte-side twin: an allocation
+// count does not notice a table whose entries grow, so this gates the bytes
+// one build allocates, per tile, at 5% over the recorded figure.
+func TestBuildBytesPerTile(t *testing.T) {
+	wl, err := workload.ByName("cachebw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []Config{Default16(), Default64(), Default256()} {
+		cfg := ScaledConfig(base).WithScheme(OrdPush())
+		tiles := cfg.Tiles()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := core.Build(cfg, wl, ScaleTiny); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got, want := (after.TotalAlloc-before.TotalAlloc)/uint64(tiles), buildBytesPerTile[tiles]
+		t.Logf("%d tiles: %d bytes a tile (recorded %d)", tiles, got, want)
+		if got > want+want/20 {
+			t.Errorf("%d tiles: one build allocates %d bytes a tile, more than 5%% over the recorded %d; if the growth is intended, re-record buildBytesPerTile in bench_test.go", tiles, got, want)
+		}
 	}
 }
 

@@ -52,8 +52,8 @@ func TestCheckerDetectsCorruptedSharerSet(t *testing.T) {
 				return
 			}
 			llc := sys.LLCs[sys.Cfg.HomeSlice(l.Tag)]
-			if d := llc.Line(l.Tag); d != nil && llc.Dir(d).Sharers.Has(id) {
-				llc.Dir(d).Sharers = llc.Dir(d).Sharers.Remove(id)
+			if d := llc.Line(l.Tag); d != nil && llc.Dir(d).Sharers().Has(id) {
+				llc.Dir(d).SetSharers(llc.Dir(d).Sharers().Remove(id))
 				corrupted++
 			}
 		})

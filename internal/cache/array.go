@@ -80,7 +80,7 @@ func (s State) Transient() bool {
 
 // Line is one cache line's tag, state, and metadata: what every way of every
 // cache holds. Three words, then four bytes — 32 bytes a way. The directory
-// words of an LLC way live beside it in its array's DirEntry table.
+// words of an LLC way live beside it in its array's directory tables.
 type Line struct {
 	// Tag is the full line address (64-byte aligned); valid when State != I.
 	Tag uint64
@@ -97,18 +97,37 @@ type Line struct {
 	Pushed, Accessed bool
 }
 
-// DirEntry is the directory state of one LLC way (§III): 40 bytes, allocated
-// only by a directory array.
+// DirEntry is the directory state of one LLC way (§III) besides its sharer
+// set: 8 bytes, allocated only by a directory array.
 type DirEntry struct {
-	// Sharers is the directory's sharer bit vector. Silent S-state
-	// evictions make it a conservative superset of true holders, which is
-	// exactly the property push speculation exploits.
-	Sharers noc.DestSet
 	// Owner is the M-state owner when State == StateLM.
 	Owner noc.NodeID
 	// Epoch tags invalidation episodes so stale acknowledgments are
 	// discarded.
 	Epoch uint32
+}
+
+// DirWay is a directory array's view of one way: its entry and its sharer
+// words, as many as the mesh needs (one per 64 tiles). The sharer set is the
+// directory's bit vector; silent S-state evictions make it a conservative
+// superset of true holders, which is exactly what push speculation exploits.
+type DirWay struct {
+	*DirEntry
+	words []uint64
+}
+
+// Sharers loads the way's sharer set.
+func (d DirWay) Sharers() (s noc.DestSet) {
+	copy(s[:], d.words)
+	return s
+}
+
+// SetSharers stores s as the way's sharer set. Only a bug puts a non-tile in
+// a sharer set, so a member past the way's words panics.
+func (d DirWay) SetSharers(s noc.DestSet) {
+	if past := s.Subtract(s.Mask(64 * copy(d.words, s[:]))); !past.Empty() {
+		panic(fmt.Sprintf("cache: sharer %d past the directory's %d words", past.First(), len(d.words)))
+	}
 }
 
 // Array is a set-associative cache structure. Lines are stored set after
@@ -117,15 +136,19 @@ type DirEntry struct {
 // while lines[i] is valid and noTag while its State is I. Install and
 // Invalidate are the only writers of a line's validity and keep the two in
 // step; reindex rebuilds tags from lines and audit compares the two. A
-// directory array also holds dir[i], way i's directory entry; a private
-// cache's array has none.
+// directory array also holds way i's directory entry dir[i] and its sharer
+// words; a private cache's array has neither.
 type Array struct {
-	lines    []Line
-	dir      []DirEntry
-	tags     []uint64 `snap:"-,derived: lines[i].Tag where lines[i].State != StateI"`
-	setMask  uint64   `snap:"-,config"`
-	setShift uint     `snap:"-,config"`
-	ways     int      `snap:"-,config"`
+	lines []Line
+	dir   []DirEntry
+	// sharers[i*sharerWords:(i+1)*sharerWords] is way i's sharer set in a
+	// directory array.
+	sharers     []uint64
+	sharerWords int      `snap:"-,config"`
+	tags        []uint64 `snap:"-,derived: lines[i].Tag where lines[i].State != StateI"`
+	setMask     uint64   `snap:"-,config"`
+	setShift    uint     `snap:"-,config"`
+	ways        int      `snap:"-,config"`
 }
 
 // noTag marks a free way in Array.tags. Line addresses are line-aligned, so
@@ -164,17 +187,23 @@ func NewInterleavedArray(sizeBytes, ways, interleave int) *Array {
 	return a
 }
 
-// newDirectoryArray builds an LLC slice's array: an interleaved array with a
-// directory entry beside every way.
-func newDirectoryArray(sizeBytes, ways, interleave int) *Array {
-	a := NewInterleavedArray(sizeBytes, ways, interleave)
-	a.dir = make([]DirEntry, len(a.lines))
+// newDirectoryArray builds the array of one slice of an LLC interleaved over
+// tiles slices: an interleaved array with a directory entry and a tiles-bit
+// sharer set beside every way.
+func newDirectoryArray(sizeBytes, ways, tiles int) *Array {
+	a := NewInterleavedArray(sizeBytes, ways, tiles)
+	a.sharerWords = (tiles + 63) / 64
+	a.dir, a.sharers = make([]DirEntry, len(a.lines)), make([]uint64, len(a.lines)*a.sharerWords)
 	return a
 }
 
-// dirEntry returns the directory entry of l, a valid way of a directory
-// array.
-func (a *Array) dirEntry(l *Line) *DirEntry { return &a.dir[a.way(l, l.Tag)] }
+// dirWay returns the directory of l, a valid way of a directory array.
+func (a *Array) dirWay(l *Line) DirWay { return a.dirAt(a.way(l, l.Tag)) }
+
+// dirAt returns the directory of way i.
+func (a *Array) dirAt(i int) DirWay {
+	return DirWay{&a.dir[i], a.sharers[i*a.sharerWords : (i+1)*a.sharerWords]}
+}
 
 // Sets returns the number of sets.
 func (a *Array) Sets() int { return len(a.lines) / a.ways }
@@ -246,6 +275,7 @@ func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
 	*l = Line{Tag: lineAddr, State: st, LastUse: now}
 	if a.dir != nil {
 		a.dir[w] = DirEntry{}
+		clear(a.dirAt(w).words)
 	}
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -16,20 +17,50 @@ import (
 
 // TestLineLayout pins what Line's field order is for: a way of any cache is
 // three words and four bytes, and the directory words are the LLC's alone —
-// a directory array keeps a 40-byte entry beside each way, a private array
-// none.
+// a directory array keeps an 8-byte entry and one sharer word per 64 tiles
+// beside each way, a private array neither.
 func TestLineLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Line{}); size != 32 {
 		t.Errorf("Line is %d bytes, want 32", size)
 	}
-	if size := unsafe.Sizeof(DirEntry{}); size != 40 {
-		t.Errorf("DirEntry is %d bytes, want 40", size)
+	if size := unsafe.Sizeof(DirEntry{}); size != 8 {
+		t.Errorf("DirEntry is %d bytes, want 8", size)
 	}
-	if a := NewArray(256<<10, 16); a.dir != nil {
-		t.Errorf("a private array allocated %d directory entries", len(a.dir))
+	if a := NewArray(256<<10, 16); a.dir != nil || a.sharers != nil {
+		t.Errorf("a private array allocated %d directory entries and %d sharer words", len(a.dir), len(a.sharers))
 	}
-	if a := newDirectoryArray(64<<10, 16, 16); len(a.dir) != len(a.lines) {
-		t.Errorf("a directory array holds %d entries for %d ways", len(a.dir), len(a.lines))
+	for _, tc := range []struct{ tiles, words int }{{16, 1}, {64, 1}, {256, 4}} {
+		a := newDirectoryArray(64<<10, 16, tc.tiles)
+		if len(a.dir) != len(a.lines) || len(a.sharers) != tc.words*len(a.lines) {
+			t.Errorf("%d tiles: a directory array holds %d entries and %d sharer words for %d ways, want %d words a way",
+				tc.tiles, len(a.dir), len(a.sharers), len(a.lines), tc.words)
+		}
+	}
+}
+
+// TestDirWaySharers round-trips sharer sets through a way's words at each
+// mesh size and requires a member past them to panic.
+func TestDirWaySharers(t *testing.T) {
+	for _, tiles := range []int{16, 64, 256} {
+		a := newDirectoryArray(64<<10, 16, tiles)
+		l := a.Victim(0, nil)
+		a.Install(l, 0, StateLV, 0)
+		d := a.dirWay(l)
+		want := noc.OneDest(0).Add(noc.NodeID(tiles - 1))
+		if d.SetSharers(want); d.Sharers() != want || a.dirAt(1).Sharers() != (noc.DestSet{}) {
+			t.Errorf("%d tiles: stored %v, loaded %v", tiles, want, d.Sharers())
+		}
+		if tiles == noc.MaxNodes {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sharer 64 past") {
+					t.Errorf("%d tiles: storing sharer 64 says %v, want a panic naming it", tiles, r)
+				}
+			}()
+			d.SetSharers(want.Add(64))
+		}()
 	}
 }
 
@@ -309,7 +340,8 @@ func TestArrayStateIsCanonical(t *testing.T) {
 	l := used.Victim(0x100, nil)
 	used.Install(l, 0x100, StateM, 7)
 	l.Version, l.Dirty = 9, true
-	used.dirEntry(l).Sharers, used.dirEntry(l).Epoch = noc.OneDest(5), 4
+	used.dirWay(l).SetSharers(noc.OneDest(5))
+	used.dirWay(l).Epoch = 4
 	used.Invalidate(l)
 	data := encode(used)
 	if !bytes.Equal(data, encode(fresh)) {
@@ -327,6 +359,7 @@ func TestArrayStateIsCanonical(t *testing.T) {
 		t.Fatalf("decoded array fails its audit: %v", err)
 	}
 	if !reflect.DeepEqual(back.lines, fresh.lines) || !reflect.DeepEqual(back.dir, fresh.dir) ||
+		!reflect.DeepEqual(back.sharers, fresh.sharers) ||
 		back.Lookup(0x040) == nil || back.Lookup(0x100) != nil {
 		t.Fatal("decoded array differs from the one that never held the freed line")
 	}

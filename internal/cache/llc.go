@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"pushmulticast/internal/coherence"
@@ -316,12 +318,12 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	case StateLV:
 		line.LastUse = now
 		s.traceSharerGap(line, m.Requester, now)
-		d := s.arr.dirEntry(line)
+		d := s.arr.dirWay(line)
 		if s.cfg.Scheme.Coalesce {
 			s.coalescedReply(line, d, m, now)
 			return
 		}
-		if s.cfg.Scheme.Push && !m.Prefetch && d.Sharers.Has(m.Requester) {
+		if s.cfg.Scheme.Push && !m.Prefetch && d.Sharers().Has(m.Requester) {
 			if !s.cfg.NoRecentPushTable && s.recentlyPushedTo(m.Addr, m.Requester, now) {
 				s.unicastDataS(line, d, m.Requester)
 				return
@@ -330,13 +332,13 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 			return
 		}
 		s.unicastDataS(line, d, m.Requester)
-		d.Sharers = d.Sharers.Add(m.Requester)
+		d.SetSharers(d.Sharers().Add(m.Requester))
 	case StateLP:
 		// Semi-blocking P state: reads are still served with unicasts.
 		line.LastUse = now
-		d := s.arr.dirEntry(line)
+		d := s.arr.dirWay(line)
 		s.unicastDataS(line, d, m.Requester)
-		d.Sharers = d.Sharers.Add(m.Requester)
+		d.SetSharers(d.Sharers().Add(m.Requester))
 	case StateLM:
 		s.startRecall(line, false)
 		s.stall(m.Addr, pkt)
@@ -349,20 +351,20 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 }
 
 // unicastDataS sends a shared data response, embedding the resume knob's
-// counter-reset flag when applicable; d is the line's directory entry.
-func (s *LLC) unicastDataS(line *Line, d *DirEntry, req noc.NodeID) {
+// counter-reset flag when applicable; d is the line's directory.
+func (s *LLC) unicastDataS(line *Line, d DirWay, req noc.NodeID) {
 	s.send(coherence.Msg{
 		Type: coherence.DataS, Addr: line.Tag, Requester: req,
 		Version: line.Version, Reset: s.knob.resetFlagFor(req),
-		Private: d.Sharers.Remove(req).Empty(),
+		Private: d.Sharers().Remove(req).Empty(),
 	}, noc.OneDest(req), stats.UnitL2)
 }
 
 // triggerPush implements the push activated phase (§III-B): a re-reference
 // from an existing sharer speculates that every sharer will need the line
 // again and multicasts it to all of them (minus push-disabled requesters).
-func (s *LLC) triggerPush(line *Line, d *DirEntry, req noc.NodeID, now sim.Cycle) {
-	dests := d.Sharers
+func (s *LLC) triggerPush(line *Line, d DirWay, req noc.NodeID, now sim.Cycle) {
+	dests := d.Sharers()
 	if s.cfg.Scheme.Knob {
 		dests = dests.Subtract(s.knob.pdr)
 	}
@@ -436,7 +438,7 @@ func (s *LLC) recentlyPushedTo(addr uint64, req noc.NodeID, now sim.Cycle) bool 
 // coalescedReply implements the Coalesce baseline [38]: concurrent same-line
 // read requests within the LLC lookup window are merged and answered with a
 // single multicast.
-func (s *LLC) coalescedReply(line *Line, d *DirEntry, m coherence.Msg, now sim.Cycle) {
+func (s *LLC) coalescedReply(line *Line, d DirWay, m coherence.Msg, now sim.Cycle) {
 	dests := noc.OneDest(m.Requester)
 	absorbed := s.inq.removeIf(func(p *noc.Packet) bool {
 		return p.Filterable && p.Addr == m.Addr // Filterable marks exactly the GetS packets
@@ -446,7 +448,7 @@ func (s *LLC) coalescedReply(line *Line, d *DirEntry, m coherence.Msg, now sim.C
 		s.st.Cache.CoalescedRequests++
 		s.out.ni.Recycle(p)
 	}
-	d.Sharers = d.Sharers.Union(dests)
+	d.SetSharers(d.Sharers().Union(dests))
 	s.send(coherence.Msg{
 		Type: coherence.DataS, Addr: line.Tag, Requester: m.Requester, Version: line.Version,
 	}, dests, stats.UnitL2)
@@ -484,8 +486,8 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	}
 	switch line.State {
 	case StateLV:
-		d := s.arr.dirEntry(line)
-		others := d.Sharers.Remove(m.Requester)
+		d := s.arr.dirWay(line)
+		others := d.Sharers().Remove(m.Requester)
 		if others.Empty() {
 			s.grantM(line, d, m.Requester)
 			return
@@ -499,7 +501,7 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 				Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 		})
 	case StateLM:
-		if s.arr.dirEntry(line).Owner == m.Requester {
+		if s.arr.dirWay(line).Owner == m.Requester {
 			// Defensive: an owner never re-requests ownership.
 			s.send(coherence.Msg{Type: coherence.DataM, Addr: m.Addr, Requester: m.Requester,
 				Version: line.Version}, noc.OneDest(m.Requester), stats.UnitL2)
@@ -512,10 +514,10 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	}
 }
 
-func (s *LLC) grantM(line *Line, d *DirEntry, writer noc.NodeID) {
+func (s *LLC) grantM(line *Line, d DirWay, writer noc.NodeID) {
 	line.State = StateLM
 	d.Owner = writer
-	d.Sharers = noc.DestSet{}
+	d.SetSharers(noc.DestSet{})
 	s.send(coherence.Msg{Type: coherence.DataM, Addr: line.Tag, Requester: writer,
 		Version: line.Version}, noc.OneDest(writer), stats.UnitL2)
 }
@@ -523,7 +525,7 @@ func (s *LLC) grantM(line *Line, d *DirEntry, writer noc.NodeID) {
 // startRecall begins an owner-invalidation episode; evict frees the line
 // when data returns.
 func (s *LLC) startRecall(line *Line, evict bool) {
-	d := s.arr.dirEntry(line)
+	d := s.arr.dirWay(line)
 	d.Epoch++
 	line.State = StateLMInv
 	s.openTxn(line.Tag).evict = evict
@@ -538,14 +540,14 @@ func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
 	}
 	switch line.State {
 	case StateLM:
-		d := s.arr.dirEntry(line)
+		d := s.arr.dirWay(line)
 		if d.Owner != m.Requester {
 			panic(fmt.Sprintf("LLC %d: PutM for %#x from %d, owner is %d", s.id, m.Addr, m.Requester, d.Owner))
 		}
 		line.Version = m.Version
 		line.Dirty = true
 		d.Owner = 0
-		d.Sharers = noc.DestSet{}
+		d.SetSharers(noc.DestSet{})
 		line.State = StateLV
 		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
 			noc.OneDest(m.Requester), stats.UnitL2)
@@ -580,7 +582,7 @@ func (s *LLC) lastAck(addr uint64, from noc.NodeID) *txn {
 // recall.
 func (s *LLC) handleInvAck(m coherence.Msg, now sim.Cycle) {
 	line := s.arr.Lookup(m.Addr)
-	if line == nil || line.State != StateLSInv || s.arr.dirEntry(line).Epoch != m.Epoch {
+	if line == nil || line.State != StateLSInv || s.arr.dirWay(line).Epoch != m.Epoch {
 		return
 	}
 	t := s.lastAck(m.Addr, m.Requester)
@@ -590,14 +592,14 @@ func (s *LLC) handleInvAck(m coherence.Msg, now sim.Cycle) {
 	if t.evict {
 		s.freeLine(line)
 	} else {
-		s.grantM(line, s.arr.dirEntry(line), t.writer)
+		s.grantM(line, s.arr.dirWay(line), t.writer)
 	}
 	s.closeTxn(m.Addr, now)
 }
 
 func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
 	line := s.arr.Lookup(m.Addr)
-	if line == nil || line.State != StateLMInv || s.arr.dirEntry(line).Epoch != m.Epoch {
+	if line == nil || line.State != StateLMInv || s.arr.dirWay(line).Epoch != m.Epoch {
 		return
 	}
 	line.Version = m.Version
@@ -607,9 +609,9 @@ func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
 
 func (s *LLC) completeRecall(line *Line, now sim.Cycle) {
 	addr := line.Tag
-	d := s.arr.dirEntry(line)
+	d := s.arr.dirWay(line)
 	d.Owner = 0
-	d.Sharers = noc.DestSet{}
+	d.SetSharers(noc.DestSet{})
 	if s.txn(addr).evict {
 		s.freeLine(line)
 	} else {
@@ -639,7 +641,7 @@ func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead
 		s.retry(pkt, now)
 		return false
 	}
-	if victim.State == StateLV && !s.arr.dirEntry(victim).Sharers.Empty() {
+	if victim.State == StateLV && !s.arr.dirWay(victim).Sharers().Empty() {
 		s.startEvictShared(victim)
 		s.stall(victim.Tag, pkt)
 		return false
@@ -667,7 +669,7 @@ func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead
 // lines, then owned lines; transient lines are never displaced.
 func (s *LLC) chooseVictim(addr uint64) *Line {
 	if v := s.arr.Victim(addr, func(l *Line) bool {
-		return l.State == StateLV && s.arr.dirEntry(l).Sharers.Empty()
+		return l.State == StateLV && s.arr.dirWay(l).Sharers().Empty()
 	}); v != nil {
 		return v
 	}
@@ -678,19 +680,19 @@ func (s *LLC) chooseVictim(addr uint64) *Line {
 }
 
 func (s *LLC) startEvictShared(line *Line) {
-	d := s.arr.dirEntry(line)
+	d := s.arr.dirWay(line)
 	if s.pred != nil {
-		s.pred.remember(line.Tag, d.Sharers)
+		s.pred.remember(line.Tag, d.Sharers())
 	}
 	d.Epoch++
 	line.State = StateLSInv
 	t := s.openTxn(line.Tag)
-	t.pending, t.evict = d.Sharers, true
-	d.Sharers.ForEach(func(dst noc.NodeID) {
+	t.pending, t.evict = d.Sharers(), true
+	t.pending.ForEach(func(dst noc.NodeID) {
 		s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: dst,
 			Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 	})
-	d.Sharers = noc.DestSet{}
+	d.SetSharers(noc.DestSet{})
 }
 
 // freeLine evicts a stable valid line, writing dirty data back to memory.
@@ -698,7 +700,7 @@ func (s *LLC) startEvictShared(line *Line) {
 // refetch can restore the push coverage the eviction destroyed.
 func (s *LLC) freeLine(line *Line) {
 	if s.pred != nil && line.State == StateLV {
-		s.pred.remember(line.Tag, s.arr.dirEntry(line).Sharers)
+		s.pred.remember(line.Tag, s.arr.dirWay(line).Sharers())
 	}
 	if line.Dirty {
 		s.send(coherence.Msg{Type: coherence.MemWrite, Addr: line.Tag, Requester: s.id,
@@ -720,7 +722,7 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	line.Version = m.Version
 	line.Dirty = false
 	line.LastUse = now
-	d := s.arr.dirEntry(line)
+	d := s.arr.dirWay(line)
 	if readers := s.txn(m.Addr).readers; len(readers) > 0 {
 		if s.cfg.Scheme.Coalesce {
 			var dests noc.DestSet
@@ -730,13 +732,13 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 					s.st.Cache.CoalescedRequests++
 				}
 			}
-			d.Sharers = d.Sharers.Union(dests)
+			d.SetSharers(d.Sharers().Union(dests))
 			s.send(coherence.Msg{Type: coherence.DataS, Addr: m.Addr,
 				Requester: readers[0], Version: line.Version}, dests, stats.UnitL2)
 		} else {
 			for _, r := range readers {
 				s.unicastDataS(line, d, r)
-				d.Sharers = d.Sharers.Add(r)
+				d.SetSharers(d.Sharers().Add(r))
 			}
 		}
 	}
@@ -746,7 +748,7 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	// longer knows about.
 	if s.pred != nil {
 		if predicted, ok := s.pred.predict(m.Addr); ok {
-			dests := predicted.Subtract(d.Sharers)
+			dests := predicted.Subtract(d.Sharers())
 			if s.cfg.Scheme.Knob {
 				dests = dests.Subtract(s.knob.pdr)
 			}
@@ -762,7 +764,7 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 					Type: coherence.PushData, Addr: line.Tag, Version: line.Version,
 					Requester: -1,
 				}, dests, stats.UnitL2)
-				d.Sharers = d.Sharers.Union(dests)
+				d.SetSharers(d.Sharers().Union(dests))
 				if s.cfg.Scheme.Protocol == config.ProtoPushAck {
 					d.Epoch++
 					line.State = StateLP
@@ -779,36 +781,43 @@ func (s *LLC) ForEachLine(f func(*Line)) { s.arr.ForEach(f) }
 // Line returns the slice's entry for lineAddr, or nil (checker use).
 func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Lookup(lineAddr) }
 
-// Dir returns the directory entry of line, a valid line of this slice
-// (checker and test use).
-func (s *LLC) Dir(line *Line) *DirEntry { return s.arr.dirEntry(line) }
+// Dir returns the directory of line, a valid line of this slice (checker and
+// test use).
+func (s *LLC) Dir(line *Line) DirWay { return s.arr.dirWay(line) }
 
-// Audit checks the slice's tag index against its lines, and its transaction
-// table against their states.
-func (s *LLC) Audit() error {
-	if err := s.arr.audit(); err != nil {
-		return err
-	}
-	return s.auditTxns()
-}
+// Audit checks the slice's tag index against its lines, and its directory
+// against their states; the index's failure is the one reported.
+func (s *LLC) Audit() error { return cmp.Or(s.arr.audit(), s.auditDirectory()) }
 
-// auditTxns checks that the records and the blocked lines are one to one —
-// each line in LS_Inv, LM_Inv, LP or LFetch has one record, and no other line
-// has any — and that each record is shaped as its line's state says. Restore
-// refuses a snapshot that fails it.
-func (s *LLC) auditTxns() error {
+// auditDirectory checks the directory against the lines' states and the mesh:
+// the transaction records and the blocked lines are one to one — each line in
+// LS_Inv, LM_Inv, LP or LFetch has one record, and no other line has any —
+// each record is shaped as its line's state says, and a valid line's sharers,
+// and its owner in LM or LM_Inv, are tiles. Restore refuses a snapshot that
+// fails it.
+func (s *LLC) auditDirectory() error {
+	tiles := s.cfg.Tiles()
 	for _, t := range s.txns {
 		line := s.arr.Lookup(t.addr)
 		if line == nil {
 			return fmt.Errorf("transaction record for absent line %#x", t.addr)
 		}
-		if why := t.shape(line.State, s.cfg.Tiles()); why != "" {
+		if why := t.shape(line.State, tiles); why != "" {
 			return fmt.Errorf("transaction record for line %#x in %v has %s", t.addr, line.State, why)
 		}
 	}
-	var err error
-	s.arr.ForEach(func(l *Line) {
-		if err == nil && l.State.Transient() {
+	// Only a way's last sharer word can name a non-tile (SetSharers refuses a
+	// bit past the words), in its bits from tiles-64*(words-1) up: none when
+	// the mesh fills the word, where the shift by 64 leaves 0.
+	words, shift := s.arr.sharerWords, uint(tiles-64*(s.arr.sharerWords-1))
+	for i := range s.arr.lines {
+		switch l, d, past := &s.arr.lines[i], &s.arr.dir[i], s.arr.sharers[(i+1)*words-1]>>shift; {
+		case l.State == StateI:
+		case past != 0:
+			return fmt.Errorf("line %#x has sharer %d past the %d-tile mesh", l.Tag, tiles+bits.TrailingZeros64(past), tiles)
+		case (l.State == StateLM || l.State == StateLMInv) && (d.Owner < 0 || int(d.Owner) >= tiles):
+			return fmt.Errorf("line %#x in %v has owner %d past the %d-tile mesh", l.Tag, l.State, d.Owner, tiles)
+		case l.State.Transient():
 			n := 0
 			for _, t := range s.txns {
 				if t.addr == l.Tag {
@@ -816,11 +825,11 @@ func (s *LLC) auditTxns() error {
 				}
 			}
 			if n != 1 {
-				err = fmt.Errorf("line %#x in %v has %d transaction records", l.Tag, l.State, n)
+				return fmt.Errorf("line %#x in %v has %d transaction records", l.Tag, l.State, n)
 			}
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // shape names the first field of t that contradicts st, its line's state, or
@@ -854,8 +863,8 @@ func (s *LLC) SetTraceShard(tr *trace.Shard) { s.tr = tr }
 // sharers-superset invariant is phrased against this view — any L2 actually
 // holding the line must appear in it.
 func (s *LLC) DirectoryView(line *Line) noc.DestSet {
-	d := s.arr.dirEntry(line)
-	view := d.Sharers
+	d := s.arr.dirWay(line)
+	view := d.Sharers()
 	switch line.State {
 	case StateLM, StateLMInv:
 		view = view.Add(d.Owner)

@@ -86,7 +86,7 @@ func (f *llcFixture) lineState(addr uint64) (State, noc.DestSet) {
 	var st State
 	var sh noc.DestSet
 	if l := f.llc.Line(addr); l != nil {
-		st, sh = l.State, f.llc.Dir(l).Sharers
+		st, sh = l.State, f.llc.Dir(l).Sharers()
 	}
 	return st, sh
 }
@@ -360,6 +360,43 @@ func TestLLCAuditDetectsTxnDrift(t *testing.T) {
 		}
 		if err := f.roundTrip(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: restore says %v, want a corrupt snapshot naming %q", tc.name, err, want)
+		}
+	}
+}
+
+// TestLLCAuditDetectsDirectoryPastMesh names a non-tile in a line's directory
+// each way the 16-tile table can hold one and requires both the audit and the
+// snapshot decoder to name it. The clean state is the line owned by tile 2.
+func TestLLCAuditDetectsDirectoryPastMesh(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(d DirWay, l *Line)
+	}{
+		{"sharer past the mesh", "has sharer 20 past the 16-tile mesh", func(d DirWay, l *Line) {
+			l.State = StateLV
+			d.SetSharers(noc.OneDest(3).Add(20))
+		}},
+		{"owner past the mesh", "in LM has owner 99 past the 16-tile mesh", func(d DirWay, l *Line) { d.Owner = 99 }},
+		// The directory is audited before the transaction table, so the missing
+		// recall record goes unreported.
+		{"negative owner under recall", "in LM_Inv has owner -1", func(d DirWay, l *Line) { l.State, d.Owner = StateLMInv, -1 }},
+	} {
+		f := newLLCFixture(t, config.NoPrefetch())
+		f.fill(2)
+		f.deliver(&coherence.Msg{Type: coherence.GetM, Addr: lineB, Requester: 2}, 2)
+		line := f.llc.Line(lineB)
+		if line == nil || line.State != StateLM || f.llc.Dir(line).Owner != 2 {
+			t.Fatalf("%s: setup did not leave the line owned by tile 2", tc.name)
+		}
+		if err := f.llc.Audit(); err != nil {
+			t.Fatalf("%s: audit dirty before the corruption: %v", tc.name, err)
+		}
+		tc.corrupt(f.llc.Dir(line), line)
+		if err := f.llc.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit says %v, want %q", tc.name, err, tc.want)
+		}
+		if err := f.roundTrip(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore says %v, want a corrupt snapshot naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -12,12 +12,14 @@ import (
 // its state byte alone: its stale metadata is never read, so it is not state,
 // and leaving it out makes two arrays that behave alike serialize alike
 // whatever lines they held before. A valid way of a directory array carries
-// its directory entry after the line. Decoding targets a freshly built array,
-// whose free ways are the zero Line. Geometry comes from the config
-// fingerprint, so it is only checked.
+// its directory after the line, the sharer set as four words whatever the
+// mesh size. Decoding targets a freshly built array, whose free ways are the
+// zero Line. Geometry comes from the config fingerprint, so it is only
+// checked.
 func (a *Array) state(c *snapshot.Codec) {
 	c.Mark(&a.lines)
 	c.Mark(&a.dir)
+	c.Mark(&a.sharers)
 	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
 	for i := range a.lines {
@@ -32,8 +34,12 @@ func (a *Array) state(c *snapshot.Codec) {
 		c.Bool(&l.Accessed)
 		snapshot.AsU64(c, &l.LastUse)
 		if a.dir != nil {
-			d := &a.dir[i]
-			c.U64s(d.Sharers[:])
+			d := a.dirAt(i)
+			s := d.Sharers()
+			c.U64s(s[:])
+			if past := s.Subtract(s.Mask(64 * copy(d.words, s[:]))); !past.Empty() {
+				c.Corrupt("line %#x has sharer %d past the mesh", l.Tag, past.First())
+			}
 			snapshot.AsU32(c, &d.Owner)
 			c.U32(&d.Epoch)
 		}
@@ -154,7 +160,7 @@ func (s *LLC) State(c *snapshot.Codec) {
 	})
 	if c.Decoding() {
 		increasing(c, "transaction", len(s.txns), func(i int) uint64 { return s.txns[i].addr })
-		if err := s.auditTxns(); err != nil {
+		if err := s.auditDirectory(); err != nil {
 			c.Corrupt("%v", err)
 		}
 	}

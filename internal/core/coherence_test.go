@@ -115,12 +115,12 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 			hide(b)
 			a.State, dir.State, de.Owner = cache.StateSMD, cache.StateLM, tileA
 		}, ""},
-		{"S copy the directory lost track of", func() { de.Sharers = de.Sharers.Remove(tileB) },
+		{"S copy the directory lost track of", func() { de.SetSharers(de.Sharers().Remove(tileB)) },
 			fmt.Sprintf("directory not a sharer superset: %scached S at tile %d", line, tileB)},
 		{"stale S version", func() { b.Version++ },
 			fmt.Sprintf("%sstale S copy at tile %d (version %d, directory %d)", line, tileB, b.Version+1, dir.Version)},
 	} {
-		saved, savedDir := []cache.Line{*a, *b, *dir}, *de
+		saved, savedDir, savedSharers := []cache.Line{*a, *b, *dir}, *de.DirEntry, de.Sharers()
 		for _, l := range others {
 			saved = append(saved, *l)
 			hide(l)
@@ -137,7 +137,8 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 		case !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: sweep says %q, want %q", tc.name, err, tc.want)
 		}
-		*a, *b, *dir, *de = saved[0], saved[1], saved[2], savedDir
+		*a, *b, *dir, *de.DirEntry = saved[0], saved[1], saved[2], savedDir
+		de.SetSharers(savedSharers)
 		for i, l := range others {
 			*l = saved[3+i]
 		}

@@ -61,7 +61,7 @@ func (d *driver) dirState(addr uint64) (cache.State, noc.DestSet, uint64) {
 	var sharers noc.DestSet
 	var ver uint64
 	if l := d.sys.LLCs[home].Line(addr); l != nil {
-		st, sharers, ver = l.State, d.sys.LLCs[home].Dir(l).Sharers, l.Version
+		st, sharers, ver = l.State, d.sys.LLCs[home].Dir(l).Sharers(), l.Version
 	}
 	return st, sharers, ver
 }

@@ -210,51 +210,53 @@ func TestCollectiveNonParticipantsIdle(t *testing.T) {
 	}
 }
 
+// collectiveBuilders are the family's constructors in collectiveKind order.
+var collectiveBuilders = []func(CollectiveParams) Workload{AllReduce, Broadcast, ReduceScatter, ProdCons}
+
+// collectiveCases is the degenerate-parameter sweep: TestCollectiveValidate's
+// table and FuzzCollectiveParams's seeds.
+var collectiveCases = []struct {
+	name  string
+	kind  collectiveKind
+	p     CollectiveParams
+	cores int
+	want  string // "" = must validate cleanly
+}{
+	{"allreduce defaults", colAllReduce, CollectiveParams{}, 16, ""},
+	{"broadcast defaults", colBroadcast, CollectiveParams{}, 16, ""},
+	{"reducescatter defaults", colReduceScatter, CollectiveParams{}, 16, ""},
+	{"prodcons defaults", colProdCons, CollectiveParams{}, 16, ""},
+	{"explicit consistent params", colAllReduce,
+		CollectiveParams{Sharers: 8, Fanout: 2, ChunkLines: 8, PayloadLines: 256, Iters: 2}, 16, ""},
+	{"negative sharers", colAllReduce, CollectiveParams{Sharers: -1}, 16, "Sharers -1 is negative"},
+	{"negative fanout", colBroadcast, CollectiveParams{Fanout: -4}, 16, "Fanout -4 is negative"},
+	{"negative chunk", colProdCons, CollectiveParams{ChunkLines: -16}, 16, "ChunkLines -16 is negative"},
+	{"negative payload", colReduceScatter, CollectiveParams{PayloadLines: -256}, 16, "PayloadLines -256 is negative"},
+	{"zero-iteration loop", colAllReduce, CollectiveParams{Iters: -3}, 16, "Iters -3 is negative"},
+	{"sharers exceed cores", colAllReduce, CollectiveParams{Sharers: 32}, 16, "32 sharers exceed the 16-core machine"},
+	{"one sharer cannot ring", colAllReduce, CollectiveParams{Sharers: 1}, 16, "below the minimum 2"},
+	{"broadcast radix one", colBroadcast, CollectiveParams{Fanout: 1}, 16, "must be at least 2"},
+	{"too many ring channels", colAllReduce, CollectiveParams{Sharers: 4, Fanout: 4}, 16, "ring channels"},
+	{"prodcons group mismatch", colProdCons, CollectiveParams{Sharers: 16, Fanout: 2}, 16,
+		"do not split into groups of 3"},
+	{"prodcons too few for one group", colProdCons, CollectiveParams{Sharers: 2}, 16, "below the minimum 4"},
+	{"chunk does not divide payload", colBroadcast, CollectiveParams{ChunkLines: 7, PayloadLines: 100}, 16,
+		"chunk size 7 lines does not divide the 100-line payload"},
+	{"chunks do not distribute across sharers", colAllReduce,
+		CollectiveParams{Sharers: 16, ChunkLines: 16, PayloadLines: 16 * 8}, 16, "do not distribute across 16 sharers"},
+	{"chunk groups do not split across channels", colReduceScatter,
+		CollectiveParams{Sharers: 8, Fanout: 3, ChunkLines: 16, PayloadLines: 16 * 8 * 4}, 16,
+		"do not split across 3 ring channels"},
+	{"small machine still works", colProdCons, CollectiveParams{Fanout: 3}, 4, ""},
+}
+
 // TestCollectiveValidate is the table-driven error-text regression for the
 // degenerate-parameter sweep: every bad combination yields a one-line
 // diagnostic naming the offending knob; zero values are always valid.
 func TestCollectiveValidate(t *testing.T) {
-	build := map[string]func(CollectiveParams) Workload{
-		"allreduce": AllReduce, "broadcast": Broadcast,
-		"reducescatter": ReduceScatter, "prodcons": ProdCons,
-	}
-	cases := []struct {
-		name  string
-		kind  string
-		p     CollectiveParams
-		cores int
-		want  string // "" = must validate cleanly
-	}{
-		{"allreduce defaults", "allreduce", CollectiveParams{}, 16, ""},
-		{"broadcast defaults", "broadcast", CollectiveParams{}, 16, ""},
-		{"reducescatter defaults", "reducescatter", CollectiveParams{}, 16, ""},
-		{"prodcons defaults", "prodcons", CollectiveParams{}, 16, ""},
-		{"explicit consistent params", "allreduce",
-			CollectiveParams{Sharers: 8, Fanout: 2, ChunkLines: 8, PayloadLines: 256, Iters: 2}, 16, ""},
-		{"negative sharers", "allreduce", CollectiveParams{Sharers: -1}, 16, "Sharers -1 is negative"},
-		{"negative fanout", "broadcast", CollectiveParams{Fanout: -4}, 16, "Fanout -4 is negative"},
-		{"negative chunk", "prodcons", CollectiveParams{ChunkLines: -16}, 16, "ChunkLines -16 is negative"},
-		{"negative payload", "reducescatter", CollectiveParams{PayloadLines: -256}, 16, "PayloadLines -256 is negative"},
-		{"zero-iteration loop", "allreduce", CollectiveParams{Iters: -3}, 16, "Iters -3 is negative"},
-		{"sharers exceed cores", "allreduce", CollectiveParams{Sharers: 32}, 16, "32 sharers exceed the 16-core machine"},
-		{"one sharer cannot ring", "allreduce", CollectiveParams{Sharers: 1}, 16, "below the minimum 2"},
-		{"broadcast radix one", "broadcast", CollectiveParams{Fanout: 1}, 16, "must be at least 2"},
-		{"too many ring channels", "allreduce", CollectiveParams{Sharers: 4, Fanout: 4}, 16, "ring channels"},
-		{"prodcons group mismatch", "prodcons", CollectiveParams{Sharers: 16, Fanout: 2}, 16,
-			"do not split into groups of 3"},
-		{"prodcons too few for one group", "prodcons", CollectiveParams{Sharers: 2}, 16, "below the minimum 4"},
-		{"chunk does not divide payload", "broadcast", CollectiveParams{ChunkLines: 7, PayloadLines: 100}, 16,
-			"chunk size 7 lines does not divide the 100-line payload"},
-		{"chunks do not distribute across sharers", "allreduce",
-			CollectiveParams{Sharers: 16, ChunkLines: 16, PayloadLines: 16 * 8}, 16, "do not distribute across 16 sharers"},
-		{"chunk groups do not split across channels", "reducescatter",
-			CollectiveParams{Sharers: 8, Fanout: 3, ChunkLines: 16, PayloadLines: 16 * 8 * 4}, 16,
-			"do not split across 3 ring channels"},
-		{"small machine still works", "prodcons", CollectiveParams{Fanout: 3}, 4, ""},
-	}
-	for _, tc := range cases {
+	for _, tc := range collectiveCases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := build[tc.kind](tc.p).Validate(tc.cores)
+			err := collectiveBuilders[tc.kind](tc.p).Validate(tc.cores)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid params rejected: %v", err)
@@ -272,6 +274,51 @@ func TestCollectiveValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCollectiveParams turns fuzz bytes into a collective and its five
+// parameters and holds Validate and Build to one contract at 16 and 64
+// cores: a refusal is one line, and accepted parameters build a stream on
+// every core that does not panic, touches only line-aligned addresses, and
+// reaches as many barriers as every other core's. Parameters whose streams
+// outgrow the op budget are accepted unchecked.
+func FuzzCollectiveParams(f *testing.F) {
+	for _, tc := range collectiveCases {
+		p := tc.p
+		f.Add(uint8(tc.kind), int16(p.Sharers), int16(p.Fanout), int16(p.ChunkLines), int16(p.PayloadLines), int16(p.Iters))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, sharers, fanout, chunk, payload, iters int16) {
+		p := CollectiveParams{Sharers: int(sharers), Fanout: int(fanout), ChunkLines: int(chunk),
+			PayloadLines: int(payload), Iters: int(iters)}
+		wl := collectiveBuilders[int(kind)%len(collectiveBuilders)](p)
+		for _, cores := range []int{16, 64} {
+			if err := wl.Validate(cores); err != nil {
+				if strings.Contains(err.Error(), "\n") {
+					t.Fatalf("%s %+v at %d cores: diagnostic is not a single line: %q", wl.Name, p, cores, err)
+				}
+				continue
+			}
+			budget, want := 1<<20, -1
+			for core := 0; core < cores; core++ {
+				s, barriers := wl.Build(core, cores, ScaleTiny), 0
+				for op := s.Next(); op.Kind != OpEnd; op = s.Next() {
+					if budget--; budget == 0 {
+						return
+					}
+					switch {
+					case op.Kind == OpBarrier:
+						barriers++
+					case (op.Kind == OpLoad || op.Kind == OpStore) && op.Addr%noc.LineBytes != 0:
+						t.Fatalf("%s %+v at %d cores: core %d touches unaligned %#x", wl.Name, p, cores, core, op.Addr)
+					}
+				}
+				if want >= 0 && barriers != want {
+					t.Fatalf("%s %+v at %d cores: core %d reaches %d barriers, core 0 %d", wl.Name, p, cores, core, barriers, want)
+				}
+				want = barriers
+			}
+		}
+	})
 }
 
 // TestCollectiveBuildPanicsUnvalidated: Build must fail loudly, not emit a

@@ -101,6 +101,11 @@ var crafted = []struct {
 	// type), in the message. The busy router's first buffered packet starts 29
 	// bytes into its first entry; give its message another line.
 	{"message for another line than its packet's", "noc.router", -1, 129, 0xdead0040},
+	// A sharer the 16-tile directory has no word for: the first slice's first
+	// way holds a valid line, whose four sharer words follow 16 bytes of
+	// geometry, the state byte, tag, version, three flags and last use. Bit 8
+	// of the fourth word is tile 200.
+	{"directory sharer past the mesh", "cache.llc", 0, 68, 1 << 8},
 }
 
 const craftedFrom = 1 // bfs tiny/16 Baseline @ 2000
