@@ -24,8 +24,9 @@ func benchOpts(wls ...string) ExpOptions {
 // the 16-core machine under the wake-driven kernel, build included (1,879
 // while the L2's MSHR file was a map over a slab pool, 1,671 while each LLC
 // slice kept its episodes, fetches and stalled packets in three maps, 1,575
-// before each slice's sharer sets moved into a table of their own).
-const allocBudget = 1591
+// before each slice's sharer sets moved into a table of their own, 1,591
+// while every NI kept its own packet free list).
+const allocBudget = 1387
 
 // TestAllocBudget is the tripwire for allocations creeping back into the hot
 // path: the count is deterministic enough for a hard gate where wall-clock is
@@ -44,10 +45,11 @@ func TestAllocBudget(t *testing.T) {
 
 // buildBytesPerTile is the recorded heap allocation of one cachebw/OrdPush
 // core.Build at each mesh size, divided by its tile count. Most of it is
-// cache arrays: an LLC way costs a 32-byte Line, an 8-byte tag entry, an
-// 8-byte DirEntry and one sharer word per 64 tiles (112.5 KB a tile at every
-// size while each way held a 256-bit sharer vector).
-var buildBytesPerTile = map[int]uint64{16: 88045, 64: 87839, 256: 112338}
+// cache arrays: an LLC way costs a 24-byte Line, its 8-byte tag, an 8-byte
+// DirEntry and one sharer word per 64 tiles (112.5 KB a tile at every size
+// while each way held a 256-bit sharer vector; 88,045 / 87,839 / 112,338
+// while each Line held a second copy of its tag).
+var buildBytesPerTile = map[int]uint64{16: 77519, 64: 77310, 256: 101833}
 
 // TestBuildBytesPerTile is TestAllocBudget's byte-side twin: an allocation
 // count does not notice a table whose entries grow, so this gates the bytes
@@ -71,6 +73,51 @@ func TestBuildBytesPerTile(t *testing.T) {
 		t.Logf("%d tiles: %d bytes a tile (recorded %d)", tiles, got, want)
 		if got > want+want/20 {
 			t.Errorf("%d tiles: one build allocates %d bytes a tile, more than 5%% over the recorded %d; if the growth is intended, re-record buildBytesPerTile in bench_test.go", tiles, got, want)
+		}
+	}
+}
+
+// runBytes is the recorded heap allocation, in bytes, of one System.Run
+// after core.Build on the 16-core machine at tiny scale: cachebw under
+// OrdPush, and bfs under OrdPush at 10 per mille loss (fault seed 1). Most of
+// it is packet slabs and, in the lossy run, the recovery layer's retransmit
+// windows (725,400 and 1,006,920 bytes while every NI kept its own packet
+// free list).
+var runBytes = map[string]uint64{"cachebw": 91520, "bfs lossy": 509248}
+
+// TestRunBytes is TestBuildBytesPerTile's run-side twin: it gates the bytes
+// a run allocates once its machine is built, at 5% over the recorded figure,
+// so packet slabs and protocol tables that grow where a run should recycle
+// them fail here.
+func TestRunBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name, wl string
+		lossy    int
+	}{{"cachebw", "cachebw", 0}, {"bfs lossy", "bfs", 10}} {
+		cfg := ScaledConfig(Default16()).WithScheme(OrdPush())
+		if tc.lossy > 0 {
+			plan := GenerateLossyPlan(cfg.Tiles(), 1, tc.lossy)
+			cfg.Faults = &plan
+		}
+		wl, err := workload.ByName(tc.wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.Build(cfg, wl, ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := sys.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got, want := after.TotalAlloc-before.TotalAlloc, runBytes[tc.name]
+		t.Logf("%s: one run allocates %d bytes (recorded %d)", tc.name, got, want)
+		if got > want+want/20 {
+			t.Errorf("%s: one run allocates %d bytes, more than 5%% over the recorded %d; if the growth is intended, re-record runBytes in bench_test.go", tc.name, got, want)
 		}
 	}
 }

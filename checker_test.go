@@ -47,12 +47,12 @@ func TestCheckerDetectsCorruptedSharerSet(t *testing.T) {
 	corrupted := 0
 	for _, l2 := range sys.L2s {
 		id := l2.ID()
-		l2.ForEachLine(func(l *cache.Line) {
+		l2.ForEachLine(func(addr uint64, l *cache.Line) {
 			if l.State != cache.StateS {
 				return
 			}
-			llc := sys.LLCs[sys.Cfg.HomeSlice(l.Tag)]
-			if d := llc.Line(l.Tag); d != nil && llc.Dir(d).Sharers().Has(id) {
+			llc := sys.LLCs[sys.Cfg.HomeSlice(addr)]
+			if d := llc.Line(addr); d != nil && llc.Dir(d).Sharers().Has(id) {
 				llc.Dir(d).SetSharers(llc.Dir(d).Sharers().Remove(id))
 				corrupted++
 			}

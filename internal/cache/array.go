@@ -7,6 +7,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
@@ -78,12 +79,11 @@ func (s State) Transient() bool {
 	return false
 }
 
-// Line is one cache line's tag, state, and metadata: what every way of every
-// cache holds. Three words, then four bytes — 32 bytes a way. The directory
+// Line is one cache line's state and metadata: what every way of every
+// cache holds besides its address, which only its array's tag index keeps
+// (Array.Tag). Two words, then four bytes — 24 bytes a way. The directory
 // words of an LLC way live beside it in its array's directory tables.
 type Line struct {
-	// Tag is the full line address (64-byte aligned); valid when State != I.
-	Tag uint64
 	// Version is the line's write serial number (the simulated data value).
 	Version uint64
 	// LastUse drives LRU replacement.
@@ -131,11 +131,11 @@ func (d DirWay) SetSharers(s noc.DestSet) {
 }
 
 // Array is a set-associative cache structure. Lines are stored set after
-// set; tags is the compact per-set index a lookup reads instead of the lines
-// themselves (a set's ways*8 bytes against ways*32): tags[i] is lines[i].Tag
-// while lines[i] is valid and noTag while its State is I. Install and
-// Invalidate are the only writers of a line's validity and keep the two in
-// step; reindex rebuilds tags from lines and audit compares the two. A
+// set; tags[i] is way i's line address while lines[i] is valid and noTag
+// while its State is I. It is the only copy of a way's tag, and the compact
+// per-set index a lookup reads instead of the lines themselves (a set's
+// ways*8 bytes against ways*24). Install and Invalidate are the only writers
+// of a way's validity and keep the two in step; audit checks them. A
 // directory array also holds way i's directory entry dir[i] and its sharer
 // words; a private cache's array has neither.
 type Array struct {
@@ -144,11 +144,11 @@ type Array struct {
 	// sharers[i*sharerWords:(i+1)*sharerWords] is way i's sharer set in a
 	// directory array.
 	sharers     []uint64
-	sharerWords int      `snap:"-,config"`
-	tags        []uint64 `snap:"-,derived: lines[i].Tag where lines[i].State != StateI"`
-	setMask     uint64   `snap:"-,config"`
-	setShift    uint     `snap:"-,config"`
-	ways        int      `snap:"-,config"`
+	sharerWords int `snap:"-,config"`
+	tags        []uint64
+	setMask     uint64 `snap:"-,config"`
+	setShift    uint   `snap:"-,config"`
+	ways        int    `snap:"-,config"`
 }
 
 // noTag marks a free way in Array.tags. Line addresses are line-aligned, so
@@ -198,7 +198,7 @@ func newDirectoryArray(sizeBytes, ways, tiles int) *Array {
 }
 
 // dirWay returns the directory of l, a valid way of a directory array.
-func (a *Array) dirWay(l *Line) DirWay { return a.dirAt(a.way(l, l.Tag)) }
+func (a *Array) dirWay(l *Line) DirWay { return a.dirAt(a.index(l)) }
 
 // dirAt returns the directory of way i.
 func (a *Array) dirAt(i int) DirWay {
@@ -243,36 +243,41 @@ func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
 	return best
 }
 
-// ForEach visits every non-invalid line.
-func (a *Array) ForEach(f func(*Line)) {
+// ForEach visits every valid line with its address.
+func (a *Array) ForEach(f func(addr uint64, l *Line)) {
 	for i, t := range a.tags {
 		if t != noTag {
-			f(&a.lines[i])
+			f(t, &a.lines[i])
 		}
 	}
 }
 
-// way returns the index in lines of l, a way of lineAddr's set.
-func (a *Array) way(l *Line, lineAddr uint64) int {
-	base := a.base(lineAddr)
-	for i := base; i < base+a.ways; i++ {
-		if &a.lines[i] == l {
-			return i
-		}
+// index returns the offset in lines of l, a way of this array: one pointer
+// subtraction behind a bounds check. A *Line inside lines' memory can only
+// be one of its elements, and one outside it (below it, the subtraction
+// wraps) is out of bounds. It is the array's only use of unsafe.
+func (a *Array) index(l *Line) int {
+	i := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(a.lines)))) / unsafe.Sizeof(Line{})
+	if i >= uintptr(len(a.lines)) {
+		panic("cache: line is not a way of this array")
 	}
-	panic(fmt.Sprintf("cache: line is not a way of %#x's set", lineAddr))
+	return int(i)
 }
+
+// Tag returns the address of the line l, a way of this array, holds (noTag
+// while the way is free).
+func (a *Array) Tag(l *Line) uint64 { return a.tags[a.index(l)] }
 
 // Install claims the given line struct, a way of lineAddr's set, for
 // lineAddr, resetting metadata (and, in a directory array, the way's
 // directory entry).
 func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
-	if st == StateI || lineAddr == noTag {
-		panic(fmt.Sprintf("cache: installing %#x in state %v", lineAddr, st))
+	w := a.index(l)
+	if st == StateI || lineAddr == noTag || a.base(lineAddr) != w-w%a.ways {
+		panic(fmt.Sprintf("cache: installing %#x in state %v in way %d", lineAddr, st, w))
 	}
-	w := a.way(l, lineAddr)
 	a.tags[w] = lineAddr
-	*l = Line{Tag: lineAddr, State: st, LastUse: now}
+	*l = Line{State: st, LastUse: now}
 	if a.dir != nil {
 		a.dir[w] = DirEntry{}
 		clear(a.dirAt(w).words)
@@ -282,41 +287,29 @@ func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
 // Invalidate frees the way holding the valid line l. The rest of the line
 // is left as it was: a free way's metadata is never read.
 func (a *Array) Invalidate(l *Line) {
-	a.tags[a.way(l, l.Tag)] = noTag
+	a.tags[a.index(l)] = noTag
 	l.State = StateI
 }
 
-// indexed returns what tags[i] restates: way i's address while its line is
-// valid, noTag while it is free.
-func (a *Array) indexed(i int) uint64 {
-	if l := &a.lines[i]; l.State != StateI {
-		return l.Tag
-	}
-	return noTag
-}
-
-// reindex rebuilds tags from the lines (after a snapshot decode wrote them).
-func (a *Array) reindex() {
-	for i := range a.tags {
-		a.tags[i] = a.indexed(i)
-	}
-}
-
-// audit checks the tag index against the lines it summarizes: a way is
-// tagged with what reindex would tag it, every valid line sits in the set
-// its address maps to, and no set holds an address twice.
+// audit checks the tag index against the lines' states: a way is tagged
+// while its line is valid and only then, and every tag is a line address
+// of the way's set that no other way of the set holds. The snapshot decoder
+// runs it on every array it fills.
 func (a *Array) audit() error {
 	for set := 0; set < len(a.tags); set += a.ways {
 		for i := set; i < set+a.ways; i++ {
-			t := a.tags[i]
-			switch want := a.indexed(i); {
-			case want == noTag && t != noTag:
-				return fmt.Errorf("way %d is free but indexed as %#x", i, t)
-			case want == noTag:
+			t, st := a.tags[i], a.lines[i].State
+			switch {
+			case st == StateI && t != noTag:
+				return fmt.Errorf("way %d is free but tagged %#x", i, t)
+			case st == StateI:
 				continue
-			case t != want || a.base(t) != set:
-				l := &a.lines[i]
-				return fmt.Errorf("way %d holds %#x (%v) but is indexed as %#x", i, l.Tag, l.State, t)
+			case t == noTag:
+				return fmt.Errorf("way %d holds a line in %v but no tag", i, st)
+			case t%noc.LineBytes != 0:
+				return fmt.Errorf("way %d is tagged %#x, not a line address", i, t)
+			case a.base(t) != set:
+				return fmt.Errorf("way %d is tagged %#x, a line of another set", i, t)
 			}
 			for j := set; j < i; j++ {
 				if a.tags[j] == t {

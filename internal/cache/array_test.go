@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,12 +17,13 @@ import (
 )
 
 // TestLineLayout pins what Line's field order is for: a way of any cache is
-// three words and four bytes, and the directory words are the LLC's alone —
+// two words and four bytes (its tag lives once, in the array's index), and
+// the directory words are the LLC's alone —
 // a directory array keeps an 8-byte entry and one sharer word per 64 tiles
 // beside each way, a private array neither.
 func TestLineLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Line{}); size != 32 {
-		t.Errorf("Line is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(Line{}); size != 24 {
+		t.Errorf("Line is %d bytes, want 24", size)
 	}
 	if size := unsafe.Sizeof(DirEntry{}); size != 8 {
 		t.Errorf("DirEntry is %d bytes, want 8", size)
@@ -91,9 +93,37 @@ func TestArrayLookupInstall(t *testing.T) {
 	}
 	a.Install(v, 0x1000, StateS, 5)
 	got := a.Lookup(0x1000)
-	if got == nil || got.State != StateS || got.Tag != 0x1000 || got.LastUse != 5 {
+	if got == nil || got.State != StateS || a.Tag(got) != 0x1000 || got.LastUse != 5 {
 		t.Fatalf("installed line wrong: %+v", got)
 	}
+}
+
+// TestArrayIndexRefusesForeignLine: a line's tag is found by its offset in
+// the array, so a line that is not one of the array's ways panics rather than
+// read another way's tag, and so does installing a line in a way of another
+// set.
+func TestArrayIndexRefusesForeignLine(t *testing.T) {
+	a, b := NewArray(4*64, 4), NewArray(4*64, 4)
+	for name, l := range map[string]*Line{"another array's way": &b.lines[0], "a loose line": new(Line)} {
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != "cache: line is not a way of this array" {
+					t.Errorf("Tag of %s says %v, want a panic", name, r)
+				}
+			}()
+			a.Tag(l)
+		}()
+	}
+	if a.Tag(&a.lines[3]) != noTag {
+		t.Error("a free way is tagged")
+	}
+	two := NewArray(2*4*64, 4) // line 0x40 maps to set 1, ways 4-7
+	defer func() {
+		if r := recover(); fmt.Sprint(r) != "cache: installing 0x40 in state S in way 0" {
+			t.Errorf("installing a line in another set's way says %v, want a panic", r)
+		}
+	}()
+	two.Install(&two.lines[0], 0x40, StateS, 0)
 }
 
 func TestArrayLRUVictim(t *testing.T) {
@@ -103,8 +133,8 @@ func TestArrayLRUVictim(t *testing.T) {
 		a.Install(v, uint64(i*64), StateS, sim.Cycle(10+5*i))
 	}
 	v := a.Victim(0x4000, func(*Line) bool { return true })
-	if v.Tag != 0 {
-		t.Fatalf("LRU victim should be line 0 (oldest), got %#x", v.Tag)
+	if a.Tag(v) != 0 {
+		t.Fatalf("LRU victim should be line 0 (oldest), got %#x", a.Tag(v))
 	}
 }
 
@@ -141,7 +171,7 @@ func TestArrayLookupConsistency(t *testing.T) {
 		for _, raw := range addrs {
 			addr := uint64(raw) * 64
 			if l := a.Lookup(addr); l != nil {
-				if l.Tag != addr {
+				if a.Tag(l) != addr {
 					return false
 				}
 				continue
@@ -151,7 +181,7 @@ func TestArrayLookupConsistency(t *testing.T) {
 				return false
 			}
 			a.Install(v, addr, StateS, 0)
-			if got := a.Lookup(addr); got == nil || got.Tag != addr {
+			if got := a.Lookup(addr); got == nil || a.Tag(got) != addr {
 				return false
 			}
 		}
@@ -186,19 +216,20 @@ func TestArrayForEach(t *testing.T) {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateS, 0)
 	}
-	n := 0
-	a.ForEach(func(*Line) { n++ })
-	if n != 3 {
-		t.Fatalf("ForEach visited %d lines, want 3", n)
+	var addrs []uint64
+	a.ForEach(func(addr uint64, _ *Line) { addrs = append(addrs, addr) })
+	if !reflect.DeepEqual(addrs, []uint64{0x00, 0x40, 0x80}) {
+		t.Fatalf("ForEach visited %#x, want 0x0, 0x40, 0x80", addrs)
 	}
 }
 
 // TestArrayTagIndexAgainstLinearScan drives small arrays with random
 // Install / Invalidate / state-change / Lookup / Victim / ForEach sequences
 // and compares every answer with a reference that does what the array did
-// before it had a tag index: scan the lines of the set. The index must be
-// invisible — same way for every lookup, same victim, same visiting order —
-// and audit must stay clean after every operation.
+// before it had a tag index: scan the lines of the set, each tagged in a
+// shadow map the reference keeps itself. The index must be invisible — same
+// way for every lookup, same victim, same visiting order and addresses — and
+// audit must stay clean after every operation.
 func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 	states := []State{StateS, StateM, StateISD, StateSMD, StateLV, StateLM}
 	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}} {
@@ -208,9 +239,10 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			b := a.base(addr)
 			return a.lines[b : b+a.ways]
 		}
+		shadow := map[*Line]uint64{}
 		refLookup := func(addr uint64) *Line {
 			for i, s := 0, set(addr); i < len(s); i++ {
-				if s[i].State != StateI && s[i].Tag == addr {
+				if s[i].State != StateI && shadow[&s[i]] == addr {
 					return &s[i]
 				}
 			}
@@ -253,6 +285,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				}
 				if v != nil {
 					a.Install(v, addr, states[rng.Intn(len(states))], now)
+					shadow[v] = addr
 				}
 			case rng.Intn(3) == 0:
 				a.Invalidate(got)
@@ -268,7 +301,12 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			}
 			if op%64 == 0 {
 				var visited []*Line
-				a.ForEach(func(l *Line) { visited = append(visited, l) })
+				a.ForEach(func(addr uint64, l *Line) {
+					if addr != shadow[l] || addr != a.Tag(l) {
+						t.Fatalf("%+v op %d: ForEach names %#x a line installed as %#x", geom, op, addr, shadow[l])
+					}
+					visited = append(visited, l)
+				})
 				k := 0
 				for i := range a.lines {
 					if a.lines[i].State == StateI {
@@ -287,8 +325,9 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 	}
 }
 
-// TestArrayAuditDetectsIndexDrift writes a line's validity behind the
-// index's back, each way it can go wrong, and requires audit to say so.
+// TestArrayAuditDetectsIndexDrift writes a line's validity or its tag behind
+// Install's and Invalidate's back, each way it can go wrong, and requires
+// audit to say so.
 func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 	fill := func() (*Array, *Line) {
 		a := NewArray(4*4*64, 4)
@@ -302,12 +341,13 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 		corrupt func(a *Array, l *Line)
 		want    string
 	}{
-		{"state freed directly", func(a *Array, l *Line) { l.State = StateI }, "free but indexed"},
-		{"state set directly", func(a *Array, l *Line) { a.Invalidate(l); l.State = StateS }, "indexed as"},
-		{"tag rewritten", func(a *Array, l *Line) { l.Tag = 0x200 }, "indexed as"},
+		{"state freed directly", func(a *Array, l *Line) { l.State = StateI }, "free but tagged"},
+		{"state set directly", func(a *Array, l *Line) { a.Invalidate(l); l.State = StateS }, "no tag"},
+		{"tag not a line address", func(a *Array, l *Line) { a.tags[a.index(l)] = 0x101 }, "not a line address"},
+		{"tag of another set", func(a *Array, l *Line) { a.tags[a.index(l)] = 0x140 }, "another set"},
 		{"installed in the wrong set", func(a *Array, l *Line) {
 			a.tags[a.base(0x040)+1], a.lines[a.base(0x040)+1] = 0x100, *l
-		}, "indexed as"},
+		}, "another set"},
 		{"duplicate in a set", func(a *Array, l *Line) {
 			a.tags[a.base(0x100)+2], a.lines[a.base(0x100)+2] = 0x100, *l
 		}, "valid in ways"},
@@ -324,9 +364,9 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 }
 
 // TestArrayStateIsCanonical: a way that held a line and lost it serializes
-// like a way that never held one — its stale tag, version and directory bits
-// are never read again, so they are not state — and decodes to the zero Line
-// with the index rebuilt.
+// like a way that never held one — its stale version and directory bits are
+// never read again, so they are not state — and decodes to the zero Line,
+// untagged.
 func TestArrayStateIsCanonical(t *testing.T) {
 	encode := func(a *Array) []byte {
 		c := snapshot.NewEncoder("", "", 0)
@@ -362,5 +402,37 @@ func TestArrayStateIsCanonical(t *testing.T) {
 		!reflect.DeepEqual(back.sharers, fresh.sharers) ||
 		back.Lookup(0x040) == nil || back.Lookup(0x100) != nil {
 		t.Fatal("decoded array differs from the one that never held the freed line")
+	}
+}
+
+// TestArrayDecodeRefusesBadTags: the decoder audits every array it fills, so
+// a valid way whose tag is missing, is not a line address, belongs to another
+// set or repeats in its own is corrupt.
+func TestArrayDecodeRefusesBadTags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tag  uint64
+		want string
+	}{
+		{"missing", noTag, "no tag"},
+		{"not a line address", 0x101, "not a line address"},
+		{"of another set", 0x140, "another set"},
+		{"repeated in its set", 0x000, "valid in ways"},
+	} {
+		a := NewArray(4*4*64, 4)
+		for _, addr := range []uint64{0x000, 0x100} {
+			a.Install(a.Victim(addr, nil), addr, StateS, 0)
+		}
+		a.tags[a.index(a.Lookup(0x100))] = tc.tag
+		enc := snapshot.NewEncoder("", "", 0)
+		a.state(enc)
+		c, err := snapshot.NewDecoder(enc.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		NewArray(4*4*64, 4).state(c)
+		if err := c.Err(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s tag: decoder says %v, want a corrupt %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -54,5 +54,6 @@ func (l *L1) Invalidate(lineAddr uint64) {
 // Present reports whether the line is cached.
 func (l *L1) Present(lineAddr uint64) bool { return l.arr.Lookup(lineAddr) != nil }
 
-// ForEach visits every valid line (inclusion checks and tests).
-func (l *L1) ForEach(f func(*Line)) { l.arr.ForEach(f) }
+// ForEach visits every valid line with its address (inclusion checks and
+// tests).
+func (l *L1) ForEach(f func(addr uint64, line *Line)) { l.arr.ForEach(f) }

@@ -524,16 +524,17 @@ func (c *L2) evict(l *Line, now sim.Cycle) {
 	if l.State == StateI {
 		return
 	}
+	addr := c.arr.Tag(l)
 	if l.State.Transient() {
-		panic(fmt.Sprintf("L2 %d: evicting transient line %#x in %v", c.id, l.Tag, l.State))
+		panic(fmt.Sprintf("L2 %d: evicting transient line %#x in %v", c.id, addr, l.State))
 	}
 	c.classifyEvict(l)
-	c.l1.Invalidate(l.Tag)
+	c.l1.Invalidate(addr)
 	c.st.Cache.L2Evictions++
 	if l.State == StateM {
-		c.wb = append(c.wb, l.Tag)
-		c.send(coherence.Msg{Type: coherence.PutM, Addr: l.Tag, Requester: c.id, Version: l.Version},
-			noc.OneDest(c.home(l.Tag)), stats.UnitLLC)
+		c.wb = append(c.wb, addr)
+		c.send(coherence.Msg{Type: coherence.PutM, Addr: addr, Requester: c.id, Version: l.Version},
+			noc.OneDest(c.home(addr)), stats.UnitLLC)
 	}
 	c.arr.Invalidate(l)
 }
@@ -851,8 +852,9 @@ func (c *L2) acceptPush(m coherence.Msg, now sim.Cycle, speculative bool) (stats
 	return 0, false
 }
 
-// ForEachLine exposes the L2 array to coherence checkers and tests.
-func (c *L2) ForEachLine(f func(*Line)) { c.arr.ForEach(f) }
+// ForEachLine exposes the L2 array, line by line with each line's address,
+// to coherence checkers and tests.
+func (c *L2) ForEachLine(f func(addr uint64, l *Line)) { c.arr.ForEach(f) }
 
 // Line returns the L2's entry for lineAddr, or nil (checker use).
 func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Lookup(lineAddr) }

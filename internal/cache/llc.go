@@ -354,7 +354,7 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 // counter-reset flag when applicable; d is the line's directory.
 func (s *LLC) unicastDataS(line *Line, d DirWay, req noc.NodeID) {
 	s.send(coherence.Msg{
-		Type: coherence.DataS, Addr: line.Tag, Requester: req,
+		Type: coherence.DataS, Addr: s.arr.Tag(line), Requester: req,
 		Version: line.Version, Reset: s.knob.resetFlagFor(req),
 		Private: d.Sharers().Remove(req).Empty(),
 	}, noc.OneDest(req), stats.UnitL2)
@@ -364,7 +364,7 @@ func (s *LLC) unicastDataS(line *Line, d DirWay, req noc.NodeID) {
 // from an existing sharer speculates that every sharer will need the line
 // again and multicasts it to all of them (minus push-disabled requesters).
 func (s *LLC) triggerPush(line *Line, d DirWay, req noc.NodeID, now sim.Cycle) {
-	dests := d.Sharers()
+	addr, dests := s.arr.Tag(line), d.Sharers()
 	if s.cfg.Scheme.Knob {
 		dests = dests.Subtract(s.knob.pdr)
 	}
@@ -377,11 +377,11 @@ func (s *LLC) triggerPush(line *Line, d DirWay, req noc.NodeID, now sim.Cycle) {
 	s.st.Cache.PushesTriggered++
 	s.st.Cache.PushDestinations += uint64(dests.Count())
 	s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KPushTrigger, Node: int32(s.id),
-		Addr: line.Tag, Aux: trace.Aux(dests), A: int32(req)})
-	s.recordRecentPush(line.Tag, dests, now)
+		Addr: addr, Aux: trace.Aux(dests), A: int32(req)})
+	s.recordRecentPush(addr, dests, now)
 	if s.cfg.Scheme.Multicast {
 		s.send(coherence.Msg{
-			Type: coherence.PushData, Addr: line.Tag, Requester: req, Version: line.Version,
+			Type: coherence.PushData, Addr: addr, Requester: req, Version: line.Version,
 		}, dests, stats.UnitL2)
 	} else {
 		// MSP-style per-sharer unicast pushes: the demand requester gets a
@@ -391,7 +391,7 @@ func (s *LLC) triggerPush(line *Line, d DirWay, req noc.NodeID, now sim.Cycle) {
 			// Requester -1: each unicast copy is speculative for its
 			// destination (the demand requester got the DataS above).
 			s.send(coherence.Msg{
-				Type: coherence.PushData, Addr: line.Tag, Requester: -1, Version: line.Version,
+				Type: coherence.PushData, Addr: addr, Requester: -1, Version: line.Version,
 			}, noc.OneDest(dst), stats.UnitL2)
 		})
 	}
@@ -402,7 +402,7 @@ func (s *LLC) triggerPush(line *Line, d DirWay, req noc.NodeID, now sim.Cycle) {
 		}
 		d.Epoch++
 		line.State = StateLP
-		s.openTxn(line.Tag).pending = acks
+		s.openTxn(addr).pending = acks
 	}
 }
 
@@ -450,7 +450,7 @@ func (s *LLC) coalescedReply(line *Line, d DirWay, m coherence.Msg, now sim.Cycl
 	}
 	d.SetSharers(d.Sharers().Union(dests))
 	s.send(coherence.Msg{
-		Type: coherence.DataS, Addr: line.Tag, Requester: m.Requester, Version: line.Version,
+		Type: coherence.DataS, Addr: m.Addr, Requester: m.Requester, Version: line.Version,
 	}, dests, stats.UnitL2)
 }
 
@@ -460,9 +460,10 @@ func (s *LLC) traceSharerGap(line *Line, req noc.NodeID, now sim.Cycle) {
 	if s.traces == nil {
 		return
 	}
-	t := s.traces[line.Tag]
+	addr := s.arr.Tag(line)
+	t := s.traces[addr]
 	if t == nil {
-		s.traces[line.Tag] = &traceState{lastReader: req, lastAt: now}
+		s.traces[addr] = &traceState{lastReader: req, lastAt: now}
 		return
 	}
 	if t.lastReader != req {
@@ -518,18 +519,18 @@ func (s *LLC) grantM(line *Line, d DirWay, writer noc.NodeID) {
 	line.State = StateLM
 	d.Owner = writer
 	d.SetSharers(noc.DestSet{})
-	s.send(coherence.Msg{Type: coherence.DataM, Addr: line.Tag, Requester: writer,
+	s.send(coherence.Msg{Type: coherence.DataM, Addr: s.arr.Tag(line), Requester: writer,
 		Version: line.Version}, noc.OneDest(writer), stats.UnitL2)
 }
 
 // startRecall begins an owner-invalidation episode; evict frees the line
 // when data returns.
 func (s *LLC) startRecall(line *Line, evict bool) {
-	d := s.arr.dirWay(line)
+	addr, d := s.arr.Tag(line), s.arr.dirWay(line)
 	d.Epoch++
 	line.State = StateLMInv
-	s.openTxn(line.Tag).evict = evict
-	s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: d.Owner,
+	s.openTxn(addr).evict = evict
+	s.send(coherence.Msg{Type: coherence.Inv, Addr: addr, Requester: d.Owner,
 		Epoch: d.Epoch, Recall: true}, noc.OneDest(d.Owner), stats.UnitL2)
 }
 
@@ -608,8 +609,7 @@ func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
 }
 
 func (s *LLC) completeRecall(line *Line, now sim.Cycle) {
-	addr := line.Tag
-	d := s.arr.dirWay(line)
+	addr, d := s.arr.Tag(line), s.arr.dirWay(line)
 	d.Owner = 0
 	d.SetSharers(noc.DestSet{})
 	if s.txn(addr).evict {
@@ -643,12 +643,12 @@ func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead
 	}
 	if victim.State == StateLV && !s.arr.dirWay(victim).Sharers().Empty() {
 		s.startEvictShared(victim)
-		s.stall(victim.Tag, pkt)
+		s.stall(s.arr.Tag(victim), pkt)
 		return false
 	}
 	if victim.State == StateLM {
 		s.startRecall(victim, true)
-		s.stall(victim.Tag, pkt)
+		s.stall(s.arr.Tag(victim), pkt)
 		return false
 	}
 	if victim.State == StateLV {
@@ -680,16 +680,16 @@ func (s *LLC) chooseVictim(addr uint64) *Line {
 }
 
 func (s *LLC) startEvictShared(line *Line) {
-	d := s.arr.dirWay(line)
+	addr, d := s.arr.Tag(line), s.arr.dirWay(line)
 	if s.pred != nil {
-		s.pred.remember(line.Tag, d.Sharers())
+		s.pred.remember(addr, d.Sharers())
 	}
 	d.Epoch++
 	line.State = StateLSInv
-	t := s.openTxn(line.Tag)
+	t := s.openTxn(addr)
 	t.pending, t.evict = d.Sharers(), true
 	t.pending.ForEach(func(dst noc.NodeID) {
-		s.send(coherence.Msg{Type: coherence.Inv, Addr: line.Tag, Requester: dst,
+		s.send(coherence.Msg{Type: coherence.Inv, Addr: addr, Requester: dst,
 			Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 	})
 	d.SetSharers(noc.DestSet{})
@@ -699,16 +699,17 @@ func (s *LLC) startEvictShared(line *Line) {
 // Under the PredictPush extension the sharer set is remembered so a later
 // refetch can restore the push coverage the eviction destroyed.
 func (s *LLC) freeLine(line *Line) {
+	addr := s.arr.Tag(line)
 	if s.pred != nil && line.State == StateLV {
-		s.pred.remember(line.Tag, s.arr.dirWay(line).Sharers())
+		s.pred.remember(addr, s.arr.dirWay(line).Sharers())
 	}
 	if line.Dirty {
-		s.send(coherence.Msg{Type: coherence.MemWrite, Addr: line.Tag, Requester: s.id,
+		s.send(coherence.Msg{Type: coherence.MemWrite, Addr: addr, Requester: s.id,
 			Version: line.Version}, noc.OneDest(s.memNode), stats.UnitMem)
 	}
 	s.st.Cache.LLCEvictions++
 	if s.traces != nil {
-		delete(s.traces, line.Tag)
+		delete(s.traces, addr)
 	}
 	s.arr.Invalidate(line)
 }
@@ -756,27 +757,28 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 				s.st.Cache.PushesTriggered++
 				s.st.Cache.PushDestinations += uint64(dests.Count())
 				s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KPushTrigger, Node: int32(s.id),
-					Addr: line.Tag, Aux: trace.Aux(dests), A: -1})
-				s.recordRecentPush(line.Tag, dests, now)
+					Addr: m.Addr, Aux: trace.Aux(dests), A: -1})
+				s.recordRecentPush(m.Addr, dests, now)
 				// Requester -1: every copy is speculative; no destination
 				// treats this push as its demand response.
 				s.send(coherence.Msg{
-					Type: coherence.PushData, Addr: line.Tag, Version: line.Version,
+					Type: coherence.PushData, Addr: m.Addr, Version: line.Version,
 					Requester: -1,
 				}, dests, stats.UnitL2)
 				d.SetSharers(d.Sharers().Union(dests))
 				if s.cfg.Scheme.Protocol == config.ProtoPushAck {
 					d.Epoch++
 					line.State = StateLP
-					s.openTxn(line.Tag).pending = dests
+					s.openTxn(m.Addr).pending = dests
 				}
 			}
 		}
 	}
 }
 
-// ForEachLine exposes the slice's array for coherence checkers and tests.
-func (s *LLC) ForEachLine(f func(*Line)) { s.arr.ForEach(f) }
+// ForEachLine exposes the slice's array, line by line with each line's
+// address, to coherence checkers and tests.
+func (s *LLC) ForEachLine(f func(addr uint64, l *Line)) { s.arr.ForEach(f) }
 
 // Line returns the slice's entry for lineAddr, or nil (checker use).
 func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Lookup(lineAddr) }
@@ -811,21 +813,21 @@ func (s *LLC) auditDirectory() error {
 	// the mesh fills the word, where the shift by 64 leaves 0.
 	words, shift := s.arr.sharerWords, uint(tiles-64*(s.arr.sharerWords-1))
 	for i := range s.arr.lines {
-		switch l, d, past := &s.arr.lines[i], &s.arr.dir[i], s.arr.sharers[(i+1)*words-1]>>shift; {
+		switch l, addr, d, past := &s.arr.lines[i], s.arr.tags[i], &s.arr.dir[i], s.arr.sharers[(i+1)*words-1]>>shift; {
 		case l.State == StateI:
 		case past != 0:
-			return fmt.Errorf("line %#x has sharer %d past the %d-tile mesh", l.Tag, tiles+bits.TrailingZeros64(past), tiles)
+			return fmt.Errorf("line %#x has sharer %d past the %d-tile mesh", addr, tiles+bits.TrailingZeros64(past), tiles)
 		case (l.State == StateLM || l.State == StateLMInv) && (d.Owner < 0 || int(d.Owner) >= tiles):
-			return fmt.Errorf("line %#x in %v has owner %d past the %d-tile mesh", l.Tag, l.State, d.Owner, tiles)
+			return fmt.Errorf("line %#x in %v has owner %d past the %d-tile mesh", addr, l.State, d.Owner, tiles)
 		case l.State.Transient():
 			n := 0
 			for _, t := range s.txns {
-				if t.addr == l.Tag {
+				if t.addr == addr {
 					n++
 				}
 			}
 			if n != 1 {
-				return fmt.Errorf("line %#x in %v has %d transaction records", l.Tag, l.State, n)
+				return fmt.Errorf("line %#x in %v has %d transaction records", addr, l.State, n)
 			}
 		}
 	}
@@ -869,7 +871,7 @@ func (s *LLC) DirectoryView(line *Line) noc.DestSet {
 	case StateLM, StateLMInv:
 		view = view.Add(d.Owner)
 	case StateLSInv, StateLP:
-		t := s.txn(line.Tag)
+		t := s.txn(s.arr.Tag(line))
 		view = view.Union(t.pending)
 		if t.writer != noWriter {
 			view = view.Add(t.writer)

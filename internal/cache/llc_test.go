@@ -234,8 +234,8 @@ func TestLLCWritebackUpdatesAndAcks(t *testing.T) {
 		t.Fatalf("directory in %v after writeback, want LV", st)
 	}
 	var ver uint64
-	f.llc.ForEachLine(func(l *Line) {
-		if l.Tag == lineB {
+	f.llc.ForEachLine(func(addr uint64, l *Line) {
+		if addr == lineB {
 			ver = l.Version
 		}
 	})

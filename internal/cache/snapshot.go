@@ -11,13 +11,15 @@ import (
 // state describes the array's lines, set by set, way by way. A free way is
 // its state byte alone: its stale metadata is never read, so it is not state,
 // and leaving it out makes two arrays that behave alike serialize alike
-// whatever lines they held before. A valid way of a directory array carries
-// its directory after the line, the sharer set as four words whatever the
-// mesh size. Decoding targets a freshly built array, whose free ways are the
-// zero Line. Geometry comes from the config fingerprint, so it is only
-// checked.
+// whatever lines they held before. A valid way is its state byte, its tag,
+// then the rest of its line; in a directory array its directory follows, the
+// sharer set as four words whatever the mesh size. Decoding targets a freshly
+// built array, whose free ways are the zero Line and untagged, and refuses
+// tags audit would refuse. Geometry comes from the config fingerprint, so it
+// is only checked.
 func (a *Array) state(c *snapshot.Codec) {
 	c.Mark(&a.lines)
+	c.Mark(&a.tags)
 	c.Mark(&a.dir)
 	c.Mark(&a.sharers)
 	c.Count(a.Sets(), "cache sets")
@@ -27,7 +29,7 @@ func (a *Array) state(c *snapshot.Codec) {
 		if snapshot.AsU8(c, &l.State); l.State == StateI {
 			continue
 		}
-		c.U64(&l.Tag)
+		c.U64(&a.tags[i])
 		c.U64(&l.Version)
 		c.Bool(&l.Dirty)
 		c.Bool(&l.Pushed)
@@ -38,14 +40,16 @@ func (a *Array) state(c *snapshot.Codec) {
 			s := d.Sharers()
 			c.U64s(s[:])
 			if past := s.Subtract(s.Mask(64 * copy(d.words, s[:]))); !past.Empty() {
-				c.Corrupt("line %#x has sharer %d past the mesh", l.Tag, past.First())
+				c.Corrupt("line %#x has sharer %d past the mesh", a.tags[i], past.First())
 			}
 			snapshot.AsU32(c, &d.Owner)
 			c.U32(&d.Epoch)
 		}
 	}
 	if c.Decoding() {
-		a.reindex()
+		if err := a.audit(); err != nil {
+			c.Corrupt("%v", err)
+		}
 	}
 }
 

@@ -441,19 +441,19 @@ func (m *Monitor) scanInclusion(cyc uint64) {
 			m.fail(cyc, "LLC slice %d tag index: %v", i, err)
 			return
 		}
-		l2.L1().ForEach(func(l *cache.Line) {
+		l2.L1().ForEach(func(addr uint64, _ *cache.Line) {
 			if m.err != nil {
 				return
 			}
-			backing := l2.Line(l.Tag)
+			backing := l2.Line(addr)
 			if backing == nil {
-				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but absent from its L2", l.Tag, i)
+				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but absent from its L2", addr, i)
 				return
 			}
 			switch backing.State {
 			case cache.StateS, cache.StateM, cache.StateSMD:
 			default:
-				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but L2 holds it in %v", l.Tag, i, backing.State)
+				m.fail(cyc, "inclusion violated: line %#x valid in L1 of tile %d but L2 holds it in %v", addr, i, backing.State)
 			}
 		})
 		if m.err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"pushmulticast/internal/cache"
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/noc"
+	"pushmulticast/internal/snapshot"
 	"pushmulticast/internal/workload"
 )
 
@@ -49,9 +52,9 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 	}
 	shared := map[uint64][]holder{}
 	for _, l2 := range sys.L2s {
-		l2.ForEachLine(func(l *cache.Line) {
+		l2.ForEachLine(func(addr uint64, l *cache.Line) {
 			if l.State == cache.StateS {
-				shared[l.Tag] = append(shared[l.Tag], holder{l, l2.ID()})
+				shared[addr] = append(shared[addr], holder{l, l2.ID()})
 			}
 		})
 	}
@@ -76,8 +79,8 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 	// transient state the sweep does not count (they are restored with a/b).
 	var others []*cache.Line
 	for _, l2 := range sys.L2s {
-		l2.ForEachLine(func(l *cache.Line) {
-			if l.Tag == addr && l != a && l != b {
+		l2.ForEachLine(func(tag uint64, l *cache.Line) {
+			if tag == addr && l != a && l != b {
 				others = append(others, l)
 			}
 		})
@@ -92,8 +95,6 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 	}{
 		{"two M owners", func() { a.State, b.State = cache.StateM, cache.StateM }, line + "has 2 M owners"},
 		{"M owner beside an S copy", func() { a.State = cache.StateM }, line + "has an M owner and 1 S copies"},
-		{"private copy absent from the LLC", func() { hide(b); a.Tag += 1 << 40 },
-			fmt.Sprintf("line %#x cached privately but absent from the LLC", addr+1<<40)},
 		{"M copy behind the directory", func() {
 			hide(b)
 			a.State, dir.State, de.Owner = cache.StateM, cache.StateLM, tileA
@@ -145,6 +146,48 @@ func TestCheckCoherenceDetectsEachViolation(t *testing.T) {
 		if err := sys.CheckCoherence(); err != nil {
 			t.Fatalf("%s: the machine is still dirty after the edit was undone: %v", tc.name, err)
 		}
+	}
+}
+
+// TestCheckCoherenceDetectsUntrackedCopy plants the violation an edit of a
+// line in place cannot, since a way's address lives only in its array's tag
+// index: a private copy of a line its home slice does not hold. It moves one
+// of tile 0's S copies to another line of the same set in a snapshot of the
+// quiesced machine, restores it, and requires the sweep to name that line.
+func TestCheckCoherenceDetectsUntrackedCopy(t *testing.T) {
+	sys := quiescedCachebw(t)
+	addr, found := uint64(0), false
+	sys.L2s[0].ForEachLine(func(tag uint64, l *cache.Line) {
+		if !found && l.State == cache.StateS {
+			addr, found = tag, true
+		}
+	})
+	if !found {
+		t.Fatal("tile 0 holds no S line after cachebw")
+	}
+	data, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tile 0's L2 array follows its section name: sets and ways (8 bytes
+	// each), then a state byte a way, which a valid way follows with its tag,
+	// version, three flags and last use.
+	moved := addr + 1<<40
+	at := bytes.Index(data, []byte("cache.l2")) + len("cache.l2") + 16
+	for data[at] == 0 || binary.LittleEndian.Uint64(data[at+1:]) != addr {
+		if at++; data[at-1] != 0 {
+			at += 27
+		}
+	}
+	binary.LittleEndian.PutUint64(data[at+1:], moved)
+	binary.LittleEndian.PutUint64(data[len(data)-8:], snapshot.Hash(data[:len(data)-8]))
+	back, err := Restore(data, tinyConfig(config.OrdPush()), workload.CacheBW(), workload.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("line %#x cached privately but absent from the LLC", moved)
+	if err := back.CheckCoherence(); !errors.Is(err, ErrCoherence) || !strings.Contains(err.Error(), want) {
+		t.Errorf("sweep says %v, want %q", err, want)
 	}
 }
 

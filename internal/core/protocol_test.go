@@ -47,8 +47,8 @@ func (d *driver) store(core int, addr uint64) {
 
 func (d *driver) state(core int, addr uint64) cache.State {
 	st := cache.StateI
-	d.sys.L2s[core].ForEachLine(func(l *cache.Line) {
-		if l.Tag == addr {
+	d.sys.L2s[core].ForEachLine(func(tag uint64, l *cache.Line) {
+		if tag == addr {
 			st = l.State
 		}
 	})

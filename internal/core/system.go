@@ -417,10 +417,10 @@ func (cs *cohScratch) gather(l2s []*cache.L2) {
 	cs.copies = cs.copies[:0]
 	for _, l2 := range l2s {
 		id := l2.ID()
-		l2.ForEachLine(func(l *cache.Line) {
+		l2.ForEachLine(func(addr uint64, l *cache.Line) {
 			switch l.State {
 			case cache.StateS, cache.StateM, cache.StateSMD:
-				cs.copies = append(cs.copies, privCopy{addr: l.Tag, version: l.Version, tile: id, state: l.State, next: -1})
+				cs.copies = append(cs.copies, privCopy{addr: addr, version: l.Version, tile: id, state: l.State, next: -1})
 			}
 		})
 	}

@@ -215,16 +215,16 @@ func TestMemoryVersionsConsistentAfterDrain(t *testing.T) {
 	var total uint64
 	seen := make(map[uint64]uint64)
 	for _, l2 := range sys.L2s {
-		l2.ForEachLine(func(l *cache.Line) {
-			if l.State == cache.StateM && l.Version > seen[l.Tag] {
-				seen[l.Tag] = l.Version
+		l2.ForEachLine(func(addr uint64, l *cache.Line) {
+			if l.State == cache.StateM && l.Version > seen[addr] {
+				seen[addr] = l.Version
 			}
 		})
 	}
 	for _, llc := range sys.LLCs {
-		llc.ForEachLine(func(l *cache.Line) {
-			if l.Version > seen[l.Tag] {
-				seen[l.Tag] = l.Version
+		llc.ForEachLine(func(addr uint64, l *cache.Line) {
+			if l.Version > seen[addr] {
+				seen[addr] = l.Version
 			}
 		})
 	}

@@ -55,10 +55,6 @@ type NI struct {
 	// seq feeds this NI's packet IDs; combined with the node number so IDs
 	// stay unique and deterministic without a network-global counter.
 	seq uint64
-	// pktPool recycles packets tile-locally. The tile's router also draws its
-	// multicast replicas from here, which keeps replicas recycling back to the
-	// pool they came from.
-	pktPool []*Packet `snap:"-,pool"`
 	// tr is this NI's trace shard (nil when tracing is off): Inject writes
 	// it from the tile's endpoints, deliver from the NI's own tick.
 	tr *trace.Shard `snap:"-,wiring"`
@@ -126,13 +122,17 @@ func (ni *NI) NewPacket() *Packet {
 }
 
 // Recycle returns a dead packet — one an endpoint has fully processed, or one
-// the network itself is done with — to the tile's free list. Only pool-born
-// packets are pooled; caller-owned packets pass through unharmed, so
-// endpoints may call this unconditionally on every delivered packet they do
-// not retain.
+// the network itself is done with — to the network's free list. Only
+// pool-born packets are pooled; caller-owned packets pass through unharmed,
+// so endpoints may call this unconditionally on every delivered packet they
+// do not retain. Recycling a packet twice would hand it to two owners, so it
+// panics.
 func (ni *NI) Recycle(p *Packet) {
-	if p.pooled {
-		ni.pktPool = append(ni.pktPool, p)
+	if p.free {
+		panic(fmt.Sprintf("noc: packet %d recycled twice", p.ID))
+	}
+	if p.free = p.pooled; p.free {
+		ni.net.pktPool = append(ni.net.pktPool, p)
 	}
 }
 
@@ -143,24 +143,23 @@ func (ni *NI) Recycle(p *Packet) {
 // materially.
 const pktSlab = 64
 
-// getPacket pops a pooled packet as it was put, whatever it last carried.
-// The router's replica copy overwrites every field; NewPacket zeroes it for
-// endpoints and the snapshot decoder.
+// getPacket pops a pooled packet as it was put, whatever it last carried,
+// and clears its free mark. The router's replica copy overwrites every
+// field; NewPacket zeroes it for endpoints and the snapshot decoder.
 func (ni *NI) getPacket() *Packet {
-	if k := len(ni.pktPool); k > 0 {
-		p := ni.pktPool[k-1]
-		ni.pktPool[k-1] = nil
-		ni.pktPool = ni.pktPool[:k-1]
-		return p
+	pool := &ni.net.pktPool
+	if len(*pool) == 0 {
+		blk := make([]Packet, pktSlab)
+		for i := range blk {
+			blk[i].pooled, blk[i].free = true, true
+			*pool = append(*pool, &blk[i])
+		}
 	}
-	blk := make([]Packet, pktSlab)
-	for i := range blk {
-		blk[i].pooled = true
-	}
-	for i := range blk[:pktSlab-1] {
-		ni.pktPool = append(ni.pktPool, &blk[i])
-	}
-	return &blk[pktSlab-1]
+	k := len(*pool) - 1
+	p := (*pool)[k]
+	(*pool)[k], *pool = nil, (*pool)[:k]
+	p.free = false
+	return p
 }
 
 // Tick delivers matured ejections, retransmits overdue unacked window
@@ -389,6 +388,12 @@ type Network struct {
 	// MsgCorrupt; it arms the end-to-end recovery layer, whose knobs are
 	// cfg.RetryWindow, cfg.RetryTimeout and cfg.MaxRetries.
 	lossy bool `snap:"-,config"`
+	// pktPool is the free list every NI and router draws packets from and
+	// recycles them to. One list serves the mesh: a packet dies at the tile
+	// that consumes it, which is seldom the tile that sent it, so per-tile
+	// lists drift and net senders keep allocating. A simulation is one
+	// goroutine, so the list needs no lock.
+	pktPool []*Packet `snap:"-,pool"`
 }
 
 // New builds a mesh network and registers its components with the engine.

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -259,7 +260,7 @@ func TestMulticastCopiesOwnTheirMessage(t *testing.T) {
 	net.NI(7).Recycle(cols[7].got[0].pkt)
 	reused := net.NI(7).NewPacket()
 	if reused != cols[7].got[0].pkt {
-		t.Fatal("the recycled copy did not come back from the tile's free list")
+		t.Fatal("the recycled copy did not come back from the network's free list")
 	}
 	reused.Version, reused.MsgType, reused.MsgFlags = 99, 2, MsgPresent|MsgRecall
 	dests.Remove(7).ForEach(func(d NodeID) {
@@ -267,6 +268,34 @@ func TestMulticastCopiesOwnTheirMessage(t *testing.T) {
 			t.Errorf("after 7 recycled its copy, dest %d reads %+v, want %+v", d, got, want)
 		}
 	})
+}
+
+// TestRecycleOnce pins the free list's ownership rule. One list serves the
+// mesh, so the packet one tile recycles is the next one any tile draws; a
+// packet already on the list cannot be recycled again, since that would hand
+// it to two owners; and a packet drawn again is live and can be recycled
+// again, also when it was drawn as a router draws its replicas, without
+// NewPacket's zeroing.
+func TestRecycleOnce(t *testing.T) {
+	_, net, _ := testNet(t, DefaultConfig(4, 4))
+	p := net.NI(3).NewPacket()
+	p.ID = 77
+	net.NI(3).Recycle(p)
+	func() {
+		defer func() {
+			if r := recover(); fmt.Sprint(r) != "noc: packet 77 recycled twice" {
+				t.Errorf("a second recycle says %v, want a panic naming packet 77", r)
+			}
+		}()
+		net.NI(9).Recycle(p)
+	}()
+	if q := net.NI(9).getPacket(); q != p {
+		t.Fatal("tile 9 did not draw the packet tile 3 recycled")
+	}
+	net.NI(9).Recycle(p)
+	if q := net.NI(0).NewPacket(); q != p {
+		t.Fatal("a packet drawn again and recycled did not return to the free list")
+	}
 }
 
 func TestManyPacketsAllDelivered(t *testing.T) {

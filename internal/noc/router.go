@@ -94,7 +94,7 @@ type Router struct {
 	heldOut uint8       `snap:"-,derived: the ports with an outStream"`
 	wantOut uint8       `snap:"-,derived: the ports with a non-zero candMask"`
 	net     *Network    `snap:"-,wiring"`
-	ni      *NI         `snap:"-,wiring"` // this tile's NI: packet pool and local ejection
+	ni      *NI         `snap:"-,wiring"` // this tile's NI: packet recycling and local ejection
 	h       *sim.Handle `snap:"-,wiring"`
 	// occ lists VCs that hold or are reserved for a packet, so the per-
 	// cycle pipeline stages touch only live work instead of scanning every

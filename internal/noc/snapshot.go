@@ -33,7 +33,7 @@ func Error(c *snapshot.Codec, perr *error) {
 
 // Packet describes a packet held by pointer; the protocol layer uses it for
 // the packets in its input queues and outboxes. Decoding draws the packet
-// from this NI's tile pool, even if the original was caller-owned: the only
+// from the network's pool, even if the original was caller-owned: the only
 // difference is that the restored copy is recycled when it dies instead of
 // surviving for a creator that — being fresh-built — no longer holds it.
 func (ni *NI) Packet(c *snapshot.Codec, pp **Packet) {
@@ -44,8 +44,8 @@ func (ni *NI) Packet(c *snapshot.Codec, pp **Packet) {
 	packetState(c, *pp)
 }
 
-// packetState describes every packet field except pooled, a free-list
-// provenance bit with no behavioral meaning; a decoded packet starts zeroed
+// packetState describes every packet field except pooled and free, free-list
+// bookkeeping with no behavioral meaning; a decoded packet starts zeroed
 // (NewPacket above, a fresh window entry), so only what is set travels back
 // in. The message travels last,
 // behind a presence byte, in the format's own field list: type, address,
@@ -101,9 +101,9 @@ func packetState(c *snapshot.Codec, p *Packet) {
 // arbitration state) — primary state only; once every router is decoded,
 // each rebuilds its derived fields (Router.derive). Decoding targets a
 // freshly built network of the same Config (the caller's fingerprint check
-// guarantees it). Free-list pools are not state: restored in-flight packets
-// are re-drawn from fresh pools, which is invisible to the
-// simulation (pool residency only affects allocation counts).
+// guarantees it). The free list is not state: restored in-flight packets
+// are drawn from a fresh one, which is invisible to the simulation (pool
+// residency only affects allocation counts).
 func (n *Network) State(c *snapshot.Codec) {
 	c.Section("noc.network")
 	c.Mark(&n.nis)

@@ -229,6 +229,9 @@ type Packet struct {
 	Csum    uint32
 	IsAck   bool
 	AckVNet int8
+	// free marks a pooled packet that sits on the free list, so a second
+	// Recycle is caught instead of handing the packet to two owners.
+	free bool `snap:"-,pool"`
 }
 
 // Bits of Packet.MsgFlags. MsgPresent marks a packet that carries a protocol

@@ -106,6 +106,10 @@ var crafted = []struct {
 	// geometry, the state byte, tag, version, three flags and last use. Bit 8
 	// of the fourth word is tile 200.
 	{"directory sharer past the mesh", "cache.llc", 0, 68, 1 << 8},
+	// A line filed in a set its address does not map to: the same way's tag
+	// follows the geometry and its state byte. Bits 6-9 pick the slice and
+	// the set index starts at bit 10, so line 0x400 belongs to set 1.
+	{"line in another set", "cache.llc", 0, 17, 0x400},
 }
 
 const craftedFrom = 1 // bfs tiny/16 Baseline @ 2000
