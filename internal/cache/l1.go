@@ -51,9 +51,8 @@ func (l *L1) Invalidate(lineAddr uint64) {
 	}
 }
 
-// Present reports whether the line is cached.
-func (l *L1) Present(lineAddr uint64) bool { return l.arr.Lookup(lineAddr) != nil }
+// Present reports whether the line is cached; it hands nothing out.
+func (l *L1) Present(lineAddr uint64) bool { return l.arr.find(lineAddr) >= 0 }
 
-// ForEach visits every valid line with its address (inclusion checks and
-// tests).
-func (l *L1) ForEach(f func(addr uint64, line *Line)) { l.arr.ForEach(f) }
+// Array returns the L1's array (checker use).
+func (l *L1) Array() *Array { return l.arr }

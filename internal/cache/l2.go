@@ -856,17 +856,27 @@ func (c *L2) acceptPush(m coherence.Msg, now sim.Cycle, speculative bool) (stats
 // to coherence checkers and tests.
 func (c *L2) ForEachLine(f func(addr uint64, l *Line)) { c.arr.ForEach(f) }
 
-// Line returns the L2's entry for lineAddr, or nil (checker use).
-func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Lookup(lineAddr) }
+// Line returns the L2's entry for lineAddr, or nil, without marking it
+// (checker use).
+func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Peek(lineAddr) }
+
+// Array returns the L2's array (checker use).
+func (c *L2) Array() *Array { return c.arr }
 
 // Audit checks the tag indexes of the L2 and its L1 against their lines, that
 // retryAt bounds every MSHR's retry deadline from below (a bound above one
 // would sleep through its reissue), and the writeback buffer.
-func (c *L2) Audit() error {
-	if err := c.arr.audit(); err != nil {
+func (c *L2) Audit() error { return c.audit((*Array).audit) }
+
+// AuditMarked is Audit with the tag indexes checked only on the ways handed
+// out since the arrays' last ClearMarks, each against its set.
+func (c *L2) AuditMarked() error { return c.audit((*Array).auditMarked) }
+
+func (c *L2) audit(index func(*Array) error) error {
+	if err := index(c.arr); err != nil {
 		return fmt.Errorf("L2: %w", err)
 	}
-	if err := c.l1.arr.audit(); err != nil {
+	if err := index(c.l1.arr); err != nil {
 		return fmt.Errorf("L1: %w", err)
 	}
 	for i := range c.mshr {
@@ -884,7 +894,7 @@ func (c *L2) auditWB() error {
 		if slices.Contains(c.wb[:i], a) {
 			return fmt.Errorf("L2: line %#x is pinned for writeback twice", a)
 		}
-		if l := c.arr.Lookup(a); l != nil {
+		if l := c.arr.Peek(a); l != nil {
 			return fmt.Errorf("L2: line %#x is pinned for writeback but resident in %v", a, l.State)
 		}
 	}
@@ -895,7 +905,7 @@ func (c *L2) auditWB() error {
 // waiting on data (IS_D or IS_D_I). The filter-soundness checker uses it:
 // a filtered request whose issuer is no longer waiting was already served.
 func (c *L2) ReadOutstanding(lineAddr uint64) bool {
-	if line := c.arr.Lookup(lineAddr); line != nil {
+	if line := c.arr.Peek(lineAddr); line != nil {
 		return line.State == StateISD || line.State == StateISDI
 	}
 	return false

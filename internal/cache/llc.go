@@ -780,8 +780,21 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 // address, to coherence checkers and tests.
 func (s *LLC) ForEachLine(f func(addr uint64, l *Line)) { s.arr.ForEach(f) }
 
-// Line returns the slice's entry for lineAddr, or nil (checker use).
-func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Lookup(lineAddr) }
+// Line returns the slice's entry for lineAddr, or nil, without marking it
+// (checker use).
+func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Peek(lineAddr) }
+
+// Array returns the slice's array (checker use).
+func (s *LLC) Array() *Array { return s.arr }
+
+// ForEachTxn visits the transaction records, in no particular order, each
+// with its line's address and its fields rendered as text (tests that shadow
+// the table).
+func (s *LLC) ForEachTxn(f func(addr uint64, rec string)) {
+	for _, t := range s.txns {
+		f(t.addr, fmt.Sprint(t.pending, t.writer, t.evict, t.readers, t.parked))
+	}
+}
 
 // Dir returns the directory of line, a valid line of this slice (checker and
 // test use).
@@ -789,18 +802,26 @@ func (s *LLC) Dir(line *Line) DirWay { return s.arr.dirWay(line) }
 
 // Audit checks the slice's tag index against its lines, and its directory
 // against their states; the index's failure is the one reported.
-func (s *LLC) Audit() error { return cmp.Or(s.arr.audit(), s.auditDirectory()) }
+func (s *LLC) Audit() error { return cmp.Or(s.arr.audit(), s.auditDirectory(s.arr.nextWay)) }
+
+// AuditMarked is Audit on the ways handed out since the array's last
+// ClearMarks (each against its set, for the index) and on every transaction
+// record.
+func (s *LLC) AuditMarked() error {
+	return cmp.Or(s.arr.auditMarked(), s.auditDirectory(s.arr.nextMarked))
+}
 
 // auditDirectory checks the directory against the lines' states and the mesh:
 // the transaction records and the blocked lines are one to one — each line in
 // LS_Inv, LM_Inv, LP or LFetch has one record, and no other line has any —
 // each record is shaped as its line's state says, and a valid line's sharers,
-// and its owner in LM or LM_Inv, are tiles. Restore refuses a snapshot that
-// fails it.
-func (s *LLC) auditDirectory() error {
+// and its owner in LM or LM_Inv, are tiles. The records are checked in full,
+// the lines on the ways next yields (next(i): the first from i on, or -1).
+// Restore refuses a snapshot that fails it.
+func (s *LLC) auditDirectory(next func(int) int) error {
 	tiles := s.cfg.Tiles()
 	for _, t := range s.txns {
-		line := s.arr.Lookup(t.addr)
+		line := s.arr.Peek(t.addr)
 		if line == nil {
 			return fmt.Errorf("transaction record for absent line %#x", t.addr)
 		}
@@ -812,7 +833,7 @@ func (s *LLC) auditDirectory() error {
 	// bit past the words), in its bits from tiles-64*(words-1) up: none when
 	// the mesh fills the word, where the shift by 64 leaves 0.
 	words, shift := s.arr.sharerWords, uint(tiles-64*(s.arr.sharerWords-1))
-	for i := range s.arr.lines {
+	for i := next(0); i >= 0; i = next(i + 1) {
 		switch l, addr, d, past := &s.arr.lines[i], s.arr.tags[i], &s.arr.dir[i], s.arr.sharers[(i+1)*words-1]>>shift; {
 		case l.State == StateI:
 		case past != 0:

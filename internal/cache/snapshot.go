@@ -164,7 +164,7 @@ func (s *LLC) State(c *snapshot.Codec) {
 	})
 	if c.Decoding() {
 		increasing(c, "transaction", len(s.txns), func(i int) uint64 { return s.txns[i].addr })
-		if err := s.auditDirectory(); err != nil {
+		if err := s.auditDirectory(s.arr.nextWay); err != nil {
 			c.Corrupt("%v", err)
 		}
 	}

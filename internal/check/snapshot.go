@@ -19,11 +19,7 @@ func (m *Monitor) State(c *snapshot.Codec) {
 		c.Mark(&m.seq)
 		c.Count(len(m.seq), "injection serials")
 		c.U64s(m.seq)
-		tracks := func(id *uint64, pt **pktTrack) {
-			if c.Decoding() {
-				*pt = new(pktTrack)
-			}
-			t := *pt
+		tracks := func(id *uint64, t *pktTrack) {
 			c.U64(id)
 			c.U64(&t.addr)
 			snapshot.AsU32(c, &t.src)
@@ -32,6 +28,13 @@ func (m *Monitor) State(c *snapshot.Codec) {
 		}
 		snapshot.Map(c, &m.pushes, tracks)
 		snapshot.Map(c, &m.invs, tracks)
+		if c.Decoding() {
+			pushes := m.pushes
+			m.pushes, m.pushLines = make(map[uint64]pktTrack, len(pushes)), make(map[uint64]uint64)
+			for id, p := range pushes {
+				m.linkPush(id, p)
+			}
+		}
 	}
 	if c.Same(m.lossy, "loss tracking") {
 		snapshot.MapFunc(c, &m.pendingLoss, func(a, b lossKey) int {

@@ -1,8 +1,8 @@
 // Package core assembles the full simulated machine — cores, private cache
 // stacks, LLC slices with directories, memory controllers, and the mesh NoC
 // — for one (configuration, workload) pair, runs it to completion, and
-// harvests results. It also hosts the global coherence invariant checker
-// used throughout the test suite.
+// harvests results. Its CheckCoherence, the full form of the checker's
+// coherence sweep, is used throughout the test suite.
 package core
 
 import (
@@ -54,8 +54,9 @@ type System struct {
 	bingos  []*prefetch.Bingo
 	strides []*prefetch.Stride
 
-	// coh is CheckCoherence's working memory, reused from sweep to sweep.
-	coh cohScratch `snap:"-,scratch"`
+	// coh is CheckCoherence's judge, built on first use; its index is reused
+	// from sweep to sweep.
+	coh *check.Coherence `snap:"-,scratch"`
 }
 
 // Build wires a system running the given workload at the given scale.
@@ -145,7 +146,7 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		// The monitor registers last: the engine ticks in registration order,
 		// so it drains the trace after every emitter within a cycle, on
 		// either kernel.
-		s.Checker = check.New(&s.Cfg, net, s.L2s, s.LLCs, s.CheckCoherence, tr)
+		s.Checker = check.New(&s.Cfg, net, s.L2s, s.LLCs, tr)
 		s.Checker.Register(eng)
 	}
 	return s, nil
@@ -203,7 +204,7 @@ func (r Results) L1MPKI() float64 { return r.Stats.MPKI(r.Stats.Cache.L1Misses) 
 func (r Results) TotalNoCFlits() uint64 { return r.Stats.Net.TotalFlits() }
 
 // ErrCoherence wraps coherence invariant violations.
-var ErrCoherence = errors.New("coherence violation")
+var ErrCoherence = check.ErrCoherence
 
 // ErrCanceled is reported (wrapped, test with errors.Is) when a run's context
 // is canceled: the machine loop stops at the next cancellation barrier and
@@ -390,146 +391,13 @@ func (s *System) Quiescent() bool {
 	return true
 }
 
-// privCopy is one private S, M or SM_D copy met by the coherence sweep. The
-// copies of one line are chained through next in the order the sweep met
-// them (tile by tile), -1 at the end; first marks the head of a chain.
-type privCopy struct {
-	addr    uint64
-	version uint64
-	tile    noc.NodeID
-	next    int32
-	state   cache.State
-	first   bool
-}
-
-// cohScratch is the sweep's reusable working memory: every private copy in
-// the machine, and an open-addressed table from line address to the first
-// and last copy of that line (index+1 into copies, 0 = empty slot). It is
-// owned by the System, so a warm sweep allocates nothing and the memory
-// dies with the machine.
-type cohScratch struct {
-	copies []privCopy
-	slots  [][2]int32
-}
-
-// gather collects every private S/M/SM_D copy and chains them per line.
-func (cs *cohScratch) gather(l2s []*cache.L2) {
-	cs.copies = cs.copies[:0]
-	for _, l2 := range l2s {
-		id := l2.ID()
-		l2.ForEachLine(func(addr uint64, l *cache.Line) {
-			switch l.State {
-			case cache.StateS, cache.StateM, cache.StateSMD:
-				cs.copies = append(cs.copies, privCopy{addr: addr, version: l.Version, tile: id, state: l.State, next: -1})
-			}
-		})
-	}
-	// At most half full, so probes are short and always end at a free slot.
-	if need := 2 * len(cs.copies); len(cs.slots) < need {
-		n := 1024
-		for n < need {
-			n *= 2
-		}
-		cs.slots = make([][2]int32, n)
-	} else {
-		clear(cs.slots)
-	}
-	mask := uint64(len(cs.slots) - 1)
-	for i := range cs.copies {
-		c := &cs.copies[i]
-		h := c.addr * 0x9E3779B97F4A7C15 >> 40 & mask
-		for cs.slots[h][0] != 0 && cs.copies[cs.slots[h][0]-1].addr != c.addr {
-			h = (h + 1) & mask
-		}
-		if slot := &cs.slots[h]; slot[0] == 0 {
-			c.first = true
-			slot[0], slot[1] = int32(i)+1, int32(i)+1
-		} else {
-			cs.copies[slot[1]-1].next, slot[1] = int32(i), int32(i)+1
-		}
-	}
-}
-
 // CheckCoherence validates the Single-Writer-Multiple-Reader invariant, the
-// directory sharers-superset property and the data-value invariant over a
-// global snapshot, looking each line's home entry up once:
-//
-//   - at most one private cache holds a line in M;
-//   - no private S copy coexists with an M copy;
-//   - every private copy is visible to its home directory: the slice's
-//     conservative view (sharer vector ∪ owner ∪ in-flight episode state)
-//     holds its tile — a line the directory lost track of can never be
-//     invalidated or pushed to, the silent-sharer bug class;
-//   - every stable private S copy (including the readable S data backing an
-//     SM_D upgrade) matches the directory's current version whenever the
-//     directory has no owner — the property a stale push would break;
-//   - an M copy's version is never behind the directory's.
-//
-// Lines are judged in the order their first holder is met (tile by tile, way
-// by way) and a line's copies in tile order, so the violation reported is the
-// same on every run.
+// directory sharers-superset property and the data-value invariant on every
+// privately held line: the full form of the checker's sweep (see
+// check.Coherence).
 func (s *System) CheckCoherence() error {
-	s.coh.gather(s.L2s)
-	copies := s.coh.copies
-	for i := range copies {
-		if !copies[i].first {
-			continue
-		}
-		addr := copies[i].addr
-		owners, readers := 0, 0
-		for j := int32(i); j >= 0; j = copies[j].next {
-			if copies[j].state == cache.StateM {
-				owners++
-			} else {
-				readers++
-			}
-		}
-		if owners > 1 {
-			return fmt.Errorf("%w: line %#x has %d M owners", ErrCoherence, addr, owners)
-		}
-		if owners == 1 && readers > 0 {
-			return fmt.Errorf("%w: line %#x has an M owner and %d S copies", ErrCoherence, addr, readers)
-		}
-		home := s.Cfg.HomeSlice(addr)
-		llc := s.LLCs[home]
-		d := llc.Line(addr)
-		if d == nil {
-			return fmt.Errorf("%w: line %#x cached privately but absent from the LLC", ErrCoherence, addr)
-		}
-		view := llc.DirectoryView(d)
-		for j := int32(i); j >= 0; j = copies[j].next {
-			if c := &copies[j]; !view.Has(c.tile) {
-				return fmt.Errorf("%w: directory not a sharer superset: line %#x cached %v at tile %d, home %d view %v",
-					ErrCoherence, addr, c.state, c.tile, home, view)
-			}
-		}
-		if owners == 1 {
-			if c := &copies[i]; c.version < d.Version {
-				return fmt.Errorf("%w: line %#x M copy at tile %d behind directory (%d < %d)",
-					ErrCoherence, addr, c.tile, c.version, d.Version)
-			}
-			continue
-		}
-		// No owner among the copies: S data must be current unless the
-		// directory granted ownership elsewhere (then stale S copies would
-		// be an SWMR violation outright). One legal exception: the new
-		// owner's own line sits in SM_D (its S data still readable) in the
-		// window between the ownership grant and the DataM delivery.
-		if d.State == cache.StateLM || d.State == cache.StateLMInv {
-			owner := llc.Dir(d).Owner
-			for j := int32(i); j >= 0; j = copies[j].next {
-				if c := &copies[j]; c.state != cache.StateSMD || c.tile != owner {
-					return fmt.Errorf("%w: line %#x has S copy at tile %d (%v) while directory in %v",
-						ErrCoherence, addr, c.tile, c.state, d.State)
-				}
-			}
-		}
-		for j := int32(i); j >= 0; j = copies[j].next {
-			if c := &copies[j]; c.version != d.Version {
-				return fmt.Errorf("%w: line %#x stale S copy at tile %d (version %d, directory %d)",
-					ErrCoherence, addr, c.tile, c.version, d.Version)
-			}
-		}
+	if s.coh == nil {
+		s.coh = check.NewCoherence(&s.Cfg, s.L2s, s.LLCs)
 	}
-	return nil
+	return s.coh.Check()
 }

@@ -196,71 +196,91 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 
 // PushInFlight reports whether a push embedding a response for
 // (addr, requester) is anywhere in the network: queued or streaming at an
-// NI, buffered or streaming in a router, or riding out a delivery link.
-// The filter-soundness check uses it: a filtered request is legal only
-// while the covering push can still reach the requester (or already has).
+// NI, riding out a delivery link, waiting in its sender's retransmit window,
+// or buffered or streaming in a router. The filter-soundness check uses it:
+// a filtered request is legal only while the covering push can still reach
+// the requester (or already has). The walk starts at the requester's tile,
+// routers first, where a push headed for it is most likely met.
 func (n *Network) PushInFlight(addr uint64, requester NodeID) bool {
-	for _, ni := range n.nis {
-		if ni.PushCovering(addr, requester) {
+	for k := range n.routers {
+		if n.routers[(int(requester)+k)%len(n.routers)].pushCovering(addr, requester) {
 			return true
 		}
-		for _, d := range ni.delivery {
-			if d.pkt.IsPush && d.pkt.Addr == addr && d.pkt.Dests.Has(requester) {
-				return true
-			}
+	}
+	for k := range n.nis {
+		if n.nis[(int(requester)+k)%len(n.nis)].pushInFlight(addr, requester) {
+			return true
 		}
-		// Under lossy faults a push may live nowhere but the sender's
-		// retransmit window: the replica headed for the requester was dropped
-		// and its re-send has not fired yet. The unacked window entry is the
-		// guarantee that it still reaches the requester.
-		if tp := ni.tp; tp != nil {
-			for v := range tp.tx {
-				for i := range tp.tx[v].entries {
-					e := &tp.tx[v].entries[i]
-					if !e.done && e.proto.IsPush && e.proto.Addr == addr && e.pending.Has(requester) {
-						return true
-					}
+	}
+	return false
+}
+
+// pushInFlight is PushInFlight at one NI: its queues and stream
+// (PushCovering), its delivery link, and its retransmit window.
+func (ni *NI) pushInFlight(addr uint64, requester NodeID) bool {
+	if ni.PushCovering(addr, requester) {
+		return true
+	}
+	for _, d := range ni.delivery {
+		if d.pkt.IsPush && d.pkt.Addr == addr && d.pkt.Dests.Has(requester) {
+			return true
+		}
+	}
+	// Under lossy faults a push may live nowhere but the sender's retransmit
+	// window: the replica headed for the requester was dropped and its
+	// re-send has not fired yet. The unacked window entry is the guarantee
+	// that it still reaches the requester.
+	if tp := ni.tp; tp != nil {
+		for v := range tp.tx {
+			for i := range tp.tx[v].entries {
+				e := &tp.tx[v].entries[i]
+				if !e.done && e.proto.IsPush && e.proto.Addr == addr && e.pending.Has(requester) {
+					return true
 				}
 			}
 		}
 	}
-	for _, r := range n.routers {
-		for p := 0; p < NumPorts; p++ {
-			// Streams read through the buffered original, not the replica:
-			// past the head flit the replica pointer is nil (ownership moved
-			// into the downstream arrival ring, which the ring scan below
-			// covers until the pop moves it into an input VC).
-			if s := r.outStream[p]; s != nil && s.isPush &&
-				s.vc.pkt.Addr == addr && r.portDests(s.vc, p).Has(requester) {
+	return false
+}
+
+// pushCovering is PushInFlight at one router. Its derived masks and
+// occupancy list name the streams, rings and VCs that hold anything (the
+// conservation sweep audits them).
+func (r *Router) pushCovering(addr uint64, requester NodeID) bool {
+	// Streams read through the buffered original, not the replica: past the
+	// head flit the replica pointer is nil (ownership moved into the
+	// downstream arrival ring, which the ring scan below covers until the pop
+	// moves it into an input VC).
+	for o := r.heldOut; o != 0; o &= o - 1 {
+		p := bits.TrailingZeros8(o)
+		if s := r.outStream[p]; s.isPush && s.vc.pkt.Addr == addr && r.portDests(s.vc, p).Has(requester) {
+			return true
+		}
+	}
+	for q := r.arrQueued; q != 0; q &= q - 1 {
+		found := false
+		r.arrivals[bits.TrailingZeros8(q)].forEach(func(pkt *Packet, at sim.Cycle) {
+			found = found || pkt.IsPush && pkt.Addr == addr && pkt.Dests.Has(requester)
+		})
+		if found {
+			return true
+		}
+	}
+	for _, vc := range r.occ {
+		pkt := vc.pkt
+		if pkt == nil || !pkt.IsPush || pkt.Addr != addr {
+			continue
+		}
+		if !vc.routed {
+			// Original destination set still intact.
+			if pkt.Dests.Has(requester) {
 				return true
 			}
-			found := false
-			r.arrivals[p].forEach(func(pkt *Packet, at sim.Cycle) {
-				if pkt.IsPush && pkt.Addr == addr && pkt.Dests.Has(requester) {
-					found = true
-				}
-			})
-			if found {
+			continue
+		}
+		for m := vc.pending; m != 0; m &= m - 1 {
+			if r.portDests(vc, bits.TrailingZeros8(m)).Has(requester) {
 				return true
-			}
-			for i := range r.in[p] {
-				vc := &r.in[p][i]
-				pkt := vc.pkt
-				if pkt == nil || !pkt.IsPush || pkt.Addr != addr {
-					continue
-				}
-				if !vc.routed {
-					// Original destination set still intact.
-					if pkt.Dests.Has(requester) {
-						return true
-					}
-					continue
-				}
-				for m := vc.pending; m != 0; m &= m - 1 {
-					if r.portDests(vc, bits.TrailingZeros8(m)).Has(requester) {
-						return true
-					}
-				}
 			}
 		}
 	}

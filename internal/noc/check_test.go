@@ -303,3 +303,102 @@ func TestFilterBookkeepingFuzz(t *testing.T) {
 		}
 	}
 }
+
+// pushInFlightEverywhere is PushInFlight over every NI queue, delivery link
+// and retransmit window and every router stream, arrival ring and input VC,
+// whatever the derived masks and occupancy list say: the reference the
+// mask-guided walk must agree with.
+func pushInFlightEverywhere(n *Network, addr uint64, req NodeID) bool {
+	covers := func(p *Packet) bool { return p.IsPush && p.Addr == addr && p.Dests.Has(req) }
+	for _, ni := range n.nis {
+		if ni.PushCovering(addr, req) {
+			return true
+		}
+		for _, d := range ni.delivery {
+			if covers(d.pkt) {
+				return true
+			}
+		}
+		if tp := ni.tp; tp != nil {
+			for v := range tp.tx {
+				for i := range tp.tx[v].entries {
+					if e := &tp.tx[v].entries[i]; !e.done && e.proto.IsPush && e.proto.Addr == addr && e.pending.Has(req) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	for _, r := range n.routers {
+		for p := 0; p < NumPorts; p++ {
+			if s := r.outStream[p]; s != nil && s.isPush && s.vc.pkt.Addr == addr && r.portDests(s.vc, p).Has(req) {
+				return true
+			}
+			found := false
+			r.arrivals[p].forEach(func(pkt *Packet, _ sim.Cycle) { found = found || covers(pkt) })
+			if found {
+				return true
+			}
+			for i := range r.in[p] {
+				vc := &r.in[p][i]
+				if vc.pkt == nil || !vc.pkt.IsPush || vc.pkt.Addr != addr {
+					continue
+				}
+				if !vc.routed && vc.pkt.Dests.Has(req) {
+					return true
+				}
+				for m := vc.pending; vc.routed && m != 0; m &= m - 1 {
+					if r.portDests(vc, bits.TrailingZeros8(m)).Has(req) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestPushInFlightMatchesFullWalk drives random multicast pushes over four
+// lines through a 4x4 mesh, with unicast traffic beside them, and at every
+// cycle asks PushInFlight about every (line, tile) pair: it must answer as
+// the walk of every buffer does.
+func TestPushInFlightMatchesFullWalk(t *testing.T) {
+	cfg := DefaultConfig(4, 4)
+	eng, net, _ := testNet(t, cfg)
+	rng := rand.New(rand.NewSource(7))
+	covered := 0
+	for cycle := 0; cycle < 3000; cycle++ {
+		if cycle < 2000 {
+			src := NodeID(rng.Intn(cfg.Nodes()))
+			if net.NI(src).CanInject(stats.UnitLLC, VNetData) {
+				push := rng.Intn(3) > 0
+				dests := DestSetFromWord(rng.Uint64() & (1<<16 - 1))
+				if !push {
+					dests = OneDest(NodeID(rng.Intn(cfg.Nodes())))
+				}
+				if !dests.Empty() {
+					net.NI(src).Inject(&Packet{
+						VNet: VNetData, Class: stats.ClassPushData, SrcUnit: stats.UnitLLC, DstUnit: stats.UnitL2,
+						Dests: dests, Addr: uint64(rng.Intn(4)) * 64, Size: cfg.DataPacketSize(), IsPush: push,
+					}, eng.Now())
+				}
+			}
+		}
+		eng.Step()
+		for addr := uint64(0); addr < 4*64; addr += 64 {
+			for req := NodeID(0); int(req) < cfg.Nodes(); req++ {
+				want := pushInFlightEverywhere(net, addr, req)
+				if got := net.PushInFlight(addr, req); got != want {
+					t.Fatalf("cycle %d: PushInFlight(%#x, %d) = %v, the full walk says %v", eng.Now(), addr, req, got, want)
+				}
+				if want {
+					covered++
+				}
+			}
+		}
+	}
+	if covered < 1000 {
+		t.Fatalf("only %d (line, tile, cycle) triples had a push in flight", covered)
+	}
+	t.Logf("%d covered triples", covered)
+}

@@ -25,6 +25,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"pushmulticast/internal/sim"
 )
@@ -161,16 +162,19 @@ func (e Event) String() string {
 // disabled by simply not installing shards.
 type Shard struct {
 	tr  *Tracer
+	id  int // creation index: the shard's bit in Tracer.emitted
 	buf []Event
 }
 
-// Emit records one event and wakes the drain monitor so the event is
-// folded into the global history this same cycle.
+// Emit records one event, flags the shard for the next drain, and wakes the
+// drain monitor so the event is folded into the global history this same
+// cycle.
 func (s *Shard) Emit(e Event) {
 	if s == nil {
 		return
 	}
 	s.buf = append(s.buf, e)
+	s.tr.emitted[s.id>>6] |= 1 << (s.id & 63)
 	s.tr.wakeMonitor()
 }
 
@@ -179,10 +183,13 @@ func (s *Shard) Emit(e Event) {
 type Tracer struct {
 	shards []*Shard    `snap:"-,wiring"`
 	h      *sim.Handle `snap:"-,wiring"` // drain monitor's handle; woken on every emission
-	ring   []Event
-	next   int `snap:"-,derived: the ring travels oldest-first, so it restarts at 0"` // ring write position
-	count  uint64
-	hash   uint64
+	// emitted has bit i set while shard i holds undrained events, so a drain
+	// visits only the shards that emitted.
+	emitted []uint64 `snap:"-,transient: zero at every barrier, where every shard is drained"`
+	ring    []Event
+	next    int `snap:"-,derived: the ring travels oldest-first, so it restarts at 0"` // ring write position
+	count   uint64
+	hash    uint64
 }
 
 // New returns a tracer retaining the last ringN events. ringN <= 0 keeps
@@ -198,8 +205,11 @@ func New(ringN int) *Tracer {
 // NewShard allocates a new single-writer shard. Creation order is the
 // drain order, so callers must create shards in a deterministic order.
 func (t *Tracer) NewShard() *Shard {
-	s := &Shard{tr: t}
+	s := &Shard{tr: t, id: len(t.shards)}
 	t.shards = append(t.shards, s)
+	if s.id%64 == 0 {
+		t.emitted = append(t.emitted, 0)
+	}
 	return s
 }
 
@@ -213,19 +223,23 @@ func (t *Tracer) wakeMonitor() {
 	}
 }
 
-// Drain flattens all shard buffers in creation order into the ring and
-// running hash, invoking fn (when non-nil) on each event. Shard buffers
-// keep their capacity.
+// Drain flattens the buffers of the shards that emitted since the last
+// drain, in creation order, into the ring and running hash, invoking fn
+// (when non-nil) on each event. Shard buffers keep their capacity.
 func (t *Tracer) Drain(fn func(Event)) {
-	for _, s := range t.shards {
-		for i := range s.buf {
-			e := s.buf[i]
-			t.record(e)
-			if fn != nil {
-				fn(e)
+	for w, word := range t.emitted {
+		t.emitted[w] = 0
+		for ; word != 0; word &= word - 1 {
+			s := t.shards[w<<6|bits.TrailingZeros64(word)]
+			for i := range s.buf {
+				e := s.buf[i]
+				t.record(e)
+				if fn != nil {
+					fn(e)
+				}
 			}
+			s.buf = s.buf[:0]
 		}
-		s.buf = s.buf[:0]
 	}
 }
 
@@ -235,14 +249,26 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnvPow[k] is fnvPrime to the k: FNV-1a folds a zero byte by multiplying by
+// the prime alone, so k zero bytes are one multiplication by fnvPow[k].
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// mix folds the eight bytes of x, least significant first, into the hash:
+// bytewise FNV-1a up to x's highest nonzero byte, and the zero bytes above
+// it in one step. Most words a trace event carries are small or zero.
 func (t *Tracer) mix(x uint64) {
-	h := t.hash
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
+	h, n := t.hash, (bits.Len64(x)+7)>>3
+	for i := 0; i < n; i++ {
+		h = (h ^ x&0xff) * fnvPrime
 		x >>= 8
 	}
-	t.hash = h
+	t.hash = h * fnvPow[8-n]
 }
 
 func (t *Tracer) record(e Event) {
