@@ -120,6 +120,11 @@ type L2 struct {
 	// OnMiss, when set, is invoked on every demand L2 miss (the stride
 	// prefetcher's training hook).
 	OnMiss func(lineAddr uint64, now sim.Cycle) `snap:"-,wiring"`
+	// OnEvent, when set, is invoked as each event reaches the controller —
+	// Load, Store, Prefetch, Timeout (an MSHR reissue) or a message type —
+	// with the line's state before it is handled: I when absent, WB when
+	// absent and pinned for writeback (the transition coverage table).
+	OnEvent func(state, event string) `snap:"-,wiring"`
 }
 
 // NewL2 builds the tile's private cache stack (L1 + L2) and attaches it to
@@ -258,6 +263,7 @@ func (c *L2) checkMSHRTimers(now sim.Cycle) {
 	slices.SortFunc(due, func(a, b *l2MSHR) int { return cmp.Compare(a.addr, b.addr) })
 	for _, m := range due {
 		addr := m.addr
+		c.observe(addr, "Timeout")
 		// Restamp unconditionally so a skipped reissue does not spin the
 		// timer every tick.
 		m.issuedAt = now
@@ -329,6 +335,7 @@ func (m *l2MSHR) retryDeadline(base sim.Cycle) sim.Cycle {
 // Load issues a demand load. done=true means it completed immediately (L1
 // hit); accepted=false means a resource stall and the core must retry.
 func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
+	c.observe(lineAddr, "Load")
 	retry := c.rejKind == 1 && c.rejAddr == lineAddr
 	c.rejKind = 0
 	if !retry {
@@ -412,6 +419,7 @@ func (c *L2) reject(kind uint8, lineAddr uint64) bool {
 // Store issues a store. Stores write through to the L1 and perform at the
 // L2 once ownership is held.
 func (c *L2) Store(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
+	c.observe(lineAddr, "Store")
 	retry := c.rejKind == 2 && c.rejAddr == lineAddr
 	c.rejKind = 0
 	if !retry {
@@ -456,6 +464,7 @@ func (c *L2) Store(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 // pressure or when the line is already present or in flight. fillL1 marks
 // L1-targeted (Bingo) prefetches.
 func (c *L2) Prefetch(lineAddr uint64, fillL1 bool, now sim.Cycle) {
+	c.observe(lineAddr, "Prefetch")
 	c.st.Cache.L2Accesses++
 	if line := c.arr.Lookup(lineAddr); line != nil {
 		if fillL1 && (line.State == StateS || line.State == StateM) && !c.l1.Present(lineAddr) {
@@ -582,6 +591,7 @@ func (c *L2) sendGetM(lineAddr uint64) {
 
 // handle dispatches one incoming protocol message.
 func (c *L2) handle(m coherence.Msg, now sim.Cycle) {
+	c.observe(m.Addr, m.Type.String())
 	switch m.Type {
 	case coherence.DataS:
 		c.handleDataS(m, now)
@@ -596,6 +606,20 @@ func (c *L2) handle(m coherence.Msg, now sim.Cycle) {
 	default:
 		panic(fmt.Sprintf("L2 %d: unexpected message %v", c.id, m))
 	}
+}
+
+// observe reports event on lineAddr to OnEvent, if set.
+func (c *L2) observe(lineAddr uint64, event string) {
+	if c.OnEvent == nil {
+		return
+	}
+	state := "I"
+	if l := c.arr.Peek(lineAddr); l != nil {
+		state = l.State.String()
+	} else if slices.Contains(c.wb, lineAddr) {
+		state = "WB"
+	}
+	c.OnEvent(state, event)
 }
 
 // completeLoads fires all waiting loads of an MSHR.

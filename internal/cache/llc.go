@@ -92,6 +92,11 @@ type LLC struct {
 	// happen from the slice's own tick and from Receive (the tile's NI
 	// tick).
 	tr *trace.Shard `snap:"-,wiring"`
+	// OnEvent, when set, is invoked as each message reaches the slice's
+	// handler, with its type and the line's state before it is handled
+	// ("absent" when the slice holds no way for it): the transition coverage
+	// table.
+	OnEvent func(state, event string) `snap:"-,wiring"`
 }
 
 // recentPush is one recent-push table entry.
@@ -274,6 +279,13 @@ func (s *LLC) retry(pkt *noc.Packet, now sim.Cycle) {
 
 func (s *LLC) handle(pkt *noc.Packet, now sim.Cycle) {
 	m := coherence.From(pkt)
+	if s.OnEvent != nil {
+		state := "absent"
+		if l := s.arr.Peek(m.Addr); l != nil {
+			state = l.State.String()
+		}
+		s.OnEvent(state, m.Type.String())
+	}
 	switch m.Type {
 	case coherence.GetS:
 		s.handleGetS(pkt, m, now)

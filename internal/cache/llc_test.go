@@ -20,14 +20,20 @@ type llcFixture struct {
 	st  *stats.All
 	llc *LLC
 	cfg config.System
-	// sentTo[node] records messages ejected toward each tile's L2.
-	sent []*noc.Packet
+	// sent records the messages ejected at any other endpoint, sentTo the
+	// tile each was ejected at.
+	sent   []*noc.Packet
+	sentTo []noc.NodeID
 }
 
-type captureEndpoint struct{ f *llcFixture }
+type captureEndpoint struct {
+	f    *llcFixture
+	tile noc.NodeID
+}
 
 func (c captureEndpoint) Receive(p *noc.Packet, now sim.Cycle) {
 	c.f.sent = append(c.f.sent, p)
+	c.f.sentTo = append(c.f.sentTo, c.tile)
 }
 
 // newLLCFixture puts the slice at tile 0 so lineB (which homes to 0) is
@@ -48,7 +54,7 @@ func newLLCFixture(t *testing.T, sch config.Scheme) *llcFixture {
 			if i == 0 && u == stats.UnitLLC {
 				continue
 			}
-			net.Attach(noc.NodeID(i), u, captureEndpoint{f})
+			net.Attach(noc.NodeID(i), u, captureEndpoint{f, noc.NodeID(i)})
 		}
 	}
 	return f
@@ -399,4 +405,92 @@ func TestLLCAuditDetectsDirectoryPastMesh(t *testing.T) {
 			t.Errorf("%s: restore says %v, want a corrupt snapshot naming %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestLLCPushShapes pins the packets each push shape puts on the network: the
+// requester each copy carries, which tiles receive a copy, how many packets
+// the slice injects for them, and the PushAck acknowledgments the line then
+// waits for in LP.
+func TestLLCPushShapes(t *testing.T) {
+	withPredict := func(sch config.Scheme) config.Scheme {
+		sch.Name += "+Predict"
+		sch.PredictPush = true
+		return sch
+	}
+	set := func(ids ...noc.NodeID) (s noc.DestSet) {
+		for _, id := range ids {
+			s = s.Add(id)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		sch    config.Scheme
+		drive  func(f *llcFixture)
+		pushes noc.DestSet // tiles a PushData reaches
+		req    noc.NodeID  // the requester every PushData carries
+		dataS  noc.DestSet // tiles a DataS reaches alongside the push
+		inject uint64      // PushData packets the slice injects
+		lp     bool        // the line waits in LP
+		acks   noc.DestSet // the PushAcks it waits for
+	}{
+		{"OrdPush re-reference", config.OrdPush(), reReference, set(2, 5, 7), 2, set(), 1, false, set()},
+		{"MSP re-reference", config.MSP(), reReference, set(5, 7), -1, set(2), 2, true, set(5, 7)},
+		{"PushAck+Predict fill", withPredict(config.PushAck()), predictedFill, set(3, 4, 6), -1, set(2), 1, true, set(3, 4, 6)},
+		{"MSP+Predict fill", withPredict(config.MSP()), predictedFill, set(3, 4, 6), -1, set(2), 1, true, set(3, 4, 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newLLCFixture(t, tc.sch)
+			tc.drive(f)
+			var pushes, dataS noc.DestSet
+			for i, p := range f.sent {
+				switch m := coherence.From(p); m.Type {
+				case coherence.PushData:
+					if m.Requester != tc.req {
+						t.Errorf("PushData to %d carries requester %d, want %d", f.sentTo[i], m.Requester, tc.req)
+					}
+					pushes = pushes.Add(f.sentTo[i])
+				case coherence.DataS:
+					dataS = dataS.Add(f.sentTo[i])
+				}
+			}
+			if pushes != tc.pushes || dataS != tc.dataS {
+				t.Errorf("PushData reached %v and DataS %v, want %v and %v", pushes, dataS, tc.pushes, tc.dataS)
+			}
+			if n := f.st.Net.InjectedPackets[stats.UnitLLC][stats.ClassPushData]; n != tc.inject {
+				t.Errorf("slice injected %d PushData packets, want %d", n, tc.inject)
+			}
+			st, _ := f.lineState(lineB)
+			if (st == StateLP) != tc.lp {
+				t.Fatalf("line in %v, want LP %v", st, tc.lp)
+			}
+			if tc.lp {
+				if got := f.llc.txn(lineB).pending; got != tc.acks {
+					t.Errorf("LP waits for PushAcks from %v, want %v", got, tc.acks)
+				}
+			}
+		})
+	}
+}
+
+// reReference makes 2, 5 and 7 sharers of lineB, then has 2 read it again
+// past the recent-push window: the re-reference triggers a push. Only the
+// messages from the re-reference on stay in f.sent.
+func reReference(f *llcFixture) {
+	f.fill(2)
+	f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: 5, NeedPush: true}, 5)
+	f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: 7, NeedPush: true}, 7)
+	f.step(300)
+	f.sent, f.sentTo = nil, nil
+	f.st.Net.InjectedPackets = [stats.NumUnits][stats.NumClasses]uint64{}
+	f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: 2, NeedPush: true}, 2)
+	f.step(120)
+}
+
+// predictedFill has the predictor remember 3, 4 and 6 as lineB's sharers,
+// then fills the line for reader 2: the fill pushes to the three.
+func predictedFill(f *llcFixture) {
+	f.llc.pred.remember(lineB, noc.OneDest(3).Add(4).Add(6))
+	f.fill(2)
+	f.step(120)
 }
