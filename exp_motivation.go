@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pushmulticast/internal/noc"
 	"pushmulticast/internal/stats"
 	"pushmulticast/internal/workload"
 )
@@ -114,7 +115,7 @@ var fig4 = Figure{
 			"Pair", "Samples", "Min", "P25", "Median", "P75", "Max")
 		for _, k := range pairs {
 			s := sortU64(gaps[k].Samples)
-			row := []Cell{{Text: fmt.Sprintf("%d-%d", k/64, k%64)}}
+			row := []Cell{{Text: fmt.Sprintf("%d-%d", k/noc.MaxNodes, k%noc.MaxNodes)}}
 			for _, v := range []uint64{uint64(len(s)), s[0], Quantile(s, 0.25), Quantile(s, 0.5), Quantile(s, 0.75), s[len(s)-1]} {
 				row = append(row, Cell{Text: fmt.Sprint(v), Value: float64(v)})
 			}

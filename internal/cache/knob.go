@@ -120,6 +120,14 @@ func (k *resumeKnob) resetFlagFor(req noc.NodeID) bool {
 	return true
 }
 
+// pushable removes from dests the requesters currently excluded from pushes.
+func (k *resumeKnob) pushable(dests noc.DestSet) noc.DestSet {
+	if !k.enabled {
+		return dests
+	}
+	return dests.Subtract(k.pdr)
+}
+
 // pushDisabled reports whether req is currently excluded from pushes.
 func (k *resumeKnob) pushDisabled(req noc.NodeID) bool {
 	return k.enabled && k.pdr.Has(req)

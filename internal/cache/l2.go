@@ -140,7 +140,7 @@ func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 		core: core,
 		mshr: make([]l2MSHR, 0, cfg.L2MSHRs),
 		inq:  delayQueue{latency: sim.Cycle(cfg.L2Latency)},
-		out:  outbox{ni: net.NI(id), unit: stats.UnitL2},
+		out:  outbox{ni: net.NI(id), cfg: &cfg.NoC, unit: stats.UnitL2},
 		knob: pauseKnob{
 			tpcThreshold: uint32(cfg.TPCThreshold),
 			ratioShift:   cfg.KnobRatioShift,
@@ -272,20 +272,15 @@ func (c *L2) checkMSHRTimers(now sim.Cycle) {
 			// reissuing GetM would open a second ownership episode.
 			continue
 		}
-		line := c.arr.Lookup(addr)
-		if line == nil {
-			continue
-		}
-		switch line.State {
+		// A live MSHR always holds its line's way, in one of these states.
+		switch c.arr.Lookup(addr).State {
 		case StateISD, StateISDI:
 			if c.incomingDataPending(addr) {
 				continue // the fill is already queued; no reissue needed
 			}
 			c.sendGetS(addr, m.prefetch)
 		case StateIMD, StateSMD:
-			c.sendGetM(addr)
-		default:
-			continue
+			c.send(coherence.GetM, coherence.Msg{Addr: addr})
 		}
 		if m.backoff < 32 {
 			m.backoff++
@@ -336,8 +331,7 @@ func (m *l2MSHR) retryDeadline(base sim.Cycle) sim.Cycle {
 // hit); accepted=false means a resource stall and the core must retry.
 func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 	c.observe(lineAddr, "Load")
-	retry := c.rejKind == 1 && c.rejAddr == lineAddr
-	c.rejKind = 0
+	retry := c.retried(rejLoad, lineAddr)
 	if !retry {
 		c.st.Cache.L1Accesses++
 	}
@@ -348,32 +342,15 @@ func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 		c.st.Cache.L1Misses++
 		c.st.Cache.L2Accesses++
 	}
-	if line := c.arr.Lookup(lineAddr); line != nil {
-		switch line.State {
-		case StateS, StateM:
-			line.LastUse = now
-			c.touchPushed(line)
-			c.l1.Fill(lineAddr, line.Version, now)
-			c.pend = append(c.pend, doneEvt{lineAddr, now + sim.Cycle(c.cfg.L2Latency), false})
-			c.h.WakeAt(now + sim.Cycle(c.cfg.L2Latency))
-			return false, true
-		case StateISD, StateISDI, StateIMD, StateSMD:
-			m := c.findMSHR(lineAddr)
-			if m == nil {
-				panic(fmt.Sprintf("L2 %d: transient line %#x without MSHR", c.id, lineAddr))
-			}
-			m.loads++
-			m.prefetch = false
-			return false, true
-		}
+	line := c.arr.Lookup(lineAddr)
+	if line != nil && (line.State == StateS || line.State == StateM) {
+		line.LastUse = now
+		c.touchPushed(line)
+		c.l1.Fill(lineAddr, line.Version, now)
+		c.complete(lineAddr, false, now)
+		return false, true
 	}
-	if slices.Contains(c.wb, lineAddr) {
-		return false, c.reject(1, lineAddr)
-	}
-	if !c.allocMiss(lineAddr, now, 1, 0, false) {
-		return false, c.reject(1, lineAddr)
-	}
-	return false, true
+	return false, c.miss(line, lineAddr, rejLoad, now)
 }
 
 // mshrFull reports whether every slot of the MSHR file is live.
@@ -409,55 +386,80 @@ func (c *L2) freeMSHR(m *l2MSHR) {
 	c.mshr = c.mshr[:last]
 }
 
-// reject records a refused access for retry dedup and returns false.
-func (c *L2) reject(kind uint8, lineAddr uint64) bool {
-	c.rejKind = kind
-	c.rejAddr = lineAddr
-	return false
-}
-
 // Store issues a store. Stores write through to the L1 and perform at the
 // L2 once ownership is held.
 func (c *L2) Store(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 	c.observe(lineAddr, "Store")
-	retry := c.rejKind == 2 && c.rejAddr == lineAddr
-	c.rejKind = 0
-	if !retry {
+	if !c.retried(rejStore, lineAddr) {
 		c.st.Cache.L2Accesses++
 	}
-	if line := c.arr.Lookup(lineAddr); line != nil {
-		switch line.State {
-		case StateM:
-			line.LastUse = now
-			c.touchPushed(line)
-			line.Version++
-			c.l1.Update(lineAddr, line.Version)
-			c.pend = append(c.pend, doneEvt{lineAddr, now + sim.Cycle(c.cfg.L2Latency), true})
-			c.h.WakeAt(now + sim.Cycle(c.cfg.L2Latency))
-			return false, true
-		case StateS:
-			// Upgrade: keep the S data readable while GetM is outstanding.
-			if c.mshrFull() {
-				return false, c.reject(2, lineAddr)
-			}
+	line := c.arr.Lookup(lineAddr)
+	if line != nil && line.State == StateM {
+		line.LastUse = now
+		c.touchPushed(line)
+		line.Version++
+		c.l1.Update(lineAddr, line.Version)
+		c.complete(lineAddr, true, now)
+		return false, true
+	}
+	return false, c.miss(line, lineAddr, rejStore, now)
+}
+
+// The kinds of access rejKind remembers.
+const (
+	rejLoad  uint8 = 1
+	rejStore uint8 = 2
+)
+
+// retried reports whether an access of kind to lineAddr retries the one the
+// controller refused last, and forgets that refusal.
+func (c *L2) retried(kind uint8, lineAddr uint64) bool {
+	r := c.rejKind == kind && c.rejAddr == lineAddr
+	c.rejKind = 0
+	return r
+}
+
+// complete schedules the core's completion of a hit, L2Latency from now.
+func (c *L2) complete(lineAddr uint64, store bool, now sim.Cycle) {
+	at := now + sim.Cycle(c.cfg.L2Latency)
+	c.pend = append(c.pend, doneEvt{lineAddr, at, store})
+	c.h.WakeAt(at)
+}
+
+// miss is the one miss path of Load and Store (kind rejLoad or rejStore) on
+// line, the lookup of lineAddr: it merges the access into the line's
+// in-flight MSHR, upgrades an S line for a store, or starts a miss. It
+// refuses the access on a writeback-pinned line, a full MSHR file or a set
+// without a victim, remembering it so the core's retry is not counted again.
+func (c *L2) miss(line *Line, lineAddr uint64, kind uint8, now sim.Cycle) bool {
+	store := kind == rejStore
+	ok := true
+	switch {
+	case line != nil && line.State.Transient():
+		m := c.findMSHR(lineAddr)
+		if store {
+			m.stores++
+		} else {
+			m.loads++
+		}
+		m.prefetch = false
+	case line != nil:
+		// A store to an S line upgrades it, keeping the S data readable while
+		// GetM is outstanding.
+		if ok = !c.mshrFull(); ok {
 			line.State = StateSMD
 			c.newMSHR(l2MSHR{addr: lineAddr, stores: 1, issuedAt: now})
-			c.sendGetM(lineAddr)
-			return false, true
-		case StateISD, StateISDI, StateIMD, StateSMD:
-			m := c.findMSHR(lineAddr)
-			m.stores++
-			m.prefetch = false
-			return false, true
+			c.send(coherence.GetM, coherence.Msg{Addr: lineAddr})
 		}
+	case store:
+		ok = !slices.Contains(c.wb, lineAddr) && c.allocMiss(lineAddr, now, 0, 1, false)
+	default:
+		ok = !slices.Contains(c.wb, lineAddr) && c.allocMiss(lineAddr, now, 1, 0, false)
 	}
-	if slices.Contains(c.wb, lineAddr) {
-		return false, c.reject(2, lineAddr)
+	if !ok {
+		c.rejKind, c.rejAddr = kind, lineAddr
 	}
-	if !c.allocMiss(lineAddr, now, 0, 1, false) {
-		return false, c.reject(2, lineAddr)
-	}
-	return false, true
+	return ok
 }
 
 // Prefetch issues a prefetch read; it is dropped silently under resource
@@ -495,7 +497,7 @@ func (c *L2) allocMiss(lineAddr uint64, now sim.Cycle, loads, stores int, prefet
 		issuedAt: now})
 	if stores > 0 && loads == 0 {
 		c.arr.Install(victim, lineAddr, StateIMD, now)
-		c.sendGetM(lineAddr)
+		c.send(coherence.GetM, coherence.Msg{Addr: lineAddr})
 	} else {
 		c.arr.Install(victim, lineAddr, StateISD, now)
 		// Fill-queue snoop: if a push (or data response) for this line is
@@ -542,8 +544,7 @@ func (c *L2) evict(l *Line, now sim.Cycle) {
 	c.st.Cache.L2Evictions++
 	if l.State == StateM {
 		c.wb = append(c.wb, addr)
-		c.send(coherence.Msg{Type: coherence.PutM, Addr: addr, Requester: c.id, Version: l.Version},
-			noc.OneDest(c.home(addr)), stats.UnitLLC)
+		c.send(coherence.PutM, coherence.Msg{Addr: addr, Version: l.Version})
 	}
 	c.arr.Invalidate(l)
 }
@@ -566,13 +567,11 @@ func (c *L2) touchPushed(l *Line) {
 	}
 }
 
-func (c *L2) home(lineAddr uint64) noc.NodeID { return c.cfg.HomeSlice(lineAddr) }
-
-// send writes m into a pool-backed packet and queues it for injection.
-func (c *L2) send(m coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
-	p := c.out.ni.NewPacket()
-	m.FillPacket(p, c.cfg.NoC, stats.UnitL2, dstUnit, dests)
-	c.out.send(p)
+// send queues a message of type t from this tile to the line's home slice,
+// where every message an L2 sends goes.
+func (c *L2) send(t coherence.MsgType, m coherence.Msg) {
+	m.Type, m.Requester = t, c.id
+	c.out.send(m, noc.OneDest(c.cfg.HomeSlice(m.Addr)), stats.UnitLLC)
 }
 
 func (c *L2) sendGetS(lineAddr uint64, prefetch bool) {
@@ -580,13 +579,7 @@ func (c *L2) sendGetS(lineAddr uint64, prefetch bool) {
 	if !needPush {
 		c.st.Cache.PausedPushRequests++
 	}
-	c.send(coherence.Msg{Type: coherence.GetS, Addr: lineAddr, Requester: c.id,
-		NeedPush: needPush, Prefetch: prefetch}, noc.OneDest(c.home(lineAddr)), stats.UnitLLC)
-}
-
-func (c *L2) sendGetM(lineAddr uint64) {
-	c.send(coherence.Msg{Type: coherence.GetM, Addr: lineAddr, Requester: c.id},
-		noc.OneDest(c.home(lineAddr)), stats.UnitLLC)
+	c.send(coherence.GetS, coherence.Msg{Addr: lineAddr, NeedPush: needPush, Prefetch: prefetch})
 }
 
 // handle dispatches one incoming protocol message.
@@ -630,19 +623,32 @@ func (c *L2) completeLoads(m *l2MSHR, now sim.Cycle) {
 	m.loads = 0
 }
 
-// finishFill finalizes a shared fill: retire the MSHR or start the pending
-// write upgrade.
-func (c *L2) finishFill(line *Line, m *l2MSHR, now sim.Cycle) {
-	if m.stores > 0 {
-		line.State = StateSMD
-		m.loads = 0
-		m.issuedAt = now
-		m.backoff = 0 // fresh request episode
-		c.armRetry(m)
-		c.sendGetM(m.addr)
-		return
+// fill installs shared data in line, which waits for it in IS_D (or in
+// IS_D_I, for a push), fills the L1 for waiting loads or an L1 prefetch and
+// completes the loads; then it retires ms, or starts the write ms also
+// waits for.
+func (c *L2) fill(line *Line, ms *l2MSHR, version uint64, now sim.Cycle) {
+	line.State = StateS
+	line.Version = version
+	line.LastUse = now
+	if ms.loads > 0 || ms.prefetchL1 {
+		c.l1.Fill(ms.addr, version, now)
 	}
-	c.freeMSHR(m)
+	c.completeLoads(ms, now)
+	if ms.stores > 0 {
+		line.State = StateSMD
+		c.requestM(ms, now)
+	} else {
+		c.freeMSHR(ms)
+	}
+}
+
+// requestM starts a fresh GetM episode for ms's line.
+func (c *L2) requestM(ms *l2MSHR, now sim.Cycle) {
+	ms.issuedAt = now
+	ms.backoff = 0
+	c.armRetry(ms)
+	c.send(coherence.GetM, coherence.Msg{Addr: ms.addr})
 }
 
 func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
@@ -659,24 +665,14 @@ func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
 	}
 	switch line.State {
 	case StateISD:
-		line.State = StateS
-		line.Version = m.Version
-		line.LastUse = now
-		if ms.loads > 0 || ms.prefetchL1 {
-			c.l1.Fill(m.Addr, m.Version, now)
-		}
-		c.completeLoads(ms, now)
-		c.finishFill(line, ms, now)
+		c.fill(line, ms, m.Version, now)
 	case StateISDI:
 		// Use-once: satisfy the waiting loads with the received value, then
 		// discard (the line was invalidated while the fetch was in flight).
 		c.completeLoads(ms, now)
 		if ms.stores > 0 {
 			line.State = StateIMD
-			ms.issuedAt = now
-			ms.backoff = 0 // fresh request episode
-			c.armRetry(ms)
-			c.sendGetM(m.Addr)
+			c.requestM(ms, now)
 		} else {
 			c.arr.Invalidate(line)
 			c.freeMSHR(ms)
@@ -690,9 +686,6 @@ func (c *L2) handleDataS(m coherence.Msg, now sim.Cycle) {
 }
 
 func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
-	if m.Reset {
-		c.knob.reset()
-	}
 	ms := c.findMSHR(m.Addr)
 	line := c.arr.Lookup(m.Addr)
 	if ms == nil || line == nil {
@@ -723,8 +716,7 @@ func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
 			c.l1.Invalidate(m.Addr)
 			v := line.Version
 			c.arr.Invalidate(line)
-			c.send(coherence.Msg{Type: coherence.InvAckData, Addr: m.Addr, Requester: c.id,
-				Version: v, Epoch: ms.recallEpoch}, noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
+			c.send(coherence.InvAckData, coherence.Msg{Addr: m.Addr, Version: v, Epoch: ms.recallEpoch})
 		}
 		c.freeMSHR(ms)
 	default:
@@ -735,72 +727,41 @@ func (c *L2) handleDataM(m coherence.Msg, now sim.Cycle) {
 	}
 }
 
-// deferRecall records a recall invalidation that arrived before the DataM
-// the MSHR is waiting for.
-func (c *L2) deferRecall(m coherence.Msg) {
-	ms := c.findMSHR(m.Addr)
-	if ms == nil {
-		panic(fmt.Sprintf("L2 %d: recall deferral for %#x without MSHR", c.id, m.Addr))
-	}
-	ms.recallPending = true
-	ms.recallEpoch = m.Epoch
-}
-
 func (c *L2) handleInv(m coherence.Msg, now sim.Cycle) {
-	ack := func(t coherence.MsgType, version uint64) {
-		c.send(coherence.Msg{Type: t, Addr: m.Addr, Requester: c.id,
-			Version: version, Epoch: m.Epoch}, noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
-	}
-	line := c.arr.Lookup(m.Addr)
-	if line == nil {
+	ack, v := coherence.InvAck, uint64(0)
+	switch line := c.arr.Lookup(m.Addr); {
+	case line == nil:
 		// Silently evicted earlier, or the writeback raced with the
 		// invalidation: the PutM already carries the data.
-		ack(coherence.InvAck, 0)
+	case m.Recall && (line.State == StateSMD || line.State == StateIMD):
+		// The directory granted us ownership and now wants the line back;
+		// the DataM is still in flight. Defer: use the data once it arrives,
+		// then return it (handleDataM).
+		ms := c.findMSHR(m.Addr)
+		ms.recallPending, ms.recallEpoch = true, m.Epoch
 		return
-	}
-	switch line.State {
-	case StateS:
+	case line.State == StateS:
 		c.classifyEvict(line)
 		c.l1.Invalidate(m.Addr)
 		c.arr.Invalidate(line)
-		ack(coherence.InvAck, 0)
-	case StateM:
+	case line.State == StateM:
 		c.l1.Invalidate(m.Addr)
-		v := line.Version
+		ack, v = coherence.InvAckData, line.Version
 		c.arr.Invalidate(line)
-		ack(coherence.InvAckData, v)
-	case StateSMD:
-		if m.Recall {
-			// The directory granted us ownership and now wants the line
-			// back; the DataM is still in flight. Defer: use the data
-			// once it arrives, then return it (handleDataM).
-			c.deferRecall(m)
-			return
-		}
+	case line.State == StateSMD:
 		// Another writer won; our upgrade becomes a full write miss.
 		c.l1.Invalidate(m.Addr)
 		line.State = StateIMD
-		ack(coherence.InvAck, 0)
-	case StateIMD:
-		if m.Recall {
-			c.deferRecall(m)
-			return
-		}
-		// Not a sharer; acknowledge defensively.
-		ack(coherence.InvAck, 0)
-	case StateISD:
+	case line.State == StateISD:
 		line.State = StateISDI
-		ack(coherence.InvAck, 0)
-	default:
-		// ISDI: not a sharer; acknowledge defensively.
-		ack(coherence.InvAck, 0)
 	}
+	// In IM_D and IS_D_I the tile is not a sharer: it acknowledges defensively.
+	c.send(ack, coherence.Msg{Addr: m.Addr, Version: v, Epoch: m.Epoch})
 }
 
 func (c *L2) handlePush(m coherence.Msg, now sim.Cycle) {
 	if c.cfg.Scheme.Protocol == config.ProtoPushAck {
-		c.send(coherence.Msg{Type: coherence.PushAck, Addr: m.Addr, Requester: c.id},
-			noc.OneDest(c.home(m.Addr)), stats.UnitLLC)
+		c.send(coherence.PushAck, coherence.Msg{Addr: m.Addr})
 	}
 	demand := m.Requester == c.id
 	if !demand {
@@ -840,20 +801,12 @@ func (c *L2) acceptPush(m coherence.Msg, now sim.Cycle, speculative bool) (stats
 			// Guaranteed acceptance: the push serves the outstanding read
 			// miss (Early-Resp). In ISDI the push was serialized after the
 			// invalidating write, so installing shared state is safe.
-			ms := c.findMSHR(m.Addr)
-			line.State = StateS
-			line.Version = m.Version
-			line.LastUse = now
 			line.Pushed = speculative
 			line.Accessed = true
 			if speculative {
 				c.knob.onUseful()
 			}
-			if ms.loads > 0 || ms.prefetchL1 {
-				c.l1.Fill(m.Addr, m.Version, now)
-			}
-			c.completeLoads(ms, now)
-			c.finishFill(line, ms, now)
+			c.fill(line, c.findMSHR(m.Addr), m.Version, now)
 			return stats.PushEarlyResp, true
 		}
 	}

@@ -123,7 +123,7 @@ func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine
 		st:      st,
 		arr:     newDirectoryArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.Tiles()),
 		inq:     delayQueue{latency: sim.Cycle(cfg.LLCLatency)},
-		out:     outbox{ni: net.NI(id), unit: stats.UnitLLC},
+		out:     outbox{ni: net.NI(id), cfg: &cfg.NoC, unit: stats.UnitLLC},
 		knob:    newResumeKnob(cfg.TimeWindow, cfg.Scheme.Knob),
 		memNode: cfg.NearestMemController(id),
 	}
@@ -148,16 +148,26 @@ func (s *LLC) ID() noc.NodeID { return s.id }
 // processing time; together with the in-network filters this covers every
 // point where a request and the push embedding its response can meet.
 func (s *LLC) Receive(pkt *noc.Packet, now sim.Cycle) {
-	if pkt.Filterable && s.cfg.Scheme.Filter {
-		if s.pushCovering(pkt.Addr, pkt.Requester) {
-			s.st.Net.FilteredRequests++
-			s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterHome, Node: int32(s.id),
-				Addr: pkt.Addr, ID: pkt.ID, A: int32(pkt.Requester)})
-			s.out.ni.Recycle(pkt)
-			return
-		}
+	if pkt.Filterable && s.filtered(pkt, now) {
+		s.out.ni.Recycle(pkt)
+		return
 	}
 	s.h.WakeAt(s.inq.push(pkt, now))
+}
+
+// filtered is the home-side extension of the coherent filter, applied to a
+// read request on arrival and again when it is handled: a request whose
+// response is embedded in a push that has not yet left this tile (LLC outbox
+// or NI injection queue) is pruned here, exactly as the local-port filter
+// would prune it one cycle later.
+func (s *LLC) filtered(pkt *noc.Packet, now sim.Cycle) bool {
+	if !s.cfg.Scheme.Filter || !s.pushCovering(pkt.Addr, pkt.Requester) {
+		return false
+	}
+	s.st.Net.FilteredRequests++
+	s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterHome, Node: int32(s.id),
+		Addr: pkt.Addr, ID: pkt.ID, A: int32(pkt.Requester)})
+	return true
 }
 
 // Tick advances the resume knob, processes one matured message, and drains
@@ -202,13 +212,6 @@ func (s *LLC) reschedule() {
 		return
 	}
 	s.h.Sleep()
-}
-
-// send writes m into a pool-backed packet and queues it for injection.
-func (s *LLC) send(m coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
-	p := s.out.ni.NewPacket()
-	m.FillPacket(p, s.cfg.NoC, stats.UnitLLC, dstUnit, dests)
-	s.out.send(p)
 }
 
 // pushCovering reports whether a push embedding a response for the
@@ -311,14 +314,7 @@ func (s *LLC) handle(pkt *noc.Packet, now sim.Cycle) {
 func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	s.st.Cache.LLCAccesses++
 	s.knob.onRequest(m.Requester, m.NeedPush)
-	// Home-side extension of the coherent filter: a request whose response
-	// is embedded in a push that has not yet left this tile (LLC outbox or
-	// NI injection queue) is pruned here, exactly as the local-port filter
-	// would prune it one cycle later.
-	if s.cfg.Scheme.Filter && s.pushCovering(m.Addr, m.Requester) {
-		s.st.Net.FilteredRequests++
-		s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterHome, Node: int32(s.id),
-			Addr: m.Addr, ID: pkt.ID, A: int32(m.Requester)})
+	if s.filtered(pkt, now) {
 		return
 	}
 	line := s.arr.Lookup(m.Addr)
@@ -332,25 +328,36 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 		s.traceSharerGap(line, m.Requester, now)
 		d := s.arr.dirWay(line)
 		if s.cfg.Scheme.Coalesce {
-			s.coalescedReply(line, d, m, now)
+			// Concurrent same-line reads within the lookup window merge into
+			// one reply.
+			readers := noc.OneDest(m.Requester)
+			absorbed := s.inq.removeIf(func(p *noc.Packet) bool {
+				return p.Filterable && p.Addr == m.Addr // Filterable marks exactly the GetS packets
+			})
+			for _, p := range absorbed {
+				readers = readers.Add(p.Requester)
+				s.st.Cache.CoalescedRequests++
+				s.out.ni.Recycle(p)
+			}
+			s.coalescedReply(line, d, m.Requester, readers)
 			return
 		}
 		if s.cfg.Scheme.Push && !m.Prefetch && d.Sharers().Has(m.Requester) {
-			if !s.cfg.NoRecentPushTable && s.recentlyPushedTo(m.Addr, m.Requester, now) {
-				s.unicastDataS(line, d, m.Requester)
+			// The push activated phase (§III-B): a re-reference from an
+			// existing sharer speculates that every sharer will need the line
+			// again. With every other sharer push-disabled, or a push that
+			// covers the requester still in flight, it gets a unicast.
+			dests := s.knob.pushable(d.Sharers()).Add(m.Requester)
+			if dests.Count() > 1 && (s.cfg.NoRecentPushTable || !s.recentlyPushedTo(m.Addr, m.Requester, now)) {
+				s.push(line, d, m.Requester, dests, now)
 				return
 			}
-			s.triggerPush(line, d, m.Requester, now)
-			return
 		}
-		s.unicastDataS(line, d, m.Requester)
-		d.SetSharers(d.Sharers().Add(m.Requester))
+		s.serveShared(line, d, m.Requester)
 	case StateLP:
 		// Semi-blocking P state: reads are still served with unicasts.
 		line.LastUse = now
-		d := s.arr.dirWay(line)
-		s.unicastDataS(line, d, m.Requester)
-		d.SetSharers(d.Sharers().Add(m.Requester))
+		s.serveShared(line, s.arr.dirWay(line), m.Requester)
 	case StateLM:
 		s.startRecall(line, false)
 		s.stall(m.Addr, pkt)
@@ -362,56 +369,45 @@ func (s *LLC) handleGetS(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 	}
 }
 
-// unicastDataS sends a shared data response, embedding the resume knob's
-// counter-reset flag when applicable; d is the line's directory.
-func (s *LLC) unicastDataS(line *Line, d DirWay, req noc.NodeID) {
-	s.send(coherence.Msg{
+// serveShared answers reader req with a unicast DataS of line, embedding the
+// resume knob's counter-reset flag when applicable, and makes req a sharer
+// in d, the line's directory.
+func (s *LLC) serveShared(line *Line, d DirWay, req noc.NodeID) {
+	s.out.send(coherence.Msg{
 		Type: coherence.DataS, Addr: s.arr.Tag(line), Requester: req,
 		Version: line.Version, Reset: s.knob.resetFlagFor(req),
 		Private: d.Sharers().Remove(req).Empty(),
 	}, noc.OneDest(req), stats.UnitL2)
+	d.SetSharers(d.Sharers().Add(req))
 }
 
-// triggerPush implements the push activated phase (§III-B): a re-reference
-// from an existing sharer speculates that every sharer will need the line
-// again and multicasts it to all of them (minus push-disabled requesters).
-func (s *LLC) triggerPush(line *Line, d DirWay, req noc.NodeID, now sim.Cycle) {
-	addr, dests := s.arr.Tag(line), d.Sharers()
-	if s.cfg.Scheme.Knob {
-		dests = dests.Subtract(s.knob.pdr)
-	}
-	dests = dests.Add(req)
-	if dests.Count() == 1 {
-		// Every other sharer is push-disabled: degenerate to a unicast.
-		s.unicastDataS(line, d, req)
-		return
-	}
+// push sends line to dests (§III-B), recording it in the stats, the trace and
+// the recent-push table; under PushAck the line then waits in LP for the
+// pushes' acknowledgments. req is the re-referencing sharer the push also
+// answers, or -1 for a predictor fill no destination asked for, which is one
+// multicast whose every copy is speculative. Without multicast, req gets a
+// DataS and every other destination its own push (MSP).
+func (s *LLC) push(line *Line, d DirWay, req noc.NodeID, dests noc.DestSet, now sim.Cycle) {
+	addr, acks := s.arr.Tag(line), dests
 	s.st.Cache.PushesTriggered++
 	s.st.Cache.PushDestinations += uint64(dests.Count())
 	s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KPushTrigger, Node: int32(s.id),
 		Addr: addr, Aux: trace.Aux(dests), A: int32(req)})
 	s.recordRecentPush(addr, dests, now)
-	if s.cfg.Scheme.Multicast {
-		s.send(coherence.Msg{
-			Type: coherence.PushData, Addr: addr, Requester: req, Version: line.Version,
-		}, dests, stats.UnitL2)
+	if req < 0 || s.cfg.Scheme.Multicast {
+		s.out.send(coherence.Msg{Type: coherence.PushData, Addr: addr, Requester: req,
+			Version: line.Version}, dests, stats.UnitL2)
 	} else {
-		// MSP-style per-sharer unicast pushes: the demand requester gets a
-		// normal response, every other destination an individual push.
-		s.unicastDataS(line, d, req)
-		dests.Remove(req).ForEach(func(dst noc.NodeID) {
+		s.serveShared(line, d, req)
+		acks = dests.Remove(req)
+		acks.ForEach(func(dst noc.NodeID) {
 			// Requester -1: each unicast copy is speculative for its
-			// destination (the demand requester got the DataS above).
-			s.send(coherence.Msg{
-				Type: coherence.PushData, Addr: addr, Requester: -1, Version: line.Version,
-			}, noc.OneDest(dst), stats.UnitL2)
+			// destination.
+			s.out.send(coherence.Msg{Type: coherence.PushData, Addr: addr, Requester: -1,
+				Version: line.Version}, noc.OneDest(dst), stats.UnitL2)
 		})
 	}
 	if s.cfg.Scheme.Protocol == config.ProtoPushAck {
-		acks := dests
-		if !s.cfg.Scheme.Multicast {
-			acks = acks.Remove(req)
-		}
 		d.Epoch++
 		line.State = StateLP
 		s.openTxn(addr).pending = acks
@@ -447,23 +443,13 @@ func (s *LLC) recentlyPushedTo(addr uint64, req noc.NodeID, now sim.Cycle) bool 
 	return false
 }
 
-// coalescedReply implements the Coalesce baseline [38]: concurrent same-line
-// read requests within the LLC lookup window are merged and answered with a
-// single multicast.
-func (s *LLC) coalescedReply(line *Line, d DirWay, m coherence.Msg, now sim.Cycle) {
-	dests := noc.OneDest(m.Requester)
-	absorbed := s.inq.removeIf(func(p *noc.Packet) bool {
-		return p.Filterable && p.Addr == m.Addr // Filterable marks exactly the GetS packets
-	})
-	for _, p := range absorbed {
-		dests = dests.Add(p.Requester)
-		s.st.Cache.CoalescedRequests++
-		s.out.ni.Recycle(p)
-	}
-	d.SetSharers(d.Sharers().Union(dests))
-	s.send(coherence.Msg{
-		Type: coherence.DataS, Addr: m.Addr, Requester: m.Requester, Version: line.Version,
-	}, dests, stats.UnitL2)
+// coalescedReply is the Coalesce baseline's [38] reply: one multicast DataS
+// answers the merged readers, first among them req, which become sharers in
+// d, line's directory.
+func (s *LLC) coalescedReply(line *Line, d DirWay, req noc.NodeID, readers noc.DestSet) {
+	d.SetSharers(d.Sharers().Union(readers))
+	s.out.send(coherence.Msg{Type: coherence.DataS, Addr: s.arr.Tag(line), Requester: req,
+		Version: line.Version}, readers, stats.UnitL2)
 }
 
 // traceSharerGap records the interval between consecutive same-line reads
@@ -479,7 +465,7 @@ func (s *LLC) traceSharerGap(line *Line, req noc.NodeID, now sim.Cycle) {
 		return
 	}
 	if t.lastReader != req {
-		key := int(t.lastReader)*64 + int(req)
+		key := int(t.lastReader)*noc.MaxNodes + int(req)
 		s.st.ObserveGap(key, uint64(now-t.lastAt))
 	}
 	t.lastReader, t.lastAt = req, now
@@ -510,14 +496,15 @@ func (s *LLC) handleGetM(pkt *noc.Packet, m coherence.Msg, now sim.Cycle) {
 		t := s.openTxn(m.Addr)
 		t.pending, t.writer = others, m.Requester
 		others.ForEach(func(dst noc.NodeID) {
-			s.send(coherence.Msg{Type: coherence.Inv, Addr: m.Addr, Requester: m.Requester,
+			s.out.send(coherence.Msg{Type: coherence.Inv, Addr: m.Addr, Requester: m.Requester,
 				Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 		})
 	case StateLM:
-		if s.arr.dirWay(line).Owner == m.Requester {
-			// Defensive: an owner never re-requests ownership.
-			s.send(coherence.Msg{Type: coherence.DataM, Addr: m.Addr, Requester: m.Requester,
-				Version: line.Version}, noc.OneDest(m.Requester), stats.UnitL2)
+		if d := s.arr.dirWay(line); d.Owner == m.Requester {
+			// The owner asks again: its MSHR reissued the GetM in a lossy run
+			// (the first DataM is late or lost). Grant it again; an LM line
+			// has no sharers, so only the DataM is new.
+			s.grantM(line, d, m.Requester)
 			return
 		}
 		s.startRecall(line, false)
@@ -531,7 +518,7 @@ func (s *LLC) grantM(line *Line, d DirWay, writer noc.NodeID) {
 	line.State = StateLM
 	d.Owner = writer
 	d.SetSharers(noc.DestSet{})
-	s.send(coherence.Msg{Type: coherence.DataM, Addr: s.arr.Tag(line), Requester: writer,
+	s.out.send(coherence.Msg{Type: coherence.DataM, Addr: s.arr.Tag(line), Requester: writer,
 		Version: line.Version}, noc.OneDest(writer), stats.UnitL2)
 }
 
@@ -542,39 +529,41 @@ func (s *LLC) startRecall(line *Line, evict bool) {
 	d.Epoch++
 	line.State = StateLMInv
 	s.openTxn(addr).evict = evict
-	s.send(coherence.Msg{Type: coherence.Inv, Addr: addr, Requester: d.Owner,
+	s.out.send(coherence.Msg{Type: coherence.Inv, Addr: addr, Requester: d.Owner,
 		Epoch: d.Epoch, Recall: true}, noc.OneDest(d.Owner), stats.UnitL2)
 }
 
+// handlePutM takes an owner's writeback: in LM it returns the line to LV, in
+// LM_Inv the writeback raced with the recall and carries the data the
+// episode was waiting for.
 func (s *LLC) handlePutM(m coherence.Msg, now sim.Cycle) {
 	line := s.arr.Lookup(m.Addr)
 	if line == nil {
 		panic(fmt.Sprintf("LLC %d: PutM for absent line %#x", s.id, m.Addr))
 	}
-	switch line.State {
-	case StateLM:
-		d := s.arr.dirWay(line)
-		if d.Owner != m.Requester {
-			panic(fmt.Sprintf("LLC %d: PutM for %#x from %d, owner is %d", s.id, m.Addr, m.Requester, d.Owner))
-		}
-		line.Version = m.Version
-		line.Dirty = true
-		d.Owner = 0
-		d.SetSharers(noc.DestSet{})
-		line.State = StateLV
-		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
-			noc.OneDest(m.Requester), stats.UnitL2)
-	case StateLMInv:
-		// Writeback raced with the recall: the PutM carries the data the
-		// episode was waiting for.
-		line.Version = m.Version
-		line.Dirty = true
-		s.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
-			noc.OneDest(m.Requester), stats.UnitL2)
-		s.completeRecall(line, now)
-	default:
+	d := s.arr.dirWay(line)
+	switch {
+	case line.State != StateLM && line.State != StateLMInv:
 		panic(fmt.Sprintf("LLC %d: PutM for %#x in %v", s.id, m.Addr, line.State))
+	case line.State == StateLM && d.Owner != m.Requester:
+		panic(fmt.Sprintf("LLC %d: PutM for %#x from %d, owner is %d", s.id, m.Addr, m.Requester, d.Owner))
 	}
+	line.Version = m.Version
+	line.Dirty = true
+	s.out.send(coherence.Msg{Type: coherence.WBAck, Addr: m.Addr, Requester: m.Requester},
+		noc.OneDest(m.Requester), stats.UnitL2)
+	if line.State == StateLMInv {
+		s.completeRecall(line, now)
+		return
+	}
+	clearOwner(d)
+	line.State = StateLV
+}
+
+// clearOwner empties d, a directory whose owner gave the line back.
+func clearOwner(d DirWay) {
+	d.Owner = 0
+	d.SetSharers(noc.DestSet{})
 }
 
 // lastAck takes from's acknowledgment off the pending set of addr's record
@@ -621,9 +610,8 @@ func (s *LLC) handleInvAckData(m coherence.Msg, now sim.Cycle) {
 }
 
 func (s *LLC) completeRecall(line *Line, now sim.Cycle) {
-	addr, d := s.arr.Tag(line), s.arr.dirWay(line)
-	d.Owner = 0
-	d.SetSharers(noc.DestSet{})
+	addr := s.arr.Tag(line)
+	clearOwner(s.arr.dirWay(line))
 	if s.txn(addr).evict {
 		s.freeLine(line)
 	} else {
@@ -672,7 +660,7 @@ func (s *LLC) startFetch(pkt *noc.Packet, m coherence.Msg, now sim.Cycle, isRead
 	if isRead {
 		t.readers = append(t.readers, m.Requester)
 	}
-	s.send(coherence.Msg{Type: coherence.MemRead, Addr: m.Addr, Requester: s.id},
+	s.out.send(coherence.Msg{Type: coherence.MemRead, Addr: m.Addr, Requester: s.id},
 		noc.OneDest(s.memNode), stats.UnitMem)
 	return true
 }
@@ -701,7 +689,7 @@ func (s *LLC) startEvictShared(line *Line) {
 	t := s.openTxn(addr)
 	t.pending, t.evict = d.Sharers(), true
 	t.pending.ForEach(func(dst noc.NodeID) {
-		s.send(coherence.Msg{Type: coherence.Inv, Addr: addr, Requester: dst,
+		s.out.send(coherence.Msg{Type: coherence.Inv, Addr: addr, Requester: dst,
 			Epoch: d.Epoch}, noc.OneDest(dst), stats.UnitL2)
 	})
 	d.SetSharers(noc.DestSet{})
@@ -716,7 +704,7 @@ func (s *LLC) freeLine(line *Line) {
 		s.pred.remember(addr, s.arr.dirWay(line).Sharers())
 	}
 	if line.Dirty {
-		s.send(coherence.Msg{Type: coherence.MemWrite, Addr: addr, Requester: s.id,
+		s.out.send(coherence.Msg{Type: coherence.MemWrite, Addr: addr, Requester: s.id,
 			Version: line.Version}, noc.OneDest(s.memNode), stats.UnitMem)
 	}
 	s.st.Cache.LLCEvictions++
@@ -736,54 +724,31 @@ func (s *LLC) handleMemData(m coherence.Msg, now sim.Cycle) {
 	line.Dirty = false
 	line.LastUse = now
 	d := s.arr.dirWay(line)
-	if readers := s.txn(m.Addr).readers; len(readers) > 0 {
-		if s.cfg.Scheme.Coalesce {
-			var dests noc.DestSet
-			for _, r := range readers {
-				dests = dests.Add(r)
-				if len(readers) > 1 {
-					s.st.Cache.CoalescedRequests++
-				}
-			}
-			d.SetSharers(d.Sharers().Union(dests))
-			s.send(coherence.Msg{Type: coherence.DataS, Addr: m.Addr,
-				Requester: readers[0], Version: line.Version}, dests, stats.UnitL2)
-		} else {
-			for _, r := range readers {
-				s.unicastDataS(line, d, r)
-				d.SetSharers(d.Sharers().Add(r))
-			}
+	if readers := s.txn(m.Addr).readers; s.cfg.Scheme.Coalesce && len(readers) > 0 {
+		var dests noc.DestSet
+		for _, r := range readers {
+			dests = dests.Add(r)
+		}
+		if len(readers) > 1 {
+			s.st.Cache.CoalescedRequests += uint64(len(readers))
+		}
+		s.coalescedReply(line, d, readers[0], dests)
+	} else {
+		for _, r := range readers {
+			s.serveShared(line, d, r)
 		}
 	}
 	s.closeTxn(m.Addr, now)
 	// PredictPush extension: if the evicted incarnation of this line had a
 	// remembered sharer set, push the fill to the sharers the directory no
 	// longer knows about.
-	if s.pred != nil {
-		if predicted, ok := s.pred.predict(m.Addr); ok {
-			dests := predicted.Subtract(d.Sharers())
-			if s.cfg.Scheme.Knob {
-				dests = dests.Subtract(s.knob.pdr)
-			}
-			if !dests.Empty() {
-				s.st.Cache.PushesTriggered++
-				s.st.Cache.PushDestinations += uint64(dests.Count())
-				s.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KPushTrigger, Node: int32(s.id),
-					Addr: m.Addr, Aux: trace.Aux(dests), A: -1})
-				s.recordRecentPush(m.Addr, dests, now)
-				// Requester -1: every copy is speculative; no destination
-				// treats this push as its demand response.
-				s.send(coherence.Msg{
-					Type: coherence.PushData, Addr: m.Addr, Version: line.Version,
-					Requester: -1,
-				}, dests, stats.UnitL2)
-				d.SetSharers(d.Sharers().Union(dests))
-				if s.cfg.Scheme.Protocol == config.ProtoPushAck {
-					d.Epoch++
-					line.State = StateLP
-					s.openTxn(m.Addr).pending = dests
-				}
-			}
+	if s.pred == nil {
+		return
+	}
+	if predicted, ok := s.pred.predict(m.Addr); ok {
+		if dests := s.knob.pushable(predicted.Subtract(d.Sharers())); !dests.Empty() {
+			s.push(line, d, -1, dests, now)
+			d.SetSharers(d.Sharers().Union(dests))
 		}
 	}
 }

@@ -40,7 +40,13 @@ func (c captureEndpoint) Receive(p *noc.Packet, now sim.Cycle) {
 // served locally.
 func newLLCFixture(t *testing.T, sch config.Scheme) *llcFixture {
 	t.Helper()
-	cfg := config.Default16().Scaled(16).WithScheme(sch)
+	return newLLCFixtureFor(t, config.Default16().Scaled(16).WithScheme(sch))
+}
+
+// newLLCFixtureFor is newLLCFixture on any machine; lineB homes to slice 0 on
+// each of the 16-, 64- and 256-tile meshes.
+func newLLCFixtureFor(t *testing.T, cfg config.System) *llcFixture {
+	t.Helper()
 	st := stats.New()
 	eng := sim.NewEngine(0, 0)
 	net, err := noc.New(cfg.NoC, eng, st)
@@ -493,4 +499,26 @@ func predictedFill(f *llcFixture) {
 	f.llc.pred.remember(lineB, noc.OneDest(3).Add(4).Add(6))
 	f.fill(2)
 	f.step(120)
+}
+
+// TestSharerGapPairsDistinctPast64Tiles: reads of one line by tiles 0, 64, 1
+// and 0 are three ordered sharer pairs. Keyed prev*64+next, the pairs 0-64 and
+// 1-0 shared key 64 and merged into one reservoir.
+func TestSharerGapPairsDistinctPast64Tiles(t *testing.T) {
+	cfg := config.Default256().Scaled(16).WithScheme(config.NoPrefetch())
+	cfg.TraceSharerGaps = true
+	f := newLLCFixtureFor(t, cfg)
+	f.fill(0)
+	for _, r := range []noc.NodeID{0, 64, 1, 0} {
+		f.deliver(&coherence.Msg{Type: coherence.GetS, Addr: lineB, Requester: r}, r)
+	}
+	want := map[int]bool{0*noc.MaxNodes + 64: true, 64*noc.MaxNodes + 1: true, 1*noc.MaxNodes + 0: true}
+	if len(f.st.SharerGaps) != len(want) {
+		t.Fatalf("%d sharer pairs traced, want %d", len(f.st.SharerGaps), len(want))
+	}
+	for k := range f.st.SharerGaps {
+		if !want[k] {
+			t.Errorf("unexpected sharer pair %d-%d", k/noc.MaxNodes, k%noc.MaxNodes)
+		}
+	}
 }

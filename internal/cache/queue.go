@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
@@ -109,16 +110,21 @@ func (q *delayQueue) removeIf(match func(*noc.Packet) bool) []*noc.Packet {
 // outbox buffers outgoing packets until the NI accepts them, so controllers
 // never block mid-transition on injection backpressure.
 type outbox struct {
-	ni   *noc.NI    `snap:"-,wiring"`
-	unit stats.Unit `snap:"-,config"`
+	ni   *noc.NI     `snap:"-,wiring"`
+	cfg  *noc.Config `snap:"-,config"`
+	unit stats.Unit  `snap:"-,config"`
 	// h, when set, is woken on every send: a sleeping controller with a
 	// non-empty outbox must tick to retry injection.
 	h    *sim.Handle `snap:"-,wiring"`
 	pkts []*noc.Packet
 }
 
-func (o *outbox) send(pkt *noc.Packet) {
-	o.pkts = append(o.pkts, pkt)
+// send writes m into a pool-backed packet from the outbox's unit to dstUnit
+// at dests and queues it for injection. It is the controllers' one send.
+func (o *outbox) send(m coherence.Msg, dests noc.DestSet, dstUnit stats.Unit) {
+	p := o.ni.NewPacket()
+	m.FillPacket(p, *o.cfg, o.unit, dstUnit, dests)
+	o.pkts = append(o.pkts, p)
 	if o.h != nil {
 		o.h.Wake()
 	}

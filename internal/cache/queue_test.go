@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"pushmulticast/internal/coherence"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
@@ -79,22 +80,25 @@ func TestDelayQueuePeekAndRemoveIf(t *testing.T) {
 	}
 }
 
+// blockedOutbox returns an outbox on tile 0 of a 2x2 mesh whose data vnet
+// injection queue is full, so a push cannot inject.
+func blockedOutbox(t *testing.T) *outbox {
+	net := buildNet(t, 1)
+	cfg := noc.DefaultConfig(2, 2)
+	for net.NI(0).CanInject(stats.UnitLLC, noc.VNetData) {
+		filler := mkPkt(0x1, false, false)
+		filler.VNet, filler.SrcUnit = noc.VNetData, stats.UnitLLC
+		net.NI(0).Inject(filler, 0)
+	}
+	return &outbox{ni: net.NI(0), cfg: &cfg, unit: stats.UnitLLC}
+}
+
 func TestOutboxHoldsInvBehindSameLinePush(t *testing.T) {
 	// An invalidation must not be injected while a same-line push is still
 	// stuck in the outbox (the pre-injection half of OrdPush ordering).
-	net := buildNet(t, 1) // helper builds a tiny network
-	ob := outbox{ni: net.NI(0), unit: 0}
-	push := mkPkt(0xbeef, true, false)
-	push.Size = 5
-	inv := mkPkt(0xbeef, false, true)
-	// Fill the data vnet queue so the push cannot inject.
-	for net.NI(0).CanInject(0, noc.VNetData) {
-		filler := mkPkt(0x1, false, false)
-		filler.VNet = noc.VNetData
-		net.NI(0).Inject(filler, 0)
-	}
-	ob.send(push)
-	ob.send(inv)
+	ob := blockedOutbox(t)
+	ob.send(coherence.Msg{Type: coherence.PushData, Addr: 0xbeef}, noc.OneDest(1), stats.UnitL2)
+	ob.send(coherence.Msg{Type: coherence.Inv, Addr: 0xbeef}, noc.OneDest(1), stats.UnitL2)
 	ob.drain(0)
 	if len(ob.pkts) != 2 {
 		t.Fatalf("both packets should be held, kept %d", len(ob.pkts))
@@ -102,20 +106,25 @@ func TestOutboxHoldsInvBehindSameLinePush(t *testing.T) {
 }
 
 func TestOutboxUnrelatedInvPasses(t *testing.T) {
-	net := buildNet(t, 1)
-	ob := outbox{ni: net.NI(0), unit: 0}
-	push := mkPkt(0xbeef, true, false)
-	push.Size = 5
-	inv := mkPkt(0xaaaa, false, true)
-	for net.NI(0).CanInject(0, noc.VNetData) {
-		filler := mkPkt(0x1, false, false)
-		filler.VNet = noc.VNetData
-		net.NI(0).Inject(filler, 0)
-	}
-	ob.send(push)
-	ob.send(inv)
+	ob := blockedOutbox(t)
+	ob.send(coherence.Msg{Type: coherence.PushData, Addr: 0xbeef}, noc.OneDest(1), stats.UnitL2)
+	ob.send(coherence.Msg{Type: coherence.Inv, Addr: 0xaaaa}, noc.OneDest(1), stats.UnitL2)
 	ob.drain(0)
 	if len(ob.pkts) != 1 || !ob.pkts[0].IsPush {
 		t.Fatalf("unrelated inv should pass; kept %d", len(ob.pkts))
+	}
+}
+
+// TestOutboxSendFillsFromItsUnit: the packet send builds carries the
+// outbox's unit as its source and the message's vnet and size.
+func TestOutboxSendFillsFromItsUnit(t *testing.T) {
+	net := buildNet(t, 1)
+	cfg := noc.DefaultConfig(2, 2)
+	ob := outbox{ni: net.NI(0), cfg: &cfg, unit: stats.UnitL2}
+	ob.send(coherence.Msg{Type: coherence.GetS, Addr: 0x40, Requester: 0}, noc.OneDest(3), stats.UnitLLC)
+	p := ob.pkts[0]
+	if p.SrcUnit != stats.UnitL2 || p.DstUnit != stats.UnitLLC || p.VNet != noc.VNetReq ||
+		p.Size != cfg.CtrlPacketSize() || !p.Filterable || p.Dests != noc.OneDest(3) {
+		t.Fatalf("GetS packet %+v", p)
 	}
 }

@@ -65,7 +65,9 @@ type Scheme struct {
 	// PredictPush enables the §VI "General Push Multicast" extension: a
 	// sharer predictor decoupled from the directory remembers the sharer
 	// set of evicted LLC lines and triggers a push multicast when the line
-	// is refetched from memory, extending pushes to LLC misses.
+	// is refetched from memory, extending pushes to LLC misses. It needs
+	// Push: without a push protocol nothing orders the fill's pushes
+	// against invalidations.
 	PredictPush bool
 
 	// PushFillL1 enables the §VI "Multi-Level Caches" extension: a push
@@ -307,6 +309,9 @@ func (s System) Validate() error {
 	}
 	if s.Scheme.Push && s.Scheme.Protocol == ProtoNone {
 		return fmt.Errorf("config: scheme %q pushes without a push protocol", s.Scheme.Name)
+	}
+	if s.Scheme.PredictPush && !s.Scheme.Push {
+		return fmt.Errorf("config: scheme %q predicts pushes without pushing", s.Scheme.Name)
 	}
 	if s.NoC != s.withNoCFlags().NoC {
 		return fmt.Errorf("config: NoC filter/ordering flags disagree with scheme %q (set a scheme with WithScheme)", s.Scheme.Name)

@@ -92,6 +92,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		edit       func(*System)
 	}{
 		{"push without protocol", "push protocol", func(s *System) { s.Scheme = Scheme{Name: "x", Push: true} }},
+		// Under plain MSI the predictor's fill pushes raced invalidations
+		// unordered: the checker caught stale copies, and with it off the
+		// numbers were silently wrong.
+		{"predicted pushes without pushes", "predicts pushes without pushing", func(s *System) { s.Scheme = Scheme{Name: "x", PredictPush: true} }},
 		{"unknown protocol", "unknown protocol", func(s *System) { s.Scheme.Protocol = ProtoOrdPush + 1 }},
 		{"LLC slice of one byte", "LLC slice geometry", func(s *System) { s.LLCSliceSize = 1 }},
 		{"mesh of one tile", "tile count", func(s *System) { s.NoC.Width, s.NoC.Height = 1, 1 }},

@@ -272,8 +272,9 @@ type All struct {
 	Core  Core
 	// SharerGaps records, for traced shared lines, the cycle gap between
 	// consecutive accesses by distinct sharers (Fig 4). Keyed by the ordered
-	// sharer pair index (prev*64+next); each value is a bounded reservoir of
-	// gap samples.
+	// sharer pair index (prev*noc.MaxNodes+next, so no two pairs of a
+	// 256-tile mesh share a key); each value is a bounded reservoir of gap
+	// samples.
 	SharerGaps map[int]*GapReservoir
 }
 
