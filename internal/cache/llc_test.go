@@ -502,8 +502,8 @@ func predictedFill(f *llcFixture) {
 }
 
 // TestSharerGapPairsDistinctPast64Tiles: reads of one line by tiles 0, 64, 1
-// and 0 are three ordered sharer pairs. Keyed prev*64+next, the pairs 0-64 and
-// 1-0 shared key 64 and merged into one reservoir.
+// and 0 are three ordered sharer pairs, each with its own reservoir. A key of
+// prev*64+next would give 0-64 and 1-0 the same key, 64.
 func TestSharerGapPairsDistinctPast64Tiles(t *testing.T) {
 	cfg := config.Default256().Scaled(16).WithScheme(config.NoPrefetch())
 	cfg.TraceSharerGaps = true
