@@ -16,7 +16,8 @@ import (
 const transitionsFile = "../../results/transitions.txt"
 
 // coverageRuns is the campaign behind transitionsFile: five runs that between
-// them reach every (state, event) pair the tiny and quick matrices reach.
+// them reach every pair that the wider matrix of DESIGN.md §3c reaches in the
+// runs that complete.
 var coverageRuns = []struct {
 	workload string
 	scheme   config.Scheme
@@ -33,8 +34,8 @@ var coverageRuns = []struct {
 // TestTransitionCoverage runs the coverage campaign with every L2's and LLC
 // slice's OnEvent hook set and compares the (controller, state, event) pairs
 // reached with results/transitions.txt, naming each pair no longer reached
-// and each pair reached but not listed. Pairs the file omits are handler arms
-// no run exercises; DESIGN.md §3c says why each unreached explicit arm stays.
+// and each pair reached but not listed. DESIGN.md §3c says why each explicit
+// handler arm the file's pairs do not reach stays.
 func TestTransitionCoverage(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("five whole runs; the plain suite covers them")
