@@ -44,65 +44,114 @@ func pktFlags(pkt *Packet) int32 {
 }
 
 // CheckConservation audits every router against ground truth: the primary
-// state's own invariants (VC wiring, the occupied list, head timing, pending
-// ports, switch stream links, per-link credit conservation), and every
-// derived field — masks, candidate counters, back pointers, filter liveness
-// accounting — against what Router.derive rebuilds from that primary state;
-// then every NI's retransmit bound against its window entries. Each derived
-// field is something the hot path trusts blindly; a drifted one silently
-// corrupts arbitration or filtering long before any end-state counter
-// notices. Returns the first violation found.
+// state's own invariants (checkPrimary), every derived field — masks,
+// candidate counters, back pointers, filter liveness accounting — against
+// what Router.derive rebuilds from that primary state, head timing and
+// per-link credit conservation; then every NI's transport (NI.audit). Each
+// derived field is something the hot path trusts blindly; a drifted one
+// silently corrupts arbitration or filtering long before any end-state
+// counter notices. Returns the first violation found.
 func (n *Network) CheckConservation(now sim.Cycle) error {
 	for _, r := range n.routers {
 		if err := r.checkConservation(now); err != nil {
 			return fmt.Errorf("router %d: %w", r.id, err)
 		}
 	}
+	return n.auditNIs()
+}
+
+// auditNIs runs every NI's audit; restore runs it too.
+func (n *Network) auditNIs() error {
 	for _, ni := range n.nis {
-		if err := ni.checkRetxBound(); err != nil {
+		if err := ni.audit(); err != nil {
 			return fmt.Errorf("NI %d: %w", ni.node, err)
 		}
 	}
 	return nil
 }
 
-// checkRetxBound audits the transport's retransmit bound: retxAt may sit
-// below the earliest deadline of a live window entry, never above one (the
-// NI would sleep through that retransmission).
-func (ni *NI) checkRetxBound() error {
-	if ni.tp == nil {
+// audit checks the NI's transport: a stream is due exactly while ackDue
+// lists it, and only a stream that has seen something is; each window holds
+// at most RetryWindow entries, numbered consecutively up to nextSeq-1 (a
+// retired entry's number went with its template); and retxAt may sit below
+// the earliest deadline of a live entry, never above one (the NI would sleep
+// through that retransmission).
+func (ni *NI) audit() error {
+	tp := ni.tp
+	if tp == nil {
 		return nil
 	}
-	for v := range ni.tp.tx {
-		for i := range ni.tp.tx[v].entries {
-			e := &ni.tp.tx[v].entries[i]
-			if d := e.lastSent + sim.Cycle(ni.net.cfg.RetryTimeout); !e.done && d < ni.tp.retxAt {
-				return fmt.Errorf("retransmit bound %d is above vnet %d seq %d's deadline %d", ni.tp.retxAt, v, e.seq, d)
+	due := 0
+	for i := range tp.rx {
+		if tp.rx[i].due {
+			due++
+		}
+	}
+	for _, k := range tp.ackDue {
+		if !tp.rx[k].due || tp.rx[k].mask == 0 {
+			return fmt.Errorf("ackDue lists stream %#x, which is not due or has seen nothing", k)
+		}
+	}
+	if due != len(tp.ackDue) {
+		return fmt.Errorf("%d streams are due but ackDue lists %d", due, len(tp.ackDue))
+	}
+	for v := range tp.tx {
+		w := &tp.tx[v]
+		if len(w.entries) > ni.net.cfg.RetryWindow {
+			return fmt.Errorf("vnet %d window holds %d entries, RetryWindow is %d", v, len(w.entries), ni.net.cfg.RetryWindow)
+		}
+		for i := range w.entries {
+			e := &w.entries[i]
+			if e.done {
+				continue
+			}
+			if want := w.nextSeq - uint32(len(w.entries)-i); e.proto.Seq != want {
+				return fmt.Errorf("vnet %d window entry %d is seq %d, not %d", v, i, e.proto.Seq, want)
+			}
+			if d := e.lastSent + sim.Cycle(ni.net.cfg.RetryTimeout); d < tp.retxAt {
+				return fmt.Errorf("retransmit bound %d is above vnet %d seq %d's deadline %d", tp.retxAt, v, e.proto.Seq, d)
 			}
 		}
 	}
 	return nil
 }
 
-func (r *Router) checkConservation(now sim.Cycle) error {
+// checkPrimary audits the router's primary state alone, reading the
+// occupied list itself: VC wiring, each occupied VC listed once and no free
+// one listed, a buffered packet on its VC's vnet, minHeadAt at or below
+// every unrouted head, pending ports only on routed packets that route
+// there, switch streams over occupied VCs with one stream per input, and
+// credit returns only toward a neighbour. Derive trusts all of it, so
+// restore runs it on every router before any derive.
+func (r *Router) checkPrimary() error {
 	vcs := r.net.cfg.VCsPerVNet
-	// The primary state first; derive relies on it.
-	occupied := 0
-	for p := 0; p < NumPorts; p++ {
+	perPort := len(r.in[0])
+	var listed uint64 // by VC number, port-major
+	for _, vc := range r.occ {
+		bit := uint64(1) << uint(int(vc.port)*perPort+int(vc.idx))
+		if listed&bit != 0 {
+			return fmt.Errorf("VC (%s,%d) is listed as occupied twice", PortName(int(vc.port)), vc.idx)
+		}
+		listed |= bit
+	}
+	for p := range r.in {
 		for i := range r.in[p] {
-			vc := &r.in[p][i]
+			vc, bit := &r.in[p][i], uint64(1)<<uint(p*perPort+i)
 			if int(vc.port) != p || int(vc.idx) != i || int(vc.vnet) != i/vcs {
 				return fmt.Errorf("VC (%s,%d) is wired as (%s,%d) vnet %d", PortName(p), i, PortName(int(vc.port)), vc.idx, vc.vnet)
 			}
-			if vc.pkt == nil && !vc.reserved {
-				if vc.occPos >= 0 {
-					return fmt.Errorf("free VC (%s,%d) still in occ list at %d", PortName(p), i, vc.occPos)
-				}
-				continue
+			switch free, on := vc.pkt == nil && !vc.reserved, listed&bit != 0; {
+			case free && on:
+				return fmt.Errorf("free VC (%s,%d) is listed as occupied", PortName(p), i)
+			case !free && !on:
+				return fmt.Errorf("occupied VC (%s,%d) is missing from the occupied list", PortName(p), i)
 			}
-			occupied++
-			if vc.occPos < 0 || int(vc.occPos) >= len(r.occ) || r.occ[vc.occPos] != vc {
-				return fmt.Errorf("occupied VC (%s,%d) has broken occ position %d", PortName(p), i, vc.occPos)
+			// Every pending port must still have destinations to serve, and
+			// only a routed packet has pending ports.
+			for m := vc.pending; m != 0; m &= m - 1 {
+				if o := bits.TrailingZeros8(m); vc.pkt == nil || !vc.routed || o >= NumPorts || r.portDests(vc, o).Empty() {
+					return fmt.Errorf("VC (%s,%d) pending mask %#b names a port its packet does not route to", PortName(p), i, vc.pending)
+				}
 			}
 			if vc.pkt == nil {
 				continue
@@ -110,31 +159,10 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			if vc.pkt.VNet != int(vc.vnet) {
 				return fmt.Errorf("VC (%s,%d) of vnet %d holds a vnet-%d packet", PortName(p), i, vc.vnet, vc.pkt.VNet)
 			}
-			if !vc.routed {
-				if vc.headAt <= now {
-					// A RouterSlow fault legitimately leaves heads unrouted
-					// past their arrival: the frozen router skipped the
-					// stage-1 cycles that would have routed them.
-					f := r.net.faults
-					if f == nil || !f.FrozenIn(r.id, vc.headAt, now) {
-						return fmt.Errorf("unrouted head at (%s,%d) overdue: headAt=%d now=%d", PortName(p), i, vc.headAt, now)
-					}
-				}
-				if r.minHeadAt > vc.headAt {
-					return fmt.Errorf("minHeadAt=%d above unrouted head arrival %d at (%s,%d)", r.minHeadAt, vc.headAt, PortName(p), i)
-				}
-			}
-			// Every pending port must still have destinations to serve, and
-			// only a routed packet has pending ports.
-			for m := vc.pending; m != 0; m &= m - 1 {
-				if o := bits.TrailingZeros8(m); !vc.routed || o >= NumPorts || r.portDests(vc, o).Empty() {
-					return fmt.Errorf("VC (%s,%d) pending mask %#b names a port its packet does not route to", PortName(p), i, vc.pending)
-				}
+			if !vc.routed && r.minHeadAt > vc.headAt {
+				return fmt.Errorf("minHeadAt=%d above unrouted head arrival %d at (%s,%d)", r.minHeadAt, vc.headAt, PortName(p), i)
 			}
 		}
-	}
-	if occupied != len(r.occ) {
-		return fmt.Errorf("occ list holds %d VCs but %d are occupied", len(r.occ), occupied)
 	}
 	var heldIn uint8
 	for o, s := range r.outStream {
@@ -147,21 +175,36 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 		}
 		heldIn |= 1 << uint(s.inPort)
 	}
+	for p := range r.credRet {
+		if r.credRet[p].len() != 0 && r.nbr[p] == nil {
+			return fmt.Errorf("returns credits through %s, which has no neighbour", PortName(p))
+		}
+	}
+	return nil
+}
+
+func (r *Router) checkConservation(now sim.Cycle) error {
+	if err := r.checkPrimary(); err != nil {
+		return err
+	}
 	b := rebuild{audit: true}
 	if r.derive(&b); b.err != nil {
 		return b.err
 	}
-	// Ring-level conservation. An arrival entry ripe before now means the
-	// router slept or skipped through the cycle that should have popped it —
-	// legal only while a RouterSlow window froze the pipeline. And for every
-	// link, the upstream credit count plus everything in flight on the link
-	// (queued handoffs, queued credit returns, occupied downstream VCs) must
-	// reassemble the full VC pool.
+	// Head timing. An unrouted head or an arrival entry ripe before now
+	// means the router slept or skipped through the cycle that should have
+	// routed or popped it — legal only while a RouterSlow window froze the
+	// pipeline.
+	f := r.net.faults
+	for _, vc := range r.occ {
+		if vc.pkt != nil && !vc.routed && vc.headAt <= now && (f == nil || !f.FrozenIn(r.id, vc.headAt, now)) {
+			return fmt.Errorf("unrouted head at (%s,%d) overdue: headAt=%d now=%d", PortName(int(vc.port)), vc.idx, vc.headAt, now)
+		}
+	}
 	for p := 0; p < NumPorts; p++ {
 		var ripeErr error
 		r.arrivals[p].forEach(func(pkt *Packet, at sim.Cycle) {
 			if at <= now && ripeErr == nil {
-				f := r.net.faults
 				if f == nil || !f.FrozenIn(r.id, at, now) {
 					ripeErr = fmt.Errorf("arrival ring at %s holds an overdue head: at=%d now=%d", PortName(p), at, now)
 				}
@@ -171,6 +214,10 @@ func (r *Router) checkConservation(now sim.Cycle) error {
 			return ripeErr
 		}
 	}
+	// For every link, the upstream credit count plus everything in flight on
+	// the link (queued handoffs, queued credit returns, occupied downstream
+	// VCs) must reassemble the full VC pool.
+	vcs := r.net.cfg.VCsPerVNet
 	for o := 0; o < NumPorts; o++ {
 		nb := r.nbr[o]
 		if nb == nil {

@@ -156,6 +156,64 @@ func TestCheckConservationDetectsDerivedStateDrift(t *testing.T) {
 	}
 }
 
+// TestNIAuditDetectsTransportDrift builds a lossy mesh where node 0's request
+// window holds two unacked entries to node 5 (which drops every arrival)
+// around an acked one to node 6, then breaks, one at a time, what the NI's
+// audit holds the transport to — the window's size and numbering, the
+// retransmit bound, and the due bits against the due-ack list — and requires
+// the audit to name it.
+func TestNIAuditDetectsTransportDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// corrupt gets node 0's transport, the sender, and node 6's, whose
+		// stream 0 (node 0's requests) has accepted one packet.
+		corrupt func(src, dst *niTransport)
+		want    string
+	}{
+		{"window past RetryWindow", func(src, _ *niTransport) {
+			w := &src.tx[VNetReq]
+			for len(w.entries) <= DefaultConfig(4, 4).RetryWindow {
+				w.entries = append([]txEntry{{done: true}}, w.entries...)
+			}
+		}, "RetryWindow"},
+		{"entry out of sequence", func(src, _ *niTransport) { src.tx[VNetReq].entries[2].proto.Seq++ }, "window entry 2 is seq"},
+		{"next number past the window", func(src, _ *niTransport) { src.tx[VNetReq].nextSeq++ }, "window entry 0 is seq"},
+		{"retransmit bound past a deadline", func(src, _ *niTransport) { src.retxAt = sim.NeverWake }, "retransmit bound"},
+		{"due bit not listed", func(_, dst *niTransport) { dst.rx[0].due = true }, "streams are due"},
+		{"listed stream not due", func(_, dst *niTransport) { dst.ackDue = append(dst.ackDue, 0) }, "ackDue lists"},
+		{"due stream that has seen nothing", func(_, dst *niTransport) {
+			dst.rx[4].due, dst.ackDue = true, append(dst.ackDue, 4)
+		}, "has seen nothing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, net, _ := testNet(t, DefaultConfig(4, 4))
+			net.SetFaults(dropAtHook{node: 5})
+			for i, dst := range []NodeID{5, 6, 5} {
+				pkt := &Packet{VNet: VNetReq, SrcUnit: stats.UnitL2, DstUnit: stats.UnitLLC,
+					Dests: OneDest(dst), Addr: uint64(i+1) << 6, Size: 1}
+				if !net.NI(0).Inject(pkt, eng.Now()) {
+					t.Fatal("injection refused")
+				}
+				eng.Step()
+			}
+			for eng.Now() < 100 {
+				eng.Step()
+			}
+			src, dst := net.nis[0].tp, net.nis[6].tp
+			if w := src.tx[VNetReq].entries; len(w) != 3 || w[0].done || !w[1].done || w[2].done || dst.rx[0].mask == 0 {
+				t.Fatalf("window %+v, node 6's stream from node 0 has mask %#x: the setup did not take", w, dst.rx[0].mask)
+			}
+			if err := net.CheckConservation(eng.Now() - 1); err != nil {
+				t.Fatalf("audit dirty before the corruption: %v", err)
+			}
+			tc.corrupt(src, dst)
+			if err := net.CheckConservation(eng.Now() - 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("audit says %v, want a %q violation", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestCheckConservationDetectsFilterCountDrift corrupts a filter bank's
 // O(1) liveness accounting, which would make dead() lie to every lookup, and
 // requires the audit to name the drifted field. aliveUntil is an upper bound:

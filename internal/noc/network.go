@@ -226,7 +226,7 @@ func (ni *NI) deliver(now sim.Cycle) {
 			// the original identity.
 			dup := *d.pkt
 			ni.handoff(d.pkt, now)
-			ni.simulateDup(&dup, now)
+			ni.suppress(&dup, now)
 		} else {
 			ni.handoff(d.pkt, now)
 		}

@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"math/bits"
-
-	"pushmulticast/internal/snapshot"
-)
+import "pushmulticast/internal/snapshot"
 
 // restoredDead carries a sender's ErrUnrecoverable verdict across a
 // snapshot: the message is preserved verbatim (so a restored run aborts with
@@ -98,8 +94,10 @@ func packetState(c *snapshot.Codec, p *Packet) {
 // State describes the whole mesh: every NI (queues, injection stream,
 // pending deliveries, transport recovery state) and every router (occupied
 // VCs in occupancy order, switch streams, link rings, filters, credits and
-// arbitration state) — primary state only; once every router is decoded,
-// each rebuilds its derived fields (Router.derive). Decoding targets a
+// arbitration state) — primary state only. Decoding runs the checker's own
+// audits of the primary state on each router as it is decoded and on every
+// NI once all are, and only then does each router rebuild its derived fields
+// (Router.derive), which trusts that state. Decoding targets a
 // freshly built network of the same Config (the caller's fingerprint check
 // guarantees it). The free list is not state: restored in-flight packets
 // are drawn from a fresh one, which is invisible to the simulation (pool
@@ -114,11 +112,16 @@ func (n *Network) State(c *snapshot.Codec) {
 	for _, r := range n.routers {
 		r.state(c)
 	}
-	if c.Decoding() && c.Err() == nil {
-		var b rebuild
-		for _, r := range n.routers {
-			r.derive(&b)
-		}
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	if err := n.auditNIs(); err != nil {
+		c.Corrupt("%v", err)
+		return
+	}
+	var b rebuild
+	for _, r := range n.routers {
+		r.derive(&b)
 	}
 }
 
@@ -162,12 +165,40 @@ func (ni *NI) state(c *snapshot.Codec) {
 	}
 }
 
+// state describes the transport: the receiver's live streams first (in key
+// order, as key, top and mask), then the windows, due acks, parked
+// invalidations, loss records and verdict. A window entry's sequence number
+// travels once, in its packet; a stream's due bit is its listing in ackDue,
+// which NI.audit holds it to once every NI is decoded.
 func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 	c.Section("noc.transport")
+	c.Mark(&tp.rx)
+	live := 0
+	for i := range tp.rx {
+		if tp.rx[i].mask != 0 {
+			live++
+		}
+	}
+	next := 0 // the lowest key the next stream may have
+	for n := c.Len(live); n > 0 && c.Err() == nil; n-- {
+		for !c.Decoding() && tp.rx[next].mask == 0 {
+			next++
+		}
+		k := uint32(next)
+		if c.U32(&k); c.Decoding() && (int(k) < next || int(k) >= len(tp.rx) || k&3 >= NumVNets) {
+			c.Corrupt("rx stream key %#x names no (tile, vnet) stream past the previous key", k)
+			return
+		}
+		st := &tp.rx[k]
+		c.U32(&st.top)
+		if c.U64(&st.mask); st.mask&1 == 0 {
+			c.Corrupt("rx stream key %#x has not seen its top", k)
+		}
+		next = int(k) + 1
+	}
 	for v := range tp.tx {
 		c.U32(&tp.tx[v].nextSeq)
 		snapshot.Slice(c, &tp.tx[v].entries, func(e *txEntry) {
-			c.U32(&e.seq)
 			c.U64s(e.pending[:])
 			snapshot.AsU64(c, &e.lastSent)
 			c.Int(&e.retries)
@@ -175,24 +206,21 @@ func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 			packetState(c, &e.proto)
 		})
 	}
-	snapshot.Map(c, &tp.rx, func(k *uint32, st **rxStream) {
-		if c.Decoding() {
-			*st = new(rxStream)
+	snapshot.Slice(c, &tp.ackDue, func(k *uint32) {
+		switch c.U32(k); {
+		case !c.Decoding():
+		case int(*k) >= len(tp.rx):
+			c.Corrupt("due ack for rx stream key %#x past the table", *k)
+		default:
+			tp.rx[*k].due = true
 		}
-		c.U32(k)
-		c.U32(&(*st).top)
-		c.U64(&(*st).mask)
 	})
-	// ackDue is the FIFO-ordered state; ackDueSet is its membership index.
-	snapshot.Slice(c, &tp.ackDue, c.U32)
-	if c.Decoding() {
-		for _, k := range tp.ackDue {
-			tp.ackDueSet[k] = struct{}{}
-		}
-	}
 	snapshot.Slice(c, &tp.held, pkt)
-	snapshot.Map(c, &tp.pushHold, func(k *uint64, n *int) { c.U64(k); c.Int(n) })
-	snapshot.Map(c, &tp.dropped, func(k *uint64, r *lossRec) { c.U64(k); c.Bool(&r.isPush) })
+	snapshot.Slice(c, &tp.lost, func(r *lossRec) {
+		c.U64(&r.key)
+		c.U64(&r.addr)
+		c.Bool(&r.isPush)
+	})
 	Error(c, &tp.dead)
 }
 
@@ -209,13 +237,14 @@ func (rt *Router) vcAt(c *snapshot.Codec, port, idx *int) *inputVC {
 
 // state describes the router's primary state. Everything its datapath reads
 // off that state through a mask, a count or a back pointer is derive's to
-// rebuild; what is checked here is what derive and the first tick rely on.
+// rebuild, and checkPrimary audits what derive and the first tick rely on;
+// what is refused here is only what the format cannot hold: a VC index past
+// the port, a ring past its capacity, another filter slot count.
 func (rt *Router) state(c *snapshot.Codec) {
 	c.Section("noc.router")
 	pkt := func(pp **Packet) { rt.ni.Packet(c, pp) }
 	// Occupied VCs, in occupancy order: the order is load-bearing (the
 	// position-keyed masks index it and round-robin arbitration walks it).
-	var listed uint64 // the VCs decoded so far, by number
 	snapshot.Slice(c, &rt.occ, func(pvc **inputVC) {
 		var port, idx int
 		if *pvc != nil {
@@ -230,28 +259,9 @@ func (rt *Router) state(c *snapshot.Codec) {
 		if snapshot.Has(c, &vc.pkt) {
 			pkt(&vc.pkt)
 		}
-		if !c.Decoding() {
-			return
-		}
-		bit := uint64(1) << uint(port*len(rt.in[port])+idx)
-		switch {
-		case listed&bit != 0:
-			c.Corrupt("router %d lists VC (%s,%d) as occupied twice", rt.id, PortName(port), idx)
-		case vc.pkt == nil && !vc.reserved:
-			c.Corrupt("router %d lists VC (%s,%d) as occupied, but it is free", rt.id, PortName(port), idx)
-		}
-		listed |= bit
-		// Only a routed packet has pending ports, each still with
-		// destinations to serve.
-		for m := vc.pending; m != 0 && c.Err() == nil; m &= m - 1 {
-			if o := bits.TrailingZeros8(m); vc.pkt == nil || !vc.routed || o >= NumPorts || rt.portDests(vc, o).Empty() {
-				c.Corrupt("router %d VC (%s,%d): pending mask %#b names a port its packet does not route to", rt.id, PortName(port), idx, vc.pending)
-			}
-		}
 	})
 	// Switch streams, keyed by output port: outStream[o] is nil or &streams[o],
 	// and the VC a stream drains travels as its coordinates.
-	var heldIn uint8
 	for o := range rt.outStream {
 		if !snapshot.Has(c, &rt.outStream[o]) {
 			continue
@@ -263,15 +273,6 @@ func (rt *Router) state(c *snapshot.Codec) {
 			vcIdx = int(s.vc.idx)
 		}
 		s.vc = rt.vcAt(c, &s.inPort, &vcIdx)
-		if s.vc.pkt == nil {
-			c.Corrupt("router %d stream at %s drains an empty VC", rt.id, PortName(o))
-			return
-		}
-		if heldIn&(1<<uint(s.inPort)) != 0 {
-			c.Corrupt("router %d has two streams holding input %s", rt.id, PortName(s.inPort))
-			return
-		}
-		heldIn |= 1 << uint(s.inPort)
 		c.Int(&s.sent)
 		c.Int(&s.size)
 		snapshot.AsU8(c, &s.class)
@@ -295,10 +296,6 @@ func (rt *Router) state(c *snapshot.Codec) {
 			snapshot.AsU8(c, &e.vnet)
 			snapshot.AsU64(c, &e.at)
 		})
-		if r.len() != 0 && rt.nbr[p] == nil {
-			c.Corrupt("router %d returns credits through %s, which has no neighbour", rt.id, PortName(p))
-			return
-		}
 	}
 	// Arbitration and accounting state. minHeadAt may sit below the earliest
 	// unrouted head (releases leave it stale low), so a rebuilt one would
@@ -324,6 +321,11 @@ func (rt *Router) state(c *snapshot.Codec) {
 			c.U64s(e.dests[:])
 			c.Bool(&e.clearPending)
 			snapshot.AsU64(c, &e.clearAt)
+		}
+	}
+	if c.Decoding() && c.Err() == nil {
+		if err := rt.checkPrimary(); err != nil {
+			c.Corrupt("router %d: %v", rt.id, err)
 		}
 	}
 }

@@ -35,6 +35,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
@@ -43,9 +44,8 @@ import (
 
 // txEntry is one unacked packet in a sender NI's retransmit window.
 type txEntry struct {
-	seq uint32
 	// proto is the retransmission template: a field copy of the packet as
-	// injected, message words included.
+	// injected, message words and sequence number included.
 	proto Packet
 	// pending is the destinations that have not acked yet.
 	pending  DestSet
@@ -63,37 +63,44 @@ type txWindow struct {
 
 // rxStream is the receiver's per-(source, vnet) anti-replay state: top is
 // the highest sequence accepted, mask bit i records whether top-i was seen.
+// Bit 0 (top itself) is set from the first arrival on, so a zero mask is a
+// stream that has seen nothing.
 type rxStream struct {
 	top  uint32
+	due  bool `snap:"-,derived: membership of the stream's key in ackDue"`
 	mask uint64
 }
 
-// lossRec remembers one dropped/corrupted stream key awaiting recovery.
+// lossRec is one stream key discarded at this NI and not yet re-seen: its
+// re-arrival emits KMsgRecover (the checker's loss invariant), and while a
+// push's record stands, invalidations of its line are parked.
 type lossRec struct {
+	key    uint64
+	addr   uint64
 	isPush bool
 }
 
 // niTransport is one NI's recovery state; nil when the run is not lossy.
 type niTransport struct {
 	tx [NumVNets]txWindow
-	// rx maps src<<2|vnet to the stream's anti-replay state.
-	rx map[uint32]*rxStream
-	// ackDue is the FIFO of rx stream keys owing a cumulative ack, with
-	// ackDueSet as the membership index. Coalescing per stream (rather than
-	// queueing one ack per delivered packet) bounds the backlog: per-packet
-	// acks congestively collapse under multicast load — delivery rate
-	// outruns the ctrl-vnet injection rate, ack latency diverges, and
-	// senders exhaust their retries on traffic that did arrive.
-	ackDue    []uint32
-	ackDueSet map[uint32]struct{} `snap:"-,derived: membership index of ackDue"`
-	// held parks delivered invalidations whose address has a dropped push
-	// outstanding (see pushHold); flushed FIFO once the push re-arrives.
+	// rx is the anti-replay state of every (source, vnet) stream, indexed by
+	// rxKey: src<<2|vnet (slot 3 of each source is unused).
+	rx []rxStream
+	// ackDue is the FIFO of rx stream keys owing a cumulative ack; a stream's
+	// due bit marks it listed. Coalescing per stream (rather than queueing
+	// one ack per delivered packet) bounds the backlog: per-packet acks
+	// congestively collapse under multicast load — delivery rate outruns the
+	// ctrl-vnet injection rate, ack latency diverges, and senders exhaust
+	// their retries on traffic that did arrive.
+	ackDue []uint32
+	// held parks delivered invalidations whose line has a lost push record
+	// (pushLost); flushed FIFO once the push re-arrives.
 	held []*Packet
-	// pushHold counts dropped-push stream keys per address.
-	pushHold map[uint64]int
-	// dropped tracks stream keys discarded at this NI and not yet re-seen;
-	// their re-arrival emits KMsgRecover (the checker's loss invariant).
-	dropped map[uint64]lossRec
+	// lost lists the stream keys discarded here and not yet re-seen, in
+	// discard order. It stays short (at most 30 records at one NI measured
+	// on 16 cores up to 100 per mille, 29 on 64 at 20), so it is scanned,
+	// not indexed.
+	lost []lossRec
 	// dead is the ErrUnrecoverable verdict once a window entry exhausts its
 	// retries; the run's finished-check aborts on it at the next cycle edge.
 	dead error
@@ -107,13 +114,22 @@ type niTransport struct {
 
 func (ni *NI) initTransport() {
 	if ni.tp == nil {
-		ni.tp = &niTransport{
-			rx:        make(map[uint32]*rxStream),
-			ackDueSet: make(map[uint32]struct{}),
-			pushHold:  make(map[uint64]int),
-			dropped:   make(map[uint64]lossRec),
-		}
+		ni.tp = &niTransport{rx: make([]rxStream, ni.net.cfg.Nodes()<<2)}
 	}
+}
+
+// rxKey names the arrival's (source, vnet) stream in the rx table.
+func rxKey(p *Packet) uint32 { return uint32(p.Src)<<2 | uint32(p.VNet) }
+
+// lostAt returns the index of key's loss record, or -1.
+func (tp *niTransport) lostAt(key uint64) int {
+	return slices.IndexFunc(tp.lost, func(r lossRec) bool { return r.key == key })
+}
+
+// pushLost reports whether a push for the line was discarded here and has
+// not re-arrived.
+func (tp *niTransport) pushLost(addr uint64) bool {
+	return slices.ContainsFunc(tp.lost, func(r lossRec) bool { return r.isPush && r.addr == addr })
 }
 
 // windowFull reports whether the vnet's retransmit window has no room for a
@@ -123,7 +139,7 @@ func (ni *NI) windowFull(vnet int) bool {
 }
 
 // streamKey packs (source, stream, seq) into the 64-bit key used by the loss
-// trace events and the recovery map. stream is the vnet for sequenced
+// trace events and the loss list. stream is the vnet for sequenced
 // packets and 4|ackVNet for acks (acks carry no sequence of their own; the
 // key only labels their loss events, which are always orphans).
 func streamKey(src NodeID, stream uint8, seq uint32) uint64 {
@@ -168,9 +184,7 @@ func (ni *NI) stampTransport(pkt *Packet, now sim.Cycle) {
 		if cap(w.entries) == 0 {
 			w.entries = make([]txEntry, 0, ni.net.cfg.RetryWindow)
 		}
-		w.entries = append(w.entries, txEntry{
-			seq: pkt.Seq, proto: *pkt, pending: pkt.Dests, lastSent: now,
-		})
+		w.entries = append(w.entries, txEntry{proto: *pkt, pending: pkt.Dests, lastSent: now})
 		ni.tp.retxAt = min(ni.tp.retxAt, now+sim.Cycle(ni.net.cfg.RetryTimeout))
 	}
 	pkt.Csum = ni.net.checksum(pkt)
@@ -190,39 +204,17 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 		panic(fmt.Sprintf("noc: checksum mismatch without corruption fault at node %d: %v", ni.node, pkt))
 	}
 	key := pkt.transportKey()
-	if pkt.Filterable {
-		// Unsequenced (see stampTransport): no ack, no dedup, no transport
-		// recovery obligation. A discarded request is recovered at protocol
-		// level by the requester's MSHR retry timer, so its loss event carries
-		// the orphan flag the checker's loss invariant skips. Duplicates of an
-		// unsequenced request cannot be detected here; requests are idempotent
-		// anyway, and the second arrival is modeled as suppressed (the LossDup
-		// verdict flows to simulateDup, which skips the ack for these).
-		if fate == LossDrop || fate == LossCorrupt {
-			kind := trace.Kind(trace.KMsgDrop)
-			if fate == LossCorrupt {
-				kind = trace.KMsgCorrupt
-				ni.st.Net.CorruptDetected++
-			} else {
-				ni.st.Net.MsgDropped++
-			}
-			ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: kind, Node: int32(ni.node),
-				Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{key}, A: int32(pkt.Src), B: 1})
-			ni.net.eng.Progress()
-			ni.Recycle(pkt)
-			return false, fate
-		}
-		return true, fate
-	}
 	if fate == LossDrop || fate == LossCorrupt {
-		// An orphan drop carries no recovery obligation: the sequence number
-		// was already accepted here (a duplicate whose original got through),
-		// or the discard is an ack — cumulative acks are stateless snapshots;
-		// whatever this one would have retired, the entry's own retransmission
-		// provokes a fresher one. Nothing will — or needs to — carry this key
-		// again, so the checker's loss invariant must not wait for a
-		// KMsgRecover; flag it in B.
-		orphan := pkt.IsAck || ni.rxSeenPeek(pkt)
+		// An orphan drop carries no recovery obligation, so the checker's
+		// loss invariant must not wait for a KMsgRecover; it is flagged in B.
+		// A filterable request is unsequenced (see stampTransport): its loss
+		// is recovered at protocol level, by the requester's MSHR retry
+		// timer. An ack is a stateless cumulative snapshot: whatever this one
+		// would have retired, the entry's own retransmission provokes a
+		// fresher one. And a sequence number already accepted here is a
+		// duplicate whose original got through. Nothing will — or needs to —
+		// carry such a key again.
+		orphan := pkt.Filterable || pkt.IsAck || ni.rxSeenPeek(pkt)
 		kind := trace.Kind(trace.KMsgDrop)
 		if fate == LossCorrupt {
 			kind = trace.KMsgCorrupt
@@ -236,29 +228,26 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 		}
 		ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: kind, Node: int32(ni.node),
 			Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{key}, A: int32(pkt.Src), B: b})
-		if !orphan {
-			if _, seen := tp.dropped[key]; !seen {
-				tp.dropped[key] = lossRec{isPush: pkt.IsPush && !pkt.IsAck}
-				if pkt.IsPush && !pkt.IsAck {
-					tp.pushHold[pkt.Addr]++
-				}
-			}
+		if !orphan && tp.lostAt(key) < 0 {
+			tp.lost = append(tp.lost, lossRec{key: key, addr: pkt.Addr, isPush: pkt.IsPush})
 		}
 		ni.net.eng.Progress()
 		ni.Recycle(pkt)
 		return false, fate
 	}
-	if rec, ok := tp.dropped[key]; ok {
+	if pkt.Filterable {
+		// No ack and no dedup. Duplicates of an unsequenced request cannot
+		// be detected here; requests are idempotent anyway, and the second
+		// arrival is modeled as suppressed (the LossDup verdict flows to
+		// suppress, which skips the ack for these).
+		return true, fate
+	}
+	if i := tp.lostAt(key); i >= 0 {
 		// A previously discarded key arrived (retransmission or re-ack):
 		// the loss is healed. Clearing before dedup matters — recovery may
 		// arrive as a suppressed duplicate when the original got through
 		// and only a retransmitted copy was dropped.
-		delete(tp.dropped, key)
-		if rec.isPush {
-			if tp.pushHold[pkt.Addr]--; tp.pushHold[pkt.Addr] <= 0 {
-				delete(tp.pushHold, pkt.Addr)
-			}
-		}
+		tp.lost = slices.Delete(tp.lost, i, i+1)
 		ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KMsgRecover, Node: int32(ni.node),
 			Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{key}, A: int32(pkt.Src)})
 	}
@@ -272,16 +261,13 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 		return false, fate
 	}
 	if ni.rxSeen(pkt) {
-		ni.st.Net.DupSuppressed++
-		ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KMsgDup, Node: int32(ni.node),
-			Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{key}, A: int32(pkt.Src)})
-		ni.sendAck(pkt, now) // re-ack: the sender's copy may be waiting on a lost ack
+		ni.suppress(pkt, now)
 		ni.net.eng.Progress()
 		ni.Recycle(pkt)
 		return false, fate
 	}
 	ni.sendAck(pkt, now)
-	if pkt.IsInv && tp.pushHold[pkt.Addr] > 0 {
+	if pkt.IsInv && tp.pushLost(pkt.Addr) {
 		// A push for this line was dropped here and its retransmission is
 		// still due: applying the invalidation first would let the replayed
 		// push install stale data after the line was invalidated. Park the
@@ -289,16 +275,17 @@ func (ni *NI) transportAdmit(pkt *Packet, now sim.Cycle) (bool, LossVerdict) {
 		// re-arrives.
 		tp.held = append(tp.held, pkt)
 		if fate == LossDup {
-			ni.simulateDup(pkt, now)
+			ni.suppress(pkt, now)
 		}
 		return false, LossNone
 	}
 	return true, fate
 }
 
-// simulateDup models the second arrival of a duplicated delivery: the dedup
-// window suppresses it and re-acks.
-func (ni *NI) simulateDup(pkt *Packet, now sim.Cycle) {
+// suppress is the dedup window discarding a replayed arrival — a real one,
+// or the second arrival of a duplicated delivery — and re-acking it: the
+// sender's copy may be waiting on a lost ack.
+func (ni *NI) suppress(pkt *Packet, now sim.Cycle) {
 	ni.st.Net.DupSuppressed++
 	ni.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KMsgDup, Node: int32(ni.node),
 		Addr: pkt.Addr, ID: pkt.ID, Aux: trace.Aux{pkt.transportKey()}, A: int32(pkt.Src)})
@@ -318,18 +305,13 @@ func (ni *NI) simulateDup(pkt *Packet, now sim.Cycle) {
 // and this stream skips all of those (504 ahead is measured on bfs tiny/16
 // OrdPush at 10 per mille). Distances are taken modulo 2^32, so a fresh
 // number reads as behind top only once 2^31 of them were spent elsewhere in
-// between.
+// between. A stream's first arrival is ahead of everything.
 func (ni *NI) rxSeen(pkt *Packet) bool {
-	key := uint32(pkt.Src)<<2 | uint32(pkt.VNet)
-	st := ni.tp.rx[key]
-	if st == nil {
-		ni.tp.rx[key] = &rxStream{top: pkt.Seq, mask: 1}
-		return false
-	}
+	st := &ni.tp.rx[rxKey(pkt)]
 	if st.seen(pkt.Seq) {
 		return true
 	}
-	if fwd := pkt.Seq - st.top; fwd <= 1<<31 {
+	if fwd := pkt.Seq - st.top; fwd <= 1<<31 || st.mask == 0 {
 		if fwd >= 64 {
 			st.mask = 1
 		} else {
@@ -344,8 +326,11 @@ func (ni *NI) rxSeen(pkt *Packet) bool {
 
 // seen reports whether the stream would suppress seq as a duplicate: top
 // itself, a marked number behind it, or one beyond the mask horizon (an
-// ancient duplicate).
+// ancient duplicate). A stream that has seen nothing suppresses nothing.
 func (st *rxStream) seen(seq uint32) bool {
+	if st.mask == 0 {
+		return false
+	}
 	fwd := seq - st.top
 	if fwd == 0 {
 		return true
@@ -360,10 +345,7 @@ func (st *rxStream) seen(seq uint32) bool {
 // rxSeenPeek is rxSeen without the state update: it reports whether the
 // sequence number would be suppressed as a duplicate, for classifying a
 // dropped arrival as an orphan (no recovery obligation).
-func (ni *NI) rxSeenPeek(pkt *Packet) bool {
-	st := ni.tp.rx[uint32(pkt.Src)<<2|uint32(pkt.VNet)]
-	return st != nil && st.seen(pkt.Seq)
-}
+func (ni *NI) rxSeenPeek(pkt *Packet) bool { return ni.tp.rx[rxKey(pkt)].seen(pkt.Seq) }
 
 // sendAck marks the arrival's (source, vnet) stream as owing a cumulative
 // ack; flushAcks (end of the same deliver pass) builds and injects it from
@@ -371,18 +353,17 @@ func (ni *NI) rxSeenPeek(pkt *Packet) bool {
 // stream is a no-op — the eventual ack covers this arrival too, since
 // rxSeen recorded it already.
 func (ni *NI) sendAck(orig *Packet, now sim.Cycle) {
-	key := uint32(orig.Src)<<2 | uint32(orig.VNet)
-	if _, due := ni.tp.ackDueSet[key]; due {
-		return
+	key := rxKey(orig)
+	if st := &ni.tp.rx[key]; !st.due {
+		st.due = true
+		ni.tp.ackDue = append(ni.tp.ackDue, key)
 	}
-	ni.tp.ackDueSet[key] = struct{}{}
-	ni.tp.ackDue = append(ni.tp.ackDue, key)
 }
 
 // buildAck materializes the cumulative ack for one rx stream key: a
 // single-flit ctrl packet carrying the stream's current (top, mask).
 func (ni *NI) buildAck(key uint32) *Packet {
-	st := ni.tp.rx[key] // non-nil: streams become due only through rxSeen
+	st := &ni.tp.rx[key]
 	a := ni.NewPacket()
 	a.VNet = VNetCtrl
 	a.Class = stats.ClassAck
@@ -408,21 +389,16 @@ func (ni *NI) flushAcks(now sim.Cycle) {
 			ni.Recycle(a)
 			break
 		}
-		delete(tp.ackDueSet, tp.ackDue[n])
+		tp.rx[tp.ackDue[n]].due = false
 		n++
 	}
-	if n == 0 {
-		return
-	}
-	q := tp.ackDue
-	copy(q, q[n:])
-	tp.ackDue = q[:len(q)-n]
+	tp.ackDue = slices.Delete(tp.ackDue, 0, n)
 }
 
-// flushHeld releases parked invalidations whose address no longer has a
-// dropped push outstanding, in arrival order. It runs after the arrival loop
-// of every deliver pass, so a push and an inv maturing the same cycle apply
-// in push-then-inv order.
+// flushHeld releases parked invalidations whose line no longer has a lost
+// push record, in arrival order. It runs after the arrival loop of every
+// deliver pass, so a push and an inv maturing the same cycle apply in
+// push-then-inv order.
 func (ni *NI) flushHeld(now sim.Cycle) {
 	if len(ni.tp.held) == 0 {
 		return
@@ -430,7 +406,7 @@ func (ni *NI) flushHeld(now sim.Cycle) {
 	q := ni.tp.held
 	kept := q[:0]
 	for _, pkt := range q {
-		if ni.tp.pushHold[pkt.Addr] > 0 {
+		if ni.tp.pushLost(pkt.Addr) {
 			kept = append(kept, pkt)
 			continue
 		}
@@ -460,7 +436,7 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 		}
 		// An entry ahead of the ack's top wraps to a distance of 2^31 or
 		// more, past the mask horizon.
-		back := a.Seq - e.seq
+		back := a.Seq - e.proto.Seq
 		if back != 0 && (back >= 64 || a.AckMask&(1<<back) == 0) {
 			continue // ahead of top, or not (yet) seen by the receiver
 		}
@@ -474,13 +450,7 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 	for n < len(w.entries) && w.entries[n].done {
 		n++
 	}
-	if n > 0 {
-		copy(w.entries, w.entries[n:])
-		for i := len(w.entries) - n; i < len(w.entries); i++ {
-			w.entries[i] = txEntry{}
-		}
-		w.entries = w.entries[:len(w.entries)-n]
-	}
+	w.entries = slices.Delete(w.entries, 0, n) // zeroes the vacated tail
 }
 
 // checkRetransmits re-injects overdue unacked window entries, walking the
@@ -509,7 +479,7 @@ func (ni *NI) checkRetransmits(now sim.Cycle) {
 			}
 			if e.retries >= ni.net.cfg.MaxRetries {
 				tp.dead = fmt.Errorf("noc: node %d vnet %d seq %d addr %#x: %d retransmissions unacked (dests %v): %w",
-					ni.node, v, e.seq, e.proto.Addr, e.retries, e.pending, ErrUnrecoverable)
+					ni.node, v, e.proto.Seq, e.proto.Addr, e.retries, e.pending, ErrUnrecoverable)
 				return
 			}
 			p := ni.getPacket()

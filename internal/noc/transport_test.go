@@ -11,14 +11,12 @@ import (
 )
 
 // bareTransportNI builds the minimal NI the transport-layer state machines
-// need: anti-replay streams and tx windows, no engine or routers.
+// need: a 4x4 mesh's anti-replay streams and tx windows, no engine or
+// routers.
 func bareTransportNI() *NI {
-	return &NI{
-		tp: &niTransport{
-			rx:        make(map[uint32]*rxStream),
-			ackDueSet: make(map[uint32]struct{}),
-		},
-	}
+	ni := &NI{net: &Network{cfg: DefaultConfig(4, 4)}}
+	ni.initTransport()
+	return ni
 }
 
 // TestRxSeenProperty replays pseudo-random delivery sequences against a
@@ -73,9 +71,7 @@ func TestConsumeAckCumulative(t *testing.T) {
 	const dest = NodeID(5)
 	w := &ni.tp.tx[VNetData]
 	for seq := uint32(10); seq < 16; seq++ {
-		w.entries = append(w.entries, txEntry{
-			seq: seq, proto: Packet{Seq: seq}, pending: OneDest(dest),
-		})
+		w.entries = append(w.entries, txEntry{proto: Packet{Seq: seq}, pending: OneDest(dest)})
 	}
 	// Receiver saw 10, 11, 13 (top=13, mask bits 0,2,3); 12 was lost, 14 and
 	// 15 have not arrived.
@@ -93,15 +89,15 @@ func TestConsumeAckCumulative(t *testing.T) {
 		done bool
 	}{{12, false}, {13, true}, {14, false}, {15, false}} {
 		e := &w.entries[i]
-		if e.seq != want.seq || e.done != want.done {
-			t.Errorf("entry %d: seq=%d done=%v, want seq=%d done=%v", i, e.seq, e.done, want.seq, want.done)
+		if e.done != want.done || !e.done && e.proto.Seq != want.seq {
+			t.Errorf("entry %d: seq=%d done=%v, want seq=%d done=%v", i, e.proto.Seq, e.done, want.seq, want.done)
 		}
 	}
 	// The retransmission of 12 arrives; the re-ack covers everything.
 	ack.Seq, ack.AckMask = 13, 1|1<<1|1<<2|1<<3
 	ni.consumeAck(ack, 0)
-	if len(w.entries) != 2 || w.entries[0].seq != 14 {
-		t.Fatalf("window after healing ack: %d entries, front seq %d; want 2 entries from 14", len(w.entries), w.entries[0].seq)
+	if len(w.entries) != 2 || w.entries[0].proto.Seq != 14 {
+		t.Fatalf("window after healing ack: %d entries, front seq %d; want 2 entries from 14", len(w.entries), w.entries[0].proto.Seq)
 	}
 }
 
@@ -113,9 +109,7 @@ func TestConsumeAckWraparound(t *testing.T) {
 	const dest = NodeID(2)
 	w := &ni.tp.tx[VNetReq]
 	for _, seq := range []uint32{1<<32 - 3, 1<<32 - 2, 1<<32 - 1, 0, 1, 2} {
-		w.entries = append(w.entries, txEntry{
-			seq: seq, proto: Packet{Seq: seq}, pending: OneDest(dest),
-		})
+		w.entries = append(w.entries, txEntry{proto: Packet{Seq: seq}, pending: OneDest(dest)})
 	}
 	// Receiver saw -3, -1, 0 (top=0): mask bit 0 (=0), 1 (=-1), 3 (=-3).
 	ack := &Packet{
@@ -126,7 +120,7 @@ func TestConsumeAckWraparound(t *testing.T) {
 	var got []uint32
 	for i := range w.entries {
 		if !w.entries[i].done {
-			got = append(got, w.entries[i].seq)
+			got = append(got, w.entries[i].proto.Seq)
 		}
 	}
 	want := []uint32{1<<32 - 2, 1, 2}
@@ -393,5 +387,78 @@ func TestRetransmitBoundMatchesWalkEveryTick(t *testing.T) {
 	i, _ := slices.BinarySearch(want, sim.Cycle(pause))
 	if got, err := retransmitRun(t, eng, net, pause, end, false); !slices.Equal(got, want[i:]) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("restored NI retransmitted at %v (%v), walk-every-tick reference at %v (%v)", got, err, want[i:], wantErr)
+	}
+}
+
+// dropFirstHook is a lossy FaultHook that drops one arrival: the packet with
+// the given ID at the given node. A retransmission is a new injection with a
+// new ID, so it gets through.
+type dropFirstHook struct {
+	lossyHook
+	node NodeID
+	id   *uint64
+}
+
+func (h dropFirstHook) LossyVerdict(node NodeID, _ sim.Cycle, id uint64) LossVerdict {
+	if node == h.node && id == *h.id {
+		return LossDrop
+	}
+	return LossNone
+}
+
+// TestInvWaitsForDroppedPush drives the push-before-invalidation rule across
+// a loss: tile 0 pushes line A to tile 5, the push's first arrival is
+// dropped, and tile 0 then invalidates lines A and B there. The inv for B is
+// delivered at once; the inv for A arrives before the push's retransmission
+// and must be parked, then handed to the endpoint in the same deliver pass
+// as the retransmitted push, after it.
+func TestInvWaitsForDroppedPush(t *testing.T) {
+	const dst, lineA, lineB = NodeID(5), 0x1000, 0x2000
+	cfg := DefaultConfig(4, 4)
+	eng, net, cols := testNet(t, cfg)
+	var pushID uint64
+	net.SetFaults(dropFirstHook{node: dst, id: &pushID})
+	send := func(vnet, size int, addr uint64, push bool) uint64 {
+		pkt := &Packet{VNet: vnet, SrcUnit: stats.UnitLLC, DstUnit: stats.UnitL2,
+			Dests: OneDest(dst), Addr: addr, Size: size, IsPush: push, IsInv: !push}
+		if !net.NI(0).Inject(pkt, eng.Now()) {
+			t.Fatalf("cycle %d: injection refused", eng.Now())
+		}
+		return pkt.ID
+	}
+	// got lists what the endpoint at dst received, by packet ID.
+	got := func() []uint64 {
+		var ids []uint64
+		for _, r := range cols[dst].got {
+			ids = append(ids, r.pkt.ID)
+		}
+		return ids
+	}
+	pushID = send(VNetData, cfg.DataPacketSize(), lineA, true)
+	tp := net.nis[dst].tp
+	runUntil(t, eng, func() bool { return len(tp.lost) == 1 })
+	if !tp.pushLost(lineA) || tp.pushLost(lineB) {
+		t.Fatalf("after the drop, line A held %v, line B held %v", tp.pushLost(lineA), tp.pushLost(lineB))
+	}
+	invA, invB := send(VNetCtrl, 1, lineA, false), send(VNetCtrl, 1, lineB, false)
+	runUntil(t, eng, func() bool { return len(cols[dst].got) == 1 })
+	if ids := got(); ids[0] != invB {
+		t.Fatalf("first delivery is packet %#x, want the inv for line B (%#x)", ids[0], invB)
+	}
+	runUntil(t, eng, func() bool { return len(tp.held) == 1 })
+	if tp.held[0].ID != invA || net.st.Net.Retransmits != 0 {
+		t.Fatalf("held packet %#x after %d retransmissions, want the inv for line A (%#x) parked before the push is re-sent",
+			tp.held[0].ID, net.st.Net.Retransmits, invA)
+	}
+	runUntil(t, eng, func() bool { return len(cols[dst].got) > 1 })
+	r := cols[dst].got
+	if len(r) != 3 || !r[1].pkt.IsPush || r[1].pkt.Addr != lineA || r[2].pkt.ID != invA {
+		t.Fatalf("deliveries %#x; want the inv for line B, the push for line A, then the inv for it (%#x)", got(), invA)
+	}
+	if r[2].at != r[1].at {
+		t.Fatalf("push delivered at cycle %d, parked inv at %d: the release waited", r[1].at, r[2].at)
+	}
+	if len(tp.held) != 0 || len(tp.lost) != 0 || net.st.Net.Retransmits != 1 {
+		t.Fatalf("after the release: %d held, %d lost records, %d retransmissions; want 0, 0, 1", len(tp.held), len(tp.lost), net.st.Net.Retransmits)
 	}
 }

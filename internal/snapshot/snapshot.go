@@ -39,13 +39,15 @@ import (
 const Magic = "PMSNAP1\n"
 
 // Version is the current snapshot format version. Bump it on any change to
-// a section's encoding; restore refuses other versions loudly. Version 5
+// a section's encoding; restore refuses other versions loudly. Version 6
 // carries primary state only, as a dense run holds it at the barrier: what a
 // component can rebuild from its other fields, and the engine's scheduling,
 // are not in the bytes, a cache way carries directory words only in an LLC,
-// and an LLC slice carries one transaction record per blocked line (DESIGN.md
-// §4g lists what left with versions 1 to 4).
-const Version uint32 = 5
+// an LLC slice carries one transaction record per blocked line, and an NI's
+// transport carries each window entry's sequence number once and one loss
+// record (key, line, push bit) per discarded key (DESIGN.md §4g lists what
+// left with versions 1 to 5).
+const Version uint32 = 6
 
 // sectionMark precedes every section name.
 const sectionMark uint32 = 0x5EC7_10A5

@@ -366,10 +366,19 @@ type goldenSnapshot struct {
 // goldenSnapshots between them exercise every section of the format: plain
 // and collective workloads, all three schemes, transport retransmit windows,
 // checker loss bookkeeping, the trace ring, and blocked LLC lines of every
-// kind. The pins are format v5's, recorded when an LLC slice's episode, fetch
-// and stall maps became one transaction record per blocked line and the
-// writeback buffer an address set. Against v4 (319,915 / 153,817 / 361,560 /
-// 405,089 bytes) each machine moved by exactly: -32 for the header (MeshW and
+// kind. The pins are format v6's, recorded when an NI's transport kept each
+// fact once: a window entry's sequence number only in its packet, and one
+// loss record per discarded key instead of a loss map and a per-line
+// push-hold count; the receiver's streams, unchanged in size, now lead the
+// section. Against v5 (320,010 / 164,077 / 361,283 / 405,030 bytes)
+// the three lossless machines, which carry no transport, keep their sizes
+// (the version word moved their hashes); the lossy one moved by -1,032: -4
+// for each of its 224 window entries, -8 a tile for the 16 push-hold map
+// lengths, -16 for each of the 5 lines held, +8 for each of the 9 loss
+// records (its line address). v5 was recorded when an LLC slice's episode,
+// fetch and stall maps became one transaction record per blocked line and
+// the writeback buffer an address set. Against v4 (319,915 / 153,817 /
+// 361,560 / 405,089 bytes) each machine moved by exactly: -32 for the header (MeshW and
 // MeshH left the config's text in both fingerprints); -16 a slice for the two
 // map lengths gone; +11 per write, evict or push record (61 bytes: address,
 // pending acks, writer, evict bit, two slice lengths; the episode had 50 with
@@ -395,13 +404,13 @@ type goldenSnapshot struct {
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 320010, 0x84c4c2035cf65bd4},
+	}, 10000, 320010, 0xfb37e46bad436e2d},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 164077, 0x44f44ecc4e7de194},
+	}, 2000, 164077, 0xb2e6e8cb3325e5d0},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 361283, 0x748ac18845c0896f},
+	}, 30000, 361283, 0xfa7fcc44ccabdb38},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -409,7 +418,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 405030, 0xf2a7ed81fd0ae009},
+	}, 12000, 403998, 0xa7562bd1aeea1906},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {

@@ -63,12 +63,13 @@ func sections(t testing.TB, snap []byte, name string) []int {
 	return at
 }
 
-// crafted are the alterations that once took restore down — each is a u64
-// written at a fixed distance into some section of the bfs golden snapshot.
-// They are regression cases for TestSnapshotCrafted and seeds for
-// FuzzRestore.
+// crafted are the alterations that once took restore down, or that the
+// decoder's audits exist to refuse — each is a u64 written at a fixed offset
+// past a section marker of the named golden snapshot. They are regression
+// cases for TestSnapshotCrafted and seeds for FuzzRestore.
 var crafted = []struct {
 	name    string
+	golden  string
 	section string
 	// idle picks the first marker followed by this many zero bytes (a router
 	// with no occupied VC and no switch stream); 0 picks the first marker, and
@@ -78,53 +79,83 @@ var crafted = []struct {
 	value uint64
 }{
 	// makeslice: len out of range.
-	{"link-counter count", "stats.all", 0, 0, 1 << 62},
+	{"link-counter count", "bfs-baseline", "stats.all", 0, 0, 1 << 62},
 	// Appended pooled packets without end.
-	{"NI queue count", "noc.ni", 0, 0, 1 << 62},
+	{"NI queue count", "bfs-baseline", "noc.ni", 0, 0, 1 << 62},
 	// Replayed Next() on an ended stream 1<<62 times: 62 bytes of retirement
 	// state precede the op count.
-	{"core op count past its stream's end", "cpu.core", 0, 62, 1 << 62},
+	{"core op count past its stream's end", "bfs-baseline", "cpu.core", 0, 62, 1 << 62},
 	// Pushed a 17th entry into a 16-slot link ring: an idle router's first
 	// arrivals-ring count follows its occ count (8) and 5 stream flags.
-	{"link ring past capacity", "noc.router", 13, 13, 17},
+	{"link ring past capacity", "bfs-baseline", "noc.router", 13, 13, 17},
 	// Primary router state no run could have written, which the rebuild of the
 	// derived fields would otherwise index or dereference: an occupied-list
 	// entry for a VC that holds nothing, a switch stream (its flag follows the
 	// occ count) draining one, and — on a busy router, 19 bytes of coordinates,
 	// arrival cycle and flags into the first entry — a pending mask naming all
-	// five ports over a buffered packet.
-	{"occupied VC that is free", "noc.router", 13, 0, 1},
-	{"stream over an empty VC", "noc.router", 13, 8, 1},
-	{"pending port off the packet's route", "noc.router", -1, 27, 0x011f},
+	// five ports over a buffered packet. The checker's primary-state audit
+	// refuses all three.
+	{"occupied VC that is free", "bfs-baseline", "noc.router", 13, 0, 1},
+	{"stream over an empty VC", "bfs-baseline", "noc.router", 13, 8, 1},
+	{"pending port off the packet's route", "bfs-baseline", "noc.router", -1, 27, 0x011f},
 	// A packet is its message, so the line address travels twice: in the header
 	// and, 100 bytes into the packet (98 of header, the presence byte, the
 	// type), in the message. The busy router's first buffered packet starts 29
 	// bytes into its first entry; give its message another line.
-	{"message for another line than its packet's", "noc.router", -1, 129, 0xdead0040},
+	{"message for another line than its packet's", "bfs-baseline", "noc.router", -1, 129, 0xdead0040},
 	// A sharer the 16-tile directory has no word for: the first slice's first
 	// way holds a valid line, whose four sharer words follow 16 bytes of
 	// geometry, the state byte, tag, version, three flags and last use. Bit 8
 	// of the fourth word is tile 200.
-	{"directory sharer past the mesh", "cache.llc", 0, 68, 1 << 8},
+	{"directory sharer past the mesh", "bfs-baseline", "cache.llc", 0, 68, 1 << 8},
 	// A line filed in a set its address does not map to: the same way's tag
 	// follows the geometry and its state byte. Bits 6-9 pick the slice and
 	// the set index starts at bit 10, so line 0x400 belongs to set 1.
-	{"line in another set", "cache.llc", 0, 17, 0x400},
+	{"line in another set", "bfs-baseline", "cache.llc", 0, 17, 0x400},
+	// Tile 0's transport: the count of its 20 live rx streams, each 16 bytes
+	// (key, top, mask), then per vnet the next sequence number and the
+	// window; the vnet 0 and 1 windows are empty and the vnet 2 window holds
+	// 19 entries, the first live. The first stream's key (and top) become a
+	// key of tile 16 on a 16-tile mesh, then vnet slot 3 of tile 0.
+	{"rx stream key past the mesh", "cachebw-ordpush-lossy-checked", "noc.transport", 0, 8, 16 << 2},
+	{"rx stream key in vnet slot 3", "cachebw-ordpush-lossy-checked", "noc.transport", 0, 8, 3},
+	// The vnet 0 window's length (8 + 20*16 bytes of streams, 4 of its next
+	// sequence number) one past RetryWindow (32). The window was empty, so its
+	// entries parse out of the bytes that follow, and a field of one of them
+	// refuses first.
+	{"window past RetryWindow", "cachebw-ordpush-lossy-checked", "noc.transport", 0, 332, 33},
+	// The first vnet 2 entry's packet number: the window starts 364 bytes in,
+	// and 49 bytes of destinations, send cycle, retries and done flag plus 79
+	// of packet header precede its sequence number.
+	{"window entry out of sequence", "cachebw-ordpush-lossy-checked", "noc.transport", 0, 492, 0xdead},
 }
 
-const craftedFrom = 1 // bfs tiny/16 Baseline @ 2000
+// goldenIndex returns the position of the named golden snapshot.
+func goldenIndex(t testing.TB, name string) int {
+	t.Helper()
+	for i, g := range goldenSnapshots {
+		if g.name == name {
+			return i
+		}
+	}
+	t.Fatalf("no golden snapshot %q", name)
+	return 0
+}
 
-// craft applies one crafted alteration to the snapshot it was written for.
-func craft(t testing.TB, snap []byte, i int) (off int, patch []byte) {
+// craft applies one crafted alteration to the golden snapshot it was written
+// for, which it returns by index.
+func craft(t testing.TB, i int) (which, off int, patch []byte) {
 	t.Helper()
 	k := crafted[i]
+	which = goldenIndex(t, k.golden)
+	snap := goldenBytes(t)[which]
 	for _, at := range sections(t, snap, k.section) {
 		if k.idle < 0 && snap[at] != 0 || k.idle >= 0 && bytes.Equal(snap[at:at+k.idle], make([]byte, k.idle)) {
-			return at + k.skip, binary.LittleEndian.AppendUint64(nil, k.value)
+			return which, at + k.skip, binary.LittleEndian.AppendUint64(nil, k.value)
 		}
 	}
 	t.Fatalf("%s: no %q section starts with %d zero bytes (-1: a non-zero byte)", k.name, k.section, k.idle)
-	return 0, nil
+	return 0, 0, nil
 }
 
 // restoreAltered restores an altered golden snapshot under its own config
@@ -155,12 +186,12 @@ func restoreAltered(t *testing.T, which int, data []byte) error {
 // the two bounds a byte count cannot express (a stream's length, a ring's
 // capacity) are checked where they apply.
 func TestSnapshotCrafted(t *testing.T) {
-	snap := goldenBytes(t)[craftedFrom]
+	snaps := goldenBytes(t)
 	for i, k := range crafted {
 		t.Run(k.name, func(t *testing.T) {
-			off, patch := craft(t, snap, i)
+			which, off, patch := craft(t, i)
 			start := time.Now()
-			err := restoreAltered(t, craftedFrom, patched(snap, off, patch))
+			err := restoreAltered(t, which, patched(snaps[which], off, patch))
 			if !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("want ErrSnapshotCorrupt, got %v", err)
 			}
@@ -169,8 +200,10 @@ func TestSnapshotCrafted(t *testing.T) {
 			}
 		})
 	}
-	if err := restoreAltered(t, craftedFrom, snap); err != nil {
-		t.Fatalf("the unaltered snapshot must restore: %v", err)
+	for i, snap := range snaps {
+		if err := restoreAltered(t, i, snap); err != nil {
+			t.Fatalf("the unaltered %s snapshot must restore: %v", goldenSnapshots[i].name, err)
+		}
 	}
 }
 
@@ -194,8 +227,8 @@ func FuzzRestore(f *testing.F) {
 		}
 	}
 	for i := range crafted {
-		off, patch := craft(f, goldenBytes(f)[craftedFrom], i)
-		f.Add(uint8(craftedFrom), uint32(off), patch)
+		which, off, patch := craft(f, i)
+		f.Add(uint8(which), uint32(off), patch)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, off uint32, patch []byte) {
 		snaps := goldenBytes(t)
