@@ -318,9 +318,9 @@ func TestExecuteBadInput(t *testing.T) {
 	}
 	// Snapshots from a hypothetical newer build and from the two previous
 	// formats: same bytes, the format version field (first header field after
-	// the magic) patched to 7, 5 and 4. There is no reader for any of them.
-	futureSnap, v5Snap, v4Snap := append([]byte(nil), snap...), append([]byte(nil), snap...), append([]byte(nil), snap...)
-	futureSnap[8], v5Snap[8], v4Snap[8] = 7, 5, 4
+	// the magic) patched to 8, 6 and 5. There is no reader for any of them.
+	futureSnap, v6Snap, v5Snap := append([]byte(nil), snap...), append([]byte(nil), snap...), append([]byte(nil), snap...)
+	futureSnap[8], v6Snap[8], v5Snap[8] = 8, 6, 5
 	baseRun, err := parse(t, "-scale", "tiny", "-check", "-scheme", "Baseline").resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -345,9 +345,9 @@ func TestExecuteBadInput(t *testing.T) {
 		{"restore file missing", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, filepath.Join(dir, "no-such.snap"), "no-such.snap"},
 		{"restore file is not a snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("noise.snap", []byte("definitely not a snapshot file")), "bad magic"},
 		{"truncated snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("trunc.snap", snap[:len(snap)-7]), "hash mismatch"},
-		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v7, this build reads v6"},
-		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v5.snap", v5Snap), "snapshot format v5, this build reads v6"},
-		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v4.snap", v4Snap), "snapshot format v4, this build reads v6"},
+		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v8, this build reads v7"},
+		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v6.snap", v6Snap), "snapshot format v6, this build reads v7"},
+		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v5.snap", v5Snap), "snapshot format v5, this build reads v7"},
 		{"different scheme", baseline, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
 		{"different workload", cfg, "bfs", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
 		// Collective bad inputs: -workload/-cores combinations inconsistent

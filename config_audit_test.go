@@ -56,7 +56,9 @@ var inertFields = map[string]struct {
 // the LLC and the store buffer. The last run shrinks the LLC slices 16x so
 // shared lines are evicted and refetched, the one case the §VI sharer
 // predictor (Scheme.PredictPush) acts on; nothing at tiny scale does that
-// unassisted.
+// unassisted. bfs under Baseline interleaves enough miss streams per core
+// that the stride prefetcher's stream count changes which prefetches issue;
+// on cachebw every prefetch it adds or drops is redundant.
 var auditRuns = []struct {
 	spec RunSpec
 	edit func(*Config)
@@ -69,6 +71,7 @@ var auditRuns = []struct {
 	{spec: RunSpec{Scale: "quick", Scheme: "OrdPush", Workload: WorkloadSpec{Name: "pathfinder"}}},
 	{spec: RunSpec{Scale: "tiny", Scheme: "OrdPush", Workload: WorkloadSpec{Name: "bfs"}},
 		edit: func(c *Config) { c.LLCSliceSize /= 16 }, note: "LLC/16"},
+	{spec: RunSpec{Scale: "tiny", Scheme: "Baseline", Workload: WorkloadSpec{Name: "bfs"}}},
 }
 
 // configFields lists every settable leaf of Config by dotted path, descending

@@ -332,15 +332,11 @@ func (m *l2MSHR) retryDeadline(base sim.Cycle) sim.Cycle {
 func (c *L2) Load(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 	c.observe(lineAddr, "Load")
 	retry := c.retried(rejLoad, lineAddr)
-	if !retry {
-		c.st.Cache.L1Accesses++
-	}
 	if _, ok := c.l1.Lookup(lineAddr, now); ok {
 		return true, true
 	}
 	if !retry {
 		c.st.Cache.L1Misses++
-		c.st.Cache.L2Accesses++
 	}
 	line := c.arr.Lookup(lineAddr)
 	if line != nil && (line.State == StateS || line.State == StateM) {
@@ -390,9 +386,7 @@ func (c *L2) freeMSHR(m *l2MSHR) {
 // L2 once ownership is held.
 func (c *L2) Store(lineAddr uint64, now sim.Cycle) (done, accepted bool) {
 	c.observe(lineAddr, "Store")
-	if !c.retried(rejStore, lineAddr) {
-		c.st.Cache.L2Accesses++
-	}
+	c.retried(rejStore, lineAddr) // forget the refusal this store may retry
 	line := c.arr.Lookup(lineAddr)
 	if line != nil && line.State == StateM {
 		line.LastUse = now
@@ -467,7 +461,6 @@ func (c *L2) miss(line *Line, lineAddr uint64, kind uint8, now sim.Cycle) bool {
 // L1-targeted (Bingo) prefetches.
 func (c *L2) Prefetch(lineAddr uint64, fillL1 bool, now sim.Cycle) {
 	c.observe(lineAddr, "Prefetch")
-	c.st.Cache.L2Accesses++
 	if line := c.arr.Lookup(lineAddr); line != nil {
 		if fillL1 && (line.State == StateS || line.State == StateM) && !c.l1.Present(lineAddr) {
 			c.l1.Fill(lineAddr, line.Version, now)

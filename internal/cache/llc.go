@@ -707,7 +707,6 @@ func (s *LLC) freeLine(line *Line) {
 		s.out.send(coherence.Msg{Type: coherence.MemWrite, Addr: addr, Requester: s.id,
 			Version: line.Version}, noc.OneDest(s.memNode), stats.UnitMem)
 	}
-	s.st.Cache.LLCEvictions++
 	if s.traces != nil {
 		delete(s.traces, addr)
 	}

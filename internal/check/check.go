@@ -26,8 +26,10 @@
 package check
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pushmulticast/internal/cache"
 	"pushmulticast/internal/config"
@@ -48,6 +50,7 @@ const DefaultCheckEvery = 64
 type pktTrack struct {
 	addr uint64
 	src  int32
+	push bool        // a push; an invalidation otherwise
 	seq  uint64      // per-source injection serial
 	left noc.DestSet // destinations not yet delivered
 	// next is the ID of the next in-flight push to the same line (noPush at
@@ -82,37 +85,43 @@ type Monitor struct {
 	// Sticky first violation.
 	err error `snap:"-,transient: a monitor with a violation refuses to snapshot"`
 
-	// OrdPush ordering state: per-source injection serials and the set of
+	// OrdPush ordering state: per-source injection serials and one table of
 	// in-flight pushes and invalidations, keyed by packet ID (multicast
 	// replicas share their parent's ID). pushLines indexes the pushes by
 	// line: the first of each line's list.
 	ordered   bool `snap:"-,config"`
 	seq       []uint64
-	pushes    map[uint64]pktTrack
-	invs      map[uint64]pktTrack
-	pushLines map[uint64]uint64 `snap:"-,derived: relinked from pushes after decoding"`
+	tracks    map[uint64]pktTrack
+	pushLines map[uint64]uint64 `snap:"-,derived: relinked from the pushes in tracks after decoding"`
 
 	// Lossy-recovery state (armed when the fault plan schedules message
 	// loss): every non-orphan KMsgDrop/KMsgCorrupt opens an obligation that
 	// a KMsgRecover on the same (node, stream key) must close before the age
 	// bound — the "every dropped message is eventually retransmitted or the
-	// run aborts" invariant. lossSeq remembers the dropped packet's OrdPush
-	// injection serial per stream key so a retransmission clone (which gets
-	// a fresh packet ID and a fresh, artificially late serial) inherits the
-	// original's place in the ordering; lossRef counts the nodes holding an
-	// open obligation per key so lossSeq lives exactly as long as any does.
-	lossy       bool `snap:"-,config"`
-	pendingLoss map[lossKey]uint64
-	lossRef     map[uint64]int
-	lossSeq     map[uint64]uint64
-	lossBound   uint64 `snap:"-,config"`
+	// run aborts" invariant. open lists the obligations in (node, key)
+	// order; at most a few hundred are open at a time (273 at 100 per mille
+	// on tiny 16-tile runs), so it is searched, not indexed. lossSeq keeps
+	// the smallest OrdPush injection serial of the copies lost under each
+	// stream key, so a retransmission clone (which gets a fresh packet ID
+	// and a fresh, artificially late serial) inherits the original's place
+	// in the ordering; it lives while an obligation names its key.
+	lossy     bool `snap:"-,config"`
+	open      []obligation
+	lossSeq   map[uint64]uint64
+	lossBound uint64 `snap:"-,config"`
 }
 
-// lossKey identifies one open loss obligation: the NI that discarded the
-// message and the transport stream key it carried.
-type lossKey struct {
+// obligation is one open loss obligation: the NI that discarded the message,
+// the transport stream key it carried, and the cycle of its latest loss.
+type obligation struct {
 	node int32
 	key  uint64
+	at   uint64
+}
+
+// compareObligations orders obligations by (node, key).
+func compareObligations(a, b obligation) int {
+	return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.key, b.key))
 }
 
 // New builds a monitor. tr must be the tracer every component's shard
@@ -141,14 +150,11 @@ func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LL
 	if cfg.Check && cfg.Scheme.Push && cfg.Scheme.Protocol == config.ProtoOrdPush {
 		m.ordered = true
 		m.seq = make([]uint64, cfg.Tiles())
-		m.pushes = make(map[uint64]pktTrack)
-		m.invs = make(map[uint64]pktTrack)
+		m.tracks = make(map[uint64]pktTrack)
 		m.pushLines = make(map[uint64]uint64)
 	}
 	if cfg.Check && cfg.Faults.Lossy() {
 		m.lossy = true
-		m.pendingLoss = make(map[lossKey]uint64)
-		m.lossRef = make(map[uint64]int)
 		m.lossSeq = make(map[uint64]uint64)
 		// A drop must be healed within the transport's full retry budget
 		// (with slack for queueing and the final in-flight hop); past that,
@@ -258,51 +264,51 @@ func (m *Monitor) trackLoss(e trace.Event) {
 	if !m.lossy || orphan {
 		return // orphan drop: nothing will, or needs to, carry this key again
 	}
-	k := lossKey{node: e.Node, key: e.Aux.Scalar()}
-	if _, open := m.pendingLoss[k]; !open {
-		m.lossRef[e.Aux.Scalar()]++
+	o := obligation{node: e.Node, key: e.Aux.Scalar(), at: e.Cycle}
+	if i, found := slices.BinarySearchFunc(m.open, o, compareObligations); found {
+		m.open[i].at = e.Cycle
+	} else {
+		m.open = slices.Insert(m.open, i, o)
 	}
-	m.pendingLoss[k] = e.Cycle
 }
 
 // trackRecover closes the obligation the re-arrival of a dropped stream key
-// discharges.
+// discharges, and forgets the key's serial once no obligation names it.
 func (m *Monitor) trackRecover(e trace.Event) {
 	if !m.lossy {
 		return
 	}
-	k := lossKey{node: e.Node, key: e.Aux.Scalar()}
-	if _, open := m.pendingLoss[k]; !open {
+	key := e.Aux.Scalar()
+	i, found := slices.BinarySearchFunc(m.open, obligation{node: e.Node, key: key}, compareObligations)
+	if !found {
 		return
 	}
-	delete(m.pendingLoss, k)
-	if m.lossRef[e.Aux.Scalar()]--; m.lossRef[e.Aux.Scalar()] <= 0 {
-		delete(m.lossRef, e.Aux.Scalar())
-		delete(m.lossSeq, e.Aux.Scalar())
+	m.open = slices.Delete(m.open, i, i+1)
+	if !slices.ContainsFunc(m.open, func(o obligation) bool { return o.key == key }) {
+		delete(m.lossSeq, key)
 	}
 }
 
 // clearReplica retires the replica a loss event names (the copy headed for
-// e.Node under packet e.ID) from the ordered-mode tracking maps. For a
-// suppressed duplicate the node already received the packet, so the clear
-// is an idempotent no-op. recordSeq additionally remembers the packet's
-// injection serial under its stream key, for the retransmission clone to
-// inherit (see inheritSerial).
+// e.Node under packet e.ID). For a suppressed duplicate the node already
+// received the packet, so the clear is an idempotent no-op. recordSeq
+// additionally keeps the packet's injection serial under its stream key, for
+// the retransmission clone to inherit (see inheritSerial). Every copy of a
+// message is injected no earlier than the original, so the smallest serial
+// recorded is the original's: a timeout clone lost after it must not move
+// the key's place forward.
 func (m *Monitor) clearReplica(e trace.Event, recordSeq bool) {
-	at := noc.NodeID(e.Node)
-	if p, ok := m.pushes[e.ID]; ok {
-		if recordSeq {
-			m.lossSeq[e.Aux.Scalar()] = p.seq
-		}
-		m.deliverPush(e.ID, p, at)
+	p, ok := m.tracks[e.ID]
+	if !ok {
 		return
 	}
-	if p, ok := m.invs[e.ID]; ok {
-		if recordSeq {
-			m.lossSeq[e.Aux.Scalar()] = p.seq
+	if recordSeq {
+		key := e.Aux.Scalar()
+		if seq, kept := m.lossSeq[key]; !kept || p.seq < seq {
+			m.lossSeq[key] = p.seq
 		}
-		m.deliverInv(e.ID, p, at)
 	}
+	m.retire(e.ID, p, noc.NodeID(e.Node))
 }
 
 // inheritSerial rewrites a retransmission clone's injection serial to the
@@ -314,14 +320,9 @@ func (m *Monitor) inheritSerial(e trace.Event) {
 	if !ok {
 		return
 	}
-	if p, tracked := m.pushes[e.ID]; tracked {
+	if p, tracked := m.tracks[e.ID]; tracked {
 		p.seq = seq
-		m.pushes[e.ID] = p
-		return
-	}
-	if p, tracked := m.invs[e.ID]; tracked {
-		p.seq = seq
-		m.invs[e.ID] = p
+		m.tracks[e.ID] = p
 	}
 }
 
@@ -356,12 +357,13 @@ func (m *Monitor) checkFilterSoundness(e trace.Event) {
 // starts tracking pushes and invalidations.
 func (m *Monitor) trackInject(e trace.Event) {
 	m.seq[e.Node]++
-	p := pktTrack{addr: e.Addr, src: e.Node, seq: m.seq[e.Node], left: noc.DestSet(e.Aux)}
+	p := pktTrack{addr: e.Addr, src: e.Node, push: e.B&trace.FlagPush != 0,
+		seq: m.seq[e.Node], left: noc.DestSet(e.Aux)}
 	switch {
-	case e.B&trace.FlagPush != 0:
+	case p.push:
 		m.linkPush(e.ID, p)
 	case e.B&trace.FlagInv != 0:
-		m.invs[e.ID] = p
+		m.tracks[e.ID] = p
 	}
 }
 
@@ -371,18 +373,21 @@ func (m *Monitor) linkPush(id uint64, p pktTrack) {
 	if head, ok := m.pushLines[p.addr]; ok {
 		p.next = head
 	}
-	m.pushes[id] = p
+	m.tracks[id] = p
 	m.pushLines[p.addr] = id
 }
 
-// deliverPush retires push id's replica at tile at, and the push once no
-// replica is left.
-func (m *Monitor) deliverPush(id uint64, p pktTrack, at noc.NodeID) {
+// retire retires packet id's replica at tile at, and the packet once no
+// replica is left, unlinking a push from its line's list.
+func (m *Monitor) retire(id uint64, p pktTrack, at noc.NodeID) {
 	if p.left = p.left.Remove(at); !p.left.Empty() {
-		m.pushes[id] = p
+		m.tracks[id] = p
 		return
 	}
-	delete(m.pushes, id)
+	delete(m.tracks, id)
+	if !p.push {
+		return
+	}
 	if m.pushLines[p.addr] == id {
 		if p.next == noPush {
 			delete(m.pushLines, p.addr)
@@ -392,23 +397,13 @@ func (m *Monitor) deliverPush(id uint64, p pktTrack, at noc.NodeID) {
 		return
 	}
 	for prev := m.pushLines[p.addr]; ; {
-		q := m.pushes[prev]
+		q := m.tracks[prev]
 		if q.next == id {
 			q.next = p.next
-			m.pushes[prev] = q
+			m.tracks[prev] = q
 			return
 		}
 		prev = q.next
-	}
-}
-
-// deliverInv retires invalidation id's replica at tile at, and the
-// invalidation once no replica is left.
-func (m *Monitor) deliverInv(id uint64, p pktTrack, at noc.NodeID) {
-	if p.left = p.left.Remove(at); p.left.Empty() {
-		delete(m.invs, id)
-	} else {
-		m.invs[id] = p
 	}
 }
 
@@ -419,55 +414,47 @@ func (m *Monitor) deliverInv(id uint64, p pktTrack, at noc.NodeID) {
 // data will be installed after the line was invalidated. Of several
 // overtaken pushes, the earliest injected is the one reported.
 func (m *Monitor) trackDeliver(e trace.Event) {
+	if e.B&(trace.FlagPush|trace.FlagInv) == 0 {
+		return // neither tracked nor ordered
+	}
 	at := noc.NodeID(e.Node)
-	switch {
-	case e.B&trace.FlagPush != 0:
-		if p, ok := m.pushes[e.ID]; ok {
-			m.deliverPush(e.ID, p, at)
-		}
-	case e.B&trace.FlagInv != 0:
-		inv, ok := m.invs[e.ID]
-		if !ok {
-			return // injected before tracking began; nothing to order against
-		}
+	p, ok := m.tracks[e.ID]
+	if !ok {
+		return // injected before tracking began; nothing to order against
+	}
+	if !p.push {
 		overtaken, found := noPush, false
 		var worst pktTrack
-		for id, listed := m.pushLines[inv.addr]; listed && id != noPush; {
-			p := m.pushes[id]
-			if p.src == inv.src && p.seq < inv.seq && p.left.Has(at) && (!found || p.seq < worst.seq) {
-				overtaken, worst, found = id, p, true
+		for id, listed := m.pushLines[p.addr]; listed && id != noPush; {
+			q := m.tracks[id]
+			if q.src == p.src && q.seq < p.seq && q.left.Has(at) && (!found || q.seq < worst.seq) {
+				overtaken, worst, found = id, q, true
 			}
-			id = p.next
+			id = q.next
 		}
 		if found {
 			m.fail(e.Cycle, "OrdPush ordering violated: inv (src %d seq %d) delivered at tile %d before push id %#x (seq %d) to line %#x",
-				inv.src, inv.seq, at, overtaken, worst.seq, worst.addr)
+				p.src, p.seq, at, overtaken, worst.seq, worst.addr)
 			return
 		}
-		m.deliverInv(e.ID, inv, at)
 	}
+	m.retire(e.ID, p, at)
 }
 
 // scanLossAge asserts the recovery liveness invariant: no dropped message
 // may stay unrecovered past the transport's full retry budget. The worst
-// offender is picked by (age, node, key) so the failure message does not
-// depend on map iteration order.
+// offender is the oldest, ties going to the first in (node, key) order.
 func (m *Monitor) scanLossAge(cyc uint64) {
-	var worst lossKey
-	var worstAt uint64
+	var worst obligation
 	found := false
-	for k, at := range m.pendingLoss {
-		if cyc-at <= m.lossBound {
-			continue
-		}
-		if !found || at < worstAt ||
-			(at == worstAt && (k.node < worst.node || (k.node == worst.node && k.key < worst.key))) {
-			worst, worstAt, found = k, at, true
+	for _, o := range m.open {
+		if cyc-o.at > m.lossBound && (!found || o.at < worst.at) {
+			worst, found = o, true
 		}
 	}
 	if found {
 		m.fail(cyc, "message loss never recovered: stream key %#x dropped at tile %d on cycle %d, still outstanding after %d cycles (bound %d)",
-			worst.key, worst.node, worstAt, cyc-worstAt, m.lossBound)
+			worst.key, worst.node, worst.at, cyc-worst.at, m.lossBound)
 	}
 }
 

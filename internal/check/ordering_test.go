@@ -77,7 +77,7 @@ func TestOrdPushReportsEarliestOvertakenPush(t *testing.T) {
 			case tc.want == "" && err != nil:
 				t.Fatalf("%s, run %d: %v", tc.name, run, err)
 			case tc.want == "":
-				if len(m.invs) != 0 {
+				if _, tracked := m.tracks[0x12]; tracked {
 					t.Fatalf("%s: the delivered invalidation is still tracked", tc.name)
 				}
 			case err == nil || !strings.Contains(err.Error(), "OrdPush ordering violated") || !strings.Contains(err.Error(), tc.want):
@@ -99,7 +99,7 @@ func TestOrdPushLineIndexFollowsDeliveries(t *testing.T) {
 		packet(m, trace.KDeliver, id, trace.FlagPush)
 	}
 	var listed []uint64
-	for id, ok := m.pushLines[orderedLine]; ok && id != noPush; id = m.pushes[id].next {
+	for id, ok := m.pushLines[orderedLine]; ok && id != noPush; id = m.tracks[id].next {
 		listed = append(listed, id)
 	}
 	if len(listed) != 2 || listed[0] != 0x13 || listed[1] != 0x11 {
@@ -107,7 +107,7 @@ func TestOrdPushLineIndexFollowsDeliveries(t *testing.T) {
 	}
 	packet(m, trace.KDeliver, 0x11, trace.FlagPush)
 	packet(m, trace.KDeliver, 0x13, trace.FlagPush)
-	if len(m.pushes) != 0 || len(m.pushLines) != 0 {
-		t.Fatalf("after every delivery: %d pushes, %d line lists", len(m.pushes), len(m.pushLines))
+	if len(m.tracks) != 0 || len(m.pushLines) != 0 {
+		t.Fatalf("after every delivery: %d pushes, %d line lists", len(m.tracks), len(m.pushLines))
 	}
 }

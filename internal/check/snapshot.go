@@ -1,7 +1,7 @@
 package check
 
 import (
-	"cmp"
+	"slices"
 
 	"pushmulticast/internal/snapshot"
 )
@@ -19,32 +19,45 @@ func (m *Monitor) State(c *snapshot.Codec) {
 		c.Mark(&m.seq)
 		c.Count(len(m.seq), "injection serials")
 		c.U64s(m.seq)
-		tracks := func(id *uint64, t *pktTrack) {
+		snapshot.Map(c, &m.tracks, func(id *uint64, t *pktTrack) {
 			c.U64(id)
 			c.U64(&t.addr)
 			snapshot.AsU32(c, &t.src)
+			c.Bool(&t.push)
 			c.U64(&t.seq)
 			c.U64s(t.left[:])
-		}
-		snapshot.Map(c, &m.pushes, tracks)
-		snapshot.Map(c, &m.invs, tracks)
+		})
 		if c.Decoding() {
-			pushes := m.pushes
-			m.pushes, m.pushLines = make(map[uint64]pktTrack, len(pushes)), make(map[uint64]uint64)
-			for id, p := range pushes {
-				m.linkPush(id, p)
+			var pushes []uint64
+			for id, p := range m.tracks {
+				if p.push {
+					pushes = append(pushes, id)
+				}
+			}
+			slices.Sort(pushes)
+			for _, id := range pushes {
+				m.linkPush(id, m.tracks[id])
 			}
 		}
 	}
 	if c.Same(m.lossy, "loss tracking") {
-		snapshot.MapFunc(c, &m.pendingLoss, func(a, b lossKey) int {
-			return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.key, b.key))
-		}, func(k *lossKey, at *uint64) {
-			snapshot.AsU32(c, &k.node)
-			c.U64(&k.key)
-			c.U64(at)
+		snapshot.Slice(c, &m.open, func(o *obligation) {
+			snapshot.AsU32(c, &o.node)
+			c.U64(&o.key)
+			c.U64(&o.at)
 		})
-		snapshot.Map(c, &m.lossRef, func(k *uint64, n *int) { c.U64(k); c.Int(n) })
+		// The list travels in (node, key) order, each obligation once.
+		for i, o := range m.open {
+			if !c.Decoding() {
+				break
+			}
+			if o.node < 0 || int(o.node) >= m.cfg.Tiles() {
+				c.Corrupt("loss obligation at tile %d, past the %d-tile mesh", o.node, m.cfg.Tiles())
+			} else if i > 0 && compareObligations(m.open[i-1], o) >= 0 {
+				c.Corrupt("loss obligations (tile %d, key %#x), (tile %d, key %#x) out of order or repeated",
+					m.open[i-1].node, m.open[i-1].key, o.node, o.key)
+			}
+		}
 		snapshot.Map(c, &m.lossSeq, func(k, seq *uint64) { c.U64(k); c.U64(seq) })
 	}
 }

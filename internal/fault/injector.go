@@ -19,11 +19,10 @@ import (
 // ever coming; the boundary wake restores the dense-mode placement cycle.
 // Spurious wakes at window starts are harmless in both kernels.
 type Injector struct {
-	plan  Plan        `snap:"-,config"`
-	eng   *sim.Engine `snap:"-,wiring"`
-	st    *stats.All  `snap:"-,wiring"`
-	h     *sim.Handle `snap:"-,wiring"`
-	nodes int         `snap:"-,config"`
+	plan Plan        `snap:"-,config"`
+	eng  *sim.Engine `snap:"-,wiring"`
+	st   *stats.All  `snap:"-,wiring"`
+	h    *sim.Handle `snap:"-,wiring"`
 	// next is the earliest upcoming window boundary; ^0 when the schedule is
 	// spent. Starting at 0 makes the first tick compute it, and the
 	// now>=next guard keeps dense mode's every-cycle ticks equivalent to the
@@ -33,76 +32,45 @@ type Injector struct {
 	// builder after the network exists.
 	wake func(node int) `snap:"-,wiring"`
 
-	// Per-kind fault indexes for O(active faults at target) hook checks.
-	// stalls/jits are keyed node*NumPorts+port (Port == -1 expanded);
-	// slows/spikes/drops are keyed by node.
-	stalls [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	jits   [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	slows  [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	spikes [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	drops  [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	// Lossy-kind indexes, keyed by node: message drops, duplications, and
-	// corruptions applied at the receiving NI. hasLossy arms the NoC's
-	// end-to-end recovery layer.
-	mdrops   [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	mdups    [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	mcorrs   [][]*Fault `snap:"-,derived: indexed from the plan at build"`
-	hasLossy bool       `snap:"-,config"`
+	// index lists the plan's faults by kind and slot, in plan order, so a
+	// hook checks only the faults aimed at its target. The slot is
+	// node*NumPorts+port for LinkStall and VCJitter (a Port of -1 is listed
+	// at every port) and the node for every other kind.
+	index [numKinds][][]*Fault `snap:"-,derived: indexed from the plan at build"`
 	// lastArr tracks the last granted head-arrival cycle per (node, output
 	// port), backing the monotonic clamp that keeps jittered links
 	// order-preserving (OrdPush's push-before-invalidation survives).
 	lastArr []sim.Cycle
 }
 
+// perPort reports whether the kind targets one router output port.
+func (k Kind) perPort() bool { return k == LinkStall || k == VCJitter }
+
 // NewInjector builds the injector for a validated plan on a machine with the
 // given tile count.
 func NewInjector(plan Plan, nodes int, st *stats.All) *Injector {
-	in := &Injector{
-		plan:    plan,
-		st:      st,
-		nodes:   nodes,
-		stalls:  make([][]*Fault, nodes*noc.NumPorts),
-		jits:    make([][]*Fault, nodes*noc.NumPorts),
-		slows:   make([][]*Fault, nodes),
-		spikes:  make([][]*Fault, nodes),
-		drops:   make([][]*Fault, nodes),
-		mdrops:  make([][]*Fault, nodes),
-		mdups:   make([][]*Fault, nodes),
-		mcorrs:  make([][]*Fault, nodes),
-		lastArr: make([]sim.Cycle, nodes*noc.NumPorts),
+	in := &Injector{plan: plan, st: st, lastArr: make([]sim.Cycle, nodes*noc.NumPorts)}
+	for k := range in.index {
+		slots := nodes
+		if Kind(k).perPort() {
+			slots *= noc.NumPorts
+		}
+		in.index[k] = make([][]*Fault, slots)
 	}
 	for i := range plan.Faults {
 		f := &plan.Faults[i]
-		switch f.Kind {
-		case LinkStall, VCJitter:
-			idx := &in.stalls
-			if f.Kind == VCJitter {
-				idx = &in.jits
+		idx := in.index[f.Kind]
+		switch {
+		case !f.Kind.perPort():
+			idx[f.Node] = append(idx[f.Node], f)
+		case f.Port == -1:
+			for p := 0; p < noc.NumPorts; p++ {
+				k := f.Node*noc.NumPorts + p
+				idx[k] = append(idx[k], f)
 			}
-			if f.Port == -1 {
-				for p := 0; p < noc.NumPorts; p++ {
-					k := f.Node*noc.NumPorts + p
-					(*idx)[k] = append((*idx)[k], f)
-				}
-			} else {
-				k := f.Node*noc.NumPorts + f.Port
-				(*idx)[k] = append((*idx)[k], f)
-			}
-		case RouterSlow:
-			in.slows[f.Node] = append(in.slows[f.Node], f)
-		case InjSpike:
-			in.spikes[f.Node] = append(in.spikes[f.Node], f)
-		case FilterDrop:
-			in.drops[f.Node] = append(in.drops[f.Node], f)
-		case MsgDrop:
-			in.mdrops[f.Node] = append(in.mdrops[f.Node], f)
-			in.hasLossy = true
-		case MsgDup:
-			in.mdups[f.Node] = append(in.mdups[f.Node], f)
-			in.hasLossy = true
-		case MsgCorrupt:
-			in.mcorrs[f.Node] = append(in.mcorrs[f.Node], f)
-			in.hasLossy = true
+		default:
+			k := f.Node*noc.NumPorts + f.Port
+			idx[k] = append(idx[k], f)
 		}
 	}
 	return in
@@ -135,17 +103,14 @@ func (in *Injector) Tick(now sim.Cycle) {
 func (in *Injector) onBoundary(c uint64) {
 	for i := range in.plan.Faults {
 		f := &in.plan.Faults[i]
-		if f.startsAt(c) {
+		starts := f.startsAt(c)
+		if starts {
 			in.st.Net.FaultWindows++
-			if in.wake != nil {
-				in.wake(f.Node)
-			}
-		} else if f.endsAt(c) {
-			// A router that slept "blocked on downstream" during the window
-			// needs this wake: nothing else fires when the fault lifts.
-			if in.wake != nil {
-				in.wake(f.Node)
-			}
+		}
+		// A router that slept "blocked on downstream" during the window
+		// needs the end wake: nothing else fires when the fault lifts.
+		if (starts || f.endsAt(c)) && in.wake != nil {
+			in.wake(f.Node)
 		}
 	}
 	next := ^uint64(0)
@@ -164,7 +129,7 @@ func (in *Injector) onBoundary(c uint64) {
 // window). Pure function of the cycle, so dense and sparse kernels freeze
 // the identical cycle set.
 func (in *Injector) RouterFrozen(node noc.NodeID, now sim.Cycle) bool {
-	for _, f := range in.slows[node] {
+	for _, f := range in.index[RouterSlow][node] {
 		c := uint64(now)
 		if !f.activeAt(c) {
 			continue
@@ -184,7 +149,7 @@ func (in *Injector) RouterFrozen(node noc.NodeID, now sim.Cycle) bool {
 // [from, to]; the conservation checker uses it to excuse unrouted heads a
 // frozen router legitimately left overdue.
 func (in *Injector) FrozenIn(node noc.NodeID, from, to sim.Cycle) bool {
-	for _, f := range in.slows[node] {
+	for _, f := range in.index[RouterSlow][node] {
 		if f.activeWithin(uint64(from), uint64(to)) {
 			return true
 		}
@@ -195,7 +160,7 @@ func (in *Injector) FrozenIn(node noc.NodeID, from, to sim.Cycle) bool {
 // LinkBlocked reports whether a LinkStall window blocks new replica
 // allocations onto the router's output port this cycle.
 func (in *Injector) LinkBlocked(node noc.NodeID, port int, now sim.Cycle) bool {
-	for _, f := range in.stalls[int(node)*noc.NumPorts+port] {
+	for _, f := range in.index[LinkStall][int(node)*noc.NumPorts+port] {
 		if f.activeAt(uint64(now)) {
 			return true
 		}
@@ -211,7 +176,7 @@ func (in *Injector) LinkBlocked(node noc.NodeID, port int, now sim.Cycle) bool {
 func (in *Injector) Arrival(node noc.NodeID, port int, now, base sim.Cycle, pktID uint64, vnet int) sim.Cycle {
 	arr := base
 	key := int(node)*noc.NumPorts + port
-	for _, f := range in.jits[key] {
+	for _, f := range in.index[VCJitter][key] {
 		if f.activeAt(uint64(now)) && (f.VNet == -1 || f.VNet == vnet) {
 			h := splitmix64(in.plan.Seed ^ splitmix64(pktID) ^ uint64(now)*0x9E3779B97F4A7C15)
 			d := sim.Cycle(h % uint64(f.MaxJitter+1))
@@ -233,7 +198,7 @@ func (in *Injector) Arrival(node noc.NodeID, port int, now, base sim.Cycle, pktI
 // state.
 func (in *Injector) InjQueueCap(node noc.NodeID, depth int) int {
 	now := uint64(in.eng.Now())
-	for _, f := range in.spikes[node] {
+	for _, f := range in.index[InjSpike][node] {
 		if f.activeAt(now) && f.Factor < depth {
 			depth = f.Factor
 		}
@@ -244,7 +209,16 @@ func (in *Injector) InjQueueCap(node noc.NodeID, depth int) int {
 // LossyEnabled reports whether the plan schedules any lossy kind; the NoC
 // arms its recovery layer (sequence numbers, acks, retransmit windows) only
 // when it does, keeping fault-free hot paths unchanged.
-func (in *Injector) LossyEnabled() bool { return in.hasLossy }
+func (in *Injector) LossyEnabled() bool { return in.plan.Lossy() }
+
+// lossOrder is LossyVerdict's precedence, the more severe verdict first, and
+// the hash bits each kind rolls. It is not Kind order (drop, dup, corrupt):
+// looping over the kinds in numeric order would change verdicts.
+var lossOrder = [...]struct {
+	kind    Kind
+	shift   uint
+	verdict noc.LossVerdict
+}{{MsgDrop, 0, noc.LossDrop}, {MsgCorrupt, 20, noc.LossCorrupt}, {MsgDup, 40, noc.LossDup}}
 
 // LossyVerdict decides the fate of one packet arrival at a node's NI: intact,
 // dropped, duplicated, or corrupted. It is a pure function of (seed, plan,
@@ -263,19 +237,11 @@ func (in *Injector) LossyVerdict(node noc.NodeID, now sim.Cycle, pktID uint64) n
 		}
 		return (h >> shift) % 1000
 	}
-	for _, f := range in.mdrops[node] {
-		if f.activeAt(c) && roll(0) < uint64(f.Factor) {
-			return noc.LossDrop
-		}
-	}
-	for _, f := range in.mcorrs[node] {
-		if f.activeAt(c) && roll(20) < uint64(f.Factor) {
-			return noc.LossCorrupt
-		}
-	}
-	for _, f := range in.mdups[node] {
-		if f.activeAt(c) && roll(40) < uint64(f.Factor) {
-			return noc.LossDup
+	for _, o := range lossOrder {
+		for _, f := range in.index[o.kind][node] {
+			if f.activeAt(c) && roll(o.shift) < uint64(f.Factor) {
+				return o.verdict
+			}
 		}
 	}
 	return noc.LossNone
@@ -288,7 +254,7 @@ func (in *Injector) LossyVerdict(node noc.NodeID, now sim.Cycle, pktID uint64) n
 // adds redundant traffic, while dropping ordering state could reorder
 // protocol messages. Runs only from the router's own tick, once per hit.
 func (in *Injector) SuppressFilterHit(node noc.NodeID, now sim.Cycle) bool {
-	for _, f := range in.drops[node] {
+	for _, f := range in.index[FilterDrop][node] {
 		if f.activeAt(uint64(now)) {
 			in.st.Net.FaultFilterSuppressed++
 			return true

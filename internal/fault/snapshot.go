@@ -3,8 +3,8 @@ package fault
 import "pushmulticast/internal/snapshot"
 
 // State describes the injector's schedule position and the per-port arrival
-// clamp. The per-kind fault indexes are rebuilt from the plan by NewInjector
-// (the plan is part of the config fingerprint).
+// clamp. NewInjector rebuilds the fault index from the plan (the plan is part
+// of the config fingerprint).
 func (in *Injector) State(c *snapshot.Codec) {
 	c.Section("fault.injector")
 	c.U64(&in.next)

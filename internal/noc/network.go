@@ -246,7 +246,6 @@ func (ni *NI) handoff(pkt *Packet, now sim.Cycle) {
 		panic(fmt.Sprintf("noc: no endpoint for unit %v at node %d", pkt.DstUnit, ni.node))
 	}
 	st := &ni.st.Net
-	st.EjectedPackets[pkt.DstUnit][pkt.Class]++
 	st.PacketLatencySum += uint64(now - pkt.InjectedAt)
 	st.PacketCount++
 	ni.net.eng.Progress()

@@ -535,23 +535,28 @@ func (r *Router) stage1(now sim.Cycle) {
 			continue
 		}
 		if r.filters != nil && r.net.cfg.FilterEnabled &&
-			r.filters.lookup(int(vc.port), vc.pkt.Addr, vc.pkt.Requester, now) {
-			// A FilterDrop window turns the hit into a miss: the request
-			// travels on and triggers a redundant response the private cache
-			// discards — pure degradation, no protocol state touched.
-			if f := r.net.faults; f != nil && f.SuppressFilterHit(r.id, now) {
-				r.route(vc, now)
-				continue
-			}
-			r.st.Net.FilteredRequests++
-			r.net.eng.Progress()
-			r.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterHit, Node: int32(r.id),
-				Addr: vc.pkt.Addr, ID: vc.pkt.ID, A: int32(vc.pkt.Requester), B: int32(vc.port)})
-			r.release(vc, now)
+			r.filters.lookup(int(vc.port), vc.pkt.Addr, vc.pkt.Requester, now) &&
+			r.squash(vc, trace.KFilterHit, now) {
 			continue
 		}
 		r.route(vc, now)
 	}
+}
+
+// squash drops the filterable request in vc on a filter hit of the given
+// kind and reports whether it did. A FilterDrop window turns the hit into a
+// miss: the request travels on and triggers a redundant response the private
+// cache discards — pure degradation, no protocol state touched.
+func (r *Router) squash(vc *inputVC, kind trace.Kind, now sim.Cycle) bool {
+	if f := r.net.faults; f != nil && f.SuppressFilterHit(r.id, now) {
+		return false
+	}
+	r.st.Net.FilteredRequests++
+	r.net.eng.Progress()
+	r.tr.Emit(trace.Event{Cycle: uint64(now), Kind: kind, Node: int32(r.id),
+		Addr: vc.pkt.Addr, ID: vc.pkt.ID, A: int32(vc.pkt.Requester), B: int32(vc.port)})
+	r.release(vc, now)
+	return true
 }
 
 // route performs route computation for the packet in vc and, for pushes,
@@ -617,14 +622,7 @@ func (r *Router) stationaryFilter(port int, addr uint64, dests DestSet, now sim.
 			continue
 		}
 		if vc.pkt.Addr == addr && dests.Has(vc.pkt.Requester) {
-			if f := r.net.faults; f != nil && f.SuppressFilterHit(r.id, now) {
-				continue
-			}
-			r.st.Net.FilteredRequests++
-			r.net.eng.Progress()
-			r.tr.Emit(trace.Event{Cycle: uint64(now), Kind: trace.KFilterStationary, Node: int32(r.id),
-				Addr: addr, ID: vc.pkt.ID, A: int32(vc.pkt.Requester), B: int32(port)})
-			r.release(vc, now)
+			r.squash(vc, trace.KFilterStationary, now)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func TestAddCoversEveryCounter(t *testing.T) {
 	// Adding twice must double every counter (sums, not overwrites).
 	dst.Add(src)
 	if dst.Net.FilteredRequests != 2*src.Net.FilteredRequests ||
-		dst.Cache.L1Accesses != 2*src.Cache.L1Accesses ||
+		dst.Cache.L1Misses != 2*src.Cache.L1Misses ||
 		dst.Core.Instructions != 2*src.Core.Instructions {
 		t.Error("second Add did not accumulate (counters overwritten instead of summed)")
 	}

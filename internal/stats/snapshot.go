@@ -11,7 +11,7 @@ func (a *All) State(c *snapshot.Codec) {
 	c.U64s(n.LinkFlits)
 	c.U64s(n.TotalFlitsByClass[:])
 	for _, byUnit := range []*[NumUnits][NumClasses]uint64{
-		&n.InjectedFlits, &n.EjectedFlits, &n.InjectedPackets, &n.EjectedPackets,
+		&n.InjectedFlits, &n.EjectedFlits, &n.InjectedPackets,
 	} {
 		for u := range byUnit {
 			c.U64s(byUnit[u][:])
@@ -32,14 +32,11 @@ func (a *All) State(c *snapshot.Codec) {
 	c.U64(&n.CorruptDetected)
 
 	h := &a.Cache
-	c.U64(&h.L1Accesses)
 	c.U64(&h.L1Misses)
-	c.U64(&h.L2Accesses)
 	c.U64(&h.L2Misses)
 	c.U64(&h.L2Evictions)
 	c.U64(&h.LLCAccesses)
 	c.U64(&h.LLCMisses)
-	c.U64(&h.LLCEvictions)
 	c.U64s(h.PushOutcomes[:])
 	c.U64(&h.PushesTriggered)
 	c.U64(&h.PushDestinations)

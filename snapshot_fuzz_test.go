@@ -128,6 +128,16 @@ var crafted = []struct {
 	// and 49 bytes of destinations, send cycle, retries and done flag plus 79
 	// of packet header precede its sequence number.
 	{"window entry out of sequence", "cachebw-ordpush-lossy-checked", "noc.transport", 0, 492, 0xdead},
+	// The checker's loss obligations: 215 bytes into its section (the sweep
+	// cycle, the tracking flag, 16 injection serials, the one in-flight
+	// record of 61 bytes, the loss flag) the list's count, then 9
+	// obligations of 20 bytes (tile, key, cycle) in (tile, key) order. The
+	// first two are at tile 4 with keys 0x5020000023e and 0x90200000281.
+	// Move the first to tile 16, then to tile 5 (keeping its key's low
+	// half), and give the second the first's key.
+	{"loss obligation past the mesh", "cachebw-ordpush-lossy-checked", "check.monitor", 0, 223, 16},
+	{"loss obligations out of order", "cachebw-ordpush-lossy-checked", "check.monitor", 0, 223, 0x23e_0000_0005},
+	{"loss obligation listed twice", "cachebw-ordpush-lossy-checked", "check.monitor", 0, 247, 0x5020000023e},
 }
 
 // goldenIndex returns the position of the named golden snapshot.
