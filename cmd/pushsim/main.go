@@ -64,7 +64,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&k.MaxRetries, "maxretries", 0, "lossy recovery: retransmissions per packet before the run aborts with ErrUnrecoverable (0 = default 16)")
 	fs.IntVar(&k.MSHRRetryTimeout, "mshrtimeout", 0, "lossy recovery: cycles before an L2 MSHR reissues an unanswered request (0 = default 300)")
 	fs.StringVar(&o.snapFile, "snapshot", "", "write a full-state snapshot to FILE at the -snapat cycle barrier, then continue the run to completion (output is byte-identical to a run that never snapshotted)")
-	fs.Uint64Var(&o.snapAt, "snapat", 0, "cycle barrier for -snapshot (required with it; the wake-driven kernel may pause a little later if every component sleeps across the barrier)")
+	fs.Uint64Var(&o.snapAt, "snapat", 0, "cycle barrier for -snapshot (required with it)")
 	fs.Int64Var(&o.snapEvery, "snapevery", 0, "auto-checkpoint: rewrite the -snapshot FILE every N cycles (atomic rename-into-place, never a torn file); combine with -restore to resume a killed run and keep checkpointing (0 = off; exclusive with -snapat)")
 	fs.StringVar(&o.restoreF, "restore", "", "restore a snapshot FILE into this configuration and run it to completion; the config must match the snapshot exactly, or differ only in tuning knobs (warm-start fork)")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to FILE")

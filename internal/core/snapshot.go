@@ -108,6 +108,11 @@ func Restore(data []byte, cfg config.System, wl workload.Workload, sc workload.S
 // that tracked state the restoring build lacks (or vice versa) cannot resume
 // faithfully.
 func (s *System) state(c *snapshot.Codec) {
+	if !c.Decoding() {
+		// The stats travel before the network: count in what sleeping
+		// routers have not yet (Network.Settle) before either is written.
+		s.Net.Settle()
+	}
 	s.Eng.State(c)
 	s.St.State(c)
 	s.Net.State(c)
@@ -143,12 +148,11 @@ func (s *System) state(c *snapshot.Codec) {
 
 // RunTo executes the workload until the engine clock reaches the barrier
 // cycle, or the run's normal stopping condition fires first (the one run
-// loop, with a clock bound). The wake-driven kernel may fast-forward past the
-// barrier when every component sleeps across it; callers snapshot at the
-// actual stop cycle (Eng.Now()), which a cold run reaches with identical
-// state either way. Results are NOT harvested here — St.Core.Cycles and the
-// instruction/stall totals accrue only in Run at final completion, so a
-// pause-snapshot-continue sequence cannot double-count them.
+// loop, with a clock bound). Both kernels stop at the barrier itself: the
+// wake-driven one clamps a fast-forward across it there. Results are NOT
+// harvested here — St.Core.Cycles and the instruction/stall totals accrue
+// only in Run at final completion, so a pause-snapshot-continue sequence
+// cannot double-count them.
 func (s *System) RunTo(barrier sim.Cycle, checkEvery uint64) error {
 	return s.RunToCtx(context.Background(), barrier, checkEvery)
 }

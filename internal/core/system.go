@@ -241,6 +241,7 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 	if err != nil {
 		return Results{}, err
 	}
+	s.Net.Settle()
 	s.St.Core.Cycles = uint64(end)
 	for _, c := range s.Cores {
 		s.St.Core.Instructions += c.Instructions()
@@ -275,9 +276,6 @@ func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) 
 	var checkErr error
 	barriers := uint64(0)
 	stop := func() bool {
-		if s.Eng.Now() >= barrier {
-			return true
-		}
 		if barriers++; barriers%cancelCheckPeriod == 0 && ctx.Err() != nil {
 			checkErr = canceledAt(ctx, s.Eng.Now())
 			return true
@@ -309,7 +307,7 @@ func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) 
 		}
 		return s.Finished()
 	}
-	end, err := s.Eng.Run(stop)
+	end, err := s.Eng.RunTo(barrier, stop)
 	if checkErr == nil && s.Checker != nil {
 		checkErr = s.Checker.Err()
 	}

@@ -90,6 +90,12 @@ type Core struct {
 	blocked   bool
 	blockedAt sim.Cycle `snap:"-,derived: the cycle before the barrier once stalls are settled"`
 
+	// workFrom/workTo track a sleep through compute: the cycles in
+	// (workFrom, workTo] each retire a full CoreWidth of the current OpWork,
+	// which settleWork counts in when they are read.
+	workFrom sim.Cycle `snap:"-,derived: the cycle before the barrier once compute is settled"`
+	workTo   sim.Cycle `snap:"-,derived: the cycle before the barrier once compute is settled"`
+
 	// loadRetry marks the current load op as a retry of a rejected attempt:
 	// the prefetcher already observed the access and must not see it again
 	// (retry counts would otherwise depend on how often the core polls,
@@ -122,7 +128,15 @@ func New(id noc.NodeID, cfg *config.System, eng *sim.Engine, st *stats.All,
 // WakeUp marks the core runnable again; the L2 calls it (via cache.Requestor)
 // whenever it processes a message, since any of those can free the resource a
 // core is stalled on.
-func (c *Core) WakeUp() { c.h.Wake() }
+func (c *Core) WakeUp() { c.wake() }
+
+// wake makes the core runnable. A core sleeping through compute settles the
+// cycles its wakers have passed first: whichever tick wakes it, the dense
+// core has retired at least through the cycle before.
+func (c *Core) wake() {
+	c.settleWork(c.eng.Now() - 1)
+	c.h.Wake()
+}
 
 // Finished reports whether the core retired its whole stream and drained
 // all outstanding memory operations.
@@ -142,7 +156,7 @@ func (c *Core) LoadDone(lineAddr uint64, now sim.Cycle) {
 		panic("cpu: LoadDone without outstanding load")
 	}
 	c.outLoads--
-	c.h.Wake()
+	c.wake()
 }
 
 // StoreDone implements cache.Requestor.
@@ -151,12 +165,16 @@ func (c *Core) StoreDone(lineAddr uint64, now sim.Cycle) {
 		panic("cpu: StoreDone without outstanding store")
 	}
 	c.outStores--
-	c.h.Wake()
+	c.wake()
 }
 
 // Tick retires up to CoreWidth instructions, issuing memory operations
 // non-blocking until a structural resource fills.
 func (c *Core) Tick(now sim.Cycle) {
+	// This tick retires the current cycle itself and decides afresh whether
+	// to sleep through compute again.
+	c.settleWork(now - 1)
+	c.workTo = 0
 	if c.blocked {
 		c.settle(now - 1)
 		c.blocked = false
@@ -283,7 +301,29 @@ func (c *Core) Tick(now sim.Cycle) {
 		// WakeUp (any processed message may free an MSHR, the writeback
 		// buffer, or a transient victim) unblocks us.
 		c.park(now)
+	case c.haveOp && c.cur.Kind == workload.OpWork && c.cur.N > c.cfg.CoreWidth:
+		// The next k >= 1 cycles retire a full width of this op each and
+		// touch nothing else, whatever the rest of the machine does: sleep
+		// through them and settle them when they are read.
+		k := sim.Cycle((c.cur.N - 1) / c.cfg.CoreWidth)
+		c.workFrom, c.workTo = now, now+k
+		c.eng.ProgressThrough(now + k)
+		c.h.SleepUntil(now + k + 1)
 	}
+}
+
+// settleWork retires the compute cycles a core slept through, up to and
+// including through: a full CoreWidth of the current OpWork each, with the
+// progress a dense tick reports (declared when the sleep began).
+func (c *Core) settleWork(through sim.Cycle) {
+	if c.workTo <= c.workFrom || through <= c.workFrom {
+		return
+	}
+	through = min(through, c.workTo)
+	n := int(through-c.workFrom) * c.cfg.CoreWidth
+	c.cur.N -= n
+	c.insts += uint64(n)
+	c.workFrom = through
 }
 
 // settle counts the cycles a blocked core slept through, up to and including

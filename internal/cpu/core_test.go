@@ -21,9 +21,17 @@ type rig struct {
 
 func buildRig(t *testing.T, streams []workload.Stream) *rig {
 	t.Helper()
+	return buildRigOn(t, streams, false)
+}
+
+// buildRigOn is buildRig on the wake-driven kernel or, with dense, on the
+// dense reference kernel.
+func buildRigOn(t *testing.T, streams []workload.Stream, dense bool) *rig {
+	t.Helper()
 	cfg := config.Default16().Scaled(16)
 	st := stats.New()
 	eng := sim.NewEngine(100_000, 10_000_000)
+	eng.SetDense(dense)
 	net, err := noc.New(cfg.NoC, eng, st)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +65,12 @@ func (d deferred) LoadDone(a uint64, n sim.Cycle) {
 func (d deferred) StoreDone(a uint64, n sim.Cycle) {
 	if *d.c != nil {
 		(*d.c).StoreDone(a, n)
+	}
+}
+
+func (d deferred) WakeUp() {
+	if *d.c != nil {
+		(*d.c).WakeUp()
 	}
 }
 

@@ -14,12 +14,14 @@ import (
 // functions of (workload, core, tiles, scale), so the replayed stream is
 // positioned exactly where the saved one was.
 //
-// The stall count is settled to the cycle before the barrier first, where a
-// dense run holds it, so the cycle a blocked core went to sleep does not
-// travel. Settling changes no later stall total.
+// The stall count and the compute a core sleeps through are settled to the
+// cycle before the barrier first, where a dense run holds them, so the cycle
+// a blocked or computing core went to sleep does not travel. Settling changes
+// no later total.
 func (core *Core) State(c *snapshot.Codec) {
 	c.Section("cpu.core")
 	core.settle(core.eng.Now() - 1)
+	core.settleWork(core.eng.Now() - 1)
 	snapshot.AsU8(c, &core.cur.Kind)
 	c.U64(&core.cur.Addr)
 	c.Int(&core.cur.N)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/stats"
@@ -300,7 +301,7 @@ func (ni *NI) pick(now sim.Cycle) {
 			continue
 		}
 		vc.reserved = true
-		ni.rt.claim(vc)
+		ni.rt.claim(vc, now)
 		// Dequeue by copying down so the backing array is reused instead of
 		// sliding toward reallocation (queues are at most InjQueueDepth long).
 		copy(q, q[1:])
@@ -450,6 +451,36 @@ func (n *Network) NI(node NodeID) *NI { return n.nis[node] }
 // LinkIndex returns the LinkFlits index for the link leaving node through
 // port, for per-link load reporting (Fig 14).
 func LinkIndex(node NodeID, port int) int { return int(node)*4 + port }
+
+// Settle brings what sleeping routers leave stale up to what a dense run
+// holds at this cycle barrier (it runs between steps): the flits a stream
+// sent while its router slept through body flits are counted through the
+// cycle before, and the credits a router left in the rings because no
+// candidate waited for them are banked as of its last unfrozen cycle before
+// the barrier, the last tick a dense run banked in. Snapshot encoding and
+// the end of a run call it before they read stats or router state; no later
+// cycle computes anything different for it.
+func (n *Network) Settle() {
+	now := n.eng.Now()
+	if now == 0 {
+		return
+	}
+	for _, r := range n.routers {
+		for m := r.heldOut; m != 0; m &= m - 1 {
+			r.countFlits(&r.streams[bits.TrailingZeros8(m)], now-1)
+		}
+		if r.credQueued == 0 {
+			continue
+		}
+		last := now - 1
+		if f := n.faults; f != nil {
+			for last > 0 && f.RouterFrozen(r.id, last) {
+				last--
+			}
+		}
+		r.acceptCredits(last)
+	}
+}
 
 // Quiescent reports whether no packets are queued, streaming, or buffered
 // anywhere in the network, including the recovery layer's unacked windows,

@@ -63,6 +63,11 @@ type stream struct {
 	outPort int `snap:"-,derived: the streams slot"`
 	sent    int
 	size    int
+	// last is the last cycle whose flit sent counts. A router asleep
+	// through body flits leaves it behind the clock, and sendFlit or
+	// Network.Settle counts a flit for each cycle since; a frozen cycle,
+	// which sends none, moves it.
+	last    sim.Cycle `snap:"-,derived: the cycle before the barrier once flits are settled"`
 	class   stats.Class
 	dstUnit stats.Unit
 	isPush  bool
@@ -200,11 +205,12 @@ func newRouter(id NodeID, net *Network) *Router {
 	return r
 }
 
-// claim registers a VC as occupied and wakes the router. Only the local NI
-// calls it; remote arrivals enter through the arrival rings and enlist from
-// the router's own tick.
-func (r *Router) claim(vc *inputVC) {
-	r.h.Wake()
+// claim registers a VC as occupied and wakes the router for the head the
+// NI writes into it this cycle, present next cycle. Only the local NI calls
+// it; remote arrivals enter through the arrival rings and enlist from the
+// router's own tick.
+func (r *Router) claim(vc *inputVC, now sim.Cycle) {
+	r.h.WakeAt(now + 1)
 	r.enlist(vc)
 }
 
@@ -310,14 +316,19 @@ func (r *Router) release(vc *inputVC, now sim.Cycle) {
 	vc.active = nil
 	// Credit return: the freed buffer is new downstream space for the
 	// adjacent upstream router. The credit travels back through this
-	// router's ring with one cycle of link delay; the wake covers an
-	// upstream router asleep blocked on exactly this VC pool (the
-	// credQueued bit, which its reschedule reads, covers the case where it
-	// ticks after us this cycle and would otherwise clobber the wake).
+	// router's ring with one cycle of link delay. The upstream router banks
+	// it at the top of its next tick whenever that is; only a candidate
+	// waiting for the port needs that tick at the credit's cycle, so only
+	// then is it woken (the credQueued bit, which its reschedule reads for
+	// the ports it wants, covers the case where it ticks after us this cycle
+	// and would otherwise clobber the wake).
 	if nb := r.nbr[vc.port]; nb != nil {
+		o := uint(opposite[vc.port])
 		r.credRet[vc.port].push(int(vc.vnet), now+1)
-		nb.credQueued |= 1 << uint(opposite[vc.port])
-		nb.h.WakeAt(now + 1)
+		nb.credQueued |= 1 << o
+		if nb.wantOut&(1<<o) != 0 {
+			nb.h.WakeAt(now + 1)
+		}
 	}
 }
 
@@ -335,11 +346,15 @@ func (r *Router) freeVC(port, vnet int) *inputVC {
 // traffic (returned credits, arrived heads), stage 1 routes newly arrived
 // heads, then allocation, then switch/link traversal for all held streams.
 // A RouterSlow fault window freezes the whole pipeline on its off-duty
-// cycles — ring entries stay queued and ripen untouched; skipping
-// reschedule too keeps the router awake, so it observes every cycle of the
-// window exactly like the dense kernel does.
+// cycles — ring entries stay queued and ripen untouched, and streams send
+// no flit, so their marks move; skipping reschedule too keeps the router
+// awake, so it observes every cycle of the window exactly like the dense
+// kernel does.
 func (r *Router) Tick(now sim.Cycle) {
 	if f := r.net.faults; f != nil && f.RouterFrozen(r.id, now) {
+		for m := r.heldOut; m != 0; m &= m - 1 {
+			r.streams[bits.TrailingZeros8(m)].last = now
+		}
 		return
 	}
 	if r.credQueued != 0 {
@@ -361,7 +376,9 @@ func (r *Router) Tick(now sim.Cycle) {
 
 // acceptCredits banks matured credit returns from the adjacent routers whose
 // credRet ring behind the shared link holds any. This router is the
-// designated consumer of each such ring.
+// designated consumer of each such ring. It runs first in every tick, so
+// allocation sees the count a dense tick would even when the router slept
+// through the credits' cycles.
 func (r *Router) acceptCredits(now sim.Cycle) {
 	for m := r.credQueued; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros8(m)
@@ -413,8 +430,11 @@ func (r *Router) acceptArrivals(now sim.Cycle) {
 // either; filter entries expire lazily and need no ticking). A non-empty
 // occ still allows sleeping when every held packet is blocked on an event
 // with a known or wake-covered cycle: a future head arrival, a queued ring
-// entry ripening, or a downstream credit returning (its release schedules
-// our wake).
+// entry ripening, or a downstream credit returning for a port a candidate
+// wants (its release schedules our wake). Credits for ports nobody wants
+// wake nothing: the next tick banks them first, whenever it comes. And when
+// every occupied VC is streaming, only body flits move until the earliest
+// tail, which the router sleeps to.
 //
 // Reading the queued-ring masks below is load-bearing, not an optimization:
 // a producer that runs after this router within the same cycle pairs its
@@ -430,7 +450,7 @@ func (r *Router) reschedule(now sim.Cycle, streaming bool) {
 			next = at
 		}
 	}
-	for m := r.credQueued; m != 0; m &= m - 1 {
+	for m := r.credQueued & r.wantOut; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros8(m)
 		if at := r.nbr[o].credRet[opposite[o]].earliest(); at < next {
 			next = at
@@ -446,7 +466,24 @@ func (r *Router) reschedule(now sim.Cycle, streaming bool) {
 	}
 	if streaming {
 		// Flits moved or ports were held this cycle; output and input locks
-		// may have freed mid-tick, so allocation must re-run next cycle.
+		// may have freed mid-tick, so allocation must re-run next cycle —
+		// unless every occupied VC is streaming (each stream drains its own
+		// VC, so the counts match exactly then): no candidate, no unrouted
+		// head and no reserved VC is left, and until the earliest tail or
+		// arrival the ticks would move body flits and nothing else. Under a
+		// fault hook the router stays awake: a frozen cycle sends no flit,
+		// and a window may block or jitter what the tail hands on.
+		if r.net.faults != nil || len(r.occ) != bits.OnesCount8(r.heldOut) {
+			return
+		}
+		for m := r.heldOut; m != 0; m &= m - 1 {
+			s := &r.streams[bits.TrailingZeros8(m)]
+			if t := now + sim.Cycle(s.size-s.sent); t < next {
+				next = t
+			}
+		}
+		r.net.eng.ProgressThrough(next - 1)
+		r.h.SleepUntil(next)
 		return
 	}
 	for _, vc := range r.occ {
@@ -727,6 +764,7 @@ func (r *Router) allocateOutput(o int, now sim.Cycle, locked uint64) *stream {
 			*s = stream{
 				vc: vc, replica: replica, downR: r.nbr[o], inPort: p, outPort: o,
 				size: pkt.Size, class: pkt.Class, dstUnit: pkt.DstUnit, isPush: pkt.IsPush,
+				last: now - 1, // the head leaves in this tick's traversal
 			}
 			// The VC streams until the replica's tail departs; its remaining
 			// pending ports cannot place meanwhile, so the whole VC leaves
@@ -745,35 +783,32 @@ func (r *Router) allocateOutput(o int, now sim.Cycle, locked uint64) *stream {
 	return nil
 }
 
+// sendFlit sends the stream's flit of this cycle, counting in first the body
+// flits of any cycles the router slept through.
 func (r *Router) sendFlit(s *stream, now sim.Cycle) {
-	s.sent++
+	r.countFlits(s, now)
 	r.net.eng.Progress()
-	if s.outPort == PortLocal {
-		r.st.Net.EjectedFlits[s.dstUnit][s.class]++
-	} else {
-		r.countLinkFlit(s.outPort, s.class)
-		if s.sent == 1 {
-			// Head flit: hand the replica into the downstream router's arrival
-			// ring, ripening after switch + link traversal; the downstream
-			// router pops it into a credited VC at that cycle. A VCJitter fault
-			// may delay the arrival; the hook keeps per-port arrivals monotonic,
-			// so the link slows but never reorders (and ring entries stay
-			// maturity-ordered).
-			arr := now + 2
-			if f := r.net.faults; f != nil {
-				arr = f.Arrival(r.id, s.outPort, now, arr, s.replica.ID, int(s.vc.vnet))
-			}
-			// Ownership hand-off: from here the downstream router holds — and
-			// eventually recycles — the replica. If this router is slowed
-			// mid-drain (RouterSlow), the downstream one can finish with the
-			// packet before our tail departs, so no later flit may dereference
-			// it; the remaining cycles run off the stream's own fields.
-			ip := opposite[s.outPort]
-			s.downR.arrivals[ip].push(s.replica, arr)
-			s.downR.arrQueued |= 1 << uint(ip)
-			s.replica = nil
-			s.downR.h.WakeAt(arr)
+	if s.outPort != PortLocal && s.sent == 1 {
+		// Head flit: hand the replica into the downstream router's arrival
+		// ring, ripening after switch + link traversal; the downstream
+		// router pops it into a credited VC at that cycle. A VCJitter fault
+		// may delay the arrival; the hook keeps per-port arrivals monotonic,
+		// so the link slows but never reorders (and ring entries stay
+		// maturity-ordered).
+		arr := now + 2
+		if f := r.net.faults; f != nil {
+			arr = f.Arrival(r.id, s.outPort, now, arr, s.replica.ID, int(s.vc.vnet))
 		}
+		// Ownership hand-off: from here the downstream router holds — and
+		// eventually recycles — the replica. If this router is slowed
+		// mid-drain (RouterSlow), the downstream one can finish with the
+		// packet before our tail departs, so no later flit may dereference
+		// it; the remaining cycles run off the stream's own fields.
+		ip := opposite[s.outPort]
+		s.downR.arrivals[ip].push(s.replica, arr)
+		s.downR.arrQueued |= 1 << uint(ip)
+		s.replica = nil
+		s.downR.h.WakeAt(arr)
 	}
 	if s.sent < s.size {
 		return
@@ -809,9 +844,17 @@ func (r *Router) sendFlit(s *stream, now sim.Cycle) {
 	}
 }
 
-// countLinkFlit accounts one flit traversing the inter-router link leaving
-// this router through output port `port`.
-func (r *Router) countLinkFlit(port int, class stats.Class) {
-	r.st.Net.LinkFlits[int(r.id)*4+port]++
-	r.st.Net.TotalFlitsByClass[class]++
+// countFlits accounts the flits the stream sent in the cycles after its
+// mark, through cycle through (one a cycle), on the link it leaves by or as
+// ejected flits, and moves the mark there.
+func (r *Router) countFlits(s *stream, through sim.Cycle) {
+	n := int(through - s.last)
+	s.last = through
+	s.sent += n
+	if s.outPort == PortLocal {
+		r.st.Net.EjectedFlits[s.dstUnit][s.class] += uint64(n)
+		return
+	}
+	r.st.Net.LinkFlits[int(r.id)*4+s.outPort] += uint64(n)
+	r.st.Net.TotalFlitsByClass[s.class] += uint64(n)
 }

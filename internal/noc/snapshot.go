@@ -268,7 +268,9 @@ func (rt *Router) state(c *snapshot.Codec) {
 		}
 		s, vcIdx := &rt.streams[o], 0
 		if c.Decoding() {
-			rt.outStream[o], *s = s, stream{outPort: o, downR: rt.nbr[o]} // nbr is nil behind the local port
+			// nbr is nil behind the local port; the stream's flits are
+			// counted through the cycle before the barrier.
+			rt.outStream[o], *s = s, stream{outPort: o, downR: rt.nbr[o], last: rt.net.eng.Now() - 1}
 		} else {
 			vcIdx = int(s.vc.idx)
 		}

@@ -16,6 +16,7 @@ type scheduler interface {
 	Wake(i int)
 	WakeAt(i int, c Cycle)
 	Progress()
+	ProgressThrough(c Cycle)
 	Step()
 	Run(finished func() bool) (Cycle, error)
 	Now() Cycle
@@ -52,11 +53,12 @@ func (r *refEngine) Register(t Ticker) int {
 	r.comps, r.wakeAt = append(r.comps, t), append(r.wakeAt, 0)
 	return len(r.comps) - 1
 }
-func (r *refEngine) Now() Cycle    { return r.lim.now }
-func (r *refEngine) Ticks() uint64 { return r.ticks }
-func (r *refEngine) Progress()     { r.lim.Progress() }
-func (r *refEngine) Wake(i int)    { r.wakeAt[i] = 0 }
-func (r *refEngine) Sleep(i int)   { r.wakeAt[i] = NeverWake }
+func (r *refEngine) Now() Cycle              { return r.lim.now }
+func (r *refEngine) Ticks() uint64           { return r.ticks }
+func (r *refEngine) Progress()               { r.lim.Progress() }
+func (r *refEngine) ProgressThrough(c Cycle) { r.lim.ProgressThrough(c) }
+func (r *refEngine) Wake(i int)              { r.wakeAt[i] = 0 }
+func (r *refEngine) Sleep(i int)             { r.wakeAt[i] = NeverWake }
 func (r *refEngine) SleepUntil(i int, c Cycle) {
 	if c > r.lim.now+1 {
 		r.wakeAt[i] = c
@@ -64,9 +66,16 @@ func (r *refEngine) SleepUntil(i int, c Cycle) {
 		r.wakeAt[i] = 0 // due next cycle: awake, even if it slept before
 	}
 }
+
+// WakeAt files any wake after the current cycle on a sleeper, the next cycle
+// included: unlike a component's own SleepUntil, it never wakes it now.
 func (r *refEngine) WakeAt(i int, c Cycle) {
-	if r.wakeAt[i] > c {
-		r.SleepUntil(i, max(c, r.lim.now+1))
+	switch {
+	case r.wakeAt[i] <= c:
+	case c <= r.lim.now:
+		r.wakeAt[i] = 0
+	default:
+		r.wakeAt[i] = c
 	}
 }
 func (r *refEngine) Step() {
@@ -87,7 +96,7 @@ func (r *refEngine) Run(finished func() bool) (Cycle, error) {
 	for !finished() {
 		next := slices.Min(r.wakeAt) // 0, so no jump, while anything is awake
 		if r.lim.watchdog != 0 {
-			next = min(next, r.lim.lastProgress+r.lim.watchdog+1)
+			next = min(next, max(r.lim.lastProgress, r.lim.progressTo)+r.lim.watchdog+1)
 		}
 		if r.lim.maxCycles != 0 {
 			next = min(next, r.lim.maxCycles)
@@ -119,9 +128,10 @@ var scheduleLimits = [2][4]Cycle{{0, 0, 300, 1000}, {0, 0, 500, 3000}}
 // execution order: every tick reads how many operations it issues first,
 // whether it reports progress and how long it then sleeps (so most of the
 // machine is asleep most of the time, as in a real run); every operation its
-// kind, distance and target — any component, so lower- and higher-indexed
-// ones and the ticking one itself — and the gap between two steps may issue
-// one operation as well. A spent program reads as zeros (ticks that do
+// kind (the four sleeps and wakes, or certain progress through the distance),
+// distance and target — any component, so lower- and higher-indexed ones and
+// the ticking one itself — and the gap between two steps may issue one
+// operation as well. A spent program reads as zeros (ticks that do
 // nothing) and finishes the run.
 func runSchedule(prog []byte, build func(watchdog, maxCycles Cycle) scheduler) (log []tickRec, s scheduler, err error) {
 	pos := 0
@@ -136,8 +146,8 @@ func runSchedule(prog []byte, build func(watchdog, maxCycles Cycle) scheduler) (
 	s = build(scheduleLimits[0][next()%4], scheduleLimits[1][next()%4])
 	op := func() {
 		b, i := next(), next()%n
-		c := s.Now() + scheduleDists[b>>2%8]
-		switch b % 4 {
+		c := s.Now() + scheduleDists[b/5%8]
+		switch b % 5 {
 		case 0:
 			s.Sleep(i)
 		case 1:
@@ -146,6 +156,8 @@ func runSchedule(prog []byte, build func(watchdog, maxCycles Cycle) scheduler) (
 			s.Wake(i)
 		case 3:
 			s.WakeAt(i, c)
+		case 4:
+			s.ProgressThrough(c)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -230,4 +242,34 @@ func FuzzEngineSchedule(f *testing.F) {
 		f.Add(prog)
 	}
 	f.Fuzz(checkSchedule)
+}
+
+// TestNextCycleWakeWaitsForItsCycle pins the WakeAt rule on both engines: a
+// producer that hands a later-registered sleeper work maturing next cycle
+// does not make it tick this cycle, and it ticks next cycle.
+func TestNextCycleWakeWaitsForItsCycle(t *testing.T) {
+	for _, s := range []scheduler{&realEngine{Engine: NewEngine(0, 0)}, &refEngine{lim: NewEngine(0, 0)}} {
+		var log []tickRec
+		var producer, sleeper int
+		producer = s.Register(TickFunc(func(now Cycle) {
+			log = append(log, tickRec{now, producer})
+			if now < 5 {
+				s.SleepUntil(producer, 5)
+				return
+			}
+			s.WakeAt(sleeper, now+1)
+			s.Sleep(producer)
+		}))
+		sleeper = s.Register(TickFunc(func(now Cycle) {
+			log = append(log, tickRec{now, sleeper})
+			s.Sleep(sleeper)
+		}))
+		for s.Now() < 8 {
+			s.Step()
+		}
+		want := []tickRec{{0, 0}, {0, 1}, {5, 0}, {6, 1}}
+		if !slices.Equal(log, want) {
+			t.Fatalf("%T ticked %v, want %v", s, log, want)
+		}
+	}
 }

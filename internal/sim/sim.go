@@ -30,11 +30,19 @@
 //     packet receive, queue injection, buffer claim, barrier release,
 //     completion callbacks. A spurious Wake is harmless (the tick no-ops and
 //     the component re-sleeps); a missed Wake diverges from the dense oracle.
+//   - WakeAt(c) hands over work that matures at c. On a sleeping handle any
+//     c after the current cycle is filed, the next cycle included, so a
+//     consumer registered after its producer does not tick this cycle for
+//     nothing; only a component's own SleepUntil(now+1) keeps it awake.
 //   - Per-cycle counters that accrue while idle (stall cycles, time-window
 //     counters) must be reconstructed on wake from the elapsed-cycle delta so
 //     sparse and dense runs report identical statistics. A snapshot writes
 //     such a counter settled to the cycle before its barrier, as a dense run
-//     holds it.
+//     holds it. The same holds for work a component sleeps through because
+//     its outcome is certain (a core retiring compute, a router moving body
+//     flits): it settles the skipped cycles where its state is read, and
+//     declares the certain progress with ProgressThrough so the watchdog and
+//     the snapshot see the last-progress cycle a dense run would.
 //
 // Scheduling state is not machine state. Which components sleep, their wake
 // times and Ticks differ between the two kernels, which run the same machine;
@@ -98,6 +106,8 @@ type Handle struct {
 	// farPos is this handle's index in the engine's overflow list, -1 when its
 	// scheduled wake (if any) is filed in the wheel.
 	farPos int `snap:"-,scheduling: every handle restores awake"`
+	// ticks counts the component's ticks (Engine.Ticks sums them).
+	ticks uint64 `snap:"-,host counter: restarts at restore"`
 }
 
 // Wake marks the component runnable from the current cycle on. Waking an
@@ -120,7 +130,9 @@ func (h *Handle) Wake() {
 // WakeAt schedules a wake no later than cycle c, for producers handing over
 // work that matures at a known future cycle (waking immediately would only
 // buy a no-op tick). An awake component or an earlier scheduled wake is left
-// untouched; a c at or before the current cycle degenerates to Wake.
+// untouched; a c at or before the current cycle degenerates to Wake. Any
+// later c is filed, the next cycle included: a sleeper registered after its
+// producer would otherwise tick this cycle for nothing.
 func (h *Handle) WakeAt(c Cycle) {
 	if !h.asleep || h.wakeAt <= c {
 		return
@@ -129,7 +141,11 @@ func (h *Handle) WakeAt(c Cycle) {
 		h.Wake()
 		return
 	}
-	h.sleep(c)
+	if h.wakeAt != NeverWake {
+		h.eng.unfile(h)
+	}
+	h.wakeAt = c
+	h.eng.file(h)
 }
 
 // Sleep reports that the component has no pending work at all; only an
@@ -152,9 +168,9 @@ func (h *Handle) sleep(c Cycle) {
 	if e.dense {
 		return // dense reference mode ticks everything every cycle
 	}
-	// A sleep that would wake next cycle skips no ticks — the component runs
-	// at c either way — but costs a filing now and a drain in the next Step.
-	// Staying awake is behaviorally identical and cheaper.
+	// A component's own sleep that would wake next cycle skips no ticks — it
+	// runs at c either way — but costs a filing now and a drain in the next
+	// Step. Staying awake is behaviorally identical and cheaper.
 	if c <= e.now+1 {
 		h.Wake()
 		return
@@ -204,13 +220,15 @@ type Engine struct {
 	farMin       Cycle     `snap:"-,scheduling: restores empty"`
 	dense        bool      `snap:"-,config"`
 	lastProgress Cycle
-	watchdog     Cycle `snap:"-,config"`
-	maxCycles    Cycle `snap:"-,config"`
+	// progressTo is the last cycle through which a sleeping component's
+	// progress is certain (ProgressThrough); progress reads it settled.
+	progressTo Cycle `snap:"-,scheduling: written settled into lastProgress"`
+	watchdog   Cycle `snap:"-,config"`
+	maxCycles  Cycle `snap:"-,config"`
 	// failsafe records that maxCycles is the implicit FailsafeMaxCycles
 	// ceiling rather than a caller-chosen limit; limit errors then also
 	// wrap ErrFailsafe.
-	failsafe bool   `snap:"-,config"`
-	ticks    uint64 `snap:"-,host counter: restarts at restore"`
+	failsafe bool `snap:"-,config"`
 }
 
 // FailsafeMaxCycles is the hard cycle ceiling enforced when both the
@@ -267,12 +285,46 @@ func (e *Engine) Now() Cycle { return e.now }
 // wake-driven run only the awake subset. It is a host counter, not machine
 // state: it differs between the kernels, no snapshot carries it, and it
 // restarts at zero in a restored engine.
-func (e *Engine) Ticks() uint64 { return e.ticks }
+func (e *Engine) Ticks() uint64 {
+	var n uint64
+	for _, h := range e.handles {
+		n += h.ticks
+	}
+	return n
+}
+
+// ComponentTicks calls f with every registered component, in registration
+// order, and the number of times it has ticked: Ticks broken down, for
+// reporting where a run's ticks go.
+func (e *Engine) ComponentTicks(f func(t Ticker, ticks uint64)) {
+	for _, h := range e.handles {
+		f(h.comp, h.ticks)
+	}
+}
 
 // Progress records that a component made forward progress this cycle (moved a
 // flit, retired an instruction, completed a transaction, ...). It feeds the
 // deadlock watchdog.
 func (e *Engine) Progress() { e.lastProgress = e.now }
+
+// ProgressThrough records forward progress that is certain in every cycle up
+// to and including c, for a component that sleeps through cycles a dense run
+// would tick it in to make progress (retiring compute, moving body flits).
+// The watchdog and the snapshot see it cycle by cycle as the clock passes.
+func (e *Engine) ProgressThrough(c Cycle) {
+	if c > e.progressTo {
+		e.progressTo = c
+	}
+}
+
+// progress returns the last-progress cycle a dense run holds between steps:
+// lastProgress, or the part of progressTo the clock has passed.
+func (e *Engine) progress() Cycle {
+	if e.progressTo > e.lastProgress && e.now > 0 {
+		return max(e.lastProgress, min(e.progressTo, e.now-1))
+	}
+	return e.lastProgress
+}
 
 // Step advances the simulation by exactly one cycle: due sleepers are woken,
 // then every awake component is ticked in registration order. A component
@@ -282,9 +334,9 @@ func (e *Engine) Progress() { e.lastProgress = e.now }
 // been a no-op (rule 1: the handed-over work is readyAt-stamped).
 func (e *Engine) Step() {
 	if e.dense {
-		e.ticks += uint64(len(e.handles))
 		for _, h := range e.handles {
 			h.comp.Tick(e.now)
+			h.ticks++
 		}
 		e.now++
 		return
@@ -317,8 +369,9 @@ func (e *Engine) Step() {
 			// this cycle.
 			for m := awake[w]; m != 0; {
 				b := bits.TrailingZeros64(m)
-				handles[w<<6|b].comp.Tick(now)
-				e.ticks++
+				h := handles[w<<6|b]
+				h.comp.Tick(now)
+				h.ticks++
 				m = awake[w] & (^uint64(1) << b)
 			}
 		}
@@ -332,14 +385,23 @@ func (e *Engine) Step() {
 // fast-forwards to the earliest scheduled wake instead of spinning through
 // empty cycles; the jump is clamped so the watchdog and the cycle limit fire
 // at exactly the cycle a dense run would report.
-func (e *Engine) Run(finished func() bool) (Cycle, error) {
-	for !finished() {
+func (e *Engine) Run(finished func() bool) (Cycle, error) { return e.RunTo(NeverWake, finished) }
+
+// RunTo is Run that also stops when the clock reaches barrier, before
+// consulting finished there. A fast-forward is clamped to the barrier too, so
+// a run paused there stops at exactly the cycle a dense run does, even when
+// every component sleeps across it.
+func (e *Engine) RunTo(barrier Cycle, finished func() bool) (Cycle, error) {
+	for e.now < barrier && !finished() {
 		if err := e.limitErr(); err != nil {
 			return e.now, err
 		}
 		if !e.dense && len(e.handles) > 0 && e.asleepCount == len(e.handles) {
-			if !e.fastForward() {
+			if !e.fastForward(barrier) {
 				return e.now, fmt.Errorf("%w: all components idle with no pending wake at cycle %d", ErrDeadlock, e.now)
+			}
+			if e.now >= barrier {
+				break
 			}
 			if err := e.limitErr(); err != nil {
 				return e.now, err
@@ -358,7 +420,8 @@ func (e *Engine) Run(finished func() bool) (Cycle, error) {
 // are now reported, each matchable with errors.Is, with the deadlock — the
 // diagnosis that names the stall — leading the message.
 func (e *Engine) limitErr() error {
-	stalled := e.watchdog != 0 && e.now-e.lastProgress > e.watchdog
+	last := e.progress()
+	stalled := e.watchdog != 0 && e.now-last > e.watchdog
 	capped := e.maxCycles != 0 && e.now >= e.maxCycles
 	if !stalled && !capped {
 		return nil
@@ -374,7 +437,7 @@ func (e *Engine) limitErr() error {
 	if !stalled {
 		return ceiling
 	}
-	stall := fmt.Errorf("%w: stalled since cycle %d (now %d)", ErrDeadlock, e.lastProgress, e.now)
+	stall := fmt.Errorf("%w: stalled since cycle %d (now %d)", ErrDeadlock, last, e.now)
 	if !capped {
 		return stall
 	}
@@ -383,12 +446,15 @@ func (e *Engine) limitErr() error {
 
 // fastForward advances the clock to the earliest scheduled wake, clamped to
 // the cycles at which the watchdog or the cycle limit would fire in a dense
-// run. It reports false when nothing bounds the jump (no wake scheduled and
-// both limits disabled), which is an unrecoverable idle state.
-func (e *Engine) fastForward() bool {
-	target := e.nextWake()
+// run and to the caller's barrier. It reports false when nothing bounds the
+// jump (no wake scheduled, both limits disabled and no barrier), which is an
+// unrecoverable idle state.
+func (e *Engine) fastForward(barrier Cycle) bool {
+	target := min(e.nextWake(), barrier)
 	if e.watchdog != 0 {
-		if fire := e.lastProgress + e.watchdog + 1; fire < target {
+		// Nothing ticks before target, so progress is last certain at the
+		// later of the two stamps.
+		if fire := max(e.lastProgress, e.progressTo) + e.watchdog + 1; fire < target {
 			target = fire
 		}
 	}

@@ -132,6 +132,45 @@ func TestWakesOrderByCycleThenRegistration(t *testing.T) {
 	}
 }
 
+// TestRunToStopsAtBarrierWhileAsleep pins the barrier clamp: with every
+// component asleep across the barrier, RunTo stops the clock on it (as the
+// dense kernel does) without ticking, and the run resumes to the wake.
+func TestRunToStopsAtBarrierWhileAsleep(t *testing.T) {
+	eng := NewEngine(0, 0)
+	hs, log := loggers(eng, 2)
+	hs[0].SleepUntil(100)
+	hs[1].Sleep()
+	end, err := eng.RunTo(50, func() bool { return false })
+	if err != nil || end != 50 || len(*log) != 0 {
+		t.Fatalf("RunTo(50) stopped at %d with %v after ticks %v, want 50, no error, no tick", end, err, *log)
+	}
+	if _, err := eng.Run(func() bool { return len(*log) == 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []tickRec{{100, 0}}; !slices.Equal(*log, want) {
+		t.Fatalf("resumed run ticked %v, want %v", *log, want)
+	}
+}
+
+// TestProgressThroughDefersWatchdog: progress declared for cycles a
+// component sleeps through counts as the clock passes them, so the watchdog
+// fires where a dense run reporting it cycle by cycle would.
+func TestProgressThroughDefersWatchdog(t *testing.T) {
+	eng := NewEngine(50, 0)
+	var h *Handle
+	h = eng.Register(TickFunc(func(now Cycle) {
+		if now == 0 {
+			eng.ProgressThrough(199)
+			h.SleepUntil(200)
+		}
+	}))
+	_, err := eng.Run(func() bool { return false })
+	want := "sim: no forward progress (deadlock): stalled since cycle 199 (now 250)"
+	if !errors.Is(err, ErrDeadlock) || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 func TestSleepUntilSkipsIdleCycles(t *testing.T) {
 	eng := NewEngine(0, 0)
 	var at []Cycle

@@ -57,9 +57,8 @@ func WorkloadByName(name string) (Workload, error) { return workload.ByName(name
 func (m *Machine) Now() uint64 { return uint64(m.sys.Eng.Now()) }
 
 // RunTo advances the simulation until the clock reaches the given cycle (or
-// the workload finishes first). The wake-driven kernel may overshoot when
-// every component sleeps across the target cycle; Snapshot captures the
-// actual stop cycle either way, and equivalence is unaffected — the paused
+// the workload finishes first), on either kernel exactly there: the
+// wake-driven one clamps a fast-forward across the cycle to it. The paused
 // trajectory is state-identical to an unpaused run at every cycle.
 func (m *Machine) RunTo(cycle uint64) error { return m.sys.RunTo(sim.Cycle(cycle), 0) }
 
