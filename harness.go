@@ -264,6 +264,22 @@ func memoized(ctx context.Context, key memoKey, run func(context.Context) (Resul
 	return waitMemo(ctx, e, false)
 }
 
+// memoFinished answers a key whose run completed (see ResolvedRun.Finished):
+// the lookup counts as a hit and refreshes the entry's LRU position, as
+// memoized's own completed branch does. Completed entries are successful:
+// a failed run leaves the memo before its waiters are released.
+func memoFinished(key memoKey) (Results, bool) {
+	runMemo.Lock()
+	defer runMemo.Unlock()
+	e, ok := runMemo.m[key]
+	if !ok || e.elem == nil {
+		return Results{}, false
+	}
+	runMemo.hits++
+	runMemo.lru.MoveToFront(e.elem)
+	return e.res, true
+}
+
 // waitMemo parks one caller on an in-flight entry. A caller whose own
 // context fires first drops its reference — the last to leave cancels the
 // run — and returns a wrapped ErrCanceled without waiting for the machine

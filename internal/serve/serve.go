@@ -256,21 +256,29 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	line(sum)
 }
 
-// submit is the one way runs reach the scheduler. Runs whose record a restart
-// recovered are answered from the store without computing — the serving rule,
-// applied here for both roles and both endpoints. The rest are queued under
-// the tenant as tasks of per runs each, all or nothing — a campaign that
-// cannot queue whole (bound or quota, both counted in runs) is refused whole,
-// never half-run. It returns the channel the answers arrive on in completion
+// submit is the one way runs reach the scheduler. Two kinds of run are
+// answered without a task, a worker slot or a place in the queue: a run whose
+// record a restart recovered, from the store — the serving rule, applied here
+// for both roles and both endpoints — and, on a process that simulates its
+// runs itself, a run the memo holds completed (ResolvedRun.Finished), exactly
+// as its task would have answered it. A run still in flight is joined by a
+// task, like any other. The rest are queued under the tenant as tasks of per
+// runs each, all or nothing — a campaign that cannot queue whole (bound or
+// quota, both counted in runs) is refused whole, never half-run, and only
+// then are the memo's answers settled, so a refused campaign counts and
+// commits nothing. It returns the channel the answers arrive on in completion
 // order and how many to receive. The channel is buffered to that count: a
 // worker's send never blocks, so a caller that went away mid-stream cannot
 // wedge a worker slot.
 func (s *Server) submit(ctx context.Context, tenant string, jobs []job, per int, produce func(context.Context, []job) produced) (<-chan produced, int, error) {
 	var served produced
+	var hits []runRecord
 	pending := jobs[:0] // jobs is the caller's to give: partitioned in place
 	for _, j := range jobs {
 		if rec, ok := s.store.Recovered(j.run.Identity()); ok {
 			served.recs = append(served.recs, rec)
+		} else if res, ok := s.finished(j.run); ok {
+			hits = append(hits, j.run.Record(res, true, nil))
 		} else {
 			pending = append(pending, j)
 		}
@@ -291,12 +299,25 @@ func (s *Server) submit(ctx context.Context, tenant string, jobs []job, per int,
 		return nil, 0, err
 	}
 	n := len(tasks)
-	if served.Recovered = len(served.recs); served.Recovered > 0 {
-		s.recoveredServed.Add(uint64(served.Recovered))
+	served.Recovered = len(served.recs)
+	s.recoveredServed.Add(uint64(served.Recovered))
+	for _, rec := range hits {
+		served.recs = append(served.recs, s.settle(rec))
+	}
+	if len(served.recs) > 0 {
 		out <- served
 		n++
 	}
 	return out, n, nil
+}
+
+// finished looks a run up in the memo when this process would simulate it: a
+// coordinator's runs are answered by its replicas, whose own submit looks.
+func (s *Server) finished(run *pushmulticast.ResolvedRun) (pushmulticast.Results, bool) {
+	if s.coord != nil {
+		return pushmulticast.Results{}, false
+	}
+	return run.Finished()
 }
 
 // simulate produces a task's records on this process, in the worker slot the

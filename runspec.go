@@ -2,6 +2,7 @@ package pushmulticast
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"hash/fnv"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -154,26 +156,31 @@ func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, bool)) (ResolvedRun
 	cfg.Check = s.Check
 	cfg.TraceN = s.TraceN
 	if k := s.Knobs; k != nil {
-		for _, knob := range []struct {
+		for _, knob := range [...]struct {
 			name string
 			v    int
-			dst  *int
 		}{
-			{"tpc_threshold", k.TPCThreshold, &cfg.TPCThreshold},
-			{"time_window", k.TimeWindow, &cfg.TimeWindow},
-			{"link_width_bits", k.LinkWidthBits, &cfg.NoC.LinkWidthBits},
-			{"retry_window", k.RetryWindow, &cfg.NoC.RetryWindow},
-			{"retry_timeout", k.RetryTimeout, &cfg.NoC.RetryTimeout},
-			{"max_retries", k.MaxRetries, &cfg.NoC.MaxRetries},
-			{"mshr_retry_timeout", k.MSHRRetryTimeout, &cfg.MSHRRetryTimeout},
+			{"tpc_threshold", k.TPCThreshold},
+			{"time_window", k.TimeWindow},
+			{"link_width_bits", k.LinkWidthBits},
+			{"retry_window", k.RetryWindow},
+			{"retry_timeout", k.RetryTimeout},
+			{"max_retries", k.MaxRetries},
+			{"mshr_retry_timeout", k.MSHRRetryTimeout},
 		} {
 			if knob.v < 0 {
 				return ResolvedRun{}, fmt.Errorf("knob %s %d is negative", knob.name, knob.v)
 			}
-			if knob.v != 0 {
-				*knob.dst = knob.v
-			}
 		}
+		// Assigned field by field, not through a table of field pointers:
+		// taking cfg's address would move it to the heap on every call.
+		cfg.TPCThreshold = cmp.Or(k.TPCThreshold, cfg.TPCThreshold)
+		cfg.TimeWindow = cmp.Or(k.TimeWindow, cfg.TimeWindow)
+		cfg.NoC.LinkWidthBits = cmp.Or(k.LinkWidthBits, cfg.NoC.LinkWidthBits)
+		cfg.NoC.RetryWindow = cmp.Or(k.RetryWindow, cfg.NoC.RetryWindow)
+		cfg.NoC.RetryTimeout = cmp.Or(k.RetryTimeout, cfg.NoC.RetryTimeout)
+		cfg.NoC.MaxRetries = cmp.Or(k.MaxRetries, cfg.NoC.MaxRetries)
+		cfg.MSHRRetryTimeout = cmp.Or(k.MSHRRetryTimeout, cfg.MSHRRetryTimeout)
 	}
 	if f := s.Faults; f != nil {
 		if cfg.Faults, err = f.plan(cfg.Tiles()); err != nil {
@@ -286,37 +293,92 @@ type memoKey struct {
 	snap uint64
 }
 
-// runKeysBuilt counts memo-key constructions — the one formatting pass over
-// a configuration. Tests pin "once per run" with it.
+// runKeysBuilt counts formatting passes over a configuration — NewRun's
+// misses in runKeys. Tests pin "once per distinct configuration" with it.
 var runKeysBuilt atomic.Uint64
 
-// NewRun builds a run from already-assembled parts, computing its memo key —
-// the one formatting pass over the configuration — and its identity once.
+// runKeys remembers NewRun's formatting pass per distinct input: the
+// configuration's memo-key text and the run's identity. Formatting a whole
+// Config with %+v costs microseconds and a few KB; a resubmitted run pays a
+// map lookup instead. Past runKeysCapacity entries an arbitrary one makes
+// room.
+var runKeys struct {
+	sync.Mutex
+	m map[keyInput]formatted
+}
+
+// runKeysCapacity bounds runKeys: twice DefaultRunMemoCapacity, a few MB.
+const runKeysCapacity = 1024
+
+// keyInput is everything the formatting pass reads, as a comparable value:
+// the configuration with its one pointer (the fault plan) replaced by that
+// plan's text in key.faults, and every memo-key part but the configuration
+// text. Equal inputs format to equal text because %+v of a Config is a
+// function of its value and Config holds no float (-0 and +0 compare equal
+// but print differently).
+type keyInput struct {
+	cfg Config  // Faults nil
+	key memoKey // cfg ""
+}
+
+// formatted is one pass's output.
+type formatted struct{ cfg, id string }
+
+// NewRun builds a run from already-assembled parts. The run's memo key and
+// identity come from one formatting pass over the configuration, made once
+// per distinct input (runKeys) and shared by every later run of it.
 func NewRun(cfg Config, wl Workload, sc Scale, donor []byte) ResolvedRun {
-	runKeysBuilt.Add(1)
 	r := ResolvedRun{Config: cfg, Workload: wl, Scale: sc, Donor: donor}
 	if cfg.Faults != nil {
 		r.key.faults = fmt.Sprintf("%+v", *cfg.Faults)
 	}
 	cfg.Faults = nil
-	r.key.cfg = fmt.Sprintf("%+v", cfg)
 	r.key.workload, r.key.params, r.key.scale = wl.Name, wl.Params, sc
 	if len(donor) > 0 {
 		r.key.snap = SnapshotHash(donor)
 	}
+	in := keyInput{cfg, r.key}
+	runKeys.Lock()
+	f, ok := runKeys.m[in]
+	runKeys.Unlock()
+	if !ok {
+		f = formatRun(in)
+	}
+	r.key.cfg, r.id = f.cfg, f.id
+	return r
+}
+
+// formatRun is the formatting pass: the configuration's %+v text, and the
+// identity — the FNV-1a of the memo key's parts — remembered in runKeys.
+func formatRun(in keyInput) formatted {
+	runKeysBuilt.Add(1)
+	k := in.key
+	k.cfg = fmt.Sprintf("%+v", in.cfg)
 	h := fnv.New64a()
-	for _, part := range []string{r.key.cfg, r.key.faults, r.key.workload, r.key.params} {
+	for _, part := range []string{k.cfg, k.faults, k.workload, k.params} {
 		io.WriteString(h, part)
 		h.Write([]byte{0}) // separator: no formatting artifact may alias parts
 	}
 	var tail [9]byte
-	tail[0] = byte(r.key.scale)
+	tail[0] = byte(k.scale)
 	for i := 0; i < 8; i++ {
-		tail[1+i] = byte(r.key.snap >> (8 * i))
+		tail[1+i] = byte(k.snap >> (8 * i))
 	}
 	h.Write(tail[:])
-	r.id = fmt.Sprintf("%016x", h.Sum64())
-	return r
+	f := formatted{cfg: k.cfg, id: fmt.Sprintf("%016x", h.Sum64())}
+	runKeys.Lock()
+	defer runKeys.Unlock()
+	if runKeys.m == nil {
+		runKeys.m = make(map[keyInput]formatted)
+	}
+	if len(runKeys.m) >= runKeysCapacity {
+		for old := range runKeys.m {
+			delete(runKeys.m, old)
+			break
+		}
+	}
+	runKeys.m[in] = f
+	return f
 }
 
 // Identity returns the run's deterministic identity: the hex FNV-1a of its
@@ -329,18 +391,33 @@ func (r ResolvedRun) Identity() string { return r.id }
 // its donor. Identical concurrent calls share one simulation; hit is true
 // when the call was served from the memo (completed, or joined in flight). A
 // canceled ctx returns promptly with a wrapped ErrCanceled, and the
-// simulation itself is aborted only when its last waiter has gone.
+// simulation itself is aborted only when its last waiter has gone. A
+// completed entry is answered by Finished's lookup, before the simulation's
+// closure is built, so such a hit allocates nothing: only a miss or a join
+// copies the run to the heap.
 func (r ResolvedRun) Execute(ctx context.Context) (res Results, hit bool, err error) {
-	return memoized(ctx, r.key, func(runCtx context.Context) (Results, error) {
-		if len(r.Donor) == 0 {
-			return RunWorkloadCtx(runCtx, r.Config, r.Workload, r.Scale)
-		}
-		m, err := RestoreMachine(r.Donor, r.Config, r.Workload, r.Scale)
-		if err != nil {
-			return Results{}, err
-		}
-		return m.FinishCtx(runCtx)
-	})
+	if res, ok := memoFinished(r.key); ok {
+		return res, true, nil
+	}
+	return memoized(ctx, r.key, r.simulate)
+}
+
+// Finished returns the run's results when the campaign memo holds them
+// completed: one lookup, counted as a memo hit. It reports false for a run
+// never simulated, evicted, failed, or still in flight — joining a run in
+// flight means waiting for it, which is Execute's.
+func (r ResolvedRun) Finished() (Results, bool) { return memoFinished(r.key) }
+
+// simulate runs the simulation itself, cold or forked from the donor.
+func (r ResolvedRun) simulate(ctx context.Context) (Results, error) {
+	if len(r.Donor) == 0 {
+		return RunWorkloadCtx(ctx, r.Config, r.Workload, r.Scale)
+	}
+	m, err := RestoreMachine(r.Donor, r.Config, r.Workload, r.Scale)
+	if err != nil {
+		return Results{}, err
+	}
+	return m.FinishCtx(ctx)
 }
 
 // RunRecord is one completed (or failed) run on the wire: a line of the simd
