@@ -150,7 +150,7 @@ func TestCollectiveMemoKeyParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewRun(cfg, wl, ScaleTiny, nil).key
+		return NewRun(cfg, wl, ScaleTiny, nil).key()
 	}
 	f2, f4 := mk(CollectiveParams{Fanout: 2}), mk(CollectiveParams{Fanout: 4})
 	if f2 == f4 {

@@ -176,9 +176,11 @@ func evictLocked() {
 }
 
 // memoEntry is one in-flight or completed run; done closes when res/err are
-// final.
+// final. id is the run's identity, so NewRun answers a run the memo holds
+// without formatting it again.
 type memoEntry struct {
 	key  memoKey
+	id   string
 	done chan struct{}
 	res  Results
 	err  error
@@ -218,7 +220,7 @@ func ClearRunMemo() {
 // fires first, so a canceled caller returns promptly while the run keeps
 // going for the remaining waiters and is aborted only when the last one
 // abandons it.
-func memoized(ctx context.Context, key memoKey, run func(context.Context) (Results, error)) (Results, bool, error) {
+func memoized(ctx context.Context, key memoKey, id string, run func(context.Context) (Results, error)) (Results, bool, error) {
 	runMemo.Lock()
 	if runMemo.m == nil {
 		runMemo.m = make(map[memoKey]*memoEntry)
@@ -241,7 +243,7 @@ func memoized(ctx context.Context, key memoKey, run func(context.Context) (Resul
 	// cancellation: it is canceled when the last interested waiter leaves,
 	// not when any one of them does.
 	runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	e := &memoEntry{key: key, done: make(chan struct{}), refs: 1, cancel: cancel}
+	e := &memoEntry{key: key, id: id, done: make(chan struct{}), refs: 1, cancel: cancel}
 	runMemo.m[key] = e
 	runMemo.Unlock()
 	go func() {
@@ -250,9 +252,9 @@ func memoized(ctx context.Context, key memoKey, run func(context.Context) (Resul
 		runMemo.Lock()
 		e.res, e.err = res, err
 		e.cancel = nil
-		if runMemo.m[key] == e { // may have been cleared mid-flight
+		if runMemo.m[e.key] == e { // may have been cleared mid-flight
 			if err != nil {
-				delete(runMemo.m, key)
+				delete(runMemo.m, e.key)
 			} else {
 				e.elem = runMemo.lru.PushFront(e)
 				evictLocked()
@@ -278,6 +280,18 @@ func memoFinished(key memoKey) (Results, bool) {
 	runMemo.hits++
 	runMemo.lru.MoveToFront(e.elem)
 	return e.res, true
+}
+
+// memoIdentity returns the identity of a run the memo holds, completed or in
+// flight. It is not a hit: it counts nothing and moves no LRU position.
+func memoIdentity(key memoKey) (string, bool) {
+	runMemo.Lock()
+	defer runMemo.Unlock()
+	e, ok := runMemo.m[key]
+	if !ok {
+		return "", false
+	}
+	return e.id, true
 }
 
 // waitMemo parks one caller on an in-flight entry. A caller whose own

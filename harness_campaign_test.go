@@ -57,7 +57,7 @@ func TestMemoLRUEviction(t *testing.T) {
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d; want 2 (the bound)", st.Entries)
 	}
-	keyA := NewRun(cfg, wlA, ScaleTiny, nil).key
+	keyA := NewRun(cfg, wlA, ScaleTiny, nil).key()
 	runMemo.Lock()
 	_, stillThere := runMemo.m[keyA]
 	runMemo.Unlock()
@@ -103,7 +103,7 @@ func TestMemoInFlightPinned(t *testing.T) {
 	ClearRunMemo()
 	prev := SetRunMemoCapacity(1)
 	t.Cleanup(func() { SetRunMemoCapacity(prev); ClearRunMemo() })
-	slowKey := memoKey{cfg: "pinned", workload: "slow"}
+	slowKey := memoKey{workload: "slow"}
 	release := make(chan struct{})
 	type out struct {
 		res Results
@@ -111,7 +111,7 @@ func TestMemoInFlightPinned(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, _, err := memoized(context.Background(), slowKey, func(context.Context) (Results, error) {
+		res, _, err := memoized(context.Background(), slowKey, "", func(context.Context) (Results, error) {
 			<-release
 			return Results{Cycles: 42}, nil
 		})
@@ -130,8 +130,8 @@ func TestMemoInFlightPinned(t *testing.T) {
 	// Hammer the memo with completed entries; the bound is 1, so every new
 	// completion evicts the previous one — but never the pinned in-flight run.
 	for i := 0; i < 8; i++ {
-		key := memoKey{cfg: fmt.Sprintf("filler-%d", i)}
-		if _, _, err := memoized(context.Background(), key, func(context.Context) (Results, error) {
+		key := memoKey{workload: fmt.Sprintf("filler-%d", i)}
+		if _, _, err := memoized(context.Background(), key, "", func(context.Context) (Results, error) {
 			return Results{}, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -160,14 +160,14 @@ func TestMemoInFlightPinned(t *testing.T) {
 func TestMemoLastWaiterCancelsRun(t *testing.T) {
 	ClearRunMemo()
 	t.Cleanup(ClearRunMemo)
-	key := memoKey{cfg: "last-waiter"}
+	key := memoKey{workload: "last-waiter"}
 	runCanceled := make(chan struct{})
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	type out struct{ err error }
 	first := make(chan out, 1)
 	go func() {
-		_, _, err := memoized(ctx1, key, func(runCtx context.Context) (Results, error) {
+		_, _, err := memoized(ctx1, key, "", func(runCtx context.Context) (Results, error) {
 			<-runCtx.Done()
 			close(runCanceled)
 			return Results{}, fmt.Errorf("%w: aborted", ErrCanceled)
@@ -187,7 +187,7 @@ func TestMemoLastWaiterCancelsRun(t *testing.T) {
 	defer cancel2()
 	second := make(chan out, 1)
 	go func() {
-		_, _, err := memoized(ctx2, key, func(context.Context) (Results, error) {
+		_, _, err := memoized(ctx2, key, "", func(context.Context) (Results, error) {
 			t.Error("joining an in-flight entry started a second simulation")
 			return Results{}, nil
 		})

@@ -57,19 +57,19 @@ func TestMemoKeyDistinguishesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := NewRun(cfg, wlA, ScaleTiny, nil).key
-	if k := NewRun(cfg, wlA, ScaleQuick, nil).key; k == base {
+	base := NewRun(cfg, wlA, ScaleTiny, nil).key()
+	if k := NewRun(cfg, wlA, ScaleQuick, nil).key(); k == base {
 		t.Error("scale not part of the memo key")
 	}
-	if k := NewRun(cfg, wlB, ScaleTiny, nil).key; k == base {
+	if k := NewRun(cfg, wlB, ScaleTiny, nil).key(); k == base {
 		t.Error("workload not part of the memo key")
 	}
 	planA := FaultPlan{Seed: 1, Faults: []Fault{{Kind: FaultRouterSlow, Node: 0, From: 1, To: 2, Factor: 2}}}
 	planB := FaultPlan{Seed: 2, Faults: planA.Faults}
 	cfgA, cfgB := cfg, cfg
 	cfgA.Faults, cfgB.Faults = &planA, &planB
-	kA := NewRun(cfgA, wlA, ScaleTiny, nil).key
-	if kB := NewRun(cfgB, wlA, ScaleTiny, nil).key; kA == kB {
+	kA := NewRun(cfgA, wlA, ScaleTiny, nil).key()
+	if kB := NewRun(cfgB, wlA, ScaleTiny, nil).key(); kA == kB {
 		t.Error("fault plans with different contents share a memo key")
 	}
 	// Same plan contents behind a different pointer must alias (the key holds
@@ -77,7 +77,7 @@ func TestMemoKeyDistinguishesRuns(t *testing.T) {
 	planC := planA
 	cfgC := cfg
 	cfgC.Faults = &planC
-	if kC := NewRun(cfgC, wlA, ScaleTiny, nil).key; kA != kC {
+	if kC := NewRun(cfgC, wlA, ScaleTiny, nil).key(); kA != kC {
 		t.Error("identical fault plans behind different pointers got distinct keys")
 	}
 }
@@ -166,8 +166,8 @@ func TestMemoWarmColdNoAlias(t *testing.T) {
 	if entries != 2 {
 		t.Fatalf("memo holds %d entries for (cold, warm) of one config; want 2 (no aliasing, no duplicates)", entries)
 	}
-	coldKey := NewRun(target, wl, ScaleTiny, nil).key
-	warmKey := NewRun(target, wl, ScaleTiny, snap).key
+	coldKey := NewRun(target, wl, ScaleTiny, nil).key()
+	warmKey := NewRun(target, wl, ScaleTiny, snap).key()
 	runMemo.Lock()
 	_, haveCold := runMemo.m[coldKey]
 	_, haveWarm := runMemo.m[warmKey]

@@ -1,6 +1,11 @@
 package cache
 
-import "pushmulticast/internal/noc"
+import (
+	"fmt"
+	"slices"
+
+	"pushmulticast/internal/noc"
+)
 
 // sharerPredictor is the §VI "General Push Multicast" extension: a small
 // per-slice table, decoupled from the directory, that remembers the sharer
@@ -10,7 +15,7 @@ import "pushmulticast/internal/noc"
 // cannot cover because eviction destroys the directory entry.
 type sharerPredictor struct {
 	entries map[uint64]noc.DestSet
-	order   []uint64 // FIFO replacement
+	order   []uint64 // the keys of entries, oldest first: FIFO replacement
 	cap     int      `snap:"-,config"`
 }
 
@@ -41,8 +46,26 @@ func (p *sharerPredictor) predict(addr uint64) (noc.DestSet, bool) {
 	s, ok := p.entries[addr]
 	if ok {
 		delete(p.entries, addr)
+		i := slices.Index(p.order, addr)
+		p.order = slices.Delete(p.order, i, i+1)
 	}
 	return s, ok
+}
+
+// audit reports the first way order fails to list exactly the keys of
+// entries, each once, within the table's capacity.
+func (p *sharerPredictor) audit() error {
+	if len(p.order) != len(p.entries) || len(p.order) > p.cap {
+		return fmt.Errorf("sharer predictor orders %d of %d entries, capacity %d", len(p.order), len(p.entries), p.cap)
+	}
+	seen := make(map[uint64]bool, len(p.order))
+	for _, a := range p.order {
+		if _, ok := p.entries[a]; !ok || seen[a] {
+			return fmt.Errorf("sharer predictor orders %#x twice or without an entry", a)
+		}
+		seen[a] = true
+	}
+	return nil
 }
 
 // Len reports the table occupancy (tests).

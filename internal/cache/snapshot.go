@@ -188,13 +188,17 @@ func (s *LLC) State(c *snapshot.Codec) {
 		})
 	}
 	if snapshot.Present(c, &s.pred, "LLC sharer predictor") {
-		// order may hold stale or duplicate keys (predict consumes entries
-		// without touching it), so both structures travel in full.
+		// order is the entries' FIFO order, which the map cannot carry.
 		snapshot.Slice(c, &s.pred.order, c.U64)
 		snapshot.Map(c, &s.pred.entries, func(a *uint64, d *noc.DestSet) {
 			c.U64(a)
 			c.U64s(d[:])
 		})
+		if c.Decoding() {
+			if err := s.pred.audit(); err != nil {
+				c.Corrupt("%v", err)
+			}
+		}
 	}
 	for i := range s.recent {
 		e := &s.recent[i]

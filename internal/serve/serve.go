@@ -341,7 +341,7 @@ func (s *Server) dispatch(ctx context.Context, tenant string, jobs []job) produc
 	}
 	start := time.Now()
 	// warm_start is campaign-level: every run shares one donor.
-	recs, outcome := s.coord.Do(ctx, tenant, units, jobs[0].run.Donor)
+	recs, outcome := s.coord.Do(ctx, tenant, units, jobs[0].run.Donor, jobs[0].run.DonorHash())
 	how := distribution{Shards: 1, Recomputed: len(jobs), Retries: outcome.Retries, Reassigned: outcome.Reassigned}
 	if outcome.Degraded {
 		how.DegradedLocal = 1

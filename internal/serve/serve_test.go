@@ -186,6 +186,35 @@ func donorSnapshot(t *testing.T, cycle uint64) []byte {
 	return snap
 }
 
+// TestWarmResolveThroughStore pins that the donor is hashed once, at upload:
+// a run resolved through snapStore.get carries the hash put computed, that
+// hash is the stored bytes' SnapshotHash, and the run's identity is the one
+// RunIdentity derives by hashing the bytes itself.
+func TestWarmResolveThroughStore(t *testing.T) {
+	snap := donorSnapshot(t, 2000)
+	st := newSnapStore()
+	id, _, err := st.put(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, hash, ok := st.get(id)
+	if !ok || hash != pushmulticast.SnapshotHash(stored) || id != fmt.Sprintf("%016x", hash) {
+		t.Fatalf("store holds %s with hash %#x (found %v); SnapshotHash of its bytes is %#x", id, hash, ok, pushmulticast.SnapshotHash(stored))
+	}
+	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []pushmulticast.WorkloadSpec{{Name: "cachebw"}}, WarmStart: id}
+	_, runs, err := spec.resolve(st.get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := runs[0]
+	if r.DonorHash() != hash {
+		t.Errorf("warm run carries donor hash %#x, the store handed over %#x", r.DonorHash(), hash)
+	}
+	if want := pushmulticast.RunIdentity(r.Config, r.Workload, r.Scale, snap); r.Identity() != want {
+		t.Errorf("warm run resolved through the store is %s, RunIdentity says %s", r.Identity(), want)
+	}
+}
+
 // TestCampaignMalformedSpecs table-drives the validation contract: every
 // malformed spec — and every uploaded snapshot that could never restore — is
 // HTTP 400 with a one-line diagnostic (exactly one newline, at the end) and

@@ -85,7 +85,7 @@ func (spec CampaignSpec) expand() []pushmulticast.RunSpec {
 // naming one run identity twice is a rejection too, because a coordinator
 // merges by identity and would stream fewer records than a local daemon.
 // lookupSnap resolves a warm-start snapshot id.
-func (spec CampaignSpec) resolve(lookupSnap func(id string) ([]byte, bool)) ([]pushmulticast.RunSpec, []pushmulticast.ResolvedRun, error) {
+func (spec CampaignSpec) resolve(lookupSnap func(id string) ([]byte, uint64, bool)) ([]pushmulticast.RunSpec, []pushmulticast.ResolvedRun, error) {
 	if len(spec.Schemes) == 0 {
 		return nil, nil, fmt.Errorf("campaign spec: no schemes listed")
 	}

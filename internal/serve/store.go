@@ -9,7 +9,9 @@ import (
 )
 
 // snapStore holds uploaded warm-start donor snapshots, keyed by their FNV-1a
-// content hash (the same identity the run memo separates warm runs by).
+// content hash (the same identity the run memo separates warm runs by). The
+// hash is computed once, at upload, and kept beside the bytes: a run resolved
+// through get carries it instead of hashing the donor again.
 // Uploading the same bytes twice is idempotent. The store is LRU-bounded:
 // snapshots are large (full machine state), and a long-lived daemon must not
 // accumulate every donor ever uploaded.
@@ -25,6 +27,7 @@ const snapshotCapacity = 16
 type snapEntry struct {
 	id    string
 	data  []byte
+	hash  uint64
 	cycle uint64
 }
 
@@ -41,14 +44,15 @@ func (st *snapStore) put(data []byte) (id string, cycle uint64, err error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("snapshot: %v", oneLine(err))
 	}
-	id = fmt.Sprintf("%016x", pushmulticast.SnapshotHash(data))
+	hash := pushmulticast.SnapshotHash(data)
+	id = fmt.Sprintf("%016x", hash)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.m[id]; ok {
 		st.lru.MoveToFront(e)
 		return id, cycle, nil
 	}
-	st.m[id] = st.lru.PushFront(&snapEntry{id: id, data: data, cycle: cycle})
+	st.m[id] = st.lru.PushFront(&snapEntry{id: id, data: data, hash: hash, cycle: cycle})
 	for st.lru.Len() > snapshotCapacity {
 		back := st.lru.Back()
 		st.lru.Remove(back)
@@ -57,16 +61,18 @@ func (st *snapStore) put(data []byte) (id string, cycle uint64, err error) {
 	return id, cycle, nil
 }
 
-// get returns the snapshot bytes for an id.
-func (st *snapStore) get(id string) ([]byte, bool) {
+// get returns the snapshot bytes for an id and their content hash: the
+// lookup RunSpec.Resolve takes.
+func (st *snapStore) get(id string) ([]byte, uint64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.m[id]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
 	st.lru.MoveToFront(e)
-	return e.Value.(*snapEntry).data, true
+	se := e.Value.(*snapEntry)
+	return se.data, se.hash, true
 }
 
 func (st *snapStore) len() int {

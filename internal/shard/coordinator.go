@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pushmulticast/internal/snapshot"
 )
 
 // Options configures a shard coordinator. Zero values select defaults sized
@@ -130,15 +128,12 @@ type Outcome struct {
 // Do walks one shard down the dispatch ladder: send it to a healthy replica,
 // retry with backoff and reassignment on failure, and give it back Degraded
 // when no replica is healthy or the retry budget is spent. snap, when
-// non-empty, is the warm-start donor every unit's spec references; it is
-// uploaded to a replica before that replica's first dispatch. Unless Degraded,
-// Do returns one record per unit: the replica's, synthesized failures after a
-// permanent refusal, or canceled ones once ctx has fired.
-func (c *Coordinator) Do(ctx context.Context, tenant string, units []Unit, snap []byte) ([]RunRecord, Outcome) {
-	snapHash := uint64(0)
-	if len(snap) > 0 {
-		snapHash = snapshot.Hash(snap)
-	}
+// non-empty, is the warm-start donor every unit's spec references and
+// snapHash its content hash (snapshot.Hash, which the caller already holds);
+// the donor is uploaded to a replica before that replica's first dispatch.
+// Unless Degraded, Do returns one record per unit: the replica's, synthesized
+// failures after a permanent refusal, or canceled ones once ctx has fired.
+func (c *Coordinator) Do(ctx context.Context, tenant string, units []Unit, snap []byte, snapHash uint64) ([]RunRecord, Outcome) {
 	ids := make([]string, len(units))
 	for i, u := range units {
 		ids[i] = u.RunID

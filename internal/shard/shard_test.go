@@ -343,8 +343,12 @@ func doShards(t *testing.T, c *Coordinator, units []Unit, snap []byte) (map[stri
 	got := make(map[string]RunRecord)
 	var sum Outcome
 	degraded := 0
+	var snapHash uint64
+	if len(snap) > 0 {
+		snapHash = snapshot.Hash(snap)
+	}
 	for _, u := range units {
-		recs, out := c.Do(context.Background(), "test", []Unit{u}, snap)
+		recs, out := c.Do(context.Background(), "test", []Unit{u}, snap, snapHash)
 		sum.Retries += out.Retries
 		sum.Reassigned += out.Reassigned
 		if out.Degraded {
@@ -376,7 +380,7 @@ func TestCoordinatorDispatchMerge(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		units = append(units, fakeUnit(fmt.Sprintf("run%d", i)))
 	}
-	recs, out := c.Do(context.Background(), "test", units[:4], nil)
+	recs, out := c.Do(context.Background(), "test", units[:4], nil, 0)
 	if len(recs) != 4 || out != (Outcome{}) {
 		t.Fatalf("4-unit shard returned %d records, outcome %+v; want 4 and a clean outcome", len(recs), out)
 	}
@@ -498,6 +502,30 @@ func TestCoordinatorPermanent400(t *testing.T) {
 	}
 }
 
+// TestCoordinatorTakesDonorHash pins that Do hashes nothing: the shard is
+// named by, and the replica's upload record holds, the hash the caller
+// handed over, even one that is not the donor bytes' content hash.
+func TestCoordinatorTakesDonorHash(t *testing.T) {
+	w1 := newFakeWorker(t)
+	c := New(fastOptions(w1.ts.URL))
+	defer c.Close()
+	snap := []byte("donor-bytes")
+	const given = 0x5eed
+	if given == snapshot.Hash(snap) {
+		t.Fatal("the made-up hash is the real one; pick another")
+	}
+	recs, out := c.Do(context.Background(), "test", []Unit{fakeUnit("a")}, snap, given)
+	if len(recs) != 1 || recs[0].Error != "" || out.Degraded {
+		t.Fatalf("warm shard returned %+v, outcome %+v", recs, out)
+	}
+	c.replicas[0].mu.Lock()
+	sent := c.replicas[0].snapSent
+	c.replicas[0].mu.Unlock()
+	if sent != given {
+		t.Errorf("replica's donor recorded as %#x, the caller handed over %#x", sent, given)
+	}
+}
+
 // TestCoordinatorSnapshotUpload covers the warm-start path: the donor is
 // uploaded to a replica before its first shard (once, not per shard), and a
 // replica that lost it (409) gets a re-upload on the retry.
@@ -549,7 +577,7 @@ func TestCoordinatorCancellation(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		recs, out := c.Do(ctx, "test", []Unit{fakeUnit("a"), fakeUnit("b")}, nil)
+		recs, out := c.Do(ctx, "test", []Unit{fakeUnit("a"), fakeUnit("b")}, nil, 0)
 		done <- result{recs, out}
 	}()
 	time.Sleep(20 * time.Millisecond)

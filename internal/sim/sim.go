@@ -238,10 +238,11 @@ type Engine struct {
 const FailsafeMaxCycles = Cycle(1) << 40
 
 // wheelSlots is the timing wheel's horizon in cycles. Nine in ten timed
-// sleeps of a mesh run are under 8 cycles ahead and none reaches 256; only
-// the lossy transport's timers (300, 400) and a checker told to scan less
-// often than its default 64 cycles go farther, and those wait in the overflow
-// list.
+// sleeps of a mesh run are under 8 cycles ahead. Those that reach 256 wait in
+// the overflow list: a core sleeping through a long compute op (55 per
+// cachebw tiny/64 run, 315 per swaptions or blackscholes quick/64 run), the
+// lossy transport's timers (300, 400), and a checker told to scan less often
+// than its default 64 cycles.
 const wheelSlots = 256
 
 // NewEngine returns a wake-driven engine with the given watchdog window and

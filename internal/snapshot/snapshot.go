@@ -413,11 +413,6 @@ func Slice[T any](c *Codec, s *[]T, elem func(*T)) {
 // byte stream. entry codes one key and its value, in that order; when
 // decoding it receives zero values to fill and the pair is then stored.
 func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, entry func(k *K, v *V)) {
-	MapFunc(c, m, cmp.Compare[K], entry)
-}
-
-// MapFunc is Map for keys ordered by compare.
-func MapFunc[K comparable, V any](c *Codec, m *map[K]V, compare func(a, b K) int, entry func(k *K, v *V)) {
 	c.Mark(m)
 	// One key and one value cell serve every entry: entry is opaque to escape
 	// analysis, so per-entry cells would cost two heap objects per map entry.
@@ -428,7 +423,7 @@ func MapFunc[K comparable, V any](c *Codec, m *map[K]V, compare func(a, b K) int
 		for key := range *m {
 			keys = append(keys, key)
 		}
-		slices.SortFunc(keys, compare)
+		slices.Sort(keys)
 		c.Len(len(keys))
 		for _, key := range keys {
 			k, v = key, (*m)[key]

@@ -10,7 +10,6 @@ import (
 	"hash/fnv"
 	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -135,8 +134,10 @@ func machineFor(cores int, sc Scale) (Config, error) {
 // Resolve validates the description and assembles its run. Everything is
 // checked here, before anything is simulated or scheduled, and every
 // rejection is a one-line diagnostic. lookupSnap resolves a WarmStart id to
-// the donor's bytes; nil means no snapshots are available.
-func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, bool)) (ResolvedRun, error) {
+// the donor's bytes and their content hash (SnapshotHash, computed where the
+// bytes entered the process; the run does not hash them again); nil means no
+// snapshots are available.
+func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, uint64, bool)) (ResolvedRun, error) {
 	sc, err := ParseScale(s.Scale)
 	if err != nil {
 		return ResolvedRun{}, err
@@ -201,16 +202,17 @@ func (s RunSpec) Resolve(lookupSnap func(id string) ([]byte, bool)) (ResolvedRun
 		return ResolvedRun{}, errors.New(oneLine(err))
 	}
 	var donor []byte
+	var hash uint64
 	if s.WarmStart != "" {
 		var ok bool
 		if lookupSnap != nil {
-			donor, ok = lookupSnap(s.WarmStart)
+			donor, hash, ok = lookupSnap(s.WarmStart)
 		}
 		if !ok {
 			return ResolvedRun{}, fmt.Errorf("%w: %q (upload it via POST /snapshots first)", ErrDonorMissing, s.WarmStart)
 		}
 	}
-	return NewRun(cfg, wl, sc, donor), nil
+	return newRun(cfg, wl, sc, donor, hash), nil
 }
 
 // plan generates the spec's fault plan: a chaos plan, a lossy plan, or both
@@ -260,7 +262,7 @@ func (ws WorkloadSpec) resolve() (Workload, error) {
 // ResolvedRun is one resolved simulation: the machine, the workload, the
 // input scale, and — for a warm start — the snapshot it forks from. Build one
 // with RunSpec.Resolve or NewRun; it is a value and is not edited afterwards
-// (its memo key and identity were derived from the fields at construction).
+// (its memo key and identity derive from the fields at construction).
 type ResolvedRun struct {
 	Config   Config
 	Workload Workload
@@ -268,17 +270,19 @@ type ResolvedRun struct {
 	// Donor is the warm-start snapshot the run forks from; empty = cold.
 	Donor []byte
 
-	key memoKey
-	id  string
+	// faults is the fault plan's %+v text and snap the donor's content hash
+	// (0 for a cold run): the memo-key parts the fields above do not hold as
+	// comparable values. id is the run's identity.
+	faults string
+	snap   uint64
+	id     string
 }
 
-// memoKey identifies a run. The fields are kept separate (instead of one
-// joined string) so no formatting artifact can alias two different runs —
-// notably, workload and scale stay distinct from the config text. The
-// fault-plan pointer is dereferenced into the key: formatting the pointer
-// itself would make the key an unstable address and alias all plans.
+// memoKey identifies a run by its comparable inputs. The fault-plan pointer
+// is dereferenced into the key as text: comparing the pointer itself would
+// make the key an unstable address and alias all plans.
 type memoKey struct {
-	cfg      string
+	cfg      Config // Faults nil: the plan is faults
 	faults   string
 	workload string
 	// params is the workload's canonical parameter signature: two collective
@@ -293,69 +297,50 @@ type memoKey struct {
 	snap uint64
 }
 
-// runKeysBuilt counts formatting passes over a configuration — NewRun's
-// misses in runKeys. Tests pin "once per distinct configuration" with it.
-var runKeysBuilt atomic.Uint64
-
-// runKeys remembers NewRun's formatting pass per distinct input: the
-// configuration's memo-key text and the run's identity. Formatting a whole
-// Config with %+v costs microseconds and a few KB; a resubmitted run pays a
-// map lookup instead. Past runKeysCapacity entries an arbitrary one makes
-// room.
-var runKeys struct {
-	sync.Mutex
-	m map[keyInput]formatted
-}
-
-// runKeysCapacity bounds runKeys: twice DefaultRunMemoCapacity, a few MB.
-const runKeysCapacity = 1024
-
-// keyInput is everything the formatting pass reads, as a comparable value:
-// the configuration with its one pointer (the fault plan) replaced by that
-// plan's text in key.faults, and every memo-key part but the configuration
-// text. Equal inputs format to equal text because %+v of a Config is a
-// function of its value and Config holds no float (-0 and +0 compare equal
-// but print differently).
-type keyInput struct {
-	cfg Config  // Faults nil
-	key memoKey // cfg ""
-}
-
-// formatted is one pass's output.
-type formatted struct{ cfg, id string }
-
-// NewRun builds a run from already-assembled parts. The run's memo key and
-// identity come from one formatting pass over the configuration, made once
-// per distinct input (runKeys) and shared by every later run of it.
-func NewRun(cfg Config, wl Workload, sc Scale, donor []byte) ResolvedRun {
-	r := ResolvedRun{Config: cfg, Workload: wl, Scale: sc, Donor: donor}
-	if cfg.Faults != nil {
-		r.key.faults = fmt.Sprintf("%+v", *cfg.Faults)
-	}
+// key returns the run's memo key.
+func (r ResolvedRun) key() memoKey {
+	cfg := r.Config
 	cfg.Faults = nil
-	r.key.workload, r.key.params, r.key.scale = wl.Name, wl.Params, sc
+	return memoKey{cfg, r.faults, r.Workload.Name, r.Workload.Params, r.Scale, r.snap}
+}
+
+// identitiesFormatted counts formatting passes — NewRun building a run the
+// campaign memo does not hold. Tests pin "none for a memo-held run" with it.
+var identitiesFormatted atomic.Uint64
+
+// NewRun builds a run from already-assembled parts; a warm start's donor is
+// hashed here. The identity of a run the campaign memo holds, completed or
+// in flight, is read off its entry; any other run's is formatted once.
+func NewRun(cfg Config, wl Workload, sc Scale, donor []byte) ResolvedRun {
+	var snap uint64
 	if len(donor) > 0 {
-		r.key.snap = SnapshotHash(donor)
+		snap = SnapshotHash(donor)
 	}
-	in := keyInput{cfg, r.key}
-	runKeys.Lock()
-	f, ok := runKeys.m[in]
-	runKeys.Unlock()
-	if !ok {
-		f = formatRun(in)
+	return newRun(cfg, wl, sc, donor, snap)
+}
+
+// newRun is NewRun with the donor's content hash already known.
+func newRun(cfg Config, wl Workload, sc Scale, donor []byte, snap uint64) ResolvedRun {
+	r := ResolvedRun{Config: cfg, Workload: wl, Scale: sc, Donor: donor, snap: snap}
+	if cfg.Faults != nil {
+		r.faults = fmt.Sprintf("%+v", *cfg.Faults)
 	}
-	r.key.cfg, r.id = f.cfg, f.id
+	k := r.key()
+	var ok bool
+	if r.id, ok = memoIdentity(k); !ok {
+		r.id = formatIdentity(k)
+	}
 	return r
 }
 
-// formatRun is the formatting pass: the configuration's %+v text, and the
-// identity — the FNV-1a of the memo key's parts — remembered in runKeys.
-func formatRun(in keyInput) formatted {
-	runKeysBuilt.Add(1)
-	k := in.key
-	k.cfg = fmt.Sprintf("%+v", in.cfg)
+// formatIdentity is the formatting pass: the FNV-1a of the memo key's parts,
+// the configuration as its %+v text. Equal keys format to equal identities
+// because %+v of a Config is a function of its value and Config holds no
+// float (-0 and +0 compare equal but print differently).
+func formatIdentity(k memoKey) string {
+	identitiesFormatted.Add(1)
 	h := fnv.New64a()
-	for _, part := range []string{k.cfg, k.faults, k.workload, k.params} {
+	for _, part := range []string{fmt.Sprintf("%+v", k.cfg), k.faults, k.workload, k.params} {
 		io.WriteString(h, part)
 		h.Write([]byte{0}) // separator: no formatting artifact may alias parts
 	}
@@ -365,20 +350,7 @@ func formatRun(in keyInput) formatted {
 		tail[1+i] = byte(k.snap >> (8 * i))
 	}
 	h.Write(tail[:])
-	f := formatted{cfg: k.cfg, id: fmt.Sprintf("%016x", h.Sum64())}
-	runKeys.Lock()
-	defer runKeys.Unlock()
-	if runKeys.m == nil {
-		runKeys.m = make(map[keyInput]formatted)
-	}
-	if len(runKeys.m) >= runKeysCapacity {
-		for old := range runKeys.m {
-			delete(runKeys.m, old)
-			break
-		}
-	}
-	runKeys.m[in] = f
-	return f
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Identity returns the run's deterministic identity: the hex FNV-1a of its
@@ -396,17 +368,22 @@ func (r ResolvedRun) Identity() string { return r.id }
 // closure is built, so such a hit allocates nothing: only a miss or a join
 // copies the run to the heap.
 func (r ResolvedRun) Execute(ctx context.Context) (res Results, hit bool, err error) {
-	if res, ok := memoFinished(r.key); ok {
+	key := r.key()
+	if res, ok := memoFinished(key); ok {
 		return res, true, nil
 	}
-	return memoized(ctx, r.key, r.simulate)
+	return memoized(ctx, key, r.id, r.simulate)
 }
 
 // Finished returns the run's results when the campaign memo holds them
 // completed: one lookup, counted as a memo hit. It reports false for a run
 // never simulated, evicted, failed, or still in flight — joining a run in
 // flight means waiting for it, which is Execute's.
-func (r ResolvedRun) Finished() (Results, bool) { return memoFinished(r.key) }
+func (r ResolvedRun) Finished() (Results, bool) { return memoFinished(r.key()) }
+
+// DonorHash returns the content hash of the run's warm-start donor (see
+// SnapshotHash), 0 for a cold run.
+func (r ResolvedRun) DonorHash() uint64 { return r.snap }
 
 // simulate runs the simulation itself, cold or forked from the donor.
 func (r ResolvedRun) simulate(ctx context.Context) (Results, error) {

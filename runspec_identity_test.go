@@ -6,16 +6,18 @@ import (
 	"hash/fnv"
 	"sync"
 	"testing"
+	"time"
 )
 
 // identityCases are the runs whose identities must not depend on whether
-// NewRun formatted them or remembered them: every ExampleRunSpecs entry, a
+// NewRun formatted them or read them off a memo entry: every ExampleRunSpecs
+// entry, a
 // hand-written fault plan (pushsim's -faultplan, which no RunSpec carries), a
 // warm-start fork, and two collective variants that share a name.
 func identityCases(t *testing.T) map[string]ResolvedRun {
 	t.Helper()
 	runs := map[string]ResolvedRun{}
-	resolve := func(name string, s RunSpec, lookup func(string) ([]byte, bool)) {
+	resolve := func(name string, s RunSpec, lookup func(string) ([]byte, uint64, bool)) {
 		r, err := s.Resolve(lookup)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -29,7 +31,7 @@ func identityCases(t *testing.T) map[string]ResolvedRun {
 	donor := []byte("donor snapshot bytes: only their hash reaches the identity")
 	warm := cold
 	warm.WarmStart = "d0"
-	resolve("warm-start", warm, func(string) ([]byte, bool) { return donor, true })
+	resolve("warm-start", warm, func(string) ([]byte, uint64, bool) { return donor, SnapshotHash(donor), true })
 	for _, fanout := range []int{2, 4} {
 		s := cold
 		s.Workload = WorkloadSpec{Name: "broadcast", Fanout: fanout}
@@ -67,28 +69,60 @@ func derivedIdentity(r ResolvedRun) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestIdentityRememberedEqualsFormatted pins that remembering NewRun's
-// formatting pass changes no identity: for each case, the run built with an
-// empty cache (one pass) and the run built again from the warm cache (no
-// pass) have equal memo keys, and both identities equal the one re-derived
-// here from the %+v text.
+// holdInFlight enters r in the campaign memo as a run in flight and returns
+// the function that completes it (with a made-up result, so nothing is
+// simulated).
+func holdInFlight(t *testing.T, r ResolvedRun) (complete func()) {
+	t.Helper()
+	release, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, _, err := memoized(context.Background(), r.key(), r.Identity(), func(context.Context) (Results, error) {
+			<-release
+			return Results{Cycles: 7}, nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	for {
+		if _, ok := memoIdentity(r.key()); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() { close(release); <-done }
+}
+
+// TestIdentityRememberedEqualsFormatted pins that reading an identity off
+// the memo changes none: for each case, the run built with the memo empty
+// (one formatting pass), built again while its entry is in flight and once
+// it completed (no pass), has one memo key, and every identity equals the
+// one re-derived here from the %+v text.
 func TestIdentityRememberedEqualsFormatted(t *testing.T) {
+	ClearRunMemo()
+	t.Cleanup(ClearRunMemo)
 	seen := map[string]string{}
 	for name, r := range identityCases(t) {
-		ClearRunKeys()
-		before := runKeysBuilt.Load()
-		cold := NewRun(r.Config, r.Workload, r.Scale, r.Donor)
-		warm := NewRun(r.Config, r.Workload, r.Scale, r.Donor)
-		if passes := runKeysBuilt.Load() - before; passes != 1 {
-			t.Errorf("%s: %d formatting passes for two identical NewRun calls, want 1", name, passes)
+		ClearRunMemo()
+		before := identitiesFormatted.Load()
+		formatted := NewRun(r.Config, r.Workload, r.Scale, r.Donor)
+		complete := holdInFlight(t, formatted)
+		inFlight := NewRun(r.Config, r.Workload, r.Scale, r.Donor)
+		complete()
+		completed := NewRun(r.Config, r.Workload, r.Scale, r.Donor)
+		if passes := identitiesFormatted.Load() - before; passes != 1 {
+			t.Errorf("%s: %d formatting passes for a run built before, during and after its memo entry, want 1", name, passes)
 		}
 		want := derivedIdentity(r)
-		if cold.Identity() != want || warm.Identity() != want || r.Identity() != want {
-			t.Errorf("%s: identity formatted %s, remembered %s, resolved %s; re-derived %s",
-				name, cold.Identity(), warm.Identity(), r.Identity(), want)
+		for _, got := range []ResolvedRun{r, formatted, inFlight, completed} {
+			if got.Identity() != want {
+				t.Errorf("%s: identity resolved %s, formatted %s, in flight %s, completed %s; re-derived %s",
+					name, r.Identity(), formatted.Identity(), inFlight.Identity(), completed.Identity(), want)
+				break
+			}
 		}
-		if cold.key != warm.key {
-			t.Errorf("%s: remembered memo key differs from the formatted one", name)
+		if formatted.key() != inFlight.key() || formatted.key() != completed.key() || formatted.key() != r.key() {
+			t.Errorf("%s: a memo-held run's key differs from the formatted one", name)
 		}
 		if other, dup := seen[want]; dup {
 			t.Errorf("%s and %s share identity %s", name, other, want)
@@ -102,13 +136,73 @@ func TestIdentityRememberedEqualsFormatted(t *testing.T) {
 	}
 }
 
-// TestNewRunWarmAllocates0 pins the cost of a resubmitted run: once its
-// configuration is remembered, NewRun is a map lookup and allocates nothing.
+// TestNewRunWarmAllocates0 pins the cost of a resubmitted run: once the memo
+// holds it, in flight or completed, NewRun is a map lookup that formats
+// nothing and allocates nothing.
 func TestNewRunWarmAllocates0(t *testing.T) {
+	ClearRunMemo()
+	t.Cleanup(ClearRunMemo)
 	r := identityCases(t)["cold"]
-	NewRun(r.Config, r.Workload, r.Scale, nil)
-	if n := testing.AllocsPerRun(100, func() { NewRun(r.Config, r.Workload, r.Scale, nil) }); n != 0 {
-		t.Errorf("warm NewRun allocates %v times, want 0", n)
+	check := func(state string) {
+		before := identitiesFormatted.Load()
+		if n := testing.AllocsPerRun(100, func() { NewRun(r.Config, r.Workload, r.Scale, nil) }); n != 0 {
+			t.Errorf("NewRun of a run %s allocates %v times, want 0", state, n)
+		}
+		if passes := identitiesFormatted.Load() - before; passes != 0 {
+			t.Errorf("NewRun of a run %s formatted %d times, want 0", state, passes)
+		}
+	}
+	complete := holdInFlight(t, r)
+	check("in flight")
+	complete()
+	check("completed")
+}
+
+// TestNewRunCountsNoHit pins that reading an identity off the memo is not a
+// lookup for results: it counts no hit and no miss, and leaves the entry's
+// LRU position where it was, so a shrink still evicts the older run.
+func TestNewRunCountsNoHit(t *testing.T) {
+	ClearRunMemo()
+	prev := SetRunMemoCapacity(0)
+	t.Cleanup(func() { SetRunMemoCapacity(prev); ClearRunMemo() })
+	cases := identityCases(t)
+	older, newer := cases["cold"], cases["chaos+lossy"]
+	holdInFlight(t, older)()
+	holdInFlight(t, newer)()
+	stats := RunMemoStats()
+	for i := 0; i < 10; i++ {
+		NewRun(older.Config, older.Workload, older.Scale, nil)
+	}
+	if got := RunMemoStats(); got != stats {
+		t.Errorf("NewRun of a memo-held run moved the memo's counters: %+v, was %+v", got, stats)
+	}
+	SetRunMemoCapacity(1)
+	if _, ok := older.Finished(); ok {
+		t.Error("the older run survived a shrink to 1: NewRun moved it to the LRU front")
+	}
+	if _, ok := newer.Finished(); !ok {
+		t.Error("the newer run was evicted by a shrink to 1")
+	}
+}
+
+// TestResolveCarriesLookupHash pins that a warm start is hashed where its
+// bytes enter the process, not again at resolve: the run carries the hash
+// the lookup handed over, whatever it is, and its identity is built from it.
+func TestResolveCarriesLookupHash(t *testing.T) {
+	spec := ExampleRunSpecs()[0].Spec
+	spec.WarmStart = "d0"
+	donor := []byte("donor snapshot bytes")
+	for _, hash := range []uint64{SnapshotHash(donor), 0x5eed} {
+		r, err := spec.Resolve(func(string) ([]byte, uint64, bool) { return donor, hash, true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.DonorHash() != hash {
+			t.Errorf("resolved run carries donor hash %#x, the lookup handed over %#x", r.DonorHash(), hash)
+		}
+		if hash == SnapshotHash(donor) && r.Identity() != RunIdentity(r.Config, r.Workload, r.Scale, donor) {
+			t.Errorf("warm identity %s through the lookup's hash, %s through RunIdentity", r.Identity(), RunIdentity(r.Config, r.Workload, r.Scale, donor))
+		}
 	}
 }
 
@@ -119,11 +213,7 @@ func TestExecuteHitAllocates0(t *testing.T) {
 	ClearRunMemo()
 	t.Cleanup(ClearRunMemo)
 	r := identityCases(t)["cold"]
-	if _, _, err := memoized(context.Background(), r.key, func(context.Context) (Results, error) {
-		return Results{Cycles: 7}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	holdInFlight(t, r)()
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(100, func() {
 		if res, hit, err := r.Execute(ctx); err != nil || !hit || res.Cycles != 7 {
@@ -135,38 +225,47 @@ func TestExecuteHitAllocates0(t *testing.T) {
 }
 
 // TestNewRunConcurrentIdentity builds runs of one configuration from several
-// goroutines at once, starting from an empty cache so they race on the
-// formatting pass and its insertion, and from a full one so they race on the
-// eviction. Run it with -race: every identity must be the re-derived one.
+// goroutines while the memo's entry for it goes through its whole life: a
+// real Execute puts it in flight and completes it, a shrink evicts it, and
+// ClearRunMemo drops it. Run it with -race: every identity must be the
+// re-derived one, whether formatted or read off the entry.
 func TestNewRunConcurrentIdentity(t *testing.T) {
-	r := identityCases(t)["chaos+lossy"]
+	ClearRunMemo()
+	prev := SetRunMemoCapacity(0)
+	t.Cleanup(func() { SetRunMemoCapacity(prev); ClearRunMemo() })
+	cases := identityCases(t)
+	r, filler := cases["collective-params"], cases["cold"]
 	want := derivedIdentity(r)
-	for _, fill := range []int{0, runKeysCapacity} {
-		ClearRunKeys()
-		cfg := r.Config
-		for i := 0; i < fill; i++ {
-			cfg.TimeWindow = 1 + i
-			NewRun(cfg, r.Workload, r.Scale, nil)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					if id := NewRun(r.Config, r.Workload, r.Scale, nil).Identity(); id != want {
-						t.Errorf("concurrent NewRun identity %s, want %s", id, want)
-						return
-					}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-		}
-		wg.Wait()
-		runKeys.Lock()
-		held := len(runKeys.m)
-		runKeys.Unlock()
-		if held > runKeysCapacity {
-			t.Errorf("runKeys holds %d passes, bound %d", held, runKeysCapacity)
-		}
+				if id := NewRun(r.Config, r.Workload, r.Scale, nil).Identity(); id != want {
+					t.Errorf("concurrent NewRun identity %s, want %s", id, want)
+					return
+				}
+			}
+		}()
 	}
+	ctx := context.Background()
+	if _, hit, err := r.Execute(ctx); err != nil || hit {
+		t.Errorf("first Execute: hit %v, %v; want a miss", hit, err)
+	}
+	holdInFlight(t, filler)() // the newer entry: a shrink to 1 evicts r
+	SetRunMemoCapacity(1)
+	SetRunMemoCapacity(0)
+	if _, hit, err := r.Execute(ctx); err != nil || hit {
+		t.Errorf("Execute after eviction: hit %v, %v; want a miss", hit, err)
+	}
+	ClearRunMemo()
+	close(stop)
+	wg.Wait()
 }

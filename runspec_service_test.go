@@ -15,7 +15,8 @@ import (
 // TestCampaignFormatsEachRunOnce shows the one identity end to end: between
 // HTTP decode and the streamed record, each distinct configuration is
 // formatted once. The cold campaign formats its 15 runs' configurations; the
-// identical repeat formats none, because NewRun remembers each pass. The
+// identical repeat formats none, because NewRun reads each identity off the
+// run's memo entry. The
 // service used to format every run twice (RunIdentity while expanding, then
 // the memo key again inside CampaignRun): 30 passes for these 15 runs, and
 // 15 more on every repeat.
@@ -35,13 +36,12 @@ func TestCampaignFormatsEachRunOnce(t *testing.T) {
 	})
 	const body = `{"scale":"tiny","schemes":["Baseline","PushAck","OrdPush"],
 		"workloads":[{"name":"cachebw"},{"name":"bfs"},{"name":"mv"},{"name":"broadcast","fanout":4},{"name":"allreduce"}]}`
-	pushmulticast.ClearRunKeys()
 	for _, phase := range []struct {
 		name   string
 		cached string
 		passes uint64
 	}{{"cold", `"cached":0`, 15}, {"cached", `"cached":15`, 0}} {
-		before := pushmulticast.RunKeysBuilt()
+		before := pushmulticast.IdentitiesFormatted()
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +51,7 @@ func TestCampaignFormatsEachRunOnce(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !strings.Contains(string(out), `"runs":15,`+phase.cached+`,"failed":0`) {
 			t.Fatalf("%s campaign: status %d\n%s", phase.name, resp.StatusCode, out)
 		}
-		if built := pushmulticast.RunKeysBuilt() - before; built != phase.passes {
+		if built := pushmulticast.IdentitiesFormatted() - before; built != phase.passes {
 			t.Errorf("%s 15-run campaign formatted %d configurations; want %d", phase.name, built, phase.passes)
 		}
 	}

@@ -132,7 +132,10 @@ func FuzzRunSpec(f *testing.F) {
 	f.Add([]byte(`{"scheems":"OrdPush"}`))
 	f.Add([]byte(`{"scheme":"OrdPush","workload":{"name":"cachebw"},"knobs":{"tpc_threshold":1e99}}`))
 	f.Add([]byte(`{"cores":-16,"faults":{"intensity":1e-320,"seed":18446744073709551615}}`))
-	donor := func(id string) ([]byte, bool) { return []byte("donor " + id), id == "0123456789abcdef" }
+	donor := func(id string) ([]byte, uint64, bool) {
+		b := []byte("donor " + id)
+		return b, SnapshotHash(b), id == "0123456789abcdef"
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeRunSpec(data)
 		var run ResolvedRun
