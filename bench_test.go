@@ -11,7 +11,9 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"pushmulticast/internal/cache"
 	"pushmulticast/internal/core"
 	"pushmulticast/internal/workload"
 )
@@ -44,12 +46,14 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // buildBytesPerTile is the recorded heap allocation of one cachebw/OrdPush
-// core.Build at each mesh size, divided by its tile count. Most of it is
-// cache arrays: an LLC way costs a 24-byte Line, its 8-byte tag, an 8-byte
-// DirEntry and one sharer word per 64 tiles (112.5 KB a tile at every size
-// while each way held a 256-bit sharer vector; 88,045 / 87,839 / 112,338
-// while each Line held a second copy of its tag).
-var buildBytesPerTile = map[int]uint64{16: 77519, 64: 77310, 256: 101833}
+// core.Build at each mesh size, divided by its tile count. A cache way costs
+// its 8-byte tag at build and the rest only once its set has a page, so most
+// of it is the arrays' tag indexes (77,519 / 77,310 / 101,833 while every way
+// of every array was allocated at build, an LLC way at a 24-byte Line, its
+// tag, an 8-byte DirEntry and one sharer word per 64 tiles; 112.5 KB a tile
+// at every size while each way held a 256-bit sharer vector; 88,045 / 87,839
+// / 112,338 while each Line held a second copy of its tag).
+var buildBytesPerTile = map[int]uint64{16: 31587, 64: 31392, 256: 31321}
 
 // TestBuildBytesPerTile is TestAllocBudget's byte-side twin: an allocation
 // count does not notice a table whose entries grow, so this gates the bytes
@@ -78,17 +82,27 @@ func TestBuildBytesPerTile(t *testing.T) {
 }
 
 // runBytes is the recorded heap allocation, in bytes, of one System.Run
-// after core.Build on the 16-core machine at tiny scale: cachebw under
-// OrdPush, and bfs under OrdPush at 10 per mille loss (fault seed 1). Most of
-// it is packet slabs and, in the lossy run, the recovery layer's retransmit
-// windows (725,400 and 1,006,920 bytes while every NI kept its own packet
-// free list).
+// after core.Build on the 16-core machine at tiny scale, besides the cache
+// pages it carves: cachebw under OrdPush, and bfs under OrdPush at 10 per
+// mille loss (fault seed 1). Most of it is packet slabs and, in the lossy
+// run, the recovery layer's retransmit windows (725,400 and 1,006,920 bytes
+// while every NI kept its own packet free list).
 var runBytes = map[string]uint64{"cachebw": 91520, "bfs lossy": 509248}
+
+// runPages is the recorded number of cache sets each run of runBytes gives a
+// page (L1, L2 and LLC together), and the bytes of the slabs they were carved
+// from: both are deterministic, so both are exact.
+var runPages = map[string]struct{ sets, bytes uint64 }{
+	"cachebw":   {1088, 602112},
+	"bfs lossy": {1344, 765952},
+}
 
 // TestRunBytes is TestBuildBytesPerTile's run-side twin: it gates the bytes
 // a run allocates once its machine is built, at 5% over the recorded figure,
 // so packet slabs and protocol tables that grow where a run should recycle
-// them fail here.
+// them fail here. Cache pages are the bytes a run is meant to allocate as it
+// touches sets: they are counted from the arrays, pinned exactly, and left
+// out of the 5%.
 func TestRunBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name, wl string
@@ -114,12 +128,35 @@ func TestRunBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		got, want := after.TotalAlloc-before.TotalAlloc, runBytes[tc.name]
-		t.Logf("%s: one run allocates %d bytes (recorded %d)", tc.name, got, want)
+		sets, pages := pageBytes(sys)
+		got, want := after.TotalAlloc-before.TotalAlloc-pages, runBytes[tc.name]
+		t.Logf("%s: one run allocates %d bytes (recorded %d) and %d bytes of pages for %d sets", tc.name, got, want, pages, sets)
 		if got > want+want/20 {
-			t.Errorf("%s: one run allocates %d bytes, more than 5%% over the recorded %d; if the growth is intended, re-record runBytes in bench_test.go", tc.name, got, want)
+			t.Errorf("%s: one run allocates %d bytes besides its pages, more than 5%% over the recorded %d; if the growth is intended, re-record runBytes in bench_test.go", tc.name, got, want)
+		}
+		if rec := runPages[tc.name]; sets != rec.sets || pages != rec.bytes {
+			t.Errorf("%s: one run gives %d sets pages in %d bytes of slabs, recorded %d sets in %d bytes; if the change is intended, re-record runPages in bench_test.go", tc.name, sets, pages, rec.sets, rec.bytes)
 		}
 	}
+}
+
+// pageBytes returns the number of cache sets of s that have a page and the
+// bytes of the slabs those pages were carved from: a Line a way, and in an
+// LLC slice a DirEntry and one sharer word per 64 tiles besides.
+func pageBytes(s *core.System) (sets, bytes uint64) {
+	words := uintptr(s.Cfg.Tiles()+63) / 64
+	dirWay := unsafe.Sizeof(cache.DirEntry{}) + words*8
+	for i, l2 := range s.L2s {
+		for _, a := range []struct {
+			arr *cache.Array
+			way uintptr
+		}{{l2.L1().Array(), 0}, {l2.Array(), 0}, {s.LLCs[i].Array(), dirWay}} {
+			n, ways := a.arr.Pages()
+			sets += uint64(n)
+			bytes += uint64(ways) * uint64(unsafe.Sizeof(cache.Line{})+a.way)
+		}
+	}
+	return sets, bytes
 }
 
 // BenchmarkFigures regenerates every registry entry at tiny scale, one

@@ -20,7 +20,9 @@ const goldenCommand = "go run ./cmd/experiments -scale tiny -fig t1,t2,2,3,4,11,
 // scale on 16 cores renders exactly results/tiny16_all.txt. Layouts (Fig 11's
 // blank-padded geomean/max rows, Fig 18's per-width columns, the collective
 // geomean note) are part of the contract; a change that moves a number moves
-// the simulated machine and must regenerate the file on purpose.
+// the simulated machine and must regenerate the file on purpose. Every run
+// is under the invariant checker, so each golden number also passes its
+// coherence, inclusion and directory audits, and the checker moves no byte.
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure at tiny scale (about a minute)")
@@ -29,9 +31,11 @@ func TestFiguresGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := tinyOpts()
+	opts.Check = true
 	var got bytes.Buffer
 	for _, f := range Figures() {
-		out, err := f.Run(context.Background(), tinyOpts())
+		out, err := f.Run(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("figure %s: %v", f.Name, err)
 		}

@@ -7,7 +7,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
@@ -81,8 +80,8 @@ func (s State) Transient() bool {
 
 // Line is one cache line's state and metadata: what every way of every
 // cache holds besides its address, which only its array's tag index keeps
-// (Array.Tag). Two words, then four bytes — 24 bytes a way. The directory
-// words of an LLC way live beside it in its array's directory tables.
+// (Array.Tag). Two words, then four bytes and the way's number — 24 bytes a
+// way. The directory words of an LLC way live beside it in its page.
 type Line struct {
 	// Version is the line's write serial number (the simulated data value).
 	Version uint64
@@ -95,6 +94,9 @@ type Line struct {
 	// Pushed/Accessed implement the pause-knob usefulness tracking: Pushed
 	// is set when a push installs the line, Accessed on its first use.
 	Pushed, Accessed bool
+	// way is the line's way number in its array, which finds its tag and
+	// directory (Array.index).
+	way uint32 `snap:"-,layout: fixed when the way's set gets its page"`
 }
 
 // DirEntry is the directory state of one LLC way (§III) besides its sharer
@@ -130,34 +132,57 @@ func (d DirWay) SetSharers(s noc.DestSet) {
 	}
 }
 
-// Array is a set-associative cache structure. Lines are stored set after
-// set; tags[i] is way i's line address while lines[i] is valid and noTag
+// Array is a set-associative cache structure. Ways are numbered set after
+// set; tags[i] is way i's line address while the way is valid and noTag
 // while its State is I. It is the only copy of a way's tag, and the compact
 // per-set index a lookup reads instead of the lines themselves (a set's
 // ways*8 bytes against ways*24). Install and Invalidate are the only writers
-// of a way's validity and keep the two in step; audit checks them. A
-// directory array also holds way i's directory entry dir[i] and its sharer
-// words; a private cache's array has neither.
+// of a way's validity and keep the two in step; audit checks them.
+//
+// The rest of a set is its page: its Lines and, in a directory array, each
+// way's directory entry and sharer words. A set gets its page the first time
+// Victim hands out one of its ways; until then its ways are free and only
+// their tags exist, so an array's memory follows the sets a run touches, not
+// its capacity. Pages are carved in that order from slabs that never move or
+// grow, so a *Line stays valid while other sets get pages: slab j holds
+// pageGranule<<j pages (fewer where the sets run out), which keeps an
+// array's allocations few however far it fills.
 //
 // An array the invariant checker tracks also marks every way it hands out —
-// a Lookup hit, the way Victim returns, Install, Invalidate — until the
-// checker's next sweep. Nothing keeps a *Line across ticks, so every write to
-// a way's line or directory, and to its LLC transaction record, goes through
-// a way marked in the same tick, and a sweep needs to look at no other.
+// a Lookup hit, the way Victim returns, Install, Invalidate — and every way
+// of a set that gets its page, until the checker's next sweep. Nothing keeps
+// a *Line across ticks, so every write to a way's line or directory, and to
+// its LLC transaction record, goes through a way marked in the same tick, and
+// a sweep needs to look at no other.
 type Array struct {
-	lines []Line
-	dir   []DirEntry
-	// sharers[i*sharerWords:(i+1)*sharerWords] is way i's sharer set in a
-	// directory array.
-	sharers     []uint64
-	sharerWords int `snap:"-,config"`
-	tags        []uint64
+	tags []uint64
+	// pageOf[s] locates set s's page: the number of its slab in the high 32
+	// bits and one more than the offset of its first way there in the low 32;
+	// 0 while the set has none. It shares tags' allocation.
+	pageOf []uint64 `snap:"-,layout: decoding gives a page to each set with a valid way"`
+	slabs  []slab
+	// pages is the number of pages carved.
+	pages       int    `snap:"-,layout: the count of nonzero pageOf entries"`
+	sharerWords int    `snap:"-,config"`
 	setMask     uint64 `snap:"-,config"`
 	setShift    uint   `snap:"-,config"`
 	ways        int    `snap:"-,config"`
 	// marks is nil unless the checker tracks the array.
 	marks *marks `snap:"-,derived: the checker's sweep record; a built or restored array starts with every way marked"`
 }
+
+// slab holds consecutive pages: lines[k] is its k-th way and, in a directory
+// array, dir[k] and sharers[k*sharerWords:(k+1)*sharerWords] that way's
+// directory.
+type slab struct {
+	lines   []Line
+	dir     []DirEntry
+	sharers []uint64
+}
+
+// pageGranule is the number of pages in an array's first slab; each later
+// slab holds twice the one before.
+const pageGranule = 16
 
 // marks is what a tracked array handed out since the checker's last sweep:
 // one bit a way, and the addresses its ways stopped holding, oldest first.
@@ -182,6 +207,21 @@ func NewArray(sizeBytes, ways int) *Array {
 // its sets rather than the 1/interleave subset its stripe of addresses
 // would otherwise map to.
 func NewInterleavedArray(sizeBytes, ways, interleave int) *Array {
+	a := newArray(sizeBytes, ways, interleave, 0)
+	return &a
+}
+
+// newDirectoryArray builds the array of one slice of an LLC interleaved over
+// tiles slices: an interleaved array with a directory entry and a tiles-bit
+// sharer set beside every way.
+func newDirectoryArray(sizeBytes, ways, tiles int) Array {
+	return newArray(sizeBytes, ways, tiles, (tiles+63)/64)
+}
+
+// newArray builds an array interleaved over interleave slices with
+// sharerWords sharer words a way (0: not a directory array). The caches hold
+// their arrays by value, one allocation fewer each.
+func newArray(sizeBytes, ways, interleave, sharerWords int) Array {
 	sets := sizeBytes / noc.LineBytes / ways
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)", sets, sizeBytes, ways))
@@ -189,71 +229,127 @@ func NewInterleavedArray(sizeBytes, ways, interleave int) *Array {
 	if interleave <= 0 || interleave&(interleave-1) != 0 {
 		panic(fmt.Sprintf("cache: interleave %d not a power of two", interleave))
 	}
-	a := &Array{
-		lines:    make([]Line, sets*ways),
-		tags:     make([]uint64, sets*ways),
-		setMask:  uint64(sets - 1),
-		setShift: uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))),
-		ways:     ways,
+	index := make([]uint64, sets*ways+sets)
+	a := Array{
+		tags:        index[:sets*ways],
+		pageOf:      index[sets*ways:],
+		slabs:       make([]slab, 0, bits.Len(uint((sets+pageGranule-1)/pageGranule))),
+		sharerWords: sharerWords,
+		setMask:     uint64(sets - 1),
+		setShift:    uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))),
+		ways:        ways,
 	}
 	for i := range a.tags {
-		a.tags[i] = noTag // without reading — and so faulting in — the lines
+		a.tags[i] = noTag
 	}
 	return a
 }
 
-// newDirectoryArray builds the array of one slice of an LLC interleaved over
-// tiles slices: an interleaved array with a directory entry and a tiles-bit
-// sharer set beside every way.
-func newDirectoryArray(sizeBytes, ways, tiles int) *Array {
-	a := NewInterleavedArray(sizeBytes, ways, tiles)
-	a.sharerWords = (tiles + 63) / 64
-	a.dir, a.sharers = make([]DirEntry, len(a.lines)), make([]uint64, len(a.lines)*a.sharerWords)
-	return a
+// set returns the set lineAddr maps to.
+func (a *Array) set(lineAddr uint64) int { return int((lineAddr >> a.setShift) & a.setMask) }
+
+// base returns the index of the first way of lineAddr's set.
+func (a *Array) base(lineAddr uint64) int { return a.set(lineAddr) * a.ways }
+
+// carve gives set s, which has no page, the next page: the next of the last
+// slab's, or the first of a new slab. Slab j holds pages pageGranule*(2^j-1)
+// up to pageGranule*(2^(j+1)-1). The set's ways come into being, so a
+// tracked array marks them all.
+func (a *Array) carve(s int) {
+	p := a.pages
+	j := bits.Len(uint(p/pageGranule+1)) - 1
+	if j == len(a.slabs) {
+		n := min(pageGranule<<j, len(a.pageOf)-p) * a.ways
+		sl := slab{lines: make([]Line, n)}
+		if a.sharerWords > 0 {
+			sl.dir, sl.sharers = make([]DirEntry, n), make([]uint64, n*a.sharerWords)
+		}
+		a.slabs = append(a.slabs, sl)
+	}
+	a.pages++
+	a.pageOf[s] = uint64(j)<<32 | uint64((p-pageGranule*(1<<j-1))*a.ways+1)
+	lines := a.page(s)
+	for w := range lines {
+		lines[w].way = uint32(s*a.ways + w)
+		a.mark(s*a.ways+w, noTag)
+	}
+}
+
+// at returns the slab holding way w of set s and the way's offset in it; sl
+// is nil while the set has no page.
+func (a *Array) at(s, w int) (sl *slab, k int) {
+	v := a.pageOf[s]
+	if v == 0 {
+		return nil, 0
+	}
+	return &a.slabs[v>>32], int(uint32(v)) - 1 + w
+}
+
+// page returns the lines of set s, which has a page.
+func (a *Array) page(s int) []Line {
+	sl, k := a.at(s, 0)
+	return sl.lines[k : k+a.ways : k+a.ways]
+}
+
+// slot returns way i's line, or nil while its set has no page.
+func (a *Array) slot(i int) *Line {
+	s := i / a.ways
+	if sl, k := a.at(s, i-s*a.ways); sl != nil {
+		return &sl.lines[k]
+	}
+	return nil
 }
 
 // dirWay returns the directory of l, a valid way of a directory array.
 func (a *Array) dirWay(l *Line) DirWay { return a.dirAt(a.index(l)) }
 
-// dirAt returns the directory of way i.
+// dirAt returns the directory of way i, whose set has a page.
 func (a *Array) dirAt(i int) DirWay {
-	return DirWay{&a.dir[i], a.sharers[i*a.sharerWords : (i+1)*a.sharerWords]}
+	s := i / a.ways
+	sl, k := a.at(s, i-s*a.ways)
+	return DirWay{&sl.dir[k], sl.sharers[k*a.sharerWords : (k+1)*a.sharerWords]}
 }
 
 // Sets returns the number of sets.
-func (a *Array) Sets() int { return len(a.lines) / a.ways }
+func (a *Array) Sets() int { return len(a.pageOf) }
 
-// base returns the index of the first way of lineAddr's set.
-func (a *Array) base(lineAddr uint64) int {
-	return int((lineAddr>>a.setShift)&a.setMask) * a.ways
+// Pages returns the number of sets that have a page and the number of ways
+// the slabs they were carved from hold.
+func (a *Array) Pages() (sets, ways int) {
+	for _, sl := range a.slabs {
+		ways += len(sl.lines)
+	}
+	return a.pages, ways
 }
 
-// find returns the way holding lineAddr, or -1.
-func (a *Array) find(lineAddr uint64) int {
-	base := a.base(lineAddr)
-	for w, t := range a.tags[base : base+a.ways] {
+// find returns lineAddr's set and the way of it holding lineAddr, or -1.
+func (a *Array) find(lineAddr uint64) (s, w int) {
+	s = a.set(lineAddr)
+	for w, t := range a.tags[s*a.ways : (s+1)*a.ways] {
 		if t == lineAddr {
-			return base + w
+			return s, w
 		}
 	}
-	return -1
+	return s, -1
 }
 
 // Lookup returns the line holding lineAddr, or nil.
 func (a *Array) Lookup(lineAddr uint64) *Line {
-	i := a.find(lineAddr)
-	if i < 0 {
+	s, w := a.find(lineAddr)
+	if w < 0 {
 		return nil
 	}
-	a.mark(i, noTag)
-	return &a.lines[i]
+	a.mark(s*a.ways+w, noTag)
+	sl, k := a.at(s, w)
+	return &sl.lines[k]
 }
 
 // Peek is Lookup for the checker and tests: it hands nothing out, so it
 // marks nothing, and a line it returns must not be written.
 func (a *Array) Peek(lineAddr uint64) *Line {
-	if i := a.find(lineAddr); i >= 0 {
-		return &a.lines[i]
+	if s, w := a.find(lineAddr); w >= 0 {
+		sl, k := a.at(s, w)
+		return &sl.lines[k]
 	}
 	return nil
 }
@@ -272,8 +368,8 @@ func (a *Array) mark(i int, freed uint64) {
 // Track starts marking the ways the array hands out, with every way marked:
 // the first sweep after it sees the whole array.
 func (a *Array) Track() {
-	a.marks = &marks{ways: make([]uint64, (len(a.lines)+63)/64)}
-	for i := range a.lines {
+	a.marks = &marks{ways: make([]uint64, (len(a.tags)+63)/64)}
+	for i := range a.tags {
 		a.mark(i, noTag)
 	}
 }
@@ -281,7 +377,7 @@ func (a *Array) Track() {
 // nextMarked returns the first way from i on that was handed out since the
 // last ClearMarks, or -1; always -1 on an untracked array.
 func (a *Array) nextMarked(i int) int {
-	if a.marks == nil || i >= len(a.lines) {
+	if a.marks == nil || i >= len(a.tags) {
 		return -1
 	}
 	w := i >> 6
@@ -298,7 +394,7 @@ func (a *Array) nextMarked(i int) int {
 // nextWay returns i while it is a way, or -1: nextMarked with every way
 // marked.
 func (a *Array) nextWay(i int) int {
-	if i < len(a.lines) {
+	if i < len(a.tags) {
 		return i
 	}
 	return -1
@@ -309,7 +405,7 @@ func (a *Array) nextWay(i int) int {
 func (a *Array) ForEachMarked(f func(addr uint64, l *Line)) {
 	for i := a.nextMarked(0); i >= 0; i = a.nextMarked(i + 1) {
 		if t := a.tags[i]; t != noTag {
-			f(t, &a.lines[i])
+			f(t, a.slot(i))
 		}
 	}
 }
@@ -333,57 +429,67 @@ func (a *Array) ClearMarks() {
 }
 
 // Len returns the number of ways.
-func (a *Array) Len() int { return len(a.lines) }
+func (a *Array) Len() int { return len(a.tags) }
 
-// Way returns way i's address (^0 while free), its line, and whether it was
-// handed out since the last ClearMarks (tests).
+// Way returns way i's address (^0 while free), its line (nil while its set
+// has no page), and whether it was handed out since the last ClearMarks
+// (tests).
 func (a *Array) Way(i int) (addr uint64, l *Line, marked bool) {
-	return a.tags[i], &a.lines[i], a.marks != nil && a.marks.ways[i>>6]&(1<<(i&63)) != 0
+	return a.tags[i], a.slot(i), a.marks != nil && a.marks.ways[i>>6]&(1<<(i&63)) != 0
 }
 
 // Victim returns the replacement candidate for lineAddr under the policy:
 // a free way first, then the least-recently-used line for which allowed
-// returns true. It returns nil when no way qualifies.
+// returns true. It returns nil when no way qualifies. Handing out a way of a
+// set that has no page gives the set its page.
 func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
-	base := a.base(lineAddr)
+	s := a.set(lineAddr)
+	base := s * a.ways
 	for w, t := range a.tags[base : base+a.ways] {
 		if t == noTag {
+			if a.pageOf[s] == 0 {
+				a.carve(s)
+			}
 			a.mark(base+w, noTag)
-			return &a.lines[base+w]
+			return &a.page(s)[w]
 		}
 	}
-	best := -1
-	for i := base; i < base+a.ways; i++ {
-		if l := &a.lines[i]; allowed(l) && (best < 0 || l.LastUse < a.lines[best].LastUse) {
-			best = i
+	lines, best := a.page(s), -1
+	for w := range lines {
+		if l := &lines[w]; allowed(l) && (best < 0 || l.LastUse < lines[best].LastUse) {
+			best = w
 		}
 	}
 	if best < 0 {
 		return nil
 	}
-	a.mark(best, noTag)
-	return &a.lines[best]
+	a.mark(base+best, noTag)
+	return &lines[best]
 }
 
-// ForEach visits every valid line with its address.
+// ForEach visits every valid line with its address, in way order.
 func (a *Array) ForEach(f func(addr uint64, l *Line)) {
-	for i, t := range a.tags {
-		if t != noTag {
-			f(t, &a.lines[i])
+	for s, p := range a.pageOf {
+		if p == 0 {
+			continue
+		}
+		lines := a.page(s)
+		for w, t := range a.tags[s*a.ways : (s+1)*a.ways] {
+			if t != noTag {
+				f(t, &lines[w])
+			}
 		}
 	}
 }
 
-// index returns the offset in lines of l, a way of this array: one pointer
-// subtraction behind a bounds check. A *Line inside lines' memory can only
-// be one of its elements, and one outside it (below it, the subtraction
-// wraps) is out of bounds. It is the array's only use of unsafe.
+// index returns the number of l, a way of this array: the number the line
+// carries, checked against that way's slot, so a line of another array or
+// none panics.
 func (a *Array) index(l *Line) int {
-	i := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(a.lines)))) / unsafe.Sizeof(Line{})
-	if i >= uintptr(len(a.lines)) {
-		panic("cache: line is not a way of this array")
+	if i := int(l.way); i < len(a.tags) && a.slot(i) == l {
+		return i
 	}
-	return int(i)
+	panic("cache: line is not a way of this array")
 }
 
 // Tag returns the address of the line l, a way of this array, holds (noTag
@@ -400,10 +506,11 @@ func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
 	}
 	a.mark(w, a.tags[w])
 	a.tags[w] = lineAddr
-	*l = Line{State: st, LastUse: now}
-	if a.dir != nil {
-		a.dir[w] = DirEntry{}
-		clear(a.dirAt(w).words)
+	*l = Line{State: st, LastUse: now, way: l.way}
+	if a.sharerWords > 0 {
+		d := a.dirAt(w)
+		*d.DirEntry = DirEntry{}
+		clear(d.words)
 	}
 }
 
@@ -418,8 +525,8 @@ func (a *Array) Invalidate(l *Line) {
 
 // audit checks the tag index against the lines' states: a way is tagged
 // while its line is valid and only then, and every tag is a line address
-// of the way's set that no other way of the set holds. The snapshot decoder
-// runs it on every array it fills.
+// of the way's set that no other way of the set holds. A way of a set with
+// no page is free. The snapshot decoder runs it on every array it fills.
 func (a *Array) audit() error { return a.auditWays(a.nextWay) }
 
 // auditMarked is audit on the ways handed out since the last ClearMarks:
@@ -432,7 +539,10 @@ func (a *Array) auditMarked() error { return a.auditWays(a.nextMarked) }
 func (a *Array) auditWays(next func(int) int) error {
 	for i := next(0); i >= 0; i = next(i + 1) {
 		set := i - i%a.ways
-		t, st := a.tags[i], a.lines[i].State
+		t, st := a.tags[i], StateI
+		if l := a.slot(i); l != nil {
+			st = l.State
+		}
 		switch {
 		case st == StateI && t != noTag:
 			return fmt.Errorf("way %d is free but tagged %#x", i, t)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,25 +18,43 @@ import (
 )
 
 // TestLineLayout pins what Line's field order is for: a way of any cache is
-// two words and four bytes (its tag lives once, in the array's index), and
-// the directory words are the LLC's alone —
-// a directory array keeps an 8-byte entry and one sharer word per 64 tiles
-// beside each way, a private array neither.
+// two words, four bytes and its way number (its tag lives once, in the
+// array's index), and the directory words are the LLC's alone. A way costs
+// its 8-byte tag from the start and the rest once its set has a page: 24
+// bytes in a private array, 16 more in a directory array at up to 64 tiles
+// (an 8-byte entry and one sharer word) and 40 more at 256 (four words).
 func TestLineLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Line{}); size != 24 {
 		t.Errorf("Line is %d bytes, want 24", size)
 	}
+	if off := unsafe.Offsetof(Line{}.way); off != 20 {
+		t.Errorf("Line's way number is at byte %d, want 20: the padding after its four flag bytes", off)
+	}
 	if size := unsafe.Sizeof(DirEntry{}); size != 8 {
 		t.Errorf("DirEntry is %d bytes, want 8", size)
 	}
-	if a := NewArray(256<<10, 16); a.dir != nil || a.sharers != nil {
-		t.Errorf("a private array allocated %d directory entries and %d sharer words", len(a.dir), len(a.sharers))
+	pageBytes := func(a *Array) uintptr {
+		sl := a.slabs[0]
+		return (uintptr(len(sl.lines))*unsafe.Sizeof(Line{}) + uintptr(len(sl.dir))*unsafe.Sizeof(DirEntry{}) +
+			uintptr(len(sl.sharers))*8) / uintptr(len(sl.lines))
 	}
-	for _, tc := range []struct{ tiles, words int }{{16, 1}, {64, 1}, {256, 4}} {
+	private := NewArray(256<<10, 16)
+	if len(private.slabs) != 0 {
+		t.Errorf("a new private array holds %d slabs", len(private.slabs))
+	}
+	private.Victim(0, nil)
+	if got := pageBytes(private); got != 24 || private.slabs[0].dir != nil || private.slabs[0].sharers != nil {
+		t.Errorf("a private array's page costs %d bytes a way with %d directory entries, want 24 and none", got, len(private.slabs[0].dir))
+	}
+	for _, tc := range []struct {
+		tiles, words int
+		bytes        uintptr
+	}{{16, 1, 40}, {64, 1, 40}, {256, 4, 64}} {
 		a := newDirectoryArray(64<<10, 16, tc.tiles)
-		if len(a.dir) != len(a.lines) || len(a.sharers) != tc.words*len(a.lines) {
-			t.Errorf("%d tiles: a directory array holds %d entries and %d sharer words for %d ways, want %d words a way",
-				tc.tiles, len(a.dir), len(a.sharers), len(a.lines), tc.words)
+		a.Victim(0, nil)
+		if got := pageBytes(&a); got != tc.bytes || a.sharerWords != tc.words {
+			t.Errorf("%d tiles: a directory array's page costs %d bytes a way with %d sharer words, want %d and %d",
+				tc.tiles, got, a.sharerWords, tc.bytes, tc.words)
 		}
 	}
 }
@@ -104,17 +123,23 @@ func TestArrayLookupInstall(t *testing.T) {
 // set.
 func TestArrayIndexRefusesForeignLine(t *testing.T) {
 	a, b := NewArray(4*64, 4), NewArray(4*64, 4)
-	for name, l := range map[string]*Line{"another array's way": &b.lines[0], "a loose line": new(Line)} {
-		func() {
-			defer func() {
-				if r := recover(); fmt.Sprint(r) != "cache: line is not a way of this array" {
-					t.Errorf("Tag of %s says %v, want a panic", name, r)
-				}
+	foreign := b.Victim(0, nil) // way 0 of b, the number a's way 0 has
+	for _, carved := range []bool{false, true} {
+		if carved {
+			a.Victim(0, nil)
+		}
+		for name, l := range map[string]*Line{"another array's way": foreign, "a loose line": new(Line)} {
+			func() {
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != "cache: line is not a way of this array" {
+						t.Errorf("Tag of %s (a's set carved: %v) says %v, want a panic", name, carved, r)
+					}
+				}()
+				a.Tag(l)
 			}()
-			a.Tag(l)
-		}()
+		}
 	}
-	if a.Tag(&a.lines[3]) != noTag {
+	if a.Tag(a.Victim(0, nil)) != noTag {
 		t.Error("a free way is tagged")
 	}
 	two := NewArray(2*4*64, 4) // line 0x40 maps to set 1, ways 4-7
@@ -123,7 +148,7 @@ func TestArrayIndexRefusesForeignLine(t *testing.T) {
 			t.Errorf("installing a line in another set's way says %v, want a panic", r)
 		}
 	}()
-	two.Install(&two.lines[0], 0x40, StateS, 0)
+	two.Install(two.Victim(0, nil), 0x40, StateS, 0)
 }
 
 func TestArrayLRUVictim(t *testing.T) {
@@ -224,20 +249,25 @@ func TestArrayForEach(t *testing.T) {
 }
 
 // TestArrayTagIndexAgainstLinearScan drives small arrays with random
-// Install / Invalidate / state-change / Lookup / Victim / ForEach sequences
-// and compares every answer with a reference that does what the array did
-// before it had a tag index: scan the lines of the set, each tagged in a
-// shadow map the reference keeps itself. The index must be invisible — same
-// way for every lookup, same victim, same visiting order and addresses — and
-// audit must stay clean after every operation.
+// Install / Invalidate / state-change / Lookup / Peek / Victim / ForEach
+// sequences and compares every answer with a reference that does what the
+// array did before it had a tag index: scan the lines of the set, each tagged
+// in a shadow map the reference keeps itself. The index must be invisible —
+// same way for every lookup, same victim, same visiting order and addresses —
+// and audit must stay clean after every operation. So must pages: a set has
+// one from its first Victim on and not before, whatever else was asked of the
+// array, and an array decoded from a snapshot of it gives one exactly to each
+// set holding a valid way.
 func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 	states := []State{StateS, StateM, StateISD, StateSMD, StateLV, StateLM}
-	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}} {
+	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}, {64, 2, 1}} {
 		rng := rand.New(rand.NewSource(int64(geom.sets*100 + geom.ways)))
 		a := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, geom.interleave)
 		set := func(addr uint64) []Line {
-			b := a.base(addr)
-			return a.lines[b : b+a.ways]
+			if s := a.set(addr); a.pageOf[s] != 0 {
+				return a.page(s)
+			}
+			return nil // a set with no page: every way free
 		}
 		shadow := map[*Line]uint64{}
 		refLookup := func(addr uint64) *Line {
@@ -248,6 +278,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			}
 			return nil
 		}
+		// refVictim runs after Victim, which gives a set with no page one.
 		refVictim := func(addr uint64, allowed func(*Line) bool) *Line {
 			var best *Line
 			for i, s := 0, set(addr); i < len(s); i++ {
@@ -261,6 +292,27 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			}
 			return best
 		}
+		victimised := map[int]bool{} // sets Victim was asked about
+		pagesAgree := func(op int, what string, b *Array, want func(s int) bool) {
+			t.Helper()
+			n := 0
+			for s := range b.Sets() {
+				if has := b.pageOf[s] != 0; has != want(s) {
+					t.Fatalf("%+v op %d: %s: set %d has a page: %v, want %v", geom, op, what, s, has, want(s))
+				}
+				if b.pageOf[s] != 0 {
+					n++
+				}
+			}
+			if n != b.pages {
+				t.Fatalf("%+v op %d: %s: %d sets have pages, %d were carved", geom, op, what, n, b.pages)
+			}
+		}
+		encodeArray(a)
+		a.Track() // and marks what the ops hand out, carving included
+		if a.pages != 0 {
+			t.Fatalf("%+v: encoding and tracking a fresh array carved %d pages", geom, a.pages)
+		}
 		// A few more addresses than lines, so sets fill up and evict.
 		addrs := make([]uint64, 3*geom.sets*geom.ways)
 		for i := range addrs {
@@ -270,15 +322,20 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 		for op := 0; op < 20000; op++ {
 			addr := addrs[rng.Intn(len(addrs))]
 			now := sim.Cycle(op)
+			if peek := addrs[rng.Intn(len(addrs))]; a.Peek(peek) != refLookup(peek) {
+				t.Fatalf("%+v op %d: Peek(%#x) = %p, linear scan finds %p", geom, op, peek, a.Peek(peek), refLookup(peek))
+			}
 			switch got, want := a.Lookup(addr), refLookup(addr); {
 			case got != want:
 				t.Fatalf("%+v op %d: Lookup(%#x) = %p, linear scan finds %p", geom, op, addr, got, want)
 			case got == nil:
 				// Miss: fill through the replacement policy, as the caches do.
+				pagesAgree(op, "after a Lookup miss", a, func(s int) bool { return victimised[s] })
 				allowed := stable
 				if rng.Intn(4) == 0 {
 					allowed = func(*Line) bool { return true }
 				}
+				victimised[a.set(addr)] = true
 				v, wantV := a.Victim(addr, allowed), refVictim(addr, allowed)
 				if v != wantV {
 					t.Fatalf("%+v op %d: Victim(%#x) = %p, linear scan picks %p", geom, op, addr, v, wantV)
@@ -308,11 +365,10 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 					visited = append(visited, l)
 				})
 				k := 0
-				for i := range a.lines {
-					if a.lines[i].State == StateI {
+				for i := range a.Len() {
+					if l := a.slot(i); l == nil || l.State == StateI {
 						continue
-					}
-					if k >= len(visited) || visited[k] != &a.lines[i] {
+					} else if k >= len(visited) || visited[k] != l {
 						t.Fatalf("%+v op %d: ForEach skipped or reordered way %d", geom, op, i)
 					}
 					k++
@@ -320,9 +376,31 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				if k != len(visited) {
 					t.Fatalf("%+v op %d: ForEach visited %d lines, %d are valid", geom, op, len(visited), k)
 				}
+				pagesAgree(op, "after Peek, audit and ForEach", a, func(s int) bool { return victimised[s] })
+			}
+			if op%1000 == 0 {
+				c, err := snapshot.NewDecoder(encodeArray(a))
+				if err != nil {
+					t.Fatal(err)
+				}
+				back := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, geom.interleave)
+				if back.state(c); c.Err() != nil {
+					t.Fatalf("%+v op %d: %v", geom, op, c.Err())
+				}
+				pagesAgree(op, "decoded", back, func(s int) bool {
+					return slices.ContainsFunc(a.tags[s*a.ways:(s+1)*a.ways], func(t uint64) bool { return t != noTag })
+				})
+				pagesAgree(op, "after encoding", a, func(s int) bool { return victimised[s] })
 			}
 		}
 	}
+}
+
+// encodeArray returns a's snapshot bytes.
+func encodeArray(a *Array) []byte {
+	c := snapshot.NewEncoder("", "", 0)
+	a.state(c)
+	return c.Finish()
 }
 
 // TestArrayAuditDetectsIndexDrift writes a line's validity or its tag behind
@@ -346,10 +424,10 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 		{"tag not a line address", func(a *Array, l *Line) { a.tags[a.index(l)] = 0x101 }, "not a line address"},
 		{"tag of another set", func(a *Array, l *Line) { a.tags[a.index(l)] = 0x140 }, "another set"},
 		{"installed in the wrong set", func(a *Array, l *Line) {
-			a.tags[a.base(0x040)+1], a.lines[a.base(0x040)+1] = 0x100, *l
+			a.tags[a.base(0x040)+1], a.slot(a.base(0x040)+1).State = 0x100, l.State
 		}, "another set"},
 		{"duplicate in a set", func(a *Array, l *Line) {
-			a.tags[a.base(0x100)+2], a.lines[a.base(0x100)+2] = 0x100, *l
+			a.tags[a.base(0x100)+2], a.slot(a.base(0x100)+2).State = 0x100, l.State
 		}, "valid in ways"},
 	} {
 		a, l := fill()
@@ -365,16 +443,12 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 
 // TestArrayStateIsCanonical: a way that held a line and lost it serializes
 // like a way that never held one — its stale version and directory bits are
-// never read again, so they are not state — and decodes to the zero Line,
-// untagged.
+// never read again, so they are not state — and so does a set that got a page
+// and holds nothing. Decoding gives a page only to the set with a valid way,
+// whose other ways are the zero Line, untagged.
 func TestArrayStateIsCanonical(t *testing.T) {
-	encode := func(a *Array) []byte {
-		c := snapshot.NewEncoder("", "", 0)
-		a.state(c)
-		return c.Finish()
-	}
 	used, fresh := newDirectoryArray(4*4*64, 4, 1), newDirectoryArray(4*4*64, 4, 1)
-	for _, a := range []*Array{used, fresh} {
+	for _, a := range []*Array{&used, &fresh} {
 		a.Install(a.Victim(0x040, nil), 0x040, StateS, 3)
 	}
 	l := used.Victim(0x100, nil)
@@ -383,8 +457,8 @@ func TestArrayStateIsCanonical(t *testing.T) {
 	used.dirWay(l).SetSharers(noc.OneDest(5))
 	used.dirWay(l).Epoch = 4
 	used.Invalidate(l)
-	data := encode(used)
-	if !bytes.Equal(data, encode(fresh)) {
+	data := encodeArray(&used)
+	if !bytes.Equal(data, encodeArray(&fresh)) || used.pages != 2 || fresh.pages != 1 {
 		t.Fatal("an installed-then-invalidated way serializes differently from one never used")
 	}
 	c, err := snapshot.NewDecoder(data)
@@ -398,10 +472,15 @@ func TestArrayStateIsCanonical(t *testing.T) {
 	if err := back.audit(); err != nil {
 		t.Fatalf("decoded array fails its audit: %v", err)
 	}
-	if !reflect.DeepEqual(back.lines, fresh.lines) || !reflect.DeepEqual(back.dir, fresh.dir) ||
-		!reflect.DeepEqual(back.sharers, fresh.sharers) ||
-		back.Lookup(0x040) == nil || back.Lookup(0x100) != nil {
-		t.Fatal("decoded array differs from the one that never held the freed line")
+	valid := back.Lookup(0x040)
+	if back.pages != 1 || back.pageOf[back.set(0x040)] == 0 || valid == nil || back.Lookup(0x100) != nil ||
+		!bytes.Equal(encodeArray(&back), data) {
+		t.Fatalf("decoded array has %d pages and differs from the one that never held the freed line", back.pages)
+	}
+	for i := range back.Len() {
+		if l := back.slot(i); l != nil && l != valid && (*l != Line{way: uint32(i)} || *back.dirAt(i).DirEntry != DirEntry{} || back.dirAt(i).Sharers() != noc.DestSet{}) {
+			t.Errorf("decoded free way %d holds %+v", i, *l)
+		}
 	}
 }
 

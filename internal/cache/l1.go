@@ -6,12 +6,12 @@ import "pushmulticast/internal/sim"
 // carries no coherence state of its own: the L2 back-invalidates it whenever
 // a line leaves the L2, so an L1 hit is always coherent.
 type L1 struct {
-	arr *Array
+	arr Array
 }
 
 // NewL1 builds an L1 data cache.
 func NewL1(sizeBytes, ways int) *L1 {
-	return &L1{arr: NewArray(sizeBytes, ways)}
+	return &L1{arr: newArray(sizeBytes, ways, 1, 0)}
 }
 
 // Lookup probes the L1 for a load; on a hit it returns the line version.
@@ -52,7 +52,7 @@ func (l *L1) Invalidate(lineAddr uint64) {
 }
 
 // Present reports whether the line is cached; it hands nothing out.
-func (l *L1) Present(lineAddr uint64) bool { return l.arr.find(lineAddr) >= 0 }
+func (l *L1) Present(lineAddr uint64) bool { return l.arr.Peek(lineAddr) != nil }
 
 // Array returns the L1's array (checker use).
-func (l *L1) Array() *Array { return l.arr }
+func (l *L1) Array() *Array { return &l.arr }

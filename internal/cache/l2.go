@@ -63,7 +63,7 @@ type L2 struct {
 	cfg  *config.System `snap:"-,config"`
 	eng  *sim.Engine    `snap:"-,wiring"`
 	st   *stats.All     `snap:"-,wiring"`
-	arr  *Array
+	arr  Array
 	l1   *L1
 	core Requestor `snap:"-,wiring"`
 
@@ -135,7 +135,7 @@ func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine,
 		cfg:  cfg,
 		eng:  eng,
 		st:   st,
-		arr:  NewArray(cfg.L2Size, cfg.L2Ways),
+		arr:  newArray(cfg.L2Size, cfg.L2Ways, 1, 0),
 		l1:   NewL1(cfg.L1Size, cfg.L1Ways),
 		core: core,
 		mshr: make([]l2MSHR, 0, cfg.L2MSHRs),
@@ -831,7 +831,7 @@ func (c *L2) ForEachLine(f func(addr uint64, l *Line)) { c.arr.ForEach(f) }
 func (c *L2) Line(lineAddr uint64) *Line { return c.arr.Peek(lineAddr) }
 
 // Array returns the L2's array (checker use).
-func (c *L2) Array() *Array { return c.arr }
+func (c *L2) Array() *Array { return &c.arr }
 
 // Audit checks the tag indexes of the L2 and its L1 against their lines, that
 // retryAt bounds every MSHR's retry deadline from below (a bound above one
@@ -843,10 +843,10 @@ func (c *L2) Audit() error { return c.audit((*Array).audit) }
 func (c *L2) AuditMarked() error { return c.audit((*Array).auditMarked) }
 
 func (c *L2) audit(index func(*Array) error) error {
-	if err := index(c.arr); err != nil {
+	if err := index(&c.arr); err != nil {
 		return fmt.Errorf("L2: %w", err)
 	}
-	if err := index(c.l1.arr); err != nil {
+	if err := index(&c.l1.arr); err != nil {
 		return fmt.Errorf("L1: %w", err)
 	}
 	for i := range c.mshr {

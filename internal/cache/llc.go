@@ -55,7 +55,7 @@ type LLC struct {
 	cfg *config.System `snap:"-,config"`
 	eng *sim.Engine    `snap:"-,wiring"`
 	st  *stats.All     `snap:"-,wiring"`
-	arr *Array
+	arr Array
 
 	// txns is the transaction table, one record per blocked line: the live
 	// records are txns[:len(txns)], in no particular order (a closed record
@@ -761,7 +761,7 @@ func (s *LLC) ForEachLine(f func(addr uint64, l *Line)) { s.arr.ForEach(f) }
 func (s *LLC) Line(lineAddr uint64) *Line { return s.arr.Peek(lineAddr) }
 
 // Array returns the slice's array (checker use).
-func (s *LLC) Array() *Array { return s.arr }
+func (s *LLC) Array() *Array { return &s.arr }
 
 // ForEachTxn visits the transaction records, in no particular order, each
 // with its line's address and its fields rendered as text (tests that shadow
@@ -808,10 +808,14 @@ func (s *LLC) auditDirectory(next func(int) int) error {
 	// Only a way's last sharer word can name a non-tile (SetSharers refuses a
 	// bit past the words), in its bits from tiles-64*(words-1) up: none when
 	// the mesh fills the word, where the shift by 64 leaves 0.
-	words, shift := s.arr.sharerWords, uint(tiles-64*(s.arr.sharerWords-1))
+	shift := uint(tiles - 64*(s.arr.sharerWords-1))
 	for i := next(0); i >= 0; i = next(i + 1) {
-		switch l, addr, d, past := &s.arr.lines[i], s.arr.tags[i], &s.arr.dir[i], s.arr.sharers[(i+1)*words-1]>>shift; {
-		case l.State == StateI:
+		l := s.arr.slot(i)
+		if l == nil || l.State == StateI {
+			continue
+		}
+		addr, d := s.arr.tags[i], s.arr.dirAt(i)
+		switch past := d.words[len(d.words)-1] >> shift; {
 		case past != 0:
 			return fmt.Errorf("line %#x has sharer %d past the %d-tile mesh", addr, tiles+bits.TrailingZeros64(past), tiles)
 		case (l.State == StateLM || l.State == StateLMInv) && (d.Owner < 0 || int(d.Owner) >= tiles):

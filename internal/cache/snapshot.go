@@ -11,22 +11,34 @@ import (
 // state describes the array's lines, set by set, way by way. A free way is
 // its state byte alone: its stale metadata is never read, so it is not state,
 // and leaving it out makes two arrays that behave alike serialize alike
-// whatever lines they held before. A valid way is its state byte, its tag,
-// then the rest of its line; in a directory array its directory follows, the
-// sharer set as four words whatever the mesh size. Decoding targets a freshly
-// built array, whose free ways are the zero Line and untagged, and refuses
-// tags audit would refuse. Geometry comes from the config fingerprint, so it
-// is only checked.
+// whatever lines they held before, and whichever sets have pages. A valid way
+// is its state byte, its tag, then the rest of its line; in a directory array
+// its directory follows, the sharer set as four words whatever the mesh size.
+// Decoding targets a freshly built array, whose sets have no pages and whose
+// ways are untagged, gives a page to each set at its first valid way, and
+// refuses tags audit would refuse. Geometry comes from the config
+// fingerprint, so it is only checked.
 func (a *Array) state(c *snapshot.Codec) {
-	c.Mark(&a.lines)
 	c.Mark(&a.tags)
-	c.Mark(&a.dir)
-	c.Mark(&a.sharers)
+	c.Mark(&a.slabs)
+	for k := range a.slabs {
+		c.Mark(&a.slabs[k].lines)
+		c.Mark(&a.slabs[k].dir)
+		c.Mark(&a.slabs[k].sharers)
+	}
 	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
-	for i := range a.lines {
-		l := &a.lines[i]
-		if snapshot.AsU8(c, &l.State); l.State == StateI {
+	for i := range a.tags {
+		l := a.slot(i)
+		if l == nil { // a way of a set with no page
+			var st State
+			if snapshot.AsU8(c, &st); st == StateI {
+				continue
+			}
+			a.carve(i / a.ways)
+			l = a.slot(i)
+			l.State = st
+		} else if snapshot.AsU8(c, &l.State); l.State == StateI {
 			continue
 		}
 		c.U64(&a.tags[i])
@@ -35,7 +47,7 @@ func (a *Array) state(c *snapshot.Codec) {
 		c.Bool(&l.Pushed)
 		c.Bool(&l.Accessed)
 		snapshot.AsU64(c, &l.LastUse)
-		if a.dir != nil {
+		if a.sharerWords > 0 {
 			d := a.dirAt(i)
 			s := d.Sharers()
 			c.U64s(s[:])
@@ -83,10 +95,8 @@ func (q *delayQueue) state(c *snapshot.Codec, pkt func(**noc.Packet)) {
 func (l2 *L2) State(c *snapshot.Codec) {
 	c.Section("cache.l2")
 	pkt := func(pp **noc.Packet) { l2.out.ni.Packet(c, pp) }
-	c.Mark(&l2.arr)
 	l2.arr.state(c)
 	c.Mark(&l2.l1)
-	c.Mark(&l2.l1.arr)
 	l2.l1.arr.state(c)
 	// The live MSHRs travel in address order. Slot order is invisible (every
 	// order the controller acts in is address order), so encoding sorts the
@@ -142,7 +152,6 @@ func (l2 *L2) State(c *snapshot.Codec) {
 func (s *LLC) State(c *snapshot.Codec) {
 	c.Section("cache.llc")
 	pkt := func(pp **noc.Packet) { s.out.ni.Packet(c, pp) }
-	c.Mark(&s.arr)
 	s.arr.state(c)
 	// The transaction records travel in address order, as the MSHRs do. A
 	// record's kind and episode number are its line's state and epoch, which

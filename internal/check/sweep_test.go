@@ -60,10 +60,13 @@ func take(arrs []tracked, sh *shadow) {
 		}
 		for i := range sh.ways[k] {
 			addr, l, _ := a.arr.Way(i)
-			w := wayShadow{addr: addr, line: *l}
-			if a.llc != nil {
-				d := a.llc.Dir(l)
-				w.dir, w.sharers = *d.DirEntry, d.Sharers()
+			w := wayShadow{addr: addr}
+			if l != nil { // nil: the way's set has no page, and the way is free
+				w.line = *l
+				if a.llc != nil {
+					d := a.llc.Dir(l)
+					w.dir, w.sharers = *d.DirEntry, d.Sharers()
+				}
 			}
 			sh.ways[k][i] = w
 		}

@@ -455,13 +455,68 @@ func TestShutdownDrainsShardedCampaign(t *testing.T) {
 	}
 }
 
+// stallingCtx is a request context that stalls, in stop, the worker that
+// cancels a run context derived from it: a derived context unregisters itself
+// from a parent with an AfterFunc method by calling the stop function that
+// method returned. It is never done.
+type stallingCtx struct {
+	context.Context
+	done chan struct{}
+	stop func() bool
+}
+
+func (c stallingCtx) Done() <-chan struct{}               { return c.done }
+func (c stallingCtx) AfterFunc(func()) (stop func() bool) { return c.stop }
+
+// TestQuotaReleasedBeforeAnswer pins that a task's runs stop counting
+// against its tenant's quota before its answer reaches the stream, so a
+// client that reads a finished campaign can resubmit at once under a quota of
+// one. The worker used to send the answer first and release the quota after;
+// here it stalls in between (when it cancels the run's context, whose parent
+// holds it there if the answer is already waiting to be read), so the
+// resubmit is refused whenever the order is wrong, not only when a race goes
+// that way.
+func TestQuotaReleasedBeforeAnswer(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1, TenantQuota: 1})
+	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []pushmulticast.WorkloadSpec{{Name: "cachebw"}}}
+	_, runs, err := spec.resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(context.Context, []job) produced { return produced{} }
+	var out <-chan produced
+	stored, cancelled, resubmitted := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ctx := stallingCtx{Context: context.Background(), done: make(chan struct{}), stop: func() bool {
+		close(cancelled)
+		if len(out) > 0 { // answered before the quota was released
+			<-resubmitted
+		}
+		return true
+	}}
+	out, _, err = s.submit(ctx, "t", []job{{run: &runs[0]}}, 1, func(ctx context.Context, group []job) produced {
+		<-stored // out is set before the worker's stop reads it
+		return answer(ctx, group)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(stored)
+	<-cancelled // so an answer sent before the cancel waits in out's buffer
+	<-out
+	_, _, err = s.submit(context.Background(), "t", []job{{run: &runs[0]}}, 1, answer)
+	close(resubmitted)
+	if err != nil {
+		t.Fatalf("a resubmit right after the answer arrived: %v", err)
+	}
+}
+
 // TestSchedulerTenantQuota table-drives the quota admission contract at the
 // scheduler layer: all-or-nothing batches, per-tenant accounting in runs
 // (whatever the task grouping), and tenant independence. Workers are zero so
 // admitted tasks pin their in-flight counts deterministically.
 func TestSchedulerTenantQuota(t *testing.T) {
 	mk := func(tenant string, runs int) *task {
-		return &task{tenant: tenant, ctx: context.Background(), runs: runs, fn: func(context.Context) {}}
+		return &task{tenant: tenant, ctx: context.Background(), runs: runs, fn: func(context.Context) produced { return produced{} }}
 	}
 	batch := func(tenant string, n int) []*task {
 		out := make([]*task, n)

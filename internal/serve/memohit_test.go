@@ -20,11 +20,12 @@ func holdSlots(t *testing.T, s *Server, n int) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	for i := range n {
-		hold := &task{tenant: fmt.Sprintf("gate-%d", i), ctx: context.Background(), runs: 1, fn: func(ctx context.Context) {
+		hold := &task{tenant: fmt.Sprintf("gate-%d", i), ctx: context.Background(), runs: 1, fn: func(ctx context.Context) produced {
 			select {
 			case <-gate:
 			case <-ctx.Done():
 			}
+			return produced{}
 		}}
 		if err := s.sched.submitAll([]*task{hold}); err != nil {
 			t.Fatal(err)
@@ -119,7 +120,7 @@ func TestRefusedCampaignSettlesNoHit(t *testing.T) {
 	// Fill the one slot and the one queue place; the hit still streams.
 	release := holdSlots(t, s, 1)
 	defer release()
-	if err := s.sched.submitAll([]*task{{tenant: "queued", ctx: context.Background(), runs: 1, fn: func(context.Context) {}}}); err != nil {
+	if err := s.sched.submitAll([]*task{{tenant: "queued", ctx: context.Background(), runs: 1, fn: func(context.Context) produced { return produced{} }}}); err != nil {
 		t.Fatal(err)
 	}
 	status, recs, sum := postCampaign(t, ts.URL, tiny16)

@@ -15,11 +15,14 @@ import (
 // submitting request is gone or the scheduler hard-aborts. runs is how many
 // runs it stands for (one on a plain daemon, a shard's worth on a
 // coordinator): the queue bound and the tenant quota count runs, the worker
-// pool counts tasks.
+// pool counts tasks. What fn produces goes to out (nil: nowhere) only once
+// the tenant's quota no longer counts the task's runs, so a client that has
+// read its answer can submit again at once.
 type task struct {
 	tenant   string
 	ctx      context.Context
-	fn       func(ctx context.Context)
+	fn       func(ctx context.Context) produced
+	out      chan<- produced
 	runs     int
 	enqueued time.Time
 }
@@ -209,7 +212,7 @@ func (s *scheduler) worker() {
 		}
 		s.running[t] = cancel
 		s.mu.Unlock()
-		t.fn(runCtx)
+		p := t.fn(runCtx)
 		cancel()
 		s.mu.Lock()
 		delete(s.running, t)
@@ -217,6 +220,9 @@ func (s *scheduler) worker() {
 			delete(s.inflight, t.tenant)
 		}
 		s.mu.Unlock()
+		if t.out != nil {
+			t.out <- p
+		}
 	}
 }
 

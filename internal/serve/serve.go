@@ -292,7 +292,8 @@ func (s *Server) submit(ctx context.Context, tenant string, jobs []job, per int,
 			tenant: tenant,
 			ctx:    ctx,
 			runs:   len(group),
-			fn:     func(ctx context.Context) { out <- produce(ctx, group) },
+			fn:     func(ctx context.Context) produced { return produce(ctx, group) },
+			out:    out,
 		})
 	}
 	if err := s.sched.submitAll(tasks); err != nil {

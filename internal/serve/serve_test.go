@@ -464,15 +464,16 @@ func TestSchedulerFairRoundRobin(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var order []string
-	record := func(name string) func(context.Context) {
-		return func(context.Context) {
+	record := func(name string) func(context.Context) produced {
+		return func(context.Context) produced {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
+			return produced{}
 		}
 	}
 	// The gate task occupies the single worker while the backlog builds.
-	if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), runs: 1, fn: func(context.Context) { <-gate }}}); err != nil {
+	if err := sched.submitAll([]*task{&task{tenant: "a", ctx: context.Background(), runs: 1, fn: func(context.Context) produced { <-gate; return produced{} }}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a1", "a2", "a3"} {
@@ -522,14 +523,14 @@ func TestSchedulerTurnOrder(t *testing.T) {
 	batch := func(tenant string, names ...string) {
 		tasks := make([]*task, len(names))
 		for i, name := range names {
-			tasks[i] = &task{tenant: tenant, ctx: context.Background(), runs: 1, fn: func(context.Context) { order = append(order, name); done.Done() }}
+			tasks[i] = &task{tenant: tenant, ctx: context.Background(), runs: 1, fn: func(context.Context) produced { order = append(order, name); done.Done(); return produced{} }}
 		}
 		done.Add(len(tasks))
 		if err := sched.submitAll(tasks); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.submitAll([]*task{{tenant: "gate", ctx: context.Background(), runs: 1, fn: func(context.Context) { <-gate }}}); err != nil {
+	if err := sched.submitAll([]*task{{tenant: "gate", ctx: context.Background(), runs: 1, fn: func(context.Context) produced { <-gate; return produced{} }}}); err != nil {
 		t.Fatal(err)
 	}
 	batch("a", "a1", "a2", "a3")
@@ -554,7 +555,7 @@ func TestSchedulerForgetsIdleTenants(t *testing.T) {
 	var wg sync.WaitGroup
 	run := func(tenant string) {
 		wg.Add(1)
-		if err := sched.submitAll([]*task{{tenant: tenant, ctx: context.Background(), runs: 1, fn: func(context.Context) { wg.Done() }}}); err != nil {
+		if err := sched.submitAll([]*task{{tenant: tenant, ctx: context.Background(), runs: 1, fn: func(context.Context) produced { wg.Done(); return produced{} }}}); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait() // one at a time: dispatch order is tenant order
