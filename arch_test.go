@@ -1,6 +1,7 @@
 package pushmulticast
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -34,4 +35,140 @@ func TestArchNoUnsafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parseDirs parses the Go files of each directory, tests included when tests
+// is set, and calls f on each.
+func parseDirs(t *testing.T, tests bool, dirs []string, f func(fset *token.FileSet, path string, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range paths {
+			if !tests && strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f(fset, filepath.ToSlash(path), file)
+		}
+	}
+}
+
+// internalDirs returns every directory under internal/.
+func internalDirs(t *testing.T) []string {
+	t.Helper()
+	var dirs []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() {
+			if m, _ := filepath.Glob(filepath.Join(path, "*.go")); len(m) > 0 {
+				dirs = append(dirs, path)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// outsideArrayMethods calls f on each node of file outside the methods of Array
+// declared in internal/cache/array.go.
+func outsideArrayMethods(path string, file *ast.File, f func(n ast.Node)) {
+	for _, decl := range file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && path == "internal/cache/array.go" && fd.Recv != nil {
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.Name == "Array" {
+				continue
+			}
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			if n != nil {
+				f(n)
+			}
+			return true
+		})
+	}
+}
+
+// isName reports whether e names name, bare or qualified by a package.
+func isName(e ast.Expr, name string) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == name
+	case *ast.SelectorExpr:
+		_, pkg := e.X.(*ast.Ident)
+		return pkg && e.Sel.Name == name
+	}
+	return false
+}
+
+// TestArchOneWriterOfLineValidity states over the parsed source that no
+// non-test code under internal/ assigns StateI to a State field except a
+// method of Array in array.go: Install and Invalidate are the only writers of
+// a way's validity, which keeps each valid way tagged and each free way not.
+func TestArchOneWriterOfLineValidity(t *testing.T) {
+	parseDirs(t, false, internalDirs(t), func(fset *token.FileSet, path string, file *ast.File) {
+		outsideArrayMethods(path, file, func(n ast.Node) {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return
+			}
+			for i, lhs := range as.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "State" && isName(as.Rhs[i], "StateI") {
+					t.Errorf("%v: a cache line is invalidated behind its set's tags: call Array.Invalidate (internal/cache/array.go, DESIGN.md §4)", fset.Position(as.Pos()))
+				}
+			}
+		})
+	})
+}
+
+// TestArchNoStructKeepsLine states over the parsed source that no struct
+// type in internal/cache, internal/core or internal/check, tests aside, has a
+// field whose type mentions a *Line: the checker's sweep looks only at the
+// ways an array marked, which is complete only while no *Line outlives the
+// tick it was handed out in.
+func TestArchNoStructKeepsLine(t *testing.T) {
+	dirs := []string{"internal/cache", "internal/core", "internal/check"}
+	parseDirs(t, false, dirs, func(fset *token.FileSet, path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				ast.Inspect(field.Type, func(n ast.Node) bool {
+					if star, ok := n.(*ast.StarExpr); ok && isName(star.X, "Line") {
+						t.Errorf("%v: a struct keeps a *Line: the checker's sweep sees only the ways an array marked, which holds only while no *Line outlives its tick (DESIGN.md §4d)", fset.Position(field.Pos()))
+					}
+					return true
+				})
+			}
+			return true
+		})
+	})
+}
+
+// TestArchOnlyArrayMarks states over the parsed source, tests included, that
+// in internal/cache only Array's own methods call mark: a way is marked for
+// the checker's sweep exactly where the array hands it out.
+func TestArchOnlyArrayMarks(t *testing.T) {
+	parseDirs(t, true, []string{"internal/cache"}, func(fset *token.FileSet, path string, file *ast.File) {
+		outsideArrayMethods(path, file, func(n ast.Node) {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "mark" {
+					t.Errorf("%v: ways are marked only inside the array's own Lookup, Victim, Install and Invalidate (internal/cache/array.go, DESIGN.md §4d)", fset.Position(call.Pos()))
+				}
+			}
+		})
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"pushmulticast/internal/config"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 )
@@ -79,7 +80,7 @@ func (s State) Transient() bool {
 }
 
 // Line is one cache line's state and metadata: what every way of every
-// cache holds besides its address, which only its array's tag index keeps
+// cache holds besides its address, which only the tags of its set's page keep
 // (Array.Tag). Two words, then four bytes and the way's number — 24 bytes a
 // way. The directory words of an LLC way live beside it in its page.
 type Line struct {
@@ -132,21 +133,20 @@ func (d DirWay) SetSharers(s noc.DestSet) {
 	}
 }
 
-// Array is a set-associative cache structure. Ways are numbered set after
-// set; tags[i] is way i's line address while the way is valid and noTag
-// while its State is I. It is the only copy of a way's tag, and the compact
-// per-set index a lookup reads instead of the lines themselves (a set's
-// ways*8 bytes against ways*24). Install and Invalidate are the only writers
-// of a way's validity and keep the two in step; audit checks them.
+// Array is a set-associative cache structure, one of the arrays of a cache
+// level, which all carve their sets from the level's Pool. Ways are numbered
+// set after set. A set's state is its page: each way's tag — its line address
+// while the way is valid, noTag while its State is I — its Line and, in a
+// directory array, its directory entry and sharer words. A way's tag is the
+// only copy of its address, and a set's tags are the compact index a lookup
+// reads instead of the lines themselves (ways*8 bytes against ways*24).
+// Install and Invalidate are the only writers of a way's validity and keep
+// the two in step; audit checks them.
 //
-// The rest of a set is its page: its Lines and, in a directory array, each
-// way's directory entry and sharer words. A set gets its page the first time
-// Victim hands out one of its ways; until then its ways are free and only
-// their tags exist, so an array's memory follows the sets a run touches, not
-// its capacity. Pages are carved in that order from slabs that never move or
-// grow, so a *Line stays valid while other sets get pages: slab j holds
-// pageGranule<<j pages (fewer where the sets run out), which keeps an
-// array's allocations few however far it fills.
+// A set gets its page the first time Victim hands out one of its ways; until
+// then its ways are free and the set is one zero word of pageOf, which is all
+// an array allocates, so its memory follows the sets a run touches, not its
+// capacity. A lookup in a set with no page misses on pageOf alone.
 //
 // An array the invariant checker tracks also marks every way it hands out —
 // a Lookup hit, the way Victim returns, Install, Invalidate — and every way
@@ -155,14 +155,12 @@ func (d DirWay) SetSharers(s noc.DestSet) {
 // its LLC transaction record, goes through a way marked in the same tick, and
 // a sweep needs to look at no other.
 type Array struct {
-	tags []uint64
-	// pageOf[s] locates set s's page: the number of its slab in the high 32
-	// bits and one more than the offset of its first way there in the low 32;
-	// 0 while the set has none. It shares tags' allocation.
-	pageOf []uint64 `snap:"-,layout: decoding gives a page to each set with a valid way"`
-	slabs  []slab
-	// pages is the number of pages carved.
-	pages       int    `snap:"-,layout: the count of nonzero pageOf entries"`
+	// pageOf[s] locates set s's page in the pool: the number of its slab in
+	// the high 32 bits and one more than the offset of its first way there in
+	// the low 32; 0 while the set has none. It is the array's share of the
+	// pool's table.
+	pageOf      []uint64 `snap:"-,layout: decoding gives a page to each set with a valid way"`
+	pool        *Pool
 	sharerWords int    `snap:"-,config"`
 	setMask     uint64 `snap:"-,config"`
 	setShift    uint   `snap:"-,config"`
@@ -171,18 +169,38 @@ type Array struct {
 	marks *marks `snap:"-,derived: the checker's sweep record; a built or restored array starts with every way marked"`
 }
 
-// slab holds consecutive pages: lines[k] is its k-th way and, in a directory
-// array, dir[k] and sharers[k*sharerWords:(k+1)*sharerWords] that way's
-// directory.
+// Pool is the page store of one cache level of a machine: the L1s, the L2s
+// or the LLC slices. Every array of the level carves its pages from the
+// pool's slabs, slabPages pages each (the last cut to the level's sets left),
+// which never move or grow, so a *Line stays valid while any array of the
+// level carves, and at most one slab is not full. The pool also holds the
+// level's pageOf table, which its arrays share out, and its slab table is
+// sized at build.
+type Pool struct {
+	slabs []slab
+	// pages is the number of pages carved.
+	pages int `snap:"-,layout: the count of nonzero pageOf entries"`
+	// pageOf is the level's set-to-page table: array j's share is its j-th
+	// stretch of sets, and arrays is the number of arrays built.
+	pageOf []uint64 `snap:"-,layout: each array's share is described by the array"`
+	arrays int      `snap:"-,layout: the arrays of the level"`
+	// geometry is what each array of the level copies besides its share.
+	geometry Array `snap:"-,config"`
+}
+
+// slab holds consecutive pages: tags[k] and lines[k] are its k-th way's and,
+// in a directory array, dir[k] and sharers[k*sharerWords:(k+1)*sharerWords]
+// that way's directory. The sharer words share the tags' allocation.
 type slab struct {
+	tags    []uint64
 	lines   []Line
 	dir     []DirEntry
 	sharers []uint64
 }
 
-// pageGranule is the number of pages in an array's first slab; each later
-// slab holds twice the one before.
-const pageGranule = 16
+// slabPages is the number of pages in a slab: 48 KB of 16-way LLC sets at up
+// to 64 tiles, which bounds what a level's slabs hold beyond its pages.
+const slabPages = 64
 
 // marks is what a tracked array handed out since the checker's last sweep:
 // one bit a way, and the addresses its ways stopped holding, oldest first.
@@ -191,37 +209,30 @@ type marks struct {
 	freed []uint64
 }
 
-// noTag marks a free way in Array.tags. Line addresses are line-aligned, so
-// no lookup ever asks for it.
+// noTag is the tag of a free way. Line addresses are line-aligned, so no
+// lookup ever asks for it.
 const noTag = ^uint64(0)
 
-// NewArray builds an array with sizeBytes capacity, the given associativity,
-// and noc.LineBytes lines. The set count must come out a power of two.
-func NewArray(sizeBytes, ways int) *Array {
-	return NewInterleavedArray(sizeBytes, ways, 1)
+// Pools are a machine's page pools, one a cache level.
+type Pools struct{ L1, L2, LLC *Pool }
+
+// NewPools builds the pools of cfg's machine: its caches' geometry, one array
+// a tile at each level, and an LLC slice's directory (a tiles-bit sharer set
+// beside every way) on an LLC interleaved over the tiles.
+func NewPools(cfg *config.System) Pools {
+	t := cfg.Tiles()
+	return Pools{newPool(cfg.L1Size, cfg.L1Ways, 1, 0, t), newPool(cfg.L2Size, cfg.L2Ways, 1, 0, t),
+		newPool(cfg.LLCSliceSize, cfg.LLCWays, t, (t+63)/64, t)}
 }
 
-// NewInterleavedArray builds an array for one slice of an address-
-// interleaved cache: the log2(interleave) address bits that select the
-// slice are skipped when computing the set index, so a slice uses all of
-// its sets rather than the 1/interleave subset its stripe of addresses
-// would otherwise map to.
-func NewInterleavedArray(sizeBytes, ways, interleave int) *Array {
-	a := newArray(sizeBytes, ways, interleave, 0)
-	return &a
-}
-
-// newDirectoryArray builds the array of one slice of an LLC interleaved over
-// tiles slices: an interleaved array with a directory entry and a tiles-bit
-// sharer set beside every way.
-func newDirectoryArray(sizeBytes, ways, tiles int) Array {
-	return newArray(sizeBytes, ways, tiles, (tiles+63)/64)
-}
-
-// newArray builds an array interleaved over interleave slices with
-// sharerWords sharer words a way (0: not a directory array). The caches hold
-// their arrays by value, one allocation fewer each.
-func newArray(sizeBytes, ways, interleave, sharerWords int) Array {
+// newPool builds the pool of arrays arrays of sizeBytes capacity, the given
+// associativity and noc.LineBytes lines, with sharerWords sharer words a way
+// (0: not a directory array). The set count must come out a power of two. An
+// array of an address-interleaved cache (interleave slices) skips the
+// log2(interleave) address bits that select the slice when it computes the
+// set index, so a slice uses all of its sets rather than the 1/interleave
+// subset its stripe of addresses would otherwise map to.
+func newPool(sizeBytes, ways, interleave, sharerWords, arrays int) *Pool {
 	sets := sizeBytes / noc.LineBytes / ways
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)", sets, sizeBytes, ways))
@@ -229,20 +240,27 @@ func newArray(sizeBytes, ways, interleave, sharerWords int) Array {
 	if interleave <= 0 || interleave&(interleave-1) != 0 {
 		panic(fmt.Sprintf("cache: interleave %d not a power of two", interleave))
 	}
-	index := make([]uint64, sets*ways+sets)
-	a := Array{
-		tags:        index[:sets*ways],
-		pageOf:      index[sets*ways:],
-		slabs:       make([]slab, 0, bits.Len(uint((sets+pageGranule-1)/pageGranule))),
-		sharerWords: sharerWords,
-		setMask:     uint64(sets - 1),
-		setShift:    uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))),
-		ways:        ways,
-	}
-	for i := range a.tags {
-		a.tags[i] = noTag
-	}
+	p := &Pool{pageOf: make([]uint64, arrays*sets), slabs: make([]slab, 0, (arrays*sets+slabPages-1)/slabPages)}
+	p.geometry = Array{pool: p, sharerWords: sharerWords, setMask: uint64(sets - 1),
+		setShift: uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))), ways: ways}
+	return p
+}
+
+// newArray builds the next of the arrays the pool was built for. The caches
+// hold their arrays by value, one allocation fewer each.
+func (p *Pool) newArray() Array {
+	a, sets := p.geometry, int(p.geometry.setMask+1)
+	a.pageOf, p.arrays = p.pageOf[p.arrays*sets:(p.arrays+1)*sets], p.arrays+1
 	return a
+}
+
+// Pages returns the number of sets that have a page and the number of ways
+// the pool's slabs hold.
+func (p *Pool) Pages() (sets, ways int) {
+	if n := len(p.slabs); n > 0 {
+		ways = (n-1)*slabPages*p.geometry.ways + len(p.slabs[n-1].lines)
+	}
+	return p.pages, ways
 }
 
 // set returns the set lineAddr maps to.
@@ -251,107 +269,93 @@ func (a *Array) set(lineAddr uint64) int { return int((lineAddr >> a.setShift) &
 // base returns the index of the first way of lineAddr's set.
 func (a *Array) base(lineAddr uint64) int { return a.set(lineAddr) * a.ways }
 
-// carve gives set s, which has no page, the next page: the next of the last
-// slab's, or the first of a new slab. Slab j holds pages pageGranule*(2^j-1)
-// up to pageGranule*(2^(j+1)-1). The set's ways come into being, so a
-// tracked array marks them all.
+// carve gives set s, which has no page, the pool's next page: the next of its
+// last slab's, or the first of a new slab. The set's ways come into being
+// free, so a tracked array marks them all.
 func (a *Array) carve(s int) {
-	p := a.pages
-	j := bits.Len(uint(p/pageGranule+1)) - 1
-	if j == len(a.slabs) {
-		n := min(pageGranule<<j, len(a.pageOf)-p) * a.ways
-		sl := slab{lines: make([]Line, n)}
+	p := a.pool
+	k := p.pages % slabPages * a.ways
+	if k == 0 {
+		n := min(slabPages, len(p.pageOf)-p.pages) * a.ways
+		words := make([]uint64, n*(1+a.sharerWords))
+		sl := slab{tags: words[:n:n], lines: make([]Line, n)}
 		if a.sharerWords > 0 {
-			sl.dir, sl.sharers = make([]DirEntry, n), make([]uint64, n*a.sharerWords)
+			sl.dir, sl.sharers = make([]DirEntry, n), words[n:]
 		}
-		a.slabs = append(a.slabs, sl)
+		p.slabs = append(p.slabs, sl)
 	}
-	a.pages++
-	a.pageOf[s] = uint64(j)<<32 | uint64((p-pageGranule*(1<<j-1))*a.ways+1)
-	lines := a.page(s)
-	for w := range lines {
-		lines[w].way = uint32(s*a.ways + w)
+	sl := &p.slabs[len(p.slabs)-1]
+	p.pages, a.pageOf[s] = p.pages+1, uint64(len(p.slabs)-1)<<32|uint64(k+1)
+	for w := range a.ways {
+		sl.tags[k+w], sl.lines[k+w].way = noTag, uint32(s*a.ways+w)
 		a.mark(s*a.ways+w, noTag)
 	}
 }
 
-// at returns the slab holding way w of set s and the way's offset in it; sl
-// is nil while the set has no page.
-func (a *Array) at(s, w int) (sl *slab, k int) {
-	v := a.pageOf[s]
-	if v == 0 {
-		return nil, 0
+// at returns the slab holding set s's page and the offset there of its first
+// way; sl is nil while the set has no page.
+func (a *Array) at(s int) (sl *slab, k int) {
+	if v := a.pageOf[s]; v != 0 {
+		return &a.pool.slabs[v>>32], int(uint32(v)) - 1
 	}
-	return &a.slabs[v>>32], int(uint32(v)) - 1 + w
+	return nil, 0
 }
 
-// page returns the lines of set s, which has a page.
-func (a *Array) page(s int) []Line {
-	sl, k := a.at(s, 0)
-	return sl.lines[k : k+a.ways : k+a.ways]
+// locate returns the slab holding way i and the way's offset there; sl is nil
+// while its set has no page.
+func (a *Array) locate(i int) (sl *slab, k int) {
+	s := i / a.ways
+	sl, k = a.at(s)
+	return sl, k + i - s*a.ways
 }
 
 // slot returns way i's line, or nil while its set has no page.
 func (a *Array) slot(i int) *Line {
-	s := i / a.ways
-	if sl, k := a.at(s, i-s*a.ways); sl != nil {
+	if sl, k := a.locate(i); sl != nil {
 		return &sl.lines[k]
 	}
 	return nil
 }
 
 // dirWay returns the directory of l, a valid way of a directory array.
-func (a *Array) dirWay(l *Line) DirWay { return a.dirAt(a.index(l)) }
+func (a *Array) dirWay(l *Line) DirWay { return a.dirOf(a.index(l)) }
 
-// dirAt returns the directory of way i, whose set has a page.
-func (a *Array) dirAt(i int) DirWay {
-	s := i / a.ways
-	sl, k := a.at(s, i-s*a.ways)
+// dirOf returns the directory of the way at offset k of slab sl.
+func (a *Array) dirOf(sl *slab, k int) DirWay {
 	return DirWay{&sl.dir[k], sl.sharers[k*a.sharerWords : (k+1)*a.sharerWords]}
 }
 
 // Sets returns the number of sets.
 func (a *Array) Sets() int { return len(a.pageOf) }
 
-// Pages returns the number of sets that have a page and the number of ways
-// the slabs they were carved from hold.
-func (a *Array) Pages() (sets, ways int) {
-	for _, sl := range a.slabs {
-		ways += len(sl.lines)
-	}
-	return a.pages, ways
-}
-
-// find returns lineAddr's set and the way of it holding lineAddr, or -1.
-func (a *Array) find(lineAddr uint64) (s, w int) {
-	s = a.set(lineAddr)
-	for w, t := range a.tags[s*a.ways : (s+1)*a.ways] {
-		if t == lineAddr {
-			return s, w
+// find returns the line holding lineAddr and its way's number, or nil. A set
+// with no page is answered from pageOf alone.
+func (a *Array) find(lineAddr uint64) (l *Line, i int) {
+	s := a.set(lineAddr)
+	if sl, k := a.at(s); sl != nil {
+		for w, t := range sl.tags[k : k+a.ways] {
+			if t == lineAddr {
+				return &sl.lines[k+w], s*a.ways + w
+			}
 		}
 	}
-	return s, -1
+	return nil, 0
 }
 
 // Lookup returns the line holding lineAddr, or nil.
 func (a *Array) Lookup(lineAddr uint64) *Line {
-	s, w := a.find(lineAddr)
-	if w < 0 {
-		return nil
+	l, i := a.find(lineAddr)
+	if l != nil {
+		a.mark(i, noTag)
 	}
-	a.mark(s*a.ways+w, noTag)
-	sl, k := a.at(s, w)
-	return &sl.lines[k]
+	return l
 }
 
 // Peek is Lookup for the checker and tests: it hands nothing out, so it
 // marks nothing, and a line it returns must not be written.
 func (a *Array) Peek(lineAddr uint64) *Line {
-	if s, w := a.find(lineAddr); w >= 0 {
-		sl, k := a.at(s, w)
-		return &sl.lines[k]
-	}
-	return nil
+	l, _ := a.find(lineAddr)
+	return l
 }
 
 // mark records that way i was handed out and, unless freed is noTag, that
@@ -368,8 +372,8 @@ func (a *Array) mark(i int, freed uint64) {
 // Track starts marking the ways the array hands out, with every way marked:
 // the first sweep after it sees the whole array.
 func (a *Array) Track() {
-	a.marks = &marks{ways: make([]uint64, (len(a.tags)+63)/64)}
-	for i := range a.tags {
+	a.marks = &marks{ways: make([]uint64, (a.Len()+63)/64)}
+	for i := range a.Len() {
 		a.mark(i, noTag)
 	}
 }
@@ -377,7 +381,7 @@ func (a *Array) Track() {
 // nextMarked returns the first way from i on that was handed out since the
 // last ClearMarks, or -1; always -1 on an untracked array.
 func (a *Array) nextMarked(i int) int {
-	if a.marks == nil || i >= len(a.tags) {
+	if a.marks == nil || i >= a.Len() {
 		return -1
 	}
 	w := i >> 6
@@ -394,7 +398,7 @@ func (a *Array) nextMarked(i int) int {
 // nextWay returns i while it is a way, or -1: nextMarked with every way
 // marked.
 func (a *Array) nextWay(i int) int {
-	if i < len(a.tags) {
+	if i < a.Len() {
 		return i
 	}
 	return -1
@@ -404,8 +408,8 @@ func (a *Array) nextWay(i int) int {
 // holds a line, in way order, with the line's address.
 func (a *Array) ForEachMarked(f func(addr uint64, l *Line)) {
 	for i := a.nextMarked(0); i >= 0; i = a.nextMarked(i + 1) {
-		if t := a.tags[i]; t != noTag {
-			f(t, a.slot(i))
+		if sl, k := a.locate(i); sl != nil && sl.tags[k] != noTag {
+			f(sl.tags[k], &sl.lines[k])
 		}
 	}
 }
@@ -429,13 +433,17 @@ func (a *Array) ClearMarks() {
 }
 
 // Len returns the number of ways.
-func (a *Array) Len() int { return len(a.tags) }
+func (a *Array) Len() int { return len(a.pageOf) * a.ways }
 
 // Way returns way i's address (^0 while free), its line (nil while its set
 // has no page), and whether it was handed out since the last ClearMarks
 // (tests).
 func (a *Array) Way(i int) (addr uint64, l *Line, marked bool) {
-	return a.tags[i], a.slot(i), a.marks != nil && a.marks.ways[i>>6]&(1<<(i&63)) != 0
+	addr, marked = noTag, a.marks != nil && a.marks.ways[i>>6]&(1<<(i&63)) != 0
+	if sl, k := a.locate(i); sl != nil {
+		addr, l = sl.tags[k], &sl.lines[k]
+	}
+	return addr, l, marked
 }
 
 // Victim returns the replacement candidate for lineAddr under the policy:
@@ -444,17 +452,17 @@ func (a *Array) Way(i int) (addr uint64, l *Line, marked bool) {
 // set that has no page gives the set its page.
 func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
 	s := a.set(lineAddr)
-	base := s * a.ways
-	for w, t := range a.tags[base : base+a.ways] {
+	if a.pageOf[s] == 0 {
+		a.carve(s)
+	}
+	sl, k := a.at(s)
+	for w, t := range sl.tags[k : k+a.ways] {
 		if t == noTag {
-			if a.pageOf[s] == 0 {
-				a.carve(s)
-			}
-			a.mark(base+w, noTag)
-			return &a.page(s)[w]
+			a.mark(s*a.ways+w, noTag)
+			return &sl.lines[k+w]
 		}
 	}
-	lines, best := a.page(s), -1
+	lines, best := sl.lines[k:k+a.ways], -1
 	for w := range lines {
 		if l := &lines[w]; allowed(l) && (best < 0 || l.LastUse < lines[best].LastUse) {
 			best = w
@@ -463,52 +471,56 @@ func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
 	if best < 0 {
 		return nil
 	}
-	a.mark(base+best, noTag)
+	a.mark(s*a.ways+best, noTag)
 	return &lines[best]
 }
 
 // ForEach visits every valid line with its address, in way order.
 func (a *Array) ForEach(f func(addr uint64, l *Line)) {
-	for s, p := range a.pageOf {
-		if p == 0 {
-			continue
-		}
-		lines := a.page(s)
-		for w, t := range a.tags[s*a.ways : (s+1)*a.ways] {
-			if t != noTag {
-				f(t, &lines[w])
+	for s := range a.pageOf {
+		if sl, k := a.at(s); sl != nil {
+			for w, t := range sl.tags[k : k+a.ways] {
+				if t != noTag {
+					f(t, &sl.lines[k+w])
+				}
 			}
 		}
 	}
 }
 
-// index returns the number of l, a way of this array: the number the line
-// carries, checked against that way's slot, so a line of another array or
-// none panics.
-func (a *Array) index(l *Line) int {
-	if i := int(l.way); i < len(a.tags) && a.slot(i) == l {
-		return i
+// index returns the slab holding l, a way of this array, and its offset
+// there: the way's number is the one the line carries, checked against that
+// way's slot, so a line of another array or none panics.
+func (a *Array) index(l *Line) (sl *slab, k int) {
+	if i := int(l.way); i < a.Len() {
+		if sl, k = a.locate(i); sl != nil && &sl.lines[k] == l {
+			return sl, k
+		}
 	}
 	panic("cache: line is not a way of this array")
 }
 
 // Tag returns the address of the line l, a way of this array, holds (noTag
 // while the way is free).
-func (a *Array) Tag(l *Line) uint64 { return a.tags[a.index(l)] }
+func (a *Array) Tag(l *Line) uint64 {
+	sl, k := a.index(l)
+	return sl.tags[k]
+}
 
 // Install claims the given line struct, a way of lineAddr's set, for
 // lineAddr, resetting metadata (and, in a directory array, the way's
 // directory entry).
 func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
-	w := a.index(l)
+	sl, k := a.index(l)
+	w := int(l.way)
 	if st == StateI || lineAddr == noTag || a.base(lineAddr) != w-w%a.ways {
 		panic(fmt.Sprintf("cache: installing %#x in state %v in way %d", lineAddr, st, w))
 	}
-	a.mark(w, a.tags[w])
-	a.tags[w] = lineAddr
+	a.mark(w, sl.tags[k])
+	sl.tags[k] = lineAddr
 	*l = Line{State: st, LastUse: now, way: l.way}
 	if a.sharerWords > 0 {
-		d := a.dirAt(w)
+		d := a.dirOf(sl, k)
 		*d.DirEntry = DirEntry{}
 		clear(d.words)
 	}
@@ -517,9 +529,9 @@ func (a *Array) Install(l *Line, lineAddr uint64, st State, now sim.Cycle) {
 // Invalidate frees the way holding the valid line l. The rest of the line
 // is left as it was: a free way's metadata is never read.
 func (a *Array) Invalidate(l *Line) {
-	w := a.index(l)
-	a.mark(w, a.tags[w])
-	a.tags[w] = noTag
+	sl, k := a.index(l)
+	a.mark(int(l.way), sl.tags[k])
+	sl.tags[k] = noTag
 	l.State = StateI
 }
 
@@ -538,11 +550,11 @@ func (a *Array) auditMarked() error { return a.auditWays(a.nextMarked) }
 // -1) against its set.
 func (a *Array) auditWays(next func(int) int) error {
 	for i := next(0); i >= 0; i = next(i + 1) {
-		set := i - i%a.ways
-		t, st := a.tags[i], StateI
-		if l := a.slot(i); l != nil {
-			st = l.State
+		sl, k := a.locate(i)
+		if sl == nil { // a set with no page: free ways
+			continue
 		}
+		t, st, first := sl.tags[k], sl.lines[k].State, k-i%a.ways
 		switch {
 		case st == StateI && t != noTag:
 			return fmt.Errorf("way %d is free but tagged %#x", i, t)
@@ -552,11 +564,11 @@ func (a *Array) auditWays(next func(int) int) error {
 			return fmt.Errorf("way %d holds a line in %v but no tag", i, st)
 		case t%noc.LineBytes != 0:
 			return fmt.Errorf("way %d is tagged %#x, not a line address", i, t)
-		case a.base(t) != set:
+		case a.base(t) != i-i%a.ways:
 			return fmt.Errorf("way %d is tagged %#x, a line of another set", i, t)
 		}
-		for j := set; j < set+a.ways; j++ {
-			if j != i && a.tags[j] == t {
+		for w, u := range sl.tags[first : first+a.ways] {
+			if j := i - i%a.ways + w; j != i && u == t {
 				return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, min(i, j), max(i, j))
 			}
 		}

@@ -6,23 +6,23 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"pushmulticast/internal/config"
 	"pushmulticast/internal/noc"
 	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 )
 
 // TestLineLayout pins what Line's field order is for: a way of any cache is
-// two words, four bytes and its way number (its tag lives once, in the
-// array's index), and the directory words are the LLC's alone. A way costs
-// its 8-byte tag from the start and the rest once its set has a page: 24
-// bytes in a private array, 16 more in a directory array at up to 64 tiles
-// (an 8-byte entry and one sharer word) and 40 more at 256 (four words).
+// two words, four bytes and its way number (its tag lives once, beside it in
+// its page), and the directory words are the LLC's alone. A way costs nothing
+// until its set has a page, and then 32 bytes (its tag and Line) in a private
+// array, 16 more in a directory array at up to 64 tiles (an 8-byte entry and
+// one sharer word) and 40 more at 256 (four words).
 func TestLineLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Line{}); size != 24 {
 		t.Errorf("Line is %d bytes, want 24", size)
@@ -34,27 +34,29 @@ func TestLineLayout(t *testing.T) {
 		t.Errorf("DirEntry is %d bytes, want 8", size)
 	}
 	pageBytes := func(a *Array) uintptr {
-		sl := a.slabs[0]
-		return (uintptr(len(sl.lines))*unsafe.Sizeof(Line{}) + uintptr(len(sl.dir))*unsafe.Sizeof(DirEntry{}) +
-			uintptr(len(sl.sharers))*8) / uintptr(len(sl.lines))
+		sl := a.pool.slabs[0]
+		return (uintptr(len(sl.tags))*8 + uintptr(len(sl.lines))*unsafe.Sizeof(Line{}) +
+			uintptr(len(sl.dir))*unsafe.Sizeof(DirEntry{}) + uintptr(len(sl.sharers))*8) / uintptr(len(sl.lines))
 	}
-	private := NewArray(256<<10, 16)
-	if len(private.slabs) != 0 {
-		t.Errorf("a new private array holds %d slabs", len(private.slabs))
+	private := testArray(256<<10, 16, 1, 0)
+	if len(private.pool.slabs) != 0 {
+		t.Errorf("a new private array's pool holds %d slabs", len(private.pool.slabs))
 	}
 	private.Victim(0, nil)
-	if got := pageBytes(private); got != 24 || private.slabs[0].dir != nil || private.slabs[0].sharers != nil {
-		t.Errorf("a private array's page costs %d bytes a way with %d directory entries, want 24 and none", got, len(private.slabs[0].dir))
+	if sl := private.pool.slabs[0]; pageBytes(private) != 32 || sl.dir != nil || sl.sharers != nil {
+		t.Errorf("a private array's page costs %d bytes a way with %d directory entries, want 32 and none", pageBytes(private), len(sl.dir))
 	}
 	for _, tc := range []struct {
-		tiles, words int
-		bytes        uintptr
-	}{{16, 1, 40}, {64, 1, 40}, {256, 4, 64}} {
-		a := newDirectoryArray(64<<10, 16, tc.tiles)
+		cfg   config.System
+		words int
+		bytes uintptr
+	}{{config.Default16(), 1, 48}, {config.Default64(), 1, 48}, {config.Default256(), 4, 72}} {
+		cfg := tc.cfg.Scaled(16)
+		a := NewPools(&cfg).LLC.newArray()
 		a.Victim(0, nil)
 		if got := pageBytes(&a); got != tc.bytes || a.sharerWords != tc.words {
 			t.Errorf("%d tiles: a directory array's page costs %d bytes a way with %d sharer words, want %d and %d",
-				tc.tiles, got, a.sharerWords, tc.bytes, tc.words)
+				cfg.Tiles(), got, a.sharerWords, tc.bytes, tc.words)
 		}
 	}
 }
@@ -63,12 +65,12 @@ func TestLineLayout(t *testing.T) {
 // mesh size and requires a member past them to panic.
 func TestDirWaySharers(t *testing.T) {
 	for _, tiles := range []int{16, 64, 256} {
-		a := newDirectoryArray(64<<10, 16, tiles)
+		a := testArray(64<<10, 16, tiles, (tiles+63)/64)
 		l := a.Victim(0, nil)
 		a.Install(l, 0, StateLV, 0)
 		d := a.dirWay(l)
 		want := noc.OneDest(0).Add(noc.NodeID(tiles - 1))
-		if d.SetSharers(want); d.Sharers() != want || a.dirAt(1).Sharers() != (noc.DestSet{}) {
+		if d.SetSharers(want); d.Sharers() != want || a.dirOf(a.locate(1)).Sharers() != (noc.DestSet{}) {
 			t.Errorf("%d tiles: stored %v, loaded %v", tiles, want, d.Sharers())
 		}
 		if tiles == noc.MaxNodes {
@@ -86,7 +88,7 @@ func TestDirWaySharers(t *testing.T) {
 }
 
 func TestArrayGeometry(t *testing.T) {
-	a := NewArray(256<<10, 16)
+	a := testArray(256<<10, 16, 1, 0)
 	if a.Sets() != 256 || a.ways != 16 {
 		t.Fatalf("geometry = %d sets x %d ways, want 256x16", a.Sets(), a.ways)
 	}
@@ -98,11 +100,11 @@ func TestArrayBadGeometryPanics(t *testing.T) {
 			t.Fatal("expected panic for non-power-of-two set count")
 		}
 	}()
-	NewArray(3*64*4, 4) // 3 sets
+	newPool(3*64*4, 4, 1, 0, 1) // 3 sets
 }
 
 func TestArrayLookupInstall(t *testing.T) {
-	a := NewArray(4096, 4) // 16 sets x 4 ways
+	a := testArray(4096, 4, 1, 0) // 16 sets x 4 ways
 	if a.Lookup(0x1000) != nil {
 		t.Fatal("lookup on empty array should miss")
 	}
@@ -122,7 +124,7 @@ func TestArrayLookupInstall(t *testing.T) {
 // read another way's tag, and so does installing a line in a way of another
 // set.
 func TestArrayIndexRefusesForeignLine(t *testing.T) {
-	a, b := NewArray(4*64, 4), NewArray(4*64, 4)
+	a, b := testArray(4*64, 4, 1, 0), testArray(4*64, 4, 1, 0)
 	foreign := b.Victim(0, nil) // way 0 of b, the number a's way 0 has
 	for _, carved := range []bool{false, true} {
 		if carved {
@@ -142,7 +144,7 @@ func TestArrayIndexRefusesForeignLine(t *testing.T) {
 	if a.Tag(a.Victim(0, nil)) != noTag {
 		t.Error("a free way is tagged")
 	}
-	two := NewArray(2*4*64, 4) // line 0x40 maps to set 1, ways 4-7
+	two := testArray(2*4*64, 4, 1, 0) // line 0x40 maps to set 1, ways 4-7
 	defer func() {
 		if r := recover(); fmt.Sprint(r) != "cache: installing 0x40 in state S in way 0" {
 			t.Errorf("installing a line in another set's way says %v, want a panic", r)
@@ -152,7 +154,7 @@ func TestArrayIndexRefusesForeignLine(t *testing.T) {
 }
 
 func TestArrayLRUVictim(t *testing.T) {
-	a := NewArray(4*64, 4) // 1 set x 4 ways
+	a := testArray(4*64, 4, 1, 0) // 1 set x 4 ways
 	for i := 0; i < 4; i++ {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateS, sim.Cycle(10+5*i))
@@ -164,7 +166,7 @@ func TestArrayLRUVictim(t *testing.T) {
 }
 
 func TestArrayVictimRespectsPredicate(t *testing.T) {
-	a := NewArray(2*64, 2) // 1 set x 2 ways
+	a := testArray(2*64, 2, 1, 0) // 1 set x 2 ways
 	for i := 0; i < 2; i++ {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateISD, 0)
@@ -177,7 +179,7 @@ func TestArrayVictimRespectsPredicate(t *testing.T) {
 func TestInterleavedArraySpreadsSets(t *testing.T) {
 	// A 16-way slice of a 16-slice cache: addresses striped by 16 lines
 	// must cover all sets, not just set 0.
-	a := NewInterleavedArray(64<<10, 16, 16)
+	a := testArray(64<<10, 16, 16, 0)
 	seen := map[int]bool{}
 	for i := 0; i < 1024; i++ {
 		addr := uint64(i) * 16 * 64 // slice-0 stripe
@@ -191,7 +193,7 @@ func TestInterleavedArraySpreadsSets(t *testing.T) {
 // Property: for any address sequence, Lookup never returns a line with a
 // different tag, and Install/Lookup round-trips.
 func TestArrayLookupConsistency(t *testing.T) {
-	a := NewArray(64*64, 4)
+	a := testArray(64*64, 4, 1, 0)
 	f := func(addrs []uint16) bool {
 		for _, raw := range addrs {
 			addr := uint64(raw) * 64
@@ -236,7 +238,7 @@ func TestStateStringsAndTransience(t *testing.T) {
 }
 
 func TestArrayForEach(t *testing.T) {
-	a := NewArray(8*64, 2)
+	a := testArray(8*64, 2, 1, 0)
 	for i := 0; i < 3; i++ {
 		v := a.Victim(uint64(i*64), func(*Line) bool { return true })
 		a.Install(v, uint64(i*64), StateS, 0)
@@ -257,15 +259,25 @@ func TestArrayForEach(t *testing.T) {
 // and audit must stay clean after every operation. So must pages: a set has
 // one from its first Victim on and not before, whatever else was asked of the
 // array, and an array decoded from a snapshot of it gives one exactly to each
-// set holding a valid way.
+// set holding a valid way. The array shares its pool with others, which carve
+// three slabs' worth of sets midway while every line of the array is held: each
+// held line keeps its way, tag and version. The pool's slabs hold at most one
+// slab more than the ways carved, and a machine of the pool's arrays decoded
+// onto a fresh pool carves exactly the sets that hold a valid way.
 func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 	states := []State{StateS, StateM, StateISD, StateSMD, StateLV, StateLM}
 	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}, {64, 2, 1}} {
 		rng := rand.New(rand.NewSource(int64(geom.sets*100 + geom.ways)))
-		a := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, geom.interleave)
+		others := (3*slabPages + geom.sets - 1) / geom.sets
+		newLevel := func() *Pool {
+			return newPool(geom.sets*geom.ways*64, geom.ways, geom.interleave, 0, 1+others)
+		}
+		pool := newLevel()
+		a := pool.newArray()
+		var rest []Array // the pool's other arrays, once built
 		set := func(addr uint64) []Line {
-			if s := a.set(addr); a.pageOf[s] != 0 {
-				return a.page(s)
+			if sl, k := a.at(a.set(addr)); sl != nil {
+				return sl.lines[k : k+a.ways]
 			}
 			return nil // a set with no page: every way free
 		}
@@ -292,26 +304,44 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			}
 			return best
 		}
+		holds := func(b *Array, s int) bool { // set s of b holds a valid way
+			for w := range b.ways {
+				if addr, _, _ := b.Way(s*b.ways + w); addr != noTag {
+					return true
+				}
+			}
+			return false
+		}
 		victimised := map[int]bool{} // sets Victim was asked about
 		pagesAgree := func(op int, what string, b *Array, want func(s int) bool) {
 			t.Helper()
-			n := 0
 			for s := range b.Sets() {
 				if has := b.pageOf[s] != 0; has != want(s) {
 					t.Fatalf("%+v op %d: %s: set %d has a page: %v, want %v", geom, op, what, s, has, want(s))
 				}
-				if b.pageOf[s] != 0 {
-					n++
-				}
-			}
-			if n != b.pages {
-				t.Fatalf("%+v op %d: %s: %d sets have pages, %d were carved", geom, op, what, n, b.pages)
 			}
 		}
-		encodeArray(a)
+		// slabsTight: the pool carved a page for each set of its arrays that
+		// has one, and its slabs hold those pages and at most one slab more.
+		slabsTight := func(op int, p *Pool, arrays []Array) {
+			t.Helper()
+			n := 0
+			for _, b := range arrays {
+				for _, v := range b.pageOf {
+					if v != 0 {
+						n++
+					}
+				}
+			}
+			if sets, ways := p.Pages(); sets != n || ways < sets*geom.ways || ways > (sets+slabPages)*geom.ways {
+				t.Fatalf("%+v op %d: the pool carved %d pages in slabs of %d ways; %d sets have pages, of %d ways a page and %d pages a slab",
+					geom, op, sets, ways, n, geom.ways, slabPages)
+			}
+		}
+		encodeArray(&a)
 		a.Track() // and marks what the ops hand out, carving included
-		if a.pages != 0 {
-			t.Fatalf("%+v: encoding and tracking a fresh array carved %d pages", geom, a.pages)
+		if pool.pages != 0 {
+			t.Fatalf("%+v: encoding and tracking a fresh array carved %d pages", geom, pool.pages)
 		}
 		// A few more addresses than lines, so sets fill up and evict.
 		addrs := make([]uint64, 3*geom.sets*geom.ways)
@@ -330,7 +360,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				t.Fatalf("%+v op %d: Lookup(%#x) = %p, linear scan finds %p", geom, op, addr, got, want)
 			case got == nil:
 				// Miss: fill through the replacement policy, as the caches do.
-				pagesAgree(op, "after a Lookup miss", a, func(s int) bool { return victimised[s] })
+				pagesAgree(op, "after a Lookup miss", &a, func(s int) bool { return victimised[s] })
 				allowed := stable
 				if rng.Intn(4) == 0 {
 					allowed = func(*Line) bool { return true }
@@ -342,6 +372,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				}
 				if v != nil {
 					a.Install(v, addr, states[rng.Intn(len(states))], now)
+					v.Version = uint64(op)
 					shadow[v] = addr
 				}
 			case rng.Intn(3) == 0:
@@ -355,6 +386,34 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			}
 			if err := a.audit(); err != nil {
 				t.Fatalf("%+v op %d: %v", geom, op, err)
+			}
+			if op == 10000 {
+				// Hold every line of a while the other arrays carve every set.
+				type held struct {
+					l            *Line
+					way          uint32
+					tag, version uint64
+				}
+				var hold []held
+				a.ForEach(func(addr uint64, l *Line) { hold = append(hold, held{l, l.way, addr, l.Version}) })
+				slabs := len(pool.slabs)
+				for range others {
+					b := pool.newArray()
+					for s := range b.Sets() {
+						addr := uint64(s) << b.setShift
+						b.Install(b.Victim(addr, nil), addr, StateS, now)
+					}
+					rest = append(rest, b)
+				}
+				if len(pool.slabs) < slabs+3 {
+					t.Fatalf("%+v: the other arrays carved %d slabs, want at least 3", geom, len(pool.slabs)-slabs)
+				}
+				for _, h := range hold {
+					if h.l.way != h.way || a.Tag(h.l) != h.tag || h.l.Version != h.version || a.Peek(h.tag) != h.l {
+						t.Fatalf("%+v: a line held across other arrays' carving moved or changed: way %d, tag %#x, version %d; held way %d, tag %#x, version %d",
+							geom, h.l.way, a.Tag(h.l), h.l.Version, h.way, h.tag, h.version)
+					}
+				}
 			}
 			if op%64 == 0 {
 				var visited []*Line
@@ -376,24 +435,60 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				if k != len(visited) {
 					t.Fatalf("%+v op %d: ForEach visited %d lines, %d are valid", geom, op, len(visited), k)
 				}
-				pagesAgree(op, "after Peek, audit and ForEach", a, func(s int) bool { return victimised[s] })
+				pagesAgree(op, "after Peek, audit and ForEach", &a, func(s int) bool { return victimised[s] })
+				slabsTight(op, pool, append([]Array{a}, rest...))
 			}
 			if op%1000 == 0 {
-				c, err := snapshot.NewDecoder(encodeArray(a))
+				c, err := snapshot.NewDecoder(encodeArray(&a))
 				if err != nil {
 					t.Fatal(err)
 				}
-				back := NewInterleavedArray(geom.sets*geom.ways*64, geom.ways, geom.interleave)
+				back := newLevel().newArray()
 				if back.state(c); c.Err() != nil {
 					t.Fatalf("%+v op %d: %v", geom, op, c.Err())
 				}
-				pagesAgree(op, "decoded", back, func(s int) bool {
-					return slices.ContainsFunc(a.tags[s*a.ways:(s+1)*a.ways], func(t uint64) bool { return t != noTag })
-				})
-				pagesAgree(op, "after encoding", a, func(s int) bool { return victimised[s] })
+				pagesAgree(op, "decoded", &back, func(s int) bool { return holds(&a, s) })
+				slabsTight(op, back.pool, []Array{back})
+				pagesAgree(op, "after encoding", &a, func(s int) bool { return victimised[s] })
 			}
 		}
+		// The machine of the pool's arrays, decoded array by array onto a
+		// fresh pool.
+		fresh, arrays := newLevel(), append([]Array{a}, rest...)
+		backs := make([]Array, len(arrays))
+		for i := range arrays {
+			c, err := snapshot.NewDecoder(encodeArray(&arrays[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			backs[i] = fresh.newArray()
+			if backs[i].state(c); c.Err() != nil {
+				t.Fatalf("%+v: array %d: %v", geom, i, c.Err())
+			}
+			pagesAgree(-1, fmt.Sprintf("array %d decoded onto a fresh pool", i), &backs[i], func(s int) bool { return holds(&arrays[i], s) })
+		}
+		slabsTight(-1, fresh, backs)
 	}
+}
+
+// testArray builds the one array of a pool of the given geometry.
+func testArray(sizeBytes, ways, interleave, sharerWords int) *Array {
+	a := newPool(sizeBytes, ways, interleave, sharerWords, 1).newArray()
+	return &a
+}
+
+// tagOf returns the tag of l, a way of a, to be written behind the array's
+// back.
+func tagOf(a *Array, l *Line) *uint64 {
+	tag, _ := way(a, int(l.way))
+	return tag
+}
+
+// way returns way i's tag and line, whose set has a page, to be written
+// behind the array's back.
+func way(a *Array, i int) (*uint64, *Line) {
+	sl, k := a.locate(i)
+	return &sl.tags[k], &sl.lines[k]
 }
 
 // encodeArray returns a's snapshot bytes.
@@ -408,7 +503,7 @@ func encodeArray(a *Array) []byte {
 // audit to say so.
 func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 	fill := func() (*Array, *Line) {
-		a := NewArray(4*4*64, 4)
+		a := testArray(4*4*64, 4, 1, 0)
 		for _, addr := range []uint64{0x000, 0x100, 0x040} {
 			a.Install(a.Victim(addr, nil), addr, StateS, 0)
 		}
@@ -421,13 +516,15 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 	}{
 		{"state freed directly", func(a *Array, l *Line) { l.State = StateI }, "free but tagged"},
 		{"state set directly", func(a *Array, l *Line) { a.Invalidate(l); l.State = StateS }, "no tag"},
-		{"tag not a line address", func(a *Array, l *Line) { a.tags[a.index(l)] = 0x101 }, "not a line address"},
-		{"tag of another set", func(a *Array, l *Line) { a.tags[a.index(l)] = 0x140 }, "another set"},
+		{"tag not a line address", func(a *Array, l *Line) { *tagOf(a, l) = 0x101 }, "not a line address"},
+		{"tag of another set", func(a *Array, l *Line) { *tagOf(a, l) = 0x140 }, "another set"},
 		{"installed in the wrong set", func(a *Array, l *Line) {
-			a.tags[a.base(0x040)+1], a.slot(a.base(0x040)+1).State = 0x100, l.State
+			tag, other := way(a, a.base(0x040)+1)
+			*tag, other.State = 0x100, l.State
 		}, "another set"},
 		{"duplicate in a set", func(a *Array, l *Line) {
-			a.tags[a.base(0x100)+2], a.slot(a.base(0x100)+2).State = 0x100, l.State
+			tag, other := way(a, a.base(0x100)+2)
+			*tag, other.State = 0x100, l.State
 		}, "valid in ways"},
 	} {
 		a, l := fill()
@@ -447,7 +544,16 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 // and holds nothing. Decoding gives a page only to the set with a valid way,
 // whose other ways are the zero Line, untagged.
 func TestArrayStateIsCanonical(t *testing.T) {
-	used, fresh := newDirectoryArray(4*4*64, 4, 1), newDirectoryArray(4*4*64, 4, 1)
+	pool := newPool(4*4*64, 4, 1, 1, 2)
+	used, fresh := pool.newArray(), pool.newArray()
+	pages := func(a *Array) (n int) {
+		for _, v := range a.pageOf {
+			if v != 0 {
+				n++
+			}
+		}
+		return n
+	}
 	for _, a := range []*Array{&used, &fresh} {
 		a.Install(a.Victim(0x040, nil), 0x040, StateS, 3)
 	}
@@ -458,14 +564,14 @@ func TestArrayStateIsCanonical(t *testing.T) {
 	used.dirWay(l).Epoch = 4
 	used.Invalidate(l)
 	data := encodeArray(&used)
-	if !bytes.Equal(data, encodeArray(&fresh)) || used.pages != 2 || fresh.pages != 1 {
+	if !bytes.Equal(data, encodeArray(&fresh)) || pages(&used) != 2 || pages(&fresh) != 1 {
 		t.Fatal("an installed-then-invalidated way serializes differently from one never used")
 	}
 	c, err := snapshot.NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := newDirectoryArray(4*4*64, 4, 1)
+	back := testArray(4*4*64, 4, 1, 1)
 	if back.state(c); c.Err() != nil {
 		t.Fatal(c.Err())
 	}
@@ -473,13 +579,14 @@ func TestArrayStateIsCanonical(t *testing.T) {
 		t.Fatalf("decoded array fails its audit: %v", err)
 	}
 	valid := back.Lookup(0x040)
-	if back.pages != 1 || back.pageOf[back.set(0x040)] == 0 || valid == nil || back.Lookup(0x100) != nil ||
-		!bytes.Equal(encodeArray(&back), data) {
-		t.Fatalf("decoded array has %d pages and differs from the one that never held the freed line", back.pages)
+	if back.pool.pages != 1 || back.pageOf[back.set(0x040)] == 0 || valid == nil || back.Lookup(0x100) != nil ||
+		!bytes.Equal(encodeArray(back), data) {
+		t.Fatalf("decoded array has %d pages and differs from the one that never held the freed line", back.pool.pages)
 	}
 	for i := range back.Len() {
-		if l := back.slot(i); l != nil && l != valid && (*l != Line{way: uint32(i)} || *back.dirAt(i).DirEntry != DirEntry{} || back.dirAt(i).Sharers() != noc.DestSet{}) {
-			t.Errorf("decoded free way %d holds %+v", i, *l)
+		if addr, l, _ := back.Way(i); l != nil && l != valid && (addr != noTag || *l != Line{way: uint32(i)} ||
+			*back.dirOf(back.locate(i)).DirEntry != DirEntry{} || back.dirOf(back.locate(i)).Sharers() != noc.DestSet{}) {
+			t.Errorf("decoded free way %d is tagged %#x and holds %+v", i, addr, *l)
 		}
 	}
 }
@@ -498,18 +605,18 @@ func TestArrayDecodeRefusesBadTags(t *testing.T) {
 		{"of another set", 0x140, "another set"},
 		{"repeated in its set", 0x000, "valid in ways"},
 	} {
-		a := NewArray(4*4*64, 4)
+		a := testArray(4*4*64, 4, 1, 0)
 		for _, addr := range []uint64{0x000, 0x100} {
 			a.Install(a.Victim(addr, nil), addr, StateS, 0)
 		}
-		a.tags[a.index(a.Lookup(0x100))] = tc.tag
+		*tagOf(a, a.Lookup(0x100)) = tc.tag
 		enc := snapshot.NewEncoder("", "", 0)
 		a.state(enc)
 		c, err := snapshot.NewDecoder(enc.Finish())
 		if err != nil {
 			t.Fatal(err)
 		}
-		NewArray(4*4*64, 4).state(c)
+		testArray(4*4*64, 4, 1, 0).state(c)
 		if err := c.Err(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s tag: decoder says %v, want a corrupt %q", tc.name, err, tc.want)
 		}

@@ -9,9 +9,9 @@ type L1 struct {
 	arr Array
 }
 
-// NewL1 builds an L1 data cache.
-func NewL1(sizeBytes, ways int) *L1 {
-	return &L1{arr: newArray(sizeBytes, ways, 1, 0)}
+// NewL1 builds an L1 data cache on the L1 pool p.
+func NewL1(p *Pool) *L1 {
+	return &L1{arr: p.newArray()}
 }
 
 // Lookup probes the L1 for a load; on a hit it returns the line version.

@@ -127,16 +127,16 @@ type L2 struct {
 	OnEvent func(state, event string) `snap:"-,wiring"`
 }
 
-// NewL2 builds the tile's private cache stack (L1 + L2) and attaches it to
-// the network.
-func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All, core Requestor) *L2 {
+// NewL2 builds the tile's private cache stack (L1 + L2), its arrays on the
+// machine's L1 and L2 pools, and attaches it to the network.
+func NewL2(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All, core Requestor, pools Pools) *L2 {
 	c := &L2{
 		id:   id,
 		cfg:  cfg,
 		eng:  eng,
 		st:   st,
-		arr:  newArray(cfg.L2Size, cfg.L2Ways, 1, 0),
-		l1:   NewL1(cfg.L1Size, cfg.L1Ways),
+		arr:  pools.L2.newArray(),
+		l1:   NewL1(pools.L1),
 		core: core,
 		mshr: make([]l2MSHR, 0, cfg.L2MSHRs),
 		inq:  delayQueue{latency: sim.Cycle(cfg.L2Latency)},

@@ -48,7 +48,7 @@ func newL2FixtureFor(t *testing.T, cfg config.System) *l2Fixture {
 		t.Fatal(err)
 	}
 	f := &l2Fixture{t: t, eng: eng, st: st, net: net, core: &recordingCore{}, cfg: cfg}
-	f.l2 = NewL2(3, &cfg, net, eng, st, f.core)
+	f.l2 = NewL2(3, &cfg, net, eng, st, f.core, NewPools(&cfg))
 	// Absorb anything the L2 sends toward its home.
 	for i := 0; i < cfg.Tiles(); i++ {
 		for u := stats.Unit(0); u < stats.NumUnits; u++ {

@@ -114,14 +114,15 @@ const (
 	recentPushWindow  = 256
 )
 
-// NewLLC builds a slice and attaches it to the network at the given tile.
-func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All) *LLC {
+// NewLLC builds a slice, its array on the machine's LLC pool, and attaches it
+// to the network at the given tile.
+func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All, pools Pools) *LLC {
 	s := &LLC{
 		id:      id,
 		cfg:     cfg,
 		eng:     eng,
 		st:      st,
-		arr:     newDirectoryArray(cfg.LLCSliceSize, cfg.LLCWays, cfg.Tiles()),
+		arr:     pools.LLC.newArray(),
 		inq:     delayQueue{latency: sim.Cycle(cfg.LLCLatency)},
 		out:     outbox{ni: net.NI(id), cfg: &cfg.NoC, unit: stats.UnitLLC},
 		knob:    newResumeKnob(cfg.TimeWindow, cfg.Scheme.Knob),
@@ -810,11 +811,11 @@ func (s *LLC) auditDirectory(next func(int) int) error {
 	// the mesh fills the word, where the shift by 64 leaves 0.
 	shift := uint(tiles - 64*(s.arr.sharerWords-1))
 	for i := next(0); i >= 0; i = next(i + 1) {
-		l := s.arr.slot(i)
-		if l == nil || l.State == StateI {
+		sl, k := s.arr.locate(i)
+		if sl == nil || sl.lines[k].State == StateI {
 			continue
 		}
-		addr, d := s.arr.tags[i], s.arr.dirAt(i)
+		l, addr, d := &sl.lines[k], sl.tags[k], s.arr.dirOf(sl, k)
 		switch past := d.words[len(d.words)-1] >> shift; {
 		case past != 0:
 			return fmt.Errorf("line %#x has sharer %d past the %d-tile mesh", addr, tiles+bits.TrailingZeros64(past), tiles)

@@ -11,24 +11,26 @@ import (
 // state describes the array's lines, set by set, way by way. A free way is
 // its state byte alone: its stale metadata is never read, so it is not state,
 // and leaving it out makes two arrays that behave alike serialize alike
-// whatever lines they held before, and whichever sets have pages. A valid way
-// is its state byte, its tag, then the rest of its line; in a directory array
-// its directory follows, the sharer set as four words whatever the mesh size.
-// Decoding targets a freshly built array, whose sets have no pages and whose
-// ways are untagged, gives a page to each set at its first valid way, and
-// refuses tags audit would refuse. Geometry comes from the config
-// fingerprint, so it is only checked.
+// whatever lines they held before, and whichever sets have pages, wherever
+// in the pool. A valid way is its state byte, its tag, then the rest of its
+// line; in a directory array its directory follows, the sharer set as four
+// words whatever the mesh size. Decoding targets an array of a freshly built
+// machine, whose sets have no pages, gives a page to each set at its first
+// valid way, and refuses tags audit would refuse. Geometry comes from the
+// config fingerprint, so it is only checked.
 func (a *Array) state(c *snapshot.Codec) {
-	c.Mark(&a.tags)
-	c.Mark(&a.slabs)
-	for k := range a.slabs {
-		c.Mark(&a.slabs[k].lines)
-		c.Mark(&a.slabs[k].dir)
-		c.Mark(&a.slabs[k].sharers)
+	p := a.pool
+	c.Mark(&a.pool)
+	c.Mark(&p.slabs)
+	for k := range p.slabs {
+		c.Mark(&p.slabs[k].tags)
+		c.Mark(&p.slabs[k].lines)
+		c.Mark(&p.slabs[k].dir)
+		c.Mark(&p.slabs[k].sharers)
 	}
 	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
-	for i := range a.tags {
+	for i := range a.Len() {
 		l := a.slot(i)
 		if l == nil { // a way of a set with no page
 			var st State
@@ -41,18 +43,19 @@ func (a *Array) state(c *snapshot.Codec) {
 		} else if snapshot.AsU8(c, &l.State); l.State == StateI {
 			continue
 		}
-		c.U64(&a.tags[i])
+		sl, k := a.locate(i)
+		c.U64(&sl.tags[k])
 		c.U64(&l.Version)
 		c.Bool(&l.Dirty)
 		c.Bool(&l.Pushed)
 		c.Bool(&l.Accessed)
 		snapshot.AsU64(c, &l.LastUse)
 		if a.sharerWords > 0 {
-			d := a.dirAt(i)
+			d := a.dirOf(sl, k)
 			s := d.Sharers()
 			c.U64s(s[:])
 			if past := s.Subtract(s.Mask(64 * copy(d.words, s[:]))); !past.Empty() {
-				c.Corrupt("line %#x has sharer %d past the mesh", a.tags[i], past.First())
+				c.Corrupt("line %#x has sharer %d past the mesh", sl.tags[k], past.First())
 			}
 			snapshot.AsU32(c, &d.Owner)
 			c.U32(&d.Epoch)

@@ -35,6 +35,9 @@ type System struct {
 	L2s   []*cache.L2
 	LLCs  []*cache.LLC
 	Mems  map[noc.NodeID]*memctrl.Ctrl
+	// Pools are the page pools the caches' arrays carve their sets from, one
+	// a cache level.
+	Pools cache.Pools `snap:"-,layout: each array describes the pages it carved"`
 
 	// Tracer and Checker are non-nil when the config enables tracing or
 	// invariant checking (cfg.TraceN / cfg.Check).
@@ -96,7 +99,7 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		inj.SetWaker(func(node int) { net.WakeTile(noc.NodeID(node)) })
 	}
 	s := &System{Cfg: cfg, Eng: eng, Net: net, St: st, Mems: make(map[noc.NodeID]*memctrl.Ctrl),
-		inj: inj, wlName: wl.Name, scale: sc}
+		inj: inj, wlName: wl.Name, scale: sc, Pools: cache.NewPools(&cfg)}
 
 	tiles := cfg.Tiles()
 	barrier := cpu.NewBarrier(tiles)
@@ -104,7 +107,7 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 	for i := 0; i < tiles; i++ {
 		id := noc.NodeID(i)
 		var c *cpu.Core
-		l2 := cache.NewL2(id, &s.Cfg, net, eng, st, deferredRequestor{&c})
+		l2 := cache.NewL2(id, &s.Cfg, net, eng, st, deferredRequestor{&c}, s.Pools)
 		s.L2s = append(s.L2s, l2)
 		var bingo *prefetch.Bingo
 		var stride *prefetch.Stride
@@ -122,7 +125,7 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		}
 		s.bingos = append(s.bingos, bingo)
 		s.strides = append(s.strides, stride)
-		s.LLCs = append(s.LLCs, cache.NewLLC(id, &s.Cfg, net, eng, st))
+		s.LLCs = append(s.LLCs, cache.NewLLC(id, &s.Cfg, net, eng, st, s.Pools))
 	}
 	for _, mc := range cfg.MemControllers() {
 		s.Mems[mc] = memctrl.New(mc, &s.Cfg, net, eng, st)

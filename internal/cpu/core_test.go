@@ -38,11 +38,12 @@ func buildRigOn(t *testing.T, streams []workload.Stream, dense bool) *rig {
 	}
 	r := &rig{eng: eng, st: st}
 	barrier := NewBarrier(len(streams))
+	pools := cache.NewPools(&cfg)
 	for i := 0; i < cfg.Tiles(); i++ {
 		id := noc.NodeID(i)
 		var c *Core
-		l2 := cache.NewL2(id, &cfg, net, eng, st, deferred{&c})
-		cache.NewLLC(id, &cfg, net, eng, st)
+		l2 := cache.NewL2(id, &cfg, net, eng, st, deferred{&c}, pools)
+		cache.NewLLC(id, &cfg, net, eng, st, pools)
 		if i < len(streams) {
 			c = New(id, &cfg, eng, st, l2, streams[i], barrier)
 			r.cores = append(r.cores, c)

@@ -25,7 +25,7 @@ func testL2(t *testing.T) (*cache.L2, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := cache.NewL2(0, &cfg, net, eng, st, nopCore{})
+	l2 := cache.NewL2(0, &cfg, net, eng, st, nopCore{}, cache.NewPools(&cfg))
 	return l2, eng
 }
 
