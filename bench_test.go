@@ -127,22 +127,30 @@ func TestRunBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := core.Build(cfg, wl, ScaleTiny)
-		if err != nil {
-			t.Fatal(err)
+		// MemStats counts every goroutine's allocations, and a stray one lands
+		// in a single reading now and then: the least of three runs, each on
+		// its own build, is the run's figure.
+		got, carved := ^uint64(0), [3]pages{}
+		for range 3 {
+			sys, err := core.Build(cfg, wl, ScaleTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := sys.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			carved = pageBytes(sys)
+			slabs := uint64(0)
+			for _, p := range carved {
+				slabs += p.bytes
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc-slabs)
 		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if _, err := sys.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		carved, slabs := pageBytes(sys), uint64(0)
-		for _, p := range carved {
-			slabs += p.bytes
-		}
-		got, want := after.TotalAlloc-before.TotalAlloc-slabs, runBytes[tc.name]
+		want := runBytes[tc.name]
 		t.Logf("%s: one run allocates %d bytes (recorded %d) besides pages carved for L1, L2 and LLC sets in slabs: %v", tc.name, got, want, carved)
 		if got > want+want/20 {
 			t.Errorf("%s: one run allocates %d bytes besides its pages, more than 5%% over the recorded %d; if the growth is intended, re-record runBytes in bench_test.go", tc.name, got, want)

@@ -3,6 +3,7 @@ package pushmulticast
 import (
 	"container/list"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -195,6 +196,9 @@ type memoEntry struct {
 	// elem is the entry's LRU position; nil while in flight (pinned — an
 	// in-flight entry can never be evicted) and again after eviction.
 	elem *list.Element
+	// ans is the completed run's wire answer, rendered on the first lookup
+	// that asks for it and shared read-only afterwards.
+	ans *RunAnswer
 }
 
 // ClearRunMemo empties the campaign-level run memo and resets its counters
@@ -266,7 +270,7 @@ func memoized(ctx context.Context, key memoKey, id string, run func(context.Cont
 	return waitMemo(ctx, e, false)
 }
 
-// memoFinished answers a key whose run completed (see ResolvedRun.Finished):
+// memoFinished answers a key whose run completed (see ResolvedRun.Execute):
 // the lookup counts as a hit and refreshes the entry's LRU position, as
 // memoized's own completed branch does. Completed entries are successful:
 // a failed run leaves the memo before its waiters are released.
@@ -280,6 +284,37 @@ func memoFinished(key memoKey) (Results, bool) {
 	runMemo.hits++
 	runMemo.lru.MoveToFront(e.elem)
 	return e.res, true
+}
+
+// memoAnswer returns the wire answer of r if its entry completed (see
+// ResolvedRun.Answered), rendering it on the first call. Like memoIdentity it
+// is not a hit: RunAnswer.Hit counts one when the answer is served.
+func memoAnswer(r ResolvedRun) (*RunAnswer, bool) {
+	key := r.key()
+	runMemo.Lock()
+	defer runMemo.Unlock()
+	e, ok := runMemo.m[key]
+	if !ok || e.elem == nil {
+		return nil, false
+	}
+	if e.ans == nil {
+		rec := r.Record(e.res, true, nil)
+		line, _ := json.Marshal(rec) // a RunRecord always marshals
+		e.ans = &RunAnswer{Record: rec, Line: append(line, '\n'), e: e}
+	}
+	return e.ans, true
+}
+
+// memoHit counts a hit on a completed entry and refreshes its LRU position,
+// as memoFinished does. An entry evicted or cleared since it was looked up
+// still counts: its answer was served from the memo.
+func memoHit(e *memoEntry) {
+	runMemo.Lock()
+	runMemo.hits++
+	if e.elem != nil {
+		runMemo.lru.MoveToFront(e.elem) // a no-op once ClearRunMemo replaced the list
+	}
+	runMemo.Unlock()
 }
 
 // memoIdentity returns the identity of a run the memo holds, completed or in

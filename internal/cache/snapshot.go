@@ -30,10 +30,15 @@ func (a *Array) state(c *snapshot.Codec) {
 	}
 	c.Count(a.Sets(), "cache sets")
 	c.Count(a.ways, "cache ways")
+	// One state cell and one sharer-set cell serve every way: the codec's
+	// primitives take their addresses, so cells declared per way would be a
+	// heap object per way.
+	var st State
+	var s noc.DestSet
 	for i := range a.Len() {
 		l := a.slot(i)
 		if l == nil { // a way of a set with no page
-			var st State
+			st = StateI
 			if snapshot.AsU8(c, &st); st == StateI {
 				continue
 			}
@@ -52,7 +57,7 @@ func (a *Array) state(c *snapshot.Codec) {
 		snapshot.AsU64(c, &l.LastUse)
 		if a.sharerWords > 0 {
 			d := a.dirOf(sl, k)
-			s := d.Sharers()
+			s = d.Sharers()
 			c.U64s(s[:])
 			if past := s.Subtract(s.Mask(64 * copy(d.words, s[:]))); !past.Empty() {
 				c.Corrupt("line %#x has sharer %d past the mesh", sl.tags[k], past.First())

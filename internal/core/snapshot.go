@@ -66,9 +66,7 @@ func (s *System) Snapshot() ([]byte, error) {
 		}
 	}
 	strict, fork := Fingerprint(s.Cfg, s.wlName, s.scale)
-	c := snapshot.NewEncoder(strict, fork, uint64(s.Eng.Now()))
-	s.state(c)
-	return c.Finish(), nil
+	return snapshot.Encode(strict, fork, uint64(s.Eng.Now()), s.state), nil
 }
 
 // Restore builds a fresh machine for (cfg, wl, sc) and loads the snapshot

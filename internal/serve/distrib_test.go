@@ -479,7 +479,7 @@ func (c stallingCtx) AfterFunc(func()) (stop func() bool) { return c.stop }
 func TestQuotaReleasedBeforeAnswer(t *testing.T) {
 	s, _ := newTestServer(t, Options{Workers: 1, TenantQuota: 1})
 	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []pushmulticast.WorkloadSpec{{Name: "cachebw"}}}
-	_, runs, err := spec.resolve(nil)
+	jobs, err := spec.resolve(nil, taskJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestQuotaReleasedBeforeAnswer(t *testing.T) {
 		}
 		return true
 	}}
-	out, _, err = s.submit(ctx, "t", []job{{run: &runs[0]}}, 1, func(ctx context.Context, group []job) produced {
+	out, _, err = s.submit(ctx, "t", []job{jobs[0]}, 1, func(ctx context.Context, group []job) produced {
 		<-stored // out is set before the worker's stop reads it
 		return answer(ctx, group)
 	})
@@ -503,7 +503,7 @@ func TestQuotaReleasedBeforeAnswer(t *testing.T) {
 	close(stored)
 	<-cancelled // so an answer sent before the cancel waits in out's buffer
 	<-out
-	_, _, err = s.submit(context.Background(), "t", []job{{run: &runs[0]}}, 1, answer)
+	_, _, err = s.submit(context.Background(), "t", []job{jobs[0]}, 1, answer)
 	close(resubmitted)
 	if err != nil {
 		t.Fatalf("a resubmit right after the answer arrived: %v", err)

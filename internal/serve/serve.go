@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -185,18 +186,23 @@ type campaignSummary struct {
 	distribution
 }
 
-// job is one run on its way through the pipeline. wire is set on a
-// coordinator only: the run description's bytes, which a replica resolves to
-// the same identity.
+// job is one run on its way through the pipeline, known by its identity: a
+// run the memo answers carries the memo's answer (hit), any other the run a
+// task will produce (run). wire is set on a coordinator only: the run
+// description's bytes, which a replica resolves to the same identity.
 type job struct {
+	id   string
 	run  *pushmulticast.ResolvedRun
+	hit  *pushmulticast.RunAnswer
 	wire json.RawMessage
 }
 
 // produced is what one task sends back: the records for its runs and how they
-// came to be.
+// came to be. hits is set only on the group submit answers itself: the memo's
+// answers, which stream as the lines the memo rendered.
 type produced struct {
 	recs []runRecord
+	hits []*pushmulticast.RunAnswer
 	distribution
 }
 
@@ -219,25 +225,21 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	specs, runs, err := spec.resolve(s.snaps.get)
+	jobs, err := spec.resolve(s.snaps.get, s.route)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	tenant := tenantOrDefault(spec.Tenant)
-	jobs := make([]job, len(runs))
-	for i := range runs {
-		jobs[i].run = &runs[i]
-		if s.coord != nil {
-			if jobs[i].wire, err = json.Marshal(specs[i]); err != nil {
-				httpError(w, http.StatusInternalServerError, fmt.Sprintf("run %s: %v", runs[i].Identity(), oneLine(err)))
-				return
-			}
-		}
-	}
 	per, produce := 1, s.simulate
 	if s.coord != nil {
 		per, produce = s.shardSize, func(ctx context.Context, group []job) produced { return s.dispatch(ctx, tenant, group) }
+		for i := range jobs {
+			if jobs[i].wire, err = json.Marshal(spec.run(i)); err != nil {
+				httpError(w, http.StatusInternalServerError, fmt.Sprintf("run %s: %v", jobs[i].id, oneLine(err)))
+				return
+			}
+		}
 	}
 	out, n, err := s.submit(r.Context(), tenant, jobs, per, produce)
 	if err != nil {
@@ -251,6 +253,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			sum.count(rec)
 			line(rec)
 		}
+		if len(p.hits) > 0 {
+			line(sum.lines(p.hits))
+		}
 		sum.add(p.distribution)
 	}
 	line(sum)
@@ -259,26 +264,25 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // submit is the one way runs reach the scheduler. Two kinds of run are
 // answered without a task, a worker slot or a place in the queue: a run whose
 // record a restart recovered, from the store — the serving rule, applied here
-// for both roles and both endpoints — and, on a process that simulates its
-// runs itself, a run the memo holds completed (ResolvedRun.Finished), exactly
-// as its task would have answered it. A run still in flight is joined by a
-// task, like any other. The rest are queued under the tenant as tasks of per
-// runs each, all or nothing — a campaign that cannot queue whole (bound or
-// quota, both counted in runs) is refused whole, never half-run, and only
-// then are the memo's answers settled, so a refused campaign counts and
-// commits nothing. It returns the channel the answers arrive on in completion
-// order and how many to receive. The channel is buffered to that count: a
-// worker's send never blocks, so a caller that went away mid-stream cannot
-// wedge a worker slot.
+// for both roles and both endpoints — and a job that carries the memo's
+// answer (see route), counted here as the memo hit it is. A run still in
+// flight is joined by a task, like any other. The rest are queued under the
+// tenant as tasks of per runs each, all or nothing — a campaign that cannot
+// queue whole (bound or quota, both counted in runs) is refused whole, never
+// half-run, and only then are the memo's answers settled, so a refused
+// campaign counts no run completed and commits nothing. It returns the channel
+// the answers arrive on in completion order and how many to receive. The
+// channel is buffered to that count: a worker's send never blocks, so a
+// caller that went away mid-stream cannot wedge a worker slot.
 func (s *Server) submit(ctx context.Context, tenant string, jobs []job, per int, produce func(context.Context, []job) produced) (<-chan produced, int, error) {
 	var served produced
-	var hits []runRecord
 	pending := jobs[:0] // jobs is the caller's to give: partitioned in place
 	for _, j := range jobs {
-		if rec, ok := s.store.Recovered(j.run.Identity()); ok {
+		if rec, ok := s.store.Recovered(j.id); ok {
 			served.recs = append(served.recs, rec)
-		} else if res, ok := s.finished(j.run); ok {
-			hits = append(hits, j.run.Record(res, true, nil))
+		} else if j.hit != nil {
+			j.hit.Hit()
+			served.hits = append(served.hits, j.hit)
 		} else {
 			pending = append(pending, j)
 		}
@@ -302,24 +306,31 @@ func (s *Server) submit(ctx context.Context, tenant string, jobs []job, per int,
 	n := len(tasks)
 	served.Recovered = len(served.recs)
 	s.recoveredServed.Add(uint64(served.Recovered))
-	for _, rec := range hits {
-		served.recs = append(served.recs, s.settle(rec))
+	for _, hit := range served.hits {
+		s.settle(hit.Record)
 	}
-	if len(served.recs) > 0 {
+	if len(served.recs)+len(served.hits) > 0 {
 		out <- served
 		n++
 	}
 	return out, n, nil
 }
 
-// finished looks a run up in the memo when this process would simulate it: a
-// coordinator's runs are answered by its replicas, whose own submit looks.
-func (s *Server) finished(run *pushmulticast.ResolvedRun) (pushmulticast.Results, bool) {
-	if s.coord != nil {
-		return pushmulticast.Results{}, false
+// route makes a resolved run a job. On a process that simulates its runs
+// itself, a run the memo holds completed keeps only the memo's answer, which
+// counts as a hit only once submit serves it; any other run becomes a task's.
+// A coordinator's runs are answered by its replicas, whose own submit looks.
+func (s *Server) route(run pushmulticast.ResolvedRun) job {
+	if s.coord == nil {
+		if hit, ok := run.Answered(); ok {
+			return job{id: run.Identity(), hit: hit}
+		}
 	}
-	return run.Finished()
+	return taskJob(run)
 }
+
+// taskJob makes a resolved run the job of the task that will produce it.
+func taskJob(run pushmulticast.ResolvedRun) job { return job{id: run.Identity(), run: &run} }
 
 // simulate produces a task's records on this process, in the worker slot the
 // task holds.
@@ -355,7 +366,7 @@ func (s *Server) dispatch(ctx context.Context, tenant string, jobs []job) produc
 	s.shardMu.Lock()
 	s.shardWaits.add(time.Since(start), shardWaitSamples)
 	s.shardMu.Unlock()
-	return produced{recs, how}
+	return produced{recs: recs, distribution: how}
 }
 
 // settle counts one finished record and commits an error-free one to the
@@ -399,16 +410,36 @@ func (sum *campaignSummary) count(rec runRecord) {
 	}
 }
 
+// lines joins the memo's rendered lines for a group of answers into one
+// presized buffer, tallying each answer into the summary.
+func (sum *campaignSummary) lines(hits []*pushmulticast.RunAnswer) []byte {
+	size := 0
+	for _, hit := range hits {
+		size += len(hit.Line)
+	}
+	buf := make([]byte, 0, size)
+	for _, hit := range hits {
+		sum.count(hit.Record)
+		buf = append(buf, hit.Line...)
+	}
+	return buf
+}
+
 // ndjson starts a campaign's NDJSON response — a line per run in completion
-// order, then the summary — and returns its line writer, which flushes after
-// every line.
+// order, then the summary — and returns its writer, which flushes after each
+// value: a record or the summary is encoded as one line, and bytes already
+// rendered as lines are written as they are.
 func ndjson(w http.ResponseWriter) func(v any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	return func(v any) {
-		enc.Encode(v)
+		if b, ok := v.([]byte); ok {
+			w.Write(b)
+		} else {
+			enc.Encode(v)
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -446,15 +477,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard %s: no runs", req.ShardID))
 		return
 	}
-	runs, jobs := make([]pushmulticast.ResolvedRun, len(req.Runs)), make([]job, len(req.Runs))
+	jobs := make([]job, len(req.Runs))
 	for i, raw := range req.Runs {
 		// A run description, strictly decoded, resolves back into the run the
 		// coordinator resolved it from.
+		var run pushmulticast.ResolvedRun
 		spec, err := pushmulticast.DecodeRunSpec(raw)
 		if err == nil {
-			runs[i], err = spec.Resolve(s.snaps.get)
+			run, err = spec.Resolve(s.snaps.get)
 		}
-		jobs[i].run = &runs[i]
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, pushmulticast.ErrDonorMissing) {
@@ -465,6 +496,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			httpError(w, status, fmt.Sprintf("shard %s run %d: %v", req.ShardID, i, err))
 			return
 		}
+		jobs[i] = s.route(run)
 	}
 	out, n, err := s.submit(r.Context(), tenantOrDefault(req.Tenant), jobs, 1, s.simulate)
 	if err != nil {
@@ -473,7 +505,11 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := shard.Response{ShardID: req.ShardID, Results: make([]shard.RunRecord, 0, len(jobs))}
 	for range n {
-		resp.Results = append(resp.Results, (<-out).recs...)
+		p := <-out
+		resp.Results = append(resp.Results, p.recs...)
+		for _, hit := range p.hits {
+			resp.Results = append(resp.Results, hit.Record)
+		}
 	}
 	writeJSON(w, resp)
 }
@@ -491,7 +527,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot accepts a warm-start donor snapshot upload (raw bytes) and
 // returns its content id for use as a campaign's warm_start.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxSnapshotBytes+1))
+	// A declared length within the bound sizes the buffer once: ReadFrom
+	// regrows it only when less than bytes.MinRead is spare, which it never is
+	// before the body ends. Reading one byte past the bound tells a larger
+	// upload apart.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxSnapshotBytes)+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxSnapshotBytes+1))
+	data := buf.Bytes()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("snapshot upload: %v", oneLine(err)))
 		return

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -168,11 +169,12 @@ func donorSnapshot(t *testing.T, cycle uint64) []byte {
 	// Build the donor under the exact configuration the campaign will
 	// resolve to, by resolving the same spec.
 	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []pushmulticast.WorkloadSpec{{Name: "cachebw"}}}
-	_, runs, err := spec.resolve(nil)
+	jobs, err := spec.resolve(nil, taskJob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := pushmulticast.NewMachine(runs[0].Config, runs[0].Workload, runs[0].Scale)
+	run := jobs[0].run
+	m, err := pushmulticast.NewMachine(run.Config, run.Workload, run.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +204,11 @@ func TestWarmResolveThroughStore(t *testing.T) {
 		t.Fatalf("store holds %s with hash %#x (found %v); SnapshotHash of its bytes is %#x", id, hash, ok, pushmulticast.SnapshotHash(stored))
 	}
 	spec := CampaignSpec{Scale: "tiny", Schemes: []string{"OrdPush"}, Workloads: []pushmulticast.WorkloadSpec{{Name: "cachebw"}}, WarmStart: id}
-	_, runs, err := spec.resolve(st.get)
+	jobs, err := spec.resolve(st.get, taskJob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := runs[0]
+	r := *jobs[0].run
 	if r.DonorHash() != hash {
 		t.Errorf("warm run carries donor hash %#x, the store handed over %#x", r.DonorHash(), hash)
 	}
@@ -320,6 +322,39 @@ func TestCampaignClientCancellation(t *testing.T) {
 			t.Fatalf("canceled campaign never registered a canceled run: %+v", m.Runs)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestSnapshotUploadReadsOnce pins that an upload declaring its length is
+// read into one buffer of that size: the server allocates at most 1.5 times
+// the snapshot to take it (least of three uploads), where reading to EOF
+// regrew its buffer to several times that. An upload of undeclared length
+// is read to the bound as before and stores the same snapshot.
+func TestSnapshotUploadReadsOnce(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1})
+	snap := donorSnapshot(t, 4000)
+	upload := func(body io.Reader) (uint64, string) {
+		req := httptest.NewRequest(http.MethodPost, "/snapshots", body)
+		w := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusOK {
+			t.Fatalf("upload: status %d: %s", w.Code, w.Body)
+		}
+		return after.TotalAlloc - before.TotalAlloc, w.Body.String()
+	}
+	least, reply := ^uint64(0), ""
+	for range 3 {
+		n, body := upload(bytes.NewReader(snap)) // sets the request's ContentLength
+		least, reply = min(least, n), body
+	}
+	if least > uint64(len(snap))*3/2 {
+		t.Errorf("a %d-byte upload allocated %d bytes; want at most 1.5x", len(snap), least)
+	}
+	if _, unsized := upload(io.MultiReader(bytes.NewReader(snap))); unsized != reply {
+		t.Errorf("an upload of undeclared length replied %s; the sized one %s", unsized, reply)
 	}
 }
 
@@ -624,11 +659,11 @@ func TestCampaignAndShardUnitResolveLikeEveryFrontEnd(t *testing.T) {
 			if err := decodeStrict(strings.NewReader(campaignBody(t, tc.Spec)), "campaign spec", &spec); err != nil {
 				t.Fatal(err)
 			}
-			specs, runs, err := spec.resolve(nil)
-			if err != nil || len(runs) != 1 {
-				t.Fatalf("campaign resolved to %d runs: %v", len(runs), err)
+			jobs, err := spec.resolve(nil, taskJob)
+			if err != nil || len(jobs) != 1 {
+				t.Fatalf("campaign resolved to %d runs: %v", len(jobs), err)
 			}
-			unit, err := json.Marshal(specs[0])
+			unit, err := json.Marshal(spec.run(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -640,7 +675,7 @@ func TestCampaignAndShardUnitResolveLikeEveryFrontEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, got := range map[string]pushmulticast.ResolvedRun{"campaign body": runs[0], "shard unit": onWorker} {
+			for name, got := range map[string]pushmulticast.ResolvedRun{"campaign body": *jobs[0].run, "shard unit": onWorker} {
 				if got.Identity() != want.Identity() || !reflect.DeepEqual(got.Config, want.Config) {
 					t.Errorf("%s resolved a different run:\n got  %+v\n want %+v", name, got.Config, want.Config)
 				}

@@ -64,51 +64,49 @@ func decodeStrict(r io.Reader, what string, v any) error {
 	return nil
 }
 
-// expand is the campaign's scheme × workload product of run descriptions, in
-// scheme-major order.
-func (spec CampaignSpec) expand() []pushmulticast.RunSpec {
-	specs := make([]pushmulticast.RunSpec, 0, len(spec.Schemes)*len(spec.Workloads))
-	for _, scheme := range spec.Schemes {
-		for _, ws := range spec.Workloads {
-			specs = append(specs, pushmulticast.RunSpec{
-				Cores: spec.Cores, Scale: spec.Scale, Scheme: scheme, Workload: ws,
-				Check: spec.Check, TraceN: spec.TraceN, Faults: spec.Faults,
-				WarmStart: spec.WarmStart, Knobs: spec.Knobs,
-			})
-		}
+// runs is the number of runs the campaign expands into: its scheme ×
+// workload product.
+func (spec CampaignSpec) runs() int { return len(spec.Schemes) * len(spec.Workloads) }
+
+// run is the description of the campaign's i'th run, in scheme-major order.
+func (spec CampaignSpec) run(i int) pushmulticast.RunSpec {
+	n := len(spec.Workloads)
+	return pushmulticast.RunSpec{
+		Cores: spec.Cores, Scale: spec.Scale, Scheme: spec.Schemes[i/n], Workload: spec.Workloads[i%n],
+		Check: spec.Check, TraceN: spec.TraceN, Faults: spec.Faults,
+		WarmStart: spec.WarmStart, Knobs: spec.Knobs,
 	}
-	return specs
 }
 
-// resolve validates the campaign and resolves every run of it. A campaign
-// either resolves whole or is rejected whole with a one-line diagnostic;
-// naming one run identity twice is a rejection too, because a coordinator
-// merges by identity and would stream fewer records than a local daemon.
-// lookupSnap resolves a warm-start snapshot id.
-func (spec CampaignSpec) resolve(lookupSnap func(id string) ([]byte, uint64, bool)) ([]pushmulticast.RunSpec, []pushmulticast.ResolvedRun, error) {
+// resolve validates the campaign and resolves every run of it, making each
+// a job through route. A campaign either resolves whole or is rejected whole
+// with a one-line diagnostic; naming one run identity twice is a rejection
+// too, because a coordinator merges by identity and would stream fewer
+// records than a local daemon. route must have no side effect a rejection
+// would have to undo. lookupSnap resolves a warm-start snapshot id.
+func (spec CampaignSpec) resolve(lookupSnap func(id string) ([]byte, uint64, bool), route func(pushmulticast.ResolvedRun) job) ([]job, error) {
 	if len(spec.Schemes) == 0 {
-		return nil, nil, fmt.Errorf("campaign spec: no schemes listed")
+		return nil, fmt.Errorf("campaign spec: no schemes listed")
 	}
 	if len(spec.Workloads) == 0 {
-		return nil, nil, fmt.Errorf("campaign spec: no workloads listed")
+		return nil, fmt.Errorf("campaign spec: no workloads listed")
 	}
-	specs := spec.expand()
-	runs := make([]pushmulticast.ResolvedRun, len(specs))
-	first := make(map[string]int, len(specs))
-	for i, rs := range specs {
-		run, err := rs.Resolve(lookupSnap)
+	jobs := make([]job, spec.runs())
+	first := make(map[string]int, len(jobs))
+	for i := range jobs {
+		run, err := spec.run(i).Resolve(lookupSnap)
 		if err != nil {
-			return nil, nil, fmt.Errorf("campaign spec: %w", err)
+			return nil, fmt.Errorf("campaign spec: %w", err)
 		}
 		if j, dup := first[run.Identity()]; dup {
 			n := len(spec.Workloads)
-			return nil, nil, fmt.Errorf("campaign spec: schemes[%d] x workloads[%d] (%s/%s) names the same run as schemes[%d] x workloads[%d] (%s/%s)",
-				i/n, i%n, rs.Scheme, rs.Workload.Name, j/n, j%n, specs[j].Scheme, specs[j].Workload.Name)
+			return nil, fmt.Errorf("campaign spec: schemes[%d] x workloads[%d] (%s/%s) names the same run as schemes[%d] x workloads[%d] (%s/%s)",
+				i/n, i%n, spec.Schemes[i/n], spec.Workloads[i%n].Name, j/n, j%n, spec.Schemes[j/n], spec.Workloads[j%n].Name)
 		}
 		first[run.Identity()] = i
-		runs[i] = run
+		jobs[i] = route(run)
 	}
-	return specs, runs, nil
+	return jobs, nil
 }
 
 // oneLine flattens an error message onto one line, preserving the service's

@@ -163,7 +163,10 @@ func (j *Journal) Commit(rec RunRecord) (dup bool, err error) {
 	// computation was itself memo-served is meaningless to a later recovery.
 	rec.Cached = false
 	j.seen[rec.ID] = journaled{rec: rec}
-	return false, j.appendLocked(journalLine{Kind: "run", Record: &rec})
+	// A copy, declared here, is what the line points at: pointing at rec
+	// would move every call's record to the heap, the repeats' included.
+	line := rec
+	return false, j.appendLocked(journalLine{Kind: "run", Record: &line})
 }
 
 // CommitSnapshot records an uploaded warm-start donor's content identity and

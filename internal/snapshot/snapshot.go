@@ -102,14 +102,41 @@ type Codec struct {
 	hdr  Header
 	err  error
 	mark func(p any)
+	// sizing makes an encoding codec count the bytes it would write in size
+	// and write none (Encode's first walk).
+	sizing bool
+	size   int
 }
 
-// NewEncoder returns an encoding codec with the header already emitted.
+// NewEncoder returns an encoding codec with the header already emitted. Its
+// buffer grows as a description writes; Encode allocates it once instead.
 func NewEncoder(strictFP, forkFP string, cycle uint64) *Codec {
-	c := &Codec{buf: make([]byte, 0, 1<<16), hdr: Header{Version, strictFP, forkFP, cycle}}
+	return newEncoder(Header{Version, strictFP, forkFP, cycle}, 1<<16)
+}
+
+// newEncoder returns an encoding codec for hdr whose buffer starts at
+// capacity bytes, with the header already emitted.
+func newEncoder(hdr Header, capacity int) *Codec {
+	c := &Codec{buf: make([]byte, 0, capacity), hdr: hdr}
 	c.buf = append(c.buf, Magic...)
 	c.header()
 	return c
+}
+
+// Encode returns the complete snapshot of what describe writes after the
+// header. It walks the description twice: the first walk only counts the
+// bytes, so the second writes them into a buffer allocated once, at the
+// snapshot's exact size, where a growing buffer allocated about four times
+// the bytes it returned. A description writes the same bytes on both walks,
+// since encoding reads the state and changes none of it.
+func Encode(strictFP, forkFP string, cycle uint64, describe func(*Codec)) []byte {
+	hdr := Header{Version, strictFP, forkFP, cycle}
+	sizer := &Codec{hdr: hdr, sizing: true}
+	sizer.header()
+	describe(sizer)
+	c := newEncoder(hdr, len(Magic)+sizer.size+8)
+	describe(c)
+	return c.Finish()
 }
 
 // NewDecoder validates the magic, the format version (before the hash, so
@@ -214,6 +241,10 @@ func (c *Codec) take(n int) []byte {
 // on the wire: v when encoding, the decoded bytes (0 on failure) otherwise.
 func (c *Codec) word(v uint64, n int) uint64 {
 	var tmp [8]byte
+	if c.sizing {
+		c.size += n
+		return v
+	}
 	if !c.dec {
 		binary.LittleEndian.PutUint64(tmp[:], v)
 		c.buf = append(c.buf, tmp[:n]...)
@@ -313,11 +344,15 @@ func (c *Codec) String(p *string) {
 
 func (c *Codec) str(s string) string {
 	n := int(c.word(uint64(len(s)), 4))
-	if !c.dec {
+	switch {
+	case c.sizing:
+		c.size += len(s)
+	case !c.dec:
 		c.buf = append(c.buf, s...)
-		return s
+	default:
+		return string(c.take(n))
 	}
-	return string(c.take(n))
+	return s
 }
 
 // Section codes a named section marker. The decoder verifies the name, so

@@ -56,6 +56,19 @@ func roundTrip(t *testing.T) []byte {
 	return c.Finish()
 }
 
+// TestEncodeSizesOnce pins Encode against the growing encoder: the same
+// bytes, in a buffer whose capacity is exactly their length.
+func TestEncodeSizesOnce(t *testing.T) {
+	v := want
+	got := Encode("strict-fp", "fork-fp", 12345, v.describe)
+	if string(got) != string(roundTrip(t)) {
+		t.Fatalf("Encode wrote %x; the growing encoder %x", got, roundTrip(t))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("Encode returned %d bytes in a buffer of %d", len(got), cap(got))
+	}
+}
+
 func TestReaderRoundTrip(t *testing.T) {
 	data := roundTrip(t)
 	c, err := NewDecoder(data)

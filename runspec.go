@@ -364,9 +364,9 @@ func (r ResolvedRun) Identity() string { return r.id }
 // when the call was served from the memo (completed, or joined in flight). A
 // canceled ctx returns promptly with a wrapped ErrCanceled, and the
 // simulation itself is aborted only when its last waiter has gone. A
-// completed entry is answered by Finished's lookup, before the simulation's
-// closure is built, so such a hit allocates nothing: only a miss or a join
-// copies the run to the heap.
+// completed entry is answered by one lookup, before the simulation's closure
+// is built, so such a hit allocates nothing: only a miss or a join copies the
+// run to the heap.
 func (r ResolvedRun) Execute(ctx context.Context) (res Results, hit bool, err error) {
 	key := r.key()
 	if res, ok := memoFinished(key); ok {
@@ -375,11 +375,25 @@ func (r ResolvedRun) Execute(ctx context.Context) (res Results, hit bool, err er
 	return memoized(ctx, key, r.id, r.simulate)
 }
 
-// Finished returns the run's results when the campaign memo holds them
-// completed: one lookup, counted as a memo hit. It reports false for a run
-// never simulated, evicted, failed, or still in flight — joining a run in
-// flight means waiting for it, which is Execute's.
-func (r ResolvedRun) Finished() (Results, bool) { return memoFinished(r.key()) }
+// RunAnswer is a completed run as the campaign memo answers a repeat of it on
+// a wire: Record(res, true, nil) and that record's NDJSON line
+// (json.Marshal and a newline). A memo entry renders it once and shares it
+// read-only with every later hit.
+type RunAnswer struct {
+	Record RunRecord
+	Line   []byte
+	e      *memoEntry
+}
+
+// Answered returns the wire answer of a run the campaign memo holds
+// completed; false for a run never simulated, evicted, failed, or still in
+// flight. It counts no hit and moves no LRU position, so a front end may look
+// a whole request up before deciding to serve it: Hit counts the answer then.
+func (r ResolvedRun) Answered() (*RunAnswer, bool) { return memoAnswer(r) }
+
+// Hit counts one memo hit for a served answer, as Execute's lookup of a
+// completed run does.
+func (a *RunAnswer) Hit() { memoHit(a.e) }
 
 // DonorHash returns the content hash of the run's warm-start donor (see
 // SnapshotHash), 0 for a cold run.

@@ -177,10 +177,10 @@ func TestNewRunCountsNoHit(t *testing.T) {
 		t.Errorf("NewRun of a memo-held run moved the memo's counters: %+v, was %+v", got, stats)
 	}
 	SetRunMemoCapacity(1)
-	if _, ok := older.Finished(); ok {
+	if _, ok := memoFinished(older.key()); ok {
 		t.Error("the older run survived a shrink to 1: NewRun moved it to the LRU front")
 	}
-	if _, ok := newer.Finished(); !ok {
+	if _, ok := memoFinished(newer.key()); !ok {
 		t.Error("the newer run was evicted by a shrink to 1")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -495,6 +496,39 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSnapshotSaveBytes pins that a save allocates its bytes once: on every
+// golden machine, Snapshot allocates at most 1.5 times the bytes it returns,
+// fingerprints and description included (a buffer grown by append used to
+// allocate about 4.5 times). The least of three saves of the one paused
+// machine is taken, since MemStats counts every goroutine's allocations.
+func TestSnapshotSaveBytes(t *testing.T) {
+	for _, g := range goldenSnapshots {
+		cfg, wl := g.build(t)
+		m, err := NewMachine(cfg, wl, ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunTo(g.cycle); err != nil {
+			t.Fatal(err)
+		}
+		least, size := ^uint64(0), 0
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			snap, err := m.Snapshot()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least, size = min(least, after.TotalAlloc-before.TotalAlloc), len(snap)
+		}
+		t.Logf("%s: %d bytes allocated for a %d-byte snapshot", g.name, least, size)
+		if least > uint64(size)*3/2 {
+			t.Errorf("%s: a %d-byte save allocated %d bytes; want at most 1.5x", g.name, size, least)
+		}
 	}
 }
 
