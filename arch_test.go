@@ -27,7 +27,7 @@ func TestArchNoUnsafe(t *testing.T) {
 		}
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
-				t.Errorf("%v: imports unsafe; simulator code reaches its state through plain values and indexes — a cache way finds its tag and directory through the way number its Line carries, not pointer arithmetic (DESIGN.md §4b, \"A cache set gets its page when it first holds a line\")", fset.Position(imp.Pos()))
+				t.Errorf("%v: imports unsafe; simulator code reaches its state through plain values and indexes — a cache way finds its tag and directory through the way number its Line carries, not pointer arithmetic (DESIGN.md §4b, \"A cache set gets its ways when it first holds lines\")", fset.Position(imp.Pos()))
 			}
 		}
 		return nil
@@ -169,6 +169,34 @@ func TestArchOnlyArrayMarks(t *testing.T) {
 					t.Errorf("%v: ways are marked only inside the array's own Lookup, Victim, Install and Invalidate (internal/cache/array.go, DESIGN.md §4d)", fset.Position(call.Pos()))
 				}
 			}
+		})
+	})
+}
+
+// simulatedMachineDirs are the packages the simulated machine is built from,
+// everything core.Build wires: they run on one goroutine a simulation.
+var simulatedMachineDirs = []string{
+	"internal/sim", "internal/noc", "internal/coherence", "internal/cache", "internal/cpu", "internal/memctrl",
+	"internal/prefetch", "internal/fault", "internal/stats", "internal/trace", "internal/check", "internal/core",
+}
+
+// TestArchOneGoroutinePerSimulation states over the parsed source that no
+// non-test file of the simulated machine's packages imports sync or
+// sync/atomic or has a go statement: a simulation is one goroutine, and
+// parallelism lives across runs (the harness pool, simd workers, shards).
+func TestArchOneGoroutinePerSimulation(t *testing.T) {
+	const why = "the simulated machine is single-threaded: parallelise across runs (harness pool, simd workers, shards), not inside one (DESIGN.md §4c)"
+	parseDirs(t, false, simulatedMachineDirs, func(fset *token.FileSet, path string, file *ast.File) {
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
+				t.Errorf("%v: imports %s; %s", fset.Position(imp.Pos()), p, why)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%v: a go statement; %s", fset.Position(g.Pos()), why)
+			}
+			return true
 		})
 	})
 }

@@ -49,14 +49,17 @@ func TestAllocBudget(t *testing.T) {
 
 // buildBytesPerTile is the recorded heap allocation of one cachebw/OrdPush
 // core.Build at each mesh size, divided by its tile count. A cache way costs
-// nothing at build — its set is one 8-byte pageOf word until it gets a page,
-// tags and all — so the caches are 672 bytes of it a tile (31,587 / 31,392 /
+// nothing at build — its page is one 4-byte pageOf word until it is carved,
+// tags and all — so the caches are their page tables, 1,104 bytes a tile (an
+// LLC set has four pages), and their slab tables, about 410 (19,868 / 19,647
+// / 19,574 while a set was one page and one 8-byte word, 672 and 126 bytes a
+// tile; 31,587 / 31,392 /
 // 31,321 while every way's tag was allocated at build; 77,519 / 77,310 /
 // 101,833 while every way of every array was, an LLC way at a 24-byte Line,
 // its tag, an 8-byte DirEntry and one sharer word per 64 tiles; 112.5 KB a
 // tile at every size while each way held a 256-bit sharer vector; 88,045 /
 // 87,839 / 112,338 while each Line held a second copy of its tag).
-var buildBytesPerTile = map[int]uint64{16: 19868, 64: 19647, 256: 19574}
+var buildBytesPerTile = map[int]uint64{16: 20651, 64: 20452, 256: 20331}
 
 // TestBuildBytesPerTile is TestAllocBudget's byte-side twin: an allocation
 // count does not notice a table whose entries grow, so this gates the bytes
@@ -92,19 +95,22 @@ func TestBuildBytesPerTile(t *testing.T) {
 // while every NI kept its own packet free list).
 var runBytes = map[string]uint64{"cachebw": 91520, "bfs lossy": 509248}
 
-// runPages is the recorded number of cache sets each run of runBytes gives a
-// page, pool by pool (L1, L2, LLC), and the bytes of the slabs each pool
-// carved them from: both are deterministic, so both are exact. Every L1 and
-// L2 set gets one, and 768 or all 1,024 LLC sets; a page holds its ways'
-// tags, so the slabs hold 737,280 and 933,888 bytes where the pages of
-// per-array slabs held 602,112 and 765,952 beside 167,936 bytes of tags
-// allocated at build.
+// runPages is the recorded number of pages each run of runBytes carves, pool
+// by pool (L1, L2, LLC), and the bytes of the slabs each pool carved them
+// from: both are deterministic, so both are exact. A private page is a whole
+// set, and every L1 and L2 set gets one; an LLC page is a quarter set, four
+// of its 16 ways, and 768 or all 1,024 LLC sets get one, their first, as no
+// set holds more than four lines at once. The LLC slabs hold 147,456 and
+// 196,608 bytes, a quarter of the 589,824 and 786,432 they held while a
+// set's first line carved all 16 of its ways; a page holds its ways' tags,
+// so the slabs hold what the pages of per-array slabs held (602,112 and
+// 765,952 bytes) and 167,936 bytes of tags allocated at build once held.
 var runPages = map[string][3]pages{
-	"cachebw":   {{64, 16384}, {256, 131072}, {768, 589824}},
-	"bfs lossy": {{64, 16384}, {256, 131072}, {1024, 786432}},
+	"cachebw":   {{64, 16384}, {256, 131072}, {768, 147456}},
+	"bfs lossy": {{64, 16384}, {256, 131072}, {1024, 196608}},
 }
 
-// pages is what one pool carved: sets given a page, and slab bytes.
+// pages is what one pool carved: pages, and slab bytes.
 type pages struct{ sets, bytes uint64 }
 
 // TestRunBytes is TestBuildBytesPerTile's run-side twin: it gates the bytes
@@ -151,18 +157,18 @@ func TestRunBytes(t *testing.T) {
 			got = min(got, after.TotalAlloc-before.TotalAlloc-slabs)
 		}
 		want := runBytes[tc.name]
-		t.Logf("%s: one run allocates %d bytes (recorded %d) besides pages carved for L1, L2 and LLC sets in slabs: %v", tc.name, got, want, carved)
+		t.Logf("%s: one run allocates %d bytes (recorded %d) besides L1, L2 and LLC pages carved in slabs: %v", tc.name, got, want, carved)
 		if got > want+want/20 {
 			t.Errorf("%s: one run allocates %d bytes besides its pages, more than 5%% over the recorded %d; if the growth is intended, re-record runBytes in bench_test.go", tc.name, got, want)
 		}
 		if rec := runPages[tc.name]; carved != rec {
-			t.Errorf("%s: one run's L1, L2 and LLC pools give pages to sets in slabs of %v, recorded %v; if the change is intended, re-record runPages in bench_test.go", tc.name, carved, rec)
+			t.Errorf("%s: one run's L1, L2 and LLC pools carve pages in slabs of %v, recorded %v; if the change is intended, re-record runPages in bench_test.go", tc.name, carved, rec)
 		}
 	}
 }
 
 // pageBytes returns what each of s's pools (L1, L2, LLC) carved: the number
-// of cache sets that have a page and the bytes of the slabs those pages were
+// of pages carved and the bytes of the slabs those pages were
 // carved from, a tag and a Line a way, and in an LLC slice a DirEntry and one
 // sharer word per 64 tiles besides.
 func pageBytes(s *core.System) (carved [3]pages) {

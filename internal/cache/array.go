@@ -80,7 +80,7 @@ func (s State) Transient() bool {
 }
 
 // Line is one cache line's state and metadata: what every way of every
-// cache holds besides its address, which only the tags of its set's page keep
+// cache holds besides its address, which only the tags of its page keep
 // (Array.Tag). Two words, then four bytes and the way's number — 24 bytes a
 // way. The directory words of an LLC way live beside it in its page.
 type Line struct {
@@ -97,7 +97,7 @@ type Line struct {
 	Pushed, Accessed bool
 	// way is the line's way number in its array, which finds its tag and
 	// directory (Array.index).
-	way uint32 `snap:"-,layout: fixed when the way's set gets its page"`
+	way uint32 `snap:"-,layout: fixed when the way's page is carved"`
 }
 
 // DirEntry is the directory state of one LLC way (§III) besides its sharer
@@ -134,55 +134,64 @@ func (d DirWay) SetSharers(s noc.DestSet) {
 }
 
 // Array is a set-associative cache structure, one of the arrays of a cache
-// level, which all carve their sets from the level's Pool. Ways are numbered
-// set after set. A set's state is its page: each way's tag — its line address
-// while the way is valid, noTag while its State is I — its Line and, in a
-// directory array, its directory entry and sharer words. A way's tag is the
-// only copy of its address, and a set's tags are the compact index a lookup
-// reads instead of the lines themselves (ways*8 bytes against ways*24).
-// Install and Invalidate are the only writers of a way's validity and keep
-// the two in step; audit checks them.
+// level, which all carve their pages from the level's Pool. Ways are numbered
+// set after set. A set's state is its pages, each a run of pageWays of its
+// ways in way order: each way's tag — its line address while the way is
+// valid, noTag while its State is I — its Line and, in a directory array,
+// its directory entry and sharer words. A way's tag is the only copy of its
+// address, and a set's tags are the compact index a lookup reads instead of
+// the lines themselves (ways*8 bytes against ways*24). Install and
+// Invalidate are the only writers of a way's validity and keep the two in
+// step; audit checks them.
 //
-// A set gets its page the first time Victim hands out one of its ways; until
-// then its ways are free and the set is one zero word of pageOf, which is all
-// an array allocates, so its memory follows the sets a run touches, not its
-// capacity. A lookup in a set with no page misses on pageOf alone.
+// A page is carved the first time Victim hands out one of its ways, and a
+// set's pages are carved in order: Victim hands out a free way of a carved
+// page first, so it carves the set's next page only when every carved way
+// holds a line. A set's carved pages are therefore a prefix of its pages,
+// every way past them is free, and the lowest free way is the one Victim
+// would hand out if the whole set had been carved at once. Until then a page
+// is one zero word of pageOf, which is all an array allocates, so its memory
+// follows the lines a run holds, not its capacity. A lookup stops at the
+// set's first page not carved.
 //
 // An array the invariant checker tracks also marks every way it hands out —
 // a Lookup hit, the way Victim returns, Install, Invalidate — and every way
-// of a set that gets its page, until the checker's next sweep. Nothing keeps
-// a *Line across ticks, so every write to a way's line or directory, and to
-// its LLC transaction record, goes through a way marked in the same tick, and
-// a sweep needs to look at no other.
+// of a page it carves, until the checker's next sweep. Nothing keeps a *Line
+// across ticks, so every write to a way's line or directory, and to its LLC
+// transaction record, goes through a way marked in the same tick, and a
+// sweep needs to look at no other.
 type Array struct {
-	// pageOf[s] locates set s's page in the pool: the number of its slab in
-	// the high 32 bits and one more than the offset of its first way there in
-	// the low 32; 0 while the set has none. It is the array's share of the
-	// pool's table.
-	pageOf      []uint64 `snap:"-,layout: decoding gives a page to each set with a valid way"`
+	// pageOf[p] locates page p — ways p*pageWays to (p+1)*pageWays-1 — in the
+	// pool: one more than the pool's number for it, 0 while it is not carved.
+	// It is the array's share of the pool's table.
+	pageOf      []uint32 `snap:"-,layout: decoding carves each set's pages through its last valid way"`
 	pool        *Pool
 	sharerWords int    `snap:"-,config"`
 	setMask     uint64 `snap:"-,config"`
 	setShift    uint   `snap:"-,config"`
 	ways        int    `snap:"-,config"`
+	// pageWays is the number of ways a page holds, and setPages = ways /
+	// pageWays the number of pages a set has.
+	pageWays int `snap:"-,config"`
+	setPages int `snap:"-,config"`
 	// marks is nil unless the checker tracks the array.
 	marks *marks `snap:"-,derived: the checker's sweep record; a built or restored array starts with every way marked"`
 }
 
 // Pool is the page store of one cache level of a machine: the L1s, the L2s
 // or the LLC slices. Every array of the level carves its pages from the
-// pool's slabs, slabPages pages each (the last cut to the level's sets left),
-// which never move or grow, so a *Line stays valid while any array of the
-// level carves, and at most one slab is not full. The pool also holds the
-// level's pageOf table, which its arrays share out, and its slab table is
-// sized at build.
+// pool's slabs, slabPages pages each (the last cut to the level's pages
+// left), which never move or grow, so a *Line stays valid while any array of
+// the level carves, and at most one slab is not full. Page n is the
+// n%slabPages-th of slab n/slabPages. The pool also holds the level's pageOf
+// table, which its arrays share out, and its slab table is sized at build.
 type Pool struct {
 	slabs []slab
 	// pages is the number of pages carved.
 	pages int `snap:"-,layout: the count of nonzero pageOf entries"`
-	// pageOf is the level's set-to-page table: array j's share is its j-th
-	// stretch of sets, and arrays is the number of arrays built.
-	pageOf []uint64 `snap:"-,layout: each array's share is described by the array"`
+	// pageOf is the level's page table: array j's share is its j-th stretch
+	// of pages, and arrays is the number of arrays built.
+	pageOf []uint32 `snap:"-,layout: each array's share is described by the array"`
 	arrays int      `snap:"-,layout: the arrays of the level"`
 	// geometry is what each array of the level copies besides its share.
 	geometry Array `snap:"-,config"`
@@ -198,7 +207,7 @@ type slab struct {
 	sharers []uint64
 }
 
-// slabPages is the number of pages in a slab: 48 KB of 16-way LLC sets at up
+// slabPages is the number of pages in a slab: 12 KB of quarter LLC sets at up
 // to 64 tiles, which bounds what a level's slabs hold beyond its pages.
 const slabPages = 64
 
@@ -218,21 +227,28 @@ type Pools struct{ L1, L2, LLC *Pool }
 
 // NewPools builds the pools of cfg's machine: its caches' geometry, one array
 // a tile at each level, and an LLC slice's directory (a tiles-bit sharer set
-// beside every way) on an LLC interleaved over the tiles.
+// beside every way) on an LLC interleaved over the tiles. A directory set is
+// carved a quarter at a time, where four divides its ways: an LLC slice holds
+// few lines a set, and a way carved costs it 48 bytes or more. A private set
+// is one page: its sets fill.
 func NewPools(cfg *config.System) Pools {
-	t := cfg.Tiles()
-	return Pools{newPool(cfg.L1Size, cfg.L1Ways, 1, 0, t), newPool(cfg.L2Size, cfg.L2Ways, 1, 0, t),
-		newPool(cfg.LLCSliceSize, cfg.LLCWays, t, (t+63)/64, t)}
+	t, llcPage := cfg.Tiles(), cfg.LLCWays
+	if llcPage%4 == 0 {
+		llcPage /= 4
+	}
+	return Pools{newPool(cfg.L1Size, cfg.L1Ways, cfg.L1Ways, 1, 0, t), newPool(cfg.L2Size, cfg.L2Ways, cfg.L2Ways, 1, 0, t),
+		newPool(cfg.LLCSliceSize, cfg.LLCWays, llcPage, t, (t+63)/64, t)}
 }
 
 // newPool builds the pool of arrays arrays of sizeBytes capacity, the given
-// associativity and noc.LineBytes lines, with sharerWords sharer words a way
-// (0: not a directory array). The set count must come out a power of two. An
-// array of an address-interleaved cache (interleave slices) skips the
-// log2(interleave) address bits that select the slice when it computes the
-// set index, so a slice uses all of its sets rather than the 1/interleave
-// subset its stripe of addresses would otherwise map to.
-func newPool(sizeBytes, ways, interleave, sharerWords, arrays int) *Pool {
+// associativity and noc.LineBytes lines, in pages of pageWays ways (which
+// must divide ways), with sharerWords sharer words a way (0: not a directory
+// array). The set count must come out a power of two. An array of an
+// address-interleaved cache (interleave slices) skips the log2(interleave)
+// address bits that select the slice when it computes the set index, so a
+// slice uses all of its sets rather than the 1/interleave subset its stripe
+// of addresses would otherwise map to.
+func newPool(sizeBytes, ways, pageWays, interleave, sharerWords, arrays int) *Pool {
 	sets := sizeBytes / noc.LineBytes / ways
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)", sets, sizeBytes, ways))
@@ -240,25 +256,30 @@ func newPool(sizeBytes, ways, interleave, sharerWords, arrays int) *Pool {
 	if interleave <= 0 || interleave&(interleave-1) != 0 {
 		panic(fmt.Sprintf("cache: interleave %d not a power of two", interleave))
 	}
-	p := &Pool{pageOf: make([]uint64, arrays*sets), slabs: make([]slab, 0, (arrays*sets+slabPages-1)/slabPages)}
+	if pageWays <= 0 || ways%pageWays != 0 {
+		panic(fmt.Sprintf("cache: pages of %d ways do not divide a %d-way set", pageWays, ways))
+	}
+	pages := arrays * sets * (ways / pageWays)
+	p := &Pool{pageOf: make([]uint32, pages), slabs: make([]slab, 0, (pages+slabPages-1)/slabPages)}
 	p.geometry = Array{pool: p, sharerWords: sharerWords, setMask: uint64(sets - 1),
-		setShift: uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))), ways: ways}
+		setShift: uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))), ways: ways,
+		pageWays: pageWays, setPages: ways / pageWays}
 	return p
 }
 
 // newArray builds the next of the arrays the pool was built for. The caches
 // hold their arrays by value, one allocation fewer each.
 func (p *Pool) newArray() Array {
-	a, sets := p.geometry, int(p.geometry.setMask+1)
-	a.pageOf, p.arrays = p.pageOf[p.arrays*sets:(p.arrays+1)*sets], p.arrays+1
+	a, pages := p.geometry, int(p.geometry.setMask+1)*p.geometry.setPages
+	a.pageOf, p.arrays = p.pageOf[p.arrays*pages:(p.arrays+1)*pages], p.arrays+1
 	return a
 }
 
-// Pages returns the number of sets that have a page and the number of ways
-// the pool's slabs hold.
-func (p *Pool) Pages() (sets, ways int) {
+// Pages returns the number of pages carved and the number of ways the pool's
+// slabs hold.
+func (p *Pool) Pages() (pages, ways int) {
 	if n := len(p.slabs); n > 0 {
-		ways = (n-1)*slabPages*p.geometry.ways + len(p.slabs[n-1].lines)
+		ways = (n-1)*slabPages*p.geometry.pageWays + len(p.slabs[n-1].lines)
 	}
 	return p.pages, ways
 }
@@ -269,47 +290,47 @@ func (a *Array) set(lineAddr uint64) int { return int((lineAddr >> a.setShift) &
 // base returns the index of the first way of lineAddr's set.
 func (a *Array) base(lineAddr uint64) int { return a.set(lineAddr) * a.ways }
 
-// carve gives set s, which has no page, the pool's next page: the next of its
-// last slab's, or the first of a new slab. The set's ways come into being
-// free, so a tracked array marks them all.
-func (a *Array) carve(s int) {
-	p := a.pool
-	k := p.pages % slabPages * a.ways
+// carve gives page p, which is not carved, the pool's next page: the next of
+// its last slab's, or the first of a new slab. The page's ways come into
+// being free, so a tracked array marks them all.
+func (a *Array) carve(p int) {
+	pl := a.pool
+	k := pl.pages % slabPages * a.pageWays
 	if k == 0 {
-		n := min(slabPages, len(p.pageOf)-p.pages) * a.ways
+		n := min(slabPages, len(pl.pageOf)-pl.pages) * a.pageWays
 		words := make([]uint64, n*(1+a.sharerWords))
 		sl := slab{tags: words[:n:n], lines: make([]Line, n)}
 		if a.sharerWords > 0 {
 			sl.dir, sl.sharers = make([]DirEntry, n), words[n:]
 		}
-		p.slabs = append(p.slabs, sl)
+		pl.slabs = append(pl.slabs, sl)
 	}
-	sl := &p.slabs[len(p.slabs)-1]
-	p.pages, a.pageOf[s] = p.pages+1, uint64(len(p.slabs)-1)<<32|uint64(k+1)
-	for w := range a.ways {
-		sl.tags[k+w], sl.lines[k+w].way = noTag, uint32(s*a.ways+w)
-		a.mark(s*a.ways+w, noTag)
+	sl := &pl.slabs[len(pl.slabs)-1]
+	pl.pages, a.pageOf[p] = pl.pages+1, uint32(pl.pages+1)
+	for w := range a.pageWays {
+		i := p*a.pageWays + w
+		sl.tags[k+w], sl.lines[k+w].way = noTag, uint32(i)
+		a.mark(i, noTag)
 	}
 }
 
-// at returns the slab holding set s's page and the offset there of its first
-// way; sl is nil while the set has no page.
-func (a *Array) at(s int) (sl *slab, k int) {
-	if v := a.pageOf[s]; v != 0 {
-		return &a.pool.slabs[v>>32], int(uint32(v)) - 1
+// page returns the slab holding page p and the offset there of its first
+// way; sl is nil while the page is not carved.
+func (a *Array) page(p int) (sl *slab, k int) {
+	if v := a.pageOf[p]; v != 0 {
+		return &a.pool.slabs[(v-1)/slabPages], int((v-1)%slabPages) * a.pageWays
 	}
 	return nil, 0
 }
 
 // locate returns the slab holding way i and the way's offset there; sl is nil
-// while its set has no page.
+// while its page is not carved.
 func (a *Array) locate(i int) (sl *slab, k int) {
-	s := i / a.ways
-	sl, k = a.at(s)
-	return sl, k + i - s*a.ways
+	sl, k = a.page(i / a.pageWays)
+	return sl, k + i%a.pageWays
 }
 
-// slot returns way i's line, or nil while its set has no page.
+// slot returns way i's line, or nil while its page is not carved.
 func (a *Array) slot(i int) *Line {
 	if sl, k := a.locate(i); sl != nil {
 		return &sl.lines[k]
@@ -326,16 +347,21 @@ func (a *Array) dirOf(sl *slab, k int) DirWay {
 }
 
 // Sets returns the number of sets.
-func (a *Array) Sets() int { return len(a.pageOf) }
+func (a *Array) Sets() int { return len(a.pageOf) / a.setPages }
 
-// find returns the line holding lineAddr and its way's number, or nil. A set
-// with no page is answered from pageOf alone.
+// find returns the line holding lineAddr and its way's number, or nil. It
+// reads the set's carved pages, in order, and no further: the rest of the
+// set is free.
 func (a *Array) find(lineAddr uint64) (l *Line, i int) {
-	s := a.set(lineAddr)
-	if sl, k := a.at(s); sl != nil {
-		for w, t := range sl.tags[k : k+a.ways] {
+	first := a.set(lineAddr) * a.setPages
+	for p := first; p < first+a.setPages; p++ {
+		sl, k := a.page(p)
+		if sl == nil {
+			break
+		}
+		for w, t := range sl.tags[k : k+a.pageWays] {
 			if t == lineAddr {
-				return &sl.lines[k+w], s*a.ways + w
+				return &sl.lines[k+w], p*a.pageWays + w
 			}
 		}
 	}
@@ -433,10 +459,10 @@ func (a *Array) ClearMarks() {
 }
 
 // Len returns the number of ways.
-func (a *Array) Len() int { return len(a.pageOf) * a.ways }
+func (a *Array) Len() int { return len(a.pageOf) * a.pageWays }
 
-// Way returns way i's address (^0 while free), its line (nil while its set
-// has no page), and whether it was handed out since the last ClearMarks
+// Way returns way i's address (^0 while free), its line (nil while its page
+// is not carved), and whether it was handed out since the last ClearMarks
 // (tests).
 func (a *Array) Way(i int) (addr uint64, l *Line, marked bool) {
 	addr, marked = noTag, a.marks != nil && a.marks.ways[i>>6]&(1<<(i&63)) != 0
@@ -447,39 +473,47 @@ func (a *Array) Way(i int) (addr uint64, l *Line, marked bool) {
 }
 
 // Victim returns the replacement candidate for lineAddr under the policy:
-// a free way first, then the least-recently-used line for which allowed
-// returns true. It returns nil when no way qualifies. Handing out a way of a
-// set that has no page gives the set its page.
+// the lowest free way first, then the least-recently-used line for which
+// allowed returns true (the lowest way of those last used earliest). It
+// returns nil when no way qualifies. A free way of a carved page comes
+// first; with none, the set's next page is carved and its first way handed
+// out; only a set whose pages are all carved and full has no free way.
 func (a *Array) Victim(lineAddr uint64, allowed func(*Line) bool) *Line {
-	s := a.set(lineAddr)
-	if a.pageOf[s] == 0 {
-		a.carve(s)
-	}
-	sl, k := a.at(s)
-	for w, t := range sl.tags[k : k+a.ways] {
-		if t == noTag {
-			a.mark(s*a.ways+w, noTag)
-			return &sl.lines[k+w]
+	first := a.set(lineAddr) * a.setPages
+	for p := first; p < first+a.setPages; p++ {
+		sl, k := a.page(p)
+		if sl == nil {
+			a.carve(p) // marks the page's ways, the one handed out among them
+			sl, k = a.page(p)
+			return &sl.lines[k]
+		}
+		for w, t := range sl.tags[k : k+a.pageWays] {
+			if t == noTag {
+				a.mark(p*a.pageWays+w, noTag)
+				return &sl.lines[k+w]
+			}
 		}
 	}
-	lines, best := sl.lines[k:k+a.ways], -1
-	for w := range lines {
-		if l := &lines[w]; allowed(l) && (best < 0 || l.LastUse < lines[best].LastUse) {
-			best = w
+	var best *Line
+	for p := first; p < first+a.setPages; p++ {
+		sl, k := a.page(p)
+		for w := range a.pageWays {
+			if l := &sl.lines[k+w]; allowed(l) && (best == nil || l.LastUse < best.LastUse) {
+				best = l
+			}
 		}
 	}
-	if best < 0 {
-		return nil
+	if best != nil {
+		a.mark(int(best.way), noTag)
 	}
-	a.mark(s*a.ways+best, noTag)
-	return &lines[best]
+	return best
 }
 
 // ForEach visits every valid line with its address, in way order.
 func (a *Array) ForEach(f func(addr uint64, l *Line)) {
-	for s := range a.pageOf {
-		if sl, k := a.at(s); sl != nil {
-			for w, t := range sl.tags[k : k+a.ways] {
+	for p := range a.pageOf {
+		if sl, k := a.page(p); sl != nil {
+			for w, t := range sl.tags[k : k+a.pageWays] {
 				if t != noTag {
 					f(t, &sl.lines[k+w])
 				}
@@ -537,8 +571,10 @@ func (a *Array) Invalidate(l *Line) {
 
 // audit checks the tag index against the lines' states: a way is tagged
 // while its line is valid and only then, and every tag is a line address
-// of the way's set that no other way of the set holds. A way of a set with
-// no page is free. The snapshot decoder runs it on every array it fills.
+// of the way's set that no other way of the set holds. A way of a page that
+// is not carved is free, and a carved page follows its set's earlier pages,
+// all carved: a lookup reads no further than the first that is not. The
+// snapshot decoder runs it on every array it fills.
 func (a *Array) audit() error { return a.auditWays(a.nextWay) }
 
 // auditMarked is audit on the ways handed out since the last ClearMarks:
@@ -551,10 +587,14 @@ func (a *Array) auditMarked() error { return a.auditWays(a.nextMarked) }
 func (a *Array) auditWays(next func(int) int) error {
 	for i := next(0); i >= 0; i = next(i + 1) {
 		sl, k := a.locate(i)
-		if sl == nil { // a set with no page: free ways
+		if sl == nil { // a page not carved: free ways
 			continue
 		}
-		t, st, first := sl.tags[k], sl.lines[k].State, k-i%a.ways
+		p, first := i/a.pageWays, i/a.ways*a.setPages
+		if p != first && a.pageOf[p-1] == 0 {
+			return fmt.Errorf("way %d is on page %d of its set, carved while page %d is not", i, p-first, p-first-1)
+		}
+		t, st := sl.tags[k], sl.lines[k].State
 		switch {
 		case st == StateI && t != noTag:
 			return fmt.Errorf("way %d is free but tagged %#x", i, t)
@@ -567,9 +607,15 @@ func (a *Array) auditWays(next func(int) int) error {
 		case a.base(t) != i-i%a.ways:
 			return fmt.Errorf("way %d is tagged %#x, a line of another set", i, t)
 		}
-		for w, u := range sl.tags[first : first+a.ways] {
-			if j := i - i%a.ways + w; j != i && u == t {
-				return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, min(i, j), max(i, j))
+		for q := first; q < first+a.setPages; q++ {
+			qsl, qk := a.page(q)
+			if qsl == nil {
+				break
+			}
+			for w, u := range qsl.tags[qk : qk+a.pageWays] {
+				if j := q*a.pageWays + w; j != i && u == t {
+					return fmt.Errorf("line %#x is valid in ways %d and %d of one set", t, min(i, j), max(i, j))
+				}
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // TestLineLayout pins what Line's field order is for: a way of any cache is
 // two words, four bytes and its way number (its tag lives once, beside it in
 // its page), and the directory words are the LLC's alone. A way costs nothing
-// until its set has a page, and then 32 bytes (its tag and Line) in a private
+// until its page is carved, and then 32 bytes (its tag and Line) in a private
 // array, 16 more in a directory array at up to 64 tiles (an 8-byte entry and
 // one sharer word) and 40 more at 256 (four words).
 func TestLineLayout(t *testing.T) {
@@ -100,7 +100,7 @@ func TestArrayBadGeometryPanics(t *testing.T) {
 			t.Fatal("expected panic for non-power-of-two set count")
 		}
 	}()
-	newPool(3*64*4, 4, 1, 0, 1) // 3 sets
+	newPool(3*64*4, 4, 4, 1, 0, 1) // 3 sets
 }
 
 func TestArrayLookupInstall(t *testing.T) {
@@ -256,45 +256,53 @@ func TestArrayForEach(t *testing.T) {
 // array did before it had a tag index: scan the lines of the set, each tagged
 // in a shadow map the reference keeps itself. The index must be invisible —
 // same way for every lookup, same victim, same visiting order and addresses —
-// and audit must stay clean after every operation. So must pages: a set has
-// one from its first Victim on and not before, whatever else was asked of the
-// array, and an array decoded from a snapshot of it gives one exactly to each
-// set holding a valid way. The array shares its pool with others, which carve
-// three slabs' worth of sets midway while every line of the array is held: each
-// held line keeps its way, tag and version. The pool's slabs hold at most one
-// slab more than the ways carved, and a machine of the pool's arrays decoded
-// onto a fresh pool carves exactly the sets that hold a valid way.
+// and audit must stay clean after every operation. So must pages: a set's
+// first page is carved from its first Victim on and not before, whatever else
+// was asked of the array, and an array decoded from a snapshot of it carves a
+// set's pages exactly through the last holding a valid way. The array shares
+// its pool with others, which carve three slabs' worth of pages midway while
+// every line of the array is held: each held line keeps its way, tag and
+// version. The pool's slabs hold at most one slab more than the ways carved,
+// and a machine of the pool's arrays decoded onto a fresh pool carves exactly
+// what each decoded array does. Geometries with pages smaller than a set
+// carve a set a page at a time.
 func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 	states := []State{StateS, StateM, StateISD, StateSMD, StateLV, StateLM}
-	for _, geom := range []struct{ sets, ways, interleave int }{{1, 2, 1}, {4, 4, 1}, {8, 16, 4}, {2, 3, 2}, {64, 2, 1}} {
-		rng := rand.New(rand.NewSource(int64(geom.sets*100 + geom.ways)))
+	for _, geom := range []struct{ sets, ways, pageWays, interleave int }{
+		{1, 2, 2, 1}, {4, 4, 4, 1}, {8, 16, 16, 4}, {2, 3, 3, 2}, {64, 2, 2, 1},
+		{1, 4, 1, 1}, {4, 16, 4, 2}, {8, 6, 2, 1}, {64, 4, 2, 1},
+	} {
+		rng := rand.New(rand.NewSource(int64(geom.sets*100 + geom.ways + 1000*(geom.ways/geom.pageWays-1))))
 		others := (3*slabPages + geom.sets - 1) / geom.sets
 		newLevel := func() *Pool {
-			return newPool(geom.sets*geom.ways*64, geom.ways, geom.interleave, 0, 1+others)
+			return newPool(geom.sets*geom.ways*64, geom.ways, geom.pageWays, geom.interleave, 0, 1+others)
 		}
 		pool := newLevel()
 		a := pool.newArray()
 		var rest []Array // the pool's other arrays, once built
-		set := func(addr uint64) []Line {
-			if sl, k := a.at(a.set(addr)); sl != nil {
-				return sl.lines[k : k+a.ways]
+		// set returns the lines of the carved ways of addr's set, in way order.
+		set := func(addr uint64) (lines []*Line) {
+			for w := range a.ways {
+				if _, l, _ := a.Way(a.base(addr) + w); l != nil {
+					lines = append(lines, l)
+				}
 			}
-			return nil // a set with no page: every way free
+			return lines
 		}
 		shadow := map[*Line]uint64{}
 		refLookup := func(addr uint64) *Line {
-			for i, s := 0, set(addr); i < len(s); i++ {
-				if s[i].State != StateI && shadow[&s[i]] == addr {
-					return &s[i]
+			for _, l := range set(addr) {
+				if l.State != StateI && shadow[l] == addr {
+					return l
 				}
 			}
 			return nil
 		}
-		// refVictim runs after Victim, which gives a set with no page one.
+		// refVictim runs after Victim, which carves the set's next page when
+		// every carved way is valid.
 		refVictim := func(addr uint64, allowed func(*Line) bool) *Line {
 			var best *Line
-			for i, s := 0, set(addr); i < len(s); i++ {
-				l := &s[i]
+			for _, l := range set(addr) {
 				if l.State == StateI {
 					return l
 				}
@@ -304,25 +312,44 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			}
 			return best
 		}
-		holds := func(b *Array, s int) bool { // set s of b holds a valid way
-			for w := range b.ways {
+		// through returns the number of pages of set s of b a decode carves:
+		// those through the last holding a valid way.
+		through := func(b *Array, s int) int {
+			for w := b.ways - 1; w >= 0; w-- {
 				if addr, _, _ := b.Way(s*b.ways + w); addr != noTag {
-					return true
+					return w/b.pageWays + 1
 				}
 			}
-			return false
+			return 0
 		}
 		victimised := map[int]bool{} // sets Victim was asked about
-		pagesAgree := func(op int, what string, b *Array, want func(s int) bool) {
+		// pagesAgree: the carved pages of each set of b are a prefix, and
+		// whether it is empty, or its length, is what want says.
+		pagesAgree := func(op int, what string, b *Array, want func(s int) int) {
 			t.Helper()
 			for s := range b.Sets() {
-				if has := b.pageOf[s] != 0; has != want(s) {
-					t.Fatalf("%+v op %d: %s: set %d has a page: %v, want %v", geom, op, what, s, has, want(s))
+				n := 0
+				for n < b.setPages && b.pageOf[s*b.setPages+n] != 0 {
+					n++
+				}
+				for p := n; p < b.setPages; p++ {
+					if b.pageOf[s*b.setPages+p] != 0 {
+						t.Fatalf("%+v op %d: %s: set %d has page %d carved past its uncarved page %d", geom, op, what, s, p, n)
+					}
+				}
+				if w := want(s); (w < 0 && n == 0) || (w >= 0 && n != w) {
+					t.Fatalf("%+v op %d: %s: set %d has %d pages carved, want %d (-1: some)", geom, op, what, s, n, w)
 				}
 			}
 		}
-		// slabsTight: the pool carved a page for each set of its arrays that
-		// has one, and its slabs hold those pages and at most one slab more.
+		wasVictimised := func(s int) int {
+			if victimised[s] {
+				return -1
+			}
+			return 0
+		}
+		// slabsTight: the pool carved a page for each page of its arrays that
+		// is carved, and its slabs hold those pages and at most one slab more.
 		slabsTight := func(op int, p *Pool, arrays []Array) {
 			t.Helper()
 			n := 0
@@ -333,9 +360,9 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 					}
 				}
 			}
-			if sets, ways := p.Pages(); sets != n || ways < sets*geom.ways || ways > (sets+slabPages)*geom.ways {
-				t.Fatalf("%+v op %d: the pool carved %d pages in slabs of %d ways; %d sets have pages, of %d ways a page and %d pages a slab",
-					geom, op, sets, ways, n, geom.ways, slabPages)
+			if pages, ways := p.Pages(); pages != n || ways < pages*geom.pageWays || ways > (pages+slabPages)*geom.pageWays {
+				t.Fatalf("%+v op %d: the pool carved %d pages in slabs of %d ways; %d pages are carved, of %d ways a page and %d pages a slab",
+					geom, op, pages, ways, n, geom.pageWays, slabPages)
 			}
 		}
 		encodeArray(&a)
@@ -360,7 +387,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				t.Fatalf("%+v op %d: Lookup(%#x) = %p, linear scan finds %p", geom, op, addr, got, want)
 			case got == nil:
 				// Miss: fill through the replacement policy, as the caches do.
-				pagesAgree(op, "after a Lookup miss", &a, func(s int) bool { return victimised[s] })
+				pagesAgree(op, "after a Lookup miss", &a, wasVictimised)
 				allowed := stable
 				if rng.Intn(4) == 0 {
 					allowed = func(*Line) bool { return true }
@@ -435,7 +462,7 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				if k != len(visited) {
 					t.Fatalf("%+v op %d: ForEach visited %d lines, %d are valid", geom, op, len(visited), k)
 				}
-				pagesAgree(op, "after Peek, audit and ForEach", &a, func(s int) bool { return victimised[s] })
+				pagesAgree(op, "after Peek, audit and ForEach", &a, wasVictimised)
 				slabsTight(op, pool, append([]Array{a}, rest...))
 			}
 			if op%1000 == 0 {
@@ -447,9 +474,9 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 				if back.state(c); c.Err() != nil {
 					t.Fatalf("%+v op %d: %v", geom, op, c.Err())
 				}
-				pagesAgree(op, "decoded", &back, func(s int) bool { return holds(&a, s) })
+				pagesAgree(op, "decoded", &back, func(s int) int { return through(&a, s) })
 				slabsTight(op, back.pool, []Array{back})
-				pagesAgree(op, "after encoding", &a, func(s int) bool { return victimised[s] })
+				pagesAgree(op, "after encoding", &a, wasVictimised)
 			}
 		}
 		// The machine of the pool's arrays, decoded array by array onto a
@@ -465,15 +492,16 @@ func TestArrayTagIndexAgainstLinearScan(t *testing.T) {
 			if backs[i].state(c); c.Err() != nil {
 				t.Fatalf("%+v: array %d: %v", geom, i, c.Err())
 			}
-			pagesAgree(-1, fmt.Sprintf("array %d decoded onto a fresh pool", i), &backs[i], func(s int) bool { return holds(&arrays[i], s) })
+			pagesAgree(-1, fmt.Sprintf("array %d decoded onto a fresh pool", i), &backs[i], func(s int) int { return through(&arrays[i], s) })
 		}
 		slabsTight(-1, fresh, backs)
 	}
 }
 
-// testArray builds the one array of a pool of the given geometry.
+// testArray builds the one array of a pool of the given geometry, a set a
+// page.
 func testArray(sizeBytes, ways, interleave, sharerWords int) *Array {
-	a := newPool(sizeBytes, ways, interleave, sharerWords, 1).newArray()
+	a := newPool(sizeBytes, ways, ways, interleave, sharerWords, 1).newArray()
 	return &a
 }
 
@@ -484,7 +512,7 @@ func tagOf(a *Array, l *Line) *uint64 {
 	return tag
 }
 
-// way returns way i's tag and line, whose set has a page, to be written
+// way returns way i's tag and line, whose page is carved, to be written
 // behind the array's back.
 func way(a *Array, i int) (*uint64, *Line) {
 	sl, k := a.locate(i)
@@ -544,7 +572,7 @@ func TestArrayAuditDetectsIndexDrift(t *testing.T) {
 // and holds nothing. Decoding gives a page only to the set with a valid way,
 // whose other ways are the zero Line, untagged.
 func TestArrayStateIsCanonical(t *testing.T) {
-	pool := newPool(4*4*64, 4, 1, 1, 2)
+	pool := newPool(4*4*64, 4, 4, 1, 1, 2)
 	used, fresh := pool.newArray(), pool.newArray()
 	pages := func(a *Array) (n int) {
 		for _, v := range a.pageOf {
@@ -579,7 +607,7 @@ func TestArrayStateIsCanonical(t *testing.T) {
 		t.Fatalf("decoded array fails its audit: %v", err)
 	}
 	valid := back.Lookup(0x040)
-	if back.pool.pages != 1 || back.pageOf[back.set(0x040)] == 0 || valid == nil || back.Lookup(0x100) != nil ||
+	if back.pool.pages != 1 || back.pageOf[back.set(0x040)*back.setPages] == 0 || valid == nil || back.Lookup(0x100) != nil ||
 		!bytes.Equal(encodeArray(back), data) {
 		t.Fatalf("decoded array has %d pages and differs from the one that never held the freed line", back.pool.pages)
 	}
@@ -620,5 +648,114 @@ func TestArrayDecodeRefusesBadTags(t *testing.T) {
 		if err := c.Err(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s tag: decoder says %v, want a corrupt %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestArrayQuarterPagesMatchWholeSets drives a directory array carved a
+// quarter set at a time and one carved a whole set at a time, of the same
+// geometry, through one seeded sequence of Victim, Install, Invalidate,
+// Lookup, LRU touches and ForEach, and requires the same answer from both at
+// every step: the same way number for every victim and hit, and the same
+// ways and tags from ForEach. The quarter-page array must carve no page
+// before it hands out one of its ways.
+func TestArrayQuarterPagesMatchWholeSets(t *testing.T) {
+	const sets, ways = 8, 16
+	quarter := newPool(sets*ways*64, ways, ways/4, 1, 1, 1).newArray()
+	whole := newPool(sets*ways*64, ways, ways, 1, 1, 1).newArray()
+	rng := rand.New(rand.NewSource(44))
+	// Fewer addresses a set than ways on even sets, so pages fill one by one
+	// and stay part free; more on odd sets, so they fill and evict.
+	addr := func() uint64 {
+		s := rng.Intn(sets)
+		n := 6
+		if s%2 == 1 {
+			n = 3 * ways
+		}
+		return uint64(rng.Intn(n)*sets+s) * 64
+	}
+	wayOf := func(a *Array, l *Line) int {
+		if l == nil {
+			return -1
+		}
+		return int(l.way)
+	}
+	visit := func(a *Array) (seen []string) {
+		a.ForEach(func(addr uint64, l *Line) { seen = append(seen, fmt.Sprintf("%d:%#x", l.way, addr)) })
+		return seen
+	}
+	for op := range 20000 {
+		now := sim.Cycle(op)
+		x := addr()
+		q, w := quarter.Lookup(x), whole.Lookup(x)
+		if wayOf(&quarter, q) != wayOf(&whole, w) {
+			t.Fatalf("op %d: Lookup(%#x) finds way %d in quarter pages, %d in whole sets", op, x, wayOf(&quarter, q), wayOf(&whole, w))
+		}
+		switch {
+		case q == nil:
+			allowed := func(l *Line) bool { return l.State != StateLSInv }
+			q, w = quarter.Victim(x, allowed), whole.Victim(x, allowed)
+			if wayOf(&quarter, q) != wayOf(&whole, w) {
+				t.Fatalf("op %d: Victim(%#x) hands out way %d from quarter pages, %d from whole sets", op, x, wayOf(&quarter, q), wayOf(&whole, w))
+			}
+			if q == nil {
+				continue
+			}
+			st := []State{StateLV, StateLM, StateLSInv}[rng.Intn(3)]
+			quarter.Install(q, x, st, now)
+			whole.Install(w, x, st, now)
+		case rng.Intn(4) == 0:
+			quarter.Invalidate(q)
+			whole.Invalidate(w)
+		default:
+			q.LastUse, w.LastUse = now, now
+		}
+		if op%97 == 0 {
+			if qs, ws := visit(&quarter), visit(&whole); !reflect.DeepEqual(qs, ws) {
+				t.Fatalf("op %d: ForEach visits %v in quarter pages, %v in whole sets", op, qs, ws)
+			}
+			if err := quarter.audit(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	}
+	qPages, _ := quarter.pool.Pages()
+	wPages, _ := whole.pool.Pages()
+	if qPages*quarter.pageWays >= wPages*ways {
+		t.Fatalf("quarter pages carved %d ways, whole sets %d: want fewer", qPages*quarter.pageWays, wPages*ways)
+	}
+	t.Logf("ways carved: %d in quarter pages, %d in whole sets", qPages*quarter.pageWays, wPages*ways)
+}
+
+// TestArrayDecodeCarvesEarlierPages restores a set whose first page is all
+// free while its second holds a line: the decoder must carve the first page
+// too, or a lookup, which stops at a set's first uncarved page, would miss
+// the line and audit would refuse the array.
+func TestArrayDecodeCarvesEarlierPages(t *testing.T) {
+	newArray := func() Array { return newPool(16*64, 16, 4, 1, 1, 1).newArray() } // one set, four pages
+	a := newArray()
+	for i := range 5 {
+		x := uint64(i) * 64
+		a.Install(a.Victim(x, nil), x, StateLV, sim.Cycle(i))
+	}
+	for i := range 4 {
+		a.Invalidate(a.Lookup(uint64(i) * 64))
+	}
+	if pages, _ := a.pool.Pages(); pages != 2 || a.Lookup(4*64) == nil || a.Tag(a.Lookup(4*64)) != 4*64 {
+		t.Fatalf("the set holds %#x in way 4 with %d pages carved", uint64(4*64), pages)
+	}
+	c, err := snapshot.NewDecoder(encodeArray(&a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := newArray()
+	if back.state(c); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	l := back.Lookup(4 * 64)
+	if pages, _ := back.pool.Pages(); pages != 2 || back.pageOf[0] == 0 || back.pageOf[1] == 0 || l == nil || l.way != 4 {
+		t.Fatalf("decoded: %d pages carved (%v), lookup of %#x finds %v", pages, back.pageOf, uint64(4*64), l)
+	}
+	if v := back.Victim(0, nil); v == nil || v.way != 0 {
+		t.Fatalf("decoded: Victim hands out %v, want way 0", v)
 	}
 }

@@ -11,13 +11,13 @@ import (
 // state describes the array's lines, set by set, way by way. A free way is
 // its state byte alone: its stale metadata is never read, so it is not state,
 // and leaving it out makes two arrays that behave alike serialize alike
-// whatever lines they held before, and whichever sets have pages, wherever
+// whatever lines they held before, and whichever pages are carved, wherever
 // in the pool. A valid way is its state byte, its tag, then the rest of its
 // line; in a directory array its directory follows, the sharer set as four
 // words whatever the mesh size. Decoding targets an array of a freshly built
-// machine, whose sets have no pages, gives a page to each set at its first
-// valid way, and refuses tags audit would refuse. Geometry comes from the
-// config fingerprint, so it is only checked.
+// machine, whose pages are not carved, carves a set's pages in order through
+// the one holding each valid way, and refuses tags audit would refuse.
+// Geometry comes from the config fingerprint, so it is only checked.
 func (a *Array) state(c *snapshot.Codec) {
 	p := a.pool
 	c.Mark(&a.pool)
@@ -37,12 +37,17 @@ func (a *Array) state(c *snapshot.Codec) {
 	var s noc.DestSet
 	for i := range a.Len() {
 		l := a.slot(i)
-		if l == nil { // a way of a set with no page
+		if l == nil { // a way of a page not carved
 			st = StateI
 			if snapshot.AsU8(c, &st); st == StateI {
 				continue
 			}
-			a.carve(i / a.ways)
+			// The set's pages are carved in order, the earlier ones all free.
+			for q := i / a.ways * a.setPages; q <= i/a.pageWays; q++ {
+				if a.pageOf[q] == 0 {
+					a.carve(q)
+				}
+			}
 			l = a.slot(i)
 			l.State = st
 		} else if snapshot.AsU8(c, &l.State); l.State == StateI {

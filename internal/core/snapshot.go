@@ -65,8 +65,10 @@ func (s *System) Snapshot() ([]byte, error) {
 			return nil, fmt.Errorf("core: snapshot of a run with a pending violation: %w", err)
 		}
 	}
-	strict, fork := Fingerprint(s.Cfg, s.wlName, s.scale)
-	return snapshot.Encode(strict, fork, uint64(s.Eng.Now()), s.state), nil
+	if s.strictFP == "" {
+		s.strictFP, s.forkFP = Fingerprint(s.Cfg, s.wlName, s.scale)
+	}
+	return snapshot.Encode(s.strictFP, s.forkFP, uint64(s.Eng.Now()), s.state), nil
 }
 
 // Restore builds a fresh machine for (cfg, wl, sc) and loads the snapshot
@@ -94,6 +96,7 @@ func Restore(data []byte, cfg config.System, wl workload.Workload, sc workload.S
 	if err != nil {
 		return nil, err
 	}
+	s.strictFP, s.forkFP = strict, fork
 	if s.state(c); c.Err() != nil {
 		return nil, c.Err()
 	}

@@ -35,8 +35,8 @@ type System struct {
 	L2s   []*cache.L2
 	LLCs  []*cache.LLC
 	Mems  map[noc.NodeID]*memctrl.Ctrl
-	// Pools are the page pools the caches' arrays carve their sets from, one
-	// a cache level.
+	// Pools are the page pools the caches' arrays carve their sets' pages
+	// from, one a cache level.
 	Pools cache.Pools `snap:"-,layout: each array describes the pages it carved"`
 
 	// Tracer and Checker are non-nil when the config enables tracing or
@@ -56,6 +56,10 @@ type System struct {
 	barrier *cpu.Barrier
 	bingos  []*prefetch.Bingo
 	strides []*prefetch.Stride
+
+	// strictFP and forkFP are Fingerprint of the build identity, formatted
+	// on the machine's first save, or taken from the restore that built it.
+	strictFP, forkFP string `snap:"-,config"`
 
 	// coh is CheckCoherence's judge, built on first use; its index is reused
 	// from sweep to sweep.

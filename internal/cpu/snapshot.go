@@ -64,7 +64,6 @@ func (b *Barrier) State(c *snapshot.Codec, cores []*Core) {
 		if idx < 0 && !c.Decoding() {
 			panic("cpu: barrier waiter handle belongs to no core")
 		}
-		c.Index(&idx, len(cores), "barrier waiter index")
-		*h = cores[idx].h
+		*h = cores[c.Index(idx, len(cores), "barrier waiter index")].h
 	})
 }

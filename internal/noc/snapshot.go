@@ -18,11 +18,11 @@ func Error(c *snapshot.Codec, perr *error) {
 	if !c.Flag(*perr != nil) {
 		return
 	}
-	var msg string
+	msg := ""
 	if !c.Decoding() {
 		msg = (*perr).Error()
 	}
-	if c.String(&msg); c.Decoding() {
+	if msg = c.Text(msg); c.Decoding() {
 		*perr = restoredDead{msg}
 	}
 }
@@ -47,7 +47,8 @@ func (ni *NI) Packet(c *snapshot.Codec, pp **Packet) {
 // behind a presence byte, in the format's own field list: type, address,
 // requester, version, epoch, then the five flags a byte each. Address and
 // requester are the header's, so the wire holds them twice and a decoded
-// pair that disagrees is corrupt.
+// pair that disagrees is corrupt: the fields are coded again, and decoding
+// compares them with the header's copies.
 func packetState(c *snapshot.Codec, p *Packet) {
 	c.U64(&p.ID)
 	snapshot.AsU8(c, &p.VNet)
@@ -76,11 +77,11 @@ func packetState(c *snapshot.Codec, p *Packet) {
 	p.MsgFlags |= MsgPresent
 	snapshot.AsU8(c, &p.MsgType)
 	addr, req := p.Addr, p.Requester
-	c.U64(&addr)
-	snapshot.AsU32(c, &req)
+	c.U64(&p.Addr)
+	snapshot.AsU32(c, &p.Requester)
 	if addr != p.Addr || req != p.Requester {
 		c.Corrupt("packet %#x carries a message for line %#x requester %d under a header for line %#x requester %d",
-			p.ID, addr, req, p.Addr, p.Requester)
+			p.ID, p.Addr, p.Requester, addr, req)
 	}
 	c.U64(&p.Version)
 	c.U32(&p.Epoch)
@@ -150,8 +151,7 @@ func (ni *NI) state(c *snapshot.Codec) {
 		}
 		c.Int(&s.sent)
 		c.Mark(&s.vc)
-		c.Index(&idx, len(vcs), "NI stream VC index")
-		s.vc = &vcs[idx]
+		s.vc = &vcs[c.Index(idx, len(vcs), "NI stream VC index")]
 		pkt(&s.pkt)
 	}
 	snapshot.Slice(c, &ni.delivery, func(d *delivered) {
@@ -184,8 +184,8 @@ func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 		for !c.Decoding() && tp.rx[next].mask == 0 {
 			next++
 		}
-		k := uint32(next)
-		if c.U32(&k); c.Decoding() && (int(k) < next || int(k) >= len(tp.rx) || k&3 >= NumVNets) {
+		k := snapshot.Word(c, uint32(next), 4)
+		if c.Decoding() && (int(k) < next || int(k) >= len(tp.rx) || k&3 >= NumVNets) {
 			c.Corrupt("rx stream key %#x names no (tile, vnet) stream past the previous key", k)
 			return
 		}
@@ -226,13 +226,12 @@ func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 
 // vcAt codes the (port, index) coordinates of one of this router's input
 // VCs and returns the VC they name.
-func (rt *Router) vcAt(c *snapshot.Codec, port, idx *int) *inputVC {
-	if snapshot.AsU8(c, port); *port >= NumPorts {
-		c.Corrupt("router %d input port %d out of range", rt.id, *port)
-		*port = 0
+func (rt *Router) vcAt(c *snapshot.Codec, port, idx int) *inputVC {
+	if port = snapshot.Word(c, port, 1); port >= NumPorts {
+		c.Corrupt("router %d input port %d out of range", rt.id, port)
+		port = 0
 	}
-	c.Index(idx, len(rt.in[*port]), "router VC index")
-	return &rt.in[*port][*idx]
+	return &rt.in[port][c.Index(idx, len(rt.in[port]), "router VC index")]
 }
 
 // state describes the router's primary state. Everything its datapath reads
@@ -246,11 +245,11 @@ func (rt *Router) state(c *snapshot.Codec) {
 	// Occupied VCs, in occupancy order: the order is load-bearing (the
 	// position-keyed masks index it and round-robin arbitration walks it).
 	snapshot.Slice(c, &rt.occ, func(pvc **inputVC) {
-		var port, idx int
+		port, idx := 0, 0
 		if *pvc != nil {
 			port, idx = int((*pvc).port), int((*pvc).idx)
 		}
-		vc := rt.vcAt(c, &port, &idx)
+		vc := rt.vcAt(c, port, idx)
 		*pvc = vc
 		snapshot.AsU64(c, &vc.headAt)
 		c.Bool(&vc.routed)
@@ -274,7 +273,9 @@ func (rt *Router) state(c *snapshot.Codec) {
 		} else {
 			vcIdx = int(s.vc.idx)
 		}
-		s.vc = rt.vcAt(c, &s.inPort, &vcIdx)
+		c.Mark(&s.inPort)
+		s.vc = rt.vcAt(c, s.inPort, vcIdx)
+		s.inPort = int(s.vc.port)
 		c.Int(&s.sent)
 		c.Int(&s.size)
 		snapshot.AsU8(c, &s.class)

@@ -253,8 +253,11 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			sum.count(rec)
 			line(rec)
 		}
+		for _, hit := range p.hits {
+			sum.count(hit.Record)
+		}
 		if len(p.hits) > 0 {
-			line(sum.lines(p.hits))
+			line(p.hits)
 		}
 		sum.add(p.distribution)
 	}
@@ -410,33 +413,20 @@ func (sum *campaignSummary) count(rec runRecord) {
 	}
 }
 
-// lines joins the memo's rendered lines for a group of answers into one
-// presized buffer, tallying each answer into the summary.
-func (sum *campaignSummary) lines(hits []*pushmulticast.RunAnswer) []byte {
-	size := 0
-	for _, hit := range hits {
-		size += len(hit.Line)
-	}
-	buf := make([]byte, 0, size)
-	for _, hit := range hits {
-		sum.count(hit.Record)
-		buf = append(buf, hit.Line...)
-	}
-	return buf
-}
-
 // ndjson starts a campaign's NDJSON response — a line per run in completion
 // order, then the summary — and returns its writer, which flushes after each
-// value: a record or the summary is encoded as one line, and bytes already
-// rendered as lines are written as they are.
+// value: a record or the summary is encoded as one line, and a group of memo
+// answers goes out as the lines the memo rendered, one after another.
 func ndjson(w http.ResponseWriter) func(v any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	return func(v any) {
-		if b, ok := v.([]byte); ok {
-			w.Write(b)
+		if hits, ok := v.([]*pushmulticast.RunAnswer); ok {
+			for _, hit := range hits {
+				w.Write(hit.Line)
+			}
 		} else {
 			enc.Encode(v)
 		}

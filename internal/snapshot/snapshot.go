@@ -284,6 +284,20 @@ func AsU64[T Integer](c *Codec, p *T) {
 	}
 }
 
+// Word codes an integer that lives in no field (a table key, a coordinate)
+// through its low width bytes, 1, 4 or 8, converting as AsU8, AsU32 and
+// AsU64 do: it returns v when encoding and the decoded value — 0 after a
+// failure — when decoding. Like Flag and Len it takes no cell, so a value
+// coded through it costs no heap object, where a local handed to a
+// primitive by address escapes.
+func Word[T Integer](c *Codec, v T, width int) T {
+	w := c.word(uint64(v), width)
+	if c.err != nil {
+		return 0
+	}
+	return T(w)
+}
+
 // U8 codes one byte.
 func (c *Codec) U8(p *uint8) { AsU8(c, p) }
 
@@ -337,12 +351,14 @@ func (c *Codec) U64s(p []uint64) {
 // String codes a length-prefixed string.
 func (c *Codec) String(p *string) {
 	c.Mark(p)
-	if s := c.str(*p); c.dec && c.err == nil {
+	if s := c.Text(*p); c.dec && c.err == nil {
 		*p = s
 	}
 }
 
-func (c *Codec) str(s string) string {
+// Text codes a string that lives in no field, as String does: it returns s
+// when encoding and the decoded string — "" after a failure — when decoding.
+func (c *Codec) Text(s string) string {
 	n := int(c.word(uint64(len(s)), 4))
 	switch {
 	case c.sizing:
@@ -362,7 +378,7 @@ func (c *Codec) Section(name string) {
 	if m := uint32(c.word(uint64(sectionMark), 4)); c.err == nil && m != sectionMark {
 		c.Corrupt("expected section marker for %q, found %#x", name, m)
 	}
-	if got := c.str(name); c.err == nil && got != name {
+	if got := c.Text(name); c.err == nil && got != name {
 		c.Corrupt("section desync: expected %q, found %q", name, got)
 	}
 }
@@ -393,14 +409,17 @@ func (c *Codec) Count(n int, what string) {
 	}
 }
 
-// Index codes a position in a table of n entries that the build sizes. A
-// decoded position outside the table is corrupt and decodes as 0, so the
-// description may index with *p unconditionally.
-func (c *Codec) Index(p *int, n int, what string) {
-	if c.Int(p); c.dec && (c.err != nil || *p < 0 || *p >= n) {
-		c.Corrupt("%s %d outside [0,%d)", what, *p, n)
-		*p = 0
+// Index codes i, a position in a table of n entries that the build sizes,
+// as an int64 that lives in no field, and returns the position to use: i
+// when encoding, the decoded one otherwise. A decoded position outside the
+// table is corrupt and decodes as 0, so the description may index with the
+// result unconditionally.
+func (c *Codec) Index(i, n int, what string) int {
+	if i = Word(c, i, 8); c.dec && (c.err != nil || i < 0 || i >= n) {
+		c.Corrupt("%s %d outside [0,%d)", what, i, n)
+		return 0
 	}
+	return i
 }
 
 // Same codes a flag the build fixes (an optional component's presence, a

@@ -228,23 +228,17 @@ func copyChunks(segs []segment, src, dst uint64, lines, chunk, loadWork int) []s
 	return segs
 }
 
-// produceChunks appends chunk-granular stores over [base, base+lines) with
-// per-line compute — a producer filling its buffer.
-func produceChunks(segs []segment, base uint64, lines, chunk, work int) []segment {
-	for off := 0; off < lines; off += chunk {
-		segs = append(segs, segment{kind: segScan, base: base + uint64(off)*noc.LineBytes,
-			lines: chunk, store: true, workPer: work})
-	}
-	return segs
+// produce appends one pass of stores over [base, base+lines) with per-line
+// compute — a producer filling its buffer. A pass is one scan: back-to-back
+// chunks with the same compute are the same op stream.
+func produce(segs []segment, base uint64, lines, work int) []segment {
+	return append(segs, segment{kind: segScan, base: base, lines: lines, store: true, workPer: work})
 }
 
-// consumeChunks appends chunk-granular loads — a consumer draining a buffer.
-func consumeChunks(segs []segment, base uint64, lines, chunk, work int) []segment {
-	for off := 0; off < lines; off += chunk {
-		segs = append(segs, segment{kind: segScan, base: base + uint64(off)*noc.LineBytes,
-			lines: chunk, workPer: work})
-	}
-	return segs
+// consume appends one pass of loads over [base, base+lines) — a consumer
+// draining a buffer.
+func consume(segs []segment, base uint64, lines, work int) []segment {
+	return append(segs, segment{kind: segScan, base: base, lines: lines, workPer: work})
 }
 
 // idle is the non-participant's (or inactive phase's) stand-in work so every
@@ -270,9 +264,10 @@ func stagger(segs []segment, sibling int) []segment {
 }
 
 // collective assembles a Workload whose Validate hook and Build stream share
-// one resolved parameter set.
+// one resolved parameter set. build appends a core's segments to segs, which
+// holds its prologue.
 func collective(kind collectiveKind, p CollectiveParams, desc, class string,
-	build func(r colParams, rank int, participant bool, sc Scale) []segment) Workload {
+	build func(segs []segment, r colParams, rank int, participant bool) []segment) Workload {
 	return Workload{
 		Name:        kind.name(),
 		Description: desc,
@@ -287,9 +282,7 @@ func collective(kind collectiveKind, p CollectiveParams, desc, class string,
 		},
 		Build: func(core, cores int, sc Scale) Stream {
 			r := p.mustResolve(kind, cores, sc)
-			segs := []segment{prologue(core, sc)}
-			segs = append(segs, build(r, core, core < r.sharers, sc)...)
-			return newSegStream(segs)
+			return newSegStream(build([]segment{prologue(core, sc)}, r, core, core < r.sharers))
 		},
 	}
 }
@@ -305,8 +298,8 @@ func AllReduce(p CollectiveParams) Workload {
 	return collective(colAllReduce, p,
 		"ring all-reduce: gradient aggregation over neighbor ring channels",
 		"collective / neighbor sharing, high load",
-		func(r colParams, rank int, participant bool, sc Scale) []segment {
-			return ringSegments(r, rank, participant, true)
+		func(segs []segment, r colParams, rank int, participant bool) []segment {
+			return ringSegments(segs, r, rank, participant, true)
 		})
 }
 
@@ -317,23 +310,22 @@ func ReduceScatter(p CollectiveParams) Workload {
 	return collective(colReduceScatter, p,
 		"ring reduce-scatter: per-rank chunk-group reduction",
 		"collective / neighbor sharing, medium-high load",
-		func(r colParams, rank int, participant bool, sc Scale) []segment {
-			return ringSegments(r, rank, participant, false)
+		func(segs []segment, r colParams, rank int, participant bool) []segment {
+			return ringSegments(segs, r, rank, participant, false)
 		})
 }
 
-// ringSegments emits the shared ring structure of AllReduce/ReduceScatter;
-// gather selects whether the all-gather phase follows the reduce-scatter
-// phase. Every core — participant or not — emits an identical barrier
-// sequence: 1 (production) + (N-1) + gather*(N-1) per iteration.
-func ringSegments(r colParams, rank int, participant bool, gather bool) []segment {
+// ringSegments appends the shared ring structure of AllReduce/ReduceScatter
+// to segs; gather selects whether the all-gather phase follows the
+// reduce-scatter phase. Every core — participant or not — emits an identical
+// barrier sequence: 1 (production) + (N-1) + gather*(N-1) per iteration.
+func ringSegments(segs []segment, r colParams, rank int, participant bool, gather bool) []segment {
 	n := r.sharers
 	chunks := r.payload / r.chunk
 	perRank := chunks / n       // chunk-group size, in chunks
 	perCh := perRank / r.fanout // chunks per channel per step
 	groupLines := perRank * r.chunk
 	buf := func(rk int) uint64 { return colBase(rk, r.payload) }
-	var segs []segment
 	// step emits one ring step: on channel c, read this step's chunk group
 	// slice from the channel's predecessor and commit it locally.
 	step := func(s, loadWork int) []segment {
@@ -347,7 +339,7 @@ func ringSegments(r colParams, rank int, participant bool, gather bool) []segmen
 	}
 	for it := 0; it < r.iters; it++ {
 		if participant {
-			segs = produceChunks(segs, buf(rank), r.payload, r.chunk, 2)
+			segs = produce(segs, buf(rank), r.payload, 2)
 		} else {
 			segs = idle(segs)
 		}
@@ -395,7 +387,7 @@ func Broadcast(p CollectiveParams) Workload {
 	return collective(colBroadcast, p,
 		"tree broadcast: root payload relayed level by level, fan-out sharing",
 		"collective / 1-to-fanout sharing, push sweet spot",
-		func(r colParams, rank int, participant bool, sc Scale) []segment {
+		func(segs []segment, r colParams, rank int, participant bool) []segment {
 			level := func(rk int) int {
 				l := 0
 				for rk > 0 {
@@ -414,10 +406,9 @@ func Broadcast(p CollectiveParams) Workload {
 			// Internal ranks relay: their copy feeds their own children.
 			// Leaves (no rank has them as parent) only consume.
 			internal := rank*r.fanout+1 < r.sharers
-			var segs []segment
 			for it := 0; it < r.iters; it++ {
 				if participant && rank == 0 {
-					segs = produceChunks(segs, buf(0), r.payload, r.chunk, 2)
+					segs = produce(segs, buf(0), r.payload, 2)
 				} else {
 					segs = idle(segs)
 				}
@@ -427,11 +418,11 @@ func Broadcast(p CollectiveParams) Workload {
 						if internal {
 							segs = copyChunks(segs, buf(parent), buf(rank), r.payload, r.chunk, 1)
 						} else {
-							segs = consumeChunks(segs, buf(parent), r.payload, r.chunk, 1)
+							segs = consume(segs, buf(parent), r.payload, 1)
 						}
 						for pass := 1; pass < readPasses; pass++ {
 							segs = stagger(segs, (rank-1)%r.fanout)
-							segs = consumeChunks(segs, buf(parent), r.payload, r.chunk, 2)
+							segs = consume(segs, buf(parent), r.payload, 2)
 						}
 					} else {
 						segs = idle(segs)
@@ -454,18 +445,17 @@ func ProdCons(p CollectiveParams) Workload {
 	return collective(colProdCons, p,
 		"producer-consumer pipeline: double-buffered 1-to-fanout hand-off",
 		"collective / 1-to-fanout sharing, pipelined",
-		func(r colParams, rank int, participant bool, sc Scale) []segment {
+		func(segs []segment, r colParams, rank int, participant bool) []segment {
 			group := rank / (r.fanout + 1)
 			isProducer := rank%(r.fanout+1) == 0
 			buf := func(half int) uint64 { return colBase(group*2+half, r.payload) }
-			var segs []segment
 			// iters produce steps plus one drain step; consumers trail the
 			// producer by one buffer.
 			for t := 0; t <= r.iters; t++ {
 				active := false
 				if participant {
 					if isProducer && t < r.iters {
-						segs = produceChunks(segs, buf(t%2), r.payload, r.chunk, 2)
+						segs = produce(segs, buf(t%2), r.payload, 2)
 						active = true
 					}
 					if !isProducer && t > 0 {
@@ -473,7 +463,7 @@ func ProdCons(p CollectiveParams) Workload {
 							if pass > 0 {
 								segs = stagger(segs, rank%(r.fanout+1)-1)
 							}
-							segs = consumeChunks(segs, buf((t-1)%2), r.payload, r.chunk, 4)
+							segs = consume(segs, buf((t-1)%2), r.payload, 4)
 						}
 						active = true
 					}

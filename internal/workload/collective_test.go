@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -465,5 +467,67 @@ func TestCollectiveParamsSignature(t *testing.T) {
 	}
 	if Broadcast(CollectiveParams{Fanout: 2}).Params == Broadcast(CollectiveParams{Fanout: 4}).Params {
 		t.Error("same-name collectives with different fanout share a Params signature")
+	}
+}
+
+// chunkedStreams is the FNV-1a digest of every core's ops, in core order,
+// of each collective at tiny scale, recorded while a producer's or
+// consumer's pass was built chunk by chunk.
+var chunkedStreams = map[string]uint64{
+	"allreduce 16": 0x9748ccc7fbe6cb12, "broadcast 16": 0x3edd2dafc8b4d2e8,
+	"reducescatter 16": 0x1c8a2866f3424db8, "prodcons 16": 0xfc3845302ae2d2b5,
+	"allreduce 64": 0xd97e729ba5e05197, "broadcast 64": 0xf22514253e6743e6,
+	"reducescatter 64": 0xa69cb4d2e4488384, "prodcons 64": 0xa5c7bc4ad4eeaeec,
+}
+
+// TestCollectivePassesMatchChunks: a producer's or consumer's pass over a
+// buffer is one scan, and its op stream is the one the same pass cut into
+// chunk-sized scans emits. For each collective at 16 and 64 cores, every
+// core's stream is compared op by op with the stream of its segments,
+// every scan longer than a chunk cut into chunks (a copy step's scans are a
+// chunk each already), and all of them with the streams recorded while
+// passes were built chunk by chunk.
+func TestCollectivePassesMatchChunks(t *testing.T) {
+	for _, cores := range []int{16, 64} {
+		for _, wl := range Collectives() {
+			cut, h := 0, fnv.New64a()
+			for core := range cores {
+				segs := wl.Build(core, cores, ScaleTiny).(*segStream).segs
+				var chunked []segment
+				for _, s := range segs {
+					if s.kind != segScan || s.lines <= defaultChunkLines {
+						chunked = append(chunked, s)
+						continue
+					}
+					if s.lines%defaultChunkLines != 0 || s.stride != 0 || s.base2 != 0 || s.skipDenom != 0 {
+						t.Fatalf("%s core %d of %d: a pass %+v that is not whole plain chunks", wl.Name, core, cores, s)
+					}
+					for off := 0; off < s.lines; off += defaultChunkLines {
+						c := s
+						c.base, c.lines = s.base+uint64(off)*noc.LineBytes, defaultChunkLines
+						chunked = append(chunked, c)
+					}
+					cut++
+				}
+				got := drain(t, newSegStream(segs), 2_000_000)
+				want := drain(t, newSegStream(chunked), 2_000_000)
+				if len(got) != len(want) {
+					t.Fatalf("%s core %d of %d: %d ops, %d cut into chunks", wl.Name, core, cores, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s core %d of %d: op %d is %+v, %+v cut into chunks", wl.Name, core, cores, i, got[i], want[i])
+					}
+					fmt.Fprintf(h, "%d %d %d %#x\n", core, got[i].Kind, got[i].N, got[i].Addr)
+				}
+			}
+			if cut == 0 {
+				t.Fatalf("%s at %d cores: no pass longer than a chunk", wl.Name, cores)
+			}
+			name := fmt.Sprintf("%s %d", wl.Name, cores)
+			if got, want := h.Sum64(), chunkedStreams[name]; got != want {
+				t.Fatalf("%s: the streams digest to %#x, recorded %#x while passes were built chunk by chunk", name, got, want)
+			}
+		}
 	}
 }
