@@ -200,3 +200,30 @@ func TestArchOneGoroutinePerSimulation(t *testing.T) {
 		})
 	})
 }
+
+// TestArchNoCKeepsTables states over the parsed source that no declaration in
+// a non-test file of internal/noc has a map type: the transport's streams are
+// one table indexed by source and vnet, its losses one list.
+func TestArchNoCKeepsTables(t *testing.T) {
+	parseDirs(t, false, []string{"internal/noc"}, func(fset *token.FileSet, path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if m, ok := n.(*ast.MapType); ok {
+				t.Errorf("%v: a map type; the NoC keeps tables, not maps (DESIGN.md §4f)", fset.Position(m.Pos()))
+			}
+			return true
+		})
+	})
+}
+
+// TestArchNoWakeQueue states over the parsed source that no non-test file of
+// internal/sim imports container/heap or container/list: scheduled wakes have
+// one structure, the timing wheel.
+func TestArchNoWakeQueue(t *testing.T) {
+	parseDirs(t, false, []string{"internal/sim"}, func(fset *token.FileSet, path string, file *ast.File) {
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "container/heap" || p == "container/list" {
+				t.Errorf("%v: imports %s; scheduled wakes live in the hashed timing wheel, each in its slot whatever its lap (DESIGN.md §4b)", fset.Position(imp.Pos()), p)
+			}
+		}
+	})
+}

@@ -31,7 +31,7 @@ type options struct {
 	planFile, snapFile, restoreF string
 	snapAt                       uint64
 	snapEvery                    int64
-	snapEverySet                 bool
+	snapEverySet, snapAtSet      bool // the flag was given, 0 included
 	cpuProf, memProf, execTr     string
 }
 
@@ -86,7 +86,10 @@ func parseArgs(args []string) (*options, error) {
 		fs.Usage()
 		os.Exit(0)
 	}
-	fs.Visit(func(f *flag.Flag) { o.snapEverySet = o.snapEverySet || f.Name == "snapevery" })
+	fs.Visit(func(f *flag.Flag) {
+		o.snapEverySet = o.snapEverySet || f.Name == "snapevery"
+		o.snapAtSet = o.snapAtSet || f.Name == "snapat"
+	})
 	return o, err
 }
 
@@ -145,7 +148,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := checkSnapEvery(o.snapEverySet, o.snapEvery); err != nil {
+	if err := checkSnapEvery(o); err != nil {
 		fail(err)
 	}
 	res, err := execute(run.Config, run.Workload, run.Scale, o.snapFile, o.snapAt, uint64(o.snapEvery), o.restoreF)
@@ -162,11 +165,17 @@ func main() {
 	report(res)
 }
 
-// checkSnapEvery validates the -snapevery flag value: the flag must be a
-// positive cycle count whenever it was set at all.
-func checkSnapEvery(set bool, n int64) error {
-	if set && n <= 0 {
-		return fmt.Errorf("-snapevery %d is not a positive cycle count", n)
+// checkSnapEvery validates the checkpoint cycle flags as given: -snapevery
+// and -snapat must each be a positive cycle count whenever set at all (an
+// explicit 0 is not "unset"), and they exclude each other.
+func checkSnapEvery(o *options) error {
+	switch {
+	case o.snapEverySet && o.snapEvery <= 0:
+		return fmt.Errorf("-snapevery %d is not a positive cycle count", o.snapEvery)
+	case o.snapAtSet && o.snapAt == 0:
+		return fmt.Errorf("-snapat 0 is not a positive cycle count")
+	case o.snapEverySet && o.snapAtSet:
+		return fmt.Errorf("-snapevery cannot be combined with -snapat (periodic versus one-shot)")
 	}
 	return nil
 }

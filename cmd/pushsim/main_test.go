@@ -257,29 +257,31 @@ func TestExecuteSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckSnapEvery is the -snapevery bad-input table: any explicitly set
-// non-positive value is one one-line diagnostic; unset stays silent.
+// TestCheckSnapEvery is the checkpoint cycle flags' bad-input table: any
+// explicitly set non-positive -snapevery or -snapat, and the two together,
+// is one one-line diagnostic; unset stays silent.
 func TestCheckSnapEvery(t *testing.T) {
 	cases := []struct {
 		name string
-		set  bool
-		n    int64
+		args []string
 		ok   bool
 	}{
-		{"unset", false, 0, true},
-		{"positive", true, 5000, true},
-		{"zero", true, 0, false},
-		{"negative", true, -3, false},
+		{"unset", nil, true},
+		{"positive", []string{"-snapevery", "5000"}, true},
+		{"zero", []string{"-snapevery", "0"}, false},
+		{"negative", []string{"-snapevery", "-3"}, false},
+		{"snapat zero", []string{"-snapshot", "F", "-snapat", "0"}, false},
+		{"snapat zero with snapevery", []string{"-snapevery", "5000", "-snapat", "0", "-snapshot", "F"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkSnapEvery(tc.set, tc.n)
+			err := checkSnapEvery(parse(t, tc.args...))
 			if tc.ok && err != nil {
-				t.Fatalf("checkSnapEvery(%v, %d) = %v; want nil", tc.set, tc.n, err)
+				t.Fatalf("checkSnapEvery(%q) = %v; want nil", tc.args, err)
 			}
 			if !tc.ok {
 				if err == nil {
-					t.Fatalf("checkSnapEvery(%v, %d) accepted bad input", tc.set, tc.n)
+					t.Fatalf("checkSnapEvery(%q) accepted bad input", tc.args)
 				}
 				if strings.Contains(err.Error(), "\n") {
 					t.Fatalf("diagnostic is not a single line: %q", err)

@@ -270,33 +270,28 @@ func memoized(ctx context.Context, key memoKey, id string, run func(context.Cont
 	return waitMemo(ctx, e, false)
 }
 
-// memoFinished answers a key whose run completed (see ResolvedRun.Execute):
-// the lookup counts as a hit and refreshes the entry's LRU position, as
-// memoized's own completed branch does. Completed entries are successful:
-// a failed run leaves the memo before its waiters are released.
-func memoFinished(key memoKey) (Results, bool) {
+// memoLookup returns the memo's entry for key, completed or in flight (nil
+// when it holds none), and whether the run completed. It is not a hit: it
+// counts nothing and moves no LRU position. A completed entry is a
+// successful run (a failed one leaves the memo before its waiters are
+// released), and its id and res no longer change.
+func memoLookup(key memoKey) (*memoEntry, bool) {
 	runMemo.Lock()
 	defer runMemo.Unlock()
-	e, ok := runMemo.m[key]
-	if !ok || e.elem == nil {
-		return Results{}, false
-	}
-	runMemo.hits++
-	runMemo.lru.MoveToFront(e.elem)
-	return e.res, true
+	e := runMemo.m[key]
+	return e, e != nil && e.elem != nil
 }
 
 // memoAnswer returns the wire answer of r if its entry completed (see
-// ResolvedRun.Answered), rendering it on the first call. Like memoIdentity it
+// ResolvedRun.Answered), rendering it on the first call. Like memoLookup it
 // is not a hit: RunAnswer.Hit counts one when the answer is served.
 func memoAnswer(r ResolvedRun) (*RunAnswer, bool) {
-	key := r.key()
-	runMemo.Lock()
-	defer runMemo.Unlock()
-	e, ok := runMemo.m[key]
-	if !ok || e.elem == nil {
+	e, done := memoLookup(r.key())
+	if !done {
 		return nil, false
 	}
+	runMemo.Lock()
+	defer runMemo.Unlock()
 	if e.ans == nil {
 		rec := r.Record(e.res, true, nil)
 		line, _ := json.Marshal(rec) // a RunRecord always marshals
@@ -306,8 +301,8 @@ func memoAnswer(r ResolvedRun) (*RunAnswer, bool) {
 }
 
 // memoHit counts a hit on a completed entry and refreshes its LRU position,
-// as memoFinished does. An entry evicted or cleared since it was looked up
-// still counts: its answer was served from the memo.
+// as memoized's own completed branch does. An entry evicted or cleared since
+// it was looked up still counts: its answer was served from the memo.
 func memoHit(e *memoEntry) {
 	runMemo.Lock()
 	runMemo.hits++
@@ -315,18 +310,6 @@ func memoHit(e *memoEntry) {
 		runMemo.lru.MoveToFront(e.elem) // a no-op once ClearRunMemo replaced the list
 	}
 	runMemo.Unlock()
-}
-
-// memoIdentity returns the identity of a run the memo holds, completed or in
-// flight. It is not a hit: it counts nothing and moves no LRU position.
-func memoIdentity(key memoKey) (string, bool) {
-	runMemo.Lock()
-	defer runMemo.Unlock()
-	e, ok := runMemo.m[key]
-	if !ok {
-		return "", false
-	}
-	return e.id, true
 }
 
 // waitMemo parks one caller on an in-flight entry. A caller whose own

@@ -2,7 +2,7 @@
 // schedule of transient network faults (link stalls, router slowdowns, packet
 // delay jitter, injection-queue pressure spikes, filter outages, and lossy
 // message faults) applied to the NoC through narrow hooks, plus the injector
-// component that drives the schedule off the simulation engine's wake heap.
+// component that drives the schedule off the simulation engine's timing wheel.
 //
 // Every fault effect is a pure function of (plan, seed, cycle, component
 // identity, packet identity) — never of tick order, goroutine scheduling, or

@@ -227,9 +227,10 @@ func schedulePrograms() [][]byte {
 // TestEngineMatchesReferenceSchedule is the engine's contract test: whatever
 // a program of sleeps and wakes does, the engine ticks exactly the components
 // the linear-scan reference ticks, in the same cycles and order, and stops
-// with the same clock, count and error. Nothing else in the repository files a
-// wake beyond the wheel's horizon on purpose, so the overflow list, refiling
-// at the horizon and canceling a far wake are tested here or nowhere.
+// with the same clock, count and error. The distances file wakes of several
+// laps into one slot (0, 256 and 768; 1 and 257), so this is where a slot
+// that mixes laps, Step passing over a later lap's wake, nextWake looking
+// past it for the earliest one, and canceling a wake laps ahead are tested.
 func TestEngineMatchesReferenceSchedule(t *testing.T) {
 	for i, prog := range schedulePrograms() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { checkSchedule(t, prog) })

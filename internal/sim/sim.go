@@ -103,9 +103,6 @@ type Handle struct {
 	idx    int     `snap:"-,wiring"` // registration order: the handle's bit in the awake words and in every wheel slot
 	asleep bool    `snap:"-,scheduling: every handle restores awake"`
 	wakeAt Cycle   `snap:"-,scheduling: every handle restores awake"` // NeverWake when sleeping without a scheduled wake
-	// farPos is this handle's index in the engine's overflow list, -1 when its
-	// scheduled wake (if any) is filed in the wheel.
-	farPos int `snap:"-,scheduling: every handle restores awake"`
 	// ticks counts the component's ticks (Engine.Ticks sums them).
 	ticks uint64 `snap:"-,host counter: restarts at restore"`
 }
@@ -202,23 +199,17 @@ type Engine struct {
 	// awake has bit i set while handles[i] is awake. Step walks it low to
 	// high, which is registration order.
 	awake []uint64 `snap:"-,scheduling: every handle restores awake"`
-	// wheel files the scheduled wakes less than wheelSlots cycles ahead: slot
+	// wheel files every scheduled wake, however far ahead: slot
 	// wakeAt%wheelSlots is a stride-word copy of the awake layout with the bit
-	// of every handle due at that cycle. Every filed wake lies in
-	// [now, now+wheelSlots), so a slot never mixes two cycles. slotCount and
-	// slotMask (the slots with a non-zero count) let Step skip an empty slot
-	// and fastForward find the next wake with a bit scan.
-	wheel     []uint64                `snap:"-,scheduling: restores empty"`
-	stride    int                     `snap:"-,derived: the awake word count the wheel is laid out for"`
-	slotCount [wheelSlots]int32       `snap:"-,scheduling: restores empty"`
-	slotMask  [wheelSlots / 64]uint64 `snap:"-,scheduling: restores empty"`
-	// far holds, unsorted, the sleepers whose wake was wheelSlots or more
-	// cycles ahead when filed; farMin is the earliest of them (NeverWake when
-	// there is none). Step refiles the list when farMin comes inside the
-	// wheel's horizon.
-	far          []*Handle `snap:"-,scheduling: restores empty"`
-	farMin       Cycle     `snap:"-,scheduling: restores empty"`
-	dense        bool      `snap:"-,config"`
+	// of every handle whose wake maps to it. A slot may hold several laps
+	// (cycles wheelSlots apart); the handle's wakeAt tells them apart.
+	// slotCount and slotMask (the slots with a non-zero count) let Step skip
+	// an empty slot and fastForward find the next wake with a bit scan.
+	wheel        []uint64                `snap:"-,scheduling: restores empty"`
+	stride       int                     `snap:"-,derived: the awake word count the wheel is laid out for"`
+	slotCount    [wheelSlots]int32       `snap:"-,scheduling: restores empty"`
+	slotMask     [wheelSlots / 64]uint64 `snap:"-,scheduling: restores empty"`
+	dense        bool                    `snap:"-,config"`
 	lastProgress Cycle
 	// progressTo is the last cycle through which a sleeping component's
 	// progress is certain (ProgressThrough); progress reads it settled.
@@ -237,12 +228,13 @@ type Engine struct {
 // terminates.
 const FailsafeMaxCycles = Cycle(1) << 40
 
-// wheelSlots is the timing wheel's horizon in cycles. Nine in ten timed
-// sleeps of a mesh run are under 8 cycles ahead. Those that reach 256 wait in
-// the overflow list: a core sleeping through a long compute op (55 per
-// cachebw tiny/64 run, 315 per swaptions or blackscholes quick/64 run), the
-// lossy transport's timers (300, 400), and a checker told to scan less often
-// than its default 64 cycles.
+// wheelSlots is the timing wheel's lap in cycles. Nine in ten timed sleeps of
+// a mesh run are under 8 cycles ahead. Those that reach 256 share their slot
+// with nearer laps' wakes, and Step passes over them until their lap comes: a
+// core sleeping through a long compute op (55 per cachebw tiny/64 run, 315
+// per swaptions or blackscholes quick/64 run), the lossy transport's timers
+// (300, 400), and a checker told to scan less often than its default 64
+// cycles.
 const wheelSlots = 256
 
 // NewEngine returns a wake-driven engine with the given watchdog window and
@@ -256,7 +248,7 @@ func NewEngine(watchdog, maxCycles Cycle) *Engine {
 	if failsafe {
 		maxCycles = FailsafeMaxCycles
 	}
-	return &Engine{watchdog: watchdog, maxCycles: maxCycles, failsafe: failsafe, farMin: NeverWake}
+	return &Engine{watchdog: watchdog, maxCycles: maxCycles, failsafe: failsafe}
 }
 
 // SetDense switches the engine to the dense reference mode, which ticks every
@@ -269,7 +261,7 @@ func (e *Engine) SetDense(dense bool) { e.dense = dense }
 // handle. Components are ticked in registration order and start awake. It
 // must not be called from inside a tick: Step holds the awake words.
 func (e *Engine) Register(t Ticker) *Handle {
-	h := &Handle{eng: e, comp: t, idx: len(e.handles), wakeAt: NeverWake, farPos: -1}
+	h := &Handle{eng: e, comp: t, idx: len(e.handles), wakeAt: NeverWake}
 	e.handles = append(e.handles, h)
 	if h.idx&63 == 0 {
 		e.awake = append(e.awake, 0)
@@ -342,24 +334,23 @@ func (e *Engine) Step() {
 		e.now++
 		return
 	}
-	if e.farMin-e.now < wheelSlots {
-		e.refile()
-	}
 	if s := int(e.now % wheelSlots); e.slotCount[s] != 0 {
-		e.asleepCount -= int(e.slotCount[s])
-		e.slotCount[s] = 0
-		e.slotMask[s>>6] &^= 1 << (s & 63)
-		slot := e.wheel[s*e.stride : (s+1)*e.stride]
-		for w, due := range slot {
-			if due == 0 {
-				continue
+		slot, now, woken := e.wheel[s*e.stride:(s+1)*e.stride], e.now, 0
+		for w, filed := range slot {
+			for ; filed != 0; filed &= filed - 1 {
+				// A later lap's wake shares the slot and stays filed.
+				if h := e.handles[w<<6|bits.TrailingZeros64(filed)]; h.wakeAt == now {
+					bit := filed & -filed
+					slot[w] &^= bit
+					e.awake[w] |= bit
+					h.asleep, h.wakeAt = false, NeverWake
+					woken++
+				}
 			}
-			slot[w] = 0
-			e.awake[w] |= due
-			for ; due != 0; due &= due - 1 {
-				h := e.handles[w<<6|bits.TrailingZeros64(due)]
-				h.asleep, h.wakeAt = false, NeverWake
-			}
+		}
+		e.asleepCount -= woken
+		if e.slotCount[s] -= int32(woken); e.slotCount[s] == 0 {
+			e.slotMask[s>>6] &^= 1 << (s & 63)
 		}
 	}
 	if e.asleepCount < len(e.handles) {
@@ -471,19 +462,11 @@ func (e *Engine) fastForward(barrier Cycle) bool {
 	return true
 }
 
-// --- scheduled wakes: a timing wheel with an overflow list ---
+// --- scheduled wakes: a hashed timing wheel ---
 
-// file records h's scheduled wake (h.wakeAt, not NeverWake): in its wheel
-// slot when it is inside the horizon, in the overflow list otherwise.
+// file records h's scheduled wake (h.wakeAt, not NeverWake) in its wheel
+// slot, whatever its lap.
 func (e *Engine) file(h *Handle) {
-	if h.wakeAt-e.now >= wheelSlots {
-		h.farPos = len(e.far)
-		e.far = append(e.far, h)
-		if h.wakeAt < e.farMin {
-			e.farMin = h.wakeAt
-		}
-		return
-	}
 	if e.stride != len(e.awake) {
 		e.layWheel()
 	}
@@ -496,36 +479,11 @@ func (e *Engine) file(h *Handle) {
 // unfile cancels h's scheduled wake, for a Wake that arrives early or a
 // sleeper that is given another wake time.
 func (e *Engine) unfile(h *Handle) {
-	if i := h.farPos; i >= 0 {
-		last := len(e.far) - 1
-		e.far[i] = e.far[last]
-		e.far[i].farPos = i
-		e.far[last] = nil
-		e.far = e.far[:last]
-		h.farPos = -1
-		if h.wakeAt == e.farMin {
-			e.refile() // the minimum may have left: recompute it
-		}
-		return
-	}
 	s := int(h.wakeAt % wheelSlots)
 	e.wheel[s*e.stride+h.idx>>6] &^= 1 << (h.idx & 63)
 	if e.slotCount[s]--; e.slotCount[s] == 0 {
 		e.slotMask[s>>6] &^= 1 << (s & 63)
 	}
-}
-
-// refile passes the overflow list through file again: what has come inside
-// the horizon moves to its wheel slot, the rest stays, and farMin is exact
-// afterwards.
-func (e *Engine) refile() {
-	far := e.far
-	e.far, e.farMin = far[:0], NeverWake
-	for _, h := range far {
-		h.farPos = -1
-		e.file(h) // appends at or below the index being read
-	}
-	clear(far[len(e.far):])
 }
 
 // layWheel allocates the wheel for the handles registered so far, on the
@@ -541,15 +499,32 @@ func (e *Engine) layWheel() {
 }
 
 // nextWake returns the earliest scheduled wake, NeverWake when there is
-// none: the first non-empty slot at or after now's, going round the wheel
-// once, or the overflow minimum if that is earlier.
+// none. It goes round the wheel once from now's slot: the first wake due in
+// this lap is the answer, and failing one, the earliest of the later laps'.
+// Every filed wake is at or after now, so a wake in the slot d cycles on is
+// due in this lap exactly when it falls at now+d.
 func (e *Engine) nextWake() Cycle {
-	for d := Cycle(0); d < wheelSlots; {
-		s := (e.now + d) % wheelSlots
-		if m := e.slotMask[s>>6] >> (s & 63); m != 0 {
-			return min(e.now+d+Cycle(bits.TrailingZeros64(m)), e.farMin)
+	later := NeverWake
+	for d := Cycle(0); d < wheelSlots; d++ {
+		s := int((e.now + d) % wheelSlots)
+		m := e.slotMask[s>>6] >> (s & 63)
+		if m == 0 {
+			d += Cycle(63 - s&63)
+			continue
 		}
-		d += 64 - s&63
+		if d += Cycle(bits.TrailingZeros64(m)); d >= wheelSlots {
+			break // the scan wrapped onto slots already visited
+		}
+		s = int((e.now + d) % wheelSlots)
+		for w, filed := range e.wheel[s*e.stride : (s+1)*e.stride] {
+			for ; filed != 0; filed &= filed - 1 {
+				at := e.handles[w<<6|bits.TrailingZeros64(filed)].wakeAt
+				if at == e.now+d {
+					return at
+				}
+				later = min(later, at)
+			}
+		}
 	}
-	return e.farMin
+	return later
 }

@@ -9,8 +9,8 @@ import (
 
 // edgeDists are the wake distances, counted from the next cycle, that meet
 // every way the engine files a sleeper: awake (due now, due next cycle), the
-// wheel's last slot, the overflow list's first cycle, deep overflow, and no
-// wake at all.
+// wheel's last slot, the first cycle of the next lap, three laps ahead, and
+// no wake at all.
 var edgeDists = []Cycle{0, 1, wheelSlots - 1, wheelSlots, 3 * wheelSlots, NeverWake}
 
 // edgeMachine registers two components per edge distance. Each logs its
@@ -54,7 +54,7 @@ func roundTrip(t *testing.T, src, dst *Engine) {
 
 // TestSnapshotRestoresEveryHandleAwake: a snapshot carries the clock and the
 // watchdog's progress cycle and none of the engine's scheduling. The source
-// has sleepers filed in the wheel, in the overflow list and nowhere; the target
+// has sleepers filed in this lap, a lap or more ahead and nowhere; the target
 // filed other wakes while it was built. Decoding must restore the two cycles,
 // leave every handle awake and nothing filed, and restart the tick counter,
 // so the first Step ticks every component, in registration order, at the
@@ -68,8 +68,18 @@ func TestSnapshotRestoresEveryHandleAwake(t *testing.T) {
 	for a.Now() < 2*wheelSlots+3 {
 		a.Step()
 	}
-	if a.asleepCount == 0 || len(a.far) == 0 || !slices.ContainsFunc(a.slotCount[:], func(n int32) bool { return n != 0 }) {
-		t.Fatalf("the source files %d sleepers, %d of them in the overflow list: not every filing is covered", a.asleepCount, len(a.far))
+	var near, ahead int
+	for _, h := range a.handles {
+		switch {
+		case h.wakeAt == NeverWake:
+		case h.wakeAt-a.Now() < wheelSlots:
+			near++
+		default:
+			ahead++
+		}
+	}
+	if near == 0 || ahead == 0 {
+		t.Fatalf("the source files %d wakes in this lap and %d a lap or more ahead: not every filing is covered", near, ahead)
 	}
 	b, bhs, blog := edgeMachine()
 	bhs[3].SleepUntil(5)
@@ -82,16 +92,15 @@ func TestSnapshotRestoresEveryHandleAwake(t *testing.T) {
 			b.Now(), b.lastProgress, b.Ticks(), a.Now(), a.lastProgress)
 	}
 	for i, h := range bhs {
-		if h.asleep || h.wakeAt != NeverWake || h.farPos != -1 {
-			t.Fatalf("handle %d restored as (asleep %v, wake %d, overflow position %d), want awake and unfiled", i, h.asleep, h.wakeAt, h.farPos)
+		if h.asleep || h.wakeAt != NeverWake {
+			t.Fatalf("handle %d restored as (asleep %v, wake %d), want awake and unfiled", i, h.asleep, h.wakeAt)
 		}
 	}
 	filed := slices.ContainsFunc(b.wheel, func(w uint64) bool { return w != 0 }) ||
 		slices.ContainsFunc(b.slotCount[:], func(n int32) bool { return n != 0 }) ||
 		slices.ContainsFunc(b.slotMask[:], func(m uint64) bool { return m != 0 })
-	if b.asleepCount != 0 || filed || len(b.far) != 0 || b.farMin != NeverWake {
-		t.Fatalf("restored engine counts %d asleep, %d in the overflow list (minimum %d), wheel filed: %v; want nothing",
-			b.asleepCount, len(b.far), b.farMin, filed)
+	if b.asleepCount != 0 || filed {
+		t.Fatalf("restored engine counts %d asleep, wheel filed: %v; want nothing", b.asleepCount, filed)
 	}
 
 	b.Step()

@@ -326,8 +326,9 @@ func newRun(cfg Config, wl Workload, sc Scale, donor []byte, snap uint64) Resolv
 		r.faults = fmt.Sprintf("%+v", *cfg.Faults)
 	}
 	k := r.key()
-	var ok bool
-	if r.id, ok = memoIdentity(k); !ok {
+	if e, _ := memoLookup(k); e != nil {
+		r.id = e.id
+	} else {
 		r.id = formatIdentity(k)
 	}
 	return r
@@ -369,8 +370,9 @@ func (r ResolvedRun) Identity() string { return r.id }
 // run to the heap.
 func (r ResolvedRun) Execute(ctx context.Context) (res Results, hit bool, err error) {
 	key := r.key()
-	if res, ok := memoFinished(key); ok {
-		return res, true, nil
+	if e, done := memoLookup(key); done {
+		memoHit(e)
+		return e.res, true, nil
 	}
 	return memoized(ctx, key, r.id, r.simulate)
 }

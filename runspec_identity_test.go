@@ -85,7 +85,7 @@ func holdInFlight(t *testing.T, r ResolvedRun) (complete func()) {
 		}
 	}()
 	for {
-		if _, ok := memoIdentity(r.key()); ok {
+		if e, _ := memoLookup(r.key()); e != nil {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -177,10 +177,10 @@ func TestNewRunCountsNoHit(t *testing.T) {
 		t.Errorf("NewRun of a memo-held run moved the memo's counters: %+v, was %+v", got, stats)
 	}
 	SetRunMemoCapacity(1)
-	if _, ok := memoFinished(older.key()); ok {
+	if _, done := memoLookup(older.key()); done {
 		t.Error("the older run survived a shrink to 1: NewRun moved it to the LRU front")
 	}
-	if _, ok := memoFinished(newer.key()); !ok {
+	if _, done := memoLookup(newer.key()); !done {
 		t.Error("the newer run was evicted by a shrink to 1")
 	}
 }
