@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -225,5 +226,79 @@ func TestArchNoWakeQueue(t *testing.T) {
 				t.Errorf("%v: imports %s; scheduled wakes live in the hashed timing wheel, each in its slot whatever its lap (DESIGN.md §4b)", fset.Position(imp.Pos()), p)
 			}
 		}
+	})
+}
+
+// forbidNames reports, for every identifier in file that contains one of
+// names, its position and why.
+func forbidNames(t *testing.T, fset *token.FileSet, file *ast.File, names []string, why string) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			for _, name := range names {
+				if strings.Contains(id.Name, name) {
+					t.Errorf("%v: %s; %s", fset.Position(id.Pos()), id.Name, why)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestArchPacketIsItsMessage states over the parsed source of internal/ and
+// the root package, tests included, that no shared payload comes back: no
+// refcounted payload type, payload codec or payload pool, no Payload field of
+// type any, and no AddRef call. A router's replica is a whole packet that owns
+// its message words.
+func TestArchPacketIsItsMessage(t *testing.T) {
+	const why = "a packet is its message; no shared payload may come back (DESIGN.md §4b, §4g)"
+	parseDirs(t, true, append(internalDirs(t), "."), func(fset *token.FileSet, path string, file *ast.File) {
+		forbidNames(t, fset, file, []string{"RefPayload", "PayloadCodec", "payloadPool"}, why)
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				iface, empty := n.Type.(*ast.InterfaceType)
+				if isName(n.Type, "any") || empty && len(iface.Methods.List) == 0 {
+					for _, name := range n.Names {
+						if name.Name == "Payload" {
+							t.Errorf("%v: a Payload field of type any; %s", fset.Position(n.Pos()), why)
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "AddRef" {
+					t.Errorf("%v: an AddRef call; %s", fset.Position(n.Pos()), why)
+				}
+			}
+			return true
+		})
+	})
+}
+
+// TestArchFaultPathKeepsEachFactOnce states over the parsed source of
+// internal/check and internal/fault, tests aside, that the checker keeps one
+// list of loss obligations (no pendingLoss, lossRef or hasLossy) and the
+// injector one fault index by kind and slot (no per-kind list among
+// Injector's fields).
+func TestArchFaultPathKeepsEachFactOnce(t *testing.T) {
+	perKind := []string{"stalls", "jits", "slows", "spikes", "drops", "mdrops", "mdups", "mcorrs"}
+	parseDirs(t, false, []string{"internal/check", "internal/fault"}, func(fset *token.FileSet, path string, file *ast.File) {
+		forbidNames(t, fset, file, []string{"pendingLoss", "lossRef", "hasLossy"},
+			"the checker keeps one list of loss obligations and the injector reads Plan.Lossy (DESIGN.md §4d, §4e)")
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "Injector" {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if slices.Contains(perKind, name.Name) {
+							t.Errorf("%v: Injector field %s; the injector keeps one fault index, by kind and slot (DESIGN.md §4e)", fset.Position(name.Pos()), name.Name)
+						}
+					}
+				}
+			}
+			return true
+		})
 	})
 }

@@ -74,17 +74,17 @@ func bindFlags(fs *flag.FlagSet) *options {
 }
 
 // parseArgs parses a command line. A bad flag is the flag package's own
-// one-line error, like every other rejection; the flag listing is printed
-// only on -h, which exits 0 as the flag package's default handling does.
-func parseArgs(args []string) (*options, error) {
+// one-line error, like every other rejection; the flag listing is printed to
+// usage only on -h, which returns flag.ErrHelp (exit 0, as the flag
+// package's default handling does).
+func parseArgs(args []string, usage io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("pushsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	o := bindFlags(fs)
 	err := fs.Parse(args)
 	if errors.Is(err, flag.ErrHelp) {
-		fs.SetOutput(os.Stderr)
+		fs.SetOutput(usage)
 		fs.Usage()
-		os.Exit(0)
 	}
 	fs.Visit(func(f *flag.Flag) {
 		o.snapEverySet = o.snapEverySet || f.Name == "snapevery"
@@ -117,57 +117,64 @@ func (o *options) resolve() (pushmulticast.ResolvedRun, error) {
 	return pushmulticast.NewRun(cfg, run.Workload, run.Scale, nil), nil
 }
 
-// fail prints the one-line diagnostic and exits 1.
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pushsim:", err)
-	os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is pushsim over args: results go to stdout, and any failure is one
+// line on stderr and exit status 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	if err := simulate(args, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "pushsim:", err)
+		return 1
+	}
+	return 0
 }
 
-func main() {
-	o, err := parseArgs(os.Args[1:])
+// simulate parses args, runs the simulation and reports it; run prints the
+// error it returns.
+func simulate(args []string, stdout, stderr io.Writer) error {
+	o, err := parseArgs(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 	stopProf, err := startProfiles(o.cpuProf, o.memProf, o.execTr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer stopProf()
 
 	if o.list {
-		for _, w := range pushmulticast.Workloads() {
-			fmt.Printf("%-16s %-14s %s\n", w.Name, "["+w.Class+"]", w.Description)
+		for _, w := range append(pushmulticast.Workloads(), pushmulticast.CollectiveWorkloads()...) {
+			fmt.Fprintf(stdout, "%-16s %-14s %s\n", w.Name, "["+w.Class+"]", w.Description)
 		}
-		for _, w := range pushmulticast.CollectiveWorkloads() {
-			fmt.Printf("%-16s %-14s %s\n", w.Name, "["+w.Class+"]", w.Description)
-		}
-		return
+		return nil
 	}
 
 	run, err := o.resolve()
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := checkSnapEvery(o); err != nil {
-		fail(err)
+		return err
 	}
-	res, err := execute(run.Config, run.Workload, run.Scale, o.snapFile, o.snapAt, uint64(o.snapEvery), o.restoreF)
+	res, err := execute(run.Config, run.Workload, run.Scale, o, stderr)
 	if err != nil {
-		stopProf() // flush profiles of the failed run before exiting
-		fail(err)
+		return err
 	}
 	if o.jsonOut {
-		if err := reportJSON(res); err != nil {
-			fail(err)
-		}
-		return
+		return reportJSON(stdout, res)
 	}
-	report(res)
+	report(stdout, res)
+	return nil
 }
 
-// checkSnapEvery validates the checkpoint cycle flags as given: -snapevery
-// and -snapat must each be a positive cycle count whenever set at all (an
-// explicit 0 is not "unset"), and they exclude each other.
+// checkSnapEvery refuses, on one line, every checkpoint flag combination
+// execute could not honour as given: -snapevery and -snapat must each be a
+// positive cycle count whenever set at all (an explicit 0 is not "unset"),
+// they exclude each other, each needs -snapshot FILE, and a one-shot
+// -snapshot needs -snapat and a cold start.
 func checkSnapEvery(o *options) error {
 	switch {
 	case o.snapEverySet && o.snapEvery <= 0:
@@ -176,32 +183,31 @@ func checkSnapEvery(o *options) error {
 		return fmt.Errorf("-snapat 0 is not a positive cycle count")
 	case o.snapEverySet && o.snapAtSet:
 		return fmt.Errorf("-snapevery cannot be combined with -snapat (periodic versus one-shot)")
+	case o.snapEverySet && o.snapFile == "":
+		return fmt.Errorf("-snapevery requires -snapshot FILE")
+	case o.snapAtSet && o.snapFile == "":
+		return fmt.Errorf("-snapat requires -snapshot FILE")
+	case !o.snapEverySet && o.snapFile != "" && o.restoreF != "":
+		return fmt.Errorf("-snapshot cannot be combined with -restore")
+	case !o.snapEverySet && o.snapFile != "" && !o.snapAtSet:
+		return fmt.Errorf("-snapshot requires -snapat CYCLE")
 	}
 	return nil
 }
 
-// execute runs the simulation, honoring the checkpoint/restore flags. Every
-// mode is one flow over one machine: build it cold or -restore it from a
-// snapshot; then either run straight through, or pause at the -snapat barrier
-// to write a -snapshot, or rewrite the snapshot file every -snapevery cycles
-// (atomically, so a crash never leaves a torn file — a SIGKILL at any instant
-// loses at most one slice of progress, which -restore -snapevery resumes);
-// then finish. Pausing is state-transparent, so every mode's results are
-// byte-identical. Every failure — including a snapshot whose format version
-// or config fingerprint does not match — is a one-line diagnostic; the caller
-// prints it and exits 1.
-func execute(cfg pushmulticast.Config, wl pushmulticast.Workload, sc pushmulticast.Scale, snapFile string, snapAt, snapEvery uint64, restoreF string) (pushmulticast.Results, error) {
+// execute runs the simulation, honoring the checkpoint/restore flags that
+// checkSnapEvery passed. Every mode is one flow over one machine: build it
+// cold or -restore it from a snapshot; then either run straight through, or
+// pause at the -snapat barrier to write a -snapshot, or rewrite the snapshot
+// file every -snapevery cycles (atomically, so a crash never leaves a torn
+// file — a SIGKILL at any instant loses at most one slice of progress, which
+// -restore -snapevery resumes); then finish. Pausing is state-transparent,
+// so every mode's results are byte-identical. Progress lines go to stderr.
+// Every failure — including a snapshot whose format version or config
+// fingerprint does not match — is a one-line diagnostic.
+func execute(cfg pushmulticast.Config, wl pushmulticast.Workload, sc pushmulticast.Scale, o *options, stderr io.Writer) (pushmulticast.Results, error) {
 	var none pushmulticast.Results
-	switch {
-	case snapEvery > 0 && snapFile == "":
-		return none, fmt.Errorf("-snapevery requires -snapshot FILE")
-	case snapEvery > 0 && snapAt != 0:
-		return none, fmt.Errorf("-snapevery cannot be combined with -snapat (periodic versus one-shot)")
-	case snapEvery == 0 && snapFile != "" && restoreF != "":
-		return none, fmt.Errorf("-snapshot cannot be combined with -restore")
-	case snapEvery == 0 && snapFile != "" && snapAt == 0:
-		return none, fmt.Errorf("-snapshot requires -snapat CYCLE")
-	}
+	snapFile, restoreF, snapEvery := o.snapFile, o.restoreF, uint64(o.snapEvery)
 	var m *pushmulticast.Machine
 	var err error
 	if restoreF != "" {
@@ -213,7 +219,7 @@ func execute(cfg pushmulticast.Config, wl pushmulticast.Workload, sc pushmultica
 			return none, fmt.Errorf("restore %s: %w", restoreF, err)
 		}
 		if snapEvery > 0 {
-			fmt.Fprintf(os.Stderr, "pushsim: resumed from %s at cycle %d; checkpointing every %d cycles\n", restoreF, m.Now(), snapEvery)
+			fmt.Fprintf(stderr, "pushsim: resumed from %s at cycle %d; checkpointing every %d cycles\n", restoreF, m.Now(), snapEvery)
 		}
 	} else if m, err = pushmulticast.NewMachine(cfg, wl, sc); err != nil {
 		return none, err
@@ -243,16 +249,16 @@ func execute(cfg pushmulticast.Config, wl pushmulticast.Workload, sc pushmultica
 			}
 			checkpoints++
 		}
-		fmt.Fprintf(os.Stderr, "pushsim: %d checkpoints written to %s (last at cycle %d)\n", checkpoints, snapFile, m.Now())
+		fmt.Fprintf(stderr, "pushsim: %d checkpoints written to %s (last at cycle %d)\n", checkpoints, snapFile, m.Now())
 	case snapFile != "":
-		if err := m.RunTo(snapAt); err != nil {
+		if err := m.RunTo(o.snapAt); err != nil {
 			return none, err
 		}
 		snap, err := checkpoint("snapshot")
 		if err != nil {
 			return none, err
 		}
-		fmt.Fprintf(os.Stderr, "pushsim: snapshot written to %s (cycle %d, %d bytes, hash %#x)\n",
+		fmt.Fprintf(stderr, "pushsim: snapshot written to %s (cycle %d, %d bytes, hash %#x)\n",
 			snapFile, m.Now(), len(snap), pushmulticast.SnapshotHash(snap))
 	}
 	return m.Finish()
@@ -337,7 +343,7 @@ type jsonResult struct {
 	MSHRTimeouts    uint64 `json:"mshr_timeouts,omitempty"`
 }
 
-func reportJSON(res pushmulticast.Results) error {
+func reportJSON(w io.Writer, res pushmulticast.Results) error {
 	st := res.Stats
 	out := jsonResult{
 		Workload:     res.Workload,
@@ -382,52 +388,53 @@ func reportJSON(res pushmulticast.Results) error {
 			out.PushOutcomes[o.String()] = v
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-func report(res pushmulticast.Results) {
+func report(w io.Writer, res pushmulticast.Results) {
 	st := res.Stats
-	fmt.Printf("workload        %s\n", res.Workload)
-	fmt.Printf("scheme          %s\n", res.Scheme)
-	fmt.Printf("cycles          %d\n", res.Cycles)
-	fmt.Printf("instructions    %d\n", st.Core.Instructions)
-	fmt.Printf("IPC             %.3f\n", float64(st.Core.Instructions)/float64(res.Cycles))
-	fmt.Printf("L1 MPKI         %.2f\n", res.L1MPKI())
-	fmt.Printf("L2 MPKI         %.2f\n", res.L2MPKI())
-	fmt.Printf("NoC flits       %d\n", st.Net.TotalFlits())
-	fmt.Printf("  by class:\n")
+	printf := func(format string, a ...any) { fmt.Fprintf(w, format, a...) }
+	printf("workload        %s\n", res.Workload)
+	printf("scheme          %s\n", res.Scheme)
+	printf("cycles          %d\n", res.Cycles)
+	printf("instructions    %d\n", st.Core.Instructions)
+	printf("IPC             %.3f\n", float64(st.Core.Instructions)/float64(res.Cycles))
+	printf("L1 MPKI         %.2f\n", res.L1MPKI())
+	printf("L2 MPKI         %.2f\n", res.L2MPKI())
+	printf("NoC flits       %d\n", st.Net.TotalFlits())
+	printf("  by class:\n")
 	for c := stats.Class(0); c < stats.NumClasses; c++ {
 		if v := st.Net.TotalFlitsByClass[c]; v > 0 {
-			fmt.Printf("    %-16s %d\n", c, v)
+			printf("    %-16s %d\n", c, v)
 		}
 	}
 	if st.Cache.PushesTriggered > 0 {
-		fmt.Printf("pushes          %d (avg %.1f dests)\n", st.Cache.PushesTriggered,
+		printf("pushes          %d (avg %.1f dests)\n", st.Cache.PushesTriggered,
 			float64(st.Cache.PushDestinations)/float64(st.Cache.PushesTriggered))
-		fmt.Printf("  outcomes:\n")
+		printf("  outcomes:\n")
 		for o := stats.PushOutcome(0); o < stats.NumPushOutcomes; o++ {
 			if v := st.Cache.PushOutcomes[o]; v > 0 {
-				fmt.Printf("    %-16s %d\n", o, v)
+				printf("    %-16s %d\n", o, v)
 			}
 		}
 	}
 	if st.Net.FilteredRequests > 0 {
-		fmt.Printf("filtered reqs   %d\n", st.Net.FilteredRequests)
+		printf("filtered reqs   %d\n", st.Net.FilteredRequests)
 	}
 	if st.Cache.CoalescedRequests > 0 {
-		fmt.Printf("coalesced reqs  %d\n", st.Cache.CoalescedRequests)
+		printf("coalesced reqs  %d\n", st.Cache.CoalescedRequests)
 	}
 	if res.TraceEvents > 0 {
-		fmt.Printf("event history   %d events, hash %#x\n", res.TraceEvents, res.TraceHash)
+		printf("event history   %d events, hash %#x\n", res.TraceEvents, res.TraceHash)
 	}
 	if st.Net.FaultWindows > 0 {
-		fmt.Printf("fault windows   %d (jitter delay %d cyc, filter hits suppressed %d, injections refused %d)\n",
+		printf("fault windows   %d (jitter delay %d cyc, filter hits suppressed %d, injections refused %d)\n",
 			st.Net.FaultWindows, st.Net.FaultJitterDelay, st.Net.FaultFilterSuppressed, st.Net.InjRefused)
 	}
 	if st.Net.MsgDropped+st.Net.CorruptDetected+st.Net.DupSuppressed > 0 {
-		fmt.Printf("lossy recovery  dropped %d, corrupt %d, dups suppressed %d, retransmits %d, MSHR reissues %d\n",
+		printf("lossy recovery  dropped %d, corrupt %d, dups suppressed %d, retransmits %d, MSHR reissues %d\n",
 			st.Net.MsgDropped, st.Net.CorruptDetected, st.Net.DupSuppressed,
 			st.Net.Retransmits, st.Cache.MSHRTimeouts)
 	}

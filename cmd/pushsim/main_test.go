@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,7 +17,7 @@ import (
 // parse runs pushsim's flag parsing over args, as main does.
 func parse(t *testing.T, args ...string) *options {
 	t.Helper()
-	o, err := parseArgs(args)
+	o, err := parseArgs(args, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestFlagsResolveLikeEveryFrontEnd(t *testing.T) {
 		}
 		args = append(args, tc.ExtraArgs...)
 		t.Run(tc.Name, func(t *testing.T) {
-			o, err := parseArgs(args)
+			o, err := parseArgs(args, io.Discard)
 			if err == nil {
 				_, err = o.resolve()
 			}
@@ -222,26 +224,29 @@ func TestExecuteSnapshotRoundTrip(t *testing.T) {
 	cfg, cachebw := run.Config, run.Workload
 	snapFile := filepath.Join(t.TempDir(), "pause.snap")
 
-	plain, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, "", 0, 0, "")
+	exec := func(args ...string) (pushmulticast.Results, error) {
+		return execute(cfg, cachebw, pushmulticast.ScaleTiny, parse(t, args...), io.Discard)
+	}
+	plain, err := exec()
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	saved, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, snapFile, 5000, 0, "")
+	saved, err := exec("-snapshot", snapFile, "-snapat", "5000")
 	if err != nil {
 		t.Fatalf("snapshotting run: %v", err)
 	}
-	restored, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, "", 0, 0, snapFile)
+	restored, err := exec("-restore", snapFile)
 	if err != nil {
 		t.Fatalf("restored run: %v", err)
 	}
 	// Periodic auto-checkpointing must also be output-transparent, and the
 	// file left behind must be a complete restorable snapshot.
 	ckptFile := filepath.Join(t.TempDir(), "auto.snap")
-	auto, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, ckptFile, 0, 5000, "")
+	auto, err := exec("-snapshot", ckptFile, "-snapevery", "5000")
 	if err != nil {
 		t.Fatalf("auto-checkpointing run: %v", err)
 	}
-	resumed, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, ckptFile, 0, 5000, ckptFile)
+	resumed, err := exec("-snapshot", ckptFile, "-snapevery", "5000", "-restore", ckptFile)
 	if err != nil {
 		t.Fatalf("resumed auto-checkpointing run: %v", err)
 	}
@@ -257,45 +262,54 @@ func TestExecuteSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckSnapEvery is the checkpoint cycle flags' bad-input table: any
-// explicitly set non-positive -snapevery or -snapat, and the two together,
-// is one one-line diagnostic; unset stays silent.
+// TestCheckSnapEvery is the checkpoint flags' bad-input table: any
+// explicitly set non-positive -snapevery or -snapat, the two together, either
+// without -snapshot (a -restore included), and a one-shot -snapshot without
+// -snapat or with -restore, is one one-line diagnostic naming the problem;
+// unset stays silent.
 func TestCheckSnapEvery(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		ok   bool
+		want string // "" for accepted flags
 	}{
-		{"unset", nil, true},
-		{"positive", []string{"-snapevery", "5000"}, true},
-		{"zero", []string{"-snapevery", "0"}, false},
-		{"negative", []string{"-snapevery", "-3"}, false},
-		{"snapat zero", []string{"-snapshot", "F", "-snapat", "0"}, false},
-		{"snapat zero with snapevery", []string{"-snapevery", "5000", "-snapat", "0", "-snapshot", "F"}, false},
+		{"unset", nil, ""},
+		{"positive", []string{"-snapevery", "5000", "-snapshot", "F"}, ""},
+		{"zero", []string{"-snapevery", "0"}, "not a positive cycle count"},
+		{"negative", []string{"-snapevery", "-3"}, "not a positive cycle count"},
+		{"snapat zero", []string{"-snapshot", "F", "-snapat", "0"}, "not a positive cycle count"},
+		{"snapat zero with snapevery", []string{"-snapevery", "5000", "-snapat", "0", "-snapshot", "F"}, "not a positive cycle count"},
+		{"snapshot combined with restore", []string{"-snapshot", "F", "-snapat", "5000", "-restore", "F"}, "cannot be combined"},
+		{"snapshot without snapat", []string{"-snapshot", "F"}, "-snapat"},
+		{"snapevery without snapshot", []string{"-snapevery", "5000"}, "-snapevery requires -snapshot"},
+		{"snapevery combined with snapat", []string{"-snapshot", "F", "-snapat", "5000", "-snapevery", "5000"}, "cannot be combined with -snapat"},
+		{"snapat without snapshot", []string{"-snapat", "10000"}, "-snapat requires -snapshot"},
+		{"snapat with restore", []string{"-restore", "F", "-snapat", "12000"}, "-snapat requires -snapshot"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := checkSnapEvery(parse(t, tc.args...))
-			if tc.ok && err != nil {
+			if tc.want == "" && err != nil {
 				t.Fatalf("checkSnapEvery(%q) = %v; want nil", tc.args, err)
 			}
-			if !tc.ok {
+			if tc.want != "" {
 				if err == nil {
 					t.Fatalf("checkSnapEvery(%q) accepted bad input", tc.args)
 				}
-				if strings.Contains(err.Error(), "\n") {
-					t.Fatalf("diagnostic is not a single line: %q", err)
+				if strings.Contains(err.Error(), "\n") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("diagnostic %q; want one line mentioning %q", err, tc.want)
 				}
 			}
 		})
 	}
 }
 
-// TestExecuteBadInput is the regression table for the checkpoint flags: every
-// unusable combination — and every snapshot whose format version or config
-// fingerprint does not match the restoring machine — must produce a
-// single-line diagnostic error (main prints it and exits 1), never a panic,
-// a partial run, or a silent mis-restore.
+// TestExecuteBadInput is the regression table for -restore and the workload
+// flags: every snapshot that cannot be read, or whose format version or
+// config fingerprint does not match the restoring machine, and every
+// workload the machine cannot run, must produce a single-line diagnostic
+// error (run prints it and exits 1), never a panic, a partial run, or a
+// silent mis-restore. TestCheckSnapEvery has the flag combinations.
 func TestExecuteBadInput(t *testing.T) {
 	run, err := parse(t, "-scale", "tiny", "-check").resolve()
 	if err != nil {
@@ -304,7 +318,7 @@ func TestExecuteBadInput(t *testing.T) {
 	cfg, cachebw := run.Config, run.Workload
 	dir := t.TempDir()
 	snapFile := filepath.Join(dir, "donor.snap")
-	if _, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, snapFile, 5000, 0, ""); err != nil {
+	if _, err := execute(cfg, cachebw, pushmulticast.ScaleTiny, parse(t, "-snapshot", snapFile, "-snapat", "5000"), io.Discard); err != nil {
 		t.Fatalf("writing the donor snapshot: %v", err)
 	}
 	snap, err := os.ReadFile(snapFile)
@@ -320,9 +334,9 @@ func TestExecuteBadInput(t *testing.T) {
 	}
 	// Snapshots from a hypothetical newer build and from the two previous
 	// formats: same bytes, the format version field (first header field after
-	// the magic) patched to 8, 6 and 5. There is no reader for any of them.
-	futureSnap, v6Snap, v5Snap := append([]byte(nil), snap...), append([]byte(nil), snap...), append([]byte(nil), snap...)
-	futureSnap[8], v6Snap[8], v5Snap[8] = 8, 6, 5
+	// the magic) patched to 9, 7 and 6. There is no reader for any of them.
+	futureSnap, v7Snap, v6Snap := append([]byte(nil), snap...), append([]byte(nil), snap...), append([]byte(nil), snap...)
+	futureSnap[8], v7Snap[8], v6Snap[8] = 9, 7, 6
 	baseRun, err := parse(t, "-scale", "tiny", "-check", "-scheme", "Baseline").resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -330,38 +344,31 @@ func TestExecuteBadInput(t *testing.T) {
 	baseline := baseRun.Config
 
 	cases := []struct {
-		name      string
-		cfg       pushmulticast.Config
-		workload  string
-		params    pushmulticast.WorkloadSpec
-		snapFile  string
-		snapAt    uint64
-		snapEvery uint64
-		restore   string
-		want      string
+		name     string
+		cfg      pushmulticast.Config
+		workload string
+		params   pushmulticast.WorkloadSpec
+		restore  string
+		want     string
 	}{
-		{"snapshot combined with restore", cfg, "cachebw", pushmulticast.WorkloadSpec{}, snapFile, 5000, 0, snapFile, "cannot be combined"},
-		{"snapshot without snapat", cfg, "cachebw", pushmulticast.WorkloadSpec{}, filepath.Join(dir, "x.snap"), 0, 0, "", "-snapat"},
-		{"snapevery without snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 5000, "", "-snapevery requires -snapshot"},
-		{"snapevery combined with snapat", cfg, "cachebw", pushmulticast.WorkloadSpec{}, filepath.Join(dir, "y.snap"), 5000, 5000, "", "cannot be combined with -snapat"},
-		{"restore file missing", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, filepath.Join(dir, "no-such.snap"), "no-such.snap"},
-		{"restore file is not a snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("noise.snap", []byte("definitely not a snapshot file")), "bad magic"},
-		{"truncated snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("trunc.snap", snap[:len(snap)-7]), "hash mismatch"},
-		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("future.snap", futureSnap), "format v8, this build reads v7"},
-		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v6.snap", v6Snap), "snapshot format v6, this build reads v7"},
-		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, write("v5.snap", v5Snap), "snapshot format v5, this build reads v7"},
-		{"different scheme", baseline, "cachebw", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
-		{"different workload", cfg, "bfs", pushmulticast.WorkloadSpec{}, "", 0, 0, snapFile, "snapshot mismatch"},
+		{"restore file missing", cfg, "cachebw", pushmulticast.WorkloadSpec{}, filepath.Join(dir, "no-such.snap"), "no-such.snap"},
+		{"restore file is not a snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("noise.snap", []byte("definitely not a snapshot file")), "bad magic"},
+		{"truncated snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("trunc.snap", snap[:len(snap)-7]), "hash mismatch"},
+		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("future.snap", futureSnap), "format v9, this build reads v8"},
+		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("v7.snap", v7Snap), "snapshot format v7, this build reads v8"},
+		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("v6.snap", v6Snap), "snapshot format v6, this build reads v8"},
+		{"different scheme", baseline, "cachebw", pushmulticast.WorkloadSpec{}, snapFile, "snapshot mismatch"},
+		{"different workload", cfg, "bfs", pushmulticast.WorkloadSpec{}, snapFile, "snapshot mismatch"},
 		// Collective bad inputs: -workload/-cores combinations inconsistent
 		// with the collective's structure must surface the same one-line
 		// diagnostic + exit 1 contract, not a panic.
-		{"unknown workload lists valid names", cfg, "allredcue", pushmulticast.WorkloadSpec{}, "", 0, 0, "", "valid: allreduce, backprop"},
-		{"collective sharers exceed cores", cfg, "allreduce", pushmulticast.WorkloadSpec{Sharers: 32}, "", 0, 0, "", "32 sharers exceed the 16-core machine"},
-		{"collective sharers below minimum", cfg, "broadcast", pushmulticast.WorkloadSpec{Sharers: 1}, "", 0, 0, "", "below the minimum"},
-		{"chunk does not divide payload", cfg, "broadcast", pushmulticast.WorkloadSpec{ChunkLines: 7, PayloadLines: 100}, "", 0, 0, "", "does not divide"},
-		{"prodcons group mismatch", cfg, "prodcons", pushmulticast.WorkloadSpec{Sharers: 16, Fanout: 2}, "", 0, 0, "", "do not split into groups"},
-		{"negative iters", cfg, "allreduce", pushmulticast.WorkloadSpec{Iters: -1}, "", 0, 0, "", "Iters -1 is negative"},
-		{"collective flags on a fixed workload", cfg, "cachebw", pushmulticast.WorkloadSpec{Fanout: 4}, "", 0, 0, "", "not a collective"},
+		{"unknown workload lists valid names", cfg, "allredcue", pushmulticast.WorkloadSpec{}, "", "valid: allreduce, backprop"},
+		{"collective sharers exceed cores", cfg, "allreduce", pushmulticast.WorkloadSpec{Sharers: 32}, "", "32 sharers exceed the 16-core machine"},
+		{"collective sharers below minimum", cfg, "broadcast", pushmulticast.WorkloadSpec{Sharers: 1}, "", "below the minimum"},
+		{"chunk does not divide payload", cfg, "broadcast", pushmulticast.WorkloadSpec{ChunkLines: 7, PayloadLines: 100}, "", "does not divide"},
+		{"prodcons group mismatch", cfg, "prodcons", pushmulticast.WorkloadSpec{Sharers: 16, Fanout: 2}, "", "do not split into groups"},
+		{"negative iters", cfg, "allreduce", pushmulticast.WorkloadSpec{Iters: -1}, "", "Iters -1 is negative"},
+		{"collective flags on a fixed workload", cfg, "cachebw", pushmulticast.WorkloadSpec{Fanout: 4}, "", "not a collective"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -370,7 +377,7 @@ func TestExecuteBadInput(t *testing.T) {
 			tc.params.Name = tc.workload
 			run, err := pushmulticast.RunSpec{Scale: "tiny", Scheme: tc.cfg.Scheme.Name, Check: true, Workload: tc.params}.Resolve(nil)
 			if err == nil {
-				_, err = execute(tc.cfg, run.Workload, run.Scale, tc.snapFile, tc.snapAt, tc.snapEvery, tc.restore)
+				_, err = execute(tc.cfg, run.Workload, run.Scale, &options{restoreF: tc.restore}, io.Discard)
 			}
 			if err == nil {
 				t.Fatal("execute accepted bad input")
@@ -380,6 +387,72 @@ func TestExecuteBadInput(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("diagnostic %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRun drives pushsim as its main does, in process: a run's exit status,
+// its stdout, and its stderr, which on a failure is exactly one line naming
+// the problem. Two rows are the CLI's checkpoint contract: restoring under a
+// different scheme, and reading a snapshot stamped with the previous format
+// version, each fail loudly with nothing on stdout.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	donor := filepath.Join(dir, "donor.snap")
+	tiny := []string{"-workload", "cachebw", "-scheme", "OrdPush", "-scale", "tiny", "-check"}
+	var stdout, stderr bytes.Buffer
+	if code := run(append(tiny, "-snapshot", donor, "-snapat", "10000", "-json"), &stdout, &stderr); code != 0 {
+		t.Fatalf("writing the donor snapshot: exit %d, stderr %q", code, &stderr)
+	}
+	if !strings.HasPrefix(stderr.String(), "pushsim: snapshot written to") {
+		t.Fatalf("snapshotting run's stderr %q does not report the snapshot", &stderr)
+	}
+	var res struct{ Cycles uint64 }
+	if err := json.Unmarshal(stdout.Bytes(), &res); err != nil || res.Cycles != 21266 {
+		t.Fatalf("snapshotting run's stdout is not the 21266-cycle JSON result (%v): %q", err, &stdout)
+	}
+	data, err := os.ReadFile(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v7 := bytes.Clone(data)
+	v7[8] = 7 // the format version is the u32 after the 8-byte magic
+	v7File := filepath.Join(dir, "v7.snap")
+	if err := os.WriteFile(v7File, v7, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+		code int
+		out  string // a substring of stdout
+		err  string // a substring of the one stderr line; "" for none
+	}{
+		{"text report", []string{"-scale", "tiny"}, 0, "cycles          21266", ""},
+		{"restore", append(tiny, "-restore", donor, "-json"), 0, `"cycles": 21266`, ""},
+		{"workload list", []string{"-list"}, 0, "cachebw", ""},
+		{"help", []string{"-h"}, 0, "", "Usage of pushsim"},
+		{"mismatched restore", []string{"-workload", "cachebw", "-scheme", "Baseline", "-scale", "tiny", "-check", "-restore", donor}, 1, "", "snapshot mismatch"},
+		{"previous format version", append(tiny, "-restore", v7File), 1, "", "snapshot format v7, this build reads v8"},
+		{"snapat without snapshot", []string{"-scale", "tiny", "-snapat", "10000"}, 1, "", "-snapat requires -snapshot"},
+		{"bad flag", []string{"-parallel", "4"}, 1, "", "flag provided but not defined: -parallel"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(tc.args, &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("pushsim %q exited %d, want %d (stderr %q)", tc.args, code, tc.code, &stderr)
+			}
+			if !strings.Contains(stdout.String(), tc.out) || tc.code != 0 && stdout.Len() != 0 {
+				t.Fatalf("pushsim %q wrote %q to stdout; want it to contain %q, and nothing on a failure", tc.args, &stdout, tc.out)
+			}
+			if tc.err == "" && stderr.Len() != 0 || !strings.Contains(stderr.String(), tc.err) {
+				t.Fatalf("pushsim %q wrote %q to stderr; want %q", tc.args, &stderr, tc.err)
+			}
+			if tc.code != 0 && strings.Count(stderr.String(), "\n") != 1 {
+				t.Fatalf("pushsim %q failed with %q on stderr; want exactly one line", tc.args, &stderr)
 			}
 		})
 	}

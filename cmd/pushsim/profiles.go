@@ -13,8 +13,7 @@ import (
 // an allocation profile is snapshotted by the stop function (after a forced
 // GC, so live objects are settled). Empty paths skip the corresponding
 // profiler. The returned stop function flushes and closes everything and is
-// safe to call more than once — callers that exit through os.Exit must call
-// it explicitly, since deferred calls do not run.
+// safe to call more than once.
 func startProfiles(cpuFile, memFile, traceFile string) (func(), error) {
 	var stops []func()
 	stop := func() {

@@ -105,7 +105,7 @@ func (ni *NI) audit() error {
 			if e.done {
 				continue
 			}
-			if want := w.nextSeq - uint32(len(w.entries)-i); e.proto.Seq != want {
+			if want := w.nextSeq - uint64(len(w.entries)-i); e.proto.Seq != want {
 				return fmt.Errorf("vnet %d window entry %d is seq %d, not %d", v, i, e.proto.Seq, want)
 			}
 			if d := e.lastSent + sim.Cycle(ni.net.cfg.RetryTimeout); d < tp.retxAt {

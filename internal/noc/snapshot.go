@@ -64,7 +64,7 @@ func packetState(c *snapshot.Codec, p *Packet) {
 	c.Bool(&p.IsInv)
 	snapshot.AsU32(c, &p.Requester)
 	snapshot.AsU64(c, &p.InjectedAt)
-	c.U32(&p.Seq)
+	c.U64(&p.Seq)
 	c.U32(&p.Csum)
 	c.Bool(&p.IsAck)
 	snapshot.AsU8(c, &p.AckVNet)
@@ -185,19 +185,19 @@ func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 			next++
 		}
 		k := snapshot.Word(c, uint32(next), 4)
-		if c.Decoding() && (int(k) < next || int(k) >= len(tp.rx) || k&3 >= NumVNets) {
+		if c.Decoding() && (int(k) < next || int(k) >= len(tp.rx)) {
 			c.Corrupt("rx stream key %#x names no (tile, vnet) stream past the previous key", k)
 			return
 		}
 		st := &tp.rx[k]
-		c.U32(&st.top)
+		c.U64(&st.top)
 		if c.U64(&st.mask); st.mask&1 == 0 {
 			c.Corrupt("rx stream key %#x has not seen its top", k)
 		}
 		next = int(k) + 1
 	}
 	for v := range tp.tx {
-		c.U32(&tp.tx[v].nextSeq)
+		c.U64(&tp.tx[v].nextSeq)
 		snapshot.Slice(c, &tp.tx[v].entries, func(e *txEntry) {
 			c.U64s(e.pending[:])
 			snapshot.AsU64(c, &e.lastSent)

@@ -6,11 +6,11 @@ package noc
 // a transport layer at every NI:
 //
 //   - The sender stamps each injected packet with a per-(source NI, vnet)
-//     sequence number and a header checksum, and retains a copy in a bounded
-//     selective-repeat window until every destination has acked it. An entry
-//     unacked for RetryTimeout cycles is retransmitted to its remaining
-//     destinations; after MaxRetries unacked retransmissions the run aborts
-//     with ErrUnrecoverable.
+//     64-bit sequence number, which never wraps, and a header checksum, and
+//     retains a copy in a bounded selective-repeat window until every
+//     destination has acked it. An entry unacked for RetryTimeout cycles is
+//     retransmitted to its remaining destinations; after MaxRetries unacked
+//     retransmissions the run aborts with ErrUnrecoverable.
 //   - The receiver verifies the checksum (a MsgCorrupt verdict surfaces as a
 //     mismatch and the packet is discarded like a drop), suppresses replayed
 //     sequence numbers with an anti-replay window (top counter + 64-bit
@@ -28,10 +28,11 @@ package noc
 // the unacked data's retransmission provokes a fresh ack with fresher state.
 // The window bounds how far an unacked entry can trail the receiver's top
 // (RetryWindow <= 64, the mask's horizon), so a live entry is always
-// coverable; how far a fresh one can lead it is unbounded (see rxSeen). Every
-// transport decision is a pure function of deterministic state, so lossy
-// runs replay byte-identically on the wake-driven and dense kernels. All
-// state below is tile-local.
+// coverable; how far a fresh one can lead it is unbounded (see rxSeen), and
+// every comparison of two numbers is a plain one, since 2^64 is never spent.
+// Every transport decision is a pure function of deterministic state, so
+// lossy runs replay byte-identically on the wake-driven and dense kernels.
+// All state below is tile-local.
 
 import (
 	"fmt"
@@ -58,7 +59,7 @@ type txEntry struct {
 // sequence number; the front is popped as soon as it is fully acked.
 type txWindow struct {
 	entries []txEntry
-	nextSeq uint32
+	nextSeq uint64
 }
 
 // rxStream is the receiver's per-(source, vnet) anti-replay state: top is
@@ -66,7 +67,7 @@ type txWindow struct {
 // Bit 0 (top itself) is set from the first arrival on, so a zero mask is a
 // stream that has seen nothing.
 type rxStream struct {
-	top  uint32
+	top  uint64
 	due  bool `snap:"-,derived: membership of the stream's key in ackDue"`
 	mask uint64
 }
@@ -84,7 +85,7 @@ type lossRec struct {
 type niTransport struct {
 	tx [NumVNets]txWindow
 	// rx is the anti-replay state of every (source, vnet) stream, indexed by
-	// rxKey: src<<2|vnet (slot 3 of each source is unused).
+	// rxKey: src*NumVNets+vnet.
 	rx []rxStream
 	// ackDue is the FIFO of rx stream keys owing a cumulative ack; a stream's
 	// due bit marks it listed. Coalescing per stream (rather than queueing
@@ -114,12 +115,12 @@ type niTransport struct {
 
 func (ni *NI) initTransport() {
 	if ni.tp == nil {
-		ni.tp = &niTransport{rx: make([]rxStream, ni.net.cfg.Nodes()<<2)}
+		ni.tp = &niTransport{rx: make([]rxStream, ni.net.cfg.Nodes()*NumVNets)}
 	}
 }
 
 // rxKey names the arrival's (source, vnet) stream in the rx table.
-func rxKey(p *Packet) uint32 { return uint32(p.Src)<<2 | uint32(p.VNet) }
+func rxKey(p *Packet) uint32 { return uint32(p.Src)*NumVNets + uint32(p.VNet) }
 
 // lostAt returns the index of key's loss record, or -1.
 func (tp *niTransport) lostAt(key uint64) int {
@@ -141,9 +142,13 @@ func (ni *NI) windowFull(vnet int) bool {
 // streamKey packs (source, stream, seq) into the 64-bit key used by the loss
 // trace events and the loss list. stream is the vnet for sequenced
 // packets and 4|ackVNet for acks (acks carry no sequence of their own; the
-// key only labels their loss events, which are always orphans).
-func streamKey(src NodeID, stream uint8, seq uint32) uint64 {
-	return uint64(seq) | uint64(stream)<<32 | uint64(uint32(src))<<40
+// key only labels their loss events, which are always orphans). The key
+// holds the number's low 32 bits: it only has to tell open losses apart, and
+// the lost list and the checker's obligations hold a key only while its loss
+// is open, which MaxRetries retransmissions RetryTimeout cycles apart (and
+// the checker's lossBound) bound far below 2^32 numbers.
+func streamKey(src NodeID, stream uint8, seq uint64) uint64 {
+	return uint64(uint32(seq)) | uint64(stream)<<32 | uint64(uint32(src))<<40
 }
 
 func (p *Packet) transportKey() uint64 {
@@ -155,9 +160,10 @@ func (p *Packet) transportKey() uint64 {
 
 // checksum hashes the packet's stable header fields. Dests is excluded (it
 // differs per retransmission subset); each packet copy is verified against
-// the value stamped at its own injection.
+// the value stamped at its own injection. Only Seq's low 32 bits reach the
+// hash.
 func (n *Network) checksum(p *Packet) uint32 {
-	x := p.ID ^ p.Addr*0x9E3779B97F4A7C15 ^ uint64(p.Seq)<<32 ^
+	x := p.ID ^ p.Addr*0x9E3779B97F4A7C15 ^ p.Seq<<32 ^
 		uint64(uint32(p.Src))<<8 ^ uint64(p.VNet) ^ uint64(p.Size)<<16
 	if p.IsAck {
 		x ^= 0xACC<<44 ^ p.AckMask*0x2545F4914F6CDD1D
@@ -298,25 +304,21 @@ func (ni *NI) suppress(pkt *Packet, now sim.Cycle) {
 // it reports true for an already-seen sequence number and records fresh
 // ones.
 //
-// The premise is asymmetric. A fresh arrival is never more than RetryWindow
-// (at most 64) behind top: the sender cannot still hold an entry that much
-// older than one it sent later. But it may be any distance ahead, because the
-// sender's one counter also numbers its packets to every other destination,
-// and this stream skips all of those (504 ahead is measured on bfs tiny/16
-// OrdPush at 10 per mille). Distances are taken modulo 2^32, so a fresh
-// number reads as behind top only once 2^31 of them were spent elsewhere in
-// between. A stream's first arrival is ahead of everything.
+// A fresh arrival is never 64 or more behind top: the sender cannot still
+// hold an entry RetryWindow (at most 64) older than one it sent later. But
+// it may be any distance ahead, because the sender's one counter also
+// numbers its packets to every other destination, and this stream skips all
+// of those (504 ahead is measured on bfs tiny/16 OrdPush at 10 per mille).
+// An arrival ahead of top shifts the mask (a shift of 64 or more empties
+// it); one behind marks its bit. A fresh stream (top 0, mask 0) is behind
+// nothing.
 func (ni *NI) rxSeen(pkt *Packet) bool {
 	st := &ni.tp.rx[rxKey(pkt)]
 	if st.seen(pkt.Seq) {
 		return true
 	}
-	if fwd := pkt.Seq - st.top; fwd <= 1<<31 || st.mask == 0 {
-		if fwd >= 64 {
-			st.mask = 1
-		} else {
-			st.mask = st.mask<<fwd | 1
-		}
+	if pkt.Seq >= st.top {
+		st.mask = st.mask<<(pkt.Seq-st.top) | 1
 		st.top = pkt.Seq
 	} else {
 		st.mask |= 1 << (st.top - pkt.Seq)
@@ -324,22 +326,11 @@ func (ni *NI) rxSeen(pkt *Packet) bool {
 	return false
 }
 
-// seen reports whether the stream would suppress seq as a duplicate: top
-// itself, a marked number behind it, or one beyond the mask horizon (an
-// ancient duplicate). A stream that has seen nothing suppresses nothing.
-func (st *rxStream) seen(seq uint32) bool {
-	if st.mask == 0 {
-		return false
-	}
-	fwd := seq - st.top
-	if fwd == 0 {
-		return true
-	}
-	if fwd <= 1<<31 {
-		return false
-	}
-	back := st.top - seq
-	return back >= 64 || st.mask&(1<<back) != 0
+// seen reports whether the stream would suppress seq as a duplicate: a
+// number at or behind top that is marked, or one beyond the mask horizon (an
+// ancient duplicate). A stream that has seen nothing has no mark.
+func (st *rxStream) seen(seq uint64) bool {
+	return seq <= st.top && (st.top-seq >= 64 || st.mask&(1<<(st.top-seq)) != 0)
 }
 
 // rxSeenPeek is rxSeen without the state update: it reports whether the
@@ -368,13 +359,13 @@ func (ni *NI) buildAck(key uint32) *Packet {
 	a.VNet = VNetCtrl
 	a.Class = stats.ClassAck
 	a.SrcUnit = stats.UnitL2
-	a.Dests = OneDest(NodeID(key >> 2))
+	a.Dests = OneDest(NodeID(key / NumVNets))
 	a.DstUnit = stats.UnitL2 // unused: acks are consumed at the transport
 	a.Size = 1
 	a.IsAck = true
 	a.Seq = st.top
 	a.AckMask = st.mask
-	a.AckVNet = int8(key & 3)
+	a.AckVNet = int8(key % NumVNets)
 	return a
 }
 
@@ -434,10 +425,8 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 		if e.done || !e.pending.Has(a.Src) {
 			continue
 		}
-		// An entry ahead of the ack's top wraps to a distance of 2^31 or
-		// more, past the mask horizon.
-		back := a.Seq - e.proto.Seq
-		if back != 0 && (back >= 64 || a.AckMask&(1<<back) == 0) {
+		// A shift of 64 or more (an entry past the mask horizon) is 0.
+		if e.proto.Seq > a.Seq || a.AckMask&(1<<(a.Seq-e.proto.Seq)) == 0 {
 			continue // ahead of top, or not (yet) seen by the receiver
 		}
 		e.pending = e.pending.Remove(a.Src)

@@ -20,13 +20,15 @@ func bareTransportNI() *NI {
 }
 
 // TestRxSeenProperty replays pseudo-random delivery sequences against a
-// reference model that remembers every unwrapped sequence number exactly,
-// with the counter started just below 2^32 so the run crosses the wrap. A
-// redelivery lags the newest delivery by less than the 64-bit mask horizon
-// (the bounded retransmit window guarantees it); a fresh number may lead it
-// by a long way, as when a receiver's stream skips every number its sender
-// spent on other destinations. The contract: the anti-replay window dedups
-// exactly — no fresh packet suppressed, no duplicate admitted.
+// reference model that remembers every sequence number exactly, with the
+// counter started just below 2^32 so the run crosses it (where a 32-bit
+// number would wrap). A redelivery lags the newest delivery by less than the
+// 64-bit mask horizon (the bounded retransmit window guarantees it); a fresh
+// number may lead it by a long way, as when a receiver's stream skips every
+// number its sender spent on other destinations — at the end by 2^31+1,
+// which a distance taken modulo 2^32 reads as an ancient replay. The
+// contract: the anti-replay window dedups exactly — no fresh packet
+// suppressed, no duplicate admitted.
 func TestRxSeenProperty(t *testing.T) {
 	const (
 		steps   = 30000
@@ -36,18 +38,21 @@ func TestRxSeenProperty(t *testing.T) {
 	)
 	ni := bareTransportNI()
 	pkt := &Packet{Src: 3, VNet: VNetData}
-	top := uint64(1<<32 - 500)         // reference: newest unwrapped delivery
-	seen := map[uint64]bool{top: true} // reference: unwrapped seq -> delivered
-	pkt.Seq = uint32(top)
+	top := uint64(1<<32 - 500)         // reference: newest delivery
+	seen := map[uint64]bool{top: true} // reference: seq -> delivered
+	pkt.Seq = top
 	ni.rxSeen(pkt)
 	rng := uint64(0x1234567)
-	for i := 0; i < steps; i++ {
+	for i := 0; i <= steps; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		s := top - maxBack + (rng>>33)%(maxBack+1+maxFwd)
 		if rng>>60 == 0 { // one step in sixteen jumps over a skipped run
 			s = top + 1 + (rng>>33)%maxSkip
 		}
-		pkt.Seq = uint32(s)
+		if i == steps { // the last jumps over 2^31 numbers spent elsewhere
+			s = top + 1<<31 + 1
+		}
+		pkt.Seq = s
 		want := seen[s]
 		if peek := ni.rxSeenPeek(pkt); peek != want {
 			t.Fatalf("step %d: rxSeenPeek(%#x)=%v, reference %v", i, s, peek, want)
@@ -58,8 +63,13 @@ func TestRxSeenProperty(t *testing.T) {
 		seen[s] = true
 		top = max(top, s)
 	}
-	if top < 1<<32 {
-		t.Fatalf("newest delivery %#x never crossed the wrap", top)
+	if top < 1<<32+1<<31 {
+		t.Fatalf("newest delivery %#x never crossed 2^32 and then jumped 2^31", top)
+	}
+	for _, s := range []uint64{top, top - 1<<31 - 1} { // the top, and the one before the jump
+		if pkt.Seq = s; !ni.rxSeen(pkt) {
+			t.Fatalf("a replay of %#x was admitted", s)
+		}
 	}
 }
 
@@ -70,7 +80,7 @@ func TestConsumeAckCumulative(t *testing.T) {
 	ni := bareTransportNI()
 	const dest = NodeID(5)
 	w := &ni.tp.tx[VNetData]
-	for seq := uint32(10); seq < 16; seq++ {
+	for seq := uint64(10); seq < 16; seq++ {
 		w.entries = append(w.entries, txEntry{proto: Packet{Seq: seq}, pending: OneDest(dest)})
 	}
 	// Receiver saw 10, 11, 13 (top=13, mask bits 0,2,3); 12 was lost, 14 and
@@ -85,7 +95,7 @@ func TestConsumeAckCumulative(t *testing.T) {
 		t.Fatalf("window has %d entries after ack, want 4 (12..15)", len(w.entries))
 	}
 	for i, want := range []struct {
-		seq  uint32
+		seq  uint64
 		done bool
 	}{{12, false}, {13, true}, {14, false}, {15, false}} {
 		e := &w.entries[i]
@@ -101,29 +111,29 @@ func TestConsumeAckCumulative(t *testing.T) {
 	}
 }
 
-// TestConsumeAckWraparound drives the cumulative coverage check across the
-// 32-bit counter's wrap: an ack whose top sits just past the wrap must cover
-// entries from just before it, and must not touch entries logically ahead.
+// TestConsumeAckWraparound drives the cumulative coverage check across 2^32,
+// where a 32-bit counter would wrap: an ack whose top sits at 2^32 must cover
+// entries from just before it, and must not touch entries ahead of it.
 func TestConsumeAckWraparound(t *testing.T) {
 	ni := bareTransportNI()
 	const dest = NodeID(2)
 	w := &ni.tp.tx[VNetReq]
-	for _, seq := range []uint32{1<<32 - 3, 1<<32 - 2, 1<<32 - 1, 0, 1, 2} {
+	for seq := uint64(1<<32 - 3); seq <= 1<<32+2; seq++ {
 		w.entries = append(w.entries, txEntry{proto: Packet{Seq: seq}, pending: OneDest(dest)})
 	}
-	// Receiver saw -3, -1, 0 (top=0): mask bit 0 (=0), 1 (=-1), 3 (=-3).
+	// Receiver saw 2^32-3, 2^32-1 and 2^32 (top=2^32): mask bits 3, 1, 0.
 	ack := &Packet{
 		IsAck: true, AckVNet: int8(VNetReq), Src: dest,
-		Seq: 0, AckMask: 1 | 1<<1 | 1<<3,
+		Seq: 1 << 32, AckMask: 1 | 1<<1 | 1<<3,
 	}
 	ni.consumeAck(ack, 0)
-	var got []uint32
+	var got []uint64
 	for i := range w.entries {
 		if !w.entries[i].done {
 			got = append(got, w.entries[i].proto.Seq)
 		}
 	}
-	want := []uint32{1<<32 - 2, 1, 2}
+	want := []uint64{1<<32 - 2, 1<<32 + 1, 1<<32 + 2}
 	if len(got) != len(want) {
 		t.Fatalf("surviving entries %v, want %v", got, want)
 	}
@@ -152,9 +162,9 @@ func TestSendAckCoalesces(t *testing.T) {
 		t.Fatalf("ackDue has %d streams, want 3 (coalesced)", len(ni.tp.ackDue))
 	}
 	wantKeys := []uint32{
-		uint32(1)<<2 | uint32(VNetData),
-		uint32(1)<<2 | uint32(VNetReq),
-		uint32(7)<<2 | uint32(VNetData),
+		1*NumVNets + uint32(VNetData),
+		1*NumVNets + uint32(VNetReq),
+		7*NumVNets + uint32(VNetData),
 	}
 	for i, k := range wantKeys {
 		if ni.tp.ackDue[i] != k {
@@ -189,11 +199,12 @@ func (h lossyHook) LossyVerdict(node NodeID, now sim.Cycle, id uint64) LossVerdi
 }
 
 // TestSeqWraparound runs lossy unicast traffic across the whole mesh with
-// every sender's counters started just below 2^32, so each stream wraps
-// mid-run while drops force retransmissions and duplicates force dedup on
-// both sides of the wrap. Senders pick destinations at random, so every
-// receiver's stream also skips the numbers spent elsewhere. Every packet must
-// reach its destination exactly once, and every window must drain.
+// every sender's counters started just below 2^32, so each stream crosses it
+// (where a 32-bit counter would wrap) mid-run while drops force
+// retransmissions and duplicates force dedup on both sides. Senders pick
+// destinations at random, so every receiver's stream also skips the numbers
+// spent elsewhere. Every packet must reach its destination exactly once, and
+// every window must drain.
 func TestSeqWraparound(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
 	eng, net, cols := testNet(t, cfg)
@@ -267,8 +278,8 @@ func TestSeqWraparound(t *testing.T) {
 	}
 	for _, ni := range net.nis {
 		for _, v := range []int{VNetReq, VNetData} {
-			if n := ni.tp.tx[v].nextSeq; n >= start {
-				t.Errorf("node %d vnet %d counter at %#x never wrapped", ni.node, v, n)
+			if n := ni.tp.tx[v].nextSeq; n <= 1<<32 {
+				t.Errorf("node %d vnet %d counter at %#x never crossed 2^32", ni.node, v, n)
 			}
 		}
 	}

@@ -211,10 +211,10 @@ type Packet struct {
 	// Transport-layer fields, stamped by the sender NI only when the lossy
 	// recovery layer is armed (see Config.RetryWindow and fault.MsgDrop).
 	//
-	// Seq is the sender's per-(source, vnet) sequence number, wrapping
-	// modulo 2^32. One counter serves all of a sender's destinations, so a
-	// receiver's stream skips every number spent on the others (gaps of 504
-	// are measured); the receiver's dedup window suppresses replayed
+	// Seq is the sender's per-(source, vnet) sequence number, 64 bits wide
+	// so it never wraps. One counter serves all of a sender's destinations,
+	// so a receiver's stream skips every number spent on the others (gaps of
+	// 504 are measured); the receiver's dedup window suppresses replayed
 	// numbers (NI.rxSeen has the premise). Csum is the header checksum
 	// verified at delivery (MsgCorrupt detection). IsAck marks single-flit
 	// transport acknowledgments: an ack is cumulative, carrying the
@@ -225,7 +225,7 @@ type Packet struct {
 	// lost ack is healed by the retransmission it provokes, whose re-ack
 	// carries fresher state.
 	AckMask uint64
-	Seq     uint32
+	Seq     uint64
 	Csum    uint32
 	IsAck   bool
 	AckVNet int8

@@ -241,7 +241,7 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9]), "snapshot"},
 		{"snapshot-altered", snapshots, string(altered), "snapshot"},
 		{"snapshot-future-version", snapshots, string(future), "snapshot"},
-		{"snapshot-previous-version", snapshots, string(previous), "snapshot format v6, this build reads v7"},
+		{"snapshot-previous-version", snapshots, string(previous), "snapshot format v7, this build reads v8"},
 		{"invalid-json", campaigns, `{"schemes":`, "campaign spec"},
 		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`, `unknown field "scheems"`},
 		// The shard wire's singular keys are not campaign keys.

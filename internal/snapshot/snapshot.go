@@ -39,16 +39,17 @@ import (
 const Magic = "PMSNAP1\n"
 
 // Version is the current snapshot format version. Bump it on any change to
-// a section's encoding; restore refuses other versions loudly. Version 7
+// a section's encoding; restore refuses other versions loudly. Version 8
 // carries primary state only, as a dense run holds it at the barrier: what a
 // component can rebuild from its other fields, and the engine's scheduling,
 // are not in the bytes, a cache way carries directory words only in an LLC,
 // an LLC slice carries one transaction record per blocked line, an NI's
-// transport carries each window entry's sequence number once and one loss
-// record (key, line, push bit) per discarded key, and the checker carries one
-// in-flight table and one list of loss obligations (DESIGN.md §4g lists what
-// left with versions 1 to 6).
-const Version uint32 = 7
+// transport carries each window entry's sequence number once, as 64 bits
+// like a stream's top and a window's next number, and one loss record (key,
+// line, push bit) per discarded key, and the checker carries one in-flight
+// table and one list of loss obligations (DESIGN.md §4g lists what changed
+// with versions 1 to 7).
+const Version uint32 = 8
 
 // sectionMark precedes every section name.
 const sectionMark uint32 = 0x5EC7_10A5

@@ -367,7 +367,14 @@ type goldenSnapshot struct {
 // goldenSnapshots between them exercise every section of the format: plain
 // and collective workloads, all three schemes, transport retransmit windows,
 // checker loss bookkeeping, the trace ring, and blocked LLC lines of every
-// kind. The pins are format v7's, recorded when the checker kept each fact
+// kind. The pins are format v8's, recorded when sequence numbers became 64
+// bits: every coded packet's number, every live rx stream's top and every
+// window's next number grew from 4 bytes to 8. Against v7 (319,794 / 163,861
+// / 361,067 / 403,639 bytes) the machines moved by +476 / +940 / +412 /
+// +3,752: 119 / 235 / 103 / 618 packets, and on the lossy one also 272
+// streams and 48 windows (16 tiles, 3 vnets). An rx stream's key is now
+// tile*3+vnet instead of tile<<2|vnet, which changes key values, not sizes
+// or order. v7 was recorded when the checker kept each fact
 // once and four counters nothing read left the stats. Against v6 (320,010 /
 // 164,077 / 361,283 / 403,998 bytes) every machine moved by -216 for the
 // counters (stats.Net.EjectedPackets' 24 words, L1Accesses, L2Accesses,
@@ -413,13 +420,13 @@ type goldenSnapshot struct {
 var goldenSnapshots = []goldenSnapshot{
 	{"cachebw-ordpush", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(OrdPush()), goldenWorkload(t, "cachebw")
-	}, 10000, 319794, 0x0f8c1a3756400085},
+	}, 10000, 320270, 0x6db12eb0c856bbbf},
 	{"bfs-baseline", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(Baseline()), goldenWorkload(t, "bfs")
-	}, 2000, 163861, 0x32ac40c48c099373},
+	}, 2000, 164801, 0x018c9e5f091f3d0b},
 	{"broadcast-pushack", func(t testing.TB) (Config, Workload) {
 		return ScaledConfig(Default16()).WithScheme(PushAck()), goldenWorkload(t, "broadcast")
-	}, 30000, 361067, 0xb2118474b046bde2},
+	}, 30000, 361479, 0xbd34de94bde74869},
 	// 20 per-mille loss keeps retransmit windows, anti-replay masks and the
 	// checker's pending-loss obligations populated at any mid-run cycle.
 	{"cachebw-ordpush-lossy-checked", func(t testing.TB) (Config, Workload) {
@@ -427,7 +434,7 @@ var goldenSnapshots = []goldenSnapshot{
 		plan := GenerateLossyPlan(cfg.Tiles(), 7, 20)
 		cfg.Faults = &plan
 		return cfg, goldenWorkload(t, "cachebw")
-	}, 12000, 403639, 0xd07766f62a9fdb71},
+	}, 12000, 407391, 0x8362f21f4116d8fe},
 }
 
 func goldenWorkload(t testing.TB, name string) Workload {
