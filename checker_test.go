@@ -131,4 +131,18 @@ func TestCheckerDoesNotPerturbResults(t *testing.T) {
 	if plain.TraceEvents != 0 || plain.TraceHash != 0 {
 		t.Errorf("unchecked run unexpectedly traced: hash=%#x events=%d", plain.TraceHash, plain.TraceEvents)
 	}
+	// The checker only reads the trace: a run that traces without it records
+	// the checked run's history, on either kernel.
+	traced := cfg
+	traced.TraceN = 64
+	for _, c := range []Config{traced, withDense(traced)} {
+		res, err := Run(c, "cachebw", ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TraceHash != checked.TraceHash || res.TraceEvents != checked.TraceEvents {
+			t.Errorf("trace-only run (dense %v) recorded (hash %#x, %d events), checked run (hash %#x, %d events)",
+				c.DenseKernel, res.TraceHash, res.TraceEvents, checked.TraceHash, checked.TraceEvents)
+		}
+	}
 }

@@ -130,8 +130,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // simulate parses args, runs the simulation and reports it; run prints the
-// error it returns.
-func simulate(args []string, stdout, stderr io.Writer) error {
+// error it returns. A profile that fails to write is an error too.
+func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	o, err := parseArgs(args, stderr)
 	if errors.Is(err, flag.ErrHelp) {
 		return nil
@@ -143,7 +143,11 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer stopProf()
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 
 	if o.list {
 		for _, w := range append(pushmulticast.Workloads(), pushmulticast.CollectiveWorkloads()...) {

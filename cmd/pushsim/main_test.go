@@ -394,9 +394,11 @@ func TestExecuteBadInput(t *testing.T) {
 
 // TestRun drives pushsim as its main does, in process: a run's exit status,
 // its stdout, and its stderr, which on a failure is exactly one line naming
-// the problem. Two rows are the CLI's checkpoint contract: restoring under a
-// different scheme, and reading a snapshot stamped with the previous format
-// version, each fail loudly with nothing on stdout.
+// the problem. Three rows are the CLI's checkpoint contract: restoring under a
+// different scheme or other collective parameters, and reading a snapshot
+// stamped with the previous format version, each fail loudly with nothing on
+// stdout. The profile rows require every profile flag to leave a non-empty
+// file, and an uncreatable profile path to fail before the run.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	donor := filepath.Join(dir, "donor.snap")
@@ -422,21 +424,37 @@ func TestRun(t *testing.T) {
 	if err := os.WriteFile(v7File, v7, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	broadcast := func(fanout string) []string {
+		return []string{"-workload", "broadcast", "-fanout", fanout, "-cores", "16", "-scale", "tiny"}
+	}
+	bcast := filepath.Join(dir, "broadcast.snap")
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append(broadcast("2"), "-snapshot", bcast, "-snapat", "4000"), &stdout, &stderr); code != 0 {
+		t.Fatalf("writing the broadcast snapshot: exit %d, stderr %q", code, &stderr)
+	}
+	profiles := []string{filepath.Join(dir, "p.cpu"), filepath.Join(dir, "p.mem"), filepath.Join(dir, "p.trace")}
+	unwritable := filepath.Join(dir, "no", "such", "dir", "p.mem")
 	cases := []struct {
 		name string
 		args []string
 		code int
 		out  string // a substring of stdout
 		err  string // a substring of the one stderr line; "" for none
+		// files must each exist and be non-empty after the run.
+		files []string
 	}{
-		{"text report", []string{"-scale", "tiny"}, 0, "cycles          21266", ""},
-		{"restore", append(tiny, "-restore", donor, "-json"), 0, `"cycles": 21266`, ""},
-		{"workload list", []string{"-list"}, 0, "cachebw", ""},
-		{"help", []string{"-h"}, 0, "", "Usage of pushsim"},
-		{"mismatched restore", []string{"-workload", "cachebw", "-scheme", "Baseline", "-scale", "tiny", "-check", "-restore", donor}, 1, "", "snapshot mismatch"},
-		{"previous format version", append(tiny, "-restore", v7File), 1, "", "snapshot format v7, this build reads v8"},
-		{"snapat without snapshot", []string{"-scale", "tiny", "-snapat", "10000"}, 1, "", "-snapat requires -snapshot"},
-		{"bad flag", []string{"-parallel", "4"}, 1, "", "flag provided but not defined: -parallel"},
+		{"text report", []string{"-scale", "tiny"}, 0, "cycles          21266", "", nil},
+		{"restore", append(tiny, "-restore", donor, "-json"), 0, `"cycles": 21266`, "", nil},
+		{"workload list", []string{"-list"}, 0, "cachebw", "", nil},
+		{"help", []string{"-h"}, 0, "", "Usage of pushsim", nil},
+		{"mismatched restore", []string{"-workload", "cachebw", "-scheme", "Baseline", "-scale", "tiny", "-check", "-restore", donor}, 1, "", "snapshot mismatch", nil},
+		{"previous format version", append(tiny, "-restore", v7File), 1, "", "snapshot format v7, this build reads v8", nil},
+		{"other collective parameters", append(broadcast("4"), "-restore", bcast), 1, "", "snapshot mismatch", nil},
+		{"profiles", []string{"-scale", "tiny", "-cpuprofile", profiles[0], "-memprofile", profiles[1], "-exectrace", profiles[2]}, 0, "cycles          21266", "", profiles},
+		{"unwritable memprofile", []string{"-scale", "tiny", "-memprofile", unwritable}, 1, "", "no such file or directory", nil},
+		{"snapat without snapshot", []string{"-scale", "tiny", "-snapat", "10000"}, 1, "", "-snapat requires -snapshot", nil},
+		{"bad flag", []string{"-parallel", "4"}, 1, "", "flag provided but not defined: -parallel", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -453,6 +471,11 @@ func TestRun(t *testing.T) {
 			}
 			if tc.code != 0 && strings.Count(stderr.String(), "\n") != 1 {
 				t.Fatalf("pushsim %q failed with %q on stderr; want exactly one line", tc.args, &stderr)
+			}
+			for _, f := range tc.files {
+				if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+					t.Errorf("pushsim %q left %s missing or empty (%v)", tc.args, f, err)
+				}
 			}
 		})
 	}

@@ -25,8 +25,12 @@ func TestStartWritesAllProfiles(t *testing.T) {
 		sink += i % 7
 	}
 	_ = sink
-	stop()
-	stop() // idempotent: commands call it both deferred and on exit paths
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil { // idempotent: a second call has nothing left to stop
+		t.Fatal(err)
+	}
 	for _, f := range []string{cpu, mem, tr} {
 		fi, err := os.Stat(f)
 		if err != nil {
@@ -44,13 +48,25 @@ func TestStartEmptyPathsIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStartBadPathFails pins the error contract: an uncreatable profile path
 // must surface as an error at start, not a silent profile loss at exit.
 func TestStartBadPathFails(t *testing.T) {
-	if _, err := startProfiles("/no/such/dir/cpu.pprof", "", ""); err == nil {
-		t.Fatal("startProfiles accepted an uncreatable cpuprofile path")
+	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "p")
+	for _, tc := range []struct {
+		flag          string
+		cpu, mem, exe string
+	}{
+		{"cpuprofile", bad, "", ""},
+		{"memprofile", "", bad, ""},
+		{"exectrace", "", "", bad},
+	} {
+		if _, err := startProfiles(tc.cpu, tc.mem, tc.exe); err == nil {
+			t.Errorf("startProfiles accepted an uncreatable %s path", tc.flag)
+		}
 	}
 }

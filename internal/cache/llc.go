@@ -88,10 +88,9 @@ type LLC struct {
 	// multicast would be pure redundancy. The unicast keeps the rare
 	// dropped-push case correct.
 	recent [recentPushEntries]recentPush
-	// tr is this slice's trace shard (nil when tracing is off). Writes
-	// happen from the slice's own tick and from Receive (the tile's NI
-	// tick).
-	tr *trace.Shard `snap:"-,wiring"`
+	// tr is the run's tracer (nil when tracing is off). The slice emits
+	// into it from its own tick and from Receive (the tile's NI tick).
+	tr *trace.Tracer `snap:"-,wiring"`
 	// OnEvent, when set, is invoked as each message reaches the slice's
 	// handler, with its type and the line's state before it is handled
 	// ("absent" when the slice holds no way for it): the transition coverage
@@ -115,10 +114,12 @@ const (
 )
 
 // NewLLC builds a slice, its array on the machine's LLC pool, and attaches it
-// to the network at the given tile.
-func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All, pools Pools) *LLC {
+// to the network at the given tile. tr is the run's tracer, nil when tracing
+// is off.
+func NewLLC(id noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All, pools Pools, tr *trace.Tracer) *LLC {
 	s := &LLC{
 		id:      id,
+		tr:      tr,
 		cfg:     cfg,
 		eng:     eng,
 		st:      st,
@@ -223,7 +224,7 @@ func (s *LLC) pushCovering(addr uint64, req noc.NodeID) bool {
 			return true
 		}
 	}
-	return s.out.ni.PushCovering(addr, req)
+	return s.out.ni.QueuedPushes(addr).Has(req)
 }
 
 // txn returns the record of addr, or nil. Only a line in a transient state
@@ -855,9 +856,6 @@ func (t *txn) shape(st State, tiles int) string {
 	}
 	return ""
 }
-
-// SetTraceShard installs the slice's trace shard.
-func (s *LLC) SetTraceShard(tr *trace.Shard) { s.tr = tr }
 
 // DirectoryView returns the directory's conservative view of the possible
 // private holders of line, a valid line of this slice. The view merges the

@@ -54,7 +54,7 @@ func newLLCFixtureFor(t *testing.T, cfg config.System) *llcFixture {
 		t.Fatal(err)
 	}
 	f := &llcFixture{t: t, eng: eng, st: st, cfg: cfg}
-	f.llc = NewLLC(0, &cfg, net, eng, st, NewPools(&cfg))
+	f.llc = NewLLC(0, &cfg, net, eng, st, NewPools(&cfg), nil)
 	for i := 0; i < cfg.Tiles(); i++ {
 		for u := stats.Unit(0); u < stats.NumUnits; u++ {
 			if i == 0 && u == stats.UnitLLC {

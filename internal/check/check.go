@@ -1,8 +1,8 @@
 // Package check implements the runtime coherence-invariant checker: a
 // monitor component that registers on the simulation engine *after* every
-// other component, drains the structured event trace every cycle it is
-// woken, and periodically sweeps the machine's global state for protocol
-// invariant violations.
+// other component, judges the cycle's trace events every cycle it is woken,
+// and periodically sweeps the machine's global state for protocol invariant
+// violations.
 //
 // The monitor validates two classes of property:
 //
@@ -64,8 +64,7 @@ const noPush = ^uint64(0)
 
 // Monitor is the invariant checker. It implements sim.Ticker and must be
 // registered last so that, within any cycle, it ticks after every emitter
-// — this is what makes the trace drain order deterministic across the
-// wake-driven and dense kernels.
+// and judges the cycle's events against the state they left.
 type Monitor struct {
 	cfg  *config.System `snap:"-,config"`
 	net  *noc.Network   `snap:"-,wiring"`
@@ -124,9 +123,8 @@ func compareObligations(a, b obligation) int {
 	return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.key, b.key))
 }
 
-// New builds a monitor. tr must be the tracer every component's shard
-// feeds. When cfg.Check is on, the monitor tracks every array of the given
-// caches from here on.
+// New builds a monitor. tr must be the tracer every component emits into.
+// The monitor tracks every array of the given caches from here on.
 func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LLC, tr *trace.Tracer) *Monitor {
 	m := &Monitor{
 		cfg:  cfg,
@@ -134,26 +132,24 @@ func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LL
 		l2s:  l2s,
 		llcs: llcs,
 		tr:   tr,
+		coh:  NewCoherence(cfg, l2s, llcs),
 	}
 	m.checkEvery = sim.Cycle(cfg.CheckEvery)
 	if m.checkEvery <= 0 {
 		m.checkEvery = DefaultCheckEvery
 	}
-	if cfg.Check {
-		m.coh = NewCoherence(cfg, l2s, llcs)
-		for i, l2 := range l2s {
-			l2.Array().Track()
-			l2.L1().Array().Track()
-			llcs[i].Array().Track()
-		}
+	for i, l2 := range l2s {
+		l2.Array().Track()
+		l2.L1().Array().Track()
+		llcs[i].Array().Track()
 	}
-	if cfg.Check && cfg.Scheme.Push && cfg.Scheme.Protocol == config.ProtoOrdPush {
+	if cfg.Scheme.Push && cfg.Scheme.Protocol == config.ProtoOrdPush {
 		m.ordered = true
 		m.seq = make([]uint64, cfg.Tiles())
 		m.tracks = make(map[uint64]pktTrack)
 		m.pushLines = make(map[uint64]uint64)
 	}
-	if cfg.Check && cfg.Faults.Lossy() {
+	if cfg.Faults.Lossy() {
 		m.lossy = true
 		m.lossSeq = make(map[uint64]uint64)
 		// A drop must be healed within the transport's full retry budget
@@ -166,19 +162,15 @@ func New(cfg *config.System, net *noc.Network, l2s []*cache.L2, llcs []*cache.LL
 	return m
 }
 
-// Register installs the monitor on the engine. Call it after every other
-// component has been registered: the engine ticks components in
-// registration order, so registering last guarantees the monitor drains
-// the trace after all of a cycle's emissions.
+// Register installs the monitor on the engine and attaches it to the
+// tracer. Call it after every other component has been registered: the
+// engine ticks components in registration order, so registering last
+// guarantees the monitor drains the trace after all of a cycle's emissions.
 func (m *Monitor) Register(eng *sim.Engine) {
 	m.h = eng.Register(m)
-	m.tr.SetHandle(m.h)
-	if m.cfg.Check {
-		m.nextScan = m.checkEvery
-		m.h.SleepUntil(m.nextScan)
-	} else {
-		m.h.Sleep()
-	}
+	m.tr.Attach(m.h)
+	m.nextScan = m.checkEvery
+	m.h.SleepUntil(m.nextScan)
 }
 
 // Err returns the first violation detected, or nil.
@@ -200,18 +192,10 @@ func (m *Monitor) fail(cycle uint64, format string, args ...any) {
 	m.err = fmt.Errorf("%w at cycle %d: %s", ErrViolation, cycle, fmt.Sprintf(format, args...))
 }
 
-// Tick drains the trace (folding the cycle's events into the history hash
-// and ring) and, on scan boundaries, sweeps the structural invariants.
+// Tick judges the cycle's trace events and, on scan boundaries, sweeps the
+// structural invariants.
 func (m *Monitor) Tick(now sim.Cycle) {
-	if m.cfg.Check && m.err == nil {
-		m.tr.Drain(m.checkEvent)
-	} else {
-		m.tr.Drain(nil)
-	}
-	if !m.cfg.Check {
-		m.h.Sleep() // emissions wake us; nothing periodic to do
-		return
-	}
+	m.tr.Drain(m.checkEvent)
 	if now >= m.nextScan {
 		if m.err == nil {
 			m.scan(now)

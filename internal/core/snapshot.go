@@ -27,7 +27,7 @@ import (
 // sweep. A fork-restore still transfers state exactly — the approximation is
 // that the warm-up phase executed under the donor's knob values, which the
 // warm-start methodology notes document.
-func Fingerprint(cfg config.System, wlName string, sc workload.Scale) (strict, fork string) {
+func Fingerprint(cfg config.System, wl workload.Workload, sc workload.Scale) (strict, fork string) {
 	n := cfg
 	n.DenseKernel = false
 	n.ParallelWorkers = 0 // inert; see config.System.ParallelWorkers
@@ -41,7 +41,13 @@ func Fingerprint(cfg config.System, wlName string, sc workload.Scale) (strict, f
 		faults = fmt.Sprintf("%+v", *n.Faults)
 	}
 	n.Faults = nil
-	strict = fmt.Sprintf("cfg{%+v} faults{%s} wl{%s} scale{%v}", n, faults, wlName, sc)
+	// A parameterized workload's knobs follow its name; the fixed generators
+	// have none, and their text is the name alone.
+	wlID := wl.Name
+	if wl.Params != "" {
+		wlID += " " + wl.Params
+	}
+	strict = fmt.Sprintf("cfg{%+v} faults{%s} wl{%s} scale{%v}", n, faults, wlID, sc)
 	f := n
 	f.TPCThreshold = 0
 	f.TimeWindow = 0
@@ -50,7 +56,7 @@ func Fingerprint(cfg config.System, wlName string, sc workload.Scale) (strict, f
 	f.NoC.RetryWindow = 0
 	f.NoC.RetryTimeout = 0
 	f.NoC.MaxRetries = 0
-	fork = fmt.Sprintf("cfg{%+v} faults{%s} wl{%s} scale{%v}", f, faults, wlName, sc)
+	fork = fmt.Sprintf("cfg{%+v} faults{%s} wl{%s} scale{%v}", f, faults, wlID, sc)
 	return strict, fork
 }
 
@@ -66,7 +72,7 @@ func (s *System) Snapshot() ([]byte, error) {
 		}
 	}
 	if s.strictFP == "" {
-		s.strictFP, s.forkFP = Fingerprint(s.Cfg, s.wlName, s.scale)
+		s.strictFP, s.forkFP = Fingerprint(s.Cfg, s.wl, s.scale)
 	}
 	return snapshot.Encode(s.strictFP, s.forkFP, uint64(s.Eng.Now()), s.state), nil
 }
@@ -82,7 +88,7 @@ func (s *System) Snapshot() ([]byte, error) {
 // either way. A strict restore continued to completion is byte-identical
 // (same trace hash) to a cold run that never snapshotted.
 func Restore(data []byte, cfg config.System, wl workload.Workload, sc workload.Scale) (*System, error) {
-	strict, fork := Fingerprint(cfg, wl.Name, sc)
+	strict, fork := Fingerprint(cfg, wl, sc)
 	c, err := snapshot.NewDecoder(data)
 	if err != nil {
 		return nil, err

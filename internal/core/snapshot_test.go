@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -230,5 +231,32 @@ func TestSnapshotDescribesEveryField(t *testing.T) {
 	t.Logf("%d fields described, %d walked", len(cv.covered), len(cv.walked))
 	if len(cv.covered) < 248 {
 		t.Errorf("only %d fields were seen described: the walk is not reaching the components", len(cv.covered))
+	}
+}
+
+// TestRestoreRefusesOtherCollectiveParams requires the fingerprints to carry
+// a parameterized workload's knobs: a broadcast snapshot restored under
+// another fan-out is refused, not resumed into a different stream.
+func TestRestoreRefusesOtherCollectiveParams(t *testing.T) {
+	cfg := config.Default16().Scaled(16).WithScheme(config.OrdPush())
+	broadcast := func(fanout int) workload.Workload {
+		return workload.Broadcast(workload.CollectiveParams{Fanout: fanout})
+	}
+	s, err := Build(cfg, broadcast(2), workload.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunTo(4000, 0); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(data, cfg, broadcast(2), workload.ScaleTiny); err != nil {
+		t.Fatalf("restore under the same parameters: %v", err)
+	}
+	if _, err := Restore(data, cfg, broadcast(4), workload.ScaleTiny); !errors.Is(err, snapshot.ErrMismatch) {
+		t.Fatalf("restore under fan-out 4 of a fan-out 2 snapshot: want ErrMismatch, got %v", err)
 	}
 }

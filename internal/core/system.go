@@ -39,20 +39,22 @@ type System struct {
 	// from, one a cache level.
 	Pools cache.Pools `snap:"-,layout: each array describes the pages it carved"`
 
-	// Tracer and Checker are non-nil when the config enables tracing or
-	// invariant checking (cfg.TraceN / cfg.Check).
+	// Tracer is non-nil when the config enables tracing or invariant
+	// checking (cfg.TraceN or cfg.Check), Checker exactly when it enables
+	// checking.
 	Tracer  *trace.Tracer
 	Checker *check.Monitor
 
 	// inj is the fault injector when the config schedules faults.
 	inj *fault.Injector
 
-	// Checkpoint/restore retains the build identity (workload name and
-	// scale feed the config fingerprint) and the components Build would
-	// otherwise not keep a handle on: the core barrier and the per-tile
-	// prefetchers (nil where the tile has none). See snapshot.go.
-	wlName  string         `snap:"-,config"`
-	scale   workload.Scale `snap:"-,config"`
+	// Checkpoint/restore retains the build identity (the workload's name and
+	// parameters and the scale feed the config fingerprint) and the
+	// components Build would otherwise not keep a handle on: the core
+	// barrier and the per-tile prefetchers (nil where the tile has none).
+	// See snapshot.go.
+	wl      workload.Workload `snap:"-,config"`
+	scale   workload.Scale    `snap:"-,config"`
 	barrier *cpu.Barrier
 	bingos  []*prefetch.Bingo
 	strides []*prefetch.Stride
@@ -102,8 +104,17 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		net.SetFaults(inj)
 		inj.SetWaker(func(node int) { net.WakeTile(noc.NodeID(node)) })
 	}
+	var tr *trace.Tracer
+	if cfg.Check || cfg.TraceN > 0 {
+		ringN := cfg.TraceN
+		if ringN == 0 {
+			ringN = 256 // checker on without an explicit ring size: keep a useful tail
+		}
+		tr = trace.New(ringN)
+		net.SetTracer(tr)
+	}
 	s := &System{Cfg: cfg, Eng: eng, Net: net, St: st, Mems: make(map[noc.NodeID]*memctrl.Ctrl),
-		inj: inj, wlName: wl.Name, scale: sc, Pools: cache.NewPools(&cfg)}
+		Tracer: tr, inj: inj, wl: wl, scale: sc, Pools: cache.NewPools(&cfg)}
 
 	tiles := cfg.Tiles()
 	barrier := cpu.NewBarrier(tiles)
@@ -129,30 +140,14 @@ func Build(cfg config.System, wl workload.Workload, sc workload.Scale) (*System,
 		}
 		s.bingos = append(s.bingos, bingo)
 		s.strides = append(s.strides, stride)
-		s.LLCs = append(s.LLCs, cache.NewLLC(id, &s.Cfg, net, eng, st, s.Pools))
+		s.LLCs = append(s.LLCs, cache.NewLLC(id, &s.Cfg, net, eng, st, s.Pools, tr))
 	}
 	for _, mc := range cfg.MemControllers() {
-		s.Mems[mc] = memctrl.New(mc, &s.Cfg, net, eng, st)
+		s.Mems[mc] = memctrl.New(mc, &s.Cfg, net, eng, st, tr)
 	}
-	if cfg.Check || cfg.TraceN > 0 {
-		ringN := cfg.TraceN
-		if ringN == 0 {
-			ringN = 256 // checker on without an explicit ring size: keep a useful tail
-		}
-		tr := trace.New(ringN)
-		// Shard creation order is the drain order and must be deterministic:
-		// NIs, routers (inside SetTracer), then LLC slices, then controllers.
-		net.SetTracer(tr)
-		for _, llc := range s.LLCs {
-			llc.SetTraceShard(tr.NewShard())
-		}
-		for _, mc := range cfg.MemControllers() {
-			s.Mems[mc].SetTraceShard(tr.NewShard())
-		}
-		s.Tracer = tr
+	if cfg.Check {
 		// The monitor registers last: the engine ticks in registration order,
-		// so it drains the trace after every emitter within a cycle, on
-		// either kernel.
+		// so it judges a cycle's events after every emitter, on either kernel.
 		s.Checker = check.New(&s.Cfg, net, s.L2s, s.LLCs, tr)
 		s.Checker.Register(eng)
 	}
@@ -191,7 +186,7 @@ type Results struct {
 	Cycles uint64
 	// TraceHash and TraceEvents summarize the full causal event history
 	// when tracing was enabled: the running FNV-1a hash over every trace
-	// event in deterministic drain order, and the event count. Two runs
+	// event in emission order, and the event count. Two runs
 	// with equal (TraceHash, TraceEvents) produced identical histories —
 	// the wake-driven/dense equivalence oracle.
 	TraceHash   uint64
@@ -256,9 +251,6 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 	}
 	res := Results{Scheme: s.Cfg.Scheme.Name, Cycles: uint64(end), Stats: s.St}
 	if s.Tracer != nil {
-		// A safety drain: the monitor ticks last within every cycle that
-		// emits, so this is normally a no-op and never reorders history.
-		s.Tracer.Drain(nil)
 		res.TraceHash = s.Tracer.Hash()
 		res.TraceEvents = s.Tracer.Events()
 	}
@@ -330,7 +322,7 @@ func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) 
 			// not (only) a protocol bug; say so up front.
 			active = " (fault injection active)"
 		}
-		return end, fmt.Errorf("%s/%s%s: %w", s.Cfg.Scheme.Name, s.wlName, active, err)
+		return end, fmt.Errorf("%s/%s%s: %w", s.Cfg.Scheme.Name, s.wl.Name, active, err)
 	}
 	return end, nil
 }
@@ -341,7 +333,6 @@ func (s *System) DumpTrace() {
 	if s.Tracer == nil {
 		return
 	}
-	s.Tracer.Drain(nil)
 	s.Tracer.Dump(os.Stderr)
 }
 

@@ -333,3 +333,25 @@ func TestAbortNamesSchemeAndWorkload(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceWithoutCheckBuildsNoChecker requires the monitor to exist exactly
+// when checking is on: a traced run without the checker has a tracer, no
+// checker, and still records its history.
+func TestTraceWithoutCheckBuildsNoChecker(t *testing.T) {
+	cfg := tinyConfig(config.OrdPush())
+	cfg.TraceN = 64
+	sys, err := Build(cfg, workload.CacheBW(), workload.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Tracer == nil || sys.Checker != nil {
+		t.Fatalf("TraceN without Check built tracer %v, checker %v; want a tracer and no checker", sys.Tracer != nil, sys.Checker != nil)
+	}
+	res, err := sys.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TraceEvents == 0 {
+		t.Error("trace-only run recorded no events")
+	}
+}

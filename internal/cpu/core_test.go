@@ -43,14 +43,14 @@ func buildRigOn(t *testing.T, streams []workload.Stream, dense bool) *rig {
 		id := noc.NodeID(i)
 		var c *Core
 		l2 := cache.NewL2(id, &cfg, net, eng, st, deferred{&c}, pools)
-		cache.NewLLC(id, &cfg, net, eng, st, pools)
+		cache.NewLLC(id, &cfg, net, eng, st, pools, nil)
 		if i < len(streams) {
 			c = New(id, &cfg, eng, st, l2, streams[i], barrier)
 			r.cores = append(r.cores, c)
 		}
 	}
 	for _, mc := range cfg.MemControllers() {
-		memctrl.New(mc, &cfg, net, eng, st)
+		memctrl.New(mc, &cfg, net, eng, st, nil)
 	}
 	return r
 }

@@ -40,15 +40,17 @@ type Ctrl struct {
 	// versions holds the memory image: the last written version per line
 	// (zero for never-written lines).
 	versions map[uint64]uint64
-	// tr is this controller's trace shard (nil when tracing is off);
-	// written only from the controller's own tick.
-	tr *trace.Shard `snap:"-,wiring"`
+	// tr is the run's tracer (nil when tracing is off); the controller
+	// emits into it from its own tick.
+	tr *trace.Tracer `snap:"-,wiring"`
 }
 
 // New builds a controller at the given tile and attaches it to the network.
-func New(node noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All) *Ctrl {
+// tr is the run's tracer, nil when tracing is off.
+func New(node noc.NodeID, cfg *config.System, net *noc.Network, eng *sim.Engine, st *stats.All, tr *trace.Tracer) *Ctrl {
 	c := &Ctrl{
 		node:     node,
+		tr:       tr,
 		cfg:      cfg,
 		eng:      eng,
 		st:       st,
@@ -154,9 +156,6 @@ func (c *Ctrl) reschedule(now sim.Cycle) {
 	}
 	c.h.SleepUntil(next)
 }
-
-// SetTraceShard installs the controller's trace shard.
-func (c *Ctrl) SetTraceShard(tr *trace.Shard) { c.tr = tr }
 
 // Version exposes the memory image for checkers.
 func (c *Ctrl) Version(lineAddr uint64) uint64 { return c.versions[lineAddr] }

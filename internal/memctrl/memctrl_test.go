@@ -24,7 +24,7 @@ func rigCtrl(t *testing.T) (*Ctrl, *sim.Engine, *noc.Network, *sink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := New(0, &cfg, net, eng, st)
+	mc := New(0, &cfg, net, eng, st, nil)
 	llc := &sink{}
 	net.Attach(5, stats.UnitLLC, llc)
 	return mc, eng, net, llc

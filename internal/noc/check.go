@@ -9,21 +9,19 @@ import (
 )
 
 // This file is the NoC's white-box surface for the runtime invariant
-// checker (internal/check): trace-shard wiring, the per-VC credit and
+// checker (internal/check): tracer wiring, the per-VC credit and
 // occupancy conservation audit, and the push-in-flight scan backing the
 // filter-soundness check. It lives inside the package because the
 // invariants are phrased over unexported router state (occ lists,
 // candidate masks, filter slots) that has no business being exported.
 
-// SetTracer installs trace shards on every NI and router. Shards are
-// created in a deterministic order (NIs 0..n-1, then routers 0..n-1);
-// that order is the tracer's drain order.
+// SetTracer installs the run's tracer on every NI and router.
 func (n *Network) SetTracer(t *trace.Tracer) {
 	for _, ni := range n.nis {
-		ni.tr = t.NewShard()
+		ni.tr = t
 	}
 	for _, r := range n.routers {
-		r.tr = t.NewShard()
+		r.tr = t
 	}
 }
 
@@ -263,9 +261,9 @@ func (n *Network) PushInFlight(addr uint64, requester NodeID) bool {
 }
 
 // pushInFlight is PushInFlight at one NI: its queues and stream
-// (PushCovering), its delivery link, and its retransmit window.
+// (QueuedPushes), its delivery link, and its retransmit window.
 func (ni *NI) pushInFlight(addr uint64, requester NodeID) bool {
-	if ni.PushCovering(addr, requester) {
+	if ni.QueuedPushes(addr).Has(requester) {
 		return true
 	}
 	for _, d := range ni.delivery {

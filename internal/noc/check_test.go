@@ -369,7 +369,7 @@ func TestFilterBookkeepingFuzz(t *testing.T) {
 func pushInFlightEverywhere(n *Network, addr uint64, req NodeID) bool {
 	covers := func(p *Packet) bool { return p.IsPush && p.Addr == addr && p.Dests.Has(req) }
 	for _, ni := range n.nis {
-		if ni.PushCovering(addr, req) {
+		if ni.QueuedPushes(addr).Has(req) {
 			return true
 		}
 		for _, d := range ni.delivery {

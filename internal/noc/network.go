@@ -56,9 +56,10 @@ type NI struct {
 	// seq feeds this NI's packet IDs; combined with the node number so IDs
 	// stay unique and deterministic without a network-global counter.
 	seq uint64
-	// tr is this NI's trace shard (nil when tracing is off): Inject writes
-	// it from the tile's endpoints, deliver from the NI's own tick.
-	tr *trace.Shard `snap:"-,wiring"`
+	// tr is the run's tracer (nil when tracing is off): Inject emits into it
+	// from the tile's endpoints, deliver and the transport from the NI's own
+	// tick.
+	tr *trace.Tracer `snap:"-,wiring"`
 	// tp is the end-to-end recovery state (retransmit windows, receiver
 	// dedup, pending acks), allocated only when the fault plan schedules
 	// lossy kinds; nil keeps fault-free hot paths allocation-identical.
@@ -292,7 +293,7 @@ func (ni *NI) pick(now sim.Cycle) {
 			continue
 		}
 		pkt := q[0]
-		if pkt.IsInv && ni.net.cfg.OrdPushInvStall && ni.pushPending(pkt.Addr) {
+		if pkt.IsInv && ni.net.cfg.OrdPushInvStall && !ni.QueuedPushes(pkt.Addr).Empty() {
 			ni.st.Net.StalledInvCycles++
 			continue
 		}
@@ -316,39 +317,25 @@ func (ni *NI) pick(now sim.Cycle) {
 	}
 }
 
-// PushCovering reports whether a push packet that embeds a response for
-// (addr, requester) is still queued or streaming at this NI. The home node's
+// QueuedPushes returns the union of the destinations of the pushes for addr
+// still queued or streaming at this NI (every injected packet has at least
+// one, so the set is empty exactly when no such push is). The home node's
 // local-port filter logically extends over the injection queue: a read
-// request reaching the home while such a push has not yet left the tile is
-// prunable exactly like an in-router hit.
-func (ni *NI) PushCovering(addr uint64, requester NodeID) bool {
-	if s := ni.stream; s != nil && s.pkt.IsPush && s.pkt.Addr == addr && s.pkt.Dests.Has(requester) {
-		return true
-	}
-	for u := stats.Unit(0); u < stats.NumUnits; u++ {
-		for _, p := range ni.queues[u][VNetData] {
-			if p.IsPush && p.Addr == addr && p.Dests.Has(requester) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pushPending reports whether a push for addr is still queued or streaming at
-// this NI.
-func (ni *NI) pushPending(addr uint64) bool {
-	if ni.stream != nil && ni.stream.pkt.IsPush && ni.stream.pkt.Addr == addr {
-		return true
+// request reaching the home while a push embedding its response has not yet
+// left the tile is prunable exactly like an in-router hit.
+func (ni *NI) QueuedPushes(addr uint64) DestSet {
+	var d DestSet
+	if s := ni.stream; s != nil && s.pkt.IsPush && s.pkt.Addr == addr {
+		d = s.pkt.Dests
 	}
 	for u := stats.Unit(0); u < stats.NumUnits; u++ {
 		for _, p := range ni.queues[u][VNetData] {
 			if p.IsPush && p.Addr == addr {
-				return true
+				d = d.Union(p.Dests)
 			}
 		}
 	}
-	return false
+	return d
 }
 
 // pump streams one flit of the current injection per cycle.

@@ -155,9 +155,9 @@ type Router struct {
 	filters *filterBank
 	// st is the run's stats bundle (net.st, cached).
 	st *stats.All `snap:"-,wiring"`
-	// tr is this router's trace shard (nil when tracing is off); all writes
-	// to it happen from this router's own ticks.
-	tr *trace.Shard `snap:"-,wiring"`
+	// tr is the run's tracer (nil when tracing is off); the router emits
+	// filter events into it from its own ticks.
+	tr *trace.Tracer `snap:"-,wiring"`
 	// scratch is reused for stage 1's iteration snapshots.
 	scratch []*inputVC `snap:"-,scratch"`
 	// streams[o] backs outStream[o]; a slot's contents are dead while

@@ -139,7 +139,7 @@ func (ni *NI) state(c *snapshot.Codec) {
 	// Injection stream: the packet travels on its own. The local VC it
 	// streams into is identified by index; once the head flit has been
 	// written (sent >= 1) the VC holds — and will recycle — its own decoded
-	// copy, while this one is only ever read (pushPending scans, Size), so
+	// copy, while this one is only ever read (QueuedPushes scans, Size), so
 	// the two need not share identity.
 	if snapshot.Has(c, &ni.stream) {
 		if c.Decoding() {

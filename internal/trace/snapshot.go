@@ -3,15 +3,13 @@ package trace
 import "pushmulticast/internal/snapshot"
 
 // State describes the tracer: running hash, event count, and the retained
-// ring, oldest event first. Shard buffers must be empty — the drain monitor
-// is registered last and woken on every emission, so between engine Steps
-// every emitted event has already been folded into the ring and hash; a
-// non-empty shard means the snapshot point is not a cycle barrier.
+// ring, oldest event first. The checker's list must be empty — the checker
+// is registered last and woken on every emission, so between engine Steps it
+// has judged every emitted event; a non-empty list means the snapshot point
+// is not a cycle barrier.
 func (t *Tracer) State(c *snapshot.Codec) {
-	for _, s := range t.shards {
-		if len(s.buf) != 0 {
-			panic("trace: snapshot with undrained shard")
-		}
+	if len(t.cycle) != 0 {
+		panic("trace: snapshot with events the checker has not judged")
 	}
 	c.Section("trace.tracer")
 	c.U64(&t.hash)

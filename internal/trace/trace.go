@@ -1,8 +1,7 @@
 // Package trace provides a bounded, structured event trace for the
-// simulator: components emit fixed-size events into per-component shards,
-// and a single drain point (the invariant-checker monitor) flattens the
-// shards into a bounded ring buffer plus a running hash of the full event
-// history.
+// simulator: components emit fixed-size events into the run's one Tracer,
+// which folds each into a bounded ring buffer plus a running hash of the
+// full event history as it is emitted.
 //
 // The design has two consumers:
 //
@@ -14,12 +13,11 @@
 //     wake-driven and dense kernels compares full causal histories rather
 //     than end-state counters.
 //
-// Determinism contract: each shard is written by exactly one component,
-// shards are drained in creation order, and the monitor that drains them is
-// woken on every emission and registered last — so it runs after all
-// emitters within the same cycle, on either kernel. The flattened order is
-// therefore (cycle, shard creation order, intra-shard program order),
-// identical across wake-driven and dense runs.
+// Determinism contract: a simulation runs on one goroutine, and both kernels
+// run every tick that does work in registration order, so the history's
+// order — (cycle, tick order, program order), the order of emission — is
+// the same on either kernel. The invariant checker, when one is attached,
+// judges each cycle's events after every emitter has ticked.
 package trace
 
 import (
@@ -156,40 +154,18 @@ func (e Event) String() string {
 		e.Cycle, e.Kind, e.Node, e.Addr, e.A, e.B, e.ID, e.Aux)
 }
 
-// Shard is a single-writer event buffer: each traced component owns one
-// shard, which keeps a component's events in its own program order whatever
-// the tick order. A nil *Shard is valid and makes Emit a no-op — tracing is
-// disabled by simply not installing shards.
-type Shard struct {
-	tr  *Tracer
-	id  int // creation index: the shard's bit in Tracer.emitted
-	buf []Event
-}
-
-// Emit records one event, flags the shard for the next drain, and wakes the
-// drain monitor so the event is folded into the global history this same
-// cycle.
-func (s *Shard) Emit(e Event) {
-	if s == nil {
-		return
-	}
-	s.buf = append(s.buf, e)
-	s.tr.emitted[s.id>>6] |= 1 << (s.id & 63)
-	s.tr.wakeMonitor()
-}
-
-// Tracer owns the shards, the bounded ring of recent events, and the
-// running history hash.
+// Tracer is the run's one event history: the bounded ring of recent events
+// and the running hash and count of every event emitted. A nil *Tracer is
+// valid and makes Emit a no-op — tracing is off.
 type Tracer struct {
-	shards []*Shard    `snap:"-,wiring"`
-	h      *sim.Handle `snap:"-,wiring"` // drain monitor's handle; woken on every emission
-	// emitted has bit i set while shard i holds undrained events, so a drain
-	// visits only the shards that emitted.
-	emitted []uint64 `snap:"-,transient: zero at every barrier, where every shard is drained"`
-	ring    []Event
-	next    int `snap:"-,derived: the ring travels oldest-first, so it restarts at 0"` // ring write position
-	count   uint64
-	hash    uint64
+	// h is the attached checker's handle (nil when none is): every Emit
+	// queues its event in cycle and wakes it.
+	h     *sim.Handle `snap:"-,wiring"`
+	cycle []Event     `snap:"-,transient: empty at every barrier, where the checker has drained it"`
+	ring  []Event
+	next  int `snap:"-,derived: the ring travels oldest-first, so it restarts at 0"` // ring write position
+	count uint64
+	hash  uint64
 }
 
 // New returns a tracer retaining the last ringN events. ringN <= 0 keeps
@@ -202,45 +178,30 @@ func New(ringN int) *Tracer {
 	return t
 }
 
-// NewShard allocates a new single-writer shard. Creation order is the
-// drain order, so callers must create shards in a deterministic order.
-func (t *Tracer) NewShard() *Shard {
-	s := &Shard{tr: t, id: len(t.shards)}
-	t.shards = append(t.shards, s)
-	if s.id%64 == 0 {
-		t.emitted = append(t.emitted, 0)
+// Emit folds one event into the history. While a checker is attached it
+// also queues the event for the checker's Drain and wakes it, so the event
+// is judged this same cycle.
+func (t *Tracer) Emit(e Event) {
+	if t == nil {
+		return
 	}
-	return s
-}
-
-// SetHandle installs the drain monitor's scheduler handle; every Emit
-// wakes it.
-func (t *Tracer) SetHandle(h *sim.Handle) { t.h = h }
-
-func (t *Tracer) wakeMonitor() {
+	t.record(e)
 	if t.h != nil {
+		t.cycle = append(t.cycle, e)
 		t.h.Wake()
 	}
 }
 
-// Drain flattens the buffers of the shards that emitted since the last
-// drain, in creation order, into the ring and running hash, invoking fn
-// (when non-nil) on each event. Shard buffers keep their capacity.
+// Attach attaches the checker whose scheduler handle is h.
+func (t *Tracer) Attach(h *sim.Handle) { t.h = h }
+
+// Drain hands fn the events emitted since the last drain, in emission
+// order. The list keeps its capacity.
 func (t *Tracer) Drain(fn func(Event)) {
-	for w, word := range t.emitted {
-		t.emitted[w] = 0
-		for ; word != 0; word &= word - 1 {
-			s := t.shards[w<<6|bits.TrailingZeros64(word)]
-			for i := range s.buf {
-				e := s.buf[i]
-				t.record(e)
-				if fn != nil {
-					fn(e)
-				}
-			}
-			s.buf = s.buf[:0]
-		}
+	for _, e := range t.cycle {
+		fn(e)
 	}
+	t.cycle = t.cycle[:0]
 }
 
 // FNV-1a 64-bit.
@@ -292,10 +253,10 @@ func (t *Tracer) record(e Event) {
 	t.next = (t.next + 1) % len(t.ring)
 }
 
-// Hash returns the running FNV-1a hash of every event drained so far.
+// Hash returns the running FNV-1a hash of every event emitted so far.
 func (t *Tracer) Hash() uint64 { return t.hash }
 
-// Events returns the number of events drained so far.
+// Events returns the number of events emitted so far.
 func (t *Tracer) Events() uint64 { return t.count }
 
 // Tail returns the retained events, oldest first.

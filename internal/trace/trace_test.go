@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"slices"
 	"testing"
+
+	"pushmulticast/internal/sim"
 )
 
 // mixBytewise is FNV-1a over x's eight bytes, least significant first, one
@@ -50,61 +53,77 @@ func FuzzMix(f *testing.F) {
 	})
 }
 
-// drained collects the events a drain folds in, in order.
+// drained collects the events a drain hands the checker, in order.
 func drained(tr *Tracer) []Event {
 	var got []Event
 	tr.Drain(func(e Event) { got = append(got, e) })
 	return got
 }
 
-// TestDrainOrderIsCreationOrder emits from shards in reverse creation order,
-// across more than one word of the emitted bitmap, and requires the drain to
-// fold them in creation order with each shard's events in program order.
-func TestDrainOrderIsCreationOrder(t *testing.T) {
+// attached returns a tracer with a checker attached.
+func attached() *Tracer {
 	tr := New(16)
-	shards := make([]*Shard, 70)
-	for i := range shards {
-		shards[i] = tr.NewShard()
-	}
-	emitters := []int{69, 64, 63, 5, 0}
-	for _, i := range emitters {
-		shards[i].Emit(Event{Node: int32(i), A: 1})
-		shards[i].Emit(Event{Node: int32(i), A: 2})
-	}
-	got := drained(tr)
-	if len(got) != 2*len(emitters) {
-		t.Fatalf("drained %d events, want %d", len(got), 2*len(emitters))
-	}
-	for k, e := range got {
-		want := Event{Node: int32(emitters[len(emitters)-1-k/2]), A: int32(k%2 + 1)}
-		if e != want {
-			t.Errorf("event %d is %v, want %v", k, e, want)
+	tr.Attach(sim.NewEngine(0, 0).Register(sim.TickFunc(func(sim.Cycle) {})))
+	return tr
+}
+
+// TestDrainOrderIsEmissionOrder emits from many nodes, out of node order,
+// and requires the history (ring and hash) and the checker's drain to hold
+// the events as they were emitted.
+func TestDrainOrderIsEmissionOrder(t *testing.T) {
+	tr := attached()
+	var want []Event
+	ref := &Tracer{hash: fnvOffset}
+	for _, n := range []int32{69, 64, 63, 5, 0} {
+		for a := int32(1); a <= 2; a++ {
+			e := Event{Node: n, A: a}
+			tr.Emit(e)
+			ref.record(e)
+			want = append(want, e)
 		}
+	}
+	if got := drained(tr); !slices.Equal(got, want) {
+		t.Errorf("drain handed %v, want %v", got, want)
+	}
+	if got := tr.Tail(); !slices.Equal(got, want) {
+		t.Errorf("ring holds %v, want %v", got, want)
+	}
+	if tr.Hash() != ref.Hash() || tr.Events() != uint64(len(want)) {
+		t.Errorf("history (hash %#x, %d events), want (hash %#x, %d events)", tr.Hash(), tr.Events(), ref.Hash(), len(want))
 	}
 }
 
-// TestDrainSkipsDrainedShards requires a shard emptied by one drain to be
-// left alone by the next: a second drain folds nothing in, and a third sees
-// only what was emitted after the second.
-func TestDrainSkipsDrainedShards(t *testing.T) {
-	tr := New(16)
-	a, b := tr.NewShard(), tr.NewShard()
-	a.Emit(Event{Node: 0})
-	b.Emit(Event{Node: 1})
+// TestDrainHandsEachEventOnce requires a drain to hand over each event once:
+// a second drain hands over nothing, and a third only what was emitted after
+// the second. The history counts each event once, at its emission.
+func TestDrainHandsEachEventOnce(t *testing.T) {
+	tr := attached()
+	tr.Emit(Event{Node: 0})
+	tr.Emit(Event{Node: 1})
 	if got := drained(tr); len(got) != 2 {
-		t.Fatalf("first drain folded %d events, want 2", len(got))
+		t.Fatalf("first drain handed over %d events, want 2", len(got))
 	}
-	for w, word := range tr.emitted {
-		if word != 0 {
-			t.Fatalf("emitted word %d is %#x after a drain, want 0", w, word)
-		}
+	if got := drained(tr); len(got) != 0 {
+		t.Fatalf("a drain with nothing emitted handed over %d events", len(got))
 	}
-	hash, count := tr.Hash(), tr.Events()
-	if got := drained(tr); len(got) != 0 || tr.Hash() != hash || tr.Events() != count {
-		t.Fatalf("a drain with nothing emitted folded %d events (hash %#x -> %#x)", len(got), hash, tr.Hash())
-	}
-	b.Emit(Event{Node: 1, A: 7})
+	tr.Emit(Event{Node: 1, A: 7})
 	if got := drained(tr); len(got) != 1 || got[0].A != 7 {
-		t.Fatalf("third drain folded %v, want the one event emitted since", got)
+		t.Fatalf("third drain handed over %v, want the one event emitted since", got)
 	}
+	if tr.Events() != 3 {
+		t.Fatalf("history counts %d events, want 3", tr.Events())
+	}
+}
+
+// TestEmitWithoutCheckerKeepsNoList requires a tracer with no checker
+// attached to fold events into its history and queue none, and a nil tracer
+// to ignore them.
+func TestEmitWithoutCheckerKeepsNoList(t *testing.T) {
+	tr := New(4)
+	tr.Emit(Event{Node: 3})
+	if tr.Events() != 1 || len(tr.Tail()) != 1 || len(tr.cycle) != 0 {
+		t.Fatalf("unattached tracer: %d events, tail %v, %d queued", tr.Events(), tr.Tail(), len(tr.cycle))
+	}
+	var off *Tracer
+	off.Emit(Event{Node: 3})
 }
