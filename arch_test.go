@@ -5,11 +5,15 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pushmulticast/internal/snapshot"
 )
 
 // TestArchNoUnsafe states over the parsed source that no non-test Go file
@@ -300,5 +304,121 @@ func TestArchFaultPathKeepsEachFactOnce(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestArchOneFailurePath states over the parsed source that a run's failure
+// is recorded once, on the engine: no struct type in the machine's component
+// packages, tests aside, has a field of type error (noc's rebuild, which
+// carries one audit's result, aside), and no function is named
+// Unrecoverable. A component that finds the run lost calls Fail on its
+// sim.Handle.
+func TestArchOneFailurePath(t *testing.T) {
+	const why = "a component reports a failure through its sim.Handle (Handle.Fail); the engine keeps the first and the run loop reads Engine.Err (DESIGN.md §4b, \"One failure\")"
+	dirs := []string{"internal/noc", "internal/cache", "internal/memctrl", "internal/cpu", "internal/prefetch", "internal/fault"}
+	parseDirs(t, false, dirs, func(fset *token.FileSet, path string, file *ast.File) {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || path == "internal/noc/derive.go" && ts.Name.Name == "rebuild" {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					if isName(field.Type, "error") {
+						t.Errorf("%v: %s keeps an error; %s", fset.Position(field.Pos()), ts.Name.Name, why)
+					}
+				}
+			}
+		}
+	})
+	parseDirs(t, false, append(internalDirs(t), "."), func(fset *token.FileSet, path string, file *ast.File) {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "Unrecoverable" {
+				t.Errorf("%v: a function named Unrecoverable; %s", fset.Position(fd.Pos()), why)
+			}
+		}
+	})
+}
+
+// lastName returns the name an expression ends in: x for x and a.b.x, "" for
+// anything else.
+func lastName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
+}
+
+// TestArchOneStateDescription states that every component describes its
+// state once, over a snapshot.Codec, and that the description carries
+// primary state only. Over the parsed source: no function under internal/,
+// tests included, is named SaveState or LoadState (a two-function codec); no
+// internal/*/snapshot.go declares a generic derived (a derived field written
+// and cross-checked), refers to a field named asleep or wakeAt, to a name
+// containing lastTick or blockedAt, or to an l1's accesses (scheduling
+// state: sleep flags, wake times, the cycle a lazily caught-up counter last
+// caught up, a count of polled retries); and no non-test declaration under
+// internal/ is a reserved uint64 (a padding word). Over the text of each
+// snapshot.go, comments included: no "format vN" with N below
+// snapshot.Version (nothing is written for an old format's sake).
+func TestArchOneStateDescription(t *testing.T) {
+	formatV := regexp.MustCompile(`format v([0-9]+)`)
+	parseDirs(t, true, internalDirs(t), func(fset *token.FileSet, path string, file *ast.File) {
+		test := strings.HasSuffix(path, "_test.go")
+		state := filepath.Base(path) == "snapshot.go"
+		reserved := func(names []*ast.Ident, typ ast.Expr, pos token.Pos) {
+			for _, name := range names {
+				if !test && name.Name == "reserved" && isName(typ, "uint64") {
+					t.Errorf("%v: a reserved word; no section pads itself (DESIGN.md §4g)", fset.Position(pos))
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Name.Name == "SaveState" || n.Name.Name == "LoadState" {
+					t.Errorf("%v: %s; a two-function codec reappeared: describe the state once, over a snapshot.Codec (DESIGN.md §4g)", fset.Position(n.Pos()), n.Name.Name)
+				}
+				if state && n.Name.Name == "derived" && n.Type.TypeParams != nil {
+					t.Errorf("%v: a generic derived; derived state is not written: it belongs in the component's rebuild (DESIGN.md §4b, §4g)", fset.Position(n.Pos()))
+				}
+			case *ast.Ident:
+				if state && (strings.Contains(n.Name, "lastTick") || strings.Contains(n.Name, "blockedAt")) {
+					t.Errorf("%v: %s in a state description; it carries no scheduling state: settle the counter to the barrier instead (DESIGN.md §4g)", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.SelectorExpr:
+				if s := n.Sel.Name; state && (s == "asleep" || s == "wakeAt" || s == "accesses" && lastName(n.X) == "l1") {
+					t.Errorf("%v: .%s in a state description; it carries no scheduling state: the engine writes the clock and decoding wakes every handle (DESIGN.md §4g)", fset.Position(n.Pos()), s)
+				}
+			case *ast.Field:
+				reserved(n.Names, n.Type, n.Pos())
+			case *ast.ValueSpec:
+				reserved(n.Names, n.Type, n.Pos())
+			}
+			return true
+		})
+		if !state || test {
+			return
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range formatV.FindAllSubmatch(src, -1) {
+			if v, _ := strconv.Atoi(string(m[1])); v < int(snapshot.Version) {
+				t.Errorf("%s: %q; a state description writes nothing for an old format's sake: this build reads v%d only (DESIGN.md §4g)", path, m[0], snapshot.Version)
+			}
+		}
 	})
 }

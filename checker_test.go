@@ -40,7 +40,7 @@ func TestCheckerDetectsCorruptedSharerSet(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		sys.Eng.Step()
 	}
-	if err := sys.Checker.Err(); err != nil {
+	if err := sys.Eng.Err(); err != nil {
 		t.Fatalf("violation before corruption: %v", err)
 	}
 	// Drop every S-state private copy from its home directory's view.
@@ -62,10 +62,10 @@ func TestCheckerDetectsCorruptedSharerSet(t *testing.T) {
 		t.Fatal("no shared line found to corrupt after warm-up")
 	}
 	// The next sweep is at most CheckEvery cycles away.
-	for i := 0; i < 64 && sys.Checker.Err() == nil; i++ {
+	for i := 0; i < 64 && sys.Eng.Err() == nil; i++ {
 		sys.Eng.Step()
 	}
-	err := sys.Checker.Err()
+	err := sys.Eng.Err()
 	if err == nil {
 		t.Fatal("corrupted sharer set not detected by the checker sweep")
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pushmulticast"
+	"pushmulticast/internal/snapshot"
 )
 
 // parse runs pushsim's flag parsing over args, as main does.
@@ -334,9 +335,13 @@ func TestExecuteBadInput(t *testing.T) {
 	}
 	// Snapshots from a hypothetical newer build and from the two previous
 	// formats: same bytes, the format version field (first header field after
-	// the magic) patched to 9, 7 and 6. There is no reader for any of them.
-	futureSnap, v7Snap, v6Snap := append([]byte(nil), snap...), append([]byte(nil), snap...), append([]byte(nil), snap...)
-	futureSnap[8], v7Snap[8], v6Snap[8] = 9, 7, 6
+	// the magic) patched to one above this build's and to the two below.
+	// There is no reader for any of them.
+	futureSnap, prevSnap, olderSnap := bytes.Clone(snap), bytes.Clone(snap), bytes.Clone(snap)
+	futureSnap[8], prevSnap[8], olderSnap[8] = byte(snapshot.Version+1), byte(snapshot.Version-1), byte(snapshot.Version-2)
+	reads := func(v uint32) string {
+		return fmt.Sprintf("snapshot format v%d, this build reads v%d", v, snapshot.Version)
+	}
 	baseRun, err := parse(t, "-scale", "tiny", "-check", "-scheme", "Baseline").resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -354,9 +359,9 @@ func TestExecuteBadInput(t *testing.T) {
 		{"restore file missing", cfg, "cachebw", pushmulticast.WorkloadSpec{}, filepath.Join(dir, "no-such.snap"), "no-such.snap"},
 		{"restore file is not a snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("noise.snap", []byte("definitely not a snapshot file")), "bad magic"},
 		{"truncated snapshot", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("trunc.snap", snap[:len(snap)-7]), "hash mismatch"},
-		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("future.snap", futureSnap), "format v9, this build reads v8"},
-		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("v7.snap", v7Snap), "snapshot format v7, this build reads v8"},
-		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("v6.snap", v6Snap), "snapshot format v6, this build reads v8"},
+		{"newer format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("future.snap", futureSnap), reads(snapshot.Version + 1)},
+		{"previous format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("previous.snap", prevSnap), reads(snapshot.Version - 1)},
+		{"older format version", cfg, "cachebw", pushmulticast.WorkloadSpec{}, write("older.snap", olderSnap), reads(snapshot.Version - 2)},
 		{"different scheme", baseline, "cachebw", pushmulticast.WorkloadSpec{}, snapFile, "snapshot mismatch"},
 		{"different workload", cfg, "bfs", pushmulticast.WorkloadSpec{}, snapFile, "snapshot mismatch"},
 		// Collective bad inputs: -workload/-cores combinations inconsistent
@@ -397,8 +402,11 @@ func TestExecuteBadInput(t *testing.T) {
 // the problem. Three rows are the CLI's checkpoint contract: restoring under a
 // different scheme or other collective parameters, and reading a snapshot
 // stamped with the previous format version, each fail loudly with nothing on
-// stdout. The profile rows require every profile flag to leave a non-empty
-// file, and an uncreatable profile path to fail before the run.
+// stdout. The auto-checkpointing rows run in order: a -snapevery run writes
+// its checkpoints and prints the plain run's JSON, and resuming from the file
+// it left, plain or checkpointing on, prints it again. The profile rows
+// require every profile flag to leave a non-empty file, and an uncreatable
+// profile path to fail before the run.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	donor := filepath.Join(dir, "donor.snap")
@@ -418,12 +426,18 @@ func TestRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v7 := bytes.Clone(data)
-	v7[8] = 7 // the format version is the u32 after the 8-byte magic
-	v7File := filepath.Join(dir, "v7.snap")
-	if err := os.WriteFile(v7File, v7, 0o644); err != nil {
+	previous := bytes.Clone(data)
+	previous[8] = byte(snapshot.Version - 1) // the format version is the u32 after the 8-byte magic
+	previousFile := filepath.Join(dir, "previous.snap")
+	if err := os.WriteFile(previousFile, previous, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	stdout.Reset()
+	if code := run(append(tiny, "-json"), &stdout, io.Discard); code != 0 {
+		t.Fatalf("the plain run exited %d", code)
+	}
+	plain := stdout.String()
+	checkpoint := filepath.Join(dir, "auto.snap")
 	broadcast := func(fanout string) []string {
 		return []string{"-workload", "broadcast", "-fanout", fanout, "-cores", "16", "-scale", "tiny"}
 	}
@@ -443,18 +457,26 @@ func TestRun(t *testing.T) {
 		err  string // a substring of the one stderr line; "" for none
 		// files must each exist and be non-empty after the run.
 		files []string
+		// plain requires stdout to be the plain run's JSON, byte for byte.
+		plain bool
 	}{
-		{"text report", []string{"-scale", "tiny"}, 0, "cycles          21266", "", nil},
-		{"restore", append(tiny, "-restore", donor, "-json"), 0, `"cycles": 21266`, "", nil},
-		{"workload list", []string{"-list"}, 0, "cachebw", "", nil},
-		{"help", []string{"-h"}, 0, "", "Usage of pushsim", nil},
-		{"mismatched restore", []string{"-workload", "cachebw", "-scheme", "Baseline", "-scale", "tiny", "-check", "-restore", donor}, 1, "", "snapshot mismatch", nil},
-		{"previous format version", append(tiny, "-restore", v7File), 1, "", "snapshot format v7, this build reads v8", nil},
-		{"other collective parameters", append(broadcast("4"), "-restore", bcast), 1, "", "snapshot mismatch", nil},
-		{"profiles", []string{"-scale", "tiny", "-cpuprofile", profiles[0], "-memprofile", profiles[1], "-exectrace", profiles[2]}, 0, "cycles          21266", "", profiles},
-		{"unwritable memprofile", []string{"-scale", "tiny", "-memprofile", unwritable}, 1, "", "no such file or directory", nil},
-		{"snapat without snapshot", []string{"-scale", "tiny", "-snapat", "10000"}, 1, "", "-snapat requires -snapshot", nil},
-		{"bad flag", []string{"-parallel", "4"}, 1, "", "flag provided but not defined: -parallel", nil},
+		{"text report", []string{"-scale", "tiny"}, 0, "cycles          21266", "", nil, false},
+		{"restore", append(tiny, "-restore", donor, "-json"), 0, `"cycles": 21266`, "", nil, false},
+		{"workload list", []string{"-list"}, 0, "cachebw", "", nil, false},
+		{"help", []string{"-h"}, 0, "", "Usage of pushsim", nil, false},
+		{"mismatched restore", []string{"-workload", "cachebw", "-scheme", "Baseline", "-scale", "tiny", "-check", "-restore", donor}, 1, "", "snapshot mismatch", nil, false},
+		{"previous format version", append(tiny, "-restore", previousFile), 1, "",
+			fmt.Sprintf("snapshot format v%d, this build reads v%d", snapshot.Version-1, snapshot.Version), nil, false},
+		{"auto-checkpointing", append(tiny, "-snapshot", checkpoint, "-snapevery", "5000", "-json"), 0, "", "checkpoints written", []string{checkpoint}, true},
+		{"restore an auto-checkpoint", append(tiny, "-restore", checkpoint, "-json"), 0, "", "", nil, true},
+		{"resume auto-checkpointing", append(tiny, "-restore", checkpoint, "-snapshot", filepath.Join(dir, "auto2.snap"), "-snapevery", "5000", "-json"), 0, "",
+			"resumed from " + checkpoint, nil, true},
+		{"snapevery 0", []string{"-scale", "tiny", "-snapshot", filepath.Join(dir, "never.snap"), "-snapevery", "0"}, 1, "", "not a positive cycle count", nil, false},
+		{"other collective parameters", append(broadcast("4"), "-restore", bcast), 1, "", "snapshot mismatch", nil, false},
+		{"profiles", []string{"-scale", "tiny", "-cpuprofile", profiles[0], "-memprofile", profiles[1], "-exectrace", profiles[2]}, 0, "cycles          21266", "", profiles, false},
+		{"unwritable memprofile", []string{"-scale", "tiny", "-memprofile", unwritable}, 1, "", "no such file or directory", nil, false},
+		{"snapat without snapshot", []string{"-scale", "tiny", "-snapat", "10000"}, 1, "", "-snapat requires -snapshot", nil, false},
+		{"bad flag", []string{"-parallel", "4"}, 1, "", "flag provided but not defined: -parallel", nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -465,6 +487,9 @@ func TestRun(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), tc.out) || tc.code != 0 && stdout.Len() != 0 {
 				t.Fatalf("pushsim %q wrote %q to stdout; want it to contain %q, and nothing on a failure", tc.args, &stdout, tc.out)
+			}
+			if tc.plain && stdout.String() != plain {
+				t.Fatalf("pushsim %q wrote %q to stdout; want the plain run's %q", tc.args, &stdout, plain)
 			}
 			if tc.err == "" && stderr.Len() != 0 || !strings.Contains(stderr.String(), tc.err) {
 				t.Fatalf("pushsim %q wrote %q to stderr; want %q", tc.args, &stderr, tc.err)

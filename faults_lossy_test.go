@@ -111,3 +111,28 @@ func TestLossyUnrecoverable(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedMachineRefusesSnapshot: a run that fails stops at the end of the
+// cycle it failed in, stays failed, and refuses to snapshot, so no snapshot
+// ever carries a failure. Total loss on 16 cores fails at cycle 95,701 (an L2
+// out of reissues); a later RunTo steps no further, and Snapshot returns the
+// failure and no bytes.
+func TestFailedMachineRefusesSnapshot(t *testing.T) {
+	cfg := ScaledConfig(Default16()).WithScheme(OrdPush())
+	plan := GenerateLossyPlan(cfg.Tiles(), 1, 1000)
+	cfg.Faults = &plan
+	m, err := NewMachine(cfg, goldenWorkload(t, "cachebw"), ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const failedAt = 95701
+	for range 2 {
+		if err := m.RunTo(1 << 40); !errors.Is(err, ErrUnrecoverable) || m.Now() != failedAt {
+			t.Fatalf("RunTo stopped at cycle %d with %v; want cycle %d and ErrUnrecoverable", m.Now(), err, failedAt)
+		}
+	}
+	data, err := m.Snapshot()
+	if !errors.Is(err, ErrUnrecoverable) || data != nil {
+		t.Fatalf("failed machine's Snapshot returned %d bytes and %v; want no bytes and its failure", len(data), err)
+	}
+}

@@ -181,10 +181,12 @@ type Array struct {
 // Pool is the page store of one cache level of a machine: the L1s, the L2s
 // or the LLC slices. Every array of the level carves its pages from the
 // pool's slabs, slabPages pages each (the last cut to the level's pages
-// left), which never move or grow, so a *Line stays valid while any array of
-// the level carves, and at most one slab is not full. Page n is the
-// n%slabPages-th of slab n/slabPages. The pool also holds the level's pageOf
-// table, which its arrays share out, and its slab table is sized at build.
+// left), whose ways never move or grow, so a *Line stays valid while any
+// array of the level carves, and at most one slab is not full. Page n is the
+// n%slabPages-th of slab n/slabPages. The slab table grows as slabs are
+// carved: carve writes a slab's ways, never its header, so a *slab taken
+// before a grow reads the same ways after it. The pool also holds the
+// level's pageOf table, which its arrays share out.
 type Pool struct {
 	slabs []slab
 	// pages is the number of pages carved.
@@ -260,7 +262,7 @@ func newPool(sizeBytes, ways, pageWays, interleave, sharerWords, arrays int) *Po
 		panic(fmt.Sprintf("cache: pages of %d ways do not divide a %d-way set", pageWays, ways))
 	}
 	pages := arrays * sets * (ways / pageWays)
-	p := &Pool{pageOf: make([]uint32, pages), slabs: make([]slab, 0, (pages+slabPages-1)/slabPages)}
+	p := &Pool{pageOf: make([]uint32, pages)}
 	p.geometry = Array{pool: p, sharerWords: sharerWords, setMask: uint64(sets - 1),
 		setShift: uint(bits.TrailingZeros(noc.LineBytes) + bits.TrailingZeros(uint(interleave))), ways: ways,
 		pageWays: pageWays, setPages: ways / pageWays}

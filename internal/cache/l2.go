@@ -99,11 +99,6 @@ type L2 struct {
 	// tick before it. A retired MSHR leaves it stale low, which costs one
 	// spurious walk. Zero after a restore, so the first tick walks.
 	retryAt sim.Cycle `snap:"-,derived: lower bound on the MSHRs' earliest retryDeadline, rebuilt by the first walk"`
-	// dead is the ErrUnrecoverable verdict once an MSHR exhausts its reissue
-	// budget (loss rates beyond the forward-progress ceiling): requests are
-	// outside the transport's retransmit protection — the filter may consume
-	// them in-network — so their loud-failure path lives here, not in the NI.
-	dead error
 	// timeoutScratch collects overdue MSHRs for sorting: slot order is
 	// arbitrary, the reissue order must be the address order.
 	timeoutScratch []*l2MSHR `snap:"-,scratch"`
@@ -285,9 +280,12 @@ func (c *L2) checkMSHRTimers(now sim.Cycle) {
 		if m.backoff < 32 {
 			m.backoff++
 		}
-		if m.backoff >= mshrMaxRetries && c.dead == nil {
-			c.dead = fmt.Errorf("cache: L2 %d addr %#x: %d request reissues unanswered: %w",
-				c.id, addr, m.backoff, noc.ErrUnrecoverable)
+		if m.backoff >= mshrMaxRetries {
+			// Requests are outside the transport's retransmit protection (the
+			// filter may consume them in-network), so their loud-failure path
+			// lives here, not in the NI.
+			c.h.Fail(fmt.Errorf("cache: L2 %d addr %#x: %d request reissues unanswered: %w",
+				c.id, addr, m.backoff, noc.ErrUnrecoverable))
 		}
 		c.st.Cache.MSHRTimeouts++
 		c.eng.Progress()
@@ -307,15 +305,11 @@ func (c *L2) armRetry(m *l2MSHR) {
 }
 
 // mshrMaxRetries is the MSHR reissue budget: consecutive unanswered reissues
-// beyond it mark the controller dead with ErrUnrecoverable. With exponential
+// beyond it fail the run with ErrUnrecoverable. With exponential
 // backoff the budget spans ~320 base timeouts — far beyond any congestion
 // transient, so tripping it means the line's request or response is being
 // discarded persistently (loss rate above the forward-progress ceiling).
 const mshrMaxRetries = 10
-
-// Unrecoverable returns the controller's ErrUnrecoverable verdict, or nil.
-// Read between cycles by the run's finished-check.
-func (c *L2) Unrecoverable() error { return c.dead }
 
 // retryDeadline is when the MSHR's next reissue is due: the base timeout
 // doubled per consecutive reissue, capped at 64x.

@@ -154,7 +154,6 @@ func (l2 *L2) State(c *snapshot.Codec) {
 	})
 	c.U32(&l2.knob.tpc)
 	c.U32(&l2.knob.upc)
-	noc.Error(c, &l2.dead)
 	c.U8(&l2.rejKind)
 	c.U64(&l2.rejAddr)
 }

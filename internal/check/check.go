@@ -21,8 +21,9 @@
 //     the lines they stopped holding (every way, on the first sweep after a
 //     build or a restore).
 //
-// The first violation is sticky: Err() reports it with the cycle it was
-// detected, and the run loop in core aborts and dumps the trace tail.
+// The first violation fails the run through the monitor's engine handle,
+// with the cycle it was detected; the run loop in core stops at the end of
+// that cycle and dumps the trace tail.
 package check
 
 import (
@@ -81,8 +82,9 @@ type Monitor struct {
 	checkEvery sim.Cycle   `snap:"-,config"`
 	nextScan   sim.Cycle
 
-	// Sticky first violation.
-	err error `snap:"-,transient: a monitor with a violation refuses to snapshot"`
+	// err is the first violation, also reported to the engine; it stops
+	// the monitor's own judging early.
+	err error `snap:"-,transient: a failed machine refuses to snapshot"`
 
 	// OrdPush ordering state: per-source injection serials and one table of
 	// in-flight pushes and invalidations, keyed by packet ID (multicast
@@ -173,9 +175,6 @@ func (m *Monitor) Register(eng *sim.Engine) {
 	m.h.SleepUntil(m.nextScan)
 }
 
-// Err returns the first violation detected, or nil.
-func (m *Monitor) Err() error { return m.err }
-
 func (m *Monitor) fail(cycle uint64, format string, args ...any) {
 	if m.err != nil {
 		return
@@ -187,9 +186,12 @@ func (m *Monitor) fail(cycle uint64, format string, args ...any) {
 	if m.cfg.Faults != nil && len(m.cfg.Faults.Faults) > 0 {
 		m.err = fmt.Errorf("%w at cycle %d (fault injection active; degradation contract breached): %s",
 			ErrViolation, cycle, fmt.Sprintf(format, args...))
-		return
+	} else {
+		m.err = fmt.Errorf("%w at cycle %d: %s", ErrViolation, cycle, fmt.Sprintf(format, args...))
 	}
-	m.err = fmt.Errorf("%w at cycle %d: %s", ErrViolation, cycle, fmt.Sprintf(format, args...))
+	if m.h != nil { // nil only for a monitor unit tests drive unregistered
+		m.h.Fail(m.err)
+	}
 }
 
 // Tick judges the cycle's trace events and, on scan boundaries, sweeps the

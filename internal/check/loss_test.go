@@ -62,7 +62,7 @@ func TestCloneInheritsOriginalSerial(t *testing.T) {
 	} {
 		m.checkEvent(e)
 	}
-	if err := m.Err(); err == nil || !strings.Contains(err.Error(), "OrdPush ordering violated") || !strings.Contains(err.Error(), "push id 0x13 (seq 1)") {
+	if err := m.err; err == nil || !strings.Contains(err.Error(), "OrdPush ordering violated") || !strings.Contains(err.Error(), "push id 0x13 (seq 1)") {
 		t.Fatalf("got %v, want the violation naming the clone 0x13 at the original's serial 1", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestLossObligations(t *testing.T) {
 		if !slices.Equal(m.open, tc.open) || !maps.Equal(m.lossSeq, tc.seqs) {
 			t.Errorf("%s: open %v, serials %v; want %v, %v", tc.name, m.open, m.lossSeq, tc.open, tc.seqs)
 		}
-		if err := m.Err(); tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+		if err := m.err; tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
 			t.Errorf("%s: got %v, want %q", tc.name, err, tc.err)
 		}
 		if m.err != nil {

@@ -72,7 +72,7 @@ func TestOrdPushReportsEarliestOvertakenPush(t *testing.T) {
 			for _, s := range tc.steps {
 				packet(m, s.kind, s.id, s.flag)
 			}
-			err := m.Err()
+			err := m.err
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("%s, run %d: %v", tc.name, run, err)

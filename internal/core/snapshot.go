@@ -66,10 +66,8 @@ func Fingerprint(cfg config.System, wl workload.Workload, sc workload.Scale) (st
 // (every map is written in sorted key order), which makes snapshot.Hash of
 // the result a valid run identity.
 func (s *System) Snapshot() ([]byte, error) {
-	if s.Checker != nil {
-		if err := s.Checker.Err(); err != nil {
-			return nil, fmt.Errorf("core: snapshot of a run with a pending violation: %w", err)
-		}
+	if err := s.Eng.Err(); err != nil {
+		return nil, fmt.Errorf("core: snapshot of a failed run: %w", err)
 	}
 	if s.strictFP == "" {
 		s.strictFP, s.forkFP = Fingerprint(s.Cfg, s.wl, s.scale)

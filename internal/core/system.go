@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -259,12 +260,14 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 
 // run is the machine's one run loop, behind Run and RunTo alike: it steps the
 // engine until every core has finished, the clock reaches barrier
-// (sim.NeverWake for none), or the run must abort — a fired context, a checker
-// violation, an unrecoverable sender, a coherence sweep failure, the engine's
-// watchdog or cycle limit. Every abort dumps the trace tail, and the engine's
-// own are wrapped with the scheme and workload they stopped. The stop
-// predicate reads machine state and never writes it, so a run paused at a
-// barrier is state-identical to the same cycle of one that never pauses.
+// (sim.NeverWake for none), or the run must stop — a fired context, a
+// component's failure reported on the engine (a checker violation, an
+// unrecoverable message, a failed coherence sweep), the engine's watchdog or
+// cycle limit. Every abort dumps the trace tail, and the engine's own are
+// wrapped with the scheme and workload they stopped. The stop predicate
+// writes no machine state, so a run paused at a barrier is state-identical to
+// the same cycle of one that never pauses; a canceled run is not failed, and
+// stays resumable.
 func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) (sim.Cycle, error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -272,47 +275,25 @@ func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) 
 			panic(r)
 		}
 	}()
-	var checkErr error
+	var canceled error
 	barriers := uint64(0)
 	stop := func() bool {
 		if barriers++; barriers%cancelCheckPeriod == 0 && ctx.Err() != nil {
-			checkErr = canceledAt(ctx, s.Eng.Now())
+			canceled = canceledAt(ctx, s.Eng.Now())
 			return true
-		}
-		if s.Checker != nil && s.Checker.Err() != nil {
-			checkErr = s.Checker.Err()
-			return true
-		}
-		// A sender that exhausted its retransmissions can never be acked:
-		// abort loudly with the wrapped ErrUnrecoverable and a trace tail
-		// instead of letting the run spin until the watchdog fires.
-		if err := s.Net.Unrecoverable(); err != nil {
-			checkErr = err
-			return true
-		}
-		if s.Cfg.Faults.Lossy() {
-			for _, l2 := range s.L2s {
-				if err := l2.Unrecoverable(); err != nil {
-					checkErr = err
-					return true
-				}
-			}
 		}
 		if checkEvery != 0 && uint64(s.Eng.Now())%checkEvery == 0 {
 			if err := s.CheckCoherence(); err != nil {
-				checkErr = err
+				s.Eng.Fail(err)
 				return true
 			}
 		}
 		return s.Finished()
 	}
 	end, err := s.Eng.RunTo(barrier, stop)
-	if checkErr == nil && s.Checker != nil {
-		checkErr = s.Checker.Err()
-	}
-	if checkErr != nil {
+	if failed := cmp.Or(s.Eng.Err(), canceled); failed != nil {
 		s.DumpTrace()
-		return end, checkErr
+		return end, failed
 	}
 	if err != nil {
 		s.DumpTrace()

@@ -191,7 +191,7 @@ func (ni *NI) reschedule() {
 	if ni.net.lossy {
 		next, idle := ni.transportDeadline()
 		if !idle {
-			return // pending acks or a dead sender: stay awake
+			return // pending acks: stay awake
 		}
 		min = next
 	}

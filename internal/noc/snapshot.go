@@ -2,31 +2,6 @@ package noc
 
 import "pushmulticast/internal/snapshot"
 
-// restoredDead carries a sender's ErrUnrecoverable verdict across a
-// snapshot: the message is preserved verbatim (so a restored run aborts with
-// the same diagnostic as the cold run) and errors.Is still matches
-// ErrUnrecoverable through Unwrap.
-type restoredDead struct{ msg string }
-
-func (e restoredDead) Error() string { return e.msg }
-func (e restoredDead) Unwrap() error { return ErrUnrecoverable }
-
-// Error describes an ErrUnrecoverable verdict, the only error kind that
-// lives across cycles.
-func Error(c *snapshot.Codec, perr *error) {
-	c.Mark(perr)
-	if !c.Flag(*perr != nil) {
-		return
-	}
-	msg := ""
-	if !c.Decoding() {
-		msg = (*perr).Error()
-	}
-	if msg = c.Text(msg); c.Decoding() {
-		*perr = restoredDead{msg}
-	}
-}
-
 // Packet describes a packet held by pointer; the protocol layer uses it for
 // the packets in its input queues and outboxes. Decoding draws the packet
 // from the network's pool, even if the original was caller-owned: the only
@@ -221,7 +196,6 @@ func (tp *niTransport) state(c *snapshot.Codec, pkt func(**Packet)) {
 		c.U64(&r.addr)
 		c.Bool(&r.isPush)
 	})
-	Error(c, &tp.dead)
 }
 
 // vcAt codes the (port, index) coordinates of one of this router's input

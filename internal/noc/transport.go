@@ -102,9 +102,6 @@ type niTransport struct {
 	// on 16 cores up to 100 per mille, 29 on 64 at 20), so it is scanned,
 	// not indexed.
 	lost []lossRec
-	// dead is the ErrUnrecoverable verdict once a window entry exhausts its
-	// retries; the run's finished-check aborts on it at the next cycle edge.
-	dead error
 	// retxAt is a lower bound on the earliest retransmit deadline: lowered
 	// by stampTransport, rebuilt exactly by each walk of the windows, so
 	// neither checkRetransmits nor transportDeadline walks them on a tick
@@ -446,11 +443,11 @@ func (ni *NI) consumeAck(a *Packet, now sim.Cycle) {
 // windows only once retxAt has come due and rebuilding it exactly as it goes.
 // A refused injection (queue backpressure) leaves the entry overdue;
 // reschedule keeps the NI awake and it retries next cycle. Exhausting
-// MaxRetries marks the sender dead with ErrUnrecoverable; the run's
-// finished-check picks that up at the next cycle edge.
+// MaxRetries fails the run with ErrUnrecoverable, which stops at the end of
+// this cycle.
 func (ni *NI) checkRetransmits(now sim.Cycle) {
 	tp := ni.tp
-	if tp.dead != nil || now < tp.retxAt {
+	if now < tp.retxAt {
 		return
 	}
 	timeout := sim.Cycle(ni.net.cfg.RetryTimeout)
@@ -467,8 +464,8 @@ func (ni *NI) checkRetransmits(now sim.Cycle) {
 				continue
 			}
 			if e.retries >= ni.net.cfg.MaxRetries {
-				tp.dead = fmt.Errorf("noc: node %d vnet %d seq %d addr %#x: %d retransmissions unacked (dests %v): %w",
-					ni.node, v, e.proto.Seq, e.proto.Addr, e.retries, e.pending, ErrUnrecoverable)
+				ni.h.Fail(fmt.Errorf("noc: node %d vnet %d seq %d addr %#x: %d retransmissions unacked (dests %v): %w",
+					ni.node, v, e.proto.Seq, e.proto.Addr, e.retries, e.pending, ErrUnrecoverable))
 				return
 			}
 			p := ni.getPacket()
@@ -494,28 +491,14 @@ func (ni *NI) checkRetransmits(now sim.Cycle) {
 
 // transportDeadline returns a lower bound on the earliest retransmit deadline
 // (idle=true), or idle=false when the NI must stay awake regardless (queued
-// acks to retry, or a dead sender waiting for the run's finished-check).
+// acks to retry).
 func (ni *NI) transportDeadline() (sim.Cycle, bool) {
 	tp := ni.tp
 	if tp == nil {
 		return sim.NeverWake, true
 	}
-	if len(tp.ackDue) != 0 || tp.dead != nil {
+	if len(tp.ackDue) != 0 {
 		return 0, false
 	}
 	return tp.retxAt, true
-}
-
-// Unrecoverable returns the first (lowest-node) sender's ErrUnrecoverable
-// verdict, or nil. Called between cycles from the run's finished-check.
-func (n *Network) Unrecoverable() error {
-	if !n.lossy {
-		return nil
-	}
-	for _, ni := range n.nis {
-		if ni.tp != nil && ni.tp.dead != nil {
-			return ni.tp.dead
-		}
-	}
-	return nil
 }

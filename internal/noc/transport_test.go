@@ -238,7 +238,7 @@ func TestSeqWraparound(t *testing.T) {
 			}
 		}
 		eng.Step()
-		if err := net.Unrecoverable(); err != nil {
+		if err := eng.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +344,7 @@ func retransmitRun(t *testing.T, eng *sim.Engine, net *Network, from, end sim.Cy
 		if err := net.CheckConservation(now); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
-		if err := net.Unrecoverable(); err != nil {
+		if err := eng.Err(); err != nil {
 			return retx, err
 		}
 		if tp := net.nis[0].tp; !walkEveryTick && tp.retxAt <= now {

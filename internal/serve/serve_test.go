@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pushmulticast"
+	"pushmulticast/internal/snapshot"
 )
 
 // tiny16 is the smallest real campaign: one scheme, one workload, tiny
@@ -241,7 +242,7 @@ func TestCampaignMalformedSpecs(t *testing.T) {
 		{"snapshot-truncated", snapshots, string(snap[:len(snap)-9]), "snapshot"},
 		{"snapshot-altered", snapshots, string(altered), "snapshot"},
 		{"snapshot-future-version", snapshots, string(future), "snapshot"},
-		{"snapshot-previous-version", snapshots, string(previous), "snapshot format v7, this build reads v8"},
+		{"snapshot-previous-version", snapshots, string(previous), fmt.Sprintf("snapshot format v%d, this build reads v%d", snapshot.Version-1, snapshot.Version)},
 		{"invalid-json", campaigns, `{"schemes":`, "campaign spec"},
 		{"unknown-field", campaigns, `{"scheems":["OrdPush"],"workloads":[{"name":"cachebw"}]}`, `unknown field "scheems"`},
 		// The shard wire's singular keys are not campaign keys.

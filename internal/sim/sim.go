@@ -51,7 +51,10 @@
 //
 // The Engine also provides progress-based deadlock detection: components
 // report forward progress via Engine.Progress, and a run aborts with
-// ErrDeadlock if no progress is observed for the watchdog window.
+// ErrDeadlock if no progress is observed for the watchdog window. A
+// component that finds the run lost (an invariant violation, a message past
+// its retry budget) reports it through Handle.Fail: the engine keeps the
+// first failure, RunTo stops at the end of that cycle, and Err reports it.
 package sim
 
 import (
@@ -145,6 +148,9 @@ func (h *Handle) WakeAt(c Cycle) {
 	h.eng.file(h)
 }
 
+// Fail reports that the component found the run lost (Engine.Fail).
+func (h *Handle) Fail(err error) { h.eng.Fail(err) }
+
 // Sleep reports that the component has no pending work at all; only an
 // explicit Wake makes it runnable again.
 func (h *Handle) Sleep() { h.sleep(NeverWake) }
@@ -220,6 +226,9 @@ type Engine struct {
 	// ceiling rather than a caller-chosen limit; limit errors then also
 	// wrap ErrFailsafe.
 	failsafe bool `snap:"-,config"`
+	// failed is the run's first failure (Fail); a failed machine refuses to
+	// snapshot, so no format carries it.
+	failed error `snap:"-,transient: a failed machine refuses to snapshot"`
 }
 
 // FailsafeMaxCycles is the hard cycle ceiling enforced when both the
@@ -294,6 +303,18 @@ func (e *Engine) ComponentTicks(f func(t Ticker, ticks uint64)) {
 		f(h.comp, h.ticks)
 	}
 }
+
+// Fail records err as the run's failure unless one is already recorded: the
+// first failure wins, in tick order within a cycle. RunTo stops at the end of
+// the cycle in which it is recorded and steps no more.
+func (e *Engine) Fail(err error) {
+	if e.failed == nil {
+		e.failed = err
+	}
+}
+
+// Err returns the run's first failure (Fail), or nil.
+func (e *Engine) Err() error { return e.failed }
 
 // Progress records that a component made forward progress this cycle (moved a
 // flit, retired an instruction, completed a transaction, ...). It feeds the
@@ -371,9 +392,10 @@ func (e *Engine) Step() {
 	e.now++
 }
 
-// Run advances the simulation until finished() reports true. It returns the
-// cycle at which the simulation finished, or an error if the watchdog fires
-// or the cycle limit is exceeded. When every component is asleep, the clock
+// Run advances the simulation until finished() reports true or a component
+// fails (Fail; Err reports the failure). It returns the cycle at which the
+// simulation stopped, or an error if the watchdog fires or the cycle limit
+// is exceeded. When every component is asleep, the clock
 // fast-forwards to the earliest scheduled wake instead of spinning through
 // empty cycles; the jump is clamped so the watchdog and the cycle limit fire
 // at exactly the cycle a dense run would report.
@@ -384,7 +406,7 @@ func (e *Engine) Run(finished func() bool) (Cycle, error) { return e.RunTo(Never
 // a run paused there stops at exactly the cycle a dense run does, even when
 // every component sleeps across it.
 func (e *Engine) RunTo(barrier Cycle, finished func() bool) (Cycle, error) {
-	for e.now < barrier && !finished() {
+	for e.now < barrier && e.failed == nil && !finished() {
 		if err := e.limitErr(); err != nil {
 			return e.now, err
 		}

@@ -75,6 +75,35 @@ func TestEngineFinishedImmediately(t *testing.T) {
 	}
 }
 
+// TestEngineFailStopsAtCycleEdge: two components fail in one cycle. The first
+// in tick order wins, the cycle completes (a later component still ticks in
+// it), RunTo returns at that cycle's edge, and a later RunTo does not step.
+func TestEngineFailStopsAtCycleEdge(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		eng := NewEngine(0, 0)
+		eng.SetDense(dense)
+		first, second := errors.New("first"), errors.New("second")
+		failAt := func(err error) *Handle {
+			var h *Handle
+			h = eng.Register(TickFunc(func(now Cycle) {
+				if now == 7 {
+					h.Fail(err)
+				}
+			}))
+			return h
+		}
+		failAt(first)
+		failAt(second)
+		ticks := 0
+		eng.Register(TickFunc(func(now Cycle) { ticks++ }))
+		for range 2 {
+			if end, err := eng.RunTo(100, func() bool { return false }); end != 8 || err != nil || eng.Err() != first || ticks != 8 {
+				t.Fatalf("dense=%v: RunTo = %d, %v with Err %v after %d ticks; want 8, nil, %v, 8", dense, end, err, eng.Err(), ticks, first)
+			}
+		}
+	}
+}
+
 // tickRec is one executed tick: which component, in which cycle.
 type tickRec struct {
 	cycle Cycle
