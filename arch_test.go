@@ -315,7 +315,7 @@ func TestArchFaultPathKeepsEachFactOnce(t *testing.T) {
 // sim.Handle.
 func TestArchOneFailurePath(t *testing.T) {
 	const why = "a component reports a failure through its sim.Handle (Handle.Fail); the engine keeps the first and the run loop reads Engine.Err (DESIGN.md §4b, \"One failure\")"
-	dirs := []string{"internal/noc", "internal/cache", "internal/memctrl", "internal/cpu", "internal/prefetch", "internal/fault"}
+	dirs := []string{"internal/noc", "internal/cache", "internal/memctrl", "internal/cpu", "internal/prefetch", "internal/fault", "internal/check"}
 	parseDirs(t, false, dirs, func(fset *token.FileSet, path string, file *ast.File) {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)

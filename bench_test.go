@@ -92,11 +92,9 @@ func TestBuildBytesPerTile(t *testing.T) {
 // after core.Build on the 16-core machine at tiny scale, besides the cache
 // pages it carves: cachebw under OrdPush, and bfs under OrdPush at 10 per
 // mille loss (fault seed 1). Most of it is packet slabs and, in the lossy
-// run, the recovery layer's retransmit windows; the pools' slab tables, which
-// grow as pages are carved, add 4,128 bytes to each (cachebw's 91,520 while
-// they were sized at build; 725,400 and 1,006,920 bytes while every NI kept
-// its own packet free list).
-var runBytes = map[string]uint64{"cachebw": 95648, "bfs lossy": 509248}
+// run, the recovery layer's retransmit windows (725,400 and 1,006,920 bytes
+// while every NI kept its own packet free list).
+var runBytes = map[string]uint64{"cachebw": 91520, "bfs lossy": 509248}
 
 // runPages is the recorded number of pages each run of runBytes carves, pool
 // by pool (L1, L2, LLC), and the bytes of the slabs each pool carved them

@@ -402,9 +402,9 @@ func TestExecuteBadInput(t *testing.T) {
 // the problem. Three rows are the CLI's checkpoint contract: restoring under a
 // different scheme or other collective parameters, and reading a snapshot
 // stamped with the previous format version, each fail loudly with nothing on
-// stdout. The auto-checkpointing rows run in order: a -snapevery run writes
-// its checkpoints and prints the plain run's JSON, and resuming from the file
-// it left, plain or checkpointing on, prints it again. The profile rows
+// stdout. A -snapevery run writes its checkpoints and prints the plain run's
+// JSON, and resuming from a checkpoint the setup writes the same way, plain or
+// checkpointing on, prints it again. The profile rows
 // require every profile flag to leave a non-empty file, and an uncreatable
 // profile path to fail before the run.
 func TestRun(t *testing.T) {
@@ -438,6 +438,9 @@ func TestRun(t *testing.T) {
 	}
 	plain := stdout.String()
 	checkpoint := filepath.Join(dir, "auto.snap")
+	if code := run(append(tiny, "-snapshot", checkpoint, "-snapevery", "5000", "-json"), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("writing the auto-checkpoint: exit %d", code)
+	}
 	broadcast := func(fanout string) []string {
 		return []string{"-workload", "broadcast", "-fanout", fanout, "-cores", "16", "-scale", "tiny"}
 	}
@@ -467,7 +470,7 @@ func TestRun(t *testing.T) {
 		{"mismatched restore", []string{"-workload", "cachebw", "-scheme", "Baseline", "-scale", "tiny", "-check", "-restore", donor}, 1, "", "snapshot mismatch", nil, false},
 		{"previous format version", append(tiny, "-restore", previousFile), 1, "",
 			fmt.Sprintf("snapshot format v%d, this build reads v%d", snapshot.Version-1, snapshot.Version), nil, false},
-		{"auto-checkpointing", append(tiny, "-snapshot", checkpoint, "-snapevery", "5000", "-json"), 0, "", "checkpoints written", []string{checkpoint}, true},
+		{"auto-checkpointing", append(tiny, "-snapshot", filepath.Join(dir, "auto1.snap"), "-snapevery", "5000", "-json"), 0, "", "checkpoints written", []string{filepath.Join(dir, "auto1.snap")}, true},
 		{"restore an auto-checkpoint", append(tiny, "-restore", checkpoint, "-json"), 0, "", "", nil, true},
 		{"resume auto-checkpointing", append(tiny, "-restore", checkpoint, "-snapshot", filepath.Join(dir, "auto2.snap"), "-snapevery", "5000", "-json"), 0, "",
 			"resumed from " + checkpoint, nil, true},

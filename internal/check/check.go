@@ -82,10 +82,6 @@ type Monitor struct {
 	checkEvery sim.Cycle   `snap:"-,config"`
 	nextScan   sim.Cycle
 
-	// err is the first violation, also reported to the engine; it stops
-	// the monitor's own judging early.
-	err error `snap:"-,transient: a failed machine refuses to snapshot"`
-
 	// OrdPush ordering state: per-source injection serials and one table of
 	// in-flight pushes and invalidations, keyed by packet ID (multicast
 	// replicas share their parent's ID). pushLines indexes the pushes by
@@ -175,22 +171,19 @@ func (m *Monitor) Register(eng *sim.Engine) {
 	m.h.SleepUntil(m.nextScan)
 }
 
+// fail reports a violation to the engine, which keeps the run's first
+// failure. Once the run has failed, by a violation or by any other
+// component's report, the monitor judges nothing more.
 func (m *Monitor) fail(cycle uint64, format string, args ...any) {
-	if m.err != nil {
-		return
-	}
 	// Under fault injection the checker stays fully armed — a legal fault
 	// plan must never violate an invariant — but a failure then means the
 	// graceful-degradation contract broke, which is a different bug hunt
 	// than a clean-run violation; annotate so the two are never confused.
 	if m.cfg.Faults != nil && len(m.cfg.Faults.Faults) > 0 {
-		m.err = fmt.Errorf("%w at cycle %d (fault injection active; degradation contract breached): %s",
-			ErrViolation, cycle, fmt.Sprintf(format, args...))
+		m.h.Fail(fmt.Errorf("%w at cycle %d (fault injection active; degradation contract breached): %s",
+			ErrViolation, cycle, fmt.Sprintf(format, args...)))
 	} else {
-		m.err = fmt.Errorf("%w at cycle %d: %s", ErrViolation, cycle, fmt.Sprintf(format, args...))
-	}
-	if m.h != nil { // nil only for a monitor unit tests drive unregistered
-		m.h.Fail(m.err)
+		m.h.Fail(fmt.Errorf("%w at cycle %d: %s", ErrViolation, cycle, fmt.Sprintf(format, args...)))
 	}
 }
 
@@ -199,7 +192,7 @@ func (m *Monitor) fail(cycle uint64, format string, args ...any) {
 func (m *Monitor) Tick(now sim.Cycle) {
 	m.tr.Drain(m.checkEvent)
 	if now >= m.nextScan {
-		if m.err == nil {
+		if m.h.Err() == nil {
 			m.scan(now)
 		}
 		m.nextScan = now + m.checkEvery
@@ -209,7 +202,7 @@ func (m *Monitor) Tick(now sim.Cycle) {
 
 // checkEvent validates the event-driven invariants on one trace record.
 func (m *Monitor) checkEvent(e trace.Event) {
-	if m.err != nil {
+	if m.h.Err() != nil {
 		return
 	}
 	switch e.Kind {
@@ -454,7 +447,7 @@ func (m *Monitor) scan(now sim.Cycle) {
 	cyc := uint64(now)
 	if m.lossy {
 		m.scanLossAge(cyc)
-		if m.err != nil {
+		if m.h.Err() != nil {
 			return
 		}
 	}
@@ -467,7 +460,7 @@ func (m *Monitor) scan(now sim.Cycle) {
 		return
 	}
 	for i, l2 := range m.l2s {
-		if m.scanTile(cyc, i, l2, m.llcs[i]); m.err != nil {
+		if m.scanTile(cyc, i, l2, m.llcs[i]); m.h.Err() != nil {
 			return
 		}
 		l2.Array().ClearMarks()
@@ -492,7 +485,7 @@ func (m *Monitor) scanTile(cyc uint64, i int, l2 *cache.L2, llc *cache.LLC) {
 	}
 	l1 := l2.L1().Array()
 	included := func(addr uint64, _ *cache.Line) {
-		if m.err != nil || l1.Peek(addr) == nil {
+		if m.h.Err() != nil || l1.Peek(addr) == nil {
 			return
 		}
 		backing := l2.Line(addr)

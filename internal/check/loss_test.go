@@ -10,18 +10,21 @@ import (
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/fault"
 	"pushmulticast/internal/noc"
+	"pushmulticast/internal/sim"
 	"pushmulticast/internal/snapshot"
 	"pushmulticast/internal/trace"
 )
 
 // lossyMonitor is a monitor with OrdPush tracking and loss obligations on
-// and nothing to sweep.
+// and nothing to sweep, registered on an engine of its own.
 func lossyMonitor() *Monitor {
 	cfg := config.Default16().WithScheme(config.OrdPush())
 	cfg.Check = true
 	plan := fault.GenerateLossyPlan(cfg.Tiles(), 1, 20)
 	cfg.Faults = &plan
-	return New(&cfg, nil, nil, nil, trace.New(0))
+	m := New(&cfg, nil, nil, nil, trace.New(0))
+	m.Register(sim.NewEngine(0, 0))
+	return m
 }
 
 // Events on orderedLine from source tile 0; key is a transport stream key.
@@ -62,7 +65,7 @@ func TestCloneInheritsOriginalSerial(t *testing.T) {
 	} {
 		m.checkEvent(e)
 	}
-	if err := m.err; err == nil || !strings.Contains(err.Error(), "OrdPush ordering violated") || !strings.Contains(err.Error(), "push id 0x13 (seq 1)") {
+	if err := m.h.Err(); err == nil || !strings.Contains(err.Error(), "OrdPush ordering violated") || !strings.Contains(err.Error(), "push id 0x13 (seq 1)") {
 		t.Fatalf("got %v, want the violation naming the clone 0x13 at the original's serial 1", err)
 	}
 }
@@ -138,11 +141,11 @@ func TestLossObligations(t *testing.T) {
 		if !slices.Equal(m.open, tc.open) || !maps.Equal(m.lossSeq, tc.seqs) {
 			t.Errorf("%s: open %v, serials %v; want %v, %v", tc.name, m.open, m.lossSeq, tc.open, tc.seqs)
 		}
-		if err := m.err; tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+		if err := m.h.Err(); tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
 			t.Errorf("%s: got %v, want %q", tc.name, err, tc.err)
 		}
-		if m.err != nil {
-			continue // a monitor with a violation refuses to snapshot
+		if m.h.Err() != nil {
+			continue // a monitor on a failed run refuses to snapshot
 		}
 		enc := snapshot.NewEncoder("", "", 0)
 		m.State(enc)

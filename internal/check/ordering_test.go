@@ -6,14 +6,18 @@ import (
 
 	"pushmulticast/internal/config"
 	"pushmulticast/internal/noc"
+	"pushmulticast/internal/sim"
 	"pushmulticast/internal/trace"
 )
 
-// orderedMonitor is a monitor with OrdPush tracking on and nothing to sweep.
+// orderedMonitor is a monitor with OrdPush tracking on and nothing to sweep,
+// registered on an engine of its own.
 func orderedMonitor() *Monitor {
 	cfg := config.Default16().WithScheme(config.OrdPush())
 	cfg.Check = true
-	return New(&cfg, nil, nil, nil, trace.New(0))
+	m := New(&cfg, nil, nil, nil, trace.New(0))
+	m.Register(sim.NewEngine(0, 0))
+	return m
 }
 
 const (
@@ -72,7 +76,7 @@ func TestOrdPushReportsEarliestOvertakenPush(t *testing.T) {
 			for _, s := range tc.steps {
 				packet(m, s.kind, s.id, s.flag)
 			}
-			err := m.err
+			err := m.h.Err()
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("%s, run %d: %v", tc.name, run, err)

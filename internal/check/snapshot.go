@@ -7,11 +7,11 @@ import (
 )
 
 // State describes the monitor's sweep schedule and in-flight tracking state.
-// A monitor with a sticky violation refuses to snapshot — the run is about to
-// abort, and forking from a corrupted state would be meaningless.
+// A monitor on a failed run refuses to snapshot — the run is about to abort,
+// and forking from a corrupted state would be meaningless.
 func (m *Monitor) State(c *snapshot.Codec) {
-	if m.err != nil {
-		panic("check: snapshot with a sticky violation")
+	if m.h.Err() != nil {
+		panic("check: snapshot of a failed run")
 	}
 	c.Section("check.monitor")
 	snapshot.AsU64(c, &m.nextScan)

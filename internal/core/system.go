@@ -265,9 +265,9 @@ func (s *System) RunCtx(ctx context.Context, checkEvery uint64) (Results, error)
 // unrecoverable message, a failed coherence sweep), the engine's watchdog or
 // cycle limit. Every abort dumps the trace tail, and the engine's own are
 // wrapped with the scheme and workload they stopped. The stop predicate
-// writes no machine state, so a run paused at a barrier is state-identical to
-// the same cycle of one that never pauses; a canceled run is not failed, and
-// stays resumable.
+// writes no machine state but a failed sweep's Eng.Fail, so a run paused at a
+// barrier is state-identical to the same cycle of one that never pauses; a
+// canceled run is not failed, and stays resumable.
 func (s *System) run(ctx context.Context, barrier sim.Cycle, checkEvery uint64) (sim.Cycle, error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -151,6 +151,9 @@ func (h *Handle) WakeAt(c Cycle) {
 // Fail reports that the component found the run lost (Engine.Fail).
 func (h *Handle) Fail(err error) { h.eng.Fail(err) }
 
+// Err returns the run's first failure (Engine.Err), or nil.
+func (h *Handle) Err() error { return h.eng.failed }
+
 // Sleep reports that the component has no pending work at all; only an
 // explicit Wake makes it runnable again.
 func (h *Handle) Sleep() { h.sleep(NeverWake) }
